@@ -88,7 +88,6 @@ class RunReport:
     candidate_checks: int
     fallback_steps: int
     segment_errors: list             # (t_start, t_end, y0, max |err| last 200 s)
-    k_bar: float | None = None
 
     def save_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -107,7 +106,6 @@ class RunReport:
             "candidate_checks": self.candidate_checks,
             "fallback_steps": self.fallback_steps,
             "segment_errors": self.segment_errors,
-            "k_bar": self.k_bar,
         }
 
     def save_json(self, path):
@@ -148,16 +146,6 @@ def constant_segments(sc, nrm, n_steps, min_duration_s=800.0):
                 segs.append((start, k, float(y0s[start])))
             start = k
     return segs
-
-
-def check_assumption5(sched, term, y_lb, y_ub, d_max, e_o_trace):
-    """Per-step admissible set-point band (normalized lo/hi arrays)."""
-    los, his = [], []
-    for e_o in e_o_trace:
-        lo, hi = mpc.admissible_band(sched, term, y_lb, y_ub, d_max, e_o)
-        los.append(lo)
-        his.append(hi)
-    return np.array(los), np.array(his)
 
 
 def initial_estimate(w, y0_norm):

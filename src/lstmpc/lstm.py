@@ -7,10 +7,10 @@ The model is the standard gated recurrence
     h+ = sigma(W_o u + U_o h + b_o) o tanh(c+)
     y  = W_y h + b_y
 
-Besides simulation, this module computes worst-case gate bounds, the
-2x2 contraction matrix of the state-increment dynamics, the associated
-spectral-radius / Jury certificates, and the incremental Lyapunov
-function used downstream for constraint tightening.
+Besides the state update, this module computes worst-case gate bounds,
+the 2x2 contraction matrix of the state-increment dynamics, the
+associated spectral-radius / Jury certificates, and the incremental
+Lyapunov function used downstream for constraint tightening.
 """
 
 import json
@@ -30,13 +30,12 @@ from .numerics import (
 
 
 def sigmoid(z):
-    """Numerically safe logistic function (no overflow for large |z|)."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Logistic function in its tanh form, 0.5 (1 + tanh(z / 2)).
+
+    tanh saturates instead of overflowing, so this is safe for any |z|;
+    a scalar argument gives a float.
+    """
+    out = 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
     return out if out.ndim else float(out)
 
 
@@ -149,21 +148,6 @@ def output(w, x):
     if x.h.shape != (w.n,):
         raise DimensionError(f"state shape {x.h.shape} != ({w.n},)")
     return w.W_y @ x.h + w.b_y
-
-
-def simulate(w, x0, u_seq):
-    """Roll the model over an input sequence; returns (outputs, final state).
-
-    ``outputs[k]`` is the readout *before* applying ``u_seq[k]`` (the model
-    is strictly proper).
-    """
-    x = x0.copy()
-    u_seq = np.atleast_2d(np.asarray(u_seq, dtype=float).reshape(len(u_seq), -1))
-    ys = np.empty((len(u_seq), w.p))
-    for k, u in enumerate(u_seq):
-        ys[k] = output(w, x)
-        x = step(w, x, u)
-    return ys, x
 
 
 @dataclass

@@ -7,9 +7,13 @@ horizon by coefficients (a_i, b_i) that account for the observer error
 proxy e_o, disturbance uncertainty and model contraction, and a terminal
 level-set constraint whose radius alpha(k) shrinks with the admissible
 set-point margin. The solver is single shooting with an augmented
-Lagrangian over the N*m free inputs; the left-shifted previous optimum
-(with the new equilibrium input appended) is both the warm start and a
-certified feasible fallback.
+Lagrangian over the N*m free inputs, minimized by projected
+Barzilai-Borwein steps with nonmonotone Armijo backtracking. The
+tightened output offsets are fixed for one solve; the gradient is an
+adjoint sweep over the rollout's cached gate activations, with every
+stage's local derivative factors formed before the sweep. The
+left-shifted previous optimum (with the new equilibrium input appended)
+is both the warm start and a certified feasible fallback.
 """
 
 from dataclasses import dataclass, field
@@ -170,46 +174,59 @@ def _rollout(w, x0, u_seq, stacks=None):
 
 def _backward(w, u_seq, c, h, gates, tc, dc_stage, dh_stage, du_stage,
               stacks=None):
-    """Adjoint sweep; stage adjoints indexed 0..N. Returns dJ/du (N, m)."""
+    """Adjoint sweep; stage adjoints indexed 0..N. Returns dJ/du (N, m).
+
+    Every stage's local derivative factors are formed before the reverse
+    sweep, and dJ/du is one product with the stacked input weights after it.
+    """
     wz, uz, bz = stacks if stacks is not None else _stacked(w)
     sig, gct = gates
     n_h = len(u_seq)
     n = w.n
-    du = du_stage.copy()
-    dc = dc_stage[n_h].copy()
-    dh = dh_stage[n_h].copy()
-    dz = np.empty(4 * n)
+    f = sig[:, :n]
+    i = sig[:, n:2 * n]
+    o = sig[:, 2 * n:]
+    k_f = f * (1.0 - f) * c[:n_h]        # d c+/d z_f
+    k_i = i * (1.0 - i) * gct            # d c+/d z_i
+    k_g = i * (1.0 - gct ** 2)           # d c+/d z_c
+    k_o = o * (1.0 - o) * tc             # d h+/d z_o
+    k_t = o * (1.0 - tc ** 2)            # d h+/d c+
+    dz = np.empty((n_h, 4 * n))
+    dc = dc_stage[n_h]
+    dh = dh_stage[n_h]
     for k in range(n_h - 1, -1, -1):
-        f = sig[k, :n]
-        i = sig[k, n:2 * n]
-        o = sig[k, 2 * n:]
-        g = gct[k]
-        do = dh * tc[k]
-        dct = dc + dh * o * (1.0 - tc[k] ** 2)
-        dz[:n] = dct * c[k] * f * (1.0 - f)
-        dz[n:2 * n] = dct * g * i * (1.0 - i)
-        dz[2 * n:3 * n] = do * o * (1.0 - o)
-        dz[3 * n:] = dct * i * (1.0 - g ** 2)
-        du[k] += wz.T @ dz
-        dc = dct * f + dc_stage[k]
-        dh = uz.T @ dz + dh_stage[k]
-    return du
+        dct = dc + dh * k_t[k]
+        dz[k, :n] = dct * k_f[k]
+        dz[k, n:2 * n] = dct * k_i[k]
+        dz[k, 2 * n:3 * n] = dh * k_o[k]
+        dz[k, 3 * n:] = dct * k_g[k]
+        dc = dct * f[k] + dc_stage[k]
+        dh = uz.T @ dz[k] + dh_stage[k]
+    return du_stage + dz @ wz
 
 
-def _constraints(w, sched, term, ref, y_lb, y_ub, d_max, e_o, c, h):
-    """Stacked inequality values g <= 0: tightened outputs, terminal set."""
-    n_h = len(sched.a) - 1
+def _tightening(sched, e_o, d_max):
+    """Output-bound offsets a_i e_o + b_i + d_max of stages 0..N-1, (N, p)."""
+    n_h, p = sched.horizon, len(sched.a[0])
+    a = np.asarray(sched.a[:n_h], dtype=float).reshape(n_h, p)
+    b = np.asarray(sched.b[:n_h], dtype=float).reshape(n_h, p)
+    return a * e_o + b + d_max
+
+
+def _constraints(w, tight, term, ref, y_lb, y_ub, c, h):
+    """Stacked inequality values g <= 0: per stage the tightened upper then
+    lower output bound, then the terminal set. ``tight`` is _tightening's."""
+    n_h = len(tight)
     y_pred = h[:n_h] @ w.W_y.T + w.b_y      # outputs at stages 0..N-1
-    g_list = []
-    for i in range(n_h):
-        tight = sched.a[i] * e_o + sched.b[i] + d_max
-        g_list.append(y_pred[i] + tight - y_ub)       # upper
-        g_list.append(y_lb + tight - y_pred[i])       # lower
+    g = np.empty(2 * w.p * n_h + 1)
+    g_out = g[:-1].reshape(n_h, 2, w.p)
+    g_out[:, 0] = y_pred + tight - y_ub
+    g_out[:, 1] = y_lb + tight - y_pred
     ec = np.linalg.norm(c[n_h] - ref.x_bar.c)
     eh = np.linalg.norm(h[n_h] - ref.x_bar.h)
     ev = np.array([ec, eh])
-    term_val = float(ev @ term.P_f @ ev) - term.alpha_k ** 2
-    return np.concatenate(g_list + [[term_val]]), ev
+    g[-1] = float(ev @ term.P_f @ ev) - term.alpha_k ** 2
+    return g, ev
 
 
 def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
@@ -228,31 +245,33 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     u_max = w.u_max
     x_bar = np.concatenate([ref.x_bar.c, ref.x_bar.h])
     u_bar = ref.u_bar
+    y_lb = np.atleast_1d(np.asarray(y_lb, dtype=float))
+    y_ub = np.atleast_1d(np.asarray(y_ub, dtype=float))
     stacks = _stacked(w)
+    tight = _tightening(sched, e_o, d_max)
 
     def evaluate(u_seq):
         c, h, gates, tc = _rollout(w, x_hat, u_seq, stacks)
-        g, ev = _constraints(w, sched, term, ref, y_lb, y_ub, d_max, e_o, c, h)
+        g, ev = _constraints(w, tight, term, ref, y_lb, y_ub, c, h)
         dx = np.hstack([c[:n_h], h[:n_h]]) - x_bar
-        cost = q_weight * float(np.sum(dx ** 2)) \
-            + r_weight * float(np.sum((u_seq - u_bar) ** 2)) \
+        cost = q_weight * float((dx ** 2).sum()) \
+            + r_weight * float(((u_seq - u_bar) ** 2).sum()) \
             + float(ev @ term.P_f @ ev)
-        return cost, g, (c, h, gates, tc, ev)
+        return cost, g, (c, h, gates, tc, ev, dx)
 
     def al_value(u_seq, lam, mu):
         cost, g, aux = evaluate(u_seq)
         act = np.maximum(0.0, lam + mu * g)
-        val = cost + float(np.sum(act ** 2 - lam ** 2)) / (2.0 * mu)
+        val = cost + float((act ** 2 - lam ** 2).sum()) / (2.0 * mu)
         return val, cost, g, aux, act
 
     def al_grad(u_seq, aux, act):
         # Stage adjoints of the smooth augmented objective.
-        c, h, gates, tc, ev = aux
+        c, h, gates, tc, ev, dx = aux
         n = w.n
         dc_stage = np.zeros((n_h + 1, n))
         dh_stage = np.zeros((n_h + 1, n))
         du_stage = 2.0 * r_weight * (u_seq - u_bar)
-        dx = np.hstack([c[:n_h], h[:n_h]]) - x_bar
         dc_stage[:n_h] += 2.0 * q_weight * dx[:, :n]
         dh_stage[:n_h] += 2.0 * q_weight * dx[:, n:]
         act_out = act[:-1].reshape(n_h, 2, w.p)
@@ -269,7 +288,7 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
                          du_stage, stacks)
 
     def project(u_seq):
-        return np.clip(u_seq, -u_max, u_max)
+        return np.minimum(np.maximum(u_seq, -u_max), u_max)
 
     u0 = np.tile(u_bar, (n_h, 1)) if warm is None else np.asarray(warm, dtype=float).reshape(n_h, m)
     u0 = project(u0)
@@ -300,15 +319,15 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
             else:
                 su = u - prev_u
                 sg = grad - prev_grad
-                denom = float(np.sum(su * sg))
-                step = float(np.sum(su * su)) / denom if denom > 1e-300 else 1.0
-                step = float(np.clip(step, 1e-10, 1e10))
+                denom = float((su * sg).sum())
+                step = float((su * su).sum()) / denom if denom > 1e-300 else 1.0
+                step = min(max(step, 1e-10), 1e10)
             val_ref = max(recent)
             improved = False
             for _ls in range(40):
                 u_new = project(u - step * grad)
                 val_new, cost_n, g_n, aux_n, act_n = al_value(u_new, lam, mu)
-                if val_new <= val_ref + 1e-4 * float(np.sum(grad * (u_new - u))):
+                if val_new <= val_ref + 1e-4 * float((grad * (u_new - u)).sum()):
                     prev_u, prev_grad = u, grad
                     u, val, cost, g = u_new, val_new, cost_n, g_n
                     grad = al_grad(u_new, aux_n, act_n)
@@ -343,7 +362,7 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
         c, h = cand_aux[0], cand_aux[1]
     else:
         u_fin, cost_fin = best_u, best_cost
-        _, g_fin, (c, h, _, _, _) = evaluate(u_fin)
+        _, g_fin, (c, h, *_) = evaluate(u_fin)
         status = "optimal"
     x_seq = [LstmState(c[k].copy(), h[k].copy()) for k in range(n_h + 1)]
     return MpcSolution(u_seq=u_fin, x_seq=x_seq, cost=cost_fin, status=status,
@@ -361,7 +380,8 @@ def shifted_candidate(prev_solution, u_bar):
 def candidate_violation(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub, u_seq):
     """Max constraint value of a given plan (<= 0 means feasible)."""
     c, h, _, _ = _rollout(w, x_hat, np.asarray(u_seq, dtype=float).reshape(sched.horizon, w.m))
-    g, _ = _constraints(w, sched, term, ref, y_lb, y_ub, spec.d_max, e_o, c, h)
+    g, _ = _constraints(w, _tightening(sched, e_o, spec.d_max), term, ref,
+                        y_lb, y_ub, c, h)
     if np.max(np.abs(np.asarray(u_seq))) > w.u_max * (1 + 1e-12):
         return float(max(np.max(g), np.max(np.abs(u_seq)) - w.u_max))
     return float(np.max(g))

@@ -239,7 +239,6 @@ def select_gains(w, d_max=0.1, strategy="suboptimal", l_d=0.1, q_o=None,
                             L_o=np.zeros((n, p)), L_d=l_d * np.eye(p), d_max=d_max)
     elif strategy == "search":
         rng = np.random.default_rng(seed)
-        best_spec, best_rho = None, np.inf
         base = select_gains(w, d_max, "suboptimal", l_d, q_o, w_max, w_bar)
         best_spec, best_rho = base, spectral_radius(base.A_d)
         for _ in range(budget):

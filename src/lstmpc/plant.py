@@ -144,7 +144,3 @@ class Normalizer:
 
     def denormalize_y(self, v):
         return self.y_lo + 0.5 * (np.asarray(v, dtype=float) + 1.0) * (self.y_hi - self.y_lo)
-
-    @classmethod
-    def from_ranges(cls, u_range, y_range):
-        return cls(u_range[0], u_range[1], y_range[0], y_range[1])

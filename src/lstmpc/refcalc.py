@@ -1,9 +1,11 @@
 """Equilibrium reference calculator.
 
 Solves the coupled steady-state equations x = f(x, u), y0 = g(x) + d_hat
-for the model state/input pair tracked by the controller, and estimates
-the worst-case sensitivity of that equilibrium to set-point/disturbance
-changes (used to reason about how fast the set-point may move).
+for the model state/input pair tracked by the controller by Newton's
+method, with the residual's analytic Jacobian built from the gate
+activations of one cell evaluation, and estimates the worst-case
+sensitivity of that equilibrium to set-point/disturbance changes (used
+to reason about how fast the set-point may move).
 """
 
 import warnings
@@ -41,15 +43,34 @@ def _residual(w, xi, y0_eff):
                            w.W_y @ x.h + w.b_y - y0_eff])
 
 
-def _jacobian(w, xi, y0_eff, eps=1e-6):
-    d = len(xi)
-    jac = np.empty((d, d))
-    for j in range(d):
-        xp = xi.copy()
-        xm = xi.copy()
-        xp[j] += eps
-        xm[j] -= eps
-        jac[:, j] = (_residual(w, xp, y0_eff) - _residual(w, xm, y0_eff)) / (2 * eps)
+def _jacobian(w, xi):
+    """Analytic dF/dxi of ``_residual`` at xi = (c, h, u).
+
+    With the gate activations f, i, g, o of the cell at (h, u):
+    dc+/dc = diag(f); dc+/d(h, u) sums each gate's derivative times its
+    [U | W] rows; dh+ = o (1 - tanh^2 c+) dc+ + tanh(c+) o (1 - o) d z_o;
+    the readout rows are [0, W_y, 0]. y0_eff only shifts F, so it does not
+    enter the Jacobian.
+    """
+    n = w.n
+    c, h, u = xi[:n], xi[n:2 * n], xi[2 * n:]
+    f = lstm.sigmoid(w.W_f @ u + w.U_f @ h + w.b_f)
+    i = lstm.sigmoid(w.W_i @ u + w.U_i @ h + w.b_i)
+    g = np.tanh(w.W_c @ u + w.U_c @ h + w.b_c)
+    o = lstm.sigmoid(w.W_o @ u + w.U_o @ h + w.b_o)
+    tc = np.tanh(f * c + i * g)
+    dc_hu = ((f * (1.0 - f) * c)[:, None] * np.hstack([w.U_f, w.W_f])
+             + (i * (1.0 - i) * g)[:, None] * np.hstack([w.U_i, w.W_i])
+             + (i * (1.0 - g ** 2))[:, None] * np.hstack([w.U_c, w.W_c]))
+    dh_dc = o * (1.0 - tc ** 2)
+    jac = np.zeros((2 * n + w.p, 2 * n + w.m))
+    jac[:n, :n] = np.diag(f - 1.0)
+    jac[:n, n:] = dc_hu
+    jac[n:2 * n, :n] = np.diag(dh_dc * f)
+    jac[n:2 * n, n:] = dh_dc[:, None] * dc_hu \
+        + (tc * o * (1.0 - o))[:, None] * np.hstack([w.U_o, w.W_o])
+    jac[n:2 * n, n:2 * n] -= np.eye(n)
+    jac[2 * n:, n:2 * n] = w.W_y
     return jac
 
 
@@ -60,7 +81,7 @@ def _newton(w, xi, y0_eff, tol=1e-10, max_iter=50):
             r = _residual(w, xi, y0_eff)
             if np.max(np.abs(r)) < tol:
                 return xi, float(np.max(np.abs(r)))
-            jac = _jacobian(w, xi, y0_eff)
+            jac = _jacobian(w, xi)
             if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e12:
                 raise InfeasibleReferenceError("equilibrium Jacobian is singular")
             xi = xi + np.linalg.solve(jac, -r)
@@ -124,9 +145,13 @@ def solve_reference(w, y0, d_hat, warm_start=None, tol=1e-10, u_tol=1e-9):
 
 
 def reference_sensitivity(w, ref, y0_eff):
-    """d(x_bar, u_bar)/d(y0 - d_hat) at a solved reference (implicit function)."""
+    """d(x_bar, u_bar)/d(y0 - d_hat) at a solved reference (implicit function).
+
+    The Jacobian of the equilibrium equations does not depend on
+    ``y0_eff``; the argument names the target the reference was solved for.
+    """
     xi = np.concatenate([ref.x_bar.c, ref.x_bar.h, ref.u_bar])
-    jac = _jacobian(w, xi, np.atleast_1d(y0_eff))
+    jac = _jacobian(w, xi)
     rhs = np.vstack([np.zeros((2 * w.n, w.p)), np.eye(w.p)])
     return np.linalg.solve(jac, rhs)   # = -J^-1 dF/dy0_eff, dF/dy0_eff = -[0; I]
 

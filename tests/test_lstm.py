@@ -46,6 +46,22 @@ class TestSigmoid:
     def test_no_overflow(self):
         assert lstm.sigmoid(800.0) == 1.0
         assert lstm.sigmoid(-800.0) == 0.0
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(lstm.sigmoid(np.array([800.0, -800.0])),
+                                          [1.0, 0.0])
+
+    def test_array_keeps_shape(self):
+        z = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert lstm.sigmoid(z).shape == (3, 4)
+        assert lstm.sigmoid(z[0]).shape == (4,)
+
+    def test_scalar_returns_float(self):
+        assert type(lstm.sigmoid(0.3)) is float
+        assert type(lstm.sigmoid(np.float64(-1.2))) is float
+
+    def test_matches_logistic(self):
+        z = np.linspace(-40.0, 40.0, 10001)
+        assert np.max(np.abs(lstm.sigmoid(z) - 1.0 / (1.0 + np.exp(-z)))) <= 1e-15
 
 
 class TestStep:

@@ -9,6 +9,8 @@ from lstmpc import lstm, mpc, observer, refcalc
 from lstmpc.errors import InfeasibleSetpointError
 from lstmpc.observer import AugmentedState
 
+from conftest import random_invariant_state, small_net
+
 
 def fake_cert(rho_s=0.9, c_su=2.0, c_s=(1.5,)):
     return SimpleNamespace(rho_s=rho_s, c_su=c_su, c_s=np.asarray(c_s, dtype=float))
@@ -142,6 +144,62 @@ def feasible_instance(w, cert, spec, seed, n_horizon, y0=0.1, e_o=None):
     x_hat = lstm.LstmState(ref.x_bar.c + rng.uniform(-0.02, 0.02, w.n),
                            ref.x_bar.h + rng.uniform(-0.02, 0.02, w.n))
     return sched, term, ref, x_hat, e_o
+
+
+class TestConstraints:
+    @pytest.mark.parametrize("n_horizon", [1, 5, 10])
+    def test_matches_per_stage_loop(self, n_horizon):
+        # two outputs, so the per-stage upper/lower interleaving shows
+        w = small_net(seed=2, n=3, m=2, p=2)
+        sched = mpc.build_schedule(fake_cert(c_s=(1.5, 0.7)),
+                                   fake_spec(c_o=(3.0, 2.0)), n_horizon)
+        term = mpc.TerminalData(P_f=[[2.0, 0.3], [0.3, 1.0]], q=1.0, alpha_k=0.4)
+        rng = np.random.default_rng(n_horizon)
+        ref = SimpleNamespace(x_bar=random_invariant_state(w, rng))
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-1.0, 1.0, (n_horizon, w.m))
+        c, h, _, _ = mpc._rollout(w, x0, u)
+        y_lb, y_ub, e_o, d_max = np.array([-0.9, -1.0]), np.array([1.0, 0.8]), 0.2, 0.1
+        expect = []
+        for i in range(n_horizon):
+            y = w.W_y @ h[i] + w.b_y
+            tight = sched.a[i] * e_o + sched.b[i] + d_max
+            expect += [y + tight - y_ub, y_lb + tight - y]
+        ev = np.array([np.linalg.norm(c[-1] - ref.x_bar.c),
+                       np.linalg.norm(h[-1] - ref.x_bar.h)])
+        expect.append([ev @ term.P_f @ ev - term.alpha_k ** 2])
+        g, ev_out = mpc._constraints(w, mpc._tightening(sched, e_o, d_max), term,
+                                     ref, y_lb, y_ub, c, h)
+        np.testing.assert_allclose(g, np.concatenate(expect), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(ev_out, ev)
+
+
+class TestBackward:
+    @pytest.mark.parametrize("n_horizon", [5, 10])
+    def test_matches_central_differences(self, bench_w, n_horizon):
+        # J(u) = sum_k a_k . c_k + b_k . h_k over the rollout's stages 0..N
+        rng = np.random.default_rng(n_horizon)
+        n, m = bench_w.n, bench_w.m
+        a = rng.normal(size=(n_horizon + 1, n))
+        b = rng.normal(size=(n_horizon + 1, n))
+        x0 = random_invariant_state(bench_w, rng)
+        u = rng.uniform(-0.9, 0.9, (n_horizon, m))
+
+        def objective(u_seq):
+            c, h, _, _ = mpc._rollout(bench_w, x0, u_seq)
+            return float(np.sum(a * c) + np.sum(b * h))
+
+        c, h, gates, tc = mpc._rollout(bench_w, x0, u)
+        grad = mpc._backward(bench_w, u, c, h, gates, tc, a, b,
+                             np.zeros((n_horizon, m)))
+        eps = 1e-6
+        fd = np.empty_like(u)
+        for idx in np.ndindex(u.shape):
+            up, um = u.copy(), u.copy()
+            up[idx] += eps
+            um[idx] -= eps
+            fd[idx] = (objective(up) - objective(um)) / (2 * eps)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6)
 
 
 class TestSolveFhocp:

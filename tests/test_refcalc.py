@@ -10,6 +10,20 @@ from lstmpc.lstm import LstmState
 from conftest import random_invariant_state, small_net
 
 
+def fd_jacobian(w, xi, y0_eff, eps=1e-6):
+    """Central-difference Jacobian of the equilibrium residual (oracle)."""
+    d = len(xi)
+    jac = np.empty((d, d))
+    for j in range(d):
+        xp = xi.copy()
+        xm = xi.copy()
+        xp[j] += eps
+        xm[j] -= eps
+        jac[:, j] = (refcalc._residual(w, xp, y0_eff)
+                     - refcalc._residual(w, xm, y0_eff)) / (2 * eps)
+    return jac
+
+
 def attractor(w, u, steps=800):
     x = w.zero_state()
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -69,6 +83,20 @@ class TestSolveReference:
         w = small_net(seed=0, n=3, m=2, p=1)
         with pytest.raises(InfeasibleReferenceError):
             refcalc.solve_reference(w, [0.0], [0.0])
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    def test_matches_finite_differences(self, net, bench_w):
+        w = bench_w if net == "bench" else small_net(n=3)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            x = random_invariant_state(w, rng)
+            u = rng.uniform(-w.u_max, w.u_max, w.m)
+            xi = np.concatenate([x.c, x.h, u])
+            y0_eff = rng.uniform(-1.0, 1.0, w.p)
+            np.testing.assert_allclose(refcalc._jacobian(w, xi),
+                                       fd_jacobian(w, xi, y0_eff), rtol=0, atol=1e-7)
 
 
 class TestSensitivity:
