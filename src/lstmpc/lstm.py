@@ -1,4 +1,4 @@
-"""LSTM dynamical model and its incremental-stability analysis.
+"""LSTM dynamical model, its cell kernel and its incremental-stability analysis.
 
 The model is the standard gated recurrence
 
@@ -6,6 +6,23 @@ The model is the standard gated recurrence
        + sigma(W_i u + U_i h + b_i) o tanh(W_c u + U_c h + b_c)
     h+ = sigma(W_o u + U_o h + b_o) o tanh(c+)
     y  = W_y h + b_y
+
+The model step, the observer, the MPC prediction and gradient, training
+and the reference Jacobian all run this cell through one kernel:
+
+- ``stacked`` stacks the gate weights in the order ``GATES`` = (f, i, o | c),
+  so one ``sigmoid`` covers the contiguous 3n block of f, i, o
+  preactivations. Every (4n,)-row quantity uses this order: the stacked
+  W, U, b, an injected preactivation term and the adjoint dz.
+- ``rollout`` runs T steps from (c0, h0) and returns c, h of shape
+  (T+1, n) plus a cache of the f/i/o activations, the candidate gate and
+  tanh(c+).
+- ``adjoint`` sweeps back over that cache. Given the direct partials
+  dL/dc_k, dL/dh_k at stages 0..T it returns dz = dL/dz_k, (T, 4n), the
+  gradient with respect to the stacked preactivations z_k; then
+  dL/du = dz @ W and dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)).
+- ``local_factors`` gives the per-step partial derivatives that the
+  adjoint multiplies by, for callers that build a Jacobian.
 
 Besides the state update, this module computes worst-case gate bounds,
 the 2x2 contraction matrix of the state-increment dynamics, the
@@ -127,6 +144,80 @@ MATRIX_FIELDS = ("W_f", "W_i", "W_c", "W_o", "U_f", "U_i", "U_c", "U_o",
                  "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
 
 
+GATES = ("f", "i", "o", "c")     # the kernel's gate order, as stacked() writes it
+
+
+def stacked(w):
+    """Gate weights (W, U, b) stacked in ``GATES`` order: (4n, m), (4n, n), (4n,)."""
+    return (np.concatenate([w.W_f, w.W_i, w.W_o, w.W_c]),
+            np.concatenate([w.U_f, w.U_i, w.U_o, w.U_c]),
+            np.concatenate([w.b_f, w.b_i, w.b_o, w.b_c]))
+
+
+def rollout(w, c0, h0, u_seq, inject=0.0, stacks=None):
+    """Run the cell over the (T, m) inputs ``u_seq`` from (c0, h0).
+
+    ``inject`` is added to the preactivations (broadcast to (T, 4n), in
+    ``GATES`` order); ``stacks`` is ``stacked(w)`` when the caller has it.
+    Returns c, h of shape (T+1, n) and the cache ``adjoint`` and
+    ``local_factors`` read.
+    """
+    wz, uz, bz = stacks if stacks is not None else stacked(w)
+    n_t, n = len(u_seq), len(c0)
+    c = np.empty((n_t + 1, n))
+    h = np.empty((n_t + 1, n))
+    c[0], h[0] = c0, h0
+    sig = np.empty((n_t, 3 * n))       # f, i, o activations
+    gct = np.empty((n_t, n))           # candidate gate
+    tc = np.empty((n_t, n))            # tanh(c+)
+    pre = u_seq @ wz.T + bz + inject
+    for k in range(n_t):
+        z = pre[k] + uz @ h[k]
+        s = sig[k] = sigmoid(z[:3 * n])
+        g = gct[k] = np.tanh(z[3 * n:])
+        c[k + 1] = s[:n] * c[k] + s[n:2 * n] * g
+        tc[k] = np.tanh(c[k + 1])
+        h[k + 1] = s[2 * n:] * tc[k]
+    return c, h, (sig, gct, tc)
+
+
+def local_factors(c, cache):
+    """Per-step partial derivatives of the cell, each of shape (T, n).
+
+    (dc+/dc, dc+/dz_f, dc+/dz_i, dc+/dz_c, dh+/dz_o, dh+/dc+)
+    = (f, f(1-f) c, i(1-i) g, i(1-g^2), o(1-o) tanh c+, o(1-tanh^2 c+)),
+    all elementwise; ``c`` and ``cache`` are ``rollout``'s.
+    """
+    sig, g, tc = cache
+    n = tc.shape[1]
+    f, i, o = sig[:, :n], sig[:, n:2 * n], sig[:, 2 * n:]
+    return (f, f * (1.0 - f) * c[:-1], i * (1.0 - i) * g, i * (1.0 - g ** 2),
+            o * (1.0 - o) * tc, o * (1.0 - tc ** 2))
+
+
+def adjoint(w, c, cache, dc_stage, dh_stage, stacks=None):
+    """Reverse sweep of ``rollout``: dz = dL/d(preactivation), (T, 4n).
+
+    ``dc_stage``/``dh_stage`` (T+1, n) are the direct partials of L with
+    respect to c_k and h_k at stages 0..T.
+    """
+    uz = (stacks if stacks is not None else stacked(w))[1]
+    f, k_f, k_i, k_g, k_o, k_t = local_factors(c, cache)
+    n_t, n = f.shape
+    dz = np.empty((n_t, 4 * n))
+    dc = dc_stage[n_t]
+    dh = dh_stage[n_t]
+    for k in range(n_t - 1, -1, -1):
+        dct = dc + dh * k_t[k]
+        dz[k, :n] = dct * k_f[k]
+        dz[k, n:2 * n] = dct * k_i[k]
+        dz[k, 2 * n:3 * n] = dh * k_o[k]
+        dz[k, 3 * n:] = dct * k_g[k]
+        dc = dct * f[k] + dc_stage[k]
+        dh = uz.T @ dz[k] + dh_stage[k]
+    return dz
+
+
 def step(w, x, u):
     """One state update. Warns (does not reject) if u leaves its box."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -134,13 +225,8 @@ def step(w, x, u):
         raise DimensionError(f"input shape {u.shape} != ({w.m},)")
     if np.max(np.abs(u)) > w.u_max * (1.0 + 1e-12):
         warnings.warn("input exceeds u_max; upstream saturation expected", stacklevel=2)
-    f = sigmoid(w.W_f @ u + w.U_f @ x.h + w.b_f)
-    i = sigmoid(w.W_i @ u + w.U_i @ x.h + w.b_i)
-    g = np.tanh(w.W_c @ u + w.U_c @ x.h + w.b_c)
-    o = sigmoid(w.W_o @ u + w.U_o @ x.h + w.b_o)
-    c_next = f * x.c + i * g
-    h_next = o * np.tanh(c_next)
-    return LstmState(c_next, h_next)
+    c, h, _ = rollout(w, x.c, x.h, u[None, :])
+    return LstmState(c[1], h[1])
 
 
 def output(w, x):

@@ -9,11 +9,11 @@ level-set constraint whose radius alpha(k) shrinks with the admissible
 set-point margin. The solver is single shooting with an augmented
 Lagrangian over the N*m free inputs, minimized by projected
 Barzilai-Borwein steps with nonmonotone Armijo backtracking. The
-tightened output offsets are fixed for one solve; the gradient is an
-adjoint sweep over the rollout's cached gate activations, with every
-stage's local derivative factors formed before the sweep. The
-left-shifted previous optimum (with the new equilibrium input appended)
-is both the warm start and a certified feasible fallback.
+tightened output offsets are fixed for one solve; predictions come from
+``lstm.rollout`` and the gradient from ``lstm.adjoint`` fed with this
+problem's stage adjoints. The left-shifted previous optimum (with the
+new equilibrium input appended) is both the warm start and a certified
+feasible fallback.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lstm
 from .errors import FeasibilityLossError, InfeasibleSetpointError
-from .lstm import LstmState, sigmoid
+from .lstm import LstmState
 from .numerics import eig_extrema_spd, solve_discrete_lyapunov
 
 
@@ -140,71 +140,6 @@ class MpcSolution:
     candidate_violation: float = np.nan   # warm-start plan's own violation
 
 
-def _stacked(w):
-    """Gate matrices stacked in (f, i, o | c) order for cheap rollouts."""
-    wz = np.vstack([w.W_f, w.W_i, w.W_o, w.W_c])
-    uz = np.vstack([w.U_f, w.U_i, w.U_o, w.U_c])
-    bz = np.concatenate([w.b_f, w.b_i, w.b_o, w.b_c])
-    return wz, uz, bz
-
-
-def _rollout(w, x0, u_seq, stacks=None):
-    """Forward simulation caching gate activations for the reverse pass."""
-    wz, uz, bz = stacks if stacks is not None else _stacked(w)
-    n_h = len(u_seq)
-    n = w.n
-    c = np.empty((n_h + 1, n))
-    h = np.empty((n_h + 1, n))
-    c[0], h[0] = x0.c, x0.h
-    sig = np.empty((n_h, 3 * n))       # f, i, o activations
-    gct = np.empty((n_h, n))           # candidate-gate tanh
-    tc = np.empty((n_h, n))
-    pre = u_seq @ wz.T + bz
-    for k in range(n_h):
-        z = pre[k] + uz @ h[k]
-        s = sigmoid(z[:3 * n])
-        g = np.tanh(z[3 * n:])
-        c[k + 1] = s[:n] * c[k] + s[n:2 * n] * g
-        tc[k] = np.tanh(c[k + 1])
-        h[k + 1] = s[2 * n:] * tc[k]
-        sig[k] = s
-        gct[k] = g
-    return c, h, (sig, gct), tc
-
-
-def _backward(w, u_seq, c, h, gates, tc, dc_stage, dh_stage, du_stage,
-              stacks=None):
-    """Adjoint sweep; stage adjoints indexed 0..N. Returns dJ/du (N, m).
-
-    Every stage's local derivative factors are formed before the reverse
-    sweep, and dJ/du is one product with the stacked input weights after it.
-    """
-    wz, uz, bz = stacks if stacks is not None else _stacked(w)
-    sig, gct = gates
-    n_h = len(u_seq)
-    n = w.n
-    f = sig[:, :n]
-    i = sig[:, n:2 * n]
-    o = sig[:, 2 * n:]
-    k_f = f * (1.0 - f) * c[:n_h]        # d c+/d z_f
-    k_i = i * (1.0 - i) * gct            # d c+/d z_i
-    k_g = i * (1.0 - gct ** 2)           # d c+/d z_c
-    k_o = o * (1.0 - o) * tc             # d h+/d z_o
-    k_t = o * (1.0 - tc ** 2)            # d h+/d c+
-    dz = np.empty((n_h, 4 * n))
-    dc = dc_stage[n_h]
-    dh = dh_stage[n_h]
-    for k in range(n_h - 1, -1, -1):
-        dct = dc + dh * k_t[k]
-        dz[k, :n] = dct * k_f[k]
-        dz[k, n:2 * n] = dct * k_i[k]
-        dz[k, 2 * n:3 * n] = dh * k_o[k]
-        dz[k, 3 * n:] = dct * k_g[k]
-        dc = dct * f[k] + dc_stage[k]
-        dh = uz.T @ dz[k] + dh_stage[k]
-    return du_stage + dz @ wz
-
-
 def _tightening(sched, e_o, d_max):
     """Output-bound offsets a_i e_o + b_i + d_max of stages 0..N-1, (N, p)."""
     n_h, p = sched.horizon, len(sched.a[0])
@@ -247,17 +182,17 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     u_bar = ref.u_bar
     y_lb = np.atleast_1d(np.asarray(y_lb, dtype=float))
     y_ub = np.atleast_1d(np.asarray(y_ub, dtype=float))
-    stacks = _stacked(w)
+    stacks = lstm.stacked(w)
     tight = _tightening(sched, e_o, d_max)
 
     def evaluate(u_seq):
-        c, h, gates, tc = _rollout(w, x_hat, u_seq, stacks)
+        c, h, cache = lstm.rollout(w, x_hat.c, x_hat.h, u_seq, stacks=stacks)
         g, ev = _constraints(w, tight, term, ref, y_lb, y_ub, c, h)
         dx = np.hstack([c[:n_h], h[:n_h]]) - x_bar
         cost = q_weight * float((dx ** 2).sum()) \
             + r_weight * float(((u_seq - u_bar) ** 2).sum()) \
             + float(ev @ term.P_f @ ev)
-        return cost, g, (c, h, gates, tc, ev, dx)
+        return cost, g, (c, h, cache, ev, dx)
 
     def al_value(u_seq, lam, mu):
         cost, g, aux = evaluate(u_seq)
@@ -267,7 +202,7 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
 
     def al_grad(u_seq, aux, act):
         # Stage adjoints of the smooth augmented objective.
-        c, h, gates, tc, ev, dx = aux
+        c, h, cache, ev, dx = aux
         n = w.n
         dc_stage = np.zeros((n_h + 1, n))
         dh_stage = np.zeros((n_h + 1, n))
@@ -284,8 +219,8 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
             dc_stage[n_h] += coef * 2.0 * pe[0] * (c[n_h] - ref.x_bar.c) / ec
         if eh > 0.0:
             dh_stage[n_h] += coef * 2.0 * pe[1] * (h[n_h] - ref.x_bar.h) / eh
-        return _backward(w, u_seq, c, h, gates, tc, dc_stage, dh_stage,
-                         du_stage, stacks)
+        dz = lstm.adjoint(w, c, cache, dc_stage, dh_stage, stacks)
+        return du_stage + dz @ stacks[0]
 
     def project(u_seq):
         return np.minimum(np.maximum(u_seq, -u_max), u_max)
@@ -379,7 +314,8 @@ def shifted_candidate(prev_solution, u_bar):
 
 def candidate_violation(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub, u_seq):
     """Max constraint value of a given plan (<= 0 means feasible)."""
-    c, h, _, _ = _rollout(w, x_hat, np.asarray(u_seq, dtype=float).reshape(sched.horizon, w.m))
+    c, h, _ = lstm.rollout(w, x_hat.c, x_hat.h,
+                           np.asarray(u_seq, dtype=float).reshape(sched.horizon, w.m))
     g, _ = _constraints(w, _tightening(sched, e_o, spec.d_max), term, ref,
                         y_lb, y_ub, c, h)
     if np.max(np.abs(np.asarray(u_seq))) > w.u_max * (1 + 1e-12):

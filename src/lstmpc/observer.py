@@ -115,14 +115,11 @@ def observer_step(w, spec, chi_hat, u, y_measured):
         raise DimensionError("input/measurement shape mismatch")
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
     innov = y_measured - (w.W_y @ x.h + w.b_y + d)
-    f = sigmoid(w.W_f @ u + w.U_f @ x.h + w.b_f + spec.L_f @ innov)
-    i = sigmoid(w.W_i @ u + w.U_i @ x.h + w.b_i + spec.L_i @ innov)
-    g = np.tanh(w.W_c @ u + w.U_c @ x.h + w.b_c)
-    o = sigmoid(w.W_o @ u + w.U_o @ x.h + w.b_o + spec.L_o @ innov)
-    c_next = f * x.c + i * g
-    h_next = o * np.tanh(c_next)
+    # preactivation term in the kernel's (f, i, o, c) order
+    inject = np.concatenate([spec.L_f, spec.L_i, spec.L_o, np.zeros((w.n, w.p))]) @ innov
+    c, h, _ = lstm.rollout(w, x.c, x.h, u[None, :], inject)
     d_next = np.clip(d + spec.L_d @ innov, -spec.d_max, spec.d_max)
-    return AugmentedState(LstmState(c_next, h_next), d_next)
+    return AugmentedState(LstmState(c[1], h[1]), d_next)
 
 
 def observer_matrices(w, spec):

@@ -2,8 +2,8 @@
 
 Solves the coupled steady-state equations x = f(x, u), y0 = g(x) + d_hat
 for the model state/input pair tracked by the controller by Newton's
-method, with the residual's analytic Jacobian built from the gate
-activations of one cell evaluation, and estimates the worst-case
+method, with the residual's analytic Jacobian built from the local
+derivative factors of one ``lstm`` kernel step, and estimates the worst-case
 sensitivity of that equilibrium to set-point/disturbance changes (used
 to reason about how fast the set-point may move).
 """
@@ -46,29 +46,25 @@ def _residual(w, xi, y0_eff):
 def _jacobian(w, xi):
     """Analytic dF/dxi of ``_residual`` at xi = (c, h, u).
 
-    With the gate activations f, i, g, o of the cell at (h, u):
-    dc+/dc = diag(f); dc+/d(h, u) sums each gate's derivative times its
-    [U | W] rows; dh+ = o (1 - tanh^2 c+) dc+ + tanh(c+) o (1 - o) d z_o;
-    the readout rows are [0, W_y, 0]. y0_eff only shifts F, so it does not
-    enter the Jacobian.
+    From one kernel step at (c, h, u) and its local factors: dc+/dc =
+    diag(f); dc+/d(h, u) sums the f, i and candidate gates' factors times
+    their [U | W] rows; dh+ = (dh+/dc+) dc+ + (dh+/dz_o) d z_o; the readout
+    rows are [0, W_y, 0]. y0_eff only shifts F, so it does not enter the
+    Jacobian.
     """
     n = w.n
     c, h, u = xi[:n], xi[n:2 * n], xi[2 * n:]
-    f = lstm.sigmoid(w.W_f @ u + w.U_f @ h + w.b_f)
-    i = lstm.sigmoid(w.W_i @ u + w.U_i @ h + w.b_i)
-    g = np.tanh(w.W_c @ u + w.U_c @ h + w.b_c)
-    o = lstm.sigmoid(w.W_o @ u + w.U_o @ h + w.b_o)
-    tc = np.tanh(f * c + i * g)
-    dc_hu = ((f * (1.0 - f) * c)[:, None] * np.hstack([w.U_f, w.W_f])
-             + (i * (1.0 - i) * g)[:, None] * np.hstack([w.U_i, w.W_i])
-             + (i * (1.0 - g ** 2))[:, None] * np.hstack([w.U_c, w.W_c]))
-    dh_dc = o * (1.0 - tc ** 2)
+    stacks = lstm.stacked(w)
+    cs, _, cache = lstm.rollout(w, c, h, u[None, :], stacks=stacks)
+    f, k_f, k_i, k_g, k_o, k_t = (k[0] for k in lstm.local_factors(cs, cache))
+    uw = np.hstack([stacks[1], stacks[0]])       # [U | W] rows, (f, i, o, c)
+    dc_hu = (k_f[:, None] * uw[:n] + k_i[:, None] * uw[n:2 * n]
+             + k_g[:, None] * uw[3 * n:])
     jac = np.zeros((2 * n + w.p, 2 * n + w.m))
     jac[:n, :n] = np.diag(f - 1.0)
     jac[:n, n:] = dc_hu
-    jac[n:2 * n, :n] = np.diag(dh_dc * f)
-    jac[n:2 * n, n:] = dh_dc[:, None] * dc_hu \
-        + (tc * o * (1.0 - o))[:, None] * np.hstack([w.U_o, w.W_o])
+    jac[n:2 * n, :n] = np.diag(k_t * f)
+    jac[n:2 * n, n:] = k_t[:, None] * dc_hu + k_o[:, None] * uw[2 * n:3 * n]
     jac[n:2 * n, n:2 * n] -= np.eye(n)
     jac[2 * n:, n:2 * n] = w.W_y
     return jac
@@ -144,11 +140,10 @@ def solve_reference(w, y0, d_hat, warm_start=None, tol=1e-10, u_tol=1e-9):
     return ReferencePair(LstmState(xi[:n], xi[n:2 * n]), u_bar, res)
 
 
-def reference_sensitivity(w, ref, y0_eff):
+def reference_sensitivity(w, ref):
     """d(x_bar, u_bar)/d(y0 - d_hat) at a solved reference (implicit function).
 
-    The Jacobian of the equilibrium equations does not depend on
-    ``y0_eff``; the argument names the target the reference was solved for.
+    The Jacobian of the equilibrium equations does not depend on the target.
     """
     xi = np.concatenate([ref.x_bar.c, ref.x_bar.h, ref.u_bar])
     jac = _jacobian(w, xi)
@@ -176,7 +171,7 @@ def estimate_k_bar(w, y0_range, d_range=(0.0, 0.0), grid_density=9):
                 failed.append((float(y0), float(d)))
                 continue
             warm = ref
-            sens = reference_sensitivity(w, ref, y0 - d)
+            sens = reference_sensitivity(w, ref)
             k = float(np.linalg.norm(sens[:2 * w.n], 2))
             if k > k_bar:
                 k_bar, arg = k, (float(y0), float(d))

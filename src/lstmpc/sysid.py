@@ -1,9 +1,9 @@
 """Identification pipeline: excitation design, dataset handling, training.
 
-The trainer is plain backpropagation-through-time in numpy with an Adam
-update, and the loss carries soft penalties on the two stability margins
-r1, r2 so the final network is certifiable. Training only terminates
-once both margins are negative.
+The trainer is backpropagation through time over ``lstm.rollout`` and
+``lstm.adjoint`` with an Adam update, and the loss carries soft
+penalties on the two stability margins r1, r2 so the final network is
+certifiable. Training only terminates once both margins are negative.
 """
 
 import csv
@@ -140,43 +140,16 @@ class TrainConfig:
             raise ValueError("epochs and penalty weights must be nonnegative")
 
 
-# Order in which weight tensors are packed for the optimizer.
-_TENSORS = lstm.MATRIX_FIELDS
+def _forward(w, u_seq, stacks=None):
+    """Open-loop rollout from the zero state over all but the last input.
 
-
-def _stacked(w):
-    wz = np.vstack([w.W_f, w.W_i, w.W_c, w.W_o])
-    uz = np.vstack([w.U_f, w.U_i, w.U_c, w.U_o])
-    bz = np.concatenate([w.b_f, w.b_i, w.b_c, w.b_o])
-    return wz, uz, bz
-
-
-def _forward(w, u_seq):
-    """Unrolled forward pass from the zero state; returns caches for BPTT."""
-    t = len(u_seq)
-    n = w.n
-    wz, uz, bz = _stacked(w)
-    h = np.zeros((t, n))
-    c = np.zeros((t, n))
-    fio = np.zeros((t - 1, 4 * n))   # gate activations per transition
-    tc = np.zeros((t - 1, n))        # tanh of the updated cell
-    u2 = np.atleast_2d(np.asarray(u_seq, dtype=float).reshape(t, -1))
-    pre = u2 @ wz.T + bz             # input contribution, all steps at once
-    for k in range(t - 1):
-        z = pre[k] + uz @ h[k]
-        f = sigmoid(z[:n])
-        i = sigmoid(z[n:2 * n])
-        g = np.tanh(z[2 * n:3 * n])
-        o = sigmoid(z[3 * n:])
-        c[k + 1] = f * c[k] + i * g
-        tc[k] = np.tanh(c[k + 1])
-        h[k + 1] = o * tc[k]
-        fio[k, :n] = f
-        fio[k, n:2 * n] = i
-        fio[k, 2 * n:3 * n] = g
-        fio[k, 3 * n:] = o
-    y_hat = h @ w.W_y.T + w.b_y
-    return y_hat, h, c, fio, tc, u2
+    Returns (y_hat, c, h, cache, u2): outputs and states of shape (t, .)
+    for the t = len(u_seq) samples, and the inputs as a (t, m) array.
+    """
+    u2 = np.asarray(u_seq, dtype=float).reshape(len(u_seq), -1)
+    zero = np.zeros(w.n)
+    c, h, cache = lstm.rollout(w, zero, zero, u2[:-1], stacks=stacks)
+    return h @ w.W_y.T + w.b_y, c, h, cache, u2
 
 
 def predict(w, u_seq):
@@ -190,7 +163,8 @@ def loss(w, u_seq, y_seq, cfg):
     t = len(u_seq)
     n = w.n
     y_seq = np.asarray(y_seq, dtype=float).reshape(t, -1)
-    y_hat, h, c, fio, tc, u2 = _forward(w, u_seq)
+    stacks = lstm.stacked(w)
+    y_hat, c, h, cache, u2 = _forward(w, u_seq, stacks)
     mask = np.arange(t) >= cfg.washout
     n_eval = int(mask.sum())
     if n_eval == 0:
@@ -200,37 +174,19 @@ def loss(w, u_seq, y_seq, cfg):
         raise TrainingError("non-finite forward pass")
     mse = float(np.sum(err ** 2)) / n_eval
 
-    grads = {name: np.zeros_like(getattr(w, name)) for name in _TENSORS}
+    grads = {}
     scale = 2.0 / n_eval
     grads["W_y"] = scale * err.T @ h
     grads["b_y"] = scale * err.sum(axis=0)
     out_grad = scale * err @ w.W_y
-
-    _, uz, _ = _stacked(w)
-    dz_all = np.zeros((t - 1, 4 * n))
-    dh = out_grad[t - 1].copy()
-    dc = np.zeros(n)
-    for k in range(t - 2, -1, -1):
-        f = fio[k, :n]
-        i = fio[k, n:2 * n]
-        g = fio[k, 2 * n:3 * n]
-        o = fio[k, 3 * n:]
-        do = dh * tc[k]
-        dct = dc + dh * o * (1.0 - tc[k] ** 2)
-        dz = dz_all[k]
-        dz[:n] = dct * c[k] * f * (1.0 - f)
-        dz[n:2 * n] = dct * g * i * (1.0 - i)
-        dz[2 * n:3 * n] = dct * i * (1.0 - g ** 2)
-        dz[3 * n:] = do * o * (1.0 - o)
-        dc = dct * f
-        dh = uz.T @ dz + out_grad[k]
-    dwz = dz_all.T @ u2[:t - 1]
-    duz = dz_all.T @ h[:t - 1]
-    dbz = dz_all.sum(axis=0)
-    for j, gate in enumerate(("f", "i", "c", "o")):
-        grads[f"W_{gate}"] += dwz[j * n:(j + 1) * n]
-        grads[f"U_{gate}"] += duz[j * n:(j + 1) * n]
-        grads[f"b_{gate}"] += dbz[j * n:(j + 1) * n]
+    dz = lstm.adjoint(w, c, cache, np.zeros_like(c), out_grad, stacks)
+    dwz = dz.T @ u2[:t - 1]
+    duz = dz.T @ h[:t - 1]
+    dbz = dz.sum(axis=0)
+    for j, gate in enumerate(lstm.GATES):
+        grads[f"W_{gate}"] = dwz[j * n:(j + 1) * n]
+        grads[f"U_{gate}"] = duz[j * n:(j + 1) * n]
+        grads[f"b_{gate}"] = dbz[j * n:(j + 1) * n]
 
     pen, r1, r2 = _penalty_with_grads(w, cfg, grads)
     return mse + pen, grads, (r1, r2)
@@ -352,8 +308,8 @@ def train(data, cfg, init=None, callback=None):
     if cfg.epochs == 0 and lstm.delta_iss_check(w).certified:
         return w
     rng = np.random.default_rng(cfg.seed + 1)
-    mom = {name: np.zeros_like(getattr(w, name)) for name in _TENSORS}
-    vel = {name: np.zeros_like(getattr(w, name)) for name in _TENSORS}
+    mom = {name: np.zeros_like(getattr(w, name)) for name in lstm.MATRIX_FIELDS}
+    vel = {name: np.zeros_like(getattr(w, name)) for name in lstm.MATRIX_FIELDS}
     step_count = 0
     b1, b2, eps = 0.9, 0.999, 1e-8
     margins = stability_margins(w)
@@ -371,7 +327,7 @@ def train(data, cfg, init=None, callback=None):
             step_count += 1
             corr1 = 1.0 - b1 ** step_count
             corr2 = 1.0 - b2 ** step_count
-            for name in _TENSORS:
+            for name in lstm.MATRIX_FIELDS:
                 g = grads[name]
                 mom[name] = b1 * mom[name] + (1 - b1) * g
                 vel[name] = b2 * vel[name] + (1 - b2) * g * g

@@ -8,6 +8,8 @@ shifted-candidate mechanism, plant fidelity, and the admissible
 set-point band.
 """
 
+import csv
+import pathlib
 import time
 
 import numpy as np
@@ -18,6 +20,11 @@ from lstmpc.lstm import LstmState
 from lstmpc.observer import AugmentedState
 
 from conftest import ASSETS, random_invariant_state
+
+# Closed-loop trace of the benchmark scenario, the behaviour oracle. A change
+# that moves any column by more than TRACE_ATOL regenerates it and says why.
+TRACE_ORACLE = pathlib.Path(__file__).resolve().parent / "data" / "closed_loop_trace.csv"
+TRACE_ATOL = 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +220,24 @@ class TestCriterion6RecursiveFeasibilityAndConstraints:
         assert report.feasibility_losses == 0
         assert report.constraint_violations == 0
         assert all(6.0 - 1e-9 <= y <= 9.0 + 1e-9 for y in report.trace["y_phys"])
+
+
+class TestClosedLoopTraceOracle:
+    def test_matches_committed_trace(self, benchmark_run):
+        report, _ = benchmark_run
+        with open(TRACE_ORACLE, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == harness.TRACE_COLUMNS
+        assert len(rows) - 1 == report.steps
+        for j, col in enumerate(harness.TRACE_COLUMNS):
+            expect = [r[j] for r in rows[1:]]
+            if col == "status":
+                assert report.trace[col] == expect
+                continue
+            got = np.asarray(report.trace[col], dtype=float)
+            ref = np.asarray(expect, dtype=float)
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(ref), err_msg=col)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=TRACE_ATOL, err_msg=col)
 
 
 class TestCriterion7OffsetFree:

@@ -102,6 +102,36 @@ class TestStep:
             lstm.step(tiny_w, tiny_w.zero_state(), [0.1, 0.2])
 
 
+class TestAdjoint:
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_steps", [1, 5, 10])
+    def test_matches_central_differences(self, bench_w, net, n_steps):
+        # J(u) = sum_k a_k . c_k + b_k . h_k over the rollout's stages 0..T
+        w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
+        rng = np.random.default_rng(n_steps)
+        a = rng.normal(size=(n_steps + 1, w.n))
+        b = rng.normal(size=(n_steps + 1, w.n))
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-0.9, 0.9, (n_steps, w.m))
+
+        def objective(u_seq):
+            c, h, _ = lstm.rollout(w, x0.c, x0.h, u_seq)
+            return float(np.sum(a * c) + np.sum(b * h))
+
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
+        dz = lstm.adjoint(w, c, cache, a, b)
+        assert dz.shape == (n_steps, 4 * w.n)
+        grad = dz @ lstm.stacked(w)[0]
+        eps = 1e-6
+        fd = np.empty_like(u)
+        for idx in np.ndindex(u.shape):
+            up, um = u.copy(), u.copy()
+            up[idx] += eps
+            um[idx] -= eps
+            fd[idx] = (objective(up) - objective(um)) / (2 * eps)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6)
+
+
 class TestOutput:
     def test_zero_readout(self, tiny_w):
         w = tiny_w.copy()

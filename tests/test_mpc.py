@@ -158,7 +158,7 @@ class TestConstraints:
         ref = SimpleNamespace(x_bar=random_invariant_state(w, rng))
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_horizon, w.m))
-        c, h, _, _ = mpc._rollout(w, x0, u)
+        c, h, _ = lstm.rollout(w, x0.c, x0.h, u)
         y_lb, y_ub, e_o, d_max = np.array([-0.9, -1.0]), np.array([1.0, 0.8]), 0.2, 0.1
         expect = []
         for i in range(n_horizon):
@@ -172,34 +172,6 @@ class TestConstraints:
                                      ref, y_lb, y_ub, c, h)
         np.testing.assert_allclose(g, np.concatenate(expect), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(ev_out, ev)
-
-
-class TestBackward:
-    @pytest.mark.parametrize("n_horizon", [5, 10])
-    def test_matches_central_differences(self, bench_w, n_horizon):
-        # J(u) = sum_k a_k . c_k + b_k . h_k over the rollout's stages 0..N
-        rng = np.random.default_rng(n_horizon)
-        n, m = bench_w.n, bench_w.m
-        a = rng.normal(size=(n_horizon + 1, n))
-        b = rng.normal(size=(n_horizon + 1, n))
-        x0 = random_invariant_state(bench_w, rng)
-        u = rng.uniform(-0.9, 0.9, (n_horizon, m))
-
-        def objective(u_seq):
-            c, h, _, _ = mpc._rollout(bench_w, x0, u_seq)
-            return float(np.sum(a * c) + np.sum(b * h))
-
-        c, h, gates, tc = mpc._rollout(bench_w, x0, u)
-        grad = mpc._backward(bench_w, u, c, h, gates, tc, a, b,
-                             np.zeros((n_horizon, m)))
-        eps = 1e-6
-        fd = np.empty_like(u)
-        for idx in np.ndindex(u.shape):
-            up, um = u.copy(), u.copy()
-            up[idx] += eps
-            um[idx] -= eps
-            fd[idx] = (objective(up) - objective(um)) / (2 * eps)
-        np.testing.assert_allclose(grad, fd, rtol=1e-6)
 
 
 class TestSolveFhocp:
@@ -227,7 +199,7 @@ class TestSolveFhocp:
                                            x_hat, e_o, ref, [-1.0], [1.0],
                                            u_seq) > 0.0:
                     continue
-                c, h, _, _ = mpc._rollout(bench_w, x_hat, u_seq)
+                c, h, _ = lstm.rollout(bench_w, x_hat.c, x_hat.h, u_seq)
                 dx = np.hstack([c[:2], h[:2]]) - np.concatenate(
                     [ref.x_bar.c, ref.x_bar.h])
                 ev = np.array([np.linalg.norm(c[2] - ref.x_bar.c),
@@ -258,7 +230,7 @@ class TestSolveFhocp:
                               x_hat, e_o, ref, [-1.0], [1.0], warm=warm)
         assert sol.candidate_violation == pytest.approx(cand_violation, abs=1e-12)
         if cand_violation <= 1e-7:
-            c, h, _, _ = mpc._rollout(bench_w, x_hat, warm)
+            c, h, _ = lstm.rollout(bench_w, x_hat.c, x_hat.h, warm)
             dx = np.hstack([c[:5], h[:5]]) - np.concatenate(
                 [ref.x_bar.c, ref.x_bar.h])
             ev = np.array([np.linalg.norm(c[5] - ref.x_bar.c),

@@ -70,6 +70,31 @@ class TestObserverStep:
         np.testing.assert_allclose(nxt.x.h, ref.h, atol=1e-14)
         assert nxt.d[0] == pytest.approx(chi.d[0] + l_d * 0.03, abs=1e-12)
 
+    def test_innovation_enters_f_i_o_gates_only(self, bench_w):
+        n, p = bench_w.n, bench_w.p
+        rng = np.random.default_rng(6)
+        spec = observer.ObserverSpec(
+            L_f=rng.normal(0.0, 0.5, (n, p)), L_i=rng.normal(0.0, 0.5, (n, p)),
+            L_o=rng.normal(0.0, 0.5, (n, p)), L_d=0.2 * np.eye(p), d_max=0.1)
+        chi = random_augmented(bench_w, rng, 0.05)
+        u = rng.uniform(-1, 1, bench_w.m)
+        y = observer.augmented_output(bench_w, chi) + rng.uniform(-0.2, 0.2, p)
+        nxt = observer.observer_step(bench_w, spec, chi, u, y)
+        w, x = bench_w, chi.x
+        innov = y - (w.W_y @ x.h + w.b_y + chi.d)
+
+        def sig(z):
+            return 1.0 / (1.0 + np.exp(-z))
+
+        f = sig(w.W_f @ u + w.U_f @ x.h + w.b_f + spec.L_f @ innov)
+        i = sig(w.W_i @ u + w.U_i @ x.h + w.b_i + spec.L_i @ innov)
+        g = np.tanh(w.W_c @ u + w.U_c @ x.h + w.b_c)
+        o = sig(w.W_o @ u + w.U_o @ x.h + w.b_o + spec.L_o @ innov)
+        c_next = f * x.c + i * g
+        np.testing.assert_allclose(nxt.x.c, c_next, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(nxt.x.h, o * np.tanh(c_next), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(nxt.d, chi.d + 0.2 * innov, rtol=0, atol=1e-14)
+
     def test_disturbance_saturation(self, bench_w, bench_spec):
         chi = AugmentedState(bench_w.zero_state(), np.array([0.09]))
         y = observer.augmented_output(bench_w, chi) + 100.0

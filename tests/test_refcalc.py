@@ -103,7 +103,7 @@ class TestSensitivity:
     def test_matches_finite_differences(self, bench_w):
         y0 = 0.1
         ref = refcalc.solve_reference(bench_w, [y0], [0.0])
-        sens = refcalc.reference_sensitivity(bench_w, ref, np.array([y0]))
+        sens = refcalc.reference_sensitivity(bench_w, ref)
         eps = 1e-5
         hi = refcalc.solve_reference(bench_w, [y0 + eps], [0.0], warm_start=ref)
         lo = refcalc.solve_reference(bench_w, [y0 - eps], [0.0], warm_start=ref)
@@ -115,7 +115,7 @@ class TestSensitivity:
         y0 = 0.05
         k_bar, arg = refcalc.estimate_k_bar(bench_w, (y0, y0), grid_density=1)
         ref = refcalc.solve_reference(bench_w, [y0], [0.0])
-        sens = refcalc.reference_sensitivity(bench_w, ref, np.array([y0]))
+        sens = refcalc.reference_sensitivity(bench_w, ref)
         assert k_bar == pytest.approx(np.linalg.norm(sens[:2 * bench_w.n], 2),
                                       abs=1e-9)
         assert arg == (y0, 0.0)
