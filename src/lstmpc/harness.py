@@ -88,6 +88,7 @@ class RunReport:
     candidate_checks: int
     fallback_steps: int
     segment_errors: list             # (t_start, t_end, y0, max |err| last 200 s)
+    solver_iterations: list          # solve_fhocp iterations of each solved step
 
     def save_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -106,6 +107,10 @@ class RunReport:
             "candidate_checks": self.candidate_checks,
             "fallback_steps": self.fallback_steps,
             "segment_errors": self.segment_errors,
+            "solver_iterations_total": int(sum(self.solver_iterations)),
+            "solver_iterations_p50": float(np.median(self.solver_iterations))
+            if self.solver_iterations else 0.0,
+            "solver_iterations_max": max(self.solver_iterations, default=0),
         }
 
     def save_json(self, path):
@@ -211,6 +216,7 @@ def run_scenario(sc, w, spec=None):
     fallbacks = 0
     max_cand_viol = -np.inf
     cand_checks = 0
+    iterations = []
 
     for k in range(n_steps):
         t = k * sc.t_s
@@ -239,6 +245,7 @@ def run_scenario(sc, w, spec=None):
             max_cand_viol = max(max_cand_viol, sol.candidate_violation)
         if sol.status == "candidate-fallback":
             fallbacks += 1
+        iterations.append(sol.solver_iterations)
 
         u_applied = np.clip(u, -w.u_max, w.u_max)
         u_phys = float(nrm.denormalize_u(u_applied[0]))
@@ -279,7 +286,7 @@ def run_scenario(sc, w, spec=None):
                      constraint_violations=violations, feasibility_losses=losses,
                      max_candidate_violation=float(max_cand_viol),
                      candidate_checks=cand_checks, fallback_steps=fallbacks,
-                     segment_errors=segs)
+                     segment_errors=segs, solver_iterations=iterations)
 
 
 def benchmark_scenario():

@@ -7,8 +7,8 @@ The model is the standard gated recurrence
     h+ = sigma(W_o u + U_o h + b_o) o tanh(c+)
     y  = W_y h + b_y
 
-The model step, the observer, the MPC prediction and gradient, training
-and the reference Jacobian all run this cell through one kernel:
+The model step, the observer, the MPC prediction and its sensitivities,
+training and the reference Jacobian all run this cell through one kernel:
 
 - ``stacked`` stacks the gate weights in the order ``GATES`` = (f, i, o | c),
   so one ``sigmoid`` covers the contiguous 3n block of f, i, o
@@ -21,8 +21,10 @@ and the reference Jacobian all run this cell through one kernel:
   dL/dc_k, dL/dh_k at stages 0..T it returns dz = dL/dz_k, (T, 4n), the
   gradient with respect to the stacked preactivations z_k; then
   dL/du = dz @ W and dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)).
-- ``local_factors`` gives the per-step partial derivatives that the
-  adjoint multiplies by, for callers that build a Jacobian.
+- ``sensitivities`` is the forward (tangent-linear) sweep over the same
+  cache: dc_k/du and dh_k/du, (T+1, n, T*m), for the MPC's dense QP.
+- ``local_factors`` gives the per-step partial derivatives that both
+  sweeps multiply by, for callers that build a Jacobian.
 
 Besides the state update, this module computes worst-case gate bounds,
 the 2x2 contraction matrix of the state-increment dynamics, the
@@ -159,8 +161,8 @@ def rollout(w, c0, h0, u_seq, inject=0.0, stacks=None):
 
     ``inject`` is added to the preactivations (broadcast to (T, 4n), in
     ``GATES`` order); ``stacks`` is ``stacked(w)`` when the caller has it.
-    Returns c, h of shape (T+1, n) and the cache ``adjoint`` and
-    ``local_factors`` read.
+    Returns c, h of shape (T+1, n) and the cache that ``adjoint``,
+    ``sensitivities`` and ``local_factors`` read.
     """
     wz, uz, bz = stacks if stacks is not None else stacked(w)
     n_t, n = len(u_seq), len(c0)
@@ -216,6 +218,31 @@ def adjoint(w, c, cache, dc_stage, dh_stage, stacks=None):
         dc = dct * f[k] + dc_stage[k]
         dh = uz.T @ dz[k] + dh_stage[k]
     return dz
+
+
+def sensitivities(w, c, cache, stacks=None):
+    """Forward (tangent-linear) sweep of ``rollout``: dc_k/du and dh_k/du.
+
+    Returns two (T+1, n, T*m) arrays for stages 0..T, with u the row-major
+    flattened (T, m) inputs; stage 0 does not depend on u, and stage k only
+    on u_0..u_{k-1}.
+    """
+    wz, uz, _ = stacks if stacks is not None else stacked(w)
+    f, k_f, k_i, k_g, k_o, k_t = local_factors(c, cache)
+    n_t, n = f.shape
+    m = wz.shape[1]
+    s_c = np.zeros((n_t + 1, n, n_t * m))
+    s_h = np.zeros((n_t + 1, n, n_t * m))
+    for k in range(n_t):
+        j = (k + 1) * m                  # columns u_0..u_k, the only nonzero ones
+        dz = uz @ s_h[k, :, :j]
+        dz[:, k * m:j] += wz
+        s_c[k + 1, :, :j] = f[k, :, None] * s_c[k, :, :j] \
+            + k_f[k, :, None] * dz[:n] + k_i[k, :, None] * dz[n:2 * n] \
+            + k_g[k, :, None] * dz[3 * n:]
+        s_h[k + 1, :, :j] = k_o[k, :, None] * dz[2 * n:3 * n] \
+            + k_t[k, :, None] * s_c[k + 1, :, :j]
+    return s_c, s_h
 
 
 def step(w, x, u):

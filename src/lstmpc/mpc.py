@@ -6,14 +6,28 @@ produced by the reference calculator, output bounds tightened along the
 horizon by coefficients (a_i, b_i) that account for the observer error
 proxy e_o, disturbance uncertainty and model contraction, and a terminal
 level-set constraint whose radius alpha(k) shrinks with the admissible
-set-point margin. The solver is single shooting with an augmented
-Lagrangian over the N*m free inputs, minimized by projected
-Barzilai-Borwein steps with nonmonotone Armijo backtracking. The
-tightened output offsets are fixed for one solve; predictions come from
-``lstm.rollout`` and the gradient from ``lstm.adjoint`` fed with this
-problem's stage adjoints. The left-shifted previous optimum (with the
-new equilibrium input appended) is both the warm start and a certified
-feasible fallback.
+set-point margin. The tightened output offsets are fixed for one solve.
+
+The solver is single-shooting sequential quadratic programming (SQP) over
+the N*m free inputs. Each iteration takes predictions from
+``lstm.rollout`` and their input sensitivities from ``lstm.sensitivities``
+and builds a dense QP in the step d:
+
+- the exact cost gradient;
+- a generalized Gauss-Newton Hessian: the state and input terms' 2q S'S
+  and 2r I, plus the exact Hessian of the terminal cost in (c_N, h_N)
+  carried through S_N and weighted by one plus the terminal row's
+  multiplier;
+- the linearized output rows of stages 1..N-1 (stage 0 does not depend
+  on u), the linearized terminal row and the input box.
+
+The Hessian is at least 2r I, so the QP is strictly convex; a
+Lawson-Hanson active-set method solves its dual. Armijo backtracking on
+the l1 merit J + nu sum max(0, g), with nu at least 1.1 times the largest
+multiplier and never decreased, sets the step length. The loop stops when
+max |delta u| < 1e-10 or the line search fails. The left-shifted previous
+optimum (with the new equilibrium input appended) is both the warm start
+and a certified feasible fallback.
 """
 
 from dataclasses import dataclass, field
@@ -140,6 +154,11 @@ class MpcSolution:
     candidate_violation: float = np.nan   # warm-start plan's own violation
 
 
+_SQP_MAX_ITER = 50       # SQP iterations per solve
+_LINE_SEARCH_MAX = 40    # step halvings before the line search gives up
+_STEP_TOL = 1e-10        # stop once max |delta u| falls below this
+
+
 def _tightening(sched, e_o, d_max):
     """Output-bound offsets a_i e_o + b_i + d_max of stages 0..N-1, (N, p)."""
     n_h, p = sched.horizon, len(sched.a[0])
@@ -164,18 +183,57 @@ def _constraints(w, tight, term, ref, y_lb, y_ub, c, h):
     return g, ev
 
 
+def _dense_qp(hess, grad, a_mat, b_vec):
+    """min 1/2 d'Hd + grad'd subject to A d <= b, for symmetric positive definite H.
+
+    Solves the dual min 1/2 lam'M lam + (b - A d0)'lam over lam >= 0, with
+    M = A H^-1 A' and d0 = -H^-1 grad, by a Lawson-Hanson active-set
+    method; the dual gradient M lam + b - A d0 is the primal slack
+    b - A d. Returns (d, lam), or None when the method breaks down
+    (a singular active set or no convergence, as on an infeasible QP).
+    """
+    sol = np.linalg.solve(hess, np.column_stack([grad, a_mat.T]))
+    d0, h_at = -sol[:, 0], sol[:, 1:]
+    m_mat = a_mat @ h_at
+    q = b_vec - a_mat @ d0
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(q))))
+    lam = np.zeros(len(q))
+    free = np.zeros(len(q), dtype=bool)
+    for _ in range(3 * len(q) + 10):
+        slack = m_mat @ lam + q
+        j = int(np.argmin(np.where(free, np.inf, slack)))
+        if free[j] or slack[j] >= -tol:
+            return d0 - h_at @ lam, lam
+        free[j] = True
+        while True:
+            idx = np.flatnonzero(free)
+            z = np.zeros_like(lam)
+            try:
+                z[idx] = np.linalg.solve(m_mat[np.ix_(idx, idx)], -q[idx])
+            except np.linalg.LinAlgError:
+                return None
+            if np.all(z[idx] > 0.0):
+                lam = z
+                break
+            neg = idx[z[idx] <= 0.0]
+            t = float(np.min(lam[neg] / (lam[neg] - z[neg])))
+            lam = lam + t * (z - lam)
+            free &= lam > 0.0
+            lam[~free] = 0.0
+    return None
+
+
 def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
-                warm=None, q_weight=1.0, r_weight=1.0, feas_tol=1e-7,
-                mu0=10.0, mu_max=1e6, outer_max=12, inner_max=400,
-                grad_tol=1e-9):
-    """Single-shooting augmented-Lagrangian solve of the tightened problem.
+                warm=None, q_weight=1.0, r_weight=1.0, feas_tol=1e-7):
+    """Single-shooting SQP solve of the tightened problem.
 
     ``warm`` is the initial input plan (N, m); when omitted the plan is
     the constant equilibrium input. Falls back to the warm start whenever
     the optimizer cannot improve on a feasible one.
     """
     n_h = sched.horizon
-    m = w.m
+    m, p = w.m, w.p
+    n_u = n_h * m
     d_max = spec.d_max
     u_max = w.u_max
     x_bar = np.concatenate([ref.x_bar.c, ref.x_bar.h])
@@ -184,6 +242,9 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     y_ub = np.atleast_1d(np.asarray(y_ub, dtype=float))
     stacks = lstm.stacked(w)
     tight = _tightening(sched, e_o, d_max)
+    p2 = 2.0 * term.P_f
+    eye = np.eye(n_u)
+    n_g0 = 2 * p               # stage-0 output rows: independent of u
 
     def evaluate(u_seq):
         c, h, cache = lstm.rollout(w, x_hat.c, x_hat.h, u_seq, stacks=stacks)
@@ -194,36 +255,46 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
             + float(ev @ term.P_f @ ev)
         return cost, g, (c, h, cache, ev, dx)
 
-    def al_value(u_seq, lam, mu):
-        cost, g, aux = evaluate(u_seq)
-        act = np.maximum(0.0, lam + mu * g)
-        val = cost + float((act ** 2 - lam ** 2).sum()) / (2.0 * mu)
-        return val, cost, g, aux, act
-
-    def al_grad(u_seq, aux, act):
-        # Stage adjoints of the smooth augmented objective.
+    def qp_model(u_seq, g, aux, lam_term):
+        # Exact gradient, generalized Gauss-Newton Hessian and the
+        # linearized constraints A d <= b (output rows of stages 1..N-1,
+        # the terminal row, then the input box). ``lam_term`` is the
+        # terminal row's last multiplier: phi enters the Lagrangian as
+        # (1 + lam_term) phi, so its curvature does too.
         c, h, cache, ev, dx = aux
-        n = w.n
-        dc_stage = np.zeros((n_h + 1, n))
-        dh_stage = np.zeros((n_h + 1, n))
-        du_stage = 2.0 * r_weight * (u_seq - u_bar)
-        dc_stage[:n_h] += 2.0 * q_weight * dx[:, :n]
-        dh_stage[:n_h] += 2.0 * q_weight * dx[:, n:]
-        act_out = act[:-1].reshape(n_h, 2, w.p)
-        dh_stage[:n_h] += (act_out[:, 0, :] - act_out[:, 1, :]) @ w.W_y
-        # Terminal: cost term + constraint multiplier share a factor.
-        ec, eh = ev
-        coef = 1.0 + act[-1]
-        pe = term.P_f @ ev
-        if ec > 0.0:
-            dc_stage[n_h] += coef * 2.0 * pe[0] * (c[n_h] - ref.x_bar.c) / ec
-        if eh > 0.0:
-            dh_stage[n_h] += coef * 2.0 * pe[1] * (h[n_h] - ref.x_bar.h) / eh
-        dz = lstm.adjoint(w, c, cache, dc_stage, dh_stage, stacks)
-        return du_stage + dz @ stacks[0]
+        s_c, s_h = lstm.sensitivities(w, c, cache, stacks)
+        s_x = np.concatenate([s_c[1:n_h], s_h[1:n_h]], axis=1).reshape(-1, n_u)
+        grad = 2.0 * q_weight * (dx[1:].ravel() @ s_x) \
+            + 2.0 * r_weight * (u_seq - u_bar).ravel()
+        hess = 2.0 * q_weight * (s_x.T @ s_x) + 2.0 * r_weight * eye
+        # Terminal phi = ev'P_f ev: exact Hessian in (c_N, h_N), carried
+        # through S_N; v_j = e_hat_j' S_N is d(ev_j)/du.
+        g_ev = p2 @ ev
+        k_t = 1.0 + lam_term
+        v = np.zeros((2, n_u))
+        for j, (e, s) in enumerate(((c[n_h] - ref.x_bar.c, s_c[n_h]),
+                                    (h[n_h] - ref.x_bar.h, s_h[n_h]))):
+            ss = s.T @ s
+            if ev[j] > 0.0:
+                v[j] = (e / ev[j]) @ s
+                hess += k_t * max(g_ev[j], 0.0) / ev[j] * (ss - np.outer(v[j], v[j]))
+            else:
+                hess += k_t * p2[j, j] * ss
+        hess += k_t * (v.T @ p2 @ v)
+        d_term = g_ev @ v
+        grad += d_term
+        out = w.W_y @ s_h[1:n_h]           # (N-1, p, N*m)
+        a_mat = np.vstack([np.stack([out, -out], axis=1).reshape(-1, n_u),
+                           d_term, eye, -eye])
+        u_flat = u_seq.ravel()
+        b_vec = np.concatenate([-g[n_g0:], u_max - u_flat, u_max + u_flat])
+        return grad, hess, a_mat, b_vec
 
     def project(u_seq):
         return np.minimum(np.maximum(u_seq, -u_max), u_max)
+
+    def merit(cost, g, nu):
+        return cost + nu * float(np.maximum(g, 0.0).sum())
 
     u0 = np.tile(u_bar, (n_h, 1)) if warm is None else np.asarray(warm, dtype=float).reshape(n_h, m)
     u0 = project(u0)
@@ -231,56 +302,45 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     cand_cost, cand_g, cand_aux = evaluate(u0)
     cand_feasible = float(np.max(cand_g)) <= feas_tol
 
-    u = u0.copy()
-    lam = np.zeros(2 * w.p * n_h + 1)
-    mu = mu0
-    best_u, best_cost = None, np.inf
+    u, cost, g, aux = u0, cand_cost, cand_g, cand_aux
+    best_u, best_cost, best_g, best_aux = None, np.inf, None, None
+    nu = 0.0                   # l1 merit weight, never decreased
+    lam_term = 0.0
+    n_g = len(cand_g) - n_g0   # QP rows that linearize g
     iterations = 0
-    for _outer in range(outer_max):
-        val, cost, g, aux, act = al_value(u, lam, mu)
-        grad = al_grad(u, aux, act)
-        prev_u = prev_grad = None
-        pg_norm = np.inf
-        recent = [val]      # nonmonotone line-search reference window
-        for _inner in range(inner_max):
-            iterations += 1
-            pg_norm = float(np.linalg.norm(u - project(u - grad)))
-            if pg_norm < grad_tol:
-                break
-            # Spectral (Barzilai-Borwein) initial step with nonmonotone
-            # Armijo backtracking (reference = worst of the last 10 values).
-            if prev_u is None:
-                step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
-            else:
-                su = u - prev_u
-                sg = grad - prev_grad
-                denom = float((su * sg).sum())
-                step = float((su * su).sum()) / denom if denom > 1e-300 else 1.0
-                step = min(max(step, 1e-10), 1e10)
-            val_ref = max(recent)
-            improved = False
-            for _ls in range(40):
-                u_new = project(u - step * grad)
-                val_new, cost_n, g_n, aux_n, act_n = al_value(u_new, lam, mu)
-                if val_new <= val_ref + 1e-4 * float((grad * (u_new - u)).sum()):
-                    prev_u, prev_grad = u, grad
-                    u, val, cost, g = u_new, val_new, cost_n, g_n
-                    grad = al_grad(u_new, aux_n, act_n)
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-            recent.append(val)
-            if len(recent) > 10:
-                recent.pop(0)
-        viol = float(np.max(g))
-        if viol <= feas_tol and cost < best_cost:
-            best_u, best_cost = u.copy(), cost
-        lam = np.maximum(0.0, lam + mu * g)
-        if viol <= feas_tol and pg_norm < 10.0 * grad_tol:
+    for _ in range(_SQP_MAX_ITER):
+        iterations += 1
+        grad, hess, a_mat, b_vec = qp_model(u, g, aux, lam_term)
+        qp = _dense_qp(hess, grad, a_mat, b_vec)
+        if qp is None:
             break
-        mu = min(mu * 10.0, mu_max)
+        d, lam = qp
+        lam_term = float(lam[n_g - 1])
+        nu = max(nu, 1.1 * float(np.max(lam[:n_g])))
+        d = d.reshape(n_h, m)
+        # a step this small is taken as is: rounding can fail Armijo on it
+        tiny = float(np.max(np.abs(d))) < _STEP_TOL
+        ref_val = merit(cost, g, nu)
+        slope = float(grad @ d.ravel()) - nu * float(np.maximum(g[n_g0:], 0.0).sum())
+        t = 1.0
+        for _ls in range(_LINE_SEARCH_MAX):
+            u_t = project(u + t * d)
+            cost_t, g_t, aux_t = evaluate(u_t)
+            if tiny or merit(cost_t, g_t, nu) <= ref_val + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        step = float(np.max(np.abs(u_t - u)))
+        u, cost, g, aux = u_t, cost_t, g_t, aux_t
+        if float(np.max(g)) <= feas_tol and cost < best_cost:
+            best_u, best_cost, best_g, best_aux = u, cost, g, aux
+        if step < _STEP_TOL:
+            break
+    if u is not u0 and float(np.max(g)) <= feas_tol:
+        # A feasible stopping point is the solution: an earlier iterate can
+        # undercut its cost only by spending the feas_tol slack.
+        best_u, best_cost, best_g, best_aux = u, cost, g, aux
 
     use_candidate = False
     if best_u is None:
@@ -296,8 +356,8 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
         status = "candidate-fallback"
         c, h = cand_aux[0], cand_aux[1]
     else:
-        u_fin, cost_fin = best_u, best_cost
-        _, g_fin, (c, h, *_) = evaluate(u_fin)
+        u_fin, cost_fin, g_fin = best_u, best_cost, best_g
+        c, h = best_aux[0], best_aux[1]
         status = "optimal"
     x_seq = [LstmState(c[k].copy(), h[k].copy()) for k in range(n_h + 1)]
     return MpcSolution(u_seq=u_fin, x_seq=x_seq, cost=cost_fin, status=status,

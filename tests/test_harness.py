@@ -129,6 +129,28 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             harness.run_scenario(sc, small_net())
 
+    def test_solver_iterations_telemetry(self, bench_w, bench_spec, monkeypatch):
+        solutions = []
+        solve = mpc.solve_fhocp
+
+        def recording_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            solutions.append(sol)
+            return sol
+
+        monkeypatch.setattr(mpc, "solve_fhocp", recording_solve)
+        sc = tiny_physical_scenario(duration_s=200.0)
+        report = harness.run_scenario(sc, bench_w, spec=bench_spec)
+        assert report.solver_iterations == [s.solver_iterations for s in solutions]
+        assert len(report.solver_iterations) == report.steps
+        summary = report.summary()
+        assert summary["solver_iterations_total"] == sum(
+            s.solver_iterations for s in solutions)
+        assert summary["solver_iterations_max"] == max(
+            s.solver_iterations for s in solutions)
+        assert summary["solver_iterations_p50"] == np.median(report.solver_iterations)
+        assert list(report.trace) == harness.TRACE_COLUMNS
+
     def test_report_round_trip(self, tmp_path, bench_w, bench_spec):
         sc = tiny_physical_scenario(duration_s=100.0)
         report = harness.run_scenario(sc, bench_w, spec=bench_spec)

@@ -132,6 +132,51 @@ class TestAdjoint:
         np.testing.assert_allclose(grad, fd, rtol=1e-6)
 
 
+class TestSensitivities:
+    @staticmethod
+    def _case(bench_w, net, n_steps):
+        w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
+        rng = np.random.default_rng(10 + n_steps)
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-0.9, 0.9, (n_steps, w.m))
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
+        return w, rng, x0, u, c, cache
+
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_steps", [1, 5, 10])
+    def test_matches_central_differences(self, bench_w, net, n_steps):
+        w, _, x0, u, c, cache = self._case(bench_w, net, n_steps)
+        s_c, s_h = lstm.sensitivities(w, c, cache)
+        assert s_c.shape == s_h.shape == (n_steps + 1, w.n, n_steps * w.m)
+        eps = 1e-6
+        fd_c, fd_h = np.empty_like(s_c), np.empty_like(s_h)
+        for col in range(n_steps * w.m):
+            up, um = u.copy().ravel(), u.copy().ravel()
+            up[col] += eps
+            um[col] -= eps
+            cp, hp, _ = lstm.rollout(w, x0.c, x0.h, up.reshape(u.shape))
+            cm, hm, _ = lstm.rollout(w, x0.c, x0.h, um.reshape(u.shape))
+            fd_c[:, :, col] = (cp - cm) / (2 * eps)
+            fd_h[:, :, col] = (hp - hm) / (2 * eps)
+        # the absolute floor covers the differences' rounding, about 1e-10
+        np.testing.assert_allclose(s_c, fd_c, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(s_h, fd_h, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_steps", [1, 5, 10])
+    def test_agrees_with_adjoint(self, bench_w, net, n_steps):
+        # a^T (S v) = (dz @ W) . v for stage weights a and a direction v
+        w, rng, _, u, c, cache = self._case(bench_w, net, n_steps)
+        a_c = rng.normal(size=(n_steps + 1, w.n))
+        a_h = rng.normal(size=(n_steps + 1, w.n))
+        v = rng.normal(size=n_steps * w.m)
+        s_c, s_h = lstm.sensitivities(w, c, cache)
+        forward = float(np.sum(a_c * (s_c @ v)) + np.sum(a_h * (s_h @ v)))
+        dz = lstm.adjoint(w, c, cache, a_c, a_h)
+        reverse = float((dz @ lstm.stacked(w)[0]).ravel() @ v)
+        assert forward == pytest.approx(reverse, rel=1e-12)
+
+
 class TestOutput:
     def test_zero_readout(self, tiny_w):
         w = tiny_w.copy()

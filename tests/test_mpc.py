@@ -1,12 +1,13 @@
 """Unit tests for constraint tightening, terminal ingredients and the solver."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lstmpc import lstm, mpc, observer, refcalc
-from lstmpc.errors import InfeasibleSetpointError
+from lstmpc.errors import FeasibilityLossError, InfeasibleSetpointError
 from lstmpc.observer import AugmentedState
 
 from conftest import random_invariant_state, small_net
@@ -248,6 +249,149 @@ class TestSolveFhocp:
         assert len(sol.x_seq) == 6
         np.testing.assert_array_equal(sol.x_seq[0].c, x_hat.c)
         assert np.max(np.abs(sol.u_seq)) <= bench_w.u_max + 1e-12
+
+
+def _fd_jacobian(fun, u, eps=1e-6):
+    """Central-difference Jacobian of a vector function of the (N, m) plan."""
+    u = np.asarray(u, dtype=float)
+    cols = []
+    for idx in np.ndindex(u.shape):
+        up, um = u.copy(), u.copy()
+        up[idx] += eps
+        um[idx] -= eps
+        cols.append((np.atleast_1d(fun(up)) - np.atleast_1d(fun(um))) / (2 * eps))
+    return np.stack(cols, axis=-1)
+
+
+class TestDenseQp:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kkt_conditions(self, seed):
+        rng = np.random.default_rng(seed)
+        n_v, n_c = 4 + seed, 3 + 2 * seed
+        b_mat = rng.normal(size=(n_v, n_v))
+        hess = b_mat @ b_mat.T + 0.5 * np.eye(n_v)
+        grad = 5.0 * rng.normal(size=n_v)        # pushes d0 out of the set
+        a_mat = rng.normal(size=(n_c, n_v))
+        b_vec = rng.uniform(0.1, 1.0, n_c)        # d = 0 is strictly feasible
+        d, lam = mpc._dense_qp(hess, grad, a_mat, b_vec)
+        slack = b_vec - a_mat @ d
+        assert np.count_nonzero(lam) >= 1
+        np.testing.assert_allclose(hess @ d + grad + a_mat.T @ lam, 0.0, atol=1e-9)
+        assert np.min(slack) >= -1e-9
+        assert np.min(lam) >= 0.0
+        assert np.max(np.abs(lam * slack)) <= 1e-9
+
+    def test_infeasible_qp_returns_none(self):
+        # d_0 <= -1 and -d_0 <= -1 have no common point
+        a_mat = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        assert mpc._dense_qp(np.eye(2), np.zeros(2), a_mat,
+                             np.array([-1.0, -1.0, -0.5])) is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_active_set_enumeration(self, seed):
+        # The strictly convex QP has one minimizer: the equality-constrained
+        # solution of the one active set whose multipliers are >= 0 and
+        # whose point satisfies every row.
+        rng = np.random.default_rng(100 + seed)
+        n_v, n_c = 5, 8
+        b_mat = rng.normal(size=(n_v, n_v))
+        hess = b_mat @ b_mat.T + 0.5 * np.eye(n_v)
+        grad = 5.0 * rng.normal(size=n_v)
+        a_mat = rng.normal(size=(n_c, n_v))
+        b_vec = rng.uniform(0.1, 1.0, n_c)
+        found = []
+        for size in range(n_v + 1):
+            for act in itertools.combinations(range(n_c), size):
+                a_act = a_mat[list(act)]
+                kkt = np.block([[hess, a_act.T], [a_act, np.zeros((size, size))]])
+                sol = np.linalg.solve(kkt, np.concatenate([-grad, b_vec[list(act)]]))
+                if np.all(sol[n_v:] >= 0) and np.all(a_mat @ sol[:n_v] <= b_vec + 1e-12):
+                    found.append(sol[:n_v])
+        assert len(found) == 1
+        d, _ = mpc._dense_qp(hess, grad, a_mat, b_vec)
+        np.testing.assert_allclose(d, found[0], atol=1e-10)
+
+
+class TestFhocpKkt:
+    """solve_fhocp returns a KKT point of the nonlinear problem when an
+    output bound or the terminal set is active."""
+
+    @pytest.mark.parametrize("n_horizon", [5, 10])
+    @pytest.mark.parametrize("active", ["output", "terminal"])
+    def test_active_constraint_kkt(self, bench_w, bench_cert, bench_spec,
+                                   n_horizon, active):
+        nnls = pytest.importorskip("scipy.optimize").nnls
+        w, y0 = bench_w, 0.1
+        sched, term, ref, x_hat, e_o = feasible_instance(
+            w, bench_cert, bench_spec, 2, n_horizon, y0=y0)
+        if active == "output":
+            # below the unconstrained plan's tightened stage-1 output
+            y_ub = 0.30
+        else:
+            # shrink the terminal radius through the set-point margin
+            _, hi = mpc.admissible_band(sched, term, -1.0, 1.0,
+                                        bench_spec.d_max, e_o)
+            y_ub = 1.0 - (hi[0] - y0) + {5: 0.075, 10: 0.03}[n_horizon]
+            mpc.terminal_alpha(sched, term, w.W_y, [y0], [-1.0], [y_ub],
+                               bench_spec.d_max, e_o)
+        sol = mpc.solve_fhocp(w, bench_cert, bench_spec, sched, term,
+                              x_hat, e_o, ref, [-1.0], [y_ub])
+        assert sol.status == "optimal"
+        tight = mpc._tightening(sched, e_o, bench_spec.d_max)
+        x_bar = np.concatenate([ref.x_bar.c, ref.x_bar.h])
+
+        def cost(u_seq):
+            c, h, _ = lstm.rollout(w, x_hat.c, x_hat.h, u_seq)
+            dx = np.hstack([c[:n_horizon], h[:n_horizon]]) - x_bar
+            ev = np.array([np.linalg.norm(c[-1] - ref.x_bar.c),
+                           np.linalg.norm(h[-1] - ref.x_bar.h)])
+            return float(np.sum(dx ** 2) + np.sum((u_seq - ref.u_bar) ** 2)
+                         + ev @ term.P_f @ ev)
+
+        def constraints(u_seq):
+            c, h, _ = lstm.rollout(w, x_hat.c, x_hat.h, u_seq)
+            return mpc._constraints(w, tight, term, ref, np.array([-1.0]),
+                                    np.array([y_ub]), c, h)[0]
+
+        u = sol.u_seq
+        g = constraints(u)
+        assert np.max(g) <= 1e-7
+        # the targeted rows: the outputs of stages 1..N-1 or the terminal set
+        rows = np.arange(2, len(g) - 1) if active == "output" else [len(g) - 1]
+        assert np.max(g[rows]) >= -1e-7
+        grad = _fd_jacobian(cost, u)[0]
+        jac = _fd_jacobian(constraints, u)
+        act = np.flatnonzero(g >= -1e-6)
+        normals = [jac[i] for i in act]
+        for j, u_j in enumerate(u.ravel()):      # active input bounds
+            if abs(u_j) >= w.u_max - 1e-9:
+                normals.append(np.sign(u_j) * np.eye(u.size)[j])
+        lam, residual = nnls(np.array(normals).T, -grad)
+        assert residual <= 1e-6
+        assert np.max(lam[:len(act)][np.isin(act, rows)]) > 0.0
+
+    def test_unreachable_terminal_set_raises(self, bench_w, bench_cert, bench_spec):
+        # a terminal radius too small to reach in 5 steps from an
+        # infeasible candidate: no plan, so the solve reports the loss
+        sched, term, ref, x_hat, e_o = feasible_instance(
+            bench_w, bench_cert, bench_spec, 2, 5)
+        _, hi = mpc.admissible_band(sched, term, -1.0, 1.0, bench_spec.d_max, e_o)
+        y_ub = 1.0 - (hi[0] - 0.1) + 0.04
+        mpc.terminal_alpha(sched, term, bench_w.W_y, [0.1], [-1.0], [y_ub],
+                           bench_spec.d_max, e_o)
+        with pytest.raises(FeasibilityLossError, match="candidate violation"):
+            mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+                            x_hat, e_o, ref, [-1.0], [y_ub])
+
+    def test_warm_start_at_kkt_point_stays(self, bench_w, bench_cert, bench_spec):
+        sched, term, ref, x_hat, e_o = feasible_instance(
+            bench_w, bench_cert, bench_spec, 2, 10)
+        sol = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+                              x_hat, e_o, ref, [-1.0], [0.30])
+        again = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+                                x_hat, e_o, ref, [-1.0], [0.30], warm=sol.u_seq)
+        np.testing.assert_allclose(again.u_seq, sol.u_seq, atol=1e-8)
+        assert again.solver_iterations <= 2
 
 
 class TestShiftedCandidate:

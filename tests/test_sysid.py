@@ -122,6 +122,19 @@ class TestLoss:
                 worst = max(worst, abs(fd - grads[name][idx]) / denom)
         assert worst < 1e-5
 
+    @pytest.mark.parametrize("seed, n, scale", [(0, 3, 0.1), (1, 3, 0.3), (2, 4, 0.5),
+                                                (3, 2, 0.2), (4, 5, 0.05)])
+    def test_penalty_margins_match_certificate(self, seed, n, scale):
+        # the training penalty re-derives (r1, r2); pin it to lstm's copy
+        w = small_net(seed=seed, n=n, scale=scale)
+        cfg = sysid.TrainConfig(n_neurons=n)
+        grads = {name: np.zeros_like(getattr(w, name)) for name in lstm.MATRIX_FIELDS}
+        _, r1, r2 = sysid._penalty_with_grads(w, cfg, grads)
+        expect = lstm.jury_margins(w)
+        assert (r1, r2) == pytest.approx(expect, rel=0, abs=1e-12)
+        if scale == 0.5:
+            assert r1 > 0.0
+
     def test_rejects_full_washout(self):
         w = small_net(seed=2, n=3)
         cfg = sysid.TrainConfig(washout=50, n_neurons=3)
