@@ -23,7 +23,6 @@ print(f"  rho_s = {cert.rho_s:.4f},  c_sl = {cert.c_sl:.2f}, "
       f"c_su = {cert.c_su:.2f}")
 
 spec = observer.ObserverSpec.from_dict(obs_doc)
-observer.observer_matrices(weights, spec)
 observer.derive_constants(weights, spec, w_bar=spec.w_bar)
 print("\nObserver error dynamics:")
 print(f"  rho(A_d) = {np.max(np.abs(np.linalg.eigvals(spec.A_d))):.4f}")

@@ -14,7 +14,6 @@ ASSET_DIR = resources.files("lstmpc") / "assets"
 
 weights, obs_doc = lstm.load_weights(ASSET_DIR / "model.json")
 spec = observer.ObserverSpec.from_dict(obs_doc)
-observer.observer_matrices(weights, spec)
 observer.derive_constants(weights, spec, w_bar=spec.w_bar)
 
 scenario = harness.Scenario.from_json(ASSET_DIR / "benchmark_scenario.json")

@@ -16,7 +16,6 @@ from lstmpc.observer import AugmentedState
 
 weights, obs_doc = lstm.load_weights(resources.files("lstmpc") / "assets" / "model.json")
 spec = observer.ObserverSpec.from_dict(obs_doc)
-observer.observer_matrices(weights, spec)
 observer.derive_constants(weights, spec, w_bar=spec.w_bar)
 
 rng = np.random.default_rng(7)

@@ -5,9 +5,7 @@ import json
 import pathlib
 import sys
 
-import numpy as np
-
-from . import harness, lstm, mpc, observer, plant, refcalc, sysid
+from . import harness, lstm, mpc, numerics, observer, plant, refcalc, sysid
 from .errors import LstmpcError
 
 
@@ -45,7 +43,6 @@ def _cmd_certify(args):
     cert = lstm.incremental_lyapunov(w)
     spec = observer.ObserverSpec.from_dict(obs_doc) if obs_doc else None
     if spec is not None:
-        observer.observer_matrices(w, spec)
         observer.derive_constants(w, spec, w_bar=spec.w_bar or None)
     else:
         spec = observer.select_gains(w, d_max=args.d_max, l_d=args.l_d,
@@ -59,10 +56,10 @@ def _cmd_certify(args):
             "P_s": cert.P_s.tolist(),
         },
         "observer": {
-            "rho_A_d": float(np.max(np.abs(np.linalg.eigvals(spec.A_d)))),
+            "rho_A_d": numerics.spectral_radius(spec.A_d),
             "rho_o": spec.rho_o, "c_ol": spec.c_ol, "c_ou": spec.c_ou,
             "c_o": spec.c_o.tolist(), "L_max": spec.L_max,
-            "w_bar": spec.w_bar, "e_bar_inf": spec.w_bar / (1.0 - spec.rho_o),
+            "w_bar": spec.w_bar, "e_bar_inf": sched.e_bar_inf,
             "P_o": spec.P_o.tolist(),
         },
         "tightening": {
@@ -88,7 +85,6 @@ def _cmd_simulate(args):
     spec = None
     if obs_doc:
         spec = observer.ObserverSpec.from_dict(obs_doc)
-        observer.observer_matrices(w, spec)
         observer.derive_constants(w, spec, w_bar=spec.w_bar or None)
     report = harness.run_scenario(sc, w, spec=spec)
     out = pathlib.Path(args.out)

@@ -26,10 +26,15 @@ training and the reference Jacobian all run this cell through one kernel:
 - ``local_factors`` gives the per-step partial derivatives that both
   sweeps multiply by, for callers that build a Jacobian.
 
-Besides the state update, this module computes worst-case gate bounds,
-the 2x2 contraction matrix of the state-increment dynamics, the
-associated spectral-radius / Jury certificates, and the incremental
-Lyapunov function used downstream for constraint tightening.
+Besides the state update, this module holds the one copy of the
+contraction certificate's arithmetic. ``gate_bounds`` bounds the gates
+over the invariant set; ``increment_gains`` turns four gate bounds and
+the matrices that carry the increments into the gates into the cell
+radius, sigma_x, alpha, beta and the 2x2 increment-gain matrix with its
+input column. The model certificate, the observer's A_d and L_mat and
+the training penalty (through ``gate_bounds`` and the Jury margins
+``jury_margins``) all use it; ``incremental_lyapunov`` adds the
+Lyapunov data used downstream for constraint tightening.
 """
 
 import json
@@ -41,7 +46,6 @@ import numpy as np
 from .errors import DimensionError, InstabilityError
 from .numerics import (
     eig_extrema_spd,
-    induced_inf_norm,
     induced_two_norm,
     solve_discrete_lyapunov,
     spectral_radius,
@@ -265,32 +269,64 @@ def output(w, x):
 
 @dataclass
 class GateBounds:
-    """Worst-case gate magnitudes over the invariant operating sets."""
+    """Worst-case gate magnitudes over an invariant operating set and the
+    increment gains they give (see ``increment_gains``).
+
+    ``cell_radius`` bounds ||c||_inf on the set and ``sigma_x`` = tanh of
+    it bounds tanh(c). ``gains`` (2x2, alpha = gains[0, 1]) and ``column``
+    (2x1, beta = column[0, 0]) bound the next increment:
+    (||dc+||, ||dh+||) <= gains (||dc||, ||dh||) + column ||dv||.
+    """
 
     sigma_f: float
     sigma_i: float
     sigma_o: float
     sigma_c: float
+    cell_radius: float
     sigma_x: float
     alpha: float
     beta: float
+    gains: np.ndarray
+    column: np.ndarray
+
+
+def increment_gains(sigmas, recurrent, inputs):
+    """Increment gains of a cell whose gates are bounded by ``sigmas``.
+
+    ``sigmas`` = (sigma_f, sigma_i, sigma_o, sigma_c); ``recurrent`` and
+    ``inputs`` hold, in ``GATES`` order, the matrices that carry the
+    hidden-state increment dh and the second increment dv into each gate's
+    preactivation. The model passes (U, W); the observer passes its hatted
+    bounds with (U - L W_y, L) for its error dynamics and with (L W_y, L)
+    for their sensitivity to the gains. This is the one place where the
+    certificate's cell radius, sigma_x, alpha, beta and second row are
+    formed. Returns the GateBounds of ``sigmas``.
+    """
+    sf, si, so, sc = sigmas
+    n_uf, n_ui, n_uo, n_uc = _two_norms(recurrent)
+    n_wf, n_wi, n_wo, n_wc = _two_norms(inputs)
+    c_rad = si * sc / (1.0 - sf)
+    sx = float(np.tanh(c_rad))
+    alpha = 0.25 * n_uf * c_rad + si * n_uc + 0.25 * n_ui * sc
+    beta = 0.25 * n_wf * c_rad + si * n_wc + 0.25 * n_wi * sc
+    gains = np.array([[sf, alpha], [so * sf, alpha * so + 0.25 * sx * n_uo]])
+    column = np.array([[beta], [beta * so + 0.25 * sx * n_wo]])
+    return GateBounds(sf, si, so, sc, c_rad, sx, alpha, beta, gains, column)
+
+
+def _two_norms(mats):
+    """Induced 2-norms of equal-shape matrices, one batched SVD."""
+    return np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)[:, 0].tolist()
 
 
 def gate_bounds(w):
-    """Gate bounds and the increment-gain scalars alpha, beta."""
-    sf = float(sigmoid(induced_inf_norm(_gate_block(w.W_f, w.U_f, w.b_f, w.u_max))))
-    si = float(sigmoid(induced_inf_norm(_gate_block(w.W_i, w.U_i, w.b_i, w.u_max))))
-    so = float(sigmoid(induced_inf_norm(_gate_block(w.W_o, w.U_o, w.b_o, w.u_max))))
-    sc = float(np.tanh(induced_inf_norm(_gate_block(w.W_c, w.U_c, w.b_c, w.u_max))))
-    c_rad = si * sc / (1.0 - sf)
-    sx = float(np.tanh(c_rad))
-    alpha = 0.25 * induced_two_norm(w.U_f) * c_rad \
-        + si * induced_two_norm(w.U_c) \
-        + 0.25 * induced_two_norm(w.U_i) * sc
-    beta = 0.25 * induced_two_norm(w.W_f) * c_rad \
-        + si * induced_two_norm(w.W_c) \
-        + 0.25 * induced_two_norm(w.W_i) * sc
-    return GateBounds(sf, si, so, sc, sx, alpha, beta)
+    """Gate bounds of the model and its increment gains with (U, W)."""
+    wz, uz, bz = stacked(w)
+    n = w.n
+    # induced inf-norm of each gate's block [W u_max, U, b], in GATES order
+    norms = np.abs(_gate_block(wz, uz, bz, w.u_max)).sum(axis=1).reshape(4, n).max(axis=1)
+    sigmas = (*sigmoid(norms[:3]).tolist(), float(np.tanh(norms[3])))
+    return increment_gains(sigmas, uz.reshape(4, n, n), wz.reshape(4, n, w.m))
 
 
 def _gate_block(w_in, u_rec, b, u_max):
@@ -299,8 +335,7 @@ def _gate_block(w_in, u_rec, b, u_max):
 
 def cell_radius(w, bounds=None):
     """Infinity-norm radius of the invariant set for the cell state."""
-    g = bounds or gate_bounds(w)
-    return g.sigma_i * g.sigma_c / (1.0 - g.sigma_f)
+    return (bounds or gate_bounds(w)).cell_radius
 
 
 @dataclass
@@ -331,14 +366,7 @@ class StabilityCertificate:
 def contraction_matrices(w, bounds=None):
     """(A_delta, B_delta): componentwise gains of the increment dynamics."""
     g = bounds or gate_bounds(w)
-    uo = induced_two_norm(w.U_o)
-    wo = induced_two_norm(w.W_o)
-    a = np.array([
-        [g.sigma_f, g.alpha],
-        [g.sigma_o * g.sigma_f, g.alpha * g.sigma_o + 0.25 * g.sigma_x * uo],
-    ])
-    b = np.array([[g.beta], [g.beta * g.sigma_o + 0.25 * g.sigma_x * wo]])
-    return a, b
+    return g.gains, g.column
 
 
 def jury_margins(w, bounds=None):

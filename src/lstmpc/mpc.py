@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lstm
+from . import lstm, refcalc
 from .errors import FeasibilityLossError, InfeasibleSetpointError
 from .lstm import LstmState
 from .numerics import eig_extrema_spd, solve_discrete_lyapunov
@@ -47,12 +47,7 @@ class TighteningSchedule:
     a: list
     b: list
     rho_o: float
-    rho_s: float
-    c_su: float
-    L_max: float
     w_bar: float
-    c_s: np.ndarray
-    c_o: np.ndarray
 
     @property
     def horizon(self):
@@ -70,10 +65,7 @@ def build_schedule(cert, spec, n_horizon):
     for i in range(n_horizon):
         a.append(spec.rho_o * a[i] + cert.rho_s ** i * cert.c_su * spec.L_max * cert.c_s)
         b.append(b[i] + a[i] * spec.w_bar)
-    return TighteningSchedule(a=a, b=b, rho_o=spec.rho_o, rho_s=cert.rho_s,
-                              c_su=cert.c_su, L_max=spec.L_max, w_bar=spec.w_bar,
-                              c_s=np.asarray(cert.c_s, dtype=float),
-                              c_o=np.asarray(spec.c_o, dtype=float))
+    return TighteningSchedule(a=a, b=b, rho_o=spec.rho_o, w_bar=spec.w_bar)
 
 
 def eo_step(e_o, rho_o, w_bar):
@@ -157,6 +149,7 @@ class MpcSolution:
 _SQP_MAX_ITER = 50       # SQP iterations per solve
 _LINE_SEARCH_MAX = 40    # step halvings before the line search gives up
 _STEP_TOL = 1e-10        # stop once max |delta u| falls below this
+_FEAS_TOL = 1e-7         # constraint slack counted as feasible
 
 
 def _tightening(sched, e_o, d_max):
@@ -223,8 +216,8 @@ def _dense_qp(hess, grad, a_mat, b_vec):
     return None
 
 
-def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
-                warm=None, q_weight=1.0, r_weight=1.0, feas_tol=1e-7):
+def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
+                warm=None, q_weight=1.0, r_weight=1.0):
     """Single-shooting SQP solve of the tightened problem.
 
     ``warm`` is the initial input plan (N, m); when omitted the plan is
@@ -300,7 +293,7 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     u0 = project(u0)
 
     cand_cost, cand_g, cand_aux = evaluate(u0)
-    cand_feasible = float(np.max(cand_g)) <= feas_tol
+    cand_feasible = float(np.max(cand_g)) <= _FEAS_TOL
 
     u, cost, g, aux = u0, cand_cost, cand_g, cand_aux
     best_u, best_cost, best_g, best_aux = None, np.inf, None, None
@@ -333,13 +326,13 @@ def solve_fhocp(w, cert, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
             break
         step = float(np.max(np.abs(u_t - u)))
         u, cost, g, aux = u_t, cost_t, g_t, aux_t
-        if float(np.max(g)) <= feas_tol and cost < best_cost:
+        if float(np.max(g)) <= _FEAS_TOL and cost < best_cost:
             best_u, best_cost, best_g, best_aux = u, cost, g, aux
         if step < _STEP_TOL:
             break
-    if u is not u0 and float(np.max(g)) <= feas_tol:
+    if u is not u0 and float(np.max(g)) <= _FEAS_TOL:
         # A feasible stopping point is the solution: an earlier iterate can
-        # undercut its cost only by spending the feas_tol slack.
+        # undercut its cost only by spending the _FEAS_TOL slack.
         best_u, best_cost, best_g, best_aux = u, cost, g, aux
 
     use_candidate = False
@@ -397,8 +390,6 @@ class Controller:
     """Receding-horizon wrapper: holds warm-start and the e_o recursion."""
 
     def __init__(self, w, cert, spec, config=None):
-        from . import refcalc   # local import avoids a cycle at module load
-        self._refcalc = refcalc
         self.w = w
         self.cert = cert
         self.spec = spec
@@ -415,13 +406,13 @@ class Controller:
         cfg = self.config
         y_lb = np.atleast_1d(np.asarray(cfg.y_lb, dtype=float))
         y_ub = np.atleast_1d(np.asarray(cfg.y_ub, dtype=float))
-        ref = self._refcalc.solve_reference(self.w, y0, chi_hat.d,
-                                            warm_start=self.prev_ref)
+        ref = refcalc.solve_reference(self.w, y0, chi_hat.d,
+                                      warm_start=self.prev_ref)
         terminal_alpha(self.sched, self.term, self.w.W_y, y0, y_lb, y_ub,
                        self.spec.d_max, self.e_o)
         warm = shifted_candidate(self.prev_solution, ref.u_bar) \
             if self.prev_solution is not None else None
-        sol = solve_fhocp(self.w, self.cert, self.spec, self.sched, self.term,
+        sol = solve_fhocp(self.w, self.spec, self.sched, self.term,
                           chi_hat.x, self.e_o, ref, y_lb, y_ub, warm=warm,
                           q_weight=cfg.q_weight, r_weight=cfg.r_weight)
         self.prev_solution = sol

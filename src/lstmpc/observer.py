@@ -66,12 +66,6 @@ class ObserverSpec:
     L_o: np.ndarray
     L_d: np.ndarray
     d_max: float
-    sigma_hat_f: float = 0.0
-    sigma_hat_i: float = 0.0
-    sigma_hat_o: float = 0.0
-    alpha_hat: float = 0.0
-    beta_hat: float = 0.0
-    gamma_hat: float = 0.0
     A_d: np.ndarray | None = None
     P_o: np.ndarray | None = None
     rho_o: float | None = None
@@ -123,63 +117,41 @@ def observer_step(w, spec, chi_hat, u, y_measured):
 
 
 def observer_matrices(w, spec):
-    """Hatted worst-case gate bounds and the 3x3 error-contraction matrix.
+    """The 3x3 error-contraction matrix A_d of the observer.
 
     Coordinates of the error vector: (||c - chat||, ||h - hhat||, ||d - dhat||).
-    Fills the sigma_hat/alpha_hat/beta_hat/gamma_hat/A_d fields of ``spec``
-    and returns A_d.
+    The top two rows are ``lstm.increment_gains`` of the hatted gate bounds
+    with (U - L W_y, L). Fills the A_d and cell_radius_hat fields of
+    ``spec`` and returns A_d.
     """
-    g = lstm.gate_bounds(w)
+    sigmas, l_gains, l_wy = _hatted(w, spec, lstm.gate_bounds(w).sigma_c)
+    u_rec = [u - lw for u, lw in zip((w.U_f, w.U_i, w.U_o, w.U_c), l_wy)]
+    hat = lstm.increment_gains(sigmas, u_rec, l_gains)
+    spec.cell_radius_hat = hat.cell_radius
+    spec.A_d = np.vstack([np.hstack([hat.gains, hat.column]),
+                          [0.0, induced_two_norm(spec.L_d @ w.W_y),
+                           induced_two_norm(np.eye(w.p) - spec.L_d)]])
+    return spec.A_d
 
-    def hat_sigma(w_in, u_rec, b, l_gain):
-        lw = l_gain @ w.W_y
-        block = np.hstack([w_in * w.u_max, u_rec - lw, b.reshape(-1, 1),
-                           lw, l_gain * spec.d_max, l_gain * spec.d_max])
+
+def _hatted(w, spec, sigma_c):
+    """Hatted gate bounds and the innovation gains L and L W_y, in ``lstm.GATES`` order.
+
+    The innovation widens the f, i and o preactivation blocks; the
+    candidate gate gets none, so its L is zero and it keeps the model's
+    bound ``sigma_c``.
+    """
+    l_gains = (spec.L_f, spec.L_i, spec.L_o, np.zeros((w.n, w.p)))
+    l_wy = [l_gain @ w.W_y for l_gain in l_gains]
+
+    def hat_sigma(w_in, u_rec, b, j):
+        block = np.hstack([w_in * w.u_max, u_rec - l_wy[j], b.reshape(-1, 1),
+                           l_wy[j], l_gains[j] * spec.d_max, l_gains[j] * spec.d_max])
         return float(sigmoid(induced_inf_norm(block)))
 
-    sf = hat_sigma(w.W_f, w.U_f, w.b_f, spec.L_f)
-    si = hat_sigma(w.W_i, w.U_i, w.b_i, spec.L_i)
-    so = hat_sigma(w.W_o, w.U_o, w.b_o, spec.L_o)
-    sc = g.sigma_c                      # no injection in the candidate gate
-    c_rad = si * sc / (1.0 - sf)
-    sx = float(np.tanh(c_rad))
-    a_hat = 0.25 * c_rad * induced_two_norm(w.U_f - spec.L_f @ w.W_y) \
-        + si * induced_two_norm(w.U_c) \
-        + 0.25 * sc * induced_two_norm(w.U_i - spec.L_i @ w.W_y)
-    b_hat = 0.25 * c_rad * induced_two_norm(spec.L_f) \
-        + 0.25 * sc * induced_two_norm(spec.L_i)
-    g_hat = so * a_hat + 0.25 * sx * induced_two_norm(w.U_o - spec.L_o @ w.W_y)
-    p = w.p
-    a_d = np.array([
-        [sf, a_hat, b_hat],
-        [so * sf, g_hat, so * b_hat + 0.25 * sx * induced_two_norm(spec.L_o)],
-        [0.0, induced_two_norm(spec.L_d @ w.W_y),
-         induced_two_norm(np.eye(p) - spec.L_d)],
-    ])
-    spec.sigma_hat_f, spec.sigma_hat_i, spec.sigma_hat_o = sf, si, so
-    spec.alpha_hat, spec.beta_hat, spec.gamma_hat = a_hat, b_hat, g_hat
-    spec.cell_radius_hat = c_rad
-    spec.A_d = a_d
-    return a_d
-
-
-def _sensitivity_matrix(w, spec):
-    """3x3 gain-to-innovation sensitivity used for the L_max constant."""
-    g = lstm.gate_bounds(w)
-    sc = g.sigma_c
-    c_rad = spec.cell_radius_hat
-    a_bar = 0.25 * c_rad * induced_two_norm(spec.L_f @ w.W_y) \
-        + 0.25 * sc * induced_two_norm(spec.L_i @ w.W_y)
-    b_bar = 0.25 * c_rad * induced_two_norm(spec.L_f) \
-        + 0.25 * sc * induced_two_norm(spec.L_i)
-    g_bar = 0.25 * float(np.tanh(c_rad))
-    so = spec.sigma_hat_o
-    return np.array([
-        [0.0, a_bar, b_bar],
-        [0.0, g_bar * induced_two_norm(spec.L_o @ w.W_y) + so * a_bar,
-         g_bar * induced_two_norm(spec.L_o) + so * b_bar],
-        [0.0, induced_two_norm(spec.L_d @ w.W_y), induced_two_norm(spec.L_d)],
-    ])
+    sigmas = (hat_sigma(w.W_f, w.U_f, w.b_f, 0), hat_sigma(w.W_i, w.U_i, w.b_i, 1),
+              hat_sigma(w.W_o, w.U_o, w.b_o, 2), sigma_c)
+    return sigmas, l_gains, l_wy
 
 
 def derive_constants(w, spec, q_o=None, w_max=0.0, w_bar=None):
@@ -203,13 +175,18 @@ def derive_constants(w, spec, q_o=None, w_max=0.0, w_bar=None):
     spec.c_ou = float(np.sqrt(lam_max))
     w_y_bar = np.hstack([np.zeros((w.p, w.n)), w.W_y, np.eye(w.p)])
     spec.c_o = np.linalg.norm(w_y_bar, axis=1) / np.sqrt(lam_min)
-    spec.L_mat = _sensitivity_matrix(w, spec)
+    # Sensitivity of the error dynamics to the injection gains.
+    model = lstm.gate_bounds(w)
+    sigmas, l_gains, l_wy = _hatted(w, spec, model.sigma_c)
+    sens = lstm.increment_gains(sigmas, l_wy, l_gains)
+    spec.L_mat = np.vstack([np.hstack([np.zeros((2, 1)), sens.gains[:, 1:], sens.column]),
+                            [0.0, induced_two_norm(spec.L_d @ w.W_y),
+                             induced_two_norm(spec.L_d)]])
     spec.L_max = induced_two_norm(spec.L_mat) / np.sqrt(lam_min)
     # Worst-case one-step Lyapunov inflation from the disturbance increment,
     # evaluated at the corner of the invariant error box (P_o and A_d are
     # entrywise nonnegative, so the corner attains the maximum).
-    cert = lstm.delta_iss_check(w)
-    e_corner = np.array([cert.cell_radius + spec.cell_radius_hat, 2.0, 2.0 * spec.d_max])
+    e_corner = np.array([model.cell_radius + spec.cell_radius_hat, 2.0, 2.0 * spec.d_max])
     e3 = np.array([0.0, 0.0, 1.0])
     cross = float(e_corner @ spec.A_d.T @ p_o @ e3)
     spec.w_bar_analytic = float(np.sqrt(max(2.0 * cross * w_max + w_max ** 2 * p_o[2, 2], 0.0)))
@@ -251,7 +228,6 @@ def select_gains(w, d_max=0.1, strategy="suboptimal", l_d=0.1, q_o=None,
         spec = best_spec
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    observer_matrices(w, spec)
     return derive_constants(w, spec, q_o=q_o, w_max=w_max, w_bar=w_bar)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lstm, plant
 from .errors import TrainingError, UndefinedMetricError
-from .lstm import LstmWeights, sigmoid
+from .lstm import LstmWeights
 
 
 def generate_excitation(seed, levels_range, hold_range, total_steps):
@@ -180,66 +180,47 @@ def loss(w, u_seq, y_seq, cfg):
     grads["b_y"] = scale * err.sum(axis=0)
     out_grad = scale * err @ w.W_y
     dz = lstm.adjoint(w, c, cache, np.zeros_like(c), out_grad, stacks)
-    dwz = dz.T @ u2[:t - 1]
-    duz = dz.T @ h[:t - 1]
-    dbz = dz.sum(axis=0)
+    gate_grads = (dz.T @ u2[:t - 1], dz.T @ h[:t - 1], dz.sum(axis=0))
+    pen, r1, r2 = _penalty_with_grads(w, cfg, stacks, gate_grads)
     for j, gate in enumerate(lstm.GATES):
-        grads[f"W_{gate}"] = dwz[j * n:(j + 1) * n]
-        grads[f"U_{gate}"] = duz[j * n:(j + 1) * n]
-        grads[f"b_{gate}"] = dbz[j * n:(j + 1) * n]
-
-    pen, r1, r2 = _penalty_with_grads(w, cfg, grads)
+        for name, grad in zip(("W", "U", "b"), gate_grads):
+            grads[f"{name}_{gate}"] = grad[j * n:(j + 1) * n]
     return mse + pen, grads, (r1, r2)
 
 
-def stability_margins(w):
-    """(r1, r2) certification margins of the current weights."""
-    return lstm.jury_margins(w)
+def _inf_norm_grads(stacks, u_max):
+    """Subgradients of each gate's || lstm._gate_block(W, U, b, u_max) ||_inf
+    with respect to the stacked (W, U, b): the signs of its argmax row."""
+    wz, uz, bz = stacks
+    block = lstm._gate_block(wz, uz, bz, u_max)
+    n, m = uz.shape[1], wz.shape[1]
+    j = np.abs(block).sum(axis=1).reshape(4, n).argmax(axis=1) + n * np.arange(4)
+    sub = np.zeros_like(block)
+    sub[j] = np.sign(block[j])
+    return u_max * sub[:, :m], sub[:, m:m + n], sub[:, -1]
 
 
-def _two_norm_pair(m):
-    """Largest singular value and its rank-one gradient u1 v1^T."""
-    u, s, vt = np.linalg.svd(m)
-    return float(s[0]), np.outer(u[:, 0], vt[0])
+def _penalty_with_grads(w, cfg, stacks, grads):
+    """Add the r1/r2 penalty gradients into the stacked ``grads`` (dW, dU,
+    db in ``lstm.GATES`` order); return its value and (r1, r2).
 
-
-def _inf_norm_grads(w_in, u_rec, b, u_max):
-    """Value and subgradients of || [W u_max, U, b] ||_inf (argmax row)."""
-    rows = u_max * np.sum(np.abs(w_in), axis=1) + np.sum(np.abs(u_rec), axis=1) + np.abs(b)
-    j = int(np.argmax(rows))
-    gw = np.zeros_like(w_in)
-    gu = np.zeros_like(u_rec)
-    gb = np.zeros_like(b)
-    gw[j] = u_max * np.sign(w_in[j])
-    gu[j] = np.sign(u_rec[j])
-    gb[j] = np.sign(b[j])
-    return float(rows[j]), gw, gu, gb
-
-
-def _penalty_with_grads(w, cfg, grads):
-    """Add the r1/r2 penalty gradients into ``grads``; return its value."""
-    nf, gwf, guf, gbf = _inf_norm_grads(w.W_f, w.U_f, w.b_f, w.u_max)
-    ni, gwi, gui, gbi = _inf_norm_grads(w.W_i, w.U_i, w.b_i, w.u_max)
-    nc, gwc, guc, gbc = _inf_norm_grads(w.W_c, w.U_c, w.b_c, w.u_max)
-    no, gwo, guo, gbo = _inf_norm_grads(w.W_o, w.U_o, w.b_o, w.u_max)
-    sf = float(sigmoid(nf))
-    si = float(sigmoid(ni))
-    so = float(sigmoid(no))
-    sc = float(np.tanh(nc))
-    n_uf, g_uf2 = _two_norm_pair(w.U_f)
-    n_ui, g_ui2 = _two_norm_pair(w.U_i)
-    n_uc, g_uc2 = _two_norm_pair(w.U_c)
-    n_uo, g_uo2 = _two_norm_pair(w.U_o)
-    cr = si * sc / (1.0 - sf)
-    sx = float(np.tanh(cr))
-    alpha = 0.25 * n_uf * cr + si * n_uc + 0.25 * n_ui * sc
-    k1 = 0.25 * n_uo
-    r1 = -1.0 + sf + alpha * so + k1 * sx - k1 * sf * sx
-    r2 = k1 * sf * sx - 1.0
+    r1, r2 and the forward quantities are lstm's certificate, from one
+    ``gate_bounds`` and one ``jury_margins``; this is their adjoint.
+    ``stacks`` is ``lstm.stacked(w)``.
+    """
+    g = lstm.gate_bounds(w)
+    r1, r2 = lstm.jury_margins(w, g)
     pen = (cfg.lambda1 * max(r1, 0.0) + cfg.lambda1 * max(r2, 0.0)
            + cfg.lambda2 * min(r1, 0.0) + cfg.lambda2 * min(r2, 0.0))
     a_r1 = cfg.lambda1 if r1 > 0 else cfg.lambda2
     a_r2 = cfg.lambda1 if r2 > 0 else cfg.lambda2
+    sf, si, so, sc = g.sigma_f, g.sigma_i, g.sigma_o, g.sigma_c
+    cr, sx, alpha = g.cell_radius, g.sigma_x, g.alpha
+    n = w.n
+    # Each ||U||_2 (GATES order) and its gradient u1 v1^T from one SVD.
+    u_sv, s_sv, vt_sv = np.linalg.svd(stacks[1].reshape(4, n, n))
+    n_uf, n_ui, n_uo, n_uc = s_sv[:, 0].tolist()
+    k1 = 0.25 * n_uo
     # Adjoints of the scalar pipeline (reverse order of its definition).
     a_sf = a_r1 * (1.0 - k1 * sx) + a_r2 * k1 * sx
     a_alpha = a_r1 * so
@@ -256,23 +237,15 @@ def _penalty_with_grads(w, cfg, grads):
     a_si += a_cr * sc / (1.0 - sf)
     a_sc += a_cr * si / (1.0 - sf)
     a_sf += a_cr * si * sc / (1.0 - sf) ** 2
-    # Push into the weight tensors.
-    for a_s, s, gw, gu, gb, names in (
-            (a_sf, sf, gwf, guf, gbf, ("W_f", "U_f", "b_f")),
-            (a_si, si, gwi, gui, gbi, ("W_i", "U_i", "b_i")),
-            (a_so, so, gwo, guo, gbo, ("W_o", "U_o", "b_o"))):
-        d = a_s * s * (1.0 - s)
-        grads[names[0]] += d * gw
-        grads[names[1]] += d * gu
-        grads[names[2]] += d * gb
-    d = a_sc * (1.0 - sc ** 2)
-    grads["W_c"] += d * gwc
-    grads["U_c"] += d * guc
-    grads["b_c"] += d * gbc
-    grads["U_f"] += a_nuf * g_uf2
-    grads["U_i"] += a_nui * g_ui2
-    grads["U_c"] += a_nuc * g_uc2
-    grads["U_o"] += a_nuo * g_uo2
+    # Push into the stacked weight tensors.
+    a_norm = np.repeat([a_sf * sf * (1.0 - sf), a_si * si * (1.0 - si),
+                        a_so * so * (1.0 - so), a_sc * (1.0 - sc ** 2)], n)[:, None]
+    gw, gu, gb = _inf_norm_grads(stacks, w.u_max)
+    dw, du, db = grads
+    dw += a_norm * gw
+    du += a_norm * gu + (np.array([a_nuf, a_nui, a_nuo, a_nuc])[:, None, None]
+                         * u_sv[:, :, :1] * vt_sv[:, :1, :]).reshape(4 * n, n)
+    db += a_norm[:, 0] * gb
     return pen, r1, r2
 
 
@@ -312,7 +285,7 @@ def train(data, cfg, init=None, callback=None):
     vel = {name: np.zeros_like(getattr(w, name)) for name in lstm.MATRIX_FIELDS}
     step_count = 0
     b1, b2, eps = 0.9, 0.999, 1e-8
-    margins = stability_margins(w)
+    margins = lstm.jury_margins(w)
     max_epochs = max(cfg.epochs, 1) * cfg.extension_factor
     for epoch in range(max_epochs):
         order = rng.permutation(len(data.train))

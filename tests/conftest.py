@@ -30,7 +30,6 @@ def bench_cert(bench_w):
 def bench_spec(bench):
     w, obs_doc = bench
     spec = observer.ObserverSpec.from_dict(obs_doc)
-    observer.observer_matrices(w, spec)
     return observer.derive_constants(w, spec, w_bar=spec.w_bar)
 
 

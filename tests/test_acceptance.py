@@ -173,7 +173,7 @@ class TestCriterion5SolverOptimality:
                                        e_o, ref, [-1.0], [1.0],
                                        np.tile(ref.u_bar, (2, 1))) > 0.0:
                 continue
-            sol = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+            sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                                   x_hat, e_o, ref, [-1.0], [1.0])
             assert sol.max_violation <= 1e-7
             best = self._grid_best(bench_w, sched, term, ref, x_hat, e_o,

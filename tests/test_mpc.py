@@ -179,7 +179,7 @@ class TestSolveFhocp:
     def test_equilibrium_is_optimal(self, bench_w, bench_cert, bench_spec):
         sched, term, ref, _, e_o = feasible_instance(
             bench_w, bench_cert, bench_spec, 0, 5)
-        sol = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                               ref.x_bar, e_o, ref, [-1.0], [1.0])
         np.testing.assert_allclose(sol.u_seq, np.tile(ref.u_bar, (5, 1)), atol=1e-7)
         assert sol.cost < 1e-12
@@ -188,7 +188,7 @@ class TestSolveFhocp:
     def test_matches_grid_oracle(self, bench_w, bench_cert, bench_spec):
         sched, term, ref, x_hat, e_o = feasible_instance(
             bench_w, bench_cert, bench_spec, 1, 2)
-        sol = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                               x_hat, e_o, ref, [-1.0], [1.0])
         assert sol.max_violation <= 1e-7
         grid = np.linspace(-1.0, 1.0, 201)
@@ -214,9 +214,9 @@ class TestSolveFhocp:
                                                    bench_spec):
         sched, term, ref, x_hat, e_o = feasible_instance(
             bench_w, bench_cert, bench_spec, 2, 5)
-        sol = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                               x_hat, e_o, ref, [-1.0], [1.0])
-        again = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+        again = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                                 x_hat, e_o, ref, [-1.0], [1.0], warm=sol.u_seq)
         assert again.cost <= sol.cost + 1e-9
         assert again.solver_iterations <= sol.solver_iterations
@@ -227,7 +227,7 @@ class TestSolveFhocp:
         warm = np.tile(ref.u_bar, (5, 1)) + 0.05
         cand_violation = mpc.candidate_violation(
             bench_w, bench_spec, sched, term, x_hat, e_o, ref, [-1.0], [1.0], warm)
-        sol = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                               x_hat, e_o, ref, [-1.0], [1.0], warm=warm)
         assert sol.candidate_violation == pytest.approx(cand_violation, abs=1e-12)
         if cand_violation <= 1e-7:
@@ -243,7 +243,7 @@ class TestSolveFhocp:
     def test_solution_shapes(self, bench_w, bench_cert, bench_spec):
         sched, term, ref, x_hat, e_o = feasible_instance(
             bench_w, bench_cert, bench_spec, 4, 5)
-        sol = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                               x_hat, e_o, ref, [-1.0], [1.0])
         assert sol.u_seq.shape == (5, bench_w.m)
         assert len(sol.x_seq) == 6
@@ -334,7 +334,7 @@ class TestFhocpKkt:
             y_ub = 1.0 - (hi[0] - y0) + {5: 0.075, 10: 0.03}[n_horizon]
             mpc.terminal_alpha(sched, term, w.W_y, [y0], [-1.0], [y_ub],
                                bench_spec.d_max, e_o)
-        sol = mpc.solve_fhocp(w, bench_cert, bench_spec, sched, term,
+        sol = mpc.solve_fhocp(w, bench_spec, sched, term,
                               x_hat, e_o, ref, [-1.0], [y_ub])
         assert sol.status == "optimal"
         tight = mpc._tightening(sched, e_o, bench_spec.d_max)
@@ -380,15 +380,15 @@ class TestFhocpKkt:
         mpc.terminal_alpha(sched, term, bench_w.W_y, [0.1], [-1.0], [y_ub],
                            bench_spec.d_max, e_o)
         with pytest.raises(FeasibilityLossError, match="candidate violation"):
-            mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+            mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                             x_hat, e_o, ref, [-1.0], [y_ub])
 
     def test_warm_start_at_kkt_point_stays(self, bench_w, bench_cert, bench_spec):
         sched, term, ref, x_hat, e_o = feasible_instance(
             bench_w, bench_cert, bench_spec, 2, 10)
-        sol = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                               x_hat, e_o, ref, [-1.0], [0.30])
-        again = mpc.solve_fhocp(bench_w, bench_cert, bench_spec, sched, term,
+        again = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                                 x_hat, e_o, ref, [-1.0], [0.30], warm=sol.u_seq)
         np.testing.assert_allclose(again.u_seq, sol.u_seq, atol=1e-8)
         assert again.solver_iterations <= 2

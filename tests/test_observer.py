@@ -126,7 +126,7 @@ class TestObserverMatrices:
     def test_zero_gains_embed_model_contraction(self, bench_w):
         spec = make_spec(bench_w, l_d=0.3)
         cert = lstm.delta_iss_check(bench_w)
-        np.testing.assert_allclose(spec.A_d[:2, :2], cert.A_delta, atol=1e-12)
+        np.testing.assert_array_equal(spec.A_d[:2, :2], cert.A_delta)
         np.testing.assert_allclose(spec.A_d[:2, 2], 0.0, atol=1e-15)
         assert spec.A_d[2, 0] == 0.0
         assert spec.A_d[2, 1] == pytest.approx(
@@ -141,6 +141,69 @@ class TestObserverMatrices:
         spec = make_spec(bench_w, l_d=1.0)
         eigs = np.abs(np.linalg.eigvals(spec.A_d))
         assert np.min(eigs) == pytest.approx(0.0, abs=1e-12)
+
+
+def hand_certificate(w, spec):
+    """A_d's top two rows, L_mat and the hatted cell radius, term by term."""
+    two, inf = numerics.induced_two_norm, numerics.induced_inf_norm
+
+    def hat_sigma(w_in, u_rec, b, l_gain):
+        lw = l_gain @ w.W_y
+        block = np.hstack([w_in * w.u_max, u_rec - lw, b.reshape(-1, 1),
+                           lw, l_gain * spec.d_max, l_gain * spec.d_max])
+        return float(lstm.sigmoid(inf(block)))
+
+    sf = hat_sigma(w.W_f, w.U_f, w.b_f, spec.L_f)
+    si = hat_sigma(w.W_i, w.U_i, w.b_i, spec.L_i)
+    so = hat_sigma(w.W_o, w.U_o, w.b_o, spec.L_o)
+    sc = float(np.tanh(inf(np.hstack([w.W_c * w.u_max, w.U_c, w.b_c.reshape(-1, 1)]))))
+    c_rad = si * sc / (1.0 - sf)
+    g_bar = 0.25 * float(np.tanh(c_rad))
+    a_hat = 0.25 * c_rad * two(w.U_f - spec.L_f @ w.W_y) + si * two(w.U_c) \
+        + 0.25 * sc * two(w.U_i - spec.L_i @ w.W_y)
+    b_hat = 0.25 * c_rad * two(spec.L_f) + 0.25 * sc * two(spec.L_i)
+    top = np.array([
+        [sf, a_hat, b_hat],
+        [so * sf, so * a_hat + g_bar * two(w.U_o - spec.L_o @ w.W_y),
+         so * b_hat + g_bar * two(spec.L_o)],
+    ])
+    a_bar = 0.25 * c_rad * two(spec.L_f @ w.W_y) + 0.25 * sc * two(spec.L_i @ w.W_y)
+    b_bar = 0.25 * c_rad * two(spec.L_f) + 0.25 * sc * two(spec.L_i)
+    l_mat = np.array([
+        [0.0, a_bar, b_bar],
+        [0.0, g_bar * two(spec.L_o @ w.W_y) + so * a_bar, g_bar * two(spec.L_o) + so * b_bar],
+        [0.0, two(spec.L_d @ w.W_y), two(spec.L_d)],
+    ])
+    return top, l_mat, c_rad
+
+
+class TestCertificateOracle:
+    """A_d's top rows and L_mat come from lstm.increment_gains with
+    (U - L W_y, L) and (L W_y, L); they equal the hand formulas exactly."""
+
+    @staticmethod
+    def check(w, spec):
+        top, l_mat, c_rad = hand_certificate(w, spec)
+        np.testing.assert_array_equal(spec.A_d[:2], top)
+        np.testing.assert_array_equal(spec.L_mat, l_mat)
+        assert spec.cell_radius_hat == c_rad
+
+    def test_shipped_spec(self, bench_w, bench_spec):
+        self.check(bench_w, bench_spec)
+
+    @pytest.mark.parametrize("seed, net", [(s, "bench") for s in range(6)]
+                             + [(6, "small"), (7, "small")])
+    def test_seeded_injection_gains(self, bench_w, seed, net):
+        w = bench_w if net == "bench" else small_net(seed=seed, n=3, m=2, p=2)
+        rng = np.random.default_rng(seed)
+        n, p, scale = w.n, w.p, 0.002 if net == "bench" else 0.05   # rho(A_d) < 1
+        spec = observer.ObserverSpec(
+            L_f=rng.normal(0.0, scale, (n, p)), L_i=rng.normal(0.0, scale, (n, p)),
+            L_o=rng.normal(0.0, scale, (n, p)), L_d=rng.uniform(0.2, 1.0) * np.eye(p),
+            d_max=0.1)
+        observer.derive_constants(w, spec)
+        assert all(np.all(g != 0.0) for g in (spec.L_f, spec.L_i, spec.L_o))
+        self.check(w, spec)
 
 
 class TestSelectGains:

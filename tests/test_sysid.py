@@ -88,7 +88,7 @@ class TestLoss:
 
     def test_perfect_predictor_leaves_reward_terms(self):
         w = small_net(seed=2, n=3)
-        r1, r2 = sysid.stability_margins(w)
+        r1, r2 = lstm.jury_margins(w)
         assert r1 < 0 and r2 < 0
         cfg = sysid.TrainConfig(lambda1=0.03, lambda2=0.02, washout=5, n_neurons=3)
         u = np.random.default_rng(1).uniform(-1, 1, 40)
@@ -125,13 +125,13 @@ class TestLoss:
     @pytest.mark.parametrize("seed, n, scale", [(0, 3, 0.1), (1, 3, 0.3), (2, 4, 0.5),
                                                 (3, 2, 0.2), (4, 5, 0.05)])
     def test_penalty_margins_match_certificate(self, seed, n, scale):
-        # the training penalty re-derives (r1, r2); pin it to lstm's copy
+        # the training penalty takes (r1, r2) from lstm's certificate
         w = small_net(seed=seed, n=n, scale=scale)
         cfg = sysid.TrainConfig(n_neurons=n)
-        grads = {name: np.zeros_like(getattr(w, name)) for name in lstm.MATRIX_FIELDS}
-        _, r1, r2 = sysid._penalty_with_grads(w, cfg, grads)
-        expect = lstm.jury_margins(w)
-        assert (r1, r2) == pytest.approx(expect, rel=0, abs=1e-12)
+        stacks = lstm.stacked(w)
+        grads = tuple(np.zeros_like(a) for a in stacks)
+        _, r1, r2 = sysid._penalty_with_grads(w, cfg, stacks, grads)
+        assert (r1, r2) == lstm.jury_margins(w)
         if scale == 0.5:
             assert r1 > 0.0
 
@@ -172,7 +172,7 @@ class TestTrain:
         ds = synthetic_dataset()
         init = small_net(seed=1, n=3)
         init.U_c *= 14.0
-        r1_0, _ = sysid.stability_margins(init)
+        r1_0, _ = lstm.jury_margins(init)
         assert r1_0 > 0
         cfg = sysid.TrainConfig(epochs=1, n_neurons=3, washout=10, seed=4,
                                 lambda1=5.0, learning_rate=5e-3,
@@ -180,7 +180,7 @@ class TestTrain:
         seen = []
         w = sysid.train(ds, cfg, init=init,
                         callback=lambda ep, lv, m: seen.append(m[0]))
-        assert sysid.stability_margins(w)[0] < 0
+        assert lstm.jury_margins(w)[0] < 0
         first = seen[:3]
         assert all(b < a for a, b in zip(first, first[1:]))
 
