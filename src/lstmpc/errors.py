@@ -30,7 +30,7 @@ class TrainingError(LstmpcError, RuntimeError):
 
 
 class GainSelectionError(LstmpcError, RuntimeError):
-    """No admissible observer gains found within the search budget."""
+    """Observer gains rejected: uncertified model, L_d out of range or rho(A_d) >= 1."""
 
 
 class InfeasibleReferenceError(LstmpcError, RuntimeError):

@@ -13,7 +13,6 @@ controller/observer configuration. Two loop modes exist:
 
 import csv
 import json
-import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np

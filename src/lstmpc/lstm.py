@@ -10,10 +10,11 @@ The model is the standard gated recurrence
 The model step, the observer, the MPC prediction and its sensitivities,
 training and the reference Jacobian all run this cell through one kernel:
 
-- ``stacked`` stacks the gate weights in the order ``GATES`` = (f, i, o | c),
-  so one ``sigmoid`` covers the contiguous 3n block of f, i, o
-  preactivations. Every (4n,)-row quantity uses this order: the stacked
-  W, U, b, an injected preactivation term and the adjoint dz.
+- ``LstmWeights`` stores the gate weights once, stacked in the order
+  ``GATES`` = (f, i, o | c), so one ``sigmoid`` covers the contiguous 3n
+  block of f, i, o preactivations. Every (4n,)-row quantity uses this
+  order: the stored W, U, b, an injected preactivation term and the
+  adjoint dz; ``W_f`` ... ``b_c`` are views into the stacks.
 - ``rollout`` runs T steps from (c0, h0) and returns c, h of shape
   (T+1, n) plus a cache of the f/i/o activations, the candidate gate and
   tanh(c+).
@@ -28,7 +29,8 @@ training and the reference Jacobian all run this cell through one kernel:
 
 Besides the state update, this module holds the one copy of the
 contraction certificate's arithmetic. ``gate_bounds`` bounds the gates
-over the invariant set; ``increment_gains`` turns four gate bounds and
+over the invariant set (through ``gate_sigmas``, which the observer
+shares); ``increment_gains`` turns four gate bounds and
 the matrices that carry the increments into the gates into the cell
 radius, sigma_x, alpha, beta and the 2x2 increment-gain matrix with its
 input column. The model certificate, the observer's A_d and L_mat and
@@ -39,7 +41,7 @@ Lyapunov data used downstream for constraint tightening.
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,60 +78,69 @@ class LstmState:
         return LstmState(self.c.copy(), self.h.copy())
 
 
-@dataclass
+GATES = ("f", "i", "o", "c")     # the gate order of the stacked W, U and b
+
+
+class _GateBlock:
+    """A gate's rows of the stacked ``W``, ``U`` or ``b``, named like
+    ``W_f``: reads give a writable view, assignments write into the stack."""
+
+    def __set_name__(self, owner, name):
+        self.stack, gate = name.split("_")
+        self.rows = GATES.index(gate)
+
+    def __get__(self, w, owner=None):
+        if w is None:
+            return self
+        n = w.n
+        return getattr(w, self.stack)[self.rows * n:(self.rows + 1) * n]
+
+    def __set__(self, w, value):
+        self.__get__(w)[...] = value
+
+
 class LstmWeights:
     """All trainable parameters plus the normalized-input bound.
 
-    ``u_range`` / ``y_range`` carry the physical (lo, hi) pairs used to
-    normalize signals to [-1, 1]; they travel with the weights so a saved
-    model is self-contained.
+    The gate weights are stored once, stacked in ``GATES`` order: ``W``
+    (4n, m), ``U`` (4n, n) and ``b`` (4n,), beside the readout ``W_y``,
+    ``b_y``. The per-gate ``W_f`` ... ``b_c`` (the constructor keywords
+    and ``MATRIX_FIELDS``) are views into the stacks, so ``w.b_f[...] = x``,
+    ``w.U_o *= k`` and ``w.W_c = a`` all update them. The constructor
+    copies its arrays. ``u_range`` / ``y_range`` carry the physical
+    (lo, hi) pairs used to normalize signals to [-1, 1]; they travel with
+    the weights so a saved model is self-contained.
     """
 
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_c: np.ndarray
-    W_o: np.ndarray
-    U_f: np.ndarray
-    U_i: np.ndarray
-    U_c: np.ndarray
-    U_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    W_y: np.ndarray
-    b_y: np.ndarray
-    u_max: float = 1.0
-    u_range: tuple | None = None
-    y_range: tuple | None = None
+    W_f, W_i, W_c, W_o, U_f, U_i, U_c, U_o, b_f, b_i, b_c, b_o = (
+        _GateBlock() for _ in range(12))
 
-    def __post_init__(self):
-        for name in ("W_f", "W_i", "W_c", "W_o", "U_f", "U_i", "U_c", "U_o",
-                     "b_f", "b_i", "b_c", "b_o", "W_y", "b_y"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        n, m = self.W_f.shape
+    def __init__(self, W_f, W_i, W_c, W_o, U_f, U_i, U_c, U_o, b_f, b_i, b_c, b_o,
+                 W_y, b_y, u_max=1.0, u_range=None, y_range=None):
+        w_in, u_rec, bias = ([np.asarray(a, dtype=float) for a in gates] for gates in (
+            (W_f, W_i, W_o, W_c), (U_f, U_i, U_o, U_c), (b_f, b_i, b_o, b_c)))
+        n, m = w_in[0].shape
+        for gates, shape, kind in ((w_in, (n, m), "input-weight"),
+                                   (u_rec, (n, n), "recurrent-weight"), (bias, (n,), "bias")):
+            if any(a.shape != shape for a in gates):
+                raise DimensionError(f"{kind} shapes disagree")
+        self.W, self.U, self.b = (np.concatenate(gates) for gates in (w_in, u_rec, bias))
+        self.W_y = np.array(W_y, dtype=float)
+        self.b_y = np.array(b_y, dtype=float)
         p = self.W_y.shape[0]
-        for w in (self.W_i, self.W_c, self.W_o):
-            if w.shape != (n, m):
-                raise DimensionError("input-weight shapes disagree")
-        for u in (self.U_f, self.U_i, self.U_c, self.U_o):
-            if u.shape != (n, n):
-                raise DimensionError("recurrent-weight shapes disagree")
-        for b in (self.b_f, self.b_i, self.b_c, self.b_o):
-            if b.shape != (n,):
-                raise DimensionError("bias shapes disagree")
         if self.W_y.shape != (p, n) or self.b_y.shape != (p,):
             raise DimensionError("readout shapes disagree")
-        if not self.u_max > 0:
+        if not u_max > 0:
             raise ValueError("u_max must be positive")
+        self.u_max, self.u_range, self.y_range = u_max, u_range, y_range
 
     @property
     def n(self):
-        return self.W_f.shape[0]
+        return self.U.shape[1]
 
     @property
     def m(self):
-        return self.W_f.shape[1]
+        return self.W.shape[1]
 
     @property
     def p(self):
@@ -139,36 +150,22 @@ class LstmWeights:
         return LstmState(np.zeros(self.n), np.zeros(self.n))
 
     def copy(self):
-        return LstmWeights(
-            self.W_f.copy(), self.W_i.copy(), self.W_c.copy(), self.W_o.copy(),
-            self.U_f.copy(), self.U_i.copy(), self.U_c.copy(), self.U_o.copy(),
-            self.b_f.copy(), self.b_i.copy(), self.b_c.copy(), self.b_o.copy(),
-            self.W_y.copy(), self.b_y.copy(), self.u_max, self.u_range, self.y_range)
+        return LstmWeights(*(getattr(self, name) for name in MATRIX_FIELDS),
+                           self.u_max, self.u_range, self.y_range)
 
 
 MATRIX_FIELDS = ("W_f", "W_i", "W_c", "W_o", "U_f", "U_i", "U_c", "U_o",
                  "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
+PARAMETERS = ("W", "U", "b", "W_y", "b_y")     # the arrays LstmWeights stores
 
 
-GATES = ("f", "i", "o", "c")     # the kernel's gate order, as stacked() writes it
-
-
-def stacked(w):
-    """Gate weights (W, U, b) stacked in ``GATES`` order: (4n, m), (4n, n), (4n,)."""
-    return (np.concatenate([w.W_f, w.W_i, w.W_o, w.W_c]),
-            np.concatenate([w.U_f, w.U_i, w.U_o, w.U_c]),
-            np.concatenate([w.b_f, w.b_i, w.b_o, w.b_c]))
-
-
-def rollout(w, c0, h0, u_seq, inject=0.0, stacks=None):
+def rollout(w, c0, h0, u_seq, inject=0.0):
     """Run the cell over the (T, m) inputs ``u_seq`` from (c0, h0).
 
     ``inject`` is added to the preactivations (broadcast to (T, 4n), in
-    ``GATES`` order); ``stacks`` is ``stacked(w)`` when the caller has it.
-    Returns c, h of shape (T+1, n) and the cache that ``adjoint``,
-    ``sensitivities`` and ``local_factors`` read.
+    ``GATES`` order). Returns c, h of shape (T+1, n) and the cache that
+    ``adjoint``, ``sensitivities`` and ``local_factors`` read.
     """
-    wz, uz, bz = stacks if stacks is not None else stacked(w)
     n_t, n = len(u_seq), len(c0)
     c = np.empty((n_t + 1, n))
     h = np.empty((n_t + 1, n))
@@ -176,9 +173,9 @@ def rollout(w, c0, h0, u_seq, inject=0.0, stacks=None):
     sig = np.empty((n_t, 3 * n))       # f, i, o activations
     gct = np.empty((n_t, n))           # candidate gate
     tc = np.empty((n_t, n))            # tanh(c+)
-    pre = u_seq @ wz.T + bz + inject
+    pre = u_seq @ w.W.T + w.b + inject
     for k in range(n_t):
-        z = pre[k] + uz @ h[k]
+        z = pre[k] + w.U @ h[k]
         s = sig[k] = sigmoid(z[:3 * n])
         g = gct[k] = np.tanh(z[3 * n:])
         c[k + 1] = s[:n] * c[k] + s[n:2 * n] * g
@@ -201,13 +198,12 @@ def local_factors(c, cache):
             o * (1.0 - o) * tc, o * (1.0 - tc ** 2))
 
 
-def adjoint(w, c, cache, dc_stage, dh_stage, stacks=None):
+def adjoint(w, c, cache, dc_stage, dh_stage):
     """Reverse sweep of ``rollout``: dz = dL/d(preactivation), (T, 4n).
 
     ``dc_stage``/``dh_stage`` (T+1, n) are the direct partials of L with
     respect to c_k and h_k at stages 0..T.
     """
-    uz = (stacks if stacks is not None else stacked(w))[1]
     f, k_f, k_i, k_g, k_o, k_t = local_factors(c, cache)
     n_t, n = f.shape
     dz = np.empty((n_t, 4 * n))
@@ -220,27 +216,26 @@ def adjoint(w, c, cache, dc_stage, dh_stage, stacks=None):
         dz[k, 2 * n:3 * n] = dh * k_o[k]
         dz[k, 3 * n:] = dct * k_g[k]
         dc = dct * f[k] + dc_stage[k]
-        dh = uz.T @ dz[k] + dh_stage[k]
+        dh = w.U.T @ dz[k] + dh_stage[k]
     return dz
 
 
-def sensitivities(w, c, cache, stacks=None):
+def sensitivities(w, c, cache):
     """Forward (tangent-linear) sweep of ``rollout``: dc_k/du and dh_k/du.
 
     Returns two (T+1, n, T*m) arrays for stages 0..T, with u the row-major
     flattened (T, m) inputs; stage 0 does not depend on u, and stage k only
     on u_0..u_{k-1}.
     """
-    wz, uz, _ = stacks if stacks is not None else stacked(w)
     f, k_f, k_i, k_g, k_o, k_t = local_factors(c, cache)
     n_t, n = f.shape
-    m = wz.shape[1]
+    m = w.m
     s_c = np.zeros((n_t + 1, n, n_t * m))
     s_h = np.zeros((n_t + 1, n, n_t * m))
     for k in range(n_t):
         j = (k + 1) * m                  # columns u_0..u_k, the only nonzero ones
-        dz = uz @ s_h[k, :, :j]
-        dz[:, k * m:j] += wz
+        dz = w.U @ s_h[k, :, :j]
+        dz[:, k * m:j] += w.W
         s_c[k + 1, :, :j] = f[k, :, None] * s_c[k, :, :j] \
             + k_f[k, :, None] * dz[:n] + k_i[k, :, None] * dz[n:2 * n] \
             + k_g[k, :, None] * dz[3 * n:]
@@ -321,21 +316,25 @@ def _two_norms(mats):
 
 def gate_bounds(w):
     """Gate bounds of the model and its increment gains with (U, W)."""
-    wz, uz, bz = stacked(w)
     n = w.n
-    # induced inf-norm of each gate's block [W u_max, U, b], in GATES order
-    norms = np.abs(_gate_block(wz, uz, bz, w.u_max)).sum(axis=1).reshape(4, n).max(axis=1)
-    sigmas = (*sigmoid(norms[:3]).tolist(), float(np.tanh(norms[3])))
-    return increment_gains(sigmas, uz.reshape(4, n, n), wz.reshape(4, n, w.m))
+    return increment_gains(gate_sigmas(w.W, w.U, w.b, w.u_max),
+                           w.U.reshape(4, n, n), w.W.reshape(4, n, w.m))
+
+
+def gate_sigmas(w_in, u_rec, b, u_max, widen=0.0):
+    """(sigma_f, sigma_i, sigma_o, sigma_c), each gate's bound over the invariant set.
+
+    A gate's bound is its activation at the induced inf-norm of its block
+    [W u_max, U, b] (stacked (4n, .) arrays in ``GATES`` order); ``widen``,
+    (4n,), is added to the block's absolute row sums.
+    """
+    rows = np.abs(_gate_block(w_in, u_rec, b, u_max)).sum(axis=1) + widen
+    norms = rows.reshape(4, -1).max(axis=1)
+    return (*sigmoid(norms[:3]).tolist(), float(np.tanh(norms[3])))
 
 
 def _gate_block(w_in, u_rec, b, u_max):
     return np.hstack([w_in * u_max, u_rec, b.reshape(-1, 1)])
-
-
-def cell_radius(w, bounds=None):
-    """Infinity-norm radius of the invariant set for the cell state."""
-    return (bounds or gate_bounds(w)).cell_radius
 
 
 @dataclass
@@ -360,13 +359,6 @@ class StabilityCertificate:
     c_sl: float | None = None
     c_su: float | None = None
     c_s: np.ndarray | None = None
-    cell_radius: float = field(default=0.0)
-
-
-def contraction_matrices(w, bounds=None):
-    """(A_delta, B_delta): componentwise gains of the increment dynamics."""
-    g = bounds or gate_bounds(w)
-    return g.gains, g.column
 
 
 def jury_margins(w, bounds=None):
@@ -382,12 +374,11 @@ def jury_margins(w, bounds=None):
 def delta_iss_check(w):
     """Build the contraction certificate; ``certified`` marks acceptance."""
     g = gate_bounds(w)
-    a, b = contraction_matrices(w, g)
-    rho = spectral_radius(a)
+    rho = spectral_radius(g.gains)
     r1, r2 = jury_margins(w, g)
     return StabilityCertificate(
-        bounds=g, A_delta=a, B_delta=b, rho_A=rho, r1=r1, r2=r2,
-        certified=rho < 1.0, cell_radius=cell_radius(w, g))
+        bounds=g, A_delta=g.gains, B_delta=g.column, rho_A=rho, r1=r1, r2=r2,
+        certified=rho < 1.0)
 
 
 def incremental_lyapunov(w, q_s=None):

@@ -233,14 +233,13 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     u_bar = ref.u_bar
     y_lb = np.atleast_1d(np.asarray(y_lb, dtype=float))
     y_ub = np.atleast_1d(np.asarray(y_ub, dtype=float))
-    stacks = lstm.stacked(w)
     tight = _tightening(sched, e_o, d_max)
     p2 = 2.0 * term.P_f
     eye = np.eye(n_u)
     n_g0 = 2 * p               # stage-0 output rows: independent of u
 
     def evaluate(u_seq):
-        c, h, cache = lstm.rollout(w, x_hat.c, x_hat.h, u_seq, stacks=stacks)
+        c, h, cache = lstm.rollout(w, x_hat.c, x_hat.h, u_seq)
         g, ev = _constraints(w, tight, term, ref, y_lb, y_ub, c, h)
         dx = np.hstack([c[:n_h], h[:n_h]]) - x_bar
         cost = q_weight * float((dx ** 2).sum()) \
@@ -255,7 +254,7 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
         # terminal row's last multiplier: phi enters the Lagrangian as
         # (1 + lam_term) phi, so its curvature does too.
         c, h, cache, ev, dx = aux
-        s_c, s_h = lstm.sensitivities(w, c, cache, stacks)
+        s_c, s_h = lstm.sensitivities(w, c, cache)
         s_x = np.concatenate([s_c[1:n_h], s_h[1:n_h]], axis=1).reshape(-1, n_u)
         grad = 2.0 * q_weight * (dx[1:].ravel() @ s_x) \
             + 2.0 * r_weight * (u_seq - u_bar).ravel()

@@ -8,16 +8,15 @@ innovation into d with saturation. A 3x3 contraction matrix A_d over
 yields all constants consumed by the constraint-tightening controller.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lstm
 from .errors import DimensionError, DomainViolationError, GainSelectionError
-from .lstm import LstmState, sigmoid
+from .lstm import LstmState
 from .numerics import (
     eig_extrema_spd,
-    induced_inf_norm,
     induced_two_norm,
     solve_discrete_lyapunov,
     spectral_radius,
@@ -124,8 +123,7 @@ def observer_matrices(w, spec):
     with (U - L W_y, L). Fills the A_d and cell_radius_hat fields of
     ``spec`` and returns A_d.
     """
-    sigmas, l_gains, l_wy = _hatted(w, spec, lstm.gate_bounds(w).sigma_c)
-    u_rec = [u - lw for u, lw in zip((w.U_f, w.U_i, w.U_o, w.U_c), l_wy)]
+    sigmas, l_gains, _, u_rec = _hatted(w, spec)
     hat = lstm.increment_gains(sigmas, u_rec, l_gains)
     spec.cell_radius_hat = hat.cell_radius
     spec.A_d = np.vstack([np.hstack([hat.gains, hat.column]),
@@ -134,24 +132,23 @@ def observer_matrices(w, spec):
     return spec.A_d
 
 
-def _hatted(w, spec, sigma_c):
-    """Hatted gate bounds and the innovation gains L and L W_y, in ``lstm.GATES`` order.
+def _hatted(w, spec):
+    """Hatted gate bounds, and the innovation gains L, L W_y and U - L W_y
+    as (4, n, .) stacks in ``lstm.GATES`` order.
 
-    The innovation widens the f, i and o preactivation blocks; the
-    candidate gate gets none, so its L is zero and it keeps the model's
-    bound ``sigma_c``.
+    The innovation widens the f, i and o preactivation blocks
+    [W u_max, U - L W_y, b] by the columns [L W_y, L d_max, L d_max],
+    whose row sums are added apart, so zero gains give exactly the
+    model's bounds. The candidate gate gets no innovation: its L is zero.
     """
-    l_gains = (spec.L_f, spec.L_i, spec.L_o, np.zeros((w.n, w.p)))
-    l_wy = [l_gain @ w.W_y for l_gain in l_gains]
-
-    def hat_sigma(w_in, u_rec, b, j):
-        block = np.hstack([w_in * w.u_max, u_rec - l_wy[j], b.reshape(-1, 1),
-                           l_wy[j], l_gains[j] * spec.d_max, l_gains[j] * spec.d_max])
-        return float(sigmoid(induced_inf_norm(block)))
-
-    sigmas = (hat_sigma(w.W_f, w.U_f, w.b_f, 0), hat_sigma(w.W_i, w.U_i, w.b_i, 1),
-              hat_sigma(w.W_o, w.U_o, w.b_o, 2), sigma_c)
-    return sigmas, l_gains, l_wy
+    n = w.n
+    l_gains = np.stack([spec.L_f, spec.L_i, spec.L_o, np.zeros((n, w.p))])
+    l_wy = l_gains @ w.W_y
+    u_rec = w.U.reshape(4, n, n) - l_wy
+    l_d = l_gains * spec.d_max
+    widen = np.abs(np.concatenate([l_wy, l_d, l_d], axis=2)).sum(axis=2).ravel()
+    sigmas = lstm.gate_sigmas(w.W, u_rec.reshape(4 * n, n), w.b, w.u_max, widen)
+    return sigmas, l_gains, l_wy, u_rec
 
 
 def derive_constants(w, spec, q_o=None, w_max=0.0, w_bar=None):
@@ -177,7 +174,7 @@ def derive_constants(w, spec, q_o=None, w_max=0.0, w_bar=None):
     spec.c_o = np.linalg.norm(w_y_bar, axis=1) / np.sqrt(lam_min)
     # Sensitivity of the error dynamics to the injection gains.
     model = lstm.gate_bounds(w)
-    sigmas, l_gains, l_wy = _hatted(w, spec, model.sigma_c)
+    sigmas, l_gains, l_wy, _ = _hatted(w, spec)
     sens = lstm.increment_gains(sigmas, l_wy, l_gains)
     spec.L_mat = np.vstack([np.hstack([np.zeros((2, 1)), sens.gains[:, 1:], sens.column]),
                             [0.0, induced_two_norm(spec.L_d @ w.W_y),
@@ -194,40 +191,19 @@ def derive_constants(w, spec, q_o=None, w_max=0.0, w_bar=None):
     return spec
 
 
-def select_gains(w, d_max=0.1, strategy="suboptimal", l_d=0.1, q_o=None,
-                 w_max=0.0, w_bar=None, seed=0, budget=10000):
-    """Pick observer gains and return the fully populated spec.
+def select_gains(w, d_max=0.1, l_d=0.1, q_o=None, w_max=0.0, w_bar=None):
+    """Pick the suboptimal observer gains and return the fully populated spec.
 
-    "suboptimal": zero state-injection gains and L_d = l_d I (l_d in (0,2)),
-    so the error spectrum is the model's contraction spectrum plus |l_d - 1|.
-    "search": random perturbations around that choice keeping rho(A_d) < 1.
+    Zero state-injection gains and L_d = l_d I (l_d in (0, 2)), so the
+    error spectrum is the model's contraction spectrum plus |l_d - 1|.
     """
-    cert = lstm.delta_iss_check(w)
-    if not cert.certified:
+    if not lstm.delta_iss_check(w).certified:
         raise GainSelectionError("model is not certified contractive")
+    if not 0.0 < l_d < 2.0:
+        raise GainSelectionError(f"l_d = {l_d} outside (0, 2)")
     n, p = w.n, w.p
-    if strategy == "suboptimal":
-        if not 0.0 < l_d < 2.0:
-            raise GainSelectionError(f"l_d = {l_d} outside (0, 2)")
-        spec = ObserverSpec(L_f=np.zeros((n, p)), L_i=np.zeros((n, p)),
-                            L_o=np.zeros((n, p)), L_d=l_d * np.eye(p), d_max=d_max)
-    elif strategy == "search":
-        rng = np.random.default_rng(seed)
-        base = select_gains(w, d_max, "suboptimal", l_d, q_o, w_max, w_bar)
-        best_spec, best_rho = base, spectral_radius(base.A_d)
-        for _ in range(budget):
-            cand = ObserverSpec(
-                L_f=rng.normal(0.0, 0.05, (n, p)), L_i=rng.normal(0.0, 0.05, (n, p)),
-                L_o=rng.normal(0.0, 0.05, (n, p)),
-                L_d=np.eye(p) * rng.uniform(0.0, 2.0), d_max=d_max)
-            rho = spectral_radius(observer_matrices(w, cand))
-            if rho < best_rho:
-                best_spec, best_rho = cand, rho
-        if best_rho >= 1.0:
-            raise GainSelectionError("search budget exhausted without rho(A_d) < 1")
-        spec = best_spec
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    spec = ObserverSpec(L_f=np.zeros((n, p)), L_i=np.zeros((n, p)),
+                        L_o=np.zeros((n, p)), L_d=l_d * np.eye(p), d_max=d_max)
     return derive_constants(w, spec, q_o=q_o, w_max=w_max, w_bar=w_bar)
 
 

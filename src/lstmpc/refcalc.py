@@ -54,10 +54,9 @@ def _jacobian(w, xi):
     """
     n = w.n
     c, h, u = xi[:n], xi[n:2 * n], xi[2 * n:]
-    stacks = lstm.stacked(w)
-    cs, _, cache = lstm.rollout(w, c, h, u[None, :], stacks=stacks)
+    cs, _, cache = lstm.rollout(w, c, h, u[None, :])
     f, k_f, k_i, k_g, k_o, k_t = (k[0] for k in lstm.local_factors(cs, cache))
-    uw = np.hstack([stacks[1], stacks[0]])       # [U | W] rows, (f, i, o, c)
+    uw = np.hstack([w.U, w.W])       # [U | W] rows, (f, i, o, c)
     dc_hu = (k_f[:, None] * uw[:n] + k_i[:, None] * uw[n:2 * n]
              + k_g[:, None] * uw[3 * n:])
     jac = np.zeros((2 * n + w.p, 2 * n + w.m))

@@ -9,7 +9,7 @@ certifiable. Training only terminates once both margins are negative.
 import csv
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,7 +140,7 @@ class TrainConfig:
             raise ValueError("epochs and penalty weights must be nonnegative")
 
 
-def _forward(w, u_seq, stacks=None):
+def _forward(w, u_seq):
     """Open-loop rollout from the zero state over all but the last input.
 
     Returns (y_hat, c, h, cache, u2): outputs and states of shape (t, .)
@@ -148,7 +148,7 @@ def _forward(w, u_seq, stacks=None):
     """
     u2 = np.asarray(u_seq, dtype=float).reshape(len(u_seq), -1)
     zero = np.zeros(w.n)
-    c, h, cache = lstm.rollout(w, zero, zero, u2[:-1], stacks=stacks)
+    c, h, cache = lstm.rollout(w, zero, zero, u2[:-1])
     return h @ w.W_y.T + w.b_y, c, h, cache, u2
 
 
@@ -159,12 +159,10 @@ def predict(w, u_seq):
 
 def loss(w, u_seq, y_seq, cfg):
     """Training loss (MSE past washout + stability-margin penalties) and
-    its gradient with respect to every weight tensor."""
+    its gradient with respect to each array in ``lstm.PARAMETERS``."""
     t = len(u_seq)
-    n = w.n
     y_seq = np.asarray(y_seq, dtype=float).reshape(t, -1)
-    stacks = lstm.stacked(w)
-    y_hat, c, h, cache, u2 = _forward(w, u_seq, stacks)
+    y_hat, c, h, cache, u2 = _forward(w, u_seq)
     mask = np.arange(t) >= cfg.washout
     n_eval = int(mask.sum())
     if n_eval == 0:
@@ -179,34 +177,29 @@ def loss(w, u_seq, y_seq, cfg):
     grads["W_y"] = scale * err.T @ h
     grads["b_y"] = scale * err.sum(axis=0)
     out_grad = scale * err @ w.W_y
-    dz = lstm.adjoint(w, c, cache, np.zeros_like(c), out_grad, stacks)
-    gate_grads = (dz.T @ u2[:t - 1], dz.T @ h[:t - 1], dz.sum(axis=0))
-    pen, r1, r2 = _penalty_with_grads(w, cfg, stacks, gate_grads)
-    for j, gate in enumerate(lstm.GATES):
-        for name, grad in zip(("W", "U", "b"), gate_grads):
-            grads[f"{name}_{gate}"] = grad[j * n:(j + 1) * n]
+    dz = lstm.adjoint(w, c, cache, np.zeros_like(c), out_grad)
+    grads["W"], grads["U"], grads["b"] = dz.T @ u2[:t - 1], dz.T @ h[:t - 1], dz.sum(axis=0)
+    pen, r1, r2 = _penalty_with_grads(w, cfg, grads)
     return mse + pen, grads, (r1, r2)
 
 
-def _inf_norm_grads(stacks, u_max):
+def _inf_norm_grads(w):
     """Subgradients of each gate's || lstm._gate_block(W, U, b, u_max) ||_inf
     with respect to the stacked (W, U, b): the signs of its argmax row."""
-    wz, uz, bz = stacks
-    block = lstm._gate_block(wz, uz, bz, u_max)
-    n, m = uz.shape[1], wz.shape[1]
+    block = lstm._gate_block(w.W, w.U, w.b, w.u_max)
+    n, m = w.n, w.m
     j = np.abs(block).sum(axis=1).reshape(4, n).argmax(axis=1) + n * np.arange(4)
     sub = np.zeros_like(block)
     sub[j] = np.sign(block[j])
-    return u_max * sub[:, :m], sub[:, m:m + n], sub[:, -1]
+    return w.u_max * sub[:, :m], sub[:, m:m + n], sub[:, -1]
 
 
-def _penalty_with_grads(w, cfg, stacks, grads):
-    """Add the r1/r2 penalty gradients into the stacked ``grads`` (dW, dU,
-    db in ``lstm.GATES`` order); return its value and (r1, r2).
+def _penalty_with_grads(w, cfg, grads):
+    """Add the r1/r2 penalty gradients into ``grads["W"]``, ``grads["U"]``
+    and ``grads["b"]``; return its value and (r1, r2).
 
     r1, r2 and the forward quantities are lstm's certificate, from one
     ``gate_bounds`` and one ``jury_margins``; this is their adjoint.
-    ``stacks`` is ``lstm.stacked(w)``.
     """
     g = lstm.gate_bounds(w)
     r1, r2 = lstm.jury_margins(w, g)
@@ -218,7 +211,7 @@ def _penalty_with_grads(w, cfg, stacks, grads):
     cr, sx, alpha = g.cell_radius, g.sigma_x, g.alpha
     n = w.n
     # Each ||U||_2 (GATES order) and its gradient u1 v1^T from one SVD.
-    u_sv, s_sv, vt_sv = np.linalg.svd(stacks[1].reshape(4, n, n))
+    u_sv, s_sv, vt_sv = np.linalg.svd(w.U.reshape(4, n, n))
     n_uf, n_ui, n_uo, n_uc = s_sv[:, 0].tolist()
     k1 = 0.25 * n_uo
     # Adjoints of the scalar pipeline (reverse order of its definition).
@@ -240,12 +233,11 @@ def _penalty_with_grads(w, cfg, stacks, grads):
     # Push into the stacked weight tensors.
     a_norm = np.repeat([a_sf * sf * (1.0 - sf), a_si * si * (1.0 - si),
                         a_so * so * (1.0 - so), a_sc * (1.0 - sc ** 2)], n)[:, None]
-    gw, gu, gb = _inf_norm_grads(stacks, w.u_max)
-    dw, du, db = grads
-    dw += a_norm * gw
-    du += a_norm * gu + (np.array([a_nuf, a_nui, a_nuo, a_nuc])[:, None, None]
-                         * u_sv[:, :, :1] * vt_sv[:, :1, :]).reshape(4 * n, n)
-    db += a_norm[:, 0] * gb
+    gw, gu, gb = _inf_norm_grads(w)
+    grads["W"] += a_norm * gw
+    grads["U"] += a_norm * gu + (np.array([a_nuf, a_nui, a_nuo, a_nuc])[:, None, None]
+                                 * u_sv[:, :, :1] * vt_sv[:, :1, :]).reshape(4 * n, n)
+    grads["b"] += a_norm[:, 0] * gb
     return pen, r1, r2
 
 
@@ -281,8 +273,8 @@ def train(data, cfg, init=None, callback=None):
     if cfg.epochs == 0 and lstm.delta_iss_check(w).certified:
         return w
     rng = np.random.default_rng(cfg.seed + 1)
-    mom = {name: np.zeros_like(getattr(w, name)) for name in lstm.MATRIX_FIELDS}
-    vel = {name: np.zeros_like(getattr(w, name)) for name in lstm.MATRIX_FIELDS}
+    mom = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
+    vel = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
     step_count = 0
     b1, b2, eps = 0.9, 0.999, 1e-8
     margins = lstm.jury_margins(w)
@@ -300,7 +292,7 @@ def train(data, cfg, init=None, callback=None):
             step_count += 1
             corr1 = 1.0 - b1 ** step_count
             corr2 = 1.0 - b2 ** step_count
-            for name in lstm.MATRIX_FIELDS:
+            for name in lstm.PARAMETERS:
                 g = grads[name]
                 mom[name] = b1 * mom[name] + (1 - b1) * g
                 vel[name] = b2 * vel[name] + (1 - b2) * g * g

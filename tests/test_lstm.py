@@ -9,7 +9,7 @@ from lstmpc import lstm, numerics
 from lstmpc.errors import DimensionError, InstabilityError
 from lstmpc.lstm import LstmState
 
-from conftest import random_invariant_state, small_net, zero_net
+from conftest import ASSETS, random_invariant_state, small_net, zero_net
 
 
 def scalar_step_oracle(w, x, u):
@@ -83,7 +83,7 @@ class TestStep:
 
     def test_invariance_of_operating_sets(self, bench_w):
         g = lstm.gate_bounds(bench_w)
-        c_rad = lstm.cell_radius(bench_w, g)
+        c_rad = g.cell_radius
         h_rad = g.sigma_o * g.sigma_x
         rng = np.random.default_rng(0)
         for _ in range(10_000):
@@ -121,7 +121,7 @@ class TestAdjoint:
         c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
         dz = lstm.adjoint(w, c, cache, a, b)
         assert dz.shape == (n_steps, 4 * w.n)
-        grad = dz @ lstm.stacked(w)[0]
+        grad = dz @ w.W
         eps = 1e-6
         fd = np.empty_like(u)
         for idx in np.ndindex(u.shape):
@@ -173,7 +173,7 @@ class TestSensitivities:
         s_c, s_h = lstm.sensitivities(w, c, cache)
         forward = float(np.sum(a_c * (s_c @ v)) + np.sum(a_h * (s_h @ v)))
         dz = lstm.adjoint(w, c, cache, a_c, a_h)
-        reverse = float((dz @ lstm.stacked(w)[0]).ravel() @ v)
+        reverse = float((dz @ w.W).ravel() @ v)
         assert forward == pytest.approx(reverse, rel=1e-12)
 
 
@@ -330,6 +330,50 @@ class TestVs:
             lstm.v_s(cert, x, x)
 
 
+class TestWeightStorage:
+    """W, U, b are stored once, stacked in GATES order; W_f ... b_c are views."""
+
+    def test_stacks_in_gate_order(self, bench_w):
+        for stack in ("W", "U", "b"):
+            np.testing.assert_array_equal(
+                getattr(bench_w, stack),
+                np.concatenate([getattr(bench_w, f"{stack}_{g}") for g in lstm.GATES]))
+
+    def test_item_write_updates_stack(self):
+        w = small_net(seed=4, n=3)
+        w.b_f[...] = 30.0
+        np.testing.assert_array_equal(w.b[:3], 30.0)
+
+    def test_in_place_update_scales_stack(self):
+        w = small_net(seed=4, n=3)
+        before = w.U.copy()
+        w.U_o *= 200.0
+        np.testing.assert_array_equal(w.U[6:9], 200.0 * before[6:9])
+        np.testing.assert_array_equal(np.delete(w.U, np.s_[6:9], axis=0),
+                                      np.delete(before, np.s_[6:9], axis=0))
+
+    def test_attribute_assignment_writes_into_stack(self):
+        w = small_net(seed=4, n=3, m=2)
+        stack = w.W
+        w.W_c = np.full((3, 2), 0.5)
+        assert w.W is stack
+        np.testing.assert_array_equal(w.W[9:], 0.5)
+
+    def test_constructor_and_copy_own_their_arrays(self):
+        w = small_net(seed=4, n=3)
+        w2 = lstm.LstmWeights(*(getattr(w, name) for name in lstm.MATRIX_FIELDS))
+        dup = w.copy()
+        for name in lstm.PARAMETERS:
+            for other in (w2, dup):
+                assert not np.shares_memory(getattr(w, name), getattr(other, name))
+        w.U *= 2.0
+        w.W_y[...] = 7.0
+        np.testing.assert_array_equal(dup.U, w2.U)
+        np.testing.assert_array_equal(dup.W_y, w2.W_y)
+        assert not np.array_equal(dup.U, w.U)
+        assert (dup.u_max, dup.u_range, dup.y_range) == (w.u_max, w.u_range, w.y_range)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path, bench_w, bench_spec):
         path = tmp_path / "w.json"
@@ -341,6 +385,12 @@ class TestSerialization:
         assert w2.u_range == tuple(bench_w.u_range)
         assert w2.y_range == tuple(bench_w.y_range)
         assert obs == bench_spec.to_dict()
+
+    def test_shipped_asset_byte_round_trip(self, tmp_path):
+        src = ASSETS / "model.json"
+        w, obs = lstm.load_weights(src)
+        lstm.save_weights(w, tmp_path / "model.json", observer=obs)
+        assert (tmp_path / "model.json").read_bytes() == src.read_bytes()
 
     def test_shape_validation(self):
         with pytest.raises(DimensionError):

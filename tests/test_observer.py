@@ -127,6 +127,16 @@ class TestObserverMatrices:
         spec = make_spec(bench_w, l_d=0.3)
         cert = lstm.delta_iss_check(bench_w)
         np.testing.assert_array_equal(spec.A_d[:2, :2], cert.A_delta)
+        # exactly, on seeded nets of every size, certified or not
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n, m, p = int(rng.integers(2, 13)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            w = small_net(seed=seed, n=n, m=m, p=p, scale=float(rng.uniform(0.05, 3.0)))
+            zero = np.zeros((n, p))
+            a_d = observer.observer_matrices(w, observer.ObserverSpec(
+                L_f=zero, L_i=zero, L_o=zero, L_d=0.3 * np.eye(p), d_max=0.1))
+            np.testing.assert_array_equal(a_d[:2, :2], lstm.delta_iss_check(w).A_delta,
+                                          err_msg=f"seed {seed}")
         np.testing.assert_allclose(spec.A_d[:2, 2], 0.0, atol=1e-15)
         assert spec.A_d[2, 0] == 0.0
         assert spec.A_d[2, 1] == pytest.approx(
@@ -148,10 +158,11 @@ def hand_certificate(w, spec):
     two, inf = numerics.induced_two_norm, numerics.induced_inf_norm
 
     def hat_sigma(w_in, u_rec, b, l_gain):
+        # model block and innovation columns summed apart, then added
         lw = l_gain @ w.W_y
-        block = np.hstack([w_in * w.u_max, u_rec - lw, b.reshape(-1, 1),
-                           lw, l_gain * spec.d_max, l_gain * spec.d_max])
-        return float(lstm.sigmoid(inf(block)))
+        model = np.abs(np.hstack([w_in * w.u_max, u_rec - lw, b.reshape(-1, 1)])).sum(axis=1)
+        gain = np.abs(np.hstack([lw, l_gain * spec.d_max, l_gain * spec.d_max])).sum(axis=1)
+        return float(lstm.sigmoid(np.max(model + gain)))
 
     sf = hat_sigma(w.W_f, w.U_f, w.b_f, spec.L_f)
     si = hat_sigma(w.W_i, w.U_i, w.b_i, spec.L_i)
@@ -225,17 +236,6 @@ class TestSelectGains:
         w.U_o *= 200.0
         with pytest.raises(GainSelectionError):
             make_spec(w)
-
-    def test_search_dominates_suboptimal(self, bench_w):
-        base = make_spec(bench_w, l_d=0.1)
-        found = observer.select_gains(bench_w, d_max=0.1, strategy="search",
-                                      l_d=0.1, budget=200, seed=0)
-        assert numerics.spectral_radius(found.A_d) <= \
-            numerics.spectral_radius(base.A_d) + 1e-12
-
-    def test_rejects_unknown_strategy(self, bench_w):
-        with pytest.raises(ValueError):
-            observer.select_gains(bench_w, strategy="annealing")
 
 
 class TestDeriveConstants:

@@ -106,7 +106,8 @@ class TestLoss:
         _, grads, _ = sysid.loss(w, u, y, cfg)
         eps = 1e-5
         worst = 0.0
-        for name in lstm.MATRIX_FIELDS:
+        assert sorted(grads) == sorted(lstm.PARAMETERS)
+        for name in lstm.PARAMETERS:
             arr = getattr(w, name)
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
@@ -128,9 +129,8 @@ class TestLoss:
         # the training penalty takes (r1, r2) from lstm's certificate
         w = small_net(seed=seed, n=n, scale=scale)
         cfg = sysid.TrainConfig(n_neurons=n)
-        stacks = lstm.stacked(w)
-        grads = tuple(np.zeros_like(a) for a in stacks)
-        _, r1, r2 = sysid._penalty_with_grads(w, cfg, stacks, grads)
+        grads = {name: np.zeros_like(getattr(w, name)) for name in ("W", "U", "b")}
+        _, r1, r2 = sysid._penalty_with_grads(w, cfg, grads)
         assert (r1, r2) == lstm.jury_margins(w)
         if scale == 0.5:
             assert r1 > 0.0
