@@ -11,13 +11,15 @@ The model step, the observer, the MPC prediction and its sensitivities,
 training and the reference Jacobian all run this cell through one kernel:
 
 - ``LstmWeights`` stores the gate weights once, stacked in the order
-  ``GATES`` = (f, i, o | c), so one ``sigmoid`` covers the contiguous 3n
-  block of f, i, o preactivations. Every (4n,)-row quantity uses this
-  order: the stored W, U, b, an injected preactivation term and the
-  adjoint dz; ``W_f`` ... ``b_c`` are views into the stacks.
+  ``GATES`` = (f, i, o | c). Every (4n,)-row quantity uses this order:
+  the stored W, U, b, an injected preactivation term and the adjoint dz;
+  ``W_f`` ... ``b_c`` are views into the stacks.
 - ``rollout`` runs T steps from (c0, h0) and returns c, h of shape
   (T+1, n) plus a cache of the f/i/o activations, the candidate gate and
-  tanh(c+).
+  tanh(c+). Each step takes all four gates from one ``tanh`` over the
+  preactivations with the f, i, o block halved, since
+  sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so the gates
+  equal ``sigmoid``'s bit for bit.
 - ``adjoint`` sweeps back over that cache. Given the direct partials
   dL/dc_k, dL/dh_k at stages 0..T it returns dz = dL/dz_k, (T, 4n), the
   gradient with respect to the stacked preactivations z_k; then
@@ -39,6 +41,7 @@ the training penalty (through ``gate_bounds`` and the Jury margins
 Lyapunov data used downstream for constraint tightening.
 """
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -170,18 +173,30 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
     c = np.empty((n_t + 1, n))
     h = np.empty((n_t + 1, n))
     c[0], h[0] = c0, h0
-    sig = np.empty((n_t, 3 * n))       # f, i, o activations
-    gct = np.empty((n_t, n))           # candidate gate
+    act = np.empty((n_t, 4 * n))       # f, i, o activations | candidate gate
     tc = np.empty((n_t, n))            # tanh(c+)
+    scale = _gate_scale(n)
     pre = u_seq @ w.W.T + w.b + inject
     for k in range(n_t):
         z = pre[k] + w.U @ h[k]
-        s = sig[k] = sigmoid(z[:3 * n])
-        g = gct[k] = np.tanh(z[3 * n:])
-        c[k + 1] = s[:n] * c[k] + s[n:2 * n] * g
+        z *= scale
+        a = np.tanh(z, out=act[k])
+        s = a[:3 * n]
+        s += 1.0
+        s *= 0.5
+        c[k + 1] = s[:n] * c[k] + s[n:2 * n] * a[3 * n:]
         tc[k] = np.tanh(c[k + 1])
         h[k + 1] = s[2 * n:] * tc[k]
-    return c, h, (sig, gct, tc)
+    return c, h, (act[:, :3 * n], act[:, 3 * n:], tc)
+
+
+@functools.cache
+def _gate_scale(n):
+    """(4n,) preactivation scale of ``rollout``'s one tanh: 0.5 on the f,
+    i, o rows, 1 on the c rows. Read-only, shared by every call."""
+    scale = np.repeat([0.5, 1.0], [3 * n, n])
+    scale.flags.writeable = False
+    return scale
 
 
 def local_factors(c, cache):
@@ -205,16 +220,13 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
     respect to c_k and h_k at stages 0..T.
     """
     f, k_f, k_i, k_g, k_o, k_t = local_factors(c, cache)
-    n_t, n = f.shape
-    dz = np.empty((n_t, 4 * n))
+    n_t = len(f)
+    dz = np.concatenate((k_f, k_i, k_o, k_g), axis=1)    # scaled in place, row k at step k
     dc = dc_stage[n_t]
     dh = dh_stage[n_t]
     for k in range(n_t - 1, -1, -1):
         dct = dc + dh * k_t[k]
-        dz[k, :n] = dct * k_f[k]
-        dz[k, n:2 * n] = dct * k_i[k]
-        dz[k, 2 * n:3 * n] = dh * k_o[k]
-        dz[k, 3 * n:] = dct * k_g[k]
+        dz[k] *= np.concatenate((dct, dct, dh, dct))
         dc = dct * f[k] + dc_stage[k]
         dh = w.U.T @ dz[k] + dh_stage[k]
     return dz

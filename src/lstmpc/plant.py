@@ -6,6 +6,7 @@ charge-balance invariants of the outlet and the tank level; the measured
 pH is defined implicitly by a titration charge balance.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,67 +58,104 @@ def equilibrium(p, u_phi=None, d_phi=None):
     return np.array([w_a4, w_b4, h1])
 
 
+def _rates(p):
+    """The ODE right-hand side on Python floats, with ``p`` read once:
+    rates(w_a4, w_b4, h1, u_phi, d_phi) -> (dw_a4, dw_b4, dh1)."""
+    q1, a1, c_v4, z, n_exp = p.q1, p.A1, p.C_v4, p.z, p.n_exp
+    w_a1, w_a2, w_a3, w_b1, w_b2, w_b3 = p.W_a1, p.W_a2, p.W_a3, p.W_b1, p.W_b2, p.W_b3
+
+    # the level must be positive and, for a valve above the bottom (z < 0),
+    # above the valve: below it the outflow's power would be complex
+    floor = max(0.0, -z)
+
+    def rates(w_a4, w_b4, h1, u_phi, d_phi):
+        if h1 <= floor:
+            raise UnphysicalStateError(f"tank level {h1:.3g} <= {floor:.3g}")
+        inv_v = 1.0 / (a1 * h1)
+        outflow = c_v4 * (h1 + z) ** n_exp
+        return (q1 * inv_v * (w_a1 - w_a4) + u_phi * inv_v * (w_a3 - w_a4)
+                + d_phi * inv_v * (w_a2 - w_a4),
+                q1 * inv_v * (w_b1 - w_b4) + u_phi * inv_v * (w_b3 - w_b4)
+                + d_phi * inv_v * (w_b2 - w_b4),
+                (q1 + u_phi + d_phi - outflow) / a1)
+
+    return rates
+
+
 def _xdot(p, x, u_phi, d_phi):
-    w_a4, w_b4, h1 = x
-    if h1 <= 0.0:
-        raise UnphysicalStateError(f"tank level {h1:.3g} <= 0")
-    inv_v = 1.0 / (p.A1 * h1)
-    outflow = p.C_v4 * (h1 + p.z) ** p.n_exp
-    return np.array([
-        p.q1 * inv_v * (p.W_a1 - w_a4)
-        + u_phi * inv_v * (p.W_a3 - w_a4)
-        + d_phi * inv_v * (p.W_a2 - w_a4),
-        p.q1 * inv_v * (p.W_b1 - w_b4)
-        + u_phi * inv_v * (p.W_b3 - w_b4)
-        + d_phi * inv_v * (p.W_b2 - w_b4),
-        (p.q1 + u_phi + d_phi - outflow) / p.A1,
-    ])
+    return np.array(_rates(p)(*map(float, x), u_phi, d_phi))
 
 
 def plant_step(p, x, u_phi, d_phi, dt, substeps=10):
-    """Advance the ODE by dt with classical RK4 over fixed substeps."""
-    u_phi = float(np.clip(u_phi, *U_PHI_RANGE))
-    x = np.asarray(x, dtype=float).copy()
+    """Advance the ODE by dt with classical RK4 over fixed substeps.
+
+    The alkaline flow is clipped to ``U_PHI_RANGE``; a non-finite state
+    entry, flow or dt raises ``UnphysicalStateError``.
+    """
+    a, b, l, u_phi, d_phi = vals = (*map(float, x), float(u_phi), float(d_phi))
+    if not all(map(math.isfinite, (*vals, dt))):
+        raise UnphysicalStateError(f"non-finite plant state, flow or dt {vals}, {dt}")
+    u_phi = min(max(u_phi, U_PHI_RANGE[0]), U_PHI_RANGE[1])
+    rates = _rates(p)
     h = dt / substeps
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(substeps):
-        k1 = _xdot(p, x, u_phi, d_phi)
-        k2 = _xdot(p, x + 0.5 * h * k1, u_phi, d_phi)
-        k3 = _xdot(p, x + 0.5 * h * k2, u_phi, d_phi)
-        k4 = _xdot(p, x + h * k3, u_phi, d_phi)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if x[2] <= 0.0:
+        k1a, k1b, k1l = rates(a, b, l, u_phi, d_phi)
+        k2a, k2b, k2l = rates(a + half * k1a, b + half * k1b, l + half * k1l, u_phi, d_phi)
+        k3a, k3b, k3l = rates(a + half * k2a, b + half * k2b, l + half * k2l, u_phi, d_phi)
+        k4a, k4b, k4l = rates(a + h * k3a, b + h * k3b, l + h * k3l, u_phi, d_phi)
+        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        l = l + sixth * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
+        if l <= 0.0:
             raise UnphysicalStateError("tank level went non-positive during integration")
-    return x
+    return np.array([a, b, l])
+
+
+def _residual(p, w_a4, w_b4):
+    """The charge balance at fixed concentrations, as a function of pH."""
+    pk1, pk2 = p.pK1, p.pK2
+
+    def residual(ph):
+        return (w_a4 + 10.0 ** (ph - 14.0) - 10.0 ** (-ph)
+                + w_b4 * (1.0 + 2.0 * 10.0 ** (ph - pk2))
+                / (1.0 + 10.0 ** (pk1 - ph) + 10.0 ** (ph - pk2)))
+
+    return residual
 
 
 def charge_balance(p, x, ph):
     """Titration residual c(x, pH); the measured pH is its root."""
-    w_a4, w_b4 = x[0], x[1]
-    return (w_a4 + 10.0 ** (ph - 14.0) - 10.0 ** (-ph)
-            + w_b4 * (1.0 + 2.0 * 10.0 ** (ph - p.pK2))
-            / (1.0 + 10.0 ** (p.pK1 - ph) + 10.0 ** (ph - p.pK2)))
+    return _residual(p, float(x[0]), float(x[1]))(ph)
 
 
 def measure_ph(p, x):
-    """Root of the charge balance in [0, 14]: bisection then Newton polish."""
+    """Root of the charge balance in [0, 14]: bisection then Newton polish.
+
+    A non-finite concentration raises ``UnphysicalStateError``.
+    """
+    w_a4, w_b4 = float(x[0]), float(x[1])
+    if not (math.isfinite(w_a4) and math.isfinite(w_b4)):
+        raise UnphysicalStateError(f"non-finite concentrations ({w_a4}, {w_b4})")
+    residual = _residual(p, w_a4, w_b4)
     lo, hi = 0.0, 14.0
-    c_lo, c_hi = charge_balance(p, x, lo), charge_balance(p, x, hi)
+    c_lo, c_hi = residual(lo), residual(hi)
     if c_lo * c_hi > 0.0:
         raise UnphysicalStateError("charge balance has no sign change in [0, 14]")
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if charge_balance(p, x, mid) * c_lo <= 0.0:
+        if residual(mid) * c_lo <= 0.0:
             hi = mid
         else:
             lo = mid
     ph = 0.5 * (lo + hi)
     for _ in range(2):
-        c = charge_balance(p, x, ph)
+        c = residual(ph)
         eps = 1e-7
-        dc = (charge_balance(p, x, ph + eps) - charge_balance(p, x, ph - eps)) / (2 * eps)
+        dc = (residual(ph + eps) - residual(ph - eps)) / (2 * eps)
         if dc != 0.0:
             ph -= c / dc
-    return float(ph)
+    return ph
 
 
 @dataclass

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lstmpc import lstm, numerics
+from lstmpc import lstm, numerics, sysid
 from lstmpc.errors import DimensionError, InstabilityError
 from lstmpc.lstm import LstmState
 
@@ -36,6 +36,80 @@ def scalar_step_oracle(w, x, u):
     c_next = [f[j] * x.c[j] + i[j] * g[j] for j in range(w.n)]
     h_next = [o[j] * math.tanh(c_next[j]) for j in range(w.n)]
     return np.array(c_next), np.array(h_next)
+
+
+def rollout_oracle(w, c0, h0, u_seq, inject=0.0):
+    """Reference kernel: a sigmoid over the f, i, o rows and a tanh over
+    the c rows, each step; ``lstm.rollout`` must equal it bit for bit."""
+    n_t, n = len(u_seq), len(c0)
+    c = np.empty((n_t + 1, n))
+    h = np.empty((n_t + 1, n))
+    c[0], h[0] = c0, h0
+    sig = np.empty((n_t, 3 * n))
+    gct = np.empty((n_t, n))
+    tc = np.empty((n_t, n))
+    pre = u_seq @ w.W.T + w.b + inject
+    for k in range(n_t):
+        z = pre[k] + w.U @ h[k]
+        s = sig[k] = 0.5 * (1.0 + np.tanh(0.5 * z[:3 * n]))
+        g = gct[k] = np.tanh(z[3 * n:])
+        c[k + 1] = s[:n] * c[k] + s[n:2 * n] * g
+        tc[k] = np.tanh(c[k + 1])
+        h[k + 1] = s[2 * n:] * tc[k]
+    return c, h, (sig, gct, tc)
+
+
+def adjoint_oracle(w, c, cache, dc_stage, dh_stage):
+    """Reference reverse sweep, one gate block of dz at a time."""
+    f, k_f, k_i, k_g, k_o, k_t = lstm.local_factors(c, cache)
+    n_t, n = f.shape
+    dz = np.empty((n_t, 4 * n))
+    dc = dc_stage[n_t]
+    dh = dh_stage[n_t]
+    for k in range(n_t - 1, -1, -1):
+        dct = dc + dh * k_t[k]
+        dz[k, :n] = dct * k_f[k]
+        dz[k, n:2 * n] = dct * k_i[k]
+        dz[k, 2 * n:3 * n] = dh * k_o[k]
+        dz[k, 3 * n:] = dct * k_g[k]
+        dc = dct * f[k] + dc_stage[k]
+        dh = w.U.T @ dz[k] + dh_stage[k]
+    return dz
+
+
+class TestKernelOracle:
+    """rollout and adjoint equal the reference kernels exactly."""
+
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_steps", [1, 5, 300])
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_rollout_and_adjoint(self, bench_w, net, n_steps, injected):
+        w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
+        rng = np.random.default_rng(n_steps)
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
+        inject = rng.normal(scale=0.5, size=(n_steps, 4 * w.n)) if injected else 0.0
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, u, inject)
+        c_ref, h_ref, cache_ref = rollout_oracle(w, x0.c, x0.h, u, inject)
+        np.testing.assert_array_equal(c, c_ref)
+        np.testing.assert_array_equal(h, h_ref)
+        assert len(cache) == len(cache_ref)
+        for part, ref in zip(cache, cache_ref):
+            np.testing.assert_array_equal(part, ref)
+        dc_stage = rng.normal(size=(n_steps + 1, w.n))
+        dh_stage = rng.normal(size=(n_steps + 1, w.n))
+        np.testing.assert_array_equal(lstm.adjoint(w, c, cache, dc_stage, dh_stage),
+                                      adjoint_oracle(w, c, cache, dc_stage, dh_stage))
+
+    def test_warm_started_training(self, bench_w, monkeypatch):
+        ds = sysid.generate_dataset(seed=2, n_train=2, n_val=1, n_test=1, steps=300)
+        cfg = sysid.TrainConfig(epochs=2, n_neurons=bench_w.n, seed=4)
+        fast = sysid.train(ds, cfg, init=bench_w)
+        monkeypatch.setattr(lstm, "rollout", rollout_oracle)
+        monkeypatch.setattr(lstm, "adjoint", adjoint_oracle)
+        ref = sysid.train(ds, cfg, init=bench_w)
+        for name in lstm.PARAMETERS:
+            np.testing.assert_array_equal(getattr(fast, name), getattr(ref, name))
 
 
 class TestSigmoid:

@@ -3,11 +3,76 @@
 import numpy as np
 import pytest
 
-from lstmpc import plant
+from lstmpc import plant, sysid
 from lstmpc.errors import UnphysicalStateError
 
 # Published nominal operating point of the benchmark tank.
 NOMINAL_STATE = np.array([-4.32e-4, 5.28e-4, 14.0])
+
+
+# -- reference implementation: the model on numpy 3-vectors ---------------
+# plant.py runs the same arithmetic on Python floats; the results must be
+# exactly equal, not merely close.
+
+def xdot_oracle(p, x, u_phi, d_phi):
+    w_a4, w_b4, h1 = x
+    if h1 <= 0.0:
+        raise UnphysicalStateError(f"tank level {h1:.3g} <= 0")
+    inv_v = 1.0 / (p.A1 * h1)
+    outflow = p.C_v4 * (h1 + p.z) ** p.n_exp
+    return np.array([
+        p.q1 * inv_v * (p.W_a1 - w_a4)
+        + u_phi * inv_v * (p.W_a3 - w_a4)
+        + d_phi * inv_v * (p.W_a2 - w_a4),
+        p.q1 * inv_v * (p.W_b1 - w_b4)
+        + u_phi * inv_v * (p.W_b3 - w_b4)
+        + d_phi * inv_v * (p.W_b2 - w_b4),
+        (p.q1 + u_phi + d_phi - outflow) / p.A1,
+    ])
+
+
+def plant_step_oracle(p, x, u_phi, d_phi, dt, substeps=10):
+    u_phi = float(np.clip(u_phi, *plant.U_PHI_RANGE))
+    x = np.asarray(x, dtype=float).copy()
+    h = dt / substeps
+    for _ in range(substeps):
+        k1 = xdot_oracle(p, x, u_phi, d_phi)
+        k2 = xdot_oracle(p, x + 0.5 * h * k1, u_phi, d_phi)
+        k3 = xdot_oracle(p, x + 0.5 * h * k2, u_phi, d_phi)
+        k4 = xdot_oracle(p, x + h * k3, u_phi, d_phi)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if x[2] <= 0.0:
+            raise UnphysicalStateError("tank level went non-positive during integration")
+    return x
+
+
+def charge_balance_oracle(p, x, ph):
+    w_a4, w_b4 = x[0], x[1]
+    return (w_a4 + 10.0 ** (ph - 14.0) - 10.0 ** (-ph)
+            + w_b4 * (1.0 + 2.0 * 10.0 ** (ph - p.pK2))
+            / (1.0 + 10.0 ** (p.pK1 - ph) + 10.0 ** (ph - p.pK2)))
+
+
+def measure_ph_oracle(p, x):
+    lo, hi = 0.0, 14.0
+    c_lo, c_hi = charge_balance_oracle(p, x, lo), charge_balance_oracle(p, x, hi)
+    if c_lo * c_hi > 0.0:
+        raise UnphysicalStateError("charge balance has no sign change in [0, 14]")
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if charge_balance_oracle(p, x, mid) * c_lo <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    ph = 0.5 * (lo + hi)
+    for _ in range(2):
+        c = charge_balance_oracle(p, x, ph)
+        eps = 1e-7
+        dc = (charge_balance_oracle(p, x, ph + eps)
+              - charge_balance_oracle(p, x, ph - eps)) / (2 * eps)
+        if dc != 0.0:
+            ph -= c / dc
+    return float(ph)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +130,12 @@ class TestPlantStep:
         with pytest.raises(UnphysicalStateError):
             plant.plant_step(params, [0.0, 0.0, -1.0], 15.6, 0.55, 10.0)
 
+    def test_rejects_negative_valve_head(self):
+        # a scenario may override z; below the valve the outflow law has no
+        # real value
+        with pytest.raises(UnphysicalStateError):
+            plant.plant_step(plant.PhParams(z=-20.0), NOMINAL_STATE, 15.6, 0.55, 10.0)
+
 
 class TestMeasurePh:
     def test_nominal_ph(self, params):
@@ -98,6 +169,80 @@ class TestMeasurePh:
     def test_rejects_no_sign_change(self, params):
         with pytest.raises(UnphysicalStateError):
             plant.measure_ph(params, np.array([2.0, 0.0, 14.0]))
+
+
+class TestOracle:
+    """plant_step, measure_ph and charge_balance equal the numpy reference
+    bit for bit."""
+
+    def test_excitation_trajectory(self, params):
+        # a staircase that also leaves U_PHI_RANGE, with the buffer flow
+        # stepping across [0.45, 0.7]
+        rng = np.random.default_rng(12)
+        u = sysid.generate_excitation(rng, (11.0, 18.5), (5, 60), 2000)
+        q2 = sysid.generate_excitation(rng, (0.45, 0.7), (20, 200), 2000)
+        x = plant.equilibrium(params)
+        for k in range(2000):
+            ph = plant.measure_ph(params, x)
+            assert type(ph) is float and ph == measure_ph_oracle(params, x)
+            assert plant.charge_balance(params, x, ph) == charge_balance_oracle(params, x, ph)
+            nxt = plant.plant_step(params, x, u[k], q2[k], plant.T_S)
+            np.testing.assert_array_equal(nxt, plant_step_oracle(params, x, u[k], q2[k], plant.T_S))
+            x = nxt
+
+    @pytest.mark.parametrize("substeps", [1, 2, 4, 10])
+    def test_substeps(self, params, substeps):
+        rng = np.random.default_rng(substeps)
+        x = NOMINAL_STATE + np.array([2e-4, -1e-4, 1.0])
+        for _ in range(50):
+            u, q2 = rng.uniform(12.0, 17.5), rng.uniform(0.45, 0.7)
+            nxt = plant.plant_step(params, x, u, q2, 40.0, substeps=substeps)
+            np.testing.assert_array_equal(
+                nxt, plant_step_oracle(params, x, u, q2, 40.0, substeps=substeps))
+            x = nxt
+
+    def test_xdot(self, params):
+        x = NOMINAL_STATE + np.array([2e-4, -1e-4, 1.0])
+        np.testing.assert_array_equal(plant._xdot(params, x, 16.2, 0.6),
+                                      xdot_oracle(params, x, 16.2, 0.6))
+
+    def test_generate_dataset(self, monkeypatch):
+        kwargs = dict(seed=1, n_train=2, n_val=1, n_test=1, steps=300)
+        fast = sysid.generate_dataset(**kwargs)
+        monkeypatch.setattr(plant, "plant_step", plant_step_oracle)
+        monkeypatch.setattr(plant, "measure_ph", measure_ph_oracle)
+        ref = sysid.generate_dataset(**kwargs)
+        assert fast.normalizer == ref.normalizer
+        for (u, y), (u_ref, y_ref) in zip(fast.all_sequences, ref.all_sequences, strict=True):
+            np.testing.assert_array_equal(u, u_ref)
+            np.testing.assert_array_equal(y, y_ref)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_plant_step_rejects_flows_and_dt(self, params, bad):
+        with pytest.raises(UnphysicalStateError):
+            plant.plant_step(params, NOMINAL_STATE, bad, 0.55, 10.0)
+        with pytest.raises(UnphysicalStateError):
+            plant.plant_step(params, NOMINAL_STATE, 15.6, bad, 10.0)
+        with pytest.raises(UnphysicalStateError):
+            plant.plant_step(params, NOMINAL_STATE, 15.6, 0.55, bad)
+
+    @pytest.mark.parametrize("entry", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_plant_step_rejects_state(self, params, entry, bad):
+        x = NOMINAL_STATE.copy()
+        x[entry] = bad
+        with pytest.raises(UnphysicalStateError):
+            plant.plant_step(params, x, 15.6, 0.55, 10.0)
+
+    @pytest.mark.parametrize("entry", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_measure_ph_rejects_concentrations(self, params, entry, bad):
+        x = NOMINAL_STATE.copy()
+        x[entry] = bad
+        with pytest.raises(UnphysicalStateError):
+            plant.measure_ph(params, x)
 
 
 class TestNormalizer:

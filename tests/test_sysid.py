@@ -238,3 +238,35 @@ class TestDatasetIo:
             sysid.TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             sysid.TrainConfig(lambda1=-0.1)
+
+
+class TestHookPoints:
+    """The identification pipeline calls the plant and the cell kernel
+    through their module attributes, so a wrapper installed there (as the
+    benchmark's spans and clock samples are) sees every call."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    def test_dataset_calls_plant_once_per_sample(self, monkeypatch):
+        counts = self._count(monkeypatch, plant, ("plant_step", "measure_ph"))
+        sysid.generate_dataset(seed=5, n_train=2, n_val=1, n_test=1, steps=40)
+        assert counts == {"plant_step": 4 * 40, "measure_ph": 4 * 40}
+
+    def test_loss_runs_one_rollout_and_one_adjoint(self, monkeypatch):
+        w = small_net(seed=2, n=3)
+        cfg = sysid.TrainConfig(washout=5, n_neurons=3)
+        u = np.random.default_rng(3).uniform(-1, 1, 30)
+        counts = self._count(monkeypatch, lstm, ("rollout", "adjoint"))
+        sysid.loss(w, u, u, cfg)
+        assert counts == {"rollout": 1, "adjoint": 1}
