@@ -35,11 +35,10 @@ print("\nConstraint tightening over the horizon:")
 for i, (a, b) in enumerate(zip(sched.a, sched.b)):
     print(f"  stage {i}:  a = {a[0]:.4f}   b = {b[0]:.5f}")
 
-term = mpc.TerminalData(P_f=mpc.compute_pf(cert.A_delta, 1.0), q=1.0)
 y_lb, y_ub = float(nrm.normalize_y(6.0)), float(nrm.normalize_y(9.0))
 for label, e_o in (("initial (e_o = 0.5)", 0.5),
                    ("asymptotic", sched.e_bar_inf)):
-    lo, hi = mpc.admissible_band(sched, term, y_lb, y_ub, spec.d_max, e_o)
+    lo, hi = mpc.admissible_band(sched, y_lb, y_ub, spec.d_max, e_o)
     print(f"\nAdmissible set-point band, {label}: "
           f"[{float(nrm.denormalize_y(lo[0])):.2f}, "
           f"{float(nrm.denormalize_y(hi[0])):.2f}] pH")

@@ -9,7 +9,8 @@ Subpackages/modules:
 * ``refcalc`` — equilibrium reference calculator and sensitivity
 * ``mpc`` — constraint tightening, terminal ingredients, FHOCP solver
 * ``plant`` — pH neutralization ODE ground truth and signal scaling
-* ``harness`` — closed-loop scenarios, reporting, CLI entry point
+* ``harness`` — closed-loop scenarios and reporting
+* ``cli`` — command-line entry point: gen-data, train, certify, simulate
 """
 
 __version__ = "0.1.0"

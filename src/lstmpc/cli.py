@@ -43,7 +43,7 @@ def _cmd_certify(args):
     cert = lstm.incremental_lyapunov(w)
     spec = observer.ObserverSpec.from_dict(obs_doc) if obs_doc else None
     if spec is not None:
-        observer.derive_constants(w, spec, w_bar=spec.w_bar or None)
+        observer.derive_constants(w, spec, w_bar=spec.w_bar)
     else:
         spec = observer.select_gains(w, d_max=args.d_max, l_d=args.l_d,
                                      w_bar=args.w_bar)
@@ -85,7 +85,7 @@ def _cmd_simulate(args):
     spec = None
     if obs_doc:
         spec = observer.ObserverSpec.from_dict(obs_doc)
-        observer.derive_constants(w, spec, w_bar=spec.w_bar or None)
+        observer.derive_constants(w, spec, w_bar=spec.w_bar)
     report = harness.run_scenario(sc, w, spec=spec)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

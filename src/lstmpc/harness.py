@@ -55,10 +55,12 @@ class Scenario:
     def from_json(cls, path):
         with open(path) as fh:
             doc = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(doc) - known
+        bad = set(doc) - set(cls.__dataclass_fields__)
         if bad:
             raise ValueError(f"unknown scenario fields: {sorted(bad)}")
+        bad = set(doc.get("plant_overrides", {})) - set(plant.PhParams.__dataclass_fields__)
+        if bad:
+            raise ValueError(f"unknown plant_overrides keys: {sorted(bad)}")
         sc = cls(**doc)
         sc.setpoints = [tuple(x) for x in sc.setpoints]
         sc.disturbances = [tuple(x) for x in sc.disturbances]
@@ -287,13 +289,3 @@ def run_scenario(sc, w, spec=None):
                      candidate_checks=cand_checks, fallback_steps=fallbacks,
                      segment_errors=segs, solver_iterations=iterations)
 
-
-def benchmark_scenario():
-    """The full evaluation scenario: ramped set-points for 7000 s, then a
-    constant set-point with stepwise buffer-flow disturbances."""
-    return Scenario(
-        duration_s=10000.0,
-        setpoints=[(0.0, 7.0), (800.0, 7.5), (2300.0, 6.9), (3900.0, 7.6),
-                   (5800.0, 7.0)],
-        disturbances=[(7000.0, 0.45), (8000.0, 0.6), (9000.0, 0.7)],
-    )

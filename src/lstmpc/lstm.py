@@ -37,8 +37,8 @@ the matrices that carry the increments into the gates into the cell
 radius, sigma_x, alpha, beta and the 2x2 increment-gain matrix with its
 input column. The model certificate, the observer's A_d and L_mat and
 the training penalty (through ``gate_bounds`` and the Jury margins
-``jury_margins``) all use it; ``incremental_lyapunov`` adds the
-Lyapunov data used downstream for constraint tightening.
+``jury_margins``) all use it; ``lyapunov_bounds`` gives the model
+(``incremental_lyapunov``) and the observer their Lyapunov data.
 """
 
 import functools
@@ -365,7 +365,6 @@ class StabilityCertificate:
     r1: float
     r2: float
     certified: bool
-    Q_s: np.ndarray | None = None
     P_s: np.ndarray | None = None
     rho_s: float | None = None
     c_sl: float | None = None
@@ -393,26 +392,30 @@ def delta_iss_check(w):
         certified=rho < 1.0)
 
 
-def incremental_lyapunov(w, q_s=None):
+def lyapunov_bounds(a):
+    """Solve a^T P a - P = -1000 I for a contraction matrix ``a``.
+
+    Returns (P, rho, c_l, c_u): the decrease rate sqrt(1 - 1000 / lambda_max)
+    and the norm-equivalence constants sqrt(lambda_min), sqrt(lambda_max) of P.
+    """
+    p = solve_discrete_lyapunov(a, 1000.0 * np.eye(len(a)))
+    lam_min, lam_max = eig_extrema_spd(p)
+    return (p, float(np.sqrt(1.0 - 1000.0 / lam_max)),
+            float(np.sqrt(lam_min)), float(np.sqrt(lam_max)))
+
+
+def incremental_lyapunov(w):
     """Complete the certificate with the incremental Lyapunov data.
 
-    Solves A_delta^T P_s A_delta - P_s = -Q_s and derives the contraction
-    rate rho_s, the norm-equivalence constants and the per-output
-    sensitivity vector c_s.
+    ``lyapunov_bounds`` of A_delta gives P_s, the contraction rate rho_s
+    and the norm-equivalence constants c_sl, c_su; c_s is the per-output
+    sensitivity vector.
     """
     cert = delta_iss_check(w)
     if not cert.certified:
         raise InstabilityError(f"rho(A_delta) = {cert.rho_A:.4f} >= 1, model not certified")
-    q_s = np.asarray(q_s, dtype=float) if q_s is not None else 1000.0 * np.eye(2)
-    p_s = solve_discrete_lyapunov(cert.A_delta, q_s)
-    lam_min, lam_max = eig_extrema_spd(p_s)
-    qmin, _ = eig_extrema_spd(q_s)
-    cert.Q_s = q_s
-    cert.P_s = p_s
-    cert.rho_s = float(np.sqrt(1.0 - qmin / lam_max))
-    cert.c_sl = float(np.sqrt(lam_min))
-    cert.c_su = float(np.sqrt(lam_max))
-    cert.c_s = np.linalg.norm(w.W_y, axis=1) / np.sqrt(lam_min)
+    cert.P_s, cert.rho_s, cert.c_sl, cert.c_su = lyapunov_bounds(cert.A_delta)
+    cert.c_s = np.linalg.norm(w.W_y, axis=1) / cert.c_sl
     return cert
 
 

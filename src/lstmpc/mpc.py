@@ -36,7 +36,6 @@ import numpy as np
 
 from . import lstm, refcalc
 from .errors import FeasibilityLossError, InfeasibleSetpointError
-from .lstm import LstmState
 from .numerics import eig_extrema_spd, solve_discrete_lyapunov
 
 
@@ -75,10 +74,9 @@ def eo_step(e_o, rho_o, w_bar):
     return rho_o * e_o + w_bar
 
 
-def compute_pf(a_delta, q, margin=0.1):
-    """Terminal matrix: A^T P A - P = -(q + margin*q) I, strict with slack."""
-    return solve_discrete_lyapunov(np.asarray(a_delta, dtype=float),
-                                   (1.0 + margin) * q * np.eye(2))
+def compute_pf(a_delta, q):
+    """Terminal matrix: A^T P A - P = -1.1 q I, q the largest state weight."""
+    return solve_discrete_lyapunov(np.asarray(a_delta, dtype=float), 1.1 * q * np.eye(2))
 
 
 @dataclass
@@ -86,9 +84,7 @@ class TerminalData:
     """Terminal cost matrix and the current terminal-set radius."""
 
     P_f: np.ndarray
-    q: float
     alpha_k: float = 0.0
-    e_tilde: float = 0.0
     lam_min: float = field(init=False)
 
     def __post_init__(self):
@@ -101,36 +97,39 @@ def terminal_alpha(sched, term, w_y, y0, y_lb, y_ub, d_max, e_o):
 
     Positive only while the set-point keeps enough margin from both output
     bounds once the stage-N tightening and twice the disturbance bound are
-    subtracted; a nonpositive radius is an inadmissible set-point.
+    subtracted, i.e. lies strictly inside ``admissible_band``. A set-point
+    on an edge of the band or outside it is inadmissible, even where the
+    radius rounds to a positive value.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     y_lb = np.atleast_1d(np.asarray(y_lb, dtype=float))
     y_ub = np.atleast_1d(np.asarray(y_ub, dtype=float))
-    e_tilde = max(e_o, sched.e_bar_inf)
-    n_h = sched.horizon
+    margin = _terminal_margin(sched, d_max, e_o)
     sq = np.sqrt(term.lam_min)
     alpha = np.inf
     for j in range(len(y0)):
         wy = np.linalg.norm(w_y[j])
-        margin = sched.a[n_h][j] * e_tilde + sched.b[n_h][j] + 2.0 * d_max
-        a_ub = sq / wy * (y_ub[j] - y0[j] - margin)
-        a_lb = sq / wy * (y0[j] - y_lb[j] - margin)
-        if a_ub <= 0.0:
+        a_ub = sq / wy * (y_ub[j] - y0[j] - margin[j])
+        a_lb = sq / wy * (y0[j] - y_lb[j] - margin[j])
+        if a_ub <= 0.0 or y0[j] >= y_ub[j] - margin[j]:
             raise InfeasibleSetpointError(f"set-point too close to upper bound on output {j}")
-        if a_lb <= 0.0:
+        if a_lb <= 0.0 or y0[j] <= y_lb[j] + margin[j]:
             raise InfeasibleSetpointError(f"set-point too close to lower bound on output {j}")
         alpha = min(alpha, a_ub, a_lb)
     term.alpha_k = float(alpha)
-    term.e_tilde = float(e_tilde)
     return float(alpha)
 
 
-def admissible_band(sched, term, y_lb, y_ub, d_max, e_o):
-    """(lo, hi) set-point band with positive terminal radius (per output)."""
-    e_tilde = max(e_o, sched.e_bar_inf)
-    n_h = sched.horizon
-    margin = sched.a[n_h] * e_tilde + sched.b[n_h] + 2.0 * d_max
+def admissible_band(sched, y_lb, y_ub, d_max, e_o):
+    """Open set-point band (lo, hi) with positive terminal radius (per output)."""
+    margin = _terminal_margin(sched, d_max, e_o)
     return np.atleast_1d(y_lb) + margin, np.atleast_1d(y_ub) - margin
+
+
+def _terminal_margin(sched, d_max, e_o):
+    """Stage-N output margin a_N max(e_o, e_bar_inf) + b_N + 2 d_max, (p,)."""
+    n_h = sched.horizon
+    return sched.a[n_h] * max(e_o, sched.e_bar_inf) + sched.b[n_h] + 2.0 * d_max
 
 
 @dataclass
@@ -138,7 +137,6 @@ class MpcSolution:
     """Feasible input plan returned by the optimizer."""
 
     u_seq: np.ndarray          # (N, m)
-    x_seq: list                # LstmState, 0..N
     cost: float
     status: str                # "optimal" | "candidate-fallback"
     solver_iterations: int
@@ -295,7 +293,7 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     cand_feasible = float(np.max(cand_g)) <= _FEAS_TOL
 
     u, cost, g, aux = u0, cand_cost, cand_g, cand_aux
-    best_u, best_cost, best_g, best_aux = None, np.inf, None, None
+    best_u, best_cost, best_g = None, np.inf, None
     nu = 0.0                   # l1 merit weight, never decreased
     lam_term = 0.0
     n_g = len(cand_g) - n_g0   # QP rows that linearize g
@@ -326,13 +324,13 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
         step = float(np.max(np.abs(u_t - u)))
         u, cost, g, aux = u_t, cost_t, g_t, aux_t
         if float(np.max(g)) <= _FEAS_TOL and cost < best_cost:
-            best_u, best_cost, best_g, best_aux = u, cost, g, aux
+            best_u, best_cost, best_g = u, cost, g
         if step < _STEP_TOL:
             break
     if u is not u0 and float(np.max(g)) <= _FEAS_TOL:
         # A feasible stopping point is the solution: an earlier iterate can
         # undercut its cost only by spending the _FEAS_TOL slack.
-        best_u, best_cost, best_g, best_aux = u, cost, g, aux
+        best_u, best_cost, best_g = u, cost, g
 
     use_candidate = False
     if best_u is None:
@@ -346,13 +344,10 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     if use_candidate:
         u_fin, cost_fin, g_fin = u0, cand_cost, cand_g
         status = "candidate-fallback"
-        c, h = cand_aux[0], cand_aux[1]
     else:
         u_fin, cost_fin, g_fin = best_u, best_cost, best_g
-        c, h = best_aux[0], best_aux[1]
         status = "optimal"
-    x_seq = [LstmState(c[k].copy(), h[k].copy()) for k in range(n_h + 1)]
-    return MpcSolution(u_seq=u_fin, x_seq=x_seq, cost=cost_fin, status=status,
+    return MpcSolution(u_seq=u_fin, cost=cost_fin, status=status,
                        solver_iterations=iterations,
                        max_violation=float(np.max(g_fin)),
                        candidate_violation=float(np.max(cand_g)))
@@ -390,12 +385,10 @@ class Controller:
 
     def __init__(self, w, cert, spec, config=None):
         self.w = w
-        self.cert = cert
         self.spec = spec
         self.config = config or ControllerConfig()
         self.sched = build_schedule(cert, spec, self.config.horizon)
-        q = self.config.q_weight      # = lambda_max of the diagonal state weight
-        self.term = TerminalData(P_f=compute_pf(cert.A_delta, q), q=q)
+        self.term = TerminalData(P_f=compute_pf(cert.A_delta, self.config.q_weight))
         self.e_o = self.config.e_o0
         self.prev_solution = None
         self.prev_ref = None

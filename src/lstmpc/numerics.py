@@ -63,17 +63,18 @@ def solve_discrete_lyapunov(a, q):
 
 def eig_extrema_spd(m):
     """(lambda_min, lambda_max) of a symmetric positive definite matrix."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    _check_spd(m, "m")
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
+    w = _check_spd(np.atleast_2d(np.asarray(m, dtype=float)), "m")
     return float(w[0]), float(w[-1])
 
 
 def _check_spd(m, name):
+    """Ascending eigenvalues of m; raises unless m is symmetric positive definite."""
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got {m.shape}")
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * scale:
         raise NotSpdError(f"{name} is not symmetric")
-    if np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) <= 0.0:
+    w = np.linalg.eigvalsh(0.5 * (m + m.T))
+    if w[0] <= 0.0:
         raise NotSpdError(f"{name} is not positive definite")
+    return w

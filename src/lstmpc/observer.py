@@ -15,12 +15,7 @@ import numpy as np
 from . import lstm
 from .errors import DimensionError, DomainViolationError, GainSelectionError
 from .lstm import LstmState
-from .numerics import (
-    eig_extrema_spd,
-    induced_two_norm,
-    solve_discrete_lyapunov,
-    spectral_radius,
-)
+from .numerics import induced_two_norm, spectral_radius
 
 
 @dataclass
@@ -29,12 +24,6 @@ class AugmentedState:
 
     x: LstmState
     d: np.ndarray
-
-    def copy(self):
-        return AugmentedState(self.x.copy(), np.asarray(self.d, dtype=float).copy())
-
-    def as_vector(self):
-        return np.concatenate([self.x.c, self.x.h, self.d])
 
 
 def augmented_output(w, chi):
@@ -57,7 +46,7 @@ def augmented_step(w, chi, u, w_k=None, d_max=None):
 class ObserverSpec:
     """Observer gains plus every derived convergence constant.
 
-    Treated as immutable once populated by select_gains/derive_constants.
+    derive_constants (re)fills the derived fields from the current gains.
     """
 
     L_f: np.ndarray
@@ -151,27 +140,19 @@ def _hatted(w, spec):
     return sigmas, l_gains, l_wy, u_rec
 
 
-def derive_constants(w, spec, q_o=None, w_max=0.0, w_bar=None):
-    """Populate P_o, rho_o, the norm constants, L_max and w_bar.
+def derive_constants(w, spec, w_max=0.0, w_bar=None):
+    """Populate A_d, P_o, rho_o, the norm constants, L_max and w_bar.
 
     ``w_bar`` overrides the analytic disturbance-increment bound when
     given (the analytic corner bound over the full invariant box is very
     conservative); the analytic value is always reported alongside.
     """
-    if spec.A_d is None:
-        observer_matrices(w, spec)
-    if spectral_radius(spec.A_d) >= 1.0:
-        raise GainSelectionError(f"rho(A_d) = {spectral_radius(spec.A_d):.4f} >= 1")
-    q_o = np.asarray(q_o, dtype=float) if q_o is not None else 1000.0 * np.eye(3)
-    p_o = solve_discrete_lyapunov(spec.A_d, q_o)
-    lam_min, lam_max = eig_extrema_spd(p_o)
-    qmin, _ = eig_extrema_spd(q_o)
-    spec.P_o = p_o
-    spec.rho_o = float(np.sqrt(1.0 - qmin / lam_max))
-    spec.c_ol = float(np.sqrt(lam_min))
-    spec.c_ou = float(np.sqrt(lam_max))
+    a_d = observer_matrices(w, spec)
+    if (rho := spectral_radius(a_d)) >= 1.0:
+        raise GainSelectionError(f"rho(A_d) = {rho:.4f} >= 1")
+    spec.P_o, spec.rho_o, spec.c_ol, spec.c_ou = lstm.lyapunov_bounds(a_d)
     w_y_bar = np.hstack([np.zeros((w.p, w.n)), w.W_y, np.eye(w.p)])
-    spec.c_o = np.linalg.norm(w_y_bar, axis=1) / np.sqrt(lam_min)
+    spec.c_o = np.linalg.norm(w_y_bar, axis=1) / spec.c_ol
     # Sensitivity of the error dynamics to the injection gains.
     model = lstm.gate_bounds(w)
     sigmas, l_gains, l_wy, _ = _hatted(w, spec)
@@ -179,19 +160,20 @@ def derive_constants(w, spec, q_o=None, w_max=0.0, w_bar=None):
     spec.L_mat = np.vstack([np.hstack([np.zeros((2, 1)), sens.gains[:, 1:], sens.column]),
                             [0.0, induced_two_norm(spec.L_d @ w.W_y),
                              induced_two_norm(spec.L_d)]])
-    spec.L_max = induced_two_norm(spec.L_mat) / np.sqrt(lam_min)
+    spec.L_max = induced_two_norm(spec.L_mat) / spec.c_ol
     # Worst-case one-step Lyapunov inflation from the disturbance increment,
     # evaluated at the corner of the invariant error box (P_o and A_d are
     # entrywise nonnegative, so the corner attains the maximum).
     e_corner = np.array([model.cell_radius + spec.cell_radius_hat, 2.0, 2.0 * spec.d_max])
     e3 = np.array([0.0, 0.0, 1.0])
-    cross = float(e_corner @ spec.A_d.T @ p_o @ e3)
+    p_o = spec.P_o
+    cross = float(e_corner @ a_d.T @ p_o @ e3)
     spec.w_bar_analytic = float(np.sqrt(max(2.0 * cross * w_max + w_max ** 2 * p_o[2, 2], 0.0)))
     spec.w_bar = float(w_bar) if w_bar is not None else spec.w_bar_analytic
     return spec
 
 
-def select_gains(w, d_max=0.1, l_d=0.1, q_o=None, w_max=0.0, w_bar=None):
+def select_gains(w, d_max=0.1, l_d=0.1, w_max=0.0, w_bar=None):
     """Pick the suboptimal observer gains and return the fully populated spec.
 
     Zero state-injection gains and L_d = l_d I (l_d in (0, 2)), so the
@@ -204,7 +186,7 @@ def select_gains(w, d_max=0.1, l_d=0.1, q_o=None, w_max=0.0, w_bar=None):
     n, p = w.n, w.p
     spec = ObserverSpec(L_f=np.zeros((n, p)), L_i=np.zeros((n, p)),
                         L_o=np.zeros((n, p)), L_d=l_d * np.eye(p), d_max=d_max)
-    return derive_constants(w, spec, q_o=q_o, w_max=w_max, w_bar=w_bar)
+    return derive_constants(w, spec, w_max=w_max, w_bar=w_bar)
 
 
 def v_o(spec, chi_hat, chi):

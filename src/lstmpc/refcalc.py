@@ -17,6 +17,8 @@ from . import lstm
 from .errors import InfeasibleReferenceError
 from .lstm import LstmState
 
+_TOL = 1e-10     # max |residual| of an accepted equilibrium
+
 
 @dataclass
 class ReferencePair:
@@ -25,9 +27,6 @@ class ReferencePair:
     x_bar: LstmState
     u_bar: np.ndarray
     residual: float
-
-    def copy(self):
-        return ReferencePair(self.x_bar.copy(), self.u_bar.copy(), self.residual)
 
 
 def _residual(w, xi, y0_eff):
@@ -69,19 +68,19 @@ def _jacobian(w, xi):
     return jac
 
 
-def _newton(w, xi, y0_eff, tol=1e-10, max_iter=50):
+def _newton(w, xi, y0_eff):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # u may transiently leave its box
-        for _ in range(max_iter):
+        for _ in range(50):
             r = _residual(w, xi, y0_eff)
-            if np.max(np.abs(r)) < tol:
+            if np.max(np.abs(r)) < _TOL:
                 return xi, float(np.max(np.abs(r)))
             jac = _jacobian(w, xi)
             if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e12:
                 raise InfeasibleReferenceError("equilibrium Jacobian is singular")
             xi = xi + np.linalg.solve(jac, -r)
         r = _residual(w, xi, y0_eff)
-    if np.max(np.abs(r)) < tol:
+    if np.max(np.abs(r)) < _TOL:
         return xi, float(np.max(np.abs(r)))
     raise InfeasibleReferenceError("Newton iteration did not converge")
 
@@ -95,18 +94,18 @@ def _cold_start(w):
     return np.concatenate([x.c, x.h, u])
 
 
-def _continuation(w, xi0, y0_eff, tol):
+def _continuation(w, xi0, y0_eff):
     """Walk the target from the start point's own output in 10 sub-steps."""
     x0 = LstmState(xi0[:w.n], xi0[w.n:2 * w.n])
     y_start = w.W_y @ x0.h + w.b_y
     xi = xi0.copy()
     for step_frac in np.linspace(0.1, 1.0, 10):
         target = y_start + step_frac * (y0_eff - y_start)
-        xi, res = _newton(w, xi, target, tol=tol)
+        xi, res = _newton(w, xi, target)
     return xi, res
 
 
-def solve_reference(w, y0, d_hat, warm_start=None, tol=1e-10, u_tol=1e-9):
+def solve_reference(w, y0, d_hat, warm_start=None):
     """Newton solve of the equilibrium system, with continuation fallback.
 
     If plain Newton from the warm start diverges, the effective target is
@@ -125,15 +124,15 @@ def solve_reference(w, y0, d_hat, warm_start=None, tol=1e-10, u_tol=1e-9):
     else:
         xi0 = _cold_start(w)
     try:
-        xi, res = _newton(w, xi0.copy(), y0_eff, tol=tol)
+        xi, res = _newton(w, xi0.copy(), y0_eff)
     except InfeasibleReferenceError:
         try:
-            xi, res = _continuation(w, xi0, y0_eff, tol)
+            xi, res = _continuation(w, xi0, y0_eff)
         except InfeasibleReferenceError:
-            xi, res = _continuation(w, _cold_start(w), y0_eff, tol)
+            xi, res = _continuation(w, _cold_start(w), y0_eff)
     n = w.n
     u_bar = xi[2 * n:]
-    if np.max(np.abs(u_bar)) > w.u_max + u_tol:
+    if np.max(np.abs(u_bar)) > w.u_max + 1e-9:
         raise InfeasibleReferenceError(
             f"equilibrium input {u_bar} outside the +-{w.u_max} box")
     return ReferencePair(LstmState(xi[:n], xi[n:2 * n]), u_bar, res)

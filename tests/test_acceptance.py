@@ -151,7 +151,7 @@ class TestCriterion5SolverOptimality:
                                                          bench_cert, bench_spec):
         n_horizon = 2
         sched = mpc.build_schedule(bench_cert, bench_spec, n_horizon)
-        term = mpc.TerminalData(P_f=mpc.compute_pf(bench_cert.A_delta, 1.0), q=1.0)
+        term = mpc.TerminalData(P_f=mpc.compute_pf(bench_cert.A_delta, 1.0))
         rng = np.random.default_rng(16)
         grid = np.linspace(-1.0, 1.0, 201)
         uu0, uu1 = np.meshgrid(grid, grid, indexing="ij")
@@ -297,12 +297,12 @@ class TestCriterion10AdmissibleBand:
     def test_band_matches_published_interval(self, bench_w, bench_cert,
                                              bench_spec, bench_nrm):
         sched = mpc.build_schedule(bench_cert, bench_spec, 5)
-        term = mpc.TerminalData(P_f=mpc.compute_pf(bench_cert.A_delta, 1.0), q=1.0)
+        term = mpc.TerminalData(P_f=mpc.compute_pf(bench_cert.A_delta, 1.0))
         y_lb = float(bench_nrm.normalize_y(6.0))
         y_ub = float(bench_nrm.normalize_y(9.0))
-        lo0, hi0 = mpc.admissible_band(sched, term, y_lb, y_ub,
+        lo0, hi0 = mpc.admissible_band(sched, y_lb, y_ub,
                                        bench_spec.d_max, 0.5)
-        lo_inf, hi_inf = mpc.admissible_band(sched, term, y_lb, y_ub,
+        lo_inf, hi_inf = mpc.admissible_band(sched, y_lb, y_ub,
                                              bench_spec.d_max, sched.e_bar_inf)
         band0 = (float(bench_nrm.denormalize_y(lo0[0])),
                  float(bench_nrm.denormalize_y(hi0[0])))

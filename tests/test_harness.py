@@ -19,7 +19,7 @@ def tiny_physical_scenario(**kw):
 
 class TestScenarioIo:
     def test_json_round_trip(self, tmp_path):
-        sc = harness.benchmark_scenario()
+        sc = harness.Scenario.from_json(ASSETS / "benchmark_scenario.json")
         path = tmp_path / "sc.json"
         sc.to_json(path)
         sc2 = harness.Scenario.from_json(path)
@@ -39,13 +39,13 @@ class TestScenarioIo:
 
 class TestSetpointTrace:
     def test_ramp_rate_bound(self, bench_nrm):
-        sc = harness.benchmark_scenario()
+        sc = harness.Scenario.from_json(ASSETS / "benchmark_scenario.json")
         y0s = harness.setpoint_trace(sc, bench_nrm, 1000)
         steps = np.abs(np.diff(y0s))
         assert np.max(steps) <= sc.ramp_rate + 1e-12
 
     def test_reaches_targets(self, bench_nrm):
-        sc = harness.benchmark_scenario()
+        sc = harness.Scenario.from_json(ASSETS / "benchmark_scenario.json")
         y0s = harness.setpoint_trace(sc, bench_nrm, 1000)
         phys = bench_nrm.denormalize_y(y0s)
         assert phys[200] == pytest.approx(7.5, abs=1e-9)     # after first ramp
@@ -208,9 +208,12 @@ class TestCli:
 
     def test_bad_scenario_file_is_machine_readable(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"warp_drive": 1}))
-        rc = cli.main(["simulate", "--scenario", str(path), "--out",
-                       str(tmp_path / "o")])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError"
+        for doc, name in (({"warp_drive": 1}, "warp_drive"),
+                          ({"plant_overrides": {"bogus": 1}}, "bogus")):
+            path.write_text(json.dumps(doc))
+            rc = cli.main(["simulate", "--scenario", str(path), "--out",
+                           str(tmp_path / "o"), "--weights", str(ASSETS / "model.json")])
+            assert rc == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError"
+            assert name in err["message"]

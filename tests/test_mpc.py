@@ -29,7 +29,7 @@ def bench_sched(bench_cert, bench_spec):
 
 @pytest.fixture(scope="module")
 def bench_term(bench_cert):
-    return mpc.TerminalData(P_f=mpc.compute_pf(bench_cert.A_delta, 1.0), q=1.0)
+    return mpc.TerminalData(P_f=mpc.compute_pf(bench_cert.A_delta, 1.0))
 
 
 class TestBuildSchedule:
@@ -112,24 +112,49 @@ class TestTerminalAlpha:
         expect = np.sqrt(bench_term.lam_min) / np.linalg.norm(bench_w.W_y[0]) \
             * (1.0 - margin)
         assert alpha == pytest.approx(expect, abs=1e-12)
-        assert bench_term.e_tilde == e_t
+        assert bench_term.alpha_k == alpha
 
     def test_uses_e_bar_inf_floor(self, bench_sched, bench_term, bench_w):
-        a_small = mpc.terminal_alpha(bench_sched, bench_term, bench_w.W_y,
-                                     [0.0], [-1.0], [1.0], 0.1, 0.0)
-        assert bench_term.e_tilde == pytest.approx(bench_sched.e_bar_inf)
-        assert a_small > 0.0
+        # an error proxy below its asymptotic bound e_bar_inf gives the
+        # radius at e_bar_inf
+        args = (bench_sched, bench_term, bench_w.W_y, [0.0], [-1.0], [1.0], 0.1)
+        floor = mpc.terminal_alpha(*args, bench_sched.e_bar_inf)
+        assert floor > 0.0
+        assert mpc.terminal_alpha(*args, 0.0) == floor
 
     def test_rejects_boundary_setpoint(self, bench_sched, bench_term, bench_w):
-        lo, hi = mpc.admissible_band(bench_sched, bench_term, -1.0, 1.0, 0.1, 0.2)
+        lo, hi = mpc.admissible_band(bench_sched, -1.0, 1.0, 0.1, 0.2)
         with pytest.raises(InfeasibleSetpointError):
             mpc.terminal_alpha(bench_sched, bench_term, bench_w.W_y,
                                [hi[0]], [-1.0], [1.0], 0.1, 0.2)
 
-    def test_band_trivial_case(self, bench_term):
+    def test_two_output_band_edges(self):
+        # both edges of each output's band are rejected by terminal_alpha,
+        # while a set-point strictly inside gets a positive radius; at
+        # output 0's edges the radius formula alone rounds to +1e-15
+        w = small_net(seed=2, n=3, m=2, p=2)
+        cert = lstm.incremental_lyapunov(w)
+        spec = observer.select_gains(w)
+        sched = mpc.build_schedule(cert, spec, 5)
+        term = mpc.TerminalData(P_f=mpc.compute_pf(cert.A_delta, 1.0))
+        y_lb, y_ub, e_o = np.array([-1.0, -0.8]), np.array([1.0, 0.6]), 0.2
+        lo, hi = mpc.admissible_band(sched, y_lb, y_ub, spec.d_max, e_o)
+        mid = 0.5 * (lo + hi)
+        assert np.all(lo < mid) and np.all(mid < hi)
+        assert mpc.terminal_alpha(sched, term, w.W_y, mid, y_lb, y_ub,
+                                  spec.d_max, e_o) > 0.0
+        for j in range(2):
+            for edge in (lo, hi):
+                y0 = mid.copy()
+                y0[j] = edge[j]
+                with pytest.raises(InfeasibleSetpointError, match=f"output {j}"):
+                    mpc.terminal_alpha(sched, term, w.W_y, y0, y_lb, y_ub,
+                                       spec.d_max, e_o)
+
+    def test_band_trivial_case(self):
         sched = mpc.build_schedule(fake_cert(), fake_spec(l_max=0.0, w_bar=0.0,
                                                           c_o=(0.0,)), 3)
-        lo, hi = mpc.admissible_band(sched, bench_term, -1.0, 1.0, 0.0, 0.0)
+        lo, hi = mpc.admissible_band(sched, -1.0, 1.0, 0.0, 0.0)
         np.testing.assert_allclose(lo, [-1.0])
         np.testing.assert_allclose(hi, [1.0])
 
@@ -137,7 +162,7 @@ class TestTerminalAlpha:
 def feasible_instance(w, cert, spec, seed, n_horizon, y0=0.1, e_o=None):
     """A solvable problem instance near the equilibrium of y0."""
     sched = mpc.build_schedule(cert, spec, n_horizon)
-    term = mpc.TerminalData(P_f=mpc.compute_pf(cert.A_delta, 1.0), q=1.0)
+    term = mpc.TerminalData(P_f=mpc.compute_pf(cert.A_delta, 1.0))
     ref = refcalc.solve_reference(w, [y0], [0.0])
     e_o = sched.e_bar_inf if e_o is None else e_o
     mpc.terminal_alpha(sched, term, w.W_y, [y0], [-1.0], [1.0], spec.d_max, e_o)
@@ -154,7 +179,7 @@ class TestConstraints:
         w = small_net(seed=2, n=3, m=2, p=2)
         sched = mpc.build_schedule(fake_cert(c_s=(1.5, 0.7)),
                                    fake_spec(c_o=(3.0, 2.0)), n_horizon)
-        term = mpc.TerminalData(P_f=[[2.0, 0.3], [0.3, 1.0]], q=1.0, alpha_k=0.4)
+        term = mpc.TerminalData(P_f=[[2.0, 0.3], [0.3, 1.0]], alpha_k=0.4)
         rng = np.random.default_rng(n_horizon)
         ref = SimpleNamespace(x_bar=random_invariant_state(w, rng))
         x0 = random_invariant_state(w, rng)
@@ -246,8 +271,6 @@ class TestSolveFhocp:
         sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
                               x_hat, e_o, ref, [-1.0], [1.0])
         assert sol.u_seq.shape == (5, bench_w.m)
-        assert len(sol.x_seq) == 6
-        np.testing.assert_array_equal(sol.x_seq[0].c, x_hat.c)
         assert np.max(np.abs(sol.u_seq)) <= bench_w.u_max + 1e-12
 
 
@@ -329,7 +352,7 @@ class TestFhocpKkt:
             y_ub = 0.30
         else:
             # shrink the terminal radius through the set-point margin
-            _, hi = mpc.admissible_band(sched, term, -1.0, 1.0,
+            _, hi = mpc.admissible_band(sched, -1.0, 1.0,
                                         bench_spec.d_max, e_o)
             y_ub = 1.0 - (hi[0] - y0) + {5: 0.075, 10: 0.03}[n_horizon]
             mpc.terminal_alpha(sched, term, w.W_y, [y0], [-1.0], [y_ub],
@@ -375,7 +398,7 @@ class TestFhocpKkt:
         # infeasible candidate: no plan, so the solve reports the loss
         sched, term, ref, x_hat, e_o = feasible_instance(
             bench_w, bench_cert, bench_spec, 2, 5)
-        _, hi = mpc.admissible_band(sched, term, -1.0, 1.0, bench_spec.d_max, e_o)
+        _, hi = mpc.admissible_band(sched, -1.0, 1.0, bench_spec.d_max, e_o)
         y_ub = 1.0 - (hi[0] - 0.1) + 0.04
         mpc.terminal_alpha(sched, term, bench_w.W_y, [0.1], [-1.0], [y_ub],
                            bench_spec.d_max, e_o)

@@ -264,6 +264,18 @@ class TestDeriveConstants:
         assert spec.w_bar == 0.01
         assert spec.w_bar_analytic > 0.0
 
+    def test_rederive_after_gain_change_matches_fresh(self, bench_w):
+        # derive_constants re-forms A_d from the current gains, so changing
+        # L_d on a populated spec cannot leave a stale A_d behind
+        spec = make_spec(bench_w, l_d=0.1)
+        spec.L_d = 0.5 * np.eye(bench_w.p)
+        observer.derive_constants(bench_w, spec)
+        fresh = make_spec(bench_w, l_d=0.5)
+        for name in ("A_d", "P_o", "c_o", "L_mat"):
+            np.testing.assert_array_equal(getattr(spec, name), getattr(fresh, name))
+        for name in ("rho_o", "c_ol", "c_ou", "L_max", "w_bar"):
+            assert getattr(spec, name) == getattr(fresh, name)
+
     def test_benchmark_observer_rate(self, bench_spec):
         # the published experiment reports 0.97 for this Q_o regime
         assert bench_spec.rho_o == pytest.approx(0.97, abs=0.05)
