@@ -25,6 +25,7 @@ print(f"\nSteps executed:        {report.steps}")
 print(f"Constraint violations: {report.constraint_violations}")
 print(f"Feasibility losses:    {report.feasibility_losses}")
 print(f"Fallback steps:        {report.fallback_steps}")
+print(f"Converged steps:       {report.converged_steps}")
 print(f"Worst shifted-candidate violation: {report.max_candidate_violation:.2e}")
 
 print("\nSteady-state tracking error (final 200 s of each constant segment):")

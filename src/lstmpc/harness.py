@@ -88,6 +88,7 @@ class RunReport:
     max_candidate_violation: float
     candidate_checks: int
     fallback_steps: int
+    converged_steps: int             # steps whose solve reached status "optimal"
     segment_errors: list             # (t_start, t_end, y0, max |err| last 200 s)
     solver_iterations: list          # solve_fhocp iterations of each solved step
 
@@ -107,6 +108,7 @@ class RunReport:
             "max_candidate_violation": self.max_candidate_violation,
             "candidate_checks": self.candidate_checks,
             "fallback_steps": self.fallback_steps,
+            "converged_steps": self.converged_steps,
             "segment_errors": self.segment_errors,
             "solver_iterations_total": int(sum(self.solver_iterations)),
             "solver_iterations_p50": float(np.median(self.solver_iterations))
@@ -215,6 +217,7 @@ def run_scenario(sc, w, spec=None):
     violations = 0
     losses = 0
     fallbacks = 0
+    converged = 0
     max_cand_viol = -np.inf
     cand_checks = 0
     iterations = []
@@ -246,6 +249,8 @@ def run_scenario(sc, w, spec=None):
             max_cand_viol = max(max_cand_viol, sol.candidate_violation)
         if sol.status == "candidate-fallback":
             fallbacks += 1
+        elif sol.status == "optimal":
+            converged += 1
         iterations.append(sol.solver_iterations)
 
         u_applied = np.clip(u, -w.u_max, w.u_max)
@@ -287,5 +292,6 @@ def run_scenario(sc, w, spec=None):
                      constraint_violations=violations, feasibility_losses=losses,
                      max_candidate_violation=float(max_cand_viol),
                      candidate_checks=cand_checks, fallback_steps=fallbacks,
+                     converged_steps=converged,
                      segment_errors=segs, solver_iterations=iterations)
 

@@ -26,8 +26,18 @@ Lawson-Hanson active-set method solves its dual. Armijo backtracking on
 the l1 merit J + nu sum max(0, g), with nu at least 1.1 times the largest
 multiplier and never decreased, sets the step length. The loop stops when
 max |delta u| < 1e-10 or the line search fails. The left-shifted previous
-optimum (with the new equilibrium input appended) is both the warm start
+plan (with the new equilibrium input appended) is both the warm start
 and a certified feasible fallback.
+
+``Controller.step`` solves in real-time-iteration mode (Diehl, Bock &
+Schloeder, 2005): the loop also stops at its first feasible iterate, which
+is usually after one iteration, and each sample carries the iteration on
+from the last plan. Stability and recursive feasibility need only a
+feasible plan that costs no more than the feasible shifted candidate
+(suboptimal MPC, Scokaert, Mayne & Rawlings, 1999), and the returned plan
+is always the better feasible one of the iterate and the candidate. A
+solution's status says which it is: "optimal" (the step test passed),
+"iterate" (the real-time stop came first) or "candidate-fallback".
 """
 
 from dataclasses import dataclass, field
@@ -102,8 +112,8 @@ def terminal_alpha(sched, term, w_y, y0, y_lb, y_ub, d_max, e_o):
     radius rounds to a positive value.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    y_lb = np.atleast_1d(np.asarray(y_lb, dtype=float))
-    y_ub = np.atleast_1d(np.asarray(y_ub, dtype=float))
+    y_lb = np.broadcast_to(np.asarray(y_lb, dtype=float), y0.shape)
+    y_ub = np.broadcast_to(np.asarray(y_ub, dtype=float), y0.shape)
     margin = _terminal_margin(sched, d_max, e_o)
     sq = np.sqrt(term.lam_min)
     alpha = np.inf
@@ -138,7 +148,7 @@ class MpcSolution:
 
     u_seq: np.ndarray          # (N, m)
     cost: float
-    status: str                # "optimal" | "candidate-fallback"
+    status: str                # "optimal" | "iterate" | "candidate-fallback"
     solver_iterations: int
     max_violation: float
     candidate_violation: float = np.nan   # warm-start plan's own violation
@@ -215,12 +225,16 @@ def _dense_qp(hess, grad, a_mat, b_vec):
 
 
 def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
-                warm=None, q_weight=1.0, r_weight=1.0):
+                warm=None, q_weight=1.0, r_weight=1.0, real_time=False):
     """Single-shooting SQP solve of the tightened problem.
 
     ``warm`` is the initial input plan (N, m); when omitted the plan is
     the constant equilibrium input. Falls back to the warm start whenever
-    the optimizer cannot improve on a feasible one.
+    the optimizer cannot improve on a feasible one. With ``real_time`` the
+    SQP also stops after its first iteration that ends feasible; a plan it
+    returns before the step test passed has status "iterate", not
+    "optimal". Repeated warm-started calls converge to the same plan as
+    the default mode.
     """
     n_h = sched.horizon
     m, p = w.m, w.p
@@ -298,6 +312,7 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     lam_term = 0.0
     n_g = len(cand_g) - n_g0   # QP rows that linearize g
     iterations = 0
+    stopped_early = False
     for _ in range(_SQP_MAX_ITER):
         iterations += 1
         grad, hess, a_mat, b_vec = qp_model(u, g, aux, lam_term)
@@ -327,6 +342,9 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
             best_u, best_cost, best_g = u, cost, g
         if step < _STEP_TOL:
             break
+        if real_time and float(np.max(g)) <= _FEAS_TOL:
+            stopped_early = True
+            break
     if u is not u0 and float(np.max(g)) <= _FEAS_TOL:
         # A feasible stopping point is the solution: an earlier iterate can
         # undercut its cost only by spending the _FEAS_TOL slack.
@@ -346,7 +364,7 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
         status = "candidate-fallback"
     else:
         u_fin, cost_fin, g_fin = best_u, best_cost, best_g
-        status = "optimal"
+        status = "iterate" if stopped_early else "optimal"
     return MpcSolution(u_seq=u_fin, cost=cost_fin, status=status,
                        solver_iterations=iterations,
                        max_violation=float(np.max(g_fin)),
@@ -381,7 +399,14 @@ class ControllerConfig:
 
 
 class Controller:
-    """Receding-horizon wrapper: holds warm-start and the e_o recursion."""
+    """Receding-horizon wrapper: holds warm-start and the e_o recursion.
+
+    Each step is one real-time solve of ``solve_fhocp``, warm-started at
+    the shifted previous plan, which stops at the first feasible SQP
+    iterate. The applied plan is the cheaper feasible one of that iterate
+    and the shifted candidate; its status is "iterate", "optimal" when the
+    step test passed first, or "candidate-fallback".
+    """
 
     def __init__(self, w, cert, spec, config=None):
         self.w = w
@@ -406,7 +431,8 @@ class Controller:
             if self.prev_solution is not None else None
         sol = solve_fhocp(self.w, self.spec, self.sched, self.term,
                           chi_hat.x, self.e_o, ref, y_lb, y_ub, warm=warm,
-                          q_weight=cfg.q_weight, r_weight=cfg.r_weight)
+                          q_weight=cfg.q_weight, r_weight=cfg.r_weight,
+                          real_time=True)
         self.prev_solution = sol
         self.prev_ref = ref
         self.e_o = eo_step(self.e_o, self.spec.rho_o, self.spec.w_bar)

@@ -37,6 +37,7 @@ def benchmark_run(bench_w, bench_spec):
     return report, time.monotonic() - t0
 
 
+@pytest.mark.slow
 class TestCriterion1IdentificationQuality:
     """Desk-scale pipeline: excite the plant, train, certify, FIT >= 85%."""
 
@@ -223,6 +224,19 @@ class TestCriterion6RecursiveFeasibilityAndConstraints:
 
 
 class TestClosedLoopTraceOracle:
+    """The benchmark run against ``tests/data/closed_loop_trace.csv``.
+
+    To regenerate the oracle after a change that moves the trace on
+    purpose, run from the repository root::
+
+        PYTHONPATH=src python -m lstmpc.cli simulate \\
+            --weights src/lstmpc/assets/model.json \\
+            --scenario src/lstmpc/assets/benchmark_scenario.json --out run/
+        cp run/trace.csv tests/data/closed_loop_trace.csv
+
+    and record the old and new sha256 and the largest per-column change.
+    """
+
     def test_matches_committed_trace(self, benchmark_run):
         report, _ = benchmark_run
         with open(TRACE_ORACLE, newline="") as fh:

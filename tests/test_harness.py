@@ -134,6 +134,9 @@ class TestRunScenario:
         solve = mpc.solve_fhocp
 
         def recording_solve(*args, **kwargs):
+            # every third step solves to convergence, so that both the
+            # "optimal" and the "iterate" status occur
+            kwargs["real_time"] = len(solutions) % 3 != 0
             sol = solve(*args, **kwargs)
             solutions.append(sol)
             return sol
@@ -149,6 +152,11 @@ class TestRunScenario:
         assert summary["solver_iterations_max"] == max(
             s.solver_iterations for s in solutions)
         assert summary["solver_iterations_p50"] == np.median(report.solver_iterations)
+        statuses = [s.status for s in solutions]
+        assert report.converged_steps == statuses.count("optimal") >= 1
+        assert report.fallback_steps == statuses.count("candidate-fallback")
+        assert statuses.count("iterate") >= 1
+        assert summary["converged_steps"] == report.converged_steps
         assert list(report.trace) == harness.TRACE_COLUMNS
 
     def test_report_round_trip(self, tmp_path, bench_w, bench_spec):

@@ -417,6 +417,45 @@ class TestFhocpKkt:
         assert again.solver_iterations <= 2
 
 
+class TestRealTimeIteration:
+    """solve_fhocp(real_time=True) stops at its first feasible iterate; warm
+    started again and again at a frozen state it reaches the converged plan."""
+
+    @pytest.mark.parametrize("n_horizon, y_ub", [(5, 1.0), (10, 1.0), (10, 0.30)])
+    def test_warm_started_calls_reach_converged_plan(self, bench_w, bench_cert,
+                                                     bench_spec, n_horizon, y_ub):
+        sched, term, ref, x_hat, e_o = feasible_instance(
+            bench_w, bench_cert, bench_spec, 2, n_horizon)
+        args = (bench_w, bench_spec, sched, term, x_hat, e_o, ref, [-1.0], [y_ub])
+        converged = mpc.solve_fhocp(*args)
+        assert converged.status == "optimal"
+        warm = None
+        for _ in range(30):
+            sol = mpc.solve_fhocp(*args, warm=warm, real_time=True)
+            assert sol.max_violation <= 1e-7
+            if np.max(np.abs(sol.u_seq - converged.u_seq)) <= 1e-8:
+                break
+            warm = sol.u_seq
+        else:
+            pytest.fail("30 real-time calls did not reach the converged plan")
+
+    def test_infeasible_start_iterates_to_first_feasible_iterate(
+            self, bench_w, bench_cert, bench_spec, monkeypatch):
+        # at y_ub = 0.30 the constant u_bar plan violates the output bound
+        sched, term, ref, x_hat, e_o = feasible_instance(
+            bench_w, bench_cert, bench_spec, 2, 10)
+        args = (bench_w, bench_spec, sched, term, x_hat, e_o, ref, [-1.0], [0.30])
+        sol = mpc.solve_fhocp(*args, real_time=True)
+        assert sol.candidate_violation > 0.1
+        assert sol.status == "iterate"
+        assert sol.max_violation <= 1e-7
+        assert 1 < sol.solver_iterations < mpc.solve_fhocp(*args).solver_iterations
+        # one iteration fewer leaves no feasible iterate and no feasible fallback
+        monkeypatch.setattr(mpc, "_SQP_MAX_ITER", sol.solver_iterations - 1)
+        with pytest.raises(FeasibilityLossError):
+            mpc.solve_fhocp(*args, real_time=True)
+
+
 class TestShiftedCandidate:
     def test_shift_and_append(self):
         prev = SimpleNamespace(u_seq=np.array([[0.1], [0.2], [0.3]]))
@@ -437,3 +476,32 @@ class TestController:
         # e_o proxy advanced by the affine recursion
         assert ctrl.e_o == pytest.approx(
             bench_spec.rho_o * cfg.e_o0 + bench_spec.w_bar)
+
+    def test_feasible_candidate_takes_one_iteration(self, bench_w, bench_cert,
+                                                    bench_spec):
+        ctrl = mpc.Controller(bench_w, bench_cert, bench_spec,
+                              mpc.ControllerConfig(horizon=5, e_o0=0.05))
+        x_hat = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5)[3]
+        chi = AugmentedState(x_hat, np.zeros(1))
+        for _ in range(3):
+            u, sol, _ = ctrl.step(chi, np.array([0.1]))
+            assert sol.candidate_violation <= 1e-7
+            assert (sol.status, sol.solver_iterations) == ("iterate", 1)
+            chi = AugmentedState(lstm.step(bench_w, chi.x, u), chi.d)
+
+    def test_two_output_model_with_scalar_bounds(self):
+        # ControllerConfig's default scalar y_lb/y_ub hold for every output;
+        # the set-point is the output of the model's u = 0 attractor
+        w = small_net(seed=2, n=3, m=2, p=2)
+        cert = lstm.incremental_lyapunov(w)
+        spec = observer.select_gains(w)
+        ctrl = mpc.Controller(w, cert, spec, mpc.ControllerConfig(e_o0=0.05))
+        _, h, _ = lstm.rollout(w, np.zeros(3), np.zeros(3), np.zeros((300, 2)))
+        y0 = w.W_y @ h[-1] + w.b_y
+        ref = refcalc.solve_reference(w, y0, np.zeros(2))
+        u, sol, _ = ctrl.step(AugmentedState(ref.x_bar.copy(), np.zeros(2)), y0)
+        np.testing.assert_allclose(u, ref.u_bar, atol=1e-6)
+        assert sol.max_violation <= 1e-7
+        alpha = mpc.terminal_alpha(ctrl.sched, ctrl.term, w.W_y, y0, [-1.0, -1.0],
+                                   [1.0, 1.0], spec.d_max, 0.05)
+        assert alpha > 0.0
