@@ -88,7 +88,7 @@ class RunReport:
     max_candidate_violation: float
     candidate_checks: int
     fallback_steps: int
-    converged_steps: int             # steps whose solve reached status "optimal"
+    converged_steps: int             # steps with status "optimal": the step test passed
     segment_errors: list             # (t_start, t_end, y0, max |err| last 200 s)
     solver_iterations: list          # solve_fhocp iterations of each solved step
 

@@ -19,11 +19,17 @@ training and the reference Jacobian all run this cell through one kernel:
   tanh(c+). Each step takes all four gates from one ``tanh`` over the
   preactivations with the f, i, o block halved, since
   sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so the gates
-  equal ``sigmoid``'s bit for bit.
+  equal ``sigmoid``'s bit for bit. The step works in place in arrays
+  allocated once per call: U h_k is written into the step's row of the
+  activation cache, which then takes the input term, the halving, the
+  tanh and the sigmoid's affine map; c_k+1, tanh(c_k+1) and h_k+1 go
+  straight into their rows of the outputs.
 - ``adjoint`` sweeps back over that cache. Given the direct partials
   dL/dc_k, dL/dh_k at stages 0..T it returns dz = dL/dz_k, (T, 4n), the
   gradient with respect to the stacked preactivations z_k; then
   dL/du = dz @ W and dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)).
+  It carries dc, dh and each step's (4n,) multiplier of dz in buffers
+  of its own, so it never writes into its inputs.
 - ``sensitivities`` is the forward (tangent-linear) sweep over the same
   cache: dc_k/du and dh_k/du, (T+1, n, T*m), for the MPC's dense QP.
 - ``local_factors`` gives the per-step partial derivatives that both
@@ -175,18 +181,24 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
     c[0], h[0] = c0, h0
     act = np.empty((n_t, 4 * n))       # f, i, o activations | candidate gate
     tc = np.empty((n_t, n))            # tanh(c+)
+    ig = np.empty(n)                   # i * candidate gate
     scale = _gate_scale(n)
     pre = u_seq @ w.W.T + w.b + inject
-    for k in range(n_t):
-        z = pre[k] + w.U @ h[k]
-        z *= scale
-        a = np.tanh(z, out=act[k])
+    c_k, h_k = c[0], h[0]
+    for a, pre_k, c_next, tc_k, h_next in zip(act, pre, c[1:], tc, h[1:]):
+        np.dot(w.U, h_k, out=a)
+        a += pre_k
+        a *= scale
+        np.tanh(a, out=a)
         s = a[:3 * n]
         s += 1.0
         s *= 0.5
-        c[k + 1] = s[:n] * c[k] + s[n:2 * n] * a[3 * n:]
-        tc[k] = np.tanh(c[k + 1])
-        h[k + 1] = s[2 * n:] * tc[k]
+        np.multiply(s[n:2 * n], a[3 * n:], out=ig)
+        np.multiply(s[:n], c_k, out=c_next)
+        c_next += ig
+        np.tanh(c_next, out=tc_k)
+        np.multiply(s[2 * n:], tc_k, out=h_next)
+        c_k, h_k = c_next, h_next
     return c, h, (act[:, :3 * n], act[:, 3 * n:], tc)
 
 
@@ -217,18 +229,29 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
     """Reverse sweep of ``rollout``: dz = dL/d(preactivation), (T, 4n).
 
     ``dc_stage``/``dh_stage`` (T+1, n) are the direct partials of L with
-    respect to c_k and h_k at stages 0..T.
+    respect to c_k and h_k at stages 0..T; they are read, not written.
     """
     f, k_f, k_i, k_g, k_o, k_t = local_factors(c, cache)
-    n_t = len(f)
+    n_t, n = f.shape
     dz = np.concatenate((k_f, k_i, k_o, k_g), axis=1)    # scaled in place, row k at step k
-    dc = dc_stage[n_t]
-    dh = dh_stage[n_t]
-    for k in range(n_t - 1, -1, -1):
-        dct = dc + dh * k_t[k]
-        dz[k] *= np.concatenate((dct, dct, dh, dct))
-        dc = dct * f[k] + dc_stage[k]
-        dh = w.U.T @ dz[k] + dh_stage[k]
+    # dz's multiplier (dct, dct, dh, dct) at one step; dct and dh are views of it
+    mult = np.empty(4 * n)
+    dct, dh = mult[:n], mult[2 * n:3 * n]
+    dct_i, dct_c = mult[n:2 * n], mult[3 * n:]
+    dc = dc_stage[n_t].copy()
+    dh[...] = dh_stage[n_t]
+    u_t = w.U.T     # a view: a contiguous copy would change BLAS's summation order
+    for dz_k, kt_k, f_k, dc_k, dh_k in zip(dz[::-1], k_t[::-1], f[::-1],
+                                           dc_stage[:n_t][::-1], dh_stage[:n_t][::-1]):
+        np.multiply(dh, kt_k, out=dct)
+        dct += dc
+        dct_i[...] = dct
+        dct_c[...] = dct
+        dz_k *= mult
+        np.multiply(dct, f_k, out=dc)
+        dc += dc_k
+        np.dot(u_t, dz_k, out=dh)
+        dh += dh_k
     return dz
 
 

@@ -37,7 +37,9 @@ feasible plan that costs no more than the feasible shifted candidate
 (suboptimal MPC, Scokaert, Mayne & Rawlings, 1999), and the returned plan
 is always the better feasible one of the iterate and the candidate. A
 solution's status says which it is: "optimal" (the step test passed),
-"iterate" (the real-time stop came first) or "candidate-fallback".
+"iterate" (the real-time stop came first), "stalled" (the iteration cap,
+a failed line search or a failed QP ended the loop first) or
+"candidate-fallback".
 """
 
 from dataclasses import dataclass, field
@@ -148,7 +150,7 @@ class MpcSolution:
 
     u_seq: np.ndarray          # (N, m)
     cost: float
-    status: str                # "optimal" | "iterate" | "candidate-fallback"
+    status: str                # "optimal" | "iterate" | "stalled" | "candidate-fallback"
     solver_iterations: int
     max_violation: float
     candidate_violation: float = np.nan   # warm-start plan's own violation
@@ -233,8 +235,10 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     the optimizer cannot improve on a feasible one. With ``real_time`` the
     SQP also stops after its first iteration that ends feasible; a plan it
     returns before the step test passed has status "iterate", not
-    "optimal". Repeated warm-started calls converge to the same plan as
-    the default mode.
+    "optimal". A plan is "optimal" only when the step test passed; when
+    the iteration cap, a failed line search or a failed QP ended the loop
+    first it is "stalled". Repeated warm-started calls converge to the
+    same plan as the default mode.
     """
     n_h = sched.horizon
     m, p = w.m, w.p
@@ -312,7 +316,7 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     lam_term = 0.0
     n_g = len(cand_g) - n_g0   # QP rows that linearize g
     iterations = 0
-    stopped_early = False
+    stop = "stalled"           # until the step test or the real-time stop ends the loop
     for _ in range(_SQP_MAX_ITER):
         iterations += 1
         grad, hess, a_mat, b_vec = qp_model(u, g, aux, lam_term)
@@ -341,9 +345,10 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
         if float(np.max(g)) <= _FEAS_TOL and cost < best_cost:
             best_u, best_cost, best_g = u, cost, g
         if step < _STEP_TOL:
+            stop = "optimal"
             break
         if real_time and float(np.max(g)) <= _FEAS_TOL:
-            stopped_early = True
+            stop = "iterate"
             break
     if u is not u0 and float(np.max(g)) <= _FEAS_TOL:
         # A feasible stopping point is the solution: an earlier iterate can
@@ -364,7 +369,7 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
         status = "candidate-fallback"
     else:
         u_fin, cost_fin, g_fin = best_u, best_cost, best_g
-        status = "iterate" if stopped_early else "optimal"
+        status = stop
     return MpcSolution(u_seq=u_fin, cost=cost_fin, status=status,
                        solver_iterations=iterations,
                        max_violation=float(np.max(g_fin)),
@@ -405,7 +410,8 @@ class Controller:
     the shifted previous plan, which stops at the first feasible SQP
     iterate. The applied plan is the cheaper feasible one of that iterate
     and the shifted candidate; its status is "iterate", "optimal" when the
-    step test passed first, or "candidate-fallback".
+    step test passed first, "stalled" when the iteration cap or a failed
+    line search came first, or "candidate-fallback".
     """
 
     def __init__(self, w, cert, spec, config=None):

@@ -21,14 +21,6 @@ def induced_two_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def induced_inf_norm(m):
-    """Induced infinity-norm: maximum absolute row sum."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(m), axis=1)))
-
-
 def spectral_radius(m):
     """Maximum absolute eigenvalue of a square matrix."""
     m = np.atleast_2d(np.asarray(m, dtype=float))

@@ -2,10 +2,12 @@
 
 Solves the coupled steady-state equations x = f(x, u), y0 = g(x) + d_hat
 for the model state/input pair tracked by the controller by Newton's
-method, with the residual's analytic Jacobian built from the local
-derivative factors of one ``lstm`` kernel step, and estimates the worst-case
-sensitivity of that equilibrium to set-point/disturbance changes (used
-to reason about how fast the set-point may move).
+method. Each iterate takes one ``lstm`` kernel step: the residual reads
+its next state, and the analytic Jacobian, built only while the residual
+is not yet small enough, its local derivative factors. The module also
+estimates the worst-case sensitivity of that equilibrium to
+set-point/disturbance changes (used to reason about how fast the
+set-point may move).
 """
 
 import warnings
@@ -29,31 +31,34 @@ class ReferencePair:
     residual: float
 
 
-def _residual(w, xi, y0_eff):
-    """F(xi) = [step(x,u) - x; g(x) - y0_eff], xi = (c, h, u).
+def _cell_step(w, xi):
+    """One kernel step at xi = (c, h, u): ``lstm.rollout``'s (c, h, cache)."""
+    n = w.n
+    return lstm.rollout(w, xi[:n], xi[n:2 * n], xi[None, 2 * n:])
+
+
+def _residual(w, xi, y0_eff, cell):
+    """F(xi) = [step(x,u) - x; g(x) - y0_eff], xi = (c, h, u), from the
+    ``_cell_step`` at xi.
 
     ``y0_eff`` = y0 - d_hat; only this difference enters the problem.
     """
-    n, m = w.n, w.m
-    x = LstmState(xi[:n], xi[n:2 * n])
-    u = xi[2 * n:]
-    x_next = lstm.step(w, x, u)
-    return np.concatenate([x_next.c - x.c, x_next.h - x.h,
-                           w.W_y @ x.h + w.b_y - y0_eff])
+    n = w.n
+    cs, hs, _ = cell
+    return np.concatenate([cs[1] - xi[:n], hs[1] - xi[n:2 * n],
+                           w.W_y @ xi[n:2 * n] + w.b_y - y0_eff])
 
 
-def _jacobian(w, xi):
-    """Analytic dF/dxi of ``_residual`` at xi = (c, h, u).
+def _jacobian(w, cell):
+    """Analytic dF/dxi of ``_residual`` from the ``_cell_step`` at xi.
 
-    From one kernel step at (c, h, u) and its local factors: dc+/dc =
-    diag(f); dc+/d(h, u) sums the f, i and candidate gates' factors times
-    their [U | W] rows; dh+ = (dh+/dc+) dc+ + (dh+/dz_o) d z_o; the readout
-    rows are [0, W_y, 0]. y0_eff only shifts F, so it does not enter the
-    Jacobian.
+    From its local factors: dc+/dc = diag(f); dc+/d(h, u) sums the f, i
+    and candidate gates' factors times their [U | W] rows; dh+ =
+    (dh+/dc+) dc+ + (dh+/dz_o) d z_o; the readout rows are [0, W_y, 0].
+    y0_eff only shifts F, so it does not enter the Jacobian.
     """
     n = w.n
-    c, h, u = xi[:n], xi[n:2 * n], xi[2 * n:]
-    cs, _, cache = lstm.rollout(w, c, h, u[None, :])
+    cs, _, cache = cell
     f, k_f, k_i, k_g, k_o, k_t = (k[0] for k in lstm.local_factors(cs, cache))
     uw = np.hstack([w.U, w.W])       # [U | W] rows, (f, i, o, c)
     dc_hu = (k_f[:, None] * uw[:n] + k_i[:, None] * uw[n:2 * n]
@@ -69,19 +74,24 @@ def _jacobian(w, xi):
 
 
 def _newton(w, xi, y0_eff):
+    """Newton's method from xi, one cell step per iterate; at most 50 steps."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # u may transiently leave its box
-        for _ in range(50):
-            r = _residual(w, xi, y0_eff)
-            if np.max(np.abs(r)) < _TOL:
-                return xi, float(np.max(np.abs(r)))
-            jac = _jacobian(w, xi)
-            if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e12:
+        warnings.simplefilter("ignore")   # a diverging iterate may overflow
+        for it in range(51):               # 50 steps, then a last residual test
+            cell = _cell_step(w, xi)
+            r = _residual(w, xi, y0_eff, cell)
+            res = float(np.max(np.abs(r)))
+            if res < _TOL:
+                return xi, res
+            if it == 50:
+                break
+            jac = _jacobian(w, cell)
+            if not np.all(np.isfinite(jac)):
+                raise InfeasibleReferenceError("equilibrium Jacobian is not finite")
+            s = np.linalg.svd(jac, compute_uv=False)   # the 2-norm condition number
+            if s[0] / s[-1] > 1e12:
                 raise InfeasibleReferenceError("equilibrium Jacobian is singular")
             xi = xi + np.linalg.solve(jac, -r)
-        r = _residual(w, xi, y0_eff)
-    if np.max(np.abs(r)) < _TOL:
-        return xi, float(np.max(np.abs(r)))
     raise InfeasibleReferenceError("Newton iteration did not converge")
 
 
@@ -144,7 +154,7 @@ def reference_sensitivity(w, ref):
     The Jacobian of the equilibrium equations does not depend on the target.
     """
     xi = np.concatenate([ref.x_bar.c, ref.x_bar.h, ref.u_bar])
-    jac = _jacobian(w, xi)
+    jac = _jacobian(w, _cell_step(w, xi))
     rhs = np.vstack([np.zeros((2 * w.n, w.p)), np.eye(w.p)])
     return np.linalg.solve(jac, rhs)   # = -J^-1 dF/dy0_eff, dF/dy0_eff = -[0; I]
 

@@ -60,6 +60,14 @@ def zero_net(n=2, m=1, p=1):
         W_y=np.zeros((p, n)), b_y=np.zeros(p))
 
 
+def induced_inf_norm(m):
+    """Induced infinity-norm, the maximum absolute row sum (oracle helper)."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if m.size == 0:
+        return 0.0
+    return float(np.max(np.sum(np.abs(m), axis=1)))
+
+
 def random_invariant_state(w, rng, bounds=None):
     """Random state inside the invariant set C x H."""
     g = bounds or lstm.gate_bounds(w)

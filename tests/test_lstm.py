@@ -112,6 +112,53 @@ class TestKernelOracle:
             np.testing.assert_array_equal(getattr(fast, name), getattr(ref, name))
 
 
+class TestKernelSizes:
+    """rollout and adjoint equal the reference kernels exactly at the
+    layer widths where BLAS changes its kernels."""
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 16, 33, 64, 128])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_exact_across_widths(self, n, m):
+        w = small_net(n=n, m=m, p=m)
+        rng = np.random.default_rng(10 * n + m)
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-1.0, 1.0, (40, m))
+        inject = rng.normal(scale=0.5, size=(40, 4 * n))
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, u, inject)
+        c_ref, h_ref, cache_ref = rollout_oracle(w, x0.c, x0.h, u, inject)
+        for part, ref in zip((c, h, *cache), (c_ref, h_ref, *cache_ref)):
+            np.testing.assert_array_equal(part, ref)
+        dc_stage, dh_stage = rng.normal(size=(2, 41, n))
+        np.testing.assert_array_equal(lstm.adjoint(w, c, cache, dc_stage, dh_stage),
+                                      adjoint_oracle(w, c, cache, dc_stage, dh_stage))
+
+
+class TestKernelPurity:
+    """rollout and adjoint write only into arrays they allocate."""
+
+    @pytest.mark.parametrize("n_steps", [1, 6])
+    def test_inputs_unchanged_and_outputs_unshared(self, bench_w, n_steps):
+        w = bench_w.copy()
+        rng = np.random.default_rng(n_steps)
+        x0 = random_invariant_state(w, rng)
+        inputs = {"W": w.W, "U": w.U, "b": w.b, "c0": x0.c, "h0": x0.h,
+                  "u_seq": rng.uniform(-1.0, 1.0, (n_steps, w.m)),
+                  "inject": rng.normal(size=(n_steps, 4 * w.n)),
+                  "dc_stage": rng.normal(size=(n_steps + 1, w.n)),
+                  "dh_stage": rng.normal(size=(n_steps + 1, w.n))}
+        before = {name: a.copy() for name, a in inputs.items()}
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, inputs["u_seq"], inputs["inject"])
+        forward = [a.copy() for a in (c, h, *cache)]
+        dz = lstm.adjoint(w, c, cache, inputs["dc_stage"], inputs["dh_stage"])
+        for name, a in inputs.items():
+            np.testing.assert_array_equal(a, before[name], err_msg=name)
+        for a, ref in zip((c, h, *cache), forward):
+            np.testing.assert_array_equal(a, ref)
+        for out in (c, h, *cache, dz):
+            assert not any(np.shares_memory(out, a) for a in inputs.values())
+        assert not any(np.shares_memory(dz, a) for a in (c, h, *cache))
+
+
 class TestSigmoid:
     def test_midpoint_and_symmetry(self):
         assert lstm.sigmoid(0.0) == 0.5

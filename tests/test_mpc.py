@@ -417,6 +417,33 @@ class TestFhocpKkt:
         assert again.solver_iterations <= 2
 
 
+class TestStatus:
+    """A converged-mode plan is "optimal" only when the step test passed."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_iteration_cap_is_stalled(self, bench_w, bench_cert, bench_spec, seed):
+        # an active output bound: the SQP converges only linearly here
+        sched, term, ref, x_hat, e_o = feasible_instance(
+            bench_w, bench_cert, bench_spec, seed, 10)
+        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
+                              x_hat, e_o, ref, [-1.0], [0.30])
+        assert sol.solver_iterations == mpc._SQP_MAX_ITER
+        assert sol.status == "stalled"
+        assert sol.max_violation <= 1e-7
+
+    def test_failed_line_search_is_stalled(self, bench_w, bench_cert, bench_spec,
+                                           monkeypatch):
+        sched, term, ref, x_hat, e_o = feasible_instance(
+            bench_w, bench_cert, bench_spec, 2, 10)
+        args = (bench_w, bench_spec, sched, term, x_hat, e_o, ref, [-1.0], [0.30])
+        assert mpc.solve_fhocp(*args).status == "optimal"
+        # two step halvings are too few on this instance after a few iterations
+        monkeypatch.setattr(mpc, "_LINE_SEARCH_MAX", 2)
+        sol = mpc.solve_fhocp(*args)
+        assert 1 < sol.solver_iterations < mpc._SQP_MAX_ITER
+        assert sol.status == "stalled"
+
+
 class TestRealTimeIteration:
     """solve_fhocp(real_time=True) stops at its first feasible iterate; warm
     started again and again at a frozen state it reaches the converged plan."""

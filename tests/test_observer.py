@@ -8,7 +8,7 @@ from lstmpc.errors import DomainViolationError, GainSelectionError
 from lstmpc.lstm import LstmState
 from lstmpc.observer import AugmentedState
 
-from conftest import random_invariant_state, small_net, zero_net
+from conftest import induced_inf_norm, random_invariant_state, small_net, zero_net
 
 
 def make_spec(w, **kw):
@@ -155,7 +155,7 @@ class TestObserverMatrices:
 
 def hand_certificate(w, spec):
     """A_d's top two rows, L_mat and the hatted cell radius, term by term."""
-    two, inf = numerics.induced_two_norm, numerics.induced_inf_norm
+    two, inf = numerics.induced_two_norm, induced_inf_norm
 
     def hat_sigma(w_in, u_rec, b, l_gain):
         # model block and innovation columns summed apart, then added

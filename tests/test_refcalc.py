@@ -1,5 +1,7 @@
 """Unit tests for the equilibrium reference calculator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,54 @@ from lstmpc.errors import InfeasibleReferenceError
 from lstmpc.lstm import LstmState
 
 from conftest import random_invariant_state, small_net
+
+
+def oracle_residual(w, xi, y0_eff):
+    """The equilibrium residual [step(x,u) - x; g(x) - y0_eff] from ``lstm.step``."""
+    n = w.n
+    x = LstmState(xi[:n], xi[n:2 * n])
+    x_next = lstm.step(w, x, xi[2 * n:])
+    return np.concatenate([x_next.c - x.c, x_next.h - x.h,
+                           w.W_y @ x.h + w.b_y - y0_eff])
+
+
+def oracle_jacobian(w, xi):
+    """Analytic dF/dxi from its own kernel step at xi (the two-evaluation
+    Newton's Jacobian)."""
+    n = w.n
+    c, h, u = xi[:n], xi[n:2 * n], xi[2 * n:]
+    cs, _, cache = lstm.rollout(w, c, h, u[None, :])
+    f, k_f, k_i, k_g, k_o, k_t = (k[0] for k in lstm.local_factors(cs, cache))
+    uw = np.hstack([w.U, w.W])
+    dc_hu = (k_f[:, None] * uw[:n] + k_i[:, None] * uw[n:2 * n]
+             + k_g[:, None] * uw[3 * n:])
+    jac = np.zeros((2 * n + w.p, 2 * n + w.m))
+    jac[:n, :n] = np.diag(f - 1.0)
+    jac[:n, n:] = dc_hu
+    jac[n:2 * n, :n] = np.diag(k_t * f)
+    jac[n:2 * n, n:] = k_t[:, None] * dc_hu + k_o[:, None] * uw[2 * n:3 * n]
+    jac[n:2 * n, n:2 * n] -= np.eye(n)
+    jac[2 * n:, n:2 * n] = w.W_y
+    return jac
+
+
+def oracle_newton(w, xi, y0_eff):
+    """Reference Newton: the residual and the Jacobian each evaluate the
+    cell, and the singularity test is ``np.linalg.cond``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(50):
+            r = oracle_residual(w, xi, y0_eff)
+            if np.max(np.abs(r)) < refcalc._TOL:
+                return xi, float(np.max(np.abs(r)))
+            jac = oracle_jacobian(w, xi)
+            if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e12:
+                raise InfeasibleReferenceError("equilibrium Jacobian is singular")
+            xi = xi + np.linalg.solve(jac, -r)
+        r = oracle_residual(w, xi, y0_eff)
+    if np.max(np.abs(r)) < refcalc._TOL:
+        return xi, float(np.max(np.abs(r)))
+    raise InfeasibleReferenceError("Newton iteration did not converge")
 
 
 def fd_jacobian(w, xi, y0_eff, eps=1e-6):
@@ -19,8 +69,8 @@ def fd_jacobian(w, xi, y0_eff, eps=1e-6):
         xm = xi.copy()
         xp[j] += eps
         xm[j] -= eps
-        jac[:, j] = (refcalc._residual(w, xp, y0_eff)
-                     - refcalc._residual(w, xm, y0_eff)) / (2 * eps)
+        jac[:, j] = (oracle_residual(w, xp, y0_eff)
+                     - oracle_residual(w, xm, y0_eff)) / (2 * eps)
     return jac
 
 
@@ -95,8 +145,68 @@ class TestJacobian:
             u = rng.uniform(-w.u_max, w.u_max, w.m)
             xi = np.concatenate([x.c, x.h, u])
             y0_eff = rng.uniform(-1.0, 1.0, w.p)
-            np.testing.assert_allclose(refcalc._jacobian(w, xi),
-                                       fd_jacobian(w, xi, y0_eff), rtol=0, atol=1e-7)
+            jac = refcalc._jacobian(w, refcalc._cell_step(w, xi))
+            np.testing.assert_array_equal(jac, oracle_jacobian(w, xi))
+            np.testing.assert_allclose(jac, fd_jacobian(w, xi, y0_eff), rtol=0, atol=1e-7)
+
+
+class TestNewtonOracle:
+    """``solve_reference`` equals the reference two-evaluation Newton
+    exactly, on every path it can take."""
+
+    @staticmethod
+    def _cases(w, rng, count=30):
+        # Warm starts with the cell state drawn wide and h, u inside their
+        # sets; targets are attractor outputs for inputs up to 1.1 u_max,
+        # so some equilibria leave the input box.
+        cases = []
+        for _ in range(count):
+            h = random_invariant_state(w, rng).h
+            warm = refcalc.ReferencePair(LstmState(rng.normal(scale=2.0, size=w.n), h),
+                                         rng.uniform(-w.u_max, w.u_max, w.m), np.inf)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # inputs beyond u_max
+                x = attractor(w, rng.uniform(-1.1, 1.1, w.m) * w.u_max, steps=500)
+            d_hat = rng.uniform(-0.05, 0.05, w.p)
+            cases.append((lstm.output(w, x) + d_hat, d_hat, warm))
+        return cases
+
+    @staticmethod
+    def _solve(w, y0, d_hat, warm):
+        """(c, h, u_bar, residual) of the solve, None if it raised."""
+        try:
+            ref = refcalc.solve_reference(w, y0, d_hat, warm_start=warm)
+        except InfeasibleReferenceError:
+            return None
+        return ref.x_bar.c, ref.x_bar.h, ref.u_bar, ref.residual
+
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    def test_equals_two_evaluation_newton(self, net, bench_w, monkeypatch):
+        w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
+        cases = self._cases(w, np.random.default_rng(7))
+        continuations = []
+        continuation = refcalc._continuation
+
+        def counted(*args):
+            continuations.append(1)
+            return continuation(*args)
+
+        monkeypatch.setattr(refcalc, "_continuation", counted)
+        got, paths = [], []
+        for case in cases:
+            continuations.clear()
+            got.append(self._solve(w, *case))
+            paths.append(len(continuations))
+        # 0: warm Newton, 1: warm continuation, 2: cold continuation
+        assert set(paths) == {0, 1, 2}
+        assert None in got and any(g is not None for g in got)
+        monkeypatch.setattr(refcalc, "_newton", oracle_newton)
+        want = [self._solve(w, *case) for case in cases]
+        assert [g is None for g in got] == [r is None for r in want]
+        for g, r in zip(got, want):
+            if g is not None:
+                for a, b in zip(g, r):
+                    np.testing.assert_array_equal(a, b)
 
 
 class TestSensitivity:
