@@ -163,14 +163,86 @@ def initial_estimate(w, y0_norm):
     return AugmentedState(ref.x_bar.copy(), np.zeros(w.p))
 
 
+class PhysicalPlant:
+    """The pH neutralization process, started at the equilibrium of the
+    initial buffer flow, with the estimate at the model equilibrium of its
+    pH. ``plant.plant_step`` and ``plant.measure_ph`` are looked up at call
+    time, so a wrapper installed on the module sees every call."""
+
+    def __init__(self, sc, w, spec, nrm):
+        self.sc, self.nrm = sc, nrm
+        self.params = plant.PhParams(**sc.plant_overrides)
+        q2_0 = _profile_value(sc.disturbances, 0.0, self.params.q2_nominal)
+        self.x = plant.equilibrium(self.params, d_phi=q2_0)
+        self.chi_hat0 = initial_estimate(w, nrm.normalize_y(plant.measure_ph(self.params, self.x)))
+
+    def measure(self, t):
+        """(y normalized (p,), pH, buffer flow q2) at time t."""
+        self.q2 = _profile_value(self.sc.disturbances, t, self.params.q2_nominal)
+        y_phys = plant.measure_ph(self.params, self.x)
+        return np.atleast_1d(self.nrm.normalize_y(y_phys)), y_phys, self.q2
+
+    def advance(self, u_applied, u_phys, chi_hat):
+        """One sample under the input u_phys; V_o is NaN, the model state of
+        the process being unknown."""
+        self.x = plant.plant_step(self.params, self.x, u_phys, self.q2, self.sc.t_s)
+        return np.nan
+
+
+class NominalPlant:
+    """The disturbance-augmented model itself, so the true state is known.
+
+    The estimate starts at the equilibrium of the initial set-point. The
+    seeded random initial estimation error lives in the true state and is
+    scaled so the initial error V_o is 0.9 e_o0, inside the configured
+    observer-error bound (the loop's standing assumption). The increment
+    scripted at time t_k moves d from step k to step k + 1 through
+    ``observer.augmented_step``, which raises DomainViolationError once
+    |d| leaves d_max (the other standing assumption).
+    """
+
+    def __init__(self, sc, w, spec, nrm):
+        self.sc, self.w, self.spec, self.nrm = sc, w, spec, nrm
+        self.chi_hat0 = chi_hat = initial_estimate(w, setpoint_trace(sc, nrm, 1)[0])
+        rng = np.random.default_rng(sc.seed)
+        err_c = rng.uniform(-1.0, 1.0, w.n)
+        err_h = rng.uniform(-1.0, 1.0, w.n)
+        err_d = rng.uniform(-1.0, 1.0, w.p)
+        e = np.array([np.linalg.norm(err_c), np.linalg.norm(err_h),
+                      np.linalg.norm(err_d)])
+        scale = 0.9 * sc.e_o0 / float(np.sqrt(e @ spec.P_o @ e))
+        self.chi = AugmentedState(
+            LstmState(chi_hat.x.c + scale * err_c, chi_hat.x.h + scale * err_h),
+            np.clip(chi_hat.d + scale * err_d, -spec.d_max, spec.d_max))
+
+    def measure(self, t):
+        """(y normalized (p,), y in pH, NaN: no buffer flow) at time t."""
+        self.w_k = _profile_value(self.sc.disturbance_increments, t, 0.0)
+        y = np.atleast_1d(observer.augmented_output(self.w, self.chi))
+        return y, float(self.nrm.denormalize_y(y[0])), np.nan
+
+    def advance(self, u_applied, u_phys, chi_hat):
+        """One step of the augmented model under u_applied; returns V_o."""
+        self.chi = observer.augmented_step(self.w, self.chi, u_applied, w_k=self.w_k,
+                                           d_max=self.spec.d_max)
+        return observer.v_o(self.spec, chi_hat, self.chi)
+
+
+PLANTS = {"physical": PhysicalPlant, "nominal": NominalPlant}
+
+
 def run_scenario(sc, w, spec=None):
     """Execute the closed loop; returns a RunReport.
 
     ``spec`` (ObserverSpec) is rebuilt from the scenario's observer
-    settings when not supplied.
+    settings when not supplied. Each step measures the plant, runs
+    ``Controller.step``, advances the plant, updates the observer and
+    records one trace row, from which with the solutions the counters follow.
     """
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")
+    if sc.mode not in PLANTS:
+        raise ValueError(f"unknown mode {sc.mode!r}")
     nrm = plant.Normalizer(*w.u_range, *w.y_range)
     cert = lstm.incremental_lyapunov(w)
     if spec is None:
@@ -183,98 +255,30 @@ def run_scenario(sc, w, spec=None):
 
     n_steps = int(round(sc.duration_s / sc.t_s))
     y0s = setpoint_trace(sc, nrm, n_steps)
-    params = plant.PhParams(**sc.plant_overrides)
-
-    physical = sc.mode == "physical"
-    if physical:
-        q2_0 = _profile_value(sc.disturbances, 0.0, params.q2_nominal)
-        x_plant = plant.equilibrium(params, d_phi=q2_0)
-        y_phys0 = plant.measure_ph(params, x_plant)
-        chi_hat = initial_estimate(w, nrm.normalize_y(y_phys0))
-        chi_true = None
-    elif sc.mode == "nominal":
-        # the estimate starts at the equilibrium of the initial set-point;
-        # the seeded random initial estimation error lives in the true state
-        # and is scaled so the initial error V_o stays within the configured
-        # observer-error bound e_o0 (the loop's standing assumption)
-        y0_init = y0s[0] if n_steps else nrm.normalize_y(sc.setpoints[0][1])
-        chi_hat = initial_estimate(w, y0_init)
-        rng = np.random.default_rng(sc.seed)
-        err_c = rng.uniform(-1.0, 1.0, w.n)
-        err_h = rng.uniform(-1.0, 1.0, w.n)
-        err_d = rng.uniform(-1.0, 1.0, w.p)
-        e = np.array([np.linalg.norm(err_c), np.linalg.norm(err_h),
-                      np.linalg.norm(err_d)])
-        scale = 0.9 * sc.e_o0 / float(np.sqrt(e @ spec.P_o @ e))
-        chi_true = AugmentedState(
-            LstmState(chi_hat.x.c + scale * err_c, chi_hat.x.h + scale * err_h),
-            np.clip(chi_hat.d + scale * err_d, -spec.d_max, spec.d_max))
-        x_plant = None
-    else:
-        raise ValueError(f"unknown mode {sc.mode!r}")
+    sim = PLANTS[sc.mode](sc, w, spec, nrm)
+    chi_hat = sim.chi_hat0
 
     trace = {c: [] for c in TRACE_COLUMNS}
-    violations = 0
+    solutions = []
     losses = 0
-    fallbacks = 0
-    converged = 0
-    max_cand_viol = -np.inf
-    cand_checks = 0
-    iterations = []
-
     for k in range(n_steps):
         t = k * sc.t_s
-        y0 = y0s[k]
-        if physical:
-            q2 = _profile_value(sc.disturbances, t, params.q2_nominal)
-            y_phys = plant.measure_ph(params, x_plant)
-            y = np.atleast_1d(nrm.normalize_y(y_phys))
-        else:
-            q2 = np.nan
-            w_k = _profile_value(sc.disturbance_increments, t, 0.0)
-            chi_true = AugmentedState(chi_true.x, chi_true.d + w_k)
-            y = np.atleast_1d(observer.augmented_output(w, chi_true))
-            y_phys = float(nrm.denormalize_y(y[0]))
-
-        e_o_now = ctrl.e_o
+        y, y_phys, d_phi = sim.measure(t)
+        e_o = ctrl.e_o
         try:
-            u, sol, ref = ctrl.step(chi_hat, np.atleast_1d(y0))
+            u, sol, _ = ctrl.step(chi_hat, np.atleast_1d(y0s[k]))
         except FeasibilityLossError:
-            losses += 1
+            losses = 1
             break
-        if k > 0:
-            # warm start at step k >= 1 is the left-shifted previous plan,
-            # so its violation measures the feasible-candidate mechanism
-            cand_checks += 1
-            max_cand_viol = max(max_cand_viol, sol.candidate_violation)
-        if sol.status == "candidate-fallback":
-            fallbacks += 1
-        elif sol.status == "optimal":
-            converged += 1
-        iterations.append(sol.solver_iterations)
-
         u_applied = np.clip(u, -w.u_max, w.u_max)
         u_phys = float(nrm.denormalize_u(u_applied[0]))
-        if physical:
-            x_plant = plant.plant_step(params, x_plant, u_phys, q2, sc.t_s)
-            v_o_val = np.nan
-        else:
-            chi_true = AugmentedState(lstm.step(w, chi_true.x, u_applied), chi_true.d)
-            v_o_val = observer.v_o(spec, chi_hat, chi_true)
+        v_o = sim.advance(u_applied, u_phys, chi_hat)
         chi_hat = observer.observer_step(w, spec, chi_hat, u_applied, y)
-
-        if not (sc.y_lb_phys - 1e-9 <= y_phys <= sc.y_ub_phys + 1e-9):
-            violations += 1
-        trace["t"].append(t)
-        trace["y0_phys"].append(float(nrm.denormalize_y(y0)))
-        trace["y_phys"].append(float(y_phys))
-        trace["u_phys"].append(u_phys)
-        trace["d_phi"].append(float(q2))
-        trace["d_hat"].append(float(chi_hat.d[0]))
-        trace["e_o"].append(float(e_o_now))
-        trace["V_o"].append(float(v_o_val))
-        trace["alpha_k"].append(float(ctrl.term.alpha_k))
-        trace["cost"].append(float(sol.cost))
+        solutions.append(sol)
+        row = (t, nrm.denormalize_y(y0s[k]), y_phys, u_phys, d_phi, chi_hat.d[0],
+               e_o, v_o, ctrl.term.alpha_k, sol.cost)
+        for c, v in zip(TRACE_COLUMNS, row):
+            trace[c].append(float(v))
         trace["status"].append(sol.status)
 
     segs = []
@@ -288,10 +292,16 @@ def run_scenario(sc, w, spec=None):
         segs.append((trace["t"][start], trace["t"][end - 1], float(nrm.denormalize_y(y0)),
                      float(max(errs))))
 
-    return RunReport(trace=trace, steps=len(trace["t"]),
-                     constraint_violations=violations, feasibility_losses=losses,
-                     max_candidate_violation=float(max_cand_viol),
-                     candidate_checks=cand_checks, fallback_steps=fallbacks,
-                     converged_steps=converged,
-                     segment_errors=segs, solver_iterations=iterations)
-
+    statuses = trace["status"]
+    # the warm start at step k >= 1 is the left-shifted previous plan, so its
+    # violation measures the feasible-candidate mechanism
+    candidates = [sol.candidate_violation for sol in solutions[1:]]
+    violations = sum(not (sc.y_lb_phys - 1e-9 <= y <= sc.y_ub_phys + 1e-9)
+                     for y in trace["y_phys"])
+    return RunReport(trace=trace, steps=len(statuses), constraint_violations=violations,
+                     feasibility_losses=losses,
+                     max_candidate_violation=float(max(candidates, default=-np.inf)),
+                     candidate_checks=len(candidates),
+                     fallback_steps=statuses.count("candidate-fallback"),
+                     converged_steps=statuses.count("optimal"), segment_errors=segs,
+                     solver_iterations=[sol.solver_iterations for sol in solutions])
