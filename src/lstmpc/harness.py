@@ -176,17 +176,15 @@ class PhysicalPlant:
         self.x = plant.equilibrium(self.params, d_phi=q2_0)
         self.chi_hat0 = initial_estimate(w, nrm.normalize_y(plant.measure_ph(self.params, self.x)))
 
-    def measure(self, t):
-        """(y normalized (p,), pH, buffer flow q2) at time t."""
+    def measure(self, t, chi_hat):
+        """(y normalized (p,), pH, buffer flow q2, V_o) at time t; V_o is NaN,
+        as the model state of the process is unknown."""
         self.q2 = _profile_value(self.sc.disturbances, t, self.params.q2_nominal)
         y_phys = plant.measure_ph(self.params, self.x)
-        return np.atleast_1d(self.nrm.normalize_y(y_phys)), y_phys, self.q2
+        return np.atleast_1d(self.nrm.normalize_y(y_phys)), y_phys, self.q2, np.nan
 
-    def advance(self, u_applied, u_phys, chi_hat):
-        """One sample under the input u_phys; V_o is NaN, the model state of
-        the process being unknown."""
+    def advance(self, u_applied, u_phys):
         self.x = plant.plant_step(self.params, self.x, u_phys, self.q2, self.sc.t_s)
-        return np.nan
 
 
 class NominalPlant:
@@ -215,17 +213,17 @@ class NominalPlant:
             LstmState(chi_hat.x.c + scale * err_c, chi_hat.x.h + scale * err_h),
             np.clip(chi_hat.d + scale * err_d, -spec.d_max, spec.d_max))
 
-    def measure(self, t):
-        """(y normalized (p,), y in pH, NaN: no buffer flow) at time t."""
+    def measure(self, t, chi_hat):
+        """(y normalized (p,), pH, NaN for the buffer flow, V_o) at time t;
+        V_o is the error of the estimate chi_hat of this same step."""
         self.w_k = _profile_value(self.sc.disturbance_increments, t, 0.0)
         y = np.atleast_1d(observer.augmented_output(self.w, self.chi))
-        return y, float(self.nrm.denormalize_y(y[0])), np.nan
+        return (y, float(self.nrm.denormalize_y(y[0])), np.nan,
+                observer.v_o(self.spec, chi_hat, self.chi))
 
-    def advance(self, u_applied, u_phys, chi_hat):
-        """One step of the augmented model under u_applied; returns V_o."""
+    def advance(self, u_applied, u_phys):
         self.chi = observer.augmented_step(self.w, self.chi, u_applied, w_k=self.w_k,
                                            d_max=self.spec.d_max)
-        return observer.v_o(self.spec, chi_hat, self.chi)
 
 
 PLANTS = {"physical": PhysicalPlant, "nominal": NominalPlant}
@@ -263,7 +261,7 @@ def run_scenario(sc, w, spec=None):
     losses = 0
     for k in range(n_steps):
         t = k * sc.t_s
-        y, y_phys, d_phi = sim.measure(t)
+        y, y_phys, d_phi, v_o = sim.measure(t, chi_hat)
         e_o = ctrl.e_o
         try:
             u, sol, _ = ctrl.step(chi_hat, np.atleast_1d(y0s[k]))
@@ -272,7 +270,7 @@ def run_scenario(sc, w, spec=None):
             break
         u_applied = np.clip(u, -w.u_max, w.u_max)
         u_phys = float(nrm.denormalize_u(u_applied[0]))
-        v_o = sim.advance(u_applied, u_phys, chi_hat)
+        sim.advance(u_applied, u_phys)
         chi_hat = observer.observer_step(w, spec, chi_hat, u_applied, y)
         solutions.append(sol)
         row = (t, nrm.denormalize_y(y0s[k]), y_phys, u_phys, d_phi, chi_hat.d[0],

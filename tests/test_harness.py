@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lstmpc import cli, harness, lstm, mpc, plant, sysid
+from lstmpc.errors import DomainViolationError
 
 from conftest import ASSETS
 
@@ -15,6 +16,13 @@ def tiny_physical_scenario(**kw):
                 setpoints=[(0.0, 7.0)], disturbances=[])
     base.update(kw)
     return harness.Scenario(**base)
+
+
+def out_of_assumption_scenario():
+    """Nominal run whose scripted increment, twice w_bar per step, drives the
+    true d past d_max = 0.1 within a few steps."""
+    return harness.Scenario(duration_s=300.0, mode="nominal",
+                            disturbance_increments=[(0.0, 0.02)])
 
 
 class TestScenarioIo:
@@ -118,6 +126,42 @@ class TestRunScenario:
         for v, e in zip(report.trace["V_o"], report.trace["e_o"]):
             assert v <= e + 1e-9
 
+    def test_nominal_mode_vo_is_error_of_same_step(self, bench_w, bench_spec):
+        # the seeded initial error is scaled to V_o(0) = 0.9 e_o0; pairing the
+        # estimate with the state after the plant advance logs 0.321 instead
+        sc = harness.Scenario(duration_s=100.0, mode="nominal",
+                              setpoints=[(0.0, 7.2)], seed=2)
+        report = harness.run_scenario(sc, bench_w, spec=bench_spec)
+        assert report.trace["V_o"][0] == pytest.approx(0.9 * sc.e_o0, abs=1e-12)
+
+    def test_nominal_mode_disturbance_beyond_d_max_raises(self, bench_w, bench_spec,
+                                                          monkeypatch):
+        steps = []
+        step = mpc.Controller.step
+
+        def counting_step(self, *args, **kwargs):
+            steps.append(1)
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(mpc.Controller, "step", counting_step)
+        with pytest.raises(DomainViolationError, match="d_max"):
+            harness.run_scenario(out_of_assumption_scenario(), bench_w, spec=bench_spec)
+        assert 1 <= len(steps) <= 10
+
+    def test_plant_calls_go_through_the_module(self, bench_w, bench_spec, monkeypatch):
+        # wrappers installed on the plant module, as the benchmark installs
+        # its spans, see every call the loop makes
+        calls = {"plant_step": 0, "measure_ph": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(plant, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(plant, name, counted)
+        report = harness.run_scenario(tiny_physical_scenario(duration_s=100.0), bench_w,
+                                      spec=bench_spec)
+        assert report.steps == 10
+        assert calls == {"plant_step": 10, "measure_ph": 11}
+
     def test_rejects_unknown_mode(self, bench_w):
         sc = tiny_physical_scenario(mode="imaginary")
         with pytest.raises(ValueError):
@@ -194,6 +238,16 @@ class TestCli:
         assert (tmp_path / "run" / "trace.csv").exists()
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["constraint_violations"] == 0
+
+    def test_simulate_reports_disturbance_beyond_d_max(self, tmp_path, capsys):
+        sc_path = tmp_path / "sc.json"
+        out_of_assumption_scenario().to_json(sc_path)
+        rc = cli.main(["simulate", "--scenario", str(sc_path),
+                       "--weights", str(ASSETS / "model.json"),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainViolationError"
 
     def test_simulate_requires_weights(self, tmp_path, capsys):
         sc = tiny_physical_scenario(duration_s=100.0)
