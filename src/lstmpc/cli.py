@@ -63,8 +63,8 @@ def _cmd_certify(args):
             "P_o": spec.P_o.tolist(),
         },
         "tightening": {
-            "a": [a.tolist() for a in sched.a],
-            "b": [b.tolist() for b in sched.b],
+            "a": sched.a.tolist(),
+            "b": sched.b.tolist(),
         },
     }
     if args.k_bar and w.y_range is not None:

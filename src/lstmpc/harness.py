@@ -2,13 +2,16 @@
 
 A scenario describes the set-point profile (piecewise constant targets
 joined by rate-limited ramps), the disturbance profile, and the
-controller/observer configuration. Two loop modes exist:
+controller/observer configuration. ``run_scenario`` runs one loop body
+against the plant adapter of the scenario's mode, whose ``measure(t,
+chi_hat)`` gives (y normalized, pH, buffer flow d_phi, V_o) at step k
+and ``advance(u_applied, u_phys)`` moves it to step k + 1:
 
-* "physical": the controlled plant is the pH neutralization ODE; the
+* "physical", ``PhysicalPlant``: the pH neutralization ODE; the
   identified model only lives inside observer and controller.
-* "nominal": the controlled plant IS the disturbance-augmented model
-  driven by a scripted disturbance-increment sequence; used for the
-  stability-oriented checks where the true model state is known.
+* "nominal", ``NominalPlant``: the disturbance-augmented model driven by
+  a scripted disturbance-increment sequence; its true state is known, so
+  V_o, the observer error of step k's estimate, is too.
 """
 
 import csv
@@ -164,10 +167,9 @@ def initial_estimate(w, y0_norm):
 
 
 class PhysicalPlant:
-    """The pH neutralization process, started at the equilibrium of the
-    initial buffer flow, with the estimate at the model equilibrium of its
-    pH. ``plant.plant_step`` and ``plant.measure_ph`` are looked up at call
-    time, so a wrapper installed on the module sees every call."""
+    """The pH process at the equilibrium of the initial buffer flow; the
+    estimate starts at the model equilibrium of its pH. ``plant`` functions
+    are looked up at call time, so wrappers installed there see every call."""
 
     def __init__(self, sc, w, spec, nrm):
         self.sc, self.nrm = sc, nrm
@@ -177,8 +179,6 @@ class PhysicalPlant:
         self.chi_hat0 = initial_estimate(w, nrm.normalize_y(plant.measure_ph(self.params, self.x)))
 
     def measure(self, t, chi_hat):
-        """(y normalized (p,), pH, buffer flow q2, V_o) at time t; V_o is NaN,
-        as the model state of the process is unknown."""
         self.q2 = _profile_value(self.sc.disturbances, t, self.params.q2_nominal)
         y_phys = plant.measure_ph(self.params, self.x)
         return np.atleast_1d(self.nrm.normalize_y(y_phys)), y_phys, self.q2, np.nan
@@ -188,34 +188,24 @@ class PhysicalPlant:
 
 
 class NominalPlant:
-    """The disturbance-augmented model itself, so the true state is known.
-
-    The estimate starts at the equilibrium of the initial set-point. The
-    seeded random initial estimation error lives in the true state and is
-    scaled so the initial error V_o is 0.9 e_o0, inside the configured
-    observer-error bound (the loop's standing assumption). The increment
-    scripted at time t_k moves d from step k to step k + 1 through
-    ``observer.augmented_step``, which raises DomainViolationError once
-    |d| leaves d_max (the other standing assumption).
-    """
+    """The augmented model; the estimate starts at the equilibrium of the
+    initial set-point, the true state off it by a seeded error scaled to
+    V_o = 0.9 e_o0. The increment scripted at t_k moves d from step k to
+    k + 1 through ``observer.augmented_step``, which raises
+    DomainViolationError once |d| > d_max: both are standing assumptions."""
 
     def __init__(self, sc, w, spec, nrm):
         self.sc, self.w, self.spec, self.nrm = sc, w, spec, nrm
         self.chi_hat0 = chi_hat = initial_estimate(w, setpoint_trace(sc, nrm, 1)[0])
         rng = np.random.default_rng(sc.seed)
-        err_c = rng.uniform(-1.0, 1.0, w.n)
-        err_h = rng.uniform(-1.0, 1.0, w.n)
-        err_d = rng.uniform(-1.0, 1.0, w.p)
-        e = np.array([np.linalg.norm(err_c), np.linalg.norm(err_h),
-                      np.linalg.norm(err_d)])
-        scale = 0.9 * sc.e_o0 / float(np.sqrt(e @ spec.P_o @ e))
+        err = AugmentedState(LstmState(rng.uniform(-1.0, 1.0, w.n), rng.uniform(-1.0, 1.0, w.n)),
+                             rng.uniform(-1.0, 1.0, w.p))
+        scale = 0.9 * sc.e_o0 / observer.v_o(spec, err, AugmentedState(LstmState(0.0, 0.0), 0.0))
         self.chi = AugmentedState(
-            LstmState(chi_hat.x.c + scale * err_c, chi_hat.x.h + scale * err_h),
-            np.clip(chi_hat.d + scale * err_d, -spec.d_max, spec.d_max))
+            LstmState(chi_hat.x.c + scale * err.x.c, chi_hat.x.h + scale * err.x.h),
+            np.clip(chi_hat.d + scale * err.d, -spec.d_max, spec.d_max))
 
     def measure(self, t, chi_hat):
-        """(y normalized (p,), pH, NaN for the buffer flow, V_o) at time t;
-        V_o is the error of the estimate chi_hat of this same step."""
         self.w_k = _profile_value(self.sc.disturbance_increments, t, 0.0)
         y = np.atleast_1d(observer.augmented_output(self.w, self.chi))
         return (y, float(self.nrm.denormalize_y(y[0])), np.nan,
@@ -235,7 +225,7 @@ def run_scenario(sc, w, spec=None):
     ``spec`` (ObserverSpec) is rebuilt from the scenario's observer
     settings when not supplied. Each step measures the plant, runs
     ``Controller.step``, advances the plant, updates the observer and
-    records one trace row, from which with the solutions the counters follow.
+    records a trace row; the counters come from the trace and solutions.
     """
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")
@@ -258,7 +248,6 @@ def run_scenario(sc, w, spec=None):
 
     trace = {c: [] for c in TRACE_COLUMNS}
     solutions = []
-    losses = 0
     for k in range(n_steps):
         t = k * sc.t_s
         y, y_phys, d_phi, v_o = sim.measure(t, chi_hat)
@@ -266,7 +255,6 @@ def run_scenario(sc, w, spec=None):
         try:
             u, sol, _ = ctrl.step(chi_hat, np.atleast_1d(y0s[k]))
         except FeasibilityLossError:
-            losses = 1
             break
         u_applied = np.clip(u, -w.u_max, w.u_max)
         u_phys = float(nrm.denormalize_u(u_applied[0]))
@@ -297,7 +285,7 @@ def run_scenario(sc, w, spec=None):
     violations = sum(not (sc.y_lb_phys - 1e-9 <= y <= sc.y_ub_phys + 1e-9)
                      for y in trace["y_phys"])
     return RunReport(trace=trace, steps=len(statuses), constraint_violations=violations,
-                     feasibility_losses=losses,
+                     feasibility_losses=int(len(solutions) < n_steps),
                      max_candidate_violation=float(max(candidates, default=-np.inf)),
                      candidate_checks=len(candidates),
                      fallback_steps=statuses.count("candidate-fallback"),

@@ -55,8 +55,8 @@ from .numerics import eig_extrema_spd, solve_discrete_lyapunov
 class TighteningSchedule:
     """Per-stage output-constraint margins y_ub - a_i e_o - b_i."""
 
-    a: list
-    b: list
+    a: np.ndarray        # (N+1, p), stages 0..N
+    b: np.ndarray        # (N+1, p)
     rho_o: float
     w_bar: float
 
@@ -76,7 +76,8 @@ def build_schedule(cert, spec, n_horizon):
     for i in range(n_horizon):
         a.append(spec.rho_o * a[i] + cert.rho_s ** i * cert.c_su * spec.L_max * cert.c_s)
         b.append(b[i] + a[i] * spec.w_bar)
-    return TighteningSchedule(a=a, b=b, rho_o=spec.rho_o, w_bar=spec.w_bar)
+    return TighteningSchedule(a=np.array(a), b=np.array(b), rho_o=spec.rho_o,
+                              w_bar=spec.w_bar)
 
 
 def eo_step(e_o, rho_o, w_bar):
@@ -164,10 +165,8 @@ _FEAS_TOL = 1e-7         # constraint slack counted as feasible
 
 def _tightening(sched, e_o, d_max):
     """Output-bound offsets a_i e_o + b_i + d_max of stages 0..N-1, (N, p)."""
-    n_h, p = sched.horizon, len(sched.a[0])
-    a = np.asarray(sched.a[:n_h], dtype=float).reshape(n_h, p)
-    b = np.asarray(sched.b[:n_h], dtype=float).reshape(n_h, p)
-    return a * e_o + b + d_max
+    n_h = sched.horizon
+    return sched.a[:n_h] * e_o + sched.b[:n_h] + d_max
 
 
 def _constraints(w, tight, term, ref, y_lb, y_ub, c, h):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lstmpc import cli, harness, lstm, mpc, plant, sysid
-from lstmpc.errors import DomainViolationError
+from lstmpc.errors import DomainViolationError, FeasibilityLossError
 
 from conftest import ASSETS
 
@@ -147,6 +147,24 @@ class TestRunScenario:
         with pytest.raises(DomainViolationError, match="d_max"):
             harness.run_scenario(out_of_assumption_scenario(), bench_w, spec=bench_spec)
         assert 1 <= len(steps) <= 10
+
+    def test_feasibility_loss_ends_run_and_is_counted(self, bench_w, bench_spec,
+                                                      monkeypatch):
+        calls = []
+        step = mpc.Controller.step
+
+        def losing_step(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise FeasibilityLossError("test")
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(mpc.Controller, "step", losing_step)
+        report = harness.run_scenario(tiny_physical_scenario(duration_s=100.0), bench_w,
+                                      spec=bench_spec)
+        assert (report.steps, report.feasibility_losses, report.candidate_checks) == (3, 1, 2)
+        assert len(report.solver_iterations) == 3
+        assert all(len(v) == 3 for v in report.trace.values())
 
     def test_plant_calls_go_through_the_module(self, bench_w, bench_spec, monkeypatch):
         # wrappers installed on the plant module, as the benchmark installs
