@@ -225,7 +225,8 @@ def run_scenario(sc, w, spec=None):
     ``spec`` (ObserverSpec) is rebuilt from the scenario's observer
     settings when not supplied. Each step measures the plant, runs
     ``Controller.step``, advances the plant, updates the observer and
-    records a trace row; the counters come from the trace and solutions.
+    records a trace row; the counters come from the trace and from each
+    solution's iteration count and candidate violation.
     """
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")
@@ -247,7 +248,7 @@ def run_scenario(sc, w, spec=None):
     chi_hat = sim.chi_hat0
 
     trace = {c: [] for c in TRACE_COLUMNS}
-    solutions = []
+    iterations, candidates = [], []
     for k in range(n_steps):
         t = k * sc.t_s
         y, y_phys, d_phi, v_o = sim.measure(t, chi_hat)
@@ -260,7 +261,8 @@ def run_scenario(sc, w, spec=None):
         u_phys = float(nrm.denormalize_u(u_applied[0]))
         sim.advance(u_applied, u_phys)
         chi_hat = observer.observer_step(w, spec, chi_hat, u_applied, y)
-        solutions.append(sol)
+        iterations.append(sol.solver_iterations)
+        candidates.append(sol.candidate_violation)
         row = (t, nrm.denormalize_y(y0s[k]), y_phys, u_phys, d_phi, chi_hat.d[0],
                e_o, v_o, ctrl.term.alpha_k, sol.cost)
         for c, v in zip(TRACE_COLUMNS, row):
@@ -281,13 +283,13 @@ def run_scenario(sc, w, spec=None):
     statuses = trace["status"]
     # the warm start at step k >= 1 is the left-shifted previous plan, so its
     # violation measures the feasible-candidate mechanism
-    candidates = [sol.candidate_violation for sol in solutions[1:]]
+    candidates = candidates[1:]
     violations = sum(not (sc.y_lb_phys - 1e-9 <= y <= sc.y_ub_phys + 1e-9)
                      for y in trace["y_phys"])
     return RunReport(trace=trace, steps=len(statuses), constraint_violations=violations,
-                     feasibility_losses=int(len(solutions) < n_steps),
+                     feasibility_losses=int(len(statuses) < n_steps),
                      max_candidate_violation=float(max(candidates, default=-np.inf)),
                      candidate_checks=len(candidates),
                      fallback_steps=statuses.count("candidate-fallback"),
                      converged_steps=statuses.count("optimal"), segment_errors=segs,
-                     solver_iterations=[sol.solver_iterations for sol in solutions])
+                     solver_iterations=iterations)
