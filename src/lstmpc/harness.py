@@ -216,7 +216,7 @@ class NominalPlant:
                                            d_max=self.spec.d_max)
 
 
-PLANTS = {"physical": PhysicalPlant, "nominal": NominalPlant}
+_PLANTS = {"physical": PhysicalPlant, "nominal": NominalPlant}
 
 
 def run_scenario(sc, w, spec=None):
@@ -230,7 +230,7 @@ def run_scenario(sc, w, spec=None):
     """
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")
-    if sc.mode not in PLANTS:
+    if sc.mode not in _PLANTS:
         raise ValueError(f"unknown mode {sc.mode!r}")
     nrm = plant.Normalizer(*w.u_range, *w.y_range)
     cert = lstm.incremental_lyapunov(w)
@@ -244,7 +244,7 @@ def run_scenario(sc, w, spec=None):
 
     n_steps = int(round(sc.duration_s / sc.t_s))
     y0s = setpoint_trace(sc, nrm, n_steps)
-    sim = PLANTS[sc.mode](sc, w, spec, nrm)
+    sim = _PLANTS[sc.mode](sc, w, spec, nrm)
     chi_hat = sim.chi_hat0
 
     trace = {c: [] for c in TRACE_COLUMNS}

@@ -25,6 +25,22 @@ def out_of_assumption_scenario():
                             disturbance_increments=[(0.0, 0.02)])
 
 
+def count_controller_steps(monkeypatch, fail_at=None):
+    """Count Controller.step calls; call number ``fail_at`` raises
+    FeasibilityLossError."""
+    calls = []
+    step = mpc.Controller.step
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise FeasibilityLossError("test")
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(mpc.Controller, "step", counted)
+    return calls
+
+
 class TestScenarioIo:
     def test_json_round_trip(self, tmp_path):
         sc = harness.Scenario.from_json(ASSETS / "benchmark_scenario.json")
@@ -136,30 +152,14 @@ class TestRunScenario:
 
     def test_nominal_mode_disturbance_beyond_d_max_raises(self, bench_w, bench_spec,
                                                           monkeypatch):
-        steps = []
-        step = mpc.Controller.step
-
-        def counting_step(self, *args, **kwargs):
-            steps.append(1)
-            return step(self, *args, **kwargs)
-
-        monkeypatch.setattr(mpc.Controller, "step", counting_step)
+        steps = count_controller_steps(monkeypatch)
         with pytest.raises(DomainViolationError, match="d_max"):
             harness.run_scenario(out_of_assumption_scenario(), bench_w, spec=bench_spec)
         assert 1 <= len(steps) <= 10
 
     def test_feasibility_loss_ends_run_and_is_counted(self, bench_w, bench_spec,
                                                       monkeypatch):
-        calls = []
-        step = mpc.Controller.step
-
-        def losing_step(self, *args, **kwargs):
-            calls.append(1)
-            if len(calls) == 4:
-                raise FeasibilityLossError("test")
-            return step(self, *args, **kwargs)
-
-        monkeypatch.setattr(mpc.Controller, "step", losing_step)
+        count_controller_steps(monkeypatch, fail_at=4)
         report = harness.run_scenario(tiny_physical_scenario(duration_s=100.0), bench_w,
                                       spec=bench_spec)
         assert (report.steps, report.feasibility_losses, report.candidate_checks) == (3, 1, 2)
