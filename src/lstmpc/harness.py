@@ -264,7 +264,7 @@ def run_scenario(sc, w, spec=None):
         iterations.append(sol.solver_iterations)
         candidates.append(sol.candidate_violation)
         row = (t, nrm.denormalize_y(y0s[k]), y_phys, u_phys, d_phi, chi_hat.d[0],
-               e_o, v_o, ctrl.term.alpha_k, sol.cost)
+               e_o, v_o, ctrl.problem.alpha, sol.cost)
         for c, v in zip(TRACE_COLUMNS, row):
             trace[c].append(float(v))
         trace["status"].append(sol.status)

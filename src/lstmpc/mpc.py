@@ -1,12 +1,13 @@
 """Robust output-constrained MPC with constraint tightening.
 
-Each controller step solves a finite-horizon optimal control problem on
-the identified model: quadratic tracking cost toward the equilibrium
-produced by the reference calculator, output bounds tightened along the
-horizon by coefficients (a_i, b_i) that account for the observer error
-proxy e_o, disturbance uncertainty and model contraction, and a terminal
-level-set constraint whose radius alpha(k) shrinks with the admissible
-set-point margin. The tightened output offsets are fixed for one solve.
+Each controller step builds one ``Problem``, the finite-horizon optimal
+control problem on the identified model: quadratic tracking cost toward
+the equilibrium produced by the reference calculator, output bounds
+tightened along the horizon by coefficients (a_i, b_i) that account for
+the observer error proxy e_o, disturbance uncertainty and model
+contraction, and a terminal level-set constraint whose radius alpha(k)
+shrinks with the admissible set-point margin. ``solve_fhocp(problem)``
+solves it; ``Problem.evaluate`` also checks any other plan against it.
 
 The solver is single-shooting sequential quadratic programming (SQP) over
 the N*m free inputs. Each iteration takes predictions from
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lstm, refcalc
-from .errors import FeasibilityLossError, InfeasibleSetpointError
+from .errors import DimensionError, FeasibilityLossError, InfeasibleSetpointError
 from .numerics import eig_extrema_spd, solve_discrete_lyapunov
 
 
@@ -94,10 +95,9 @@ def compute_pf(a_delta, q):
 
 @dataclass
 class TerminalData:
-    """Terminal cost matrix and the current terminal-set radius."""
+    """Terminal cost matrix and its smallest eigenvalue."""
 
     P_f: np.ndarray
-    alpha_k: float = 0.0
     lam_min: float = field(init=False)
 
     def __post_init__(self):
@@ -106,7 +106,8 @@ class TerminalData:
 
 
 def terminal_alpha(sched, term, w_y, y0, y_lb, y_ub, d_max, e_o):
-    """Radius of the terminal level set for the current set-point.
+    """Radius of the terminal level set for the set-point y0, with (p,)
+    output bounds y_lb, y_ub.
 
     Positive only while the set-point keeps enough margin from both output
     bounds once the stage-N tightening and twice the disturbance bound are
@@ -115,8 +116,6 @@ def terminal_alpha(sched, term, w_y, y0, y_lb, y_ub, d_max, e_o):
     radius rounds to a positive value.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    y_lb = np.broadcast_to(np.asarray(y_lb, dtype=float), y0.shape)
-    y_ub = np.broadcast_to(np.asarray(y_ub, dtype=float), y0.shape)
     margin = _terminal_margin(sched, d_max, e_o)
     sq = np.sqrt(term.lam_min)
     alpha = np.inf
@@ -129,7 +128,6 @@ def terminal_alpha(sched, term, w_y, y0, y_lb, y_ub, d_max, e_o):
         if a_lb <= 0.0 or y0[j] <= y_lb[j] + margin[j]:
             raise InfeasibleSetpointError(f"set-point too close to lower bound on output {j}")
         alpha = min(alpha, a_ub, a_lb)
-    term.alpha_k = float(alpha)
     return float(alpha)
 
 
@@ -154,7 +152,7 @@ class MpcSolution:
     status: str                # "optimal" | "iterate" | "stalled" | "candidate-fallback"
     solver_iterations: int
     max_violation: float
-    candidate_violation: float = np.nan   # warm-start plan's own violation
+    candidate_violation: float  # warm-start plan's own violation
 
 
 _SQP_MAX_ITER = 50       # SQP iterations per solve
@@ -163,26 +161,83 @@ _STEP_TOL = 1e-10        # stop once max |delta u| falls below this
 _FEAS_TOL = 1e-7         # constraint slack counted as feasible
 
 
-def _tightening(sched, e_o, d_max):
-    """Output-bound offsets a_i e_o + b_i + d_max of stages 0..N-1, (N, p)."""
-    n_h = sched.horizon
-    return sched.a[:n_h] * e_o + sched.b[:n_h] + d_max
+@dataclass
+class Problem:
+    """The tightened FHOCP of one control step, from ``Controller.problem_at``.
 
+    ``tight`` holds the output-bound offsets a_i e_o + b_i + d_max of
+    stages 0..N-1, (N, p); ``y_lb`` and ``y_ub`` are (p,).
+    """
 
-def _constraints(w, tight, term, ref, y_lb, y_ub, c, h):
-    """Stacked inequality values g <= 0: per stage the tightened upper then
-    lower output bound, then the terminal set. ``tight`` is _tightening's."""
-    n_h = len(tight)
-    y_pred = h[:n_h] @ w.W_y.T + w.b_y      # outputs at stages 0..N-1
-    g = np.empty(2 * w.p * n_h + 1)
-    g_out = g[:-1].reshape(n_h, 2, w.p)
-    g_out[:, 0] = y_pred + tight - y_ub
-    g_out[:, 1] = y_lb + tight - y_pred
-    ec = np.linalg.norm(c[n_h] - ref.x_bar.c)
-    eh = np.linalg.norm(h[n_h] - ref.x_bar.h)
-    ev = np.array([ec, eh])
-    g[-1] = float(ev @ term.P_f @ ev) - term.alpha_k ** 2
-    return g, ev
+    w: lstm.LstmWeights
+    x_hat: lstm.LstmState
+    ref: refcalc.ReferencePair
+    tight: np.ndarray
+    y_lb: np.ndarray
+    y_ub: np.ndarray
+    P_f: np.ndarray
+    alpha: float
+    q_weight: float
+    r_weight: float
+
+    def evaluate(self, u_seq):
+        """(cost, g, aux) of the (N, m) plan ``u_seq``. g <= 0 stacks per
+        stage the tightened upper then lower output bound, then the
+        terminal set; aux is the rollout that ``qp_model`` linearizes."""
+        w, ref, n_h = self.w, self.ref, len(self.tight)
+        c, h, cache = lstm.rollout(w, self.x_hat.c, self.x_hat.h, u_seq)
+        y_pred = h[:n_h] @ w.W_y.T + w.b_y      # outputs at stages 0..N-1
+        g = np.empty(2 * w.p * n_h + 1)
+        g_out = g[:-1].reshape(n_h, 2, w.p)
+        g_out[:, 0] = y_pred + self.tight - self.y_ub
+        g_out[:, 1] = self.y_lb + self.tight - y_pred
+        ev = np.array([np.linalg.norm(c[n_h] - ref.x_bar.c),
+                       np.linalg.norm(h[n_h] - ref.x_bar.h)])
+        phi = float(ev @ self.P_f @ ev)
+        g[-1] = phi - self.alpha ** 2
+        dx = np.hstack([c[:n_h] - ref.x_bar.c, h[:n_h] - ref.x_bar.h])
+        cost = self.q_weight * float((dx ** 2).sum()) \
+            + self.r_weight * float(((u_seq - ref.u_bar) ** 2).sum()) + phi
+        return cost, g, (c, h, cache, ev, dx)
+
+    def qp_model(self, u_seq, g, aux, lam_term):
+        """The SQP's QP at ``u_seq``: exact gradient, generalized Gauss-Newton
+        Hessian and linearized constraints A d <= b (output rows of stages
+        1..N-1, the terminal row, then the input box). ``lam_term`` is the
+        terminal row's last multiplier: phi enters the Lagrangian as
+        (1 + lam_term) phi, so its curvature does too."""
+        w, ref, n_h = self.w, self.ref, len(self.tight)
+        n_u = n_h * w.m
+        c, h, cache, ev, dx = aux
+        s_c, s_h = lstm.sensitivities(w, c, cache)
+        s_x = np.concatenate([s_c[1:n_h], s_h[1:n_h]], axis=1).reshape(-1, n_u)
+        eye = np.eye(n_u)
+        grad = 2.0 * self.q_weight * (dx[1:].ravel() @ s_x) \
+            + 2.0 * self.r_weight * (u_seq - ref.u_bar).ravel()
+        hess = 2.0 * self.q_weight * (s_x.T @ s_x) + 2.0 * self.r_weight * eye
+        # Terminal phi = ev'P_f ev: exact Hessian in (c_N, h_N), carried
+        # through S_N; v_j = e_hat_j' S_N is d(ev_j)/du.
+        p2 = 2.0 * self.P_f
+        g_ev = p2 @ ev
+        k_t = 1.0 + lam_term
+        v = np.zeros((2, n_u))
+        for j, (e, s) in enumerate(((c[n_h] - ref.x_bar.c, s_c[n_h]),
+                                    (h[n_h] - ref.x_bar.h, s_h[n_h]))):
+            ss = s.T @ s
+            if ev[j] > 0.0:
+                v[j] = (e / ev[j]) @ s
+                hess += k_t * max(g_ev[j], 0.0) / ev[j] * (ss - np.outer(v[j], v[j]))
+            else:
+                hess += k_t * p2[j, j] * ss
+        hess += k_t * (v.T @ p2 @ v)
+        d_term = g_ev @ v
+        grad += d_term
+        out = w.W_y @ s_h[1:n_h]           # (N-1, p, N*m)
+        a_mat = np.vstack([np.stack([out, -out], axis=1).reshape(-1, n_u),
+                           d_term, eye, -eye])
+        u_flat = u_seq.ravel()
+        b_vec = np.concatenate([-g[2 * w.p:], w.u_max - u_flat, w.u_max + u_flat])
+        return grad, hess, a_mat, b_vec
 
 
 def _dense_qp(hess, grad, a_mat, b_vec):
@@ -225,9 +280,8 @@ def _dense_qp(hess, grad, a_mat, b_vec):
     return None
 
 
-def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
-                warm=None, q_weight=1.0, r_weight=1.0, real_time=False):
-    """Single-shooting SQP solve of the tightened problem.
+def solve_fhocp(problem, warm=None, real_time=False):
+    """Single-shooting SQP solve of ``problem``.
 
     ``warm`` is the initial input plan (N, m); when omitted the plan is
     the constant equilibrium input. Falls back to the warm start whenever
@@ -239,63 +293,8 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     first it is "stalled". Repeated warm-started calls converge to the
     same plan as the default mode.
     """
-    n_h = sched.horizon
-    m, p = w.m, w.p
-    n_u = n_h * m
-    d_max = spec.d_max
-    u_max = w.u_max
-    x_bar = np.concatenate([ref.x_bar.c, ref.x_bar.h])
-    u_bar = ref.u_bar
-    y_lb = np.atleast_1d(np.asarray(y_lb, dtype=float))
-    y_ub = np.atleast_1d(np.asarray(y_ub, dtype=float))
-    tight = _tightening(sched, e_o, d_max)
-    p2 = 2.0 * term.P_f
-    eye = np.eye(n_u)
-    n_g0 = 2 * p               # stage-0 output rows: independent of u
-
-    def evaluate(u_seq):
-        c, h, cache = lstm.rollout(w, x_hat.c, x_hat.h, u_seq)
-        g, ev = _constraints(w, tight, term, ref, y_lb, y_ub, c, h)
-        dx = np.hstack([c[:n_h], h[:n_h]]) - x_bar
-        cost = q_weight * float((dx ** 2).sum()) \
-            + r_weight * float(((u_seq - u_bar) ** 2).sum()) \
-            + float(ev @ term.P_f @ ev)
-        return cost, g, (c, h, cache, ev, dx)
-
-    def qp_model(u_seq, g, aux, lam_term):
-        # Exact gradient, generalized Gauss-Newton Hessian and the
-        # linearized constraints A d <= b (output rows of stages 1..N-1,
-        # the terminal row, then the input box). ``lam_term`` is the
-        # terminal row's last multiplier: phi enters the Lagrangian as
-        # (1 + lam_term) phi, so its curvature does too.
-        c, h, cache, ev, dx = aux
-        s_c, s_h = lstm.sensitivities(w, c, cache)
-        s_x = np.concatenate([s_c[1:n_h], s_h[1:n_h]], axis=1).reshape(-1, n_u)
-        grad = 2.0 * q_weight * (dx[1:].ravel() @ s_x) \
-            + 2.0 * r_weight * (u_seq - u_bar).ravel()
-        hess = 2.0 * q_weight * (s_x.T @ s_x) + 2.0 * r_weight * eye
-        # Terminal phi = ev'P_f ev: exact Hessian in (c_N, h_N), carried
-        # through S_N; v_j = e_hat_j' S_N is d(ev_j)/du.
-        g_ev = p2 @ ev
-        k_t = 1.0 + lam_term
-        v = np.zeros((2, n_u))
-        for j, (e, s) in enumerate(((c[n_h] - ref.x_bar.c, s_c[n_h]),
-                                    (h[n_h] - ref.x_bar.h, s_h[n_h]))):
-            ss = s.T @ s
-            if ev[j] > 0.0:
-                v[j] = (e / ev[j]) @ s
-                hess += k_t * max(g_ev[j], 0.0) / ev[j] * (ss - np.outer(v[j], v[j]))
-            else:
-                hess += k_t * p2[j, j] * ss
-        hess += k_t * (v.T @ p2 @ v)
-        d_term = g_ev @ v
-        grad += d_term
-        out = w.W_y @ s_h[1:n_h]           # (N-1, p, N*m)
-        a_mat = np.vstack([np.stack([out, -out], axis=1).reshape(-1, n_u),
-                           d_term, eye, -eye])
-        u_flat = u_seq.ravel()
-        b_vec = np.concatenate([-g[n_g0:], u_max - u_flat, u_max + u_flat])
-        return grad, hess, a_mat, b_vec
+    n_h, m, u_max = len(problem.tight), problem.w.m, problem.w.u_max
+    n_g0 = 2 * problem.w.p     # stage-0 output rows: independent of u
 
     def project(u_seq):
         return np.minimum(np.maximum(u_seq, -u_max), u_max)
@@ -303,10 +302,11 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     def merit(cost, g, nu):
         return cost + nu * float(np.maximum(g, 0.0).sum())
 
-    u0 = np.tile(u_bar, (n_h, 1)) if warm is None else np.asarray(warm, dtype=float).reshape(n_h, m)
+    u0 = np.tile(problem.ref.u_bar, (n_h, 1)) if warm is None \
+        else np.asarray(warm, dtype=float).reshape(n_h, m)
     u0 = project(u0)
 
-    cand_cost, cand_g, cand_aux = evaluate(u0)
+    cand_cost, cand_g, cand_aux = problem.evaluate(u0)
     cand_feasible = float(np.max(cand_g)) <= _FEAS_TOL
 
     u, cost, g, aux = u0, cand_cost, cand_g, cand_aux
@@ -316,9 +316,8 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
     n_g = len(cand_g) - n_g0   # QP rows that linearize g
     iterations = 0
     stop = "stalled"           # until the step test or the real-time stop ends the loop
-    for _ in range(_SQP_MAX_ITER):
-        iterations += 1
-        grad, hess, a_mat, b_vec = qp_model(u, g, aux, lam_term)
+    for iterations in range(1, _SQP_MAX_ITER + 1):
+        grad, hess, a_mat, b_vec = problem.qp_model(u, g, aux, lam_term)
         qp = _dense_qp(hess, grad, a_mat, b_vec)
         if qp is None:
             break
@@ -333,7 +332,7 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
         t = 1.0
         for _ls in range(_LINE_SEARCH_MAX):
             u_t = project(u + t * d)
-            cost_t, g_t, aux_t = evaluate(u_t)
+            cost_t, g_t, aux_t = problem.evaluate(u_t)
             if tiny or merit(cost_t, g_t, nu) <= ref_val + 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -354,24 +353,14 @@ def solve_fhocp(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub,
         # undercut its cost only by spending the _FEAS_TOL slack.
         best_u, best_cost, best_g = u, cost, g
 
-    use_candidate = False
-    if best_u is None:
-        if not cand_feasible:
-            raise FeasibilityLossError(
-                f"no feasible input plan (candidate violation {float(np.max(cand_g)):.3g})")
-        use_candidate = True
-    elif cand_feasible and cand_cost < best_cost:
-        use_candidate = True
-
-    if use_candidate:
-        u_fin, cost_fin, g_fin = u0, cand_cost, cand_g
-        status = "candidate-fallback"
-    else:
-        u_fin, cost_fin, g_fin = best_u, best_cost, best_g
-        status = stop
-    return MpcSolution(u_seq=u_fin, cost=cost_fin, status=status,
+    if best_u is None and not cand_feasible:
+        raise FeasibilityLossError(
+            f"no feasible input plan (candidate violation {float(np.max(cand_g)):.3g})")
+    if cand_feasible and (best_u is None or cand_cost < best_cost):
+        best_u, best_cost, best_g, stop = u0, cand_cost, cand_g, "candidate-fallback"
+    return MpcSolution(u_seq=best_u, cost=best_cost, status=stop,
                        solver_iterations=iterations,
-                       max_violation=float(np.max(g_fin)),
+                       max_violation=float(np.max(best_g)),
                        candidate_violation=float(np.max(cand_g)))
 
 
@@ -379,17 +368,6 @@ def shifted_candidate(prev_solution, u_bar):
     """Left-shift the previous plan and append the new equilibrium input."""
     u_prev = np.asarray(prev_solution.u_seq, dtype=float)
     return np.vstack([u_prev[1:], np.atleast_1d(u_bar)[None, :]])
-
-
-def candidate_violation(w, spec, sched, term, x_hat, e_o, ref, y_lb, y_ub, u_seq):
-    """Max constraint value of a given plan (<= 0 means feasible)."""
-    c, h, _ = lstm.rollout(w, x_hat.c, x_hat.h,
-                           np.asarray(u_seq, dtype=float).reshape(sched.horizon, w.m))
-    g, _ = _constraints(w, _tightening(sched, e_o, spec.d_max), term, ref,
-                        y_lb, y_ub, c, h)
-    if np.max(np.abs(np.asarray(u_seq))) > w.u_max * (1 + 1e-12):
-        return float(max(np.max(g), np.max(np.abs(u_seq)) - w.u_max))
-    return float(np.max(g))
 
 
 @dataclass
@@ -405,12 +383,13 @@ class ControllerConfig:
 class Controller:
     """Receding-horizon wrapper: holds warm-start and the e_o recursion.
 
-    Each step is one real-time solve of ``solve_fhocp``, warm-started at
-    the shifted previous plan, which stops at the first feasible SQP
-    iterate. The applied plan is the cheaper feasible one of that iterate
-    and the shifted candidate; its status is "iterate", "optimal" when the
-    step test passed first, "stalled" when the iteration cap or a failed
-    line search came first, or "candidate-fallback".
+    Each step builds its ``Problem``, kept as ``problem`` until the next,
+    and solves it once in real time, warm-started at the shifted previous
+    plan. The applied plan is the cheaper feasible one of the first
+    feasible SQP iterate and the shifted candidate; its status is
+    "iterate", "optimal" when the step test passed first, "stalled" when
+    the iteration cap or a failed line search came first, or
+    "candidate-fallback".
     """
 
     def __init__(self, w, cert, spec, config=None):
@@ -419,25 +398,42 @@ class Controller:
         self.config = config or ControllerConfig()
         self.sched = build_schedule(cert, spec, self.config.horizon)
         self.term = TerminalData(P_f=compute_pf(cert.A_delta, self.config.q_weight))
+        bounds = []
+        for name in ("y_lb", "y_ub"):
+            bound = np.atleast_1d(np.asarray(getattr(self.config, name), dtype=float))
+            if bound.shape not in ((1,), (w.p,)):
+                raise DimensionError(f"{name} has shape {bound.shape}; "
+                                     f"the model has {w.p} output(s)")
+            bounds.append(np.broadcast_to(bound, (w.p,)))
+        self.y_lb, self.y_ub = bounds
+        bad = np.flatnonzero(~(self.y_lb < self.y_ub))
+        if bad.size:
+            raise ValueError(f"y_lb is not below y_ub on output {bad[0]}")
         self.e_o = self.config.e_o0
+        self.problem = None
         self.prev_solution = None
         self.prev_ref = None
 
+    def problem_at(self, x_hat, ref, y0):
+        """The tightened FHOCP at the current e_o from the estimate
+        ``x_hat`` toward ``ref``, with the terminal radius of the set-point
+        ``y0``; raises InfeasibleSetpointError outside the admissible band."""
+        sched, d_max, e_o, cfg = self.sched, self.spec.d_max, self.e_o, self.config
+        alpha = terminal_alpha(sched, self.term, self.w.W_y, y0, self.y_lb, self.y_ub,
+                               d_max, e_o)
+        n_h = sched.horizon
+        return Problem(self.w, x_hat, ref, sched.a[:n_h] * e_o + sched.b[:n_h] + d_max,
+                       self.y_lb, self.y_ub, self.term.P_f, alpha,
+                       cfg.q_weight, cfg.r_weight)
+
     def step(self, chi_hat, y0):
         """Compute the input for the current estimate and set-point."""
-        cfg = self.config
-        y_lb = np.atleast_1d(np.asarray(cfg.y_lb, dtype=float))
-        y_ub = np.atleast_1d(np.asarray(cfg.y_ub, dtype=float))
         ref = refcalc.solve_reference(self.w, y0, chi_hat.d,
                                       warm_start=self.prev_ref)
-        terminal_alpha(self.sched, self.term, self.w.W_y, y0, y_lb, y_ub,
-                       self.spec.d_max, self.e_o)
+        self.problem = self.problem_at(chi_hat.x, ref, y0)
         warm = shifted_candidate(self.prev_solution, ref.u_bar) \
             if self.prev_solution is not None else None
-        sol = solve_fhocp(self.w, self.spec, self.sched, self.term,
-                          chi_hat.x, self.e_o, ref, y_lb, y_ub, warm=warm,
-                          q_weight=cfg.q_weight, r_weight=cfg.r_weight,
-                          real_time=True)
+        sol = solve_fhocp(self.problem, warm=warm, real_time=True)
         self.prev_solution = sol
         self.prev_ref = ref
         self.e_o = eo_step(self.e_o, self.spec.rho_o, self.spec.w_bar)

@@ -9,6 +9,7 @@ set-point band.
 """
 
 import csv
+import dataclasses
 import pathlib
 import time
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from lstmpc import harness, lstm, mpc, observer, plant, refcalc, sysid
+from lstmpc.errors import InfeasibleSetpointError
 from lstmpc.lstm import LstmState
 from lstmpc.observer import AugmentedState
 
@@ -151,8 +153,9 @@ class TestCriterion5SolverOptimality:
     def test_matches_exhaustive_grid_on_random_instances(self, bench_w,
                                                          bench_cert, bench_spec):
         n_horizon = 2
-        sched = mpc.build_schedule(bench_cert, bench_spec, n_horizon)
-        term = mpc.TerminalData(P_f=mpc.compute_pf(bench_cert.A_delta, 1.0))
+        ctrl = mpc.Controller(bench_w, bench_cert, bench_spec,
+                              mpc.ControllerConfig(horizon=n_horizon))
+        sched = ctrl.sched
         rng = np.random.default_rng(16)
         grid = np.linspace(-1.0, 1.0, 201)
         uu0, uu1 = np.meshgrid(grid, grid, indexing="ij")
@@ -162,29 +165,28 @@ class TestCriterion5SolverOptimality:
         while solved < 20:
             y0 = rng.uniform(-0.3, 0.45)
             ref = refcalc.solve_reference(bench_w, [y0], [0.0])
-            e_o = rng.uniform(sched.e_bar_inf, 0.5)
+            ctrl.e_o = e_o = rng.uniform(sched.e_bar_inf, 0.5)
+            # the set-point check comes before the state is drawn
             try:
-                mpc.terminal_alpha(sched, term, bench_w.W_y, [y0], [-1.0],
-                                   [1.0], bench_spec.d_max, e_o)
-            except Exception:
+                problem = ctrl.problem_at(None, ref, [y0])
+            except InfeasibleSetpointError:
                 continue
             x_hat = LstmState(ref.x_bar.c + rng.uniform(-0.03, 0.03, bench_w.n),
                               ref.x_bar.h + rng.uniform(-0.03, 0.03, bench_w.n))
-            if mpc.candidate_violation(bench_w, bench_spec, sched, term, x_hat,
-                                       e_o, ref, [-1.0], [1.0],
-                                       np.tile(ref.u_bar, (2, 1))) > 0.0:
+            problem = dataclasses.replace(problem, x_hat=x_hat)
+            if problem.evaluate(np.tile(ref.u_bar, (2, 1)))[1].max() > 0.0:
                 continue
-            sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                                  x_hat, e_o, ref, [-1.0], [1.0])
+            sol = mpc.solve_fhocp(problem)
             assert sol.max_violation <= 1e-7
-            best = self._grid_best(bench_w, sched, term, ref, x_hat, e_o,
+            best = self._grid_best(bench_w, sched, problem, e_o,
                                    bench_spec.d_max, cand_u)
             assert sol.cost <= best + 1e-3
             solved += 1
 
     @staticmethod
-    def _grid_best(w, sched, term, ref, x_hat, e_o, d_max, cand_u):
+    def _grid_best(w, sched, problem, e_o, d_max, cand_u):
         """Vectorized independent evaluation of every grid input plan."""
+        ref, x_hat = problem.ref, problem.x_hat
         n_c = cand_u.shape[0]
         c = np.tile(x_hat.c, (n_c, 1))
         h = np.tile(x_hat.h, (n_c, 1))
@@ -208,8 +210,8 @@ class TestCriterion5SolverOptimality:
             h = zo * np.tanh(c)
         ev = np.stack([np.linalg.norm(c - ref.x_bar.c, axis=1),
                        np.linalg.norm(h - ref.x_bar.h, axis=1)], axis=1)
-        term_vals = np.einsum("ki,ij,kj->k", ev, term.P_f, ev)
-        feasible &= term_vals <= term.alpha_k ** 2 + 1e-12
+        term_vals = np.einsum("ki,ij,kj->k", ev, problem.P_f, ev)
+        feasible &= term_vals <= problem.alpha ** 2 + 1e-12
         cost += term_vals
         return float(np.min(cost[feasible]))
 

@@ -267,6 +267,19 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DomainViolationError"
 
+    @pytest.mark.parametrize("y_lb_phys, y_ub_phys", [(9.0, 6.0), (7.0, 7.0)])
+    def test_simulate_rejects_unordered_output_bounds(self, tmp_path, capsys,
+                                                      y_lb_phys, y_ub_phys):
+        sc_path = tmp_path / "sc.json"
+        tiny_physical_scenario(y_lb_phys=y_lb_phys, y_ub_phys=y_ub_phys).to_json(sc_path)
+        rc = cli.main(["simulate", "--scenario", str(sc_path),
+                       "--weights", str(ASSETS / "model.json"),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "y_lb is not below y_ub on output 0"}
+
     def test_simulate_requires_weights(self, tmp_path, capsys):
         sc = tiny_physical_scenario(duration_s=100.0)
         sc_path = tmp_path / "sc.json"

@@ -1,5 +1,6 @@
 """Unit tests for constraint tightening, terminal ingredients and the solver."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from lstmpc import lstm, mpc, observer, refcalc
-from lstmpc.errors import FeasibilityLossError, InfeasibleSetpointError
+from lstmpc.errors import DimensionError, FeasibilityLossError, InfeasibleSetpointError
 from lstmpc.observer import AugmentedState
 
 from conftest import random_invariant_state, small_net
@@ -102,7 +103,8 @@ class TestComputePf:
 
 
 class TestTerminalAlpha:
-    def test_symmetric_setpoint(self, bench_sched, bench_term, bench_w):
+    def test_symmetric_setpoint(self, bench_sched, bench_term, bench_w, bench_cert,
+                                bench_spec):
         # centered set-point with symmetric bounds: both sides give the
         # same radius, so alpha equals either one
         alpha = mpc.terminal_alpha(bench_sched, bench_term, bench_w.W_y,
@@ -112,7 +114,10 @@ class TestTerminalAlpha:
         expect = np.sqrt(bench_term.lam_min) / np.linalg.norm(bench_w.W_y[0]) \
             * (1.0 - margin)
         assert alpha == pytest.approx(expect, abs=1e-12)
-        assert bench_term.alpha_k == alpha
+        ctrl = mpc.Controller(bench_w, bench_cert, bench_spec,
+                              mpc.ControllerConfig(horizon=5, e_o0=0.2))
+        assert bench_spec.d_max == 0.1
+        assert ctrl.problem_at(None, None, [0.0]).alpha == alpha
 
     def test_uses_e_bar_inf_floor(self, bench_sched, bench_term, bench_w):
         # an error proxy below its asymptotic bound e_bar_inf gives the
@@ -159,17 +164,35 @@ class TestTerminalAlpha:
         np.testing.assert_allclose(hi, [1.0])
 
 
-def feasible_instance(w, cert, spec, seed, n_horizon, y0=0.1, e_o=None):
-    """A solvable problem instance near the equilibrium of y0."""
-    sched = mpc.build_schedule(cert, spec, n_horizon)
-    term = mpc.TerminalData(P_f=mpc.compute_pf(cert.A_delta, 1.0))
+def feasible_instance(w, cert, spec, seed, n_horizon, y0=0.1, y_ub=1.0):
+    """A solvable instance near the equilibrium of y0 at e_o = e_bar_inf:
+    (controller, its problem) for the output bounds [-1, y_ub]."""
+    ctrl = mpc.Controller(w, cert, spec,
+                          mpc.ControllerConfig(horizon=n_horizon, y_ub=y_ub))
+    ctrl.e_o = ctrl.sched.e_bar_inf
     ref = refcalc.solve_reference(w, [y0], [0.0])
-    e_o = sched.e_bar_inf if e_o is None else e_o
-    mpc.terminal_alpha(sched, term, w.W_y, [y0], [-1.0], [1.0], spec.d_max, e_o)
     rng = np.random.default_rng(seed)
     x_hat = lstm.LstmState(ref.x_bar.c + rng.uniform(-0.02, 0.02, w.n),
                            ref.x_bar.h + rng.uniform(-0.02, 0.02, w.n))
-    return sched, term, ref, x_hat, e_o
+    return ctrl, ctrl.problem_at(x_hat, ref, [y0])
+
+
+def with_y_ub(problem, y_ub):
+    """The problem with a new upper output bound and the same terminal radius."""
+    return dataclasses.replace(problem, y_ub=np.array([y_ub]))
+
+
+def oracle_cost(problem, u_seq):
+    """FHOCP cost written out apart from Problem.evaluate: weighted stage and
+    input terms plus the terminal ev' P_f ev."""
+    ref, n_h = problem.ref, len(u_seq)
+    c, h, _ = lstm.rollout(problem.w, problem.x_hat.c, problem.x_hat.h, u_seq)
+    dx = np.hstack([c[:n_h], h[:n_h]]) - np.concatenate([ref.x_bar.c, ref.x_bar.h])
+    ev = np.array([np.linalg.norm(c[n_h] - ref.x_bar.c),
+                   np.linalg.norm(h[n_h] - ref.x_bar.h)])
+    return float(problem.q_weight * np.sum(dx ** 2)
+                 + problem.r_weight * np.sum((u_seq - ref.u_bar) ** 2)
+                 + ev @ problem.P_f @ ev)
 
 
 class TestConstraints:
@@ -179,97 +202,74 @@ class TestConstraints:
         w = small_net(seed=2, n=3, m=2, p=2)
         sched = mpc.build_schedule(fake_cert(c_s=(1.5, 0.7)),
                                    fake_spec(c_o=(3.0, 2.0)), n_horizon)
-        term = mpc.TerminalData(P_f=[[2.0, 0.3], [0.3, 1.0]], alpha_k=0.4)
+        p_f, alpha = np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4
         rng = np.random.default_rng(n_horizon)
-        ref = SimpleNamespace(x_bar=random_invariant_state(w, rng))
+        ref = SimpleNamespace(x_bar=random_invariant_state(w, rng), u_bar=np.full(w.m, 0.1))
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_horizon, w.m))
         c, h, _ = lstm.rollout(w, x0.c, x0.h, u)
         y_lb, y_ub, e_o, d_max = np.array([-0.9, -1.0]), np.array([1.0, 0.8]), 0.2, 0.1
-        expect = []
+        expect, tight = [], []
         for i in range(n_horizon):
             y = w.W_y @ h[i] + w.b_y
-            tight = sched.a[i] * e_o + sched.b[i] + d_max
-            expect += [y + tight - y_ub, y_lb + tight - y]
+            tight.append(sched.a[i] * e_o + sched.b[i] + d_max)
+            expect += [y + tight[i] - y_ub, y_lb + tight[i] - y]
         ev = np.array([np.linalg.norm(c[-1] - ref.x_bar.c),
                        np.linalg.norm(h[-1] - ref.x_bar.h)])
-        expect.append([ev @ term.P_f @ ev - term.alpha_k ** 2])
-        g, ev_out = mpc._constraints(w, mpc._tightening(sched, e_o, d_max), term,
-                                     ref, y_lb, y_ub, c, h)
+        expect.append([ev @ p_f @ ev - alpha ** 2])
+        problem = mpc.Problem(w, x0, ref, np.array(tight), y_lb, y_ub, p_f, alpha,
+                              q_weight=2.0, r_weight=0.5)
+        cost, g, aux = problem.evaluate(u)
         np.testing.assert_allclose(g, np.concatenate(expect), rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(ev_out, ev)
+        np.testing.assert_array_equal(aux[3], ev)
+        assert cost == pytest.approx(oracle_cost(problem, u), rel=1e-12)
 
 
 class TestSolveFhocp:
     def test_equilibrium_is_optimal(self, bench_w, bench_cert, bench_spec):
-        sched, term, ref, _, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, 0, 5)
-        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                              ref.x_bar, e_o, ref, [-1.0], [1.0])
+        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 0, 5)
+        ref = problem.ref
+        sol = mpc.solve_fhocp(dataclasses.replace(problem, x_hat=ref.x_bar))
         np.testing.assert_allclose(sol.u_seq, np.tile(ref.u_bar, (5, 1)), atol=1e-7)
         assert sol.cost < 1e-12
         assert sol.max_violation <= 1e-7
 
     def test_matches_grid_oracle(self, bench_w, bench_cert, bench_spec):
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, 1, 2)
-        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                              x_hat, e_o, ref, [-1.0], [1.0])
+        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 1, 2)
+        sol = mpc.solve_fhocp(problem)
         assert sol.max_violation <= 1e-7
         grid = np.linspace(-1.0, 1.0, 201)
+        assert bench_w.u_max == 1.0       # every grid plan is inside the input box
         best = np.inf
         for u0 in grid:
             for u1 in grid:
                 u_seq = np.array([[u0], [u1]])
-                if mpc.candidate_violation(bench_w, bench_spec, sched, term,
-                                           x_hat, e_o, ref, [-1.0], [1.0],
-                                           u_seq) > 0.0:
+                if problem.evaluate(u_seq)[1].max() > 0.0:
                     continue
-                c, h, _ = lstm.rollout(bench_w, x_hat.c, x_hat.h, u_seq)
-                dx = np.hstack([c[:2], h[:2]]) - np.concatenate(
-                    [ref.x_bar.c, ref.x_bar.h])
-                ev = np.array([np.linalg.norm(c[2] - ref.x_bar.c),
-                               np.linalg.norm(h[2] - ref.x_bar.h)])
-                cost = float(np.sum(dx ** 2) + np.sum((u_seq - ref.u_bar) ** 2)
-                             + ev @ term.P_f @ ev)
-                best = min(best, cost)
+                best = min(best, oracle_cost(problem, u_seq))
         assert sol.cost <= best + 1e-3
 
     def test_warm_start_at_optimum_returns_quickly(self, bench_w, bench_cert,
                                                    bench_spec):
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, 2, 5)
-        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                              x_hat, e_o, ref, [-1.0], [1.0])
-        again = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                                x_hat, e_o, ref, [-1.0], [1.0], warm=sol.u_seq)
+        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5)
+        sol = mpc.solve_fhocp(problem)
+        again = mpc.solve_fhocp(problem, warm=sol.u_seq)
         assert again.cost <= sol.cost + 1e-9
         assert again.solver_iterations <= sol.solver_iterations
 
     def test_never_worse_than_candidate(self, bench_w, bench_cert, bench_spec):
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, 3, 5)
-        warm = np.tile(ref.u_bar, (5, 1)) + 0.05
-        cand_violation = mpc.candidate_violation(
-            bench_w, bench_spec, sched, term, x_hat, e_o, ref, [-1.0], [1.0], warm)
-        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                              x_hat, e_o, ref, [-1.0], [1.0], warm=warm)
+        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 3, 5)
+        warm = np.tile(problem.ref.u_bar, (5, 1)) + 0.05
+        assert np.max(np.abs(warm)) <= bench_w.u_max   # the solve keeps it as is
+        cand_violation = problem.evaluate(warm)[1].max()
+        sol = mpc.solve_fhocp(problem, warm=warm)
         assert sol.candidate_violation == pytest.approx(cand_violation, abs=1e-12)
         if cand_violation <= 1e-7:
-            c, h, _ = lstm.rollout(bench_w, x_hat.c, x_hat.h, warm)
-            dx = np.hstack([c[:5], h[:5]]) - np.concatenate(
-                [ref.x_bar.c, ref.x_bar.h])
-            ev = np.array([np.linalg.norm(c[5] - ref.x_bar.c),
-                           np.linalg.norm(h[5] - ref.x_bar.h)])
-            cand_cost = float(np.sum(dx ** 2) + np.sum((warm - ref.u_bar) ** 2)
-                              + ev @ term.P_f @ ev)
-            assert sol.cost <= cand_cost + 1e-9
+            assert sol.cost <= oracle_cost(problem, warm) + 1e-9
 
     def test_solution_shapes(self, bench_w, bench_cert, bench_spec):
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, 4, 5)
-        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                              x_hat, e_o, ref, [-1.0], [1.0])
+        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 4, 5)
+        sol = mpc.solve_fhocp(problem)
         assert sol.u_seq.shape == (5, bench_w.m)
         assert np.max(np.abs(sol.u_seq)) <= bench_w.u_max + 1e-12
 
@@ -345,45 +345,27 @@ class TestFhocpKkt:
                                    n_horizon, active):
         nnls = pytest.importorskip("scipy.optimize").nnls
         w, y0 = bench_w, 0.1
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            w, bench_cert, bench_spec, 2, n_horizon, y0=y0)
+        ctrl, problem = feasible_instance(w, bench_cert, bench_spec, 2, n_horizon, y0=y0)
         if active == "output":
             # below the unconstrained plan's tightened stage-1 output
-            y_ub = 0.30
+            problem = with_y_ub(problem, 0.30)
         else:
             # shrink the terminal radius through the set-point margin
-            _, hi = mpc.admissible_band(sched, -1.0, 1.0,
-                                        bench_spec.d_max, e_o)
+            _, hi = mpc.admissible_band(ctrl.sched, -1.0, 1.0,
+                                        bench_spec.d_max, ctrl.e_o)
             y_ub = 1.0 - (hi[0] - y0) + {5: 0.075, 10: 0.03}[n_horizon]
-            mpc.terminal_alpha(sched, term, w.W_y, [y0], [-1.0], [y_ub],
-                               bench_spec.d_max, e_o)
-        sol = mpc.solve_fhocp(w, bench_spec, sched, term,
-                              x_hat, e_o, ref, [-1.0], [y_ub])
+            _, problem = feasible_instance(w, bench_cert, bench_spec, 2, n_horizon,
+                                           y0=y0, y_ub=y_ub)
+        sol = mpc.solve_fhocp(problem)
         assert sol.status == "optimal"
-        tight = mpc._tightening(sched, e_o, bench_spec.d_max)
-        x_bar = np.concatenate([ref.x_bar.c, ref.x_bar.h])
-
-        def cost(u_seq):
-            c, h, _ = lstm.rollout(w, x_hat.c, x_hat.h, u_seq)
-            dx = np.hstack([c[:n_horizon], h[:n_horizon]]) - x_bar
-            ev = np.array([np.linalg.norm(c[-1] - ref.x_bar.c),
-                           np.linalg.norm(h[-1] - ref.x_bar.h)])
-            return float(np.sum(dx ** 2) + np.sum((u_seq - ref.u_bar) ** 2)
-                         + ev @ term.P_f @ ev)
-
-        def constraints(u_seq):
-            c, h, _ = lstm.rollout(w, x_hat.c, x_hat.h, u_seq)
-            return mpc._constraints(w, tight, term, ref, np.array([-1.0]),
-                                    np.array([y_ub]), c, h)[0]
-
         u = sol.u_seq
-        g = constraints(u)
+        g = problem.evaluate(u)[1]
         assert np.max(g) <= 1e-7
         # the targeted rows: the outputs of stages 1..N-1 or the terminal set
         rows = np.arange(2, len(g) - 1) if active == "output" else [len(g) - 1]
         assert np.max(g[rows]) >= -1e-7
-        grad = _fd_jacobian(cost, u)[0]
-        jac = _fd_jacobian(constraints, u)
+        grad = _fd_jacobian(lambda v: oracle_cost(problem, v), u)[0]
+        jac = _fd_jacobian(lambda v: problem.evaluate(v)[1], u)
         act = np.flatnonzero(g >= -1e-6)
         normals = [jac[i] for i in act]
         for j, u_j in enumerate(u.ravel()):      # active input bounds
@@ -396,23 +378,18 @@ class TestFhocpKkt:
     def test_unreachable_terminal_set_raises(self, bench_w, bench_cert, bench_spec):
         # a terminal radius too small to reach in 5 steps from an
         # infeasible candidate: no plan, so the solve reports the loss
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, 2, 5)
-        _, hi = mpc.admissible_band(sched, -1.0, 1.0, bench_spec.d_max, e_o)
+        ctrl, _ = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5)
+        _, hi = mpc.admissible_band(ctrl.sched, -1.0, 1.0, bench_spec.d_max, ctrl.e_o)
         y_ub = 1.0 - (hi[0] - 0.1) + 0.04
-        mpc.terminal_alpha(sched, term, bench_w.W_y, [0.1], [-1.0], [y_ub],
-                           bench_spec.d_max, e_o)
+        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5, y_ub=y_ub)
         with pytest.raises(FeasibilityLossError, match="candidate violation"):
-            mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                            x_hat, e_o, ref, [-1.0], [y_ub])
+            mpc.solve_fhocp(problem)
 
     def test_warm_start_at_kkt_point_stays(self, bench_w, bench_cert, bench_spec):
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, 2, 10)
-        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                              x_hat, e_o, ref, [-1.0], [0.30])
-        again = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                                x_hat, e_o, ref, [-1.0], [0.30], warm=sol.u_seq)
+        problem = with_y_ub(feasible_instance(bench_w, bench_cert, bench_spec, 2, 10)[1],
+                            0.30)
+        sol = mpc.solve_fhocp(problem)
+        again = mpc.solve_fhocp(problem, warm=sol.u_seq)
         np.testing.assert_allclose(again.u_seq, sol.u_seq, atol=1e-8)
         assert again.solver_iterations <= 2
 
@@ -423,23 +400,21 @@ class TestStatus:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_iteration_cap_is_stalled(self, bench_w, bench_cert, bench_spec, seed):
         # an active output bound: the SQP converges only linearly here
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, seed, 10)
-        sol = mpc.solve_fhocp(bench_w, bench_spec, sched, term,
-                              x_hat, e_o, ref, [-1.0], [0.30])
+        problem = with_y_ub(feasible_instance(bench_w, bench_cert, bench_spec, seed, 10)[1],
+                            0.30)
+        sol = mpc.solve_fhocp(problem)
         assert sol.solver_iterations == mpc._SQP_MAX_ITER
         assert sol.status == "stalled"
         assert sol.max_violation <= 1e-7
 
     def test_failed_line_search_is_stalled(self, bench_w, bench_cert, bench_spec,
                                            monkeypatch):
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, 2, 10)
-        args = (bench_w, bench_spec, sched, term, x_hat, e_o, ref, [-1.0], [0.30])
-        assert mpc.solve_fhocp(*args).status == "optimal"
+        problem = with_y_ub(feasible_instance(bench_w, bench_cert, bench_spec, 2, 10)[1],
+                            0.30)
+        assert mpc.solve_fhocp(problem).status == "optimal"
         # two step halvings are too few on this instance after a few iterations
         monkeypatch.setattr(mpc, "_LINE_SEARCH_MAX", 2)
-        sol = mpc.solve_fhocp(*args)
+        sol = mpc.solve_fhocp(problem)
         assert 1 < sol.solver_iterations < mpc._SQP_MAX_ITER
         assert sol.status == "stalled"
 
@@ -451,14 +426,13 @@ class TestRealTimeIteration:
     @pytest.mark.parametrize("n_horizon, y_ub", [(5, 1.0), (10, 1.0), (10, 0.30)])
     def test_warm_started_calls_reach_converged_plan(self, bench_w, bench_cert,
                                                      bench_spec, n_horizon, y_ub):
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, 2, n_horizon)
-        args = (bench_w, bench_spec, sched, term, x_hat, e_o, ref, [-1.0], [y_ub])
-        converged = mpc.solve_fhocp(*args)
+        problem = with_y_ub(
+            feasible_instance(bench_w, bench_cert, bench_spec, 2, n_horizon)[1], y_ub)
+        converged = mpc.solve_fhocp(problem)
         assert converged.status == "optimal"
         warm = None
         for _ in range(30):
-            sol = mpc.solve_fhocp(*args, warm=warm, real_time=True)
+            sol = mpc.solve_fhocp(problem, warm=warm, real_time=True)
             assert sol.max_violation <= 1e-7
             if np.max(np.abs(sol.u_seq - converged.u_seq)) <= 1e-8:
                 break
@@ -469,18 +443,17 @@ class TestRealTimeIteration:
     def test_infeasible_start_iterates_to_first_feasible_iterate(
             self, bench_w, bench_cert, bench_spec, monkeypatch):
         # at y_ub = 0.30 the constant u_bar plan violates the output bound
-        sched, term, ref, x_hat, e_o = feasible_instance(
-            bench_w, bench_cert, bench_spec, 2, 10)
-        args = (bench_w, bench_spec, sched, term, x_hat, e_o, ref, [-1.0], [0.30])
-        sol = mpc.solve_fhocp(*args, real_time=True)
+        problem = with_y_ub(feasible_instance(bench_w, bench_cert, bench_spec, 2, 10)[1],
+                            0.30)
+        sol = mpc.solve_fhocp(problem, real_time=True)
         assert sol.candidate_violation > 0.1
         assert sol.status == "iterate"
         assert sol.max_violation <= 1e-7
-        assert 1 < sol.solver_iterations < mpc.solve_fhocp(*args).solver_iterations
+        assert 1 < sol.solver_iterations < mpc.solve_fhocp(problem).solver_iterations
         # one iteration fewer leaves no feasible iterate and no feasible fallback
         monkeypatch.setattr(mpc, "_SQP_MAX_ITER", sol.solver_iterations - 1)
         with pytest.raises(FeasibilityLossError):
-            mpc.solve_fhocp(*args, real_time=True)
+            mpc.solve_fhocp(problem, real_time=True)
 
 
 class TestShiftedCandidate:
@@ -491,6 +464,30 @@ class TestShiftedCandidate:
 
 
 class TestController:
+    def test_problem_at_current_e_o(self, bench_w, bench_cert, bench_spec):
+        ctrl, problem = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5)
+        sched, e_o = ctrl.sched, ctrl.e_o
+        for i in range(5):
+            np.testing.assert_array_equal(
+                problem.tight[i], sched.a[i] * e_o + sched.b[i] + bench_spec.d_max)
+        assert problem.tight.shape == (5, 1)
+        assert problem.alpha == mpc.terminal_alpha(sched, ctrl.term, bench_w.W_y, [0.1],
+                                                   [-1.0], [1.0], bench_spec.d_max, e_o)
+        np.testing.assert_array_equal(problem.y_lb, [-1.0])
+        np.testing.assert_array_equal(problem.y_ub, [1.0])
+        assert problem.P_f is ctrl.term.P_f
+
+    @pytest.mark.parametrize("y_lb, y_ub", [(0.5, -0.5), (0.2, 0.2), (np.nan, 1.0)])
+    def test_rejects_bounds_not_ordered(self, bench_w, bench_cert, bench_spec, y_lb, y_ub):
+        cfg = mpc.ControllerConfig(y_lb=y_lb, y_ub=y_ub)
+        with pytest.raises(ValueError, match="not below y_ub on output 0"):
+            mpc.Controller(bench_w, bench_cert, bench_spec, cfg)
+
+    def test_rejects_bounds_of_wrong_shape(self, bench_w, bench_cert, bench_spec):
+        cfg = mpc.ControllerConfig(y_ub=np.array([0.8, 0.9, 1.0]))
+        with pytest.raises(DimensionError, match=r"y_ub has shape \(3,\)"):
+            mpc.Controller(bench_w, bench_cert, bench_spec, cfg)
+
     def test_tracks_equilibrium(self, bench_w, bench_cert, bench_spec):
         cfg = mpc.ControllerConfig(horizon=5, e_o0=0.05)
         ctrl = mpc.Controller(bench_w, bench_cert, bench_spec, cfg)
@@ -508,7 +505,7 @@ class TestController:
                                                     bench_spec):
         ctrl = mpc.Controller(bench_w, bench_cert, bench_spec,
                               mpc.ControllerConfig(horizon=5, e_o0=0.05))
-        x_hat = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5)[3]
+        x_hat = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5)[1].x_hat
         chi = AugmentedState(x_hat, np.zeros(1))
         for _ in range(3):
             u, sol, _ = ctrl.step(chi, np.array([0.1]))
@@ -529,6 +526,7 @@ class TestController:
         u, sol, _ = ctrl.step(AugmentedState(ref.x_bar.copy(), np.zeros(2)), y0)
         np.testing.assert_allclose(u, ref.u_bar, atol=1e-6)
         assert sol.max_violation <= 1e-7
+        np.testing.assert_array_equal(ctrl.problem.y_ub, [1.0, 1.0])
         alpha = mpc.terminal_alpha(ctrl.sched, ctrl.term, w.W_y, y0, [-1.0, -1.0],
                                    [1.0, 1.0], spec.d_max, 0.05)
         assert alpha > 0.0
