@@ -1,16 +1,16 @@
 """Equilibrium reference calculator.
 
-Solves the coupled steady-state equations x = f(x, u), y0 = g(x) + d_hat
-for the model state/input pair tracked by the controller by Newton's
-method. Each iterate takes one ``lstm`` kernel step: the residual reads
-its next state, and the analytic Jacobian, built only while the residual
-is not yet small enough, its local derivative factors. The module also
-estimates the worst-case sensitivity of that equilibrium to
-set-point/disturbance changes (used to reason about how fast the
-set-point may move).
-"""
+Solves x = f(x, u), y0 = g(x) + d_hat for the model state/input pair the
+controller tracks. Only y0 - d_hat enters, so the equilibria form a curve
+in it, which ``_track`` follows by predictor-corrector continuation
+(Allgower & Georg, *Numerical Continuation Methods*, 1990). The corrector
+is Newton's method on one ``lstm`` kernel step per iterate (residual from
+its next state, analytic Jacobian from its local factors). Each solved
+pair carries the curve's tangent, the equilibrium's sensitivity to
+y0 - d_hat, from which K_bar bounds how fast the set-point may move."""
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +24,13 @@ _TOL = 1e-10     # max |residual| of an accepted equilibrium
 
 @dataclass
 class ReferencePair:
-    """Model equilibrium consistent with a set-point and disturbance estimate."""
+    """Model equilibrium consistent with a set-point and disturbance estimate;
+    ``tangent`` is d(c, h, u)/d(y0 - d_hat) = J^-1 [0; I] there, if known."""
 
     x_bar: LstmState
     u_bar: np.ndarray
     residual: float
+    tangent: np.ndarray | None = None
 
 
 def _cell_step(w, xi):
@@ -74,7 +76,12 @@ def _jacobian(w, cell):
 
 
 def _newton(w, xi, y0_eff):
-    """Newton's method from xi, one cell step per iterate; at most 50 steps."""
+    """Newton's method from xi, one cell step per iterate; at most 50 steps.
+
+    Returns (xi, residual, Jacobian) at the accepted iterate, the Jacobian
+    from the cell step that passed the residual test. An accepted input
+    outside the +-u_max box raises like a diverging iteration.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # a diverging iterate may overflow
         for it in range(51):               # 50 steps, then a last residual test
@@ -82,7 +89,10 @@ def _newton(w, xi, y0_eff):
             r = _residual(w, xi, y0_eff, cell)
             res = float(np.max(np.abs(r)))
             if res < _TOL:
-                return xi, res
+                if np.max(np.abs(xi[2 * w.n:])) > w.u_max + 1e-9:
+                    raise InfeasibleReferenceError(
+                        f"equilibrium input {xi[2 * w.n:]} outside the +-{w.u_max} box")
+                return xi, res, _jacobian(w, cell)
             if it == 50:
                 break
             jac = _jacobian(w, cell)
@@ -104,59 +114,49 @@ def _cold_start(w):
     return np.concatenate([x.c, x.h, u])
 
 
-def _continuation(w, xi0, y0_eff):
-    """Walk the target from the start point's own output in 10 sub-steps."""
-    x0 = LstmState(xi0[:w.n], xi0[w.n:2 * w.n])
-    y_start = w.W_y @ x0.h + w.b_y
-    xi = xi0.copy()
-    for step_frac in np.linspace(0.1, 1.0, 10):
-        target = y_start + step_frac * (y0_eff - y_start)
-        xi, res = _newton(w, xi, target)
-    return xi, res
+def _track(w, xi, tangent, y0_eff):
+    """Follow the equilibrium curve from xi's own output W_y h + b_y to y0_eff.
+
+    Each step predicts along the tangent (not on a start without one) and
+    corrects with ``_newton``; a failed corrector halves the step, a
+    success doubles it. Returns (xi, residual, tangent) at y0_eff, and
+    raises once the step falls below 1/1024 of the path.
+    """
+    n = w.n
+    delta = y0_eff - (w.W_y @ xi[n:2 * n] + w.b_y)
+    rhs = np.vstack([np.zeros((2 * n, w.p)), np.eye(w.p)])   # -dF/dy0_eff
+    done, step = 0.0, 1.0
+    while done < 1.0:
+        step = min(step, 1.0 - done)   # dyadic, so the last sub-target is y0_eff
+        guess = xi if tangent is None else xi + tangent @ (step * delta)
+        try:
+            xi, res, jac = _newton(w, guess, y0_eff - (1.0 - done - step) * delta)
+        except InfeasibleReferenceError:
+            step /= 2
+            if step < 1 / 1024:
+                raise
+            continue
+        tangent = np.linalg.solve(jac, rhs)
+        done += step
+        step *= 2
+    return xi, res, tangent
 
 
 def solve_reference(w, y0, d_hat, warm_start=None):
-    """Newton solve of the equilibrium system, with continuation fallback.
-
-    If plain Newton from the warm start diverges, the effective target is
-    walked from a known-solvable point in 10 linear sub-steps — first from
-    the warm start's own output, and if that also diverges (the warm start
-    need not be an equilibrium at all), from the attractor of u = 0, which
-    is one by construction.
-    """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    d_hat = np.atleast_1d(np.asarray(d_hat, dtype=float))
+    """Equilibrium for y0 - d_hat, tracked from the warm start; without one,
+    or if that fails (a warm start need not be an equilibrium at all), from
+    the attractor of u = 0, which is one by construction."""
     if w.m != w.p:
         raise InfeasibleReferenceError("reference calculation needs m == p")
-    y0_eff = y0 - d_hat
+    y0_eff = np.atleast_1d(np.subtract(y0, d_hat, dtype=float))
+    tracked = None
     if warm_start is not None:
         xi0 = np.concatenate([warm_start.x_bar.c, warm_start.x_bar.h, warm_start.u_bar])
-    else:
-        xi0 = _cold_start(w)
-    try:
-        xi, res = _newton(w, xi0.copy(), y0_eff)
-    except InfeasibleReferenceError:
-        try:
-            xi, res = _continuation(w, xi0, y0_eff)
-        except InfeasibleReferenceError:
-            xi, res = _continuation(w, _cold_start(w), y0_eff)
+        with suppress(InfeasibleReferenceError):
+            tracked = _track(w, xi0, warm_start.tangent, y0_eff)
+    xi, res, tangent = tracked or _track(w, _cold_start(w), None, y0_eff)
     n = w.n
-    u_bar = xi[2 * n:]
-    if np.max(np.abs(u_bar)) > w.u_max + 1e-9:
-        raise InfeasibleReferenceError(
-            f"equilibrium input {u_bar} outside the +-{w.u_max} box")
-    return ReferencePair(LstmState(xi[:n], xi[n:2 * n]), u_bar, res)
-
-
-def reference_sensitivity(w, ref):
-    """d(x_bar, u_bar)/d(y0 - d_hat) at a solved reference (implicit function).
-
-    The Jacobian of the equilibrium equations does not depend on the target.
-    """
-    xi = np.concatenate([ref.x_bar.c, ref.x_bar.h, ref.u_bar])
-    jac = _jacobian(w, _cell_step(w, xi))
-    rhs = np.vstack([np.zeros((2 * w.n, w.p)), np.eye(w.p)])
-    return np.linalg.solve(jac, rhs)   # = -J^-1 dF/dy0_eff, dF/dy0_eff = -[0; I]
+    return ReferencePair(LstmState(xi[:n], xi[n:2 * n]), xi[2 * n:], res, tangent)
 
 
 def estimate_k_bar(w, y0_range, d_range=(0.0, 0.0), grid_density=9):
@@ -179,8 +179,7 @@ def estimate_k_bar(w, y0_range, d_range=(0.0, 0.0), grid_density=9):
                 failed.append((float(y0), float(d)))
                 continue
             warm = ref
-            sens = reference_sensitivity(w, ref)
-            k = float(np.linalg.norm(sens[:2 * w.n], 2))
+            k = float(np.linalg.norm(ref.tangent[:2 * w.n], 2))
             if k > k_bar:
                 k_bar, arg = k, (float(y0), float(d))
     if failed:

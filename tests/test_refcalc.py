@@ -43,21 +43,25 @@ def oracle_jacobian(w, xi):
 
 def oracle_newton(w, xi, y0_eff):
     """Reference Newton: the residual and the Jacobian each evaluate the
-    cell, and the singularity test is ``np.linalg.cond``."""
+    cell, and the singularity test is ``np.linalg.cond``. Returns (xi,
+    residual, Jacobian at xi) and rejects an input outside the +-u_max box."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(50):
             r = oracle_residual(w, xi, y0_eff)
             if np.max(np.abs(r)) < refcalc._TOL:
-                return xi, float(np.max(np.abs(r)))
+                break
             jac = oracle_jacobian(w, xi)
             if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e12:
                 raise InfeasibleReferenceError("equilibrium Jacobian is singular")
             xi = xi + np.linalg.solve(jac, -r)
-        r = oracle_residual(w, xi, y0_eff)
-    if np.max(np.abs(r)) < refcalc._TOL:
-        return xi, float(np.max(np.abs(r)))
-    raise InfeasibleReferenceError("Newton iteration did not converge")
+        else:
+            r = oracle_residual(w, xi, y0_eff)
+    if not np.max(np.abs(r)) < refcalc._TOL:
+        raise InfeasibleReferenceError("Newton iteration did not converge")
+    if np.max(np.abs(xi[2 * w.n:])) > w.u_max + 1e-9:
+        raise InfeasibleReferenceError("equilibrium input outside the box")
+    return xi, float(np.max(np.abs(r))), oracle_jacobian(w, xi)
 
 
 def fd_jacobian(w, xi, y0_eff, eps=1e-6):
@@ -72,6 +76,17 @@ def fd_jacobian(w, xi, y0_eff, eps=1e-6):
         jac[:, j] = (oracle_residual(w, xp, y0_eff)
                      - oracle_residual(w, xm, y0_eff)) / (2 * eps)
     return jac
+
+
+def counted(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends ``name`` to ``calls``."""
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def attractor(w, u, steps=800):
@@ -129,6 +144,27 @@ class TestSolveReference:
         with pytest.raises(InfeasibleReferenceError):
             refcalc.solve_reference(bench_w, [5.0], [0.0])
 
+    def test_unreachable_target_cold_starts_once(self, bench_w, monkeypatch):
+        calls = []
+        counted(monkeypatch, lstm, "step", calls)
+        with pytest.raises(InfeasibleReferenceError):
+            refcalc.solve_reference(bench_w, [5.0], [0.0])
+        assert len(calls) == 500
+
+    def test_warm_tangent_predicts_past_the_warm_start(self, bench_w, monkeypatch):
+        ref = refcalc.solve_reference(bench_w, [0.1], [0.0])
+        xi0 = np.concatenate([ref.x_bar.c, ref.x_bar.h, ref.u_bar])
+        seen = []
+        cell_step = refcalc._cell_step
+
+        def spy(w, xi):
+            seen.append(xi.copy())
+            return cell_step(w, xi)
+
+        monkeypatch.setattr(refcalc, "_cell_step", spy)
+        refcalc.solve_reference(bench_w, [0.12], [0.0], warm_start=ref)
+        assert seen and not any(np.array_equal(xi, xi0) for xi in seen)
+
     def test_rejects_non_square_model(self):
         w = small_net(seed=0, n=3, m=2, p=1)
         with pytest.raises(InfeasibleReferenceError):
@@ -151,8 +187,8 @@ class TestJacobian:
 
 
 class TestNewtonOracle:
-    """``solve_reference`` equals the reference two-evaluation Newton
-    exactly, on every path it can take."""
+    """``solve_reference`` equals the tracker run on the reference
+    two-evaluation Newton exactly, on every path it can take."""
 
     @staticmethod
     def _cases(w, rng, count=30):
@@ -173,32 +209,35 @@ class TestNewtonOracle:
 
     @staticmethod
     def _solve(w, y0, d_hat, warm):
-        """(c, h, u_bar, residual) of the solve, None if it raised."""
+        """(c, h, u_bar, residual, tangent) of the solve, None if it raised."""
         try:
             ref = refcalc.solve_reference(w, y0, d_hat, warm_start=warm)
         except InfeasibleReferenceError:
             return None
-        return ref.x_bar.c, ref.x_bar.h, ref.u_bar, ref.residual
+        return ref.x_bar.c, ref.x_bar.h, ref.u_bar, ref.residual, ref.tangent
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     def test_equals_two_evaluation_newton(self, net, bench_w, monkeypatch):
         w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
         cases = self._cases(w, np.random.default_rng(7))
-        continuations = []
-        continuation = refcalc._continuation
-
-        def counted(*args):
-            continuations.append(1)
-            return continuation(*args)
-
-        monkeypatch.setattr(refcalc, "_continuation", counted)
+        if net == "bench":
+            # From this solved pair (it carries a tangent) the full step to
+            # the target fails and two half steps succeed.
+            warm = refcalc.solve_reference(w, [0.02434732], [0.0])
+            cases.append((np.array([-0.9519736]), np.zeros(1), warm))
+        calls = []
+        counted(monkeypatch, refcalc, "_newton", calls)
+        counted(monkeypatch, refcalc, "_cold_start", calls)
         got, paths = [], []
         for case in cases:
-            continuations.clear()
+            calls.clear()
             got.append(self._solve(w, *case))
-            paths.append(len(continuations))
-        # 0: warm Newton, 1: warm continuation, 2: cold continuation
-        assert set(paths) == {0, 1, 2}
+            paths.append("cold restart" if "_cold_start" in calls
+                         else "one step" if calls == ["_newton"] else "halved steps")
+        reached = {"one step", "halved steps", "cold restart"}
+        if net == "small":   # its nearly linear curve never needs a halved step
+            reached.remove("halved steps")
+        assert set(paths) == reached
         assert None in got and any(g is not None for g in got)
         monkeypatch.setattr(refcalc, "_newton", oracle_newton)
         want = [self._solve(w, *case) for case in cases]
@@ -213,7 +252,7 @@ class TestSensitivity:
     def test_matches_finite_differences(self, bench_w):
         y0 = 0.1
         ref = refcalc.solve_reference(bench_w, [y0], [0.0])
-        sens = refcalc.reference_sensitivity(bench_w, ref)
+        sens = ref.tangent
         eps = 1e-5
         hi = refcalc.solve_reference(bench_w, [y0 + eps], [0.0], warm_start=ref)
         lo = refcalc.solve_reference(bench_w, [y0 - eps], [0.0], warm_start=ref)
@@ -225,8 +264,7 @@ class TestSensitivity:
         y0 = 0.05
         k_bar, arg = refcalc.estimate_k_bar(bench_w, (y0, y0), grid_density=1)
         ref = refcalc.solve_reference(bench_w, [y0], [0.0])
-        sens = refcalc.reference_sensitivity(bench_w, ref)
-        assert k_bar == pytest.approx(np.linalg.norm(sens[:2 * bench_w.n], 2),
+        assert k_bar == pytest.approx(np.linalg.norm(ref.tangent[:2 * bench_w.n], 2),
                                       abs=1e-9)
         assert arg == (y0, 0.0)
 
