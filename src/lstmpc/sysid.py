@@ -7,7 +7,9 @@ certifiable. Training only terminates once both margins are negative.
 """
 
 import csv
+import functools
 import json
+import os
 import pathlib
 from dataclasses import dataclass
 
@@ -52,6 +54,22 @@ class Dataset:
         return list(self.train) + list(self.val) + list(self.test)
 
 
+def _excite(params, seed, steps, t_s, hold_range):
+    """Simulate one excitation sequence from the nominal equilibrium.
+
+    Returns the raw (u_phi, y_phi). The plant is called through the
+    ``plant`` module at call time, so a wrapper installed there sees
+    every call.
+    """
+    u_phi = generate_excitation(seed, plant.U_PHI_RANGE, hold_range, steps)
+    x = plant.equilibrium(params)
+    y_phi = np.empty(steps)
+    for k in range(steps):
+        y_phi[k] = plant.measure_ph(params, x)
+        x = plant.plant_step(params, x, u_phi[k], params.q2_nominal, t_s)
+    return u_phi, y_phi
+
+
 def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2,
                      steps=1500, t_s=plant.T_S, hold_range=(10, 100)):
     """Excite the pH plant and package the sampled responses.
@@ -59,17 +77,30 @@ def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2,
     Every sequence starts at the nominal equilibrium with the buffer flow
     held at its nominal value; u and y are normalized by the min/max seen
     in the training split.
+
+    The sequences are simulated in a pool of min(CPU count, sequences)
+    worker processes, each running ``_excite`` on the sequence's own seed
+    ``seed * 1000 + s``. The pool uses the fork start method (Linux only),
+    so the workers see the ``plant`` module as it is at the call, and the
+    output is bit-identical to simulating the sequences one after another.
+    No worker outlives the call.
     """
+    # Imported here so that the closed loops, which never build a dataset,
+    # do not load the pool's modules.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if n_train < 1:
+        raise ValueError(f"n_train must be at least 1, got {n_train}")
+    for name, n in (("n_val", n_val), ("n_test", n_test)):
+        if n < 0:
+            raise ValueError(f"{name} must be nonnegative, got {n}")
     params = params or plant.PhParams()
-    raws = []
-    for s in range(n_train + n_val + n_test):
-        u_phi = generate_excitation(seed * 1000 + s, plant.U_PHI_RANGE, hold_range, steps)
-        x = plant.equilibrium(params)
-        y_phi = np.empty(steps)
-        for k in range(steps):
-            y_phi[k] = plant.measure_ph(params, x)
-            x = plant.plant_step(params, x, u_phi[k], params.q2_nominal, t_s)
-        raws.append((u_phi, y_phi))
+    n_seq = n_train + n_val + n_test
+    excite = functools.partial(_excite, params, steps=steps, t_s=t_s, hold_range=hold_range)
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, n_seq),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        raws = list(pool.map(excite, [seed * 1000 + s for s in range(n_seq)]))
     u_train = np.concatenate([u for u, _ in raws[:n_train]])
     y_train = np.concatenate([y for _, y in raws[:n_train]])
     nrm = plant.Normalizer(u_train.min(), u_train.max(), y_train.min(), y_train.max())

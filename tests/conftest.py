@@ -1,5 +1,6 @@
 """Shared fixtures: the shipped benchmark model and small synthetic nets."""
 
+import multiprocessing
 import pathlib
 
 import numpy as np
@@ -8,6 +9,18 @@ import pytest
 from lstmpc import lstm, observer, plant, sysid
 
 ASSETS = pathlib.Path(__file__).resolve().parents[1] / "src" / "lstmpc" / "assets"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running."""
+    yield
+    left = multiprocessing.active_children()
+    if left:
+        for proc in left:
+            proc.terminate()
+            proc.join()
+        pytest.fail(f"test left child processes running: {left}")
 
 
 @pytest.fixture(scope="session")

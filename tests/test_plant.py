@@ -216,6 +216,16 @@ class TestOracle:
         for (u, y), (u_ref, y_ref) in zip(fast.all_sequences, ref.all_sequences, strict=True):
             np.testing.assert_array_equal(u, u_ref)
             np.testing.assert_array_equal(y, y_ref)
+        # The patches reach the dataset's worker processes: an oracle shifted
+        # by 100 pH shifts every sample of every sequence. Were the workers
+        # still on the fast plant, the comparison above would pass vacuously.
+        monkeypatch.setattr(plant, "measure_ph",
+                            lambda params, x: measure_ph_oracle(params, x) + 100.0)
+        shifted = sysid.generate_dataset(**kwargs)
+        for (_, y), (_, y_ref) in zip(shifted.all_sequences, ref.all_sequences, strict=True):
+            np.testing.assert_allclose(shifted.normalizer.denormalize_y(y),
+                                       ref.normalizer.denormalize_y(y_ref) + 100.0,
+                                       rtol=0.0, atol=1e-9)
 
 
 class TestNonFinite:

@@ -1,10 +1,13 @@
 """Unit tests for excitation design, datasets and the penalized trainer."""
 
+import multiprocessing
+import re
+
 import numpy as np
 import pytest
 
 from lstmpc import lstm, plant, sysid
-from lstmpc.errors import TrainingError, UndefinedMetricError
+from lstmpc.errors import TrainingError, UndefinedMetricError, UnphysicalStateError
 
 from conftest import small_net
 
@@ -240,6 +243,46 @@ class TestDatasetIo:
             sysid.TrainConfig(lambda1=-0.1)
 
 
+class TestGenerateDataset:
+    KWARGS = dict(seed=5, n_train=2, n_val=1, n_test=1, steps=40)
+
+    def test_matches_serial_excitation(self):
+        ds = sysid.generate_dataset(**self.KWARGS)
+        params = plant.PhParams()
+        for s, (u, y) in enumerate(ds.all_sequences):
+            u_phi, y_phi = sysid._excite(params, 5 * 1000 + s, 40, plant.T_S, (10, 100))
+            np.testing.assert_array_equal(u, ds.normalizer.normalize_u(u_phi))
+            np.testing.assert_array_equal(y, ds.normalizer.normalize_y(y_phi))
+        assert [len(ds.train), len(ds.val), len(ds.test)] == [2, 1, 1]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        original = plant.plant_step
+        # the first level of sequence 2 only
+        level = sysid.generate_excitation(5 * 1000 + 2, plant.U_PHI_RANGE, (10, 100), 40)[0]
+
+        def failing(params, x, u_phi, d_phi, t_s):
+            if u_phi == level:
+                raise UnphysicalStateError(f"injected at u_phi = {u_phi!r}")
+            return original(params, x, u_phi, d_phi, t_s)
+
+        monkeypatch.setattr(plant, "plant_step", failing)
+        with pytest.raises(UnphysicalStateError, match=re.escape(f"injected at u_phi = {level!r}")):
+            sysid.generate_dataset(**self.KWARGS)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(n_train=0), "n_train must be at least 1"),
+        (dict(n_train=-1), "n_train must be at least 1"),
+        (dict(n_val=-1), "n_val must be nonnegative"),
+        (dict(n_test=-1), "n_test must be nonnegative"),
+        (dict(n_train=10, n_val=-1, n_test=2), "n_val must be nonnegative"),
+    ])
+    def test_rejects_bad_sizes(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            sysid.generate_dataset(**{**self.KWARGS, **sizes})
+
+
 class TestHookPoints:
     """The identification pipeline calls the plant and the cell kernel
     through their module attributes, so a wrapper installed there (as the
@@ -247,21 +290,25 @@ class TestHookPoints:
 
     @staticmethod
     def _count(monkeypatch, owner, names):
-        counts = dict.fromkeys(names, 0)
+        """Wrap each function to count its calls in shared memory, so that
+        calls made in the dataset's forked workers count too; returns a
+        reader of the counts."""
+        counts = {name: multiprocessing.Value("q", 0) for name in names}
         for name in names:
             original = getattr(owner, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
+            def counted(*args, _count=counts[name], _original=original, **kwargs):
+                with _count.get_lock():
+                    _count.value += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
-        return counts
+        return lambda: {name: c.value for name, c in counts.items()}
 
     def test_dataset_calls_plant_once_per_sample(self, monkeypatch):
         counts = self._count(monkeypatch, plant, ("plant_step", "measure_ph"))
         sysid.generate_dataset(seed=5, n_train=2, n_val=1, n_test=1, steps=40)
-        assert counts == {"plant_step": 4 * 40, "measure_ph": 4 * 40}
+        assert counts() == {"plant_step": 4 * 40, "measure_ph": 4 * 40}
 
     def test_loss_runs_one_rollout_and_one_adjoint(self, monkeypatch):
         w = small_net(seed=2, n=3)
@@ -269,4 +316,4 @@ class TestHookPoints:
         u = np.random.default_rng(3).uniform(-1, 1, 30)
         counts = self._count(monkeypatch, lstm, ("rollout", "adjoint"))
         sysid.loss(w, u, u, cfg)
-        assert counts == {"rollout": 1, "adjoint": 1}
+        assert counts() == {"rollout": 1, "adjoint": 1}
