@@ -40,6 +40,9 @@ def _cmd_train(args):
 
 def _cmd_certify(args):
     w, obs_doc = lstm.load_weights(args.weights)
+    if args.k_bar and (w.u_range is None or w.y_range is None):
+        # the K_bar grid spans pH 6.5-8.5, mapped through both ranges
+        raise ValueError("--k-bar needs weights with u_range and y_range")
     cert = lstm.incremental_lyapunov(w)
     spec = observer.ObserverSpec.from_dict(obs_doc) if obs_doc else None
     if spec is not None:
@@ -67,7 +70,7 @@ def _cmd_certify(args):
             "b": sched.b.tolist(),
         },
     }
-    if args.k_bar and w.y_range is not None:
+    if args.k_bar:
         nrm = plant.Normalizer(*w.u_range, *w.y_range)
         lo, hi = nrm.normalize_y(6.5), nrm.normalize_y(8.5)
         k_bar, arg = refcalc.estimate_k_bar(w, (lo, hi), (-spec.d_max, spec.d_max))

@@ -30,10 +30,16 @@ training and the reference Jacobian all run this cell through one kernel:
   dL/du = dz @ W and dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)).
   It carries dc, dh and each step's (4n,) multiplier of dz in buffers
   of its own, so it never writes into its inputs.
+- ``local_factors`` gives the per-step partial derivatives of the cell
+  from that cache, elementwise.
+- ``step_jacobians`` is the one place where the cell's linearization is
+  written: from ``local_factors``, in one vectorized pass for any T, every
+  step's A_k = d(c+, h+)/d(c, h) and B_k = d(c+, h+)/du. The reference
+  calculation's Newton Jacobian is [A_0 - I | B_0; 0 W_y 0].
 - ``sensitivities`` is the forward (tangent-linear) sweep over the same
-  cache: dc_k/du and dh_k/du, (T+1, n, T*m), for the MPC's dense QP.
-- ``local_factors`` gives the per-step partial derivatives that both
-  sweeps multiply by, for callers that build a Jacobian.
+  cache: S_k = d(c_k, h_k)/du, one (T+1, 2n, T*m) array, for the MPC's
+  dense QP. It runs the recurrence S_k+1 = A_k S_k (+ B_k in u_k's
+  columns), one matrix product per step.
 
 Besides the state update, this module holds the one copy of the
 contraction certificate's arithmetic. ``gate_bounds`` bounds the gates
@@ -173,7 +179,7 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
 
     ``inject`` is added to the preactivations (broadcast to (T, 4n), in
     ``GATES`` order). Returns c, h of shape (T+1, n) and the cache that
-    ``adjoint``, ``sensitivities`` and ``local_factors`` read.
+    ``adjoint``, ``step_jacobians`` and ``local_factors`` read.
     """
     n_t, n = len(u_seq), len(c0)
     c = np.empty((n_t + 1, n))
@@ -255,28 +261,49 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
     return dz
 
 
-def sensitivities(w, c, cache):
-    """Forward (tangent-linear) sweep of ``rollout``: dc_k/du and dh_k/du.
+def step_jacobians(w, c, cache):
+    """Every step's linearization of ``rollout``, in one vectorized pass.
 
-    Returns two (T+1, n, T*m) arrays for stages 0..T, with u the row-major
-    flattened (T, m) inputs; stage 0 does not depend on u, and stage k only
-    on u_0..u_{k-1}.
+    Returns A (T, 2n, 2n) = d(c+, h+)/d(c, h) and B (T, 2n, m) =
+    d(c+, h+)/du, rows and state columns c first, then h:
+
+        A_k = [diag f          dc+/dh                   ]    B_k = [dc+/du ]
+              [diag(k_t f)     k_t dc+/dh + k_o U_o     ]          [dh+/du ]
+
+    with dc+/d(h, u) = k_f [U_f | W_f] + k_i [U_i | W_i] + k_g [U_c | W_c]
+    and dh+/du = k_t dc+/du + k_o W_o, where each factor of
+    ``local_factors`` (f, k_f, ..., k_t) scales the rows it multiplies.
+    A and B are views of one (T, 2n, 2n+m) array.
     """
     f, k_f, k_i, k_g, k_o, k_t = local_factors(c, cache)
     n_t, n = f.shape
-    m = w.m
-    s_c = np.zeros((n_t + 1, n, n_t * m))
-    s_h = np.zeros((n_t + 1, n, n_t * m))
+    uw = np.hstack([w.U, w.W]).reshape(4, n, n + w.m)     # [U | W] per gate, GATES order
+    dc = k_f[:, :, None] * uw[0] + k_i[:, :, None] * uw[1] + k_g[:, :, None] * uw[3]
+    jac = np.zeros((n_t, 2 * n, 2 * n + w.m))
+    diag = np.arange(n)
+    jac[:, diag, diag] = f
+    jac[:, n + diag, diag] = k_t * f
+    jac[:, :n, n:] = dc
+    jac[:, n:, n:] = k_t[:, :, None] * dc + k_o[:, :, None] * uw[2]
+    return jac[:, :, :2 * n], jac[:, :, 2 * n:]
+
+
+def sensitivities(w, c, cache):
+    """Forward (tangent-linear) sweep of ``rollout``: d(c_k, h_k)/du.
+
+    Returns one (T+1, 2n, T*m) array S for stages 0..T, rows c_k then
+    h_k, with u the row-major flattened (T, m) inputs. Stage 0 does not
+    depend on u and stage k only on u_0..u_{k-1}, so S_k+1 = A_k S_k on
+    those columns and B_k on u_k's, with A, B from ``step_jacobians``.
+    """
+    a, b = step_jacobians(w, c, cache)
+    n_t, m = len(a), w.m
+    s = np.zeros((n_t + 1, a.shape[1], n_t * m))
     for k in range(n_t):
-        j = (k + 1) * m                  # columns u_0..u_k, the only nonzero ones
-        dz = w.U @ s_h[k, :, :j]
-        dz[:, k * m:j] += w.W
-        s_c[k + 1, :, :j] = f[k, :, None] * s_c[k, :, :j] \
-            + k_f[k, :, None] * dz[:n] + k_i[k, :, None] * dz[n:2 * n] \
-            + k_g[k, :, None] * dz[3 * n:]
-        s_h[k + 1, :, :j] = k_o[k, :, None] * dz[2 * n:3 * n] \
-            + k_t[k, :, None] * s_c[k + 1, :, :j]
-    return s_c, s_h
+        j = k * m
+        np.matmul(a[k], s[k, :, :j], out=s[k + 1, :, :j])
+        s[k + 1, :, j:j + m] = b[k]
+    return s
 
 
 def step(w, x, u):

@@ -12,7 +12,8 @@ solves it; ``Problem.evaluate`` also checks any other plan against it.
 The solver is single-shooting sequential quadratic programming (SQP) over
 the N*m free inputs. Each iteration takes predictions from
 ``lstm.rollout`` and their input sensitivities from ``lstm.sensitivities``
-and builds a dense QP in the step d:
+(the recurrence over ``lstm.step_jacobians``, the model's one
+linearization) and builds a dense QP in the step d:
 
 - the exact cost gradient;
 - a generalized Gauss-Newton Hessian: the state and input terms' 2q S'S
@@ -209,8 +210,8 @@ class Problem:
         w, ref, n_h = self.w, self.ref, len(self.tight)
         n_u = n_h * w.m
         c, h, cache, ev, dx = aux
-        s_c, s_h = lstm.sensitivities(w, c, cache)
-        s_x = np.concatenate([s_c[1:n_h], s_h[1:n_h]], axis=1).reshape(-1, n_u)
+        s = lstm.sensitivities(w, c, cache)     # (N+1, 2n, N*m), rows c then h
+        s_x = s[1:n_h].reshape(-1, n_u)         # stages 1..N-1, laid out like dx[1:]
         eye = np.eye(n_u)
         grad = 2.0 * self.q_weight * (dx[1:].ravel() @ s_x) \
             + 2.0 * self.r_weight * (u_seq - ref.u_bar).ravel()
@@ -221,18 +222,18 @@ class Problem:
         g_ev = p2 @ ev
         k_t = 1.0 + lam_term
         v = np.zeros((2, n_u))
-        for j, (e, s) in enumerate(((c[n_h] - ref.x_bar.c, s_c[n_h]),
-                                    (h[n_h] - ref.x_bar.h, s_h[n_h]))):
-            ss = s.T @ s
+        for j, (e, s_j) in enumerate(zip((c[n_h] - ref.x_bar.c, h[n_h] - ref.x_bar.h),
+                                         s[n_h].reshape(2, w.n, n_u))):   # S_N's c, h rows
+            ss = s_j.T @ s_j
             if ev[j] > 0.0:
-                v[j] = (e / ev[j]) @ s
+                v[j] = (e / ev[j]) @ s_j
                 hess += k_t * max(g_ev[j], 0.0) / ev[j] * (ss - np.outer(v[j], v[j]))
             else:
                 hess += k_t * p2[j, j] * ss
         hess += k_t * (v.T @ p2 @ v)
         d_term = g_ev @ v
         grad += d_term
-        out = w.W_y @ s_h[1:n_h]           # (N-1, p, N*m)
+        out = w.W_y @ s[1:n_h, w.n:]            # (N-1, p, N*m)
         a_mat = np.vstack([np.stack([out, -out], axis=1).reshape(-1, n_u),
                            d_term, eye, -eye])
         u_flat = u_seq.ravel()

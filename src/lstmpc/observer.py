@@ -97,8 +97,7 @@ def observer_step(w, spec, chi_hat, u, y_measured):
         raise DimensionError("input/measurement shape mismatch")
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
     innov = y_measured - (w.W_y @ x.h + w.b_y + d)
-    # preactivation term in the kernel's (f, i, o, c) order
-    inject = np.concatenate([spec.L_f, spec.L_i, spec.L_o, np.zeros((w.n, w.p))]) @ innov
+    inject = _innovation_gains(w, spec).reshape(4 * w.n, w.p) @ innov
     c, h, _ = lstm.rollout(w, x.c, x.h, u[None, :], inject)
     d_next = np.clip(d + spec.L_d @ innov, -spec.d_max, spec.d_max)
     return AugmentedState(LstmState(c[1], h[1]), d_next)
@@ -121,6 +120,12 @@ def observer_matrices(w, spec):
     return spec.A_d
 
 
+def _innovation_gains(w, spec):
+    """The innovation gains (L_f, L_i, L_o, 0) as a (4, n, p) stack in
+    ``lstm.GATES`` order: the candidate gate gets no innovation."""
+    return np.stack([spec.L_f, spec.L_i, spec.L_o, np.zeros((w.n, w.p))])
+
+
 def _hatted(w, spec):
     """Hatted gate bounds, and the innovation gains L, L W_y and U - L W_y
     as (4, n, .) stacks in ``lstm.GATES`` order.
@@ -128,10 +133,10 @@ def _hatted(w, spec):
     The innovation widens the f, i and o preactivation blocks
     [W u_max, U - L W_y, b] by the columns [L W_y, L d_max, L d_max],
     whose row sums are added apart, so zero gains give exactly the
-    model's bounds. The candidate gate gets no innovation: its L is zero.
+    model's bounds.
     """
     n = w.n
-    l_gains = np.stack([spec.L_f, spec.L_i, spec.L_o, np.zeros((n, w.p))])
+    l_gains = _innovation_gains(w, spec)
     l_wy = l_gains @ w.W_y
     u_rec = w.U.reshape(4, n, n) - l_wy
     l_d = l_gains * spec.d_max

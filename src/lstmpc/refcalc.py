@@ -5,7 +5,7 @@ controller tracks. Only y0 - d_hat enters, so the equilibria form a curve
 in it, which ``_track`` follows by predictor-corrector continuation
 (Allgower & Georg, *Numerical Continuation Methods*, 1990). The corrector
 is Newton's method on one ``lstm`` kernel step per iterate (residual from
-its next state, analytic Jacobian from its local factors). Each solved
+its next state, analytic Jacobian from its ``lstm.step_jacobians``). Each solved
 pair carries the curve's tangent, the equilibrium's sensitivity to
 y0 - d_hat, from which K_bar bounds how fast the set-point may move."""
 
@@ -52,25 +52,16 @@ def _residual(w, xi, y0_eff, cell):
 
 
 def _jacobian(w, cell):
-    """Analytic dF/dxi of ``_residual`` from the ``_cell_step`` at xi.
-
-    From its local factors: dc+/dc = diag(f); dc+/d(h, u) sums the f, i
-    and candidate gates' factors times their [U | W] rows; dh+ =
-    (dh+/dc+) dc+ + (dh+/dz_o) d z_o; the readout rows are [0, W_y, 0].
+    """Analytic dF/dxi of ``_residual`` from the ``_cell_step`` at xi:
+    [A_0 - I | B_0; 0 W_y 0] with A_0, B_0 the step's ``lstm.step_jacobians``.
     y0_eff only shifts F, so it does not enter the Jacobian.
     """
     n = w.n
     cs, _, cache = cell
-    f, k_f, k_i, k_g, k_o, k_t = (k[0] for k in lstm.local_factors(cs, cache))
-    uw = np.hstack([w.U, w.W])       # [U | W] rows, (f, i, o, c)
-    dc_hu = (k_f[:, None] * uw[:n] + k_i[:, None] * uw[n:2 * n]
-             + k_g[:, None] * uw[3 * n:])
+    a, b = lstm.step_jacobians(w, cs, cache)
     jac = np.zeros((2 * n + w.p, 2 * n + w.m))
-    jac[:n, :n] = np.diag(f - 1.0)
-    jac[:n, n:] = dc_hu
-    jac[n:2 * n, :n] = np.diag(k_t * f)
-    jac[n:2 * n, n:] = k_t[:, None] * dc_hu + k_o[:, None] * uw[2 * n:3 * n]
-    jac[n:2 * n, n:2 * n] -= np.eye(n)
+    jac[:2 * n, :2 * n] = a[0] - np.eye(2 * n)
+    jac[:2 * n, 2 * n:] = b[0]
     jac[2 * n:, n:2 * n] = w.W_y
     return jac
 

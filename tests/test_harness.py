@@ -245,6 +245,20 @@ class TestCli:
         assert doc["observer"]["rho_o"] < 1.0
         assert len(doc["tightening"]["a"]) == 6
 
+    @pytest.mark.parametrize("missing", ["u_range", "y_range"])
+    def test_certify_k_bar_needs_both_ranges(self, tmp_path, capsys, missing):
+        doc = json.loads((ASSETS / "model.json").read_text())
+        doc[missing] = None
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        rc = cli.main(["certify", "--weights", str(path), "--k-bar"])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "ValueError",
+            "message": "--k-bar needs weights with u_range and y_range"}
+
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
         sc = tiny_physical_scenario(duration_s=100.0)
         sc_path = tmp_path / "sc.json"

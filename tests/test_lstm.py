@@ -77,6 +77,26 @@ def adjoint_oracle(w, c, cache, dc_stage, dh_stage):
     return dz
 
 
+def oracle_sensitivities(w, c, cache):
+    """Reference forward sweep, the chain rule written out one gate at a
+    time: (dc_k/du, dh_k/du), each (T+1, n, T*m)."""
+    f, k_f, k_i, k_g, k_o, k_t = lstm.local_factors(c, cache)
+    n_t, n = f.shape
+    m = w.m
+    s_c = np.zeros((n_t + 1, n, n_t * m))
+    s_h = np.zeros((n_t + 1, n, n_t * m))
+    for k in range(n_t):
+        j = (k + 1) * m                  # columns u_0..u_k, the only nonzero ones
+        dz = w.U @ s_h[k, :, :j]
+        dz[:, k * m:j] += w.W
+        s_c[k + 1, :, :j] = f[k, :, None] * s_c[k, :, :j] \
+            + k_f[k, :, None] * dz[:n] + k_i[k, :, None] * dz[n:2 * n] \
+            + k_g[k, :, None] * dz[3 * n:]
+        s_h[k + 1, :, :j] = k_o[k, :, None] * dz[2 * n:3 * n] \
+            + k_t[k, :, None] * s_c[k + 1, :, :j]
+    return s_c, s_h
+
+
 class TestKernelOracle:
     """rollout and adjoint equal the reference kernels exactly."""
 
@@ -267,8 +287,9 @@ class TestSensitivities:
     @pytest.mark.parametrize("n_steps", [1, 5, 10])
     def test_matches_central_differences(self, bench_w, net, n_steps):
         w, _, x0, u, c, cache = self._case(bench_w, net, n_steps)
-        s_c, s_h = lstm.sensitivities(w, c, cache)
-        assert s_c.shape == s_h.shape == (n_steps + 1, w.n, n_steps * w.m)
+        s = lstm.sensitivities(w, c, cache)
+        assert s.shape == (n_steps + 1, 2 * w.n, n_steps * w.m)
+        s_c, s_h = s[:, :w.n], s[:, w.n:]
         eps = 1e-6
         fd_c, fd_h = np.empty_like(s_c), np.empty_like(s_h)
         for col in range(n_steps * w.m):
@@ -291,11 +312,52 @@ class TestSensitivities:
         a_c = rng.normal(size=(n_steps + 1, w.n))
         a_h = rng.normal(size=(n_steps + 1, w.n))
         v = rng.normal(size=n_steps * w.m)
-        s_c, s_h = lstm.sensitivities(w, c, cache)
+        s = lstm.sensitivities(w, c, cache)
+        s_c, s_h = s[:, :w.n], s[:, w.n:]
         forward = float(np.sum(a_c * (s_c @ v)) + np.sum(a_h * (s_h @ v)))
         dz = lstm.adjoint(w, c, cache, a_c, a_h)
         reverse = float((dz @ w.W).ravel() @ v)
         assert forward == pytest.approx(reverse, rel=1e-12)
+
+
+class TestStepJacobians:
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_steps", [1, 5, 10])
+    def test_matches_central_differences(self, bench_w, net, n_steps):
+        # A_k, B_k against a one-step rollout from (c_k, h_k) with input u_k
+        w, _, x0, u, _, _ = TestSensitivities._case(bench_w, net, n_steps)
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
+        a, b = lstm.step_jacobians(w, c, cache)
+        n = w.n
+        assert a.shape == (n_steps, 2 * n, 2 * n)
+        assert b.shape == (n_steps, 2 * n, w.m)
+        eps = 1e-6
+
+        def next_state(xi):
+            c1, h1, _ = lstm.rollout(w, xi[:n], xi[n:2 * n], xi[None, 2 * n:])
+            return np.concatenate([c1[1], h1[1]])
+
+        for k in range(n_steps):
+            xi = np.concatenate([c[k], h[k], u[k]])
+            fd = np.empty((2 * n, len(xi)))
+            for col in range(len(xi)):
+                xp, xm = xi.copy(), xi.copy()
+                xp[col] += eps
+                xm[col] -= eps
+                fd[:, col] = (next_state(xp) - next_state(xm)) / (2 * eps)
+            np.testing.assert_allclose(a[k], fd[:, :2 * n], rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(b[k], fd[:, 2 * n:], rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_steps", [1, 5, 10])
+    def test_sensitivities_match_per_gate_oracle(self, bench_w, net, n_steps):
+        w, _, _, _, c, cache = TestSensitivities._case(bench_w, net, n_steps)
+        s = lstm.sensitivities(w, c, cache)
+        s_c, s_h = oracle_sensitivities(w, c, cache)
+        np.testing.assert_allclose(s[:, :w.n], s_c, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(s[:, w.n:], s_h, rtol=0, atol=1e-13)
+        for k in range(n_steps + 1):       # stage k does not depend on u_k..u_T-1
+            assert np.all(s[k, :, k * w.m:] == 0.0), k
 
 
 class TestOutput:

@@ -225,6 +225,35 @@ class TestConstraints:
         assert cost == pytest.approx(oracle_cost(problem, u), rel=1e-12)
 
 
+class TestQpModel:
+    """The SQP's linearization against central differences of the problem:
+    this pins the (stage, c/h, column) layout of the sensitivities."""
+
+    @pytest.mark.parametrize("net, n_horizon", [("bench", 5), ("small", 3)])
+    def test_matches_central_differences(self, bench_w, net, n_horizon):
+        w = bench_w if net == "bench" else small_net(seed=2, n=3, m=2, p=2)
+        sched = mpc.build_schedule(fake_cert(c_s=np.full(w.p, 1.5)),
+                                   fake_spec(c_o=np.full(w.p, 3.0)), n_horizon)
+        rng = np.random.default_rng(20 + n_horizon)
+        ref = SimpleNamespace(x_bar=random_invariant_state(w, rng),
+                              u_bar=rng.uniform(-0.5, 0.5, w.m))
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-0.9, 0.9, (n_horizon, w.m))
+        tight = sched.a[:n_horizon] * 0.2 + sched.b[:n_horizon] + 0.1
+        problem = mpc.Problem(w, x0, ref, tight, np.full(w.p, -1.0), np.full(w.p, 1.0),
+                              np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4,
+                              q_weight=2.0, r_weight=0.5)
+        _, g, aux = problem.evaluate(u)
+        grad, _, a_mat, b_vec = problem.qp_model(u, g, aux, 0.0)
+        n_g = len(g) - 2 * w.p        # the rows of stages 1..N-1 and the terminal row
+        assert a_mat.shape == (n_g + 2 * u.size, u.size)
+        np.testing.assert_array_equal(b_vec[:n_g], -g[2 * w.p:])
+        fd_grad = _fd_jacobian(lambda v: oracle_cost(problem, v), u)[0]
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-8)
+        fd_g = _fd_jacobian(lambda v: problem.evaluate(v)[1], u)
+        np.testing.assert_allclose(a_mat[:n_g], fd_g[2 * w.p:], rtol=1e-6, atol=1e-8)
+
+
 class TestSolveFhocp:
     def test_equilibrium_is_optimal(self, bench_w, bench_cert, bench_spec):
         _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 0, 5)
