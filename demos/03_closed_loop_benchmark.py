@@ -2,24 +2,23 @@
 
 Ten thousand seconds of operation: ramped set-point changes across the
 admissible band, then a constant set-point while the unmeasured buffer
-flow steps through three values. Writes the full trace to
+flow steps through three values. ``run_scenario`` builds the model's
+certificate from its observer section. Writes the full trace to
 benchmark_trace.csv and prints the tracking summary.
 """
 
 from importlib import resources
 
-from lstmpc import harness, lstm, observer
+from lstmpc import harness, lstm
 
 ASSET_DIR = resources.files("lstmpc") / "assets"
 
 weights, obs_doc = lstm.load_weights(ASSET_DIR / "model.json")
-spec = observer.ObserverSpec.from_dict(obs_doc)
-observer.derive_constants(weights, spec, w_bar=spec.w_bar)
 
 scenario = harness.Scenario.from_json(ASSET_DIR / "benchmark_scenario.json")
 print(f"Running {scenario.duration_s:.0f} s of closed loop "
       f"({int(scenario.duration_s / scenario.t_s)} controller steps)...")
-report = harness.run_scenario(scenario, weights, spec=spec)
+report = harness.run_scenario(scenario, weights, spec=obs_doc)
 
 print(f"\nSteps executed:        {report.steps}")
 print(f"Constraint violations: {report.constraint_violations}")

@@ -10,13 +10,12 @@ from importlib import resources
 
 import numpy as np
 
-from lstmpc import lstm, observer
+from lstmpc import lstm, mpc, observer
 from lstmpc.lstm import LstmState
 from lstmpc.observer import AugmentedState
 
 weights, obs_doc = lstm.load_weights(resources.files("lstmpc") / "assets" / "model.json")
-spec = observer.ObserverSpec.from_dict(obs_doc)
-observer.derive_constants(weights, spec, w_bar=spec.w_bar)
+spec = mpc.certify(weights, obs_doc).spec
 
 rng = np.random.default_rng(7)
 truth = AugmentedState(

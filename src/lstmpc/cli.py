@@ -5,7 +5,7 @@ import json
 import pathlib
 import sys
 
-from . import harness, lstm, mpc, numerics, observer, plant, refcalc, sysid
+from . import harness, lstm, mpc, sysid
 from .errors import LstmpcError
 
 
@@ -40,42 +40,9 @@ def _cmd_train(args):
 
 def _cmd_certify(args):
     w, obs_doc = lstm.load_weights(args.weights)
-    if args.k_bar and (w.u_range is None or w.y_range is None):
-        # the K_bar grid spans pH 6.5-8.5, mapped through both ranges
-        raise ValueError("--k-bar needs weights with u_range and y_range")
-    cert = lstm.incremental_lyapunov(w)
-    spec = observer.ObserverSpec.from_dict(obs_doc) if obs_doc else None
-    if spec is not None:
-        observer.derive_constants(w, spec, w_bar=spec.w_bar)
-    else:
-        spec = observer.select_gains(w, d_max=args.d_max, l_d=args.l_d,
-                                     w_bar=args.w_bar)
-    sched = mpc.build_schedule(cert, spec, args.horizon)
-    doc = {
-        "model": {
-            "rho_A_delta": cert.rho_A, "r1": cert.r1, "r2": cert.r2,
-            "certified": cert.certified, "rho_s": cert.rho_s,
-            "c_sl": cert.c_sl, "c_su": cert.c_su, "c_s": cert.c_s.tolist(),
-            "P_s": cert.P_s.tolist(),
-        },
-        "observer": {
-            "rho_A_d": numerics.spectral_radius(spec.A_d),
-            "rho_o": spec.rho_o, "c_ol": spec.c_ol, "c_ou": spec.c_ou,
-            "c_o": spec.c_o.tolist(), "L_max": spec.L_max,
-            "w_bar": spec.w_bar, "e_bar_inf": sched.e_bar_inf,
-            "P_o": spec.P_o.tolist(),
-        },
-        "tightening": {
-            "a": sched.a.tolist(),
-            "b": sched.b.tolist(),
-        },
-    }
-    if args.k_bar:
-        nrm = plant.Normalizer(*w.u_range, *w.y_range)
-        lo, hi = nrm.normalize_y(6.5), nrm.normalize_y(8.5)
-        k_bar, arg = refcalc.estimate_k_bar(w, (lo, hi), (-spec.d_max, spec.d_max))
-        doc["k_bar"] = {"value": k_bar, "argmax": arg}
-    print(json.dumps(doc, indent=1))
+    certificate = mpc.certify(w, obs_doc, args.horizon, d_max=args.d_max, l_d=args.l_d,
+                              w_bar=args.w_bar, k_bar=args.k_bar)
+    print(json.dumps(certificate.to_dict(), indent=1))
     return 0
 
 
@@ -85,11 +52,7 @@ def _cmd_simulate(args):
     if weights_path is None:
         raise LstmpcError("no model weights given (flag --weights or scenario model_path)")
     w, obs_doc = lstm.load_weights(weights_path)
-    spec = None
-    if obs_doc:
-        spec = observer.ObserverSpec.from_dict(obs_doc)
-        observer.derive_constants(w, spec, w_bar=spec.w_bar)
-    report = harness.run_scenario(sc, w, spec=spec)
+    report = harness.run_scenario(sc, w, spec=obs_doc)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.save_csv(out / "trace.csv")
@@ -130,9 +93,9 @@ def build_parser():
     c = sub.add_parser("certify", help="print certification constants as JSON")
     c.add_argument("--weights", required=True)
     c.add_argument("--horizon", type=int, default=5)
-    c.add_argument("--d-max", type=float, default=0.1)
-    c.add_argument("--l-d", type=float, default=0.1)
-    c.add_argument("--w-bar", type=float, default=0.01)
+    for flag, default in (("--d-max", 0.1), ("--l-d", 0.1), ("--w-bar", 0.01)):
+        c.add_argument(flag, type=float, default=default,
+                       help="used only for weights without an observer section")
     c.add_argument("--k-bar", action="store_true", help="also estimate K_bar")
     c.set_defaults(func=_cmd_certify)
 
@@ -149,11 +112,7 @@ def main(argv=None):
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except LstmpcError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (LstmpcError, OSError, ValueError, KeyError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

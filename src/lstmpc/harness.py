@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lstm, mpc, observer, plant, refcalc
+from . import mpc, observer, plant, refcalc
 from .errors import FeasibilityLossError
 from .lstm import LstmState
 from .observer import AugmentedState
@@ -222,8 +222,10 @@ _PLANTS = {"physical": PhysicalPlant, "nominal": NominalPlant}
 def run_scenario(sc, w, spec=None):
     """Execute the closed loop; returns a RunReport.
 
-    ``spec`` (ObserverSpec) is rebuilt from the scenario's observer
-    settings when not supplied. Each step measures the plant, runs
+    ``mpc.certify`` builds the run's certificate from the observer gains
+    ``spec`` (an ObserverSpec or the weights' JSON section; by default
+    selected from the scenario's d_max, l_d, w_bar) and the scenario's
+    horizon and q_weight. Each step measures the plant, runs
     ``Controller.step``, advances the plant, updates the observer and
     records a trace row; the counters come from the trace and from each
     solution's iteration count and candidate violation.
@@ -233,18 +235,16 @@ def run_scenario(sc, w, spec=None):
     if sc.mode not in _PLANTS:
         raise ValueError(f"unknown mode {sc.mode!r}")
     nrm = plant.Normalizer(*w.u_range, *w.y_range)
-    cert = lstm.incremental_lyapunov(w)
-    if spec is None:
-        spec = observer.select_gains(w, d_max=sc.d_max, l_d=sc.l_d, w_bar=sc.w_bar)
-    cfg = mpc.ControllerConfig(horizon=sc.horizon, q_weight=sc.q_weight,
-                               r_weight=sc.r_weight, e_o0=sc.e_o0,
+    certificate = mpc.certify(w, spec, sc.horizon, sc.q_weight,
+                              d_max=sc.d_max, l_d=sc.l_d, w_bar=sc.w_bar)
+    cfg = mpc.ControllerConfig(r_weight=sc.r_weight, e_o0=sc.e_o0,
                                y_lb=nrm.normalize_y(sc.y_lb_phys),
                                y_ub=nrm.normalize_y(sc.y_ub_phys))
-    ctrl = mpc.Controller(w, cert, spec, cfg)
+    ctrl = mpc.Controller(w, certificate, cfg)
 
     n_steps = int(round(sc.duration_s / sc.t_s))
     y0s = setpoint_trace(sc, nrm, n_steps)
-    sim = _PLANTS[sc.mode](sc, w, spec, nrm)
+    sim = _PLANTS[sc.mode](sc, w, certificate.spec, nrm)
     chi_hat = sim.chi_hat0
 
     trace = {c: [] for c in TRACE_COLUMNS}
@@ -260,7 +260,7 @@ def run_scenario(sc, w, spec=None):
         u_applied = np.clip(u, -w.u_max, w.u_max)
         u_phys = float(nrm.denormalize_u(u_applied[0]))
         sim.advance(u_applied, u_phys)
-        chi_hat = observer.observer_step(w, spec, chi_hat, u_applied, y)
+        chi_hat = observer.observer_step(w, certificate.spec, chi_hat, u_applied, y)
         iterations.append(sol.solver_iterations)
         candidates.append(sol.candidate_violation)
         row = (t, nrm.denormalize_y(y0s[k]), y_phys, u_phys, d_phi, chi_hat.d[0],

@@ -227,8 +227,10 @@ def local_factors(c, cache):
     sig, g, tc = cache
     n = tc.shape[1]
     f, i, o = sig[:, :n], sig[:, n:2 * n], sig[:, 2 * n:]
-    return (f, f * (1.0 - f) * c[:-1], i * (1.0 - i) * g, i * (1.0 - g ** 2),
-            o * (1.0 - o) * tc, o * (1.0 - tc ** 2))
+    ds = 1.0 - sig              # f(1-f), i(1-i), o(1-o) over the (T, 3n) block
+    ds *= sig
+    return (f, ds[:, :n] * c[:-1], ds[:, n:2 * n] * g, i * (1.0 - g ** 2),
+            ds[:, 2 * n:] * tc, o * (1.0 - tc ** 2))
 
 
 def adjoint(w, c, cache, dc_stage, dh_stage):

@@ -48,9 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lstm, refcalc
+from . import lstm, observer, plant, refcalc
 from .errors import DimensionError, FeasibilityLossError, InfeasibleSetpointError
-from .numerics import eig_extrema_spd, solve_discrete_lyapunov
+from .numerics import eig_extrema_spd, solve_discrete_lyapunov, spectral_radius
 
 
 @dataclass
@@ -142,6 +142,63 @@ def _terminal_margin(sched, d_max, e_o):
     """Stage-N output margin a_N max(e_o, e_bar_inf) + b_N + 2 d_max, (p,)."""
     n_h = sched.horizon
     return sched.a[n_h] * max(e_o, sched.e_bar_inf) + sched.b[n_h] + 2.0 * d_max
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """One model's chain of constants, from ``certify``: its contraction
+    certificate, the observer spec with its derived constants, and the
+    margins and P_f they give at one horizon and ``q_weight``; ``k_bar``
+    is (value, argmax) on request."""
+
+    model: lstm.StabilityCertificate
+    spec: observer.ObserverSpec
+    schedule: TighteningSchedule
+    terminal: TerminalData
+    q_weight: float
+    k_bar: tuple | None = None
+
+    def to_dict(self):
+        """The constants as ``lstmpc certify`` prints them."""
+        cert, spec, sched = self.model, self.spec, self.schedule
+        doc = {
+            "model": {"rho_A_delta": cert.rho_A, "r1": cert.r1, "r2": cert.r2,
+                      "certified": cert.certified, "rho_s": cert.rho_s, "c_sl": cert.c_sl,
+                      "c_su": cert.c_su, "c_s": cert.c_s.tolist(), "P_s": cert.P_s.tolist()},
+            "observer": {"rho_A_d": spectral_radius(spec.A_d), "rho_o": spec.rho_o,
+                         "c_ol": spec.c_ol, "c_ou": spec.c_ou, "c_o": spec.c_o.tolist(),
+                         "L_max": spec.L_max, "w_bar": spec.w_bar,
+                         "e_bar_inf": sched.e_bar_inf, "P_o": spec.P_o.tolist()},
+            "tightening": {"a": sched.a.tolist(), "b": sched.b.tolist()},
+        }
+        if self.k_bar is not None:
+            doc["k_bar"] = {"value": self.k_bar[0], "argmax": self.k_bar[1]}
+        return doc
+
+
+def certify(w, gains=None, horizon=5, q_weight=1.0, *, d_max=0.1, l_d=0.1, w_bar=0.01,
+            k_bar=False):
+    """The ``Certificate`` of the weights ``w``.
+
+    ``gains`` is an ``ObserverSpec`` (left unchanged) or the weights' JSON
+    observer section, either with its own d_max and w_bar; without gains,
+    ``observer.select_gains`` picks them from ``d_max``, ``l_d`` and
+    ``w_bar``. ``k_bar`` estimates K_bar over pH 6.5-8.5 and +-d_max.
+    """
+    if k_bar and (w.u_range is None or w.y_range is None):
+        raise ValueError("--k-bar needs weights with u_range and y_range")
+    cert = lstm.incremental_lyapunov(w)
+    if not gains:
+        gains = observer.select_gains(w, d_max=d_max, l_d=l_d, w_bar=w_bar)
+    spec = observer.ObserverSpec.from_dict(gains if isinstance(gains, dict) else gains.to_dict())
+    observer.derive_constants(w, spec, w_bar=spec.w_bar)
+    estimate = None
+    if k_bar:
+        nrm = plant.Normalizer(*w.u_range, *w.y_range)
+        estimate = refcalc.estimate_k_bar(w, (nrm.normalize_y(6.5), nrm.normalize_y(8.5)),
+                                          (-spec.d_max, spec.d_max))
+    return Certificate(cert, spec, build_schedule(cert, spec, horizon),
+                       TerminalData(compute_pf(cert.A_delta, q_weight)), q_weight, estimate)
 
 
 @dataclass
@@ -373,8 +430,6 @@ def shifted_candidate(prev_solution, u_bar):
 
 @dataclass
 class ControllerConfig:
-    horizon: int = 5
-    q_weight: float = 1.0
     r_weight: float = 1.0
     e_o0: float = 0.5
     y_lb: float | np.ndarray = -1.0
@@ -384,6 +439,7 @@ class ControllerConfig:
 class Controller:
     """Receding-horizon wrapper: holds warm-start and the e_o recursion.
 
+    The ``certificate`` fixes the horizon, state weight, margins and P_f.
     Each step builds its ``Problem``, kept as ``problem`` until the next,
     and solves it once in real time, warm-started at the shifted previous
     plan. The applied plan is the cheaper feasible one of the first
@@ -393,12 +449,10 @@ class Controller:
     "candidate-fallback".
     """
 
-    def __init__(self, w, cert, spec, config=None):
+    def __init__(self, w, certificate, config=None):
         self.w = w
-        self.spec = spec
+        self.certificate = certificate
         self.config = config or ControllerConfig()
-        self.sched = build_schedule(cert, spec, self.config.horizon)
-        self.term = TerminalData(P_f=compute_pf(cert.A_delta, self.config.q_weight))
         bounds = []
         for name in ("y_lb", "y_ub"):
             bound = np.atleast_1d(np.asarray(getattr(self.config, name), dtype=float))
@@ -411,21 +465,19 @@ class Controller:
         if bad.size:
             raise ValueError(f"y_lb is not below y_ub on output {bad[0]}")
         self.e_o = self.config.e_o0
-        self.problem = None
-        self.prev_solution = None
-        self.prev_ref = None
+        self.problem = self.prev_solution = self.prev_ref = None
 
     def problem_at(self, x_hat, ref, y0):
         """The tightened FHOCP at the current e_o from the estimate
         ``x_hat`` toward ``ref``, with the terminal radius of the set-point
         ``y0``; raises InfeasibleSetpointError outside the admissible band."""
-        sched, d_max, e_o, cfg = self.sched, self.spec.d_max, self.e_o, self.config
-        alpha = terminal_alpha(sched, self.term, self.w.W_y, y0, self.y_lb, self.y_ub,
-                               d_max, e_o)
+        cert, e_o = self.certificate, self.e_o
+        sched, term, d_max = cert.schedule, cert.terminal, cert.spec.d_max
+        alpha = terminal_alpha(sched, term, self.w.W_y, y0, self.y_lb, self.y_ub, d_max, e_o)
         n_h = sched.horizon
         return Problem(self.w, x_hat, ref, sched.a[:n_h] * e_o + sched.b[:n_h] + d_max,
-                       self.y_lb, self.y_ub, self.term.P_f, alpha,
-                       cfg.q_weight, cfg.r_weight)
+                       self.y_lb, self.y_ub, term.P_f, alpha,
+                       cert.q_weight, self.config.r_weight)
 
     def step(self, chi_hat, y0):
         """Compute the input for the current estimate and set-point."""
@@ -437,5 +489,6 @@ class Controller:
         sol = solve_fhocp(self.problem, warm=warm, real_time=True)
         self.prev_solution = sol
         self.prev_ref = ref
-        self.e_o = eo_step(self.e_o, self.spec.rho_o, self.spec.w_bar)
+        sched = self.certificate.schedule
+        self.e_o = eo_step(self.e_o, sched.rho_o, sched.w_bar)
         return sol.u_seq[0], sol, ref

@@ -73,11 +73,8 @@ class ObserverSpec:
             raise ValueError("d_max must be positive")
 
     def to_dict(self):
-        return {
-            "L_f": self.L_f.tolist(), "L_i": self.L_i.tolist(),
-            "L_o": self.L_o.tolist(), "L_d": self.L_d.tolist(),
-            "d_max": self.d_max, "w_bar": self.w_bar,
-        }
+        gains = {name: getattr(self, name).tolist() for name in ("L_f", "L_i", "L_o", "L_d")}
+        return {**gains, "d_max": self.d_max, "w_bar": self.w_bar}
 
     @classmethod
     def from_dict(cls, doc):

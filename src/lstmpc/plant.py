@@ -82,10 +82,6 @@ def _rates(p):
     return rates
 
 
-def _xdot(p, x, u_phi, d_phi):
-    return np.array(_rates(p)(*map(float, x), u_phi, d_phi))
-
-
 def plant_step(p, x, u_phi, d_phi, dt, substeps=10):
     """Advance the ODE by dt with classical RK4 over fixed substeps.
 
@@ -122,11 +118,6 @@ def _residual(p, w_a4, w_b4):
                 / (1.0 + 10.0 ** (pk1 - ph) + 10.0 ** (ph - pk2)))
 
     return residual
-
-
-def charge_balance(p, x, ph):
-    """Titration residual c(x, pH); the measured pH is its root."""
-    return _residual(p, float(x[0]), float(x[1]))(ph)
 
 
 def measure_ph(p, x):

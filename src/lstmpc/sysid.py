@@ -49,10 +49,6 @@ class Dataset:
     test: list
     normalizer: plant.Normalizer
 
-    @property
-    def all_sequences(self):
-        return list(self.train) + list(self.val) + list(self.test)
-
 
 def _excite(params, seed, steps, t_s, hold_range):
     """Simulate one excitation sequence from the nominal equilibrium.

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from lstmpc import lstm, observer, plant, sysid
+from lstmpc import lstm, mpc, plant, sysid
 
 ASSETS = pathlib.Path(__file__).resolve().parents[1] / "src" / "lstmpc" / "assets"
 
@@ -35,15 +35,19 @@ def bench_w(bench):
 
 
 @pytest.fixture(scope="session")
-def bench_cert(bench_w):
-    return lstm.incremental_lyapunov(bench_w)
+def bench_certificate(bench):
+    """The shipped model's certificate at horizon 5 and state weight 1."""
+    return mpc.certify(*bench)
 
 
 @pytest.fixture(scope="session")
-def bench_spec(bench):
-    w, obs_doc = bench
-    spec = observer.ObserverSpec.from_dict(obs_doc)
-    return observer.derive_constants(w, spec, w_bar=spec.w_bar)
+def bench_cert(bench_certificate):
+    return bench_certificate.model
+
+
+@pytest.fixture(scope="session")
+def bench_spec(bench_certificate):
+    return bench_certificate.spec
 
 
 @pytest.fixture(scope="session")

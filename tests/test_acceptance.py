@@ -60,8 +60,8 @@ class TestCriterion2CertificationConstants:
         assert 0.85 <= bench_cert.rho_s <= 0.97
         assert 0.90 <= bench_spec.rho_o <= 0.995
 
-    def test_error_bound_fixed_point_identity(self, bench_cert, bench_spec):
-        sched = mpc.build_schedule(bench_cert, bench_spec, 5)
+    def test_error_bound_fixed_point_identity(self, bench_certificate, bench_spec):
+        sched = bench_certificate.schedule
         e = sched.e_bar_inf
         assert abs(e - (bench_spec.rho_o * e + bench_spec.w_bar)) < 1e-12
         assert abs(e - bench_spec.w_bar / (1.0 - bench_spec.rho_o)) < 1e-12
@@ -150,12 +150,9 @@ class TestCriterion4ObserverConvergence:
 
 
 class TestCriterion5SolverOptimality:
-    def test_matches_exhaustive_grid_on_random_instances(self, bench_w,
-                                                         bench_cert, bench_spec):
-        n_horizon = 2
-        ctrl = mpc.Controller(bench_w, bench_cert, bench_spec,
-                              mpc.ControllerConfig(horizon=n_horizon))
-        sched = ctrl.sched
+    def test_matches_exhaustive_grid_on_random_instances(self, bench_w, bench_spec):
+        ctrl = mpc.Controller(bench_w, mpc.certify(bench_w, bench_spec, 2))
+        sched = ctrl.certificate.schedule
         rng = np.random.default_rng(16)
         grid = np.linspace(-1.0, 1.0, 201)
         uu0, uu1 = np.meshgrid(grid, grid, indexing="ij")
@@ -310,10 +307,8 @@ class TestCriterion9PlantFidelity:
 
 
 class TestCriterion10AdmissibleBand:
-    def test_band_matches_published_interval(self, bench_w, bench_cert,
-                                             bench_spec, bench_nrm):
-        sched = mpc.build_schedule(bench_cert, bench_spec, 5)
-        term = mpc.TerminalData(P_f=mpc.compute_pf(bench_cert.A_delta, 1.0))
+    def test_band_matches_published_interval(self, bench_certificate, bench_spec, bench_nrm):
+        sched = bench_certificate.schedule
         y_lb = float(bench_nrm.normalize_y(6.0))
         y_ub = float(bench_nrm.normalize_y(9.0))
         lo0, hi0 = mpc.admissible_band(sched, y_lb, y_ub,

@@ -1,14 +1,17 @@
 """Unit tests for scenario scripting, the closed-loop engine and the CLI."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from lstmpc import cli, harness, lstm, mpc, plant, sysid
+from lstmpc import cli, harness, lstm, mpc, observer, plant, sysid
 from lstmpc.errors import DomainViolationError, FeasibilityLossError
 
 from conftest import ASSETS
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def tiny_physical_scenario(**kw):
@@ -112,6 +115,22 @@ class TestRunScenario:
         assert list(report.trace) == harness.TRACE_COLUMNS
         assert report.steps == 10
         assert all(len(v) == 10 for v in report.trace.values())
+
+    def test_observer_section_fixes_its_own_gains(self, bench):
+        # the scenario's d_max, l_d and w_bar apply only to weights without
+        # an observer section; the section and its ObserverSpec agree, and
+        # the shipped section holds the gains the scenario defaults select
+        w, obs_doc = bench
+        spec = observer.ObserverSpec.from_dict(obs_doc)
+        other = {"d_max": 0.09, "l_d": 0.2, "w_bar": 0.005}
+
+        def trace(gains, **kw):
+            sc = tiny_physical_scenario(duration_s=100.0, **kw)
+            return harness.run_scenario(sc, w, spec=gains).trace
+
+        shipped = trace(obs_doc)
+        assert trace(obs_doc, **other) == trace(spec) == trace(None) == shipped
+        assert trace(None, **other)["e_o"] != shipped["e_o"]
 
     def test_eo_trace_matches_affine_recursion(self, bench_w, bench_spec):
         sc = tiny_physical_scenario(duration_s=200.0)
@@ -258,6 +277,32 @@ class TestCli:
         assert json.loads(out.err) == {
             "error": "ValueError",
             "message": "--k-bar needs weights with u_range and y_range"}
+
+    # stdout of `lstmpc certify`, pinned byte for byte; a change that moves
+    # any constant regenerates these files and says why
+    @pytest.mark.parametrize("golden, flags", [
+        ("certify_shipped.json", []),
+        ("certify_k_bar.json", ["--k-bar"]),
+        ("certify_no_observer.json",
+         ["--horizon", "8", "--d-max", "0.08", "--l-d", "0.3", "--w-bar", "0.005"]),
+    ])
+    def test_certify_output_is_pinned(self, tmp_path, capsys, golden, flags):
+        path = ASSETS / "model.json"
+        if golden == "certify_no_observer.json":
+            doc = json.loads(path.read_text())
+            del doc["observer"]
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--weights", str(path), *flags]) == 0
+        assert capsys.readouterr().out == (DATA / golden).read_text()
+
+    def test_certify_rejects_observer_section_without_a_gain(self, tmp_path, capsys):
+        doc = json.loads((ASSETS / "model.json").read_text())
+        del doc["observer"]["L_f"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--weights", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "KeyError", "message": "'L_f'"}
 
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
         sc = tiny_physical_scenario(duration_s=100.0)

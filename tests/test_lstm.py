@@ -320,6 +320,28 @@ class TestSensitivities:
         assert forward == pytest.approx(reverse, rel=1e-12)
 
 
+def local_factors_oracle(c, cache):
+    """``local_factors`` with each sigmoid derivative as its own product."""
+    sig, g, tc = cache
+    n = tc.shape[1]
+    f, i, o = sig[:, :n], sig[:, n:2 * n], sig[:, 2 * n:]
+    return (f, f * (1.0 - f) * c[:-1], i * (1.0 - i) * g, i * (1.0 - g ** 2),
+            o * (1.0 - o) * tc, o * (1.0 - tc ** 2))
+
+
+class TestLocalFactors:
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_steps", [1, 10])
+    def test_matches_per_gate_products(self, bench_w, net, n_steps):
+        w, _, _, _, c, cache = TestSensitivities._case(bench_w, net, n_steps)
+        factors = lstm.local_factors(c, cache)
+        expect = local_factors_oracle(c, cache)
+        assert len(factors) == len(expect) == 6
+        for got, want in zip(factors, expect):
+            assert got.shape == (n_steps, w.n)
+            assert np.array_equal(got, want)
+
+
 class TestStepJacobians:
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])

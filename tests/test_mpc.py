@@ -24,13 +24,13 @@ def fake_spec(rho_o=0.95, l_max=0.1, w_bar=0.01, c_o=(3.0,)):
 
 
 @pytest.fixture(scope="module")
-def bench_sched(bench_cert, bench_spec):
-    return mpc.build_schedule(bench_cert, bench_spec, 5)
+def bench_sched(bench_certificate):
+    return bench_certificate.schedule
 
 
 @pytest.fixture(scope="module")
-def bench_term(bench_cert):
-    return mpc.TerminalData(P_f=mpc.compute_pf(bench_cert.A_delta, 1.0))
+def bench_term(bench_certificate):
+    return bench_certificate.terminal
 
 
 class TestBuildSchedule:
@@ -103,8 +103,7 @@ class TestComputePf:
 
 
 class TestTerminalAlpha:
-    def test_symmetric_setpoint(self, bench_sched, bench_term, bench_w, bench_cert,
-                                bench_spec):
+    def test_symmetric_setpoint(self, bench_sched, bench_term, bench_w, bench_certificate):
         # centered set-point with symmetric bounds: both sides give the
         # same radius, so alpha equals either one
         alpha = mpc.terminal_alpha(bench_sched, bench_term, bench_w.W_y,
@@ -114,9 +113,8 @@ class TestTerminalAlpha:
         expect = np.sqrt(bench_term.lam_min) / np.linalg.norm(bench_w.W_y[0]) \
             * (1.0 - margin)
         assert alpha == pytest.approx(expect, abs=1e-12)
-        ctrl = mpc.Controller(bench_w, bench_cert, bench_spec,
-                              mpc.ControllerConfig(horizon=5, e_o0=0.2))
-        assert bench_spec.d_max == 0.1
+        ctrl = mpc.Controller(bench_w, bench_certificate, mpc.ControllerConfig(e_o0=0.2))
+        assert bench_certificate.spec.d_max == 0.1
         assert ctrl.problem_at(None, None, [0.0]).alpha == alpha
 
     def test_uses_e_bar_inf_floor(self, bench_sched, bench_term, bench_w):
@@ -138,10 +136,8 @@ class TestTerminalAlpha:
         # while a set-point strictly inside gets a positive radius; at
         # output 0's edges the radius formula alone rounds to +1e-15
         w = small_net(seed=2, n=3, m=2, p=2)
-        cert = lstm.incremental_lyapunov(w)
-        spec = observer.select_gains(w)
-        sched = mpc.build_schedule(cert, spec, 5)
-        term = mpc.TerminalData(P_f=mpc.compute_pf(cert.A_delta, 1.0))
+        certificate = mpc.certify(w, observer.select_gains(w))
+        sched, term, spec = certificate.schedule, certificate.terminal, certificate.spec
         y_lb, y_ub, e_o = np.array([-1.0, -0.8]), np.array([1.0, 0.6]), 0.2
         lo, hi = mpc.admissible_band(sched, y_lb, y_ub, spec.d_max, e_o)
         mid = 0.5 * (lo + hi)
@@ -164,12 +160,12 @@ class TestTerminalAlpha:
         np.testing.assert_allclose(hi, [1.0])
 
 
-def feasible_instance(w, cert, spec, seed, n_horizon, y0=0.1, y_ub=1.0):
+def feasible_instance(w, spec, seed, n_horizon, y0=0.1, y_ub=1.0):
     """A solvable instance near the equilibrium of y0 at e_o = e_bar_inf:
-    (controller, its problem) for the output bounds [-1, y_ub]."""
-    ctrl = mpc.Controller(w, cert, spec,
-                          mpc.ControllerConfig(horizon=n_horizon, y_ub=y_ub))
-    ctrl.e_o = ctrl.sched.e_bar_inf
+    (controller, its problem) for the observer ``spec`` and the output
+    bounds [-1, y_ub]."""
+    ctrl = mpc.Controller(w, mpc.certify(w, spec, n_horizon), mpc.ControllerConfig(y_ub=y_ub))
+    ctrl.e_o = ctrl.certificate.schedule.e_bar_inf
     ref = refcalc.solve_reference(w, [y0], [0.0])
     rng = np.random.default_rng(seed)
     x_hat = lstm.LstmState(ref.x_bar.c + rng.uniform(-0.02, 0.02, w.n),
@@ -255,16 +251,16 @@ class TestQpModel:
 
 
 class TestSolveFhocp:
-    def test_equilibrium_is_optimal(self, bench_w, bench_cert, bench_spec):
-        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 0, 5)
+    def test_equilibrium_is_optimal(self, bench_w, bench_spec):
+        _, problem = feasible_instance(bench_w, bench_spec, 0, 5)
         ref = problem.ref
         sol = mpc.solve_fhocp(dataclasses.replace(problem, x_hat=ref.x_bar))
         np.testing.assert_allclose(sol.u_seq, np.tile(ref.u_bar, (5, 1)), atol=1e-7)
         assert sol.cost < 1e-12
         assert sol.max_violation <= 1e-7
 
-    def test_matches_grid_oracle(self, bench_w, bench_cert, bench_spec):
-        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 1, 2)
+    def test_matches_grid_oracle(self, bench_w, bench_spec):
+        _, problem = feasible_instance(bench_w, bench_spec, 1, 2)
         sol = mpc.solve_fhocp(problem)
         assert sol.max_violation <= 1e-7
         grid = np.linspace(-1.0, 1.0, 201)
@@ -278,16 +274,15 @@ class TestSolveFhocp:
                 best = min(best, oracle_cost(problem, u_seq))
         assert sol.cost <= best + 1e-3
 
-    def test_warm_start_at_optimum_returns_quickly(self, bench_w, bench_cert,
-                                                   bench_spec):
-        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5)
+    def test_warm_start_at_optimum_returns_quickly(self, bench_w, bench_spec):
+        _, problem = feasible_instance(bench_w, bench_spec, 2, 5)
         sol = mpc.solve_fhocp(problem)
         again = mpc.solve_fhocp(problem, warm=sol.u_seq)
         assert again.cost <= sol.cost + 1e-9
         assert again.solver_iterations <= sol.solver_iterations
 
-    def test_never_worse_than_candidate(self, bench_w, bench_cert, bench_spec):
-        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 3, 5)
+    def test_never_worse_than_candidate(self, bench_w, bench_spec):
+        _, problem = feasible_instance(bench_w, bench_spec, 3, 5)
         warm = np.tile(problem.ref.u_bar, (5, 1)) + 0.05
         assert np.max(np.abs(warm)) <= bench_w.u_max   # the solve keeps it as is
         cand_violation = problem.evaluate(warm)[1].max()
@@ -296,8 +291,8 @@ class TestSolveFhocp:
         if cand_violation <= 1e-7:
             assert sol.cost <= oracle_cost(problem, warm) + 1e-9
 
-    def test_solution_shapes(self, bench_w, bench_cert, bench_spec):
-        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 4, 5)
+    def test_solution_shapes(self, bench_w, bench_spec):
+        _, problem = feasible_instance(bench_w, bench_spec, 4, 5)
         sol = mpc.solve_fhocp(problem)
         assert sol.u_seq.shape == (5, bench_w.m)
         assert np.max(np.abs(sol.u_seq)) <= bench_w.u_max + 1e-12
@@ -370,20 +365,19 @@ class TestFhocpKkt:
 
     @pytest.mark.parametrize("n_horizon", [5, 10])
     @pytest.mark.parametrize("active", ["output", "terminal"])
-    def test_active_constraint_kkt(self, bench_w, bench_cert, bench_spec,
-                                   n_horizon, active):
+    def test_active_constraint_kkt(self, bench_w, bench_spec, n_horizon, active):
         nnls = pytest.importorskip("scipy.optimize").nnls
         w, y0 = bench_w, 0.1
-        ctrl, problem = feasible_instance(w, bench_cert, bench_spec, 2, n_horizon, y0=y0)
+        ctrl, problem = feasible_instance(w, bench_spec, 2, n_horizon, y0=y0)
         if active == "output":
             # below the unconstrained plan's tightened stage-1 output
             problem = with_y_ub(problem, 0.30)
         else:
             # shrink the terminal radius through the set-point margin
-            _, hi = mpc.admissible_band(ctrl.sched, -1.0, 1.0,
+            _, hi = mpc.admissible_band(ctrl.certificate.schedule, -1.0, 1.0,
                                         bench_spec.d_max, ctrl.e_o)
             y_ub = 1.0 - (hi[0] - y0) + {5: 0.075, 10: 0.03}[n_horizon]
-            _, problem = feasible_instance(w, bench_cert, bench_spec, 2, n_horizon,
+            _, problem = feasible_instance(w, bench_spec, 2, n_horizon,
                                            y0=y0, y_ub=y_ub)
         sol = mpc.solve_fhocp(problem)
         assert sol.status == "optimal"
@@ -404,18 +398,19 @@ class TestFhocpKkt:
         assert residual <= 1e-6
         assert np.max(lam[:len(act)][np.isin(act, rows)]) > 0.0
 
-    def test_unreachable_terminal_set_raises(self, bench_w, bench_cert, bench_spec):
+    def test_unreachable_terminal_set_raises(self, bench_w, bench_spec):
         # a terminal radius too small to reach in 5 steps from an
         # infeasible candidate: no plan, so the solve reports the loss
-        ctrl, _ = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5)
-        _, hi = mpc.admissible_band(ctrl.sched, -1.0, 1.0, bench_spec.d_max, ctrl.e_o)
+        ctrl, _ = feasible_instance(bench_w, bench_spec, 2, 5)
+        _, hi = mpc.admissible_band(ctrl.certificate.schedule, -1.0, 1.0, bench_spec.d_max,
+                                    ctrl.e_o)
         y_ub = 1.0 - (hi[0] - 0.1) + 0.04
-        _, problem = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5, y_ub=y_ub)
+        _, problem = feasible_instance(bench_w, bench_spec, 2, 5, y_ub=y_ub)
         with pytest.raises(FeasibilityLossError, match="candidate violation"):
             mpc.solve_fhocp(problem)
 
-    def test_warm_start_at_kkt_point_stays(self, bench_w, bench_cert, bench_spec):
-        problem = with_y_ub(feasible_instance(bench_w, bench_cert, bench_spec, 2, 10)[1],
+    def test_warm_start_at_kkt_point_stays(self, bench_w, bench_spec):
+        problem = with_y_ub(feasible_instance(bench_w, bench_spec, 2, 10)[1],
                             0.30)
         sol = mpc.solve_fhocp(problem)
         again = mpc.solve_fhocp(problem, warm=sol.u_seq)
@@ -427,18 +422,17 @@ class TestStatus:
     """A converged-mode plan is "optimal" only when the step test passed."""
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_iteration_cap_is_stalled(self, bench_w, bench_cert, bench_spec, seed):
+    def test_iteration_cap_is_stalled(self, bench_w, bench_spec, seed):
         # an active output bound: the SQP converges only linearly here
-        problem = with_y_ub(feasible_instance(bench_w, bench_cert, bench_spec, seed, 10)[1],
+        problem = with_y_ub(feasible_instance(bench_w, bench_spec, seed, 10)[1],
                             0.30)
         sol = mpc.solve_fhocp(problem)
         assert sol.solver_iterations == mpc._SQP_MAX_ITER
         assert sol.status == "stalled"
         assert sol.max_violation <= 1e-7
 
-    def test_failed_line_search_is_stalled(self, bench_w, bench_cert, bench_spec,
-                                           monkeypatch):
-        problem = with_y_ub(feasible_instance(bench_w, bench_cert, bench_spec, 2, 10)[1],
+    def test_failed_line_search_is_stalled(self, bench_w, bench_spec, monkeypatch):
+        problem = with_y_ub(feasible_instance(bench_w, bench_spec, 2, 10)[1],
                             0.30)
         assert mpc.solve_fhocp(problem).status == "optimal"
         # two step halvings are too few on this instance after a few iterations
@@ -453,10 +447,10 @@ class TestRealTimeIteration:
     started again and again at a frozen state it reaches the converged plan."""
 
     @pytest.mark.parametrize("n_horizon, y_ub", [(5, 1.0), (10, 1.0), (10, 0.30)])
-    def test_warm_started_calls_reach_converged_plan(self, bench_w, bench_cert,
-                                                     bench_spec, n_horizon, y_ub):
+    def test_warm_started_calls_reach_converged_plan(self, bench_w, bench_spec,
+                                                     n_horizon, y_ub):
         problem = with_y_ub(
-            feasible_instance(bench_w, bench_cert, bench_spec, 2, n_horizon)[1], y_ub)
+            feasible_instance(bench_w, bench_spec, 2, n_horizon)[1], y_ub)
         converged = mpc.solve_fhocp(problem)
         assert converged.status == "optimal"
         warm = None
@@ -470,9 +464,9 @@ class TestRealTimeIteration:
             pytest.fail("30 real-time calls did not reach the converged plan")
 
     def test_infeasible_start_iterates_to_first_feasible_iterate(
-            self, bench_w, bench_cert, bench_spec, monkeypatch):
+            self, bench_w, bench_spec, monkeypatch):
         # at y_ub = 0.30 the constant u_bar plan violates the output bound
-        problem = with_y_ub(feasible_instance(bench_w, bench_cert, bench_spec, 2, 10)[1],
+        problem = with_y_ub(feasible_instance(bench_w, bench_spec, 2, 10)[1],
                             0.30)
         sol = mpc.solve_fhocp(problem, real_time=True)
         assert sol.candidate_violation > 0.1
@@ -492,34 +486,86 @@ class TestShiftedCandidate:
         np.testing.assert_allclose(cand, [[0.2], [0.3], [0.9]])
 
 
+class TestCertify:
+    """certify builds the chain of constants that was put together by hand:
+    model certificate, observer constants, schedule and P_f."""
+
+    def test_matches_hand_built_chain(self, bench):
+        w, obs_doc = bench
+        certificate = mpc.certify(w, obs_doc, 7, q_weight=2.5)
+        cert = lstm.incremental_lyapunov(w)
+        spec = observer.ObserverSpec.from_dict(obs_doc)
+        observer.derive_constants(w, spec, w_bar=spec.w_bar)
+        sched = mpc.build_schedule(cert, spec, 7)
+        for name in ("P_s", "c_s", "A_delta"):
+            np.testing.assert_array_equal(getattr(certificate.model, name), getattr(cert, name))
+        for name in ("A_d", "P_o", "c_o", "L_mat"):
+            np.testing.assert_array_equal(getattr(certificate.spec, name), getattr(spec, name))
+        for name in ("rho_o", "L_max", "w_bar", "d_max"):
+            assert getattr(certificate.spec, name) == getattr(spec, name)
+        np.testing.assert_array_equal(certificate.schedule.a, sched.a)
+        np.testing.assert_array_equal(certificate.schedule.b, sched.b)
+        np.testing.assert_array_equal(certificate.terminal.P_f, mpc.compute_pf(cert.A_delta, 2.5))
+        assert certificate.schedule.horizon == 7
+        assert (certificate.q_weight, certificate.k_bar) == (2.5, None)
+
+    def test_spec_and_section_agree_without_writing_to_the_spec(self, bench):
+        w, obs_doc = bench
+        spec = observer.ObserverSpec.from_dict(obs_doc)
+        from_spec = mpc.certify(w, spec)
+        assert spec.A_d is None and spec.P_o is None     # the caller's spec is left as is
+        assert from_spec.spec is not spec
+        assert from_spec.to_dict() == mpc.certify(w, obs_doc).to_dict()
+
+    @pytest.mark.parametrize("gains", [None, {}])
+    def test_without_gains_selects_them(self, bench_w, gains):
+        certificate = mpc.certify(bench_w, gains, d_max=0.08, l_d=0.3, w_bar=0.005)
+        spec = observer.select_gains(bench_w, d_max=0.08, l_d=0.3, w_bar=0.005)
+        assert certificate.spec.to_dict() == spec.to_dict()
+        np.testing.assert_array_equal(certificate.spec.P_o, spec.P_o)
+
+    def test_record_is_frozen(self, bench_certificate):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bench_certificate.q_weight = 2.0
+
+    def test_controller_reads_horizon_and_q_weight(self, bench_w, bench_spec):
+        certificate = mpc.certify(bench_w, bench_spec, 7, q_weight=2.5)
+        ctrl = mpc.Controller(bench_w, certificate, mpc.ControllerConfig(e_o0=0.05))
+        problem = ctrl.problem_at(None, None, [0.1])
+        assert problem.tight.shape == (7, 1)
+        assert problem.q_weight == 2.5
+        assert problem.P_f is certificate.terminal.P_f
+
+
 class TestController:
-    def test_problem_at_current_e_o(self, bench_w, bench_cert, bench_spec):
-        ctrl, problem = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5)
-        sched, e_o = ctrl.sched, ctrl.e_o
+    def test_problem_at_current_e_o(self, bench_w, bench_spec):
+        ctrl, problem = feasible_instance(bench_w, bench_spec, 2, 5)
+        sched, term, e_o = ctrl.certificate.schedule, ctrl.certificate.terminal, ctrl.e_o
         for i in range(5):
             np.testing.assert_array_equal(
                 problem.tight[i], sched.a[i] * e_o + sched.b[i] + bench_spec.d_max)
         assert problem.tight.shape == (5, 1)
-        assert problem.alpha == mpc.terminal_alpha(sched, ctrl.term, bench_w.W_y, [0.1],
+        assert problem.alpha == mpc.terminal_alpha(sched, term, bench_w.W_y, [0.1],
                                                    [-1.0], [1.0], bench_spec.d_max, e_o)
         np.testing.assert_array_equal(problem.y_lb, [-1.0])
         np.testing.assert_array_equal(problem.y_ub, [1.0])
-        assert problem.P_f is ctrl.term.P_f
+        assert problem.P_f is term.P_f
+        assert problem.q_weight == ctrl.certificate.q_weight
 
     @pytest.mark.parametrize("y_lb, y_ub", [(0.5, -0.5), (0.2, 0.2), (np.nan, 1.0)])
-    def test_rejects_bounds_not_ordered(self, bench_w, bench_cert, bench_spec, y_lb, y_ub):
+    def test_rejects_bounds_not_ordered(self, bench_w, bench_certificate, y_lb, y_ub):
         cfg = mpc.ControllerConfig(y_lb=y_lb, y_ub=y_ub)
         with pytest.raises(ValueError, match="not below y_ub on output 0"):
-            mpc.Controller(bench_w, bench_cert, bench_spec, cfg)
+            mpc.Controller(bench_w, bench_certificate, cfg)
 
-    def test_rejects_bounds_of_wrong_shape(self, bench_w, bench_cert, bench_spec):
+    def test_rejects_bounds_of_wrong_shape(self, bench_w, bench_certificate):
         cfg = mpc.ControllerConfig(y_ub=np.array([0.8, 0.9, 1.0]))
         with pytest.raises(DimensionError, match=r"y_ub has shape \(3,\)"):
-            mpc.Controller(bench_w, bench_cert, bench_spec, cfg)
+            mpc.Controller(bench_w, bench_certificate, cfg)
 
-    def test_tracks_equilibrium(self, bench_w, bench_cert, bench_spec):
-        cfg = mpc.ControllerConfig(horizon=5, e_o0=0.05)
-        ctrl = mpc.Controller(bench_w, bench_cert, bench_spec, cfg)
+    def test_tracks_equilibrium(self, bench_w, bench_certificate, bench_spec):
+        cfg = mpc.ControllerConfig(e_o0=0.05)
+        ctrl = mpc.Controller(bench_w, bench_certificate, cfg)
         y0 = 0.1
         ref = refcalc.solve_reference(bench_w, [y0], [0.0])
         chi = AugmentedState(ref.x_bar.copy(), np.zeros(1))
@@ -530,11 +576,10 @@ class TestController:
         assert ctrl.e_o == pytest.approx(
             bench_spec.rho_o * cfg.e_o0 + bench_spec.w_bar)
 
-    def test_feasible_candidate_takes_one_iteration(self, bench_w, bench_cert,
+    def test_feasible_candidate_takes_one_iteration(self, bench_w, bench_certificate,
                                                     bench_spec):
-        ctrl = mpc.Controller(bench_w, bench_cert, bench_spec,
-                              mpc.ControllerConfig(horizon=5, e_o0=0.05))
-        x_hat = feasible_instance(bench_w, bench_cert, bench_spec, 2, 5)[1].x_hat
+        ctrl = mpc.Controller(bench_w, bench_certificate, mpc.ControllerConfig(e_o0=0.05))
+        x_hat = feasible_instance(bench_w, bench_spec, 2, 5)[1].x_hat
         chi = AugmentedState(x_hat, np.zeros(1))
         for _ in range(3):
             u, sol, _ = ctrl.step(chi, np.array([0.1]))
@@ -546,9 +591,8 @@ class TestController:
         # ControllerConfig's default scalar y_lb/y_ub hold for every output;
         # the set-point is the output of the model's u = 0 attractor
         w = small_net(seed=2, n=3, m=2, p=2)
-        cert = lstm.incremental_lyapunov(w)
-        spec = observer.select_gains(w)
-        ctrl = mpc.Controller(w, cert, spec, mpc.ControllerConfig(e_o0=0.05))
+        certificate = mpc.certify(w, observer.select_gains(w))
+        ctrl = mpc.Controller(w, certificate, mpc.ControllerConfig(e_o0=0.05))
         _, h, _ = lstm.rollout(w, np.zeros(3), np.zeros(3), np.zeros((300, 2)))
         y0 = w.W_y @ h[-1] + w.b_y
         ref = refcalc.solve_reference(w, y0, np.zeros(2))
@@ -556,6 +600,6 @@ class TestController:
         np.testing.assert_allclose(u, ref.u_bar, atol=1e-6)
         assert sol.max_violation <= 1e-7
         np.testing.assert_array_equal(ctrl.problem.y_ub, [1.0, 1.0])
-        alpha = mpc.terminal_alpha(ctrl.sched, ctrl.term, w.W_y, y0, [-1.0, -1.0],
-                                   [1.0, 1.0], spec.d_max, 0.05)
+        alpha = mpc.terminal_alpha(certificate.schedule, certificate.terminal, w.W_y, y0,
+                                   [-1.0, -1.0], [1.0, 1.0], certificate.spec.d_max, 0.05)
         assert alpha > 0.0

@@ -75,6 +75,16 @@ def measure_ph_oracle(p, x):
     return float(ph)
 
 
+def xdot(p, x, u_phi, d_phi):
+    """The plant's ODE right-hand side at the state x, as an array."""
+    return np.array(plant._rates(p)(*map(float, x), u_phi, d_phi))
+
+
+def charge_balance(p, x, ph):
+    """The plant's titration residual c(x, pH); the measured pH is its root."""
+    return plant._residual(p, float(x[0]), float(x[1]))(ph)
+
+
 @pytest.fixture(scope="module")
 def params():
     return plant.PhParams()
@@ -87,7 +97,7 @@ class TestEquilibrium:
 
     def test_is_fixed_point_of_dynamics(self, params):
         eq = plant.equilibrium(params, u_phi=14.2, d_phi=0.6)
-        np.testing.assert_allclose(plant._xdot(params, eq, 14.2, 0.6),
+        np.testing.assert_allclose(xdot(params, eq, 14.2, 0.6),
                                    np.zeros(3), atol=1e-15)
 
 
@@ -103,7 +113,7 @@ class TestPlantStep:
         # the concentration states are frozen
         x = NOMINAL_STATE.copy()
         p0 = plant.PhParams(q1=0.0)
-        dx0 = plant._xdot(p0, x, 0.0, 0.0)
+        dx0 = xdot(p0, x, 0.0, 0.0)
         np.testing.assert_allclose(dx0[:2], 0.0, atol=1e-18)
         outflow = p0.C_v4 * (x[2] + p0.z) ** p0.n_exp
         assert dx0[2] == pytest.approx(-outflow / p0.A1, abs=1e-15)
@@ -150,13 +160,13 @@ class TestMeasurePh:
         for _ in range(50):
             x = np.array([rng.uniform(-2e-3, 2e-3), rng.uniform(0.0, 2e-3), 14.0])
             ph = plant.measure_ph(params, x)
-            assert abs(plant.charge_balance(params, x, ph)) < 1e-12
+            assert abs(charge_balance(params, x, ph)) < 1e-12
 
     def test_single_root_bracket(self, params):
         # the titration residual is monotone in pH, so the root is unique
         x = NOMINAL_STATE
         phs = np.linspace(0.0, 14.0, 200)
-        vals = [plant.charge_balance(params, x, ph) for ph in phs]
+        vals = [charge_balance(params, x, ph) for ph in phs]
         assert np.sum(np.diff(np.sign(vals)) != 0) == 1
 
     def test_monotone_in_alkaline_flow(self, params):
@@ -185,7 +195,7 @@ class TestOracle:
         for k in range(2000):
             ph = plant.measure_ph(params, x)
             assert type(ph) is float and ph == measure_ph_oracle(params, x)
-            assert plant.charge_balance(params, x, ph) == charge_balance_oracle(params, x, ph)
+            assert charge_balance(params, x, ph) == charge_balance_oracle(params, x, ph)
             nxt = plant.plant_step(params, x, u[k], q2[k], plant.T_S)
             np.testing.assert_array_equal(nxt, plant_step_oracle(params, x, u[k], q2[k], plant.T_S))
             x = nxt
@@ -203,7 +213,7 @@ class TestOracle:
 
     def test_xdot(self, params):
         x = NOMINAL_STATE + np.array([2e-4, -1e-4, 1.0])
-        np.testing.assert_array_equal(plant._xdot(params, x, 16.2, 0.6),
+        np.testing.assert_array_equal(xdot(params, x, 16.2, 0.6),
                                       xdot_oracle(params, x, 16.2, 0.6))
 
     def test_generate_dataset(self, monkeypatch):
@@ -213,7 +223,8 @@ class TestOracle:
         monkeypatch.setattr(plant, "measure_ph", measure_ph_oracle)
         ref = sysid.generate_dataset(**kwargs)
         assert fast.normalizer == ref.normalizer
-        for (u, y), (u_ref, y_ref) in zip(fast.all_sequences, ref.all_sequences, strict=True):
+        for (u, y), (u_ref, y_ref) in zip(fast.train + fast.val + fast.test,
+                                          ref.train + ref.val + ref.test, strict=True):
             np.testing.assert_array_equal(u, u_ref)
             np.testing.assert_array_equal(y, y_ref)
         # The patches reach the dataset's worker processes: an oracle shifted
@@ -222,7 +233,8 @@ class TestOracle:
         monkeypatch.setattr(plant, "measure_ph",
                             lambda params, x: measure_ph_oracle(params, x) + 100.0)
         shifted = sysid.generate_dataset(**kwargs)
-        for (_, y), (_, y_ref) in zip(shifted.all_sequences, ref.all_sequences, strict=True):
+        for (_, y), (_, y_ref) in zip(shifted.train + shifted.val + shifted.test,
+                                           ref.train + ref.val + ref.test, strict=True):
             np.testing.assert_allclose(shifted.normalizer.denormalize_y(y),
                                        ref.normalizer.denormalize_y(y_ref) + 100.0,
                                        rtol=0.0, atol=1e-9)

@@ -231,7 +231,8 @@ class TestDatasetIo:
         assert len(ds2.train) == len(ds.train)
         assert len(ds2.val) == len(ds.val)
         assert len(ds2.test) == len(ds.test)
-        for (u1, y1), (u2, y2) in zip(ds.all_sequences, ds2.all_sequences):
+        for (u1, y1), (u2, y2) in zip(ds.train + ds.val + ds.test,
+                                      ds2.train + ds2.val + ds2.test):
             np.testing.assert_allclose(u1, u2, atol=1e-12)
             np.testing.assert_allclose(y1, y2, atol=1e-12)
         assert ds2.normalizer == ds.normalizer
@@ -249,7 +250,7 @@ class TestGenerateDataset:
     def test_matches_serial_excitation(self):
         ds = sysid.generate_dataset(**self.KWARGS)
         params = plant.PhParams()
-        for s, (u, y) in enumerate(ds.all_sequences):
+        for s, (u, y) in enumerate(ds.train + ds.val + ds.test):
             u_phi, y_phi = sysid._excite(params, 5 * 1000 + s, 40, plant.T_S, (10, 100))
             np.testing.assert_array_equal(u, ds.normalizer.normalize_u(u_phi))
             np.testing.assert_array_equal(y, ds.normalizer.normalize_y(y_phi))
