@@ -34,7 +34,17 @@ class GainSelectionError(LstmpcError, RuntimeError):
 
 
 class InfeasibleReferenceError(LstmpcError, RuntimeError):
-    """Equilibrium calculator could not produce an admissible reference."""
+    """Equilibrium calculator could not produce an admissible reference.
+
+    ``reason`` says why: ``"box"`` (the equilibrium input lies outside the
+    +-u_max box), ``"diverged"`` (the iteration did not converge) or
+    ``"singular"`` (the equilibrium Jacobian is singular, not finite or,
+    with m != p, not square).
+    """
+
+    def __init__(self, message, reason):
+        super().__init__(message)
+        self.reason = reason
 
 
 class InfeasibleSetpointError(LstmpcError, ValueError):

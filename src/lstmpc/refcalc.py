@@ -4,13 +4,17 @@ Solves x = f(x, u), y0 = g(x) + d_hat for the model state/input pair the
 controller tracks. Only y0 - d_hat enters, so the equilibria form a curve
 in it, which ``_track`` follows by predictor-corrector continuation
 (Allgower & Georg, *Numerical Continuation Methods*, 1990). The corrector
-is Newton's method on one ``lstm`` kernel step per iterate (residual from
-its next state, analytic Jacobian from its ``lstm.step_jacobians``). Each solved
-pair carries the curve's tangent, the equilibrium's sensitivity to
-y0 - d_hat, from which K_bar bounds how fast the set-point may move."""
+is the simplified Newton method (Deuflhard, *Newton Methods for Nonlinear
+Problems*, 2004) on one ``lstm`` kernel step per iterate: the residual
+comes from the step's next state, and the inverse Jacobian of the last
+accepted equilibrium is reused until the residual stops falling fast
+enough; only then is the analytic Jacobian rebuilt from the step's
+``lstm.step_jacobians``. Each solved pair carries the inverse Jacobian at
+its equilibrium, so the next control step's corrector starts with one.
+Its last p columns are the curve's tangent, the equilibrium's sensitivity
+to y0 - d_hat, from which K_bar bounds how fast the set-point may move."""
 
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,18 +23,29 @@ from . import lstm
 from .errors import InfeasibleReferenceError
 from .lstm import LstmState
 
-_TOL = 1e-10     # max |residual| of an accepted equilibrium
+_TOL = 1e-10        # max |residual| of an accepted equilibrium
+_CONTRACTION = 0.1  # a reused inverse Jacobian must cut max |residual| by this factor
+_COND_MAX = 1e12    # largest kappa_inf of an inverted Jacobian
 
 
 @dataclass
 class ReferencePair:
     """Model equilibrium consistent with a set-point and disturbance estimate;
-    ``tangent`` is d(c, h, u)/d(y0 - d_hat) = J^-1 [0; I] there, if known."""
+    ``jac_inv`` is the inverse of the equilibrium residual's Jacobian J
+    there, if known."""
 
     x_bar: LstmState
     u_bar: np.ndarray
     residual: float
-    tangent: np.ndarray | None = None
+    jac_inv: np.ndarray | None = None
+
+    @property
+    def tangent(self):
+        """d(c, h, u)/d(y0 - d_hat) = J^-1 [0; I], the last p columns of
+        ``jac_inv``; None without it."""
+        if self.jac_inv is None:
+            return None
+        return self.jac_inv[:, 2 * self.x_bar.c.size:]
 
 
 def _cell_step(w, xi):
@@ -66,13 +81,29 @@ def _jacobian(w, cell):
     return jac
 
 
-def _newton(w, xi, y0_eff):
-    """Newton's method from xi, one cell step per iterate; at most 50 steps.
+def _inverse(jac):
+    """J^-1, if J is invertible with kappa_inf = |J|_inf |J^-1|_inf <= 1e12."""
+    try:
+        inv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        raise InfeasibleReferenceError("equilibrium Jacobian is singular", "singular") from None
+    # "not <=" also rejects the NaN of a non-finite J
+    if not np.linalg.norm(jac, np.inf) * np.linalg.norm(inv, np.inf) <= _COND_MAX:
+        raise InfeasibleReferenceError("equilibrium Jacobian is singular", "singular")
+    return inv
 
-    Returns (xi, residual, Jacobian) at the accepted iterate, the Jacobian
+
+def _newton(w, xi, y0_eff, jac_inv):
+    """Simplified Newton from xi, one cell step per iterate; at most 50 steps.
+
+    Each step is xi <- xi - J^-1 r with the inverse ``jac_inv`` in hand; a
+    fresh one is inverted from the current cell step only when there is
+    none, or when the residual did not fall by ``_CONTRACTION`` since the
+    last step. Returns (xi, residual, J^-1) at the accepted iterate, J
     from the cell step that passed the residual test. An accepted input
     outside the +-u_max box raises like a diverging iteration.
     """
+    res_prev = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # a diverging iterate may overflow
         for it in range(51):               # 50 steps, then a last residual test
@@ -82,18 +113,16 @@ def _newton(w, xi, y0_eff):
             if res < _TOL:
                 if np.max(np.abs(xi[2 * w.n:])) > w.u_max + 1e-9:
                     raise InfeasibleReferenceError(
-                        f"equilibrium input {xi[2 * w.n:]} outside the +-{w.u_max} box")
-                return xi, res, _jacobian(w, cell)
+                        f"equilibrium input {xi[2 * w.n:]} outside the +-{w.u_max} box",
+                        "box")
+                return xi, res, _inverse(_jacobian(w, cell))
             if it == 50:
                 break
-            jac = _jacobian(w, cell)
-            if not np.all(np.isfinite(jac)):
-                raise InfeasibleReferenceError("equilibrium Jacobian is not finite")
-            s = np.linalg.svd(jac, compute_uv=False)   # the 2-norm condition number
-            if s[0] / s[-1] > 1e12:
-                raise InfeasibleReferenceError("equilibrium Jacobian is singular")
-            xi = xi + np.linalg.solve(jac, -r)
-    raise InfeasibleReferenceError("Newton iteration did not converge")
+            if jac_inv is None or not res < _CONTRACTION * res_prev:
+                jac_inv = _inverse(_jacobian(w, cell))
+            xi = xi - jac_inv @ r
+            res_prev = res
+    raise InfeasibleReferenceError("Newton iteration did not converge", "diverged")
 
 
 def _cold_start(w):
@@ -105,49 +134,57 @@ def _cold_start(w):
     return np.concatenate([x.c, x.h, u])
 
 
-def _track(w, xi, tangent, y0_eff):
+def _track(w, xi, jac_inv, y0_eff):
     """Follow the equilibrium curve from xi's own output W_y h + b_y to y0_eff.
 
-    Each step predicts along the tangent (not on a start without one) and
-    corrects with ``_newton``; a failed corrector halves the step, a
-    success doubles it. Returns (xi, residual, tangent) at y0_eff, and
-    raises once the step falls below 1/1024 of the path.
+    Each step predicts along the tangent, the last p columns of the inverse
+    Jacobian ``jac_inv`` at xi (not on a start without one), and corrects
+    with ``_newton``, which reuses that inverse; a failed corrector halves
+    the step and retries without it, a success doubles the step. Returns
+    (xi, residual, J^-1) at y0_eff, and raises once the step falls below
+    1/1024 of the path.
     """
     n = w.n
     delta = y0_eff - (w.W_y @ xi[n:2 * n] + w.b_y)
-    rhs = np.vstack([np.zeros((2 * n, w.p)), np.eye(w.p)])   # -dF/dy0_eff
+    reuse = jac_inv
     done, step = 0.0, 1.0
     while done < 1.0:
         step = min(step, 1.0 - done)   # dyadic, so the last sub-target is y0_eff
-        guess = xi if tangent is None else xi + tangent @ (step * delta)
+        guess = xi if jac_inv is None else xi + jac_inv[:, 2 * n:] @ (step * delta)
         try:
-            xi, res, jac = _newton(w, guess, y0_eff - (1.0 - done - step) * delta)
+            xi, res, jac_inv = _newton(w, guess, y0_eff - (1.0 - done - step) * delta,
+                                       reuse)
         except InfeasibleReferenceError:
             step /= 2
             if step < 1 / 1024:
                 raise
+            reuse = None
             continue
-        tangent = np.linalg.solve(jac, rhs)
+        reuse = jac_inv
         done += step
         step *= 2
-    return xi, res, tangent
+    return xi, res, jac_inv
 
 
 def solve_reference(w, y0, d_hat, warm_start=None):
     """Equilibrium for y0 - d_hat, tracked from the warm start; without one,
-    or if that fails (a warm start need not be an equilibrium at all), from
-    the attractor of u = 0, which is one by construction."""
+    or if that fails other than on the input box (a warm start need not be
+    an equilibrium at all), from the attractor of u = 0, which is one by
+    construction."""
     if w.m != w.p:
-        raise InfeasibleReferenceError("reference calculation needs m == p")
+        raise InfeasibleReferenceError("reference calculation needs m == p", "singular")
     y0_eff = np.atleast_1d(np.subtract(y0, d_hat, dtype=float))
     tracked = None
     if warm_start is not None:
         xi0 = np.concatenate([warm_start.x_bar.c, warm_start.x_bar.h, warm_start.u_bar])
-        with suppress(InfeasibleReferenceError):
-            tracked = _track(w, xi0, warm_start.tangent, y0_eff)
-    xi, res, tangent = tracked or _track(w, _cold_start(w), None, y0_eff)
+        try:
+            tracked = _track(w, xi0, warm_start.jac_inv, y0_eff)
+        except InfeasibleReferenceError as exc:
+            if exc.reason == "box":
+                raise
+    xi, res, jac_inv = tracked or _track(w, _cold_start(w), None, y0_eff)
     n = w.n
-    return ReferencePair(LstmState(xi[:n], xi[n:2 * n]), xi[2 * n:], res, tangent)
+    return ReferencePair(LstmState(xi[:n], xi[n:2 * n]), xi[2 * n:], res, jac_inv)
 
 
 def estimate_k_bar(w, y0_range, d_range=(0.0, 0.0), grid_density=9):
@@ -166,16 +203,17 @@ def estimate_k_bar(w, y0_range, d_range=(0.0, 0.0), grid_density=9):
         for y0 in y0s:
             try:
                 ref = solve_reference(w, [y0], [d], warm_start=warm)
-            except InfeasibleReferenceError:
+            except InfeasibleReferenceError as exc:
                 failed.append((float(y0), float(d)))
+                reason = exc.reason
                 continue
             warm = ref
             k = float(np.linalg.norm(ref.tangent[:2 * w.n], 2))
-            if k > k_bar:
+            if arg is None or k > k_bar:
                 k_bar, arg = k, (float(y0), float(d))
     if failed:
         warnings.warn(f"{len(failed)} grid points had no admissible equilibrium: "
                       f"{failed[:5]}{'...' if len(failed) > 5 else ''}")
     if arg is None:
-        raise InfeasibleReferenceError("no grid point admitted an equilibrium")
+        raise InfeasibleReferenceError("no grid point admitted an equilibrium", reason)
     return k_bar, arg

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from lstmpc import lstm, mpc, observer, refcalc
 from lstmpc.errors import DimensionError, FeasibilityLossError, InfeasibleSetpointError
@@ -366,7 +367,6 @@ class TestFhocpKkt:
     @pytest.mark.parametrize("n_horizon", [5, 10])
     @pytest.mark.parametrize("active", ["output", "terminal"])
     def test_active_constraint_kkt(self, bench_w, bench_spec, n_horizon, active):
-        nnls = pytest.importorskip("scipy.optimize").nnls
         w, y0 = bench_w, 0.1
         ctrl, problem = feasible_instance(w, bench_spec, 2, n_horizon, y0=y0)
         if active == "output":

@@ -1,5 +1,6 @@
 """Unit tests for the equilibrium reference calculator."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from lstmpc import lstm, refcalc
 from lstmpc.errors import InfeasibleReferenceError
 from lstmpc.lstm import LstmState
 
-from conftest import random_invariant_state, small_net
+from conftest import random_invariant_state, small_net, zero_net
 
 
 def oracle_residual(w, xi, y0_eff):
@@ -42,9 +43,10 @@ def oracle_jacobian(w, xi):
 
 
 def oracle_newton(w, xi, y0_eff):
-    """Reference Newton: the residual and the Jacobian each evaluate the
-    cell, and the singularity test is ``np.linalg.cond``. Returns (xi,
-    residual, Jacobian at xi) and rejects an input outside the +-u_max box."""
+    """Reference full Newton: the residual and the Jacobian each evaluate
+    the cell, every iterate solves with its own Jacobian, and the
+    singularity test is ``np.linalg.cond``. Returns (xi, residual, Jacobian
+    at xi) and rejects an input outside the +-u_max box."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(50):
@@ -53,15 +55,89 @@ def oracle_newton(w, xi, y0_eff):
                 break
             jac = oracle_jacobian(w, xi)
             if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e12:
-                raise InfeasibleReferenceError("equilibrium Jacobian is singular")
+                raise InfeasibleReferenceError("equilibrium Jacobian is singular", "singular")
             xi = xi + np.linalg.solve(jac, -r)
         else:
             r = oracle_residual(w, xi, y0_eff)
     if not np.max(np.abs(r)) < refcalc._TOL:
-        raise InfeasibleReferenceError("Newton iteration did not converge")
+        raise InfeasibleReferenceError("Newton iteration did not converge", "diverged")
     if np.max(np.abs(xi[2 * w.n:])) > w.u_max + 1e-9:
-        raise InfeasibleReferenceError("equilibrium input outside the box")
+        raise InfeasibleReferenceError("equilibrium input outside the box", "box")
     return xi, float(np.max(np.abs(r))), oracle_jacobian(w, xi)
+
+
+def oracle_inverse(jac):
+    """J^-1 by ``np.linalg.inv``; rejects J if singular or if
+    |J|_inf |J^-1|_inf exceeds 1e12."""
+    try:
+        inv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        raise InfeasibleReferenceError("equilibrium Jacobian is singular", "singular")
+    if not np.linalg.norm(jac, np.inf) * np.linalg.norm(inv, np.inf) <= 1e12:
+        raise InfeasibleReferenceError("equilibrium Jacobian is singular", "singular")
+    return inv
+
+
+def oracle_simplified_newton(w, xi, y0_eff, jac_inv):
+    """Reference simplified Newton on the two-evaluation residual and
+    Jacobian: step with the inverse in hand, and invert a fresh Jacobian
+    at the iterate when there is none or when max |r| fell less than
+    tenfold since the last step. Returns (xi, residual, inverse Jacobian at
+    xi) and rejects an input outside the +-u_max box."""
+    res_prev = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(50):
+            r = oracle_residual(w, xi, y0_eff)
+            res = float(np.max(np.abs(r)))
+            if res < refcalc._TOL:
+                break
+            if jac_inv is None or not res < 0.1 * res_prev:
+                jac_inv = oracle_inverse(oracle_jacobian(w, xi))
+            xi = xi - jac_inv @ r
+            res_prev = res
+        else:
+            r = oracle_residual(w, xi, y0_eff)
+        if not np.max(np.abs(r)) < refcalc._TOL:
+            raise InfeasibleReferenceError("Newton iteration did not converge", "diverged")
+        if np.max(np.abs(xi[2 * w.n:])) > w.u_max + 1e-9:
+            raise InfeasibleReferenceError("equilibrium input outside the box", "box")
+        return xi, float(np.max(np.abs(r))), oracle_inverse(oracle_jacobian(w, xi))
+
+
+def full_newton(w, xi, y0_eff, jac_inv):
+    """``oracle_newton`` in the corrector's interface: it ignores the
+    inverse in hand and returns the inverse of its accepted Jacobian."""
+    xi, res, jac = oracle_newton(w, xi, y0_eff)
+    return xi, res, np.linalg.inv(jac)
+
+
+def oracle_track(w, xi, jac_inv, y0_eff, newton=oracle_simplified_newton):
+    """Reference tracker: walk the targets from xi's own output to y0_eff
+    in dyadic steps. Each step predicts along the tangent (the inverse
+    Jacobian's last p columns) and corrects with ``newton``, which starts
+    from the inverse of the last accepted point; a failed step is halved
+    and retried with no inverse in hand, an accepted one doubles."""
+    n = w.n
+    delta = y0_eff - (w.W_y @ xi[n:2 * n] + w.b_y)
+    in_hand = jac_inv
+    done, step = 0.0, 1.0
+    while done < 1.0:
+        step = min(step, 1.0 - done)
+        target = y0_eff - (1.0 - done - step) * delta
+        guess = xi if jac_inv is None else xi + jac_inv[:, 2 * n:] @ (step * delta)
+        try:
+            xi, res, jac_inv = newton(w, guess, target, in_hand)
+        except InfeasibleReferenceError:
+            step /= 2
+            if step < 1 / 1024:
+                raise
+            in_hand = None
+            continue
+        in_hand = jac_inv
+        done += step
+        step *= 2
+    return xi, res, jac_inv
 
 
 def fd_jacobian(w, xi, y0_eff, eps=1e-6):
@@ -82,9 +158,9 @@ def counted(monkeypatch, module, name, calls):
     """Replace ``module.name`` by a wrapper that appends ``name`` to ``calls``."""
     fn = getattr(module, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(name)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
 
@@ -165,6 +241,23 @@ class TestSolveReference:
         refcalc.solve_reference(bench_w, [0.12], [0.0], warm_start=ref)
         assert seen and not any(np.array_equal(xi, xi0) for xi in seen)
 
+    def test_singular_jacobian_at_accepted_point_raises(self):
+        # The zero net's attractor meets y0 = 0 at once, and W_y = 0 makes
+        # the Jacobian there singular.
+        with pytest.raises(InfeasibleReferenceError) as err:
+            refcalc.solve_reference(zero_net(), [0.0], [0.0])
+        assert err.value.reason == "singular"
+
+    @pytest.mark.parametrize("y0", [1.2, 2.0])
+    def test_box_failure_does_not_restart_cold(self, bench_w, monkeypatch, y0):
+        warm = refcalc.solve_reference(bench_w, [0.1], [0.0])
+        calls = []
+        counted(monkeypatch, refcalc, "_cold_start", calls)
+        with pytest.raises(InfeasibleReferenceError) as err:
+            refcalc.solve_reference(bench_w, [y0], [0.0], warm_start=warm)
+        assert err.value.reason == "box"
+        assert calls == []
+
     def test_rejects_non_square_model(self):
         w = small_net(seed=0, n=3, m=2, p=1)
         with pytest.raises(InfeasibleReferenceError):
@@ -187,8 +280,9 @@ class TestJacobian:
 
 
 class TestNewtonOracle:
-    """``solve_reference`` equals the tracker run on the reference
-    two-evaluation Newton exactly, on every path it can take."""
+    """``solve_reference`` equals the reference simplified-Newton tracker
+    exactly, on every path it can take, and agrees with the tracker run on
+    full Newton."""
 
     @staticmethod
     def _cases(w, rng, count=30):
@@ -207,24 +301,30 @@ class TestNewtonOracle:
             cases.append((lstm.output(w, x) + d_hat, d_hat, warm))
         return cases
 
+    @pytest.fixture(params=["bench", "small"])
+    def net_cases(self, request, bench_w):
+        if request.param == "small":
+            w = small_net(n=3, m=2, p=2)
+            return w, self._cases(w, np.random.default_rng(7))
+        cases = self._cases(bench_w, np.random.default_rng(7))
+        # From this solved pair (it carries an inverse Jacobian) the full
+        # step to the target fails and two half steps succeed.
+        warm = refcalc.solve_reference(bench_w, [-0.9], [0.0])
+        cases.append((np.array([1.0]), np.zeros(1), warm))
+        return bench_w, cases
+
     @staticmethod
     def _solve(w, y0, d_hat, warm):
-        """(c, h, u_bar, residual, tangent) of the solve, None if it raised."""
+        """(c, h, u_bar, residual, jac_inv) of the solve, or the reason it
+        raised."""
         try:
             ref = refcalc.solve_reference(w, y0, d_hat, warm_start=warm)
-        except InfeasibleReferenceError:
-            return None
-        return ref.x_bar.c, ref.x_bar.h, ref.u_bar, ref.residual, ref.tangent
+        except InfeasibleReferenceError as exc:
+            return exc.reason
+        return ref.x_bar.c, ref.x_bar.h, ref.u_bar, ref.residual, ref.jac_inv
 
-    @pytest.mark.parametrize("net", ["bench", "small"])
-    def test_equals_two_evaluation_newton(self, net, bench_w, monkeypatch):
-        w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
-        cases = self._cases(w, np.random.default_rng(7))
-        if net == "bench":
-            # From this solved pair (it carries a tangent) the full step to
-            # the target fails and two half steps succeed.
-            warm = refcalc.solve_reference(w, [0.02434732], [0.0])
-            cases.append((np.array([-0.9519736]), np.zeros(1), warm))
+    def test_equals_two_evaluation_newton(self, net_cases, monkeypatch):
+        w, cases = net_cases
         calls = []
         counted(monkeypatch, refcalc, "_newton", calls)
         counted(monkeypatch, refcalc, "_cold_start", calls)
@@ -234,18 +334,43 @@ class TestNewtonOracle:
             got.append(self._solve(w, *case))
             paths.append("cold restart" if "_cold_start" in calls
                          else "one step" if calls == ["_newton"] else "halved steps")
-        reached = {"one step", "halved steps", "cold restart"}
-        if net == "small":   # its nearly linear curve never needs a halved step
-            reached.remove("halved steps")
-        assert set(paths) == reached
-        assert None in got and any(g is not None for g in got)
-        monkeypatch.setattr(refcalc, "_newton", oracle_newton)
+        assert set(paths) == {"one step", "halved steps", "cold restart"}
+        assert any(isinstance(g, str) for g in got)
+        assert any(not isinstance(g, str) for g in got)
+        monkeypatch.setattr(refcalc, "_track", oracle_track)
         want = [self._solve(w, *case) for case in cases]
-        assert [g is None for g in got] == [r is None for r in want]
         for g, r in zip(got, want):
-            if g is not None:
-                for a, b in zip(g, r):
-                    np.testing.assert_array_equal(a, b)
+            if isinstance(g, str) or isinstance(r, str):
+                assert g == r
+                continue
+            for a, b in zip(g, r):
+                np.testing.assert_array_equal(a, b)
+
+    def test_agrees_with_full_newton_tracker(self, net_cases, monkeypatch):
+        w, cases = net_cases
+        got = [self._solve(w, *case) for case in cases]
+        monkeypatch.setattr(refcalc, "_track",
+                            functools.partial(oracle_track, newton=full_newton))
+        want = [self._solve(w, *case) for case in cases]
+        assert [isinstance(g, str) for g in got] == [isinstance(r, str) for r in want]
+        gap = max(np.max(np.abs(np.concatenate(g[:3]) - np.concatenate(r[:3])))
+                  for g, r in zip(got, want) if not isinstance(g, str))
+        assert gap < 1e-8   # 2.6e-10 on the bench net, 2.7e-9 on the small one
+
+
+class TestJacobianReuse:
+    def test_one_jacobian_per_warm_call(self, bench_w, monkeypatch):
+        # A slowly moving target, as in a closed loop: the carried inverse
+        # corrects every call, and only the accepted point is linearized.
+        ref = refcalc.solve_reference(bench_w, [0.1], [0.0])
+        calls = []
+        counted(monkeypatch, refcalc, "_jacobian", calls)
+        counted(monkeypatch, np.linalg, "svd", calls)
+        for k in range(1, 21):
+            calls.clear()
+            ref = refcalc.solve_reference(bench_w, [0.1 + 0.002 * k], [0.001 * k],
+                                          warm_start=ref)
+            assert calls == ["_jacobian"]
 
 
 class TestSensitivity:
