@@ -29,17 +29,16 @@ print("\nObserver error dynamics:")
 print(f"  rho(A_d) = {np.max(np.abs(np.linalg.eigvals(spec.A_d))):.4f}")
 print(f"  rho_o = {spec.rho_o:.4f},  L_max = {spec.L_max:.4f}, "
       f"w_bar = {spec.w_bar}")
-print(f"  asymptotic error bound e_inf = {spec.w_bar / (1 - spec.rho_o):.3f}")
+print(f"  asymptotic error bound e_inf = {certificate.e_bar_inf:.3f}")
 
-sched = certificate.schedule
 print("\nConstraint tightening over the horizon:")
-for i, (a, b) in enumerate(zip(sched.a, sched.b)):
+for i, (a, b) in enumerate(zip(certificate.a, certificate.b)):
     print(f"  stage {i}:  a = {a[0]:.4f}   b = {b[0]:.5f}")
 
 y_lb, y_ub = float(nrm.normalize_y(6.0)), float(nrm.normalize_y(9.0))
 for label, e_o in (("initial (e_o = 0.5)", 0.5),
-                   ("asymptotic", sched.e_bar_inf)):
-    lo, hi = mpc.admissible_band(sched, y_lb, y_ub, spec.d_max, e_o)
+                   ("asymptotic", certificate.e_bar_inf)):
+    lo, hi = certificate.admissible_band(y_lb, y_ub, e_o)
     print(f"\nAdmissible set-point band, {label}: "
           f"[{float(nrm.denormalize_y(lo[0])):.2f}, "
           f"{float(nrm.denormalize_y(hi[0])):.2f}] pH")

@@ -56,7 +56,7 @@ the training penalty (through ``gate_bounds`` and the Jury margins
 import functools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -401,13 +401,13 @@ def _gate_block(w_in, u_rec, b, u_max):
     return np.hstack([w_in * u_max, u_rec, b.reshape(-1, 1)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityCertificate:
     """Contraction certificate of the state-increment dynamics.
 
     ``certified`` tracks rho(A_delta) < 1; the Jury margins r1, r2 give the
     equivalent pair of inequalities used as soft training penalties.
-    The Lyapunov fields (P_s onward) are filled by incremental_lyapunov.
+    The Lyapunov fields (P_s onward) are set by incremental_lyapunov.
     """
 
     bounds: GateBounds
@@ -457,7 +457,7 @@ def lyapunov_bounds(a):
 
 
 def incremental_lyapunov(w):
-    """Complete the certificate with the incremental Lyapunov data.
+    """The certificate with its incremental Lyapunov data.
 
     ``lyapunov_bounds`` of A_delta gives P_s, the contraction rate rho_s
     and the norm-equivalence constants c_sl, c_su; c_s is the per-output
@@ -466,9 +466,9 @@ def incremental_lyapunov(w):
     cert = delta_iss_check(w)
     if not cert.certified:
         raise InstabilityError(f"rho(A_delta) = {cert.rho_A:.4f} >= 1, model not certified")
-    cert.P_s, cert.rho_s, cert.c_sl, cert.c_su = lyapunov_bounds(cert.A_delta)
-    cert.c_s = np.linalg.norm(w.W_y, axis=1) / cert.c_sl
-    return cert
+    p_s, rho_s, c_sl, c_su = lyapunov_bounds(cert.A_delta)
+    return replace(cert, P_s=p_s, rho_s=rho_s, c_sl=c_sl, c_su=c_su,
+                   c_s=np.linalg.norm(w.W_y, axis=1) / c_sl)
 
 
 def v_s(cert, x_a, x_b):

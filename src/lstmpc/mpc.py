@@ -9,6 +9,10 @@ contraction, and a terminal level-set constraint whose radius alpha(k)
 shrinks with the admissible set-point margin. ``solve_fhocp(problem)``
 solves it; ``Problem.evaluate`` also checks any other plan against it.
 
+``certify`` builds these constants once into a frozen ``Certificate``,
+whose methods give the e_o recursion, the terminal radius and the
+admissible set-point band; d_max, rho_o and w_bar live only in its spec.
+
 The solver is single-shooting sequential quadratic programming (SQP) over
 the N*m free inputs. Each iteration takes predictions from
 ``lstm.rollout`` and their input sensitivities from ``lstm.sensitivities``
@@ -53,40 +57,14 @@ from .errors import DimensionError, FeasibilityLossError, InfeasibleSetpointErro
 from .numerics import eig_extrema_spd, solve_discrete_lyapunov, spectral_radius
 
 
-@dataclass
-class TighteningSchedule:
-    """Per-stage output-constraint margins y_ub - a_i e_o - b_i."""
-
-    a: np.ndarray        # (N+1, p), stages 0..N
-    b: np.ndarray        # (N+1, p)
-    rho_o: float
-    w_bar: float
-
-    @property
-    def horizon(self):
-        return len(self.a) - 1
-
-    @property
-    def e_bar_inf(self):
-        return self.w_bar / (1.0 - self.rho_o)
-
-
 def build_schedule(cert, spec, n_horizon):
-    """Populate the margin recursions a_0..a_N, b_0..b_N."""
+    """The margin recursions a_0..a_N, b_0..b_N, as two (N+1, p) arrays."""
     a = [np.asarray(spec.c_o, dtype=float).copy()]
     b = [np.zeros_like(a[0])]
     for i in range(n_horizon):
         a.append(spec.rho_o * a[i] + cert.rho_s ** i * cert.c_su * spec.L_max * cert.c_s)
         b.append(b[i] + a[i] * spec.w_bar)
-    return TighteningSchedule(a=np.array(a), b=np.array(b), rho_o=spec.rho_o,
-                              w_bar=spec.w_bar)
-
-
-def eo_step(e_o, rho_o, w_bar):
-    """Affine proxy update for the observer-error bound."""
-    if e_o < 0:
-        raise ValueError("e_o must be nonnegative")
-    return rho_o * e_o + w_bar
+    return np.array(a), np.array(b)
 
 
 def compute_pf(a_delta, q):
@@ -94,73 +72,79 @@ def compute_pf(a_delta, q):
     return solve_discrete_lyapunov(np.asarray(a_delta, dtype=float), 1.1 * q * np.eye(2))
 
 
-@dataclass
-class TerminalData:
-    """Terminal cost matrix and its smallest eigenvalue."""
-
-    P_f: np.ndarray
-    lam_min: float = field(init=False)
-
-    def __post_init__(self):
-        self.P_f = np.asarray(self.P_f, dtype=float)
-        self.lam_min = eig_extrema_spd(self.P_f)[0]
-
-
-def terminal_alpha(sched, term, w_y, y0, y_lb, y_ub, d_max, e_o):
-    """Radius of the terminal level set for the set-point y0, with (p,)
-    output bounds y_lb, y_ub.
-
-    Positive only while the set-point keeps enough margin from both output
-    bounds once the stage-N tightening and twice the disturbance bound are
-    subtracted, i.e. lies strictly inside ``admissible_band``. A set-point
-    on an edge of the band or outside it is inadmissible, even where the
-    radius rounds to a positive value.
-    """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    margin = _terminal_margin(sched, d_max, e_o)
-    sq = np.sqrt(term.lam_min)
-    alpha = np.inf
-    for j in range(len(y0)):
-        wy = np.linalg.norm(w_y[j])
-        a_ub = sq / wy * (y_ub[j] - y0[j] - margin[j])
-        a_lb = sq / wy * (y0[j] - y_lb[j] - margin[j])
-        if a_ub <= 0.0 or y0[j] >= y_ub[j] - margin[j]:
-            raise InfeasibleSetpointError(f"set-point too close to upper bound on output {j}")
-        if a_lb <= 0.0 or y0[j] <= y_lb[j] + margin[j]:
-            raise InfeasibleSetpointError(f"set-point too close to lower bound on output {j}")
-        alpha = min(alpha, a_ub, a_lb)
-    return float(alpha)
-
-
-def admissible_band(sched, y_lb, y_ub, d_max, e_o):
-    """Open set-point band (lo, hi) with positive terminal radius (per output)."""
-    margin = _terminal_margin(sched, d_max, e_o)
-    return np.atleast_1d(y_lb) + margin, np.atleast_1d(y_ub) - margin
-
-
-def _terminal_margin(sched, d_max, e_o):
-    """Stage-N output margin a_N max(e_o, e_bar_inf) + b_N + 2 d_max, (p,)."""
-    n_h = sched.horizon
-    return sched.a[n_h] * max(e_o, sched.e_bar_inf) + sched.b[n_h] + 2.0 * d_max
-
-
 @dataclass(frozen=True)
 class Certificate:
     """One model's chain of constants, from ``certify``: its contraction
-    certificate, the observer spec with its derived constants, and the
-    margins and P_f they give at one horizon and ``q_weight``; ``k_bar``
-    is (value, argmax) on request."""
+    certificate, the observer spec with its derived constants, the output
+    margins y_ub - a_i e_o - b_i of stages 0..N and the terminal matrix P_f
+    with its smallest eigenvalue, at one horizon and ``q_weight``;
+    ``k_bar`` is (value, argmax) on request."""
 
     model: lstm.StabilityCertificate
     spec: observer.ObserverSpec
-    schedule: TighteningSchedule
-    terminal: TerminalData
+    a: np.ndarray        # (N+1, p), stages 0..N
+    b: np.ndarray        # (N+1, p)
+    P_f: np.ndarray
     q_weight: float
     k_bar: tuple | None = None
+    lam_min: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lam_min", eig_extrema_spd(self.P_f)[0])
+
+    @property
+    def horizon(self):
+        return len(self.a) - 1
+
+    @property
+    def e_bar_inf(self):
+        """Fixed point w_bar / (1 - rho_o) of the e_o recursion."""
+        return self.spec.w_bar / (1.0 - self.spec.rho_o)
+
+    def next_e_o(self, e_o):
+        """Affine proxy update rho_o e_o + w_bar of the observer-error bound."""
+        if e_o < 0:
+            raise ValueError("e_o must be nonnegative")
+        return self.spec.rho_o * e_o + self.spec.w_bar
+
+    def terminal_margin(self, e_o):
+        """Stage-N output margin a_N max(e_o, e_bar_inf) + b_N + 2 d_max, (p,)."""
+        n_h = self.horizon
+        return self.a[n_h] * max(e_o, self.e_bar_inf) + self.b[n_h] + 2.0 * self.spec.d_max
+
+    def admissible_band(self, y_lb, y_ub, e_o):
+        """Open set-point band (lo, hi) with positive terminal radius (per output)."""
+        margin = self.terminal_margin(e_o)
+        return np.atleast_1d(y_lb) + margin, np.atleast_1d(y_ub) - margin
+
+    def terminal_alpha(self, w_y, y0, y_lb, y_ub, e_o):
+        """Radius of the terminal level set for the set-point y0, with (p,)
+        output bounds y_lb, y_ub.
+
+        Positive only while the set-point keeps enough margin from both
+        output bounds once the stage-N tightening and twice the disturbance
+        bound are subtracted, i.e. lies strictly inside ``admissible_band``.
+        A set-point on an edge of the band or outside it is inadmissible,
+        even where the radius rounds to a positive value.
+        """
+        y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+        margin = self.terminal_margin(e_o)
+        sq = np.sqrt(self.lam_min)
+        alpha = np.inf
+        for j in range(len(y0)):
+            wy = np.linalg.norm(w_y[j])
+            a_ub = sq / wy * (y_ub[j] - y0[j] - margin[j])
+            a_lb = sq / wy * (y0[j] - y_lb[j] - margin[j])
+            if a_ub <= 0.0 or y0[j] >= y_ub[j] - margin[j]:
+                raise InfeasibleSetpointError(f"set-point too close to upper bound on output {j}")
+            if a_lb <= 0.0 or y0[j] <= y_lb[j] + margin[j]:
+                raise InfeasibleSetpointError(f"set-point too close to lower bound on output {j}")
+            alpha = min(alpha, a_ub, a_lb)
+        return float(alpha)
 
     def to_dict(self):
         """The constants as ``lstmpc certify`` prints them."""
-        cert, spec, sched = self.model, self.spec, self.schedule
+        cert, spec = self.model, self.spec
         doc = {
             "model": {"rho_A_delta": cert.rho_A, "r1": cert.r1, "r2": cert.r2,
                       "certified": cert.certified, "rho_s": cert.rho_s, "c_sl": cert.c_sl,
@@ -168,8 +152,8 @@ class Certificate:
             "observer": {"rho_A_d": spectral_radius(spec.A_d), "rho_o": spec.rho_o,
                          "c_ol": spec.c_ol, "c_ou": spec.c_ou, "c_o": spec.c_o.tolist(),
                          "L_max": spec.L_max, "w_bar": spec.w_bar,
-                         "e_bar_inf": sched.e_bar_inf, "P_o": spec.P_o.tolist()},
-            "tightening": {"a": sched.a.tolist(), "b": sched.b.tolist()},
+                         "e_bar_inf": self.e_bar_inf, "P_o": spec.P_o.tolist()},
+            "tightening": {"a": self.a.tolist(), "b": self.b.tolist()},
         }
         if self.k_bar is not None:
             doc["k_bar"] = {"value": self.k_bar[0], "argmax": self.k_bar[1]}
@@ -186,19 +170,21 @@ def certify(w, gains=None, horizon=5, q_weight=1.0, *, d_max=0.1, l_d=0.1, w_bar
     ``w_bar``. ``k_bar`` estimates K_bar over pH 6.5-8.5 and +-d_max.
     """
     if k_bar and (w.u_range is None or w.y_range is None):
-        raise ValueError("--k-bar needs weights with u_range and y_range")
+        raise ValueError("the K_bar estimate needs weights with u_range and y_range")
     cert = lstm.incremental_lyapunov(w)
     if not gains:
-        gains = observer.select_gains(w, d_max=d_max, l_d=l_d, w_bar=w_bar)
-    spec = observer.ObserverSpec.from_dict(gains if isinstance(gains, dict) else gains.to_dict())
-    observer.derive_constants(w, spec, w_bar=spec.w_bar)
+        spec = observer.select_gains(w, d_max=d_max, l_d=l_d, w_bar=w_bar)
+    else:
+        if isinstance(gains, dict):
+            gains = observer.ObserverSpec.from_dict(gains)
+        spec = observer.derive_constants(w, gains, w_bar=gains.w_bar)
     estimate = None
     if k_bar:
         nrm = plant.Normalizer(*w.u_range, *w.y_range)
         estimate = refcalc.estimate_k_bar(w, (nrm.normalize_y(6.5), nrm.normalize_y(8.5)),
                                           (-spec.d_max, spec.d_max))
-    return Certificate(cert, spec, build_schedule(cert, spec, horizon),
-                       TerminalData(compute_pf(cert.A_delta, q_weight)), q_weight, estimate)
+    a, b = build_schedule(cert, spec, horizon)
+    return Certificate(cert, spec, a, b, compute_pf(cert.A_delta, q_weight), q_weight, estimate)
 
 
 @dataclass
@@ -472,11 +458,10 @@ class Controller:
         ``x_hat`` toward ``ref``, with the terminal radius of the set-point
         ``y0``; raises InfeasibleSetpointError outside the admissible band."""
         cert, e_o = self.certificate, self.e_o
-        sched, term, d_max = cert.schedule, cert.terminal, cert.spec.d_max
-        alpha = terminal_alpha(sched, term, self.w.W_y, y0, self.y_lb, self.y_ub, d_max, e_o)
-        n_h = sched.horizon
-        return Problem(self.w, x_hat, ref, sched.a[:n_h] * e_o + sched.b[:n_h] + d_max,
-                       self.y_lb, self.y_ub, term.P_f, alpha,
+        alpha = cert.terminal_alpha(self.w.W_y, y0, self.y_lb, self.y_ub, e_o)
+        n_h = cert.horizon
+        return Problem(self.w, x_hat, ref, cert.a[:n_h] * e_o + cert.b[:n_h] + cert.spec.d_max,
+                       self.y_lb, self.y_ub, cert.P_f, alpha,
                        cert.q_weight, self.config.r_weight)
 
     def step(self, chi_hat, y0):
@@ -489,6 +474,5 @@ class Controller:
         sol = solve_fhocp(self.problem, warm=warm, real_time=True)
         self.prev_solution = sol
         self.prev_ref = ref
-        sched = self.certificate.schedule
-        self.e_o = eo_step(self.e_o, sched.rho_o, sched.w_bar)
+        self.e_o = self.certificate.next_e_o(self.e_o)
         return sol.u_seq[0], sol, ref

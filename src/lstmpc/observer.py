@@ -6,9 +6,12 @@ output innovation into the f/i/o gate preactivations and integrates the
 innovation into d with saturation. A 3x3 contraction matrix A_d over
 (cell error, hidden error, disturbance error) certifies convergence and
 yields all constants consumed by the constraint-tightening controller.
+
+``ObserverSpec`` is frozen: ``derive_constants`` returns a copy of a spec
+of gains, d_max and w_bar that also holds A_d, P_o, rho_o and the rest.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,11 +45,12 @@ def augmented_step(w, chi, u, w_k=None, d_max=None):
     return AugmentedState(lstm.step(w, chi.x, u), d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObserverSpec:
     """Observer gains plus every derived convergence constant.
 
-    derive_constants (re)fills the derived fields from the current gains.
+    The derived fields (A_d onward, but for w_bar) stay None until
+    derive_constants returns a copy with them formed from the gains.
     """
 
     L_f: np.ndarray
@@ -68,7 +72,8 @@ class ObserverSpec:
 
     def __post_init__(self):
         for name in ("L_f", "L_i", "L_o", "L_d"):
-            setattr(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+            object.__setattr__(self, name,
+                               np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         if not self.d_max > 0:
             raise ValueError("d_max must be positive")
 
@@ -105,16 +110,9 @@ def observer_matrices(w, spec):
 
     Coordinates of the error vector: (||c - chat||, ||h - hhat||, ||d - dhat||).
     The top two rows are ``lstm.increment_gains`` of the hatted gate bounds
-    with (U - L W_y, L). Fills the A_d and cell_radius_hat fields of
-    ``spec`` and returns A_d.
+    with (U - L W_y, L).
     """
-    sigmas, l_gains, _, u_rec = _hatted(w, spec)
-    hat = lstm.increment_gains(sigmas, u_rec, l_gains)
-    spec.cell_radius_hat = hat.cell_radius
-    spec.A_d = np.vstack([np.hstack([hat.gains, hat.column]),
-                          [0.0, induced_two_norm(spec.L_d @ w.W_y),
-                           induced_two_norm(np.eye(w.p) - spec.L_d)]])
-    return spec.A_d
+    return _error_dynamics(w, spec)[0]
 
 
 def _innovation_gains(w, spec):
@@ -123,56 +121,66 @@ def _innovation_gains(w, spec):
     return np.stack([spec.L_f, spec.L_i, spec.L_o, np.zeros((w.n, w.p))])
 
 
-def _hatted(w, spec):
-    """Hatted gate bounds, and the innovation gains L, L W_y and U - L W_y
-    as (4, n, .) stacks in ``lstm.GATES`` order.
+def _error_dynamics(w, spec):
+    """(A_d, L_mat, the hatted cell radius) of the gains in ``spec``.
 
-    The innovation widens the f, i and o preactivation blocks
-    [W u_max, U - L W_y, b] by the columns [L W_y, L d_max, L d_max],
+    The hatted gate bounds widen the model's f, i and o preactivation
+    blocks [W u_max, U - L W_y, b] by the columns [L W_y, L d_max, L d_max],
     whose row sums are added apart, so zero gains give exactly the
-    model's bounds.
+    model's bounds. ``lstm.increment_gains`` of them, in ``lstm.GATES``
+    order, with (U - L W_y, L) gives A_d's top rows and with (L W_y, L)
+    L_mat's, the error dynamics' sensitivity to the gains. Raises
+    DimensionError for gains of another shape than (n, p), or (p, p) for L_d.
     """
-    n = w.n
+    n, p = w.n, w.p
+    for name, shape in (("L_f", (n, p)), ("L_i", (n, p)), ("L_o", (n, p)), ("L_d", (p, p))):
+        if (got := getattr(spec, name).shape) != shape:
+            raise DimensionError(f"{name} has shape {got}, not {shape}, "
+                                 f"for the model's (n, p) = ({n}, {p})")
     l_gains = _innovation_gains(w, spec)
     l_wy = l_gains @ w.W_y
     u_rec = w.U.reshape(4, n, n) - l_wy
     l_d = l_gains * spec.d_max
     widen = np.abs(np.concatenate([l_wy, l_d, l_d], axis=2)).sum(axis=2).ravel()
     sigmas = lstm.gate_sigmas(w.W, u_rec.reshape(4 * n, n), w.b, w.u_max, widen)
-    return sigmas, l_gains, l_wy, u_rec
+    hat = lstm.increment_gains(sigmas, u_rec, l_gains)
+    sens = lstm.increment_gains(sigmas, l_wy, l_gains)
+    d_row = [0.0, induced_two_norm(spec.L_d @ w.W_y)]
+    a_d = np.vstack([np.hstack([hat.gains, hat.column]),
+                     d_row + [induced_two_norm(np.eye(p) - spec.L_d)]])
+    l_mat = np.vstack([np.hstack([np.zeros((2, 1)), sens.gains[:, 1:], sens.column]),
+                       d_row + [induced_two_norm(spec.L_d)]])
+    return a_d, l_mat, hat.cell_radius
 
 
 def derive_constants(w, spec, w_max=0.0, w_bar=None):
-    """Populate A_d, P_o, rho_o, the norm constants, L_max and w_bar.
+    """A copy of ``spec`` with A_d, P_o, rho_o, the norm constants, L_max
+    and w_bar formed from its gains.
 
     ``w_bar`` overrides the analytic disturbance-increment bound when
     given (the analytic corner bound over the full invariant box is very
     conservative); the analytic value is always reported alongside.
+    Raises ValueError unless the w_bar used is a finite nonnegative number.
     """
-    a_d = observer_matrices(w, spec)
+    a_d, l_mat, cell_radius_hat = _error_dynamics(w, spec)
     if (rho := spectral_radius(a_d)) >= 1.0:
         raise GainSelectionError(f"rho(A_d) = {rho:.4f} >= 1")
-    spec.P_o, spec.rho_o, spec.c_ol, spec.c_ou = lstm.lyapunov_bounds(a_d)
-    w_y_bar = np.hstack([np.zeros((w.p, w.n)), w.W_y, np.eye(w.p)])
-    spec.c_o = np.linalg.norm(w_y_bar, axis=1) / spec.c_ol
-    # Sensitivity of the error dynamics to the injection gains.
-    model = lstm.gate_bounds(w)
-    sigmas, l_gains, l_wy, _ = _hatted(w, spec)
-    sens = lstm.increment_gains(sigmas, l_wy, l_gains)
-    spec.L_mat = np.vstack([np.hstack([np.zeros((2, 1)), sens.gains[:, 1:], sens.column]),
-                            [0.0, induced_two_norm(spec.L_d @ w.W_y),
-                             induced_two_norm(spec.L_d)]])
-    spec.L_max = induced_two_norm(spec.L_mat) / spec.c_ol
+    p_o, rho_o, c_ol, c_ou = lstm.lyapunov_bounds(a_d)
     # Worst-case one-step Lyapunov inflation from the disturbance increment,
     # evaluated at the corner of the invariant error box (P_o and A_d are
     # entrywise nonnegative, so the corner attains the maximum).
-    e_corner = np.array([model.cell_radius + spec.cell_radius_hat, 2.0, 2.0 * spec.d_max])
-    e3 = np.array([0.0, 0.0, 1.0])
-    p_o = spec.P_o
-    cross = float(e_corner @ a_d.T @ p_o @ e3)
-    spec.w_bar_analytic = float(np.sqrt(max(2.0 * cross * w_max + w_max ** 2 * p_o[2, 2], 0.0)))
-    spec.w_bar = float(w_bar) if w_bar is not None else spec.w_bar_analytic
-    return spec
+    e_corner = np.array([lstm.gate_bounds(w).cell_radius + cell_radius_hat, 2.0,
+                         2.0 * spec.d_max])
+    cross = float(e_corner @ a_d.T @ p_o @ np.array([0.0, 0.0, 1.0]))
+    w_bar_analytic = float(np.sqrt(max(2.0 * cross * w_max + w_max ** 2 * p_o[2, 2], 0.0)))
+    w_bar = float(w_bar) if w_bar is not None else w_bar_analytic
+    if not 0.0 <= w_bar < np.inf:
+        raise ValueError(f"w_bar = {w_bar} is not a finite nonnegative number")
+    w_y_bar = np.hstack([np.zeros((w.p, w.n)), w.W_y, np.eye(w.p)])
+    return replace(spec, A_d=a_d, P_o=p_o, rho_o=rho_o, c_ol=c_ol, c_ou=c_ou,
+                   c_o=np.linalg.norm(w_y_bar, axis=1) / c_ol, L_mat=l_mat,
+                   L_max=induced_two_norm(l_mat) / c_ol, w_bar=w_bar,
+                   w_bar_analytic=w_bar_analytic, cell_radius_hat=cell_radius_hat)
 
 
 def select_gains(w, d_max=0.1, l_d=0.1, w_max=0.0, w_bar=None):

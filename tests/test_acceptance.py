@@ -61,8 +61,7 @@ class TestCriterion2CertificationConstants:
         assert 0.90 <= bench_spec.rho_o <= 0.995
 
     def test_error_bound_fixed_point_identity(self, bench_certificate, bench_spec):
-        sched = bench_certificate.schedule
-        e = sched.e_bar_inf
+        e = bench_certificate.e_bar_inf
         assert abs(e - (bench_spec.rho_o * e + bench_spec.w_bar)) < 1e-12
         assert abs(e - bench_spec.w_bar / (1.0 - bench_spec.rho_o)) < 1e-12
 
@@ -152,7 +151,7 @@ class TestCriterion4ObserverConvergence:
 class TestCriterion5SolverOptimality:
     def test_matches_exhaustive_grid_on_random_instances(self, bench_w, bench_spec):
         ctrl = mpc.Controller(bench_w, mpc.certify(bench_w, bench_spec, 2))
-        sched = ctrl.certificate.schedule
+        certificate = ctrl.certificate
         rng = np.random.default_rng(16)
         grid = np.linspace(-1.0, 1.0, 201)
         uu0, uu1 = np.meshgrid(grid, grid, indexing="ij")
@@ -162,7 +161,7 @@ class TestCriterion5SolverOptimality:
         while solved < 20:
             y0 = rng.uniform(-0.3, 0.45)
             ref = refcalc.solve_reference(bench_w, [y0], [0.0])
-            ctrl.e_o = e_o = rng.uniform(sched.e_bar_inf, 0.5)
+            ctrl.e_o = e_o = rng.uniform(certificate.e_bar_inf, 0.5)
             # the set-point check comes before the state is drawn
             try:
                 problem = ctrl.problem_at(None, ref, [y0])
@@ -175,13 +174,13 @@ class TestCriterion5SolverOptimality:
                 continue
             sol = mpc.solve_fhocp(problem)
             assert sol.max_violation <= 1e-7
-            best = self._grid_best(bench_w, sched, problem, e_o,
+            best = self._grid_best(bench_w, certificate, problem, e_o,
                                    bench_spec.d_max, cand_u)
             assert sol.cost <= best + 1e-3
             solved += 1
 
     @staticmethod
-    def _grid_best(w, sched, problem, e_o, d_max, cand_u):
+    def _grid_best(w, certificate, problem, e_o, d_max, cand_u):
         """Vectorized independent evaluation of every grid input plan."""
         ref, x_hat = problem.ref, problem.x_hat
         n_c = cand_u.shape[0]
@@ -192,7 +191,7 @@ class TestCriterion5SolverOptimality:
         feasible = np.ones(n_c, dtype=bool)
         for i in range(2):
             y = h @ w.W_y.T + w.b_y
-            tight = sched.a[i] * e_o + sched.b[i] + d_max
+            tight = certificate.a[i] * e_o + certificate.b[i] + d_max
             feasible &= (y[:, 0] + tight[0] <= 1.0 + 1e-12)
             feasible &= (-1.0 + tight[0] <= y[:, 0] + 1e-12)
             dx = np.hstack([c, h]) - x_bar
@@ -307,14 +306,12 @@ class TestCriterion9PlantFidelity:
 
 
 class TestCriterion10AdmissibleBand:
-    def test_band_matches_published_interval(self, bench_certificate, bench_spec, bench_nrm):
-        sched = bench_certificate.schedule
+    def test_band_matches_published_interval(self, bench_certificate, bench_nrm):
         y_lb = float(bench_nrm.normalize_y(6.0))
         y_ub = float(bench_nrm.normalize_y(9.0))
-        lo0, hi0 = mpc.admissible_band(sched, y_lb, y_ub,
-                                       bench_spec.d_max, 0.5)
-        lo_inf, hi_inf = mpc.admissible_band(sched, y_lb, y_ub,
-                                             bench_spec.d_max, sched.e_bar_inf)
+        lo0, hi0 = bench_certificate.admissible_band(y_lb, y_ub, 0.5)
+        lo_inf, hi_inf = bench_certificate.admissible_band(y_lb, y_ub,
+                                                           bench_certificate.e_bar_inf)
         band0 = (float(bench_nrm.denormalize_y(lo0[0])),
                  float(bench_nrm.denormalize_y(hi0[0])))
         band_inf = (float(bench_nrm.denormalize_y(lo_inf[0])),

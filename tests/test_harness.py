@@ -138,7 +138,7 @@ class TestRunScenario:
         e = sc.e_o0
         for logged in report.trace["e_o"]:
             assert logged == pytest.approx(e, abs=1e-15)
-            e = mpc.eo_step(e, bench_spec.rho_o, bench_spec.w_bar)
+            e = bench_spec.rho_o * e + bench_spec.w_bar
 
     def test_nominal_mode_estimate_and_tracking(self, bench_w, bench_spec):
         sc = harness.Scenario(duration_s=3000.0, mode="nominal",
@@ -276,7 +276,7 @@ class TestCli:
         assert out.out == ""
         assert json.loads(out.err) == {
             "error": "ValueError",
-            "message": "--k-bar needs weights with u_range and y_range"}
+            "message": "the K_bar estimate needs weights with u_range and y_range"}
 
     # stdout of `lstmpc certify`, pinned byte for byte; a change that moves
     # any constant regenerates these files and says why
@@ -303,6 +303,32 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli.main(["certify", "--weights", str(path)]) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "KeyError", "message": "'L_f'"}
+
+    def test_certify_rejects_negative_w_bar(self, tmp_path, capsys):
+        doc = json.loads((ASSETS / "model.json").read_text())
+        doc["observer"]["w_bar"] = -0.01
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--weights", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = json.loads(out.err)
+        assert err["error"] == "ValueError"
+        assert "w_bar" in err["message"]
+
+    # n + 1 rows of L_f, and a 2 x 2 L_d, on the (n, p) = (5, 1) model
+    @pytest.mark.parametrize("gain, shape", [("L_f", (6, 1)), ("L_d", (2, 2))],
+                             ids=["L_f", "L_d"])
+    def test_certify_rejects_gain_of_wrong_shape(self, tmp_path, capsys, gain, shape):
+        doc = json.loads((ASSETS / "model.json").read_text())
+        assert (doc["n"], doc["p"]) == (5, 1)
+        doc["observer"][gain] = np.eye(*shape).tolist()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--weights", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DimensionError"
+        assert gain in err["message"] and "(n, p) = (5, 1)" in err["message"]
 
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
         sc = tiny_physical_scenario(duration_s=100.0)

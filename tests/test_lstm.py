@@ -1,5 +1,6 @@
 """Unit tests for the LSTM model and its contraction certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -504,9 +505,7 @@ class TestCertification:
 
 class TestVs:
     def _manual_cert(self):
-        cert = lstm.delta_iss_check(zero_net())
-        cert.P_s = np.eye(2)
-        return cert
+        return dataclasses.replace(lstm.delta_iss_check(zero_net()), P_s=np.eye(2))
 
     def test_equal_pair_is_zero(self, bench_cert, bench_w):
         x = random_invariant_state(bench_w, np.random.default_rng(1))

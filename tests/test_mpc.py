@@ -19,77 +19,77 @@ def fake_cert(rho_s=0.9, c_su=2.0, c_s=(1.5,)):
     return SimpleNamespace(rho_s=rho_s, c_su=c_su, c_s=np.asarray(c_s, dtype=float))
 
 
-def fake_spec(rho_o=0.95, l_max=0.1, w_bar=0.01, c_o=(3.0,)):
-    return SimpleNamespace(rho_o=rho_o, L_max=l_max, w_bar=w_bar,
+def fake_spec(rho_o=0.95, l_max=0.1, w_bar=0.01, c_o=(3.0,), d_max=0.1):
+    return SimpleNamespace(rho_o=rho_o, L_max=l_max, w_bar=w_bar, d_max=d_max,
                            c_o=np.asarray(c_o, dtype=float))
 
 
-@pytest.fixture(scope="module")
-def bench_sched(bench_certificate):
-    return bench_certificate.schedule
-
-
-@pytest.fixture(scope="module")
-def bench_term(bench_certificate):
-    return bench_certificate.terminal
+def fake_certificate(spec, n_horizon):
+    """A Certificate of the fake model and ``spec`` at ``n_horizon``."""
+    cert = fake_cert()
+    return mpc.Certificate(cert, spec, *mpc.build_schedule(cert, spec, n_horizon),
+                           np.eye(2), 1.0)
 
 
 class TestBuildSchedule:
     def test_decoupled_recursion(self):
         spec = fake_spec(rho_o=0.8, l_max=0.0, w_bar=0.0)
-        sched = mpc.build_schedule(fake_cert(), spec, 4)
-        for i, (a, b) in enumerate(zip(sched.a, sched.b)):
+        for i, (a, b) in enumerate(zip(*mpc.build_schedule(fake_cert(), spec, 4))):
             np.testing.assert_allclose(a, 0.8 ** i * spec.c_o, atol=1e-15)
             np.testing.assert_allclose(b, 0.0, atol=1e-15)
 
     def test_zero_horizon(self):
-        sched = mpc.build_schedule(fake_cert(), fake_spec(), 0)
-        assert sched.horizon == 0
-        np.testing.assert_array_equal(sched.a[0], [3.0])
-        np.testing.assert_array_equal(sched.b[0], [0.0])
+        certificate = fake_certificate(fake_spec(), 0)
+        assert certificate.horizon == 0
+        np.testing.assert_array_equal(certificate.a, [[3.0]])
+        np.testing.assert_array_equal(certificate.b, [[0.0]])
 
-    def test_matches_independent_recursion(self, bench_cert, bench_spec, bench_sched):
+    def test_matches_independent_recursion(self, bench_cert, bench_spec, bench_certificate):
         a = bench_spec.c_o.copy()
         b = np.zeros_like(a)
         for i in range(6):
-            np.testing.assert_allclose(bench_sched.a[i], a, atol=1e-12)
-            np.testing.assert_allclose(bench_sched.b[i], b, atol=1e-12)
+            np.testing.assert_allclose(bench_certificate.a[i], a, atol=1e-12)
+            np.testing.assert_allclose(bench_certificate.b[i], b, atol=1e-12)
             a_next = bench_spec.rho_o * a + bench_cert.rho_s ** i \
                 * bench_cert.c_su * bench_spec.L_max * bench_cert.c_s
             b_next = b + a * bench_spec.w_bar
             a, b = a_next, b_next
 
-    def test_monotone_nonnegative(self, bench_sched):
-        for a in bench_sched.a:
+    def test_monotone_nonnegative(self, bench_certificate):
+        for a in bench_certificate.a:
             assert np.all(a >= 0.0)
-        for b0, b1 in zip(bench_sched.b, bench_sched.b[1:]):
+        for b0, b1 in zip(bench_certificate.b, bench_certificate.b[1:]):
             assert np.all(b1 >= b0)
 
 
 class TestEoStep:
     def test_fixed_point(self):
+        certificate = fake_certificate(fake_spec(rho_o=0.95, w_bar=0.01), 1)
         e_inf = 0.01 / (1.0 - 0.95)
-        assert mpc.eo_step(e_inf, 0.95, 0.01) == pytest.approx(e_inf)
+        assert certificate.e_bar_inf == pytest.approx(e_inf)
+        assert certificate.next_e_o(e_inf) == pytest.approx(e_inf)
 
     def test_monotone_decay_from_initial_estimate(self):
+        certificate = fake_certificate(fake_spec(rho_o=0.95, w_bar=0.01), 1)
         e = 0.5
         e_inf = 0.01 / (1.0 - 0.95)
         prev = e
         for _ in range(300):
-            e = mpc.eo_step(e, 0.95, 0.01)
+            e = certificate.next_e_o(e)
             assert e <= prev
             prev = e
         assert e == pytest.approx(e_inf, abs=1e-4)
 
     def test_geometric_decay_without_noise(self):
+        certificate = fake_certificate(fake_spec(rho_o=0.9, w_bar=0.0), 1)
         e = 0.5
         for _ in range(10):
-            e = mpc.eo_step(e, 0.9, 0.0)
+            e = certificate.next_e_o(e)
         assert e == pytest.approx(0.5 * 0.9 ** 10, abs=1e-15)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            mpc.eo_step(-0.1, 0.9, 0.0)
+            fake_certificate(fake_spec(rho_o=0.9, w_bar=0.0), 1).next_e_o(-0.1)
 
 
 class TestComputePf:
@@ -104,33 +104,32 @@ class TestComputePf:
 
 
 class TestTerminalAlpha:
-    def test_symmetric_setpoint(self, bench_sched, bench_term, bench_w, bench_certificate):
+    def test_symmetric_setpoint(self, bench_w, bench_certificate):
         # centered set-point with symmetric bounds: both sides give the
         # same radius, so alpha equals either one
-        alpha = mpc.terminal_alpha(bench_sched, bench_term, bench_w.W_y,
-                                   [0.0], [-1.0], [1.0], 0.1, 0.2)
-        e_t = max(0.2, bench_sched.e_bar_inf)
-        margin = bench_sched.a[5][0] * e_t + bench_sched.b[5][0] + 0.2
-        expect = np.sqrt(bench_term.lam_min) / np.linalg.norm(bench_w.W_y[0]) \
+        assert bench_certificate.spec.d_max == 0.1
+        alpha = bench_certificate.terminal_alpha(bench_w.W_y, [0.0], [-1.0], [1.0], 0.2)
+        e_t = max(0.2, bench_certificate.e_bar_inf)
+        margin = bench_certificate.a[5][0] * e_t + bench_certificate.b[5][0] + 0.2
+        expect = np.sqrt(bench_certificate.lam_min) / np.linalg.norm(bench_w.W_y[0]) \
             * (1.0 - margin)
         assert alpha == pytest.approx(expect, abs=1e-12)
+        assert bench_certificate.lam_min == np.linalg.eigvalsh(bench_certificate.P_f)[0]
         ctrl = mpc.Controller(bench_w, bench_certificate, mpc.ControllerConfig(e_o0=0.2))
-        assert bench_certificate.spec.d_max == 0.1
         assert ctrl.problem_at(None, None, [0.0]).alpha == alpha
 
-    def test_uses_e_bar_inf_floor(self, bench_sched, bench_term, bench_w):
+    def test_uses_e_bar_inf_floor(self, bench_w, bench_certificate):
         # an error proxy below its asymptotic bound e_bar_inf gives the
         # radius at e_bar_inf
-        args = (bench_sched, bench_term, bench_w.W_y, [0.0], [-1.0], [1.0], 0.1)
-        floor = mpc.terminal_alpha(*args, bench_sched.e_bar_inf)
+        args = (bench_w.W_y, [0.0], [-1.0], [1.0])
+        floor = bench_certificate.terminal_alpha(*args, bench_certificate.e_bar_inf)
         assert floor > 0.0
-        assert mpc.terminal_alpha(*args, 0.0) == floor
+        assert bench_certificate.terminal_alpha(*args, 0.0) == floor
 
-    def test_rejects_boundary_setpoint(self, bench_sched, bench_term, bench_w):
-        lo, hi = mpc.admissible_band(bench_sched, -1.0, 1.0, 0.1, 0.2)
+    def test_rejects_boundary_setpoint(self, bench_w, bench_certificate):
+        lo, hi = bench_certificate.admissible_band(-1.0, 1.0, 0.2)
         with pytest.raises(InfeasibleSetpointError):
-            mpc.terminal_alpha(bench_sched, bench_term, bench_w.W_y,
-                               [hi[0]], [-1.0], [1.0], 0.1, 0.2)
+            bench_certificate.terminal_alpha(bench_w.W_y, [hi[0]], [-1.0], [1.0], 0.2)
 
     def test_two_output_band_edges(self):
         # both edges of each output's band are rejected by terminal_alpha,
@@ -138,25 +137,22 @@ class TestTerminalAlpha:
         # output 0's edges the radius formula alone rounds to +1e-15
         w = small_net(seed=2, n=3, m=2, p=2)
         certificate = mpc.certify(w, observer.select_gains(w))
-        sched, term, spec = certificate.schedule, certificate.terminal, certificate.spec
         y_lb, y_ub, e_o = np.array([-1.0, -0.8]), np.array([1.0, 0.6]), 0.2
-        lo, hi = mpc.admissible_band(sched, y_lb, y_ub, spec.d_max, e_o)
+        lo, hi = certificate.admissible_band(y_lb, y_ub, e_o)
         mid = 0.5 * (lo + hi)
         assert np.all(lo < mid) and np.all(mid < hi)
-        assert mpc.terminal_alpha(sched, term, w.W_y, mid, y_lb, y_ub,
-                                  spec.d_max, e_o) > 0.0
+        assert certificate.terminal_alpha(w.W_y, mid, y_lb, y_ub, e_o) > 0.0
         for j in range(2):
             for edge in (lo, hi):
                 y0 = mid.copy()
                 y0[j] = edge[j]
                 with pytest.raises(InfeasibleSetpointError, match=f"output {j}"):
-                    mpc.terminal_alpha(sched, term, w.W_y, y0, y_lb, y_ub,
-                                       spec.d_max, e_o)
+                    certificate.terminal_alpha(w.W_y, y0, y_lb, y_ub, e_o)
 
     def test_band_trivial_case(self):
-        sched = mpc.build_schedule(fake_cert(), fake_spec(l_max=0.0, w_bar=0.0,
-                                                          c_o=(0.0,)), 3)
-        lo, hi = mpc.admissible_band(sched, -1.0, 1.0, 0.0, 0.0)
+        certificate = fake_certificate(fake_spec(l_max=0.0, w_bar=0.0, c_o=(0.0,),
+                                                 d_max=0.0), 3)
+        lo, hi = certificate.admissible_band(-1.0, 1.0, 0.0)
         np.testing.assert_allclose(lo, [-1.0])
         np.testing.assert_allclose(hi, [1.0])
 
@@ -166,7 +162,7 @@ def feasible_instance(w, spec, seed, n_horizon, y0=0.1, y_ub=1.0):
     (controller, its problem) for the observer ``spec`` and the output
     bounds [-1, y_ub]."""
     ctrl = mpc.Controller(w, mpc.certify(w, spec, n_horizon), mpc.ControllerConfig(y_ub=y_ub))
-    ctrl.e_o = ctrl.certificate.schedule.e_bar_inf
+    ctrl.e_o = ctrl.certificate.e_bar_inf
     ref = refcalc.solve_reference(w, [y0], [0.0])
     rng = np.random.default_rng(seed)
     x_hat = lstm.LstmState(ref.x_bar.c + rng.uniform(-0.02, 0.02, w.n),
@@ -197,8 +193,8 @@ class TestConstraints:
     def test_matches_per_stage_loop(self, n_horizon):
         # two outputs, so the per-stage upper/lower interleaving shows
         w = small_net(seed=2, n=3, m=2, p=2)
-        sched = mpc.build_schedule(fake_cert(c_s=(1.5, 0.7)),
-                                   fake_spec(c_o=(3.0, 2.0)), n_horizon)
+        a, b = mpc.build_schedule(fake_cert(c_s=(1.5, 0.7)),
+                                  fake_spec(c_o=(3.0, 2.0)), n_horizon)
         p_f, alpha = np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4
         rng = np.random.default_rng(n_horizon)
         ref = SimpleNamespace(x_bar=random_invariant_state(w, rng), u_bar=np.full(w.m, 0.1))
@@ -209,7 +205,7 @@ class TestConstraints:
         expect, tight = [], []
         for i in range(n_horizon):
             y = w.W_y @ h[i] + w.b_y
-            tight.append(sched.a[i] * e_o + sched.b[i] + d_max)
+            tight.append(a[i] * e_o + b[i] + d_max)
             expect += [y + tight[i] - y_ub, y_lb + tight[i] - y]
         ev = np.array([np.linalg.norm(c[-1] - ref.x_bar.c),
                        np.linalg.norm(h[-1] - ref.x_bar.h)])
@@ -229,14 +225,14 @@ class TestQpModel:
     @pytest.mark.parametrize("net, n_horizon", [("bench", 5), ("small", 3)])
     def test_matches_central_differences(self, bench_w, net, n_horizon):
         w = bench_w if net == "bench" else small_net(seed=2, n=3, m=2, p=2)
-        sched = mpc.build_schedule(fake_cert(c_s=np.full(w.p, 1.5)),
-                                   fake_spec(c_o=np.full(w.p, 3.0)), n_horizon)
+        a, b = mpc.build_schedule(fake_cert(c_s=np.full(w.p, 1.5)),
+                                  fake_spec(c_o=np.full(w.p, 3.0)), n_horizon)
         rng = np.random.default_rng(20 + n_horizon)
         ref = SimpleNamespace(x_bar=random_invariant_state(w, rng),
                               u_bar=rng.uniform(-0.5, 0.5, w.m))
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-0.9, 0.9, (n_horizon, w.m))
-        tight = sched.a[:n_horizon] * 0.2 + sched.b[:n_horizon] + 0.1
+        tight = a[:n_horizon] * 0.2 + b[:n_horizon] + 0.1
         problem = mpc.Problem(w, x0, ref, tight, np.full(w.p, -1.0), np.full(w.p, 1.0),
                               np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4,
                               q_weight=2.0, r_weight=0.5)
@@ -374,8 +370,7 @@ class TestFhocpKkt:
             problem = with_y_ub(problem, 0.30)
         else:
             # shrink the terminal radius through the set-point margin
-            _, hi = mpc.admissible_band(ctrl.certificate.schedule, -1.0, 1.0,
-                                        bench_spec.d_max, ctrl.e_o)
+            _, hi = ctrl.certificate.admissible_band(-1.0, 1.0, ctrl.e_o)
             y_ub = 1.0 - (hi[0] - y0) + {5: 0.075, 10: 0.03}[n_horizon]
             _, problem = feasible_instance(w, bench_spec, 2, n_horizon,
                                            y0=y0, y_ub=y_ub)
@@ -402,8 +397,7 @@ class TestFhocpKkt:
         # a terminal radius too small to reach in 5 steps from an
         # infeasible candidate: no plan, so the solve reports the loss
         ctrl, _ = feasible_instance(bench_w, bench_spec, 2, 5)
-        _, hi = mpc.admissible_band(ctrl.certificate.schedule, -1.0, 1.0, bench_spec.d_max,
-                                    ctrl.e_o)
+        _, hi = ctrl.certificate.admissible_band(-1.0, 1.0, ctrl.e_o)
         y_ub = 1.0 - (hi[0] - 0.1) + 0.04
         _, problem = feasible_instance(bench_w, bench_spec, 2, 5, y_ub=y_ub)
         with pytest.raises(FeasibilityLossError, match="candidate violation"):
@@ -488,25 +482,25 @@ class TestShiftedCandidate:
 
 class TestCertify:
     """certify builds the chain of constants that was put together by hand:
-    model certificate, observer constants, schedule and P_f."""
+    model certificate, observer constants, margins and P_f."""
 
     def test_matches_hand_built_chain(self, bench):
         w, obs_doc = bench
         certificate = mpc.certify(w, obs_doc, 7, q_weight=2.5)
         cert = lstm.incremental_lyapunov(w)
         spec = observer.ObserverSpec.from_dict(obs_doc)
-        observer.derive_constants(w, spec, w_bar=spec.w_bar)
-        sched = mpc.build_schedule(cert, spec, 7)
+        spec = observer.derive_constants(w, spec, w_bar=spec.w_bar)
+        a, b = mpc.build_schedule(cert, spec, 7)
         for name in ("P_s", "c_s", "A_delta"):
             np.testing.assert_array_equal(getattr(certificate.model, name), getattr(cert, name))
         for name in ("A_d", "P_o", "c_o", "L_mat"):
             np.testing.assert_array_equal(getattr(certificate.spec, name), getattr(spec, name))
         for name in ("rho_o", "L_max", "w_bar", "d_max"):
             assert getattr(certificate.spec, name) == getattr(spec, name)
-        np.testing.assert_array_equal(certificate.schedule.a, sched.a)
-        np.testing.assert_array_equal(certificate.schedule.b, sched.b)
-        np.testing.assert_array_equal(certificate.terminal.P_f, mpc.compute_pf(cert.A_delta, 2.5))
-        assert certificate.schedule.horizon == 7
+        np.testing.assert_array_equal(certificate.a, a)
+        np.testing.assert_array_equal(certificate.b, b)
+        np.testing.assert_array_equal(certificate.P_f, mpc.compute_pf(cert.A_delta, 2.5))
+        assert certificate.horizon == 7
         assert (certificate.q_weight, certificate.k_bar) == (2.5, None)
 
     def test_spec_and_section_agree_without_writing_to_the_spec(self, bench):
@@ -524,9 +518,34 @@ class TestCertify:
         assert certificate.spec.to_dict() == spec.to_dict()
         np.testing.assert_array_equal(certificate.spec.P_o, spec.P_o)
 
+    def test_without_gains_derives_once(self, bench_w, monkeypatch):
+        calls = []
+        derive = observer.derive_constants
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return derive(*args, **kwargs)
+
+        monkeypatch.setattr(observer, "derive_constants", counted)
+        mpc.certify(bench_w)
+        assert len(calls) == 1
+
     def test_record_is_frozen(self, bench_certificate):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            bench_certificate.q_weight = 2.0
+        # the certificate and the model and observer records it holds
+        for record, names in ((bench_certificate, ("q_weight", "a", "lam_min")),
+                              (bench_certificate.spec, ("rho_o", "w_bar", "L_d")),
+                              (bench_certificate.model, ("rho_s", "P_s"))):
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, 0.5)
+
+    @pytest.mark.parametrize("w_bar", [-0.01, np.nan])
+    def test_rejects_negative_or_nan_w_bar(self, bench, w_bar):
+        w, obs_doc = bench
+        with pytest.raises(ValueError, match="w_bar"):
+            mpc.certify(w, {**obs_doc, "w_bar": w_bar})
+        with pytest.raises(ValueError, match="w_bar"):
+            mpc.certify(w, w_bar=w_bar)
 
     def test_controller_reads_horizon_and_q_weight(self, bench_w, bench_spec):
         certificate = mpc.certify(bench_w, bench_spec, 7, q_weight=2.5)
@@ -534,22 +553,22 @@ class TestCertify:
         problem = ctrl.problem_at(None, None, [0.1])
         assert problem.tight.shape == (7, 1)
         assert problem.q_weight == 2.5
-        assert problem.P_f is certificate.terminal.P_f
+        assert problem.P_f is certificate.P_f
 
 
 class TestController:
     def test_problem_at_current_e_o(self, bench_w, bench_spec):
         ctrl, problem = feasible_instance(bench_w, bench_spec, 2, 5)
-        sched, term, e_o = ctrl.certificate.schedule, ctrl.certificate.terminal, ctrl.e_o
+        certificate, e_o = ctrl.certificate, ctrl.e_o
         for i in range(5):
             np.testing.assert_array_equal(
-                problem.tight[i], sched.a[i] * e_o + sched.b[i] + bench_spec.d_max)
+                problem.tight[i], certificate.a[i] * e_o + certificate.b[i] + bench_spec.d_max)
         assert problem.tight.shape == (5, 1)
-        assert problem.alpha == mpc.terminal_alpha(sched, term, bench_w.W_y, [0.1],
-                                                   [-1.0], [1.0], bench_spec.d_max, e_o)
+        assert problem.alpha == certificate.terminal_alpha(bench_w.W_y, [0.1],
+                                                           [-1.0], [1.0], e_o)
         np.testing.assert_array_equal(problem.y_lb, [-1.0])
         np.testing.assert_array_equal(problem.y_ub, [1.0])
-        assert problem.P_f is term.P_f
+        assert problem.P_f is certificate.P_f
         assert problem.q_weight == ctrl.certificate.q_weight
 
     @pytest.mark.parametrize("y_lb, y_ub", [(0.5, -0.5), (0.2, 0.2), (np.nan, 1.0)])
@@ -600,6 +619,5 @@ class TestController:
         np.testing.assert_allclose(u, ref.u_bar, atol=1e-6)
         assert sol.max_violation <= 1e-7
         np.testing.assert_array_equal(ctrl.problem.y_ub, [1.0, 1.0])
-        alpha = mpc.terminal_alpha(certificate.schedule, certificate.terminal, w.W_y, y0,
-                                   [-1.0, -1.0], [1.0, 1.0], certificate.spec.d_max, 0.05)
+        alpha = certificate.terminal_alpha(w.W_y, y0, [-1.0, -1.0], [1.0, 1.0], 0.05)
         assert alpha > 0.0

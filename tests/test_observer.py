@@ -1,5 +1,7 @@
 """Unit tests for the disturbance-augmented model and its observer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -212,7 +214,7 @@ class TestCertificateOracle:
             L_f=rng.normal(0.0, scale, (n, p)), L_i=rng.normal(0.0, scale, (n, p)),
             L_o=rng.normal(0.0, scale, (n, p)), L_d=rng.uniform(0.2, 1.0) * np.eye(p),
             d_max=0.1)
-        observer.derive_constants(w, spec)
+        spec = observer.derive_constants(w, spec)
         assert all(np.all(g != 0.0) for g in (spec.L_f, spec.L_i, spec.L_o))
         self.check(w, spec)
 
@@ -268,8 +270,8 @@ class TestDeriveConstants:
         # derive_constants re-forms A_d from the current gains, so changing
         # L_d on a populated spec cannot leave a stale A_d behind
         spec = make_spec(bench_w, l_d=0.1)
-        spec.L_d = 0.5 * np.eye(bench_w.p)
-        observer.derive_constants(bench_w, spec)
+        spec = dataclasses.replace(spec, L_d=0.5 * np.eye(bench_w.p))
+        spec = observer.derive_constants(bench_w, spec)
         fresh = make_spec(bench_w, l_d=0.5)
         for name in ("A_d", "P_o", "c_o", "L_mat"):
             np.testing.assert_array_equal(getattr(spec, name), getattr(fresh, name))
@@ -287,8 +289,7 @@ class TestVo:
         assert observer.v_o(bench_spec, chi, chi) == 0.0
 
     def test_identity_metric_unit_d_error(self, bench_w):
-        spec = make_spec(bench_w)
-        spec.P_o = np.eye(3)
+        spec = dataclasses.replace(make_spec(bench_w), P_o=np.eye(3))
         x = bench_w.zero_state()
         a = AugmentedState(x, np.array([1.0]))
         b = AugmentedState(x.copy(), np.array([0.0]))
