@@ -19,11 +19,11 @@ def _cmd_gen_data(args):
 
 
 def _cmd_train(args):
-    ds = sysid.load_dataset(args.data)
     cfg = sysid.TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
                             lambda1=args.lambda1, lambda2=args.lambda2,
                             washout=args.washout, seed=args.seed,
                             n_neurons=args.neurons)
+    ds = sysid.load_dataset(args.data)
     init = lstm.load_weights(args.init)[0] if args.init else None
 
     def cb(epoch, loss_val, margins):

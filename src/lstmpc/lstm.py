@@ -18,28 +18,34 @@ training and the reference Jacobian all run this cell through one kernel:
   (T+1, n) plus a cache of the f/i/o activations, the candidate gate and
   tanh(c+). Each step takes all four gates from one ``tanh`` over the
   preactivations with the f, i, o block halved, since
-  sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so the gates
-  equal ``sigmoid``'s bit for bit. The step works in place in arrays
-  allocated once per call: U h_k is written into the step's row of the
-  activation cache, which then takes the input term, the halving, the
-  tanh and the sigmoid's affine map; c_k+1, tanh(c_k+1) and h_k+1 go
-  straight into their rows of the outputs.
-- ``adjoint`` sweeps back over that cache. Given the direct partials
-  dL/dc_k, dL/dh_k at stages 0..T it returns dz = dL/dz_k, (T, 4n), the
-  gradient with respect to the stacked preactivations z_k; then
-  dL/du = dz @ W and dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)).
-  It carries dc, dh and each step's (4n,) multiplier of dz in buffers
-  of its own, so it never writes into its inputs.
+  sigmoid(z) = 0.5 (1 + tanh(z / 2)). The halving is applied once per
+  call, to the input terms and to a copy of U; halving is exact and
+  commutes with rounding, so the gates equal ``sigmoid``'s bit for bit.
+  The step works in place in arrays allocated once per call: the halved
+  U h_k is written into the step's row of the activation cache, which
+  then takes the input term, the tanh and the sigmoid's affine map;
+  c_k+1, tanh(c_k+1) and h_k+1 go straight into their rows of the
+  outputs, 10 numpy calls in all.
 - ``local_factors`` gives the per-step partial derivatives of the cell
   from that cache, elementwise.
 - ``step_jacobians`` is the one place where the cell's linearization is
   written: from ``local_factors``, in one vectorized pass for any T, every
-  step's A_k = d(c+, h+)/d(c, h) and B_k = d(c+, h+)/du. The reference
-  calculation's Newton Jacobian is [A_0 - I | B_0; 0 W_y 0].
+  step's A_k = d(c+, h+)/d(c, h) and B_k = d(c+, h+)/du. It feeds the
+  MPC's sensitivities, the reference calculation's Newton Jacobian
+  [A_0 - I | B_0; 0 W_y 0] and the adjoint.
 - ``sensitivities`` is the forward (tangent-linear) sweep over the same
   cache: S_k = d(c_k, h_k)/du, one (T+1, 2n, T*m) array, for the MPC's
   dense QP. It runs the recurrence S_k+1 = A_k S_k (+ B_k in u_k's
   columns), one matrix product per step.
+- ``adjoint`` is the reverse sweep, backpropagation through time over the
+  same A_k. Given the direct partials dL/dc_k, dL/dh_k at stages 0..T it
+  returns dz = dL/dz_k, (T, 4n), the gradient with respect to the stacked
+  preactivations z_k; then dL/du = dz @ W and
+  dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)). It runs the state
+  adjoint lam_k = A_k^T lam_k+1 + (dL/dc_k, dL/dh_k), one vector-matrix
+  product and one add per step, with A_k formed in blocks of steps whose
+  stack stays near 128 KB; dz then follows from lam for all steps at
+  once. It never writes into its inputs.
 
 Besides the state update, this module holds the one copy of the
 contraction certificate's arithmetic. ``gate_bounds`` bounds the gates
@@ -63,6 +69,7 @@ import numpy as np
 from .errors import DimensionError, InstabilityError
 from .numerics import (
     eig_extrema_spd,
+    freeze_arrays,
     induced_two_norm,
     solve_discrete_lyapunov,
     spectral_radius,
@@ -190,11 +197,12 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
     ig = np.empty(n)                   # i * candidate gate
     scale = _gate_scale(n)
     pre = u_seq @ w.W.T + w.b + inject
+    pre *= scale
+    u_rec = w.U * scale[:, None]       # C-contiguous, so BLAS keeps its kernel
     c_k, h_k = c[0], h[0]
     for a, pre_k, c_next, tc_k, h_next in zip(act, pre, c[1:], tc, h[1:]):
-        np.dot(w.U, h_k, out=a)
+        np.dot(u_rec, h_k, out=a)
         a += pre_k
-        a *= scale
         np.tanh(a, out=a)
         s = a[:3 * n]
         s += 1.0
@@ -238,29 +246,35 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
 
     ``dc_stage``/``dh_stage`` (T+1, n) are the direct partials of L with
     respect to c_k and h_k at stages 0..T; they are read, not written.
+    The state adjoint lam_k = dL/d(c_k, h_k) runs lam_k = A_k^T lam_k+1
+    plus the stage-k partials, with A_k from ``step_jacobians`` formed one
+    block of steps at a time; then, for all k at once, with dct =
+    lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_f dct, k_i dct, k_o lam^h_k+1,
+    k_g dct).
     """
-    f, k_f, k_i, k_g, k_o, k_t = local_factors(c, cache)
-    n_t, n = f.shape
-    dz = np.concatenate((k_f, k_i, k_o, k_g), axis=1)    # scaled in place, row k at step k
-    # dz's multiplier (dct, dct, dh, dct) at one step; dct and dh are views of it
-    mult = np.empty(4 * n)
-    dct, dh = mult[:n], mult[2 * n:3 * n]
-    dct_i, dct_c = mult[n:2 * n], mult[3 * n:]
-    dc = dc_stage[n_t].copy()
-    dh[...] = dh_stage[n_t]
-    u_t = w.U.T     # a view: a contiguous copy would change BLAS's summation order
-    for dz_k, kt_k, f_k, dc_k, dh_k in zip(dz[::-1], k_t[::-1], f[::-1],
-                                           dc_stage[:n_t][::-1], dh_stage[:n_t][::-1]):
-        np.multiply(dh, kt_k, out=dct)
-        dct += dc
-        dct_i[...] = dct
-        dct_c[...] = dct
-        dz_k *= mult
-        np.multiply(dct, f_k, out=dc)
-        dc += dc_k
-        np.dot(u_t, dz_k, out=dh)
-        dh += dh_k
-    return dz
+    factors = local_factors(c, cache)
+    _, k_f, k_i, k_g, k_o, k_t = factors
+    n_t, n = k_t.shape
+    lam = np.concatenate((dc_stage, dh_stage), axis=1)
+    block = _sweep_block(n, w.m)
+    for k1 in range(n_t, 0, -block):
+        k0 = max(k1 - block, 0)
+        a = _jacobian_stack(w, [x[k0:k1] for x in factors])[:, :, :2 * n]
+        for lam_k, lam_next, a_k in zip(lam[k0:k1][::-1], lam[k0 + 1:k1 + 1][::-1], a[::-1]):
+            lam_k += lam_next @ a_k
+    lam_c, lam_h = lam[1:, :n], lam[1:, n:]
+    dct = lam_h * k_t
+    dct += lam_c
+    return np.concatenate((k_f * dct, k_i * dct, k_o * lam_h, k_g * dct), axis=1)
+
+
+_SWEEP_BLOCK_BYTES = 1 << 17    # one block of ``adjoint``'s step Jacobians
+
+
+def _sweep_block(n, m):
+    """Steps per block of ``adjoint``'s sweep: as many (2n, 2n+m) step
+    Jacobians as fit in ``_SWEEP_BLOCK_BYTES``, and at least one."""
+    return max(1, _SWEEP_BLOCK_BYTES // (8 * 2 * n * (2 * n + m)))
 
 
 def step_jacobians(w, c, cache):
@@ -277,7 +291,15 @@ def step_jacobians(w, c, cache):
     ``local_factors`` (f, k_f, ..., k_t) scales the rows it multiplies.
     A and B are views of one (T, 2n, 2n+m) array.
     """
-    f, k_f, k_i, k_g, k_o, k_t = local_factors(c, cache)
+    jac = _jacobian_stack(w, local_factors(c, cache))
+    n2 = jac.shape[1]
+    return jac[:, :, :n2], jac[:, :, n2:]
+
+
+def _jacobian_stack(w, factors):
+    """The (T, 2n, 2n+m) array [A_k | B_k] of ``step_jacobians`` from the
+    T steps' ``local_factors``."""
+    f, k_f, k_i, k_g, k_o, k_t = factors
     n_t, n = f.shape
     uw = np.hstack([w.U, w.W]).reshape(4, n, n + w.m)     # [U | W] per gate, GATES order
     dc = k_f[:, :, None] * uw[0] + k_i[:, :, None] * uw[1] + k_g[:, :, None] * uw[3]
@@ -287,7 +309,7 @@ def step_jacobians(w, c, cache):
     jac[:, n + diag, diag] = k_t * f
     jac[:, :n, n:] = dc
     jac[:, n:, n:] = k_t[:, :, None] * dc + k_o[:, :, None] * uw[2]
-    return jac[:, :, :2 * n], jac[:, :, 2 * n:]
+    return jac
 
 
 def sensitivities(w, c, cache):
@@ -408,6 +430,7 @@ class StabilityCertificate:
     ``certified`` tracks rho(A_delta) < 1; the Jury margins r1, r2 give the
     equivalent pair of inequalities used as soft training penalties.
     The Lyapunov fields (P_s onward) are set by incremental_lyapunov.
+    Its arrays are read-only copies.
     """
 
     bounds: GateBounds
@@ -422,6 +445,9 @@ class StabilityCertificate:
     c_sl: float | None = None
     c_su: float | None = None
     c_s: np.ndarray | None = None
+
+    def __post_init__(self):
+        freeze_arrays(self)
 
 
 def jury_margins(w, bounds=None):

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import lstm, observer, plant, refcalc
 from .errors import DimensionError, FeasibilityLossError, InfeasibleSetpointError
-from .numerics import eig_extrema_spd, solve_discrete_lyapunov, spectral_radius
+from .numerics import eig_extrema_spd, freeze_arrays, solve_discrete_lyapunov, spectral_radius
 
 
 def build_schedule(cert, spec, n_horizon):
@@ -78,7 +78,8 @@ class Certificate:
     certificate, the observer spec with its derived constants, the output
     margins y_ub - a_i e_o - b_i of stages 0..N and the terminal matrix P_f
     with its smallest eigenvalue, at one horizon and ``q_weight``;
-    ``k_bar`` is (value, argmax) on request."""
+    ``k_bar`` is (value, argmax) on request. Its arrays are read-only
+    copies."""
 
     model: lstm.StabilityCertificate
     spec: observer.ObserverSpec
@@ -90,6 +91,7 @@ class Certificate:
     lam_min: float = field(init=False)
 
     def __post_init__(self):
+        freeze_arrays(self)
         object.__setattr__(self, "lam_min", eig_extrema_spd(self.P_f)[0])
 
     @property

@@ -21,6 +21,18 @@ def induced_two_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
+def freeze_arrays(record):
+    """Replace each array field of the frozen dataclass ``record`` by a
+    read-only copy, so neither an in-place write nor a later edit of the
+    caller's array can change it; the records call it from
+    ``__post_init__``."""
+    for name, value in list(vars(record).items()):
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.flags.writeable = False
+            object.__setattr__(record, name, value)
+
+
 def spectral_radius(m):
     """Maximum absolute eigenvalue of a square matrix."""
     m = np.atleast_2d(np.asarray(m, dtype=float))

@@ -18,7 +18,7 @@ import numpy as np
 from . import lstm
 from .errors import DimensionError, DomainViolationError, GainSelectionError
 from .lstm import LstmState
-from .numerics import induced_two_norm, spectral_radius
+from .numerics import freeze_arrays, induced_two_norm, spectral_radius
 
 
 @dataclass
@@ -51,6 +51,7 @@ class ObserverSpec:
 
     The derived fields (A_d onward, but for w_bar) stay None until
     derive_constants returns a copy with them formed from the gains.
+    Its arrays are read-only copies, so the caller's gains stay its own.
     """
 
     L_f: np.ndarray
@@ -74,6 +75,7 @@ class ObserverSpec:
         for name in ("L_f", "L_i", "L_o", "L_d"):
             object.__setattr__(self, name,
                                np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
+        freeze_arrays(self)
         if not self.d_max > 0:
             raise ValueError("d_max must be positive")
 

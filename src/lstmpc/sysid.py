@@ -1,9 +1,12 @@
 """Identification pipeline: excitation design, dataset handling, training.
 
-The trainer is backpropagation through time over ``lstm.rollout`` and
-``lstm.adjoint`` with an Adam update, and the loss carries soft
+The trainer is backpropagation through time with an Adam update: each
+``loss`` call runs one ``lstm.rollout`` and one ``lstm.adjoint``, the
+reverse sweep over the model's step Jacobians. The loss carries soft
 penalties on the two stability margins r1, r2 so the final network is
 certifiable. Training only terminates once both margins are negative.
+``TrainConfig`` rejects a learning rate that is not finite and positive,
+an extension factor or width below 1 and a negative washout.
 """
 
 import csv
@@ -165,6 +168,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("epochs and penalty weights must be nonnegative")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        for name, least in (("extension_factor", 1), ("n_neurons", 1), ("washout", 0)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 def _forward(w, u_seq):

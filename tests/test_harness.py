@@ -384,6 +384,21 @@ class TestCli:
         assert len(ds.train) == 1 and len(ds.val) == 1 and len(ds.test) == 1
         assert len(ds.train[0][0]) == 60
 
+    def test_train_rejects_negative_learning_rate(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        seq = (rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40))
+        sysid.save_dataset(sysid.Dataset(train=[seq], val=[], test=[seq],
+                                         normalizer=plant.Normalizer(-1.0, 1.0, 6.0, 8.0)),
+                           tmp_path / "ds")
+        out = tmp_path / "model.json"
+        rc = cli.main(["train", "--data", str(tmp_path / "ds"), "--out", str(out),
+                       "--epochs", "1", "--washout", "5", "--learning-rate", "-0.001"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "learning_rate" in err["message"]
+        assert not out.exists()
+
     def test_bad_scenario_file_is_machine_readable(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         for doc, name in (({"warp_drive": 1}, "warp_drive"),

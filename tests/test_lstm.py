@@ -98,8 +98,16 @@ def oracle_sensitivities(w, c, cache):
     return s_c, s_h
 
 
+def assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage):
+    """``lstm.adjoint`` sums through the step Jacobians, the oracle gate
+    by gate: equal up to rounding, relative to the largest |dz|."""
+    ref = adjoint_oracle(w, c, cache, dc_stage, dh_stage)
+    np.testing.assert_allclose(lstm.adjoint(w, c, cache, dc_stage, dh_stage), ref,
+                               rtol=0.0, atol=1e-14 * np.abs(ref).max())
+
+
 class TestKernelOracle:
-    """rollout and adjoint equal the reference kernels exactly."""
+    """rollout equals the reference kernel exactly, adjoint up to rounding."""
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 300])
@@ -119,8 +127,7 @@ class TestKernelOracle:
             np.testing.assert_array_equal(part, ref)
         dc_stage = rng.normal(size=(n_steps + 1, w.n))
         dh_stage = rng.normal(size=(n_steps + 1, w.n))
-        np.testing.assert_array_equal(lstm.adjoint(w, c, cache, dc_stage, dh_stage),
-                                      adjoint_oracle(w, c, cache, dc_stage, dh_stage))
+        assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage)
 
     def test_warm_started_training(self, bench_w, monkeypatch):
         ds = sysid.generate_dataset(seed=2, n_train=2, n_val=1, n_test=1, steps=300)
@@ -130,12 +137,14 @@ class TestKernelOracle:
         monkeypatch.setattr(lstm, "adjoint", adjoint_oracle)
         ref = sysid.train(ds, cfg, init=bench_w)
         for name in lstm.PARAMETERS:
-            np.testing.assert_array_equal(getattr(fast, name), getattr(ref, name))
+            param = getattr(ref, name)
+            np.testing.assert_allclose(getattr(fast, name), param, rtol=0.0,
+                                       atol=1e-13 * np.abs(param).max())
 
 
 class TestKernelSizes:
-    """rollout and adjoint equal the reference kernels exactly at the
-    layer widths where BLAS changes its kernels."""
+    """rollout equals the reference kernel exactly, adjoint up to rounding,
+    at the layer widths where BLAS changes its kernels."""
 
     @pytest.mark.parametrize("n", [3, 5, 8, 16, 33, 64, 128])
     @pytest.mark.parametrize("m", [1, 2])
@@ -150,8 +159,34 @@ class TestKernelSizes:
         for part, ref in zip((c, h, *cache), (c_ref, h_ref, *cache_ref)):
             np.testing.assert_array_equal(part, ref)
         dc_stage, dh_stage = rng.normal(size=(2, 41, n))
-        np.testing.assert_array_equal(lstm.adjoint(w, c, cache, dc_stage, dh_stage),
-                                      adjoint_oracle(w, c, cache, dc_stage, dh_stage))
+        assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage)
+
+
+class TestAdjointBlocks:
+    """adjoint forms the step Jacobians one block of steps at a time;
+    the blocks change no bit of dz."""
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_block_edges(self, bench_w, monkeypatch, blocks, extra):
+        w = bench_w
+        n_steps = blocks * lstm._sweep_block(w.n, w.m) + extra
+        rng = np.random.default_rng(n_steps)
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
+        dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
+        assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage)
+        dz = lstm.adjoint(w, c, cache, dc_stage, dh_stage)
+        monkeypatch.setattr(lstm, "_SWEEP_BLOCK_BYTES", 1 << 40)
+        assert lstm._sweep_block(w.n, w.m) > n_steps
+        np.testing.assert_array_equal(lstm.adjoint(w, c, cache, dc_stage, dh_stage), dz)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (33, 2), (128, 2)])
+    def test_block_size(self, n, m):
+        block = lstm._sweep_block(n, m)
+        step_bytes = 8 * 2 * n * (2 * n + m)
+        assert block >= 1
+        assert block * step_bytes <= max(lstm._SWEEP_BLOCK_BYTES, step_bytes)
 
 
 class TestKernelPurity:

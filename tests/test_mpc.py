@@ -539,6 +539,19 @@ class TestCertify:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, name, 0.5)
 
+    def test_arrays_are_read_only(self, bench_certificate):
+        # an in-place write would move the tightening or the observer metric
+        records = (bench_certificate, bench_certificate.spec, bench_certificate.model)
+        for record in records:
+            arrays = [f.name for f in dataclasses.fields(record)
+                      if isinstance(getattr(record, f.name), np.ndarray)]
+            assert arrays
+            for name in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(record, name).flat[0] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            bench_certificate.b[5] = -1.0
+
     @pytest.mark.parametrize("w_bar", [-0.01, np.nan])
     def test_rejects_negative_or_nan_w_bar(self, bench, w_bar):
         w, obs_doc = bench

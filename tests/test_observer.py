@@ -278,6 +278,19 @@ class TestDeriveConstants:
         for name in ("rho_o", "c_ol", "c_ou", "L_max", "w_bar"):
             assert getattr(spec, name) == getattr(fresh, name)
 
+    def test_spec_copies_the_callers_gains(self, bench_w):
+        n, p = bench_w.n, bench_w.p
+        gains = {name: np.zeros((n, p)) for name in ("L_f", "L_i", "L_o")}
+        l_d = 0.1 * np.eye(p)
+        spec = observer.ObserverSpec(**gains, L_d=l_d, d_max=0.1)
+        derived = observer.derive_constants(bench_w, spec)
+        before = derived.A_d.copy()
+        gains["L_f"][0, 0] = 5.0
+        l_d[0, 0] = 0.9
+        np.testing.assert_array_equal(spec.L_f, 0.0)
+        assert spec.L_d[0, 0] == 0.1
+        np.testing.assert_array_equal(observer.derive_constants(bench_w, spec).A_d, before)
+
     def test_benchmark_observer_rate(self, bench_spec):
         # the published experiment reports 0.97 for this Q_o regime
         assert bench_spec.rho_o == pytest.approx(0.97, abs=0.05)

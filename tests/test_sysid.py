@@ -100,14 +100,11 @@ class TestLoss:
         assert value == pytest.approx(cfg.lambda2 * (r1 + r2), abs=1e-12)
         assert margins == pytest.approx((r1, r2))
 
-    def test_gradient_matches_finite_differences(self):
-        w = small_net(seed=5, n=3, scale=0.3)
-        cfg = sysid.TrainConfig(lambda1=0.03, lambda2=0.02, washout=3, n_neurons=3)
-        rng = np.random.default_rng(2)
-        u = rng.uniform(-1, 1, 20)
-        y = rng.uniform(-1, 1, 20)
+    @staticmethod
+    def _worst_gradient_error(w, u, y, cfg, eps=1e-5):
+        """Largest relative gap between ``loss``'s gradient and central
+        differences, over every parameter entry."""
         _, grads, _ = sysid.loss(w, u, y, cfg)
-        eps = 1e-5
         worst = 0.0
         assert sorted(grads) == sorted(lstm.PARAMETERS)
         for name in lstm.PARAMETERS:
@@ -124,7 +121,25 @@ class TestLoss:
                 fd = (lp - lm) / (2 * eps)
                 denom = max(abs(fd), abs(grads[name][idx]), 1e-8)
                 worst = max(worst, abs(fd - grads[name][idx]) / denom)
-        assert worst < 1e-5
+        return worst
+
+    def test_gradient_matches_finite_differences(self):
+        w = small_net(seed=5, n=3, scale=0.3)
+        cfg = sysid.TrainConfig(lambda1=0.03, lambda2=0.02, washout=3, n_neurons=3)
+        rng = np.random.default_rng(2)
+        u = rng.uniform(-1, 1, 20)
+        y = rng.uniform(-1, 1, 20)
+        assert self._worst_gradient_error(w, u, y, cfg) < 1e-5
+
+    def test_gradient_across_adjoint_blocks(self):
+        # the adjoint forms its step Jacobians in blocks; span two and a half
+        w = small_net(seed=5, n=3, scale=0.3)
+        cfg = sysid.TrainConfig(lambda1=0.03, lambda2=0.02, washout=3, n_neurons=3)
+        t = 5 * lstm._sweep_block(w.n, w.m) // 2 + 1
+        rng = np.random.default_rng(3)
+        u = generate_staircase(rng, t)
+        y = rng.uniform(-1, 1, t)
+        assert self._worst_gradient_error(w, u, y, cfg) < 1e-5
 
     @pytest.mark.parametrize("seed, n, scale", [(0, 3, 0.1), (1, 3, 0.3), (2, 4, 0.5),
                                                 (3, 2, 0.2), (4, 5, 0.05)])
@@ -242,6 +257,14 @@ class TestDatasetIo:
             sysid.TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             sysid.TrainConfig(lambda1=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", np.nan),
+        ("learning_rate", np.inf), ("extension_factor", 0), ("n_neurons", 0),
+        ("washout", -1)])
+    def test_config_rejects_values_that_train_wrongly(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            sysid.TrainConfig(**{field: value})
 
 
 class TestGenerateDataset:
