@@ -33,6 +33,9 @@ def _cmd_train(args):
 
     w = sysid.train(ds, cfg, init=init, callback=cb)
     lstm.save_weights(w, args.out)
+    if not ds.test:
+        print(f"saved {args.out}; no test split, so no test FIT")
+        return 0
     fit = sysid.evaluate_fit(w, ds.test, washout=cfg.washout)
     print(f"saved {args.out}; test FIT {fit:.2f}%")
     return 0

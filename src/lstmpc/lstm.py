@@ -23,9 +23,11 @@ training and the reference Jacobian all run this cell through one kernel:
   commutes with rounding, so the gates equal ``sigmoid``'s bit for bit.
   The step works in place in arrays allocated once per call: the halved
   U h_k is written into the step's row of the activation cache, which
-  then takes the input term, the tanh and the sigmoid's affine map;
-  c_k+1, tanh(c_k+1) and h_k+1 go straight into their rows of the
-  outputs, 10 numpy calls in all.
+  then takes the input term, the tanh and the sigmoid's affine map
+  0.5 (1 + t), whose operands are cached read-only arrays like the
+  scale (an in-place ufunc costs less with an array operand than with a
+  float); c_k+1, tanh(c_k+1) and h_k+1 go straight into their rows of
+  the outputs, 10 numpy calls in all.
 - ``local_factors`` gives the per-step partial derivatives of the cell
   from that cache, elementwise.
 - ``step_jacobians`` is the one place where the cell's linearization is
@@ -42,10 +44,12 @@ training and the reference Jacobian all run this cell through one kernel:
   returns dz = dL/dz_k, (T, 4n), the gradient with respect to the stacked
   preactivations z_k; then dL/du = dz @ W and
   dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)). It runs the state
-  adjoint lam_k = A_k^T lam_k+1 + (dL/dc_k, dL/dh_k), one vector-matrix
-  product and one add per step, with A_k formed in blocks of steps whose
-  stack stays near 128 KB; dz then follows from lam for all steps at
-  once. It never writes into its inputs.
+  adjoint lam_k = A_k^T lam_k+1 + (dL/dc_k, dL/dh_k) as one BLAS call per
+  step: lam is carried as [lam_k | 1] and each step's block as the
+  (2n+1, 2n) [A_k; stage-k partials], so ``np.dot`` writes lam_k
+  straight into its row. Only A_k is formed, not B_k, in blocks of steps
+  whose stack stays near 128 KB; dz then follows from lam for all steps
+  at once. It never writes into its inputs.
 
 Besides the state update, this module holds the one copy of the
 contraction certificate's arithmetic. ``gate_bounds`` bounds the gates
@@ -195,7 +199,8 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
     act = np.empty((n_t, 4 * n))       # f, i, o activations | candidate gate
     tc = np.empty((n_t, n))            # tanh(c+)
     ig = np.empty(n)                   # i * candidate gate
-    scale = _gate_scale(n)
+    scale, one = _gate_scale(n), _gate_ones(n)
+    half = scale[:3 * n]
     pre = u_seq @ w.W.T + w.b + inject
     pre *= scale
     u_rec = w.U * scale[:, None]       # C-contiguous, so BLAS keeps its kernel
@@ -205,8 +210,8 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
         a += pre_k
         np.tanh(a, out=a)
         s = a[:3 * n]
-        s += 1.0
-        s *= 0.5
+        s += one
+        s *= half
         np.multiply(s[n:2 * n], a[3 * n:], out=ig)
         np.multiply(s[:n], c_k, out=c_next)
         c_next += ig
@@ -219,10 +224,21 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
 @functools.cache
 def _gate_scale(n):
     """(4n,) preactivation scale of ``rollout``'s one tanh: 0.5 on the f,
-    i, o rows, 1 on the c rows. Read-only, shared by every call."""
+    i, o rows, 1 on the c rows; its f, i, o block is also the factor of
+    the sigmoid's affine map. Read-only, shared by every call."""
     scale = np.repeat([0.5, 1.0], [3 * n, n])
     scale.flags.writeable = False
     return scale
+
+
+@functools.cache
+def _gate_ones(n):
+    """(3n,) ones, the shift of the sigmoid's affine map in ``rollout``: an
+    in-place ufunc costs less with an array operand than with a float.
+    Read-only, shared by every call."""
+    ones = np.ones(3 * n)
+    ones.flags.writeable = False
+    return ones
 
 
 def local_factors(c, cache):
@@ -247,22 +263,29 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
     ``dc_stage``/``dh_stage`` (T+1, n) are the direct partials of L with
     respect to c_k and h_k at stages 0..T; they are read, not written.
     The state adjoint lam_k = dL/d(c_k, h_k) runs lam_k = A_k^T lam_k+1
-    plus the stage-k partials, with A_k from ``step_jacobians`` formed one
-    block of steps at a time; then, for all k at once, with dct =
-    lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_f dct, k_i dct, k_o lam^h_k+1,
-    k_g dct).
+    plus the stage-k partials as one vector-matrix product per step,
+    [lam_k+1 | 1] [A_k; stage-k partials], with A_k from
+    ``step_jacobians`` formed one block of steps at a time; then, for all
+    k at once, with dct = lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_f dct,
+    k_i dct, k_o lam^h_k+1, k_g dct).
     """
     factors = local_factors(c, cache)
     _, k_f, k_i, k_g, k_o, k_t = factors
     n_t, n = k_t.shape
-    lam = np.concatenate((dc_stage, dh_stage), axis=1)
-    block = _sweep_block(n, w.m)
+    n2 = 2 * n
+    lam = np.ones((n_t + 1, n2 + 1))               # [lam_k | 1]
+    lam[n_t, :n], lam[n_t, n:n2] = dc_stage[n_t], dh_stage[n_t]
+    block = min(_sweep_block(n, w.m), max(n_t, 1))
+    aug = np.zeros((block, n2 + 1, n2))            # [A_k; stage-k partials]
     for k1 in range(n_t, 0, -block):
         k0 = max(k1 - block, 0)
-        a = _jacobian_stack(w, [x[k0:k1] for x in factors])[:, :, :2 * n]
-        for lam_k, lam_next, a_k in zip(lam[k0:k1][::-1], lam[k0 + 1:k1 + 1][::-1], a[::-1]):
-            lam_k += lam_next @ a_k
-    lam_c, lam_h = lam[1:, :n], lam[1:, n:]
+        aug_b = aug[:k1 - k0]
+        _jacobian_stack(w, [x[k0:k1] for x in factors], aug_b)
+        aug_b[:, n2, :n], aug_b[:, n2, n:] = dc_stage[k0:k1], dh_stage[k0:k1]
+        for lam_k, lam_next, aug_k in zip(lam[k0:k1, :n2][::-1], lam[k0 + 1:k1 + 1][::-1],
+                                          aug_b[::-1]):
+            np.dot(lam_next, aug_k, out=lam_k)
+    lam_c, lam_h = lam[1:, :n], lam[1:, n:n2]
     dct = lam_h * k_t
     dct += lam_c
     return np.concatenate((k_f * dct, k_i * dct, k_o * lam_h, k_g * dct), axis=1)
@@ -273,7 +296,8 @@ _SWEEP_BLOCK_BYTES = 1 << 17    # one block of ``adjoint``'s step Jacobians
 
 def _sweep_block(n, m):
     """Steps per block of ``adjoint``'s sweep: as many (2n, 2n+m) step
-    Jacobians as fit in ``_SWEEP_BLOCK_BYTES``, and at least one."""
+    Jacobians as fit in ``_SWEEP_BLOCK_BYTES``, and at least one. A block
+    holds (2n+1, 2n) per step, no more than that."""
     return max(1, _SWEEP_BLOCK_BYTES // (8 * 2 * n * (2 * n + m)))
 
 
@@ -291,25 +315,29 @@ def step_jacobians(w, c, cache):
     ``local_factors`` (f, k_f, ..., k_t) scales the rows it multiplies.
     A and B are views of one (T, 2n, 2n+m) array.
     """
-    jac = _jacobian_stack(w, local_factors(c, cache))
-    n2 = jac.shape[1]
+    factors = local_factors(c, cache)
+    n2 = 2 * w.n
+    jac = np.zeros((len(factors[0]), n2, n2 + w.m))
+    _jacobian_stack(w, factors, jac)
     return jac[:, :, :n2], jac[:, :, n2:]
 
 
-def _jacobian_stack(w, factors):
-    """The (T, 2n, 2n+m) array [A_k | B_k] of ``step_jacobians`` from the
-    T steps' ``local_factors``."""
+def _jacobian_stack(w, factors, out):
+    """Write the T steps' [A_k | B_k] of ``step_jacobians``, from their
+    ``local_factors``, into rows :2n of a (T, >= 2n, 2n+m) ``out``, or
+    A_k alone into a (T, >= 2n, 2n) one. The state-c columns are written
+    on their diagonal only, so ``out`` must hold zeros off it."""
     f, k_f, k_i, k_g, k_o, k_t = factors
-    n_t, n = f.shape
-    uw = np.hstack([w.U, w.W]).reshape(4, n, n + w.m)     # [U | W] per gate, GATES order
+    n = f.shape[1]
+    cols = out.shape[2] - n                               # n + m, or n for A_k alone
+    # [U | W], or U alone, per gate in GATES order
+    uw = (np.concatenate((w.U, w.W), axis=1) if cols > n else w.U).reshape(4, n, cols)
     dc = k_f[:, :, None] * uw[0] + k_i[:, :, None] * uw[1] + k_g[:, :, None] * uw[3]
-    jac = np.zeros((n_t, 2 * n, 2 * n + w.m))
     diag = np.arange(n)
-    jac[:, diag, diag] = f
-    jac[:, n + diag, diag] = k_t * f
-    jac[:, :n, n:] = dc
-    jac[:, n:, n:] = k_t[:, :, None] * dc + k_o[:, :, None] * uw[2]
-    return jac
+    out[:, diag, diag] = f
+    out[:, n + diag, diag] = k_t * f
+    out[:, :n, n:] = dc
+    out[:, n:2 * n, n:] = k_t[:, :, None] * dc + k_o[:, :, None] * uw[2]
 
 
 def sensitivities(w, c, cache):
@@ -430,10 +458,10 @@ class StabilityCertificate:
     ``certified`` tracks rho(A_delta) < 1; the Jury margins r1, r2 give the
     equivalent pair of inequalities used as soft training penalties.
     The Lyapunov fields (P_s onward) are set by incremental_lyapunov.
-    Its arrays are read-only copies.
+    Its arrays are read-only copies: A_delta and B_delta are the gains
+    and column of the model's ``gate_bounds``, which it does not keep.
     """
 
-    bounds: GateBounds
     A_delta: np.ndarray
     B_delta: np.ndarray
     rho_A: float
@@ -466,8 +494,7 @@ def delta_iss_check(w):
     rho = spectral_radius(g.gains)
     r1, r2 = jury_margins(w, g)
     return StabilityCertificate(
-        bounds=g, A_delta=g.gains, B_delta=g.column, rho_A=rho, r1=r1, r2=r2,
-        certified=rho < 1.0)
+        A_delta=g.gains, B_delta=g.column, rho_A=rho, r1=r1, r2=r2, certified=rho < 1.0)
 
 
 def lyapunov_bounds(a):

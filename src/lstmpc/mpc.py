@@ -134,7 +134,7 @@ class Certificate:
         sq = np.sqrt(self.lam_min)
         alpha = np.inf
         for j in range(len(y0)):
-            wy = np.linalg.norm(w_y[j])
+            wy = np.sqrt(w_y[j].dot(w_y[j]))
             a_ub = sq / wy * (y_ub[j] - y0[j] - margin[j])
             a_lb = sq / wy * (y0[j] - y_lb[j] - margin[j])
             if a_ub <= 0.0 or y0[j] >= y_ub[j] - margin[j]:
@@ -229,7 +229,8 @@ class Problem:
     def evaluate(self, u_seq):
         """(cost, g, aux) of the (N, m) plan ``u_seq``. g <= 0 stacks per
         stage the tightened upper then lower output bound, then the
-        terminal set; aux is the rollout that ``qp_model`` linearizes."""
+        terminal set; aux is the rollout that ``qp_model`` linearizes,
+        with the state errors dx of stages 0..N, (N+1, 2n)."""
         w, ref, n_h = self.w, self.ref, len(self.tight)
         c, h, cache = lstm.rollout(w, self.x_hat.c, self.x_hat.h, u_seq)
         y_pred = h[:n_h] @ w.W_y.T + w.b_y      # outputs at stages 0..N-1
@@ -237,12 +238,12 @@ class Problem:
         g_out = g[:-1].reshape(n_h, 2, w.p)
         g_out[:, 0] = y_pred + self.tight - self.y_ub
         g_out[:, 1] = self.y_lb + self.tight - y_pred
-        ev = np.array([np.linalg.norm(c[n_h] - ref.x_bar.c),
-                       np.linalg.norm(h[n_h] - ref.x_bar.h)])
+        dx = np.concatenate((c - ref.x_bar.c, h - ref.x_bar.h), axis=1)
+        e_c, e_h = dx[n_h].reshape(2, w.n)
+        ev = np.sqrt([e_c.dot(e_c), e_h.dot(e_h)])      # the two terminal 2-norms
         phi = float(ev @ self.P_f @ ev)
         g[-1] = phi - self.alpha ** 2
-        dx = np.hstack([c[:n_h] - ref.x_bar.c, h[:n_h] - ref.x_bar.h])
-        cost = self.q_weight * float((dx ** 2).sum()) \
+        cost = self.q_weight * float((dx[:n_h] ** 2).sum()) \
             + self.r_weight * float(((u_seq - ref.u_bar) ** 2).sum()) + phi
         return cost, g, (c, h, cache, ev, dx)
 
@@ -256,9 +257,9 @@ class Problem:
         n_u = n_h * w.m
         c, h, cache, ev, dx = aux
         s = lstm.sensitivities(w, c, cache)     # (N+1, 2n, N*m), rows c then h
-        s_x = s[1:n_h].reshape(-1, n_u)         # stages 1..N-1, laid out like dx[1:]
+        s_x = s[1:n_h].reshape(-1, n_u)         # stages 1..N-1, laid out like dx[1:N]
         eye = np.eye(n_u)
-        grad = 2.0 * self.q_weight * (dx[1:].ravel() @ s_x) \
+        grad = 2.0 * self.q_weight * (dx[1:n_h].ravel() @ s_x) \
             + 2.0 * self.r_weight * (u_seq - ref.u_bar).ravel()
         hess = 2.0 * self.q_weight * (s_x.T @ s_x) + 2.0 * self.r_weight * eye
         # Terminal phi = ev'P_f ev: exact Hessian in (c_N, h_N), carried
@@ -267,20 +268,20 @@ class Problem:
         g_ev = p2 @ ev
         k_t = 1.0 + lam_term
         v = np.zeros((2, n_u))
-        for j, (e, s_j) in enumerate(zip((c[n_h] - ref.x_bar.c, h[n_h] - ref.x_bar.h),
+        for j, (e, s_j) in enumerate(zip(dx[n_h].reshape(2, w.n),
                                          s[n_h].reshape(2, w.n, n_u))):   # S_N's c, h rows
             ss = s_j.T @ s_j
             if ev[j] > 0.0:
                 v[j] = (e / ev[j]) @ s_j
-                hess += k_t * max(g_ev[j], 0.0) / ev[j] * (ss - np.outer(v[j], v[j]))
+                hess += k_t * max(g_ev[j], 0.0) / ev[j] * (ss - v[j][:, None] * v[j])
             else:
                 hess += k_t * p2[j, j] * ss
         hess += k_t * (v.T @ p2 @ v)
         d_term = g_ev @ v
         grad += d_term
         out = w.W_y @ s[1:n_h, w.n:]            # (N-1, p, N*m)
-        a_mat = np.vstack([np.stack([out, -out], axis=1).reshape(-1, n_u),
-                           d_term, eye, -eye])
+        out_rows = np.concatenate((out, -out), axis=1).reshape(-1, n_u)   # upper, lower per stage
+        a_mat = np.concatenate((out_rows, d_term[None], eye, -eye))
         u_flat = u_seq.ravel()
         b_vec = np.concatenate([-g[2 * w.p:], w.u_max - u_flat, w.u_max + u_flat])
         return grad, hess, a_mat, b_vec
@@ -292,15 +293,18 @@ def _dense_qp(hess, grad, a_mat, b_vec):
     Solves the dual min 1/2 lam'M lam + (b - A d0)'lam over lam >= 0, with
     M = A H^-1 A' and d0 = -H^-1 grad, by a Lawson-Hanson active-set
     method; the dual gradient M lam + b - A d0 is the primal slack
-    b - A d. Returns (d, lam), or None when the method breaks down
-    (a singular active set or no convergence, as on an infeasible QP).
+    b - A d. When d0 violates no row, lam = 0 is the dual's solution and
+    M is never formed. Returns (d, lam), or None when the method breaks
+    down (a singular active set or no convergence, as on an infeasible QP).
     """
     sol = np.linalg.solve(hess, np.column_stack([grad, a_mat.T]))
     d0, h_at = -sol[:, 0], sol[:, 1:]
-    m_mat = a_mat @ h_at
     q = b_vec - a_mat @ d0
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(q))))
+    tol = 1e-12 * max(1.0, float(abs(q).max()))
     lam = np.zeros(len(q))
+    if q.min() >= -tol:
+        return d0, lam
+    m_mat = a_mat @ h_at
     free = np.zeros(len(q), dtype=bool)
     for _ in range(3 * len(q) + 10):
         slack = m_mat @ lam + q
@@ -353,7 +357,7 @@ def solve_fhocp(problem, warm=None, real_time=False):
     u0 = project(u0)
 
     cand_cost, cand_g, cand_aux = problem.evaluate(u0)
-    cand_feasible = float(np.max(cand_g)) <= _FEAS_TOL
+    cand_feasible = float(cand_g.max()) <= _FEAS_TOL
 
     u, cost, g, aux = u0, cand_cost, cand_g, cand_aux
     best_u, best_cost, best_g = None, np.inf, None
@@ -369,10 +373,10 @@ def solve_fhocp(problem, warm=None, real_time=False):
             break
         d, lam = qp
         lam_term = float(lam[n_g - 1])
-        nu = max(nu, 1.1 * float(np.max(lam[:n_g])))
+        nu = max(nu, 1.1 * float(lam[:n_g].max()))
         d = d.reshape(n_h, m)
         # a step this small is taken as is: rounding can fail Armijo on it
-        tiny = float(np.max(np.abs(d))) < _STEP_TOL
+        tiny = float(abs(d).max()) < _STEP_TOL
         ref_val = merit(cost, g, nu)
         slope = float(grad @ d.ravel()) - nu * float(np.maximum(g[n_g0:], 0.0).sum())
         t = 1.0
@@ -384,36 +388,36 @@ def solve_fhocp(problem, warm=None, real_time=False):
             t *= 0.5
         else:
             break
-        step = float(np.max(np.abs(u_t - u)))
+        step = float(abs(u_t - u).max())
         u, cost, g, aux = u_t, cost_t, g_t, aux_t
-        if float(np.max(g)) <= _FEAS_TOL and cost < best_cost:
+        if float(g.max()) <= _FEAS_TOL and cost < best_cost:
             best_u, best_cost, best_g = u, cost, g
         if step < _STEP_TOL:
             stop = "optimal"
             break
-        if real_time and float(np.max(g)) <= _FEAS_TOL:
+        if real_time and float(g.max()) <= _FEAS_TOL:
             stop = "iterate"
             break
-    if u is not u0 and float(np.max(g)) <= _FEAS_TOL:
+    if u is not u0 and float(g.max()) <= _FEAS_TOL:
         # A feasible stopping point is the solution: an earlier iterate can
         # undercut its cost only by spending the _FEAS_TOL slack.
         best_u, best_cost, best_g = u, cost, g
 
     if best_u is None and not cand_feasible:
         raise FeasibilityLossError(
-            f"no feasible input plan (candidate violation {float(np.max(cand_g)):.3g})")
+            f"no feasible input plan (candidate violation {float(cand_g.max()):.3g})")
     if cand_feasible and (best_u is None or cand_cost < best_cost):
         best_u, best_cost, best_g, stop = u0, cand_cost, cand_g, "candidate-fallback"
     return MpcSolution(u_seq=best_u, cost=best_cost, status=stop,
                        solver_iterations=iterations,
-                       max_violation=float(np.max(best_g)),
-                       candidate_violation=float(np.max(cand_g)))
+                       max_violation=float(best_g.max()),
+                       candidate_violation=float(cand_g.max()))
 
 
 def shifted_candidate(prev_solution, u_bar):
     """Left-shift the previous plan and append the new equilibrium input."""
     u_prev = np.asarray(prev_solution.u_seq, dtype=float)
-    return np.vstack([u_prev[1:], np.atleast_1d(u_bar)[None, :]])
+    return np.concatenate((u_prev[1:], np.atleast_1d(u_bar)[None, :]))
 
 
 @dataclass

@@ -75,7 +75,9 @@ def _jacobian(w, cell):
     cs, _, cache = cell
     a, b = lstm.step_jacobians(w, cs, cache)
     jac = np.zeros((2 * n + w.p, 2 * n + w.m))
-    jac[:2 * n, :2 * n] = a[0] - np.eye(2 * n)
+    jac[:2 * n, :2 * n] = a[0]
+    diag = np.arange(2 * n)
+    jac[diag, diag] -= 1.0
     jac[:2 * n, 2 * n:] = b[0]
     jac[2 * n:, n:2 * n] = w.W_y
     return jac
@@ -88,7 +90,7 @@ def _inverse(jac):
     except np.linalg.LinAlgError:
         raise InfeasibleReferenceError("equilibrium Jacobian is singular", "singular") from None
     # "not <=" also rejects the NaN of a non-finite J
-    if not np.linalg.norm(jac, np.inf) * np.linalg.norm(inv, np.inf) <= _COND_MAX:
+    if not abs(jac).sum(axis=1).max() * abs(inv).sum(axis=1).max() <= _COND_MAX:
         raise InfeasibleReferenceError("equilibrium Jacobian is singular", "singular")
     return inv
 
@@ -104,14 +106,13 @@ def _newton(w, xi, y0_eff, jac_inv):
     outside the +-u_max box raises like a diverging iteration.
     """
     res_prev = np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # a diverging iterate may overflow
+    with np.errstate(all="ignore"):       # a diverging iterate may overflow
         for it in range(51):               # 50 steps, then a last residual test
             cell = _cell_step(w, xi)
             r = _residual(w, xi, y0_eff, cell)
-            res = float(np.max(np.abs(r)))
+            res = float(abs(r).max())
             if res < _TOL:
-                if np.max(np.abs(xi[2 * w.n:])) > w.u_max + 1e-9:
+                if abs(xi[2 * w.n:]).max() > w.u_max + 1e-9:
                     raise InfeasibleReferenceError(
                         f"equilibrium input {xi[2 * w.n:]} outside the +-{w.u_max} box",
                         "box")
@@ -191,8 +192,11 @@ def estimate_k_bar(w, y0_range, d_range=(0.0, 0.0), grid_density=9):
     """Max equilibrium-state sensitivity over a grid of targets.
 
     Returns (k_bar, argmax (y0, d_hat)). Grid points with no admissible
-    equilibrium are skipped with a warning.
+    equilibrium are skipped with a warning. ``grid_density`` (at least 1)
+    is the number of set-points on the grid.
     """
+    if not grid_density >= 1:
+        raise ValueError(f"grid_density must be at least 1, got {grid_density}")
     y0s = np.linspace(y0_range[0], y0_range[1], grid_density)
     ds = np.linspace(d_range[0], d_range[1], max(2, grid_density // 2)) \
         if d_range[1] > d_range[0] else np.array([d_range[0]])

@@ -358,9 +358,12 @@ def fit_index(y_real, y_pred):
 
 
 def evaluate_fit(w, sequences, washout=50):
-    """Mean FIT of open-loop predictions over a list of (u, y) sequences."""
+    """Mean FIT of open-loop predictions over a list of (u, y) sequences;
+    raises UndefinedMetricError on an empty list."""
     fits = []
     for u_seq, y_seq in sequences:
         y_hat = predict(w, u_seq)[:, 0]
         fits.append(fit_index(np.asarray(y_seq)[washout:], y_hat[washout:]))
+    if not fits:
+        raise UndefinedMetricError("no sequences to evaluate FIT on")
     return float(np.mean(fits))

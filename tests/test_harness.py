@@ -399,6 +399,20 @@ class TestCli:
         assert "learning_rate" in err["message"]
         assert not out.exists()
 
+    def test_train_without_test_split_reports_no_fit(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        seq = (rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40))
+        sysid.save_dataset(sysid.Dataset(train=[seq], val=[], test=[],
+                                         normalizer=plant.Normalizer(-1.0, 1.0, 6.0, 8.0)),
+                           tmp_path / "ds")
+        out = tmp_path / "model.json"
+        rc = cli.main(["train", "--data", str(tmp_path / "ds"), "--out", str(out),
+                       "--epochs", "0", "--init", str(ASSETS / "model.json")])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert "no test split" in printed and "nan" not in printed
+        assert out.exists()
+
     def test_bad_scenario_file_is_machine_readable(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         for doc, name in (({"warp_drive": 1}, "warp_drive"),

@@ -189,6 +189,41 @@ class TestAdjointBlocks:
         assert block * step_bytes <= max(lstm._SWEEP_BLOCK_BYTES, step_bytes)
 
 
+class TestKernelCalls:
+    """The sweeps' per-step numpy calls: adjoint makes one BLAS call per
+    step, and rollout's in-place ufuncs take shared read-only arrays."""
+
+    @pytest.mark.parametrize("extra_blocks", [0, 1])
+    @pytest.mark.parametrize("n_steps", [1, 5])
+    def test_adjoint_one_dot_per_step(self, bench_w, monkeypatch, n_steps, extra_blocks):
+        w = bench_w
+        n_steps += extra_blocks * lstm._sweep_block(w.n, w.m)
+        rng = np.random.default_rng(n_steps)
+        x0 = random_invariant_state(w, rng)
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, rng.uniform(-1.0, 1.0, (n_steps, w.m)))
+        dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
+        calls = []
+        dot = np.dot
+
+        def counted_dot(*args, **kwargs):
+            calls.append(1)
+            return dot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "dot", counted_dot)
+        lstm.adjoint(w, c, cache, dc_stage, dh_stage)
+        assert len(calls) == n_steps
+
+    @pytest.mark.parametrize("n", [1, 5, 33])
+    def test_rollout_operands_are_read_only(self, n):
+        scale, ones = lstm._gate_scale(n), lstm._gate_ones(n)
+        np.testing.assert_array_equal(scale, np.repeat([0.5, 1.0], [3 * n, n]))
+        np.testing.assert_array_equal(ones, np.ones(3 * n))
+        for operand in (scale, ones):
+            with pytest.raises(ValueError, match="read-only"):
+                operand[0] = 2.0
+        assert lstm._gate_ones(n) is ones
+
+
 class TestKernelPurity:
     """rollout and adjoint write only into arrays they allocate."""
 
@@ -494,6 +529,16 @@ class TestCertification:
         assert not cert.certified
         with pytest.raises(InstabilityError):
             lstm.incremental_lyapunov(w)
+
+    def test_certificate_holds_no_mutable_field(self, bench_w):
+        # scalars, flags and read-only arrays only: no field can be edited in place
+        for cert in (lstm.delta_iss_check(bench_w), lstm.incremental_lyapunov(bench_w)):
+            for field in dataclasses.fields(cert):
+                value = getattr(cert, field.name)
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable, field.name
+                else:
+                    assert value is None or isinstance(value, (bool, float)), field.name
 
     def test_jury_equivalent_to_spectral_radius(self, bench_w):
         cert = lstm.delta_iss_check(bench_w)

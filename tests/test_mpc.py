@@ -307,17 +307,72 @@ def _fd_jacobian(fun, u, eps=1e-6):
     return np.stack(cols, axis=-1)
 
 
+def full_dual_qp(hess, grad, a_mat, b_vec):
+    """``mpc._dense_qp`` without its early exit: the Lawson-Hanson dual
+    iteration from lam = 0 on every QP."""
+    sol = np.linalg.solve(hess, np.column_stack([grad, a_mat.T]))
+    d0, h_at = -sol[:, 0], sol[:, 1:]
+    m_mat = a_mat @ h_at
+    q = b_vec - a_mat @ d0
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(q))))
+    lam = np.zeros(len(q))
+    free = np.zeros(len(q), dtype=bool)
+    for _ in range(3 * len(q) + 10):
+        slack = m_mat @ lam + q
+        j = int(np.argmin(np.where(free, np.inf, slack)))
+        if free[j] or slack[j] >= -tol:
+            return d0 - h_at @ lam, lam
+        free[j] = True
+        while True:
+            idx = np.flatnonzero(free)
+            z = np.zeros_like(lam)
+            try:
+                z[idx] = np.linalg.solve(m_mat[np.ix_(idx, idx)], -q[idx])
+            except np.linalg.LinAlgError:
+                return None
+            if np.all(z[idx] > 0.0):
+                lam = z
+                break
+            neg = idx[z[idx] <= 0.0]
+            t = float(np.min(lam[neg] / (lam[neg] - z[neg])))
+            lam = lam + t * (z - lam)
+            free &= lam > 0.0
+            lam[~free] = 0.0
+    return None
+
+
+def seeded_qp(seed, feasible_minimizer):
+    """A strictly convex QP; its unconstrained minimizer satisfies every
+    row, or ``grad`` pushes it out of the set, which contains d = 0."""
+    rng = np.random.default_rng(seed)
+    n_v, n_c = 4 + seed, 3 + 2 * seed
+    b_mat = rng.normal(size=(n_v, n_v))
+    hess = b_mat @ b_mat.T + 0.5 * np.eye(n_v)
+    grad = 5.0 * rng.normal(size=n_v)
+    a_mat = rng.normal(size=(n_c, n_v))
+    b_vec = rng.uniform(0.1, 1.0, n_c)
+    if feasible_minimizer:
+        b_vec += a_mat @ np.linalg.solve(hess, -grad)
+    return hess, grad, a_mat, b_vec
+
+
 class TestDenseQp:
     @pytest.mark.parametrize("seed", range(6))
+    def test_feasible_minimizer_equals_full_dual_path(self, seed):
+        qp = seeded_qp(seed, feasible_minimizer=True)
+        d, lam = mpc._dense_qp(*qp)
+        d_ref, lam_ref = full_dual_qp(*qp)
+        np.testing.assert_array_equal(d, d_ref)
+        np.testing.assert_array_equal(lam, lam_ref)
+        assert not lam.any()
+
+    @pytest.mark.parametrize("seed", range(6))
     def test_kkt_conditions(self, seed):
-        rng = np.random.default_rng(seed)
-        n_v, n_c = 4 + seed, 3 + 2 * seed
-        b_mat = rng.normal(size=(n_v, n_v))
-        hess = b_mat @ b_mat.T + 0.5 * np.eye(n_v)
-        grad = 5.0 * rng.normal(size=n_v)        # pushes d0 out of the set
-        a_mat = rng.normal(size=(n_c, n_v))
-        b_vec = rng.uniform(0.1, 1.0, n_c)        # d = 0 is strictly feasible
+        hess, grad, a_mat, b_vec = seeded_qp(seed, feasible_minimizer=False)
         d, lam = mpc._dense_qp(hess, grad, a_mat, b_vec)
+        d_ref, lam_ref = full_dual_qp(hess, grad, a_mat, b_vec)
+        np.testing.assert_array_equal(d, d_ref)
+        np.testing.assert_array_equal(lam, lam_ref)
         slack = b_vec - a_mat @ d
         assert np.count_nonzero(lam) >= 1
         np.testing.assert_allclose(hess @ d + grad + a_mat.T @ lam, 0.0, atol=1e-9)

@@ -401,6 +401,11 @@ class TestSensitivity:
         assert 0.0 < k9 < np.inf
         assert k17 == pytest.approx(k9, rel=0.05)
 
+    @pytest.mark.parametrize("grid_density", [0, -3])
+    def test_k_bar_rejects_empty_grid(self, bench_w, grid_density):
+        with pytest.raises(ValueError, match="grid_density"):
+            refcalc.estimate_k_bar(bench_w, (-0.5, 0.5), grid_density=grid_density)
+
     def test_k_bar_with_disturbance_range(self, bench_w):
         k, arg = refcalc.estimate_k_bar(bench_w, (-0.1, 0.1), (-0.05, 0.05),
                                         grid_density=5)

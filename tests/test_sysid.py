@@ -237,6 +237,10 @@ class TestFitIndex:
         with pytest.raises(UndefinedMetricError):
             sysid.fit_index([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_evaluate_fit_rejects_no_sequences(self, tiny_w):
+        with pytest.raises(UndefinedMetricError):
+            sysid.evaluate_fit(tiny_w, [])
+
 
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
