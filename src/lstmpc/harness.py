@@ -54,6 +54,22 @@ class Scenario:
     plant_overrides: dict = field(default_factory=dict)
     model_path: str | None = None
 
+    def __post_init__(self):
+        """Rejects, naming the field, a value that would end the run in a bare
+        error or distort it; each profile becomes (time_s, value) tuples."""
+        for name in ("setpoints", "disturbances", "disturbance_increments"):
+            if any(np.shape(x) != (2,) for x in getattr(self, name)):
+                raise ValueError(f"{name} entries must be (time_s, value) pairs")
+            setattr(self, name, [tuple(x) for x in getattr(self, name)])
+        for name, ok, rule in (
+                ("setpoints", self.setpoints, "nonempty"),
+                ("duration_s", self.duration_s >= 0, "nonnegative"),
+                ("t_s", self.t_s > 0, "positive"), ("ramp_rate", self.ramp_rate > 0, "positive"),
+                ("horizon", isinstance(self.horizon, int) and self.horizon >= 1,
+                 "a positive integer")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
@@ -64,11 +80,7 @@ class Scenario:
         bad = set(doc.get("plant_overrides", {})) - set(plant.PhParams.__dataclass_fields__)
         if bad:
             raise ValueError(f"unknown plant_overrides keys: {sorted(bad)}")
-        sc = cls(**doc)
-        sc.setpoints = [tuple(x) for x in sc.setpoints]
-        sc.disturbances = [tuple(x) for x in sc.disturbances]
-        sc.disturbance_increments = [tuple(x) for x in sc.disturbance_increments]
-        return sc
+        return cls(**doc)
 
     def to_json(self, path):
         doc = {k: getattr(self, k) for k in self.__dataclass_fields__}

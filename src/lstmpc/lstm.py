@@ -24,17 +24,18 @@ training and the reference Jacobian all run this cell through one kernel:
   The step works in place in arrays allocated once per call: the halved
   U h_k is written into the step's row of the activation cache, which
   then takes the input term, the tanh and the sigmoid's affine map
-  0.5 (1 + t), whose operands are cached read-only arrays like the
-  scale (an in-place ufunc costs less with an array operand than with a
-  float); c_k+1, tanh(c_k+1) and h_k+1 go straight into their rows of
-  the outputs, 10 numpy calls in all.
+  0.5 (1 + t), whose operands come with the scale as one cached
+  read-only pair (an in-place ufunc costs less with an array operand
+  than with a float); c_k+1, tanh(c_k+1) and h_k+1 go straight into
+  their rows of the outputs, 10 numpy calls in all.
 - ``local_factors`` gives the per-step partial derivatives of the cell
   from that cache, elementwise.
 - ``step_jacobians`` is the one place where the cell's linearization is
   written: from ``local_factors``, in one vectorized pass for any T, every
-  step's A_k = d(c+, h+)/d(c, h) and B_k = d(c+, h+)/du. It feeds the
-  MPC's sensitivities, the reference calculation's Newton Jacobian
-  [A_0 - I | B_0; 0 W_y 0] and the adjoint.
+  step's A_k = d(c+, h+)/d(c, h) and B_k = d(c+, h+)/du, into a buffer
+  the caller owns. ``sensitivities`` and ``adjoint`` pass their own; the
+  reference calculation passes its Newton Jacobian
+  [A_0 - I | B_0; 0 W_y 0], so [A_0 | B_0] lands in place.
 - ``sensitivities`` is the forward (tangent-linear) sweep over the same
   cache: S_k = d(c_k, h_k)/du, one (T+1, 2n, T*m) array, for the MPC's
   dense QP. It runs the recurrence S_k+1 = A_k S_k (+ B_k in u_k's
@@ -190,7 +191,7 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
 
     ``inject`` is added to the preactivations (broadcast to (T, 4n), in
     ``GATES`` order). Returns c, h of shape (T+1, n) and the cache that
-    ``adjoint``, ``step_jacobians`` and ``local_factors`` read.
+    ``local_factors``, ``sensitivities`` and ``adjoint`` read.
     """
     n_t, n = len(u_seq), len(c0)
     c = np.empty((n_t + 1, n))
@@ -199,7 +200,7 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
     act = np.empty((n_t, 4 * n))       # f, i, o activations | candidate gate
     tc = np.empty((n_t, n))            # tanh(c+)
     ig = np.empty(n)                   # i * candidate gate
-    scale, one = _gate_scale(n), _gate_ones(n)
+    scale, one = _gate_operands(n)
     half = scale[:3 * n]
     pre = u_seq @ w.W.T + w.b + inject
     pre *= scale
@@ -222,23 +223,15 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
 
 
 @functools.cache
-def _gate_scale(n):
-    """(4n,) preactivation scale of ``rollout``'s one tanh: 0.5 on the f,
-    i, o rows, 1 on the c rows; its f, i, o block is also the factor of
-    the sigmoid's affine map. Read-only, shared by every call."""
-    scale = np.repeat([0.5, 1.0], [3 * n, n])
-    scale.flags.writeable = False
-    return scale
-
-
-@functools.cache
-def _gate_ones(n):
-    """(3n,) ones, the shift of the sigmoid's affine map in ``rollout``: an
-    in-place ufunc costs less with an array operand than with a float.
-    Read-only, shared by every call."""
-    ones = np.ones(3 * n)
-    ones.flags.writeable = False
-    return ones
+def _gate_operands(n):
+    """``rollout``'s (4n,) preactivation scale, 0.5 on the f, i, o rows and
+    1 on the c rows, and the (3n,) ones that shift the sigmoid's affine map
+    0.5 (1 + t), whose factor is the scale's f, i, o block. Read-only,
+    shared by every call."""
+    pair = np.repeat([0.5, 1.0], [3 * n, n]), np.ones(3 * n)
+    for operand in pair:
+        operand.flags.writeable = False
+    return pair
 
 
 def local_factors(c, cache):
@@ -280,7 +273,7 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
     for k1 in range(n_t, 0, -block):
         k0 = max(k1 - block, 0)
         aug_b = aug[:k1 - k0]
-        _jacobian_stack(w, [x[k0:k1] for x in factors], aug_b)
+        step_jacobians(w, [x[k0:k1] for x in factors], aug_b)
         aug_b[:, n2, :n], aug_b[:, n2, n:] = dc_stage[k0:k1], dh_stage[k0:k1]
         for lam_k, lam_next, aug_k in zip(lam[k0:k1, :n2][::-1], lam[k0 + 1:k1 + 1][::-1],
                                           aug_b[::-1]):
@@ -301,32 +294,21 @@ def _sweep_block(n, m):
     return max(1, _SWEEP_BLOCK_BYTES // (8 * 2 * n * (2 * n + m)))
 
 
-def step_jacobians(w, c, cache):
-    """Every step's linearization of ``rollout``, in one vectorized pass.
-
-    Returns A (T, 2n, 2n) = d(c+, h+)/d(c, h) and B (T, 2n, m) =
-    d(c+, h+)/du, rows and state columns c first, then h:
+def step_jacobians(w, factors, out):
+    """Write every step's linearization of ``rollout``, in one vectorized
+    pass, into rows :2n of the caller's (T, >= 2n, 2n+m) ``out``: [A_k | B_k]
+    with A_k = d(c+, h+)/d(c, h) and B_k = d(c+, h+)/du, or A_k alone into
+    a (T, >= 2n, 2n) one. Rows and state columns are c first, then h:
 
         A_k = [diag f          dc+/dh                   ]    B_k = [dc+/du ]
               [diag(k_t f)     k_t dc+/dh + k_o U_o     ]          [dh+/du ]
 
     with dc+/d(h, u) = k_f [U_f | W_f] + k_i [U_i | W_i] + k_g [U_c | W_c]
-    and dh+/du = k_t dc+/du + k_o W_o, where each factor of
+    and dh+/du = k_t dc+/du + k_o W_o, where each of the T steps'
     ``local_factors`` (f, k_f, ..., k_t) scales the rows it multiplies.
-    A and B are views of one (T, 2n, 2n+m) array.
+    The state-c columns are written on their diagonal only, so ``out``
+    must hold zeros off it.
     """
-    factors = local_factors(c, cache)
-    n2 = 2 * w.n
-    jac = np.zeros((len(factors[0]), n2, n2 + w.m))
-    _jacobian_stack(w, factors, jac)
-    return jac[:, :, :n2], jac[:, :, n2:]
-
-
-def _jacobian_stack(w, factors, out):
-    """Write the T steps' [A_k | B_k] of ``step_jacobians``, from their
-    ``local_factors``, into rows :2n of a (T, >= 2n, 2n+m) ``out``, or
-    A_k alone into a (T, >= 2n, 2n) one. The state-c columns are written
-    on their diagonal only, so ``out`` must hold zeros off it."""
     f, k_f, k_i, k_g, k_o, k_t = factors
     n = f.shape[1]
     cols = out.shape[2] - n                               # n + m, or n for A_k alone
@@ -346,15 +328,16 @@ def sensitivities(w, c, cache):
     Returns one (T+1, 2n, T*m) array S for stages 0..T, rows c_k then
     h_k, with u the row-major flattened (T, m) inputs. Stage 0 does not
     depend on u and stage k only on u_0..u_{k-1}, so S_k+1 = A_k S_k on
-    those columns and B_k on u_k's, with A, B from ``step_jacobians``.
+    those columns and B_k on u_k's, with [A_k | B_k] from ``step_jacobians``.
     """
-    a, b = step_jacobians(w, c, cache)
-    n_t, m = len(a), w.m
-    s = np.zeros((n_t + 1, a.shape[1], n_t * m))
+    n_t, n2, m = len(c) - 1, 2 * w.n, w.m
+    jac = np.zeros((n_t, n2, n2 + m))
+    step_jacobians(w, local_factors(c, cache), jac)
+    s = np.zeros((n_t + 1, n2, n_t * m))
     for k in range(n_t):
         j = k * m
-        np.matmul(a[k], s[k, :, :j], out=s[k + 1, :, :j])
-        s[k + 1, :, j:j + m] = b[k]
+        np.matmul(jac[k, :, :n2], s[k, :, :j], out=s[k + 1, :, :j])
+        s[k + 1, :, j:j + m] = jac[k, :, n2:]
     return s
 
 

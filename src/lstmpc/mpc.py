@@ -16,8 +16,8 @@ admissible set-point band; d_max, rho_o and w_bar live only in its spec.
 The solver is single-shooting sequential quadratic programming (SQP) over
 the N*m free inputs. Each iteration takes predictions from
 ``lstm.rollout`` and their input sensitivities from ``lstm.sensitivities``
-(the recurrence over ``lstm.step_jacobians``, the model's one
-linearization) and builds a dense QP in the step d:
+(the recurrence over the [A_k | B_k] that ``lstm.step_jacobians``, the
+model's one linearization, writes) and builds a dense QP in the step d:
 
 - the exact cost gradient;
 - a generalized Gauss-Newton Hessian: the state and input terms' 2q S'S

@@ -11,7 +11,7 @@ yields all constants consumed by the constraint-tightening controller.
 of gains, d_max and w_bar that also holds A_d, P_o, rho_o and the rest.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,9 @@ class ObserverSpec:
 
     The derived fields (A_d onward, but for w_bar) stay None until
     derive_constants returns a copy with them formed from the gains.
-    Its arrays are read-only copies, so the caller's gains stay its own.
+    ``injection``, the (4n, p) [L_f; L_i; L_o; 0] in ``lstm.GATES`` order
+    (the candidate gate gets none), is formed on construction. Its arrays
+    are read-only copies, so the caller's gains stay its own.
     """
 
     L_f: np.ndarray
@@ -70,6 +72,7 @@ class ObserverSpec:
     w_bar: float = 0.0
     w_bar_analytic: float | None = None
     cell_radius_hat: float = 0.0
+    injection: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("L_f", "L_i", "L_o", "L_d"):
@@ -78,6 +81,12 @@ class ObserverSpec:
         freeze_arrays(self)
         if not self.d_max > 0:
             raise ValueError("d_max must be positive")
+        for name in ("L_i", "L_o"):
+            if (cols := getattr(self, name).shape[1]) != self.L_f.shape[1]:
+                raise DimensionError(f"{name} has {cols} columns, L_f has {self.L_f.shape[1]}")
+        injection = np.concatenate((self.L_f, self.L_i, self.L_o, np.zeros_like(self.L_f)))
+        injection.flags.writeable = False
+        object.__setattr__(self, "injection", injection)
 
     def to_dict(self):
         gains = {name: getattr(self, name).tolist() for name in ("L_f", "L_i", "L_o", "L_d")}
@@ -101,8 +110,7 @@ def observer_step(w, spec, chi_hat, u, y_measured):
         raise DimensionError("input/measurement shape mismatch")
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
     innov = y_measured - (w.W_y @ x.h + w.b_y + d)
-    inject = _innovation_gains(w, spec).reshape(4 * w.n, w.p) @ innov
-    c, h, _ = lstm.rollout(w, x.c, x.h, u[None, :], inject)
+    c, h, _ = lstm.rollout(w, x.c, x.h, u[None, :], spec.injection @ innov)
     d_next = np.clip(d + spec.L_d @ innov, -spec.d_max, spec.d_max)
     return AugmentedState(LstmState(c[1], h[1]), d_next)
 
@@ -115,12 +123,6 @@ def observer_matrices(w, spec):
     with (U - L W_y, L).
     """
     return _error_dynamics(w, spec)[0]
-
-
-def _innovation_gains(w, spec):
-    """The innovation gains (L_f, L_i, L_o, 0) as a (4, n, p) stack in
-    ``lstm.GATES`` order: the candidate gate gets no innovation."""
-    return np.stack([spec.L_f, spec.L_i, spec.L_o, np.zeros((w.n, w.p))])
 
 
 def _error_dynamics(w, spec):
@@ -139,7 +141,7 @@ def _error_dynamics(w, spec):
         if (got := getattr(spec, name).shape) != shape:
             raise DimensionError(f"{name} has shape {got}, not {shape}, "
                                  f"for the model's (n, p) = ({n}, {p})")
-    l_gains = _innovation_gains(w, spec)
+    l_gains = spec.injection.reshape(4, n, p)
     l_wy = l_gains @ w.W_y
     u_rec = w.U.reshape(4, n, n) - l_wy
     l_d = l_gains * spec.d_max

@@ -8,9 +8,10 @@ is the simplified Newton method (Deuflhard, *Newton Methods for Nonlinear
 Problems*, 2004) on one ``lstm`` kernel step per iterate: the residual
 comes from the step's next state, and the inverse Jacobian of the last
 accepted equilibrium is reused until the residual stops falling fast
-enough; only then is the analytic Jacobian rebuilt from the step's
-``lstm.step_jacobians``. Each solved pair carries the inverse Jacobian at
-its equilibrium, so the next control step's corrector starts with one.
+enough; only then is the analytic Jacobian rebuilt, with
+``lstm.step_jacobians`` writing the step's [A_0 | B_0] straight into it.
+Each solved pair carries the inverse Jacobian at its equilibrium, so the
+next control step's corrector starts with one.
 Its last p columns are the curve's tangent, the equilibrium's sensitivity
 to y0 - d_hat, from which K_bar bounds how fast the set-point may move."""
 
@@ -68,17 +69,15 @@ def _residual(w, xi, y0_eff, cell):
 
 def _jacobian(w, cell):
     """Analytic dF/dxi of ``_residual`` from the ``_cell_step`` at xi:
-    [A_0 - I | B_0; 0 W_y 0] with A_0, B_0 the step's ``lstm.step_jacobians``.
+    [A_0 - I | B_0; 0 W_y 0], ``lstm.step_jacobians`` writing [A_0 | B_0].
     y0_eff only shifts F, so it does not enter the Jacobian.
     """
     n = w.n
     cs, _, cache = cell
-    a, b = lstm.step_jacobians(w, cs, cache)
     jac = np.zeros((2 * n + w.p, 2 * n + w.m))
-    jac[:2 * n, :2 * n] = a[0]
+    lstm.step_jacobians(w, lstm.local_factors(cs, cache), jac[None])
     diag = np.arange(2 * n)
     jac[diag, diag] -= 1.0
-    jac[:2 * n, 2 * n:] = b[0]
     jac[2 * n:, n:2 * n] = w.W_y
     return jac
 

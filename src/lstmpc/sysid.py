@@ -301,6 +301,8 @@ def train(data, cfg, init=None, callback=None):
     ``extension_factor`` times as long) until both stability margins are
     negative; it fails rather than return an uncertified model.
     """
+    if not data.train:
+        raise TrainingError("the training split is empty")
     u_range = (data.normalizer.u_lo, data.normalizer.u_hi)
     y_range = (data.normalizer.y_lo, data.normalizer.y_hi)
     w = init.copy() if init is not None else init_weights(

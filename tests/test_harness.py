@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -316,10 +317,12 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert "w_bar" in err["message"]
 
-    # n + 1 rows of L_f, and a 2 x 2 L_d, on the (n, p) = (5, 1) model
-    @pytest.mark.parametrize("gain, shape", [("L_f", (6, 1)), ("L_d", (2, 2))],
-                             ids=["L_f", "L_d"])
-    def test_certify_rejects_gain_of_wrong_shape(self, tmp_path, capsys, gain, shape):
+    # n + 1 rows of L_f and a 2 x 2 L_d on the (n, p) = (5, 1) model; an L_i
+    # with another column count than L_f is caught before the model is read
+    @pytest.mark.parametrize("gain, shape, names", [
+        ("L_f", (6, 1), "(n, p) = (5, 1)"), ("L_d", (2, 2), "(n, p) = (5, 1)"),
+        ("L_i", (5, 2), "L_f has 1")], ids=["L_f", "L_d", "L_i-columns"])
+    def test_certify_rejects_gain_of_wrong_shape(self, tmp_path, capsys, gain, shape, names):
         doc = json.loads((ASSETS / "model.json").read_text())
         assert (doc["n"], doc["p"]) == (5, 1)
         doc["observer"][gain] = np.eye(*shape).tolist()
@@ -328,7 +331,7 @@ class TestCli:
         assert cli.main(["certify", "--weights", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DimensionError"
-        assert gain in err["message"] and "(n, p) = (5, 1)" in err["message"]
+        assert gain in err["message"] and names in err["message"]
 
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
         sc = tiny_physical_scenario(duration_s=100.0)
@@ -364,6 +367,30 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
                        "message": "y_lb is not below y_ub on output 0"}
+
+    # each field would otherwise end the run in a bare numpy error or a
+    # traceback, or (ramp_rate) drift a constant set-point
+    @pytest.mark.parametrize("field, value", [
+        ("ramp_rate", -0.005), ("setpoints", []), ("setpoints", [[0.0]]),
+        ("t_s", 0.0), ("horizon", 0), ("duration_s", -10.0),
+    ], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "t_s", "horizon",
+            "duration_s"])
+    def test_simulate_rejects_bad_scenario_field(self, tmp_path, capsys, field, value):
+        sc_path = tmp_path / "sc.json"
+        tiny_physical_scenario(duration_s=100.0).to_json(sc_path)
+        doc = json.loads(sc_path.read_text())
+        doc[field] = value
+        sc_path.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", "--scenario", str(sc_path),
+                       "--weights", str(ASSETS / "model.json"),
+                       "--out", str(tmp_path / "run")])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = json.loads(out.err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(field)
+        assert not (tmp_path / "run").exists()
 
     def test_simulate_requires_weights(self, tmp_path, capsys):
         sc = tiny_physical_scenario(duration_s=100.0)
@@ -412,6 +439,36 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "no test split" in printed and "nan" not in printed
         assert out.exists()
+
+    def test_train_reports_test_fit_and_logs_every_other_epoch(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        seq = (rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40))
+        sysid.save_dataset(sysid.Dataset(train=[seq], val=[], test=[seq],
+                                         normalizer=plant.Normalizer(-1.0, 1.0, 6.0, 8.0)),
+                           tmp_path / "ds")
+        out = tmp_path / "model.json"
+        rc = cli.main(["train", "--data", str(tmp_path / "ds"), "--out", str(out),
+                       "--epochs", "3", "--washout", "5", "--log-every", "2",
+                       "--init", str(ASSETS / "model.json")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [["epoch", "0"], ["epoch", "2"]]
+        assert re.fullmatch(rf"saved {re.escape(str(out))}; test FIT -?\d+\.\d\d%", lines[-1])
+        assert out.exists()
+
+    def test_train_rejects_empty_training_split(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        seq = (rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40))
+        sysid.save_dataset(sysid.Dataset(train=[], val=[], test=[seq],
+                                         normalizer=plant.Normalizer(-1.0, 1.0, 6.0, 8.0)),
+                           tmp_path / "ds")
+        out = tmp_path / "model.json"
+        rc = cli.main(["train", "--data", str(tmp_path / "ds"), "--out", str(out),
+                       "--epochs", "1", "--washout", "5"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "TrainingError", "message": "the training split is empty"}
+        assert not out.exists()
 
     def test_bad_scenario_file_is_machine_readable(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -215,13 +215,13 @@ class TestKernelCalls:
 
     @pytest.mark.parametrize("n", [1, 5, 33])
     def test_rollout_operands_are_read_only(self, n):
-        scale, ones = lstm._gate_scale(n), lstm._gate_ones(n)
+        scale, ones = lstm._gate_operands(n)
         np.testing.assert_array_equal(scale, np.repeat([0.5, 1.0], [3 * n, n]))
         np.testing.assert_array_equal(ones, np.ones(3 * n))
         for operand in (scale, ones):
             with pytest.raises(ValueError, match="read-only"):
                 operand[0] = 2.0
-        assert lstm._gate_ones(n) is ones
+        assert lstm._gate_operands(n)[1] is ones
 
 
 class TestKernelPurity:
@@ -420,10 +420,10 @@ class TestStepJacobians:
         # A_k, B_k against a one-step rollout from (c_k, h_k) with input u_k
         w, _, x0, u, _, _ = TestSensitivities._case(bench_w, net, n_steps)
         c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
-        a, b = lstm.step_jacobians(w, c, cache)
         n = w.n
-        assert a.shape == (n_steps, 2 * n, 2 * n)
-        assert b.shape == (n_steps, 2 * n, w.m)
+        jac = np.zeros((n_steps, 2 * n, 2 * n + w.m))
+        lstm.step_jacobians(w, lstm.local_factors(c, cache), jac)
+        a, b = jac[:, :, :2 * n], jac[:, :, 2 * n:]
         eps = 1e-6
 
         def next_state(xi):
@@ -440,6 +440,21 @@ class TestStepJacobians:
                 fd[:, col] = (next_state(xp) - next_state(xm)) / (2 * eps)
             np.testing.assert_allclose(a[k], fd[:, :2 * n], rtol=1e-6, atol=1e-9)
             np.testing.assert_allclose(b[k], fd[:, 2 * n:], rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    def test_writes_only_its_blocks_of_the_callers_buffer(self, bench_w, net):
+        # rows past 2n (refcalc's W_y rows) are left alone, and a buffer
+        # of 2n columns takes A_k alone, equal to the [A_k | B_k] one's
+        w, _, _, _, c, cache = TestSensitivities._case(bench_w, net, 4)
+        n2 = 2 * w.n
+        factors = lstm.local_factors(c, cache)
+        full = np.zeros((4, n2 + 3, n2 + w.m))
+        full[:, n2:] = 7.0
+        lstm.step_jacobians(w, factors, full)
+        assert np.all(full[:, n2:] == 7.0)
+        a_only = np.zeros((4, n2, n2))
+        lstm.step_jacobians(w, factors, a_only)
+        np.testing.assert_array_equal(a_only, full[:, :n2, :n2])
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])
@@ -463,6 +478,11 @@ class TestOutput:
     def test_zero_state(self, tiny_w):
         np.testing.assert_allclose(
             lstm.output(tiny_w, tiny_w.zero_state()), tiny_w.b_y)
+
+    def test_rejects_bad_state_shape(self, tiny_w):
+        x = LstmState(np.zeros(tiny_w.n), np.zeros(tiny_w.n + 1))
+        with pytest.raises(DimensionError, match="state shape"):
+            lstm.output(tiny_w, x)
 
     def test_matches_direct_product(self, bench_w):
         rng = np.random.default_rng(4)
@@ -683,3 +703,14 @@ class TestSerialization:
                 U_c=np.zeros((2, 2)), U_o=np.zeros((2, 2)), b_f=np.zeros(2),
                 b_i=np.zeros(2), b_c=np.zeros(2), b_o=np.zeros(2),
                 W_y=np.zeros((1, 2)), b_y=np.zeros(1))
+
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda w: {"W_y": np.zeros((w.p, w.n + 1))}, DimensionError, "readout"),
+        (lambda w: {"b_y": np.zeros(w.p + 1)}, DimensionError, "readout"),
+        (lambda w: {"u_max": 0.0}, ValueError, "u_max"),
+        (lambda w: {"u_max": -1.0}, ValueError, "u_max"),
+    ], ids=["W_y", "b_y", "u_max-zero", "u_max-negative"])
+    def test_rejects_bad_readout_or_input_bound(self, tiny_w, change, error, message):
+        fields = {name: getattr(tiny_w, name) for name in lstm.MATRIX_FIELDS}
+        with pytest.raises(error, match=message):
+            lstm.LstmWeights(**{**fields, **change(tiny_w)})

@@ -144,3 +144,7 @@ class TestEigExtremaSpd:
     def test_rejects_indefinite(self):
         with pytest.raises(NotSpdError):
             numerics.eig_extrema_spd(np.diag([1.0, -1.0]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionError, match=r"must be square, got \(2, 3\)"):
+            numerics.eig_extrema_spd(np.ones((2, 3)))

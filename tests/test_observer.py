@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lstmpc import lstm, numerics, observer
-from lstmpc.errors import DomainViolationError, GainSelectionError
+from lstmpc.errors import DimensionError, DomainViolationError, GainSelectionError
 from lstmpc.lstm import LstmState
 from lstmpc.observer import AugmentedState
 
@@ -326,6 +326,48 @@ class TestVo:
         chi = AugmentedState(bench_w.zero_state(), np.zeros(1))
         with pytest.raises(ValueError):
             observer.v_o(spec, chi, chi)
+
+
+class TestSpecInputs:
+    """ObserverSpec checks d_max on construction and forms the injection
+    matrix every observer step reads; derive_constants and observer_step
+    reject what they cannot use."""
+
+    @staticmethod
+    def _gains(w, **change):
+        n, p = w.n, w.p
+        gains = {"L_f": np.zeros((n, p)), "L_i": np.zeros((n, p)),
+                 "L_o": np.zeros((n, p)), "L_d": 0.1 * np.eye(p), "d_max": 0.1}
+        return {**gains, **change}
+
+    @pytest.mark.parametrize("d_max", [0.0, -0.1])
+    def test_rejects_nonpositive_d_max(self, bench_w, d_max):
+        with pytest.raises(ValueError, match="d_max"):
+            observer.ObserverSpec(**self._gains(bench_w, d_max=d_max))
+
+    def test_injection_stacks_the_gains_in_gate_order(self, bench_w):
+        rng = np.random.default_rng(5)
+        n, p = bench_w.n, bench_w.p
+        l_f, l_i, l_o = rng.normal(size=(3, n, p))
+        spec = observer.ObserverSpec(**self._gains(bench_w, L_f=l_f, L_i=l_i, L_o=l_o))
+        blocks = dict(zip(lstm.GATES, spec.injection.reshape(4, n, p)))
+        for gate, gain in (("f", l_f), ("i", l_i), ("o", l_o), ("c", np.zeros((n, p)))):
+            np.testing.assert_array_equal(blocks[gate], gain)
+        replaced = dataclasses.replace(spec, L_o=2.0 * l_o)
+        np.testing.assert_array_equal(replaced.injection[2 * n:3 * n], 2.0 * l_o)
+
+    def test_derive_constants_rejects_unstable_error_dynamics(self, bench_w):
+        # |1 - l_d| = 1.5 on A_d's nonnegative diagonal, so rho(A_d) >= 1.5
+        spec = observer.ObserverSpec(**self._gains(bench_w, L_d=2.5 * np.eye(bench_w.p)))
+        with pytest.raises(GainSelectionError, match="rho"):
+            observer.derive_constants(bench_w, spec)
+
+    @pytest.mark.parametrize("u, y", [([0.1, 0.2], [0.0]), ([0.1], [0.0, 0.0])],
+                             ids=["u", "y"])
+    def test_observer_step_rejects_bad_shapes(self, bench_w, bench_spec, u, y):
+        chi = AugmentedState(bench_w.zero_state(), np.zeros(bench_w.p))
+        with pytest.raises(DimensionError, match="shape mismatch"):
+            observer.observer_step(bench_w, bench_spec, chi, u, y)
 
 
 class TestConvergence:

@@ -406,6 +406,21 @@ class TestSensitivity:
         with pytest.raises(ValueError, match="grid_density"):
             refcalc.estimate_k_bar(bench_w, (-0.5, 0.5), grid_density=grid_density)
 
+    def test_k_bar_skips_a_point_outside_the_box(self, bench_w):
+        # grid -1.2, -0.35, 0.5: the first equilibrium leaves the input box
+        with pytest.warns(UserWarning, match=r"1 grid points .*\(-1\.2, 0\.0\)"):
+            k_bar, arg = refcalc.estimate_k_bar(bench_w, (-1.2, 0.5), grid_density=3)
+        assert arg == (-0.35, 0.0)
+        ref = refcalc.solve_reference(bench_w, [-0.35], [0.0])
+        assert k_bar == pytest.approx(np.linalg.norm(ref.tangent[:2 * bench_w.n], 2),
+                                      rel=1e-9)
+
+    def test_k_bar_raises_when_no_point_is_admissible(self, bench_w):
+        with pytest.warns(UserWarning, match="3 grid points"):
+            with pytest.raises(InfeasibleReferenceError) as err:
+                refcalc.estimate_k_bar(bench_w, (1.2, 2.0), grid_density=3)
+        assert err.value.reason == "box"
+
     def test_k_bar_with_disturbance_range(self, bench_w):
         k, arg = refcalc.estimate_k_bar(bench_w, (-0.1, 0.1), (-0.05, 0.05),
                                         grid_density=5)
