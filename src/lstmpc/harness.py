@@ -55,8 +55,13 @@ class Scenario:
     model_path: str | None = None
 
     def __post_init__(self):
+        self.check()
+
+    def check(self):
         """Rejects, naming the field, a value that would end the run in a bare
-        error or distort it; each profile becomes (time_s, value) tuples."""
+        error or distort it; each profile becomes (time_s, value) tuples.
+        Runs on construction and again in ``run_scenario``, since a field
+        may be assigned in between."""
         for name in ("setpoints", "disturbances", "disturbance_increments"):
             if any(np.shape(x) != (2,) for x in getattr(self, name)):
                 raise ValueError(f"{name} entries must be (time_s, value) pairs")
@@ -242,6 +247,7 @@ def run_scenario(sc, w, spec=None):
     records a trace row; the counters come from the trace and from each
     solution's iteration count and candidate violation.
     """
+    sc.check()
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")
     if sc.mode not in _PLANTS:

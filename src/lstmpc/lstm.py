@@ -11,9 +11,10 @@ The model step, the observer, the MPC prediction and its sensitivities,
 training and the reference Jacobian all run this cell through one kernel:
 
 - ``LstmWeights`` stores the gate weights once, stacked in the order
-  ``GATES`` = (f, i, o | c). Every (4n,)-row quantity uses this order:
+  ``GATES`` = (c, f, i, o). Every (4n,)-row quantity uses this order:
   the stored W, U, b, an injected preactivation term and the adjoint dz;
-  ``W_f`` ... ``b_c`` are views into the stacks.
+  ``W_f`` ... ``b_c`` are views into the stacks. ``GATES`` is the only
+  place the order is written: every gate offset derives from it.
 - ``rollout`` runs T steps from (c0, h0) and returns c, h of shape
   (T+1, n) plus a cache of the f/i/o activations, the candidate gate and
   tanh(c+). Each step takes all four gates from one ``tanh`` over the
@@ -21,13 +22,17 @@ training and the reference Jacobian all run this cell through one kernel:
   sigmoid(z) = 0.5 (1 + tanh(z / 2)). The halving is applied once per
   call, to the input terms and to a copy of U; halving is exact and
   commutes with rounding, so the gates equal ``sigmoid``'s bit for bit.
-  The step works in place in arrays allocated once per call: the halved
-  U h_k is written into the step's row of the activation cache, which
-  then takes the input term, the tanh and the sigmoid's affine map
-  0.5 (1 + t), whose operands come with the scale as one cached
-  read-only pair (an in-place ufunc costs less with an array operand
-  than with a float); c_k+1, tanh(c_k+1) and h_k+1 go straight into
-  their rows of the outputs, 10 numpy calls in all.
+  The step works in place in one (T+1, 5n) row buffer allocated once per
+  call, whose row k is [c_k | g | f | i | o]: the halved U h_k is
+  written into the row's gate slots, which then take the input term, the
+  tanh and, on [f i o], the sigmoid's affine map 0.5 (1 + t), whose
+  operands come with the scale as one cached read-only pair (an in-place
+  ufunc costs less with an array operand than with a float). One
+  product of [f | i] with [c_k | g] forms f c_k and i g at once, and
+  their sum goes into row k+1's c slot; tanh(c_k+1) and h_k+1 follow,
+  9 numpy calls in all. Every operand is a row of a view built once per
+  call and walked by ``zip``, so the loop does no slicing; c and the
+  cache's f/i/o and candidate gate are views of the row buffer.
 - ``local_factors`` gives the per-step partial derivatives of the cell
   from that cache, elementwise.
 - ``step_jacobians`` is the one place where the cell's linearization is
@@ -105,7 +110,13 @@ class LstmState:
         return LstmState(self.c.copy(), self.h.copy())
 
 
-GATES = ("f", "i", "o", "c")     # the gate order of the stacked W, U and b
+GATES = ("c", "f", "i", "o")     # the gate order of the stacked W, U and b
+_C, _F, _I, _O = map(GATES.index, "cfio")     # each gate's block of a (4n,) stack
+
+
+def in_gate_order(**per_gate):
+    """The values given by gate name (c=, f=, i=, o=), listed in ``GATES`` order."""
+    return [per_gate[g] for g in GATES]
 
 
 class _GateBlock:
@@ -144,8 +155,9 @@ class LstmWeights:
 
     def __init__(self, W_f, W_i, W_c, W_o, U_f, U_i, U_c, U_o, b_f, b_i, b_c, b_o,
                  W_y, b_y, u_max=1.0, u_range=None, y_range=None):
-        w_in, u_rec, bias = ([np.asarray(a, dtype=float) for a in gates] for gates in (
-            (W_f, W_i, W_o, W_c), (U_f, U_i, U_o, U_c), (b_f, b_i, b_o, b_c)))
+        w_in, u_rec, bias = ([np.asarray(a, dtype=float) for a in gates] for gates in zip(
+            *in_gate_order(c=(W_c, U_c, b_c), f=(W_f, U_f, b_f), i=(W_i, U_i, b_i),
+                           o=(W_o, U_o, b_o))))
         n, m = w_in[0].shape
         for gates, shape, kind in ((w_in, (n, m), "input-weight"),
                                    (u_rec, (n, n), "recurrent-weight"), (bias, (n,), "bias")):
@@ -194,41 +206,50 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
     ``local_factors``, ``sensitivities`` and ``adjoint`` read.
     """
     n_t, n = len(u_seq), len(c0)
-    c = np.empty((n_t + 1, n))
+    # Row k is [c_k | z_k], z_k the gates of step k in GATES order: with
+    # the candidate gate first, [c_k | g] and [f | i] are adjacent pairs.
+    # Row T holds c_T alone.
+    row = np.empty((n_t + 1, 5 * n))
     h = np.empty((n_t + 1, n))
-    c[0], h[0] = c0, h0
-    act = np.empty((n_t, 4 * n))       # f, i, o activations | candidate gate
     tc = np.empty((n_t, n))            # tanh(c+)
-    ig = np.empty(n)                   # i * candidate gate
+    fc_ig = np.empty(2 * n)            # [f c_k | i g]
+    fc, ig = fc_ig[:n], fc_ig[n:]
+    c = row[:, :n]
+    c[0], h[0] = c0, h0
     scale, one = _gate_operands(n)
-    half = scale[:3 * n]
+    half = scale[_F * n:(_O + 1) * n]
     pre = u_seq @ w.W.T + w.b + inject
     pre *= scale
     u_rec = w.U * scale[:, None]       # C-contiguous, so BLAS keeps its kernel
-    c_k, h_k = c[0], h[0]
-    for a, pre_k, c_next, tc_k, h_next in zip(act, pre, c[1:], tc, h[1:]):
-        np.dot(u_rec, h_k, out=a)
-        a += pre_k
-        np.tanh(a, out=a)
-        s = a[:3 * n]
-        s += one
-        s *= half
-        np.multiply(s[n:2 * n], a[3 * n:], out=ig)
-        np.multiply(s[:n], c_k, out=c_next)
-        c_next += ig
+    z = row[:-1, n:]
+    sig = z[:, _F * n:(_O + 1) * n]    # [f i o]
+    f_i = z[:, _F * n:(_I + 1) * n]
+    c_g = row[:-1, :n + (_C + 1) * n]
+    h_k = h[0]
+    for z_k, pre_k, s_k, fi_k, cg_k, c_next, tc_k, o_k, h_next in zip(
+            z, pre, sig, f_i, c_g, c[1:], tc, z[:, _O * n:(_O + 1) * n], h[1:]):
+        np.dot(u_rec, h_k, out=z_k)
+        z_k += pre_k
+        np.tanh(z_k, out=z_k)
+        s_k += one
+        s_k *= half
+        np.multiply(fi_k, cg_k, out=fc_ig)
+        np.add(fc, ig, out=c_next)
         np.tanh(c_next, out=tc_k)
-        np.multiply(s[2 * n:], tc_k, out=h_next)
-        c_k, h_k = c_next, h_next
-    return c, h, (act[:, :3 * n], act[:, 3 * n:], tc)
+        np.multiply(o_k, tc_k, out=h_next)
+        h_k = h_next
+    return c, h, (sig, z[:, _C * n:(_C + 1) * n], tc)
 
 
 @functools.cache
 def _gate_operands(n):
-    """``rollout``'s (4n,) preactivation scale, 0.5 on the f, i, o rows and
-    1 on the c rows, and the (3n,) ones that shift the sigmoid's affine map
-    0.5 (1 + t), whose factor is the scale's f, i, o block. Read-only,
+    """``rollout``'s (4n,) preactivation scale, 1 on the c rows and 0.5 on
+    the f, i, o rows, and the (3n,) ones that shift the sigmoid's affine
+    map 0.5 (1 + t), whose factor is the scale's f, i, o block. Read-only,
     shared by every call."""
-    pair = np.repeat([0.5, 1.0], [3 * n, n]), np.ones(3 * n)
+    scale = np.full(4 * n, 0.5)
+    scale[_C * n:(_C + 1) * n] = 1.0
+    pair = scale, np.ones(3 * n)
     for operand in pair:
         operand.flags.writeable = False
     return pair
@@ -259,8 +280,8 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
     plus the stage-k partials as one vector-matrix product per step,
     [lam_k+1 | 1] [A_k; stage-k partials], with A_k from
     ``step_jacobians`` formed one block of steps at a time; then, for all
-    k at once, with dct = lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_f dct,
-    k_i dct, k_o lam^h_k+1, k_g dct).
+    k at once, with dct = lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_g dct,
+    k_f dct, k_i dct, k_o lam^h_k+1) in ``GATES`` order.
     """
     factors = local_factors(c, cache)
     _, k_f, k_i, k_g, k_o, k_t = factors
@@ -281,7 +302,12 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
     lam_c, lam_h = lam[1:, :n], lam[1:, n:n2]
     dct = lam_h * k_t
     dct += lam_c
-    return np.concatenate((k_f * dct, k_i * dct, k_o * lam_h, k_g * dct), axis=1)
+    dz = np.empty((n_t, 4, n))
+    np.multiply(k_g, dct, out=dz[:, _C])
+    np.multiply(k_f, dct, out=dz[:, _F])
+    np.multiply(k_i, dct, out=dz[:, _I])
+    np.multiply(k_o, lam_h, out=dz[:, _O])
+    return dz.reshape(n_t, 4 * n)
 
 
 _SWEEP_BLOCK_BYTES = 1 << 17    # one block of ``adjoint``'s step Jacobians
@@ -314,12 +340,12 @@ def step_jacobians(w, factors, out):
     cols = out.shape[2] - n                               # n + m, or n for A_k alone
     # [U | W], or U alone, per gate in GATES order
     uw = (np.concatenate((w.U, w.W), axis=1) if cols > n else w.U).reshape(4, n, cols)
-    dc = k_f[:, :, None] * uw[0] + k_i[:, :, None] * uw[1] + k_g[:, :, None] * uw[3]
+    dc = k_f[:, :, None] * uw[_F] + k_i[:, :, None] * uw[_I] + k_g[:, :, None] * uw[_C]
     diag = np.arange(n)
     out[:, diag, diag] = f
     out[:, n + diag, diag] = k_t * f
     out[:, :n, n:] = dc
-    out[:, n:2 * n, n:] = k_t[:, :, None] * dc + k_o[:, :, None] * uw[2]
+    out[:, n:2 * n, n:] = k_t[:, :, None] * dc + k_o[:, :, None] * uw[_O]
 
 
 def sensitivities(w, c, cache):
@@ -395,8 +421,9 @@ def increment_gains(sigmas, recurrent, inputs):
     formed. Returns the GateBounds of ``sigmas``.
     """
     sf, si, so, sc = sigmas
-    n_uf, n_ui, n_uo, n_uc = _two_norms(recurrent)
-    n_wf, n_wi, n_wo, n_wc = _two_norms(inputs)
+    n_u, n_w = _two_norms(recurrent), _two_norms(inputs)
+    n_uf, n_ui, n_uo, n_uc = n_u[_F], n_u[_I], n_u[_O], n_u[_C]
+    n_wf, n_wi, n_wo, n_wc = n_w[_F], n_w[_I], n_w[_O], n_w[_C]
     c_rad = si * sc / (1.0 - sf)
     sx = float(np.tanh(c_rad))
     alpha = 0.25 * n_uf * c_rad + si * n_uc + 0.25 * n_ui * sc
@@ -427,7 +454,8 @@ def gate_sigmas(w_in, u_rec, b, u_max, widen=0.0):
     """
     rows = np.abs(_gate_block(w_in, u_rec, b, u_max)).sum(axis=1) + widen
     norms = rows.reshape(4, -1).max(axis=1)
-    return (*sigmoid(norms[:3]).tolist(), float(np.tanh(norms[3])))
+    sig = sigmoid(norms).tolist()
+    return sig[_F], sig[_I], sig[_O], float(np.tanh(norms[_C]))
 
 
 def _gate_block(w_in, u_rec, b, u_max):

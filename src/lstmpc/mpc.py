@@ -357,10 +357,11 @@ def solve_fhocp(problem, warm=None, real_time=False):
     u0 = project(u0)
 
     cand_cost, cand_g, cand_aux = problem.evaluate(u0)
-    cand_feasible = float(cand_g.max()) <= _FEAS_TOL
+    cand_viol = float(cand_g.max())    # each plan's max(g), taken once
+    cand_feasible = cand_viol <= _FEAS_TOL
 
-    u, cost, g, aux = u0, cand_cost, cand_g, cand_aux
-    best_u, best_cost, best_g = None, np.inf, None
+    u, cost, g, aux, viol = u0, cand_cost, cand_g, cand_aux, cand_viol
+    best_u, best_cost, best_viol = None, np.inf, None
     nu = 0.0                   # l1 merit weight, never decreased
     lam_term = 0.0
     n_g = len(cand_g) - n_g0   # QP rows that linearize g
@@ -390,28 +391,28 @@ def solve_fhocp(problem, warm=None, real_time=False):
             break
         step = float(abs(u_t - u).max())
         u, cost, g, aux = u_t, cost_t, g_t, aux_t
-        if float(g.max()) <= _FEAS_TOL and cost < best_cost:
-            best_u, best_cost, best_g = u, cost, g
+        viol = float(g.max())
+        if viol <= _FEAS_TOL and cost < best_cost:
+            best_u, best_cost, best_viol = u, cost, viol
         if step < _STEP_TOL:
             stop = "optimal"
             break
-        if real_time and float(g.max()) <= _FEAS_TOL:
+        if real_time and viol <= _FEAS_TOL:
             stop = "iterate"
             break
-    if u is not u0 and float(g.max()) <= _FEAS_TOL:
+    if u is not u0 and viol <= _FEAS_TOL:
         # A feasible stopping point is the solution: an earlier iterate can
         # undercut its cost only by spending the _FEAS_TOL slack.
-        best_u, best_cost, best_g = u, cost, g
+        best_u, best_cost, best_viol = u, cost, viol
 
     if best_u is None and not cand_feasible:
         raise FeasibilityLossError(
-            f"no feasible input plan (candidate violation {float(cand_g.max()):.3g})")
+            f"no feasible input plan (candidate violation {cand_viol:.3g})")
     if cand_feasible and (best_u is None or cand_cost < best_cost):
-        best_u, best_cost, best_g, stop = u0, cand_cost, cand_g, "candidate-fallback"
+        best_u, best_cost, best_viol, stop = u0, cand_cost, cand_viol, "candidate-fallback"
     return MpcSolution(u_seq=best_u, cost=best_cost, status=stop,
-                       solver_iterations=iterations,
-                       max_violation=float(best_g.max()),
-                       candidate_violation=float(cand_g.max()))
+                       solver_iterations=iterations, max_violation=best_viol,
+                       candidate_violation=cand_viol)
 
 
 def shifted_candidate(prev_solution, u_bar):

@@ -51,7 +51,7 @@ class ObserverSpec:
 
     The derived fields (A_d onward, but for w_bar) stay None until
     derive_constants returns a copy with them formed from the gains.
-    ``injection``, the (4n, p) [L_f; L_i; L_o; 0] in ``lstm.GATES`` order
+    ``injection``, the (4n, p) [0; L_f; L_i; L_o] in ``lstm.GATES`` order
     (the candidate gate gets none), is formed on construction. Its arrays
     are read-only copies, so the caller's gains stay its own.
     """
@@ -84,7 +84,8 @@ class ObserverSpec:
         for name in ("L_i", "L_o"):
             if (cols := getattr(self, name).shape[1]) != self.L_f.shape[1]:
                 raise DimensionError(f"{name} has {cols} columns, L_f has {self.L_f.shape[1]}")
-        injection = np.concatenate((self.L_f, self.L_i, self.L_o, np.zeros_like(self.L_f)))
+        injection = np.concatenate(lstm.in_gate_order(
+            c=np.zeros_like(self.L_f), f=self.L_f, i=self.L_i, o=self.L_o))
         injection.flags.writeable = False
         object.__setattr__(self, "injection", injection)
 
@@ -103,11 +104,17 @@ def observer_step(w, spec, chi_hat, u, y_measured):
 
     The innovation enters the forget/input/output gate preactivations;
     the disturbance estimate integrates it and is saturated at +-d_max.
+    Raises DimensionError, naming the gain, for gains that do not fit the
+    model.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y_measured = np.atleast_1d(np.asarray(y_measured, dtype=float))
     if u.shape != (w.m,) or y_measured.shape != (w.p,):
         raise DimensionError("input/measurement shape mismatch")
+    n, p = w.n, w.p
+    if (spec.L_f.shape, spec.L_i.shape, spec.L_o.shape, spec.L_d.shape) != (
+            (n, p), (n, p), (n, p), (p, p)):
+        _check_gain_shapes(w, spec)
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
     innov = y_measured - (w.W_y @ x.h + w.b_y + d)
     c, h, _ = lstm.rollout(w, x.c, x.h, u[None, :], spec.injection @ innov)
@@ -136,11 +143,8 @@ def _error_dynamics(w, spec):
     L_mat's, the error dynamics' sensitivity to the gains. Raises
     DimensionError for gains of another shape than (n, p), or (p, p) for L_d.
     """
+    _check_gain_shapes(w, spec)
     n, p = w.n, w.p
-    for name, shape in (("L_f", (n, p)), ("L_i", (n, p)), ("L_o", (n, p)), ("L_d", (p, p))):
-        if (got := getattr(spec, name).shape) != shape:
-            raise DimensionError(f"{name} has shape {got}, not {shape}, "
-                                 f"for the model's (n, p) = ({n}, {p})")
     l_gains = spec.injection.reshape(4, n, p)
     l_wy = l_gains @ w.W_y
     u_rec = w.U.reshape(4, n, n) - l_wy
@@ -155,6 +159,16 @@ def _error_dynamics(w, spec):
     l_mat = np.vstack([np.hstack([np.zeros((2, 1)), sens.gains[:, 1:], sens.column]),
                        d_row + [induced_two_norm(spec.L_d)]])
     return a_d, l_mat, hat.cell_radius
+
+
+def _check_gain_shapes(w, spec):
+    """Raise DimensionError naming the first gain of another shape than
+    (n, p), or (p, p) for L_d."""
+    n, p = w.n, w.p
+    for name, shape in (("L_f", (n, p)), ("L_i", (n, p)), ("L_o", (n, p)), ("L_d", (p, p))):
+        if (got := getattr(spec, name).shape) != shape:
+            raise DimensionError(f"{name} has shape {got}, not {shape}, "
+                                 f"for the model's (n, p) = ({n}, {p})")
 
 
 def derive_constants(w, spec, w_max=0.0, w_bar=None):

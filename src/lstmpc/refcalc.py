@@ -88,8 +88,10 @@ def _inverse(jac):
         inv = np.linalg.inv(jac)
     except np.linalg.LinAlgError:
         raise InfeasibleReferenceError("equilibrium Jacobian is singular", "singular") from None
-    # "not <=" also rejects the NaN of a non-finite J
-    if not abs(jac).sum(axis=1).max() * abs(inv).sum(axis=1).max() <= _COND_MAX:
+    # the ufuncs' reduce without the ndarray.sum/.max wrappers; "not <=" also
+    # rejects the NaN of a non-finite J
+    largest, row_sums = np.maximum.reduce, np.add.reduce
+    if not largest(row_sums(np.abs(jac), 1)) * largest(row_sums(np.abs(inv), 1)) <= _COND_MAX:
         raise InfeasibleReferenceError("equilibrium Jacobian is singular", "singular")
     return inv
 

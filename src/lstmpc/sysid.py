@@ -247,7 +247,8 @@ def _penalty_with_grads(w, cfg, grads):
     n = w.n
     # Each ||U||_2 (GATES order) and its gradient u1 v1^T from one SVD.
     u_sv, s_sv, vt_sv = np.linalg.svd(w.U.reshape(4, n, n))
-    n_uf, n_ui, n_uo, n_uc = s_sv[:, 0].tolist()
+    n_u = dict(zip(lstm.GATES, s_sv[:, 0].tolist()))
+    n_uf, n_ui, n_uo, n_uc = (n_u[g] for g in "fioc")
     k1 = 0.25 * n_uo
     # Adjoints of the scalar pipeline (reverse order of its definition).
     a_sf = a_r1 * (1.0 - k1 * sx) + a_r2 * k1 * sx
@@ -266,11 +267,13 @@ def _penalty_with_grads(w, cfg, grads):
     a_sc += a_cr * si / (1.0 - sf)
     a_sf += a_cr * si * sc / (1.0 - sf) ** 2
     # Push into the stacked weight tensors.
-    a_norm = np.repeat([a_sf * sf * (1.0 - sf), a_si * si * (1.0 - si),
-                        a_so * so * (1.0 - so), a_sc * (1.0 - sc ** 2)], n)[:, None]
+    a_norm = np.repeat(lstm.in_gate_order(
+        c=a_sc * (1.0 - sc ** 2), f=a_sf * sf * (1.0 - sf), i=a_si * si * (1.0 - si),
+        o=a_so * so * (1.0 - so)), n)[:, None]
     gw, gu, gb = _inf_norm_grads(w)
     grads["W"] += a_norm * gw
-    grads["U"] += a_norm * gu + (np.array([a_nuf, a_nui, a_nuo, a_nuc])[:, None, None]
+    grads["U"] += a_norm * gu + (np.array(lstm.in_gate_order(c=a_nuc, f=a_nuf, i=a_nui,
+                                                             o=a_nuo))[:, None, None]
                                  * u_sv[:, :, :1] * vt_sv[:, :1, :]).reshape(4 * n, n)
     grads["b"] += a_norm[:, 0] * gb
     return pen, r1, r2

@@ -93,6 +93,33 @@ class TestSetpointTrace:
 
 
 class TestRunScenario:
+    # Scenario is mutable: a field assigned after construction is checked
+    # when the run starts, before any step (ramp_rate < 0 drifts a constant
+    # set-point)
+    @pytest.mark.parametrize("field, value", [
+        ("ramp_rate", -0.005), ("setpoints", []), ("setpoints", [[0.0]]),
+        ("t_s", 0.0), ("horizon", 0), ("duration_s", -10.0),
+    ], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "t_s", "horizon",
+            "duration_s"])
+    def test_rejects_field_assigned_after_construction(self, bench_w, bench_spec,
+                                                       monkeypatch, field, value):
+        sc = tiny_physical_scenario(duration_s=100.0)
+        setattr(sc, field, value)
+        calls = count_controller_steps(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{field}"):
+            harness.run_scenario(sc, bench_w, spec=bench_spec)
+        assert calls == []
+
+    def test_runs_valid_fields_assigned_after_construction(self, bench_w, bench_spec):
+        sc = tiny_physical_scenario(duration_s=100.0)
+        sc.setpoints = [[0.0, 7.0], [30.0, 7.2]]
+        sc.duration_s = 60.0
+        report = harness.run_scenario(sc, bench_w, spec=bench_spec)
+        assert report.steps == 6
+        assert sc.setpoints == [(0.0, 7.0), (30.0, 7.2)]
+        again = tiny_physical_scenario(duration_s=60.0, setpoints=[(0.0, 7.0), (30.0, 7.2)])
+        assert harness.run_scenario(again, bench_w, spec=bench_spec).trace == report.trace
+
     def test_zero_duration(self, bench_w, bench_spec):
         sc = tiny_physical_scenario(duration_s=0.0)
         report = harness.run_scenario(sc, bench_w, spec=bench_spec)

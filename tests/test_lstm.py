@@ -39,10 +39,16 @@ def scalar_step_oracle(w, x, u):
     return np.array(c_next), np.array(h_next)
 
 
+def gate_rows(n):
+    """Each gate's rows of a (4n,)-row stack, by name, from ``lstm.GATES``."""
+    return {gate: slice(k * n, (k + 1) * n) for k, gate in enumerate(lstm.GATES)}
+
+
 def rollout_oracle(w, c0, h0, u_seq, inject=0.0):
     """Reference kernel: a sigmoid over the f, i, o rows and a tanh over
     the c rows, each step; ``lstm.rollout`` must equal it bit for bit."""
     n_t, n = len(u_seq), len(c0)
+    rows = gate_rows(n)
     c = np.empty((n_t + 1, n))
     h = np.empty((n_t + 1, n))
     c[0], h[0] = c0, h0
@@ -52,11 +58,12 @@ def rollout_oracle(w, c0, h0, u_seq, inject=0.0):
     pre = u_seq @ w.W.T + w.b + inject
     for k in range(n_t):
         z = pre[k] + w.U @ h[k]
-        s = sig[k] = 0.5 * (1.0 + np.tanh(0.5 * z[:3 * n]))
-        g = gct[k] = np.tanh(z[3 * n:])
-        c[k + 1] = s[:n] * c[k] + s[n:2 * n] * g
+        f, i, o = (0.5 * (1.0 + np.tanh(0.5 * z[rows[gate]])) for gate in "fio")
+        sig[k] = np.concatenate((f, i, o))
+        g = gct[k] = np.tanh(z[rows["c"]])
+        c[k + 1] = f * c[k] + i * g
         tc[k] = np.tanh(c[k + 1])
-        h[k + 1] = s[2 * n:] * tc[k]
+        h[k + 1] = o * tc[k]
     return c, h, (sig, gct, tc)
 
 
@@ -64,15 +71,16 @@ def adjoint_oracle(w, c, cache, dc_stage, dh_stage):
     """Reference reverse sweep, one gate block of dz at a time."""
     f, k_f, k_i, k_g, k_o, k_t = lstm.local_factors(c, cache)
     n_t, n = f.shape
+    rows = gate_rows(n)
     dz = np.empty((n_t, 4 * n))
     dc = dc_stage[n_t]
     dh = dh_stage[n_t]
     for k in range(n_t - 1, -1, -1):
         dct = dc + dh * k_t[k]
-        dz[k, :n] = dct * k_f[k]
-        dz[k, n:2 * n] = dct * k_i[k]
-        dz[k, 2 * n:3 * n] = dh * k_o[k]
-        dz[k, 3 * n:] = dct * k_g[k]
+        dz[k, rows["f"]] = dct * k_f[k]
+        dz[k, rows["i"]] = dct * k_i[k]
+        dz[k, rows["o"]] = dh * k_o[k]
+        dz[k, rows["c"]] = dct * k_g[k]
         dc = dct * f[k] + dc_stage[k]
         dh = w.U.T @ dz[k] + dh_stage[k]
     return dz
@@ -84,6 +92,7 @@ def oracle_sensitivities(w, c, cache):
     f, k_f, k_i, k_g, k_o, k_t = lstm.local_factors(c, cache)
     n_t, n = f.shape
     m = w.m
+    rows = gate_rows(n)
     s_c = np.zeros((n_t + 1, n, n_t * m))
     s_h = np.zeros((n_t + 1, n, n_t * m))
     for k in range(n_t):
@@ -91,9 +100,9 @@ def oracle_sensitivities(w, c, cache):
         dz = w.U @ s_h[k, :, :j]
         dz[:, k * m:j] += w.W
         s_c[k + 1, :, :j] = f[k, :, None] * s_c[k, :, :j] \
-            + k_f[k, :, None] * dz[:n] + k_i[k, :, None] * dz[n:2 * n] \
-            + k_g[k, :, None] * dz[3 * n:]
-        s_h[k + 1, :, :j] = k_o[k, :, None] * dz[2 * n:3 * n] \
+            + k_f[k, :, None] * dz[rows["f"]] + k_i[k, :, None] * dz[rows["i"]] \
+            + k_g[k, :, None] * dz[rows["c"]]
+        s_h[k + 1, :, :j] = k_o[k, :, None] * dz[rows["o"]] \
             + k_t[k, :, None] * s_c[k + 1, :, :j]
     return s_c, s_h
 
@@ -103,14 +112,14 @@ def assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage):
     by gate: equal up to rounding, relative to the largest |dz|."""
     ref = adjoint_oracle(w, c, cache, dc_stage, dh_stage)
     np.testing.assert_allclose(lstm.adjoint(w, c, cache, dc_stage, dh_stage), ref,
-                               rtol=0.0, atol=1e-14 * np.abs(ref).max())
+                               rtol=0.0, atol=1e-14 * np.abs(ref).max(initial=0.0))
 
 
 class TestKernelOracle:
     """rollout equals the reference kernel exactly, adjoint up to rounding."""
 
     @pytest.mark.parametrize("net", ["bench", "small"])
-    @pytest.mark.parametrize("n_steps", [1, 5, 300])
+    @pytest.mark.parametrize("n_steps", [0, 1, 5, 300])
     @pytest.mark.parametrize("injected", [False, True])
     def test_rollout_and_adjoint(self, bench_w, net, n_steps, injected):
         w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
@@ -216,7 +225,9 @@ class TestKernelCalls:
     @pytest.mark.parametrize("n", [1, 5, 33])
     def test_rollout_operands_are_read_only(self, n):
         scale, ones = lstm._gate_operands(n)
-        np.testing.assert_array_equal(scale, np.repeat([0.5, 1.0], [3 * n, n]))
+        assert scale.shape == (4 * n,)
+        for gate, rows in gate_rows(n).items():
+            np.testing.assert_array_equal(scale[rows], 1.0 if gate == "c" else 0.5)
         np.testing.assert_array_equal(ones, np.ones(3 * n))
         for operand in (scale, ones):
             with pytest.raises(ValueError, match="read-only"):
@@ -532,6 +543,58 @@ class TestGateBounds:
             + 0.25 * two(w.W_i, 2) * sc, abs=1e-12)
 
 
+class TestGateOrder:
+    """The certificate's gate bounds and gains, against the same formulas
+    written with the per-gate views W_f ... b_o."""
+
+    @staticmethod
+    def _net():
+        # gates made unlike each other, so a gate read at another's offset shows
+        w = small_net(seed=6, n=3, m=2, p=2)
+        for k, gate in enumerate("fioc"):
+            for stack in "WUb":
+                getattr(w, f"{stack}_{gate}")[...] *= 1.0 + k
+        return w
+
+    def test_gate_sigmas(self):
+        w = self._net()
+        rng = np.random.default_rng(2)
+        widen = {g: rng.uniform(0.0, 0.1, w.n) for g in "fioc"}
+
+        def bound(g):
+            rows = (w.u_max * np.abs(getattr(w, f"W_{g}")).sum(axis=1)
+                    + np.abs(getattr(w, f"U_{g}")).sum(axis=1)
+                    + np.abs(getattr(w, f"b_{g}")) + widen[g])
+            return float(rows.max())
+
+        got = lstm.gate_sigmas(w.W, w.U, w.b, w.u_max,
+                               np.concatenate([widen[g] for g in lstm.GATES]))
+        want = (*(1.0 / (1.0 + math.exp(-bound(g))) for g in "fio"), math.tanh(bound("c")))
+        assert len(set(want)) == 4
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_increment_gains(self):
+        w = self._net()
+        sigmas = (0.7, 0.6, 0.8, 0.9)
+        recurrent = [getattr(w, f"U_{g}") for g in lstm.GATES]
+        inputs = [getattr(w, f"W_{g}") for g in lstm.GATES]
+        got = lstm.increment_gains(sigmas, recurrent, inputs)
+        sf, si, so, sc = sigmas
+        two = {name: np.linalg.norm(getattr(w, name), 2)
+               for name in ("U_f", "U_i", "U_o", "U_c", "W_f", "W_i", "W_o", "W_c")}
+        c_rad = si * sc / (1.0 - sf)
+        sx = math.tanh(c_rad)
+        alpha = 0.25 * two["U_f"] * c_rad + si * two["U_c"] + 0.25 * two["U_i"] * sc
+        beta = 0.25 * two["W_f"] * c_rad + si * two["W_c"] + 0.25 * two["W_i"] * sc
+        assert (got.sigma_f, got.sigma_i, got.sigma_o, got.sigma_c) == sigmas
+        assert (got.cell_radius, got.sigma_x) == pytest.approx((c_rad, sx), rel=1e-14)
+        np.testing.assert_allclose(
+            got.gains, [[sf, alpha], [so * sf, alpha * so + 0.25 * sx * two["U_o"]]],
+            rtol=1e-14)
+        np.testing.assert_allclose(
+            got.column, [[beta], [beta * so + 0.25 * sx * two["W_o"]]], rtol=1e-14)
+
+
 class TestCertification:
     def test_zero_weights(self):
         cert = lstm.delta_iss_check(zero_net())
@@ -645,22 +708,23 @@ class TestWeightStorage:
     def test_item_write_updates_stack(self):
         w = small_net(seed=4, n=3)
         w.b_f[...] = 30.0
-        np.testing.assert_array_equal(w.b[:3], 30.0)
+        np.testing.assert_array_equal(w.b[gate_rows(3)["f"]], 30.0)
 
     def test_in_place_update_scales_stack(self):
         w = small_net(seed=4, n=3)
         before = w.U.copy()
         w.U_o *= 200.0
-        np.testing.assert_array_equal(w.U[6:9], 200.0 * before[6:9])
-        np.testing.assert_array_equal(np.delete(w.U, np.s_[6:9], axis=0),
-                                      np.delete(before, np.s_[6:9], axis=0))
+        rows = gate_rows(3)["o"]
+        np.testing.assert_array_equal(w.U[rows], 200.0 * before[rows])
+        np.testing.assert_array_equal(np.delete(w.U, rows, axis=0),
+                                      np.delete(before, rows, axis=0))
 
     def test_attribute_assignment_writes_into_stack(self):
         w = small_net(seed=4, n=3, m=2)
         stack = w.W
         w.W_c = np.full((3, 2), 0.5)
         assert w.W is stack
-        np.testing.assert_array_equal(w.W[9:], 0.5)
+        np.testing.assert_array_equal(w.W[gate_rows(3)["c"]], 0.5)
 
     def test_constructor_and_copy_own_their_arrays(self):
         w = small_net(seed=4, n=3)

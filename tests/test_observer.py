@@ -354,7 +354,8 @@ class TestSpecInputs:
         for gate, gain in (("f", l_f), ("i", l_i), ("o", l_o), ("c", np.zeros((n, p)))):
             np.testing.assert_array_equal(blocks[gate], gain)
         replaced = dataclasses.replace(spec, L_o=2.0 * l_o)
-        np.testing.assert_array_equal(replaced.injection[2 * n:3 * n], 2.0 * l_o)
+        o = lstm.GATES.index("o")
+        np.testing.assert_array_equal(replaced.injection[o * n:(o + 1) * n], 2.0 * l_o)
 
     def test_derive_constants_rejects_unstable_error_dynamics(self, bench_w):
         # |1 - l_d| = 1.5 on A_d's nonnegative diagonal, so rho(A_d) >= 1.5
@@ -368,6 +369,21 @@ class TestSpecInputs:
         chi = AugmentedState(bench_w.zero_state(), np.zeros(bench_w.p))
         with pytest.raises(DimensionError, match="shape mismatch"):
             observer.observer_step(bench_w, bench_spec, chi, u, y)
+
+    # gains built directly, never passed through derive_constants; in the
+    # last case the injection matrix still has the model's 4n rows
+    @pytest.mark.parametrize("shapes, gain", [
+        ({"L_f": (6, 1)}, "L_f"), ({"L_o": (4, 1)}, "L_o"), ({"L_d": (2, 2)}, "L_d"),
+        ({"L_f": (6, 1), "L_i": (4, 1), "L_o": (4, 1)}, "L_f"),
+    ], ids=["L_f", "L_o", "L_d", "rows-sum-to-4n"])
+    def test_observer_step_names_a_gain_that_does_not_fit(self, bench_w, shapes, gain):
+        gains = {name: np.zeros(shape) for name, shape in shapes.items()}
+        spec = observer.ObserverSpec(**self._gains(bench_w, **gains))
+        chi = AugmentedState(bench_w.zero_state(), np.zeros(bench_w.p))
+        with pytest.raises(DimensionError, match=rf"{gain} has shape \(.*\(n, p\) = \(5, 1\)"):
+            observer.observer_step(bench_w, spec, chi, [0.1], [0.0])
+        with pytest.raises(DimensionError, match=gain):
+            observer.derive_constants(bench_w, spec)
 
 
 class TestConvergence:

@@ -29,14 +29,14 @@ def oracle_jacobian(w, xi):
     c, h, u = xi[:n], xi[n:2 * n], xi[2 * n:]
     cs, _, cache = lstm.rollout(w, c, h, u[None, :])
     f, k_f, k_i, k_g, k_o, k_t = (k[0] for k in lstm.local_factors(cs, cache))
-    uw = np.hstack([w.U, w.W])
-    dc_hu = (k_f[:, None] * uw[:n] + k_i[:, None] * uw[n:2 * n]
-             + k_g[:, None] * uw[3 * n:])
+    uw = {g: np.hstack([getattr(w, f"U_{g}"), getattr(w, f"W_{g}")]) for g in lstm.GATES}
+    dc_hu = (k_f[:, None] * uw["f"] + k_i[:, None] * uw["i"]
+             + k_g[:, None] * uw["c"])
     jac = np.zeros((2 * n + w.p, 2 * n + w.m))
     jac[:n, :n] = np.diag(f - 1.0)
     jac[:n, n:] = dc_hu
     jac[n:2 * n, :n] = np.diag(k_t * f)
-    jac[n:2 * n, n:] = k_t[:, None] * dc_hu + k_o[:, None] * uw[2 * n:3 * n]
+    jac[n:2 * n, n:] = k_t[:, None] * dc_hu + k_o[:, None] * uw["o"]
     jac[n:2 * n, n:2 * n] -= np.eye(n)
     jac[2 * n:, n:2 * n] = w.W_y
     return jac
@@ -277,6 +277,50 @@ class TestJacobian:
             jac = refcalc._jacobian(w, refcalc._cell_step(w, xi))
             np.testing.assert_array_equal(jac, oracle_jacobian(w, xi))
             np.testing.assert_allclose(jac, fd_jacobian(w, xi, y0_eff), rtol=0, atol=1e-7)
+
+
+class TestInverse:
+    """``_inverse`` bounds kappa_inf = |J|_inf |J^-1|_inf by ``_COND_MAX``
+    = 1e12 with the value of the ndarray-method expression, bit for bit,
+    and rejects a non-finite J."""
+
+    @staticmethod
+    def _kappa(jac):
+        inv = np.linalg.inv(jac)
+        return abs(jac).sum(axis=1).max() * abs(inv).sum(axis=1).max()
+
+    @staticmethod
+    def _bench_jacobian(w):
+        rng = np.random.default_rng(4)
+        x = random_invariant_state(w, rng)
+        xi = np.concatenate([x.c, x.h, rng.uniform(-w.u_max, w.u_max, w.m)])
+        return refcalc._jacobian(w, refcalc._cell_step(w, xi))
+
+    @pytest.mark.parametrize("case", ["bench", "random", "ill-conditioned"])
+    def test_threshold_is_the_old_expression(self, bench_w, monkeypatch, case):
+        rng = np.random.default_rng(8)
+        jac = {"bench": lambda: self._bench_jacobian(bench_w),
+               "random": lambda: rng.normal(size=(11, 11)),
+               "ill-conditioned": lambda: np.diag(np.logspace(0, -10, 11))
+               + 1e-3 * rng.normal(size=(11, 11))}[case]()
+        assert refcalc._COND_MAX == 1e12
+        kappa = self._kappa(jac)
+        # accepted at kappa and rejected one ulp below it: the same value
+        monkeypatch.setattr(refcalc, "_COND_MAX", kappa)
+        np.testing.assert_array_equal(refcalc._inverse(jac), np.linalg.inv(jac))
+        monkeypatch.setattr(refcalc, "_COND_MAX", np.nextafter(kappa, 0.0))
+        with pytest.raises(InfeasibleReferenceError, match="singular"):
+            refcalc._inverse(jac)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_jacobian(self, bench_w, bad):
+        jac = self._bench_jacobian(bench_w)
+        jac[3, 4] = bad
+        with np.errstate(all="ignore"):
+            assert not self._kappa(jac) <= refcalc._COND_MAX
+        with pytest.raises(InfeasibleReferenceError) as exc:
+            refcalc._inverse(jac)
+        assert exc.value.reason == "singular"
 
 
 class TestNewtonOracle:
