@@ -68,8 +68,9 @@ class Scenario:
             setattr(self, name, [tuple(x) for x in getattr(self, name)])
         for name, ok, rule in (
                 ("setpoints", self.setpoints, "nonempty"),
-                ("duration_s", self.duration_s >= 0, "nonnegative"),
-                ("t_s", self.t_s > 0, "positive"), ("ramp_rate", self.ramp_rate > 0, "positive"),
+                ("duration_s", 0 <= self.duration_s < np.inf, "finite and nonnegative"),
+                ("t_s", 0 < self.t_s < np.inf, "finite and positive"),
+                ("ramp_rate", self.ramp_rate > 0, "positive"),
                 ("horizon", isinstance(self.horizon, int) and self.horizon >= 1,
                  "a positive integer")):
             if not ok:
@@ -163,14 +164,14 @@ def setpoint_trace(sc, nrm, n_steps):
     return out
 
 
-def constant_segments(sc, nrm, n_steps, min_duration_s=800.0):
-    """(start step, end step, y0 normalized) spans where the set-point is flat."""
+def constant_segments(sc, nrm, n_steps):
+    """(start step, end step, y0 normalized) spans of 800 s or more with a flat set-point."""
     y0s = setpoint_trace(sc, nrm, n_steps)
     segs = []
     start = 0
     for k in range(1, n_steps + 1):
         if k == n_steps or y0s[k] != y0s[k - 1]:
-            if (k - start) * sc.t_s >= min_duration_s:
+            if (k - start) * sc.t_s >= 800.0:
                 segs.append((start, k, float(y0s[start])))
             start = k
     return segs
@@ -255,10 +256,8 @@ def run_scenario(sc, w, spec=None):
     nrm = plant.Normalizer(*w.u_range, *w.y_range)
     certificate = mpc.certify(w, spec, sc.horizon, sc.q_weight,
                               d_max=sc.d_max, l_d=sc.l_d, w_bar=sc.w_bar)
-    cfg = mpc.ControllerConfig(r_weight=sc.r_weight, e_o0=sc.e_o0,
-                               y_lb=nrm.normalize_y(sc.y_lb_phys),
-                               y_ub=nrm.normalize_y(sc.y_ub_phys))
-    ctrl = mpc.Controller(w, certificate, cfg)
+    ctrl = mpc.Controller(w, certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
+                          y_lb=nrm.normalize_y(sc.y_lb_phys), y_ub=nrm.normalize_y(sc.y_ub_phys))
 
     n_steps = int(round(sc.duration_s / sc.t_s))
     y0s = setpoint_trace(sc, nrm, n_steps)

@@ -69,7 +69,7 @@ def build_schedule(cert, spec, n_horizon):
 
 def compute_pf(a_delta, q):
     """Terminal matrix: A^T P A - P = -1.1 q I, q the largest state weight."""
-    return solve_discrete_lyapunov(np.asarray(a_delta, dtype=float), 1.1 * q * np.eye(2))
+    return solve_discrete_lyapunov(np.asarray(a_delta, dtype=float), np.diag([1.1 * q] * 2))
 
 
 @dataclass(frozen=True)
@@ -421,34 +421,29 @@ def shifted_candidate(prev_solution, u_bar):
     return np.concatenate((u_prev[1:], np.atleast_1d(u_bar)[None, :]))
 
 
-@dataclass
-class ControllerConfig:
-    r_weight: float = 1.0
-    e_o0: float = 0.5
-    y_lb: float | np.ndarray = -1.0
-    y_ub: float | np.ndarray = 1.0
-
-
 class Controller:
     """Receding-horizon wrapper: holds warm-start and the e_o recursion.
 
-    The ``certificate`` fixes the horizon, state weight, margins and P_f.
-    Each step builds its ``Problem``, kept as ``problem`` until the next,
-    and solves it once in real time, warm-started at the shifted previous
-    plan. The applied plan is the cheaper feasible one of the first
-    feasible SQP iterate and the shifted candidate; its status is
-    "iterate", "optimal" when the step test passed first, "stalled" when
-    the iteration cap or a failed line search came first, or
-    "candidate-fallback".
+    The ``certificate`` fixes the horizon, state weight, margins and P_f;
+    ``r_weight`` > 0, e_o(0) = ``e_o0`` >= 0 and the (p,) or scalar output
+    bounds complete the FHOCP. Each step builds its ``Problem``, kept as
+    ``problem`` until the next, and solves it once in real time,
+    warm-started at the shifted previous plan. The applied plan is the
+    cheaper feasible one of the first feasible SQP iterate and the shifted
+    candidate; its status is "iterate", "optimal" when the step test passed
+    first, "stalled" when the iteration cap or a failed line search came
+    first, or "candidate-fallback".
     """
 
-    def __init__(self, w, certificate, config=None):
-        self.w = w
-        self.certificate = certificate
-        self.config = config or ControllerConfig()
+    def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
+        # the QP's Hessian is at least 2 r I: r > 0 keeps it strictly convex
+        if not 0.0 < r_weight < np.inf:
+            raise ValueError(f"r_weight must be finite and positive, got {r_weight!r}")
+        if not 0.0 <= e_o0 < np.inf:
+            raise ValueError(f"e_o0 must be finite and nonnegative, got {e_o0!r}")
         bounds = []
-        for name in ("y_lb", "y_ub"):
-            bound = np.atleast_1d(np.asarray(getattr(self.config, name), dtype=float))
+        for name, bound in (("y_lb", y_lb), ("y_ub", y_ub)):
+            bound = np.atleast_1d(np.asarray(bound, dtype=float))
             if bound.shape not in ((1,), (w.p,)):
                 raise DimensionError(f"{name} has shape {bound.shape}; "
                                      f"the model has {w.p} output(s)")
@@ -457,7 +452,7 @@ class Controller:
         bad = np.flatnonzero(~(self.y_lb < self.y_ub))
         if bad.size:
             raise ValueError(f"y_lb is not below y_ub on output {bad[0]}")
-        self.e_o = self.config.e_o0
+        self.w, self.certificate, self.r_weight, self.e_o = w, certificate, r_weight, e_o0
         self.problem = self.prev_solution = self.prev_ref = None
 
     def problem_at(self, x_hat, ref, y0):
@@ -469,7 +464,7 @@ class Controller:
         n_h = cert.horizon
         return Problem(self.w, x_hat, ref, cert.a[:n_h] * e_o + cert.b[:n_h] + cert.spec.d_max,
                        self.y_lb, self.y_ub, cert.P_f, alpha,
-                       cert.q_weight, self.config.r_weight)
+                       cert.q_weight, self.r_weight)
 
     def step(self, chi_hat, y0):
         """Compute the input for the current estimate and set-point."""

@@ -60,7 +60,7 @@ def solve_discrete_lyapunov(a, q):
     p = np.linalg.solve(k, -q.reshape(-1)).reshape(d, d)
     p = 0.5 * (p + p.T)
     residual = a.T @ p @ a - p + q
-    if np.max(np.abs(residual)) > 1e-9 * max(1.0, np.max(np.abs(p))):
+    if not np.max(np.abs(residual)) <= 1e-9 * max(1.0, np.max(np.abs(p))):
         raise InstabilityError("Lyapunov solve residual too large")
     return p
 
@@ -72,13 +72,15 @@ def eig_extrema_spd(m):
 
 
 def _check_spd(m, name):
-    """Ascending eigenvalues of m; raises unless m is symmetric positive definite."""
+    """Ascending eigenvalues of m; raises unless m is finite and SPD."""
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotSpdError(f"{name} is not finite")
     scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * scale:
+    if not np.max(np.abs(m - m.T)) <= SYMMETRY_TOL * scale:
         raise NotSpdError(f"{name} is not symmetric")
     w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if w[0] <= 0.0:
+    if not w[0] > 0.0:
         raise NotSpdError(f"{name} is not positive definite")
     return w

@@ -51,9 +51,10 @@ class ObserverSpec:
 
     The derived fields (A_d onward, but for w_bar) stay None until
     derive_constants returns a copy with them formed from the gains.
-    ``injection``, the (4n, p) [0; L_f; L_i; L_o] in ``lstm.GATES`` order
-    (the candidate gate gets none), is formed on construction. Its arrays
-    are read-only copies, so the caller's gains stay its own.
+    Construction checks that L_i and L_o have L_f's (n, p) shape and L_d
+    is (p, p), and forms ``injection``, the (4n, p) [0; L_f; L_i; L_o] in
+    ``lstm.GATES`` order (the candidate gate gets none). Its arrays are
+    read-only copies, so the caller's gains stay its own.
     """
 
     L_f: np.ndarray
@@ -81,9 +82,11 @@ class ObserverSpec:
         freeze_arrays(self)
         if not self.d_max > 0:
             raise ValueError("d_max must be positive")
-        for name in ("L_i", "L_o"):
-            if (cols := getattr(self, name).shape[1]) != self.L_f.shape[1]:
-                raise DimensionError(f"{name} has {cols} columns, L_f has {self.L_f.shape[1]}")
+        shape = self.L_f.shape
+        for name, want in (("L_i", shape), ("L_o", shape), ("L_d", (shape[-1],) * 2)):
+            if (got := getattr(self, name).shape) != want:
+                raise DimensionError(f"{name} has shape {got}, not {want}, "
+                                     f"for L_f of shape {shape}")
         injection = np.concatenate(lstm.in_gate_order(
             c=np.zeros_like(self.L_f), f=self.L_f, i=self.L_i, o=self.L_o))
         injection.flags.writeable = False
@@ -104,17 +107,13 @@ def observer_step(w, spec, chi_hat, u, y_measured):
 
     The innovation enters the forget/input/output gate preactivations;
     the disturbance estimate integrates it and is saturated at +-d_max.
-    Raises DimensionError, naming the gain, for gains that do not fit the
-    model.
+    Raises DimensionError for gains that do not fit the model.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y_measured = np.atleast_1d(np.asarray(y_measured, dtype=float))
     if u.shape != (w.m,) or y_measured.shape != (w.p,):
         raise DimensionError("input/measurement shape mismatch")
-    n, p = w.n, w.p
-    if (spec.L_f.shape, spec.L_i.shape, spec.L_o.shape, spec.L_d.shape) != (
-            (n, p), (n, p), (n, p), (p, p)):
-        _check_gain_shapes(w, spec)
+    _check_fit(w, spec)
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
     innov = y_measured - (w.W_y @ x.h + w.b_y + d)
     c, h, _ = lstm.rollout(w, x.c, x.h, u[None, :], spec.injection @ innov)
@@ -141,9 +140,9 @@ def _error_dynamics(w, spec):
     model's bounds. ``lstm.increment_gains`` of them, in ``lstm.GATES``
     order, with (U - L W_y, L) gives A_d's top rows and with (L W_y, L)
     L_mat's, the error dynamics' sensitivity to the gains. Raises
-    DimensionError for gains of another shape than (n, p), or (p, p) for L_d.
+    DimensionError for gains that do not fit the model.
     """
-    _check_gain_shapes(w, spec)
+    _check_fit(w, spec)
     n, p = w.n, w.p
     l_gains = spec.injection.reshape(4, n, p)
     l_wy = l_gains @ w.W_y
@@ -161,14 +160,12 @@ def _error_dynamics(w, spec):
     return a_d, l_mat, hat.cell_radius
 
 
-def _check_gain_shapes(w, spec):
-    """Raise DimensionError naming the first gain of another shape than
-    (n, p), or (p, p) for L_d."""
-    n, p = w.n, w.p
-    for name, shape in (("L_f", (n, p)), ("L_i", (n, p)), ("L_o", (n, p)), ("L_d", (p, p))):
-        if (got := getattr(spec, name).shape) != shape:
-            raise DimensionError(f"{name} has shape {got}, not {shape}, "
-                                 f"for the model's (n, p) = ({n}, {p})")
+def _check_fit(w, spec):
+    """Raise DimensionError unless L_f is (n, p); ``ObserverSpec`` has
+    checked that the other gains agree with it."""
+    if spec.L_f.shape != (w.n, w.p):
+        raise DimensionError(f"L_f has shape {spec.L_f.shape}, not {(w.n, w.p)}, "
+                             f"for the model's (n, p) = ({w.n}, {w.p})")
 
 
 def derive_constants(w, spec, w_max=0.0, w_bar=None):

@@ -22,6 +22,8 @@ from . import lstm, plant
 from .errors import TrainingError, UndefinedMetricError
 from .lstm import LstmWeights
 
+HOLD_RANGE = (10, 100)   # steps each excitation level is held, inclusive
+
 
 def generate_excitation(seed, levels_range, hold_range, total_steps):
     """Multilevel pseudo-random staircase signal.
@@ -53,29 +55,29 @@ class Dataset:
     normalizer: plant.Normalizer
 
 
-def _excite(params, seed, steps, t_s, hold_range):
+def _excite(params, seed, steps):
     """Simulate one excitation sequence from the nominal equilibrium.
 
     Returns the raw (u_phi, y_phi). The plant is called through the
     ``plant`` module at call time, so a wrapper installed there sees
     every call.
     """
-    u_phi = generate_excitation(seed, plant.U_PHI_RANGE, hold_range, steps)
+    u_phi = generate_excitation(seed, plant.U_PHI_RANGE, HOLD_RANGE, steps)
     x = plant.equilibrium(params)
     y_phi = np.empty(steps)
     for k in range(steps):
         y_phi[k] = plant.measure_ph(params, x)
-        x = plant.plant_step(params, x, u_phi[k], params.q2_nominal, t_s)
+        x = plant.plant_step(params, x, u_phi[k], params.q2_nominal, plant.T_S)
     return u_phi, y_phi
 
 
-def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2,
-                     steps=1500, t_s=plant.T_S, hold_range=(10, 100)):
+def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2, steps=1500):
     """Excite the pH plant and package the sampled responses.
 
-    Every sequence starts at the nominal equilibrium with the buffer flow
-    held at its nominal value; u and y are normalized by the min/max seen
-    in the training split.
+    Each sequence is ``steps`` samples, ``plant.T_S`` apart, of the plant's
+    response to a staircase whose levels last ``HOLD_RANGE`` steps, from the
+    nominal equilibrium with the nominal buffer flow; u and y are normalized
+    by the min/max seen in the training split.
 
     The sequences are simulated in a pool of min(CPU count, sequences)
     worker processes, each running ``_excite`` on the sequence's own seed
@@ -96,7 +98,7 @@ def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2,
             raise ValueError(f"{name} must be nonnegative, got {n}")
     params = params or plant.PhParams()
     n_seq = n_train + n_val + n_test
-    excite = functools.partial(_excite, params, steps=steps, t_s=t_s, hold_range=hold_range)
+    excite = functools.partial(_excite, params, steps=steps)
     with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, n_seq),
                              mp_context=multiprocessing.get_context("fork")) as pool:
         raws = list(pool.map(excite, [seed * 1000 + s for s in range(n_seq)]))
@@ -110,8 +112,8 @@ def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2,
                    normalizer=nrm)
 
 
-def save_dataset(ds, directory, t_s=plant.T_S):
-    """One CSV per sequence (t, u_raw, y_raw) plus a JSON manifest."""
+def save_dataset(ds, directory):
+    """One CSV per sequence (t = k ``plant.T_S``, u_raw, y_raw) plus a JSON manifest."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {"normalization": {"u_lo": ds.normalizer.u_lo, "u_hi": ds.normalizer.u_hi,
@@ -128,7 +130,7 @@ def save_dataset(ds, directory, t_s=plant.T_S):
                 u_raw = ds.normalizer.denormalize_u(u)
                 y_raw = ds.normalizer.denormalize_y(y)
                 for k in range(len(u)):
-                    wr.writerow([k * t_s, repr(float(u_raw[k])), repr(float(y_raw[k]))])
+                    wr.writerow([k * plant.T_S, repr(float(u_raw[k])), repr(float(y_raw[k]))])
             names.append(name)
             idx += 1
         manifest["splits"][split] = names

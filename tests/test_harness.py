@@ -8,11 +8,30 @@ import numpy as np
 import pytest
 
 from lstmpc import cli, harness, lstm, mpc, observer, plant, sysid
-from lstmpc.errors import DomainViolationError, FeasibilityLossError
+from lstmpc.errors import DomainViolationError, FeasibilityLossError, NotSpdError
 
 from conftest import ASSETS
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+# Scenario fields that must fail before the first step, with the error and
+# the start of its message. Each would otherwise end the run in a bare numpy
+# error or a traceback, run the solver on a setting it cannot use, end the
+# run at once (t_s = inf) or (ramp_rate) drift a constant set-point.
+BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
+    ("ramp_rate", -0.005, ValueError, "ramp_rate"),
+    ("setpoints", [], ValueError, "setpoints"),
+    ("setpoints", [[0.0]], ValueError, "setpoints"),
+    ("t_s", 0.0, ValueError, "t_s"), ("horizon", 0, ValueError, "horizon"),
+    ("duration_s", -10.0, ValueError, "duration_s"),
+    ("duration_s", np.inf, ValueError, "duration_s"), ("t_s", np.inf, ValueError, "t_s"),
+    ("e_o0", -0.5, ValueError, "e_o0"), ("e_o0", np.nan, ValueError, "e_o0"),
+    ("r_weight", 0.0, ValueError, "r_weight"), ("r_weight", -1.0, ValueError, "r_weight"),
+    ("r_weight", np.nan, ValueError, "r_weight"),
+    ("q_weight", np.nan, NotSpdError, "q is not finite"),
+], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "t_s", "horizon", "duration_s",
+        "duration_s-inf", "t_s-inf", "e_o0-negative", "e_o0-nan", "r_weight-zero",
+        "r_weight-negative", "r_weight-nan", "q_weight-nan"])
 
 
 def tiny_physical_scenario(**kw):
@@ -94,19 +113,14 @@ class TestSetpointTrace:
 
 class TestRunScenario:
     # Scenario is mutable: a field assigned after construction is checked
-    # when the run starts, before any step (ramp_rate < 0 drifts a constant
-    # set-point)
-    @pytest.mark.parametrize("field, value", [
-        ("ramp_rate", -0.005), ("setpoints", []), ("setpoints", [[0.0]]),
-        ("t_s", 0.0), ("horizon", 0), ("duration_s", -10.0),
-    ], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "t_s", "horizon",
-            "duration_s"])
-    def test_rejects_field_assigned_after_construction(self, bench_w, bench_spec,
-                                                       monkeypatch, field, value):
+    # when the run starts, before any step
+    @BAD_FIELDS
+    def test_rejects_field_assigned_after_construction(self, bench_w, bench_spec, monkeypatch,
+                                                       field, value, error, message):
         sc = tiny_physical_scenario(duration_s=100.0)
         setattr(sc, field, value)
         calls = count_controller_steps(monkeypatch)
-        with pytest.raises(ValueError, match=f"^{field}"):
+        with pytest.raises(error, match=f"^{message}"):
             harness.run_scenario(sc, bench_w, spec=bench_spec)
         assert calls == []
 
@@ -344,11 +358,14 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert "w_bar" in err["message"]
 
-    # n + 1 rows of L_f and a 2 x 2 L_d on the (n, p) = (5, 1) model; an L_i
-    # with another column count than L_f is caught before the model is read
+    # each gain disagrees with the others and is caught when the observer
+    # section is read, before the model is: n + 1 rows of L_f, a 2 x 2 L_d,
+    # an L_i with two columns and an L_o with n - 1 rows, the others being
+    # (n, p) = (5, 1) and (p, p) for L_d
     @pytest.mark.parametrize("gain, shape, names", [
-        ("L_f", (6, 1), "(n, p) = (5, 1)"), ("L_d", (2, 2), "(n, p) = (5, 1)"),
-        ("L_i", (5, 2), "L_f has 1")], ids=["L_f", "L_d", "L_i-columns"])
+        ("L_f", (6, 1), "for L_f of shape (6, 1)"), ("L_d", (2, 2), "not (1, 1)"),
+        ("L_i", (5, 2), "not (5, 1)"), ("L_o", (4, 1), "not (5, 1)"),
+    ], ids=["L_f", "L_d", "L_i-columns", "L_o-rows"])
     def test_certify_rejects_gain_of_wrong_shape(self, tmp_path, capsys, gain, shape, names):
         doc = json.loads((ASSETS / "model.json").read_text())
         assert (doc["n"], doc["p"]) == (5, 1)
@@ -395,14 +412,9 @@ class TestCli:
         assert err == {"error": "ValueError",
                        "message": "y_lb is not below y_ub on output 0"}
 
-    # each field would otherwise end the run in a bare numpy error or a
-    # traceback, or (ramp_rate) drift a constant set-point
-    @pytest.mark.parametrize("field, value", [
-        ("ramp_rate", -0.005), ("setpoints", []), ("setpoints", [[0.0]]),
-        ("t_s", 0.0), ("horizon", 0), ("duration_s", -10.0),
-    ], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "t_s", "horizon",
-            "duration_s"])
-    def test_simulate_rejects_bad_scenario_field(self, tmp_path, capsys, field, value):
+    @BAD_FIELDS
+    def test_simulate_rejects_bad_scenario_field(self, tmp_path, capsys, field, value, error,
+                                                 message):
         sc_path = tmp_path / "sc.json"
         tiny_physical_scenario(duration_s=100.0).to_json(sc_path)
         doc = json.loads(sc_path.read_text())
@@ -415,8 +427,8 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         err = json.loads(out.err)
-        assert err["error"] == "ValueError"
-        assert err["message"].startswith(field)
+        assert err["error"] == error.__name__
+        assert err["message"].startswith(message)
         assert not (tmp_path / "run").exists()
 
     def test_simulate_requires_weights(self, tmp_path, capsys):

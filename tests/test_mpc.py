@@ -9,7 +9,8 @@ import pytest
 from scipy.optimize import nnls
 
 from lstmpc import lstm, mpc, observer, refcalc
-from lstmpc.errors import DimensionError, FeasibilityLossError, InfeasibleSetpointError
+from lstmpc.errors import (DimensionError, FeasibilityLossError, InfeasibleSetpointError,
+                           NotSpdError)
 from lstmpc.observer import AugmentedState
 
 from conftest import random_invariant_state, small_net
@@ -115,7 +116,7 @@ class TestTerminalAlpha:
             * (1.0 - margin)
         assert alpha == pytest.approx(expect, abs=1e-12)
         assert bench_certificate.lam_min == np.linalg.eigvalsh(bench_certificate.P_f)[0]
-        ctrl = mpc.Controller(bench_w, bench_certificate, mpc.ControllerConfig(e_o0=0.2))
+        ctrl = mpc.Controller(bench_w, bench_certificate, e_o0=0.2)
         assert ctrl.problem_at(None, None, [0.0]).alpha == alpha
 
     def test_uses_e_bar_inf_floor(self, bench_w, bench_certificate):
@@ -161,7 +162,7 @@ def feasible_instance(w, spec, seed, n_horizon, y0=0.1, y_ub=1.0):
     """A solvable instance near the equilibrium of y0 at e_o = e_bar_inf:
     (controller, its problem) for the observer ``spec`` and the output
     bounds [-1, y_ub]."""
-    ctrl = mpc.Controller(w, mpc.certify(w, spec, n_horizon), mpc.ControllerConfig(y_ub=y_ub))
+    ctrl = mpc.Controller(w, mpc.certify(w, spec, n_horizon), y_ub=y_ub)
     ctrl.e_o = ctrl.certificate.e_bar_inf
     ref = refcalc.solve_reference(w, [y0], [0.0])
     rng = np.random.default_rng(seed)
@@ -615,9 +616,14 @@ class TestCertify:
         with pytest.raises(ValueError, match="w_bar"):
             mpc.certify(w, w_bar=w_bar)
 
+    @pytest.mark.parametrize("q_weight", [np.nan, np.inf])
+    def test_rejects_non_finite_q_weight(self, bench_w, bench_spec, q_weight):
+        with pytest.raises(NotSpdError, match="q is not finite"):
+            mpc.certify(bench_w, bench_spec, 5, q_weight=q_weight)
+
     def test_controller_reads_horizon_and_q_weight(self, bench_w, bench_spec):
         certificate = mpc.certify(bench_w, bench_spec, 7, q_weight=2.5)
-        ctrl = mpc.Controller(bench_w, certificate, mpc.ControllerConfig(e_o0=0.05))
+        ctrl = mpc.Controller(bench_w, certificate, e_o0=0.05)
         problem = ctrl.problem_at(None, None, [0.1])
         assert problem.tight.shape == (7, 1)
         assert problem.q_weight == 2.5
@@ -641,18 +647,27 @@ class TestController:
 
     @pytest.mark.parametrize("y_lb, y_ub", [(0.5, -0.5), (0.2, 0.2), (np.nan, 1.0)])
     def test_rejects_bounds_not_ordered(self, bench_w, bench_certificate, y_lb, y_ub):
-        cfg = mpc.ControllerConfig(y_lb=y_lb, y_ub=y_ub)
         with pytest.raises(ValueError, match="not below y_ub on output 0"):
-            mpc.Controller(bench_w, bench_certificate, cfg)
+            mpc.Controller(bench_w, bench_certificate, y_lb=y_lb, y_ub=y_ub)
+
+    # r > 0 keeps the QP strictly convex; a negative or NaN e_o0 ends the
+    # run in a bare error, and an infinite one tightens every bound away
+    @pytest.mark.parametrize("setting, value", [
+        ("r_weight", 0.0), ("r_weight", -1.0), ("r_weight", np.nan), ("r_weight", np.inf),
+        ("e_o0", -0.5), ("e_o0", np.nan), ("e_o0", np.inf),
+    ])
+    def test_rejects_setting_the_solver_cannot_use(self, bench_w, bench_certificate,
+                                                   setting, value):
+        with pytest.raises(ValueError, match=f"^{setting} must be finite"):
+            mpc.Controller(bench_w, bench_certificate, **{setting: value})
 
     def test_rejects_bounds_of_wrong_shape(self, bench_w, bench_certificate):
-        cfg = mpc.ControllerConfig(y_ub=np.array([0.8, 0.9, 1.0]))
         with pytest.raises(DimensionError, match=r"y_ub has shape \(3,\)"):
-            mpc.Controller(bench_w, bench_certificate, cfg)
+            mpc.Controller(bench_w, bench_certificate, y_ub=np.array([0.8, 0.9, 1.0]))
 
     def test_tracks_equilibrium(self, bench_w, bench_certificate, bench_spec):
-        cfg = mpc.ControllerConfig(e_o0=0.05)
-        ctrl = mpc.Controller(bench_w, bench_certificate, cfg)
+        e_o0 = 0.05
+        ctrl = mpc.Controller(bench_w, bench_certificate, e_o0=e_o0)
         y0 = 0.1
         ref = refcalc.solve_reference(bench_w, [y0], [0.0])
         chi = AugmentedState(ref.x_bar.copy(), np.zeros(1))
@@ -661,11 +676,11 @@ class TestController:
         assert sol.max_violation <= 1e-7
         # e_o proxy advanced by the affine recursion
         assert ctrl.e_o == pytest.approx(
-            bench_spec.rho_o * cfg.e_o0 + bench_spec.w_bar)
+            bench_spec.rho_o * e_o0 + bench_spec.w_bar)
 
     def test_feasible_candidate_takes_one_iteration(self, bench_w, bench_certificate,
                                                     bench_spec):
-        ctrl = mpc.Controller(bench_w, bench_certificate, mpc.ControllerConfig(e_o0=0.05))
+        ctrl = mpc.Controller(bench_w, bench_certificate, e_o0=0.05)
         x_hat = feasible_instance(bench_w, bench_spec, 2, 5)[1].x_hat
         chi = AugmentedState(x_hat, np.zeros(1))
         for _ in range(3):
@@ -675,11 +690,11 @@ class TestController:
             chi = AugmentedState(lstm.step(bench_w, chi.x, u), chi.d)
 
     def test_two_output_model_with_scalar_bounds(self):
-        # ControllerConfig's default scalar y_lb/y_ub hold for every output;
+        # Controller's default scalar y_lb/y_ub hold for every output;
         # the set-point is the output of the model's u = 0 attractor
         w = small_net(seed=2, n=3, m=2, p=2)
         certificate = mpc.certify(w, observer.select_gains(w))
-        ctrl = mpc.Controller(w, certificate, mpc.ControllerConfig(e_o0=0.05))
+        ctrl = mpc.Controller(w, certificate, e_o0=0.05)
         _, h, _ = lstm.rollout(w, np.zeros(3), np.zeros(3), np.zeros((300, 2)))
         y0 = w.W_y @ h[-1] + w.b_y
         ref = refcalc.solve_reference(w, y0, np.zeros(2))

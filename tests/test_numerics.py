@@ -119,6 +119,19 @@ class TestSolveDiscreteLyapunov:
         with pytest.raises(DimensionError):
             numerics.solve_discrete_lyapunov(0.5 * np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("q", [np.full((2, 2), np.nan), np.nan * np.eye(2),
+                                   np.diag([np.inf, 1.0])], ids=["nan", "nan-diagonal", "inf"])
+    def test_rejects_non_finite_q(self, q):
+        with pytest.raises(NotSpdError, match="q is not finite"):
+            numerics.solve_discrete_lyapunov(0.5 * np.eye(2), q)
+
+    def test_residual_test_fails_on_nan(self, monkeypatch):
+        # a solve that returns NaN must fail the residual test, not pass it
+        monkeypatch.setattr(numerics.np.linalg, "solve",
+                            lambda k, rhs: np.full_like(rhs, np.nan))
+        with pytest.raises(InstabilityError, match="residual"):
+            numerics.solve_discrete_lyapunov(0.5 * np.eye(2), np.eye(2))
+
 
 class TestEigExtremaSpd:
     def test_identity(self):
@@ -144,6 +157,18 @@ class TestEigExtremaSpd:
     def test_rejects_indefinite(self):
         with pytest.raises(NotSpdError):
             numerics.eig_extrema_spd(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("m", [np.full((2, 2), np.nan), np.diag([np.inf, 1.0]),
+                                   np.diag([-np.inf, 1.0])], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, m):
+        with pytest.raises(NotSpdError, match="m is not finite"):
+            numerics.eig_extrema_spd(m)
+
+    def test_definiteness_test_fails_on_nan(self, monkeypatch):
+        # a NaN eigenvalue (as eigvalsh gives for a NaN matrix) fails the test
+        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", lambda m: np.full(len(m), np.nan))
+        with pytest.raises(NotSpdError, match="not positive definite"):
+            numerics.eig_extrema_spd(np.eye(2))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError, match=r"must be square, got \(2, 3\)"):

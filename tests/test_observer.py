@@ -329,9 +329,9 @@ class TestVo:
 
 
 class TestSpecInputs:
-    """ObserverSpec checks d_max on construction and forms the injection
-    matrix every observer step reads; derive_constants and observer_step
-    reject what they cannot use."""
+    """ObserverSpec checks d_max and that its gains agree with each other on
+    construction and forms the injection matrix every observer step reads;
+    derive_constants and observer_step reject what they cannot use."""
 
     @staticmethod
     def _gains(w, **change):
@@ -370,19 +370,31 @@ class TestSpecInputs:
         with pytest.raises(DimensionError, match="shape mismatch"):
             observer.observer_step(bench_w, bench_spec, chi, u, y)
 
-    # gains built directly, never passed through derive_constants; in the
-    # last case the injection matrix still has the model's 4n rows
+    # gains that disagree with each other; the message names the gain and
+    # L_f's shape. In the last case the injection matrix would have the
+    # model's 4n rows.
     @pytest.mark.parametrize("shapes, gain", [
-        ({"L_f": (6, 1)}, "L_f"), ({"L_o": (4, 1)}, "L_o"), ({"L_d": (2, 2)}, "L_d"),
-        ({"L_f": (6, 1), "L_i": (4, 1), "L_o": (4, 1)}, "L_f"),
-    ], ids=["L_f", "L_o", "L_d", "rows-sum-to-4n"])
-    def test_observer_step_names_a_gain_that_does_not_fit(self, bench_w, shapes, gain):
+        ({"L_f": (6, 1)}, "L_i"), ({"L_o": (4, 1)}, "L_o"), ({"L_d": (2, 2)}, "L_d"),
+        ({"L_i": (5, 2)}, "L_i"), ({"L_f": (6, 1), "L_i": (4, 1), "L_o": (4, 1)}, "L_i"),
+    ], ids=["L_f", "L_o", "L_d", "L_i-columns", "rows-sum-to-4n"])
+    def test_construction_names_a_gain_that_disagrees(self, bench_w, shapes, gain):
+        gains = {name: np.zeros(shape) for name, shape in shapes.items()}
+        with pytest.raises(DimensionError, match=rf"^{gain} has shape .*, for L_f of shape \("):
+            observer.ObserverSpec(**self._gains(bench_w, **gains))
+
+    # gains that agree with each other, built directly and never passed
+    # through derive_constants, but not of the model's (n, p) = (5, 1)
+    @pytest.mark.parametrize("shapes", [
+        {"L_f": (6, 1), "L_i": (6, 1), "L_o": (6, 1)},
+        {"L_f": (5, 2), "L_i": (5, 2), "L_o": (5, 2), "L_d": (2, 2)},
+    ], ids=["L_f", "L_f-columns"])
+    def test_observer_step_names_a_gain_that_does_not_fit(self, bench_w, shapes):
         gains = {name: np.zeros(shape) for name, shape in shapes.items()}
         spec = observer.ObserverSpec(**self._gains(bench_w, **gains))
         chi = AugmentedState(bench_w.zero_state(), np.zeros(bench_w.p))
-        with pytest.raises(DimensionError, match=rf"{gain} has shape \(.*\(n, p\) = \(5, 1\)"):
+        with pytest.raises(DimensionError, match=r"L_f has shape \(.*\(n, p\) = \(5, 1\)"):
             observer.observer_step(bench_w, spec, chi, [0.1], [0.0])
-        with pytest.raises(DimensionError, match=gain):
+        with pytest.raises(DimensionError, match="L_f"):
             observer.derive_constants(bench_w, spec)
 
 

@@ -278,7 +278,9 @@ class TestGenerateDataset:
         ds = sysid.generate_dataset(**self.KWARGS)
         params = plant.PhParams()
         for s, (u, y) in enumerate(ds.train + ds.val + ds.test):
-            u_phi, y_phi = sysid._excite(params, 5 * 1000 + s, 40, plant.T_S, (10, 100))
+            u_phi, y_phi = sysid._excite(params, 5 * 1000 + s, 40)
+            np.testing.assert_array_equal(u_phi, sysid.generate_excitation(
+                5 * 1000 + s, plant.U_PHI_RANGE, (10, 100), 40))
             np.testing.assert_array_equal(u, ds.normalizer.normalize_u(u_phi))
             np.testing.assert_array_equal(y, ds.normalizer.normalize_y(y_phi))
         assert [len(ds.train), len(ds.val), len(ds.test)] == [2, 1, 1]
