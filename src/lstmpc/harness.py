@@ -71,8 +71,8 @@ class Scenario:
                 ("duration_s", 0 <= self.duration_s < np.inf, "finite and nonnegative"),
                 ("t_s", 0 < self.t_s < np.inf, "finite and positive"),
                 ("ramp_rate", self.ramp_rate > 0, "positive"),
-                ("horizon", isinstance(self.horizon, int) and self.horizon >= 1,
-                 "a positive integer")):
+                ("horizon", type(self.horizon) is int and self.horizon >= 1, "a positive integer"),
+                ("seed", type(self.seed) is int and self.seed >= 0, "a nonnegative integer")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 

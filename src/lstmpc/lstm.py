@@ -60,19 +60,19 @@ training and the reference Jacobian all run this cell through one kernel:
 Besides the state update, this module holds the one copy of the
 contraction certificate's arithmetic. ``gate_bounds`` bounds the gates
 over the invariant set (through ``gate_sigmas``, which the observer
-shares); ``increment_gains`` turns four gate bounds and
-the matrices that carry the increments into the gates into the cell
-radius, sigma_x, alpha, beta and the 2x2 increment-gain matrix with its
-input column. The model certificate, the observer's A_d and L_mat and
-the training penalty (through ``gate_bounds`` and the Jury margins
-``jury_margins``) all use it; ``lyapunov_bounds`` gives the model
-(``incremental_lyapunov``) and the observer their Lyapunov data.
+shares); ``increment_gains`` turns four gate bounds and the matrices
+that carry the increments into the gates into the cell radius, sigma_x,
+alpha, beta, the 2x2 increment-gain matrix with its input column and
+its Jury margins r1, r2. The model certificate, the observer's A_d and
+L_mat and the training penalty all use it. ``delta_iss_check`` builds
+the model's whole certificate; ``lyapunov_bounds`` gives it and the
+observer their Lyapunov data.
 """
 
 import functools
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ from .errors import DimensionError, InstabilityError
 from .numerics import (
     eig_extrema_spd,
     freeze_arrays,
-    induced_two_norm,
     solve_discrete_lyapunov,
     spectral_radius,
 )
@@ -394,6 +393,8 @@ class GateBounds:
     it bounds tanh(c). ``gains`` (2x2, alpha = gains[0, 1]) and ``column``
     (2x1, beta = column[0, 0]) bound the next increment:
     (||dc+||, ||dh+||) <= gains (||dc||, ||dh||) + column ||dv||.
+    The Jury margins r1 = -1 + tr gains - det gains, r2 = det gains - 1
+    are both negative iff rho(gains) < 1.
     """
 
     sigma_f: float
@@ -406,6 +407,8 @@ class GateBounds:
     beta: float
     gains: np.ndarray
     column: np.ndarray
+    r1: float
+    r2: float
 
 
 def increment_gains(sigmas, recurrent, inputs):
@@ -417,8 +420,8 @@ def increment_gains(sigmas, recurrent, inputs):
     preactivation. The model passes (U, W); the observer passes its hatted
     bounds with (U - L W_y, L) for its error dynamics and with (L W_y, L)
     for their sensitivity to the gains. This is the one place where the
-    certificate's cell radius, sigma_x, alpha, beta and second row are
-    formed. Returns the GateBounds of ``sigmas``.
+    certificate's cell radius, sigma_x, alpha, beta, second row and Jury
+    margins are formed. Returns the GateBounds of ``sigmas``.
     """
     sf, si, so, sc = sigmas
     n_u, n_w = _two_norms(recurrent), _two_norms(inputs)
@@ -430,7 +433,9 @@ def increment_gains(sigmas, recurrent, inputs):
     beta = 0.25 * n_wf * c_rad + si * n_wc + 0.25 * n_wi * sc
     gains = np.array([[sf, alpha], [so * sf, alpha * so + 0.25 * sx * n_uo]])
     column = np.array([[beta], [beta * so + 0.25 * sx * n_wo]])
-    return GateBounds(sf, si, so, sc, c_rad, sx, alpha, beta, gains, column)
+    r1 = -1.0 + sf + alpha * so + 0.25 * sx * n_uo - 0.25 * sf * sx * n_uo
+    r2 = 0.25 * sf * sx * n_uo - 1.0
+    return GateBounds(sf, si, so, sc, c_rad, sx, alpha, beta, gains, column, r1, r2)
 
 
 def _two_norms(mats):
@@ -468,9 +473,10 @@ class StabilityCertificate:
 
     ``certified`` tracks rho(A_delta) < 1; the Jury margins r1, r2 give the
     equivalent pair of inequalities used as soft training penalties.
-    The Lyapunov fields (P_s onward) are set by incremental_lyapunov.
-    Its arrays are read-only copies: A_delta and B_delta are the gains
-    and column of the model's ``gate_bounds``, which it does not keep.
+    The Lyapunov fields (P_s onward) are set exactly when ``certified``
+    is. Its arrays are read-only copies. A_delta, B_delta, r1 and r2 are
+    the gains, column and Jury margins of the model's ``gate_bounds``,
+    which it does not keep.
     """
 
     A_delta: np.ndarray
@@ -489,25 +495,6 @@ class StabilityCertificate:
         freeze_arrays(self)
 
 
-def jury_margins(w, bounds=None):
-    """(r1, r2): both negative iff rho(A_delta) < 1."""
-    g = bounds or gate_bounds(w)
-    uo = induced_two_norm(w.U_o)
-    r1 = -1.0 + g.sigma_f + g.alpha * g.sigma_o + 0.25 * g.sigma_x * uo \
-        - 0.25 * g.sigma_f * g.sigma_x * uo
-    r2 = 0.25 * g.sigma_f * g.sigma_x * uo - 1.0
-    return r1, r2
-
-
-def delta_iss_check(w):
-    """Build the contraction certificate; ``certified`` marks acceptance."""
-    g = gate_bounds(w)
-    rho = spectral_radius(g.gains)
-    r1, r2 = jury_margins(w, g)
-    return StabilityCertificate(
-        A_delta=g.gains, B_delta=g.column, rho_A=rho, r1=r1, r2=r2, certified=rho < 1.0)
-
-
 def lyapunov_bounds(a):
     """Solve a^T P a - P = -1000 I for a contraction matrix ``a``.
 
@@ -520,25 +507,35 @@ def lyapunov_bounds(a):
             float(np.sqrt(lam_min)), float(np.sqrt(lam_max)))
 
 
-def incremental_lyapunov(w):
-    """The certificate with its incremental Lyapunov data.
-
-    ``lyapunov_bounds`` of A_delta gives P_s, the contraction rate rho_s
-    and the norm-equivalence constants c_sl, c_su; c_s is the per-output
-    sensitivity vector.
+def delta_iss_check(w):
+    """The model's whole contraction certificate; ``certified`` marks
+    rho(A_delta) < 1. A certified model's record also holds its
+    incremental Lyapunov data: ``lyapunov_bounds`` of A_delta gives P_s,
+    the contraction rate rho_s and the norm-equivalence constants c_sl,
+    c_su; c_s is the per-output sensitivity vector.
     """
+    g = gate_bounds(w)
+    rho = spectral_radius(g.gains)
+    lyapunov = {}
+    if rho < 1.0:
+        lyapunov = dict(zip(("P_s", "rho_s", "c_sl", "c_su"), lyapunov_bounds(g.gains)))
+        lyapunov["c_s"] = np.linalg.norm(w.W_y, axis=1) / lyapunov["c_sl"]
+    return StabilityCertificate(A_delta=g.gains, B_delta=g.column, rho_A=rho, r1=g.r1,
+                                r2=g.r2, certified=rho < 1.0, **lyapunov)
+
+
+def incremental_lyapunov(w):
+    """``delta_iss_check``'s certificate; raises InstabilityError unless certified."""
     cert = delta_iss_check(w)
     if not cert.certified:
         raise InstabilityError(f"rho(A_delta) = {cert.rho_A:.4f} >= 1, model not certified")
-    p_s, rho_s, c_sl, c_su = lyapunov_bounds(cert.A_delta)
-    return replace(cert, P_s=p_s, rho_s=rho_s, c_sl=c_sl, c_su=c_su,
-                   c_s=np.linalg.norm(w.W_y, axis=1) / c_sl)
+    return cert
 
 
 def v_s(cert, x_a, x_b):
     """Incremental Lyapunov value of a state pair."""
     if cert.P_s is None:
-        raise ValueError("certificate has no Lyapunov data; call incremental_lyapunov")
+        raise ValueError("certificate has no Lyapunov data: the model is not certified")
     v = np.array([np.linalg.norm(x_a.c - x_b.c), np.linalg.norm(x_a.h - x_b.h)])
     return float(np.sqrt(v @ cert.P_s @ v))
 

@@ -51,10 +51,11 @@ class ObserverSpec:
 
     The derived fields (A_d onward, but for w_bar) stay None until
     derive_constants returns a copy with them formed from the gains.
-    Construction checks that L_i and L_o have L_f's (n, p) shape and L_d
-    is (p, p), and forms ``injection``, the (4n, p) [0; L_f; L_i; L_o] in
-    ``lstm.GATES`` order (the candidate gate gets none). Its arrays are
-    read-only copies, so the caller's gains stay its own.
+    Construction checks that d_max is finite and positive, that L_i and
+    L_o have L_f's (n, p) shape and L_d is (p, p), and forms
+    ``injection``, the (4n, p) [0; L_f; L_i; L_o] in ``lstm.GATES`` order
+    (the candidate gate gets none). Its arrays are read-only copies, so
+    the caller's gains stay its own.
     """
 
     L_f: np.ndarray
@@ -80,8 +81,8 @@ class ObserverSpec:
             object.__setattr__(self, name,
                                np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         freeze_arrays(self)
-        if not self.d_max > 0:
-            raise ValueError("d_max must be positive")
+        if not 0 < self.d_max < np.inf:
+            raise ValueError(f"d_max must be finite and positive, got {self.d_max!r}")
         shape = self.L_f.shape
         for name, want in (("L_i", shape), ("L_o", shape), ("L_d", (shape[-1],) * 2)):
             if (got := getattr(self, name).shape) != want:

@@ -195,8 +195,8 @@ def predict(w, u_seq):
 
 
 def loss(w, u_seq, y_seq, cfg):
-    """Training loss (MSE past washout + stability-margin penalties) and
-    its gradient with respect to each array in ``lstm.PARAMETERS``."""
+    """(value, grads): training loss (MSE past washout + stability-margin
+    penalties) and its gradient for each array in ``lstm.PARAMETERS``."""
     t = len(u_seq)
     y_seq = np.asarray(y_seq, dtype=float).reshape(t, -1)
     y_hat, c, h, cache, u2 = _forward(w, u_seq)
@@ -216,8 +216,7 @@ def loss(w, u_seq, y_seq, cfg):
     out_grad = scale * err @ w.W_y
     dz = lstm.adjoint(w, c, cache, np.zeros_like(c), out_grad)
     grads["W"], grads["U"], grads["b"] = dz.T @ u2[:t - 1], dz.T @ h[:t - 1], dz.sum(axis=0)
-    pen, r1, r2 = _penalty_with_grads(w, cfg, grads)
-    return mse + pen, grads, (r1, r2)
+    return mse + _penalty_with_grads(w, cfg, grads), grads
 
 
 def _inf_norm_grads(w):
@@ -233,13 +232,13 @@ def _inf_norm_grads(w):
 
 def _penalty_with_grads(w, cfg, grads):
     """Add the r1/r2 penalty gradients into ``grads["W"]``, ``grads["U"]``
-    and ``grads["b"]``; return its value and (r1, r2).
+    and ``grads["b"]``; return the penalty's value.
 
     r1, r2 and the forward quantities are lstm's certificate, from one
-    ``gate_bounds`` and one ``jury_margins``; this is their adjoint.
+    ``gate_bounds``; this is their adjoint.
     """
     g = lstm.gate_bounds(w)
-    r1, r2 = lstm.jury_margins(w, g)
+    r1, r2 = g.r1, g.r2
     pen = (cfg.lambda1 * max(r1, 0.0) + cfg.lambda1 * max(r2, 0.0)
            + cfg.lambda2 * min(r1, 0.0) + cfg.lambda2 * min(r2, 0.0))
     a_r1 = cfg.lambda1 if r1 > 0 else cfg.lambda2
@@ -278,7 +277,7 @@ def _penalty_with_grads(w, cfg, grads):
                                                              o=a_nuo))[:, None, None]
                                  * u_sv[:, :, :1] * vt_sv[:, :1, :]).reshape(4 * n, n)
     grads["b"] += a_norm[:, 0] * gb
-    return pen, r1, r2
+    return pen
 
 
 def init_weights(cfg, m=1, p=1, u_range=None, y_range=None):
@@ -304,7 +303,9 @@ def train(data, cfg, init=None, callback=None):
 
     The epoch loop runs for cfg.epochs epochs and then keeps going (up to
     ``extension_factor`` times as long) until both stability margins are
-    negative; it fails rather than return an uncertified model.
+    negative; it fails rather than return an uncertified model. The stop
+    test and ``callback(epoch, mean loss, (r1, r2))`` read the margins of
+    the weights after the epoch's last update.
     """
     if not data.train:
         raise TrainingError("the training split is empty")
@@ -319,7 +320,6 @@ def train(data, cfg, init=None, callback=None):
     vel = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
     step_count = 0
     b1, b2, eps = 0.9, 0.999, 1e-8
-    margins = lstm.jury_margins(w)
     max_epochs = max(cfg.epochs, 1) * cfg.extension_factor
     for epoch in range(max_epochs):
         order = rng.permutation(len(data.train))
@@ -327,7 +327,7 @@ def train(data, cfg, init=None, callback=None):
         for s in order:
             u_seq, y_seq = data.train[s]
             try:
-                value, grads, margins = loss(w, u_seq, y_seq, cfg)
+                value, grads = loss(w, u_seq, y_seq, cfg)
             except TrainingError as exc:
                 raise TrainingError(f"epoch {epoch}, sequence {s}: {exc}") from exc
             epoch_loss += value
@@ -340,6 +340,7 @@ def train(data, cfg, init=None, callback=None):
                 vel[name] = b2 * vel[name] + (1 - b2) * g * g
                 upd = (mom[name] / corr1) / (np.sqrt(vel[name] / corr2) + eps)
                 getattr(w, name)[...] -= cfg.learning_rate * upd
+        margins = (bounds := lstm.gate_bounds(w)).r1, bounds.r2
         if callback is not None:
             callback(epoch, epoch_loss / max(len(order), 1), margins)
         if epoch + 1 >= cfg.epochs and margins[0] < 0 and margins[1] < 0:

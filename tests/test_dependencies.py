@@ -1,5 +1,8 @@
-"""numpy is the package's only runtime dependency; scipy is a test oracle."""
+"""numpy is the package's only runtime dependency; scipy is a test oracle.
+No module of the package imports a name it never uses or defines a
+private top-level name that nothing in the package references."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -22,3 +25,53 @@ def test_every_module_imports_without_scipy():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+MODULES = sorted(pathlib.Path(lstmpc.__file__).resolve().parent.glob("*.py"))
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+
+
+def _names_read(tree):
+    """Every bare name and attribute name the module's code mentions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in _trees().items():
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []
+
+
+def test_every_private_top_level_name_is_referenced():
+    trees = _trees()
+    read = set().union(*map(_names_read, trees.values()))
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for target in targets for t in ast.walk(target)
+                           if isinstance(t, ast.Name)]
+            else:
+                continue
+            unreferenced += [f"{name}: {d}" for d in defined
+                             if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert unreferenced == []

@@ -29,9 +29,12 @@ BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
     ("r_weight", 0.0, ValueError, "r_weight"), ("r_weight", -1.0, ValueError, "r_weight"),
     ("r_weight", np.nan, ValueError, "r_weight"),
     ("q_weight", np.nan, NotSpdError, "q is not finite"),
+    ("horizon", True, ValueError, "horizon"), ("seed", -1, ValueError, "seed"),
+    ("seed", 1.5, ValueError, "seed"),
 ], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "t_s", "horizon", "duration_s",
         "duration_s-inf", "t_s-inf", "e_o0-negative", "e_o0-nan", "r_weight-zero",
-        "r_weight-negative", "r_weight-nan", "q_weight-nan"])
+        "r_weight-negative", "r_weight-nan", "q_weight-nan", "horizon-bool", "seed-negative",
+        "seed-float"])
 
 
 def tiny_physical_scenario(**kw):
@@ -217,6 +220,15 @@ class TestRunScenario:
         with pytest.raises(DomainViolationError, match="d_max"):
             harness.run_scenario(out_of_assumption_scenario(), bench_w, spec=bench_spec)
         assert 1 <= len(steps) <= 10
+
+    def test_rejects_infinite_d_max_without_gains(self, bench_w, monkeypatch):
+        # without an observer section the gains are selected from the
+        # scenario's d_max, which ObserverSpec requires finite
+        sc = harness.Scenario(duration_s=50.0, mode="nominal", d_max=np.inf)
+        calls = count_controller_steps(monkeypatch)
+        with pytest.raises(ValueError, match="^d_max must be finite and positive"):
+            harness.run_scenario(sc, bench_w)
+        assert calls == []
 
     def test_feasibility_loss_ends_run_and_is_counted(self, bench_w, bench_spec,
                                                       monkeypatch):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lstmpc import lstm, numerics, sysid
+from lstmpc import lstm, numerics, observer, sysid
 from lstmpc.errors import DimensionError, InstabilityError
 from lstmpc.lstm import LstmState
 
@@ -543,6 +543,45 @@ class TestGateBounds:
             + 0.25 * two(w.W_i, 2) * sc, abs=1e-12)
 
 
+class TestJuryMargins:
+    """GateBounds' r1, r2 are the Jury margins of its own gains."""
+
+    @staticmethod
+    def _check(g):
+        # det gains, formed from the entries, cancels two products of size
+        # ~alpha (4e4 in the hatted bounds); the tolerance is relative to them
+        a = g.gains
+        terms = (a[0, 0] * a[1, 1], a[0, 1] * a[1, 0])
+        det = terms[0] - terms[1]
+        tol = 1e-14 * (1.0 + abs(a[0, 0]) + abs(a[1, 1]) + sum(map(abs, terms)))
+        assert g.r1 == pytest.approx(-1.0 + a[0, 0] + a[1, 1] - det, rel=1e-14, abs=tol)
+        assert g.r2 == pytest.approx(det - 1.0, rel=1e-14, abs=tol)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_model_bounds(self, seed):
+        rng = np.random.default_rng(seed)
+        w = small_net(seed=seed, n=int(rng.integers(2, 9)), m=int(rng.integers(1, 4)),
+                      p=int(rng.integers(1, 3)), scale=float(rng.uniform(0.05, 0.8)))
+        self._check(lstm.gate_bounds(w))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_observer_hatted_bounds(self, bench_w, seed, monkeypatch):
+        # every GateBounds the observer forms, A_d's and L_mat's, for random gains
+        formed = []
+        increment_gains = lstm.increment_gains
+        monkeypatch.setattr(lstm, "increment_gains",
+                            lambda *args: formed.append(increment_gains(*args)) or formed[-1])
+        rng = np.random.default_rng(seed)
+        n, p = bench_w.n, bench_w.p
+        spec = observer.ObserverSpec(
+            L_f=rng.normal(0.0, 0.3, (n, p)), L_i=rng.normal(0.0, 0.3, (n, p)),
+            L_o=rng.normal(0.0, 0.3, (n, p)), L_d=0.2 * np.eye(p), d_max=0.1)
+        observer.observer_matrices(bench_w, spec)
+        assert len(formed) == 2
+        for g in formed:
+            self._check(g)
+
+
 class TestGateOrder:
     """The certificate's gate bounds and gains, against the same formulas
     written with the per-gate views W_f ... b_o."""
@@ -595,6 +634,16 @@ class TestGateOrder:
             got.column, [[beta], [beta * so + 0.25 * sx * two["W_o"]]], rtol=1e-14)
 
 
+def uncertified_net():
+    w = small_net(seed=1, n=3)
+    w.b_f[...] = 30.0            # push sigma_f -> 1
+    w.U_o *= 200.0
+    return w
+
+
+LYAPUNOV_FIELDS = ("P_s", "rho_s", "c_sl", "c_su", "c_s")
+
+
 class TestCertification:
     def test_zero_weights(self):
         cert = lstm.delta_iss_check(zero_net())
@@ -604,14 +653,30 @@ class TestCertification:
         assert cert.r1 < 0 and cert.r2 < 0
 
     def test_rejects_inflated_recurrence(self):
-        w = small_net(seed=1, n=3)
-        w.b_f[...] = 30.0            # push sigma_f -> 1
-        w.U_o *= 200.0
+        w = uncertified_net()
         cert = lstm.delta_iss_check(w)
         assert cert.rho_A >= 1.0
         assert not cert.certified
+        assert all(getattr(cert, name) is None for name in LYAPUNOV_FIELDS)
         with pytest.raises(InstabilityError):
             lstm.incremental_lyapunov(w)
+
+    def test_certified_record_is_built_whole(self, bench_w):
+        # one builder: a certified record holds lyapunov_bounds of its own
+        # A_delta, and incremental_lyapunov returns the same record
+        nets = [small_net(seed=seed, n=n, m=m, p=p)
+                for seed, n, m, p in ((0, 3, 1, 1), (1, 5, 2, 1), (2, 8, 1, 3), (3, 2, 3, 2))]
+        for w in [bench_w, *nets]:
+            cert = lstm.delta_iss_check(w)
+            assert cert.certified
+            p_s, rho_s, c_sl, c_su = lstm.lyapunov_bounds(cert.A_delta)
+            np.testing.assert_array_equal(cert.P_s, p_s)
+            assert (cert.rho_s, cert.c_sl, cert.c_su) == (rho_s, c_sl, c_su)
+            np.testing.assert_array_equal(cert.c_s, np.linalg.norm(w.W_y, axis=1) / c_sl)
+            again = lstm.incremental_lyapunov(w)
+            for field in dataclasses.fields(cert):
+                np.testing.assert_array_equal(getattr(again, field.name),
+                                              getattr(cert, field.name), err_msg=field.name)
 
     def test_certificate_holds_no_mutable_field(self, bench_w):
         # scalars, flags and read-only arrays only: no field can be edited in place
@@ -690,9 +755,9 @@ class TestVs:
             float(np.sqrt(v @ bench_cert.P_s @ v)), abs=1e-12)
 
     def test_requires_lyapunov_data(self):
-        cert = lstm.delta_iss_check(zero_net())
-        x = LstmState(np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
+        cert = lstm.delta_iss_check(uncertified_net())
+        x = LstmState(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="not certified"):
             lstm.v_s(cert, x, x)
 
 

@@ -340,7 +340,7 @@ class TestSpecInputs:
                  "L_o": np.zeros((n, p)), "L_d": 0.1 * np.eye(p), "d_max": 0.1}
         return {**gains, **change}
 
-    @pytest.mark.parametrize("d_max", [0.0, -0.1])
+    @pytest.mark.parametrize("d_max", [0.0, -0.1, np.inf, np.nan])
     def test_rejects_nonpositive_d_max(self, bench_w, d_max):
         with pytest.raises(ValueError, match="d_max"):
             observer.ObserverSpec(**self._gains(bench_w, d_max=d_max))

@@ -84,27 +84,27 @@ class TestLoss:
         rng = np.random.default_rng(0)
         u = rng.uniform(-1, 1, 60)
         y = rng.uniform(-1, 1, 60)
-        value, _, _ = sysid.loss(w, u, y, cfg)
+        value, _ = sysid.loss(w, u, y, cfg)
         y_hat = sysid.predict(w, u)[:, 0]
         mse = np.mean((y_hat[10:] - y[10:]) ** 2)
         assert value == pytest.approx(mse, abs=1e-14)
 
     def test_perfect_predictor_leaves_reward_terms(self):
         w = small_net(seed=2, n=3)
-        r1, r2 = lstm.jury_margins(w)
+        g = lstm.gate_bounds(w)
+        r1, r2 = g.r1, g.r2
         assert r1 < 0 and r2 < 0
         cfg = sysid.TrainConfig(lambda1=0.03, lambda2=0.02, washout=5, n_neurons=3)
         u = np.random.default_rng(1).uniform(-1, 1, 40)
         y = sysid.predict(w, u)[:, 0]       # exact targets -> zero MSE
-        value, _, margins = sysid.loss(w, u, y, cfg)
+        value, _ = sysid.loss(w, u, y, cfg)
         assert value == pytest.approx(cfg.lambda2 * (r1 + r2), abs=1e-12)
-        assert margins == pytest.approx((r1, r2))
 
     @staticmethod
     def _worst_gradient_error(w, u, y, cfg, eps=1e-5):
         """Largest relative gap between ``loss``'s gradient and central
         differences, over every parameter entry."""
-        _, grads, _ = sysid.loss(w, u, y, cfg)
+        _, grads = sysid.loss(w, u, y, cfg)
         worst = 0.0
         assert sorted(grads) == sorted(lstm.PARAMETERS)
         for name in lstm.PARAMETERS:
@@ -114,9 +114,9 @@ class TestLoss:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                lp, _, _ = sysid.loss(w, u, y, cfg)
+                lp, _ = sysid.loss(w, u, y, cfg)
                 arr[idx] = orig - eps
-                lm, _, _ = sysid.loss(w, u, y, cfg)
+                lm, _ = sysid.loss(w, u, y, cfg)
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 denom = max(abs(fd), abs(grads[name][idx]), 1e-8)
@@ -148,8 +148,11 @@ class TestLoss:
         w = small_net(seed=seed, n=n, scale=scale)
         cfg = sysid.TrainConfig(n_neurons=n)
         grads = {name: np.zeros_like(getattr(w, name)) for name in ("W", "U", "b")}
-        _, r1, r2 = sysid._penalty_with_grads(w, cfg, grads)
-        assert (r1, r2) == lstm.jury_margins(w)
+        pen = sysid._penalty_with_grads(w, cfg, grads)
+        cert = lstm.delta_iss_check(w)
+        r1, r2 = cert.r1, cert.r2
+        assert pen == (cfg.lambda1 * max(r1, 0.0) + cfg.lambda1 * max(r2, 0.0)
+                       + cfg.lambda2 * min(r1, 0.0) + cfg.lambda2 * min(r2, 0.0))
         if scale == 0.5:
             assert r1 > 0.0
 
@@ -190,17 +193,29 @@ class TestTrain:
         ds = synthetic_dataset()
         init = small_net(seed=1, n=3)
         init.U_c *= 14.0
-        r1_0, _ = lstm.jury_margins(init)
-        assert r1_0 > 0
+        assert lstm.gate_bounds(init).r1 > 0
         cfg = sysid.TrainConfig(epochs=1, n_neurons=3, washout=10, seed=4,
                                 lambda1=5.0, learning_rate=5e-3,
                                 extension_factor=200)
         seen = []
         w = sysid.train(ds, cfg, init=init,
                         callback=lambda ep, lv, m: seen.append(m[0]))
-        assert lstm.jury_margins(w)[0] < 0
+        assert lstm.gate_bounds(w).r1 < 0
         first = seen[:3]
         assert all(b < a for a, b in zip(first, first[1:]))
+
+    def test_reported_margins_are_those_of_the_returned_weights(self, bench_w):
+        # the last callback's margins, which also decided the stop, describe
+        # the weights train returns, after the epoch's last update
+        ds = synthetic_dataset(n_train=2)
+        cfg = sysid.TrainConfig(epochs=3, n_neurons=bench_w.n, washout=10,
+                                learning_rate=1e-2)
+        seen = []
+        w = sysid.train(ds, cfg, init=bench_w, callback=lambda ep, lv, m: seen.append(m))
+        g = lstm.gate_bounds(w)
+        assert len(seen) >= 3
+        assert seen[-1] == (g.r1, g.r2)
+        assert g.r1 < 0 and g.r2 < 0
 
     def test_fails_without_certificate(self):
         ds = synthetic_dataset()
