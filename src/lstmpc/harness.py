@@ -122,11 +122,14 @@ class RunReport:
                              else self.trace[c][k] for c in TRACE_COLUMNS])
 
     def summary(self):
+        """The counters as ``report.json`` holds them; with no candidate
+        checked, max_candidate_violation is None (JSON null), not -inf."""
         return {
             "steps": self.steps,
             "constraint_violations": self.constraint_violations,
             "feasibility_losses": self.feasibility_losses,
-            "max_candidate_violation": self.max_candidate_violation,
+            "max_candidate_violation": self.max_candidate_violation
+            if self.candidate_checks else None,
             "candidate_checks": self.candidate_checks,
             "fallback_steps": self.fallback_steps,
             "converged_steps": self.converged_steps,

@@ -62,8 +62,8 @@ contraction certificate's arithmetic. ``gate_bounds`` bounds the gates
 over the invariant set (through ``gate_sigmas``, which the observer
 shares); ``increment_gains`` turns four gate bounds and the matrices
 that carry the increments into the gates into the cell radius, sigma_x,
-alpha, beta, the 2x2 increment-gain matrix with its input column and
-its Jury margins r1, r2. The model certificate, the observer's A_d and
+the 2x2 increment-gain matrix with its input column and its Jury
+margins r1, r2. The model certificate, the observer's A_d and
 L_mat and the training penalty all use it. ``delta_iss_check`` builds
 the model's whole certificate; ``lyapunov_bounds`` gives it and the
 observer their Lyapunov data.
@@ -390,9 +390,9 @@ class GateBounds:
     increment gains they give (see ``increment_gains``).
 
     ``cell_radius`` bounds ||c||_inf on the set and ``sigma_x`` = tanh of
-    it bounds tanh(c). ``gains`` (2x2, alpha = gains[0, 1]) and ``column``
-    (2x1, beta = column[0, 0]) bound the next increment:
-    (||dc+||, ||dh+||) <= gains (||dc||, ||dh||) + column ||dv||.
+    it bounds tanh(c). ``gains`` (2x2; gains[0, 1] is the paper's alpha)
+    and ``column`` (2x1; column[0, 0] is its beta) bound the next
+    increment: (||dc+||, ||dh+||) <= gains (||dc||, ||dh||) + column ||dv||.
     The Jury margins r1 = -1 + tr gains - det gains, r2 = det gains - 1
     are both negative iff rho(gains) < 1.
     """
@@ -403,8 +403,6 @@ class GateBounds:
     sigma_c: float
     cell_radius: float
     sigma_x: float
-    alpha: float
-    beta: float
     gains: np.ndarray
     column: np.ndarray
     r1: float
@@ -420,10 +418,13 @@ def increment_gains(sigmas, recurrent, inputs):
     preactivation. The model passes (U, W); the observer passes its hatted
     bounds with (U - L W_y, L) for its error dynamics and with (L W_y, L)
     for their sensitivity to the gains. This is the one place where the
-    certificate's cell radius, sigma_x, alpha, beta, second row and Jury
-    margins are formed. Returns the GateBounds of ``sigmas``.
+    certificate's cell radius, sigma_x, gains, column and Jury margins are
+    formed. Returns the GateBounds of ``sigmas``; raises InstabilityError
+    unless sigma_f < 1, which the cell radius si sc / (1 - sf) needs.
     """
     sf, si, so, sc = sigmas
+    if not sf < 1.0:    # also for NaN
+        raise InstabilityError(f"sigma_f = {sf!r} is not below 1: the cell radius is unbounded")
     n_u, n_w = _two_norms(recurrent), _two_norms(inputs)
     n_uf, n_ui, n_uo, n_uc = n_u[_F], n_u[_I], n_u[_O], n_u[_C]
     n_wf, n_wi, n_wo, n_wc = n_w[_F], n_w[_I], n_w[_O], n_w[_C]
@@ -435,7 +436,7 @@ def increment_gains(sigmas, recurrent, inputs):
     column = np.array([[beta], [beta * so + 0.25 * sx * n_wo]])
     r1 = -1.0 + sf + alpha * so + 0.25 * sx * n_uo - 0.25 * sf * sx * n_uo
     r2 = 0.25 * sf * sx * n_uo - 1.0
-    return GateBounds(sf, si, so, sc, c_rad, sx, alpha, beta, gains, column, r1, r2)
+    return GateBounds(sf, si, so, sc, c_rad, sx, gains, column, r1, r2)
 
 
 def _two_norms(mats):

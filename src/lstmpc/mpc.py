@@ -164,22 +164,25 @@ class Certificate:
 
 def certify(w, gains=None, horizon=5, q_weight=1.0, *, d_max=0.1, l_d=0.1, w_bar=0.01,
             k_bar=False):
-    """The ``Certificate`` of the weights ``w``.
+    """The ``Certificate`` of the weights ``w`` at a positive int ``horizon``.
 
     ``gains`` is an ``ObserverSpec`` (left unchanged) or the weights' JSON
     observer section, either with its own d_max and w_bar; without gains,
     ``observer.select_gains`` picks them from ``d_max``, ``l_d`` and
-    ``w_bar``. ``k_bar`` estimates K_bar over pH 6.5-8.5 and +-d_max.
+    ``w_bar``. The chain is composed here only: one model certificate, one
+    ``observer.derive_constants``. ``k_bar`` estimates K_bar over pH
+    6.5-8.5 and +-d_max.
     """
+    if type(horizon) is not int or horizon < 1:
+        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     if k_bar and (w.u_range is None or w.y_range is None):
         raise ValueError("the K_bar estimate needs weights with u_range and y_range")
     cert = lstm.incremental_lyapunov(w)
     if not gains:
-        spec = observer.select_gains(w, d_max=d_max, l_d=l_d, w_bar=w_bar)
-    else:
-        if isinstance(gains, dict):
-            gains = observer.ObserverSpec.from_dict(gains)
-        spec = observer.derive_constants(w, gains, w_bar=gains.w_bar)
+        gains = observer.select_gains(w, d_max=d_max, l_d=l_d, w_bar=w_bar)
+    elif isinstance(gains, dict):
+        gains = observer.ObserverSpec.from_dict(gains)
+    spec = observer.derive_constants(w, gains)
     estimate = None
     if k_bar:
         nrm = plant.Normalizer(*w.u_range, *w.y_range)

@@ -49,8 +49,9 @@ def augmented_step(w, chi, u, w_k=None, d_max=None):
 class ObserverSpec:
     """Observer gains plus every derived convergence constant.
 
-    The derived fields (A_d onward, but for w_bar) stay None until
-    derive_constants returns a copy with them formed from the gains.
+    The derived fields (A_d to L_max, cell_radius_hat) stay None until
+    derive_constants returns a copy with them formed from the gains, and
+    with the setting w_bar, when None, replaced by the analytic bound.
     Construction checks that d_max is finite and positive, that L_i and
     L_o have L_f's (n, p) shape and L_d is (p, p), and forms
     ``injection``, the (4n, p) [0; L_f; L_i; L_o] in ``lstm.GATES`` order
@@ -71,9 +72,8 @@ class ObserverSpec:
     c_o: np.ndarray | None = None
     L_mat: np.ndarray | None = None
     L_max: float | None = None
-    w_bar: float = 0.0
-    w_bar_analytic: float | None = None
-    cell_radius_hat: float = 0.0
+    w_bar: float | None = None
+    cell_radius_hat: float | None = None
     injection: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -100,7 +100,8 @@ class ObserverSpec:
     @classmethod
     def from_dict(cls, doc):
         return cls(L_f=doc["L_f"], L_i=doc["L_i"], L_o=doc["L_o"], L_d=doc["L_d"],
-                   d_max=float(doc["d_max"]), w_bar=float(doc.get("w_bar", 0.0)))
+                   d_max=float(doc["d_max"]),
+                   w_bar=None if doc.get("w_bar") is None else float(doc["w_bar"]))
 
 
 def observer_step(w, spec, chi_hat, u, y_measured):
@@ -170,49 +171,47 @@ def _check_fit(w, spec):
 
 
 def derive_constants(w, spec, w_max=0.0, w_bar=None):
-    """A copy of ``spec`` with A_d, P_o, rho_o, the norm constants, L_max
-    and w_bar formed from its gains.
+    """A copy of ``spec`` with A_d, P_o, rho_o, the norm constants, L_max,
+    cell_radius_hat and w_bar formed from its gains.
 
-    ``w_bar`` overrides the analytic disturbance-increment bound when
-    given (the analytic corner bound over the full invariant box is very
-    conservative); the analytic value is always reported alongside.
-    Raises ValueError unless the w_bar used is a finite nonnegative number.
+    w_bar is the ``w_bar`` keyword, else the spec's, else the (very
+    conservative) analytic corner bound for increments up to ``w_max``.
+    Raises GainSelectionError unless rho(A_d) < 1, which rejects an
+    uncertified model too, and ValueError unless w_bar is finite and >= 0.
     """
     a_d, l_mat, cell_radius_hat = _error_dynamics(w, spec)
     if (rho := spectral_radius(a_d)) >= 1.0:
         raise GainSelectionError(f"rho(A_d) = {rho:.4f} >= 1")
     p_o, rho_o, c_ol, c_ou = lstm.lyapunov_bounds(a_d)
-    # Worst-case one-step Lyapunov inflation from the disturbance increment,
-    # evaluated at the corner of the invariant error box (P_o and A_d are
-    # entrywise nonnegative, so the corner attains the maximum).
-    e_corner = np.array([lstm.gate_bounds(w).cell_radius + cell_radius_hat, 2.0,
-                         2.0 * spec.d_max])
-    cross = float(e_corner @ a_d.T @ p_o @ np.array([0.0, 0.0, 1.0]))
-    w_bar_analytic = float(np.sqrt(max(2.0 * cross * w_max + w_max ** 2 * p_o[2, 2], 0.0)))
-    w_bar = float(w_bar) if w_bar is not None else w_bar_analytic
+    w_bar = spec.w_bar if w_bar is None else w_bar
+    if w_bar is None:
+        # Worst-case one-step Lyapunov inflation from the disturbance increment,
+        # evaluated at the corner of the invariant error box (P_o and A_d are
+        # entrywise nonnegative, so the corner attains the maximum).
+        e_corner = np.array([lstm.gate_bounds(w).cell_radius + cell_radius_hat, 2.0,
+                             2.0 * spec.d_max])
+        cross = float(e_corner @ a_d.T @ p_o @ np.array([0.0, 0.0, 1.0]))
+        w_bar = np.sqrt(max(2.0 * cross * w_max + w_max ** 2 * p_o[2, 2], 0.0))
+    w_bar = float(w_bar)
     if not 0.0 <= w_bar < np.inf:
         raise ValueError(f"w_bar = {w_bar} is not a finite nonnegative number")
     w_y_bar = np.hstack([np.zeros((w.p, w.n)), w.W_y, np.eye(w.p)])
-    return replace(spec, A_d=a_d, P_o=p_o, rho_o=rho_o, c_ol=c_ol, c_ou=c_ou,
-                   c_o=np.linalg.norm(w_y_bar, axis=1) / c_ol, L_mat=l_mat,
-                   L_max=induced_two_norm(l_mat) / c_ol, w_bar=w_bar,
-                   w_bar_analytic=w_bar_analytic, cell_radius_hat=cell_radius_hat)
+    return replace(spec, A_d=a_d, P_o=p_o, rho_o=rho_o, c_ol=c_ol, c_ou=c_ou, L_mat=l_mat,
+                   c_o=np.linalg.norm(w_y_bar, axis=1) / c_ol, L_max=induced_two_norm(l_mat) / c_ol,
+                   w_bar=w_bar, cell_radius_hat=cell_radius_hat)
 
 
-def select_gains(w, d_max=0.1, l_d=0.1, w_max=0.0, w_bar=None):
-    """Pick the suboptimal observer gains and return the fully populated spec.
-
-    Zero state-injection gains and L_d = l_d I (l_d in (0, 2)), so the
-    error spectrum is the model's contraction spectrum plus |l_d - 1|.
-    """
-    if not lstm.delta_iss_check(w).certified:
-        raise GainSelectionError("model is not certified contractive")
+def select_gains(w, d_max=0.1, l_d=0.1, w_bar=None):
+    """The underived spec of the suboptimal gains, with ``d_max`` and ``w_bar``:
+    zero state injection and L_d = l_d I, l_d in (0, 2) (GainSelectionError
+    otherwise). Then A_d = [[A_delta, 0], [0, ||L_d W_y||, |1 - l_d|]] and
+    rho(A_d) = max(rho(A_delta), |1 - l_d|), so derive_constants rejects an
+    uncertified model."""
     if not 0.0 < l_d < 2.0:
         raise GainSelectionError(f"l_d = {l_d} outside (0, 2)")
-    n, p = w.n, w.p
-    spec = ObserverSpec(L_f=np.zeros((n, p)), L_i=np.zeros((n, p)),
-                        L_o=np.zeros((n, p)), L_d=l_d * np.eye(p), d_max=d_max)
-    return derive_constants(w, spec, w_max=w_max, w_bar=w_bar)
+    zero = np.zeros((w.n, w.p))
+    return ObserverSpec(L_f=zero, L_i=zero, L_o=zero, L_d=l_d * np.eye(w.p), d_max=d_max,
+                        w_bar=w_bar)
 
 
 def v_o(spec, chi_hat, chi):

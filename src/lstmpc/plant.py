@@ -7,6 +7,7 @@ pH is defined implicitly by a titration charge balance.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,9 @@ def _calibrated_cv4():
 
 @dataclass
 class PhParams:
-    """Physical parameters, defaults at the nominal operating conditions."""
+    """Physical parameters, defaults at the nominal operating conditions.
+    Each must be a finite real number (not a bool), C_v4, n_exp and A1
+    positive and the flows q1, q2_nominal, q3_nominal nonnegative."""
 
     z: float = 11.5            # cm, valve height offset
     C_v4: float = field(default_factory=_calibrated_cv4)
@@ -45,6 +48,18 @@ class PhParams:
     A1: float = 207.0          # cm^2, tank section
     q2_nominal: float = 0.55   # mL/s, buffer flow
     q3_nominal: float = 15.6   # mL/s, alkaline flow
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        for name in ("C_v4", "n_exp", "A1"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("q1", "q2_nominal", "q3_nominal"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
 
 
 def equilibrium(p, u_phi=None, d_phi=None):

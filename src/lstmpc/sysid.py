@@ -244,7 +244,7 @@ def _penalty_with_grads(w, cfg, grads):
     a_r1 = cfg.lambda1 if r1 > 0 else cfg.lambda2
     a_r2 = cfg.lambda1 if r2 > 0 else cfg.lambda2
     sf, si, so, sc = g.sigma_f, g.sigma_i, g.sigma_o, g.sigma_c
-    cr, sx, alpha = g.cell_radius, g.sigma_x, g.alpha
+    cr, sx, alpha = g.cell_radius, g.sigma_x, float(g.gains[0, 1])
     n = w.n
     # Each ||U||_2 (GATES order) and its gradient u1 v1^T from one SVD.
     u_sv, s_sv, vt_sv = np.linalg.svd(w.U.reshape(4, n, n))

@@ -122,7 +122,8 @@ class TestCriterion4ObserverConvergence:
 
     def test_decay_inequality_under_bounded_increments(self, bench_w):
         w_max = 0.002
-        spec = observer.select_gains(bench_w, d_max=0.1, l_d=0.1, w_max=w_max)
+        spec = observer.derive_constants(
+            bench_w, observer.select_gains(bench_w, d_max=0.1, l_d=0.1), w_max=w_max)
         w_bar = spec.w_bar            # analytic bound for this w_max
         assert w_bar > 0.0
         rng = np.random.default_rng(15)

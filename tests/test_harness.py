@@ -17,7 +17,8 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 # Scenario fields that must fail before the first step, with the error and
 # the start of its message. Each would otherwise end the run in a bare numpy
 # error or a traceback, run the solver on a setting it cannot use, end the
-# run at once (t_s = inf) or (ramp_rate) drift a constant set-point.
+# run at once (t_s = inf) or (ramp_rate) drift a constant set-point; a
+# negative tank section (A1) would run to the end on an unphysical plant.
 BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
     ("ramp_rate", -0.005, ValueError, "ramp_rate"),
     ("setpoints", [], ValueError, "setpoints"),
@@ -31,10 +32,16 @@ BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
     ("q_weight", np.nan, NotSpdError, "q is not finite"),
     ("horizon", True, ValueError, "horizon"), ("seed", -1, ValueError, "seed"),
     ("seed", 1.5, ValueError, "seed"),
+    ("plant_overrides", {"A1": 0}, ValueError, "A1"),
+    ("plant_overrides", {"C_v4": 0}, ValueError, "C_v4"),
+    ("plant_overrides", {"n_exp": 0}, ValueError, "n_exp"),
+    ("plant_overrides", {"q1": "x"}, ValueError, "q1"),
+    ("plant_overrides", {"A1": -207}, ValueError, "A1"),
 ], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "t_s", "horizon", "duration_s",
         "duration_s-inf", "t_s-inf", "e_o0-negative", "e_o0-nan", "r_weight-zero",
         "r_weight-negative", "r_weight-nan", "q_weight-nan", "horizon-bool", "seed-negative",
-        "seed-float"])
+        "seed-float", "plant-A1-zero", "plant-C_v4-zero", "plant-n_exp-zero", "plant-q1-str",
+        "plant-A1-negative"])
 
 
 def tiny_physical_scenario(**kw):
@@ -520,6 +527,61 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "TrainingError", "message": "the training split is empty"}
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["certify-saturated", "train-init-saturated",
+                                      "certify-horizon-zero", "certify-horizon-negative",
+                                      "simulate-plant-override"])
+    def test_bad_input_is_a_one_line_json_error(self, tmp_path, capsys, case):
+        doc = json.loads((ASSETS / "model.json").read_text())
+        doc["b_f"] = [40.0] * len(doc["b_f"])        # sigma_f rounds to 1.0
+        saturated = tmp_path / "saturated.json"
+        saturated.write_text(json.dumps(doc))
+        seq = tuple(np.random.default_rng(0).uniform(-1, 1, (2, 40)))
+        sysid.save_dataset(sysid.Dataset(train=[seq], val=[], test=[],
+                                         normalizer=plant.Normalizer(-1.0, 1.0, 6.0, 8.0)),
+                           tmp_path / "ds")
+        sc_path = tmp_path / "sc.json"
+        tiny_physical_scenario(duration_s=50.0, plant_overrides={"n_exp": 0}).to_json(sc_path)
+        model = str(ASSETS / "model.json")
+        argv, error, message = {
+            "certify-saturated": (["certify", "--weights", str(saturated)],
+                                  "InstabilityError", "sigma_f"),
+            "train-init-saturated": (["train", "--data", str(tmp_path / "ds"),
+                                      "--out", str(tmp_path / "out.json"), "--epochs", "1",
+                                      "--washout", "5", "--init", str(saturated)],
+                                     "InstabilityError", "sigma_f"),
+            "certify-horizon-zero": (["certify", "--weights", model, "--horizon", "0"],
+                                     "ValueError", "horizon"),
+            "certify-horizon-negative": (["certify", "--weights", model, "--horizon", "-3"],
+                                         "ValueError", "horizon"),
+            "simulate-plant-override": (["simulate", "--scenario", str(sc_path),
+                                         "--weights", model, "--out", str(tmp_path / "run")],
+                                        "ValueError", "n_exp"),
+        }[case]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        err = json.loads(out.err)
+        assert err["error"] == error
+        assert err["message"].startswith(message)
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "run").exists()
+
+    def test_one_step_report_is_strict_json(self, tmp_path, capsys):
+        # no candidate is checked in a 1-step run: its maximum is null, not -Infinity
+        sc_path = tmp_path / "sc.json"
+        tiny_physical_scenario(duration_s=10.0).to_json(sc_path)
+        rc = cli.main(["simulate", "--scenario", str(sc_path),
+                       "--weights", str(ASSETS / "model.json"), "--out", str(tmp_path / "run")])
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        for text in (capsys.readouterr().out, (tmp_path / "run" / "report.json").read_text()):
+            doc = json.loads(text, parse_constant=reject)
+            assert (doc["steps"], doc["candidate_checks"]) == (1, 0)
+            assert doc["max_candidate_violation"] is None
 
     def test_bad_scenario_file_is_machine_readable(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -508,13 +508,25 @@ class TestGateBounds:
         g = lstm.gate_bounds(zero_net())
         assert (g.sigma_f, g.sigma_i, g.sigma_o) == (0.5, 0.5, 0.5)
         assert g.sigma_c == 0.0 and g.sigma_x == 0.0
-        assert g.alpha == 0.0 and g.beta == 0.0
+        assert g.gains[0, 1] == 0.0 and g.column[0, 0] == 0.0     # alpha, beta
 
     def test_forget_bias_saturation(self):
         w = zero_net()
         w.b_f[...] = 30.0
         g = lstm.gate_bounds(w)
         assert g.sigma_f == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("b_f", [40.0, np.nan])
+    def test_saturated_forget_gate_is_typed(self, bench_w, b_f):
+        # sigma_f rounds to 1.0 (or is NaN): the cell radius si sc / (1 - sf)
+        # is undefined, so every certificate built on the bounds says so
+        w = bench_w.copy()
+        w.b_f[...] = b_f
+        calls = (lambda: lstm.gate_bounds(w), lambda: lstm.delta_iss_check(w),
+                 lambda: lstm.incremental_lyapunov(w))
+        for call in calls:
+            with pytest.raises(InstabilityError, match="^sigma_f = .* is not below 1"):
+                call()
 
     def test_matches_direct_transcription(self, bench_w):
         w = bench_w
@@ -535,10 +547,10 @@ class TestGateBounds:
         assert g.sigma_c == pytest.approx(sc, abs=1e-12)
         assert g.sigma_x == pytest.approx(math.tanh(c_rad), abs=1e-12)
         two = np.linalg.norm
-        assert g.alpha == pytest.approx(
+        assert g.gains[0, 1] == pytest.approx(     # alpha
             0.25 * two(w.U_f, 2) * c_rad + si * two(w.U_c, 2)
             + 0.25 * two(w.U_i, 2) * sc, abs=1e-12)
-        assert g.beta == pytest.approx(
+        assert g.column[0, 0] == pytest.approx(     # beta
             0.25 * two(w.W_f, 2) * c_rad + si * two(w.W_c, 2)
             + 0.25 * two(w.W_i, 2) * sc, abs=1e-12)
 

@@ -545,7 +545,7 @@ class TestCertify:
         certificate = mpc.certify(w, obs_doc, 7, q_weight=2.5)
         cert = lstm.incremental_lyapunov(w)
         spec = observer.ObserverSpec.from_dict(obs_doc)
-        spec = observer.derive_constants(w, spec, w_bar=spec.w_bar)
+        spec = observer.derive_constants(w, spec)
         a, b = mpc.build_schedule(cert, spec, 7)
         for name in ("P_s", "c_s", "A_delta"):
             np.testing.assert_array_equal(getattr(certificate.model, name), getattr(cert, name))
@@ -570,7 +570,8 @@ class TestCertify:
     @pytest.mark.parametrize("gains", [None, {}])
     def test_without_gains_selects_them(self, bench_w, gains):
         certificate = mpc.certify(bench_w, gains, d_max=0.08, l_d=0.3, w_bar=0.005)
-        spec = observer.select_gains(bench_w, d_max=0.08, l_d=0.3, w_bar=0.005)
+        spec = observer.derive_constants(
+            bench_w, observer.select_gains(bench_w, d_max=0.08, l_d=0.3, w_bar=0.005))
         assert certificate.spec.to_dict() == spec.to_dict()
         np.testing.assert_array_equal(certificate.spec.P_o, spec.P_o)
 
@@ -585,6 +586,22 @@ class TestCertify:
         monkeypatch.setattr(observer, "derive_constants", counted)
         mpc.certify(bench_w)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("with_section", [False, True])
+    def test_builds_the_model_certificate_once(self, bench, monkeypatch, with_section):
+        calls = {"delta_iss_check": 0, "gate_bounds": 0}
+        for name in calls:
+            def counted(*args, _name=name, _func=getattr(lstm, name), **kwargs):
+                calls[_name] += 1
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(lstm, name, counted)
+        mpc.certify(*bench if with_section else bench[:1])
+        assert calls == {"delta_iss_check": 1, "gate_bounds": 1}
+
+    @pytest.mark.parametrize("horizon", [0, -3, True, 5.0, None])
+    def test_rejects_horizon_that_is_not_a_positive_int(self, bench, horizon):
+        with pytest.raises(ValueError, match="^horizon must be a positive integer"):
+            mpc.certify(*bench, horizon)
 
     def test_record_is_frozen(self, bench_certificate):
         # the certificate and the model and observer records it holds

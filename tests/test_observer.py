@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from lstmpc import lstm, numerics, observer
-from lstmpc.errors import DimensionError, DomainViolationError, GainSelectionError
+from lstmpc.errors import (DimensionError, DomainViolationError, GainSelectionError,
+                           InstabilityError)
 from lstmpc.lstm import LstmState
 from lstmpc.observer import AugmentedState
 
 from conftest import induced_inf_norm, random_invariant_state, small_net, zero_net
 
 
-def make_spec(w, **kw):
-    return observer.select_gains(w, d_max=kw.pop("d_max", 0.1), **kw)
+def make_spec(w, d_max=0.1, l_d=0.1, **kw):
+    return observer.derive_constants(w, observer.select_gains(w, d_max, l_d), **kw)
 
 
 def random_augmented(w, rng, d_max):
@@ -220,6 +221,17 @@ class TestCertificateOracle:
 
 
 class TestSelectGains:
+    def test_returns_underived_suboptimal_gains(self, bench_w):
+        spec = observer.select_gains(bench_w, d_max=0.08, l_d=0.3, w_bar=0.005)
+        derived = [f.name for f in dataclasses.fields(spec)
+                   if f.name not in ("L_f", "L_i", "L_o", "L_d", "d_max", "w_bar", "injection")]
+        assert spec.A_d is None
+        assert all(getattr(spec, name) is None for name in derived)
+        for name in ("L_f", "L_i", "L_o"):
+            np.testing.assert_array_equal(getattr(spec, name), np.zeros((bench_w.n, bench_w.p)))
+        np.testing.assert_array_equal(spec.L_d, 0.3 * np.eye(bench_w.p))
+        assert (spec.d_max, spec.w_bar) == (0.08, 0.005)
+
     def test_suboptimal_spectral_radius(self, bench_w):
         spec = make_spec(bench_w, l_d=0.1)
         cert = lstm.delta_iss_check(bench_w)
@@ -238,6 +250,19 @@ class TestSelectGains:
         w.U_o *= 200.0
         with pytest.raises(GainSelectionError):
             make_spec(w)
+
+    def test_saturated_forget_gate_is_typed(self, bench_w):
+        # the model's own bound saturates, or only the hatted one that the
+        # injection widens
+        w = bench_w.copy()
+        w.b_f[...] = 40.0
+        with pytest.raises(InstabilityError, match="^sigma_f"):
+            make_spec(w)
+        assert lstm.gate_bounds(bench_w).sigma_f < 1.0
+        spec = dataclasses.replace(observer.select_gains(bench_w),
+                                   L_f=np.full((bench_w.n, bench_w.p), 100.0))
+        with pytest.raises(InstabilityError, match="^sigma_f"):
+            observer.derive_constants(bench_w, spec)
 
 
 class TestDeriveConstants:
@@ -259,12 +284,26 @@ class TestDeriveConstants:
 
     def test_zero_wmax_zero_analytic_bound(self, bench_w):
         spec = make_spec(bench_w, w_max=0.0)
-        assert spec.w_bar_analytic == 0.0
+        assert spec.w_bar == 0.0
 
     def test_configured_w_bar_overrides(self, bench_w):
         spec = make_spec(bench_w, w_bar=0.01, w_max=0.005)
         assert spec.w_bar == 0.01
-        assert spec.w_bar_analytic > 0.0
+        assert make_spec(bench_w, w_max=0.005).w_bar > 0.0
+        # the spec's own w_bar is the setting; the keyword overrides it
+        gains = observer.select_gains(bench_w, w_bar=0.01)
+        assert observer.derive_constants(bench_w, gains, w_max=0.005).w_bar == 0.01
+        assert observer.derive_constants(bench_w, gains, w_bar=0.02).w_bar == 0.02
+
+    def test_section_w_bar_is_kept(self, bench):
+        # a section's w_bar is not replaced by the analytic bound
+        w, obs_doc = bench
+        section = {**obs_doc, "w_bar": 0.01}
+        spec = observer.derive_constants(w, observer.ObserverSpec.from_dict(section))
+        assert spec.w_bar == 0.01
+        without = {k: v for k, v in obs_doc.items() if k != "w_bar"}
+        assert observer.ObserverSpec.from_dict(without).w_bar is None
+        assert observer.derive_constants(w, observer.ObserverSpec.from_dict(without)).w_bar == 0.0
 
     def test_rederive_after_gain_change_matches_fresh(self, bench_w):
         # derive_constants re-forms A_d from the current gains, so changing

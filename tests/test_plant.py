@@ -267,6 +267,23 @@ class TestNonFinite:
             plant.measure_ph(params, x)
 
 
+class TestParams:
+    @pytest.mark.parametrize("field, value", [
+        ("A1", 0.0), ("A1", -207.0), ("C_v4", 0.0), ("n_exp", 0.0), ("n_exp", -0.6),
+        ("q1", -1.0), ("q2_nominal", -0.1), ("q3_nominal", -15.6), ("q1", "x"),
+        ("z", True), ("pK1", np.nan), ("W_a1", np.inf), ("q1", None),
+    ])
+    def test_rejects_value_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            plant.PhParams(**{field: value})
+
+    def test_accepts_zero_flows_and_a_valve_below_the_bottom(self):
+        for kw in ({"q1": 0.0, "q2_nominal": 0.0, "q3_nominal": 0.0}, {"z": -20.0},
+                   {"A1": np.float64(150.0), "n_exp": 1}):
+            params = plant.PhParams(**kw)
+            assert all(getattr(params, k) == v for k, v in kw.items())
+
+
 class TestNormalizer:
     def test_endpoints(self):
         nrm = plant.Normalizer(12.5, 17.0, 6.0, 9.0)
