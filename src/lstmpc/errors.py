@@ -1,4 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one field check.
+
+``check`` writes every "<name> must be <rule>, got <value>" message. A
+rule is a (predicate, text) pair; every predicate is a comparison that
+NaN fails, and no bool passes one.
+"""
+
+import math
+import numbers
+
+
+def check(name, value, rule):
+    """Raise ValueError naming ``name`` unless ``rule``'s predicate holds for ``value``."""
+    if not rule[0](value):
+        raise ValueError(f"{name} must be {rule[1]}, got {value!r}")
+
+
+def _is(kind, v):
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+FINITE = (lambda v: _is(numbers.Real, v) and -math.inf < v < math.inf, "a finite real number")
+POSITIVE = (lambda v: _is(numbers.Real, v) and 0 < v < math.inf, "finite and positive")
+NONNEGATIVE = (lambda v: _is(numbers.Real, v) and 0 <= v < math.inf, "finite and nonnegative")
+POSITIVE_INT = (lambda v: _is(numbers.Integral, v) and v >= 1, "a positive integer")
+NONNEGATIVE_INT = (lambda v: _is(numbers.Integral, v) and v >= 0, "a nonnegative integer")
 
 
 class LstmpcError(Exception):

@@ -3,15 +3,10 @@
 A scenario describes the set-point profile (piecewise constant targets
 joined by rate-limited ramps), the disturbance profile, and the
 controller/observer configuration. ``run_scenario`` runs one loop body
-against the plant adapter of the scenario's mode, whose ``measure(t,
+against the plant adapter of the scenario's mode ("physical",
+``PhysicalPlant``, or "nominal", ``NominalPlant``), whose ``measure(t,
 chi_hat)`` gives (y normalized, pH, buffer flow d_phi, V_o) at step k
-and ``advance(u_applied, u_phys)`` moves it to step k + 1:
-
-* "physical", ``PhysicalPlant``: the pH neutralization ODE; the
-  identified model only lives inside observer and controller.
-* "nominal", ``NominalPlant``: the disturbance-augmented model driven by
-  a scripted disturbance-increment sequence; its true state is known, so
-  V_o, the observer error of step k's estimate, is too.
+and ``advance(u_applied, u_phys)`` moves it to step k + 1.
 """
 
 import csv
@@ -21,14 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mpc, observer, plant, refcalc
-from .errors import FeasibilityLossError
+from .errors import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
+                     FeasibilityLossError, check)
 from .lstm import LstmState
 from .observer import AugmentedState
 
 
 @dataclass
 class Scenario:
-    """Declarative description of one closed-loop run."""
+    """Declarative description of one closed-loop run; ``d_max``, ``l_d`` and
+    ``w_bar`` apply only to weights without an observer section."""
 
     duration_s: float = 10000.0
     t_s: float = plant.T_S
@@ -62,19 +59,21 @@ class Scenario:
         error or distort it; each profile becomes (time_s, value) tuples.
         Runs on construction and again in ``run_scenario``, since a field
         may be assigned in between."""
-        for name in ("setpoints", "disturbances", "disturbance_increments"):
-            if any(np.shape(x) != (2,) for x in getattr(self, name)):
-                raise ValueError(f"{name} entries must be (time_s, value) pairs")
+        for name, (ok, text) in (("setpoints", FINITE), ("disturbance_increments", FINITE),
+                                 ("disturbances", plant.PARAM_RULES["q2_nominal"])):
+            check(name, getattr(self, name), (
+                lambda p: isinstance(p, (list, tuple))
+                and all(np.shape(x) == (2,) and FINITE[0](x[0]) and ok(x[1]) for x in p)
+                and all(a[0] < b[0] for a, b in zip(p, p[1:])),
+                f"(time_s, value) pairs at strictly increasing finite times, values {text}"))
             setattr(self, name, [tuple(x) for x in getattr(self, name)])
-        for name, ok, rule in (
-                ("setpoints", self.setpoints, "nonempty"),
-                ("duration_s", 0 <= self.duration_s < np.inf, "finite and nonnegative"),
-                ("t_s", 0 < self.t_s < np.inf, "finite and positive"),
-                ("ramp_rate", self.ramp_rate > 0, "positive"),
-                ("horizon", type(self.horizon) is int and self.horizon >= 1, "a positive integer"),
-                ("seed", type(self.seed) is int and self.seed >= 0, "a nonnegative integer")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        for name, rule in (
+                ("setpoints", (len, "nonempty")), ("duration_s", NONNEGATIVE),
+                ("t_s", POSITIVE), ("ramp_rate", POSITIVE), ("horizon", POSITIVE_INT),
+                ("seed", NONNEGATIVE_INT), ("d_max", POSITIVE), ("w_bar", NONNEGATIVE),
+                ("l_d", observer.L_D), ("mode", (lambda v: v in list(_PLANTS),
+                                                 f"one of {list(_PLANTS)}"))):
+            check(name, getattr(self, name), rule)
 
     @classmethod
     def from_json(cls, path):
@@ -254,8 +253,6 @@ def run_scenario(sc, w, spec=None):
     sc.check()
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")
-    if sc.mode not in _PLANTS:
-        raise ValueError(f"unknown mode {sc.mode!r}")
     nrm = plant.Normalizer(*w.u_range, *w.y_range)
     certificate = mpc.certify(w, spec, sc.horizon, sc.q_weight,
                               d_max=sc.d_max, l_d=sc.l_d, w_bar=sc.w_bar)

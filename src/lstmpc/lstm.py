@@ -19,54 +19,21 @@ training and the reference Jacobian all run this cell through one kernel:
   (T+1, n) plus a cache of the f/i/o activations, the candidate gate and
   tanh(c+). Each step takes all four gates from one ``tanh`` over the
   preactivations with the f, i, o block halved, since
-  sigmoid(z) = 0.5 (1 + tanh(z / 2)). The halving is applied once per
-  call, to the input terms and to a copy of U; halving is exact and
-  commutes with rounding, so the gates equal ``sigmoid``'s bit for bit.
-  The step works in place in one (T+1, 5n) row buffer allocated once per
-  call, whose row k is [c_k | g | f | i | o]: the halved U h_k is
-  written into the row's gate slots, which then take the input term, the
-  tanh and, on [f i o], the sigmoid's affine map 0.5 (1 + t), whose
-  operands come with the scale as one cached read-only pair (an in-place
-  ufunc costs less with an array operand than with a float). One
-  product of [f | i] with [c_k | g] forms f c_k and i g at once, and
-  their sum goes into row k+1's c slot; tanh(c_k+1) and h_k+1 follow,
-  9 numpy calls in all. Every operand is a row of a view built once per
-  call and walked by ``zip``, so the loop does no slicing; c and the
-  cache's f/i/o and candidate gate are views of the row buffer.
-- ``local_factors`` gives the per-step partial derivatives of the cell
-  from that cache, elementwise.
-- ``step_jacobians`` is the one place where the cell's linearization is
-  written: from ``local_factors``, in one vectorized pass for any T, every
-  step's A_k = d(c+, h+)/d(c, h) and B_k = d(c+, h+)/du, into a buffer
-  the caller owns. ``sensitivities`` and ``adjoint`` pass their own; the
-  reference calculation passes its Newton Jacobian
-  [A_0 - I | B_0; 0 W_y 0], so [A_0 | B_0] lands in place.
-- ``sensitivities`` is the forward (tangent-linear) sweep over the same
-  cache: S_k = d(c_k, h_k)/du, one (T+1, 2n, T*m) array, for the MPC's
-  dense QP. It runs the recurrence S_k+1 = A_k S_k (+ B_k in u_k's
-  columns), one matrix product per step.
-- ``adjoint`` is the reverse sweep, backpropagation through time over the
-  same A_k. Given the direct partials dL/dc_k, dL/dh_k at stages 0..T it
-  returns dz = dL/dz_k, (T, 4n), the gradient with respect to the stacked
-  preactivations z_k; then dL/du = dz @ W and
-  dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)). It runs the state
-  adjoint lam_k = A_k^T lam_k+1 + (dL/dc_k, dL/dh_k) as one BLAS call per
-  step: lam is carried as [lam_k | 1] and each step's block as the
-  (2n+1, 2n) [A_k; stage-k partials], so ``np.dot`` writes lam_k
-  straight into its row. Only A_k is formed, not B_k, in blocks of steps
-  whose stack stays near 128 KB; dz then follows from lam for all steps
-  at once. It never writes into its inputs.
+  sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so the gates
+  equal ``sigmoid``'s bit for bit. The steps work in place in one
+  (T+1, 5n) buffer whose row k is [c_k | g | f | i | o]: 9 numpy calls
+  per step and no slicing.
+- ``local_factors`` gives the cell's per-step partial derivatives from
+  that cache. ``step_jacobians`` is the one place where the cell's
+  linearization is written; the forward sweep ``sensitivities`` (the
+  MPC's dense QP), the reverse sweep ``adjoint`` (training) and the
+  reference calculation's Newton Jacobian all read it.
 
 Besides the state update, this module holds the one copy of the
-contraction certificate's arithmetic. ``gate_bounds`` bounds the gates
-over the invariant set (through ``gate_sigmas``, which the observer
-shares); ``increment_gains`` turns four gate bounds and the matrices
-that carry the increments into the gates into the cell radius, sigma_x,
-the 2x2 increment-gain matrix with its input column and its Jury
-margins r1, r2. The model certificate, the observer's A_d and
-L_mat and the training penalty all use it. ``delta_iss_check`` builds
-the model's whole certificate; ``lyapunov_bounds`` gives it and the
-observer their Lyapunov data.
+contraction certificate's arithmetic, ``increment_gains``, which the
+model certificate, the observer's A_d and L_mat and the training penalty
+all use. ``delta_iss_check`` builds the model's whole certificate;
+``lyapunov_bounds`` gives it and the observer their Lyapunov data.
 """
 
 import functools
@@ -76,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InstabilityError
+from .errors import POSITIVE, DimensionError, InstabilityError, check
 from .numerics import (
     eig_extrema_spd,
     freeze_arrays,
@@ -168,8 +135,7 @@ class LstmWeights:
         p = self.W_y.shape[0]
         if self.W_y.shape != (p, n) or self.b_y.shape != (p,):
             raise DimensionError("readout shapes disagree")
-        if not u_max > 0:
-            raise ValueError("u_max must be positive")
+        check("u_max", u_max, POSITIVE)
         self.u_max, self.u_range, self.y_range = u_max, u_range, y_range
 
     @property
@@ -244,8 +210,9 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
 def _gate_operands(n):
     """``rollout``'s (4n,) preactivation scale, 1 on the c rows and 0.5 on
     the f, i, o rows, and the (3n,) ones that shift the sigmoid's affine
-    map 0.5 (1 + t), whose factor is the scale's f, i, o block. Read-only,
-    shared by every call."""
+    map 0.5 (1 + t), whose factor is the scale's f, i, o block: an
+    in-place ufunc costs less with an array operand than with a float.
+    Read-only, shared by every call."""
     scale = np.full(4 * n, 0.5)
     scale[_C * n:(_C + 1) * n] = 1.0
     pair = scale, np.ones(3 * n)
@@ -271,7 +238,8 @@ def local_factors(c, cache):
 
 
 def adjoint(w, c, cache, dc_stage, dh_stage):
-    """Reverse sweep of ``rollout``: dz = dL/d(preactivation), (T, 4n).
+    """Reverse sweep of ``rollout``: dz = dL/d(preactivation), (T, 4n), so
+    that dL/du = dz @ W and dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)).
 
     ``dc_stage``/``dh_stage`` (T+1, n) are the direct partials of L with
     respect to c_k and h_k at stages 0..T; they are read, not written.

@@ -14,26 +14,12 @@ whose methods give the e_o recursion, the terminal radius and the
 admissible set-point band; d_max, rho_o and w_bar live only in its spec.
 
 The solver is single-shooting sequential quadratic programming (SQP) over
-the N*m free inputs. Each iteration takes predictions from
-``lstm.rollout`` and their input sensitivities from ``lstm.sensitivities``
-(the recurrence over the [A_k | B_k] that ``lstm.step_jacobians``, the
-model's one linearization, writes) and builds a dense QP in the step d:
-
-- the exact cost gradient;
-- a generalized Gauss-Newton Hessian: the state and input terms' 2q S'S
-  and 2r I, plus the exact Hessian of the terminal cost in (c_N, h_N)
-  carried through S_N and weighted by one plus the terminal row's
-  multiplier;
-- the linearized output rows of stages 1..N-1 (stage 0 does not depend
-  on u), the linearized terminal row and the input box.
-
-The Hessian is at least 2r I, so the QP is strictly convex; a
-Lawson-Hanson active-set method solves its dual. Armijo backtracking on
-the l1 merit J + nu sum max(0, g), with nu at least 1.1 times the largest
-multiplier and never decreased, sets the step length. The loop stops when
-max |delta u| < 1e-10 or the line search fails. The left-shifted previous
-plan (with the new equilibrium input appended) is both the warm start
-and a certified feasible fallback.
+the N*m free inputs: each iteration solves ``Problem.qp_model``'s dense
+QP with ``_dense_qp``. Armijo backtracking on the l1 merit
+J + nu sum max(0, g), with nu at least 1.1 times the largest multiplier
+and never decreased, sets the step length. The left-shifted previous plan
+(with the new equilibrium input appended) is both the warm start and a
+certified feasible fallback.
 
 ``Controller.step`` solves in real-time-iteration mode (Diehl, Bock &
 Schloeder, 2005): the loop also stops at its first feasible iterate, which
@@ -41,11 +27,8 @@ is usually after one iteration, and each sample carries the iteration on
 from the last plan. Stability and recursive feasibility need only a
 feasible plan that costs no more than the feasible shifted candidate
 (suboptimal MPC, Scokaert, Mayne & Rawlings, 1999), and the returned plan
-is always the better feasible one of the iterate and the candidate. A
-solution's status says which it is: "optimal" (the step test passed),
-"iterate" (the real-time stop came first), "stalled" (the iteration cap,
-a failed line search or a failed QP ended the loop first) or
-"candidate-fallback".
+is always the better feasible one of the iterate and the candidate; its
+status (see ``solve_fhocp``) says which.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lstm, observer, plant, refcalc
-from .errors import DimensionError, FeasibilityLossError, InfeasibleSetpointError
+from .errors import (NONNEGATIVE, POSITIVE, POSITIVE_INT, DimensionError,
+                     FeasibilityLossError, InfeasibleSetpointError, check)
 from .numerics import eig_extrema_spd, freeze_arrays, solve_discrete_lyapunov, spectral_radius
 
 
@@ -105,8 +89,7 @@ class Certificate:
 
     def next_e_o(self, e_o):
         """Affine proxy update rho_o e_o + w_bar of the observer-error bound."""
-        if e_o < 0:
-            raise ValueError("e_o must be nonnegative")
+        check("e_o", e_o, NONNEGATIVE)
         return self.spec.rho_o * e_o + self.spec.w_bar
 
     def terminal_margin(self, e_o):
@@ -137,9 +120,10 @@ class Certificate:
             wy = np.sqrt(w_y[j].dot(w_y[j]))
             a_ub = sq / wy * (y_ub[j] - y0[j] - margin[j])
             a_lb = sq / wy * (y0[j] - y_lb[j] - margin[j])
-            if a_ub <= 0.0 or y0[j] >= y_ub[j] - margin[j]:
+            # written so that a NaN set-point fails them too
+            if not (a_ub > 0.0 and y0[j] < y_ub[j] - margin[j]):
                 raise InfeasibleSetpointError(f"set-point too close to upper bound on output {j}")
-            if a_lb <= 0.0 or y0[j] <= y_lb[j] + margin[j]:
+            if not (a_lb > 0.0 and y0[j] > y_lb[j] + margin[j]):
                 raise InfeasibleSetpointError(f"set-point too close to lower bound on output {j}")
             alpha = min(alpha, a_ub, a_lb)
         return float(alpha)
@@ -173,8 +157,7 @@ def certify(w, gains=None, horizon=5, q_weight=1.0, *, d_max=0.1, l_d=0.1, w_bar
     ``observer.derive_constants``. ``k_bar`` estimates K_bar over pH
     6.5-8.5 and +-d_max.
     """
-    if type(horizon) is not int or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    check("horizon", horizon, POSITIVE_INT)
     if k_bar and (w.u_range is None or w.y_range is None):
         raise ValueError("the K_bar estimate needs weights with u_range and y_range")
     cert = lstm.incremental_lyapunov(w)
@@ -198,7 +181,7 @@ class MpcSolution:
 
     u_seq: np.ndarray          # (N, m)
     cost: float
-    status: str                # "optimal" | "iterate" | "stalled" | "candidate-fallback"
+    status: str                # see solve_fhocp
     solver_iterations: int
     max_violation: float
     candidate_violation: float  # warm-start plan's own violation
@@ -337,14 +320,13 @@ def solve_fhocp(problem, warm=None, real_time=False):
     """Single-shooting SQP solve of ``problem``.
 
     ``warm`` is the initial input plan (N, m); when omitted the plan is
-    the constant equilibrium input. Falls back to the warm start whenever
-    the optimizer cannot improve on a feasible one. With ``real_time`` the
-    SQP also stops after its first iteration that ends feasible; a plan it
-    returns before the step test passed has status "iterate", not
-    "optimal". A plan is "optimal" only when the step test passed; when
-    the iteration cap, a failed line search or a failed QP ended the loop
-    first it is "stalled". Repeated warm-started calls converge to the
-    same plan as the default mode.
+    the constant equilibrium input. With ``real_time`` the SQP also stops
+    after its first iteration that ends feasible; repeated warm-started
+    calls converge to the same plan as the default mode. The status is
+    "optimal" when the step test passed, "iterate" when the real-time stop
+    came first, "stalled" when the iteration cap, a failed line search or
+    a failed QP did, and "candidate-fallback" when the feasible warm start
+    costs less than every feasible iterate.
     """
     n_h, m, u_max = len(problem.tight), problem.w.m, problem.w.u_max
     n_g0 = 2 * problem.w.p     # stage-0 output rows: independent of u
@@ -431,19 +413,14 @@ class Controller:
     ``r_weight`` > 0, e_o(0) = ``e_o0`` >= 0 and the (p,) or scalar output
     bounds complete the FHOCP. Each step builds its ``Problem``, kept as
     ``problem`` until the next, and solves it once in real time,
-    warm-started at the shifted previous plan. The applied plan is the
-    cheaper feasible one of the first feasible SQP iterate and the shifted
-    candidate; its status is "iterate", "optimal" when the step test passed
-    first, "stalled" when the iteration cap or a failed line search came
-    first, or "candidate-fallback".
+    warm-started at the shifted previous plan, which it applies when no
+    feasible iterate costs less.
     """
 
     def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
         # the QP's Hessian is at least 2 r I: r > 0 keeps it strictly convex
-        if not 0.0 < r_weight < np.inf:
-            raise ValueError(f"r_weight must be finite and positive, got {r_weight!r}")
-        if not 0.0 <= e_o0 < np.inf:
-            raise ValueError(f"e_o0 must be finite and nonnegative, got {e_o0!r}")
+        check("r_weight", r_weight, POSITIVE)
+        check("e_o0", e_o0, NONNEGATIVE)
         bounds = []
         for name, bound in (("y_lb", y_lb), ("y_ub", y_ub)):
             bound = np.atleast_1d(np.asarray(bound, dtype=float))

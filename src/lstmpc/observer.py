@@ -6,9 +6,6 @@ output innovation into the f/i/o gate preactivations and integrates the
 innovation into d with saturation. A 3x3 contraction matrix A_d over
 (cell error, hidden error, disturbance error) certifies convergence and
 yields all constants consumed by the constraint-tightening controller.
-
-``ObserverSpec`` is frozen: ``derive_constants`` returns a copy of a spec
-of gains, d_max and w_bar that also holds A_d, P_o, rho_o and the rest.
 """
 
 from dataclasses import dataclass, field, replace
@@ -16,7 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lstm
-from .errors import DimensionError, DomainViolationError, GainSelectionError
+from .errors import (NONNEGATIVE, POSITIVE, DimensionError, DomainViolationError,
+                     GainSelectionError, check)
 from .lstm import LstmState
 from .numerics import freeze_arrays, induced_two_norm, spectral_radius
 
@@ -81,8 +79,7 @@ class ObserverSpec:
             object.__setattr__(self, name,
                                np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         freeze_arrays(self)
-        if not 0 < self.d_max < np.inf:
-            raise ValueError(f"d_max must be finite and positive, got {self.d_max!r}")
+        check("d_max", self.d_max, POSITIVE)
         shape = self.L_f.shape
         for name, want in (("L_i", shape), ("L_o", shape), ("L_d", (shape[-1],) * 2)):
             if (got := getattr(self, name).shape) != want:
@@ -193,12 +190,15 @@ def derive_constants(w, spec, w_max=0.0, w_bar=None):
         cross = float(e_corner @ a_d.T @ p_o @ np.array([0.0, 0.0, 1.0]))
         w_bar = np.sqrt(max(2.0 * cross * w_max + w_max ** 2 * p_o[2, 2], 0.0))
     w_bar = float(w_bar)
-    if not 0.0 <= w_bar < np.inf:
-        raise ValueError(f"w_bar = {w_bar} is not a finite nonnegative number")
+    check("w_bar", w_bar, NONNEGATIVE)
     w_y_bar = np.hstack([np.zeros((w.p, w.n)), w.W_y, np.eye(w.p)])
     return replace(spec, A_d=a_d, P_o=p_o, rho_o=rho_o, c_ol=c_ol, c_ou=c_ou, L_mat=l_mat,
                    c_o=np.linalg.norm(w_y_bar, axis=1) / c_ol, L_max=induced_two_norm(l_mat) / c_ol,
                    w_bar=w_bar, cell_radius_hat=cell_radius_hat)
+
+
+#: The suboptimal gains' L_d = l_d I contracts the disturbance error.
+L_D = (lambda v: POSITIVE[0](v) and v < 2.0, "in (0, 2)")
 
 
 def select_gains(w, d_max=0.1, l_d=0.1, w_bar=None):
@@ -207,7 +207,7 @@ def select_gains(w, d_max=0.1, l_d=0.1, w_bar=None):
     otherwise). Then A_d = [[A_delta, 0], [0, ||L_d W_y||, |1 - l_d|]] and
     rho(A_d) = max(rho(A_delta), |1 - l_d|), so derive_constants rejects an
     uncertified model."""
-    if not 0.0 < l_d < 2.0:
+    if not L_D[0](l_d):
         raise GainSelectionError(f"l_d = {l_d} outside (0, 2)")
     zero = np.zeros((w.n, w.p))
     return ObserverSpec(L_f=zero, L_i=zero, L_o=zero, L_d=l_d * np.eye(w.p), d_max=d_max,

@@ -7,12 +7,11 @@ pH is defined implicitly by a titration charge balance.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnphysicalStateError
+from .errors import FINITE, NONNEGATIVE, POSITIVE, UnphysicalStateError, check
 
 #: Default saturation range of the alkaline flow, mL/s.
 U_PHI_RANGE = (12.5, 17.0)
@@ -29,9 +28,8 @@ def _calibrated_cv4():
 
 @dataclass
 class PhParams:
-    """Physical parameters, defaults at the nominal operating conditions.
-    Each must be a finite real number (not a bool), C_v4, n_exp and A1
-    positive and the flows q1, q2_nominal, q3_nominal nonnegative."""
+    """Physical parameters, defaults at the nominal operating conditions;
+    each passes its rule in ``PARAM_RULES``, else ``errors.FINITE``."""
 
     z: float = 11.5            # cm, valve height offset
     C_v4: float = field(default_factory=_calibrated_cv4)
@@ -51,15 +49,12 @@ class PhParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        for name in ("C_v4", "n_exp", "A1"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("q1", "q2_nominal", "q3_nominal"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+            check(name, value, PARAM_RULES.get(name, FINITE))
+
+
+#: The rule of each ``PhParams`` field that is not just a finite real number.
+PARAM_RULES = {**dict.fromkeys(("C_v4", "n_exp", "A1"), POSITIVE),
+               **dict.fromkeys(("q1", "q2_nominal", "q3_nominal"), NONNEGATIVE)}
 
 
 def equilibrium(p, u_phi=None, d_phi=None):

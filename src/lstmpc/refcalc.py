@@ -5,15 +5,10 @@ controller tracks. Only y0 - d_hat enters, so the equilibria form a curve
 in it, which ``_track`` follows by predictor-corrector continuation
 (Allgower & Georg, *Numerical Continuation Methods*, 1990). The corrector
 is the simplified Newton method (Deuflhard, *Newton Methods for Nonlinear
-Problems*, 2004) on one ``lstm`` kernel step per iterate: the residual
-comes from the step's next state, and the inverse Jacobian of the last
-accepted equilibrium is reused until the residual stops falling fast
-enough; only then is the analytic Jacobian rebuilt, with
-``lstm.step_jacobians`` writing the step's [A_0 | B_0] straight into it.
-Each solved pair carries the inverse Jacobian at its equilibrium, so the
-next control step's corrector starts with one.
-Its last p columns are the curve's tangent, the equilibrium's sensitivity
-to y0 - d_hat, from which K_bar bounds how fast the set-point may move."""
+Problems*, 2004) of ``_newton``. Each solved pair carries the inverse
+Jacobian at its equilibrium, so the next control step's corrector starts
+with one; its last p columns are the curve's tangent, from which K_bar
+bounds how fast the set-point may move."""
 
 import warnings
 from dataclasses import dataclass
@@ -21,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lstm
-from .errors import InfeasibleReferenceError
+from .errors import POSITIVE_INT, InfeasibleReferenceError, check
 from .lstm import LstmState
 
 _TOL = 1e-10        # max |residual| of an accepted equilibrium
@@ -193,11 +188,10 @@ def estimate_k_bar(w, y0_range, d_range=(0.0, 0.0), grid_density=9):
     """Max equilibrium-state sensitivity over a grid of targets.
 
     Returns (k_bar, argmax (y0, d_hat)). Grid points with no admissible
-    equilibrium are skipped with a warning. ``grid_density`` (at least 1)
-    is the number of set-points on the grid.
+    equilibrium are skipped with a warning. ``grid_density``, a positive
+    int, is the number of set-points on the grid.
     """
-    if not grid_density >= 1:
-        raise ValueError(f"grid_density must be at least 1, got {grid_density}")
+    check("grid_density", grid_density, POSITIVE_INT)
     y0s = np.linspace(y0_range[0], y0_range[1], grid_density)
     ds = np.linspace(d_range[0], d_range[1], max(2, grid_density // 2)) \
         if d_range[1] > d_range[0] else np.array([d_range[0]])

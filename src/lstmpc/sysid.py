@@ -5,8 +5,6 @@ The trainer is backpropagation through time with an Adam update: each
 reverse sweep over the model's step Jacobians. The loss carries soft
 penalties on the two stability margins r1, r2 so the final network is
 certifiable. Training only terminates once both margins are negative.
-``TrainConfig`` rejects a learning rate that is not finite and positive,
-an extension factor or width below 1 and a negative washout.
 """
 
 import csv
@@ -19,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lstm, plant
-from .errors import TrainingError, UndefinedMetricError
+from .errors import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, TrainingError,
+                     UndefinedMetricError, check)
 from .lstm import LstmWeights
 
 HOLD_RANGE = (10, 100)   # steps each excitation level is held, inclusive
@@ -91,11 +90,9 @@ def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2, steps=1
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if n_train < 1:
-        raise ValueError(f"n_train must be at least 1, got {n_train}")
+    check("n_train", n_train, (lambda v: v >= 1, "at least 1"))
     for name, n in (("n_val", n_val), ("n_test", n_test)):
-        if n < 0:
-            raise ValueError(f"{name} must be nonnegative, got {n}")
+        check(name, n, (lambda v: v >= 0, "nonnegative"))
     params = params or plant.PhParams()
     n_seq = n_train + n_val + n_test
     excite = functools.partial(_excite, params, steps=steps)
@@ -168,13 +165,12 @@ class TrainConfig:
     extension_factor: int = 5   # hard cap on the certification-driven overrun
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("epochs and penalty weights must be nonnegative")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        for name, least in (("extension_factor", 1), ("n_neurons", 1), ("washout", 0)):
-            if not getattr(self, name) >= least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name, rule in (("learning_rate", POSITIVE), ("init_scale", POSITIVE),
+                           ("lambda1", NONNEGATIVE), ("lambda2", NONNEGATIVE),
+                           ("epochs", NONNEGATIVE_INT), ("washout", NONNEGATIVE_INT),
+                           ("seed", NONNEGATIVE_INT), ("n_neurons", POSITIVE_INT),
+                           ("extension_factor", POSITIVE_INT)):
+            check(name, getattr(self, name), rule)
 
 
 def _forward(w, u_seq):

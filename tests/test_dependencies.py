@@ -1,6 +1,7 @@
 """numpy is the package's only runtime dependency; scipy is a test oracle.
 No module of the package imports a name it never uses or defines a
-private top-level name that nothing in the package references."""
+private top-level name that nothing in the package references, and every
+"<name> must be ..." ValueError comes from ``errors.check``."""
 
 import ast
 import os
@@ -75,3 +76,22 @@ def test_every_private_top_level_name_is_referenced():
             unreferenced += [f"{name}: {d}" for d in defined
                              if d.startswith("_") and not d.startswith("__") and d not in read]
     assert unreferenced == []
+
+
+def test_every_must_be_value_error_comes_from_the_one_check():
+    trees = _trees()
+    helper = next(node for node in trees["errors.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "check")
+    own = set(map(id, ast.walk(helper)))
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"):
+                continue
+            texts = [c.value for c in ast.walk(node.exc)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+            if any(" must be " in t for t in texts):
+                found.append((name, node.lineno, id(node) in own))
+    assert [(name, line) for name, line, in_check in found if not in_check] == []
+    assert [in_check for *_, in_check in found] == [True]

@@ -19,6 +19,10 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 # error or a traceback, run the solver on a setting it cannot use, end the
 # run at once (t_s = inf) or (ramp_rate) drift a constant set-point; a
 # negative tank section (A1) would run to the end on an unphysical plant.
+# A profile entry out of time order or with a NaN time would be dropped
+# without a word, a null profile would end in a TypeError traceback, and the
+# observer settings d_max, w_bar and l_d would be ignored for weights with
+# an observer section, as the shipped model has.
 BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
     ("ramp_rate", -0.005, ValueError, "ramp_rate"),
     ("setpoints", [], ValueError, "setpoints"),
@@ -37,11 +41,25 @@ BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
     ("plant_overrides", {"n_exp": 0}, ValueError, "n_exp"),
     ("plant_overrides", {"q1": "x"}, ValueError, "q1"),
     ("plant_overrides", {"A1": -207}, ValueError, "A1"),
+    ("setpoints", [[300.0, 7.3], [0.0, 7.0]], ValueError, "setpoints"),
+    ("setpoints", [[0.0, 7.0], [0.0, 7.3]], ValueError, "setpoints"),
+    ("disturbances", [[300.0, 1.0], [0.0, 0.55]], ValueError, "disturbances"),
+    ("setpoints", [[0.0, 7.0], [np.nan, 7.3]], ValueError, "setpoints"),
+    ("setpoints", [[0.0, np.nan]], ValueError, "setpoints"),
+    ("disturbances", [[100.0, np.nan]], ValueError, "disturbances"),
+    ("disturbances", [[0.0, -0.1]], ValueError, "disturbances"),
+    ("disturbance_increments", [[0.0, np.inf]], ValueError, "disturbance_increments"),
+    ("setpoints", None, ValueError, "setpoints"), ("mode", "bogus", ValueError, "mode"),
+    ("d_max", np.nan, ValueError, "d_max"), ("w_bar", np.nan, ValueError, "w_bar"),
+    ("l_d", 2.5, ValueError, "l_d"), ("l_d", 0.0, ValueError, "l_d"),
 ], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "t_s", "horizon", "duration_s",
         "duration_s-inf", "t_s-inf", "e_o0-negative", "e_o0-nan", "r_weight-zero",
         "r_weight-negative", "r_weight-nan", "q_weight-nan", "horizon-bool", "seed-negative",
         "seed-float", "plant-A1-zero", "plant-C_v4-zero", "plant-n_exp-zero", "plant-q1-str",
-        "plant-A1-negative"])
+        "plant-A1-negative", "setpoints-out-of-order", "setpoints-repeated-time",
+        "disturbances-out-of-order", "setpoints-nan-time", "setpoints-nan-value",
+        "disturbances-nan", "disturbances-negative", "increments-inf", "setpoints-null",
+        "mode", "d_max-nan", "w_bar-nan", "l_d-above-2", "l_d-zero"])
 
 
 def tiny_physical_scenario(**kw):
@@ -230,8 +248,10 @@ class TestRunScenario:
 
     def test_rejects_infinite_d_max_without_gains(self, bench_w, monkeypatch):
         # without an observer section the gains are selected from the
-        # scenario's d_max, which ObserverSpec requires finite
-        sc = harness.Scenario(duration_s=50.0, mode="nominal", d_max=np.inf)
+        # scenario's d_max, which the scenario, like ObserverSpec, requires
+        # finite, also when it is assigned after construction
+        sc = harness.Scenario(duration_s=50.0, mode="nominal")
+        sc.d_max = np.inf
         calls = count_controller_steps(monkeypatch)
         with pytest.raises(ValueError, match="^d_max must be finite and positive"):
             harness.run_scenario(sc, bench_w)
@@ -260,10 +280,10 @@ class TestRunScenario:
         assert report.steps == 10
         assert calls == {"plant_step": 10, "measure_ph": 11}
 
-    def test_rejects_unknown_mode(self, bench_w):
-        sc = tiny_physical_scenario(mode="imaginary")
-        with pytest.raises(ValueError):
-            harness.run_scenario(sc, bench_w)
+    def test_rejects_unknown_mode(self):
+        # on construction, before run_scenario could pick a plant adapter
+        with pytest.raises(ValueError, match="^mode must be one of"):
+            tiny_physical_scenario(mode="imaginary")
 
     def test_rejects_weights_without_ranges(self):
         from conftest import small_net
@@ -530,7 +550,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["certify-saturated", "train-init-saturated",
                                       "certify-horizon-zero", "certify-horizon-negative",
-                                      "simulate-plant-override"])
+                                      "simulate-plant-override", "train-lambda1-nan"])
     def test_bad_input_is_a_one_line_json_error(self, tmp_path, capsys, case):
         doc = json.loads((ASSETS / "model.json").read_text())
         doc["b_f"] = [40.0] * len(doc["b_f"])        # sigma_f rounds to 1.0
@@ -557,6 +577,10 @@ class TestCli:
             "simulate-plant-override": (["simulate", "--scenario", str(sc_path),
                                          "--weights", model, "--out", str(tmp_path / "run")],
                                         "ValueError", "n_exp"),
+            "train-lambda1-nan": (["train", "--data", str(tmp_path / "ds"),
+                                   "--out", str(tmp_path / "out.json"), "--epochs", "1",
+                                   "--washout", "5", "--init", model, "--lambda1", "nan"],
+                                  "ValueError", "lambda1 must be finite and nonnegative"),
         }[case]
         assert cli.main(argv) == 2
         out = capsys.readouterr()

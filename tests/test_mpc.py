@@ -128,14 +128,16 @@ class TestTerminalAlpha:
         assert bench_certificate.terminal_alpha(*args, 0.0) == floor
 
     def test_rejects_boundary_setpoint(self, bench_w, bench_certificate):
+        # a NaN set-point fails the band tests too, not slipping through to alpha = inf
         lo, hi = bench_certificate.admissible_band(-1.0, 1.0, 0.2)
-        with pytest.raises(InfeasibleSetpointError):
-            bench_certificate.terminal_alpha(bench_w.W_y, [hi[0]], [-1.0], [1.0], 0.2)
+        for y0 in (hi[0], np.nan):
+            with pytest.raises(InfeasibleSetpointError, match="output 0"):
+                bench_certificate.terminal_alpha(bench_w.W_y, [y0], [-1.0], [1.0], 0.2)
 
     def test_two_output_band_edges(self):
-        # both edges of each output's band are rejected by terminal_alpha,
-        # while a set-point strictly inside gets a positive radius; at
-        # output 0's edges the radius formula alone rounds to +1e-15
+        # both edges of each output's band and a NaN are rejected by
+        # terminal_alpha, while a set-point strictly inside gets a positive
+        # radius; at output 0's edges the radius formula alone rounds to +1e-15
         w = small_net(seed=2, n=3, m=2, p=2)
         certificate = mpc.certify(w, observer.select_gains(w))
         y_lb, y_ub, e_o = np.array([-1.0, -0.8]), np.array([1.0, 0.6]), 0.2
@@ -144,7 +146,7 @@ class TestTerminalAlpha:
         assert np.all(lo < mid) and np.all(mid < hi)
         assert certificate.terminal_alpha(w.W_y, mid, y_lb, y_ub, e_o) > 0.0
         for j in range(2):
-            for edge in (lo, hi):
+            for edge in (lo, hi, [np.nan] * 2):
                 y0 = mid.copy()
                 y0[j] = edge[j]
                 with pytest.raises(InfeasibleSetpointError, match=f"output {j}"):

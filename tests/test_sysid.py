@@ -280,9 +280,11 @@ class TestDatasetIo:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", np.nan),
         ("learning_rate", np.inf), ("extension_factor", 0), ("n_neurons", 0),
-        ("washout", -1)])
+        ("washout", -1), ("lambda1", np.nan), ("lambda2", np.nan), ("epochs", 1.5),
+        ("epochs", True), ("n_neurons", 2.5), ("washout", 0.5), ("init_scale", np.nan),
+        ("extension_factor", True), ("seed", -1)])
     def test_config_rejects_values_that_train_wrongly(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
             sysid.TrainConfig(**{field: value})
 
 
