@@ -43,18 +43,14 @@ def _cmd_train(args):
 
 def _cmd_certify(args):
     w, obs_doc = lstm.load_weights(args.weights)
-    certificate = mpc.certify(w, obs_doc, args.horizon, d_max=args.d_max, l_d=args.l_d,
-                              w_bar=args.w_bar, k_bar=args.k_bar)
+    certificate = mpc.certify(w, obs_doc, args.horizon, k_bar=args.k_bar)
     print(json.dumps(certificate.to_dict(), indent=1))
     return 0
 
 
 def _cmd_simulate(args):
     sc = harness.Scenario.from_json(args.scenario)
-    weights_path = args.weights or sc.model_path
-    if weights_path is None:
-        raise LstmpcError("no model weights given (flag --weights or scenario model_path)")
-    w, obs_doc = lstm.load_weights(weights_path)
+    w, obs_doc = lstm.load_weights(args.weights)
     report = harness.run_scenario(sc, w, spec=obs_doc)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -96,15 +92,12 @@ def build_parser():
     c = sub.add_parser("certify", help="print certification constants as JSON")
     c.add_argument("--weights", required=True)
     c.add_argument("--horizon", type=int, default=5)
-    for flag, default in (("--d-max", 0.1), ("--l-d", 0.1), ("--w-bar", 0.01)):
-        c.add_argument(flag, type=float, default=default,
-                       help="used only for weights without an observer section")
     c.add_argument("--k-bar", action="store_true", help="also estimate K_bar")
     c.set_defaults(func=_cmd_certify)
 
     s = sub.add_parser("simulate", help="run a closed-loop scenario")
     s.add_argument("--scenario", required=True)
-    s.add_argument("--weights", default=None)
+    s.add_argument("--weights", required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_simulate)
     return ap

@@ -11,7 +11,7 @@ and ``advance(u_applied, u_phys)`` moves it to step k + 1.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from .observer import AugmentedState
 
 @dataclass
 class Scenario:
-    """Declarative description of one closed-loop run; ``d_max``, ``l_d`` and
-    ``w_bar`` apply only to weights without an observer section."""
+    """Declarative description of one closed-loop run, sampled at the
+    model's period ``t_s`` = ``plant.T_S``."""
 
     duration_s: float = 10000.0
-    t_s: float = plant.T_S
     mode: str = "physical"                     # "physical" | "nominal"
     # (time_s, target_ph); targets are reached via rate-limited ramps.
     setpoints: list = field(default_factory=lambda: [(0.0, 7.0)])
@@ -44,12 +43,9 @@ class Scenario:
     q_weight: float = 1.0
     r_weight: float = 1.0
     e_o0: float = 0.5
-    w_bar: float = 0.01
-    d_max: float = 0.1
-    l_d: float = 0.1
     seed: int = 0
     plant_overrides: dict = field(default_factory=dict)
-    model_path: str | None = None
+    t_s = property(lambda self: plant.T_S)     # read-only, not a field
 
     def __post_init__(self):
         self.check()
@@ -69,26 +65,24 @@ class Scenario:
             setattr(self, name, [tuple(x) for x in getattr(self, name)])
         for name, rule in (
                 ("setpoints", (len, "nonempty")), ("duration_s", NONNEGATIVE),
-                ("t_s", POSITIVE), ("ramp_rate", POSITIVE), ("horizon", POSITIVE_INT),
-                ("seed", NONNEGATIVE_INT), ("d_max", POSITIVE), ("w_bar", NONNEGATIVE),
-                ("l_d", observer.L_D), ("mode", (lambda v: v in list(_PLANTS),
-                                                 f"one of {list(_PLANTS)}"))):
+                ("ramp_rate", POSITIVE), ("horizon", POSITIVE_INT), ("seed", NONNEGATIVE_INT),
+                ("mode", (lambda v: v in list(_PLANTS), f"one of {list(_PLANTS)}")),
+                ("plant_overrides", (lambda v: isinstance(v, dict) and set(v) <= {
+                    f.name for f in fields(plant.PhParams)}, "a dict keyed by PhParams fields"))):
             check(name, getattr(self, name), rule)
 
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
             doc = json.load(fh)
-        bad = set(doc) - set(cls.__dataclass_fields__)
+        check("scenario", doc, (lambda v: isinstance(v, dict), "a JSON object"))
+        bad = set(doc) - {f.name for f in fields(cls)}
         if bad:
             raise ValueError(f"unknown scenario fields: {sorted(bad)}")
-        bad = set(doc.get("plant_overrides", {})) - set(plant.PhParams.__dataclass_fields__)
-        if bad:
-            raise ValueError(f"unknown plant_overrides keys: {sorted(bad)}")
         return cls(**doc)
 
     def to_json(self, path):
-        doc = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
 
@@ -243,9 +237,8 @@ def run_scenario(sc, w, spec=None):
     """Execute the closed loop; returns a RunReport.
 
     ``mpc.certify`` builds the run's certificate from the observer gains
-    ``spec`` (an ObserverSpec or the weights' JSON section; by default
-    selected from the scenario's d_max, l_d, w_bar) and the scenario's
-    horizon and q_weight. Each step measures the plant, runs
+    ``spec`` (an ObserverSpec or the weights' JSON section) and the
+    scenario's horizon and q_weight. Each step measures the plant, runs
     ``Controller.step``, advances the plant, updates the observer and
     records a trace row; the counters come from the trace and from each
     solution's iteration count and candidate violation.
@@ -254,8 +247,7 @@ def run_scenario(sc, w, spec=None):
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")
     nrm = plant.Normalizer(*w.u_range, *w.y_range)
-    certificate = mpc.certify(w, spec, sc.horizon, sc.q_weight,
-                              d_max=sc.d_max, l_d=sc.l_d, w_bar=sc.w_bar)
+    certificate = mpc.certify(w, spec, sc.horizon, sc.q_weight)
     ctrl = mpc.Controller(w, certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
                           y_lb=nrm.normalize_y(sc.y_lb_phys), y_ub=nrm.normalize_y(sc.y_ub_phys))
 

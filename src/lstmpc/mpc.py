@@ -146,23 +146,21 @@ class Certificate:
         return doc
 
 
-def certify(w, gains=None, horizon=5, q_weight=1.0, *, d_max=0.1, l_d=0.1, w_bar=0.01,
-            k_bar=False):
+def certify(w, gains=None, horizon=5, q_weight=1.0, *, k_bar=False):
     """The ``Certificate`` of the weights ``w`` at a positive int ``horizon``.
 
     ``gains`` is an ``ObserverSpec`` (left unchanged) or the weights' JSON
     observer section, either with its own d_max and w_bar; without gains,
-    ``observer.select_gains`` picks them from ``d_max``, ``l_d`` and
-    ``w_bar``. The chain is composed here only: one model certificate, one
-    ``observer.derive_constants``. ``k_bar`` estimates K_bar over pH
-    6.5-8.5 and +-d_max.
+    ``observer.select_gains(w)``. The chain is composed here only: one
+    model certificate, one ``observer.derive_constants``. ``k_bar``
+    estimates K_bar over pH 6.5-8.5 and +-d_max.
     """
     check("horizon", horizon, POSITIVE_INT)
     if k_bar and (w.u_range is None or w.y_range is None):
         raise ValueError("the K_bar estimate needs weights with u_range and y_range")
     cert = lstm.incremental_lyapunov(w)
     if not gains:
-        gains = observer.select_gains(w, d_max=d_max, l_d=l_d, w_bar=w_bar)
+        gains = observer.select_gains(w)
     elif isinstance(gains, dict):
         gains = observer.ObserverSpec.from_dict(gains)
     spec = observer.derive_constants(w, gains)

@@ -197,17 +197,13 @@ def derive_constants(w, spec, w_max=0.0, w_bar=None):
                    w_bar=w_bar, cell_radius_hat=cell_radius_hat)
 
 
-#: The suboptimal gains' L_d = l_d I contracts the disturbance error.
-L_D = (lambda v: POSITIVE[0](v) and v < 2.0, "in (0, 2)")
-
-
-def select_gains(w, d_max=0.1, l_d=0.1, w_bar=None):
+def select_gains(w, d_max=0.1, l_d=0.1, w_bar=0.01):
     """The underived spec of the suboptimal gains, with ``d_max`` and ``w_bar``:
     zero state injection and L_d = l_d I, l_d in (0, 2) (GainSelectionError
     otherwise). Then A_d = [[A_delta, 0], [0, ||L_d W_y||, |1 - l_d|]] and
     rho(A_d) = max(rho(A_delta), |1 - l_d|), so derive_constants rejects an
     uncertified model."""
-    if not L_D[0](l_d):
+    if not (POSITIVE[0](l_d) and l_d < 2.0):
         raise GainSelectionError(f"l_d = {l_d} outside (0, 2)")
     zero = np.zeros((w.n, w.p))
     return ObserverSpec(L_f=zero, L_i=zero, L_o=zero, L_d=l_d * np.eye(w.p), d_max=d_max,

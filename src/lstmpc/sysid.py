@@ -90,9 +90,9 @@ def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2, steps=1
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    check("n_train", n_train, (lambda v: v >= 1, "at least 1"))
-    for name, n in (("n_val", n_val), ("n_test", n_test)):
-        check(name, n, (lambda v: v >= 0, "nonnegative"))
+    for name, value, rule in (("n_train", n_train, POSITIVE_INT), ("n_val", n_val, NONNEGATIVE_INT),
+                              ("n_test", n_test, NONNEGATIVE_INT), ("steps", steps, POSITIVE_INT)):
+        check(name, value, rule)
     params = params or plant.PhParams()
     n_seq = n_train + n_val + n_test
     excite = functools.partial(_excite, params, steps=steps)

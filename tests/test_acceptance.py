@@ -123,7 +123,8 @@ class TestCriterion4ObserverConvergence:
     def test_decay_inequality_under_bounded_increments(self, bench_w):
         w_max = 0.002
         spec = observer.derive_constants(
-            bench_w, observer.select_gains(bench_w, d_max=0.1, l_d=0.1), w_max=w_max)
+            bench_w, observer.select_gains(bench_w, d_max=0.1, l_d=0.1, w_bar=None),
+            w_max=w_max)
         w_bar = spec.w_bar            # analytic bound for this w_max
         assert w_bar > 0.0
         rng = np.random.default_rng(15)
@@ -307,19 +308,37 @@ class TestCriterion9PlantFidelity:
 
 
 class TestCriterion10AdmissibleBand:
+    @staticmethod
+    def bands(certificate, nrm):
+        """The pH band at e_o = 0.5 and at e_bar_inf, for pH 6-9 bounds."""
+        y_lb, y_ub = float(nrm.normalize_y(6.0)), float(nrm.normalize_y(9.0))
+        return [tuple(float(nrm.denormalize_y(edge[0]))
+                      for edge in certificate.admissible_band(y_lb, y_ub, e_o))
+                for e_o in (0.5, certificate.e_bar_inf)]
+
     def test_band_matches_published_interval(self, bench_certificate, bench_nrm):
-        y_lb = float(bench_nrm.normalize_y(6.0))
-        y_ub = float(bench_nrm.normalize_y(9.0))
-        lo0, hi0 = bench_certificate.admissible_band(y_lb, y_ub, 0.5)
-        lo_inf, hi_inf = bench_certificate.admissible_band(y_lb, y_ub,
-                                                           bench_certificate.e_bar_inf)
-        band0 = (float(bench_nrm.denormalize_y(lo0[0])),
-                 float(bench_nrm.denormalize_y(hi0[0])))
-        band_inf = (float(bench_nrm.denormalize_y(lo_inf[0])),
-                    float(bench_nrm.denormalize_y(hi_inf[0])))
+        band0, band_inf = self.bands(bench_certificate, bench_nrm)
         assert band0[0] == pytest.approx(6.65, abs=0.1)
         assert band0[1] == pytest.approx(8.35, abs=0.1)
         assert band_inf[0] == pytest.approx(6.57, abs=0.1)
         assert band_inf[1] == pytest.approx(8.43, abs=0.1)
         # the band widens monotonically as the error proxy decays
         assert band_inf[0] < band0[0] < band0[1] < band_inf[1]
+
+    # the band narrows as the disturbance gain l_d grows (d_max 0.1, w_bar
+    # 0.01, N = 5); at l_d = 0.5 the band at e_o = 0.5 is empty (lo > hi),
+    # and certify returns that certificate without complaint
+    @pytest.mark.parametrize("l_d, band0, band_inf, rho_o", [
+        (0.05, (6.51, 8.49), (6.44, 8.56), 0.9690),
+        (0.1, (6.64, 8.36), (6.52, 8.48), 0.9675),
+        (0.2, (6.91, 8.09), (6.73, 8.27), 0.9714),
+        (0.3, (7.17, 7.83), (6.98, 8.02), 0.9738),
+        (0.5, (7.71, 7.29), (7.49, 7.51), 0.9762),
+    ], ids=["l_d-0.05", "l_d-0.1", "l_d-0.2", "l_d-0.3", "l_d-0.5"])
+    def test_band_by_disturbance_gain(self, bench_w, bench_nrm, l_d, band0, band_inf, rho_o):
+        certificate = mpc.certify(bench_w, observer.select_gains(bench_w, l_d=l_d))
+        got0, got_inf = self.bands(certificate, bench_nrm)
+        assert got0 == pytest.approx(band0, abs=0.005)
+        assert got_inf == pytest.approx(band_inf, abs=0.005)
+        assert certificate.spec.rho_o == pytest.approx(rho_o, abs=5e-5)
+        assert (got0[0] > got0[1]) == (l_d == 0.5)

@@ -1,5 +1,6 @@
 """Unit tests for scenario scripting, the closed-loop engine and the CLI."""
 
+import dataclasses
 import json
 import pathlib
 import re
@@ -17,19 +18,18 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 # Scenario fields that must fail before the first step, with the error and
 # the start of its message. Each would otherwise end the run in a bare numpy
 # error or a traceback, run the solver on a setting it cannot use, end the
-# run at once (t_s = inf) or (ramp_rate) drift a constant set-point; a
-# negative tank section (A1) would run to the end on an unphysical plant.
+# run at once (duration_s = inf) or (ramp_rate) drift a constant set-point;
+# a negative tank section (A1) would run to the end on an unphysical plant.
 # A profile entry out of time order or with a NaN time would be dropped
-# without a word, a null profile would end in a TypeError traceback, and the
-# observer settings d_max, w_bar and l_d would be ignored for weights with
-# an observer section, as the shipped model has.
+# without a word, and a null profile, null plant_overrides or an unknown
+# plant parameter would end in a TypeError traceback.
 BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
     ("ramp_rate", -0.005, ValueError, "ramp_rate"),
     ("setpoints", [], ValueError, "setpoints"),
     ("setpoints", [[0.0]], ValueError, "setpoints"),
-    ("t_s", 0.0, ValueError, "t_s"), ("horizon", 0, ValueError, "horizon"),
+    ("horizon", 0, ValueError, "horizon"),
     ("duration_s", -10.0, ValueError, "duration_s"),
-    ("duration_s", np.inf, ValueError, "duration_s"), ("t_s", np.inf, ValueError, "t_s"),
+    ("duration_s", np.inf, ValueError, "duration_s"),
     ("e_o0", -0.5, ValueError, "e_o0"), ("e_o0", np.nan, ValueError, "e_o0"),
     ("r_weight", 0.0, ValueError, "r_weight"), ("r_weight", -1.0, ValueError, "r_weight"),
     ("r_weight", np.nan, ValueError, "r_weight"),
@@ -41,6 +41,8 @@ BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
     ("plant_overrides", {"n_exp": 0}, ValueError, "n_exp"),
     ("plant_overrides", {"q1": "x"}, ValueError, "q1"),
     ("plant_overrides", {"A1": -207}, ValueError, "A1"),
+    ("plant_overrides", None, ValueError, "plant_overrides"),
+    ("plant_overrides", {"bogus": 1}, ValueError, "plant_overrides"),
     ("setpoints", [[300.0, 7.3], [0.0, 7.0]], ValueError, "setpoints"),
     ("setpoints", [[0.0, 7.0], [0.0, 7.3]], ValueError, "setpoints"),
     ("disturbances", [[300.0, 1.0], [0.0, 0.55]], ValueError, "disturbances"),
@@ -50,16 +52,14 @@ BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
     ("disturbances", [[0.0, -0.1]], ValueError, "disturbances"),
     ("disturbance_increments", [[0.0, np.inf]], ValueError, "disturbance_increments"),
     ("setpoints", None, ValueError, "setpoints"), ("mode", "bogus", ValueError, "mode"),
-    ("d_max", np.nan, ValueError, "d_max"), ("w_bar", np.nan, ValueError, "w_bar"),
-    ("l_d", 2.5, ValueError, "l_d"), ("l_d", 0.0, ValueError, "l_d"),
-], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "t_s", "horizon", "duration_s",
-        "duration_s-inf", "t_s-inf", "e_o0-negative", "e_o0-nan", "r_weight-zero",
+], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "horizon", "duration_s",
+        "duration_s-inf", "e_o0-negative", "e_o0-nan", "r_weight-zero",
         "r_weight-negative", "r_weight-nan", "q_weight-nan", "horizon-bool", "seed-negative",
         "seed-float", "plant-A1-zero", "plant-C_v4-zero", "plant-n_exp-zero", "plant-q1-str",
-        "plant-A1-negative", "setpoints-out-of-order", "setpoints-repeated-time",
-        "disturbances-out-of-order", "setpoints-nan-time", "setpoints-nan-value",
-        "disturbances-nan", "disturbances-negative", "increments-inf", "setpoints-null",
-        "mode", "d_max-nan", "w_bar-nan", "l_d-above-2", "l_d-zero"])
+        "plant-A1-negative", "plant-null", "plant-unknown-key", "setpoints-out-of-order",
+        "setpoints-repeated-time", "disturbances-out-of-order", "setpoints-nan-time",
+        "setpoints-nan-value", "disturbances-nan", "disturbances-negative", "increments-inf",
+        "setpoints-null", "mode"])
 
 
 def tiny_physical_scenario(**kw):
@@ -92,13 +92,30 @@ def count_controller_steps(monkeypatch, fail_at=None):
     return calls
 
 
+SCENARIO_FIELDS = [f.name for f in dataclasses.fields(harness.Scenario)]
+
+
 class TestScenarioIo:
     def test_json_round_trip(self, tmp_path):
         sc = harness.Scenario.from_json(ASSETS / "benchmark_scenario.json")
         path = tmp_path / "sc.json"
         sc.to_json(path)
+        assert list(json.loads(path.read_text())) == SCENARIO_FIELDS
         sc2 = harness.Scenario.from_json(path)
         assert sc2 == sc
+
+    def test_asset_lists_exactly_the_fields(self):
+        # no stale key lingers, and no setting falls silently to its default
+        doc = json.loads((ASSETS / "benchmark_scenario.json").read_text())
+        assert list(doc) == SCENARIO_FIELDS
+
+    def test_sampling_period_is_the_models(self):
+        sc = harness.Scenario()
+        assert sc.t_s == plant.T_S
+        with pytest.raises(AttributeError):
+            sc.t_s = 5.0
+        with pytest.raises(TypeError, match="t_s"):
+            harness.Scenario(t_s=5.0)
 
     def test_rejects_unknown_fields(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -187,20 +204,20 @@ class TestRunScenario:
         assert all(len(v) == 10 for v in report.trace.values())
 
     def test_observer_section_fixes_its_own_gains(self, bench):
-        # the scenario's d_max, l_d and w_bar apply only to weights without
-        # an observer section; the section and its ObserverSpec agree, and
-        # the shipped section holds the gains the scenario defaults select
+        # the gains are the weights': the section and its ObserverSpec agree,
+        # and the shipped section holds the gains that select_gains picks
+        # for weights without one
         w, obs_doc = bench
         spec = observer.ObserverSpec.from_dict(obs_doc)
-        other = {"d_max": 0.09, "l_d": 0.2, "w_bar": 0.005}
 
-        def trace(gains, **kw):
-            sc = tiny_physical_scenario(duration_s=100.0, **kw)
+        def trace(gains):
+            sc = tiny_physical_scenario(duration_s=100.0)
             return harness.run_scenario(sc, w, spec=gains).trace
 
         shipped = trace(obs_doc)
-        assert trace(obs_doc, **other) == trace(spec) == trace(None) == shipped
-        assert trace(None, **other)["e_o"] != shipped["e_o"]
+        assert trace(spec) == trace(None) == trace(observer.select_gains(w)) == shipped
+        other = observer.select_gains(w, d_max=0.09, l_d=0.2, w_bar=0.005)
+        assert trace(other)["e_o"] != shipped["e_o"]
 
     def test_eo_trace_matches_affine_recursion(self, bench_w, bench_spec):
         sc = tiny_physical_scenario(duration_s=200.0)
@@ -245,17 +262,6 @@ class TestRunScenario:
         with pytest.raises(DomainViolationError, match="d_max"):
             harness.run_scenario(out_of_assumption_scenario(), bench_w, spec=bench_spec)
         assert 1 <= len(steps) <= 10
-
-    def test_rejects_infinite_d_max_without_gains(self, bench_w, monkeypatch):
-        # without an observer section the gains are selected from the
-        # scenario's d_max, which the scenario, like ObserverSpec, requires
-        # finite, also when it is assigned after construction
-        sc = harness.Scenario(duration_s=50.0, mode="nominal")
-        sc.d_max = np.inf
-        calls = count_controller_steps(monkeypatch)
-        with pytest.raises(ValueError, match="^d_max must be finite and positive"):
-            harness.run_scenario(sc, bench_w)
-        assert calls == []
 
     def test_feasibility_loss_ends_run_and_is_counted(self, bench_w, bench_spec,
                                                       monkeypatch):
@@ -360,20 +366,20 @@ class TestCli:
             "message": "the K_bar estimate needs weights with u_range and y_range"}
 
     # stdout of `lstmpc certify`, pinned byte for byte; a change that moves
-    # any constant regenerates these files and says why
+    # any constant regenerates these files and says why.
+    # certify_no_observer.json holds the suboptimal gains at d_max 0.08,
+    # l_d 0.3 and w_bar 0.005, written as the model's observer section
     @pytest.mark.parametrize("golden, flags", [
         ("certify_shipped.json", []),
         ("certify_k_bar.json", ["--k-bar"]),
-        ("certify_no_observer.json",
-         ["--horizon", "8", "--d-max", "0.08", "--l-d", "0.3", "--w-bar", "0.005"]),
+        ("certify_no_observer.json", ["--horizon", "8"]),
     ])
-    def test_certify_output_is_pinned(self, tmp_path, capsys, golden, flags):
+    def test_certify_output_is_pinned(self, tmp_path, capsys, bench_w, golden, flags):
         path = ASSETS / "model.json"
         if golden == "certify_no_observer.json":
-            doc = json.loads(path.read_text())
-            del doc["observer"]
             path = tmp_path / "model.json"
-            path.write_text(json.dumps(doc))
+            lstm.save_weights(bench_w, path, observer=observer.select_gains(
+                bench_w, 0.08, 0.3, 0.005).to_dict())
         assert cli.main(["certify", "--weights", str(path), *flags]) == 0
         assert capsys.readouterr().out == (DATA / golden).read_text()
 
@@ -474,11 +480,26 @@ class TestCli:
         sc = tiny_physical_scenario(duration_s=100.0)
         sc_path = tmp_path / "sc.json"
         sc.to_json(sc_path)
-        rc = cli.main(["simulate", "--scenario", str(sc_path),
-                       "--out", str(tmp_path / "run")])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert "weights" in err["message"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--scenario", str(sc_path), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "--weights" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_simulate_without_a_section_runs_the_default_gains(self, tmp_path, capsys,
+                                                               bench_w):
+        sc_path = tmp_path / "sc.json"
+        tiny_physical_scenario(duration_s=100.0).to_json(sc_path)
+        bare = tmp_path / "bare.json"
+        lstm.save_weights(bench_w, bare)
+        traces = []
+        for weights in (ASSETS / "model.json", bare):
+            out = tmp_path / weights.stem
+            assert cli.main(["simulate", "--scenario", str(sc_path), "--weights", str(weights),
+                             "--out", str(out)]) == 0
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+        assert len(traces[0].splitlines()) == 11
 
     def test_gen_data_writes_dataset(self, tmp_path, capsys):
         rc = cli.main(["gen-data", "--out", str(tmp_path / "ds"), "--seed", "1",
@@ -609,8 +630,14 @@ class TestCli:
 
     def test_bad_scenario_file_is_machine_readable(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        for doc, name in (({"warp_drive": 1}, "warp_drive"),
-                          ({"plant_overrides": {"bogus": 1}}, "bogus")):
+        # the removed keys, whose settings belong to the weights and the model
+        removed = {"t_s": 10.0, "d_max": 0.1, "l_d": 0.1, "w_bar": 0.01, "model_path": None}
+        for doc, name in [({"warp_drive": 1}, "warp_drive"),
+                          ({"plant_overrides": {"bogus": 1}}, "bogus"),
+                          ({"plant_overrides": None}, "plant_overrides"),
+                          ([], "JSON object"), ("7.0", "JSON object"),
+                          *(({key: value}, f"unknown scenario fields: ['{key}']")
+                            for key, value in removed.items())]:
             path.write_text(json.dumps(doc))
             rc = cli.main(["simulate", "--scenario", str(path), "--out",
                            str(tmp_path / "o"), "--weights", str(ASSETS / "model.json")])

@@ -139,7 +139,7 @@ class TestTerminalAlpha:
         # terminal_alpha, while a set-point strictly inside gets a positive
         # radius; at output 0's edges the radius formula alone rounds to +1e-15
         w = small_net(seed=2, n=3, m=2, p=2)
-        certificate = mpc.certify(w, observer.select_gains(w))
+        certificate = mpc.certify(w, observer.select_gains(w, w_bar=None))
         y_lb, y_ub, e_o = np.array([-1.0, -0.8]), np.array([1.0, 0.6]), 0.2
         lo, hi = certificate.admissible_band(y_lb, y_ub, e_o)
         mid = 0.5 * (lo + hi)
@@ -570,12 +570,15 @@ class TestCertify:
         assert from_spec.to_dict() == mpc.certify(w, obs_doc).to_dict()
 
     @pytest.mark.parametrize("gains", [None, {}])
-    def test_without_gains_selects_them(self, bench_w, gains):
-        certificate = mpc.certify(bench_w, gains, d_max=0.08, l_d=0.3, w_bar=0.005)
-        spec = observer.derive_constants(
-            bench_w, observer.select_gains(bench_w, d_max=0.08, l_d=0.3, w_bar=0.005))
+    def test_without_gains_selects_them(self, bench, gains):
+        # the default gains are select_gains', which are the shipped section's
+        w, obs_doc = bench
+        certificate = mpc.certify(w, gains)
+        spec = observer.derive_constants(w, observer.select_gains(w))
         assert certificate.spec.to_dict() == spec.to_dict()
         np.testing.assert_array_equal(certificate.spec.P_o, spec.P_o)
+        assert (certificate.to_dict() == mpc.certify(w, observer.select_gains(w)).to_dict()
+                == mpc.certify(w, obs_doc).to_dict())
 
     def test_without_gains_derives_once(self, bench_w, monkeypatch):
         calls = []
@@ -633,7 +636,7 @@ class TestCertify:
         with pytest.raises(ValueError, match="w_bar"):
             mpc.certify(w, {**obs_doc, "w_bar": w_bar})
         with pytest.raises(ValueError, match="w_bar"):
-            mpc.certify(w, w_bar=w_bar)
+            mpc.certify(w, observer.select_gains(w, w_bar=w_bar))
 
     @pytest.mark.parametrize("q_weight", [np.nan, np.inf])
     def test_rejects_non_finite_q_weight(self, bench_w, bench_spec, q_weight):
@@ -712,7 +715,7 @@ class TestController:
         # Controller's default scalar y_lb/y_ub hold for every output;
         # the set-point is the output of the model's u = 0 attractor
         w = small_net(seed=2, n=3, m=2, p=2)
-        certificate = mpc.certify(w, observer.select_gains(w))
+        certificate = mpc.certify(w, observer.select_gains(w, w_bar=None))
         ctrl = mpc.Controller(w, certificate, e_o0=0.05)
         _, h, _ = lstm.rollout(w, np.zeros(3), np.zeros(3), np.zeros((300, 2)))
         y0 = w.W_y @ h[-1] + w.b_y

@@ -15,7 +15,7 @@ from conftest import induced_inf_norm, random_invariant_state, small_net, zero_n
 
 
 def make_spec(w, d_max=0.1, l_d=0.1, **kw):
-    return observer.derive_constants(w, observer.select_gains(w, d_max, l_d), **kw)
+    return observer.derive_constants(w, observer.select_gains(w, d_max, l_d, None), **kw)
 
 
 def random_augmented(w, rng, d_max):

@@ -318,14 +318,23 @@ class TestGenerateDataset:
             sysid.generate_dataset(**self.KWARGS)
         assert multiprocessing.active_children() == []
 
+    # each is rejected before the pool starts: a float size would end in a
+    # TypeError there or inside the workers
     @pytest.mark.parametrize("sizes, message", [
-        (dict(n_train=0), "n_train must be at least 1"),
-        (dict(n_train=-1), "n_train must be at least 1"),
-        (dict(n_val=-1), "n_val must be nonnegative"),
-        (dict(n_test=-1), "n_test must be nonnegative"),
-        (dict(n_train=10, n_val=-1, n_test=2), "n_val must be nonnegative"),
-    ])
-    def test_rejects_bad_sizes(self, sizes, message):
+        (dict(n_train=0), "n_train must be a positive integer"),
+        (dict(n_train=-1), "n_train must be a positive integer"),
+        (dict(n_val=-1), "n_val must be a nonnegative integer"),
+        (dict(n_test=-1), "n_test must be a nonnegative integer"),
+        (dict(n_train=10, n_val=-1, n_test=2), "n_val must be a nonnegative integer"),
+        (dict(n_train=1.5), "n_train must be a positive integer"),
+        (dict(n_val=1.0), "n_val must be a nonnegative integer"),
+        (dict(steps=2.5), "steps must be a positive integer"),
+        (dict(steps=0), "steps must be a positive integer"),
+    ], ids=["n_train-zero", "n_train-negative", "n_val-negative", "n_test-negative",
+            "n_val-negative-among-valid", "n_train-float", "n_val-float", "steps-float",
+            "steps-zero"])
+    def test_rejects_bad_sizes(self, sizes, message, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_context", None)
         with pytest.raises(ValueError, match=message):
             sysid.generate_dataset(**{**self.KWARGS, **sizes})
 
