@@ -26,7 +26,7 @@ def progress(epoch, loss_value, margins):
 
 weights = sysid.train(data, cfg, callback=progress)
 
-cert = lstm.delta_iss_check(weights)
+cert = lstm.incremental_lyapunov(weights)
 print(f"\nContraction certificate: rho(A_delta) = {cert.rho_A:.4f} "
       f"(r1 = {cert.r1:+.4f}, r2 = {cert.r2:+.4f})")
 print(f"Test FIT: {sysid.evaluate_fit(weights, data.test):.1f}%")

@@ -22,20 +22,19 @@ from .lstm import LstmState
 from .observer import AugmentedState
 
 
-@dataclass
+@dataclass(slots=True)
 class Scenario:
-    """Declarative description of one closed-loop run, sampled at the
-    model's period ``t_s`` = ``plant.T_S``."""
+    """One closed-loop run, sampled at the model's period ``t_s`` = ``plant.T_S``;
+    slotted, so assigning a name that is not a field raises AttributeError."""
 
     duration_s: float = 10000.0
     mode: str = "physical"                     # "physical" | "nominal"
     # (time_s, target_ph); targets are reached via rate-limited ramps.
     setpoints: list = field(default_factory=lambda: [(0.0, 7.0)])
     ramp_rate: float = 0.005                   # max |dy0/step|, normalized
-    # (time_s, q2 value in mL/s); "nominal" mode ignores this and uses
-    # disturbance_increments instead.
+    # physical mode: (time_s, q2 value in mL/s)
     disturbances: list = field(default_factory=list)
-    # nominal mode: list of (time_s, w value) for the scripted increment.
+    # nominal mode: (time_s, w value) for the scripted increment
     disturbance_increments: list = field(default_factory=list)
     y_lb_phys: float = 6.0
     y_ub_phys: float = 9.0
@@ -44,7 +43,7 @@ class Scenario:
     r_weight: float = 1.0
     e_o0: float = 0.5
     seed: int = 0
-    plant_overrides: dict = field(default_factory=dict)
+    plant_overrides: dict = field(default_factory=dict)     # physical mode
     t_s = property(lambda self: plant.T_S)     # read-only, not a field
 
     def __post_init__(self):
@@ -52,9 +51,9 @@ class Scenario:
 
     def check(self):
         """Rejects, naming the field, a value that would end the run in a bare
-        error or distort it; each profile becomes (time_s, value) tuples.
-        Runs on construction and again in ``run_scenario``, since a field
-        may be assigned in between."""
+        error or distort it, or a setting the mode does not read; each profile
+        becomes (time_s, value) tuples. Runs on construction and again in
+        ``run_scenario``, since a field may be assigned in between."""
         for name, (ok, text) in (("setpoints", FINITE), ("disturbance_increments", FINITE),
                                  ("disturbances", plant.PARAM_RULES["q2_nominal"])):
             check(name, getattr(self, name), (
@@ -70,6 +69,8 @@ class Scenario:
                 ("plant_overrides", (lambda v: isinstance(v, dict) and set(v) <= {
                     f.name for f in fields(plant.PhParams)}, "a dict keyed by PhParams fields"))):
             check(name, getattr(self, name), rule)
+        for name in _UNREAD[self.mode]:
+            check(name, getattr(self, name), (lambda v: not v, f"empty in {self.mode} mode"))
 
     @classmethod
     def from_json(cls, path):
@@ -231,6 +232,9 @@ class NominalPlant:
 
 
 _PLANTS = {"physical": PhysicalPlant, "nominal": NominalPlant}
+# the settings each mode's plant adapter never reads, so must leave empty;
+# seed is not one of them, since a seeded profile may pass it in either mode
+_UNREAD = {"physical": ("disturbance_increments",), "nominal": ("disturbances", "plant_overrides")}
 
 
 def run_scenario(sc, w, spec=None):

@@ -30,10 +30,10 @@ training and the reference Jacobian all run this cell through one kernel:
   reference calculation's Newton Jacobian all read it.
 
 Besides the state update, this module holds the one copy of the
-contraction certificate's arithmetic, ``increment_gains``, which the
-model certificate, the observer's A_d and L_mat and the training penalty
-all use. ``delta_iss_check`` builds the model's whole certificate;
-``lyapunov_bounds`` gives it and the observer their Lyapunov data.
+contraction certificate's arithmetic, ``increment_gains`` (for the model
+certificate, the observer's A_d and L_mat and the training penalty), and
+of its reverse sweep, ``margin_adjoint``. ``incremental_lyapunov`` builds
+the model's whole certificate, ``lyapunov_bounds`` its Lyapunov data.
 """
 
 import functools
@@ -436,16 +436,55 @@ def _gate_block(w_in, u_rec, b, u_max):
     return np.hstack([w_in * u_max, u_rec, b.reshape(-1, 1)])
 
 
+def margin_adjoint(w, g, a_r1, a_r2):
+    """The (W, U, b) gradient of a_r1 r1 + a_r2 r2, r1 and r2 the Jury margins
+    of the model's ``gate_bounds`` ``g``: the reverse sweep of ``increment_gains``
+    and ``gate_sigmas``, a subgradient where an inf-norm has tied rows."""
+    sf, si, so, sc = g.sigma_f, g.sigma_i, g.sigma_o, g.sigma_c
+    cr, sx, alpha = g.cell_radius, g.sigma_x, float(g.gains[0, 1])
+    n, m = w.n, w.m
+    # Each ||U||_2 (GATES order) and its gradient u1 v1^T from one SVD.
+    u_sv, s_sv, vt_sv = np.linalg.svd(w.U.reshape(4, n, n))
+    n_u = s_sv[:, 0].tolist()
+    n_uf, n_ui, n_uo, n_uc = n_u[_F], n_u[_I], n_u[_O], n_u[_C]
+    k1 = 0.25 * n_uo
+    # Adjoints of the scalar pipeline (reverse order of its definition).
+    a_sf = a_r1 * (1.0 - k1 * sx) + a_r2 * k1 * sx
+    a_alpha = a_r1 * so
+    a_so = a_r1 * alpha
+    a_sx = a_r1 * k1 * (1.0 - sf) + a_r2 * k1 * sf
+    a_nuo = a_r1 * 0.25 * sx * (1.0 - sf) + a_r2 * 0.25 * sf * sx
+    a_nuf = a_alpha * 0.25 * cr
+    a_cr = a_alpha * 0.25 * n_uf
+    a_si = a_alpha * n_uc
+    a_nuc = a_alpha * si
+    a_nui = a_alpha * 0.25 * sc
+    a_sc = a_alpha * 0.25 * n_ui
+    a_cr += a_sx * (1.0 - sx ** 2)
+    a_si += a_cr * sc / (1.0 - sf)
+    a_sc += a_cr * si / (1.0 - sf)
+    a_sf += a_cr * si * sc / (1.0 - sf) ** 2
+    # Push into the stacked weights, each gate's ||_gate_block||_inf by its argmax row's signs.
+    a_norm = np.repeat(in_gate_order(
+        c=a_sc * (1.0 - sc ** 2), f=a_sf * sf * (1.0 - sf), i=a_si * si * (1.0 - si),
+        o=a_so * so * (1.0 - so)), n)[:, None]
+    block = _gate_block(w.W, w.U, w.b, w.u_max)
+    j = np.abs(block).sum(axis=1).reshape(4, n).argmax(axis=1) + n * np.arange(4)
+    sub = np.zeros_like(block)
+    sub[j] = np.sign(block[j])
+    a_two = np.array(in_gate_order(c=a_nuc, f=a_nuf, i=a_nui, o=a_nuo))[:, None, None]
+    grad_u = a_norm * sub[:, m:m + n] + (a_two * u_sv[:, :, :1] * vt_sv[:, :1, :]).reshape(4 * n, n)
+    return a_norm * (w.u_max * sub[:, :m]), grad_u, a_norm[:, 0] * sub[:, -1]
+
+
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Contraction certificate of the state-increment dynamics.
+    """The contraction certificate, rho(A_delta) < 1, of a model's
+    state-increment dynamics; ``incremental_lyapunov`` is its one builder.
 
-    ``certified`` tracks rho(A_delta) < 1; the Jury margins r1, r2 give the
-    equivalent pair of inequalities used as soft training penalties.
-    The Lyapunov fields (P_s onward) are set exactly when ``certified``
-    is. Its arrays are read-only copies. A_delta, B_delta, r1 and r2 are
-    the gains, column and Jury margins of the model's ``gate_bounds``,
-    which it does not keep.
+    A_delta, B_delta, r1 and r2 are the gains, column and Jury margins of
+    the model's ``gate_bounds``, which it does not keep; P_s onward are its
+    incremental Lyapunov data. Its arrays are read-only copies.
     """
 
     A_delta: np.ndarray
@@ -453,12 +492,12 @@ class StabilityCertificate:
     rho_A: float
     r1: float
     r2: float
-    certified: bool
-    P_s: np.ndarray | None = None
-    rho_s: float | None = None
-    c_sl: float | None = None
-    c_su: float | None = None
-    c_s: np.ndarray | None = None
+    P_s: np.ndarray
+    rho_s: float
+    c_sl: float
+    c_su: float
+    c_s: np.ndarray
+    certified = property(lambda self: True)     # read-only, not a field
 
     def __post_init__(self):
         freeze_arrays(self)
@@ -476,35 +515,23 @@ def lyapunov_bounds(a):
             float(np.sqrt(lam_min)), float(np.sqrt(lam_max)))
 
 
-def delta_iss_check(w):
-    """The model's whole contraction certificate; ``certified`` marks
-    rho(A_delta) < 1. A certified model's record also holds its
-    incremental Lyapunov data: ``lyapunov_bounds`` of A_delta gives P_s,
-    the contraction rate rho_s and the norm-equivalence constants c_sl,
-    c_su; c_s is the per-output sensitivity vector.
-    """
+def incremental_lyapunov(w):
+    """The model's whole contraction certificate: ``gate_bounds``, then
+    rho(A_delta), InstabilityError unless it is below 1, then ``lyapunov_bounds``
+    of A_delta for P_s, the contraction rate rho_s and the norm-equivalence
+    constants c_sl, c_su; c_s is the per-output sensitivity vector."""
     g = gate_bounds(w)
     rho = spectral_radius(g.gains)
-    lyapunov = {}
-    if rho < 1.0:
-        lyapunov = dict(zip(("P_s", "rho_s", "c_sl", "c_su"), lyapunov_bounds(g.gains)))
-        lyapunov["c_s"] = np.linalg.norm(w.W_y, axis=1) / lyapunov["c_sl"]
-    return StabilityCertificate(A_delta=g.gains, B_delta=g.column, rho_A=rho, r1=g.r1,
-                                r2=g.r2, certified=rho < 1.0, **lyapunov)
-
-
-def incremental_lyapunov(w):
-    """``delta_iss_check``'s certificate; raises InstabilityError unless certified."""
-    cert = delta_iss_check(w)
-    if not cert.certified:
-        raise InstabilityError(f"rho(A_delta) = {cert.rho_A:.4f} >= 1, model not certified")
-    return cert
+    if not rho < 1.0:    # also for NaN
+        raise InstabilityError(f"rho(A_delta) = {rho:.4f} >= 1, model not certified")
+    p_s, rho_s, c_sl, c_su = lyapunov_bounds(g.gains)
+    return StabilityCertificate(A_delta=g.gains, B_delta=g.column, rho_A=rho, r1=g.r1, r2=g.r2,
+                                P_s=p_s, rho_s=rho_s, c_sl=c_sl, c_su=c_su,
+                                c_s=np.linalg.norm(w.W_y, axis=1) / c_sl)
 
 
 def v_s(cert, x_a, x_b):
     """Incremental Lyapunov value of a state pair."""
-    if cert.P_s is None:
-        raise ValueError("certificate has no Lyapunov data: the model is not certified")
     v = np.array([np.linalg.norm(x_a.c - x_b.c), np.linalg.norm(x_a.h - x_b.h)])
     return float(np.sqrt(v @ cert.P_s @ v))
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lstm, plant
-from .errors import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, TrainingError,
-                     UndefinedMetricError, check)
+from .errors import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
+                     InstabilityError, TrainingError, UndefinedMetricError, check)
 from .lstm import LstmWeights
 
 HOLD_RANGE = (10, 100)   # steps each excitation level is held, inclusive
@@ -136,6 +136,8 @@ def save_dataset(ds, directory):
 
 
 def load_dataset(directory):
+    """Inverse of ``save_dataset``; raises ValueError, naming the file and
+    line, on the first non-finite u_raw or y_raw sample of a sequence."""
     directory = pathlib.Path(directory)
     with open(directory / "manifest.json") as fh:
         manifest = json.load(fh)
@@ -146,6 +148,9 @@ def load_dataset(directory):
         seqs = []
         for name in names:
             rows = np.loadtxt(directory / name, delimiter=",", skiprows=1)
+            for k in np.flatnonzero(~np.isfinite(rows[:, 1:]).all(axis=1))[:1]:
+                check(f"{name} line {k + 2}", rows[k, 1:].tolist(), (
+                    lambda v: all(FINITE[0](x) for x in v), "a finite (u_raw, y_raw) pair"))
             seqs.append((nrm.normalize_u(rows[:, 1]), nrm.normalize_y(rows[:, 2])))
         splits[split] = seqs
     return Dataset(train=splits["train"], val=splits["val"], test=splits["test"],
@@ -215,23 +220,12 @@ def loss(w, u_seq, y_seq, cfg):
     return mse + _penalty_with_grads(w, cfg, grads), grads
 
 
-def _inf_norm_grads(w):
-    """Subgradients of each gate's || lstm._gate_block(W, U, b, u_max) ||_inf
-    with respect to the stacked (W, U, b): the signs of its argmax row."""
-    block = lstm._gate_block(w.W, w.U, w.b, w.u_max)
-    n, m = w.n, w.m
-    j = np.abs(block).sum(axis=1).reshape(4, n).argmax(axis=1) + n * np.arange(4)
-    sub = np.zeros_like(block)
-    sub[j] = np.sign(block[j])
-    return w.u_max * sub[:, :m], sub[:, m:m + n], sub[:, -1]
-
-
 def _penalty_with_grads(w, cfg, grads):
     """Add the r1/r2 penalty gradients into ``grads["W"]``, ``grads["U"]``
     and ``grads["b"]``; return the penalty's value.
 
-    r1, r2 and the forward quantities are lstm's certificate, from one
-    ``gate_bounds``; this is their adjoint.
+    r1 and r2 are lstm's certificate margins, from one ``gate_bounds``, and
+    ``lstm.margin_adjoint`` their gradient; this weights them by lambda.
     """
     g = lstm.gate_bounds(w)
     r1, r2 = g.r1, g.r2
@@ -239,40 +233,8 @@ def _penalty_with_grads(w, cfg, grads):
            + cfg.lambda2 * min(r1, 0.0) + cfg.lambda2 * min(r2, 0.0))
     a_r1 = cfg.lambda1 if r1 > 0 else cfg.lambda2
     a_r2 = cfg.lambda1 if r2 > 0 else cfg.lambda2
-    sf, si, so, sc = g.sigma_f, g.sigma_i, g.sigma_o, g.sigma_c
-    cr, sx, alpha = g.cell_radius, g.sigma_x, float(g.gains[0, 1])
-    n = w.n
-    # Each ||U||_2 (GATES order) and its gradient u1 v1^T from one SVD.
-    u_sv, s_sv, vt_sv = np.linalg.svd(w.U.reshape(4, n, n))
-    n_u = dict(zip(lstm.GATES, s_sv[:, 0].tolist()))
-    n_uf, n_ui, n_uo, n_uc = (n_u[g] for g in "fioc")
-    k1 = 0.25 * n_uo
-    # Adjoints of the scalar pipeline (reverse order of its definition).
-    a_sf = a_r1 * (1.0 - k1 * sx) + a_r2 * k1 * sx
-    a_alpha = a_r1 * so
-    a_so = a_r1 * alpha
-    a_sx = a_r1 * k1 * (1.0 - sf) + a_r2 * k1 * sf
-    a_nuo = a_r1 * 0.25 * sx * (1.0 - sf) + a_r2 * 0.25 * sf * sx
-    a_nuf = a_alpha * 0.25 * cr
-    a_cr = a_alpha * 0.25 * n_uf
-    a_si = a_alpha * n_uc
-    a_nuc = a_alpha * si
-    a_nui = a_alpha * 0.25 * sc
-    a_sc = a_alpha * 0.25 * n_ui
-    a_cr += a_sx * (1.0 - sx ** 2)
-    a_si += a_cr * sc / (1.0 - sf)
-    a_sc += a_cr * si / (1.0 - sf)
-    a_sf += a_cr * si * sc / (1.0 - sf) ** 2
-    # Push into the stacked weight tensors.
-    a_norm = np.repeat(lstm.in_gate_order(
-        c=a_sc * (1.0 - sc ** 2), f=a_sf * sf * (1.0 - sf), i=a_si * si * (1.0 - si),
-        o=a_so * so * (1.0 - so)), n)[:, None]
-    gw, gu, gb = _inf_norm_grads(w)
-    grads["W"] += a_norm * gw
-    grads["U"] += a_norm * gu + (np.array(lstm.in_gate_order(c=a_nuc, f=a_nuf, i=a_nui,
-                                                             o=a_nuo))[:, None, None]
-                                 * u_sv[:, :, :1] * vt_sv[:, :1, :]).reshape(4 * n, n)
-    grads["b"] += a_norm[:, 0] * gb
+    for name, grad in zip(("W", "U", "b"), lstm.margin_adjoint(w, g, a_r1, a_r2)):
+        grads[name] += grad
     return pen
 
 
@@ -309,7 +271,7 @@ def train(data, cfg, init=None, callback=None):
     y_range = (data.normalizer.y_lo, data.normalizer.y_hi)
     w = init.copy() if init is not None else init_weights(
         cfg, m=1, p=1, u_range=u_range, y_range=y_range)
-    if cfg.epochs == 0 and lstm.delta_iss_check(w).certified:
+    if cfg.epochs == 0 and (bounds := lstm.gate_bounds(w)).r1 < 0 and bounds.r2 < 0:
         return w
     rng = np.random.default_rng(cfg.seed + 1)
     mom = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
@@ -344,8 +306,10 @@ def train(data, cfg, init=None, callback=None):
     else:
         raise TrainingError(
             f"no certificate after {max_epochs} epochs (r1={margins[0]:.4f}, r2={margins[1]:.4f})")
-    if not lstm.delta_iss_check(w).certified:
-        raise TrainingError("margins negative but spectral radius >= 1 (inconsistent state)")
+    try:
+        lstm.incremental_lyapunov(w)
+    except InstabilityError as exc:
+        raise TrainingError(f"margins negative but {exc}") from exc
     return w
 
 

@@ -49,7 +49,7 @@ class TestCriterion1IdentificationQuality:
                                     steps=1500)
         cfg = sysid.TrainConfig(epochs=300, n_neurons=5, seed=1)
         w = sysid.train(ds, cfg)
-        assert lstm.delta_iss_check(w).certified
+        assert lstm.incremental_lyapunov(w).certified
         fit = sysid.evaluate_fit(w, ds.test)
         assert fit >= 85.0
         assert time.monotonic() - t0 < 1800.0

@@ -1,7 +1,8 @@
 """numpy is the package's only runtime dependency; scipy is a test oracle.
-No module of the package imports a name it never uses or defines a
-private top-level name that nothing in the package references, and every
-"<name> must be ..." ValueError comes from ``errors.check``."""
+No module of the package imports a name it never uses, defines a private
+top-level name that nothing in the package references or reads another
+module's private name, and every "<name> must be ..." ValueError comes
+from ``errors.check``."""
 
 import ast
 import os
@@ -76,6 +77,19 @@ def test_every_private_top_level_name_is_referenced():
             unreferenced += [f"{name}: {d}" for d in defined
                              if d.startswith("_") and not d.startswith("__") and d not in read]
     assert unreferenced == []
+
+
+def test_no_module_reads_another_modules_private_name():
+    found = []
+    for name, tree in _trees().items():
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+                   for alias in node.names}
+        found += [f"{name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")
+                  and not node.attr.startswith("__")]
+    assert found == []
 
 
 def test_every_must_be_value_error_comes_from_the_one_check():

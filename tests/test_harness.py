@@ -22,36 +22,45 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 # a negative tank section (A1) would run to the end on an unphysical plant.
 # A profile entry out of time order or with a NaN time would be dropped
 # without a word, and a null profile, null plant_overrides or an unknown
-# plant parameter would end in a TypeError traceback.
-BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
-    ("ramp_rate", -0.005, ValueError, "ramp_rate"),
-    ("setpoints", [], ValueError, "setpoints"),
-    ("setpoints", [[0.0]], ValueError, "setpoints"),
-    ("horizon", 0, ValueError, "horizon"),
-    ("duration_s", -10.0, ValueError, "duration_s"),
-    ("duration_s", np.inf, ValueError, "duration_s"),
-    ("e_o0", -0.5, ValueError, "e_o0"), ("e_o0", np.nan, ValueError, "e_o0"),
-    ("r_weight", 0.0, ValueError, "r_weight"), ("r_weight", -1.0, ValueError, "r_weight"),
-    ("r_weight", np.nan, ValueError, "r_weight"),
-    ("q_weight", np.nan, NotSpdError, "q is not finite"),
-    ("horizon", True, ValueError, "horizon"), ("seed", -1, ValueError, "seed"),
-    ("seed", 1.5, ValueError, "seed"),
-    ("plant_overrides", {"A1": 0}, ValueError, "A1"),
-    ("plant_overrides", {"C_v4": 0}, ValueError, "C_v4"),
-    ("plant_overrides", {"n_exp": 0}, ValueError, "n_exp"),
-    ("plant_overrides", {"q1": "x"}, ValueError, "q1"),
-    ("plant_overrides", {"A1": -207}, ValueError, "A1"),
-    ("plant_overrides", None, ValueError, "plant_overrides"),
-    ("plant_overrides", {"bogus": 1}, ValueError, "plant_overrides"),
-    ("setpoints", [[300.0, 7.3], [0.0, 7.0]], ValueError, "setpoints"),
-    ("setpoints", [[0.0, 7.0], [0.0, 7.3]], ValueError, "setpoints"),
-    ("disturbances", [[300.0, 1.0], [0.0, 0.55]], ValueError, "disturbances"),
-    ("setpoints", [[0.0, 7.0], [np.nan, 7.3]], ValueError, "setpoints"),
-    ("setpoints", [[0.0, np.nan]], ValueError, "setpoints"),
-    ("disturbances", [[100.0, np.nan]], ValueError, "disturbances"),
-    ("disturbances", [[0.0, -0.1]], ValueError, "disturbances"),
-    ("disturbance_increments", [[0.0, np.inf]], ValueError, "disturbance_increments"),
-    ("setpoints", None, ValueError, "setpoints"), ("mode", "bogus", ValueError, "mode"),
+# plant parameter would end in a TypeError traceback. A setting that the
+# mode does not read (a nominal run's disturbances or plant_overrides, a
+# physical run's disturbance_increments) would be dropped without a word.
+# Each row's fields are set on a physical scenario, in order.
+BAD_FIELDS = pytest.mark.parametrize("fields, error, message", [
+    ({"ramp_rate": -0.005}, ValueError, "ramp_rate"),
+    ({"setpoints": []}, ValueError, "setpoints"),
+    ({"setpoints": [[0.0]]}, ValueError, "setpoints"),
+    ({"horizon": 0}, ValueError, "horizon"),
+    ({"duration_s": -10.0}, ValueError, "duration_s"),
+    ({"duration_s": np.inf}, ValueError, "duration_s"),
+    ({"e_o0": -0.5}, ValueError, "e_o0"), ({"e_o0": np.nan}, ValueError, "e_o0"),
+    ({"r_weight": 0.0}, ValueError, "r_weight"), ({"r_weight": -1.0}, ValueError, "r_weight"),
+    ({"r_weight": np.nan}, ValueError, "r_weight"),
+    ({"q_weight": np.nan}, NotSpdError, "q is not finite"),
+    ({"horizon": True}, ValueError, "horizon"), ({"seed": -1}, ValueError, "seed"),
+    ({"seed": 1.5}, ValueError, "seed"),
+    ({"plant_overrides": {"A1": 0}}, ValueError, "A1"),
+    ({"plant_overrides": {"C_v4": 0}}, ValueError, "C_v4"),
+    ({"plant_overrides": {"n_exp": 0}}, ValueError, "n_exp"),
+    ({"plant_overrides": {"q1": "x"}}, ValueError, "q1"),
+    ({"plant_overrides": {"A1": -207}}, ValueError, "A1"),
+    ({"plant_overrides": None}, ValueError, "plant_overrides"),
+    ({"plant_overrides": {"bogus": 1}}, ValueError, "plant_overrides"),
+    ({"setpoints": [[300.0, 7.3], [0.0, 7.0]]}, ValueError, "setpoints"),
+    ({"setpoints": [[0.0, 7.0], [0.0, 7.3]]}, ValueError, "setpoints"),
+    ({"disturbances": [[300.0, 1.0], [0.0, 0.55]]}, ValueError, "disturbances"),
+    ({"setpoints": [[0.0, 7.0], [np.nan, 7.3]]}, ValueError, "setpoints"),
+    ({"setpoints": [[0.0, np.nan]]}, ValueError, "setpoints"),
+    ({"disturbances": [[100.0, np.nan]]}, ValueError, "disturbances"),
+    ({"disturbances": [[0.0, -0.1]]}, ValueError, "disturbances"),
+    ({"disturbance_increments": [[0.0, np.inf]]}, ValueError, "disturbance_increments"),
+    ({"setpoints": None}, ValueError, "setpoints"), ({"mode": "bogus"}, ValueError, "mode"),
+    ({"mode": "nominal", "plant_overrides": {"A1": -207}}, ValueError,
+     "plant_overrides must be empty in nominal mode"),
+    ({"mode": "nominal", "disturbances": [[0.0, 0.45]]}, ValueError,
+     "disturbances must be empty in nominal mode"),
+    ({"disturbance_increments": [[0.0, 0.02]]}, ValueError,
+     "disturbance_increments must be empty in physical mode"),
 ], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "horizon", "duration_s",
         "duration_s-inf", "e_o0-negative", "e_o0-nan", "r_weight-zero",
         "r_weight-negative", "r_weight-nan", "q_weight-nan", "horizon-bool", "seed-negative",
@@ -59,7 +68,8 @@ BAD_FIELDS = pytest.mark.parametrize("field, value, error, message", [
         "plant-A1-negative", "plant-null", "plant-unknown-key", "setpoints-out-of-order",
         "setpoints-repeated-time", "disturbances-out-of-order", "setpoints-nan-time",
         "setpoints-nan-value", "disturbances-nan", "disturbances-negative", "increments-inf",
-        "setpoints-null", "mode"])
+        "setpoints-null", "mode", "nominal-plant-overrides", "nominal-disturbances",
+        "physical-increments"])
 
 
 def tiny_physical_scenario(**kw):
@@ -117,6 +127,14 @@ class TestScenarioIo:
         with pytest.raises(TypeError, match="t_s"):
             harness.Scenario(t_s=5.0)
 
+    def test_rejects_assigning_a_name_that_is_no_field(self):
+        # a misspelled or removed field fails at once, not silently ignored
+        sc = harness.Scenario(duration_s=50.0)
+        for name in ("duraton_s", "l_d", "model_path"):
+            with pytest.raises(AttributeError, match=name):
+                setattr(sc, name, 5.0)
+        assert sc == harness.Scenario(duration_s=50.0)
+
     def test_rejects_unknown_fields(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"duration_s": 10.0, "warp_drive": True}))
@@ -161,9 +179,10 @@ class TestRunScenario:
     # when the run starts, before any step
     @BAD_FIELDS
     def test_rejects_field_assigned_after_construction(self, bench_w, bench_spec, monkeypatch,
-                                                       field, value, error, message):
+                                                       fields, error, message):
         sc = tiny_physical_scenario(duration_s=100.0)
-        setattr(sc, field, value)
+        for field, value in fields.items():
+            setattr(sc, field, value)
         calls = count_controller_steps(monkeypatch)
         with pytest.raises(error, match=f"^{message}"):
             harness.run_scenario(sc, bench_w, spec=bench_spec)
@@ -271,6 +290,24 @@ class TestRunScenario:
         assert (report.steps, report.feasibility_losses, report.candidate_checks) == (3, 1, 2)
         assert len(report.solver_iterations) == 3
         assert all(len(v) == 3 for v in report.trace.values())
+
+    @pytest.mark.parametrize("fail_at, steps, t_end", [(10, 9, None), (90, 89, 880.0),
+                                                      (None, 100, 990.0)])
+    def test_segment_cut_short_by_an_early_stop(self, bench_w, bench_spec, monkeypatch,
+                                                fail_at, steps, t_end):
+        # a flat 1000 s segment's error is the largest over its last 200 s
+        # (20 steps) that ran; one left shorter than that by the stop is skipped
+        count_controller_steps(monkeypatch, fail_at=fail_at)
+        report = harness.run_scenario(tiny_physical_scenario(duration_s=1000.0), bench_w,
+                                      spec=bench_spec)
+        assert report.steps == steps
+        if t_end is None:
+            assert report.segment_errors == []
+            return
+        [(t_start, t_stop, y0, err)] = report.segment_errors
+        assert (t_start, t_stop) == (0.0, t_end) and y0 == pytest.approx(7.0, abs=1e-12)
+        tail = zip(report.trace["y_phys"][-20:], report.trace["y0_phys"][-20:])
+        assert err == max(abs(y - y_ref) for y, y_ref in tail)
 
     def test_plant_calls_go_through_the_module(self, bench_w, bench_spec, monkeypatch):
         # wrappers installed on the plant module, as the benchmark installs
@@ -458,12 +495,12 @@ class TestCli:
                        "message": "y_lb is not below y_ub on output 0"}
 
     @BAD_FIELDS
-    def test_simulate_rejects_bad_scenario_field(self, tmp_path, capsys, field, value, error,
+    def test_simulate_rejects_bad_scenario_field(self, tmp_path, capsys, fields, error,
                                                  message):
         sc_path = tmp_path / "sc.json"
         tiny_physical_scenario(duration_s=100.0).to_json(sc_path)
         doc = json.loads(sc_path.read_text())
-        doc[field] = value
+        doc.update(fields)
         sc_path.write_text(json.dumps(doc))
         rc = cli.main(["simulate", "--scenario", str(sc_path),
                        "--weights", str(ASSETS / "model.json"),
@@ -554,6 +591,30 @@ class TestCli:
         assert [line.split()[:2] for line in lines[:-1]] == [["epoch", "0"], ["epoch", "2"]]
         assert re.fullmatch(rf"saved {re.escape(str(out))}; test FIT -?\d+\.\d\d%", lines[-1])
         assert out.exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_train_rejects_non_finite_sample_before_training(self, tmp_path, capsys, split):
+        rng = np.random.default_rng(0)
+        seqs = {"train": (rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40)),
+                "test": (rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40))}
+        sysid.save_dataset(sysid.Dataset(train=[seqs["train"]], val=[], test=[seqs["test"]],
+                                         normalizer=plant.Normalizer(-1.0, 1.0, 6.0, 8.0)),
+                           tmp_path / "ds")
+        name = {"train": "seq_000.csv", "test": "seq_001.csv"}[split]
+        path = tmp_path / "ds" / name
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "model.json"
+        rc = cli.main(["train", "--data", str(tmp_path / "ds"), "--out", str(out),
+                       "--epochs", "1", "--washout", "5", "--init", str(ASSETS / "model.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{name} line 4 must be a finite (u_raw, y_raw) pair")
+        assert not out.exists()
 
     def test_train_rejects_empty_training_split(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -522,9 +522,7 @@ class TestGateBounds:
         # is undefined, so every certificate built on the bounds says so
         w = bench_w.copy()
         w.b_f[...] = b_f
-        calls = (lambda: lstm.gate_bounds(w), lambda: lstm.delta_iss_check(w),
-                 lambda: lstm.incremental_lyapunov(w))
-        for call in calls:
+        for call in (lambda: lstm.gate_bounds(w), lambda: lstm.incremental_lyapunov(w)):
             with pytest.raises(InstabilityError, match="^sigma_f = .* is not below 1"):
                 call()
 
@@ -594,6 +592,35 @@ class TestJuryMargins:
             self._check(g)
 
 
+class TestMarginAdjoint:
+    """margin_adjoint is the (W, U, b) gradient of a_r1 r1 + a_r2 r2."""
+
+    @pytest.mark.parametrize("seed, scale, a_r1, a_r2", [
+        (0, 0.1, 0.02, 0.02), (1, 0.3, 0.03, 0.02), (2, 0.5, 5.0, 0.7), (3, 0.2, 0.0, 1.0)])
+    def test_matches_central_differences(self, seed, scale, a_r1, a_r2):
+        w = small_net(seed=seed, n=3, m=2, scale=scale)
+
+        def weighted():
+            g = lstm.gate_bounds(w)
+            return a_r1 * g.r1 + a_r2 * g.r2
+
+        grads = lstm.margin_adjoint(w, lstm.gate_bounds(w), a_r1, a_r2)
+        eps = 1e-6
+        for name, grad in zip(("W", "U", "b"), grads):
+            arr = getattr(w, name)
+            assert grad.shape == arr.shape
+            fd = np.empty_like(arr)
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                arr[idx] = orig + eps
+                up = weighted()
+                arr[idx] = orig - eps
+                down = weighted()
+                arr[idx] = orig
+                fd[idx] = (up - down) / (2 * eps)
+            np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7, err_msg=name)
+
+
 class TestGateOrder:
     """The certificate's gate bounds and gains, against the same formulas
     written with the per-gate views W_f ... b_o."""
@@ -653,62 +680,62 @@ def uncertified_net():
     return w
 
 
-LYAPUNOV_FIELDS = ("P_s", "rho_s", "c_sl", "c_su", "c_s")
-
-
 class TestCertification:
     def test_zero_weights(self):
-        cert = lstm.delta_iss_check(zero_net())
+        cert = lstm.incremental_lyapunov(zero_net())
         np.testing.assert_allclose(cert.A_delta, [[0.5, 0.0], [0.25, 0.0]], atol=1e-15)
         assert cert.rho_A == pytest.approx(0.5)
-        assert cert.certified
+        assert cert.certified is True
         assert cert.r1 < 0 and cert.r2 < 0
 
     def test_rejects_inflated_recurrence(self):
         w = uncertified_net()
-        cert = lstm.delta_iss_check(w)
-        assert cert.rho_A >= 1.0
-        assert not cert.certified
-        assert all(getattr(cert, name) is None for name in LYAPUNOV_FIELDS)
-        with pytest.raises(InstabilityError):
+        assert numerics.spectral_radius(lstm.gate_bounds(w).gains) >= 1.0
+        with pytest.raises(InstabilityError, match="model not certified"):
             lstm.incremental_lyapunov(w)
 
     def test_certified_record_is_built_whole(self, bench_w):
-        # one builder: a certified record holds lyapunov_bounds of its own
-        # A_delta, and incremental_lyapunov returns the same record
+        # one builder: the record holds its model's gate_bounds, their
+        # spectral radius and lyapunov_bounds of its own A_delta
         nets = [small_net(seed=seed, n=n, m=m, p=p)
                 for seed, n, m, p in ((0, 3, 1, 1), (1, 5, 2, 1), (2, 8, 1, 3), (3, 2, 3, 2))]
         for w in [bench_w, *nets]:
-            cert = lstm.delta_iss_check(w)
-            assert cert.certified
+            cert = lstm.incremental_lyapunov(w)
+            g = lstm.gate_bounds(w)
+            np.testing.assert_array_equal(cert.A_delta, g.gains)
+            np.testing.assert_array_equal(cert.B_delta, g.column)
+            assert (cert.rho_A, cert.r1, cert.r2) == (numerics.spectral_radius(g.gains), g.r1, g.r2)
             p_s, rho_s, c_sl, c_su = lstm.lyapunov_bounds(cert.A_delta)
             np.testing.assert_array_equal(cert.P_s, p_s)
             assert (cert.rho_s, cert.c_sl, cert.c_su) == (rho_s, c_sl, c_su)
             np.testing.assert_array_equal(cert.c_s, np.linalg.norm(w.W_y, axis=1) / c_sl)
-            again = lstm.incremental_lyapunov(w)
-            for field in dataclasses.fields(cert):
-                np.testing.assert_array_equal(getattr(again, field.name),
-                                              getattr(cert, field.name), err_msg=field.name)
+
+    def test_certified_is_always_true_and_not_a_field(self, bench_w):
+        cert = lstm.incremental_lyapunov(bench_w)
+        assert cert.certified is True
+        assert "certified" not in {field.name for field in dataclasses.fields(cert)}
+        with pytest.raises(AttributeError):
+            cert.certified = False
+        with pytest.raises(TypeError, match="certified"):
+            dataclasses.replace(cert, certified=False)
 
     def test_certificate_holds_no_mutable_field(self, bench_w):
-        # scalars, flags and read-only arrays only: no field can be edited in place
-        for cert in (lstm.delta_iss_check(bench_w), lstm.incremental_lyapunov(bench_w)):
-            for field in dataclasses.fields(cert):
-                value = getattr(cert, field.name)
-                if isinstance(value, np.ndarray):
-                    assert not value.flags.writeable, field.name
-                else:
-                    assert value is None or isinstance(value, (bool, float)), field.name
+        # scalars and read-only arrays only: no field can be edited in place
+        cert = lstm.incremental_lyapunov(bench_w)
+        for field in dataclasses.fields(cert):
+            value = getattr(cert, field.name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, field.name
+            else:
+                assert isinstance(value, float), field.name
 
     def test_jury_equivalent_to_spectral_radius(self, bench_w):
-        cert = lstm.delta_iss_check(bench_w)
-        assert cert.certified
+        cert = lstm.incremental_lyapunov(bench_w)
         assert (cert.rho_A < 1.0) == (cert.r1 < 0.0 and cert.r2 < 0.0)
         # same equivalence on random small nets, certified or not
         for seed in range(20):
-            w = small_net(seed=seed, n=3, scale=0.8)
-            c = lstm.delta_iss_check(w)
-            assert (c.rho_A < 1.0) == (c.r1 < 0.0 and c.r2 < 0.0)
+            g = lstm.gate_bounds(small_net(seed=seed, n=3, scale=0.8))
+            assert (numerics.spectral_radius(g.gains) < 1.0) == (g.r1 < 0.0 and g.r2 < 0.0)
 
     def test_lyapunov_fields(self, bench_w, bench_cert):
         cert = bench_cert
@@ -745,7 +772,7 @@ class TestCertification:
 
 class TestVs:
     def _manual_cert(self):
-        return dataclasses.replace(lstm.delta_iss_check(zero_net()), P_s=np.eye(2))
+        return dataclasses.replace(lstm.incremental_lyapunov(zero_net()), P_s=np.eye(2))
 
     def test_equal_pair_is_zero(self, bench_cert, bench_w):
         x = random_invariant_state(bench_w, np.random.default_rng(1))
@@ -765,12 +792,6 @@ class TestVs:
                       np.sqrt(np.sum((x_a.h - x_b.h) ** 2))])
         assert lstm.v_s(bench_cert, x_a, x_b) == pytest.approx(
             float(np.sqrt(v @ bench_cert.P_s @ v)), abs=1e-12)
-
-    def test_requires_lyapunov_data(self):
-        cert = lstm.delta_iss_check(uncertified_net())
-        x = LstmState(np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError, match="not certified"):
-            lstm.v_s(cert, x, x)
 
 
 class TestWeightStorage:

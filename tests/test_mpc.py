@@ -594,14 +594,14 @@ class TestCertify:
 
     @pytest.mark.parametrize("with_section", [False, True])
     def test_builds_the_model_certificate_once(self, bench, monkeypatch, with_section):
-        calls = {"delta_iss_check": 0, "gate_bounds": 0}
+        calls = {"incremental_lyapunov": 0, "gate_bounds": 0}
         for name in calls:
             def counted(*args, _name=name, _func=getattr(lstm, name), **kwargs):
                 calls[_name] += 1
                 return _func(*args, **kwargs)
             monkeypatch.setattr(lstm, name, counted)
         mpc.certify(*bench if with_section else bench[:1])
-        assert calls == {"delta_iss_check": 1, "gate_bounds": 1}
+        assert calls == {"incremental_lyapunov": 1, "gate_bounds": 1}
 
     @pytest.mark.parametrize("horizon", [0, -3, True, 5.0, None])
     def test_rejects_horizon_that_is_not_a_positive_int(self, bench, horizon):

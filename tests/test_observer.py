@@ -128,7 +128,7 @@ class TestObserverStep:
 class TestObserverMatrices:
     def test_zero_gains_embed_model_contraction(self, bench_w):
         spec = make_spec(bench_w, l_d=0.3)
-        cert = lstm.delta_iss_check(bench_w)
+        cert = lstm.incremental_lyapunov(bench_w)
         np.testing.assert_array_equal(spec.A_d[:2, :2], cert.A_delta)
         # exactly, on seeded nets of every size, certified or not
         for seed in range(300):
@@ -138,7 +138,7 @@ class TestObserverMatrices:
             zero = np.zeros((n, p))
             a_d = observer.observer_matrices(w, observer.ObserverSpec(
                 L_f=zero, L_i=zero, L_o=zero, L_d=0.3 * np.eye(p), d_max=0.1))
-            np.testing.assert_array_equal(a_d[:2, :2], lstm.delta_iss_check(w).A_delta,
+            np.testing.assert_array_equal(a_d[:2, :2], lstm.gate_bounds(w).gains,
                                           err_msg=f"seed {seed}")
         np.testing.assert_allclose(spec.A_d[:2, 2], 0.0, atol=1e-15)
         assert spec.A_d[2, 0] == 0.0
@@ -234,7 +234,7 @@ class TestSelectGains:
 
     def test_suboptimal_spectral_radius(self, bench_w):
         spec = make_spec(bench_w, l_d=0.1)
-        cert = lstm.delta_iss_check(bench_w)
+        cert = lstm.incremental_lyapunov(bench_w)
         assert numerics.spectral_radius(spec.A_d) == pytest.approx(
             max(cert.rho_A, 0.9), abs=1e-10)
 

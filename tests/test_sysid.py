@@ -149,8 +149,8 @@ class TestLoss:
         cfg = sysid.TrainConfig(n_neurons=n)
         grads = {name: np.zeros_like(getattr(w, name)) for name in ("W", "U", "b")}
         pen = sysid._penalty_with_grads(w, cfg, grads)
-        cert = lstm.delta_iss_check(w)
-        r1, r2 = cert.r1, cert.r2
+        g = lstm.gate_bounds(w)
+        r1, r2 = g.r1, g.r2
         assert pen == (cfg.lambda1 * max(r1, 0.0) + cfg.lambda1 * max(r2, 0.0)
                        + cfg.lambda2 * min(r1, 0.0) + cfg.lambda2 * min(r2, 0.0))
         if scale == 0.5:
@@ -168,7 +168,7 @@ class TestTrain:
     def test_zero_epochs_returns_certified_init(self):
         ds = synthetic_dataset()
         init = small_net(seed=9, n=3)
-        assert lstm.delta_iss_check(init).certified
+        assert lstm.incremental_lyapunov(init).certified
         cfg = sysid.TrainConfig(epochs=0, n_neurons=3, washout=10)
         out = sysid.train(ds, cfg, init=init)
         for name in lstm.MATRIX_FIELDS:
@@ -186,7 +186,7 @@ class TestTrain:
         ds = synthetic_dataset()
         cfg = sysid.TrainConfig(epochs=3, n_neurons=3, washout=10, seed=4)
         w = sysid.train(ds, cfg)
-        assert lstm.delta_iss_check(w).certified
+        assert lstm.incremental_lyapunov(w).certified
 
     def test_margin_penalty_restores_certificate(self):
         # adversarial init with r1 > 0: a large penalty drives the margins down
@@ -226,6 +226,16 @@ class TestTrain:
                                 extension_factor=2)
         with pytest.raises(TrainingError):
             sysid.train(ds, cfg, init=init)
+
+    def test_non_finite_input_in_memory_names_epoch_and_sequence(self):
+        # a Dataset built in memory skips load_dataset's check: the loss
+        # rejects the forward pass, and train says where
+        ds = synthetic_dataset()
+        ds.train[1][0][5] = np.nan
+        cfg = sysid.TrainConfig(epochs=1, n_neurons=3, washout=10)
+        with pytest.raises(TrainingError,
+                           match="^epoch 0, sequence 1: non-finite forward pass$"):
+            sysid.train(ds, cfg)
 
 
 class TestFitIndex:
@@ -270,6 +280,22 @@ class TestDatasetIo:
             np.testing.assert_allclose(u1, u2, atol=1e-12)
             np.testing.assert_allclose(y1, y2, atol=1e-12)
         assert ds2.normalizer == ds.normalizer
+
+    @pytest.mark.parametrize("name, row, column, value", [
+        ("seq_001.csv", 3, 2, "nan"), ("seq_004.csv", 0, 1, "-inf")], ids=["train-y", "test-u"])
+    def test_rejects_non_finite_sample(self, tmp_path, name, row, column, value):
+        # in a training file it would fail training with a misleading
+        # message, in a test file it would make the test FIT nan
+        sysid.save_dataset(synthetic_dataset(seed=3), tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        cells = lines[row + 1].split(",")
+        cells[column] = value
+        lines[row + 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} line {row + 2} must be a finite (u_raw, y_raw) pair, got [")):
+            sysid.load_dataset(tmp_path)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
