@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import mpc, observer, plant, refcalc
+from . import lstm, mpc, observer, plant, refcalc
 from .errors import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
                      FeasibilityLossError, check)
 from .lstm import LstmState
@@ -163,12 +163,15 @@ def setpoint_trace(sc, nrm, n_steps):
 
 def constant_segments(sc, nrm, n_steps):
     """(start step, end step, y0 normalized) spans of 800 s or more with a flat set-point."""
-    y0s = setpoint_trace(sc, nrm, n_steps)
+    return _flat_spans(setpoint_trace(sc, nrm, n_steps), sc.t_s)
+
+
+def _flat_spans(y0s, t_s):     # constant_segments of the set-point trace y0s
     segs = []
     start = 0
-    for k in range(1, n_steps + 1):
-        if k == n_steps or y0s[k] != y0s[k - 1]:
-            if (k - start) * sc.t_s >= 800.0:
+    for k in range(1, len(y0s) + 1):
+        if k == len(y0s) or y0s[k] != y0s[k - 1]:
+            if (k - start) * t_s >= 800.0:
                 segs.append((start, k, float(y0s[start])))
             start = k
     return segs
@@ -242,22 +245,23 @@ def run_scenario(sc, w, spec=None):
 
     ``mpc.certify`` builds the run's certificate from the observer gains
     ``spec`` (an ObserverSpec or the weights' JSON section) and the
-    scenario's horizon and q_weight. Each step measures the plant, runs
-    ``Controller.step``, advances the plant, updates the observer and
-    records a trace row; the counters come from the trace and from each
-    solution's iteration count and candidate violation.
+    scenario's horizon and q_weight, and one ``lstm.Kernel`` of the weights
+    then serves every cell step of the run. Each step measures the plant,
+    runs ``Controller.step``, advances the plant, updates the observer and
+    records a trace row; the counters come from the trace and the solutions.
     """
     sc.check()
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")
     nrm = plant.Normalizer(*w.u_range, *w.y_range)
     certificate = mpc.certify(w, spec, sc.horizon, sc.q_weight)
-    ctrl = mpc.Controller(w, certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
+    kernel = lstm.Kernel(w)
+    ctrl = mpc.Controller(kernel, certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
                           y_lb=nrm.normalize_y(sc.y_lb_phys), y_ub=nrm.normalize_y(sc.y_ub_phys))
 
     n_steps = int(round(sc.duration_s / sc.t_s))
     y0s = setpoint_trace(sc, nrm, n_steps)
-    sim = _PLANTS[sc.mode](sc, w, certificate.spec, nrm)
+    sim = _PLANTS[sc.mode](sc, kernel, certificate.spec, nrm)
     chi_hat = sim.chi_hat0
 
     trace = {c: [] for c in TRACE_COLUMNS}
@@ -270,10 +274,10 @@ def run_scenario(sc, w, spec=None):
             u, sol, _ = ctrl.step(chi_hat, np.atleast_1d(y0s[k]))
         except FeasibilityLossError:
             break
-        u_applied = np.clip(u, -w.u_max, w.u_max)
+        u_applied = np.minimum(np.maximum(u, -w.u_max), w.u_max)
         u_phys = float(nrm.denormalize_u(u_applied[0]))
         sim.advance(u_applied, u_phys)
-        chi_hat = observer.observer_step(w, certificate.spec, chi_hat, u_applied, y)
+        chi_hat = observer.observer_step(kernel, certificate.spec, chi_hat, u_applied, y)
         iterations.append(sol.solver_iterations)
         candidates.append(sol.candidate_violation)
         row = (t, nrm.denormalize_y(y0s[k]), y_phys, u_phys, d_phi, chi_hat.d[0],
@@ -284,7 +288,7 @@ def run_scenario(sc, w, spec=None):
 
     segs = []
     window = max(1, int(round(200.0 / sc.t_s)))
-    for start, end, y0 in constant_segments(sc, nrm, n_steps):
+    for start, end, y0 in _flat_spans(y0s, sc.t_s):
         end = min(end, len(trace["y_phys"]))
         if end - start < window:
             continue

@@ -11,32 +11,28 @@ The model step, the observer, the MPC prediction and its sensitivities,
 training and the reference Jacobian all run this cell through one kernel:
 
 - ``LstmWeights`` stores the gate weights once, stacked in the order
-  ``GATES`` = (c, f, i, o). Every (4n,)-row quantity uses this order:
-  the stored W, U, b, an injected preactivation term and the adjoint dz;
-  ``W_f`` ... ``b_c`` are views into the stacks. ``GATES`` is the only
-  place the order is written: every gate offset derives from it.
-- ``rollout`` runs T steps from (c0, h0) and returns c, h of shape
-  (T+1, n) plus a cache of the f/i/o activations, the candidate gate and
-  tanh(c+). Each step takes all four gates from one ``tanh`` over the
-  preactivations with the f, i, o block halved, since
-  sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so the gates
-  equal ``sigmoid``'s bit for bit. The steps work in place in one
-  (T+1, 5n) buffer whose row k is [c_k | g | f | i | o]: 9 numpy calls
-  per step and no slicing.
-- ``local_factors`` gives the cell's per-step partial derivatives from
-  that cache. ``step_jacobians`` is the one place where the cell's
-  linearization is written; the forward sweep ``sensitivities`` (the
-  MPC's dense QP), the reverse sweep ``adjoint`` (training) and the
-  reference calculation's Newton Jacobian all read it.
+  ``GATES`` = (c, f, i, o), the one place the order is written. Every
+  (4n,)-row quantity uses it; ``W_f`` ... ``b_c`` are views into the stacks.
+- ``Kernel(w)`` is a read-only snapshot of what the cell reads from ``w``,
+  built once. Each step takes all four gates from one ``tanh`` over
+  preactivations whose f, i, o rows are halved, since sigmoid(z) =
+  0.5 (1 + tanh(z / 2)); halving is exact, so the gates equal ``sigmoid``'s
+  bit for bit. One loop, ``_run``, works in place in a buffer whose row k
+  is [c_k | g | f | i | o], 9 numpy calls per step: ``rollout`` runs it
+  over T steps on buffers it allocates, ``Kernel.step`` over one on
+  buffers the kernel owns. Every function that takes weights takes a
+  kernel in their place, and prepares one per call from plain weights
+  (``prepare``), so a kernel never sees later writes into ``w``.
+- ``step_jacobians``, the one copy of the cell's linearization, feeds the
+  forward sweep ``sensitivities``, the reverse sweep ``adjoint`` and the
+  reference calculation's Newton Jacobian.
 
 Besides the state update, this module holds the one copy of the
-contraction certificate's arithmetic, ``increment_gains`` (for the model
-certificate, the observer's A_d and L_mat and the training penalty), and
-of its reverse sweep, ``margin_adjoint``. ``incremental_lyapunov`` builds
-the model's whole certificate, ``lyapunov_bounds`` its Lyapunov data.
+contraction certificate's arithmetic, ``increment_gains``, and of its
+reverse sweep, ``margin_adjoint``. ``incremental_lyapunov`` builds the
+model's whole certificate, ``lyapunov_bounds`` its Lyapunov data.
 """
 
-import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -44,12 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import POSITIVE, DimensionError, InstabilityError, check
-from .numerics import (
-    eig_extrema_spd,
-    freeze_arrays,
-    solve_discrete_lyapunov,
-    spectral_radius,
-)
+from .numerics import eig_extrema_spd, freeze_arrays, solve_discrete_lyapunov, spectral_radius
 
 
 def sigmoid(z):
@@ -110,10 +101,9 @@ class LstmWeights:
     (4n, m), ``U`` (4n, n) and ``b`` (4n,), beside the readout ``W_y``,
     ``b_y``. The per-gate ``W_f`` ... ``b_c`` (the constructor keywords
     and ``MATRIX_FIELDS``) are views into the stacks, so ``w.b_f[...] = x``,
-    ``w.U_o *= k`` and ``w.W_c = a`` all update them. The constructor
-    copies its arrays. ``u_range`` / ``y_range`` carry the physical
-    (lo, hi) pairs used to normalize signals to [-1, 1]; they travel with
-    the weights so a saved model is self-contained.
+    ``w.U_o *= k`` and ``w.W_c = a`` all update them; the constructor
+    copies its arrays. ``u_range`` / ``y_range``, the physical (lo, hi)
+    pairs normalized to [-1, 1], make a saved model self-contained.
     """
 
     W_f, W_i, W_c, W_o, U_f, U_i, U_c, U_o, b_f, b_i, b_c, b_o = (
@@ -138,17 +128,9 @@ class LstmWeights:
         check("u_max", u_max, POSITIVE)
         self.u_max, self.u_range, self.y_range = u_max, u_range, y_range
 
-    @property
-    def n(self):
-        return self.U.shape[1]
-
-    @property
-    def m(self):
-        return self.W.shape[1]
-
-    @property
-    def p(self):
-        return self.W_y.shape[0]
+    n = property(lambda self: self.U.shape[1])
+    m = property(lambda self: self.W.shape[1])
+    p = property(lambda self: self.W_y.shape[0])
 
     def zero_state(self):
         return LstmState(np.zeros(self.n), np.zeros(self.n))
@@ -163,37 +145,74 @@ MATRIX_FIELDS = ("W_f", "W_i", "W_c", "W_o", "U_f", "U_i", "U_c", "U_o",
 PARAMETERS = ("W", "U", "b", "W_y", "b_y")     # the arrays LstmWeights stores
 
 
-def rollout(w, c0, h0, u_seq, inject=0.0):
-    """Run the cell over the (T, m) inputs ``u_seq`` from (c0, h0).
+class Kernel:
+    """The cell operands of the weights ``w``, copied once and read-only:
+    ``U_half``, ``W_half``, ``b_half``, the stacks with their f, i, o rows
+    halved; ``UW`` (4, n, n+m), the per-gate [U | W] blocks; ``W_y``,
+    ``b_y``; and ``residual_jacobian``, the (2n+p, 2n+m) template
+    [0; 0 W_y 0] of the equilibrium residual's Jacobian. ``step`` runs on
+    buffers the kernel owns and ``last_factors`` reads them."""
 
-    ``inject`` is added to the preactivations (broadcast to (T, 4n), in
-    ``GATES`` order). Returns c, h of shape (T+1, n) and the cache that
-    ``local_factors``, ``sensitivities`` and ``adjoint`` read.
-    """
-    n_t, n = len(u_seq), len(c0)
-    # Row k is [c_k | z_k], z_k the gates of step k in GATES order: with
-    # the candidate gate first, [c_k | g] and [f | i] are adjacent pairs.
-    # Row T holds c_T alone.
-    row = np.empty((n_t + 1, 5 * n))
-    h = np.empty((n_t + 1, n))
-    tc = np.empty((n_t, n))            # tanh(c+)
-    fc_ig = np.empty(2 * n)            # [f c_k | i g]
-    fc, ig = fc_ig[:n], fc_ig[n:]
-    c = row[:, :n]
-    c[0], h[0] = c0, h0
-    scale, one = _gate_operands(n)
-    half = scale[_F * n:(_O + 1) * n]
-    pre = u_seq @ w.W.T + w.b + inject
-    pre *= scale
-    u_rec = w.U * scale[:, None]       # C-contiguous, so BLAS keeps its kernel
+    def __init__(self, w):
+        n, m, p = self.n, self.m, self.p = w.n, w.m, w.p
+        scale = np.full(4 * n, 0.5)
+        scale[_C * n:(_C + 1) * n] = 1.0
+        # the sigmoid's 0.5 (1 + t) in place costs less with array operands than with floats
+        self._scale, self._half, self._one = scale, scale[_F * n:(_O + 1) * n], np.ones(3 * n)
+        self.U_half, self.W_half = w.U * scale[:, None], w.W * scale[:, None]
+        self.b_half, self.W_y, self.b_y, self.u_max = w.b * scale, w.W_y, w.b_y, w.u_max
+        self.UW = np.concatenate((w.U, w.W), axis=1).reshape(4, n, n + m)
+        self.residual_jacobian = np.zeros((2 * n + p, 2 * n + m))
+        self.residual_jacobian[2 * n:, n:2 * n] = w.W_y
+        freeze_arrays(self)
+        row, h, self._pre, steps, self._cache = _loop_buffers(1, n)
+        self._steps, self._c, self._h_next = list(steps), row[:, :n], h[1]
+        self._inject, self._fc_ig = np.empty(4 * n), np.empty(2 * n)
+
+    def step(self, c, h, u, inject=None):
+        """(c+, h+), new arrays, of one step from (c, h) with the (m,) input
+        ``u`` and, if given, ``inject`` (4n,) added to the preactivations."""
+        pre = self._pre[0]
+        np.matmul(u, self.W_half.T, out=pre)
+        pre += self.b_half
+        if inject is not None:
+            pre += np.multiply(inject, self._scale, out=self._inject)
+        self._c[0] = c
+        _run(self, h, self._steps, self._fc_ig)
+        return self._c[1].copy(), self._h_next.copy()
+
+    def last_factors(self):
+        """``local_factors`` of the last ``step``, (1, n) views that the
+        next step overwrites."""
+        return local_factors(self._c, self._cache)
+
+
+def prepare(w):
+    """``w`` itself if it is a ``Kernel``, else a new ``Kernel`` of the weights."""
+    return w if isinstance(w, Kernel) else Kernel(w)
+
+
+def _loop_buffers(n_t, n):
+    """A T-step loop's buffers, row (T+1, 5n) whose row k is [c_k | z_k], z_k
+    step k's gates in ``GATES`` order (so [c_k | g] and [f | i] are adjacent),
+    h (T+1, n) and the halved preactivations (T, 4n); the per-step views
+    ``_run`` writes through; and the cache, ([f i o], g, tanh(c+))."""
+    row, h, tc, pre = (np.empty((n_t + 1, 5 * n)), np.empty((n_t + 1, n)), np.empty((n_t, n)),
+                       np.empty((n_t, 4 * n)))
     z = row[:-1, n:]
-    sig = z[:, _F * n:(_O + 1) * n]    # [f i o]
-    f_i = z[:, _F * n:(_I + 1) * n]
-    c_g = row[:-1, :n + (_C + 1) * n]
-    h_k = h[0]
-    for z_k, pre_k, s_k, fi_k, cg_k, c_next, tc_k, o_k, h_next in zip(
-            z, pre, sig, f_i, c_g, c[1:], tc, z[:, _O * n:(_O + 1) * n], h[1:]):
-        np.dot(u_rec, h_k, out=z_k)
+    sig = z[:, _F * n:(_O + 1) * n]
+    steps = zip(z, pre, sig, z[:, _F * n:(_I + 1) * n], row[:-1, :n + (_C + 1) * n],
+                row[1:, :n], tc, z[:, _O * n:(_O + 1) * n], h[1:])
+    return row, h, pre, steps, (sig, z[:, _C * n:(_C + 1) * n], tc)
+
+
+def _run(k, h_k, steps, fc_ig):
+    """The cell's loop over ``_loop_buffers``' steps from ``h_k``, 9 numpy
+    calls per step; ``fc_ig`` (2n,) is scratch for [f c_k | i g]."""
+    u_half, one, half, n = k.U_half, k._one, k._half, k.n
+    fc, ig = fc_ig[:n], fc_ig[n:]
+    for z_k, pre_k, s_k, fi_k, cg_k, c_next, tc_k, o_k, h_next in steps:
+        np.dot(u_half, h_k, out=z_k)
         z_k += pre_k
         np.tanh(z_k, out=z_k)
         s_k += one
@@ -203,22 +222,24 @@ def rollout(w, c0, h0, u_seq, inject=0.0):
         np.tanh(c_next, out=tc_k)
         np.multiply(o_k, tc_k, out=h_next)
         h_k = h_next
-    return c, h, (sig, z[:, _C * n:(_C + 1) * n], tc)
 
 
-@functools.cache
-def _gate_operands(n):
-    """``rollout``'s (4n,) preactivation scale, 1 on the c rows and 0.5 on
-    the f, i, o rows, and the (3n,) ones that shift the sigmoid's affine
-    map 0.5 (1 + t), whose factor is the scale's f, i, o block: an
-    in-place ufunc costs less with an array operand than with a float.
-    Read-only, shared by every call."""
-    scale = np.full(4 * n, 0.5)
-    scale[_C * n:(_C + 1) * n] = 1.0
-    pair = scale, np.ones(3 * n)
-    for operand in pair:
-        operand.flags.writeable = False
-    return pair
+def rollout(w, c0, h0, u_seq, inject=None):
+    """Run the cell over the (T, m) inputs ``u_seq`` from (c0, h0).
+
+    ``inject``, if given, is added to the preactivations (broadcast to
+    (T, 4n), in ``GATES`` order). Returns c, h of shape (T+1, n) and the
+    cache that ``local_factors``, ``sensitivities`` and ``adjoint`` read.
+    """
+    k = prepare(w)
+    row, h, pre, steps, cache = _loop_buffers(len(u_seq), k.n)
+    row[0, :k.n], h[0] = c0, h0
+    np.matmul(u_seq, k.W_half.T, out=pre)
+    pre += k.b_half
+    if inject is not None:
+        pre += inject * k._scale
+    _run(k, h[0], steps, np.empty(2 * k.n))
+    return row[:, :k.n], h, cache
 
 
 def local_factors(c, cache):
@@ -241,27 +262,27 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
     """Reverse sweep of ``rollout``: dz = dL/d(preactivation), (T, 4n), so
     that dL/du = dz @ W and dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)).
 
-    ``dc_stage``/``dh_stage`` (T+1, n) are the direct partials of L with
-    respect to c_k and h_k at stages 0..T; they are read, not written.
-    The state adjoint lam_k = dL/d(c_k, h_k) runs lam_k = A_k^T lam_k+1
-    plus the stage-k partials as one vector-matrix product per step,
-    [lam_k+1 | 1] [A_k; stage-k partials], with A_k from
-    ``step_jacobians`` formed one block of steps at a time; then, for all
-    k at once, with dct = lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_g dct,
-    k_f dct, k_i dct, k_o lam^h_k+1) in ``GATES`` order.
+    ``dc_stage``/``dh_stage`` (T+1, n), read only, are the direct partials
+    of L with respect to c_k and h_k at stages 0..T. The state adjoint
+    lam_k = dL/d(c_k, h_k) = A_k^T lam_k+1 + the stage-k partials is one
+    product [lam_k+1 | 1] [A_k; stage-k partials] per step, A_k from
+    ``step_jacobians`` one block of steps at a time; then, for all k, with
+    dct = lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_g dct, k_f dct, k_i dct,
+    k_o lam^h_k+1) in ``GATES`` order.
     """
+    k = prepare(w)
     factors = local_factors(c, cache)
     _, k_f, k_i, k_g, k_o, k_t = factors
     n_t, n = k_t.shape
     n2 = 2 * n
     lam = np.ones((n_t + 1, n2 + 1))               # [lam_k | 1]
     lam[n_t, :n], lam[n_t, n:n2] = dc_stage[n_t], dh_stage[n_t]
-    block = min(_sweep_block(n, w.m), max(n_t, 1))
+    block = min(_sweep_block(n, k.m), max(n_t, 1))
     aug = np.zeros((block, n2 + 1, n2))            # [A_k; stage-k partials]
     for k1 in range(n_t, 0, -block):
         k0 = max(k1 - block, 0)
         aug_b = aug[:k1 - k0]
-        step_jacobians(w, [x[k0:k1] for x in factors], aug_b)
+        step_jacobians(k, [x[k0:k1] for x in factors], aug_b)
         aug_b[:, n2, :n], aug_b[:, n2, n:] = dc_stage[k0:k1], dh_stage[k0:k1]
         for lam_k, lam_next, aug_k in zip(lam[k0:k1, :n2][::-1], lam[k0 + 1:k1 + 1][::-1],
                                           aug_b[::-1]):
@@ -304,9 +325,7 @@ def step_jacobians(w, factors, out):
     """
     f, k_f, k_i, k_g, k_o, k_t = factors
     n = f.shape[1]
-    cols = out.shape[2] - n                               # n + m, or n for A_k alone
-    # [U | W], or U alone, per gate in GATES order
-    uw = (np.concatenate((w.U, w.W), axis=1) if cols > n else w.U).reshape(4, n, cols)
+    uw = prepare(w).UW[:, :, :out.shape[2] - n]          # [U | W], or U alone, per gate
     dc = k_f[:, :, None] * uw[_F] + k_i[:, :, None] * uw[_I] + k_g[:, :, None] * uw[_C]
     diag = np.arange(n)
     out[:, diag, diag] = f
@@ -323,26 +342,27 @@ def sensitivities(w, c, cache):
     depend on u and stage k only on u_0..u_{k-1}, so S_k+1 = A_k S_k on
     those columns and B_k on u_k's, with [A_k | B_k] from ``step_jacobians``.
     """
-    n_t, n2, m = len(c) - 1, 2 * w.n, w.m
+    k = prepare(w)
+    n_t, n2, m = len(c) - 1, 2 * k.n, k.m
     jac = np.zeros((n_t, n2, n2 + m))
-    step_jacobians(w, local_factors(c, cache), jac)
+    step_jacobians(k, local_factors(c, cache), jac)
     s = np.zeros((n_t + 1, n2, n_t * m))
-    for k in range(n_t):
-        j = k * m
-        np.matmul(jac[k, :, :n2], s[k, :, :j], out=s[k + 1, :, :j])
-        s[k + 1, :, j:j + m] = jac[k, :, n2:]
+    for t in range(n_t):
+        j = t * m
+        np.matmul(jac[t, :, :n2], s[t, :, :j], out=s[t + 1, :, :j])
+        s[t + 1, :, j:j + m] = jac[t, :, n2:]
     return s
 
 
 def step(w, x, u):
-    """One state update. Warns (does not reject) if u leaves its box."""
+    """One state update, ``Kernel.step``. Warns (does not reject) if u leaves its box."""
+    k = prepare(w)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (w.m,):
-        raise DimensionError(f"input shape {u.shape} != ({w.m},)")
-    if np.max(np.abs(u)) > w.u_max * (1.0 + 1e-12):
+    if u.shape != (k.m,):
+        raise DimensionError(f"input shape {u.shape} != ({k.m},)")
+    if abs(u).max() > k.u_max * (1.0 + 1e-12):
         warnings.warn("input exceeds u_max; upstream saturation expected", stacklevel=2)
-    c, h, _ = rollout(w, x.c, x.h, u[None, :])
-    return LstmState(c[1], h[1])
+    return LstmState(*k.step(x.c, x.h, u))
 
 
 def output(w, x):
@@ -355,14 +375,12 @@ def output(w, x):
 @dataclass
 class GateBounds:
     """Worst-case gate magnitudes over an invariant operating set and the
-    increment gains they give (see ``increment_gains``).
-
-    ``cell_radius`` bounds ||c||_inf on the set and ``sigma_x`` = tanh of
-    it bounds tanh(c). ``gains`` (2x2; gains[0, 1] is the paper's alpha)
-    and ``column`` (2x1; column[0, 0] is its beta) bound the next
-    increment: (||dc+||, ||dh+||) <= gains (||dc||, ||dh||) + column ||dv||.
-    The Jury margins r1 = -1 + tr gains - det gains, r2 = det gains - 1
-    are both negative iff rho(gains) < 1.
+    increment gains they give (see ``increment_gains``). ``cell_radius``
+    bounds ||c||_inf on the set and ``sigma_x`` = tanh of it bounds tanh(c).
+    ``gains`` (2x2; gains[0, 1] is the paper's alpha) and ``column`` (2x1;
+    column[0, 0] is its beta) bound the next increment: (||dc+||, ||dh+||)
+    <= gains (||dc||, ||dh||) + column ||dv||. The Jury margins r1 = -1 +
+    tr gains - det gains, r2 = det gains - 1 are both negative iff rho(gains) < 1.
     """
 
     sigma_f: float
@@ -383,12 +401,11 @@ def increment_gains(sigmas, recurrent, inputs):
     ``sigmas`` = (sigma_f, sigma_i, sigma_o, sigma_c); ``recurrent`` and
     ``inputs`` hold, in ``GATES`` order, the matrices that carry the
     hidden-state increment dh and the second increment dv into each gate's
-    preactivation. The model passes (U, W); the observer passes its hatted
-    bounds with (U - L W_y, L) for its error dynamics and with (L W_y, L)
-    for their sensitivity to the gains. This is the one place where the
-    certificate's cell radius, sigma_x, gains, column and Jury margins are
-    formed. Returns the GateBounds of ``sigmas``; raises InstabilityError
-    unless sigma_f < 1, which the cell radius si sc / (1 - sf) needs.
+    preactivation: (U, W) for the model, (U - L W_y, L) and (L W_y, L) for
+    the observer's error dynamics and their sensitivity to the gains. The
+    one place the certificate's cell radius, sigma_x, gains, column and
+    Jury margins are formed. Raises InstabilityError unless sigma_f < 1,
+    which the cell radius si sc / (1 - sf) needs.
     """
     sf, si, so, sc = sigmas
     if not sf < 1.0:    # also for NaN
@@ -481,7 +498,6 @@ def margin_adjoint(w, g, a_r1, a_r2):
 class StabilityCertificate:
     """The contraction certificate, rho(A_delta) < 1, of a model's
     state-increment dynamics; ``incremental_lyapunov`` is its one builder.
-
     A_delta, B_delta, r1 and r2 are the gains, column and Jury margins of
     the model's ``gate_bounds``, which it does not keep; P_s onward are its
     incremental Lyapunov data. Its arrays are read-only copies.

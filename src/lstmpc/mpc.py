@@ -15,20 +15,13 @@ admissible set-point band; d_max, rho_o and w_bar live only in its spec.
 
 The solver is single-shooting sequential quadratic programming (SQP) over
 the N*m free inputs: each iteration solves ``Problem.qp_model``'s dense
-QP with ``_dense_qp``. Armijo backtracking on the l1 merit
-J + nu sum max(0, g), with nu at least 1.1 times the largest multiplier
-and never decreased, sets the step length. The left-shifted previous plan
-(with the new equilibrium input appended) is both the warm start and a
-certified feasible fallback.
-
-``Controller.step`` solves in real-time-iteration mode (Diehl, Bock &
-Schloeder, 2005): the loop also stops at its first feasible iterate, which
-is usually after one iteration, and each sample carries the iteration on
-from the last plan. Stability and recursive feasibility need only a
-feasible plan that costs no more than the feasible shifted candidate
-(suboptimal MPC, Scokaert, Mayne & Rawlings, 1999), and the returned plan
-is always the better feasible one of the iterate and the candidate; its
-status (see ``solve_fhocp``) says which.
+QP with ``_dense_qp``, and Armijo backtracking on the l1 merit
+J + nu sum max(0, g), nu >= 1.1 times the largest multiplier and never
+decreased, sets the step length. ``Controller.step`` solves in
+real-time-iteration mode (Diehl, Bock & Schloeder, 2005), from the
+left-shifted previous plan: stability and recursive feasibility need only
+a feasible plan that costs no more than that feasible shifted candidate
+(suboptimal MPC, Scokaert, Mayne & Rawlings, 1999).
 """
 
 from dataclasses import dataclass, field
@@ -104,13 +97,10 @@ class Certificate:
 
     def terminal_alpha(self, w_y, y0, y_lb, y_ub, e_o):
         """Radius of the terminal level set for the set-point y0, with (p,)
-        output bounds y_lb, y_ub.
-
-        Positive only while the set-point keeps enough margin from both
-        output bounds once the stage-N tightening and twice the disturbance
-        bound are subtracted, i.e. lies strictly inside ``admissible_band``.
-        A set-point on an edge of the band or outside it is inadmissible,
-        even where the radius rounds to a positive value.
+        output bounds y_lb, y_ub: positive only strictly inside
+        ``admissible_band``. A set-point on an edge of the band or outside
+        it raises InfeasibleSetpointError, even where the radius rounds to
+        a positive value.
         """
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
         margin = self.terminal_margin(e_o)
@@ -193,13 +183,14 @@ _FEAS_TOL = 1e-7         # constraint slack counted as feasible
 
 @dataclass
 class Problem:
-    """The tightened FHOCP of one control step, from ``Controller.problem_at``.
+    """The tightened FHOCP of one control step, from ``Controller.problem_at``,
+    on the controller's ``lstm.Kernel`` ``w``.
 
     ``tight`` holds the output-bound offsets a_i e_o + b_i + d_max of
     stages 0..N-1, (N, p); ``y_lb`` and ``y_ub`` are (p,).
     """
 
-    w: lstm.LstmWeights
+    w: lstm.Kernel
     x_hat: lstm.LstmState
     ref: refcalc.ReferencePair
     tight: np.ndarray
@@ -412,7 +403,8 @@ class Controller:
     bounds complete the FHOCP. Each step builds its ``Problem``, kept as
     ``problem`` until the next, and solves it once in real time,
     warm-started at the shifted previous plan, which it applies when no
-    feasible iterate costs less.
+    feasible iterate costs less. The steps run on ``lstm.prepare(w)``, so
+    later writes into the weights (which void the certificate) do not reach them.
     """
 
     def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
@@ -430,7 +422,8 @@ class Controller:
         bad = np.flatnonzero(~(self.y_lb < self.y_ub))
         if bad.size:
             raise ValueError(f"y_lb is not below y_ub on output {bad[0]}")
-        self.w, self.certificate, self.r_weight, self.e_o = w, certificate, r_weight, e_o0
+        self.w, self.certificate = lstm.prepare(w), certificate
+        self.r_weight, self.e_o = r_weight, e_o0
         self.problem = self.prev_solution = self.prev_ref = None
 
     def problem_at(self, x_hat, ref, y0):

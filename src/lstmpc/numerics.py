@@ -22,10 +22,10 @@ def induced_two_norm(m):
 
 
 def freeze_arrays(record):
-    """Replace each array field of the frozen dataclass ``record`` by a
-    read-only copy, so neither an in-place write nor a later edit of the
-    caller's array can change it; the records call it from
-    ``__post_init__``."""
+    """Replace each array attribute of ``record`` by a read-only copy, so
+    neither an in-place write nor a later edit of the caller's array can
+    change it; the frozen records call it from ``__post_init__``,
+    ``lstm.Kernel`` from its constructor."""
     for name, value in list(vars(record).items()):
         if isinstance(value, np.ndarray):
             value = value.copy()

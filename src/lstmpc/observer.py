@@ -48,13 +48,11 @@ class ObserverSpec:
     """Observer gains plus every derived convergence constant.
 
     The derived fields (A_d to L_max, cell_radius_hat) stay None until
-    derive_constants returns a copy with them formed from the gains, and
-    with the setting w_bar, when None, replaced by the analytic bound.
-    Construction checks that d_max is finite and positive, that L_i and
-    L_o have L_f's (n, p) shape and L_d is (p, p), and forms
-    ``injection``, the (4n, p) [0; L_f; L_i; L_o] in ``lstm.GATES`` order
-    (the candidate gate gets none). Its arrays are read-only copies, so
-    the caller's gains stay its own.
+    derive_constants returns a copy with them formed from the gains, and a
+    w_bar of None replaced by the analytic bound. Construction checks that
+    d_max is finite and positive, that L_i and L_o have L_f's (n, p) shape
+    and L_d is (p, p), and forms ``injection``, the (4n, p) [0; L_f; L_i;
+    L_o] in ``lstm.GATES`` order. Its arrays are read-only copies.
     """
 
     L_f: np.ndarray
@@ -102,44 +100,39 @@ class ObserverSpec:
 
 
 def observer_step(w, spec, chi_hat, u, y_measured):
-    """One observer update driven by the measured output.
-
-    The innovation enters the forget/input/output gate preactivations;
-    the disturbance estimate integrates it and is saturated at +-d_max.
+    """One observer update driven by the measured output, a step of
+    ``lstm.prepare(w)``: the innovation enters the f, i, o preactivations,
+    and the disturbance estimate integrates it, saturated at +-d_max.
     Raises DimensionError for gains that do not fit the model.
     """
+    k = lstm.prepare(w)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y_measured = np.atleast_1d(np.asarray(y_measured, dtype=float))
-    if u.shape != (w.m,) or y_measured.shape != (w.p,):
+    if u.shape != (k.m,) or y_measured.shape != (k.p,):
         raise DimensionError("input/measurement shape mismatch")
-    _check_fit(w, spec)
+    _check_fit(k, spec)
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
-    innov = y_measured - (w.W_y @ x.h + w.b_y + d)
-    c, h, _ = lstm.rollout(w, x.c, x.h, u[None, :], spec.injection @ innov)
-    d_next = np.clip(d + spec.L_d @ innov, -spec.d_max, spec.d_max)
-    return AugmentedState(LstmState(c[1], h[1]), d_next)
+    innov = y_measured - (k.W_y @ x.h + k.b_y + d)
+    c, h = k.step(x.c, x.h, u, spec.injection @ innov)
+    d_next = np.minimum(np.maximum(d + spec.L_d @ innov, -spec.d_max), spec.d_max)
+    return AugmentedState(LstmState(c, h), d_next)
 
 
 def observer_matrices(w, spec):
-    """The 3x3 error-contraction matrix A_d of the observer.
-
-    Coordinates of the error vector: (||c - chat||, ||h - hhat||, ||d - dhat||).
-    The top two rows are ``lstm.increment_gains`` of the hatted gate bounds
-    with (U - L W_y, L).
-    """
+    """The 3x3 error-contraction matrix A_d of the observer, over
+    (||c - chat||, ||h - hhat||, ||d - dhat||); see ``_error_dynamics``."""
     return _error_dynamics(w, spec)[0]
 
 
 def _error_dynamics(w, spec):
-    """(A_d, L_mat, the hatted cell radius) of the gains in ``spec``.
-
-    The hatted gate bounds widen the model's f, i and o preactivation
-    blocks [W u_max, U - L W_y, b] by the columns [L W_y, L d_max, L d_max],
-    whose row sums are added apart, so zero gains give exactly the
-    model's bounds. ``lstm.increment_gains`` of them, in ``lstm.GATES``
-    order, with (U - L W_y, L) gives A_d's top rows and with (L W_y, L)
-    L_mat's, the error dynamics' sensitivity to the gains. Raises
-    DimensionError for gains that do not fit the model.
+    """(A_d, L_mat, the hatted cell radius) of the gains in ``spec``. The
+    hatted gate bounds widen the model's f, i and o preactivation blocks
+    [W u_max, U - L W_y, b] by the columns [L W_y, L d_max, L d_max], whose
+    row sums are added apart, so zero gains give exactly the model's bounds.
+    ``lstm.increment_gains`` of them, in ``lstm.GATES`` order, with
+    (U - L W_y, L) gives A_d's top rows and with (L W_y, L) L_mat's, the
+    error dynamics' sensitivity to the gains. Raises DimensionError for
+    gains that do not fit the model.
     """
     _check_fit(w, spec)
     n, p = w.n, w.p

@@ -68,48 +68,67 @@ def equilibrium(p, u_phi=None, d_phi=None):
     return np.array([w_a4, w_b4, h1])
 
 
-def _rates(p):
-    """The ODE right-hand side on Python floats, with ``p`` read once:
-    rates(w_a4, w_b4, h1, u_phi, d_phi) -> (dw_a4, dw_b4, dh1)."""
-    q1, a1, c_v4, z, n_exp = p.q1, p.A1, p.C_v4, p.z, p.n_exp
-    w_a1, w_a2, w_a3, w_b1, w_b2, w_b3 = p.W_a1, p.W_a2, p.W_a3, p.W_b1, p.W_b2, p.W_b3
-
-    # the level must be positive and, for a valve above the bottom (z < 0),
-    # above the valve: below it the outflow's power would be complex
-    floor = max(0.0, -z)
-
-    def rates(w_a4, w_b4, h1, u_phi, d_phi):
-        if h1 <= floor:
-            raise UnphysicalStateError(f"tank level {h1:.3g} <= {floor:.3g}")
-        inv_v = 1.0 / (a1 * h1)
-        outflow = c_v4 * (h1 + z) ** n_exp
-        return (q1 * inv_v * (w_a1 - w_a4) + u_phi * inv_v * (w_a3 - w_a4)
-                + d_phi * inv_v * (w_a2 - w_a4),
-                q1 * inv_v * (w_b1 - w_b4) + u_phi * inv_v * (w_b3 - w_b4)
-                + d_phi * inv_v * (w_b2 - w_b4),
-                (q1 + u_phi + d_phi - outflow) / a1)
-
-    return rates
+def rates(p, x, u_phi, d_phi):
+    """The ODE right-hand side (dW_a4, dW_b4, dh1) at the state x, the
+    expression each stage of ``plant_step`` writes out."""
+    w_a4, w_b4, h1 = map(float, x)
+    inv_v = 1.0 / (p.A1 * h1)
+    return (p.q1 * inv_v * (p.W_a1 - w_a4) + u_phi * inv_v * (p.W_a3 - w_a4)
+            + d_phi * inv_v * (p.W_a2 - w_a4),
+            p.q1 * inv_v * (p.W_b1 - w_b4) + u_phi * inv_v * (p.W_b3 - w_b4)
+            + d_phi * inv_v * (p.W_b2 - w_b4),
+            (p.q1 + u_phi + d_phi - p.C_v4 * (h1 + p.z) ** p.n_exp) / p.A1)
 
 
 def plant_step(p, x, u_phi, d_phi, dt, substeps=10):
-    """Advance the ODE by dt with classical RK4 over fixed substeps.
-
-    The alkaline flow is clipped to ``U_PHI_RANGE``; a non-finite state
-    entry, flow or dt raises ``UnphysicalStateError``.
+    """Advance the ODE by dt with classical RK4 over fixed substeps, its
+    four stages written out on Python floats. The alkaline flow is clipped
+    to ``U_PHI_RANGE``; ``UnphysicalStateError`` on a non-finite state
+    entry, flow or dt, and on a stage level at or below max(0, -z), where
+    the outflow's power would be complex (z < 0 puts the valve above the bottom).
     """
     a, b, l, u_phi, d_phi = vals = (*map(float, x), float(u_phi), float(d_phi))
     if not all(map(math.isfinite, (*vals, dt))):
         raise UnphysicalStateError(f"non-finite plant state, flow or dt {vals}, {dt}")
     u_phi = min(max(u_phi, U_PHI_RANGE[0]), U_PHI_RANGE[1])
-    rates = _rates(p)
+    q1, a1, c_v4, z, n_exp = p.q1, p.A1, p.C_v4, p.z, p.n_exp
+    w_a1, w_a2, w_a3, w_b1, w_b2, w_b3 = p.W_a1, p.W_a2, p.W_a3, p.W_b1, p.W_b2, p.W_b3
+    floor = max(0.0, -z)
+    q_in = q1 + u_phi + d_phi
     h = dt / substeps
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(substeps):
-        k1a, k1b, k1l = rates(a, b, l, u_phi, d_phi)
-        k2a, k2b, k2l = rates(a + half * k1a, b + half * k1b, l + half * k1l, u_phi, d_phi)
-        k3a, k3b, k3l = rates(a + half * k2a, b + half * k2b, l + half * k2l, u_phi, d_phi)
-        k4a, k4b, k4l = rates(a + h * k3a, b + h * k3b, l + h * k3l, u_phi, d_phi)
+        if l <= floor:
+            raise UnphysicalStateError(f"tank level {l:.3g} <= {floor:.3g}")
+        inv_v = 1.0 / (a1 * l)
+        qv, uv, dv = q1 * inv_v, u_phi * inv_v, d_phi * inv_v
+        k1a = qv * (w_a1 - a) + uv * (w_a3 - a) + dv * (w_a2 - a)
+        k1b = qv * (w_b1 - b) + uv * (w_b3 - b) + dv * (w_b2 - b)
+        k1l = (q_in - c_v4 * (l + z) ** n_exp) / a1
+        sa, sb, sl = a + half * k1a, b + half * k1b, l + half * k1l
+        if sl <= floor:
+            raise UnphysicalStateError(f"tank level {sl:.3g} <= {floor:.3g}")
+        inv_v = 1.0 / (a1 * sl)
+        qv, uv, dv = q1 * inv_v, u_phi * inv_v, d_phi * inv_v
+        k2a = qv * (w_a1 - sa) + uv * (w_a3 - sa) + dv * (w_a2 - sa)
+        k2b = qv * (w_b1 - sb) + uv * (w_b3 - sb) + dv * (w_b2 - sb)
+        k2l = (q_in - c_v4 * (sl + z) ** n_exp) / a1
+        sa, sb, sl = a + half * k2a, b + half * k2b, l + half * k2l
+        if sl <= floor:
+            raise UnphysicalStateError(f"tank level {sl:.3g} <= {floor:.3g}")
+        inv_v = 1.0 / (a1 * sl)
+        qv, uv, dv = q1 * inv_v, u_phi * inv_v, d_phi * inv_v
+        k3a = qv * (w_a1 - sa) + uv * (w_a3 - sa) + dv * (w_a2 - sa)
+        k3b = qv * (w_b1 - sb) + uv * (w_b3 - sb) + dv * (w_b2 - sb)
+        k3l = (q_in - c_v4 * (sl + z) ** n_exp) / a1
+        sa, sb, sl = a + h * k3a, b + h * k3b, l + h * k3l
+        if sl <= floor:
+            raise UnphysicalStateError(f"tank level {sl:.3g} <= {floor:.3g}")
+        inv_v = 1.0 / (a1 * sl)
+        qv, uv, dv = q1 * inv_v, u_phi * inv_v, d_phi * inv_v
+        k4a = qv * (w_a1 - sa) + uv * (w_a3 - sa) + dv * (w_a2 - sa)
+        k4b = qv * (w_b1 - sb) + uv * (w_b3 - sb) + dv * (w_b2 - sb)
+        k4l = (q_in - c_v4 * (sl + z) ** n_exp) / a1
         a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
         l = l + sixth * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
@@ -123,9 +142,9 @@ def _residual(p, w_a4, w_b4):
     pk1, pk2 = p.pK1, p.pK2
 
     def residual(ph):
+        e2 = 10.0 ** (ph - pk2)
         return (w_a4 + 10.0 ** (ph - 14.0) - 10.0 ** (-ph)
-                + w_b4 * (1.0 + 2.0 * 10.0 ** (ph - pk2))
-                / (1.0 + 10.0 ** (pk1 - ph) + 10.0 ** (ph - pk2)))
+                + w_b4 * (1.0 + 2.0 * e2) / (1.0 + 10.0 ** (pk1 - ph) + e2))
 
     return residual
 

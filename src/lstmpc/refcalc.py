@@ -1,14 +1,13 @@
 """Equilibrium reference calculator.
 
 Solves x = f(x, u), y0 = g(x) + d_hat for the model state/input pair the
-controller tracks. Only y0 - d_hat enters, so the equilibria form a curve
-in it, which ``_track`` follows by predictor-corrector continuation
-(Allgower & Georg, *Numerical Continuation Methods*, 1990). The corrector
-is the simplified Newton method (Deuflhard, *Newton Methods for Nonlinear
-Problems*, 2004) of ``_newton``. Each solved pair carries the inverse
-Jacobian at its equilibrium, so the next control step's corrector starts
-with one; its last p columns are the curve's tangent, from which K_bar
-bounds how fast the set-point may move."""
+controller tracks, on one ``lstm.Kernel``. Only y0 - d_hat enters, so the
+equilibria form a curve in it, which ``_track`` follows by
+predictor-corrector continuation (Allgower & Georg, 1990) with the
+simplified Newton corrector (Deuflhard, 2004) of ``_newton``. Each solved
+pair carries the inverse Jacobian at its equilibrium, for the next control
+step's corrector; its last p columns are the curve's tangent, from which
+K_bar bounds how fast the set-point may move."""
 
 import warnings
 from dataclasses import dataclass
@@ -44,36 +43,32 @@ class ReferencePair:
         return self.jac_inv[:, 2 * self.x_bar.c.size:]
 
 
-def _cell_step(w, xi):
-    """One kernel step at xi = (c, h, u): ``lstm.rollout``'s (c, h, cache)."""
-    n = w.n
-    return lstm.rollout(w, xi[:n], xi[n:2 * n], xi[None, 2 * n:])
+def _cell_step(k, xi):
+    """One step of the kernel ``k`` at xi = (c, h, u): (c+, h+)."""
+    n = k.n
+    return k.step(xi[:n], xi[n:2 * n], xi[2 * n:])
 
 
-def _residual(w, xi, y0_eff, cell):
+def _residual(k, xi, y0_eff, cell):
     """F(xi) = [step(x,u) - x; g(x) - y0_eff], xi = (c, h, u), from the
     ``_cell_step`` at xi.
 
     ``y0_eff`` = y0 - d_hat; only this difference enters the problem.
     """
-    n = w.n
-    cs, hs, _ = cell
-    return np.concatenate([cs[1] - xi[:n], hs[1] - xi[n:2 * n],
-                           w.W_y @ xi[n:2 * n] + w.b_y - y0_eff])
+    n = k.n
+    c_next, h_next = cell
+    return np.concatenate([c_next - xi[:n], h_next - xi[n:2 * n],
+                           k.W_y @ xi[n:2 * n] + k.b_y - y0_eff])
 
 
-def _jacobian(w, cell):
-    """Analytic dF/dxi of ``_residual`` from the ``_cell_step`` at xi:
-    [A_0 - I | B_0; 0 W_y 0], ``lstm.step_jacobians`` writing [A_0 | B_0].
-    y0_eff only shifts F, so it does not enter the Jacobian.
-    """
-    n = w.n
-    cs, _, cache = cell
-    jac = np.zeros((2 * n + w.p, 2 * n + w.m))
-    lstm.step_jacobians(w, lstm.local_factors(cs, cache), jac[None])
-    diag = np.arange(2 * n)
+def _jacobian(k):
+    """Analytic dF/dxi of ``_residual`` at the kernel's last ``_cell_step``,
+    [A_0 - I | B_0; 0 W_y 0], ``lstm.step_jacobians`` writing [A_0 | B_0]
+    into the kernel's template; y0_eff only shifts F."""
+    jac = k.residual_jacobian.copy()
+    lstm.step_jacobians(k, k.last_factors(), jac[None])
+    diag = np.arange(2 * k.n)
     jac[diag, diag] -= 1.0
-    jac[2 * n:, n:2 * n] = w.W_y
     return jac
 
 
@@ -91,7 +86,7 @@ def _inverse(jac):
     return inv
 
 
-def _newton(w, xi, y0_eff, jac_inv):
+def _newton(k, xi, y0_eff, jac_inv):
     """Simplified Newton from xi, one cell step per iterate; at most 50 steps.
 
     Each step is xi <- xi - J^-1 r with the inverse ``jac_inv`` in hand; a
@@ -104,34 +99,33 @@ def _newton(w, xi, y0_eff, jac_inv):
     res_prev = np.inf
     with np.errstate(all="ignore"):       # a diverging iterate may overflow
         for it in range(51):               # 50 steps, then a last residual test
-            cell = _cell_step(w, xi)
-            r = _residual(w, xi, y0_eff, cell)
+            r = _residual(k, xi, y0_eff, _cell_step(k, xi))
             res = float(abs(r).max())
             if res < _TOL:
-                if abs(xi[2 * w.n:]).max() > w.u_max + 1e-9:
+                if abs(xi[2 * k.n:]).max() > k.u_max + 1e-9:
                     raise InfeasibleReferenceError(
-                        f"equilibrium input {xi[2 * w.n:]} outside the +-{w.u_max} box",
+                        f"equilibrium input {xi[2 * k.n:]} outside the +-{k.u_max} box",
                         "box")
-                return xi, res, _inverse(_jacobian(w, cell))
+                return xi, res, _inverse(_jacobian(k))
             if it == 50:
                 break
             if jac_inv is None or not res < _CONTRACTION * res_prev:
-                jac_inv = _inverse(_jacobian(w, cell))
+                jac_inv = _inverse(_jacobian(k))
             xi = xi - jac_inv @ r
             res_prev = res
     raise InfeasibleReferenceError("Newton iteration did not converge", "diverged")
 
 
-def _cold_start(w):
+def _cold_start(k):
     """Attractor of u = 0, reached by forward simulation."""
-    x = w.zero_state()
-    u = np.zeros(w.m)
+    x = LstmState(np.zeros(k.n), np.zeros(k.n))
+    u = np.zeros(k.m)
     for _ in range(500):
-        x = lstm.step(w, x, u)
+        x = lstm.step(k, x, u)
     return np.concatenate([x.c, x.h, u])
 
 
-def _track(w, xi, jac_inv, y0_eff):
+def _track(k, xi, jac_inv, y0_eff):
     """Follow the equilibrium curve from xi's own output W_y h + b_y to y0_eff.
 
     Each step predicts along the tangent, the last p columns of the inverse
@@ -141,15 +135,15 @@ def _track(w, xi, jac_inv, y0_eff):
     (xi, residual, J^-1) at y0_eff, and raises once the step falls below
     1/1024 of the path.
     """
-    n = w.n
-    delta = y0_eff - (w.W_y @ xi[n:2 * n] + w.b_y)
+    n = k.n
+    delta = y0_eff - (k.W_y @ xi[n:2 * n] + k.b_y)
     reuse = jac_inv
     done, step = 0.0, 1.0
     while done < 1.0:
         step = min(step, 1.0 - done)   # dyadic, so the last sub-target is y0_eff
         guess = xi if jac_inv is None else xi + jac_inv[:, 2 * n:] @ (step * delta)
         try:
-            xi, res, jac_inv = _newton(w, guess, y0_eff - (1.0 - done - step) * delta,
+            xi, res, jac_inv = _newton(k, guess, y0_eff - (1.0 - done - step) * delta,
                                        reuse)
         except InfeasibleReferenceError:
             step /= 2
@@ -167,20 +161,21 @@ def solve_reference(w, y0, d_hat, warm_start=None):
     """Equilibrium for y0 - d_hat, tracked from the warm start; without one,
     or if that fails other than on the input box (a warm start need not be
     an equilibrium at all), from the attractor of u = 0, which is one by
-    construction."""
-    if w.m != w.p:
+    construction. Every cell step runs on ``lstm.prepare(w)``."""
+    k = lstm.prepare(w)
+    if k.m != k.p:
         raise InfeasibleReferenceError("reference calculation needs m == p", "singular")
     y0_eff = np.atleast_1d(np.subtract(y0, d_hat, dtype=float))
     tracked = None
     if warm_start is not None:
         xi0 = np.concatenate([warm_start.x_bar.c, warm_start.x_bar.h, warm_start.u_bar])
         try:
-            tracked = _track(w, xi0, warm_start.jac_inv, y0_eff)
+            tracked = _track(k, xi0, warm_start.jac_inv, y0_eff)
         except InfeasibleReferenceError as exc:
             if exc.reason == "box":
                 raise
-    xi, res, jac_inv = tracked or _track(w, _cold_start(w), None, y0_eff)
-    n = w.n
+    xi, res, jac_inv = tracked or _track(k, _cold_start(k), None, y0_eff)
+    n = k.n
     return ReferencePair(LstmState(xi[:n], xi[n:2 * n]), xi[2 * n:], res, jac_inv)
 
 
@@ -198,10 +193,11 @@ def estimate_k_bar(w, y0_range, d_range=(0.0, 0.0), grid_density=9):
     k_bar, arg = 0.0, None
     warm = None
     failed = []
+    kernel = lstm.prepare(w)
     for d in ds:
         for y0 in y0s:
             try:
-                ref = solve_reference(w, [y0], [d], warm_start=warm)
+                ref = solve_reference(kernel, [y0], [d], warm_start=warm)
             except InfeasibleReferenceError as exc:
                 failed.append((float(y0), float(d)))
                 reason = exc.reason

@@ -76,14 +76,11 @@ def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2, steps=1
     Each sequence is ``steps`` samples, ``plant.T_S`` apart, of the plant's
     response to a staircase whose levels last ``HOLD_RANGE`` steps, from the
     nominal equilibrium with the nominal buffer flow; u and y are normalized
-    by the min/max seen in the training split.
-
-    The sequences are simulated in a pool of min(CPU count, sequences)
-    worker processes, each running ``_excite`` on the sequence's own seed
-    ``seed * 1000 + s``. The pool uses the fork start method (Linux only),
-    so the workers see the ``plant`` module as it is at the call, and the
-    output is bit-identical to simulating the sequences one after another.
-    No worker outlives the call.
+    by the min/max seen in the training split. A pool of min(CPU count,
+    sequences) forked worker processes (Linux only) runs ``_excite`` on each
+    sequence's own seed ``seed * 1000 + s``, so the workers see the ``plant``
+    module as it is at the call, the output is bit-identical to a serial
+    run, and no worker outlives the call.
     """
     # Imported here so that the closed loops, which never build a dataset,
     # do not load the pool's modules.

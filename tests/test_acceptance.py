@@ -27,6 +27,30 @@ from conftest import ASSETS, random_invariant_state
 # that moves any column by more than TRACE_ATOL regenerates it and says why.
 TRACE_ORACLE = pathlib.Path(__file__).resolve().parent / "data" / "closed_loop_trace.csv"
 TRACE_ATOL = 1e-9
+# The same oracle at horizon 10: a set-point ramp up, a buffer-flow step and a
+# ramp down, 400 steps; it pins the N = 10 rollout and its sensitivities.
+HORIZON10_ORACLE = TRACE_ORACLE.with_name("horizon10_trace.csv")
+HORIZON10_SCENARIO = dict(duration_s=4000.0, horizon=10,
+                          setpoints=[(0.0, 7.0), (300.0, 7.4), (2500.0, 7.1)],
+                          disturbances=[(1500.0, 0.65)])
+
+
+def assert_matches_trace(report, path):
+    """Every column of ``report``'s trace within TRACE_ATOL of the oracle
+    at ``path``, NaN where it is NaN, and every status equal."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == harness.TRACE_COLUMNS
+    assert len(rows) - 1 == report.steps
+    for j, col in enumerate(harness.TRACE_COLUMNS):
+        expect = [r[j] for r in rows[1:]]
+        if col == "status":
+            assert report.trace[col] == expect
+            continue
+        got = np.asarray(report.trace[col], dtype=float)
+        ref = np.asarray(expect, dtype=float)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref), err_msg=col)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=TRACE_ATOL, err_msg=col)
 
 
 @pytest.fixture(scope="module")
@@ -234,24 +258,20 @@ class TestClosedLoopTraceOracle:
             --scenario src/lstmpc/assets/benchmark_scenario.json --out run/
         cp run/trace.csv tests/data/closed_loop_trace.csv
 
-    and record the old and new sha256 and the largest per-column change.
+    ``horizon10_trace.csv`` is ``RunReport.save_csv`` of ``run_scenario``
+    on ``Scenario(**HORIZON10_SCENARIO)`` with the shipped model. Record
+    the old and new sha256 and the largest per-column change.
     """
 
     def test_matches_committed_trace(self, benchmark_run):
         report, _ = benchmark_run
-        with open(TRACE_ORACLE, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == harness.TRACE_COLUMNS
-        assert len(rows) - 1 == report.steps
-        for j, col in enumerate(harness.TRACE_COLUMNS):
-            expect = [r[j] for r in rows[1:]]
-            if col == "status":
-                assert report.trace[col] == expect
-                continue
-            got = np.asarray(report.trace[col], dtype=float)
-            ref = np.asarray(expect, dtype=float)
-            np.testing.assert_array_equal(np.isnan(got), np.isnan(ref), err_msg=col)
-            np.testing.assert_allclose(got, ref, rtol=0, atol=TRACE_ATOL, err_msg=col)
+        assert_matches_trace(report, TRACE_ORACLE)
+
+    def test_horizon10_matches_committed_trace(self, bench_w, bench_spec):
+        report = harness.run_scenario(harness.Scenario(**HORIZON10_SCENARIO), bench_w,
+                                      spec=bench_spec)
+        assert report.constraint_violations == 0 and len(report.segment_errors) == 2
+        assert_matches_trace(report, HORIZON10_ORACLE)
 
 
 class TestCriterion7OffsetFree:

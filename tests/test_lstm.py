@@ -151,6 +151,74 @@ class TestKernelOracle:
                                        atol=1e-13 * np.abs(param).max())
 
 
+class TestPreparedKernel:
+    """``Kernel.step`` and ``rollout`` on a prepared kernel equal the
+    reference kernel bit for bit; a kernel is a read-only snapshot whose
+    one-step results outlive the next step."""
+
+    NETS = {"bench": None, "small": dict(n=3), "square2": dict(n=3, m=2, p=2)}
+
+    @pytest.mark.parametrize("net", list(NETS))
+    @pytest.mark.parametrize("n_steps", [0, 1, 5, 1499])
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_equals_reference_kernel(self, bench_w, net, n_steps, injected):
+        w = bench_w if net == "bench" else small_net(**self.NETS[net])
+        rng = np.random.default_rng(n_steps)
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
+        inject = rng.normal(scale=0.5, size=(n_steps, 4 * w.n)) if injected else 0.0
+        ref = rollout_oracle(w, x0.c, x0.h, u, inject)
+        k = lstm.Kernel(w)
+        for weights in (w, k):
+            c, h, cache = lstm.rollout(weights, x0.c, x0.h, u, inject)
+            for part, want in zip((c, h, *cache), (ref[0], ref[1], *ref[2])):
+                np.testing.assert_array_equal(part, want)
+        c_ref, h_ref, _ = ref
+        for t in range(n_steps):
+            # one step from the reference states: the reference kernel at T = 1
+            one = rollout_oracle(w, c_ref[t], h_ref[t], u[t:t + 1],
+                                 inject[t:t + 1] if injected else 0.0)
+            c1, h1 = k.step(c_ref[t], h_ref[t], u[t], inject[t] if injected else None)
+            np.testing.assert_array_equal(c1, one[0][1])
+            np.testing.assert_array_equal(h1, one[1][1])
+            for got, want in zip(k.last_factors(), lstm.local_factors(one[0], one[2])):
+                np.testing.assert_array_equal(got, want)
+
+    def test_snapshot_of_the_weights(self, bench_w):
+        w = bench_w.copy()
+        k = lstm.Kernel(w)
+        rng = np.random.default_rng(3)
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-1.0, 1.0, (6, w.m))
+        before = lstm.rollout(k, x0.c, x0.h, u)[:2], k.step(x0.c, x0.h, u[0])
+        for name in lstm.PARAMETERS:
+            getattr(w, name)[...] += 0.3
+        w.b_f[...] = 5.0
+        after = lstm.rollout(k, x0.c, x0.h, u)[:2], k.step(x0.c, x0.h, u[0])
+        for got, want in zip((*after[0], *after[1]), (*before[0], *before[1])):
+            np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(lstm.rollout(w, x0.c, x0.h, u)[1], after[0][1])
+        for name in ("U_half", "W_half", "b_half", "UW", "W_y", "b_y", "residual_jacobian"):
+            array = getattr(k, name)
+            assert not any(np.shares_memory(array, getattr(w, p)) for p in lstm.PARAMETERS)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_step_result_outlives_the_next_step(self, bench_w):
+        k = lstm.Kernel(bench_w)
+        rng = np.random.default_rng(5)
+        xa, xb = (random_invariant_state(bench_w, rng) for _ in range(2))
+        first = k.step(xa.c, xa.h, np.array([0.3]))
+        kept = [a.copy() for a in first]
+        second = k.step(xb.c, xb.h, np.array([-0.6]))
+        state = lstm.step(k, xa, np.array([0.3]))
+        for got, want in zip(first, kept):
+            np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(first[1], second[1])
+        np.testing.assert_array_equal(state.h, kept[1])
+        assert not any(np.shares_memory(a, b) for a in first for b in (*second, state.c, state.h))
+
+
 class TestKernelSizes:
     """rollout equals the reference kernel exactly, adjoint up to rounding,
     at the layer widths where BLAS changes its kernels."""
@@ -200,7 +268,7 @@ class TestAdjointBlocks:
 
 class TestKernelCalls:
     """The sweeps' per-step numpy calls: adjoint makes one BLAS call per
-    step, and rollout's in-place ufuncs take shared read-only arrays."""
+    step, and the kernel's in-place ufuncs take read-only arrays it owns."""
 
     @pytest.mark.parametrize("extra_blocks", [0, 1])
     @pytest.mark.parametrize("n_steps", [1, 5])
@@ -224,15 +292,17 @@ class TestKernelCalls:
 
     @pytest.mark.parametrize("n", [1, 5, 33])
     def test_rollout_operands_are_read_only(self, n):
-        scale, ones = lstm._gate_operands(n)
+        # the kernel builds them once; every step of every loop on it reads them
+        k = lstm.Kernel(small_net(n=n))
+        scale, half, ones = k._scale, k._half, k._one
         assert scale.shape == (4 * n,)
         for gate, rows in gate_rows(n).items():
             np.testing.assert_array_equal(scale[rows], 1.0 if gate == "c" else 0.5)
+        np.testing.assert_array_equal(half, np.full(3 * n, 0.5))
         np.testing.assert_array_equal(ones, np.ones(3 * n))
-        for operand in (scale, ones):
+        for operand in (scale, half, ones):
             with pytest.raises(ValueError, match="read-only"):
                 operand[0] = 2.0
-        assert lstm._gate_operands(n)[1] is ones
 
 
 class TestKernelPurity:

@@ -77,7 +77,7 @@ def measure_ph_oracle(p, x):
 
 def xdot(p, x, u_phi, d_phi):
     """The plant's ODE right-hand side at the state x, as an array."""
-    return np.array(plant._rates(p)(*map(float, x), u_phi, d_phi))
+    return np.array(plant.rates(p, x, u_phi, d_phi))
 
 
 def charge_balance(p, x, ph):

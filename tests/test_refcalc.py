@@ -1,6 +1,5 @@
 """Unit tests for the equilibrium reference calculator."""
 
-import functools
 import warnings
 
 import numpy as np
@@ -40,6 +39,14 @@ def oracle_jacobian(w, xi):
     jac[n:2 * n, n:2 * n] -= np.eye(n)
     jac[2 * n:, n:2 * n] = w.W_y
     return jac
+
+
+def cell_jacobian(w, xi):
+    """refcalc's Newton Jacobian at xi: one ``_cell_step`` of a new kernel,
+    then ``_jacobian`` of that step."""
+    k = lstm.Kernel(w)
+    refcalc._cell_step(k, xi)
+    return refcalc._jacobian(k)
 
 
 def oracle_newton(w, xi, y0_eff):
@@ -265,16 +272,17 @@ class TestSolveReference:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("net", ["bench", "small", "square2"])
     def test_matches_finite_differences(self, net, bench_w):
-        w = bench_w if net == "bench" else small_net(n=3)
+        w = {"bench": bench_w, "small": small_net(n=3),
+             "square2": small_net(n=3, m=2, p=2)}[net]
         rng = np.random.default_rng(11)
         for _ in range(20):
             x = random_invariant_state(w, rng)
             u = rng.uniform(-w.u_max, w.u_max, w.m)
             xi = np.concatenate([x.c, x.h, u])
             y0_eff = rng.uniform(-1.0, 1.0, w.p)
-            jac = refcalc._jacobian(w, refcalc._cell_step(w, xi))
+            jac = cell_jacobian(w, xi)
             np.testing.assert_array_equal(jac, oracle_jacobian(w, xi))
             np.testing.assert_allclose(jac, fd_jacobian(w, xi, y0_eff), rtol=0, atol=1e-7)
 
@@ -294,7 +302,7 @@ class TestInverse:
         rng = np.random.default_rng(4)
         x = random_invariant_state(w, rng)
         xi = np.concatenate([x.c, x.h, rng.uniform(-w.u_max, w.u_max, w.m)])
-        return refcalc._jacobian(w, refcalc._cell_step(w, xi))
+        return cell_jacobian(w, xi)
 
     @pytest.mark.parametrize("case", ["bench", "random", "ill-conditioned"])
     def test_threshold_is_the_old_expression(self, bench_w, monkeypatch, case):
@@ -381,7 +389,8 @@ class TestNewtonOracle:
         assert set(paths) == {"one step", "halved steps", "cold restart"}
         assert any(isinstance(g, str) for g in got)
         assert any(not isinstance(g, str) for g in got)
-        monkeypatch.setattr(refcalc, "_track", oracle_track)
+        # the tracker runs on solve_reference's kernel; the oracle on the weights
+        monkeypatch.setattr(refcalc, "_track", lambda k, *args: oracle_track(w, *args))
         want = [self._solve(w, *case) for case in cases]
         for g, r in zip(got, want):
             if isinstance(g, str) or isinstance(r, str):
@@ -394,7 +403,7 @@ class TestNewtonOracle:
         w, cases = net_cases
         got = [self._solve(w, *case) for case in cases]
         monkeypatch.setattr(refcalc, "_track",
-                            functools.partial(oracle_track, newton=full_newton))
+                            lambda k, *args: oracle_track(w, *args, newton=full_newton))
         want = [self._solve(w, *case) for case in cases]
         assert [isinstance(g, str) for g in got] == [isinstance(r, str) for r in want]
         gap = max(np.max(np.abs(np.concatenate(g[:3]) - np.concatenate(r[:3])))
