@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import lstm, mpc, observer, plant, refcalc
+from . import mpc, observer, plant, refcalc
 from .errors import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
                      FeasibilityLossError, check)
 from .lstm import LstmState
@@ -245,8 +245,7 @@ def run_scenario(sc, w, spec=None):
 
     ``mpc.certify`` builds the run's certificate from the observer gains
     ``spec`` (an ObserverSpec or the weights' JSON section) and the
-    scenario's horizon and q_weight, and one ``lstm.Kernel`` of the weights
-    then serves every cell step of the run. Each step measures the plant,
+    scenario's horizon and q_weight. Each step measures the plant,
     runs ``Controller.step``, advances the plant, updates the observer and
     records a trace row; the counters come from the trace and the solutions.
     """
@@ -255,13 +254,12 @@ def run_scenario(sc, w, spec=None):
         raise ValueError("weights carry no normalization ranges")
     nrm = plant.Normalizer(*w.u_range, *w.y_range)
     certificate = mpc.certify(w, spec, sc.horizon, sc.q_weight)
-    kernel = lstm.Kernel(w)
-    ctrl = mpc.Controller(kernel, certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
+    ctrl = mpc.Controller(w, certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
                           y_lb=nrm.normalize_y(sc.y_lb_phys), y_ub=nrm.normalize_y(sc.y_ub_phys))
 
     n_steps = int(round(sc.duration_s / sc.t_s))
     y0s = setpoint_trace(sc, nrm, n_steps)
-    sim = _PLANTS[sc.mode](sc, kernel, certificate.spec, nrm)
+    sim = _PLANTS[sc.mode](sc, w, certificate.spec, nrm)
     chi_hat = sim.chi_hat0
 
     trace = {c: [] for c in TRACE_COLUMNS}
@@ -277,7 +275,7 @@ def run_scenario(sc, w, spec=None):
         u_applied = np.minimum(np.maximum(u, -w.u_max), w.u_max)
         u_phys = float(nrm.denormalize_u(u_applied[0]))
         sim.advance(u_applied, u_phys)
-        chi_hat = observer.observer_step(kernel, certificate.spec, chi_hat, u_applied, y)
+        chi_hat = observer.observer_step(w, certificate.spec, chi_hat, u_applied, y)
         iterations.append(sol.solver_iterations)
         candidates.append(sol.candidate_violation)
         row = (t, nrm.denormalize_y(y0s[k]), y_phys, u_phys, d_phi, chi_hat.d[0],

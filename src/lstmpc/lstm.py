@@ -10,19 +10,16 @@ The model is the standard gated recurrence
 The model step, the observer, the MPC prediction and its sensitivities,
 training and the reference Jacobian all run this cell through one kernel:
 
-- ``LstmWeights`` stores the gate weights once, stacked in the order
-  ``GATES`` = (c, f, i, o), the one place the order is written. Every
-  (4n,)-row quantity uses it; ``W_f`` ... ``b_c`` are views into the stacks.
-- ``Kernel(w)`` is a read-only snapshot of what the cell reads from ``w``,
-  built once. Each step takes all four gates from one ``tanh`` over
-  preactivations whose f, i, o rows are halved, since sigmoid(z) =
-  0.5 (1 + tanh(z / 2)); halving is exact, so the gates equal ``sigmoid``'s
-  bit for bit. One loop, ``_run``, works in place in a buffer whose row k
-  is [c_k | g | f | i | o], 9 numpy calls per step: ``rollout`` runs it
-  over T steps on buffers it allocates, ``Kernel.step`` over one on
-  buffers the kernel owns. Every function that takes weights takes a
-  kernel in their place, and prepares one per call from plain weights
-  (``prepare``), so a kernel never sees later writes into ``w``.
+- ``LstmWeights``, the model, read-only, stores the gate weights once,
+  stacked in the order ``GATES`` = (c, f, i, o), the one place the order
+  is written; every (4n,)-row quantity uses it. It forms its cell
+  operands once, on construction. Each step takes all four gates from one
+  ``tanh`` over preactivations whose f, i, o rows are halved, since
+  sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so the gates
+  equal ``sigmoid``'s bit for bit. One loop, ``_run``, works in place in
+  a buffer whose row k is [c_k | g | f | i | o], 9 numpy calls per step:
+  ``rollout`` runs it over T steps on buffers it allocates,
+  ``LstmWeights.step`` over one on buffers the weights own.
 - ``step_jacobians``, the one copy of the cell's linearization, feeds the
   forward sweep ``sensitivities``, the reverse sweep ``adjoint`` and the
   reference calculation's Newton Jacobian.
@@ -76,38 +73,34 @@ def in_gate_order(**per_gate):
     return [per_gate[g] for g in GATES]
 
 
-class _GateBlock:
-    """A gate's rows of the stacked ``W``, ``U`` or ``b``, named like
-    ``W_f``: reads give a writable view, assignments write into the stack."""
-
-    def __set_name__(self, owner, name):
-        self.stack, gate = name.split("_")
-        self.rows = GATES.index(gate)
-
-    def __get__(self, w, owner=None):
-        if w is None:
-            return self
-        n = w.n
-        return getattr(w, self.stack)[self.rows * n:(self.rows + 1) * n]
-
-    def __set__(self, w, value):
-        self.__get__(w)[...] = value
+def _gate_view(stack, gate):
+    """A gate's rows of the stacked ``W``, ``U`` or ``b``, named like ``W_f``:
+    a read-only view."""
+    rows = GATES.index(gate)
+    return property(lambda w: getattr(w, stack)[rows * w.n:(rows + 1) * w.n])
 
 
 class LstmWeights:
-    """All trainable parameters plus the normalized-input bound.
+    """The model, read-only: all trainable parameters, the normalized-input
+    bound and the cell operands that every step runs on.
 
     The gate weights are stored once, stacked in ``GATES`` order: ``W``
     (4n, m), ``U`` (4n, n) and ``b`` (4n,), beside the readout ``W_y``,
-    ``b_y``. The per-gate ``W_f`` ... ``b_c`` (the constructor keywords
-    and ``MATRIX_FIELDS``) are views into the stacks, so ``w.b_f[...] = x``,
-    ``w.U_o *= k`` and ``w.W_c = a`` all update them; the constructor
-    copies its arrays. ``u_range`` / ``y_range``, the physical (lo, hi)
-    pairs normalized to [-1, 1], make a saved model self-contained.
+    ``b_y``; the per-gate ``W_f`` ... ``b_c`` (the constructor keywords
+    and ``MATRIX_FIELDS``) are views into the stacks. The constructor also
+    forms, once, the cell operands: ``U_half``, ``W_half``, ``b_half``, the
+    stacks with their f, i, o rows halved; ``UW`` (4, n, n+m), the per-gate
+    [U | W] blocks; and ``residual_jacobian``, the (2n+p, 2n+m) template
+    [0; 0 W_y 0] of the equilibrium residual's Jacobian. Every array is a
+    read-only copy and no attribute can be assigned, so nothing changes a
+    model once its certificate is built: a changed model is a new
+    ``LstmWeights``. ``step`` runs on buffers the weights own and
+    ``last_factors`` reads them. ``u_range`` / ``y_range``, the physical
+    (lo, hi) pairs normalized to [-1, 1], make a saved model self-contained.
     """
 
     W_f, W_i, W_c, W_o, U_f, U_i, U_c, U_o, b_f, b_i, b_c, b_o = (
-        _GateBlock() for _ in range(12))
+        _gate_view(stack, gate) for stack in "WUb" for gate in "fico")
 
     def __init__(self, W_f, W_i, W_c, W_o, U_f, U_i, U_c, U_o, b_f, b_i, b_c, b_o,
                  W_y, b_y, u_max=1.0, u_range=None, y_range=None):
@@ -119,55 +112,33 @@ class LstmWeights:
                                    (u_rec, (n, n), "recurrent-weight"), (bias, (n,), "bias")):
             if any(a.shape != shape for a in gates):
                 raise DimensionError(f"{kind} shapes disagree")
-        self.W, self.U, self.b = (np.concatenate(gates) for gates in (w_in, u_rec, bias))
-        self.W_y = np.array(W_y, dtype=float)
-        self.b_y = np.array(b_y, dtype=float)
-        p = self.W_y.shape[0]
-        if self.W_y.shape != (p, n) or self.b_y.shape != (p,):
+        W, U, b = (np.concatenate(gates) for gates in (w_in, u_rec, bias))
+        W_y, b_y = np.asarray(W_y, dtype=float), np.asarray(b_y, dtype=float)
+        p = W_y.shape[0]
+        if W_y.shape != (p, n) or b_y.shape != (p,):
             raise DimensionError("readout shapes disagree")
         check("u_max", u_max, POSITIVE)
-        self.u_max, self.u_range, self.y_range = u_max, u_range, y_range
+        scale = np.full(4 * n, 0.5)
+        scale[_C * n:(_C + 1) * n] = 1.0
+        residual_jacobian = np.zeros((2 * n + p, 2 * n + m))
+        residual_jacobian[2 * n:, n:2 * n] = W_y
+        # the sigmoid's 0.5 (1 + t) in place costs less with array operands than with floats
+        vars(self).update(
+            W=W, U=U, b=b, W_y=W_y, b_y=b_y, n=n, m=m, p=p, u_max=u_max, u_range=u_range,
+            y_range=y_range, _scale=scale, _half=scale[_F * n:(_O + 1) * n],
+            _one=np.ones(3 * n), U_half=U * scale[:, None], W_half=W * scale[:, None],
+            b_half=b * scale, UW=np.concatenate((U, W), axis=1).reshape(4, n, n + m),
+            residual_jacobian=residual_jacobian)
+        freeze_arrays(self)
+        row, h, pre, steps, cache = _loop_buffers(1, n)
+        vars(self).update(_pre=pre, _cache=cache, _steps=list(steps), _c=row[:, :n],
+                          _h_next=h[1], _inject=np.empty(4 * n), _fc_ig=np.empty(2 * n))
 
-    n = property(lambda self: self.U.shape[1])
-    m = property(lambda self: self.W.shape[1])
-    p = property(lambda self: self.W_y.shape[0])
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name}: LstmWeights is read-only")
 
     def zero_state(self):
         return LstmState(np.zeros(self.n), np.zeros(self.n))
-
-    def copy(self):
-        return LstmWeights(*(getattr(self, name) for name in MATRIX_FIELDS),
-                           self.u_max, self.u_range, self.y_range)
-
-
-MATRIX_FIELDS = ("W_f", "W_i", "W_c", "W_o", "U_f", "U_i", "U_c", "U_o",
-                 "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
-PARAMETERS = ("W", "U", "b", "W_y", "b_y")     # the arrays LstmWeights stores
-
-
-class Kernel:
-    """The cell operands of the weights ``w``, copied once and read-only:
-    ``U_half``, ``W_half``, ``b_half``, the stacks with their f, i, o rows
-    halved; ``UW`` (4, n, n+m), the per-gate [U | W] blocks; ``W_y``,
-    ``b_y``; and ``residual_jacobian``, the (2n+p, 2n+m) template
-    [0; 0 W_y 0] of the equilibrium residual's Jacobian. ``step`` runs on
-    buffers the kernel owns and ``last_factors`` reads them."""
-
-    def __init__(self, w):
-        n, m, p = self.n, self.m, self.p = w.n, w.m, w.p
-        scale = np.full(4 * n, 0.5)
-        scale[_C * n:(_C + 1) * n] = 1.0
-        # the sigmoid's 0.5 (1 + t) in place costs less with array operands than with floats
-        self._scale, self._half, self._one = scale, scale[_F * n:(_O + 1) * n], np.ones(3 * n)
-        self.U_half, self.W_half = w.U * scale[:, None], w.W * scale[:, None]
-        self.b_half, self.W_y, self.b_y, self.u_max = w.b * scale, w.W_y, w.b_y, w.u_max
-        self.UW = np.concatenate((w.U, w.W), axis=1).reshape(4, n, n + m)
-        self.residual_jacobian = np.zeros((2 * n + p, 2 * n + m))
-        self.residual_jacobian[2 * n:, n:2 * n] = w.W_y
-        freeze_arrays(self)
-        row, h, self._pre, steps, self._cache = _loop_buffers(1, n)
-        self._steps, self._c, self._h_next = list(steps), row[:, :n], h[1]
-        self._inject, self._fc_ig = np.empty(4 * n), np.empty(2 * n)
 
     def step(self, c, h, u, inject=None):
         """(c+, h+), new arrays, of one step from (c, h) with the (m,) input
@@ -187,9 +158,16 @@ class Kernel:
         return local_factors(self._c, self._cache)
 
 
-def prepare(w):
-    """``w`` itself if it is a ``Kernel``, else a new ``Kernel`` of the weights."""
-    return w if isinstance(w, Kernel) else Kernel(w)
+MATRIX_FIELDS = ("W_f", "W_i", "W_c", "W_o", "U_f", "U_i", "U_c", "U_o",
+                 "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
+PARAMETERS = ("W", "U", "b", "W_y", "b_y")     # the arrays LstmWeights stores
+
+
+def by_gate(W, U, b):
+    """The (4n, .) stacks ``W``, ``U``, ``b`` split into their gates' blocks,
+    keyed like the ``LstmWeights`` keywords (``W_c``, ..., ``b_o``)."""
+    return {f"{name}_{gate}": block for name, stack in (("W", W), ("U", U), ("b", b))
+            for gate, block in zip(GATES, np.split(stack, 4))}
 
 
 def _loop_buffers(n_t, n):
@@ -206,10 +184,10 @@ def _loop_buffers(n_t, n):
     return row, h, pre, steps, (sig, z[:, _C * n:(_C + 1) * n], tc)
 
 
-def _run(k, h_k, steps, fc_ig):
+def _run(w, h_k, steps, fc_ig):
     """The cell's loop over ``_loop_buffers``' steps from ``h_k``, 9 numpy
     calls per step; ``fc_ig`` (2n,) is scratch for [f c_k | i g]."""
-    u_half, one, half, n = k.U_half, k._one, k._half, k.n
+    u_half, one, half, n = w.U_half, w._one, w._half, w.n
     fc, ig = fc_ig[:n], fc_ig[n:]
     for z_k, pre_k, s_k, fi_k, cg_k, c_next, tc_k, o_k, h_next in steps:
         np.dot(u_half, h_k, out=z_k)
@@ -231,15 +209,14 @@ def rollout(w, c0, h0, u_seq, inject=None):
     (T, 4n), in ``GATES`` order). Returns c, h of shape (T+1, n) and the
     cache that ``local_factors``, ``sensitivities`` and ``adjoint`` read.
     """
-    k = prepare(w)
-    row, h, pre, steps, cache = _loop_buffers(len(u_seq), k.n)
-    row[0, :k.n], h[0] = c0, h0
-    np.matmul(u_seq, k.W_half.T, out=pre)
-    pre += k.b_half
+    row, h, pre, steps, cache = _loop_buffers(len(u_seq), w.n)
+    row[0, :w.n], h[0] = c0, h0
+    np.matmul(u_seq, w.W_half.T, out=pre)
+    pre += w.b_half
     if inject is not None:
-        pre += inject * k._scale
-    _run(k, h[0], steps, np.empty(2 * k.n))
-    return row[:, :k.n], h, cache
+        pre += inject * w._scale
+    _run(w, h[0], steps, np.empty(2 * w.n))
+    return row[:, :w.n], h, cache
 
 
 def local_factors(c, cache):
@@ -270,19 +247,18 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
     dct = lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_g dct, k_f dct, k_i dct,
     k_o lam^h_k+1) in ``GATES`` order.
     """
-    k = prepare(w)
     factors = local_factors(c, cache)
     _, k_f, k_i, k_g, k_o, k_t = factors
     n_t, n = k_t.shape
     n2 = 2 * n
     lam = np.ones((n_t + 1, n2 + 1))               # [lam_k | 1]
     lam[n_t, :n], lam[n_t, n:n2] = dc_stage[n_t], dh_stage[n_t]
-    block = min(_sweep_block(n, k.m), max(n_t, 1))
+    block = min(_sweep_block(n, w.m), max(n_t, 1))
     aug = np.zeros((block, n2 + 1, n2))            # [A_k; stage-k partials]
     for k1 in range(n_t, 0, -block):
         k0 = max(k1 - block, 0)
         aug_b = aug[:k1 - k0]
-        step_jacobians(k, [x[k0:k1] for x in factors], aug_b)
+        step_jacobians(w, [x[k0:k1] for x in factors], aug_b)
         aug_b[:, n2, :n], aug_b[:, n2, n:] = dc_stage[k0:k1], dh_stage[k0:k1]
         for lam_k, lam_next, aug_k in zip(lam[k0:k1, :n2][::-1], lam[k0 + 1:k1 + 1][::-1],
                                           aug_b[::-1]):
@@ -325,7 +301,7 @@ def step_jacobians(w, factors, out):
     """
     f, k_f, k_i, k_g, k_o, k_t = factors
     n = f.shape[1]
-    uw = prepare(w).UW[:, :, :out.shape[2] - n]          # [U | W], or U alone, per gate
+    uw = w.UW[:, :, :out.shape[2] - n]          # [U | W], or U alone, per gate
     dc = k_f[:, :, None] * uw[_F] + k_i[:, :, None] * uw[_I] + k_g[:, :, None] * uw[_C]
     diag = np.arange(n)
     out[:, diag, diag] = f
@@ -342,10 +318,9 @@ def sensitivities(w, c, cache):
     depend on u and stage k only on u_0..u_{k-1}, so S_k+1 = A_k S_k on
     those columns and B_k on u_k's, with [A_k | B_k] from ``step_jacobians``.
     """
-    k = prepare(w)
-    n_t, n2, m = len(c) - 1, 2 * k.n, k.m
+    n_t, n2, m = len(c) - 1, 2 * w.n, w.m
     jac = np.zeros((n_t, n2, n2 + m))
-    step_jacobians(k, local_factors(c, cache), jac)
+    step_jacobians(w, local_factors(c, cache), jac)
     s = np.zeros((n_t + 1, n2, n_t * m))
     for t in range(n_t):
         j = t * m
@@ -355,14 +330,13 @@ def sensitivities(w, c, cache):
 
 
 def step(w, x, u):
-    """One state update, ``Kernel.step``. Warns (does not reject) if u leaves its box."""
-    k = prepare(w)
+    """One state update, ``LstmWeights.step``. Warns (does not reject) if u leaves its box."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (k.m,):
-        raise DimensionError(f"input shape {u.shape} != ({k.m},)")
-    if abs(u).max() > k.u_max * (1.0 + 1e-12):
+    if u.shape != (w.m,):
+        raise DimensionError(f"input shape {u.shape} != ({w.m},)")
+    if abs(u).max() > w.u_max * (1.0 + 1e-12):
         warnings.warn("input exceeds u_max; upstream saturation expected", stacklevel=2)
-    return LstmState(*k.step(x.c, x.h, u))
+    return LstmState(*w.step(x.c, x.h, u))
 
 
 def output(w, x):

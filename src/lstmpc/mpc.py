@@ -184,13 +184,13 @@ _FEAS_TOL = 1e-7         # constraint slack counted as feasible
 @dataclass
 class Problem:
     """The tightened FHOCP of one control step, from ``Controller.problem_at``,
-    on the controller's ``lstm.Kernel`` ``w``.
+    on the controller's weights ``w``.
 
     ``tight`` holds the output-bound offsets a_i e_o + b_i + d_max of
     stages 0..N-1, (N, p); ``y_lb`` and ``y_ub`` are (p,).
     """
 
-    w: lstm.Kernel
+    w: lstm.LstmWeights
     x_hat: lstm.LstmState
     ref: refcalc.ReferencePair
     tight: np.ndarray
@@ -403,8 +403,7 @@ class Controller:
     bounds complete the FHOCP. Each step builds its ``Problem``, kept as
     ``problem`` until the next, and solves it once in real time,
     warm-started at the shifted previous plan, which it applies when no
-    feasible iterate costs less. The steps run on ``lstm.prepare(w)``, so
-    later writes into the weights (which void the certificate) do not reach them.
+    feasible iterate costs less.
     """
 
     def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
@@ -422,7 +421,7 @@ class Controller:
         bad = np.flatnonzero(~(self.y_lb < self.y_ub))
         if bad.size:
             raise ValueError(f"y_lb is not below y_ub on output {bad[0]}")
-        self.w, self.certificate = lstm.prepare(w), certificate
+        self.w, self.certificate = w, certificate
         self.r_weight, self.e_o = r_weight, e_o0
         self.problem = self.prev_solution = self.prev_ref = None
 

@@ -25,7 +25,7 @@ def freeze_arrays(record):
     """Replace each array attribute of ``record`` by a read-only copy, so
     neither an in-place write nor a later edit of the caller's array can
     change it; the frozen records call it from ``__post_init__``,
-    ``lstm.Kernel`` from its constructor."""
+    ``lstm.LstmWeights`` from its constructor."""
     for name, value in list(vars(record).items()):
         if isinstance(value, np.ndarray):
             value = value.copy()

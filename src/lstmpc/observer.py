@@ -100,20 +100,20 @@ class ObserverSpec:
 
 
 def observer_step(w, spec, chi_hat, u, y_measured):
-    """One observer update driven by the measured output, a step of
-    ``lstm.prepare(w)``: the innovation enters the f, i, o preactivations,
-    and the disturbance estimate integrates it, saturated at +-d_max.
+    """One observer update driven by the measured output, one
+    ``LstmWeights.step`` of ``w``: the innovation enters the f, i, o
+    preactivations, and the disturbance estimate integrates it, saturated
+    at +-d_max.
     Raises DimensionError for gains that do not fit the model.
     """
-    k = lstm.prepare(w)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y_measured = np.atleast_1d(np.asarray(y_measured, dtype=float))
-    if u.shape != (k.m,) or y_measured.shape != (k.p,):
+    if u.shape != (w.m,) or y_measured.shape != (w.p,):
         raise DimensionError("input/measurement shape mismatch")
-    _check_fit(k, spec)
+    _check_fit(w, spec)
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
-    innov = y_measured - (k.W_y @ x.h + k.b_y + d)
-    c, h = k.step(x.c, x.h, u, spec.injection @ innov)
+    innov = y_measured - (w.W_y @ x.h + w.b_y + d)
+    c, h = w.step(x.c, x.h, u, spec.injection @ innov)
     d_next = np.minimum(np.maximum(d + spec.L_d @ innov, -spec.d_max), spec.d_max)
     return AugmentedState(LstmState(c, h), d_next)
 

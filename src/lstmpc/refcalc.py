@@ -1,9 +1,8 @@
 """Equilibrium reference calculator.
 
 Solves x = f(x, u), y0 = g(x) + d_hat for the model state/input pair the
-controller tracks, on one ``lstm.Kernel``. Only y0 - d_hat enters, so the
-equilibria form a curve in it, which ``_track`` follows by
-predictor-corrector continuation (Allgower & Georg, 1990) with the
+controller tracks. Only y0 - d_hat enters, so the equilibria form a curve
+in it, which ``_track`` follows by predictor-corrector continuation (Allgower & Georg, 1990) with the
 simplified Newton corrector (Deuflhard, 2004) of ``_newton``. Each solved
 pair carries the inverse Jacobian at its equilibrium, for the next control
 step's corrector; its last p columns are the curve's tangent, from which
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lstm
-from .errors import POSITIVE_INT, InfeasibleReferenceError, check
+from .errors import POSITIVE_INT, DimensionError, InfeasibleReferenceError, check
 from .lstm import LstmState
 
 _TOL = 1e-10        # max |residual| of an accepted equilibrium
@@ -43,31 +42,31 @@ class ReferencePair:
         return self.jac_inv[:, 2 * self.x_bar.c.size:]
 
 
-def _cell_step(k, xi):
-    """One step of the kernel ``k`` at xi = (c, h, u): (c+, h+)."""
-    n = k.n
-    return k.step(xi[:n], xi[n:2 * n], xi[2 * n:])
+def _cell_step(w, xi):
+    """One step of the weights ``w`` at xi = (c, h, u): (c+, h+)."""
+    n = w.n
+    return w.step(xi[:n], xi[n:2 * n], xi[2 * n:])
 
 
-def _residual(k, xi, y0_eff, cell):
+def _residual(w, xi, y0_eff, cell):
     """F(xi) = [step(x,u) - x; g(x) - y0_eff], xi = (c, h, u), from the
     ``_cell_step`` at xi.
 
     ``y0_eff`` = y0 - d_hat; only this difference enters the problem.
     """
-    n = k.n
+    n = w.n
     c_next, h_next = cell
     return np.concatenate([c_next - xi[:n], h_next - xi[n:2 * n],
-                           k.W_y @ xi[n:2 * n] + k.b_y - y0_eff])
+                           w.W_y @ xi[n:2 * n] + w.b_y - y0_eff])
 
 
-def _jacobian(k):
-    """Analytic dF/dxi of ``_residual`` at the kernel's last ``_cell_step``,
+def _jacobian(w):
+    """Analytic dF/dxi of ``_residual`` at the weights' last ``_cell_step``,
     [A_0 - I | B_0; 0 W_y 0], ``lstm.step_jacobians`` writing [A_0 | B_0]
-    into the kernel's template; y0_eff only shifts F."""
-    jac = k.residual_jacobian.copy()
-    lstm.step_jacobians(k, k.last_factors(), jac[None])
-    diag = np.arange(2 * k.n)
+    into the weights' template; y0_eff only shifts F."""
+    jac = w.residual_jacobian.copy()
+    lstm.step_jacobians(w, w.last_factors(), jac[None])
+    diag = np.arange(2 * w.n)
     jac[diag, diag] -= 1.0
     return jac
 
@@ -86,7 +85,7 @@ def _inverse(jac):
     return inv
 
 
-def _newton(k, xi, y0_eff, jac_inv):
+def _newton(w, xi, y0_eff, jac_inv):
     """Simplified Newton from xi, one cell step per iterate; at most 50 steps.
 
     Each step is xi <- xi - J^-1 r with the inverse ``jac_inv`` in hand; a
@@ -99,33 +98,33 @@ def _newton(k, xi, y0_eff, jac_inv):
     res_prev = np.inf
     with np.errstate(all="ignore"):       # a diverging iterate may overflow
         for it in range(51):               # 50 steps, then a last residual test
-            r = _residual(k, xi, y0_eff, _cell_step(k, xi))
+            r = _residual(w, xi, y0_eff, _cell_step(w, xi))
             res = float(abs(r).max())
             if res < _TOL:
-                if abs(xi[2 * k.n:]).max() > k.u_max + 1e-9:
+                if abs(xi[2 * w.n:]).max() > w.u_max + 1e-9:
                     raise InfeasibleReferenceError(
-                        f"equilibrium input {xi[2 * k.n:]} outside the +-{k.u_max} box",
+                        f"equilibrium input {xi[2 * w.n:]} outside the +-{w.u_max} box",
                         "box")
-                return xi, res, _inverse(_jacobian(k))
+                return xi, res, _inverse(_jacobian(w))
             if it == 50:
                 break
             if jac_inv is None or not res < _CONTRACTION * res_prev:
-                jac_inv = _inverse(_jacobian(k))
+                jac_inv = _inverse(_jacobian(w))
             xi = xi - jac_inv @ r
             res_prev = res
     raise InfeasibleReferenceError("Newton iteration did not converge", "diverged")
 
 
-def _cold_start(k):
+def _cold_start(w):
     """Attractor of u = 0, reached by forward simulation."""
-    x = LstmState(np.zeros(k.n), np.zeros(k.n))
-    u = np.zeros(k.m)
+    x = LstmState(np.zeros(w.n), np.zeros(w.n))
+    u = np.zeros(w.m)
     for _ in range(500):
-        x = lstm.step(k, x, u)
+        x = lstm.step(w, x, u)
     return np.concatenate([x.c, x.h, u])
 
 
-def _track(k, xi, jac_inv, y0_eff):
+def _track(w, xi, jac_inv, y0_eff):
     """Follow the equilibrium curve from xi's own output W_y h + b_y to y0_eff.
 
     Each step predicts along the tangent, the last p columns of the inverse
@@ -135,15 +134,15 @@ def _track(k, xi, jac_inv, y0_eff):
     (xi, residual, J^-1) at y0_eff, and raises once the step falls below
     1/1024 of the path.
     """
-    n = k.n
-    delta = y0_eff - (k.W_y @ xi[n:2 * n] + k.b_y)
+    n = w.n
+    delta = y0_eff - (w.W_y @ xi[n:2 * n] + w.b_y)
     reuse = jac_inv
     done, step = 0.0, 1.0
     while done < 1.0:
         step = min(step, 1.0 - done)   # dyadic, so the last sub-target is y0_eff
         guess = xi if jac_inv is None else xi + jac_inv[:, 2 * n:] @ (step * delta)
         try:
-            xi, res, jac_inv = _newton(k, guess, y0_eff - (1.0 - done - step) * delta,
+            xi, res, jac_inv = _newton(w, guess, y0_eff - (1.0 - done - step) * delta,
                                        reuse)
         except InfeasibleReferenceError:
             step /= 2
@@ -161,21 +160,24 @@ def solve_reference(w, y0, d_hat, warm_start=None):
     """Equilibrium for y0 - d_hat, tracked from the warm start; without one,
     or if that fails other than on the input box (a warm start need not be
     an equilibrium at all), from the attractor of u = 0, which is one by
-    construction. Every cell step runs on ``lstm.prepare(w)``."""
-    k = lstm.prepare(w)
-    if k.m != k.p:
+    construction. Raises DimensionError unless y0 and d_hat hold p entries each."""
+    if w.m != w.p:
         raise InfeasibleReferenceError("reference calculation needs m == p", "singular")
-    y0_eff = np.atleast_1d(np.subtract(y0, d_hat, dtype=float))
+    y0, d_hat = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (y0, d_hat))
+    for name, a in (("y0", y0), ("d_hat", d_hat)):
+        if a.shape != (w.p,):
+            raise DimensionError(f"{name} has shape {a.shape}, not ({w.p},)")
+    y0_eff = y0 - d_hat
     tracked = None
     if warm_start is not None:
         xi0 = np.concatenate([warm_start.x_bar.c, warm_start.x_bar.h, warm_start.u_bar])
         try:
-            tracked = _track(k, xi0, warm_start.jac_inv, y0_eff)
+            tracked = _track(w, xi0, warm_start.jac_inv, y0_eff)
         except InfeasibleReferenceError as exc:
             if exc.reason == "box":
                 raise
-    xi, res, jac_inv = tracked or _track(k, _cold_start(k), None, y0_eff)
-    n = k.n
+    xi, res, jac_inv = tracked or _track(w, _cold_start(w), None, y0_eff)
+    n = w.n
     return ReferencePair(LstmState(xi[:n], xi[n:2 * n]), xi[2 * n:], res, jac_inv)
 
 
@@ -193,11 +195,10 @@ def estimate_k_bar(w, y0_range, d_range=(0.0, 0.0), grid_density=9):
     k_bar, arg = 0.0, None
     warm = None
     failed = []
-    kernel = lstm.prepare(w)
     for d in ds:
         for y0 in y0s:
             try:
-                ref = solve_reference(kernel, [y0], [d], warm_start=warm)
+                ref = solve_reference(w, [y0], [d], warm_start=warm)
             except InfeasibleReferenceError as exc:
                 failed.append((float(y0), float(d)))
                 reason = exc.reason

@@ -260,13 +260,14 @@ def train(data, cfg, init=None, callback=None):
     ``extension_factor`` times as long) until both stability margins are
     negative; it fails rather than return an uncertified model. The stop
     test and ``callback(epoch, mean loss, (r1, r2))`` read the margins of
-    the weights after the epoch's last update.
+    the weights after the epoch's last update. Each update builds new
+    weights, which carry the training split's normalization ranges.
     """
     if not data.train:
         raise TrainingError("the training split is empty")
     u_range = (data.normalizer.u_lo, data.normalizer.u_hi)
     y_range = (data.normalizer.y_lo, data.normalizer.y_hi)
-    w = init.copy() if init is not None else init_weights(
+    w = init if init is not None else init_weights(
         cfg, m=1, p=1, u_range=u_range, y_range=y_range)
     if cfg.epochs == 0 and (bounds := lstm.gate_bounds(w)).r1 < 0 and bounds.r2 < 0:
         return w
@@ -289,12 +290,15 @@ def train(data, cfg, init=None, callback=None):
             step_count += 1
             corr1 = 1.0 - b1 ** step_count
             corr2 = 1.0 - b2 ** step_count
+            new = {}
             for name in lstm.PARAMETERS:
                 g = grads[name]
                 mom[name] = b1 * mom[name] + (1 - b1) * g
                 vel[name] = b2 * vel[name] + (1 - b2) * g * g
                 upd = (mom[name] / corr1) / (np.sqrt(vel[name] / corr2) + eps)
-                getattr(w, name)[...] -= cfg.learning_rate * upd
+                new[name] = getattr(w, name) - cfg.learning_rate * upd
+            w = LstmWeights(**lstm.by_gate(new["W"], new["U"], new["b"]), W_y=new["W_y"],
+                            b_y=new["b_y"], u_max=w.u_max, u_range=u_range, y_range=y_range)
         margins = (bounds := lstm.gate_bounds(w)).r1, bounds.r2
         if callback is not None:
             callback(epoch, epoch_loss / max(len(order), 1), margins)

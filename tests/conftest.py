@@ -66,6 +66,18 @@ def tiny_w():
     return small_net(seed=3, n=3)
 
 
+def with_arrays(w, **arrays):
+    """New weights: ``w`` with the named arrays replaced, by stack (``U=``)
+    or by gate (``b_f=30.0``), each value broadcast to the array's shape.
+    The one way the tests build a perturbed model, since weights are read-only."""
+    arrays = {name: np.broadcast_to(value, getattr(w, name).shape)
+              for name, value in arrays.items()}
+    fields = lstm.by_gate(*(arrays.pop(stack, getattr(w, stack)) for stack in "WUb"))
+    fields.update(W_y=w.W_y, b_y=w.b_y)
+    fields.update(arrays)
+    return lstm.LstmWeights(**fields, u_max=w.u_max, u_range=w.u_range, y_range=w.y_range)
+
+
 def zero_net(n=2, m=1, p=1):
     z_nm = np.zeros((n, m))
     z_nn = np.zeros((n, n))

@@ -1,8 +1,9 @@
 """numpy is the package's only runtime dependency; scipy is a test oracle.
 No module of the package imports a name it never uses, defines a private
 top-level name that nothing in the package references or reads another
-module's private name, and every "<name> must be ..." ValueError comes
-from ``errors.check``."""
+module's private name; every public top-level name is mentioned somewhere
+besides its own definition, and every "<name> must be ..." ValueError
+comes from ``errors.check``."""
 
 import ast
 import os
@@ -60,23 +61,63 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def _top_level_definitions(tree):
+    """(statement, names it binds) for each top-level def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield node, [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+
+
 def test_every_private_top_level_name_is_referenced():
     trees = _trees()
     read = set().union(*map(_names_read, trees.values()))
     unreferenced = []
     for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for target in targets for t in ast.walk(target)
-                           if isinstance(t, ast.Name)]
-            else:
-                continue
+        for _, defined in _top_level_definitions(tree):
             unreferenced += [f"{name}: {d}" for d in defined
                              if d.startswith("_") and not d.startswith("__") and d not in read]
     assert unreferenced == []
+
+
+def _mentions(tree, skip=()):
+    """Names the code reads, as a bare name, an attribute or a string
+    constant (``monkeypatch.setattr(lstm, "step", ...)``), outside the
+    statements in ``skip``."""
+    inside = {id(n) for node in skip for n in ast.walk(node)}
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_top_level_name_is_mentioned():
+    # a public name that lost its last caller (in the package, the tests,
+    # the demos or the benchmark) is dead code, whatever its docstring says
+    root = pathlib.Path(lstmpc.__file__).resolve().parents[2]
+    others = [path for folder in ("tests", "demos", "perfbench")
+              for path in sorted((root / folder).rglob("*.py"))]
+    mentioned = set().union(*(_mentions(ast.parse(path.read_text())) for path in others))
+    trees = _trees()
+    in_module = {name: _mentions(tree) for name, tree in trees.items()}
+    unmentioned = []
+    for name, tree in trees.items():
+        elsewhere = mentioned.union(*(seen for key, seen in in_module.items() if key != name))
+        for node, defined in _top_level_definitions(tree):
+            if public := [d for d in defined if not d.startswith("_")]:
+                seen = elsewhere | _mentions(tree, skip=[node])
+                unmentioned += [f"{name}: {d}" for d in public if d not in seen]
+    assert unmentioned == []
 
 
 def test_no_module_reads_another_modules_private_name():

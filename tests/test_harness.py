@@ -324,30 +324,22 @@ class TestRunScenario:
         assert calls == {"plant_step": 10, "measure_ph": 11}
 
     @pytest.mark.parametrize("mode", ["physical", "nominal"])
-    def test_one_kernel_per_run(self, bench_w, bench_spec, monkeypatch, mode):
-        # the run prepares the certified weights once; no control step,
-        # observer update or plant step prepares them again
-        built, per_step = [], []
-        init, step = lstm.Kernel.__init__, mpc.Controller.step
+    def test_no_weights_built_in_run(self, bench_w, bench_spec, monkeypatch, mode):
+        # the run steps on the weights it is given, so no control step,
+        # observer update or plant step forms the cell operands again
+        built = []
+        init = lstm.LstmWeights.__init__
 
-        def counted_init(self, w):
-            built.append(w)
-            init(self, w)
+        def counted_init(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
 
-        def counted_step(self, *args, **kwargs):
-            before = len(built)
-            out = step(self, *args, **kwargs)
-            per_step.append(len(built) - before)
-            return out
-
-        monkeypatch.setattr(lstm.Kernel, "__init__", counted_init)
-        monkeypatch.setattr(mpc.Controller, "step", counted_step)
+        monkeypatch.setattr(lstm.LstmWeights, "__init__", counted_init)
         sc = (tiny_physical_scenario(duration_s=100.0) if mode == "physical"
               else harness.Scenario(duration_s=100.0, mode="nominal"))
         report = harness.run_scenario(sc, bench_w, spec=bench_spec)
         assert report.steps == 10
-        assert built == [bench_w]
-        assert per_step == [0] * 10
+        assert built == []
 
     def test_rejects_unknown_mode(self):
         # on construction, before run_scenario could pick a plant adapter

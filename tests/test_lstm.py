@@ -10,7 +10,7 @@ from lstmpc import lstm, numerics, observer, sysid
 from lstmpc.errors import DimensionError, InstabilityError
 from lstmpc.lstm import LstmState
 
-from conftest import ASSETS, random_invariant_state, small_net, zero_net
+from conftest import ASSETS, random_invariant_state, small_net, with_arrays, zero_net
 
 
 def scalar_step_oracle(w, x, u):
@@ -152,9 +152,9 @@ class TestKernelOracle:
 
 
 class TestPreparedKernel:
-    """``Kernel.step`` and ``rollout`` on a prepared kernel equal the
-    reference kernel bit for bit; a kernel is a read-only snapshot whose
-    one-step results outlive the next step."""
+    """``LstmWeights.step`` and ``rollout``, on the operands the weights
+    prepare once, equal the reference kernel bit for bit; one-step results
+    outlive the next step."""
 
     NETS = {"bench": None, "small": dict(n=3), "square2": dict(n=3, m=2, p=2)}
 
@@ -168,50 +168,51 @@ class TestPreparedKernel:
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
         inject = rng.normal(scale=0.5, size=(n_steps, 4 * w.n)) if injected else 0.0
         ref = rollout_oracle(w, x0.c, x0.h, u, inject)
-        k = lstm.Kernel(w)
-        for weights in (w, k):
-            c, h, cache = lstm.rollout(weights, x0.c, x0.h, u, inject)
-            for part, want in zip((c, h, *cache), (ref[0], ref[1], *ref[2])):
-                np.testing.assert_array_equal(part, want)
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, u, inject)
+        for part, want in zip((c, h, *cache), (ref[0], ref[1], *ref[2])):
+            np.testing.assert_array_equal(part, want)
         c_ref, h_ref, _ = ref
         for t in range(n_steps):
             # one step from the reference states: the reference kernel at T = 1
             one = rollout_oracle(w, c_ref[t], h_ref[t], u[t:t + 1],
                                  inject[t:t + 1] if injected else 0.0)
-            c1, h1 = k.step(c_ref[t], h_ref[t], u[t], inject[t] if injected else None)
+            c1, h1 = w.step(c_ref[t], h_ref[t], u[t], inject[t] if injected else None)
             np.testing.assert_array_equal(c1, one[0][1])
             np.testing.assert_array_equal(h1, one[1][1])
-            for got, want in zip(k.last_factors(), lstm.local_factors(one[0], one[2])):
+            for got, want in zip(w.last_factors(), lstm.local_factors(one[0], one[2])):
                 np.testing.assert_array_equal(got, want)
 
     def test_snapshot_of_the_weights(self, bench_w):
-        w = bench_w.copy()
-        k = lstm.Kernel(w)
+        # the weights copy the arrays they are built from: later writes into
+        # those arrays change no result, and the operands share no memory
+        given = {name: getattr(bench_w, name).copy() for name in lstm.MATRIX_FIELDS}
+        w = lstm.LstmWeights(**given, u_max=bench_w.u_max)
         rng = np.random.default_rng(3)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (6, w.m))
-        before = lstm.rollout(k, x0.c, x0.h, u)[:2], k.step(x0.c, x0.h, u[0])
-        for name in lstm.PARAMETERS:
-            getattr(w, name)[...] += 0.3
-        w.b_f[...] = 5.0
-        after = lstm.rollout(k, x0.c, x0.h, u)[:2], k.step(x0.c, x0.h, u[0])
+        before = lstm.rollout(w, x0.c, x0.h, u)[:2], w.step(x0.c, x0.h, u[0])
+        for array in given.values():
+            array += 0.3
+        given["b_f"][...] = 5.0
+        after = lstm.rollout(w, x0.c, x0.h, u)[:2], w.step(x0.c, x0.h, u[0])
         for got, want in zip((*after[0], *after[1]), (*before[0], *before[1])):
             np.testing.assert_array_equal(got, want)
-        assert not np.array_equal(lstm.rollout(w, x0.c, x0.h, u)[1], after[0][1])
-        for name in ("U_half", "W_half", "b_half", "UW", "W_y", "b_y", "residual_jacobian"):
-            array = getattr(k, name)
+        changed = lstm.LstmWeights(**given, u_max=bench_w.u_max)
+        assert not np.array_equal(lstm.rollout(changed, x0.c, x0.h, u)[1], after[0][1])
+        for name in ("U_half", "W_half", "b_half", "UW", "residual_jacobian"):
+            array = getattr(w, name)
             assert not any(np.shares_memory(array, getattr(w, p)) for p in lstm.PARAMETERS)
+            assert not any(np.shares_memory(array, a) for a in given.values())
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
     def test_step_result_outlives_the_next_step(self, bench_w):
-        k = lstm.Kernel(bench_w)
         rng = np.random.default_rng(5)
         xa, xb = (random_invariant_state(bench_w, rng) for _ in range(2))
-        first = k.step(xa.c, xa.h, np.array([0.3]))
+        first = bench_w.step(xa.c, xa.h, np.array([0.3]))
         kept = [a.copy() for a in first]
-        second = k.step(xb.c, xb.h, np.array([-0.6]))
-        state = lstm.step(k, xa, np.array([0.3]))
+        second = bench_w.step(xb.c, xb.h, np.array([-0.6]))
+        state = lstm.step(bench_w, xa, np.array([0.3]))
         for got, want in zip(first, kept):
             np.testing.assert_array_equal(got, want)
         assert not np.array_equal(first[1], second[1])
@@ -292,9 +293,9 @@ class TestKernelCalls:
 
     @pytest.mark.parametrize("n", [1, 5, 33])
     def test_rollout_operands_are_read_only(self, n):
-        # the kernel builds them once; every step of every loop on it reads them
-        k = lstm.Kernel(small_net(n=n))
-        scale, half, ones = k._scale, k._half, k._one
+        # the weights build them once; every step of every loop on them reads them
+        w = small_net(n=n)
+        scale, half, ones = w._scale, w._half, w._one
         assert scale.shape == (4 * n,)
         for gate, rows in gate_rows(n).items():
             np.testing.assert_array_equal(scale[rows], 1.0 if gate == "c" else 0.5)
@@ -310,7 +311,7 @@ class TestKernelPurity:
 
     @pytest.mark.parametrize("n_steps", [1, 6])
     def test_inputs_unchanged_and_outputs_unshared(self, bench_w, n_steps):
-        w = bench_w.copy()
+        w = bench_w
         rng = np.random.default_rng(n_steps)
         x0 = random_invariant_state(w, rng)
         inputs = {"W": w.W, "U": w.U, "b": w.b, "c0": x0.c, "h0": x0.h,
@@ -551,8 +552,7 @@ class TestStepJacobians:
 
 class TestOutput:
     def test_zero_readout(self, tiny_w):
-        w = tiny_w.copy()
-        w.W_y[...] = 0.0
+        w = with_arrays(tiny_w, W_y=0.0)
         x = LstmState(np.zeros(w.n), np.ones(w.n))
         np.testing.assert_allclose(lstm.output(w, x), w.b_y)
 
@@ -581,17 +581,14 @@ class TestGateBounds:
         assert g.gains[0, 1] == 0.0 and g.column[0, 0] == 0.0     # alpha, beta
 
     def test_forget_bias_saturation(self):
-        w = zero_net()
-        w.b_f[...] = 30.0
-        g = lstm.gate_bounds(w)
+        g = lstm.gate_bounds(with_arrays(zero_net(), b_f=30.0))
         assert g.sigma_f == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("b_f", [40.0, np.nan])
     def test_saturated_forget_gate_is_typed(self, bench_w, b_f):
         # sigma_f rounds to 1.0 (or is NaN): the cell radius si sc / (1 - sf)
         # is undefined, so every certificate built on the bounds says so
-        w = bench_w.copy()
-        w.b_f[...] = b_f
+        w = with_arrays(bench_w, b_f=b_f)
         for call in (lambda: lstm.gate_bounds(w), lambda: lstm.incremental_lyapunov(w)):
             with pytest.raises(InstabilityError, match="^sigma_f = .* is not below 1"):
                 call()
@@ -670,8 +667,8 @@ class TestMarginAdjoint:
     def test_matches_central_differences(self, seed, scale, a_r1, a_r2):
         w = small_net(seed=seed, n=3, m=2, scale=scale)
 
-        def weighted():
-            g = lstm.gate_bounds(w)
+        def weighted(net):
+            g = lstm.gate_bounds(net)
             return a_r1 * g.r1 + a_r2 * g.r2
 
         grads = lstm.margin_adjoint(w, lstm.gate_bounds(w), a_r1, a_r2)
@@ -681,13 +678,11 @@ class TestMarginAdjoint:
             assert grad.shape == arr.shape
             fd = np.empty_like(arr)
             for idx in np.ndindex(arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + eps
-                up = weighted()
-                arr[idx] = orig - eps
-                down = weighted()
-                arr[idx] = orig
-                fd[idx] = (up - down) / (2 * eps)
+                up, down = arr.copy(), arr.copy()
+                up[idx] += eps
+                down[idx] -= eps
+                fd[idx] = (weighted(with_arrays(w, **{name: up}))
+                           - weighted(with_arrays(w, **{name: down}))) / (2 * eps)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7, err_msg=name)
 
 
@@ -699,10 +694,8 @@ class TestGateOrder:
     def _net():
         # gates made unlike each other, so a gate read at another's offset shows
         w = small_net(seed=6, n=3, m=2, p=2)
-        for k, gate in enumerate("fioc"):
-            for stack in "WUb":
-                getattr(w, f"{stack}_{gate}")[...] *= 1.0 + k
-        return w
+        return with_arrays(w, **{f"{stack}_{gate}": (1.0 + k) * getattr(w, f"{stack}_{gate}")
+                                 for k, gate in enumerate("fioc") for stack in "WUb"})
 
     def test_gate_sigmas(self):
         w = self._net()
@@ -745,9 +738,7 @@ class TestGateOrder:
 
 def uncertified_net():
     w = small_net(seed=1, n=3)
-    w.b_f[...] = 30.0            # push sigma_f -> 1
-    w.U_o *= 200.0
-    return w
+    return with_arrays(w, b_f=30.0, U_o=200.0 * w.U_o)     # push sigma_f -> 1
 
 
 class TestCertification:
@@ -874,39 +865,71 @@ class TestWeightStorage:
                 np.concatenate([getattr(bench_w, f"{stack}_{g}") for g in lstm.GATES]))
 
     def test_item_write_updates_stack(self):
+        # a per-gate array is a view of its rows of the stack, so an item
+        # write would change the stack: it is refused, and the changed model
+        # is new weights whose stack holds the write
         w = small_net(seed=4, n=3)
-        w.b_f[...] = 30.0
-        np.testing.assert_array_equal(w.b[gate_rows(3)["f"]], 30.0)
+        before = w.b.copy()
+        assert np.shares_memory(w.b_f, w.b)
+        with pytest.raises(ValueError, match="read-only"):
+            w.b_f[...] = 30.0
+        np.testing.assert_array_equal(w.b, before)
+        np.testing.assert_array_equal(with_arrays(w, b_f=30.0).b[gate_rows(3)["f"]], 30.0)
 
     def test_in_place_update_scales_stack(self):
         w = small_net(seed=4, n=3)
         before = w.U.copy()
-        w.U_o *= 200.0
+        with pytest.raises(ValueError, match="read-only"):
+            w.U_o *= 200.0
+        np.testing.assert_array_equal(w.U, before)
+        scaled = with_arrays(w, U_o=200.0 * w.U_o).U
         rows = gate_rows(3)["o"]
-        np.testing.assert_array_equal(w.U[rows], 200.0 * before[rows])
-        np.testing.assert_array_equal(np.delete(w.U, rows, axis=0),
+        np.testing.assert_array_equal(scaled[rows], 200.0 * before[rows])
+        np.testing.assert_array_equal(np.delete(scaled, rows, axis=0),
                                       np.delete(before, rows, axis=0))
 
     def test_attribute_assignment_writes_into_stack(self):
         w = small_net(seed=4, n=3, m=2)
-        stack = w.W
-        w.W_c = np.full((3, 2), 0.5)
+        stack, before = w.W, w.W.copy()
+        with pytest.raises(AttributeError, match="read-only"):
+            w.W_c = np.full((3, 2), 0.5)
         assert w.W is stack
-        np.testing.assert_array_equal(w.W[gate_rows(3)["c"]], 0.5)
+        np.testing.assert_array_equal(w.W, before)
 
     def test_constructor_and_copy_own_their_arrays(self):
+        # weights built from another's (read-only) arrays are an equal copy
+        # that shares memory with neither the source nor a second copy
         w = small_net(seed=4, n=3)
-        w2 = lstm.LstmWeights(*(getattr(w, name) for name in lstm.MATRIX_FIELDS))
-        dup = w.copy()
+        given = {name: getattr(w, name) for name in lstm.MATRIX_FIELDS}
+        ranges = dict(u_max=w.u_max, u_range=w.u_range, y_range=w.y_range)
+        dup, w2 = (lstm.LstmWeights(**given, **ranges) for _ in range(2))
         for name in lstm.PARAMETERS:
-            for other in (w2, dup):
-                assert not np.shares_memory(getattr(w, name), getattr(other, name))
-        w.U *= 2.0
-        w.W_y[...] = 7.0
-        np.testing.assert_array_equal(dup.U, w2.U)
-        np.testing.assert_array_equal(dup.W_y, w2.W_y)
-        assert not np.array_equal(dup.U, w.U)
+            for a, b in ((w, dup), (w, w2), (dup, w2)):
+                assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+            np.testing.assert_array_equal(getattr(dup, name), getattr(w, name))
         assert (dup.u_max, dup.u_range, dup.y_range) == (w.u_max, w.u_range, w.y_range)
+
+    def test_read_only(self):
+        # every array reachable from the weights refuses writes (stacks,
+        # readout, per-gate views and cell operands), no name can be
+        # assigned, and the constructor shares no memory with its inputs
+        given = {name: getattr(small_net(seed=4, n=3, m=2), name).copy()
+                 for name in lstm.MATRIX_FIELDS}
+        w = lstm.LstmWeights(**given)
+        operands = ("W", "U", "b", "W_y", "b_y", "U_half", "W_half", "b_half", "UW",
+                    "residual_jacobian", "_scale", "_half", "_one")
+        assert {name for name, a in vars(w).items()
+                if isinstance(a, np.ndarray) and not name.startswith("_")} <= set(operands)
+        for name in operands + lstm.MATRIX_FIELDS:
+            array = getattr(w, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+            assert not any(np.shares_memory(array, a) for a in given.values()), name
+        for name, value in (*given.items(), ("U_half", w.U_half), ("u_max", 2.0)):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(w, name, value)
+        for name, a in given.items():
+            np.testing.assert_array_equal(getattr(w, name), a)
 
 
 class TestSerialization:

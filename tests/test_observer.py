@@ -11,7 +11,7 @@ from lstmpc.errors import (DimensionError, DomainViolationError, GainSelectionEr
 from lstmpc.lstm import LstmState
 from lstmpc.observer import AugmentedState
 
-from conftest import induced_inf_norm, random_invariant_state, small_net, zero_net
+from conftest import induced_inf_norm, random_invariant_state, small_net, with_arrays, zero_net
 
 
 def make_spec(w, d_max=0.1, l_d=0.1, **kw):
@@ -245,17 +245,15 @@ class TestSelectGains:
             make_spec(bench_w, l_d=0.0)
 
     def test_rejects_uncertified_model(self):
-        w = small_net(seed=1, n=3)
-        w.b_f[...] = 30.0
-        w.U_o *= 200.0
+        net = small_net(seed=1, n=3)
+        w = with_arrays(net, b_f=30.0, U_o=200.0 * net.U_o)
         with pytest.raises(GainSelectionError):
             make_spec(w)
 
     def test_saturated_forget_gate_is_typed(self, bench_w):
         # the model's own bound saturates, or only the hatted one that the
         # injection widens
-        w = bench_w.copy()
-        w.b_f[...] = 40.0
+        w = with_arrays(bench_w, b_f=40.0)
         with pytest.raises(InstabilityError, match="^sigma_f"):
             make_spec(w)
         assert lstm.gate_bounds(bench_w).sigma_f < 1.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lstmpc import lstm, refcalc
-from lstmpc.errors import InfeasibleReferenceError
+from lstmpc.errors import DimensionError, InfeasibleReferenceError
 from lstmpc.lstm import LstmState
 
 from conftest import random_invariant_state, small_net, zero_net
@@ -42,11 +42,10 @@ def oracle_jacobian(w, xi):
 
 
 def cell_jacobian(w, xi):
-    """refcalc's Newton Jacobian at xi: one ``_cell_step`` of a new kernel,
+    """refcalc's Newton Jacobian at xi: one ``_cell_step`` of the weights,
     then ``_jacobian`` of that step."""
-    k = lstm.Kernel(w)
-    refcalc._cell_step(k, xi)
-    return refcalc._jacobian(k)
+    refcalc._cell_step(w, xi)
+    return refcalc._jacobian(w)
 
 
 def oracle_newton(w, xi, y0_eff):
@@ -190,6 +189,18 @@ class TestSolveReference:
         assert np.max(np.abs(ref.u_bar - u_star)) < 1e-8
         assert np.max(np.abs(ref.x_bar.as_vector() - x_star.as_vector())) < 1e-8
         assert ref.residual < 1e-9
+
+    @pytest.mark.parametrize("name, y0, d_hat", [
+        ("y0", [0.1, 0.2], [0.0]), ("d_hat", [0.1], [0.0, 0.0]), ("y0", [[0.1]], [0.0])],
+        ids=["y0-two-entries", "d_hat-two-entries", "y0-2d"])
+    def test_rejects_targets_without_p_entries(self, bench_w, monkeypatch, name, y0, d_hat):
+        # by name, before any cell step
+        def no_step(*args, **kwargs):
+            raise AssertionError("cell step before the input check")
+
+        monkeypatch.setattr(lstm.LstmWeights, "step", no_step)
+        with pytest.raises(DimensionError, match=f"^{name} has shape"):
+            refcalc.solve_reference(bench_w, y0, d_hat)
 
     def test_fixed_point_residual(self, bench_w):
         ref = refcalc.solve_reference(bench_w, [0.1], [0.0])

@@ -9,7 +9,7 @@ import pytest
 from lstmpc import lstm, plant, sysid
 from lstmpc.errors import TrainingError, UndefinedMetricError, UnphysicalStateError
 
-from conftest import small_net
+from conftest import small_net, with_arrays
 
 
 def segment_lengths(trace):
@@ -109,15 +109,12 @@ class TestLoss:
         assert sorted(grads) == sorted(lstm.PARAMETERS)
         for name in lstm.PARAMETERS:
             arr = getattr(w, name)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + eps
-                lp, _ = sysid.loss(w, u, y, cfg)
-                arr[idx] = orig - eps
-                lm, _ = sysid.loss(w, u, y, cfg)
-                arr[idx] = orig
+            for idx in np.ndindex(arr.shape):
+                up, down = arr.copy(), arr.copy()
+                up[idx] += eps
+                down[idx] -= eps
+                lp, _ = sysid.loss(with_arrays(w, **{name: up}), u, y, cfg)
+                lm, _ = sysid.loss(with_arrays(w, **{name: down}), u, y, cfg)
                 fd = (lp - lm) / (2 * eps)
                 denom = max(abs(fd), abs(grads[name][idx]), 1e-8)
                 worst = max(worst, abs(fd - grads[name][idx]) / denom)
@@ -174,6 +171,19 @@ class TestTrain:
         for name in lstm.MATRIX_FIELDS:
             np.testing.assert_array_equal(getattr(out, name), getattr(init, name))
 
+    def test_warm_start_takes_the_training_ranges(self, bench_w):
+        # every update fits the weights to data normalized by the dataset's
+        # normalizer, so the result carries its ranges, not the init's; the
+        # zero-epoch return makes no update and keeps the init as it is
+        ds = synthetic_dataset(n_train=1)
+        nrm = ds.normalizer
+        cfg = sysid.TrainConfig(epochs=1, n_neurons=bench_w.n, washout=10)
+        w = sysid.train(ds, cfg, init=bench_w)
+        assert (w.u_range, w.y_range) == ((nrm.u_lo, nrm.u_hi), (nrm.y_lo, nrm.y_hi))
+        assert w.y_range != bench_w.y_range
+        cfg = sysid.TrainConfig(epochs=0, n_neurons=bench_w.n, washout=10)
+        assert sysid.train(ds, cfg, init=bench_w) is bench_w
+
     def test_deterministic(self):
         ds = synthetic_dataset()
         cfg = sysid.TrainConfig(epochs=3, n_neurons=3, washout=10, seed=4)
@@ -191,8 +201,8 @@ class TestTrain:
     def test_margin_penalty_restores_certificate(self):
         # adversarial init with r1 > 0: a large penalty drives the margins down
         ds = synthetic_dataset()
-        init = small_net(seed=1, n=3)
-        init.U_c *= 14.0
+        net = small_net(seed=1, n=3)
+        init = with_arrays(net, U_c=14.0 * net.U_c)
         assert lstm.gate_bounds(init).r1 > 0
         cfg = sysid.TrainConfig(epochs=1, n_neurons=3, washout=10, seed=4,
                                 lambda1=5.0, learning_rate=5e-3,
@@ -219,8 +229,8 @@ class TestTrain:
 
     def test_fails_without_certificate(self):
         ds = synthetic_dataset()
-        init = small_net(seed=1, n=3)
-        init.U_c *= 14.0
+        net = small_net(seed=1, n=3)
+        init = with_arrays(net, U_c=14.0 * net.U_c)
         cfg = sysid.TrainConfig(epochs=1, n_neurons=3, washout=10, seed=4,
                                 lambda1=0.0, lambda2=0.0, learning_rate=1e-6,
                                 extension_factor=2)
