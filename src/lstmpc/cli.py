@@ -51,14 +51,13 @@ def _cmd_certify(args):
 def _cmd_simulate(args):
     sc = harness.Scenario.from_json(args.scenario)
     w, obs_doc = lstm.load_weights(args.weights)
-    report = harness.run_scenario(sc, w, spec=obs_doc)
+    records = harness.steps(sc, w, obs_doc)     # a rejected input raises before --out exists
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report.save_csv(out / "trace.csv")
+    report = harness.RunReport(sc, w, harness.write_trace(out / "trace.csv", records))
     report.save_json(out / "report.json")
     print(json.dumps(report.summary(), indent=1))
-    return 0 if (report.constraint_violations == 0
-                 and report.feasibility_losses == 0) else 1
+    return 0 if report.constraint_violations == report.feasibility_losses == 0 else 1
 
 
 def build_parser():
@@ -75,7 +74,10 @@ def build_parser():
     g.add_argument("--steps", type=int, default=1500)
     g.set_defaults(func=_cmd_gen_data)
 
-    t = sub.add_parser("train", help="train a certified model on a dataset")
+    t = sub.add_parser("train", help="train a certified model on a dataset",
+                       description="Train a certified model on a dataset. The weights file "
+                       "it writes has no observer section, so certify and simulate use "
+                       "observer.select_gains' default gains.")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--epochs", type=int, default=1000)

@@ -2,11 +2,11 @@
 
 A scenario describes the set-point profile (piecewise constant targets
 joined by rate-limited ramps), the disturbance profile, and the
-controller/observer configuration. ``run_scenario`` runs one loop body
-against the plant adapter of the scenario's mode ("physical",
-``PhysicalPlant``, or "nominal", ``NominalPlant``), whose ``measure(t,
-chi_hat)`` gives (y normalized, pH, buffer flow d_phi, V_o) at step k
-and ``advance(u_applied, u_phys)`` moves it to step k + 1.
+controller/observer configuration. ``steps`` runs one loop body, one
+``StepRecord`` per step, against the plant adapter of the scenario's mode
+("physical", ``PhysicalPlant``, or "nominal", ``NominalPlant``), whose
+``measure(t, chi_hat)`` gives (y normalized, pH, buffer flow d_phi, V_o)
+at step k and ``advance(u_applied, u_phys)`` moves it to step k + 1.
 """
 
 import csv
@@ -53,7 +53,7 @@ class Scenario:
         """Rejects, naming the field, a value that would end the run in a bare
         error or distort it, or a setting the mode does not read; each profile
         becomes (time_s, value) tuples. Runs on construction and again in
-        ``run_scenario``, since a field may be assigned in between."""
+        ``steps``, since a field may be assigned in between."""
         for name, (ok, text) in (("setpoints", FINITE), ("disturbance_increments", FINITE),
                                  ("disturbances", plant.PARAM_RULES["q2_nominal"])):
             check(name, getattr(self, name), (
@@ -92,28 +92,67 @@ TRACE_COLUMNS = ["t", "y0_phys", "y_phys", "u_phys", "d_phi", "d_hat",
                  "e_o", "V_o", "alpha_k", "cost", "status"]
 
 
-@dataclass
-class RunReport:
-    """Everything the acceptance checks need from one closed-loop run."""
+@dataclass(frozen=True, slots=True)
+class StepRecord:
+    """One control step of ``steps``, scalars only: its ``TRACE_COLUMNS`` row, the
+    FHOCP's iterations and its warm start's output-constraint violation; ``outcome``
+    is "ok", or "feasibility-loss" on a run's last record, which has no row."""
 
-    trace: dict                      # column -> list
-    steps: int
-    constraint_violations: int
-    feasibility_losses: int
-    max_candidate_violation: float
-    candidate_checks: int
-    fallback_steps: int
-    converged_steps: int             # steps with status "optimal": the step test passed
-    segment_errors: list             # (t_start, t_end, y0, max |err| last 200 s)
-    solver_iterations: list          # solve_fhocp iterations of each solved step
+    row: tuple = None
+    solver_iterations: int = None
+    candidate_violation: float = None
+    outcome: str = "ok"
+
+
+def write_trace(path, records):
+    """Write the trace CSV, the header, then each record's row as the record passes
+    through, so a run that raises keeps the rows it ran; returns the records' list."""
+    passed = []
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(TRACE_COLUMNS)
+        for rec in records:
+            passed.append(rec)
+            if rec.row is not None:
+                wr.writerow([repr(v) if isinstance(v, float) else v for v in rec.row])
+    return passed
+
+
+class RunReport:
+    """Everything the acceptance checks need from one closed-loop run, derived
+    once from the step records of ``sc`` on ``w``: ``trace`` (column -> list),
+    the counters and ``segment_errors``, (t_start, t_end, y0, max |err| last
+    200 s) of each flat span of the scheduled set-points, cut at the last step run."""
+
+    def __init__(self, sc, w, records):
+        self._records = records = list(records)
+        ran = [r for r in records if r.outcome == "ok"]
+        self.trace = trace = {c: [r.row[i] for r in ran] for i, c in enumerate(TRACE_COLUMNS)}
+        self.steps = len(ran)
+        self.feasibility_losses = sum(r.outcome == "feasibility-loss" for r in records)
+        self.constraint_violations = sum(not (sc.y_lb_phys - 1e-9 <= y <= sc.y_ub_phys + 1e-9)
+                                         for y in trace["y_phys"])
+        # the warm start at step k >= 1 is the left-shifted previous plan, so its
+        # violation measures the feasible-candidate mechanism
+        candidates = [r.candidate_violation for r in ran[1:]]
+        self.max_candidate_violation = float(max(candidates, default=-np.inf))
+        self.candidate_checks = len(candidates)
+        self.fallback_steps = trace["status"].count("candidate-fallback")
+        self.converged_steps = trace["status"].count("optimal")    # the step test passed
+        self.solver_iterations = [r.solver_iterations for r in ran]
+        nrm = plant.Normalizer(*w.u_range, *w.y_range)
+        window = max(1, int(round(200.0 / sc.t_s)))
+        self.segment_errors = []
+        for start, end, y0 in constant_segments(sc, nrm, int(round(sc.duration_s / sc.t_s))):
+            end = min(end, self.steps)
+            if end - start >= window:
+                err = max(abs(y - y_ref) for y, y_ref in zip(trace["y_phys"][end - window:end],
+                                                             trace["y0_phys"][end - window:end]))
+                self.segment_errors.append((trace["t"][start], trace["t"][end - 1],
+                                            float(nrm.denormalize_y(y0)), float(err)))
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(TRACE_COLUMNS)
-            for k in range(self.steps):
-                wr.writerow([repr(self.trace[c][k]) if isinstance(self.trace[c][k], float)
-                             else self.trace[c][k] for c in TRACE_COLUMNS])
+        write_trace(path, self._records)
 
     def summary(self):
         """The counters as ``report.json`` holds them; with no candidate
@@ -155,23 +194,18 @@ def setpoint_trace(sc, nrm, n_steps):
     for k in range(n_steps):
         target = nrm.normalize_y(_profile_value(sc.setpoints, k * sc.t_s,
                                                 sc.setpoints[0][1]))
-        delta = np.clip(target - y0, -sc.ramp_rate, sc.ramp_rate)
-        y0 = y0 + delta
+        y0 = y0 + min(max(target - y0, -sc.ramp_rate), sc.ramp_rate)
         out[k] = y0
     return out
 
 
 def constant_segments(sc, nrm, n_steps):
     """(start step, end step, y0 normalized) spans of 800 s or more with a flat set-point."""
-    return _flat_spans(setpoint_trace(sc, nrm, n_steps), sc.t_s)
-
-
-def _flat_spans(y0s, t_s):     # constant_segments of the set-point trace y0s
-    segs = []
-    start = 0
-    for k in range(1, len(y0s) + 1):
-        if k == len(y0s) or y0s[k] != y0s[k - 1]:
-            if (k - start) * t_s >= 800.0:
+    y0s = setpoint_trace(sc, nrm, n_steps)
+    segs, start = [], 0
+    for k in range(1, n_steps + 1):
+        if k == n_steps or y0s[k] != y0s[k - 1]:
+            if (k - start) * sc.t_s >= 800.0:
                 segs.append((start, k, float(y0s[start])))
             start = k
     return segs
@@ -240,71 +274,47 @@ _PLANTS = {"physical": PhysicalPlant, "nominal": NominalPlant}
 _UNREAD = {"physical": ("disturbance_increments",), "nominal": ("disturbances", "plant_overrides")}
 
 
-def run_scenario(sc, w, spec=None):
-    """Execute the closed loop; returns a RunReport.
+def steps(sc, w, gains=None):
+    """The closed loop of ``sc`` on ``w``, an iterator of one StepRecord per step.
 
-    ``mpc.certify`` builds the run's certificate from the observer gains
-    ``spec`` (an ObserverSpec or the weights' JSON section) and the
-    scenario's horizon and q_weight. Each step measures the plant,
-    runs ``Controller.step``, advances the plant, updates the observer and
-    records a trace row; the counters come from the trace and the solutions.
-    """
+    The set-up runs on the call, so a rejected scenario or model raises
+    before any record: ``sc.check()``, the ranges, ``mpc.certify`` of the
+    observer ``gains`` (an ObserverSpec or the weights' JSON section), the
+    controller, the set-point trace and the plant adapter. A
+    FeasibilityLossError ends the stream in a "feasibility-loss" record."""
     sc.check()
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")
     nrm = plant.Normalizer(*w.u_range, *w.y_range)
-    certificate = mpc.certify(w, spec, sc.horizon, sc.q_weight)
+    certificate = mpc.certify(w, gains, sc.horizon, sc.q_weight)
     ctrl = mpc.Controller(w, certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
                           y_lb=nrm.normalize_y(sc.y_lb_phys), y_ub=nrm.normalize_y(sc.y_ub_phys))
-
-    n_steps = int(round(sc.duration_s / sc.t_s))
-    y0s = setpoint_trace(sc, nrm, n_steps)
+    y0s = setpoint_trace(sc, nrm, int(round(sc.duration_s / sc.t_s)))
     sim = _PLANTS[sc.mode](sc, w, certificate.spec, nrm)
-    chi_hat = sim.chi_hat0
 
-    trace = {c: [] for c in TRACE_COLUMNS}
-    iterations, candidates = [], []
-    for k in range(n_steps):
-        t = k * sc.t_s
-        y, y_phys, d_phi, v_o = sim.measure(t, chi_hat)
-        e_o = ctrl.e_o
-        try:
-            u, sol, _ = ctrl.step(chi_hat, np.atleast_1d(y0s[k]))
-        except FeasibilityLossError:
-            break
-        u_applied = np.minimum(np.maximum(u, -w.u_max), w.u_max)
-        u_phys = float(nrm.denormalize_u(u_applied[0]))
-        sim.advance(u_applied, u_phys)
-        chi_hat = observer.observer_step(w, certificate.spec, chi_hat, u_applied, y)
-        iterations.append(sol.solver_iterations)
-        candidates.append(sol.candidate_violation)
-        row = (t, nrm.denormalize_y(y0s[k]), y_phys, u_phys, d_phi, chi_hat.d[0],
-               e_o, v_o, ctrl.problem.alpha, sol.cost)
-        for c, v in zip(TRACE_COLUMNS, row):
-            trace[c].append(float(v))
-        trace["status"].append(sol.status)
+    def run(chi_hat):
+        for k, y0 in enumerate(y0s):
+            t = k * sc.t_s
+            y, y_phys, d_phi, v_o = sim.measure(t, chi_hat)
+            e_o = ctrl.e_o
+            try:
+                u, sol, _ = ctrl.step(chi_hat, np.atleast_1d(y0))
+            except FeasibilityLossError:
+                yield StepRecord(outcome="feasibility-loss")
+                return
+            u_applied = np.minimum(np.maximum(u, -w.u_max), w.u_max)
+            u_phys = float(nrm.denormalize_u(u_applied[0]))
+            sim.advance(u_applied, u_phys)
+            chi_hat = observer.observer_step(w, certificate.spec, chi_hat, u_applied, y)
+            row = (t, nrm.denormalize_y(y0), y_phys, u_phys, d_phi, chi_hat.d[0],
+                   e_o, v_o, ctrl.problem.alpha, sol.cost)
+            yield StepRecord((*map(float, row), sol.status), sol.solver_iterations,
+                             sol.candidate_violation)
 
-    segs = []
-    window = max(1, int(round(200.0 / sc.t_s)))
-    for start, end, y0 in _flat_spans(y0s, sc.t_s):
-        end = min(end, len(trace["y_phys"]))
-        if end - start < window:
-            continue
-        errs = [abs(trace["y_phys"][k] - trace["y0_phys"][k])
-                for k in range(end - window, end)]
-        segs.append((trace["t"][start], trace["t"][end - 1], float(nrm.denormalize_y(y0)),
-                     float(max(errs))))
+    return run(sim.chi_hat0)
 
-    statuses = trace["status"]
-    # the warm start at step k >= 1 is the left-shifted previous plan, so its
-    # violation measures the feasible-candidate mechanism
-    candidates = candidates[1:]
-    violations = sum(not (sc.y_lb_phys - 1e-9 <= y <= sc.y_ub_phys + 1e-9)
-                     for y in trace["y_phys"])
-    return RunReport(trace=trace, steps=len(statuses), constraint_violations=violations,
-                     feasibility_losses=int(len(statuses) < n_steps),
-                     max_candidate_violation=float(max(candidates, default=-np.inf)),
-                     candidate_checks=len(candidates),
-                     fallback_steps=statuses.count("candidate-fallback"),
-                     converged_steps=statuses.count("optimal"), segment_errors=segs,
-                     solver_iterations=iterations)
+
+def run_scenario(sc, w, spec=None):
+    """``steps`` run to its end and folded into a RunReport; ``spec`` is the
+    observer gains that ``steps`` takes as ``gains``."""
+    return RunReport(sc, w, steps(sc, w, spec))

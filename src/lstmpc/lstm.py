@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import POSITIVE, DimensionError, InstabilityError, check
+from .errors import FINITE, POSITIVE, DimensionError, InstabilityError, check
 from .numerics import eig_extrema_spd, freeze_arrays, solve_discrete_lyapunov, spectral_radius
 
 
@@ -118,14 +118,18 @@ class LstmWeights:
         if W_y.shape != (p, n) or b_y.shape != (p,):
             raise DimensionError("readout shapes disagree")
         check("u_max", u_max, POSITIVE)
+        for name, pair in (("u_range", u_range), ("y_range", y_range)):
+            check(name, pair, (lambda v: v is None or np.shape(v) == (2,) and all(map(
+                FINITE[0], v)) and v[0] < v[1], "null or a finite (lo, hi) pair with lo < hi"))
         scale = np.full(4 * n, 0.5)
         scale[_C * n:(_C + 1) * n] = 1.0
         residual_jacobian = np.zeros((2 * n + p, 2 * n + m))
         residual_jacobian[2 * n:, n:2 * n] = W_y
         # the sigmoid's 0.5 (1 + t) in place costs less with array operands than with floats
         vars(self).update(
-            W=W, U=U, b=b, W_y=W_y, b_y=b_y, n=n, m=m, p=p, u_max=u_max, u_range=u_range,
-            y_range=y_range, _scale=scale, _half=scale[_F * n:(_O + 1) * n],
+            W=W, U=U, b=b, W_y=W_y, b_y=b_y, n=n, m=m, p=p, u_max=float(u_max), _scale=scale,
+            u_range=u_range and tuple(u_range), y_range=y_range and tuple(y_range),
+            _half=scale[_F * n:(_O + 1) * n],
             _one=np.ones(3 * n), U_half=U * scale[:, None], W_half=W * scale[:, None],
             b_half=b * scale, UW=np.concatenate((U, W), axis=1).reshape(4, n, n + m),
             residual_jacobian=residual_jacobian)
@@ -539,13 +543,21 @@ def save_weights(w, path, observer=None):
 
 
 def load_weights(path):
-    """Inverse of save_weights; returns (weights, observer-dict-or-None)."""
+    """Inverse of save_weights; returns (weights, observer-dict-or-None), each field
+    checked by name: known keys only, finite arrays, n, m and p as the arrays give."""
     with open(path) as fh:
         doc = json.load(fh)
-    kwargs = {name: np.asarray(doc[name], dtype=float) for name in MATRIX_FIELDS}
-    w = LstmWeights(
-        u_max=float(doc["u_max"]),
-        u_range=tuple(doc["u_range"]) if doc.get("u_range") else None,
-        y_range=tuple(doc["y_range"]) if doc.get("y_range") else None,
-        **kwargs)
+    check("weights file", type(doc).__name__, (lambda v: v == "dict", "a JSON object"))
+    known = {*MATRIX_FIELDS, "n", "m", "p", "u_max", "u_range", "y_range", "observer"}
+    check("unknown weights fields", sorted(set(doc) - known), (lambda v: not v, "empty"))
+    arrays = {name: np.asarray(doc[name], dtype=float) for name in MATRIX_FIELDS}
+    for name, a in arrays.items():
+        check(name, a, (lambda v: np.isfinite(v).all(), "finite"))
+    w = LstmWeights(u_max=doc["u_max"], u_range=doc.get("u_range"), y_range=doc.get("y_range"),
+                    **arrays)
+    for name in "nmp":
+        size = getattr(w, name)
+        check(name, doc[name], (lambda v: type(v) is int and v == size, f"{size} as in the arrays"))
+    check("observer", doc.get("observer"), (lambda v: isinstance(v, (dict, type(None))),
+                                            "an object or null"))
     return w, doc.get("observer")

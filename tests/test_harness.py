@@ -186,6 +186,9 @@ class TestRunScenario:
         calls = count_controller_steps(monkeypatch)
         with pytest.raises(error, match=f"^{message}"):
             harness.run_scenario(sc, bench_w, spec=bench_spec)
+        # the set-up is eager: the stream raises on the call, before any record
+        with pytest.raises(error, match=f"^{message}"):
+            harness.steps(sc, bench_w, bench_spec)
         assert calls == []
 
     def test_runs_valid_fields_assigned_after_construction(self, bench_w, bench_spec):
@@ -284,12 +287,33 @@ class TestRunScenario:
 
     def test_feasibility_loss_ends_run_and_is_counted(self, bench_w, bench_spec,
                                                       monkeypatch):
-        count_controller_steps(monkeypatch, fail_at=4)
+        calls = count_controller_steps(monkeypatch, fail_at=4)
         report = harness.run_scenario(tiny_physical_scenario(duration_s=100.0), bench_w,
                                       spec=bench_spec)
         assert (report.steps, report.feasibility_losses, report.candidate_checks) == (3, 1, 2)
         assert len(report.solver_iterations) == 3
         assert all(len(v) == 3 for v in report.trace.values())
+        # the stream ends in the loss's own record, which has no row
+        calls.clear()
+        records = list(harness.steps(tiny_physical_scenario(duration_s=100.0), bench_w,
+                                     bench_spec))
+        assert [r.outcome for r in records] == ["ok"] * 3 + ["feasibility-loss"]
+        assert records[-1].row is None and all(r.row for r in records[:-1])
+
+    def test_records_are_the_trace_and_its_counters(self, bench_w, bench_spec):
+        sc = tiny_physical_scenario(duration_s=100.0)
+        records = list(harness.steps(sc, bench_w, bench_spec))
+        report = harness.run_scenario(sc, bench_w, spec=bench_spec)
+        assert len(records) == report.steps == 10
+        assert [r.row for r in records] == list(zip(*report.trace.values()))
+        assert [r.outcome for r in records] == ["ok"] * 10
+        assert [r.solver_iterations for r in records] == report.solver_iterations
+        assert max(r.candidate_violation for r in records[1:]) == report.max_candidate_violation
+        assert harness.RunReport(sc, bench_w, records).summary() == report.summary()
+        # scalars only, and frozen
+        assert all(type(v) in (float, str) for v in records[0].row)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            records[0].outcome = "feasibility-loss"
 
     @pytest.mark.parametrize("fail_at, steps, t_end", [(10, 9, None), (90, 89, 880.0),
                                                       (None, 100, 990.0)])
@@ -446,6 +470,44 @@ class TestCli:
         assert cli.main(["certify", "--weights", str(path)]) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "KeyError", "message": "'L_f'"}
 
+    # weights-file fields rejected by name before the model is used; each
+    # would otherwise end in a traceback (a top-level list, an observer list,
+    # a 3-entry u_range once simulate builds its normalizer), load without a
+    # word (n, m, an unknown key) or be blamed on the forget gate (a NaN in W_y)
+    @pytest.mark.parametrize("command, mutate, message", [
+        ("certify", lambda doc: [doc], "weights file must be a JSON object, got 'list'"),
+        ("certify", lambda doc: doc.update(observer=[doc["observer"]]),
+         "observer must be an object or null"),
+        ("simulate", lambda doc: doc.update(u_range=[-1.0, 0.0, 1.0]),
+         "u_range must be null or a finite (lo, hi) pair with lo < hi"),
+        ("simulate", lambda doc: doc.update(y_range=[9.0, 5.0]), "y_range must be null"),
+        ("certify", lambda doc: doc.update(y_range=[np.nan, 9.0]), "y_range must be null"),
+        ("certify", lambda doc: doc.update(n=7), "n must be 5 as in the arrays, got 7"),
+        ("certify", lambda doc: doc.update(m=True), "m must be 1 as in the arrays"),
+        ("certify", lambda doc: doc.update(bogus=1),
+         "unknown weights fields must be empty, got ['bogus']"),
+        ("certify", lambda doc: doc["W_y"][0].__setitem__(0, np.nan), "W_y must be finite"),
+        ("simulate", lambda doc: doc["b_o"].__setitem__(2, np.inf), "b_o must be finite"),
+        ("certify", lambda doc: doc.update(u_max=None), "u_max must be finite and positive"),
+    ], ids=["top-level-list", "observer-list", "u_range-3-entries", "y_range-reversed",
+            "y_range-nan", "n", "m-bool", "unknown-key", "W_y-nan", "b_o-inf", "u_max-null"])
+    def test_weights_file_field_is_named(self, tmp_path, capsys, command, mutate, message):
+        doc = json.loads((ASSETS / "model.json").read_text())
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(mutate(doc) or doc))
+        sc_path = tmp_path / "sc.json"
+        tiny_physical_scenario(duration_s=50.0).to_json(sc_path)
+        argv = {"certify": ["certify", "--weights", str(path)],
+                "simulate": ["simulate", "--scenario", str(sc_path), "--weights", str(path),
+                             "--out", str(tmp_path / "run")]}[command]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = json.loads(out.err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(message)
+        assert not (tmp_path / "run").exists()
+
     def test_certify_rejects_negative_w_bar(self, tmp_path, capsys):
         doc = json.loads((ASSETS / "model.json").read_text())
         doc["observer"]["w_bar"] = -0.01
@@ -485,19 +547,31 @@ class TestCli:
                        "--weights", str(ASSETS / "model.json"),
                        "--out", str(tmp_path / "run")])
         assert rc == 0
-        assert (tmp_path / "run" / "trace.csv").exists()
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["constraint_violations"] == 0
+        # the streamed trace is the one RunReport.save_csv writes of the same run
+        w, obs_doc = lstm.load_weights(ASSETS / "model.json")
+        harness.run_scenario(sc, w, spec=obs_doc).save_csv(tmp_path / "saved.csv")
+        streamed = (tmp_path / "run" / "trace.csv").read_bytes()
+        assert streamed == (tmp_path / "saved.csv").read_bytes()
+        assert len(streamed.splitlines()) == 11
 
-    def test_simulate_reports_disturbance_beyond_d_max(self, tmp_path, capsys):
+    def test_simulate_reports_disturbance_beyond_d_max(self, tmp_path, capsys, monkeypatch):
         sc_path = tmp_path / "sc.json"
         out_of_assumption_scenario().to_json(sc_path)
+        steps = count_controller_steps(monkeypatch)
         rc = cli.main(["simulate", "--scenario", str(sc_path),
                        "--weights", str(ASSETS / "model.json"),
                        "--out", str(tmp_path / "run")])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DomainViolationError"
+        # the trace keeps the header and a row for each step that ran: the
+        # plant advance of the last controller step raised, so that step has none
+        rows = (tmp_path / "run" / "trace.csv").read_text().splitlines()
+        assert rows[0].split(",") == harness.TRACE_COLUMNS
+        assert len(rows) - 1 == len(steps) - 1 >= 1
+        assert not (tmp_path / "run" / "report.json").exists()
 
     @pytest.mark.parametrize("y_lb_phys, y_ub_phys", [(9.0, 6.0), (7.0, 7.0)])
     def test_simulate_rejects_unordered_output_bounds(self, tmp_path, capsys,
