@@ -8,6 +8,8 @@ NaN fails, and no bool passes one.
 import math
 import numbers
 
+import numpy as np
+
 
 def check(name, value, rule):
     """Raise ValueError naming ``name`` unless ``rule``'s predicate holds for ``value``."""
@@ -24,6 +26,19 @@ POSITIVE = (lambda v: _is(numbers.Real, v) and 0 < v < math.inf, "finite and pos
 NONNEGATIVE = (lambda v: _is(numbers.Real, v) and 0 <= v < math.inf, "finite and nonnegative")
 POSITIVE_INT = (lambda v: _is(numbers.Integral, v) and v >= 1, "a positive integer")
 NONNEGATIVE_INT = (lambda v: _is(numbers.Integral, v) and v >= 0, "a nonnegative integer")
+
+
+def finite_array(name, value):
+    """``value`` as a float array; ValueError naming ``name`` unless numpy reads it
+    as finite integers or floats of one shape: the one rule for the arrays of a
+    weights file and of its observer section."""
+    try:
+        a = np.asarray(value)
+    except ValueError:     # a ragged list
+        a = np.asarray(None)
+    check(name, value, (lambda v: a.dtype.kind in "iuf" and bool(np.isfinite(a).all()),
+                        "finite numbers of one shape"))
+    return a.astype(float)
 
 
 class LstmpcError(Exception):

@@ -280,8 +280,9 @@ def steps(sc, w, gains=None):
     The set-up runs on the call, so a rejected scenario or model raises
     before any record: ``sc.check()``, the ranges, ``mpc.certify`` of the
     observer ``gains`` (an ObserverSpec or the weights' JSON section), the
-    controller, the set-point trace and the plant adapter. A
-    FeasibilityLossError ends the stream in a "feasibility-loss" record."""
+    controller, the set-point trace, whose first set-point must be admissible at
+    e_o0, and the plant adapter. A FeasibilityLossError ends the stream in a
+    "feasibility-loss" record."""
     sc.check()
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")
@@ -290,6 +291,7 @@ def steps(sc, w, gains=None):
     ctrl = mpc.Controller(w, certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
                           y_lb=nrm.normalize_y(sc.y_lb_phys), y_ub=nrm.normalize_y(sc.y_ub_phys))
     y0s = setpoint_trace(sc, nrm, int(round(sc.duration_s / sc.t_s)))
+    certificate.terminal_alpha(w.W_y, y0s[:1], ctrl.y_lb, ctrl.y_ub, sc.e_o0)
     sim = _PLANTS[sc.mode](sc, w, certificate.spec, nrm)
 
     def run(chi_hat):

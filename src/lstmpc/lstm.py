@@ -26,17 +26,18 @@ training and the reference Jacobian all run this cell through one kernel:
 
 Besides the state update, this module holds the one copy of the
 contraction certificate's arithmetic, ``increment_gains``, and of its
-reverse sweep, ``margin_adjoint``. ``incremental_lyapunov`` builds the
+reverse sweep, ``margin_adjoint``. ``StabilityCertificate`` forms the
 model's whole certificate, ``lyapunov_bounds`` its Lyapunov data.
 """
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import FINITE, POSITIVE, DimensionError, InstabilityError, check
+from .errors import (FINITE, POSITIVE, DimensionError, InstabilityError, check,
+                     finite_array)
 from .numerics import eig_extrema_spd, freeze_arrays, solve_discrete_lyapunov, spectral_radius
 
 
@@ -474,27 +475,35 @@ def margin_adjoint(w, g, a_r1, a_r2):
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """The contraction certificate, rho(A_delta) < 1, of a model's
-    state-increment dynamics; ``incremental_lyapunov`` is its one builder.
-    A_delta, B_delta, r1 and r2 are the gains, column and Jury margins of
-    the model's ``gate_bounds``, which it does not keep; P_s onward are its
-    incremental Lyapunov data. Its arrays are read-only copies.
+    """The contraction certificate, rho(A_delta) < 1, of the weights ``w``, formed
+    whole on construction: A_delta, B_delta, r1, r2, the gains, column and Jury
+    margins of ``gate_bounds(w)``; rho_A, InstabilityError unless below 1; then
+    ``lyapunov_bounds`` of A_delta, P_s, rho_s, c_sl, c_su, and the per-output
+    sensitivity c_s. No field is a constructor argument; arrays are read-only.
     """
 
-    A_delta: np.ndarray
-    B_delta: np.ndarray
-    rho_A: float
-    r1: float
-    r2: float
-    P_s: np.ndarray
-    rho_s: float
-    c_sl: float
-    c_su: float
-    c_s: np.ndarray
+    w: InitVar[LstmWeights]
+    A_delta: np.ndarray = field(init=False)
+    B_delta: np.ndarray = field(init=False)
+    rho_A: float = field(init=False)
+    r1: float = field(init=False)
+    r2: float = field(init=False)
+    P_s: np.ndarray = field(init=False)
+    rho_s: float = field(init=False)
+    c_sl: float = field(init=False)
+    c_su: float = field(init=False)
+    c_s: np.ndarray = field(init=False)
     certified = property(lambda self: True)     # read-only, not a field
 
-    def __post_init__(self):
-        freeze_arrays(self)
+    def __post_init__(self, w):
+        g = gate_bounds(w)
+        rho = spectral_radius(g.gains)
+        if not rho < 1.0:    # also for NaN
+            raise InstabilityError(f"rho(A_delta) = {rho:.4f} >= 1, model not certified")
+        p_s, rho_s, c_sl, c_su = lyapunov_bounds(g.gains)
+        freeze_arrays(self, A_delta=g.gains, B_delta=g.column, rho_A=rho, r1=g.r1, r2=g.r2,
+                      P_s=p_s, rho_s=rho_s, c_sl=c_sl, c_su=c_su,
+                      c_s=np.linalg.norm(w.W_y, axis=1) / c_sl)
 
 
 def lyapunov_bounds(a):
@@ -510,18 +519,8 @@ def lyapunov_bounds(a):
 
 
 def incremental_lyapunov(w):
-    """The model's whole contraction certificate: ``gate_bounds``, then
-    rho(A_delta), InstabilityError unless it is below 1, then ``lyapunov_bounds``
-    of A_delta for P_s, the contraction rate rho_s and the norm-equivalence
-    constants c_sl, c_su; c_s is the per-output sensitivity vector."""
-    g = gate_bounds(w)
-    rho = spectral_radius(g.gains)
-    if not rho < 1.0:    # also for NaN
-        raise InstabilityError(f"rho(A_delta) = {rho:.4f} >= 1, model not certified")
-    p_s, rho_s, c_sl, c_su = lyapunov_bounds(g.gains)
-    return StabilityCertificate(A_delta=g.gains, B_delta=g.column, rho_A=rho, r1=g.r1, r2=g.r2,
-                                P_s=p_s, rho_s=rho_s, c_sl=c_sl, c_su=c_su,
-                                c_s=np.linalg.norm(w.W_y, axis=1) / c_sl)
+    """The model's whole contraction certificate, ``StabilityCertificate(w)``."""
+    return StabilityCertificate(w)
 
 
 def v_s(cert, x_a, x_b):
@@ -544,15 +543,13 @@ def save_weights(w, path, observer=None):
 
 def load_weights(path):
     """Inverse of save_weights; returns (weights, observer-dict-or-None), each field
-    checked by name: known keys only, finite arrays, n, m and p as the arrays give."""
+    checked by name: known keys only, finite number arrays, n, m, p as the arrays give."""
     with open(path) as fh:
         doc = json.load(fh)
     check("weights file", type(doc).__name__, (lambda v: v == "dict", "a JSON object"))
     known = {*MATRIX_FIELDS, "n", "m", "p", "u_max", "u_range", "y_range", "observer"}
     check("unknown weights fields", sorted(set(doc) - known), (lambda v: not v, "empty"))
-    arrays = {name: np.asarray(doc[name], dtype=float) for name in MATRIX_FIELDS}
-    for name, a in arrays.items():
-        check(name, a, (lambda v: np.isfinite(v).all(), "finite"))
+    arrays = {name: finite_array(name, doc[name]) for name in MATRIX_FIELDS}
     w = LstmWeights(u_max=doc["u_max"], u_range=doc.get("u_range"), y_range=doc.get("y_range"),
                     **arrays)
     for name in "nmp":

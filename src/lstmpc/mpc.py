@@ -34,46 +34,37 @@ from .errors import (NONNEGATIVE, POSITIVE, POSITIVE_INT, DimensionError,
 from .numerics import eig_extrema_spd, freeze_arrays, solve_discrete_lyapunov, spectral_radius
 
 
-def build_schedule(cert, spec, n_horizon):
-    """The margin recursions a_0..a_N, b_0..b_N, as two (N+1, p) arrays."""
-    a = [np.asarray(spec.c_o, dtype=float).copy()]
-    b = [np.zeros_like(a[0])]
-    for i in range(n_horizon):
-        a.append(spec.rho_o * a[i] + cert.rho_s ** i * cert.c_su * spec.L_max * cert.c_s)
-        b.append(b[i] + a[i] * spec.w_bar)
-    return np.array(a), np.array(b)
-
-
-def compute_pf(a_delta, q):
-    """Terminal matrix: A^T P A - P = -1.1 q I, q the largest state weight."""
-    return solve_discrete_lyapunov(np.asarray(a_delta, dtype=float), np.diag([1.1 * q] * 2))
-
-
 @dataclass(frozen=True)
 class Certificate:
-    """One model's chain of constants, from ``certify``: its contraction
-    certificate, the observer spec with its derived constants, the output
-    margins y_ub - a_i e_o - b_i of stages 0..N and the terminal matrix P_f
-    with its smallest eigenvalue, at one horizon and ``q_weight``;
-    ``k_bar`` is (value, argmax) on request. Its arrays are read-only
-    copies."""
+    """One model's chain of constants, from ``certify``, formed whole from the
+    model's certificate, the observer's ``spec``, a positive int ``horizon`` N
+    and ``q_weight`` q: the (N+1, p) margins a, b of stages 0..N (y_ub - a_i e_o
+    - b_i) and the terminal P_f, A_delta^T P_f A_delta - P_f = -1.1 q I, with its
+    smallest eigenvalue ``lam_min``; ``k_bar`` is (value, argmax) on request. No
+    derived constant is a constructor argument; arrays are read-only copies."""
 
     model: lstm.StabilityCertificate
-    spec: observer.ObserverSpec
-    a: np.ndarray        # (N+1, p), stages 0..N
-    b: np.ndarray        # (N+1, p)
-    P_f: np.ndarray
+    spec: observer.ObserverCertificate
+    horizon: int
     q_weight: float
     k_bar: tuple | None = None
+    a: np.ndarray = field(init=False)
+    b: np.ndarray = field(init=False)
+    P_f: np.ndarray = field(init=False)
     lam_min: float = field(init=False)
 
     def __post_init__(self):
-        freeze_arrays(self)
-        object.__setattr__(self, "lam_min", eig_extrema_spd(self.P_f)[0])
-
-    @property
-    def horizon(self):
-        return len(self.a) - 1
+        check("horizon", self.horizon, POSITIVE_INT)
+        cert, spec = self.model, self.spec
+        a = [np.asarray(spec.c_o, dtype=float).copy()]
+        b = [np.zeros_like(a[0])]
+        for i in range(self.horizon):
+            a.append(spec.rho_o * a[i] + cert.rho_s ** i * cert.c_su * spec.L_max * cert.c_s)
+            b.append(b[i] + a[i] * spec.w_bar)
+        p_f = solve_discrete_lyapunov(np.asarray(cert.A_delta, dtype=float),
+                                      np.diag([1.1 * self.q_weight] * 2))
+        freeze_arrays(self, a=np.array(a), b=np.array(b), P_f=p_f,
+                      lam_min=eig_extrema_spd(p_f)[0])
 
     @property
     def e_bar_inf(self):
@@ -140,18 +131,16 @@ def certify(w, gains=None, horizon=5, q_weight=1.0, *, k_bar=False):
     """The ``Certificate`` of the weights ``w`` at a positive int ``horizon``.
 
     ``gains`` is an ``ObserverSpec`` (left unchanged) or the weights' JSON
-    observer section, either with its own d_max and w_bar; without gains,
-    ``observer.select_gains(w)``. The chain is composed here only: one
-    model certificate, one ``observer.derive_constants``. ``k_bar``
-    estimates K_bar over pH 6.5-8.5 and +-d_max.
-    """
-    check("horizon", horizon, POSITIVE_INT)
+    observer section, either with its own d_max and w_bar; None means
+    ``observer.select_gains(w)``. The chain is composed here only: one model
+    certificate, one ``observer.derive_constants``. ``k_bar`` estimates K_bar
+    over pH 6.5-8.5 and +-d_max."""
     if k_bar and (w.u_range is None or w.y_range is None):
         raise ValueError("the K_bar estimate needs weights with u_range and y_range")
     cert = lstm.incremental_lyapunov(w)
-    if not gains:
+    if gains is None:
         gains = observer.select_gains(w)
-    elif isinstance(gains, dict):
+    elif not isinstance(gains, observer.ObserverSpec):
         gains = observer.ObserverSpec.from_dict(gains)
     spec = observer.derive_constants(w, gains)
     estimate = None
@@ -159,8 +148,7 @@ def certify(w, gains=None, horizon=5, q_weight=1.0, *, k_bar=False):
         nrm = plant.Normalizer(*w.u_range, *w.y_range)
         estimate = refcalc.estimate_k_bar(w, (nrm.normalize_y(6.5), nrm.normalize_y(8.5)),
                                           (-spec.d_max, spec.d_max))
-    a, b = build_schedule(cert, spec, horizon)
-    return Certificate(cert, spec, a, b, compute_pf(cert.A_delta, q_weight), q_weight, estimate)
+    return Certificate(cert, spec, horizon, q_weight, estimate)
 
 
 @dataclass
@@ -400,7 +388,8 @@ class Controller:
 
     The ``certificate`` fixes the horizon, state weight, margins and P_f;
     ``r_weight`` > 0, e_o(0) = ``e_o0`` >= 0 and the (p,) or scalar output
-    bounds complete the FHOCP. Each step builds its ``Problem``, kept as
+    bounds complete the FHOCP; InfeasibleSetpointError if they leave no
+    admissible set-point at e_o0. Each step builds its ``Problem``, kept as
     ``problem`` until the next, and solves it once in real time,
     warm-started at the shifted previous plan, which it applies when no
     feasible iterate costs less.
@@ -421,6 +410,12 @@ class Controller:
         bad = np.flatnonzero(~(self.y_lb < self.y_ub))
         if bad.size:
             raise ValueError(f"y_lb is not below y_ub on output {bad[0]}")
+        lo, hi = certificate.admissible_band(self.y_lb, self.y_ub, e_o0)
+        if (j := np.flatnonzero(~(lo < hi))).size:
+            spec = certificate.spec
+            raise InfeasibleSetpointError(
+                f"empty admissible band ({lo[j[0]]:.4g}, {hi[j[0]]:.4g}) on output {j[0]} at e_o0 "
+                f"= {e_o0}: d_max = {spec.d_max}, L_d = {spec.L_d.tolist()}, w_bar = {spec.w_bar}")
         self.w, self.certificate = w, certificate
         self.r_weight, self.e_o = r_weight, e_o0
         self.problem = self.prev_solution = self.prev_ref = None

@@ -21,16 +21,16 @@ def induced_two_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def freeze_arrays(record):
-    """Replace each array attribute of ``record`` by a read-only copy, so
-    neither an in-place write nor a later edit of the caller's array can
-    change it; the frozen records call it from ``__post_init__``,
-    ``lstm.LstmWeights`` from its constructor."""
-    for name, value in list(vars(record).items()):
+def freeze_arrays(record, **values):
+    """Set ``values`` on ``record``, then make each array attribute a read-only
+    copy, so neither an in-place write nor a later edit of the caller's array
+    can change it; the frozen records call it from ``__post_init__`` with the
+    constants they form, ``lstm.LstmWeights`` from its constructor."""
+    for name, value in [*vars(record).items(), *values.items()]:
         if isinstance(value, np.ndarray):
             value = value.copy()
             value.flags.writeable = False
-            object.__setattr__(record, name, value)
+        object.__setattr__(record, name, value)
 
 
 def spectral_radius(m):

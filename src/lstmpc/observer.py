@@ -8,13 +8,13 @@ innovation into d with saturation. A 3x3 contraction matrix A_d over
 yields all constants consumed by the constraint-tightening controller.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import lstm
 from .errors import (NONNEGATIVE, POSITIVE, DimensionError, DomainViolationError,
-                     GainSelectionError, check)
+                     GainSelectionError, check, finite_array)
 from .lstm import LstmState
 from .numerics import freeze_arrays, induced_two_norm, spectral_radius
 
@@ -45,14 +45,11 @@ def augmented_step(w, chi, u, w_k=None, d_max=None):
 
 @dataclass(frozen=True)
 class ObserverSpec:
-    """Observer gains plus every derived convergence constant.
-
-    The derived fields (A_d to L_max, cell_radius_hat) stay None until
-    derive_constants returns a copy with them formed from the gains, and a
-    w_bar of None replaced by the analytic bound. Construction checks that
-    d_max is finite and positive, that L_i and L_o have L_f's (n, p) shape
-    and L_d is (p, p), and forms ``injection``, the (4n, p) [0; L_f; L_i;
-    L_o] in ``lstm.GATES`` order. Its arrays are read-only copies.
+    """The observer's gains and settings, nothing derived from them: d_max and
+    w_bar, None meaning the analytic bound. Construction checks that d_max is
+    finite and positive, w_bar None or finite and nonnegative, L_i and L_o of
+    L_f's (n, p) shape and L_d (p, p), and forms ``injection``, the (4n, p)
+    [0; L_f; L_i; L_o] in ``lstm.GATES`` order. Its arrays are read-only copies.
     """
 
     L_f: np.ndarray
@@ -60,43 +57,82 @@ class ObserverSpec:
     L_o: np.ndarray
     L_d: np.ndarray
     d_max: float
-    A_d: np.ndarray | None = None
-    P_o: np.ndarray | None = None
-    rho_o: float | None = None
-    c_ol: float | None = None
-    c_ou: float | None = None
-    c_o: np.ndarray | None = None
-    L_mat: np.ndarray | None = None
-    L_max: float | None = None
     w_bar: float | None = None
-    cell_radius_hat: float | None = None
     injection: np.ndarray = field(init=False, repr=False)
+    _GAINS = ("L_f", "L_i", "L_o", "L_d")     # not a field
 
     def __post_init__(self):
-        for name in ("L_f", "L_i", "L_o", "L_d"):
-            object.__setattr__(self, name,
-                               np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
-        freeze_arrays(self)
         check("d_max", self.d_max, POSITIVE)
-        shape = self.L_f.shape
+        check("w_bar", self.w_bar, (lambda v: v is None or NONNEGATIVE[0](v),
+                                    f"null or {NONNEGATIVE[1]}"))
+        gains = {name: np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+                 for name in self._GAINS}
+        shape = gains["L_f"].shape
         for name, want in (("L_i", shape), ("L_o", shape), ("L_d", (shape[-1],) * 2)):
-            if (got := getattr(self, name).shape) != want:
+            if (got := gains[name].shape) != want:
                 raise DimensionError(f"{name} has shape {got}, not {want}, "
                                      f"for L_f of shape {shape}")
-        injection = np.concatenate(lstm.in_gate_order(
-            c=np.zeros_like(self.L_f), f=self.L_f, i=self.L_i, o=self.L_o))
-        injection.flags.writeable = False
-        object.__setattr__(self, "injection", injection)
+        freeze_arrays(self, **gains, injection=np.concatenate(lstm.in_gate_order(
+            c=np.zeros(shape), f=gains["L_f"], i=gains["L_i"], o=gains["L_o"])))
 
     def to_dict(self):
-        gains = {name: getattr(self, name).tolist() for name in ("L_f", "L_i", "L_o", "L_d")}
+        gains = {name: getattr(self, name).tolist() for name in self._GAINS}
         return {**gains, "d_max": self.d_max, "w_bar": self.w_bar}
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(L_f=doc["L_f"], L_i=doc["L_i"], L_o=doc["L_o"], L_d=doc["L_d"],
-                   d_max=float(doc["d_max"]),
-                   w_bar=None if doc.get("w_bar") is None else float(doc["w_bar"]))
+        """The spec of a weights file's observer section, each key checked by name:
+        an object, no unknown or missing key, finite gains, then d_max and w_bar."""
+        check("observer", doc, (lambda v: isinstance(v, dict), "an object"))
+        for what, names in (("unknown", set(doc) - {*cls._GAINS, "d_max", "w_bar"}),
+                            ("missing", {*cls._GAINS, "d_max"} - set(doc))):
+            check(f"{what} observer fields", sorted(names), (lambda v: not v, "empty"))
+        gains = {name: finite_array(name, doc[name]) for name in cls._GAINS}
+        return cls(**{**doc, **gains})
+
+
+@dataclass(frozen=True, kw_only=True)
+class ObserverCertificate(ObserverSpec):
+    """An ``ObserverSpec`` with its convergence constants on the weights ``w``,
+    formed whole on construction: A_d (GainSelectionError unless rho(A_d) < 1,
+    which rejects an uncertified model too), its ``lstm.lyapunov_bounds`` P_o,
+    rho_o, c_ol, c_ou, then c_o, L_mat, L_max and cell_radius_hat. A w_bar of
+    None becomes the (very conservative) analytic corner bound for increments
+    up to ``w_max``. No derived constant is a constructor argument."""
+
+    w: InitVar[lstm.LstmWeights]
+    w_max: InitVar[float] = 0.0
+    A_d: np.ndarray = field(init=False)
+    P_o: np.ndarray = field(init=False)
+    rho_o: float = field(init=False)
+    c_ol: float = field(init=False)
+    c_ou: float = field(init=False)
+    c_o: np.ndarray = field(init=False)
+    L_mat: np.ndarray = field(init=False)
+    L_max: float = field(init=False)
+    cell_radius_hat: float = field(init=False)
+
+    def __post_init__(self, w, w_max):
+        super().__post_init__()
+        a_d, l_mat, cell_radius_hat = _error_dynamics(w, self)
+        if (rho := spectral_radius(a_d)) >= 1.0:
+            raise GainSelectionError(f"rho(A_d) = {rho:.4f} >= 1")
+        p_o, rho_o, c_ol, c_ou = lstm.lyapunov_bounds(a_d)
+        w_bar = self.w_bar
+        if w_bar is None:
+            # Worst-case one-step Lyapunov inflation from the disturbance increment,
+            # evaluated at the corner of the invariant error box (P_o and A_d are
+            # entrywise nonnegative, so the corner attains the maximum).
+            e_corner = np.array([lstm.gate_bounds(w).cell_radius + cell_radius_hat, 2.0,
+                                 2.0 * self.d_max])
+            cross = float(e_corner @ a_d.T @ p_o @ np.array([0.0, 0.0, 1.0]))
+            w_bar = np.sqrt(max(2.0 * cross * w_max + w_max ** 2 * p_o[2, 2], 0.0))
+        check("w_bar", w_bar, NONNEGATIVE)
+        w_y_bar = np.hstack([np.zeros((w.p, w.n)), w.W_y, np.eye(w.p)])
+        freeze_arrays(self, A_d=a_d, P_o=p_o, rho_o=rho_o, c_ol=c_ol, c_ou=c_ou, L_mat=l_mat,
+                      c_o=np.linalg.norm(w_y_bar, axis=1) / c_ol,
+                      L_max=induced_two_norm(l_mat) / c_ol, w_bar=float(w_bar),
+                      cell_radius_hat=cell_radius_hat)
 
 
 def observer_step(w, spec, chi_hat, u, y_measured):
@@ -161,37 +197,16 @@ def _check_fit(w, spec):
 
 
 def derive_constants(w, spec, w_max=0.0, w_bar=None):
-    """A copy of ``spec`` with A_d, P_o, rho_o, the norm constants, L_max,
-    cell_radius_hat and w_bar formed from its gains.
-
-    w_bar is the ``w_bar`` keyword, else the spec's, else the (very
-    conservative) analytic corner bound for increments up to ``w_max``.
-    Raises GainSelectionError unless rho(A_d) < 1, which rejects an
-    uncertified model too, and ValueError unless w_bar is finite and >= 0.
-    """
-    a_d, l_mat, cell_radius_hat = _error_dynamics(w, spec)
-    if (rho := spectral_radius(a_d)) >= 1.0:
-        raise GainSelectionError(f"rho(A_d) = {rho:.4f} >= 1")
-    p_o, rho_o, c_ol, c_ou = lstm.lyapunov_bounds(a_d)
-    w_bar = spec.w_bar if w_bar is None else w_bar
-    if w_bar is None:
-        # Worst-case one-step Lyapunov inflation from the disturbance increment,
-        # evaluated at the corner of the invariant error box (P_o and A_d are
-        # entrywise nonnegative, so the corner attains the maximum).
-        e_corner = np.array([lstm.gate_bounds(w).cell_radius + cell_radius_hat, 2.0,
-                             2.0 * spec.d_max])
-        cross = float(e_corner @ a_d.T @ p_o @ np.array([0.0, 0.0, 1.0]))
-        w_bar = np.sqrt(max(2.0 * cross * w_max + w_max ** 2 * p_o[2, 2], 0.0))
-    w_bar = float(w_bar)
-    check("w_bar", w_bar, NONNEGATIVE)
-    w_y_bar = np.hstack([np.zeros((w.p, w.n)), w.W_y, np.eye(w.p)])
-    return replace(spec, A_d=a_d, P_o=p_o, rho_o=rho_o, c_ol=c_ol, c_ou=c_ou, L_mat=l_mat,
-                   c_o=np.linalg.norm(w_y_bar, axis=1) / c_ol, L_max=induced_two_norm(l_mat) / c_ol,
-                   w_bar=w_bar, cell_radius_hat=cell_radius_hat)
+    """The ``ObserverCertificate`` of the gains in ``spec`` on ``w``, with
+    w_bar the ``w_bar`` keyword, else the spec's, else the analytic bound for
+    increments up to ``w_max``; the spec is left as it is."""
+    return ObserverCertificate(L_f=spec.L_f, L_i=spec.L_i, L_o=spec.L_o, L_d=spec.L_d,
+                               d_max=spec.d_max, w_bar=spec.w_bar if w_bar is None else w_bar,
+                               w=w, w_max=w_max)
 
 
 def select_gains(w, d_max=0.1, l_d=0.1, w_bar=0.01):
-    """The underived spec of the suboptimal gains, with ``d_max`` and ``w_bar``:
+    """The ``ObserverSpec`` of the suboptimal gains, with ``d_max`` and ``w_bar``:
     zero state injection and L_d = l_d I, l_d in (0, 2) (GainSelectionError
     otherwise). Then A_d = [[A_delta, 0], [0, ||L_d W_y||, |1 - l_d|]] and
     rho(A_d) = max(rho(A_delta), |1 - l_d|), so derive_constants rejects an
@@ -204,9 +219,8 @@ def select_gains(w, d_max=0.1, l_d=0.1, w_bar=0.01):
 
 
 def v_o(spec, chi_hat, chi):
-    """Observer incremental Lyapunov value of an (estimate, truth) pair."""
-    if spec.P_o is None:
-        raise ValueError("spec has no Lyapunov data; call derive_constants")
+    """Observer incremental Lyapunov value of an (estimate, truth) pair, in the
+    metric P_o of the ``ObserverCertificate`` ``spec``."""
     e = np.array([np.linalg.norm(chi_hat.x.c - chi.x.c),
                   np.linalg.norm(chi_hat.x.h - chi.x.h),
                   np.linalg.norm(np.atleast_1d(chi_hat.d) - np.atleast_1d(chi.d))])

@@ -53,6 +53,24 @@ def assert_matches_trace(report, path):
         np.testing.assert_allclose(got, ref, rtol=0, atol=TRACE_ATOL, err_msg=col)
 
 
+def assert_guarantees(report):
+    """The bounds of Criteria 6-8 on a run of the benchmark scenario: every step
+    run, no violation or feasibility loss, a feasible shifted candidate at every
+    step and settled errors below 0.02 pH on each flat set-point span and after
+    each buffer-flow step."""
+    assert report.steps == 1000
+    assert report.constraint_violations == report.feasibility_losses == 0
+    assert report.candidate_checks == report.steps - 1
+    assert report.max_candidate_violation <= 1e-7
+    assert len(report.segment_errors) >= 4
+    for t_start, t_end, y0, err in report.segment_errors:
+        assert err < 0.02, (t_start, t_end, y0, err)
+    t, y, y0 = (np.asarray(report.trace[c]) for c in ("t", "y_phys", "y0_phys"))
+    for t_step in (7000.0, 8000.0, 9000.0):
+        window = (t >= t_step + 800.0) & (t < t_step + 1000.0)
+        assert window.any() and np.max(np.abs(y - y0)[window]) < 0.02, t_step
+
+
 @pytest.fixture(scope="module")
 def benchmark_run(bench_w, bench_spec):
     """One full physical-mode closed-loop run of the shipped scenario,
@@ -76,6 +94,15 @@ class TestCriterion1IdentificationQuality:
         assert lstm.incremental_lyapunov(w).certified
         fit = sysid.evaluate_fit(w, ds.test)
         assert fit >= 85.0
+        # the identified model, with select_gains' default observer, carries the
+        # closed-loop guarantees: every benchmark set-point lies in its band at
+        # e_o0, and the benchmark scenario runs within Criteria 6-8's bounds
+        sc = harness.Scenario.from_json(ASSETS / "benchmark_scenario.json")
+        nrm = plant.Normalizer(*w.u_range, *w.y_range)
+        lo, hi = mpc.certify(w, None, sc.horizon, sc.q_weight).admissible_band(
+            nrm.normalize_y(sc.y_lb_phys), nrm.normalize_y(sc.y_ub_phys), sc.e_o0)
+        assert all(lo[0] < nrm.normalize_y(ph) < hi[0] for _, ph in sc.setpoints)
+        assert_guarantees(harness.run_scenario(sc, w))
         assert time.monotonic() - t0 < 1800.0
 
 
@@ -346,8 +373,8 @@ class TestCriterion10AdmissibleBand:
         assert band_inf[0] < band0[0] < band0[1] < band_inf[1]
 
     # the band narrows as the disturbance gain l_d grows (d_max 0.1, w_bar
-    # 0.01, N = 5); at l_d = 0.5 the band at e_o = 0.5 is empty (lo > hi),
-    # and certify returns that certificate without complaint
+    # 0.01, N = 5); at l_d = 0.5 the band at e_o = 0.5 is empty (lo > hi):
+    # certify returns that certificate, and a controller at e_o0 = 0.5 refuses it
     @pytest.mark.parametrize("l_d, band0, band_inf, rho_o", [
         (0.05, (6.51, 8.49), (6.44, 8.56), 0.9690),
         (0.1, (6.64, 8.36), (6.52, 8.48), 0.9675),
@@ -362,3 +389,10 @@ class TestCriterion10AdmissibleBand:
         assert got_inf == pytest.approx(band_inf, abs=0.005)
         assert certificate.spec.rho_o == pytest.approx(rho_o, abs=5e-5)
         assert (got0[0] > got0[1]) == (l_d == 0.5)
+        bounds = {"y_lb": bench_nrm.normalize_y(6.0), "y_ub": bench_nrm.normalize_y(9.0)}
+        if l_d == 0.5:
+            with pytest.raises(InfeasibleSetpointError, match=r"^empty admissible band .* at "
+                               r"e_o0 = 0.5: d_max = 0.1, L_d = \[\[0.5\]\], w_bar = 0.01$"):
+                mpc.Controller(bench_w, certificate, e_o0=0.5, **bounds)
+        else:
+            mpc.Controller(bench_w, certificate, e_o0=0.5, **bounds)

@@ -468,12 +468,16 @@ class TestCli:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["certify", "--weights", str(path)]) == 2
-        assert json.loads(capsys.readouterr().err) == {"error": "KeyError", "message": "'L_f'"}
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "missing observer fields must be empty, got ['L_f']"}
 
     # weights-file fields rejected by name before the model is used; each
     # would otherwise end in a traceback (a top-level list, an observer list,
-    # a 3-entry u_range once simulate builds its normalizer), load without a
-    # word (n, m, an unknown key) or be blamed on the forget gate (a NaN in W_y)
+    # a 3-entry u_range once simulate builds its normalizer, an array or a gain
+    # that is an object, a null d_max), load without a word (n, m, an unknown
+    # key or observer key, an empty observer section, which ran the default
+    # gains, a string d_max), be blamed on the forget gate (a NaN in W_y) or
+    # on numpy (a string or ragged array, a NaN gain)
     @pytest.mark.parametrize("command, mutate, message", [
         ("certify", lambda doc: [doc], "weights file must be a JSON object, got 'list'"),
         ("certify", lambda doc: doc.update(observer=[doc["observer"]]),
@@ -489,8 +493,32 @@ class TestCli:
         ("certify", lambda doc: doc["W_y"][0].__setitem__(0, np.nan), "W_y must be finite"),
         ("simulate", lambda doc: doc["b_o"].__setitem__(2, np.inf), "b_o must be finite"),
         ("certify", lambda doc: doc.update(u_max=None), "u_max must be finite and positive"),
+        ("certify", lambda doc: doc.update(W_f={}),
+         "W_f must be finite numbers of one shape, got {}"),
+        ("simulate", lambda doc: doc.update(W_f="x"), "W_f must be finite numbers of one shape"),
+        ("certify", lambda doc: doc["U_c"].__setitem__(0, doc["U_c"][0][:2]),
+         "U_c must be finite numbers of one shape"),
+        ("certify", lambda doc: doc["b_y"].__setitem__(0, True), "b_y must be finite numbers"),
+        ("certify", lambda doc: doc.update(observer={}), "missing observer fields must be "
+         "empty, got ['L_d', 'L_f', 'L_i', 'L_o', 'd_max']"),
+        ("simulate", lambda doc: doc["observer"].update(L_x=1),
+         "unknown observer fields must be empty, got ['L_x']"),
+        ("certify", lambda doc: doc["observer"].update(L_f={}),
+         "L_f must be finite numbers of one shape, got {}"),
+        ("certify", lambda doc: doc["observer"].update(L_o="x"), "L_o must be finite numbers"),
+        ("certify", lambda doc: doc["observer"].update(L_d=[[np.nan]]),
+         "L_d must be finite numbers"),
+        ("certify", lambda doc: doc["observer"].update(d_max=None),
+         "d_max must be finite and positive, got None"),
+        ("simulate", lambda doc: doc["observer"].update(d_max="0.1"),
+         "d_max must be finite and positive, got '0.1'"),
+        ("certify", lambda doc: doc["observer"].update(w_bar=[0.01]),
+         "w_bar must be null or finite and nonnegative, got [0.01]"),
     ], ids=["top-level-list", "observer-list", "u_range-3-entries", "y_range-reversed",
-            "y_range-nan", "n", "m-bool", "unknown-key", "W_y-nan", "b_o-inf", "u_max-null"])
+            "y_range-nan", "n", "m-bool", "unknown-key", "W_y-nan", "b_o-inf", "u_max-null",
+            "W_f-object", "W_f-string", "U_c-ragged", "b_y-bool", "observer-empty",
+            "observer-unknown-key", "L_f-object", "L_o-string", "L_d-nan", "d_max-null",
+            "d_max-string", "w_bar-list"])
     def test_weights_file_field_is_named(self, tmp_path, capsys, command, mutate, message):
         doc = json.loads((ASSETS / "model.json").read_text())
         path = tmp_path / "model.json"
@@ -572,6 +600,28 @@ class TestCli:
         assert rows[0].split(",") == harness.TRACE_COLUMNS
         assert len(rows) - 1 == len(steps) - 1 >= 1
         assert not (tmp_path / "run" / "report.json").exists()
+
+    # gains whose band at e_o0 is empty (l_d 0.5), or leaves out the first
+    # set-point, pH 7.0 (l_d 0.3: the band is 7.17-7.83), fail in the set-up,
+    # before any step and before --out exists
+    @pytest.mark.parametrize("l_d, message", [
+        (0.3, "set-point too close to lower bound on output 0"),
+        (0.5, "empty admissible band (0.161, -0.1123) on output 0 at e_o0 = 0.5: "
+              "d_max = 0.1, L_d = [[0.5]], w_bar = 0.01"),
+    ], ids=["l_d-0.3", "l_d-0.5"])
+    def test_simulate_rejects_gains_without_an_admissible_set_point(
+            self, tmp_path, capsys, monkeypatch, bench_w, l_d, message):
+        path, sc_path = tmp_path / "model.json", tmp_path / "sc.json"
+        lstm.save_weights(bench_w, path, observer=observer.select_gains(bench_w, l_d=l_d)
+                          .to_dict())
+        tiny_physical_scenario(duration_s=50.0).to_json(sc_path)
+        steps = count_controller_steps(monkeypatch)
+        assert cli.main(["simulate", "--scenario", str(sc_path), "--weights", str(path),
+                         "--out", str(tmp_path / "run")]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {"error": "InfeasibleSetpointError", "message": message}
+        assert not steps and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("y_lb_phys, y_ub_phys", [(9.0, 6.0), (7.0, 7.0)])
     def test_simulate_rejects_unordered_output_bounds(self, tmp_path, capsys,

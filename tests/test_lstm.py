@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -778,7 +779,7 @@ class TestCertification:
         with pytest.raises(AttributeError):
             cert.certified = False
         with pytest.raises(TypeError, match="certified"):
-            dataclasses.replace(cert, certified=False)
+            dataclasses.replace(cert, w=bench_w, certified=False)
 
     def test_certificate_holds_no_mutable_field(self, bench_w):
         # scalars and read-only arrays only: no field can be edited in place
@@ -832,18 +833,17 @@ class TestCertification:
 
 
 class TestVs:
-    def _manual_cert(self):
-        return dataclasses.replace(lstm.incremental_lyapunov(zero_net()), P_s=np.eye(2))
-
     def test_equal_pair_is_zero(self, bench_cert, bench_w):
         x = random_invariant_state(bench_w, np.random.default_rng(1))
         assert lstm.v_s(bench_cert, x, x) == 0.0
 
     def test_identity_metric_unit_cell_error(self):
-        cert = self._manual_cert()
+        # a unit cell error alone weighs sqrt(P_s[0, 0]); in the identity metric, 1
+        cert = lstm.incremental_lyapunov(zero_net())
         x_a = LstmState(np.array([1.0, 0.0]), np.zeros(2))
         x_b = LstmState(np.zeros(2), np.zeros(2))
-        assert lstm.v_s(cert, x_a, x_b) == pytest.approx(1.0)
+        assert lstm.v_s(cert, x_a, x_b) == pytest.approx(np.sqrt(cert.P_s[0, 0]), rel=1e-15)
+        assert lstm.v_s(SimpleNamespace(P_s=np.eye(2)), x_a, x_b) == pytest.approx(1.0)
 
     def test_quadratic_form_oracle(self, bench_cert, bench_w):
         rng = np.random.default_rng(8)

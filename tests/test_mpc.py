@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from lstmpc import lstm, mpc, observer, refcalc
+from lstmpc import lstm, mpc, numerics, observer, refcalc
 from lstmpc.errors import (DimensionError, FeasibilityLossError, InfeasibleSetpointError,
-                           NotSpdError)
+                           InstabilityError, NotSpdError)
 from lstmpc.observer import AugmentedState
 
-from conftest import random_invariant_state, small_net
+from conftest import random_invariant_state, small_net, with_arrays
 
 
-def fake_cert(rho_s=0.9, c_su=2.0, c_s=(1.5,)):
-    return SimpleNamespace(rho_s=rho_s, c_su=c_su, c_s=np.asarray(c_s, dtype=float))
+def fake_cert(rho_s=0.9, c_su=2.0, c_s=(1.5,), a_delta=((0.0, 0.0), (0.0, 0.0))):
+    return SimpleNamespace(rho_s=rho_s, c_su=c_su, c_s=np.asarray(c_s, dtype=float),
+                           A_delta=np.asarray(a_delta, dtype=float))
 
 
 def fake_spec(rho_o=0.95, l_max=0.1, w_bar=0.01, c_o=(3.0,), d_max=0.1):
@@ -25,25 +26,29 @@ def fake_spec(rho_o=0.95, l_max=0.1, w_bar=0.01, c_o=(3.0,), d_max=0.1):
                            c_o=np.asarray(c_o, dtype=float))
 
 
-def fake_certificate(spec, n_horizon):
-    """A Certificate of the fake model and ``spec`` at ``n_horizon``."""
-    cert = fake_cert()
-    return mpc.Certificate(cert, spec, *mpc.build_schedule(cert, spec, n_horizon),
-                           np.eye(2), 1.0)
+def fake_certificate(spec, n_horizon, cert=None):
+    """The Certificate formed from the fake model (or ``cert``) and ``spec`` at
+    ``n_horizon`` and q_weight 1."""
+    return mpc.Certificate(cert or fake_cert(), spec, n_horizon, 1.0)
 
 
 class TestBuildSchedule:
     def test_decoupled_recursion(self):
         spec = fake_spec(rho_o=0.8, l_max=0.0, w_bar=0.0)
-        for i, (a, b) in enumerate(zip(*mpc.build_schedule(fake_cert(), spec, 4))):
+        certificate = fake_certificate(spec, 4)
+        assert certificate.a.shape == certificate.b.shape == (5, 1)
+        for i, (a, b) in enumerate(zip(certificate.a, certificate.b)):
             np.testing.assert_allclose(a, 0.8 ** i * spec.c_o, atol=1e-15)
             np.testing.assert_allclose(b, 0.0, atol=1e-15)
 
     def test_zero_horizon(self):
-        certificate = fake_certificate(fake_spec(), 0)
-        assert certificate.horizon == 0
-        np.testing.assert_array_equal(certificate.a, [[3.0]])
-        np.testing.assert_array_equal(certificate.b, [[0.0]])
+        # stage 0's margins are c_o and 0; the record itself rejects a horizon below 1
+        certificate = fake_certificate(fake_spec(), 1)
+        assert certificate.horizon == 1
+        np.testing.assert_array_equal(certificate.a[0], [3.0])
+        np.testing.assert_array_equal(certificate.b[0], [0.0])
+        with pytest.raises(ValueError, match="^horizon must be a positive integer, got 0"):
+            fake_certificate(fake_spec(), 0)
 
     def test_matches_independent_recursion(self, bench_cert, bench_spec, bench_certificate):
         a = bench_spec.c_o.copy()
@@ -95,11 +100,13 @@ class TestEoStep:
 
 class TestComputePf:
     def test_zero_dynamics(self):
-        np.testing.assert_allclose(mpc.compute_pf(np.zeros((2, 2)), 1.0),
-                                   1.1 * np.eye(2), atol=1e-12)
+        certificate = fake_certificate(fake_spec(), 1)
+        np.testing.assert_allclose(certificate.P_f, 1.1 * np.eye(2), atol=1e-12)
+        assert certificate.lam_min == pytest.approx(1.1, abs=1e-12)
 
-    def test_strict_lyapunov_decrease(self, bench_cert):
-        p_f = mpc.compute_pf(bench_cert.A_delta, 1.0)
+    def test_strict_lyapunov_decrease(self, bench_cert, bench_spec):
+        # the terminal matrix is formed from the model certificate's A_delta
+        p_f = fake_certificate(bench_spec, 1, cert=bench_cert).P_f
         m = bench_cert.A_delta.T @ p_f @ bench_cert.A_delta - p_f + 1.0 * np.eye(2)
         assert np.max(np.linalg.eigvalsh(0.5 * (m + m.T))) < 0.0
 
@@ -196,8 +203,9 @@ class TestConstraints:
     def test_matches_per_stage_loop(self, n_horizon):
         # two outputs, so the per-stage upper/lower interleaving shows
         w = small_net(seed=2, n=3, m=2, p=2)
-        a, b = mpc.build_schedule(fake_cert(c_s=(1.5, 0.7)),
-                                  fake_spec(c_o=(3.0, 2.0)), n_horizon)
+        certificate = fake_certificate(fake_spec(c_o=(3.0, 2.0)), n_horizon,
+                                       cert=fake_cert(c_s=(1.5, 0.7)))
+        a, b = certificate.a, certificate.b
         p_f, alpha = np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4
         rng = np.random.default_rng(n_horizon)
         ref = SimpleNamespace(x_bar=random_invariant_state(w, rng), u_bar=np.full(w.m, 0.1))
@@ -228,8 +236,9 @@ class TestQpModel:
     @pytest.mark.parametrize("net, n_horizon", [("bench", 5), ("small", 3)])
     def test_matches_central_differences(self, bench_w, net, n_horizon):
         w = bench_w if net == "bench" else small_net(seed=2, n=3, m=2, p=2)
-        a, b = mpc.build_schedule(fake_cert(c_s=np.full(w.p, 1.5)),
-                                  fake_spec(c_o=np.full(w.p, 3.0)), n_horizon)
+        certificate = fake_certificate(fake_spec(c_o=np.full(w.p, 3.0)), n_horizon,
+                                       cert=fake_cert(c_s=np.full(w.p, 1.5)))
+        a, b = certificate.a, certificate.b
         rng = np.random.default_rng(20 + n_horizon)
         ref = SimpleNamespace(x_bar=random_invariant_state(w, rng),
                               u_bar=rng.uniform(-0.5, 0.5, w.m))
@@ -548,31 +557,39 @@ class TestCertify:
         cert = lstm.incremental_lyapunov(w)
         spec = observer.ObserverSpec.from_dict(obs_doc)
         spec = observer.derive_constants(w, spec)
-        a, b = mpc.build_schedule(cert, spec, 7)
+        hand = mpc.Certificate(cert, spec, 7, 2.5)
         for name in ("P_s", "c_s", "A_delta"):
             np.testing.assert_array_equal(getattr(certificate.model, name), getattr(cert, name))
         for name in ("A_d", "P_o", "c_o", "L_mat"):
             np.testing.assert_array_equal(getattr(certificate.spec, name), getattr(spec, name))
         for name in ("rho_o", "L_max", "w_bar", "d_max"):
             assert getattr(certificate.spec, name) == getattr(spec, name)
-        np.testing.assert_array_equal(certificate.a, a)
-        np.testing.assert_array_equal(certificate.b, b)
-        np.testing.assert_array_equal(certificate.P_f, mpc.compute_pf(cert.A_delta, 2.5))
-        assert certificate.horizon == 7
+        for name in ("a", "b", "P_f"):
+            np.testing.assert_array_equal(getattr(certificate, name), getattr(hand, name))
+        np.testing.assert_array_equal(
+            certificate.P_f, numerics.solve_discrete_lyapunov(cert.A_delta, 1.1 * 2.5 * np.eye(2)))
+        assert certificate.a.shape == (8, 1) and certificate.horizon == 7
         assert (certificate.q_weight, certificate.k_bar) == (2.5, None)
 
     def test_spec_and_section_agree_without_writing_to_the_spec(self, bench):
         w, obs_doc = bench
         spec = observer.ObserverSpec.from_dict(obs_doc)
         from_spec = mpc.certify(w, spec)
-        assert spec.A_d is None and spec.P_o is None     # the caller's spec is left as is
-        assert from_spec.spec is not spec
+        # the caller's spec is left as is: gains only, no derived constant
+        assert type(spec) is observer.ObserverSpec and not hasattr(spec, "P_o")
+        assert type(from_spec.spec) is observer.ObserverCertificate
         assert from_spec.to_dict() == mpc.certify(w, obs_doc).to_dict()
 
+    # only None means no gains: an empty section is missing every required key
     @pytest.mark.parametrize("gains", [None, {}])
     def test_without_gains_selects_them(self, bench, gains):
         # the default gains are select_gains', which are the shipped section's
         w, obs_doc = bench
+        if gains is not None:
+            with pytest.raises(ValueError, match=r"^missing observer fields must be empty, "
+                               r"got \['L_d', 'L_f', 'L_i', 'L_o', 'd_max'\]"):
+                mpc.certify(w, gains)
+            return
         certificate = mpc.certify(w, gains)
         spec = observer.derive_constants(w, observer.select_gains(w))
         assert certificate.spec.to_dict() == spec.to_dict()
@@ -608,7 +625,7 @@ class TestCertify:
         with pytest.raises(ValueError, match="^horizon must be a positive integer"):
             mpc.certify(*bench, horizon)
 
-    def test_record_is_frozen(self, bench_certificate):
+    def test_record_is_frozen(self, bench, bench_certificate):
         # the certificate and the model and observer records it holds
         for record, names in ((bench_certificate, ("q_weight", "a", "lam_min")),
                               (bench_certificate.spec, ("rho_o", "w_bar", "L_d")),
@@ -616,6 +633,33 @@ class TestCertify:
             for name in names:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, name, 0.5)
+        # each record is formed whole from its inputs: no derived constant can be
+        # passed to its constructor or swapped in by replace, which would keep the
+        # other constants formed from the old value
+        w = bench[0]
+        cert, spec = bench_certificate.model, bench_certificate.spec
+        gains = {name: getattr(spec, name) for name in ("L_f", "L_i", "L_o", "L_d", "d_max")}
+        for record, inputs, build, derived in (
+                (cert, {"w": w}, lambda **kw: lstm.StabilityCertificate(w, **kw),
+                 {"A_delta", "B_delta", "rho_A", "r1", "r2", "P_s", "rho_s", "c_sl", "c_su",
+                  "c_s"}),
+                (spec, {"w": w}, lambda **kw: observer.ObserverCertificate(**gains, w=w, **kw),
+                 {"A_d", "P_o", "rho_o", "c_ol", "c_ou", "c_o", "L_mat", "L_max",
+                  "cell_radius_hat", "injection"}),
+                (bench_certificate, {}, lambda **kw: mpc.Certificate(cert, spec, 5, 1.0, **kw),
+                 {"a", "b", "P_f", "lam_min"})):
+            assert {f.name for f in dataclasses.fields(record) if not f.init} == derived
+            for name in derived:
+                with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                    dataclasses.replace(record, **inputs, **{name: getattr(record, name)})
+                with pytest.raises(TypeError, match=name):
+                    build(**{name: getattr(record, name)})
+        # a gain swapped into a derived spec without the model would leave rho_o stale
+        with pytest.raises(ValueError, match="InitVar 'w'"):
+            dataclasses.replace(spec, L_d=0.5 * np.eye(w.p))
+        net = small_net(seed=1, n=3)
+        with pytest.raises(InstabilityError, match="model not certified"):
+            lstm.StabilityCertificate(with_arrays(net, b_f=30.0, U_o=200.0 * net.U_o))
 
     def test_arrays_are_read_only(self, bench_certificate):
         # an in-place write would move the tightening or the observer metric

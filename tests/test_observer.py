@@ -1,6 +1,7 @@
 """Unit tests for the disturbance-augmented model and its observer."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,11 +223,13 @@ class TestCertificateOracle:
 
 class TestSelectGains:
     def test_returns_underived_suboptimal_gains(self, bench_w):
+        # the gains and settings alone: the constants come with the model, from
+        # derive_constants
         spec = observer.select_gains(bench_w, d_max=0.08, l_d=0.3, w_bar=0.005)
-        derived = [f.name for f in dataclasses.fields(spec)
-                   if f.name not in ("L_f", "L_i", "L_o", "L_d", "d_max", "w_bar", "injection")]
-        assert spec.A_d is None
-        assert all(getattr(spec, name) is None for name in derived)
+        assert type(spec) is observer.ObserverSpec
+        assert [f.name for f in dataclasses.fields(spec)] == [
+            "L_f", "L_i", "L_o", "L_d", "d_max", "w_bar", "injection"]
+        assert not hasattr(spec, "A_d") and not hasattr(spec, "P_o")
         for name in ("L_f", "L_i", "L_o"):
             np.testing.assert_array_equal(getattr(spec, name), np.zeros((bench_w.n, bench_w.p)))
         np.testing.assert_array_equal(spec.L_d, 0.3 * np.eye(bench_w.p))
@@ -304,16 +307,21 @@ class TestDeriveConstants:
         assert observer.derive_constants(w, observer.ObserverSpec.from_dict(without)).w_bar == 0.0
 
     def test_rederive_after_gain_change_matches_fresh(self, bench_w):
-        # derive_constants re-forms A_d from the current gains, so changing
-        # L_d on a populated spec cannot leave a stale A_d behind
-        spec = make_spec(bench_w, l_d=0.1)
-        spec = dataclasses.replace(spec, L_d=0.5 * np.eye(bench_w.p))
-        spec = observer.derive_constants(bench_w, spec)
+        # a derived spec's constants are formed from its gains and the model, so
+        # changing L_d without the model cannot leave a stale A_d or rho_o behind;
+        # with it, or through derive_constants, they are formed afresh
+        derived, l_d = make_spec(bench_w, l_d=0.1), 0.5 * np.eye(bench_w.p)
+        with pytest.raises(ValueError, match="InitVar 'w' must be specified"):
+            dataclasses.replace(derived, L_d=l_d)
+        gains = dataclasses.replace(observer.select_gains(bench_w, l_d=0.1, w_bar=None), L_d=l_d)
         fresh = make_spec(bench_w, l_d=0.5)
-        for name in ("A_d", "P_o", "c_o", "L_mat"):
-            np.testing.assert_array_equal(getattr(spec, name), getattr(fresh, name))
-        for name in ("rho_o", "c_ol", "c_ou", "L_max", "w_bar"):
-            assert getattr(spec, name) == getattr(fresh, name)
+        assert fresh.rho_o != derived.rho_o
+        for spec in (dataclasses.replace(derived, L_d=l_d, w=bench_w),
+                     observer.derive_constants(bench_w, gains)):
+            for name in ("A_d", "P_o", "c_o", "L_mat"):
+                np.testing.assert_array_equal(getattr(spec, name), getattr(fresh, name))
+            for name in ("rho_o", "c_ol", "c_ou", "L_max", "w_bar"):
+                assert getattr(spec, name) == getattr(fresh, name)
 
     def test_spec_copies_the_callers_gains(self, bench_w):
         n, p = bench_w.n, bench_w.p
@@ -339,11 +347,13 @@ class TestVo:
         assert observer.v_o(bench_spec, chi, chi) == 0.0
 
     def test_identity_metric_unit_d_error(self, bench_w):
-        spec = dataclasses.replace(make_spec(bench_w), P_o=np.eye(3))
+        # a unit disturbance error alone weighs sqrt(P_o[2, 2]); in the identity metric, 1
+        spec = make_spec(bench_w)
         x = bench_w.zero_state()
         a = AugmentedState(x, np.array([1.0]))
         b = AugmentedState(x.copy(), np.array([0.0]))
-        assert observer.v_o(spec, a, b) == pytest.approx(1.0)
+        assert observer.v_o(spec, a, b) == pytest.approx(np.sqrt(spec.P_o[2, 2]), rel=1e-15)
+        assert observer.v_o(SimpleNamespace(P_o=np.eye(3)), a, b) == pytest.approx(1.0)
 
     def test_quadratic_form_oracle(self, bench_w, bench_spec):
         rng = np.random.default_rng(2)
@@ -356,13 +366,15 @@ class TestVo:
             float(np.sqrt(e @ bench_spec.P_o @ e)), abs=1e-12)
 
     def test_requires_lyapunov_data(self, bench_w):
+        # gains alone carry no metric: P_o exists only on a derived spec
         spec = observer.ObserverSpec(L_f=np.zeros((bench_w.n, 1)),
                                      L_i=np.zeros((bench_w.n, 1)),
                                      L_o=np.zeros((bench_w.n, 1)),
                                      L_d=np.eye(1), d_max=0.1)
         chi = AugmentedState(bench_w.zero_state(), np.zeros(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(AttributeError, match="P_o"):
             observer.v_o(spec, chi, chi)
+        assert observer.v_o(observer.derive_constants(bench_w, spec), chi, chi) == 0.0
 
 
 class TestSpecInputs:
