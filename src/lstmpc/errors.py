@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and its one field check.
+"""Exception types shared across the package, its one field check and document rule.
 
 ``check`` writes every "<name> must be <rule>, got <value>" message. A
 rule is a (predicate, text) pair; every predicate is a comparison that
 NaN fails, and no bool passes one.
 """
 
+import json
 import math
 import numbers
 
@@ -26,6 +27,27 @@ POSITIVE = (lambda v: _is(numbers.Real, v) and 0 < v < math.inf, "finite and pos
 NONNEGATIVE = (lambda v: _is(numbers.Real, v) and 0 <= v < math.inf, "finite and nonnegative")
 POSITIVE_INT = (lambda v: _is(numbers.Integral, v) and v >= 1, "a positive integer")
 NONNEGATIVE_INT = (lambda v: _is(numbers.Integral, v) and v >= 0, "a nonnegative integer")
+RANGE = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and FINITE[0](v[0])
+         and FINITE[0](v[1]) and v[0] < v[1], "a finite (lo, hi) pair with lo < hi")
+
+
+def read_json(path):
+    """The document in the JSON file ``path``; ValueError naming the file if its text is not."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:     # a JSONDecodeError, or a UnicodeDecodeError on read
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+
+
+def check_object(what, doc, required, optional=()):
+    """``doc``, checked by name: a JSON object (a dict) with every ``required``
+    key and no key outside ``required`` and ``optional``."""
+    check(what, type(doc).__name__, (lambda v: v == "dict", "a JSON object"))
+    for kind, names in (("unknown", set(doc) - {*required, *optional}),
+                        ("missing", set(required) - set(doc))):
+        check(f"{kind} {what} fields", sorted(names), (lambda v: not v, "empty"))
+    return doc
 
 
 def finite_array(name, value):

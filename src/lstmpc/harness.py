@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mpc, observer, plant, refcalc
 from .errors import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
-                     FeasibilityLossError, check)
+                     FeasibilityLossError, check, check_object, read_json)
 from .lstm import LstmState
 from .observer import AugmentedState
 
@@ -74,13 +74,8 @@ class Scenario:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            doc = json.load(fh)
-        check("scenario", doc, (lambda v: isinstance(v, dict), "a JSON object"))
-        bad = set(doc) - {f.name for f in fields(cls)}
-        if bad:
-            raise ValueError(f"unknown scenario fields: {sorted(bad)}")
-        return cls(**doc)
+        """The scenario of a JSON object whose keys are fields, each optional."""
+        return cls(**check_object("scenario", read_json(path), (), [f.name for f in fields(cls)]))
 
     def to_json(self, path):
         doc = {f.name: getattr(self, f.name) for f in fields(self)}

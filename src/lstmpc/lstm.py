@@ -36,8 +36,8 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import (FINITE, POSITIVE, DimensionError, InstabilityError, check,
-                     finite_array)
+from .errors import (POSITIVE, RANGE, DimensionError, InstabilityError, check, check_object,
+                     finite_array, read_json)
 from .numerics import eig_extrema_spd, freeze_arrays, solve_discrete_lyapunov, spectral_radius
 
 
@@ -120,8 +120,7 @@ class LstmWeights:
             raise DimensionError("readout shapes disagree")
         check("u_max", u_max, POSITIVE)
         for name, pair in (("u_range", u_range), ("y_range", y_range)):
-            check(name, pair, (lambda v: v is None or np.shape(v) == (2,) and all(map(
-                FINITE[0], v)) and v[0] < v[1], "null or a finite (lo, hi) pair with lo < hi"))
+            check(name, pair, (lambda v: v is None or RANGE[0](v), f"null or {RANGE[1]}"))
         scale = np.full(4 * n, 0.5)
         scale[_C * n:(_C + 1) * n] = 1.0
         residual_jacobian = np.zeros((2 * n + p, 2 * n + m))
@@ -543,12 +542,10 @@ def save_weights(w, path, observer=None):
 
 def load_weights(path):
     """Inverse of save_weights; returns (weights, observer-dict-or-None), each field
-    checked by name: known keys only, finite number arrays, n, m, p as the arrays give."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    check("weights file", type(doc).__name__, (lambda v: v == "dict", "a JSON object"))
-    known = {*MATRIX_FIELDS, "n", "m", "p", "u_max", "u_range", "y_range", "observer"}
-    check("unknown weights fields", sorted(set(doc) - known), (lambda v: not v, "empty"))
+    checked by name: no unknown or missing key, finite number arrays, n, m, p as the
+    arrays give."""
+    doc = check_object("weights", read_json(path), (*MATRIX_FIELDS, "n", "m", "p", "u_max"),
+                       ("u_range", "y_range", "observer"))
     arrays = {name: finite_array(name, doc[name]) for name in MATRIX_FIELDS}
     w = LstmWeights(u_max=doc["u_max"], u_range=doc.get("u_range"), y_range=doc.get("y_range"),
                     **arrays)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import lstm
 from .errors import (NONNEGATIVE, POSITIVE, DimensionError, DomainViolationError,
-                     GainSelectionError, check, finite_array)
+                     GainSelectionError, check, check_object, finite_array)
 from .lstm import LstmState
 from .numerics import freeze_arrays, induced_two_norm, spectral_radius
 
@@ -83,10 +83,7 @@ class ObserverSpec:
     def from_dict(cls, doc):
         """The spec of a weights file's observer section, each key checked by name:
         an object, no unknown or missing key, finite gains, then d_max and w_bar."""
-        check("observer", doc, (lambda v: isinstance(v, dict), "an object"))
-        for what, names in (("unknown", set(doc) - {*cls._GAINS, "d_max", "w_bar"}),
-                            ("missing", {*cls._GAINS, "d_max"} - set(doc))):
-            check(f"{what} observer fields", sorted(names), (lambda v: not v, "empty"))
+        check_object("observer", doc, (*cls._GAINS, "d_max"), ("w_bar",))
         gains = {name: finite_array(name, doc[name]) for name in cls._GAINS}
         return cls(**{**doc, **gains})
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FINITE, NONNEGATIVE, POSITIVE, UnphysicalStateError, check
+from .errors import FINITE, NONNEGATIVE, POSITIVE, RANGE, UnphysicalStateError, check
 
 #: Default saturation range of the alkaline flow, mL/s.
 U_PHI_RANGE = (12.5, 17.0)
@@ -188,8 +188,8 @@ class Normalizer:
     y_hi: float
 
     def __post_init__(self):
-        if not (self.u_hi > self.u_lo and self.y_hi > self.y_lo):
-            raise ValueError("normalization ranges must have hi > lo")
+        check("(u_lo, u_hi)", (self.u_lo, self.u_hi), RANGE)
+        check("(y_lo, y_hi)", (self.y_lo, self.y_hi), RANGE)
 
     def normalize_u(self, v):
         return 2.0 * (np.asarray(v, dtype=float) - self.u_lo) / (self.u_hi - self.u_lo) - 1.0

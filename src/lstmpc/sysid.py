@@ -18,7 +18,8 @@ import numpy as np
 
 from . import lstm, plant
 from .errors import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
-                     InstabilityError, TrainingError, UndefinedMetricError, check)
+                     InstabilityError, TrainingError, UndefinedMetricError, check, check_object,
+                     read_json)
 from .lstm import LstmWeights
 
 HOLD_RANGE = (10, 100)   # steps each excitation level is held, inclusive
@@ -133,25 +134,36 @@ def save_dataset(ds, directory):
 
 
 def load_dataset(directory):
-    """Inverse of ``save_dataset``; raises ValueError, naming the file and
-    line, on the first non-finite u_raw or y_raw sample of a sequence."""
+    """Inverse of ``save_dataset``; a ValueError names the manifest's field, or
+    the file and line, that breaks the layout ``save_dataset`` writes."""
     directory = pathlib.Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    nz = manifest["normalization"]
-    nrm = plant.Normalizer(nz["u_lo"], nz["u_hi"], nz["y_lo"], nz["y_hi"])
-    splits = {}
-    for split, names in manifest["splits"].items():
-        seqs = []
-        for name in names:
-            rows = np.loadtxt(directory / name, delimiter=",", skiprows=1)
-            for k in np.flatnonzero(~np.isfinite(rows[:, 1:]).all(axis=1))[:1]:
-                check(f"{name} line {k + 2}", rows[k, 1:].tolist(), (
-                    lambda v: all(FINITE[0](x) for x in v), "a finite (u_raw, y_raw) pair"))
-            seqs.append((nrm.normalize_u(rows[:, 1]), nrm.normalize_y(rows[:, 2])))
-        splits[split] = seqs
-    return Dataset(train=splits["train"], val=splits["val"], test=splits["test"],
-                   normalizer=nrm)
+    manifest = check_object("manifest", read_json(directory / "manifest.json"),
+                            ("normalization", "splits"))
+    nrm = plant.Normalizer(**check_object("normalization", manifest["normalization"],
+                                          ("u_lo", "u_hi", "y_lo", "y_hi")))
+    splits = check_object("splits", manifest["splits"], ("train", "val", "test"))
+    for split, names in splits.items():
+        check(f"{split} split", names, (lambda v: isinstance(v, list) and all(
+            isinstance(name, str) for name in v), "a list of file names"))
+    return Dataset(**{split: [_read_sequence(directory / name, nrm) for name in names]
+                      for split, names in splits.items()}, normalizer=nrm)
+
+
+def _read_sequence(path, nrm):
+    """The normalized (u, y) of one sequence file; the rows are checked as text
+    before numpy parses each as data (no comment lines), so a file without rows
+    raises no numpy warning."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()[1:]
+    check(f"rows of {path.name} after its header", len(lines), (lambda v: v >= 1, "at least 1"))
+    for k in [k for k, line in enumerate(lines) if line.count(",") != 2][:1]:
+        check(f"{path.name} line {k + 2}", lines[k], (lambda v: v.count(",") == 2,
+                                                      "3 comma-separated values"))
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    for k in np.flatnonzero(~np.isfinite(rows[:, 1:]).all(axis=1))[:1]:
+        check(f"{path.name} line {k + 2}", rows[k, 1:].tolist(), (
+            lambda v: all(FINITE[0](x) for x in v), "a finite (u_raw, y_raw) pair"))
+    return nrm.normalize_u(rows[:, 1]), nrm.normalize_y(rows[:, 2])
 
 
 @dataclass

@@ -2,12 +2,14 @@
 No module of the package imports a name it never uses, defines a private
 top-level name that nothing in the package references or reads another
 module's private name; every public top-level name is mentioned somewhere
-besides its own definition, and every "<name> must be ..." ValueError
-comes from ``errors.check``."""
+besides its own definition, every "<name> must be ..." ValueError
+comes from ``errors.check``, and every JSON document the package reads
+passes through ``errors.read_json`` and ``errors.check_object``."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -150,3 +152,41 @@ def test_every_must_be_value_error_comes_from_the_one_check():
                 found.append((name, node.lineno, id(node) in own))
     assert [(name, line) for name, line, in_check in found if not in_check] == []
     assert [in_check for *_, in_check in found] == [True]
+
+
+def _function(tree, name):
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _string(node):
+    """The text of a string constant or f-string, each replacement field as {}."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return ""
+
+
+def test_every_json_document_passes_the_one_reader_and_object_check():
+    # json.load and json.loads appear once, in errors.read_json, and no module
+    # writes an "unknown ... fields" or "missing ... fields" message itself:
+    # errors.check_object forms them from its parts
+    trees = _trees()
+    reader = set(map(id, ast.walk(_function(trees["errors.py"], "read_json"))))
+    loads, messages = [], []
+    for name, tree in trees.items():
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"):
+                loads.append((name, node.lineno, id(node) in reader))
+            elif id(node) not in docstrings and re.search(r"\b(unknown|missing)\b.*\bfields\b",
+                                                          _string(node)):
+                messages.append((name, node.lineno))
+    assert [(name, line) for name, line, in_reader in loads if not in_reader] == []
+    assert [in_reader for *_, in_reader in loads] == [True]
+    assert messages == []

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import pathlib
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -415,6 +416,25 @@ class TestRunScenario:
         assert doc["constraint_violations"] == 0
 
 
+@pytest.fixture(scope="module")
+def gen_data_dir(tmp_path_factory):
+    """A small ``lstmpc gen-data`` directory: one 60-step sequence per split,
+    seq_000.csv training, seq_001.csv validation and seq_002.csv test."""
+    out = tmp_path_factory.mktemp("gen-data") / "ds"
+    assert cli.main(["gen-data", "--out", str(out), "--seed", "1", "--n-train", "1",
+                     "--n-val", "1", "--n-test", "1", "--steps", "60"]) == 0
+    return out
+
+
+def manifest_edit(edit):
+    """The text edit of a manifest whose document ``edit`` changes in place or
+    replaces by the value it returns."""
+    def apply(text):
+        doc = json.loads(text)
+        return json.dumps(edit(doc) or doc)
+    return apply
+
+
 class TestCli:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -477,9 +497,10 @@ class TestCli:
     # that is an object, a null d_max), load without a word (n, m, an unknown
     # key or observer key, an empty observer section, which ran the default
     # gains, a string d_max), be blamed on the forget gate (a NaN in W_y) or
-    # on numpy (a string or ragged array, a NaN gain)
+    # on numpy (a string or ragged array, a NaN gain), or name only the bare
+    # key (a missing array, u_max or n) or no file (text that is not JSON)
     @pytest.mark.parametrize("command, mutate, message", [
-        ("certify", lambda doc: [doc], "weights file must be a JSON object, got 'list'"),
+        ("certify", lambda doc: [doc], "weights must be a JSON object, got 'list'"),
         ("certify", lambda doc: doc.update(observer=[doc["observer"]]),
          "observer must be an object or null"),
         ("simulate", lambda doc: doc.update(u_range=[-1.0, 0.0, 1.0]),
@@ -514,15 +535,22 @@ class TestCli:
          "d_max must be finite and positive, got '0.1'"),
         ("certify", lambda doc: doc["observer"].update(w_bar=[0.01]),
          "w_bar must be null or finite and nonnegative, got [0.01]"),
+        *(("certify", lambda doc, key=key: doc.__delitem__(key),
+           f"missing weights fields must be empty, got ['{key}']")
+          for key in ("W_f", "b_y", "u_max", "n")),
+        ("simulate", lambda doc: json.dumps(doc)[:-1], "<path> is not JSON: Expecting"),
     ], ids=["top-level-list", "observer-list", "u_range-3-entries", "y_range-reversed",
             "y_range-nan", "n", "m-bool", "unknown-key", "W_y-nan", "b_o-inf", "u_max-null",
             "W_f-object", "W_f-string", "U_c-ragged", "b_y-bool", "observer-empty",
             "observer-unknown-key", "L_f-object", "L_o-string", "L_d-nan", "d_max-null",
-            "d_max-string", "w_bar-list"])
+            "d_max-string", "w_bar-list", "W_f-missing", "b_y-missing", "u_max-missing",
+            "n-missing", "not-json"])
     def test_weights_file_field_is_named(self, tmp_path, capsys, command, mutate, message):
+        # a mutation that returns text writes it as is, so it need not be JSON
         doc = json.loads((ASSETS / "model.json").read_text())
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(mutate(doc) or doc))
+        mutated = mutate(doc) or doc
+        path.write_text(mutated if isinstance(mutated, str) else json.dumps(mutated))
         sc_path = tmp_path / "sc.json"
         tiny_physical_scenario(duration_s=50.0).to_json(sc_path)
         argv = {"certify": ["certify", "--weights", str(path)],
@@ -533,7 +561,7 @@ class TestCli:
         assert out.out == ""
         err = json.loads(out.err)
         assert err["error"] == "ValueError"
-        assert err["message"].startswith(message)
+        assert err["message"].startswith(message.replace("<path>", str(path)))
         assert not (tmp_path / "run").exists()
 
     def test_certify_rejects_negative_w_bar(self, tmp_path, capsys):
@@ -689,6 +717,67 @@ class TestCli:
         assert len(ds.train) == 1 and len(ds.val) == 1 and len(ds.test) == 1
         assert len(ds.train[0][0]) == 60
 
+    # dataset parts rejected by name before training; each would otherwise end
+    # in a traceback (a manifest or normalization that is a list, a string
+    # bound, a split entry that is not a file name, a sequence file with no
+    # row or 2 columns), name only the bare key (a missing normalization or
+    # test split), blame numpy or the ranges in general (text that is not
+    # JSON, a NaN bound, a row of 4 columns) or pass without a word (an
+    # unknown key or split, an infinite bound, which normalizes every input
+    # to -1)
+    @pytest.mark.parametrize("name, edit, message", [
+        ("manifest.json", lambda text: text[:-1], "<dir>/manifest.json is not JSON: Expecting"),
+        ("manifest.json", manifest_edit(lambda doc: [doc]),
+         "manifest must be a JSON object, got 'list'"),
+        ("manifest.json", manifest_edit(lambda doc: doc.__delitem__("normalization")),
+         "missing manifest fields must be empty, got ['normalization']"),
+        ("manifest.json", manifest_edit(lambda doc: doc.update(bogus=1)),
+         "unknown manifest fields must be empty, got ['bogus']"),
+        ("manifest.json", manifest_edit(lambda doc: doc.update(
+            normalization=list(doc["normalization"].values()))),
+         "normalization must be a JSON object, got 'list'"),
+        ("manifest.json", manifest_edit(lambda doc: doc["normalization"].update(u_hi="17.0")),
+         "(u_lo, u_hi) must be a finite (lo, hi) pair with lo < hi, got ("),
+        ("manifest.json", manifest_edit(lambda doc: doc["normalization"].update(u_lo=np.nan)),
+         "(u_lo, u_hi) must be a finite (lo, hi) pair with lo < hi, got (nan, "),
+        ("manifest.json", manifest_edit(lambda doc: doc["normalization"].update(u_hi=np.inf)),
+         "(u_lo, u_hi) must be a finite (lo, hi) pair with lo < hi, got ("),
+        ("manifest.json", manifest_edit(lambda doc: doc["splits"].__delitem__("test")),
+         "missing splits fields must be empty, got ['test']"),
+        ("manifest.json", manifest_edit(lambda doc: doc["splits"].update(
+            holdout=["seq_001.csv"])), "unknown splits fields must be empty, got ['holdout']"),
+        ("manifest.json", manifest_edit(lambda doc: doc["splits"].update(train=[5])),
+         "train split must be a list of file names, got [5]"),
+        ("manifest.json", manifest_edit(lambda doc: doc["splits"].update(val=5)),
+         "val split must be a list of file names, got 5"),
+        ("seq_000.csv", lambda text: text.splitlines()[0] + "\n",
+         "rows of seq_000.csv after its header must be at least 1, got 0"),
+        ("seq_002.csv", lambda text: "".join(line.rsplit(",", 1)[0] + "\n"
+                                             for line in text.splitlines()),
+         "seq_002.csv line 2 must be 3 comma-separated values, got '0.0,"),
+        ("seq_001.csv", lambda text: text.replace("\n40.0,", "\n40.0,0.0,", 1),
+         "seq_001.csv line 6 must be 3 comma-separated values, got '40.0,0.0,"),
+    ], ids=["not-json", "manifest-list", "normalization-missing", "manifest-unknown-key",
+            "normalization-list", "u_hi-string", "u_lo-nan", "u_hi-inf", "test-split-missing",
+            "split-unknown", "split-entry-number", "split-not-a-list", "header-only",
+            "two-columns", "four-column-row"])
+    def test_dataset_file_field_is_named(self, tmp_path, capsys, gen_data_dir, name, edit,
+                                         message):
+        data = tmp_path / "ds"
+        shutil.copytree(gen_data_dir, data)
+        path = data / name
+        path.write_text(edit(path.read_text()))
+        out = tmp_path / "model.json"
+        assert cli.main(["train", "--data", str(data), "--out", str(out), "--epochs", "0",
+                         "--init", str(ASSETS / "model.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(message.replace("<dir>", str(data)))
+        assert not out.exists()
+
     def test_train_rejects_negative_learning_rate(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         seq = (rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40))
@@ -835,13 +924,15 @@ class TestCli:
         path = tmp_path / "bad.json"
         # the removed keys, whose settings belong to the weights and the model
         removed = {"t_s": 10.0, "d_max": 0.1, "l_d": 0.1, "w_bar": 0.01, "model_path": None}
-        for doc, name in [({"warp_drive": 1}, "warp_drive"),
-                          ({"plant_overrides": {"bogus": 1}}, "bogus"),
-                          ({"plant_overrides": None}, "plant_overrides"),
-                          ([], "JSON object"), ("7.0", "JSON object"),
-                          *(({key: value}, f"unknown scenario fields: ['{key}']")
-                            for key, value in removed.items())]:
-            path.write_text(json.dumps(doc))
+        docs = [({"warp_drive": 1}, "warp_drive"), ({"plant_overrides": {"bogus": 1}}, "bogus"),
+                ({"plant_overrides": None}, "plant_overrides"),
+                ([], "scenario must be a JSON object, got 'list'"),
+                ("7.0", "scenario must be a JSON object, got 'str'"),
+                *(({key: value}, f"unknown scenario fields must be empty, got ['{key}']")
+                  for key, value in removed.items())]
+        for text, name in [*((json.dumps(doc), name) for doc, name in docs),
+                           ('{"seed": 1', f"{path} is not JSON: Expecting")]:
+            path.write_text(text)
             rc = cli.main(["simulate", "--scenario", str(path), "--out",
                            str(tmp_path / "o"), "--weights", str(ASSETS / "model.json")])
             assert rc == 2

@@ -1,5 +1,7 @@
 """Unit tests for the pH neutralization simulator and signal scaling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -300,5 +302,11 @@ class TestNormalizer:
         np.testing.assert_allclose(nrm.normalize_y(nrm.denormalize_y(v)), v, atol=1e-12)
 
     def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            plant.Normalizer(2.0, 1.0, 0.0, 1.0)
+        # reversed, infinite, NaN, equal and string bounds, each named by its pair
+        for lo, hi in ((2.0, 1.0), (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan),
+                       (1.0, 1.0), (0.0, "1.0"), ("0.0", 1.0)):
+            for args, pair in (((lo, hi, 0.0, 1.0), "(u_lo, u_hi)"),
+                               ((0.0, 1.0, lo, hi), "(y_lo, y_hi)")):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{pair} must be a finite (lo, hi) pair with lo < hi, got ({lo!r}, ")):
+                    plant.Normalizer(*args)

@@ -307,6 +307,16 @@ class TestDatasetIo:
                 f"{name} line {row + 2} must be a finite (u_raw, y_raw) pair, got [")):
             sysid.load_dataset(tmp_path)
 
+    def test_one_row_file_loads_as_one_sample(self, tmp_path):
+        ds = synthetic_dataset(seed=3)
+        sysid.save_dataset(ds, tmp_path)
+        path = tmp_path / "seq_000.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        u, y = sysid.load_dataset(tmp_path).train[0]
+        assert u.shape == y.shape == (1,)
+        np.testing.assert_allclose([u[0], y[0]], [ds.train[0][0][0], ds.train[0][1][0]],
+                                   atol=1e-12)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             sysid.TrainConfig(epochs=-1)
