@@ -22,6 +22,9 @@ from .lstm import LstmState
 from .observer import AugmentedState
 
 
+MAX_STEPS = 10 ** 7     # the longest run a scenario may ask for, in control steps
+
+
 @dataclass(slots=True)
 class Scenario:
     """One closed-loop run, sampled at the model's period ``t_s`` = ``plant.T_S``;
@@ -63,7 +66,9 @@ class Scenario:
                 f"(time_s, value) pairs at strictly increasing finite times, values {text}"))
             setattr(self, name, [tuple(x) for x in getattr(self, name)])
         for name, rule in (
-                ("setpoints", (len, "nonempty")), ("duration_s", NONNEGATIVE),
+                ("setpoints", (len, "nonempty")),
+                ("duration_s", (lambda v: NONNEGATIVE[0](v) and v <= MAX_STEPS * plant.T_S,
+                                f"{NONNEGATIVE[1]}, at most {MAX_STEPS} steps of {plant.T_S} s")),
                 ("ramp_rate", POSITIVE), ("horizon", POSITIVE_INT), ("seed", NONNEGATIVE_INT),
                 ("mode", (lambda v: v in list(_PLANTS), f"one of {list(_PLANTS)}")),
                 ("plant_overrides", (lambda v: isinstance(v, dict) and set(v) <= {

@@ -18,8 +18,10 @@ training and the reference Jacobian all run this cell through one kernel:
   sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so the gates
   equal ``sigmoid``'s bit for bit. One loop, ``_run``, works in place in
   a buffer whose row k is [c_k | g | f | i | o], 9 numpy calls per step:
-  ``rollout`` runs it over T steps on buffers it allocates,
-  ``LstmWeights.step`` over one on buffers the weights own.
+  ``rollout`` runs it over T steps on buffers it allocates, a
+  ``Workspace`` over T steps on buffers and row views it owns, for
+  sweeps that repeat, and ``LstmWeights.step`` over one on buffers the
+  weights own.
 - ``step_jacobians``, the one copy of the cell's linearization, feeds the
   forward sweep ``sensitivities``, the reverse sweep ``adjoint`` and the
   reference calculation's Newton Jacobian.
@@ -134,9 +136,9 @@ class LstmWeights:
             b_half=b * scale, UW=np.concatenate((U, W), axis=1).reshape(4, n, n + m),
             residual_jacobian=residual_jacobian)
         freeze_arrays(self)
-        row, h, pre, steps, cache = _loop_buffers(1, n)
+        row, h, pre, steps, cache, fc_ig = _loop_buffers(1, n)
         vars(self).update(_pre=pre, _cache=cache, _steps=list(steps), _c=row[:, :n],
-                          _h_next=h[1], _inject=np.empty(4 * n), _fc_ig=np.empty(2 * n))
+                          _h_next=h[1], _inject=np.empty(4 * n), _fc_ig=fc_ig)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name}: LstmWeights is read-only")
@@ -147,6 +149,12 @@ class LstmWeights:
     def step(self, c, h, u, inject=None):
         """(c+, h+), new arrays, of one step from (c, h) with the (m,) input
         ``u`` and, if given, ``inject`` (4n,) added to the preactivations."""
+        c_next, h_next = self.step_in_place(c, h, u, inject)
+        return c_next.copy(), h_next.copy()
+
+    def step_in_place(self, c, h, u, inject=None):
+        """``step`` on the weights' own buffers: (c+, h+) are views of them,
+        which the next step of these weights overwrites."""
         pre = self._pre[0]
         np.matmul(u, self.W_half.T, out=pre)
         pre += self.b_half
@@ -154,7 +162,7 @@ class LstmWeights:
             pre += np.multiply(inject, self._scale, out=self._inject)
         self._c[0] = c
         _run(self, h, self._steps, self._fc_ig)
-        return self._c[1].copy(), self._h_next.copy()
+        return self._c[1], self._h_next
 
     def last_factors(self):
         """``local_factors`` of the last ``step``, (1, n) views that the
@@ -178,14 +186,15 @@ def _loop_buffers(n_t, n):
     """A T-step loop's buffers, row (T+1, 5n) whose row k is [c_k | z_k], z_k
     step k's gates in ``GATES`` order (so [c_k | g] and [f | i] are adjacent),
     h (T+1, n) and the halved preactivations (T, 4n); the per-step views
-    ``_run`` writes through; and the cache, ([f i o], g, tanh(c+))."""
+    ``_run`` writes through, an iterator; the cache, ([f i o], g, tanh(c+));
+    and ``_run``'s (2n,) scratch."""
     row, h, tc, pre = (np.empty((n_t + 1, 5 * n)), np.empty((n_t + 1, n)), np.empty((n_t, n)),
                        np.empty((n_t, 4 * n)))
     z = row[:-1, n:]
     sig = z[:, _F * n:(_O + 1) * n]
     steps = zip(z, pre, sig, z[:, _F * n:(_I + 1) * n], row[:-1, :n + (_C + 1) * n],
                 row[1:, :n], tc, z[:, _O * n:(_O + 1) * n], h[1:])
-    return row, h, pre, steps, (sig, z[:, _C * n:(_C + 1) * n], tc)
+    return row, h, pre, steps, (sig, z[:, _C * n:(_C + 1) * n], tc), np.empty(2 * n)
 
 
 def _run(w, h_k, steps, fc_ig):
@@ -193,16 +202,17 @@ def _run(w, h_k, steps, fc_ig):
     calls per step; ``fc_ig`` (2n,) is scratch for [f c_k | i g]."""
     u_half, one, half, n = w.U_half, w._one, w._half, w.n
     fc, ig = fc_ig[:n], fc_ig[n:]
+    dot, tanh, multiply, add = np.dot, np.tanh, np.multiply, np.add    # looked up once
     for z_k, pre_k, s_k, fi_k, cg_k, c_next, tc_k, o_k, h_next in steps:
-        np.dot(u_half, h_k, out=z_k)
+        dot(u_half, h_k, z_k)               # each call's last argument is its output
         z_k += pre_k
-        np.tanh(z_k, out=z_k)
+        tanh(z_k, z_k)
         s_k += one
         s_k *= half
-        np.multiply(fi_k, cg_k, out=fc_ig)
-        np.add(fc, ig, out=c_next)
-        np.tanh(c_next, out=tc_k)
-        np.multiply(o_k, tc_k, out=h_next)
+        multiply(fi_k, cg_k, fc_ig)
+        add(fc, ig, c_next)
+        tanh(c_next, tc_k)
+        multiply(o_k, tc_k, h_next)
         h_k = h_next
 
 
@@ -213,14 +223,47 @@ def rollout(w, c0, h0, u_seq, inject=None):
     (T, 4n), in ``GATES`` order). Returns c, h of shape (T+1, n) and the
     cache that ``local_factors``, ``sensitivities`` and ``adjoint`` read.
     """
-    row, h, pre, steps, cache = _loop_buffers(len(u_seq), w.n)
+    return _sweep(w, _loop_buffers(len(u_seq), w.n), c0, h0, u_seq, inject)
+
+
+def _sweep(w, buffers, c0, h0, u_seq, inject=None):
+    """``rollout`` in the ``_loop_buffers`` ``buffers``, which it overwrites."""
+    row, h, pre, steps, cache, fc_ig = buffers
     row[0, :w.n], h[0] = c0, h0
     np.matmul(u_seq, w.W_half.T, out=pre)
     pre += w.b_half
     if inject is not None:
         pre += inject * w._scale
-    _run(w, h[0], steps, np.empty(2 * w.n))
+    _run(w, h[0], steps, fc_ig)
     return row[:, :w.n], h, cache
+
+
+class Workspace:
+    """The buffers of repeated T-step sweeps of the weights ``w``, each
+    allocated once with its per-step views: the loop buffers of ``rollout``
+    and, on the first ``sensitivities`` call, that function's arrays. Each
+    sweep overwrites the last one's results, so a caller that keeps one
+    sweep while it runs the next holds two workspaces; the function
+    ``rollout``, for a sweep run once, works on buffers of its own."""
+
+    def __init__(self, w, n_t):
+        row, h, pre, steps, cache, fc_ig = _loop_buffers(n_t, w.n)
+        self.w, self._n_t = w, n_t
+        self._buffers = row, h, pre, list(steps), cache, fc_ig
+        self._sens = None
+
+    def rollout(self, c0, h0, u_seq):
+        """``rollout`` of the weights over the (T, m) ``u_seq`` from (c0, h0):
+        c, h and the cache, views of this workspace's buffers."""
+        self._c, _, self._cache = out = _sweep(self.w, self._buffers, c0, h0, u_seq)
+        return out
+
+    def sensitivities(self):
+        """``sensitivities`` of the last ``rollout``, an array of this
+        workspace, which the next call overwrites."""
+        if self._sens is None:
+            self._sens = _sensitivity_buffers(self.w, self._n_t)
+        return _sensitivities(self.w, self._c, self._cache, *self._sens)
 
 
 def local_factors(c, cache):
@@ -301,15 +344,16 @@ def step_jacobians(w, factors, out):
     and dh+/du = k_t dc+/du + k_o W_o, where each of the T steps'
     ``local_factors`` (f, k_f, ..., k_t) scales the rows it multiplies.
     The state-c columns are written on their diagonal only, so ``out``
-    must hold zeros off it.
+    must hold zeros off it; ``out`` must be C-contiguous, since the two
+    diagonals are written through strided views of its flat rows.
     """
     f, k_f, k_i, k_g, k_o, k_t = factors
-    n = f.shape[1]
-    uw = w.UW[:, :, :out.shape[2] - n]          # [U | W], or U alone, per gate
+    n, cols = f.shape[1], out.shape[2]
+    uw = w.UW[:, :, :cols - n]                  # [U | W], or U alone, per gate
     dc = k_f[:, :, None] * uw[_F] + k_i[:, :, None] * uw[_I] + k_g[:, :, None] * uw[_C]
-    diag = np.arange(n)
-    out[:, diag, diag] = f
-    out[:, n + diag, diag] = k_t * f
+    flat = out.reshape(len(out), out.shape[1] * cols, copy=False)
+    flat[:, :n * (cols + 1):cols + 1] = f                           # dc+/dc
+    flat[:, n * cols:n * (2 * cols + 1):cols + 1] = k_t * f         # dh+/dc
     out[:, :n, n:] = dc
     out[:, n:2 * n, n:] = k_t[:, :, None] * dc + k_o[:, :, None] * uw[_O]
 
@@ -322,14 +366,28 @@ def sensitivities(w, c, cache):
     depend on u and stage k only on u_0..u_{k-1}, so S_k+1 = A_k S_k on
     those columns and B_k on u_k's, with [A_k | B_k] from ``step_jacobians``.
     """
-    n_t, n2, m = len(c) - 1, 2 * w.n, w.m
-    jac = np.zeros((n_t, n2, n2 + m))
+    return _sensitivities(w, c, cache, *_sensitivity_buffers(w, len(c) - 1))
+
+
+def _sensitivity_buffers(w, n_t):
+    """The step Jacobians (T, 2n, 2n+m) and S, zeros, and the per-step views
+    of ``_sensitivities``: A_k, S_k's and S_k+1's columns of u_0..u_k-1,
+    S_k+1's of u_k and B_k."""
+    n2, m = 2 * w.n, w.m
+    jac, s = np.zeros((n_t, n2, n2 + m)), np.zeros((n_t + 1, n2, n_t * m))
+    return jac, s, [(jac[t, :, :n2], s[t, :, :t * m], s[t + 1, :, :t * m],
+                     s[t + 1, :, t * m:(t + 1) * m], jac[t, :, n2:]) for t in range(n_t)]
+
+
+def _sensitivities(w, c, cache, jac, s, steps):
+    """``sensitivities`` in ``_sensitivity_buffers``, which keep zeros where
+    it does not write: off the diagonal of ``jac``'s state-c columns, in
+    S_0 and in each S_k's columns of the inputs from u_k on."""
     step_jacobians(w, local_factors(c, cache), jac)
-    s = np.zeros((n_t + 1, n2, n_t * m))
-    for t in range(n_t):
-        j = t * m
-        np.matmul(jac[t, :, :n2], s[t, :, :j], out=s[t + 1, :, :j])
-        s[t + 1, :, j:j + m] = jac[t, :, n2:]
+    matmul, copyto = np.matmul, np.copyto      # looked up once
+    for a_k, s_k, s_next, s_new, b_k in steps:
+        matmul(a_k, s_k, s_next)
+        copyto(s_new, b_k)
     return s
 
 

@@ -21,10 +21,12 @@ decreased, sets the step length. ``Controller.step`` solves in
 real-time-iteration mode (Diehl, Bock & Schloeder, 2005), from the
 left-shifted previous plan: stability and recursive feasibility need only
 a feasible plan that costs no more than that feasible shifted candidate
-(suboptimal MPC, Scokaert, Mayne & Rawlings, 1999).
+(suboptimal MPC, Scokaert, Mayne & Rawlings, 1999). Every solve of a
+controller runs on the one ``FhocpWorkspace`` it allocates (Houska,
+Ferreau & Diehl, 2011, run each sample on memory allocated once).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -163,6 +165,22 @@ class MpcSolution:
     candidate_violation: float  # warm-start plan's own violation
 
 
+class FhocpWorkspace:
+    """The arrays that the FHOCP solves of one horizon reuse, allocated once
+    by ``Controller``: two ``lstm.Workspace`` sweeps, so that the line search
+    writes each trial into the one that does not hold the accepted iterate,
+    the QP's A and b, whose input-box rows [I; -I] are set here, and I."""
+
+    def __init__(self, w, n_horizon):
+        n_u, n_out = n_horizon * w.m, 2 * w.p * (n_horizon - 1)
+        self.sweeps = [lstm.Workspace(w, n_horizon), lstm.Workspace(w, n_horizon)]
+        self.eye = np.eye(n_u)
+        self.a_mat = np.empty((n_out + 1 + 2 * n_u, n_u))
+        self.a_mat[n_out + 1:n_out + 1 + n_u] = self.eye
+        np.negative(self.eye, out=self.a_mat[n_out + 1 + n_u:])
+        self.b_vec = np.empty(n_out + 1 + 2 * n_u)
+
+
 _SQP_MAX_ITER = 50       # SQP iterations per solve
 _LINE_SEARCH_MAX = 40    # step halvings before the line search gives up
 _STEP_TOL = 1e-10        # stop once max |delta u| falls below this
@@ -175,7 +193,8 @@ class Problem:
     on the controller's weights ``w``.
 
     ``tight`` holds the output-bound offsets a_i e_o + b_i + d_max of
-    stages 0..N-1, (N, p); ``y_lb`` and ``y_ub`` are (p,).
+    stages 0..N-1, (N, p); ``y_lb`` and ``y_ub`` are (p,). ``workspace``, the
+    controller's ``FhocpWorkspace`` or None, holds the buffers of its solves.
     """
 
     w: lstm.LstmWeights
@@ -188,14 +207,20 @@ class Problem:
     alpha: float
     q_weight: float
     r_weight: float
+    workspace: FhocpWorkspace | None = field(default=None, repr=False, compare=False)
 
     def evaluate(self, u_seq):
         """(cost, g, aux) of the (N, m) plan ``u_seq``. g <= 0 stacks per
         stage the tightened upper then lower output bound, then the
-        terminal set; aux is the rollout that ``qp_model`` linearizes,
-        with the state errors dx of stages 0..N, (N+1, 2n)."""
+        terminal set; aux is the rollout that ``qp_model`` linearizes, (c,
+        h, the ``lstm.Workspace`` that holds them, the terminal 2-norms ev,
+        the state errors dx of stages 0..N, (N+1, 2n))."""
+        return self._evaluate(u_seq, lstm.Workspace(self.w, len(self.tight)))
+
+    def _evaluate(self, u_seq, sweep):
+        """``evaluate`` with the rollout in ``sweep``, which it overwrites."""
         w, ref, n_h = self.w, self.ref, len(self.tight)
-        c, h, cache = lstm.rollout(w, self.x_hat.c, self.x_hat.h, u_seq)
+        c, h, _ = sweep.rollout(self.x_hat.c, self.x_hat.h, u_seq)
         y_pred = h[:n_h] @ w.W_y.T + w.b_y      # outputs at stages 0..N-1
         g = np.empty(2 * w.p * n_h + 1)
         g_out = g[:-1].reshape(n_h, 2, w.p)
@@ -208,45 +233,56 @@ class Problem:
         g[-1] = phi - self.alpha ** 2
         cost = self.q_weight * float((dx[:n_h] ** 2).sum()) \
             + self.r_weight * float(((u_seq - ref.u_bar) ** 2).sum()) + phi
-        return cost, g, (c, h, cache, ev, dx)
+        return cost, g, (c, h, sweep, ev, dx)
 
     def qp_model(self, u_seq, g, aux, lam_term):
         """The SQP's QP at ``u_seq``: exact gradient, generalized Gauss-Newton
         Hessian and linearized constraints A d <= b (output rows of stages
         1..N-1, the terminal row, then the input box). ``lam_term`` is the
         terminal row's last multiplier: phi enters the Lagrangian as
-        (1 + lam_term) phi, so its curvature does too."""
+        (1 + lam_term) phi, so its curvature does too. A and b are the
+        arrays of the problem's ``workspace``, which the next call overwrites,
+        or new ones without it."""
         w, ref, n_h = self.w, self.ref, len(self.tight)
-        n_u = n_h * w.m
-        c, h, cache, ev, dx = aux
-        s = lstm.sensitivities(w, c, cache)     # (N+1, 2n, N*m), rows c then h
+        n_u, n_out = n_h * w.m, 2 * w.p * (n_h - 1)
+        ws = self.workspace or FhocpWorkspace(w, n_h)
+        _, _, sweep, ev, dx = aux
+        s = sweep.sensitivities()               # (N+1, 2n, N*m), rows c then h
         s_x = s[1:n_h].reshape(-1, n_u)         # stages 1..N-1, laid out like dx[1:N]
-        eye = np.eye(n_u)
         grad = 2.0 * self.q_weight * (dx[1:n_h].ravel() @ s_x) \
             + 2.0 * self.r_weight * (u_seq - ref.u_bar).ravel()
-        hess = 2.0 * self.q_weight * (s_x.T @ s_x) + 2.0 * self.r_weight * eye
+        hess = 2.0 * self.q_weight * (s_x.T @ s_x) + 2.0 * self.r_weight * ws.eye
         # Terminal phi = ev'P_f ev: exact Hessian in (c_N, h_N), carried
-        # through S_N; v_j = e_hat_j' S_N is d(ev_j)/du.
+        # through S_N; v_j = e_hat_j' S_N is d(ev_j)/du. The scalars are
+        # Python floats, which round as numpy's do.
         p2 = 2.0 * self.P_f
         g_ev = p2 @ ev
         k_t = 1.0 + lam_term
         v = np.zeros((2, n_u))
-        for j, (e, s_j) in enumerate(zip(dx[n_h].reshape(2, w.n),
-                                         s[n_h].reshape(2, w.n, n_u))):   # S_N's c, h rows
+        for j, (e, s_j, ev_j, g_j) in enumerate(zip(
+                dx[n_h].reshape(2, w.n), s[n_h].reshape(2, w.n, n_u),   # S_N's c, h rows
+                ev.tolist(), g_ev.tolist())):
             ss = s_j.T @ s_j
-            if ev[j] > 0.0:
-                v[j] = (e / ev[j]) @ s_j
-                hess += k_t * max(g_ev[j], 0.0) / ev[j] * (ss - v[j][:, None] * v[j])
+            if ev_j > 0.0:
+                v[j] = (e / ev_j) @ s_j
+                hess += k_t * max(g_j, 0.0) / ev_j * (ss - v[j][:, None] * v[j])
             else:
                 hess += k_t * p2[j, j] * ss
         hess += k_t * (v.T @ p2 @ v)
         d_term = g_ev @ v
         grad += d_term
+        # the output rows, upper then lower per stage, filled from one
+        # contiguous product
         out = w.W_y @ s[1:n_h, w.n:]            # (N-1, p, N*m)
-        out_rows = np.concatenate((out, -out), axis=1).reshape(-1, n_u)   # upper, lower per stage
-        a_mat = np.concatenate((out_rows, d_term[None], eye, -eye))
+        a_mat, b_vec = ws.a_mat, ws.b_vec
+        out_rows = a_mat[:n_out].reshape(n_h - 1, 2, w.p, n_u)
+        out_rows[:, 0] = out
+        np.negative(out, out=out_rows[:, 1])
+        a_mat[n_out] = d_term
         u_flat = u_seq.ravel()
-        b_vec = np.concatenate([-g[2 * w.p:], w.u_max - u_flat, w.u_max + u_flat])
+        np.negative(g[2 * w.p:], out=b_vec[:n_out + 1])
+        np.subtract(w.u_max, u_flat, out=b_vec[n_out + 1:n_out + 1 + n_u])
+        np.add(w.u_max, u_flat, out=b_vec[n_out + 1 + n_u:])
         return grad, hess, a_mat, b_vec
 
 
@@ -259,14 +295,29 @@ def _dense_qp(hess, grad, a_mat, b_vec):
     b - A d. When d0 violates no row, lam = 0 is the dual's solution and
     M is never formed. Returns (d, lam), or None when the method breaks
     down (a singular active set or no convergence, as on an infeasible QP).
+
+    The exit's test needs d0 alone, so it solves H [grad | 0]: LAPACK's
+    one-column solve rounds differently from its solve of [grad | A'],
+    whose first column a second, zero column gives bit for bit. Only a
+    violated row leads to ``_dual_qp``, which forms H^-1 A' and M.
     """
+    rhs = np.zeros((len(grad), 2))
+    rhs[:, 0] = grad
+    d0 = -np.linalg.solve(hess, rhs)[:, 0]
+    q = b_vec - a_mat @ d0
+    tol = 1e-12 * max(1.0, float(abs(q).max()))
+    if q.min() >= -tol:
+        return d0, np.zeros(len(q))
+    return _dual_qp(hess, grad, a_mat, b_vec)
+
+
+def _dual_qp(hess, grad, a_mat, b_vec):
+    """``_dense_qp``'s dual active-set iteration from lam = 0."""
     sol = np.linalg.solve(hess, np.column_stack([grad, a_mat.T]))
     d0, h_at = -sol[:, 0], sol[:, 1:]
     q = b_vec - a_mat @ d0
     tol = 1e-12 * max(1.0, float(abs(q).max()))
     lam = np.zeros(len(q))
-    if q.min() >= -tol:
-        return d0, lam
     m_mat = a_mat @ h_at
     free = np.zeros(len(q), dtype=bool)
     for _ in range(3 * len(q) + 10):
@@ -303,9 +354,13 @@ def solve_fhocp(problem, warm=None, real_time=False):
     "optimal" when the step test passed, "iterate" when the real-time stop
     came first, "stalled" when the iteration cap, a failed line search or
     a failed QP did, and "candidate-fallback" when the feasible warm start
-    costs less than every feasible iterate.
+    costs less than every feasible iterate. The solve runs in the problem's
+    ``workspace``, or in a new one without it.
     """
     n_h, m, u_max = len(problem.tight), problem.w.m, problem.w.u_max
+    if problem.workspace is None:
+        problem = replace(problem, workspace=FhocpWorkspace(problem.w, n_h))
+    held, spare = problem.workspace.sweeps     # the accepted iterate's, the trial's
     n_g0 = 2 * problem.w.p     # stage-0 output rows: independent of u
 
     def project(u_seq):
@@ -318,7 +373,7 @@ def solve_fhocp(problem, warm=None, real_time=False):
         else np.asarray(warm, dtype=float).reshape(n_h, m)
     u0 = project(u0)
 
-    cand_cost, cand_g, cand_aux = problem.evaluate(u0)
+    cand_cost, cand_g, cand_aux = problem._evaluate(u0, held)
     cand_viol = float(cand_g.max())    # each plan's max(g), taken once
     cand_feasible = cand_viol <= _FEAS_TOL
 
@@ -345,7 +400,7 @@ def solve_fhocp(problem, warm=None, real_time=False):
         t = 1.0
         for _ls in range(_LINE_SEARCH_MAX):
             u_t = project(u + t * d)
-            cost_t, g_t, aux_t = problem.evaluate(u_t)
+            cost_t, g_t, aux_t = problem._evaluate(u_t, spare)
             if tiny or merit(cost_t, g_t, nu) <= ref_val + 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -353,6 +408,7 @@ def solve_fhocp(problem, warm=None, real_time=False):
             break
         step = float(abs(u_t - u).max())
         u, cost, g, aux = u_t, cost_t, g_t, aux_t
+        held, spare = spare, held
         viol = float(g.max())
         if viol <= _FEAS_TOL and cost < best_cost:
             best_u, best_cost, best_viol = u, cost, viol
@@ -389,10 +445,10 @@ class Controller:
     The ``certificate`` fixes the horizon, state weight, margins and P_f;
     ``r_weight`` > 0, e_o(0) = ``e_o0`` >= 0 and the (p,) or scalar output
     bounds complete the FHOCP; InfeasibleSetpointError if they leave no
-    admissible set-point at e_o0. Each step builds its ``Problem``, kept as
-    ``problem`` until the next, and solves it once in real time,
-    warm-started at the shifted previous plan, which it applies when no
-    feasible iterate costs less.
+    admissible set-point at e_o0. Each step builds its ``Problem`` on the
+    controller's ``workspace``, built once, keeps it as ``problem`` until the
+    next step, and solves it once in real time, warm-started at the shifted
+    previous plan, which it applies when no feasible iterate costs less.
     """
 
     def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
@@ -418,6 +474,7 @@ class Controller:
                 f"= {e_o0}: d_max = {spec.d_max}, L_d = {spec.L_d.tolist()}, w_bar = {spec.w_bar}")
         self.w, self.certificate = w, certificate
         self.r_weight, self.e_o = r_weight, e_o0
+        self.workspace = FhocpWorkspace(w, certificate.horizon)
         self.problem = self.prev_solution = self.prev_ref = None
 
     def problem_at(self, x_hat, ref, y0):
@@ -429,7 +486,7 @@ class Controller:
         n_h = cert.horizon
         return Problem(self.w, x_hat, ref, cert.a[:n_h] * e_o + cert.b[:n_h] + cert.spec.d_max,
                        self.y_lb, self.y_ub, cert.P_f, alpha,
-                       cert.q_weight, self.r_weight)
+                       cert.q_weight, self.r_weight, self.workspace)
 
     def step(self, chi_hat, y0):
         """Compute the input for the current estimate and set-point."""

@@ -43,21 +43,25 @@ class ReferencePair:
 
 
 def _cell_step(w, xi):
-    """One step of the weights ``w`` at xi = (c, h, u): (c+, h+)."""
+    """One step of the weights ``w`` at xi = (c, h, u): (c+, h+), views of
+    the weights' buffers, which their next step overwrites."""
     n = w.n
-    return w.step(xi[:n], xi[n:2 * n], xi[2 * n:])
+    return w.step_in_place(xi[:n], xi[n:2 * n], xi[2 * n:])
 
 
-def _residual(w, xi, y0_eff, cell):
-    """F(xi) = [step(x,u) - x; g(x) - y0_eff], xi = (c, h, u), from the
-    ``_cell_step`` at xi.
+def _residual(w, xi, y0_eff, cell, out):
+    """Write F(xi) = [step(x,u) - x; g(x) - y0_eff], xi = (c, h, u), from the
+    ``_cell_step`` at xi into ``out``, (2n+p,).
 
     ``y0_eff`` = y0 - d_hat; only this difference enters the problem.
     """
     n = w.n
     c_next, h_next = cell
-    return np.concatenate([c_next - xi[:n], h_next - xi[n:2 * n],
-                           w.W_y @ xi[n:2 * n] + w.b_y - y0_eff])
+    np.subtract(c_next, xi[:n], out=out[:n])
+    np.subtract(h_next, xi[n:2 * n], out=out[n:2 * n])
+    y = np.matmul(w.W_y, xi[n:2 * n], out=out[2 * n:])
+    y += w.b_y
+    y -= y0_eff
 
 
 def _jacobian(w):
@@ -66,8 +70,8 @@ def _jacobian(w):
     into the weights' template; y0_eff only shifts F."""
     jac = w.residual_jacobian.copy()
     lstm.step_jacobians(w, w.last_factors(), jac[None])
-    diag = np.arange(2 * w.n)
-    jac[diag, diag] -= 1.0
+    # the diagonal of the state columns, a strided view: no index array
+    jac.reshape(-1)[:2 * w.n * (jac.shape[1] + 1):jac.shape[1] + 1] -= 1.0
     return jac
 
 
@@ -93,12 +97,15 @@ def _newton(w, xi, y0_eff, jac_inv):
     none, or when the residual did not fall by ``_CONTRACTION`` since the
     last step. Returns (xi, residual, J^-1) at the accepted iterate, J
     from the cell step that passed the residual test. An accepted input
-    outside the +-u_max box raises like a diverging iteration.
+    outside the +-u_max box raises like a diverging iteration. The iterate
+    is a copy of xi, updated in place.
     """
+    xi = xi.copy()
+    r, dxi = np.empty(2 * w.n + w.p), np.empty_like(xi)
     res_prev = np.inf
     with np.errstate(all="ignore"):       # a diverging iterate may overflow
         for it in range(51):               # 50 steps, then a last residual test
-            r = _residual(w, xi, y0_eff, _cell_step(w, xi))
+            _residual(w, xi, y0_eff, _cell_step(w, xi), r)
             res = float(abs(r).max())
             if res < _TOL:
                 if abs(xi[2 * w.n:]).max() > w.u_max + 1e-9:
@@ -110,7 +117,7 @@ def _newton(w, xi, y0_eff, jac_inv):
                 break
             if jac_inv is None or not res < _CONTRACTION * res_prev:
                 jac_inv = _inverse(_jacobian(w))
-            xi = xi - jac_inv @ r
+            xi -= np.matmul(jac_inv, r, out=dxi)
             res_prev = res
     raise InfeasibleReferenceError("Newton iteration did not converge", "diverged")
 

@@ -152,18 +152,33 @@ def load_dataset(directory):
 def _read_sequence(path, nrm):
     """The normalized (u, y) of one sequence file; the rows are checked as text
     before numpy parses each as data (no comment lines), so a file without rows
-    raises no numpy warning."""
+    raises no numpy warning, and a cell numpy does not read as a number is
+    named by its file and line."""
     with open(path) as fh:
         lines = fh.read().splitlines()[1:]
     check(f"rows of {path.name} after its header", len(lines), (lambda v: v >= 1, "at least 1"))
     for k in [k for k, line in enumerate(lines) if line.count(",") != 2][:1]:
         check(f"{path.name} line {k + 2}", lines[k], (lambda v: v.count(",") == 2,
                                                       "3 comma-separated values"))
-    rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    try:
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        for k, line in enumerate(lines):
+            check(f"{path.name} line {k + 2}", line, (_is_row, "3 comma-separated numbers"))
+        raise
     for k in np.flatnonzero(~np.isfinite(rows[:, 1:]).all(axis=1))[:1]:
         check(f"{path.name} line {k + 2}", rows[k, 1:].tolist(), (
             lambda v: all(FINITE[0](x) for x in v), "a finite (u_raw, y_raw) pair"))
     return nrm.normalize_u(rows[:, 1]), nrm.normalize_y(rows[:, 2])
+
+
+def _is_row(line):
+    """Whether numpy reads the text ``line`` as comma-separated numbers."""
+    try:
+        np.loadtxt([line], delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass

@@ -19,7 +19,9 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 # Scenario fields that must fail before the first step, with the error and
 # the start of its message. Each would otherwise end the run in a bare numpy
 # error or a traceback, run the solver on a setting it cannot use, end the
-# run at once (duration_s = inf) or (ramp_rate) drift a constant set-point;
+# run at once (duration_s = inf), exceed numpy's array size or the memory
+# (duration_s 1e308 or 1e15, beyond harness.MAX_STEPS steps) or (ramp_rate)
+# drift a constant set-point;
 # a negative tank section (A1) would run to the end on an unphysical plant.
 # A profile entry out of time order or with a NaN time would be dropped
 # without a word, and a null profile, null plant_overrides or an unknown
@@ -34,6 +36,8 @@ BAD_FIELDS = pytest.mark.parametrize("fields, error, message", [
     ({"horizon": 0}, ValueError, "horizon"),
     ({"duration_s": -10.0}, ValueError, "duration_s"),
     ({"duration_s": np.inf}, ValueError, "duration_s"),
+    ({"duration_s": 1e308}, ValueError, "duration_s"),
+    ({"duration_s": 1e15}, ValueError, "duration_s"),
     ({"e_o0": -0.5}, ValueError, "e_o0"), ({"e_o0": np.nan}, ValueError, "e_o0"),
     ({"r_weight": 0.0}, ValueError, "r_weight"), ({"r_weight": -1.0}, ValueError, "r_weight"),
     ({"r_weight": np.nan}, ValueError, "r_weight"),
@@ -63,7 +67,7 @@ BAD_FIELDS = pytest.mark.parametrize("fields, error, message", [
     ({"disturbance_increments": [[0.0, 0.02]]}, ValueError,
      "disturbance_increments must be empty in physical mode"),
 ], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "horizon", "duration_s",
-        "duration_s-inf", "e_o0-negative", "e_o0-nan", "r_weight-zero",
+        "duration_s-inf", "duration_s-1e308", "duration_s-1e15", "e_o0-negative", "e_o0-nan", "r_weight-zero",
         "r_weight-negative", "r_weight-nan", "q_weight-nan", "horizon-bool", "seed-negative",
         "seed-float", "plant-A1-zero", "plant-C_v4-zero", "plant-n_exp-zero", "plant-q1-str",
         "plant-A1-negative", "plant-null", "plant-unknown-key", "setpoints-out-of-order",
@@ -173,6 +177,56 @@ class TestSetpointTrace:
         assert harness._profile_value(prof, 50.0, 0.0) == 1.0
         assert harness._profile_value(prof, 100.0, 0.0) == 2.0
         assert harness._profile_value([], 5.0, 9.0) == 9.0
+
+
+def benchmark_scenario(duration_s):
+    """The shipped benchmark scenario, cut to ``duration_s``."""
+    sc = harness.Scenario.from_json(ASSETS / "benchmark_scenario.json")
+    sc.duration_s = duration_s
+    return sc
+
+
+class TestControllerBuffers:
+    """A controller's sweep and QP buffers are its own and are built once: no
+    step keeps state in the weights or the modules, and no step allocates them."""
+
+    # 200 steps of the benchmark scenario at N = 5 or of a profile at N = 10:
+    # a stream of the same scenario would read the other's leftovers one step
+    # late, and streams of two horizons catch what the weights or a module keep
+    @pytest.mark.parametrize("pair", [("benchmark", "benchmark"), ("horizon10", "horizon10"),
+                                      ("benchmark", "horizon10")],
+                             ids=["benchmark-twice", "horizon10-twice", "both"])
+    def test_interleaved_streams_yield_their_records_alone(self, bench_w, bench_spec, pair):
+        scenarios = [benchmark_scenario(2000.0) if name == "benchmark" else
+                     harness.Scenario(duration_s=2000.0, horizon=10,
+                                      setpoints=[(0.0, 7.0), (300.0, 7.4), (1200.0, 7.1)],
+                                      disturbances=[(800.0, 0.65)]) for name in pair]
+        alone = [[repr(rec) for rec in harness.steps(sc, bench_w, bench_spec)]
+                 for sc in scenarios]
+        streams = [harness.steps(sc, bench_w, bench_spec) for sc in scenarios]
+        interleaved = [[], []]
+        for records in zip(*streams):       # one step of each stream in turn
+            for out, rec in zip(interleaved, records):
+                out.append(repr(rec))
+        assert [len(records) for records in alone] == [200, 200]
+        assert interleaved == alone
+
+    def test_a_run_builds_its_buffers_once(self, bench_w, bench_spec, monkeypatch):
+        # counted by spies, in exact numbers: the controller's two sweeps and
+        # no dual QP (every QP of the benchmark scenario takes the early exit)
+        built, dual = [], []
+        init, dual_qp = lstm.Workspace.__init__, mpc._dual_qp
+        monkeypatch.setattr(lstm.Workspace, "__init__",
+                            lambda self, *args: built.append(1) or init(self, *args))
+        monkeypatch.setattr(mpc, "_dual_qp", lambda *args: dual.append(1) or dual_qp(*args))
+        counts = []
+        for duration_s in (500.0, 1000.0):
+            built.clear()
+            dual.clear()
+            report = harness.run_scenario(benchmark_scenario(duration_s), bench_w,
+                                          spec=bench_spec)
+            counts.append((report.steps, len(built), len(dual)))
+        assert counts == [(50, 2, 0), (100, 2, 0)]
 
 
 class TestRunScenario:
@@ -424,6 +478,18 @@ def gen_data_dir(tmp_path_factory):
     assert cli.main(["gen-data", "--out", str(out), "--seed", "1", "--n-train", "1",
                      "--n-val", "1", "--n-test", "1", "--steps", "60"]) == 0
     return out
+
+
+def cell_edit(line_no, column, value):
+    """The text edit that puts ``value`` in the 0-based ``column`` of the
+    1-based line ``line_no`` of a sequence file."""
+    def apply(text):
+        lines = text.splitlines()
+        cells = lines[line_no - 1].split(",")
+        cells[column] = value
+        lines[line_no - 1] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return apply
 
 
 def manifest_edit(edit):
@@ -757,10 +823,12 @@ class TestCli:
          "seq_002.csv line 2 must be 3 comma-separated values, got '0.0,"),
         ("seq_001.csv", lambda text: text.replace("\n40.0,", "\n40.0,0.0,", 1),
          "seq_001.csv line 6 must be 3 comma-separated values, got '40.0,0.0,"),
+        ("seq_001.csv", cell_edit(4, 1, "abc"),
+         "seq_001.csv line 4 must be 3 comma-separated numbers, got '20.0,abc,"),
     ], ids=["not-json", "manifest-list", "normalization-missing", "manifest-unknown-key",
             "normalization-list", "u_hi-string", "u_lo-nan", "u_hi-inf", "test-split-missing",
             "split-unknown", "split-entry-number", "split-not-a-list", "header-only",
-            "two-columns", "four-column-row"])
+            "two-columns", "four-column-row", "cell-not-a-number"])
     def test_dataset_file_field_is_named(self, tmp_path, capsys, gen_data_dir, name, edit,
                                          message):
         data = tmp_path / "ds"

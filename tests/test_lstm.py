@@ -458,6 +458,25 @@ class TestSensitivities:
         np.testing.assert_allclose(s_c, fd_c, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(s_h, fd_h, rtol=1e-6, atol=1e-9)
 
+    def test_zero_steps_have_no_input_columns(self, bench_w):
+        c, _, cache = lstm.rollout(bench_w, np.zeros(bench_w.n), np.zeros(bench_w.n),
+                                   np.zeros((0, bench_w.m)))
+        assert lstm.sensitivities(bench_w, c, cache).shape == (1, 2 * bench_w.n, 0)
+
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_steps", [1, 5, 10])
+    def test_reused_workspace_equals_the_functions(self, bench_w, net, n_steps):
+        # a workspace's sweep after an earlier one, bit for bit the fresh
+        # rollout and sensitivities: nothing of the earlier sweep shows
+        w, rng, x0, u, c, cache = self._case(bench_w, net, n_steps)
+        ws = lstm.Workspace(w, n_steps)
+        ws.rollout(-x0.c, -x0.h, -u)
+        ws.sensitivities()
+        got_c, got_h, _ = ws.rollout(x0.c, x0.h, u)
+        want_h = lstm.rollout(w, x0.c, x0.h, u)[1]
+        assert (got_c.tobytes(), got_h.tobytes()) == (c.tobytes(), want_h.tobytes())
+        assert ws.sensitivities().tobytes() == lstm.sensitivities(w, c, cache).tobytes()
+
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])
     def test_agrees_with_adjoint(self, bench_w, net, n_steps):

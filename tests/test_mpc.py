@@ -353,11 +353,12 @@ def full_dual_qp(hess, grad, a_mat, b_vec):
     return None
 
 
-def seeded_qp(seed, feasible_minimizer):
-    """A strictly convex QP; its unconstrained minimizer satisfies every
-    row, or ``grad`` pushes it out of the set, which contains d = 0."""
+def seeded_qp(seed, feasible_minimizer, shape=None):
+    """A strictly convex QP of ``shape`` (variables, rows), else 4 + seed by
+    3 + 2 seed; its unconstrained minimizer satisfies every row, or ``grad``
+    pushes it out of the set, which contains d = 0."""
     rng = np.random.default_rng(seed)
-    n_v, n_c = 4 + seed, 3 + 2 * seed
+    n_v, n_c = shape or (4 + seed, 3 + 2 * seed)
     b_mat = rng.normal(size=(n_v, n_v))
     hess = b_mat @ b_mat.T + 0.5 * np.eye(n_v)
     grad = 5.0 * rng.normal(size=n_v)
@@ -368,19 +369,31 @@ def seeded_qp(seed, feasible_minimizer):
     return hess, grad, a_mat, b_vec
 
 
+# The seeded shapes, then the FHOCP's at N = 5 and N = 10 on the bench model:
+# N inputs by 2(N-1) output rows, the terminal row and 2N input-box rows.
+QP_CASES = pytest.mark.parametrize(
+    "seed, shape", [*((seed, None) for seed in range(6)), (6, (5, 19)), (7, (10, 39))],
+    ids=[*map(str, range(6)), "5x19", "10x39"])
+
+
 class TestDenseQp:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_feasible_minimizer_equals_full_dual_path(self, seed):
-        qp = seeded_qp(seed, feasible_minimizer=True)
+    # Bit for bit against the dual path. _dense_qp's early exit solves
+    # H [grad | 0] for d0: LAPACK's one-column solve rounds differently from
+    # its solve of [grad | A'] (on 2,000 seeded 5x5 and 2,000 10x10 systems,
+    # 3,865 one-column solves differed from that first column and no
+    # two-column one did), which these exact tests would catch.
+    @QP_CASES
+    def test_feasible_minimizer_equals_full_dual_path(self, seed, shape):
+        qp = seeded_qp(seed, feasible_minimizer=True, shape=shape)
         d, lam = mpc._dense_qp(*qp)
         d_ref, lam_ref = full_dual_qp(*qp)
         np.testing.assert_array_equal(d, d_ref)
         np.testing.assert_array_equal(lam, lam_ref)
         assert not lam.any()
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_kkt_conditions(self, seed):
-        hess, grad, a_mat, b_vec = seeded_qp(seed, feasible_minimizer=False)
+    @QP_CASES
+    def test_kkt_conditions(self, seed, shape):
+        hess, grad, a_mat, b_vec = seeded_qp(seed, feasible_minimizer=False, shape=shape)
         d, lam = mpc._dense_qp(hess, grad, a_mat, b_vec)
         d_ref, lam_ref = full_dual_qp(hess, grad, a_mat, b_vec)
         np.testing.assert_array_equal(d, d_ref)
@@ -694,6 +707,33 @@ class TestCertify:
         assert problem.tight.shape == (7, 1)
         assert problem.q_weight == 2.5
         assert problem.P_f is certificate.P_f
+
+
+def solution_bits(sol):
+    """A solution's plan bytes and its scalars, compared bit for bit."""
+    return (sol.u_seq.tobytes(), repr(sol.cost), sol.status, sol.solver_iterations,
+            repr(sol.max_violation), repr(sol.candidate_violation))
+
+
+class TestWorkspace:
+    def test_used_workspace_gives_the_fresh_solve(self, bench_w, bench_spec, monkeypatch):
+        # an active output bound at N = 10, where the line search backtracks
+        ctrl, problem = feasible_instance(bench_w, bench_spec, 2, 10, y0=0.1)
+        problem = with_y_ub(problem, 0.30)
+        assert problem.workspace is ctrl.workspace
+        fresh = mpc.solve_fhocp(dataclasses.replace(problem, workspace=None))
+        rng = np.random.default_rng(5)
+        for _ in range(3):     # earlier steps of the controller, on other estimates
+            x_hat = lstm.LstmState(problem.x_hat.c + rng.uniform(-0.02, 0.02, bench_w.n),
+                                   problem.x_hat.h + rng.uniform(-0.02, 0.02, bench_w.n))
+            mpc.solve_fhocp(ctrl.problem_at(x_hat, problem.ref, [0.1]), real_time=True)
+        evaluations = []
+        evaluate = mpc.Problem._evaluate
+        monkeypatch.setattr(mpc.Problem, "_evaluate",
+                            lambda self, *args: evaluations.append(1) or evaluate(self, *args))
+        used = mpc.solve_fhocp(problem)
+        assert len(evaluations) > used.solver_iterations + 1      # some trial was rejected
+        assert solution_bits(used) == solution_bits(fresh)
 
 
 class TestController:
