@@ -23,6 +23,8 @@ from .observer import AugmentedState
 
 
 MAX_STEPS = 10 ** 7     # the longest run a scenario may ask for, in control steps
+# an output bound: ``plant.measure_ph`` finds every pH in [0, 14]
+PH = (lambda v: FINITE[0](v) and 0.0 <= v <= 14.0, "a pH in [0, 14]")
 
 
 @dataclass(slots=True)
@@ -70,6 +72,7 @@ class Scenario:
                 ("duration_s", (lambda v: NONNEGATIVE[0](v) and v <= MAX_STEPS * plant.T_S,
                                 f"{NONNEGATIVE[1]}, at most {MAX_STEPS} steps of {plant.T_S} s")),
                 ("ramp_rate", POSITIVE), ("horizon", POSITIVE_INT), ("seed", NONNEGATIVE_INT),
+                ("y_lb_phys", PH), ("y_ub_phys", PH),
                 ("mode", (lambda v: v in list(_PLANTS), f"one of {list(_PLANTS)}")),
                 ("plant_overrides", (lambda v: isinstance(v, dict) and set(v) <= {
                     f.name for f in fields(plant.PhParams)}, "a dict keyed by PhParams fields"))):

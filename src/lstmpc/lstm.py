@@ -19,9 +19,10 @@ training and the reference Jacobian all run this cell through one kernel:
   equal ``sigmoid``'s bit for bit. One loop, ``_run``, works in place in
   a buffer whose row k is [c_k | g | f | i | o], 9 numpy calls per step:
   ``rollout`` runs it over T steps on buffers it allocates, a
-  ``Workspace`` over T steps on buffers and row views it owns, for
-  sweeps that repeat, and ``LstmWeights.step`` over one on buffers the
-  weights own.
+  ``Workspace`` over up to T steps, of any weights of its shapes, on
+  buffers and row views it owns, for sweeps that repeat, such as the
+  controller's and training's, and ``LstmWeights.step`` over one on
+  buffers the weights own.
 - ``step_jacobians``, the one copy of the cell's linearization, feeds the
   forward sweep ``sensitivities``, the reverse sweep ``adjoint`` and the
   reference calculation's Newton Jacobian.
@@ -32,6 +33,7 @@ reverse sweep, ``margin_adjoint``. ``StabilityCertificate`` forms the
 model's whole certificate, ``lyapunov_bounds`` its Lyapunov data.
 """
 
+import itertools
 import json
 import warnings
 from dataclasses import InitVar, dataclass, field
@@ -239,31 +241,62 @@ def _sweep(w, buffers, c0, h0, u_seq, inject=None):
 
 
 class Workspace:
-    """The buffers of repeated T-step sweeps of the weights ``w``, each
-    allocated once with its per-step views: the loop buffers of ``rollout``
-    and, on the first ``sensitivities`` call, that function's arrays. Each
-    sweep overwrites the last one's results, so a caller that keeps one
-    sweep while it runs the next holds two workspaces; the function
-    ``rollout``, for a sweep run once, works on buffers of its own."""
+    """The buffers of repeated sweeps of up to ``n_t`` steps of (n, m)
+    weights, each allocated once with its per-step views: the loop buffers
+    of ``rollout`` and, on first use, those of ``sensitivities`` and of
+    ``adjoint``. A sweep takes the weights it runs, so one workspace serves
+    every model of these shapes, such as each update's new weights in
+    training, and a sweep of T < ``n_t`` steps runs in the leading rows.
+    Each sweep overwrites the last one's results, so a caller that keeps one
+    sweep while it runs the next holds two workspaces; the functions
+    ``rollout`` and ``adjoint``, for a sweep run once, work on buffers of
+    their own."""
 
-    def __init__(self, w, n_t):
-        row, h, pre, steps, cache, fc_ig = _loop_buffers(n_t, w.n)
-        self.w, self._n_t = w, n_t
+    def __init__(self, n, m, n_t):
+        row, h, pre, steps, cache, fc_ig = _loop_buffers(n_t, n)
+        self.n, self.m, self.n_t = n, m, n_t
         self._buffers = row, h, pre, list(steps), cache, fc_ig
-        self._sens = None
+        self._sens = self._reverse = None
 
-    def rollout(self, c0, h0, u_seq):
-        """``rollout`` of the weights over the (T, m) ``u_seq`` from (c0, h0):
-        c, h and the cache, views of this workspace's buffers."""
-        self._c, _, self._cache = out = _sweep(self.w, self._buffers, c0, h0, u_seq)
+    def rollout(self, w, c0, h0, u_seq):
+        """``rollout`` of the weights ``w`` over the (T, m) ``u_seq`` from
+        (c0, h0): c, h and the cache, views of this workspace's buffers."""
+        n_t = len(u_seq)
+        buffers = self._buffers if n_t == self.n_t else self._leading(n_t)
+        c, h, cache = out = _sweep(w, buffers, c0, h0, u_seq)
+        self._last = w, c, cache
         return out
+
+    def _leading(self, n_t):
+        """The loop buffers' leading rows, those of a T-step sweep."""
+        if not 0 <= n_t <= self.n_t:
+            raise DimensionError(f"a sweep of {n_t} steps in a workspace of {self.n_t}")
+        row, h, pre, steps, cache, fc_ig = self._buffers
+        return (row[:n_t + 1], h[:n_t + 1], pre[:n_t], steps[:n_t],
+                tuple(x[:n_t] for x in cache), fc_ig)
 
     def sensitivities(self):
         """``sensitivities`` of the last ``rollout``, an array of this
         workspace, which the next call overwrites."""
         if self._sens is None:
-            self._sens = _sensitivity_buffers(self.w, self._n_t)
-        return _sensitivities(self.w, self._c, self._cache, *self._sens)
+            self._sens = _sensitivity_buffers(self.n, self.m, self.n_t)
+        w, c, cache = self._last
+        n_t, (jac, s, steps) = len(c) - 1, self._sens
+        if n_t < self.n_t:
+            jac, s, steps = jac[:n_t], s[:n_t + 1, :, :n_t * self.m], steps[:n_t]
+        return _sensitivities(w, c, cache, jac, s, steps)
+
+    def adjoint(self, dc_stage, dh_stage):
+        """``adjoint`` of the last ``rollout`` for the stage partials
+        ``dc_stage``, ``dh_stage``, (T+1, n): a new (T, 4n) dz."""
+        if self._reverse is None:
+            lam, aug, steps = _adjoint_buffers(self.n, self.m, self.n_t)
+            self._reverse = lam, aug, list(steps)
+        w, c, cache = self._last
+        lam, aug, steps = self._reverse
+        n_t = len(c) - 1
+        return _adjoint(w, c, cache, dc_stage, dh_stage, lam[:n_t + 1], aug,
+                        itertools.islice(steps, self.n_t - n_t, None))
 
 
 def local_factors(c, cache):
@@ -294,22 +327,40 @@ def adjoint(w, c, cache, dc_stage, dh_stage):
     dct = lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_g dct, k_f dct, k_i dct,
     k_o lam^h_k+1) in ``GATES`` order.
     """
+    return _adjoint(w, c, cache, dc_stage, dh_stage, *_adjoint_buffers(w.n, w.m, len(c) - 1))
+
+
+def _adjoint_buffers(n, m, n_t):
+    """A T-step reverse sweep's [lam_k | 1] rows (T+1, 2n+1), its block of
+    [A_k; stage-k partials] (block, 2n+1, 2n), zeros, and the per-step views
+    (lam_k, [lam_k+1 | 1], step k's slot of the block), an iterator from
+    k = T-1 down to 0. Blocks start at multiples of the block size, so step
+    k takes slot k % block in every sweep of T or fewer steps."""
+    n2 = 2 * n
+    block = min(_sweep_block(n, m), max(n_t, 1))
+    lam, aug = np.ones((n_t + 1, n2 + 1)), np.zeros((block, n2 + 1, n2))
+    slots = list(aug)
+    return lam, aug, zip(lam[:-1, :n2][::-1], lam[1:][::-1],
+                         (slots[k % block] for k in range(n_t - 1, -1, -1)))
+
+
+def _adjoint(w, c, cache, dc_stage, dh_stage, lam, aug, steps):
+    """``adjoint`` in ``_adjoint_buffers``' ``lam`` (T+1 rows), ``aug`` and
+    ``steps`` (from k = T-1 down), which keep their ones column and, in
+    ``aug``, the zeros ``step_jacobians`` needs."""
     factors = local_factors(c, cache)
     _, k_f, k_i, k_g, k_o, k_t = factors
     n_t, n = k_t.shape
-    n2 = 2 * n
-    lam = np.ones((n_t + 1, n2 + 1))               # [lam_k | 1]
+    n2, block = 2 * n, len(aug)
     lam[n_t, :n], lam[n_t, n:n2] = dc_stage[n_t], dh_stage[n_t]
-    block = min(_sweep_block(n, w.m), max(n_t, 1))
-    aug = np.zeros((block, n2 + 1, n2))            # [A_k; stage-k partials]
-    for k1 in range(n_t, 0, -block):
-        k0 = max(k1 - block, 0)
+    dot = np.dot
+    for k0 in range((n_t - 1) // block * block, -1, -block):
+        k1 = min(k0 + block, n_t)
         aug_b = aug[:k1 - k0]
         step_jacobians(w, [x[k0:k1] for x in factors], aug_b)
         aug_b[:, n2, :n], aug_b[:, n2, n:] = dc_stage[k0:k1], dh_stage[k0:k1]
-        for lam_k, lam_next, aug_k in zip(lam[k0:k1, :n2][::-1], lam[k0 + 1:k1 + 1][::-1],
-                                          aug_b[::-1]):
-            np.dot(lam_next, aug_k, out=lam_k)
+        for lam_k, lam_next, aug_k in itertools.islice(steps, k1 - k0):
+            dot(lam_next, aug_k, out=lam_k)
     lam_c, lam_h = lam[1:, :n], lam[1:, n:n2]
     dct = lam_h * k_t
     dct += lam_c
@@ -366,14 +417,15 @@ def sensitivities(w, c, cache):
     depend on u and stage k only on u_0..u_{k-1}, so S_k+1 = A_k S_k on
     those columns and B_k on u_k's, with [A_k | B_k] from ``step_jacobians``.
     """
-    return _sensitivities(w, c, cache, *_sensitivity_buffers(w, len(c) - 1))
+    return _sensitivities(w, c, cache, *_sensitivity_buffers(w.n, w.m, len(c) - 1))
 
 
-def _sensitivity_buffers(w, n_t):
+def _sensitivity_buffers(n, m, n_t):
     """The step Jacobians (T, 2n, 2n+m) and S, zeros, and the per-step views
     of ``_sensitivities``: A_k, S_k's and S_k+1's columns of u_0..u_k-1,
-    S_k+1's of u_k and B_k."""
-    n2, m = 2 * w.n, w.m
+    S_k+1's of u_k and B_k. A sweep of fewer steps runs in the leading
+    steps, on S's leading stages and columns."""
+    n2 = 2 * n
     jac, s = np.zeros((n_t, n2, n2 + m)), np.zeros((n_t + 1, n2, n_t * m))
     return jac, s, [(jac[t, :, :n2], s[t, :, :t * m], s[t + 1, :, :t * m],
                      s[t + 1, :, t * m:(t + 1) * m], jac[t, :, n2:]) for t in range(n_t)]

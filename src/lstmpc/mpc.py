@@ -26,6 +26,7 @@ controller runs on the one ``FhocpWorkspace`` it allocates (Houska,
 Ferreau & Diehl, 2011, run each sample on memory allocated once).
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +35,13 @@ from . import lstm, observer, plant, refcalc
 from .errors import (NONNEGATIVE, POSITIVE, POSITIVE_INT, DimensionError,
                      FeasibilityLossError, InfeasibleSetpointError, check)
 from .numerics import eig_extrema_spd, freeze_arrays, solve_discrete_lyapunov, spectral_radius
+
+
+def _weight(factor):
+    """The rule of a cost weight whose largest multiple the solver forms is
+    ``factor`` times it."""
+    return (lambda v: POSITIVE[0](v) and factor * v < math.inf,
+            f"finite and positive, with {factor:g} times it finite")
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,8 @@ class Certificate:
 
     def __post_init__(self):
         check("horizon", self.horizon, POSITIVE_INT)
+        # the terminal weight 1.1 q, whose SPD check adds it to its transpose
+        check("q_weight", self.q_weight, _weight(2.2))
         cert, spec = self.model, self.spec
         a = [np.asarray(spec.c_o, dtype=float).copy()]
         b = [np.zeros_like(a[0])]
@@ -167,13 +177,14 @@ class MpcSolution:
 
 class FhocpWorkspace:
     """The arrays that the FHOCP solves of one horizon reuse, allocated once
-    by ``Controller``: two ``lstm.Workspace`` sweeps, so that the line search
-    writes each trial into the one that does not hold the accepted iterate,
-    the QP's A and b, whose input-box rows [I; -I] are set here, and I."""
+    by ``Controller``: two ``lstm.Workspace`` sweeps, which each rollout
+    runs on the problem's weights, so that the line search writes each
+    trial into the one that does not hold the accepted iterate, the QP's A
+    and b, whose input-box rows [I; -I] are set here, and I."""
 
     def __init__(self, w, n_horizon):
         n_u, n_out = n_horizon * w.m, 2 * w.p * (n_horizon - 1)
-        self.sweeps = [lstm.Workspace(w, n_horizon), lstm.Workspace(w, n_horizon)]
+        self.sweeps = [lstm.Workspace(w.n, w.m, n_horizon) for _ in range(2)]
         self.eye = np.eye(n_u)
         self.a_mat = np.empty((n_out + 1 + 2 * n_u, n_u))
         self.a_mat[n_out + 1:n_out + 1 + n_u] = self.eye
@@ -215,12 +226,12 @@ class Problem:
         terminal set; aux is the rollout that ``qp_model`` linearizes, (c,
         h, the ``lstm.Workspace`` that holds them, the terminal 2-norms ev,
         the state errors dx of stages 0..N, (N+1, 2n))."""
-        return self._evaluate(u_seq, lstm.Workspace(self.w, len(self.tight)))
+        return self._evaluate(u_seq, lstm.Workspace(self.w.n, self.w.m, len(self.tight)))
 
     def _evaluate(self, u_seq, sweep):
         """``evaluate`` with the rollout in ``sweep``, which it overwrites."""
         w, ref, n_h = self.w, self.ref, len(self.tight)
-        c, h, _ = sweep.rollout(self.x_hat.c, self.x_hat.h, u_seq)
+        c, h, _ = sweep.rollout(w, self.x_hat.c, self.x_hat.h, u_seq)
         y_pred = h[:n_h] @ w.W_y.T + w.b_y      # outputs at stages 0..N-1
         g = np.empty(2 * w.p * n_h + 1)
         g_out = g[:-1].reshape(n_h, 2, w.p)
@@ -332,6 +343,8 @@ def _dual_qp(hess, grad, a_mat, b_vec):
             try:
                 z[idx] = np.linalg.solve(m_mat[np.ix_(idx, idx)], -q[idx])
             except np.linalg.LinAlgError:
+                return None
+            if not np.isfinite(z[idx]).all():
                 return None
             if np.all(z[idx] > 0.0):
                 lam = z
@@ -453,7 +466,7 @@ class Controller:
 
     def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
         # the QP's Hessian is at least 2 r I: r > 0 keeps it strictly convex
-        check("r_weight", r_weight, POSITIVE)
+        check("r_weight", r_weight, _weight(2.0))
         check("e_o0", e_o0, NONNEGATIVE)
         bounds = []
         for name, bound in (("y_lb", y_lb), ("y_ub", y_ub)):

@@ -58,13 +58,21 @@ PARAM_RULES = {**dict.fromkeys(("C_v4", "n_exp", "A1"), POSITIVE),
 
 
 def equilibrium(p, u_phi=None, d_phi=None):
-    """Exact steady state [W_a4, W_b4, h1] for constant flows."""
+    """Exact steady state [W_a4, W_b4, h1] for constant flows; a ValueError
+    names the inflow q1 + u_phi + d_phi when it has none, being zero or
+    giving a level that overflows."""
     u = p.q3_nominal if u_phi is None else u_phi
     d = p.q2_nominal if d_phi is None else d_phi
     q_tot = p.q1 + u + d
+    try:
+        h1 = (q_tot / p.C_v4) ** (1.0 / p.n_exp) - p.z
+    except OverflowError:
+        h1 = math.inf
+    check("q1 + u_phi + d_phi", q_tot, (
+        lambda q: q > 0.0 and math.isfinite(h1),
+        "positive, with a finite level (q / C_v4) ** (1 / n_exp) - z"))
     w_a4 = (p.q1 * p.W_a1 + u * p.W_a3 + d * p.W_a2) / q_tot
     w_b4 = (p.q1 * p.W_b1 + u * p.W_b3 + d * p.W_b2) / q_tot
-    h1 = (q_tot / p.C_v4) ** (1.0 / p.n_exp) - p.z
     return np.array([w_a4, w_b4, h1])
 
 

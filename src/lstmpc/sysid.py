@@ -1,8 +1,9 @@
 """Identification pipeline: excitation design, dataset handling, training.
 
 The trainer is backpropagation through time with an Adam update: each
-``loss`` call runs one ``lstm.rollout`` and one ``lstm.adjoint``, the
-reverse sweep over the model's step Jacobians. The loss carries soft
+``loss`` call runs one rollout and one adjoint, the reverse sweep over the
+model's step Jacobians, in the one ``lstm.Workspace`` that ``train`` builds
+for all its updates, or on fresh buffers without one. The loss carries soft
 penalties on the two stability margins r1, r2 so the final network is
 certifiable. Training only terminates once both margins are negative.
 """
@@ -202,15 +203,17 @@ class TrainConfig:
             check(name, getattr(self, name), rule)
 
 
-def _forward(w, u_seq):
-    """Open-loop rollout from the zero state over all but the last input.
+def _forward(w, u_seq, workspace=None):
+    """Open-loop rollout from the zero state over all but the last input,
+    in the ``lstm.Workspace`` ``workspace`` or on fresh buffers.
 
     Returns (y_hat, c, h, cache, u2): outputs and states of shape (t, .)
     for the t = len(u_seq) samples, and the inputs as a (t, m) array.
     """
     u2 = np.asarray(u_seq, dtype=float).reshape(len(u_seq), -1)
     zero = np.zeros(w.n)
-    c, h, cache = lstm.rollout(w, zero, zero, u2[:-1])
+    sweep = lstm.rollout if workspace is None else workspace.rollout
+    c, h, cache = sweep(w, zero, zero, u2[:-1])
     return h @ w.W_y.T + w.b_y, c, h, cache, u2
 
 
@@ -219,12 +222,14 @@ def predict(w, u_seq):
     return _forward(w, u_seq)[0]
 
 
-def loss(w, u_seq, y_seq, cfg):
+def loss(w, u_seq, y_seq, cfg, workspace=None):
     """(value, grads): training loss (MSE past washout + stability-margin
-    penalties) and its gradient for each array in ``lstm.PARAMETERS``."""
+    penalties) and its gradient for each array in ``lstm.PARAMETERS``.
+    The rollout and its reverse sweep run in the ``lstm.Workspace``
+    ``workspace``, of at least len(u_seq) - 1 steps, or on fresh buffers."""
     t = len(u_seq)
     y_seq = np.asarray(y_seq, dtype=float).reshape(t, -1)
-    y_hat, c, h, cache, u2 = _forward(w, u_seq)
+    y_hat, c, h, cache, u2 = _forward(w, u_seq, workspace)
     mask = np.arange(t) >= cfg.washout
     n_eval = int(mask.sum())
     if n_eval == 0:
@@ -239,7 +244,9 @@ def loss(w, u_seq, y_seq, cfg):
     grads["W_y"] = scale * err.T @ h
     grads["b_y"] = scale * err.sum(axis=0)
     out_grad = scale * err @ w.W_y
-    dz = lstm.adjoint(w, c, cache, np.zeros_like(c), out_grad)
+    dc_stage = np.zeros_like(c)
+    dz = lstm.adjoint(w, c, cache, dc_stage, out_grad) if workspace is None \
+        else workspace.adjoint(dc_stage, out_grad)
     grads["W"], grads["U"], grads["b"] = dz.T @ u2[:t - 1], dz.T @ h[:t - 1], dz.sum(axis=0)
     return mse + _penalty_with_grads(w, cfg, grads), grads
 
@@ -288,7 +295,9 @@ def train(data, cfg, init=None, callback=None):
     negative; it fails rather than return an uncertified model. The stop
     test and ``callback(epoch, mean loss, (r1, r2))`` read the margins of
     the weights after the epoch's last update. Each update builds new
-    weights, which carry the training split's normalization ranges.
+    weights, which carry the training split's normalization ranges; every
+    ``loss`` call runs in one ``lstm.Workspace``, sized to the longest
+    training sequence and built once per call.
     """
     if not data.train:
         raise TrainingError("the training split is empty")
@@ -298,6 +307,8 @@ def train(data, cfg, init=None, callback=None):
         cfg, m=1, p=1, u_range=u_range, y_range=y_range)
     if cfg.epochs == 0 and (bounds := lstm.gate_bounds(w)).r1 < 0 and bounds.r2 < 0:
         return w
+    longest = max(len(u) for u, _ in data.train)
+    workspace = lstm.Workspace(w.n, w.m, max(longest - 1, 0))    # each loss sweeps t - 1 steps
     rng = np.random.default_rng(cfg.seed + 1)
     mom = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
     vel = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
@@ -310,7 +321,7 @@ def train(data, cfg, init=None, callback=None):
         for s in order:
             u_seq, y_seq = data.train[s]
             try:
-                value, grads = loss(w, u_seq, y_seq, cfg)
+                value, grads = loss(w, u_seq, y_seq, cfg, workspace)
             except TrainingError as exc:
                 raise TrainingError(f"epoch {epoch}, sequence {s}: {exc}") from exc
             epoch_loss += value

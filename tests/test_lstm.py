@@ -260,6 +260,27 @@ class TestAdjointBlocks:
         assert lstm._sweep_block(w.n, w.m) > n_steps
         np.testing.assert_array_equal(lstm.adjoint(w, c, cache, dc_stage, dh_stage), dz)
 
+    @pytest.mark.parametrize("block_steps", [1, 3])
+    def test_block_edges_in_a_workspace(self, bench_w, monkeypatch, block_steps):
+        # blocks of 1 or 3 steps, forced small: sweeps shorter than the
+        # workspace, of 1-3 blocks and one step either side of their edges,
+        # equal the function's dz bit for bit
+        w = bench_w
+        step_bytes = 8 * 2 * w.n * (2 * w.n + w.m)
+        monkeypatch.setattr(lstm, "_SWEEP_BLOCK_BYTES", block_steps * step_bytes)
+        assert lstm._sweep_block(w.n, w.m) == block_steps
+        ws = lstm.Workspace(w.n, w.m, 10)
+        rng = np.random.default_rng(block_steps)
+        for n_steps in (10, block_steps - 1, block_steps, block_steps + 1, 2 * block_steps + 1,
+                        3 * block_steps, 7):
+            x0 = random_invariant_state(w, rng)
+            u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
+            dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
+            c, _, cache = ws.rollout(w, x0.c, x0.h, u)
+            got = ws.adjoint(dc_stage, dh_stage)
+            assert got.tobytes() == lstm.adjoint(w, c, cache, dc_stage, dh_stage).tobytes()
+            assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage)
+
     @pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (33, 2), (128, 2)])
     def test_block_size(self, n, m):
         block = lstm._sweep_block(n, m)
@@ -469,13 +490,40 @@ class TestSensitivities:
         # a workspace's sweep after an earlier one, bit for bit the fresh
         # rollout and sensitivities: nothing of the earlier sweep shows
         w, rng, x0, u, c, cache = self._case(bench_w, net, n_steps)
-        ws = lstm.Workspace(w, n_steps)
-        ws.rollout(-x0.c, -x0.h, -u)
+        ws = lstm.Workspace(w.n, w.m, n_steps)
+        ws.rollout(w, -x0.c, -x0.h, -u)
         ws.sensitivities()
-        got_c, got_h, _ = ws.rollout(x0.c, x0.h, u)
+        got_c, got_h, _ = ws.rollout(w, x0.c, x0.h, u)
         want_h = lstm.rollout(w, x0.c, x0.h, u)[1]
         assert (got_c.tobytes(), got_h.tobytes()) == (c.tobytes(), want_h.tobytes())
         assert ws.sensitivities().tobytes() == lstm.sensitivities(w, c, cache).tobytes()
+
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    def test_workspace_sweeps_of_other_weights_and_lengths(self, bench_w, net):
+        # one workspace runs each sweep on the weights it is given, a sweep of
+        # fewer steps in its leading rows; after sweeps of other weights, and of
+        # more and fewer steps, each result is the functions' bit for bit
+        w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
+        other = small_net(seed=7, n=w.n, m=w.m, p=w.p, scale=0.3)
+        ws = lstm.Workspace(w.n, w.m, 12)
+        rng = np.random.default_rng(4)
+        for net_k, n_steps in ((other, 12), (w, 7), (other, 3), (w, 12), (w, 0), (w, 5)):
+            x0 = random_invariant_state(net_k, rng)
+            u = rng.uniform(-0.9, 0.9, (n_steps, w.m))
+            dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
+            c, h, cache = lstm.rollout(net_k, x0.c, x0.h, u)
+            got = ws.rollout(net_k, x0.c, x0.h, u)
+            assert [a.tobytes() for a in (*got[:2], *got[2])] == \
+                [a.tobytes() for a in (c, h, *cache)]
+            assert ws.sensitivities().tobytes() == lstm.sensitivities(net_k, c, cache).tobytes()
+            assert ws.adjoint(dc_stage, dh_stage).tobytes() == \
+                lstm.adjoint(net_k, c, cache, dc_stage, dh_stage).tobytes()
+
+    def test_workspace_rejects_a_longer_sweep(self, bench_w):
+        ws = lstm.Workspace(bench_w.n, bench_w.m, 4)
+        zero = np.zeros(bench_w.n)
+        with pytest.raises(DimensionError, match="a sweep of 5 steps in a workspace of 4"):
+            ws.rollout(bench_w, zero, zero, np.zeros((5, bench_w.m)))
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])

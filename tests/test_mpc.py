@@ -10,7 +10,7 @@ from scipy.optimize import nnls
 
 from lstmpc import lstm, mpc, numerics, observer, refcalc
 from lstmpc.errors import (DimensionError, FeasibilityLossError, InfeasibleSetpointError,
-                           InstabilityError, NotSpdError)
+                           InstabilityError)
 from lstmpc.observer import AugmentedState
 
 from conftest import random_invariant_state, small_net, with_arrays
@@ -411,6 +411,12 @@ class TestDenseQp:
         assert mpc._dense_qp(np.eye(2), np.zeros(2), a_mat,
                              np.array([-1.0, -1.0, -0.5])) is None
 
+    def test_non_finite_subproblem_returns_none(self):
+        # an infinite Hessian solves to NaN: the dual iteration reports a
+        # breakdown instead of reaching an empty ratio test
+        a_mat = np.vstack((np.eye(3), -np.eye(3)))
+        assert mpc._dense_qp(np.full((3, 3), np.inf), np.ones(3), a_mat, -np.ones(6)) is None
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_active_set_enumeration(self, seed):
         # The strictly convex QP has one minimizer: the equality-constrained
@@ -695,9 +701,11 @@ class TestCertify:
         with pytest.raises(ValueError, match="w_bar"):
             mpc.certify(w, observer.select_gains(w, w_bar=w_bar))
 
-    @pytest.mark.parametrize("q_weight", [np.nan, np.inf])
+    @pytest.mark.parametrize("q_weight", [np.nan, np.inf, 1e308, 0.0])
     def test_rejects_non_finite_q_weight(self, bench_w, bench_spec, q_weight):
-        with pytest.raises(NotSpdError, match="q is not finite"):
+        # named before the terminal weight 1.1 q, or its SPD check's sum
+        # 2.2 q, is formed
+        with pytest.raises(ValueError, match="^q_weight must be finite and positive"):
             mpc.certify(bench_w, bench_spec, 5, q_weight=q_weight)
 
     def test_controller_reads_horizon_and_q_weight(self, bench_w, bench_spec):
@@ -760,6 +768,7 @@ class TestController:
     # run in a bare error, and an infinite one tightens every bound away
     @pytest.mark.parametrize("setting, value", [
         ("r_weight", 0.0), ("r_weight", -1.0), ("r_weight", np.nan), ("r_weight", np.inf),
+        ("r_weight", 1e308),
         ("e_o0", -0.5), ("e_o0", np.nan), ("e_o0", np.inf),
     ])
     def test_rejects_setting_the_solver_cannot_use(self, bench_w, bench_certificate,

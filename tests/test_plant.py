@@ -102,6 +102,16 @@ class TestEquilibrium:
         np.testing.assert_allclose(xdot(params, eq, 14.2, 0.6),
                                    np.zeros(3), atol=1e-15)
 
+    @pytest.mark.parametrize("kw, flows", [
+        ({"q1": 1e308}, {}), ({"q1": 1e200}, {}), ({"q1": 0.0}, {"u_phi": 0.0, "d_phi": 0.0}),
+        ({"n_exp": 1e-3}, {}), ({}, {"d_phi": 1e308}), ({}, {"u_phi": np.nan}),
+    ])
+    def test_rejects_an_inflow_without_one(self, kw, flows):
+        # a zero inflow has no concentrations, and a level that overflows the
+        # power (q / C_v4) ** (1 / n_exp) no finite state: both are named
+        with pytest.raises(ValueError, match=r"^q1 \+ u_phi \+ d_phi must be positive"):
+            plant.equilibrium(plant.PhParams(**kw), **flows)
+
 
 class TestPlantStep:
     def test_nominal_drift_over_1000s(self, params):

@@ -153,6 +153,23 @@ class TestLoss:
         if scale == 0.5:
             assert r1 > 0.0
 
+    def test_used_workspace_gives_the_fresh_loss(self, bench_w):
+        # a training workspace that ran other weights, a longer and a shorter
+        # sequence gives the one-shot rollout/adjoint loss bit for bit
+        cfg = sysid.TrainConfig(n_neurons=bench_w.n, washout=10)
+        rng = np.random.default_rng(6)
+        other = small_net(seed=4, n=bench_w.n, scale=0.3)
+        workspace = lstm.Workspace(bench_w.n, bench_w.m, 399)
+        u, y = generate_staircase(rng, 250), rng.uniform(-1, 1, 250)
+        fresh = sysid.loss(bench_w, u, y, cfg)
+        for net, steps in ((other, 400), (bench_w, 120), (other, 250)):
+            sysid.loss(net, generate_staircase(rng, steps), rng.uniform(-1, 1, steps), cfg,
+                       workspace)
+        used = sysid.loss(bench_w, u, y, cfg, workspace)
+        assert repr(used[0]) == repr(fresh[0])
+        assert {k: g.tobytes() for k, g in used[1].items()} == \
+            {k: g.tobytes() for k, g in fresh[1].items()}
+
     def test_rejects_full_washout(self):
         w = small_net(seed=2, n=3)
         cfg = sysid.TrainConfig(washout=50, n_neurons=3)
@@ -236,6 +253,22 @@ class TestTrain:
                                 extension_factor=2)
         with pytest.raises(TrainingError):
             sysid.train(ds, cfg, init=init)
+
+    def test_builds_one_workspace_whatever_the_epochs(self, monkeypatch):
+        # counted by a spy, in exact numbers: training sequences of three
+        # lengths share one workspace, built once per call
+        ds = synthetic_dataset(n_train=3, steps=60)
+        ds.train = [(u[:n], y[:n]) for (u, y), n in zip(ds.train, (60, 35, 48))]
+        built = []
+        init = lstm.Workspace.__init__
+        monkeypatch.setattr(lstm.Workspace, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        counts = []
+        for epochs in (1, 3):
+            built.clear()
+            sysid.train(ds, sysid.TrainConfig(epochs=epochs, n_neurons=3, washout=10))
+            counts.append(built[:])
+        assert counts == [[(3, 1, 59)], [(3, 1, 59)]]
 
     def test_non_finite_input_in_memory_names_epoch_and_sequence(self):
         # a Dataset built in memory skips load_dataset's check: the loss
@@ -413,9 +446,29 @@ class TestHookPoints:
         assert counts() == {"plant_step": 4 * 40, "measure_ph": 4 * 40}
 
     def test_loss_runs_one_rollout_and_one_adjoint(self, monkeypatch):
+        # counted where both paths sweep: the functions rollout and adjoint,
+        # on fresh buffers, and a workspace's sweeps run the same forward and
+        # reverse loops, once each per loss
         w = small_net(seed=2, n=3)
         cfg = sysid.TrainConfig(washout=5, n_neurons=3)
         u = np.random.default_rng(3).uniform(-1, 1, 30)
-        counts = self._count(monkeypatch, lstm, ("rollout", "adjoint"))
-        sysid.loss(w, u, u, cfg)
-        assert counts() == {"rollout": 1, "adjoint": 1}
+        counts = self._count(monkeypatch, lstm, ("_sweep", "_adjoint"))
+        seen = []
+        for workspace in (None, lstm.Workspace(w.n, w.m, 40)):
+            sysid.loss(w, u, u, cfg, workspace)
+            seen.append(counts())
+        assert seen == [{"_sweep": 1, "_adjoint": 1}, {"_sweep": 2, "_adjoint": 2}]
+
+    def test_train_calls_loss_through_the_module(self, monkeypatch):
+        # once per training sequence per epoch, each call in the one workspace
+        ds = synthetic_dataset(n_train=3, steps=40)
+        cfg = sysid.TrainConfig(epochs=2, n_neurons=3, washout=10)
+        workspaces = []
+        loss = sysid.loss
+        monkeypatch.setattr(sysid, "loss", lambda *args: workspaces.append(args[4]) or loss(*args))
+        epochs = []
+        sysid.train(ds, cfg, callback=lambda ep, lv, m: epochs.append(ep))
+        assert epochs == [0, 1]
+        assert len(workspaces) == 2 * 3
+        assert isinstance(workspaces[0], lstm.Workspace)
+        assert all(ws is workspaces[0] for ws in workspaces)
