@@ -261,6 +261,9 @@ class Workspace:
     def rollout(self, w, c0, h0, u_seq):
         """``rollout`` of the weights ``w`` over the (T, m) ``u_seq`` from
         (c0, h0): c, h and the cache, views of this workspace's buffers."""
+        if (w.n, w.m) != (self.n, self.m):
+            raise DimensionError(f"weights of (n, m) = ({w.n}, {w.m}) in a workspace "
+                                 f"of ({self.n}, {self.m})")
         n_t = len(u_seq)
         buffers = self._buffers if n_t == self.n_t else self._leading(n_t)
         c, h, cache = out = _sweep(w, buffers, c0, h0, u_seq)

@@ -3,7 +3,7 @@
 The trainer is backpropagation through time with an Adam update: each
 ``loss`` call runs one rollout and one adjoint, the reverse sweep over the
 model's step Jacobians, in the one ``lstm.Workspace`` that ``train`` builds
-for all its updates, or on fresh buffers without one. The loss carries soft
+for all its updates, or in one a direct call builds. The loss carries soft
 penalties on the two stability margins r1, r2 so the final network is
 certifiable. Training only terminates once both margins are negative.
 """
@@ -203,16 +203,15 @@ class TrainConfig:
             check(name, getattr(self, name), rule)
 
 
-def _forward(w, u_seq, workspace=None):
+def _forward(w, u_seq, sweep=lstm.rollout):
     """Open-loop rollout from the zero state over all but the last input,
-    in the ``lstm.Workspace`` ``workspace`` or on fresh buffers.
+    run by ``sweep``, ``lstm.rollout`` or a ``Workspace.rollout``.
 
     Returns (y_hat, c, h, cache, u2): outputs and states of shape (t, .)
     for the t = len(u_seq) samples, and the inputs as a (t, m) array.
     """
     u2 = np.asarray(u_seq, dtype=float).reshape(len(u_seq), -1)
     zero = np.zeros(w.n)
-    sweep = lstm.rollout if workspace is None else workspace.rollout
     c, h, cache = sweep(w, zero, zero, u2[:-1])
     return h @ w.W_y.T + w.b_y, c, h, cache, u2
 
@@ -226,10 +225,12 @@ def loss(w, u_seq, y_seq, cfg, workspace=None):
     """(value, grads): training loss (MSE past washout + stability-margin
     penalties) and its gradient for each array in ``lstm.PARAMETERS``.
     The rollout and its reverse sweep run in the ``lstm.Workspace``
-    ``workspace``, of at least len(u_seq) - 1 steps, or on fresh buffers."""
+    ``workspace``, of at least len(u_seq) - 1 steps, or in one built here."""
     t = len(u_seq)
+    if workspace is None:
+        workspace = lstm.Workspace(w.n, w.m, max(t - 1, 0))
     y_seq = np.asarray(y_seq, dtype=float).reshape(t, -1)
-    y_hat, c, h, cache, u2 = _forward(w, u_seq, workspace)
+    y_hat, c, h, cache, u2 = _forward(w, u_seq, workspace.rollout)
     mask = np.arange(t) >= cfg.washout
     n_eval = int(mask.sum())
     if n_eval == 0:
@@ -245,8 +246,7 @@ def loss(w, u_seq, y_seq, cfg, workspace=None):
     grads["b_y"] = scale * err.sum(axis=0)
     out_grad = scale * err @ w.W_y
     dc_stage = np.zeros_like(c)
-    dz = lstm.adjoint(w, c, cache, dc_stage, out_grad) if workspace is None \
-        else workspace.adjoint(dc_stage, out_grad)
+    dz = workspace.adjoint(dc_stage, out_grad)
     grads["W"], grads["U"], grads["b"] = dz.T @ u2[:t - 1], dz.T @ h[:t - 1], dz.sum(axis=0)
     return mse + _penalty_with_grads(w, cfg, grads), grads
 

@@ -519,11 +519,18 @@ class TestSensitivities:
             assert ws.adjoint(dc_stage, dh_stage).tobytes() == \
                 lstm.adjoint(net_k, c, cache, dc_stage, dh_stage).tobytes()
 
-    def test_workspace_rejects_a_longer_sweep(self, bench_w):
+    def test_workspace_rejects_a_sweep_it_cannot_hold(self, bench_w):
+        # a longer sweep, or weights of another input or state count
         ws = lstm.Workspace(bench_w.n, bench_w.m, 4)
         zero = np.zeros(bench_w.n)
         with pytest.raises(DimensionError, match="a sweep of 5 steps in a workspace of 4"):
             ws.rollout(bench_w, zero, zero, np.zeros((5, bench_w.m)))
+        for net in (small_net(n=bench_w.n, m=bench_w.m + 1), small_net(n=bench_w.n + 1)):
+            zero = np.zeros(net.n)
+            with pytest.raises(DimensionError, match=rf"weights of \(n, m\) = \({net.n}, "
+                                                     rf"{net.m}\) in a workspace of "
+                                                     rf"\({bench_w.n}, {bench_w.m}\)"):
+                ws.rollout(net, zero, zero, np.zeros((3, net.m)))
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])

@@ -155,7 +155,7 @@ class TestLoss:
 
     def test_used_workspace_gives_the_fresh_loss(self, bench_w):
         # a training workspace that ran other weights, a longer and a shorter
-        # sequence gives the one-shot rollout/adjoint loss bit for bit
+        # sequence gives, bit for bit, the loss of a workspace built for the call
         cfg = sysid.TrainConfig(n_neurons=bench_w.n, washout=10)
         rng = np.random.default_rng(6)
         other = small_net(seed=4, n=bench_w.n, scale=0.3)
@@ -446,9 +446,8 @@ class TestHookPoints:
         assert counts() == {"plant_step": 4 * 40, "measure_ph": 4 * 40}
 
     def test_loss_runs_one_rollout_and_one_adjoint(self, monkeypatch):
-        # counted where both paths sweep: the functions rollout and adjoint,
-        # on fresh buffers, and a workspace's sweeps run the same forward and
-        # reverse loops, once each per loss
+        # a workspace's forward and reverse loops, once each per loss, in the
+        # workspace given or in one the call builds
         w = small_net(seed=2, n=3)
         cfg = sysid.TrainConfig(washout=5, n_neurons=3)
         u = np.random.default_rng(3).uniform(-1, 1, 30)
