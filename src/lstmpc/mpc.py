@@ -37,11 +37,16 @@ from .errors import (NONNEGATIVE, POSITIVE, POSITIVE_INT, DimensionError,
 from .numerics import eig_extrema_spd, freeze_arrays, solve_discrete_lyapunov, spectral_radius
 
 
-def _weight(factor):
-    """The rule of a cost weight whose largest multiple the solver forms is
-    ``factor`` times it."""
-    return (lambda v: POSITIVE[0](v) and factor * v < math.inf,
-            f"finite and positive, with {factor:g} times it finite")
+def _terminal_weight(a_delta, q_weight):
+    """(P_f, its smallest eigenvalue) of A_delta^T P_f A_delta - P_f = -1.1 q I,
+    or None where forming them, or the 2 P_f that the solve, the SPD check
+    and the solver's terminal Hessian form, overflows."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            p_f = solve_discrete_lyapunov(a_delta, np.diag([1.1 * q_weight] * 2))
+            return p_f, eig_extrema_spd(p_f)[0]
+        except FloatingPointError:
+            return None
 
 
 @dataclass(frozen=True)
@@ -65,18 +70,19 @@ class Certificate:
 
     def __post_init__(self):
         check("horizon", self.horizon, POSITIVE_INT)
-        # the terminal weight 1.1 q, whose SPD check adds it to its transpose
-        check("q_weight", self.q_weight, _weight(2.2))
         cert, spec = self.model, self.spec
+        q = self.q_weight
+        terminal = _terminal_weight(np.asarray(cert.A_delta, dtype=float), q) \
+            if POSITIVE[0](q) else None
+        check("q_weight", q, (lambda v: terminal is not None,
+                              "finite and positive, with the terminal weight P_f and 2 P_f finite"))
         a = [np.asarray(spec.c_o, dtype=float).copy()]
         b = [np.zeros_like(a[0])]
         for i in range(self.horizon):
             a.append(spec.rho_o * a[i] + cert.rho_s ** i * cert.c_su * spec.L_max * cert.c_s)
             b.append(b[i] + a[i] * spec.w_bar)
-        p_f = solve_discrete_lyapunov(np.asarray(cert.A_delta, dtype=float),
-                                      np.diag([1.1 * self.q_weight] * 2))
-        freeze_arrays(self, a=np.array(a), b=np.array(b), P_f=p_f,
-                      lam_min=eig_extrema_spd(p_f)[0])
+        p_f, lam_min = terminal
+        freeze_arrays(self, a=np.array(a), b=np.array(b), P_f=p_f, lam_min=lam_min)
 
     @property
     def e_bar_inf(self):
@@ -465,8 +471,13 @@ class Controller:
     """
 
     def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
-        # the QP's Hessian is at least 2 r I: r > 0 keeps it strictly convex
-        check("r_weight", r_weight, _weight(2.0))
+        # the QP's Hessian is at least 2 r I: r > 0 keeps it strictly convex;
+        # over the input box, the input cost r sum |u_k - u_bar|^2 reaches N m (2 u_max)^2 r
+        largest = max(2.0, certificate.horizon * w.m * (2.0 * w.u_max) ** 2)
+        check("r_weight", r_weight, (
+            lambda v: POSITIVE[0](v) and largest * v < math.inf,
+            f"finite and positive, with {largest:g} times it finite: the QP Hessian's 2 r "
+            f"and the largest input cost N m (2 u_max)^2 r"))
         check("e_o0", e_o0, NONNEGATIVE)
         bounds = []
         for name, bound in (("y_lb", y_lb), ("y_ub", y_ub)):

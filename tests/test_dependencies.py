@@ -190,3 +190,39 @@ def test_every_json_document_passes_the_one_reader_and_object_check():
     assert [(name, line) for name, line, in_reader in loads if not in_reader] == []
     assert [in_reader for *_, in_reader in loads] == [True]
     assert messages == []
+
+
+def _per_step_loops(function):
+    """The innermost ``for`` loops of ``function``: those that run once per step."""
+    loops = [node for node in ast.walk(function) if isinstance(node, ast.For)]
+    return [loop for loop in loops
+            if not any(isinstance(n, ast.For) for n in ast.walk(loop) if n is not loop)]
+
+
+def test_kernel_step_loops_call_only_names_bound_before_them():
+    # a per-step attribute lookup, operator or dispatcher costs each sweep's
+    # steps about 5% of training: every operation in the loops of lstm._run
+    # and lstm._adjoint is a call of a local name bound before the loop, and
+    # lstm never reads np.dot
+    tree = _trees()["lstm.py"]
+    found = []
+    for name in ("_run", "_adjoint"):
+        function = _function(tree, name)
+        loops = _per_step_loops(function)
+        assert len(loops) == 1, name
+        loop = loops[0]
+        bound = {t.id for node in ast.walk(function) if isinstance(node, ast.Assign)
+                 and node.lineno < loop.lineno for target in node.targets
+                 for t in ast.walk(target) if isinstance(t, ast.Name)}
+        body = [n for statement in loop.body for n in ast.walk(statement)]
+        found += [f"{name}: line {n.lineno} reads .{n.attr}" for n in body
+                  if isinstance(n, ast.Attribute)]
+        found += [f"{name}: line {n.lineno} calls {ast.unparse(n.func)}" for n in body
+                  if isinstance(n, ast.Call)
+                  and not (isinstance(n.func, ast.Name) and n.func.id in bound)]
+        found += [f"{name}: line {n.lineno} applies an operator" for n in body
+                  if isinstance(n, (ast.AugAssign, ast.BinOp, ast.UnaryOp))]
+    found += [f"line {n.lineno} reads np.dot" for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and n.attr == "dot"
+              and isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy")]
+    assert found == []

@@ -21,8 +21,9 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 # error or a traceback, run the solver on a setting it cannot use, end the
 # run at once (duration_s = inf), exceed numpy's array size or the memory
 # (duration_s 1e308 or 1e15, beyond harness.MAX_STEPS steps) or (ramp_rate)
-# drift a constant set-point; a weight or an output bound of 1e308 would
-# overflow the QP Hessian, the terminal weight or the normalized bound, and
+# drift a constant set-point; a weight of 1e308, or just under 1e308 (q 8e307,
+# r 8.9e307), would overflow the terminal weight P_f or the QP Hessian, an
+# output bound of 1e308 the normalized bound, and
 # an acid flow of 1e308 the plant's equilibrium level;
 # a negative tank section (A1) would run to the end on an unphysical plant.
 # A profile entry out of time order or with a NaN time would be dropped
@@ -45,6 +46,7 @@ BAD_FIELDS = pytest.mark.parametrize("fields, error, message", [
     ({"r_weight": np.nan}, ValueError, "r_weight"),
     ({"q_weight": np.nan}, ValueError, "q_weight"),
     ({"r_weight": 1e308}, ValueError, "r_weight"), ({"q_weight": 1e308}, ValueError, "q_weight"),
+    ({"r_weight": 8.9e307}, ValueError, "r_weight"), ({"q_weight": 8e307}, ValueError, "q_weight"),
     ({"plant_overrides": {"q1": 1e308}}, ValueError, "q1"),
     ({"y_ub_phys": 1e308}, ValueError, "y_ub_phys"), ({"y_lb_phys": -1e308}, ValueError, "y_lb_phys"),
     ({"horizon": True}, ValueError, "horizon"), ({"seed": -1}, ValueError, "seed"),
@@ -74,6 +76,7 @@ BAD_FIELDS = pytest.mark.parametrize("fields, error, message", [
 ], ids=["ramp_rate", "setpoints-empty", "setpoints-entry", "horizon", "duration_s",
         "duration_s-inf", "duration_s-1e308", "duration_s-1e15", "e_o0-negative", "e_o0-nan", "r_weight-zero",
         "r_weight-negative", "r_weight-nan", "q_weight-nan", "r_weight-1e308", "q_weight-1e308",
+        "r_weight-8.9e307", "q_weight-8e307",
         "plant-q1-1e308", "y_ub_phys-1e308", "y_lb_phys-1e308", "horizon-bool", "seed-negative",
         "seed-float", "plant-A1-zero", "plant-C_v4-zero", "plant-n_exp-zero", "plant-q1-str",
         "plant-A1-negative", "plant-null", "plant-unknown-key", "setpoints-out-of-order",

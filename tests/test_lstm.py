@@ -140,12 +140,27 @@ class TestKernelOracle:
         assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage)
 
     def test_warm_started_training(self, bench_w, monkeypatch):
+        # training sweeps in its lstm.Workspace: the oracles replace the
+        # workspace's sweeps, once per sequence and epoch
         ds = sysid.generate_dataset(seed=2, n_train=2, n_val=1, n_test=1, steps=300)
         cfg = sysid.TrainConfig(epochs=2, n_neurons=bench_w.n, seed=4)
         fast = sysid.train(ds, cfg, init=bench_w)
-        monkeypatch.setattr(lstm, "rollout", rollout_oracle)
-        monkeypatch.setattr(lstm, "adjoint", adjoint_oracle)
+        calls, last = [], {}
+
+        def rollout(workspace, w, c0, h0, u_seq):
+            calls.append("rollout")
+            last["w"], last["sweep"] = w, rollout_oracle(w, c0, h0, u_seq)
+            return last["sweep"]
+
+        def adjoint(workspace, dc_stage, dh_stage):
+            calls.append("adjoint")
+            c, _, cache = last["sweep"]
+            return adjoint_oracle(last["w"], c, cache, dc_stage, dh_stage)
+
+        monkeypatch.setattr(lstm.Workspace, "rollout", rollout)
+        monkeypatch.setattr(lstm.Workspace, "adjoint", adjoint)
         ref = sysid.train(ds, cfg, init=bench_w)
+        assert calls == ["rollout", "adjoint"] * 4     # 2 epochs of 2 sequences
         for name in lstm.PARAMETERS:
             param = getattr(ref, name)
             np.testing.assert_allclose(getattr(fast, name), param, rtol=0.0,
@@ -289,9 +304,23 @@ class TestAdjointBlocks:
         assert block * step_bytes <= max(lstm._SWEEP_BLOCK_BYTES, step_bytes)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` with a wrapper that counts its calls; the list it appends to."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestKernelCalls:
-    """The sweeps' per-step numpy calls: adjoint makes one BLAS call per
-    step, and the kernel's in-place ufuncs take read-only arrays it owns."""
+    """The sweeps' per-step numpy calls: each step of a sweep makes one
+    product through ``lstm._dot`` and none through ``np.dot``, and the
+    kernel's in-place ufuncs take read-only arrays it owns."""
 
     @pytest.mark.parametrize("extra_blocks", [0, 1])
     @pytest.mark.parametrize("n_steps", [1, 5])
@@ -300,18 +329,42 @@ class TestKernelCalls:
         n_steps += extra_blocks * lstm._sweep_block(w.n, w.m)
         rng = np.random.default_rng(n_steps)
         x0 = random_invariant_state(w, rng)
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, rng.uniform(-1.0, 1.0, (n_steps, w.m)))
+        u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
         dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
-        calls = []
-        dot = np.dot
-
-        def counted_dot(*args, **kwargs):
-            calls.append(1)
-            return dot(*args, **kwargs)
-
-        monkeypatch.setattr(np, "dot", counted_dot)
+        ws = lstm.Workspace(w.n, w.m, n_steps + 3)
+        ws.rollout(w, x0.c, x0.h, u)
+        calls = count_calls(monkeypatch, lstm, "_dot")
         lstm.adjoint(w, c, cache, dc_stage, dh_stage)
         assert len(calls) == n_steps
+        ws.adjoint(dc_stage, dh_stage)
+        assert len(calls) == 2 * n_steps
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 5, 300])
+    def test_rollout_one_dot_per_step(self, bench_w, monkeypatch, n_steps):
+        w = bench_w
+        rng = np.random.default_rng(n_steps)
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
+        ws = lstm.Workspace(w.n, w.m, n_steps + 3)
+        calls = count_calls(monkeypatch, lstm, "_dot")
+        lstm.rollout(w, x0.c, x0.h, u)
+        assert len(calls) == n_steps
+        ws.rollout(w, x0.c, x0.h, u)
+        assert len(calls) == 2 * n_steps
+        for k in range(n_steps):
+            w.step(x0.c, x0.h, u[k])
+            assert len(calls) == 2 * n_steps + k + 1
+
+    def test_training_loss_makes_no_np_dot_call(self, bench_w, monkeypatch):
+        rng = np.random.default_rng(8)
+        u, y = rng.uniform(-1.0, 1.0, (2, 120))
+        cfg = sysid.TrainConfig(n_neurons=bench_w.n, washout=10)
+        products = count_calls(monkeypatch, lstm, "_dot")
+        dispatched = count_calls(monkeypatch, np, "dot")
+        sysid.loss(bench_w, u, y, cfg)
+        assert len(dispatched) == 0
+        assert len(products) == 2 * 119      # forward and reverse, 119 steps each
 
     @pytest.mark.parametrize("n", [1, 5, 33])
     def test_rollout_operands_are_read_only(self, n):

@@ -701,10 +701,10 @@ class TestCertify:
         with pytest.raises(ValueError, match="w_bar"):
             mpc.certify(w, observer.select_gains(w, w_bar=w_bar))
 
-    @pytest.mark.parametrize("q_weight", [np.nan, np.inf, 1e308, 0.0])
+    @pytest.mark.parametrize("q_weight", [np.nan, np.inf, 1e308, 8e307, 0.0])
     def test_rejects_non_finite_q_weight(self, bench_w, bench_spec, q_weight):
-        # named before the terminal weight 1.1 q, or its SPD check's sum
-        # 2.2 q, is formed
+        # named where the terminal weight P_f, or the 2 P_f that its solve
+        # and SPD check form, would overflow
         with pytest.raises(ValueError, match="^q_weight must be finite and positive"):
             mpc.certify(bench_w, bench_spec, 5, q_weight=q_weight)
 
@@ -768,7 +768,7 @@ class TestController:
     # run in a bare error, and an infinite one tightens every bound away
     @pytest.mark.parametrize("setting, value", [
         ("r_weight", 0.0), ("r_weight", -1.0), ("r_weight", np.nan), ("r_weight", np.inf),
-        ("r_weight", 1e308),
+        ("r_weight", 1e308), ("r_weight", 8.9e307),
         ("e_o0", -0.5), ("e_o0", np.nan), ("e_o0", np.inf),
     ])
     def test_rejects_setting_the_solver_cannot_use(self, bench_w, bench_certificate,
