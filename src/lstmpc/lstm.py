@@ -25,14 +25,22 @@ training and the reference Jacobian all run this cell through one kernel:
   buffers the weights own.
 - ``step_jacobians``, the one copy of the cell's linearization, feeds the
   forward sweep ``sensitivities``, the reverse sweep ``adjoint`` and the
-  reference calculation's Newton Jacobian.
+  reference calculation's Newton Jacobian. It and ``local_factors`` run
+  their ufuncs with each output positional, in buffers and views that a
+  linearization which repeats on the same arrays builds once: a
+  ``Workspace``'s ``sensitivities`` and the weights' ``last_jacobian``,
+  twice per control step, where building them cost more than the
+  arithmetic.
 - The per-step loops, ``_run``'s and ``adjoint``'s one product per step,
   call only names bound before the loop, with each output positional:
   the products go through ``np.ndarray.dot``, the same C routine as
   ``np.dot`` without its Python-level ``__array_function__`` dispatcher
   (about a quarter of the call at a (20, 5) product), and ``_run``'s
   in-place updates call the ufuncs their operators dispatch to, so every
-  array stays bit for bit the same.
+  array stays bit for bit the same. The input products before the loop
+  (``u W_half^T``, of a sweep and of ``LstmWeights.step``) go through
+  ``ndarray.dot`` too, and ``sensitivities`` copies every step's B_k into
+  S in one call, through a strided view, before its products.
 
 Besides the state update, this module holds the one copy of the
 contraction certificate's arithmetic, ``increment_gains``, and of its
@@ -165,7 +173,7 @@ class LstmWeights:
         """``step`` on the weights' own buffers: (c+, h+) are views of them,
         which the next step of these weights overwrites."""
         pre = self._pre[0]
-        np.matmul(u, self.W_half.T, out=pre)
+        np.asarray(u).dot(self.W_half.T, pre)
         pre += self.b_half
         if inject is not None:
             pre += np.multiply(inject, self._scale, out=self._inject)
@@ -174,9 +182,27 @@ class LstmWeights:
         return self._c[1], self._h_next
 
     def last_factors(self):
-        """``local_factors`` of the last ``step``, (1, n) views that the
-        next step overwrites."""
-        return local_factors(self._c, self._cache)
+        """``local_factors`` of the last ``step``, (1, n) views of the
+        weights' buffers, which their next step or call overwrites."""
+        _, (factors, _) = self._last_step_buffers()
+        return _local_factors(factors)
+
+    def last_jacobian(self):
+        """``residual_jacobian`` with [A_0 | B_0] of the last ``step`` from
+        ``step_jacobians`` in its first 2n rows: the weights' buffer, which
+        their next call overwrites."""
+        jac, linearization = self._last_step_buffers()
+        _linearize(self, linearization)
+        return jac
+
+    def _last_step_buffers(self):
+        """A copy of ``residual_jacobian`` and the ``_linearization_buffers``
+        of the one-step buffers into it, built on first use: models that
+        training forms at each update never need them."""
+        if "_last_step" not in vars(self):
+            jac = self.residual_jacobian.copy()
+            vars(self)["_last_step"] = jac, _linearization_buffers(self._c, self._cache, jac[None])
+        return vars(self)["_last_step"]
 
 
 MATRIX_FIELDS = ("W_f", "W_i", "W_c", "W_o", "U_f", "U_i", "U_c", "U_o",
@@ -243,7 +269,7 @@ def _sweep(w, buffers, c0, h0, u_seq, inject=None):
     """``rollout`` in the ``_loop_buffers`` ``buffers``, which it overwrites."""
     row, h, pre, steps, cache, fc_ig = buffers
     row[0, :w.n], h[0] = c0, h0
-    np.matmul(u_seq, w.W_half.T, out=pre)
+    np.asarray(u_seq).dot(w.W_half.T, pre)
     pre += w.b_half
     if inject is not None:
         pre += inject * w._scale
@@ -292,13 +318,17 @@ class Workspace:
     def sensitivities(self):
         """``sensitivities`` of the last ``rollout``, an array of this
         workspace, which the next call overwrites."""
-        if self._sens is None:
-            self._sens = _sensitivity_buffers(self.n, self.m, self.n_t)
         w, c, cache = self._last
-        n_t, (jac, s, steps) = len(c) - 1, self._sens
+        if self._sens is None:
+            row, _, _, _, own_cache, _ = self._buffers
+            jac, *rest = _sensitivity_buffers(self.n, self.m, self.n_t)
+            self._sens = _linearization_buffers(row[:, :self.n], own_cache, jac), jac, *rest
+        n_t, (linearization, jac, s, b_in_s, steps) = len(c) - 1, self._sens
         if n_t < self.n_t:
-            jac, s, steps = jac[:n_t], s[:n_t + 1, :, :n_t * self.m], steps[:n_t]
-        return _sensitivities(w, c, cache, jac, s, steps)
+            jac, s, b_in_s = jac[:n_t], s[:n_t + 1, :, :n_t * self.m], b_in_s[:n_t]
+            linearization = _linearization_buffers(c, cache, jac)
+            steps = steps[:max(n_t - 1, 0)]
+        return _sensitivities(w, linearization, jac, s, b_in_s, steps)
 
     def adjoint(self, dc_stage, dh_stage):
         """``adjoint`` of the last ``rollout`` for the stage partials
@@ -318,15 +348,43 @@ def local_factors(c, cache):
 
     (dc+/dc, dc+/dz_f, dc+/dz_i, dc+/dz_c, dh+/dz_o, dh+/dc+)
     = (f, f(1-f) c, i(1-i) g, i(1-g^2), o(1-o) tanh c+, o(1-tanh^2 c+)),
-    all elementwise; ``c`` and ``cache`` are ``rollout``'s.
+    all elementwise; ``c`` and ``cache`` are ``rollout``'s. f is a view of
+    the cache, the others new arrays.
     """
+    return _local_factors(_factor_buffers(c, cache))
+
+
+def _factor_buffers(c, cache):
+    """``_local_factors``' arguments for ``rollout``'s ``c`` and ``cache``:
+    the views it reads, its scratch and the factors it writes, each with T
+    rows first, built once by a sweep that repeats on the same buffers."""
     sig, g, tc = cache
-    n = tc.shape[1]
-    f, i, o = sig[:, :n], sig[:, n:2 * n], sig[:, 2 * n:]
-    ds = 1.0 - sig              # f(1-f), i(1-i), o(1-o) over the (T, 3n) block
-    ds *= sig
-    return (f, ds[:, :n] * c[:-1], ds[:, n:2 * n] * g, i * (1.0 - g ** 2),
-            ds[:, 2 * n:] * tc, o * (1.0 - tc ** 2))
+    n_t, n = tc.shape
+    ds = np.empty((n_t, 3 * n))
+    return (sig, ds, ds[:, :n], c[:-1], ds[:, n:2 * n], g, sig[:, n:2 * n], ds[:, 2 * n:], tc,
+            sig[:, 2 * n:], np.empty((n_t, n)), sig[:, :n], *np.empty((5, n_t, n)))
+
+
+def _local_factors(buffers):
+    """``local_factors`` in ``_factor_buffers``: the ufuncs of its operators
+    (``x ** 2`` is ``np.square``) on the same operands in the same order,
+    each output positional; returns the factors, the last six buffers,
+    which the next call overwrites."""
+    sig, ds, ds_f, c_prev, ds_i, g, i, ds_o, tc, o, sq, *factors = buffers
+    _, k_f, k_i, k_g, k_o, k_t = factors
+    subtract, multiply, square = np.subtract, np.multiply, np.square
+    subtract(1.0, sig, ds)      # f(1-f), i(1-i), o(1-o) over the (T, 3n) block
+    multiply(ds, sig, ds)
+    multiply(ds_f, c_prev, k_f)
+    multiply(ds_i, g, k_i)
+    square(g, sq)
+    subtract(1.0, sq, sq)
+    multiply(i, sq, k_g)
+    multiply(ds_o, tc, k_o)
+    square(tc, sq)
+    subtract(1.0, sq, sq)
+    multiply(o, sq, k_t)
+    return tuple(factors)
 
 
 def adjoint(w, c, cache, dc_stage, dh_stage):
@@ -412,15 +470,57 @@ def step_jacobians(w, factors, out):
     must hold zeros off it; ``out`` must be C-contiguous, since the two
     diagonals are written through strided views of its flat rows.
     """
+    _step_jacobians(w, _jacobian_buffers(factors, out))
+
+
+def _jacobian_buffers(factors, out):
+    """``_step_jacobians``' arguments for the ``factors`` and ``out`` of
+    ``step_jacobians``: the factors, as they are and as (T, n, 1) columns,
+    the views of ``out`` it writes (the two diagonals and the c and h rows'
+    columns from n on) and two (T, n, cols-n) scratch arrays, built once by
+    a sweep that repeats on the same buffers."""
     f, k_f, k_i, k_g, k_o, k_t = factors
     n, cols = f.shape[1], out.shape[2]
-    uw = w.UW[:, :, :cols - n]                  # [U | W], or U alone, per gate
-    dc = k_f[:, :, None] * uw[_F] + k_i[:, :, None] * uw[_I] + k_g[:, :, None] * uw[_C]
     flat = out.reshape(len(out), out.shape[1] * cols, copy=False)
-    flat[:, :n * (cols + 1):cols + 1] = f                           # dc+/dc
-    flat[:, n * cols:n * (2 * cols + 1):cols + 1] = k_t * f         # dh+/dc
-    out[:, :n, n:] = dc
-    out[:, n:2 * n, n:] = k_t[:, :, None] * dc + k_o[:, :, None] * uw[_O]
+    return (f, k_t, *(k[:, :, None] for k in (k_f, k_i, k_g, k_o, k_t)),
+            flat[:, :n * (cols + 1):cols + 1], flat[:, n * cols:n * (2 * cols + 1):cols + 1],
+            out[:, :n, n:], out[:, n:2 * n, n:], *np.empty((2, len(out), n, cols - n)))
+
+
+def _step_jacobians(w, buffers):
+    """``step_jacobians`` in ``_jacobian_buffers``: the products and sums of
+    dc+/d(h, u) = (k_f [U_f | W_f] + k_i [U_i | W_i]) + k_g [U_c | W_c] and of
+    dh+/d(h, u) = k_t dc+/d(h, u) + k_o [U_o | W_o] in that order, each
+    output positional."""
+    f, k_t, kf_col, ki_col, kg_col, ko_col, kt_col, diag_c, diag_h, c_rows, h_rows, dc, tmp \
+        = buffers
+    uw = w.UW[:, :, :dc.shape[2]]               # [U | W], or U alone, per gate
+    multiply, add = np.multiply, np.add
+    multiply(kf_col, uw[_F], dc)
+    multiply(ki_col, uw[_I], tmp)
+    add(dc, tmp, dc)
+    multiply(kg_col, uw[_C], tmp)
+    add(dc, tmp, dc)
+    np.copyto(diag_c, f)                        # dc+/dc
+    multiply(k_t, f, diag_h)                    # dh+/dc
+    np.copyto(c_rows, dc)
+    multiply(kt_col, dc, dc)
+    multiply(ko_col, uw[_O], tmp)
+    add(dc, tmp, h_rows)
+
+
+def _linearization_buffers(c, cache, out):
+    """The buffers of ``step_jacobians(w, local_factors(c, cache), out)``,
+    ``_factor_buffers`` and ``_jacobian_buffers`` on its factors."""
+    factors = _factor_buffers(c, cache)
+    return factors, _jacobian_buffers(factors[-6:], out)
+
+
+def _linearize(w, buffers):
+    """``step_jacobians`` of the weights ``w`` on ``local_factors``, in the
+    ``_linearization_buffers`` ``buffers``."""
+    _local_factors(buffers[0])
+    _step_jacobians(w, buffers[1])
 
 
 def sensitivities(w, c, cache):
@@ -431,29 +531,38 @@ def sensitivities(w, c, cache):
     depend on u and stage k only on u_0..u_{k-1}, so S_k+1 = A_k S_k on
     those columns and B_k on u_k's, with [A_k | B_k] from ``step_jacobians``.
     """
-    return _sensitivities(w, c, cache, *_sensitivity_buffers(w.n, w.m, len(c) - 1))
+    jac, s, b_in_s, steps = _sensitivity_buffers(w.n, w.m, len(c) - 1)
+    return _sensitivities(w, _linearization_buffers(c, cache, jac), jac, s, b_in_s, steps)
 
 
 def _sensitivity_buffers(n, m, n_t):
-    """The step Jacobians (T, 2n, 2n+m) and S, zeros, and the per-step views
-    of ``_sensitivities``: A_k, S_k's and S_k+1's columns of u_0..u_k-1,
-    S_k+1's of u_k and B_k. A sweep of fewer steps runs in the leading
-    steps, on S's leading stages and columns."""
+    """The step Jacobians (T, 2n, 2n+m) and S, zeros; the (T, 2n, m) view of
+    S whose block k is S_k+1's columns of u_k, where B_k goes; and the
+    per-step views of ``_sensitivities``' products, from k = 1 (S_1 = B_0
+    alone): A_k and S_k's and S_k+1's columns of u_0..u_k-1. A sweep of
+    fewer steps runs in the leading steps, on S's leading stages and
+    columns, whose strides are the same."""
     n2 = 2 * n
     jac, s = np.zeros((n_t, n2, n2 + m)), np.zeros((n_t + 1, n2, n_t * m))
-    return jac, s, [(jac[t, :, :n2], s[t, :, :t * m], s[t + 1, :, :t * m],
-                     s[t + 1, :, t * m:(t + 1) * m], jac[t, :, n2:]) for t in range(n_t)]
+    # the blocks S[k+1, :, k m:(k+1) m], one stage and m columns apart
+    b_in_s = np.lib.stride_tricks.as_strided(
+        s[1:], (n_t, n2, m), (s.strides[0] + m * s.strides[2], *s.strides[1:]))
+    return jac, s, b_in_s, [(jac[t, :, :n2], s[t, :, :t * m], s[t + 1, :, :t * m])
+                            for t in range(1, n_t)]
 
 
-def _sensitivities(w, c, cache, jac, s, steps):
+def _sensitivities(w, linearization, jac, s, b_in_s, steps):
     """``sensitivities`` in ``_sensitivity_buffers``, which keep zeros where
     it does not write: off the diagonal of ``jac``'s state-c columns, in
-    S_0 and in each S_k's columns of the inputs from u_k on."""
-    step_jacobians(w, local_factors(c, cache), jac)
-    matmul, copyto = np.matmul, np.copyto      # looked up once
-    for a_k, s_k, s_next, s_new, b_k in steps:
+    S_0 and in each S_k's columns of the inputs from u_k on; the step
+    Jacobians in ``jac`` come from ``linearization``, its
+    ``_linearization_buffers``. Every B_k is copied first, in one call: no
+    product writes its block, and S_k+1 = A_k S_k reads B_k-1's."""
+    _linearize(w, linearization)
+    np.copyto(b_in_s, jac[:, :, 2 * w.n:])
+    matmul = np.matmul                          # looked up once
+    for a_k, s_k, s_next in steps:
         matmul(a_k, s_k, s_next)
-        copyto(s_new, b_k)
     return s
 
 

@@ -24,6 +24,16 @@ a feasible plan that costs no more than that feasible shifted candidate
 (suboptimal MPC, Scokaert, Mayne & Rawlings, 1999). Every solve of a
 controller runs on the one ``FhocpWorkspace`` it allocates (Houska,
 Ferreau & Diehl, 2011, run each sample on memory allocated once).
+
+A step's vectors hold 5 to 21 entries, where numpy's Python-level entry
+points cost more than the arithmetic, so the step does without them and
+keeps every bit: its products go through ``ndarray.dot``, the C routine
+that ``@`` reaches through the matmul ufunc, and through an explicit
+``np.matmul`` where the output is strided or 3-D; its exact maxima are
+taken on Python floats by ``numerics.largest`` and ``numerics.magnitude``,
+which see a NaN as ``ndarray.max`` does; its sums go through
+``np.add.reduce``, the reduction ``ndarray.sum`` wraps, in numpy's
+pairwise order.
 """
 
 import math
@@ -34,7 +44,10 @@ import numpy as np
 from . import lstm, observer, plant, refcalc
 from .errors import (NONNEGATIVE, POSITIVE, POSITIVE_INT, DimensionError,
                      FeasibilityLossError, InfeasibleSetpointError, check)
-from .numerics import eig_extrema_spd, freeze_arrays, solve_discrete_lyapunov, spectral_radius
+from .numerics import (eig_extrema_spd, freeze_arrays, largest, magnitude,
+                       solve_discrete_lyapunov, spectral_radius)
+
+_sum = np.add.reduce     # a whole array's pairwise sum, without ndarray.sum's wrapper
 
 
 def _terminal_weight(a_delta, q_weight):
@@ -109,14 +122,15 @@ class Certificate:
         output bounds y_lb, y_ub: positive only strictly inside
         ``admissible_band``. A set-point on an edge of the band or outside
         it raises InfeasibleSetpointError, even where the radius rounds to
-        a positive value.
+        a positive value. The radius is formed on Python floats, which round
+        as numpy's scalars do; each row of ``w_y`` must be nonzero.
         """
-        y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        margin = self.terminal_margin(e_o)
-        sq = np.sqrt(self.lam_min)
-        alpha = np.inf
+        y0 = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+        margin = self.terminal_margin(e_o).tolist()
+        sq = math.sqrt(self.lam_min)
+        alpha = math.inf
         for j in range(len(y0)):
-            wy = np.sqrt(w_y[j].dot(w_y[j]))
+            wy = math.sqrt(w_y[j].dot(w_y[j]))
             a_ub = sq / wy * (y_ub[j] - y0[j] - margin[j])
             a_lb = sq / wy * (y0[j] - y_lb[j] - margin[j])
             # written so that a NaN set-point fails them too
@@ -181,16 +195,22 @@ class MpcSolution:
     candidate_violation: float  # warm-start plan's own violation
 
 
+def _plan_buffers(w, n_horizon):
+    """The buffers of one plan's ``Problem._evaluate``: the rollout's
+    ``lstm.Workspace`` and the state errors dx."""
+    return lstm.Workspace(w.n, w.m, n_horizon), np.empty((n_horizon + 1, 2 * w.n))
+
+
 class FhocpWorkspace:
     """The arrays that the FHOCP solves of one horizon reuse, allocated once
-    by ``Controller``: two ``lstm.Workspace`` sweeps, which each rollout
-    runs on the problem's weights, so that the line search writes each
-    trial into the one that does not hold the accepted iterate, the QP's A
-    and b, whose input-box rows [I; -I] are set here, and I."""
+    by ``Controller``: two ``_plan_buffers`` sweeps, whose rollout runs on
+    the problem's weights, so that the line search writes each trial into
+    the one that does not hold the accepted iterate, the QP's A and b,
+    whose input-box rows [I; -I] are set here, and I."""
 
     def __init__(self, w, n_horizon):
         n_u, n_out = n_horizon * w.m, 2 * w.p * (n_horizon - 1)
-        self.sweeps = [lstm.Workspace(w.n, w.m, n_horizon) for _ in range(2)]
+        self.sweeps = [_plan_buffers(w, n_horizon) for _ in range(2)]
         self.eye = np.eye(n_u)
         self.a_mat = np.empty((n_out + 1 + 2 * n_u, n_u))
         self.a_mat[n_out + 1:n_out + 1 + n_u] = self.eye
@@ -212,6 +232,7 @@ class Problem:
     ``tight`` holds the output-bound offsets a_i e_o + b_i + d_max of
     stages 0..N-1, (N, p); ``y_lb`` and ``y_ub`` are (p,). ``workspace``, the
     controller's ``FhocpWorkspace`` or None, holds the buffers of its solves.
+    The lower bounds' y_lb + tight is formed once, on construction.
     """
 
     w: lstm.LstmWeights
@@ -226,30 +247,36 @@ class Problem:
     r_weight: float
     workspace: FhocpWorkspace | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        self._lb_tight = self.y_lb + self.tight
+
     def evaluate(self, u_seq):
         """(cost, g, aux) of the (N, m) plan ``u_seq``. g <= 0 stacks per
         stage the tightened upper then lower output bound, then the
         terminal set; aux is the rollout that ``qp_model`` linearizes, (c,
         h, the ``lstm.Workspace`` that holds them, the terminal 2-norms ev,
         the state errors dx of stages 0..N, (N+1, 2n))."""
-        return self._evaluate(u_seq, lstm.Workspace(self.w.n, self.w.m, len(self.tight)))
+        return self._evaluate(u_seq, _plan_buffers(self.w, len(self.tight)))
 
-    def _evaluate(self, u_seq, sweep):
-        """``evaluate`` with the rollout in ``sweep``, which it overwrites."""
-        w, ref, n_h = self.w, self.ref, len(self.tight)
+    def _evaluate(self, u_seq, buffers):
+        """``evaluate`` in the ``_plan_buffers`` ``buffers``, which it
+        overwrites: the returned dx is one of them."""
+        w, ref, n_h, n = self.w, self.ref, len(self.tight), self.w.n
+        sweep, dx = buffers
         c, h, _ = sweep.rollout(w, self.x_hat.c, self.x_hat.h, u_seq)
-        y_pred = h[:n_h] @ w.W_y.T + w.b_y      # outputs at stages 0..N-1
+        y_pred = h[:n_h].dot(w.W_y.T) + w.b_y   # outputs at stages 0..N-1
         g = np.empty(2 * w.p * n_h + 1)
         g_out = g[:-1].reshape(n_h, 2, w.p)
         g_out[:, 0] = y_pred + self.tight - self.y_ub
-        g_out[:, 1] = self.y_lb + self.tight - y_pred
-        dx = np.concatenate((c - ref.x_bar.c, h - ref.x_bar.h), axis=1)
-        e_c, e_h = dx[n_h].reshape(2, w.n)
+        g_out[:, 1] = self._lb_tight - y_pred
+        np.subtract(c, ref.x_bar.c, dx[:, :n])      # each output positional
+        np.subtract(h, ref.x_bar.h, dx[:, n:])
+        e_c, e_h = dx[n_h].reshape(2, n)
         ev = np.sqrt([e_c.dot(e_c), e_h.dot(e_h)])      # the two terminal 2-norms
-        phi = float(ev @ self.P_f @ ev)
+        phi = float(ev.dot(self.P_f).dot(ev))
         g[-1] = phi - self.alpha ** 2
-        cost = self.q_weight * float((dx[:n_h] ** 2).sum()) \
-            + self.r_weight * float(((u_seq - ref.u_bar) ** 2).sum()) + phi
+        cost = self.q_weight * float(_sum(dx[:n_h] ** 2, axis=None)) \
+            + self.r_weight * float(_sum((u_seq - ref.u_bar) ** 2, axis=None)) + phi
         return cost, g, (c, h, sweep, ev, dx)
 
     def qp_model(self, u_seq, g, aux, lam_term):
@@ -266,31 +293,31 @@ class Problem:
         _, _, sweep, ev, dx = aux
         s = sweep.sensitivities()               # (N+1, 2n, N*m), rows c then h
         s_x = s[1:n_h].reshape(-1, n_u)         # stages 1..N-1, laid out like dx[1:N]
-        grad = 2.0 * self.q_weight * (dx[1:n_h].ravel() @ s_x) \
+        grad = 2.0 * self.q_weight * dx[1:n_h].ravel().dot(s_x) \
             + 2.0 * self.r_weight * (u_seq - ref.u_bar).ravel()
-        hess = 2.0 * self.q_weight * (s_x.T @ s_x) + 2.0 * self.r_weight * ws.eye
+        hess = 2.0 * self.q_weight * s_x.T.dot(s_x) + 2.0 * self.r_weight * ws.eye
         # Terminal phi = ev'P_f ev: exact Hessian in (c_N, h_N), carried
         # through S_N; v_j = e_hat_j' S_N is d(ev_j)/du. The scalars are
         # Python floats, which round as numpy's do.
         p2 = 2.0 * self.P_f
-        g_ev = p2 @ ev
+        g_ev = p2.dot(ev)
         k_t = 1.0 + lam_term
         v = np.zeros((2, n_u))
         for j, (e, s_j, ev_j, g_j) in enumerate(zip(
                 dx[n_h].reshape(2, w.n), s[n_h].reshape(2, w.n, n_u),   # S_N's c, h rows
                 ev.tolist(), g_ev.tolist())):
-            ss = s_j.T @ s_j
+            ss = s_j.T.dot(s_j)
             if ev_j > 0.0:
-                v[j] = (e / ev_j) @ s_j
+                (e / ev_j).dot(s_j, v[j])
                 hess += k_t * max(g_j, 0.0) / ev_j * (ss - v[j][:, None] * v[j])
             else:
                 hess += k_t * p2[j, j] * ss
-        hess += k_t * (v.T @ p2 @ v)
-        d_term = g_ev @ v
+        hess += k_t * v.T.dot(p2).dot(v)
+        d_term = g_ev.dot(v)
         grad += d_term
         # the output rows, upper then lower per stage, filled from one
         # contiguous product
-        out = w.W_y @ s[1:n_h, w.n:]            # (N-1, p, N*m)
+        out = np.matmul(w.W_y, s[1:n_h, w.n:])  # (N-1, p, N*m), a 3-D product
         a_mat, b_vec = ws.a_mat, ws.b_vec
         out_rows = a_mat[:n_out].reshape(n_h - 1, 2, w.p, n_u)
         out_rows[:, 0] = out
@@ -321,9 +348,10 @@ def _dense_qp(hess, grad, a_mat, b_vec):
     rhs = np.zeros((len(grad), 2))
     rhs[:, 0] = grad
     d0 = -np.linalg.solve(hess, rhs)[:, 0]
-    q = b_vec - a_mat @ d0
-    tol = 1e-12 * max(1.0, float(abs(q).max()))
-    if q.min() >= -tol:
+    q = b_vec - a_mat.dot(d0)
+    qs = q.tolist()
+    top = magnitude(qs)     # NaN, which takes the dual, when q holds one
+    if top == top and min(qs) >= -1e-12 * max(1.0, top):
         return d0, np.zeros(len(q))
     return _dual_qp(hess, grad, a_mat, b_vec)
 
@@ -386,14 +414,14 @@ def solve_fhocp(problem, warm=None, real_time=False):
         return np.minimum(np.maximum(u_seq, -u_max), u_max)
 
     def merit(cost, g, nu):
-        return cost + nu * float(np.maximum(g, 0.0).sum())
+        return cost + nu * float(_sum(np.maximum(g, 0.0), axis=None))
 
     u0 = np.tile(problem.ref.u_bar, (n_h, 1)) if warm is None \
         else np.asarray(warm, dtype=float).reshape(n_h, m)
     u0 = project(u0)
 
     cand_cost, cand_g, cand_aux = problem._evaluate(u0, held)
-    cand_viol = float(cand_g.max())    # each plan's max(g), taken once
+    cand_viol = largest(cand_g.tolist())    # each plan's max(g), taken once
     cand_feasible = cand_viol <= _FEAS_TOL
 
     u, cost, g, aux, viol = u0, cand_cost, cand_g, cand_aux, cand_viol
@@ -409,13 +437,15 @@ def solve_fhocp(problem, warm=None, real_time=False):
         if qp is None:
             break
         d, lam = qp
-        lam_term = float(lam[n_g - 1])
-        nu = max(nu, 1.1 * float(lam[:n_g].max()))
-        d = d.reshape(n_h, m)
+        lams = lam[:n_g].tolist()
+        lam_term = lams[-1]
+        nu = max(nu, 1.1 * largest(lams))
         # a step this small is taken as is: rounding can fail Armijo on it
-        tiny = float(abs(d).max()) < _STEP_TOL
+        tiny = magnitude(d.tolist()) < _STEP_TOL
+        d = d.reshape(n_h, m)
         ref_val = merit(cost, g, nu)
-        slope = float(grad @ d.ravel()) - nu * float(np.maximum(g[n_g0:], 0.0).sum())
+        slope = float(grad.dot(d.ravel())) \
+            - nu * float(_sum(np.maximum(g[n_g0:], 0.0), axis=None))
         t = 1.0
         for _ls in range(_LINE_SEARCH_MAX):
             u_t = project(u + t * d)
@@ -425,10 +455,10 @@ def solve_fhocp(problem, warm=None, real_time=False):
             t *= 0.5
         else:
             break
-        step = float(abs(u_t - u).max())
+        step = magnitude((u_t - u).ravel().tolist())
         u, cost, g, aux = u_t, cost_t, g_t, aux_t
         held, spare = spare, held
-        viol = float(g.max())
+        viol = largest(g.tolist())
         if viol <= _FEAS_TOL and cost < best_cost:
             best_u, best_cost, best_viol = u, cost, viol
         if step < _STEP_TOL:
@@ -462,7 +492,8 @@ class Controller:
     """Receding-horizon wrapper: holds warm-start and the e_o recursion.
 
     The ``certificate`` fixes the horizon, state weight, margins and P_f;
-    ``r_weight`` > 0, e_o(0) = ``e_o0`` >= 0 and the (p,) or scalar output
+    the weights' readout ``W_y`` has no row of zeros, ``r_weight`` > 0,
+    e_o(0) = ``e_o0`` >= 0 and the (p,) or scalar output
     bounds complete the FHOCP; InfeasibleSetpointError if they leave no
     admissible set-point at e_o0. Each step builds its ``Problem`` on the
     controller's ``workspace``, built once, keeps it as ``problem`` until the
@@ -471,6 +502,10 @@ class Controller:
     """
 
     def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
+        # the terminal radius divides by each output's readout norm
+        check("W_y", w.W_y, (lambda v: bool(np.all(np.any(v != 0.0, axis=1))),
+                             "a readout with no row of zeros, since the terminal radius "
+                             "divides by each row's norm"))
         # the QP's Hessian is at least 2 r I: r > 0 keeps it strictly convex;
         # over the input box, the input cost r sum |u_k - u_bar|^2 reaches N m (2 u_max)^2 r
         largest = max(2.0, certificate.horizon * w.m * (2.0 * w.u_max) ** 2)

@@ -2,8 +2,11 @@
 
 All matrices handled here are tiny (2x2 and 3x3 in normal use, at most
 ~11x11 for equilibrium Jacobians), so plain dense routines are exact
-enough and nothing is optimized for scale.
+enough and nothing is optimized for scale. ``largest`` and ``magnitude``
+reduce the per-step vectors of the control step, as Python floats.
 """
+
+import math
 
 import numpy as np
 
@@ -19,6 +22,24 @@ def induced_two_norm(m):
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def largest(values):
+    """``max`` of a list of floats as ``ndarray.max`` gives it: NaN when an
+    entry is NaN, where the builtin skips a NaN that is not first (numpy's
+    NaN may carry either sign; this one is ``math.nan``). A sum propagates
+    NaN, so only a NaN sum (a NaN entry, or inf - inf) looks at the
+    entries one by one."""
+    total = sum(values)
+    if total != total and any(v != v for v in values):
+        return math.nan
+    return max(values)
+
+
+def magnitude(values):
+    """``abs(a).max()`` of a list of floats, max(max, -min) made nonnegative:
+    NaN when an entry is NaN, since ``largest`` then is."""
+    return abs(max(largest(values), -min(values)))
 
 
 def freeze_arrays(record, **values):

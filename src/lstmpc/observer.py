@@ -145,9 +145,9 @@ def observer_step(w, spec, chi_hat, u, y_measured):
         raise DimensionError("input/measurement shape mismatch")
     _check_fit(w, spec)
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
-    innov = y_measured - (w.W_y @ x.h + w.b_y + d)
-    c, h = w.step(x.c, x.h, u, spec.injection @ innov)
-    d_next = np.minimum(np.maximum(d + spec.L_d @ innov, -spec.d_max), spec.d_max)
+    innov = y_measured - (w.W_y.dot(x.h) + w.b_y + d)
+    c, h = w.step(x.c, x.h, u, spec.injection.dot(innov))
+    d_next = np.minimum(np.maximum(d + spec.L_d.dot(innov), -spec.d_max), spec.d_max)
     return AugmentedState(LstmState(c, h), d_next)
 
 

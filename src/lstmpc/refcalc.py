@@ -6,7 +6,13 @@ in it, which ``_track`` follows by predictor-corrector continuation (Allgower & 
 simplified Newton corrector (Deuflhard, 2004) of ``_newton``. Each solved
 pair carries the inverse Jacobian at its equilibrium, for the next control
 step's corrector; its last p columns are the curve's tangent, from which
-K_bar bounds how fast the set-point may move."""
+K_bar bounds how fast the set-point may move.
+
+The tracker runs once per control step, on vectors of 2n+p entries: its
+products go through ``ndarray.dot``, without the matmul ufunc's Python-level
+dispatch, and the corrector's residual norm and input-box test are taken on
+Python floats by ``numerics.magnitude``, which sees a NaN as
+``abs(r).max()`` does, so no residual that holds a NaN passes the test."""
 
 import warnings
 from dataclasses import dataclass
@@ -16,6 +22,7 @@ import numpy as np
 from . import lstm
 from .errors import POSITIVE_INT, DimensionError, InfeasibleReferenceError, check
 from .lstm import LstmState
+from .numerics import magnitude
 
 _TOL = 1e-10        # max |residual| of an accepted equilibrium
 _CONTRACTION = 0.1  # a reused inverse Jacobian must cut max |residual| by this factor
@@ -59,17 +66,16 @@ def _residual(w, xi, y0_eff, cell, out):
     c_next, h_next = cell
     np.subtract(c_next, xi[:n], out=out[:n])
     np.subtract(h_next, xi[n:2 * n], out=out[n:2 * n])
-    y = np.matmul(w.W_y, xi[n:2 * n], out=out[2 * n:])
+    y = w.W_y.dot(xi[n:2 * n], out[2 * n:])
     y += w.b_y
     y -= y0_eff
 
 
 def _jacobian(w):
     """Analytic dF/dxi of ``_residual`` at the weights' last ``_cell_step``,
-    [A_0 - I | B_0; 0 W_y 0], ``lstm.step_jacobians`` writing [A_0 | B_0]
-    into the weights' template; y0_eff only shifts F."""
-    jac = w.residual_jacobian.copy()
-    lstm.step_jacobians(w, w.last_factors(), jac[None])
+    [A_0 - I | B_0; 0 W_y 0], from a copy of ``LstmWeights.last_jacobian``,
+    [A_0 | B_0] in the weights' template; y0_eff only shifts F."""
+    jac = w.last_jacobian().copy()
     # the diagonal of the state columns, a strided view: no index array
     jac.reshape(-1)[:2 * w.n * (jac.shape[1] + 1):jac.shape[1] + 1] -= 1.0
     return jac
@@ -106,9 +112,9 @@ def _newton(w, xi, y0_eff, jac_inv):
     with np.errstate(all="ignore"):       # a diverging iterate may overflow
         for it in range(51):               # 50 steps, then a last residual test
             _residual(w, xi, y0_eff, _cell_step(w, xi), r)
-            res = float(abs(r).max())
+            res = magnitude(r.tolist())
             if res < _TOL:
-                if abs(xi[2 * w.n:]).max() > w.u_max + 1e-9:
+                if magnitude(xi[2 * w.n:].tolist()) > w.u_max + 1e-9:
                     raise InfeasibleReferenceError(
                         f"equilibrium input {xi[2 * w.n:]} outside the +-{w.u_max} box",
                         "box")
@@ -117,7 +123,7 @@ def _newton(w, xi, y0_eff, jac_inv):
                 break
             if jac_inv is None or not res < _CONTRACTION * res_prev:
                 jac_inv = _inverse(_jacobian(w))
-            xi -= np.matmul(jac_inv, r, out=dxi)
+            xi -= jac_inv.dot(r, dxi)
             res_prev = res
     raise InfeasibleReferenceError("Newton iteration did not converge", "diverged")
 
@@ -142,12 +148,12 @@ def _track(w, xi, jac_inv, y0_eff):
     1/1024 of the path.
     """
     n = w.n
-    delta = y0_eff - (w.W_y @ xi[n:2 * n] + w.b_y)
+    delta = y0_eff - (w.W_y.dot(xi[n:2 * n]) + w.b_y)
     reuse = jac_inv
     done, step = 0.0, 1.0
     while done < 1.0:
         step = min(step, 1.0 - done)   # dyadic, so the last sub-target is y0_eff
-        guess = xi if jac_inv is None else xi + jac_inv[:, 2 * n:] @ (step * delta)
+        guess = xi if jac_inv is None else xi + jac_inv[:, 2 * n:].dot(step * delta)
         try:
             xi, res, jac_inv = _newton(w, guess, y0_eff - (1.0 - done - step) * delta,
                                        reuse)

@@ -226,3 +226,40 @@ def test_kernel_step_loops_call_only_names_bound_before_them():
               if isinstance(n, ast.Attribute) and n.attr == "dot"
               and isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy")]
     assert found == []
+
+
+# the functions a control step runs, by module and qualified name
+STEP_FUNCTIONS = {
+    "mpc.py": ("Problem._evaluate", "Problem.qp_model", "_dense_qp", "solve_fhocp"),
+    "refcalc.py": ("_track", "_residual", "_newton"),
+    "lstm.py": ("LstmWeights.step_in_place", "_sweep", "_sensitivities", "_local_factors",
+                "_step_jacobians"),
+    "observer.py": ("observer_step",),
+}
+
+
+def _definition(tree, qualname):
+    node = tree
+    for name in qualname.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+    return node
+
+
+def test_control_step_applies_no_matmul_operator_or_reduction_method():
+    # on the step's arrays of 5 to 21 entries, numpy's Python-level entry
+    # points cost more than the arithmetic: products go through ndarray.dot
+    # (or an explicit np.matmul where the output is strided or 3-D), exact
+    # maxima through numerics.largest and numerics.magnitude on floats, and
+    # sums through np.add.reduce, never through @, .max(), .min() or .sum()
+    trees = _trees()
+    found = []
+    for module, names in STEP_FUNCTIONS.items():
+        for qualname in names:
+            for n in ast.walk(_definition(trees[module], qualname)):
+                if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+                    found.append(f"{module} {qualname}: line {n.lineno} applies @")
+                elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and n.func.attr in ("max", "min", "sum")):
+                    found.append(f"{module} {qualname}: line {n.lineno} calls .{n.func.attr}()")
+    assert found == []

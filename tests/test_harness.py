@@ -5,6 +5,7 @@ import json
 import pathlib
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -725,6 +726,28 @@ class TestCli:
         assert out.out == ""
         assert json.loads(out.err) == {"error": "InfeasibleSetpointError", "message": message}
         assert not steps and not (tmp_path / "run").exists()
+
+    def test_simulate_rejects_a_readout_row_of_zeros(self, tmp_path, capsys):
+        # the terminal radius divides by the readout norm: named in the set-up,
+        # with no divide-by-zero warning and no other error after it
+        doc = json.loads((ASSETS / "model.json").read_text())
+        doc["W_y"] = [[0.0] * doc["n"]]
+        path, sc_path = tmp_path / "model.json", tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        tiny_physical_scenario(duration_s=50.0).to_json(sc_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["simulate", "--scenario", str(sc_path), "--weights", str(path),
+                           "--out", str(tmp_path / "run")])
+        assert rc == 2 and caught == []
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("W_y must be a readout with no row of zeros")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("y_lb_phys, y_ub_phys", [(9.0, 6.0), (7.0, 7.0)])
     def test_simulate_rejects_unordered_output_bounds(self, tmp_path, capsys,

@@ -623,7 +623,46 @@ class TestLocalFactors:
             assert np.array_equal(got, want)
 
 
+def step_jacobians_oracle(w, factors, out):
+    """``step_jacobians`` as one expression per block, on new temporaries."""
+    f, k_f, k_i, k_g, k_o, k_t = factors
+    n, cols = f.shape[1], out.shape[2]
+    rows = gate_rows(n)
+    uw = [np.concatenate((w.U, w.W), axis=1)[rows[gate], :cols - n] for gate in "fico"]
+    dc = k_f[:, :, None] * uw[0] + k_i[:, :, None] * uw[1] + k_g[:, :, None] * uw[2]
+    for k in range(len(out)):
+        out[k, :n, :n] = np.diag(f[k])
+        out[k, n:2 * n, :n] = np.diag(k_t[k] * f[k])
+    out[:, :n, n:] = dc
+    out[:, n:2 * n, n:] = k_t[:, :, None] * dc + k_o[:, :, None] * uw[3]
+
+
 class TestStepJacobians:
+    # the sweeps' own buffers (the MPC's T = 5 and 10, refcalc's one step
+    # into the weights' template, training's blocks of 148) and a caller's
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_steps", [1, 5, 10, 148])
+    def test_equals_the_oracle_bit_for_bit(self, bench_w, net, n_steps):
+        w, _, _, _, c, cache = TestSensitivities._case(bench_w, net, n_steps)
+        n2 = 2 * w.n
+        factors = lstm.local_factors(c, cache)
+        for cols in (n2 + w.m, n2):
+            got, want = np.zeros((n_steps, n2, cols)), np.zeros((n_steps, n2, cols))
+            lstm.step_jacobians(w, factors, got)
+            step_jacobians_oracle(w, factors, want)
+            assert got.tobytes() == want.tobytes()
+        ws = lstm.Workspace(w.n, w.m, n_steps)
+        ws.rollout(w, c[0], np.zeros(w.n), np.zeros((n_steps, w.m)))
+        for _ in range(2):              # its second sweep reuses its buffers
+            c_ws, h_ws, cache_ws = ws.rollout(w, c[0], c[1], c[1:, :w.m])
+            s = ws.sensitivities()
+            assert s.tobytes() == lstm.sensitivities(w, c_ws, cache_ws).tobytes()
+        jac = w.residual_jacobian.copy()
+        w.step_in_place(c[0], c[1], c[1, :w.m])
+        step_jacobians_oracle(w, local_factors_oracle(*lstm.rollout(
+            w, c[0], c[1], c[1:2, :w.m])[::2]), jac[None, :n2])
+        assert w.last_jacobian().tobytes() == jac.tobytes()
+
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])
     def test_matches_central_differences(self, bench_w, net, n_steps):
@@ -1096,3 +1135,14 @@ class TestSerialization:
         fields = {name: getattr(tiny_w, name) for name in lstm.MATRIX_FIELDS}
         with pytest.raises(error, match=message):
             lstm.LstmWeights(**{**fields, **change(tiny_w)})
+
+
+def test_inputs_given_as_lists_run_as_arrays(bench_w):
+    # the input products call the inputs' ndarray.dot, after np.asarray
+    x0 = random_invariant_state(bench_w, np.random.default_rng(9))
+    u = [[0.3], [-0.2], [0.1]]
+    for got, want in zip(lstm.rollout(bench_w, x0.c, x0.h, u)[:2],
+                         lstm.rollout(bench_w, x0.c, x0.h, np.array(u))[:2]):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(bench_w.step(x0.c, x0.h, u[0]), bench_w.step(x0.c, x0.h, np.array(u[0]))):
+        assert got.tobytes() == want.tobytes()

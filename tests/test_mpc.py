@@ -819,3 +819,182 @@ class TestController:
         np.testing.assert_array_equal(ctrl.problem.y_ub, [1.0, 1.0])
         alpha = certificate.terminal_alpha(w.W_y, y0, [-1.0, -1.0], [1.0, 1.0], 0.05)
         assert alpha > 0.0
+
+
+class TestReadout:
+    # the terminal radius divides by each output's readout norm, so a row of
+    # zeros is named before any step instead of dividing by zero
+    @pytest.mark.parametrize("net, row", [("bench", 0), ("small", 0), ("small", 1)])
+    def test_rejects_a_readout_row_of_zeros(self, bench, net, row):
+        if net == "bench":
+            w, gains = bench
+        else:
+            w = small_net(seed=2, n=3, m=2, p=2)
+            gains = observer.select_gains(w, w_bar=None)
+        certificate = mpc.certify(w, gains)
+        w_y = w.W_y.copy()
+        w_y[row] = 0.0
+        with pytest.raises(ValueError, match="^W_y must be a readout with no row of zeros"):
+            mpc.Controller(with_arrays(w, W_y=w_y), certificate)
+
+
+class TestNanReductions:
+    # the step's maxima are taken on Python floats, whose builtin max and min
+    # skip a NaN that is not first; each must still see the NaN as numpy does
+    def test_a_plan_whose_g_holds_nan_is_infeasible(self, bench_w, bench_spec, monkeypatch):
+        _, problem = feasible_instance(bench_w, bench_spec, 2, 5)
+        evaluate = mpc.Problem._evaluate
+
+        def with_nan(self, *args):
+            cost, g, aux = evaluate(self, *args)
+            g[:] = -1.0             # every row satisfied but one, which is NaN
+            g[1] = np.nan
+            return cost, g, aux
+
+        monkeypatch.setattr(mpc.Problem, "_evaluate", with_nan)
+        with pytest.raises(FeasibilityLossError, match=r"candidate violation nan\)"):
+            mpc.solve_fhocp(problem, real_time=True)
+
+    @pytest.mark.parametrize("b_vec", [[1.0, np.nan, 1.0], [np.nan, 1.0, 1.0],
+                                       [1.0, 1.0, np.nan]])
+    def test_a_nan_slack_takes_the_dual_path(self, monkeypatch, b_vec):
+        # d0 = 0, so the slack q is b_vec: a NaN fails q >= -tol, as in numpy
+        dual = []
+        monkeypatch.setattr(mpc, "_dual_qp", lambda *args: dual.append(1) or "dual")
+        a_mat = np.vstack((np.eye(2), [[1.0, 1.0]]))
+        assert mpc._dense_qp(np.eye(2), np.zeros(2), a_mat, np.array(b_vec)) == "dual"
+        assert dual == [1]
+
+
+def parent_sensitivities(w, c, cache):
+    """S from the step Jacobians, one product and one copy per step."""
+    n2, n_t = 2 * w.n, len(c) - 1
+    jac, s = np.zeros((n_t, n2, n2 + w.m)), np.zeros((n_t + 1, n2, n_t * w.m))
+    lstm.step_jacobians(w, lstm.local_factors(c, cache), jac)
+    for t in range(n_t):
+        np.matmul(jac[t, :, :n2], s[t, :, :t * w.m], out=s[t + 1, :, :t * w.m])
+        s[t + 1, :, t * w.m:(t + 1) * w.m] = jac[t, :, n2:]
+    return s
+
+
+def parent_evaluate(problem, u_seq):
+    """``Problem.evaluate`` in its products through @ and its sums through
+    ndarray.sum: the formulas whose bits the step keeps."""
+    w, ref, n_h = problem.w, problem.ref, len(problem.tight)
+    c, h, cache = lstm.rollout(w, problem.x_hat.c, problem.x_hat.h, u_seq)
+    y_pred = h[:n_h] @ w.W_y.T + w.b_y
+    g = np.empty(2 * w.p * n_h + 1)
+    g_out = g[:-1].reshape(n_h, 2, w.p)
+    g_out[:, 0] = y_pred + problem.tight - problem.y_ub
+    g_out[:, 1] = problem.y_lb + problem.tight - y_pred
+    dx = np.concatenate((c - ref.x_bar.c, h - ref.x_bar.h), axis=1)
+    e_c, e_h = dx[n_h].reshape(2, w.n)
+    ev = np.sqrt([e_c.dot(e_c), e_h.dot(e_h)])
+    phi = float(ev @ problem.P_f @ ev)
+    g[-1] = phi - problem.alpha ** 2
+    cost = problem.q_weight * float((dx[:n_h] ** 2).sum()) \
+        + problem.r_weight * float(((u_seq - ref.u_bar) ** 2).sum()) + phi
+    return cost, g, (c, h, cache, ev, dx)
+
+
+def parent_qp_model(problem, u_seq, g, aux, lam_term):
+    """``Problem.qp_model`` in its products through @, on the rollout of
+    ``parent_evaluate``, with A and b stacked whole."""
+    w, ref, n_h = problem.w, problem.ref, len(problem.tight)
+    n_u, n_out = n_h * w.m, 2 * w.p * (n_h - 1)
+    c, _, cache, ev, dx = aux
+    s = parent_sensitivities(w, c, cache)
+    s_x = s[1:n_h].reshape(-1, n_u)
+    grad = 2.0 * problem.q_weight * (dx[1:n_h].ravel() @ s_x) \
+        + 2.0 * problem.r_weight * (u_seq - ref.u_bar).ravel()
+    hess = 2.0 * problem.q_weight * (s_x.T @ s_x) + 2.0 * problem.r_weight * np.eye(n_u)
+    p2 = 2.0 * problem.P_f
+    g_ev = p2 @ ev
+    k_t = 1.0 + lam_term
+    v = np.zeros((2, n_u))
+    for j, (e, s_j, ev_j, g_j) in enumerate(zip(
+            dx[n_h].reshape(2, w.n), s[n_h].reshape(2, w.n, n_u), ev.tolist(), g_ev.tolist())):
+        ss = s_j.T @ s_j
+        if ev_j > 0.0:
+            v[j] = (e / ev_j) @ s_j
+            hess += k_t * max(g_j, 0.0) / ev_j * (ss - v[j][:, None] * v[j])
+        else:
+            hess += k_t * p2[j, j] * ss
+    hess += k_t * (v.T @ p2 @ v)
+    d_term = g_ev @ v
+    grad += d_term
+    out = w.W_y @ s[1:n_h, w.n:]
+    a_mat = np.vstack((np.stack((out, -out), axis=1).reshape(n_out, n_u), d_term,
+                       np.eye(n_u), -np.eye(n_u)))
+    u_flat = u_seq.ravel()
+    b_vec = np.concatenate((-g[2 * w.p:], w.u_max - u_flat, w.u_max + u_flat))
+    return grad, hess, a_mat, b_vec
+
+
+class TestParentFormulas:
+    """The step's products through ndarray.dot, its sums through
+    np.add.reduce and its buffers give the bits of the @ formulas."""
+
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_horizon", [5, 10])
+    @pytest.mark.parametrize("terminal", ["both-errors", "no-cell-error"])
+    def test_evaluate_and_qp_model_bits(self, bench_w, net, n_horizon, terminal):
+        w = bench_w if net == "bench" else small_net(seed=2, n=3, m=2, p=2)
+        rng = np.random.default_rng(30 + n_horizon)
+        x0 = random_invariant_state(w, rng)
+        u = rng.uniform(-0.9, 0.9, (n_horizon, w.m))
+        x_bar = random_invariant_state(w, rng)
+        if terminal == "no-cell-error":      # ev_0 = 0: the Hessian's other branch
+            c, _, _ = lstm.rollout(w, x0.c, x0.h, u)
+            x_bar = lstm.LstmState(c[-1].copy(), x_bar.h)
+        ref = SimpleNamespace(x_bar=x_bar, u_bar=rng.uniform(-0.5, 0.5, w.m))
+        problem = mpc.Problem(w, x0, ref, rng.uniform(0.0, 0.2, (n_horizon, w.p)),
+                              np.full(w.p, -1.0), np.full(w.p, 1.0),
+                              np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4,
+                              q_weight=2.0, r_weight=0.5,
+                              workspace=mpc.FhocpWorkspace(w, n_horizon))
+        cost, g, aux = problem._evaluate(u, problem.workspace.sweeps[0])
+        want_cost, want_g, want_aux = parent_evaluate(problem, u)
+        assert (terminal == "no-cell-error") == (aux[3][0] == 0.0)
+        assert np.float64(cost).tobytes() == np.float64(want_cost).tobytes()
+        for got, want in zip((g, aux[3], aux[4]), (want_g, want_aux[3], want_aux[4])):
+            assert got.tobytes() == want.tobytes()
+        assert aux[2].sensitivities().tobytes() \
+            == parent_sensitivities(w, want_aux[0], want_aux[2]).tobytes()
+        for lam_term in (0.0, 0.7):
+            got = problem.qp_model(u, g, aux, lam_term)
+            want = parent_qp_model(problem, u, want_g, want_aux, lam_term)
+            for name, a, b in zip(("grad", "hess", "A", "b"), got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    @pytest.mark.parametrize("n_horizon", [5, 10])
+    def test_dot_is_matmul_at_the_step_shapes(self, bench_w, net, n_horizon):
+        # each product of a step, at its shapes and memory layouts: a
+        # transposed readout, s_x' s_x and S_N's c, h blocks (BLAS' syrk),
+        # the tangent's strided columns, the rollout's preactivations
+        w = bench_w if net == "bench" else small_net(seed=2, n=3, m=2, p=2)
+        n, m, p, n_h = w.n, w.m, w.p, n_horizon
+        n_u, n_g = n_h * m, 2 * p * n_h + 1
+        rng = np.random.default_rng(n_horizon)
+        for _ in range(5):
+            s = rng.normal(size=(n_h + 1, 2 * n, n_u))
+            s_x = s[1:n_h].reshape(-1, n_u)
+            s_j = s[n_h].reshape(2, n, n_u)[1]
+            h, dx = rng.normal(size=(n_h + 1, n)), rng.normal(size=(n_h + 1, 2 * n))
+            ev, p2, v = rng.normal(size=2), rng.normal(size=(2, 2)), rng.normal(size=(2, n_u))
+            jac_inv = rng.normal(size=(2 * n + m, 2 * n + m))
+            pairs = [
+                (h[:n_h], w.W_y.T), (ev, p2), (ev, ev), (dx[1:n_h].ravel(), s_x),
+                (s_x.T, s_x), (p2, ev), (s_j.T, s_j), (dx[n_h, :n], s_j), (v.T, p2),
+                (v.T @ p2, v), (ev, v), (rng.normal(size=(n_g - 2 * p + 2 * n_u, n_u)),
+                                         rng.normal(size=n_u)),
+                (rng.normal(size=n_u), rng.normal(size=n_u)), (w.W_y, h[0]),
+                (jac_inv, rng.normal(size=2 * n + m)),
+                (jac_inv[:, 2 * n:], rng.normal(size=p)),
+                (rng.normal(size=m), w.W_half.T), (rng.normal(size=(n_h, m)), w.W_half.T),
+                (rng.normal(size=(4 * n, p)), rng.normal(size=p)),
+                (rng.normal(size=(p, p)), rng.normal(size=p)),
+            ]
+            for k, (a, b) in enumerate(pairs):
+                assert a.dot(b).tobytes() == np.matmul(a, b).tobytes(), k

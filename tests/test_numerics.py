@@ -173,3 +173,43 @@ class TestEigExtremaSpd:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError, match=r"must be square, got \(2, 3\)"):
             numerics.eig_extrema_spd(np.ones((2, 3)))
+
+
+# lists of 1 to 21 floats with a NaN, an infinity or both at every position:
+# Python's max and min skip a NaN that is not first, numpy's do not
+def _reduction_cases():
+    rng = np.random.default_rng(11)
+    cases = [[0.5], [-2.0, 3.0], [np.inf, -np.inf], [1e308, 1e308, -np.inf], [-0.0, -1.0]]
+    for size in (1, 2, 5, 11, 21):
+        base = rng.normal(size=size).tolist()
+        cases.append(base)
+        for k in range(size):
+            for special in ((np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf),
+                            (np.nan, np.inf)):
+                case = list(base)
+                for j, value in enumerate(special):
+                    case[(k + j) % size] = value
+                cases.append(case)
+    return cases
+
+
+class TestReductionsOnFloats:
+    def test_largest_is_ndarray_max(self):
+        for case in _reduction_cases():
+            want = np.array(case).max()
+            got = numerics.largest(case)
+            assert type(got) is float
+            assert np.array(got).tobytes() == want.tobytes(), case
+
+    def test_magnitude_is_abs_max(self):
+        for case in _reduction_cases():
+            want = abs(np.array(case)).max()
+            got = numerics.magnitude(case)
+            assert type(got) is float
+            assert np.array(got).tobytes() == want.tobytes(), case
+
+    def test_a_nan_after_a_small_entry_gives_nan(self):
+        # the case the builtins get wrong: max([1e-12, nan]) is 1e-12
+        assert max([1e-12, np.nan]) == 1e-12
+        assert np.isnan(numerics.largest([1e-12, np.nan]))
+        assert np.isnan(numerics.magnitude([1e-12, np.nan, -3.0]))

@@ -489,3 +489,28 @@ class TestSensitivity:
         k, arg = refcalc.estimate_k_bar(bench_w, (-0.1, 0.1), (-0.05, 0.05),
                                         grid_density=5)
         assert k > 0.0 and len(arg) == 2
+
+
+class TestNanResidual:
+    # _newton takes the residual's largest magnitude on Python floats, whose
+    # builtin max skips a NaN that is not first: a residual that holds a NaN
+    # after an entry below _TOL must never pass the acceptance test
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    def test_newton_never_accepts_a_nan_residual(self, bench_w, monkeypatch, net):
+        w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
+        x = attractor(w, np.full(w.m, 0.2))
+        y0_eff = lstm.output(w, x)
+        ref = refcalc.solve_reference(w, y0_eff, np.zeros(w.p))
+        xi = np.concatenate([ref.x_bar.c, ref.x_bar.h, ref.u_bar])
+        residual = refcalc._residual
+        entries = []
+
+        def with_nan(w_, xi_, y0_eff_, cell, out):
+            residual(w_, xi_, y0_eff_, cell, out)
+            entries.append(abs(out[0]))
+            out[1] = np.nan
+
+        monkeypatch.setattr(refcalc, "_residual", with_nan)
+        with pytest.raises(InfeasibleReferenceError):
+            refcalc._newton(w, xi, y0_eff, ref.jac_inv)
+        assert entries[0] < refcalc._TOL    # the first entry alone would pass
