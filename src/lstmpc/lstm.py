@@ -18,11 +18,11 @@ training and the reference Jacobian all run this cell through one kernel:
   sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so the gates
   equal ``sigmoid``'s bit for bit. One loop, ``_run``, works in place in
   a buffer whose row k is [c_k | g | f | i | o], 9 numpy calls per step:
-  ``rollout`` runs it over T steps on buffers it allocates, a
-  ``Workspace`` over up to T steps, of any weights of its shapes, on
-  buffers and row views it owns, for sweeps that repeat, such as the
-  controller's and training's, and ``LstmWeights.step`` over one on
-  buffers the weights own.
+  ``Workspace.rollout`` runs it over up to T steps, of any weights of its
+  shapes, on buffers and row views the workspace owns, for sweeps that
+  repeat, such as the controller's and training's; ``rollout`` is one
+  sweep in a fresh ``Workspace``; and ``LstmWeights.step`` runs one step
+  on buffers the weights own.
 - ``step_jacobians``, the one copy of the cell's linearization, feeds the
   forward sweep ``sensitivities``, the reverse sweep ``adjoint`` and the
   reference calculation's Newton Jacobian. It and ``local_factors`` run
@@ -114,9 +114,10 @@ class LstmWeights:
     [0; 0 W_y 0] of the equilibrium residual's Jacobian. Every array is a
     read-only copy and no attribute can be assigned, so nothing changes a
     model once its certificate is built: a changed model is a new
-    ``LstmWeights``. ``step`` runs on buffers the weights own and
-    ``last_factors`` reads them. ``u_range`` / ``y_range``, the physical
-    (lo, hi) pairs normalized to [-1, 1], make a saved model self-contained.
+    ``LstmWeights``. ``step`` runs on buffers the weights own, where
+    ``last_jacobian`` linearizes the last step. ``u_range`` / ``y_range``,
+    the physical (lo, hi) pairs normalized to [-1, 1], make a saved model
+    self-contained.
     """
 
     W_f, W_i, W_c, W_o, U_f, U_i, U_c, U_o, b_f, b_i, b_c, b_o = (
@@ -153,8 +154,8 @@ class LstmWeights:
             b_half=b * scale, UW=np.concatenate((U, W), axis=1).reshape(4, n, n + m),
             residual_jacobian=residual_jacobian)
         freeze_arrays(self)
-        row, h, pre, steps, cache, fc_ig = _loop_buffers(1, n)
-        vars(self).update(_pre=pre, _cache=cache, _steps=list(steps), _c=row[:, :n],
+        c, h, pre, steps, cache, fc_ig = _loop_buffers(1, n)
+        vars(self).update(_pre=pre, _cache=cache, _steps=list(steps), _c=c,
                           _h_next=h[1], _inject=np.empty(4 * n), _fc_ig=fc_ig)
 
     def __setattr__(self, name, value):
@@ -180,12 +181,6 @@ class LstmWeights:
         self._c[0] = c
         _run(self, h, self._steps, self._fc_ig)
         return self._c[1], self._h_next
-
-    def last_factors(self):
-        """``local_factors`` of the last ``step``, (1, n) views of the
-        weights' buffers, which their next step or call overwrites."""
-        _, (factors, _) = self._last_step_buffers()
-        return _local_factors(factors)
 
     def last_jacobian(self):
         """``residual_jacobian`` with [A_0 | B_0] of the last ``step`` from
@@ -218,18 +213,18 @@ def by_gate(W, U, b):
 
 
 def _loop_buffers(n_t, n):
-    """A T-step loop's buffers, row (T+1, 5n) whose row k is [c_k | z_k], z_k
-    step k's gates in ``GATES`` order (so [c_k | g] and [f | i] are adjacent),
-    h (T+1, n) and the halved preactivations (T, 4n); the per-step views
-    ``_run`` writes through, an iterator; the cache, ([f i o], g, tanh(c+));
-    and ``_run``'s (2n,) scratch."""
+    """A T-step loop's buffers: c (T+1, n), the leading columns of rows
+    [c_k | z_k], z_k step k's gates in ``GATES`` order (so [c_k | g] and
+    [f | i] are adjacent), h (T+1, n) and the halved preactivations (T, 4n);
+    the per-step views ``_run`` writes through, an iterator; the cache,
+    ([f i o], g, tanh(c+)); and ``_run``'s (2n,) scratch."""
     row, h, tc, pre = (np.empty((n_t + 1, 5 * n)), np.empty((n_t + 1, n)), np.empty((n_t, n)),
                        np.empty((n_t, 4 * n)))
     z = row[:-1, n:]
     sig = z[:, _F * n:(_O + 1) * n]
     steps = zip(z, pre, sig, z[:, _F * n:(_I + 1) * n], row[:-1, :n + (_C + 1) * n],
                 row[1:, :n], tc, z[:, _O * n:(_O + 1) * n], h[1:])
-    return row, h, pre, steps, (sig, z[:, _C * n:(_C + 1) * n], tc), np.empty(2 * n)
+    return row[:, :n], h, pre, steps, (sig, z[:, _C * n:(_C + 1) * n], tc), np.empty(2 * n)
 
 
 _dot = np.ndarray.dot     # each sweep's per-step product, without np.dot's dispatcher
@@ -256,25 +251,9 @@ def _run(w, h_k, steps, fc_ig):
 
 
 def rollout(w, c0, h0, u_seq, inject=None):
-    """Run the cell over the (T, m) inputs ``u_seq`` from (c0, h0).
-
-    ``inject``, if given, is added to the preactivations (broadcast to
-    (T, 4n), in ``GATES`` order). Returns c, h of shape (T+1, n) and the
-    cache that ``local_factors``, ``sensitivities`` and ``adjoint`` read.
-    """
-    return _sweep(w, _loop_buffers(len(u_seq), w.n), c0, h0, u_seq, inject)
-
-
-def _sweep(w, buffers, c0, h0, u_seq, inject=None):
-    """``rollout`` in the ``_loop_buffers`` ``buffers``, which it overwrites."""
-    row, h, pre, steps, cache, fc_ig = buffers
-    row[0, :w.n], h[0] = c0, h0
-    np.asarray(u_seq).dot(w.W_half.T, pre)
-    pre += w.b_half
-    if inject is not None:
-        pre += inject * w._scale
-    _run(w, h[0], steps, fc_ig)
-    return row[:, :w.n], h, cache
+    """Run the cell over the (T, m) inputs ``u_seq`` from (c0, h0), in a
+    ``Workspace`` of its own: ``Workspace.rollout``."""
+    return Workspace(w.n, w.m, len(u_seq)).rollout(w, c0, h0, u_seq, inject)
 
 
 class Workspace:
@@ -284,35 +263,43 @@ class Workspace:
     ``adjoint``. A sweep takes the weights it runs, so one workspace serves
     every model of these shapes, such as each update's new weights in
     training, and a sweep of T < ``n_t`` steps runs in the leading rows.
-    Each sweep overwrites the last one's results, so a caller that keeps one
-    sweep while it runs the next holds two workspaces; the functions
-    ``rollout`` and ``adjoint``, for a sweep run once, work on buffers of
-    their own."""
+    Each sweep overwrites the last one's results. The function ``rollout``
+    runs once in a workspace of its own; ``adjoint``, for a sweep run once,
+    works on buffers of its own."""
 
     def __init__(self, n, m, n_t):
-        row, h, pre, steps, cache, fc_ig = _loop_buffers(n_t, n)
+        c, h, pre, steps, cache, fc_ig = _loop_buffers(n_t, n)
         self.n, self.m, self.n_t = n, m, n_t
-        self._buffers = row, h, pre, list(steps), cache, fc_ig
+        self._buffers = c, h, pre, list(steps), cache, fc_ig
         self._sens = self._reverse = None
 
-    def rollout(self, w, c0, h0, u_seq):
-        """``rollout`` of the weights ``w`` over the (T, m) ``u_seq`` from
-        (c0, h0): c, h and the cache, views of this workspace's buffers."""
+    def rollout(self, w, c0, h0, u_seq, inject=None):
+        """The cell of the weights ``w`` over the (T, m) inputs ``u_seq``
+        from (c0, h0). ``inject``, if given, is added to the preactivations
+        (broadcast to (T, 4n), in ``GATES`` order). Returns c, h of shape
+        (T+1, n) and the cache that ``local_factors``, ``sensitivities`` and
+        ``adjoint`` read: views of this workspace's buffers, which its next
+        sweep overwrites."""
         if (w.n, w.m) != (self.n, self.m):
             raise DimensionError(f"weights of (n, m) = ({w.n}, {w.m}) in a workspace "
                                  f"of ({self.n}, {self.m})")
         n_t = len(u_seq)
-        buffers = self._buffers if n_t == self.n_t else self._leading(n_t)
-        c, h, cache = out = _sweep(w, buffers, c0, h0, u_seq)
+        c, h, pre, steps, cache, fc_ig = self._buffers if n_t == self.n_t else self._leading(n_t)
+        c[0], h[0] = c0, h0
+        np.asarray(u_seq).dot(w.W_half.T, pre)
+        pre += w.b_half
+        if inject is not None:
+            pre += inject * w._scale
+        _run(w, h[0], steps, fc_ig)
         self._last = w, c, cache
-        return out
+        return c, h, cache
 
     def _leading(self, n_t):
         """The loop buffers' leading rows, those of a T-step sweep."""
         if not 0 <= n_t <= self.n_t:
             raise DimensionError(f"a sweep of {n_t} steps in a workspace of {self.n_t}")
-        row, h, pre, steps, cache, fc_ig = self._buffers
-        return (row[:n_t + 1], h[:n_t + 1], pre[:n_t], steps[:n_t],
+        c, h, pre, steps, cache, fc_ig = self._buffers
+        return (c[:n_t + 1], h[:n_t + 1], pre[:n_t], steps[:n_t],
                 tuple(x[:n_t] for x in cache), fc_ig)
 
     def sensitivities(self):
@@ -320,9 +307,9 @@ class Workspace:
         workspace, which the next call overwrites."""
         w, c, cache = self._last
         if self._sens is None:
-            row, _, _, _, own_cache, _ = self._buffers
+            own_c, _, _, _, own_cache, _ = self._buffers
             jac, *rest = _sensitivity_buffers(self.n, self.m, self.n_t)
-            self._sens = _linearization_buffers(row[:, :self.n], own_cache, jac), jac, *rest
+            self._sens = _linearization_buffers(own_c, own_cache, jac), jac, *rest
         n_t, (linearization, jac, s, b_in_s, steps) = len(c) - 1, self._sens
         if n_t < self.n_t:
             jac, s, b_in_s = jac[:n_t], s[:n_t + 1, :, :n_t * self.m], b_in_s[:n_t]

@@ -23,7 +23,9 @@ left-shifted previous plan: stability and recursive feasibility need only
 a feasible plan that costs no more than that feasible shifted candidate
 (suboptimal MPC, Scokaert, Mayne & Rawlings, 1999). Every solve of a
 controller runs on the one ``FhocpWorkspace`` it allocates (Houska,
-Ferreau & Diehl, 2011, run each sample on memory allocated once).
+Ferreau & Diehl, 2011, run each sample on memory allocated once), whose
+one ``lstm.Workspace`` each ``Problem.evaluate`` overwrites; a
+``Problem`` built without one builds its own.
 
 A step's vectors hold 5 to 21 entries, where numpy's Python-level entry
 points cost more than the arithmetic, so the step does without them and
@@ -37,7 +39,7 @@ pairwise order.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +50,10 @@ from .numerics import (eig_extrema_spd, freeze_arrays, largest, magnitude,
                        solve_discrete_lyapunov, spectral_radius)
 
 _sum = np.add.reduce     # a whole array's pairwise sum, without ndarray.sum's wrapper
+
+# the readout rule that certify and Controller both check W_y with
+_READOUT = (lambda v: bool(np.all(np.any(v != 0.0, axis=1))),
+            "a readout with no row of zeros, since the terminal radius divides by each row's norm")
 
 
 def _terminal_weight(a_delta, q_weight):
@@ -166,7 +172,9 @@ def certify(w, gains=None, horizon=5, q_weight=1.0, *, k_bar=False):
     observer section, either with its own d_max and w_bar; None means
     ``observer.select_gains(w)``. The chain is composed here only: one model
     certificate, one ``observer.derive_constants``. ``k_bar`` estimates K_bar
-    over pH 6.5-8.5 and +-d_max."""
+    over pH 6.5-8.5 and +-d_max. The readout ``W_y`` must have no row of
+    zeros."""
+    check("W_y", w.W_y, _READOUT)
     if k_bar and (w.u_range is None or w.y_range is None):
         raise ValueError("the K_bar estimate needs weights with u_range and y_range")
     cert = lstm.incremental_lyapunov(w)
@@ -195,22 +203,18 @@ class MpcSolution:
     candidate_violation: float  # warm-start plan's own violation
 
 
-def _plan_buffers(w, n_horizon):
-    """The buffers of one plan's ``Problem._evaluate``: the rollout's
-    ``lstm.Workspace`` and the state errors dx."""
-    return lstm.Workspace(w.n, w.m, n_horizon), np.empty((n_horizon + 1, 2 * w.n))
-
-
 class FhocpWorkspace:
     """The arrays that the FHOCP solves of one horizon reuse, allocated once
-    by ``Controller``: two ``_plan_buffers`` sweeps, whose rollout runs on
-    the problem's weights, so that the line search writes each trial into
-    the one that does not hold the accepted iterate, the QP's A and b,
-    whose input-box rows [I; -I] are set here, and I."""
+    by ``Controller``, or by a ``Problem`` built without one: the
+    ``lstm.Workspace`` ``sweep`` of every plan's rollout, which runs on the
+    problem's weights, and the plan's state errors ``dx``, which each
+    ``Problem.evaluate`` overwrites; the QP's A and b, whose input-box rows
+    [I; -I] are set here; and I."""
 
     def __init__(self, w, n_horizon):
         n_u, n_out = n_horizon * w.m, 2 * w.p * (n_horizon - 1)
-        self.sweeps = [_plan_buffers(w, n_horizon) for _ in range(2)]
+        self.sweep = lstm.Workspace(w.n, w.m, n_horizon)
+        self.dx = np.empty((n_horizon + 1, 2 * w.n))
         self.eye = np.eye(n_u)
         self.a_mat = np.empty((n_out + 1 + 2 * n_u, n_u))
         self.a_mat[n_out + 1:n_out + 1 + n_u] = self.eye
@@ -230,9 +234,10 @@ class Problem:
     on the controller's weights ``w``.
 
     ``tight`` holds the output-bound offsets a_i e_o + b_i + d_max of
-    stages 0..N-1, (N, p); ``y_lb`` and ``y_ub`` are (p,). ``workspace``, the
-    controller's ``FhocpWorkspace`` or None, holds the buffers of its solves.
-    The lower bounds' y_lb + tight is formed once, on construction.
+    stages 0..N-1, (N, p); ``y_lb`` and ``y_ub`` are (p,). ``workspace``
+    holds the buffers of its solves: the controller's ``FhocpWorkspace``,
+    or, given None, one built on construction. The lower bounds' y_lb +
+    tight is formed once, on construction too.
     """
 
     w: lstm.LstmWeights
@@ -248,6 +253,8 @@ class Problem:
     workspace: FhocpWorkspace | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.workspace is None:
+            self.workspace = FhocpWorkspace(self.w, len(self.tight))
         self._lb_tight = self.y_lb + self.tight
 
     def evaluate(self, u_seq):
@@ -255,14 +262,12 @@ class Problem:
         stage the tightened upper then lower output bound, then the
         terminal set; aux is the rollout that ``qp_model`` linearizes, (c,
         h, the ``lstm.Workspace`` that holds them, the terminal 2-norms ev,
-        the state errors dx of stages 0..N, (N+1, 2n))."""
-        return self._evaluate(u_seq, _plan_buffers(self.w, len(self.tight)))
-
-    def _evaluate(self, u_seq, buffers):
-        """``evaluate`` in the ``_plan_buffers`` ``buffers``, which it
-        overwrites: the returned dx is one of them."""
+        the state errors dx of stages 0..N, (N+1, 2n)). c, h and dx are the
+        ``workspace``'s buffers, which its next evaluation overwrites; cost
+        and g are the plan's own."""
         w, ref, n_h, n = self.w, self.ref, len(self.tight), self.w.n
-        sweep, dx = buffers
+        ws = self.workspace
+        sweep, dx = ws.sweep, ws.dx
         c, h, _ = sweep.rollout(w, self.x_hat.c, self.x_hat.h, u_seq)
         y_pred = h[:n_h].dot(w.W_y.T) + w.b_y   # outputs at stages 0..N-1
         g = np.empty(2 * w.p * n_h + 1)
@@ -285,11 +290,10 @@ class Problem:
         1..N-1, the terminal row, then the input box). ``lam_term`` is the
         terminal row's last multiplier: phi enters the Lagrangian as
         (1 + lam_term) phi, so its curvature does too. A and b are the
-        arrays of the problem's ``workspace``, which the next call overwrites,
-        or new ones without it."""
+        arrays of the problem's ``workspace``, which the next call overwrites."""
         w, ref, n_h = self.w, self.ref, len(self.tight)
         n_u, n_out = n_h * w.m, 2 * w.p * (n_h - 1)
-        ws = self.workspace or FhocpWorkspace(w, n_h)
+        ws = self.workspace
         _, _, sweep, ev, dx = aux
         s = sweep.sensitivities()               # (N+1, 2n, N*m), rows c then h
         s_x = s[1:n_h].reshape(-1, n_u)         # stages 1..N-1, laid out like dx[1:N]
@@ -401,13 +405,15 @@ def solve_fhocp(problem, warm=None, real_time=False):
     "optimal" when the step test passed, "iterate" when the real-time stop
     came first, "stalled" when the iteration cap, a failed line search or
     a failed QP did, and "candidate-fallback" when the feasible warm start
-    costs less than every feasible iterate. The solve runs in the problem's
-    ``workspace``, or in a new one without it.
+    costs less than every feasible iterate.
+
+    The solve runs in the problem's ``workspace``, whose one sweep each
+    evaluation overwrites. That is safe: ``qp_model`` reads the accepted
+    iterate's rollout before the line search evaluates a trial, the
+    accepted trial is the last one evaluated, and after a failed line
+    search only the plan, cost and violation are read.
     """
     n_h, m, u_max = len(problem.tight), problem.w.m, problem.w.u_max
-    if problem.workspace is None:
-        problem = replace(problem, workspace=FhocpWorkspace(problem.w, n_h))
-    held, spare = problem.workspace.sweeps     # the accepted iterate's, the trial's
     n_g0 = 2 * problem.w.p     # stage-0 output rows: independent of u
 
     def project(u_seq):
@@ -420,7 +426,7 @@ def solve_fhocp(problem, warm=None, real_time=False):
         else np.asarray(warm, dtype=float).reshape(n_h, m)
     u0 = project(u0)
 
-    cand_cost, cand_g, cand_aux = problem._evaluate(u0, held)
+    cand_cost, cand_g, cand_aux = problem.evaluate(u0)
     cand_viol = largest(cand_g.tolist())    # each plan's max(g), taken once
     cand_feasible = cand_viol <= _FEAS_TOL
 
@@ -449,7 +455,7 @@ def solve_fhocp(problem, warm=None, real_time=False):
         t = 1.0
         for _ls in range(_LINE_SEARCH_MAX):
             u_t = project(u + t * d)
-            cost_t, g_t, aux_t = problem._evaluate(u_t, spare)
+            cost_t, g_t, aux_t = problem.evaluate(u_t)
             if tiny or merit(cost_t, g_t, nu) <= ref_val + 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -457,7 +463,6 @@ def solve_fhocp(problem, warm=None, real_time=False):
             break
         step = magnitude((u_t - u).ravel().tolist())
         u, cost, g, aux = u_t, cost_t, g_t, aux_t
-        held, spare = spare, held
         viol = largest(g.tolist())
         if viol <= _FEAS_TOL and cost < best_cost:
             best_u, best_cost, best_viol = u, cost, viol
@@ -502,10 +507,7 @@ class Controller:
     """
 
     def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
-        # the terminal radius divides by each output's readout norm
-        check("W_y", w.W_y, (lambda v: bool(np.all(np.any(v != 0.0, axis=1))),
-                             "a readout with no row of zeros, since the terminal radius "
-                             "divides by each row's norm"))
+        check("W_y", w.W_y, _READOUT)
         # the QP's Hessian is at least 2 r I: r > 0 keeps it strictly convex;
         # over the input box, the input cost r sum |u_k - u_bar|^2 reaches N m (2 u_max)^2 r
         largest = max(2.0, certificate.horizon * w.m * (2.0 * w.u_max) ** 2)

@@ -228,12 +228,48 @@ def test_kernel_step_loops_call_only_names_bound_before_them():
     assert found == []
 
 
+# the only functions in the package that build each workspace, by the
+# qualified name of the function that calls its constructor
+WORKSPACE_OWNERS = {
+    "Workspace": {"mpc.FhocpWorkspace.__init__", "lstm.rollout", "sysid.loss", "sysid.train"},
+    "FhocpWorkspace": {"mpc.Problem.__post_init__", "mpc.Controller.__init__"},
+}
+
+
+def _calls_by_function(tree, prefix):
+    """(qualified name of the innermost enclosing function or class, call
+    node) for every call in the module; names start with ``prefix``."""
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            inner = qualname
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{qualname}.{child.name}"
+            if isinstance(child, ast.Call):
+                yield qualname, child
+            yield from visit(child, inner)
+    yield from visit(tree, prefix)
+
+
+def test_sweep_buffers_are_built_by_their_owners_only():
+    # a new caller that builds its own workspace would grow a second owner
+    # of the buffers of a sweep: the controller's FHOCP runs in one, training
+    # in one per call, and each function rollout in one of its own
+    built = {name: set() for name in WORKSPACE_OWNERS}
+    for module, tree in _trees().items():
+        for qualname, call in _calls_by_function(tree, module.removesuffix(".py")):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in built:
+                built[name].add(qualname)
+    assert built == WORKSPACE_OWNERS
+
+
 # the functions a control step runs, by module and qualified name
 STEP_FUNCTIONS = {
-    "mpc.py": ("Problem._evaluate", "Problem.qp_model", "_dense_qp", "solve_fhocp"),
+    "mpc.py": ("Problem.evaluate", "Problem.qp_model", "_dense_qp", "solve_fhocp"),
     "refcalc.py": ("_track", "_residual", "_newton"),
-    "lstm.py": ("LstmWeights.step_in_place", "_sweep", "_sensitivities", "_local_factors",
-                "_step_jacobians"),
+    "lstm.py": ("LstmWeights.step_in_place", "Workspace.rollout", "_sensitivities",
+                "_local_factors", "_step_jacobians"),
     "observer.py": ("observer_step",),
 }
 

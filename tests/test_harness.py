@@ -222,7 +222,7 @@ class TestControllerBuffers:
         assert interleaved == alone
 
     def test_a_run_builds_its_buffers_once(self, bench_w, bench_spec, monkeypatch):
-        # counted by spies, in exact numbers: the controller's two sweeps and
+        # counted by spies, in exact numbers: the controller's one sweep and
         # no dual QP (every QP of the benchmark scenario takes the early exit)
         built, dual = [], []
         init, dual_qp = lstm.Workspace.__init__, mpc._dual_qp
@@ -236,7 +236,7 @@ class TestControllerBuffers:
             report = harness.run_scenario(benchmark_scenario(duration_s), bench_w,
                                           spec=bench_spec)
             counts.append((report.steps, len(built), len(dual)))
-        assert counts == [(50, 2, 0), (100, 2, 0)]
+        assert counts == [(50, 1, 0), (100, 1, 0)]
 
 
 class TestRunScenario:
@@ -748,6 +748,25 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert err["message"].startswith("W_y must be a readout with no row of zeros")
         assert not (tmp_path / "run").exists()
+
+    def test_certify_rejects_a_readout_row_of_zeros(self, tmp_path, capsys):
+        # a certificate for an output the model cannot move: before, certify
+        # exited 0 and printed c_s [0.0]
+        doc = json.loads((ASSETS / "model.json").read_text())
+        doc["W_y"] = [[0.0] * doc["n"]]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["certify", "--weights", str(path)])
+        assert rc == 2 and caught == []
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("W_y must be a readout with no row of zeros")
 
     @pytest.mark.parametrize("y_lb_phys, y_ub_phys", [(9.0, 6.0), (7.0, 7.0)])
     def test_simulate_rejects_unordered_output_bounds(self, tmp_path, capsys,

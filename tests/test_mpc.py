@@ -736,12 +736,36 @@ class TestWorkspace:
                                    problem.x_hat.h + rng.uniform(-0.02, 0.02, bench_w.n))
             mpc.solve_fhocp(ctrl.problem_at(x_hat, problem.ref, [0.1]), real_time=True)
         evaluations = []
-        evaluate = mpc.Problem._evaluate
-        monkeypatch.setattr(mpc.Problem, "_evaluate",
+        evaluate = mpc.Problem.evaluate
+        monkeypatch.setattr(mpc.Problem, "evaluate",
                             lambda self, *args: evaluations.append(1) or evaluate(self, *args))
         used = mpc.solve_fhocp(problem)
         assert len(evaluations) > used.solver_iterations + 1      # some trial was rejected
         assert solution_bits(used) == solution_bits(fresh)
+
+    def test_a_later_solve_leaves_an_earlier_solution(self, bench_w, bench_spec):
+        # every evaluation overwrites the workspace's one sweep: a solution
+        # holds none of its arrays, so a second solve_fhocp or evaluate on
+        # the same workspace leaves the first solution's plan, cost and
+        # violation bit for bit as they were
+        ctrl, problem = feasible_instance(bench_w, bench_spec, 2, 10, y0=0.1)
+        problem = with_y_ub(problem, 0.30)
+        first = mpc.solve_fhocp(problem)
+        kept = first.u_seq.tobytes(), repr(first.cost), repr(first.max_violation)
+        rng = np.random.default_rng(7)
+        x_hat = lstm.LstmState(problem.x_hat.c + rng.uniform(-0.02, 0.02, bench_w.n),
+                               problem.x_hat.h + rng.uniform(-0.02, 0.02, bench_w.n))
+        other = ctrl.problem_at(x_hat, problem.ref, [0.1])
+        assert other.workspace is problem.workspace is ctrl.workspace
+        second = mpc.solve_fhocp(other)
+        assert second.u_seq.tobytes() != kept[0]
+        _, _, aux = problem.evaluate(rng.uniform(-0.5, 0.5, (10, bench_w.m)))
+        assert aux[4] is ctrl.workspace.dx          # the evaluation wrote the one sweep
+        assert (first.u_seq.tobytes(), repr(first.cost), repr(first.max_violation)) == kept
+        # a problem built without a workspace gets its own, one per problem
+        own = [dataclasses.replace(problem, workspace=None) for _ in range(2)]
+        assert all(isinstance(p.workspace, mpc.FhocpWorkspace) for p in own)
+        assert len({id(ctrl.workspace), *(id(p.workspace) for p in own)}) == 3
 
 
 class TestController:
@@ -843,7 +867,7 @@ class TestNanReductions:
     # skip a NaN that is not first; each must still see the NaN as numpy does
     def test_a_plan_whose_g_holds_nan_is_infeasible(self, bench_w, bench_spec, monkeypatch):
         _, problem = feasible_instance(bench_w, bench_spec, 2, 5)
-        evaluate = mpc.Problem._evaluate
+        evaluate = mpc.Problem.evaluate
 
         def with_nan(self, *args):
             cost, g, aux = evaluate(self, *args)
@@ -851,7 +875,7 @@ class TestNanReductions:
             g[1] = np.nan
             return cost, g, aux
 
-        monkeypatch.setattr(mpc.Problem, "_evaluate", with_nan)
+        monkeypatch.setattr(mpc.Problem, "evaluate", with_nan)
         with pytest.raises(FeasibilityLossError, match=r"candidate violation nan\)"):
             mpc.solve_fhocp(problem, real_time=True)
 
@@ -951,9 +975,8 @@ class TestParentFormulas:
         problem = mpc.Problem(w, x0, ref, rng.uniform(0.0, 0.2, (n_horizon, w.p)),
                               np.full(w.p, -1.0), np.full(w.p, 1.0),
                               np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4,
-                              q_weight=2.0, r_weight=0.5,
-                              workspace=mpc.FhocpWorkspace(w, n_horizon))
-        cost, g, aux = problem._evaluate(u, problem.workspace.sweeps[0])
+                              q_weight=2.0, r_weight=0.5)
+        cost, g, aux = problem.evaluate(u)
         want_cost, want_g, want_aux = parent_evaluate(problem, u)
         assert (terminal == "no-cell-error") == (aux[3][0] == 0.0)
         assert np.float64(cost).tobytes() == np.float64(want_cost).tobytes()

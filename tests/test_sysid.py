@@ -451,12 +451,13 @@ class TestHookPoints:
         w = small_net(seed=2, n=3)
         cfg = sysid.TrainConfig(washout=5, n_neurons=3)
         u = np.random.default_rng(3).uniform(-1, 1, 30)
-        counts = self._count(monkeypatch, lstm, ("_sweep", "_adjoint"))
+        forward = self._count(monkeypatch, lstm.Workspace, ("rollout",))
+        reverse = self._count(monkeypatch, lstm, ("_adjoint",))
         seen = []
         for workspace in (None, lstm.Workspace(w.n, w.m, 40)):
             sysid.loss(w, u, u, cfg, workspace)
-            seen.append(counts())
-        assert seen == [{"_sweep": 1, "_adjoint": 1}, {"_sweep": 2, "_adjoint": 2}]
+            seen.append({**forward(), **reverse()})
+        assert seen == [{"rollout": 1, "_adjoint": 1}, {"rollout": 2, "_adjoint": 2}]
 
     def test_train_calls_loss_through_the_module(self, monkeypatch):
         # once per training sequence per epoch, each call in the one workspace
