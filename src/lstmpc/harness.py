@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import mpc, observer, plant, refcalc
+from . import lstm, mpc, observer, plant, refcalc
 from .errors import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
                      FeasibilityLossError, check, check_object, read_json)
 from .lstm import LstmState
@@ -296,6 +296,7 @@ def steps(sc, w, gains=None):
     y0s = setpoint_trace(sc, nrm, int(round(sc.duration_s / sc.t_s)))
     certificate.terminal_alpha(w.W_y, y0s[:1], ctrl.y_lb, ctrl.y_ub, sc.e_o0)
     sim = _PLANTS[sc.mode](sc, w, certificate.spec, nrm)
+    cell = lstm.Workspace(w.n, w.m, 1)      # the observer's step
 
     def run(chi_hat):
         for k, y0 in enumerate(y0s):
@@ -310,7 +311,7 @@ def steps(sc, w, gains=None):
             u_applied = np.minimum(np.maximum(u, -w.u_max), w.u_max)
             u_phys = float(nrm.denormalize_u(u_applied[0]))
             sim.advance(u_applied, u_phys)
-            chi_hat = observer.observer_step(w, certificate.spec, chi_hat, u_applied, y)
+            chi_hat = observer.observer_step(w, certificate.spec, chi_hat, u_applied, y, cell)
             row = (t, nrm.denormalize_y(y0), y_phys, u_phys, d_phi, chi_hat.d[0],
                    e_o, v_o, ctrl.problem.alpha, sol.cost)
             yield StepRecord((*map(float, row), sol.status), sol.solver_iterations,

@@ -10,37 +10,40 @@ The model is the standard gated recurrence
 The model step, the observer, the MPC prediction and its sensitivities,
 training and the reference Jacobian all run this cell through one kernel:
 
-- ``LstmWeights``, the model, read-only, stores the gate weights once,
-  stacked in the order ``GATES`` = (c, f, i, o), the one place the order
-  is written; every (4n,)-row quantity uses it. It forms its cell
-  operands once, on construction. Each step takes all four gates from one
-  ``tanh`` over preactivations whose f, i, o rows are halved, since
-  sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so the gates
-  equal ``sigmoid``'s bit for bit. One loop, ``_run``, works in place in
-  a buffer whose row k is [c_k | g | f | i | o], 9 numpy calls per step:
-  ``Workspace.rollout`` runs it over up to T steps, of any weights of its
-  shapes, on buffers and row views the workspace owns, for sweeps that
-  repeat, such as the controller's and training's; ``rollout`` is one
-  sweep in a fresh ``Workspace``; and ``LstmWeights.step`` runs one step
-  on buffers the weights own.
-- ``step_jacobians``, the one copy of the cell's linearization, feeds the
-  forward sweep ``sensitivities``, the reverse sweep ``adjoint`` and the
-  reference calculation's Newton Jacobian. It and ``local_factors`` run
-  their ufuncs with each output positional, in buffers and views that a
-  linearization which repeats on the same arrays builds once: a
-  ``Workspace``'s ``sensitivities`` and the weights' ``last_jacobian``,
-  twice per control step, where building them cost more than the
-  arithmetic.
-- The per-step loops, ``_run``'s and ``adjoint``'s one product per step,
+- ``LstmWeights``, the model, holds parameters only, read-only: it stores
+  the gate weights once, stacked in the order ``GATES`` = (c, f, i, o), the
+  one place the order is written; every (4n,)-row quantity uses it. It
+  forms its cell operands once, on construction. Each step takes all four
+  gates from one ``tanh`` over preactivations whose f, i, o rows are
+  halved, since sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so
+  the gates equal ``sigmoid``'s bit for bit.
+- ``Workspace`` is the one owner of the buffers every step writes. One
+  loop, ``_run``, works in place in a buffer whose row k is
+  [c_k | g | f | i | o], 9 numpy calls per step: ``Workspace.rollout``
+  runs it over up to T steps, and ``Workspace.step`` over one step in the
+  first rows, of any weights of its shapes. Each caller owns the
+  workspaces it steps: the controller one for its FHOCP and one for its
+  reference calculation, the closed loop one for its observer, training
+  and FIT one per call. So callers that share a model share no scratch;
+  the functions ``rollout`` and ``step`` run in a fresh one unless given
+  one.
+- ``Workspace.linearize``, the one copy of the cell's linearization, forms
+  every step's [A_k | B_k] of the last sweep or step from its local
+  factors; it feeds the forward sweep ``Workspace.sensitivities`` and the
+  reference calculation's Newton Jacobian, and its kernels run the reverse
+  sweep ``Workspace.adjoint``. Its ufuncs run with each output
+  positional, in buffers and views the workspace builds once, where
+  building them cost more than the arithmetic.
+- The per-step loops, ``_run``'s and ``_adjoint``'s one product per step,
   call only names bound before the loop, with each output positional:
   the products go through ``np.ndarray.dot``, the same C routine as
   ``np.dot`` without its Python-level ``__array_function__`` dispatcher
   (about a quarter of the call at a (20, 5) product), and ``_run``'s
   in-place updates call the ufuncs their operators dispatch to, so every
   array stays bit for bit the same. The input products before the loop
-  (``u W_half^T``, of a sweep and of ``LstmWeights.step``) go through
-  ``ndarray.dot`` too, and ``sensitivities`` copies every step's B_k into
-  S in one call, through a strided view, before its products.
+  (``u W_half^T``, of a sweep and of a step) go through ``ndarray.dot``
+  too, and ``sensitivities`` copies every step's B_k into S in one call,
+  through a strided view, before its products.
 
 Besides the state update, this module holds the one copy of the
 contraction certificate's arithmetic, ``increment_gains``, and of its
@@ -114,10 +117,10 @@ class LstmWeights:
     [0; 0 W_y 0] of the equilibrium residual's Jacobian. Every array is a
     read-only copy and no attribute can be assigned, so nothing changes a
     model once its certificate is built: a changed model is a new
-    ``LstmWeights``. ``step`` runs on buffers the weights own, where
-    ``last_jacobian`` linearizes the last step. ``u_range`` / ``y_range``,
-    the physical (lo, hi) pairs normalized to [-1, 1], make a saved model
-    self-contained.
+    ``LstmWeights``. The weights hold no buffer: every step and
+    linearization of them runs on a ``Workspace`` its caller owns.
+    ``u_range`` / ``y_range``, the physical (lo, hi) pairs normalized to
+    [-1, 1], make a saved model self-contained.
     """
 
     W_f, W_i, W_c, W_o, U_f, U_i, U_c, U_o, b_f, b_i, b_c, b_o = (
@@ -154,50 +157,12 @@ class LstmWeights:
             b_half=b * scale, UW=np.concatenate((U, W), axis=1).reshape(4, n, n + m),
             residual_jacobian=residual_jacobian)
         freeze_arrays(self)
-        c, h, pre, steps, cache, fc_ig = _loop_buffers(1, n)
-        vars(self).update(_pre=pre, _cache=cache, _steps=list(steps), _c=c,
-                          _h_next=h[1], _inject=np.empty(4 * n), _fc_ig=fc_ig)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name}: LstmWeights is read-only")
 
     def zero_state(self):
         return LstmState(np.zeros(self.n), np.zeros(self.n))
-
-    def step(self, c, h, u, inject=None):
-        """(c+, h+), new arrays, of one step from (c, h) with the (m,) input
-        ``u`` and, if given, ``inject`` (4n,) added to the preactivations."""
-        c_next, h_next = self.step_in_place(c, h, u, inject)
-        return c_next.copy(), h_next.copy()
-
-    def step_in_place(self, c, h, u, inject=None):
-        """``step`` on the weights' own buffers: (c+, h+) are views of them,
-        which the next step of these weights overwrites."""
-        pre = self._pre[0]
-        np.asarray(u).dot(self.W_half.T, pre)
-        pre += self.b_half
-        if inject is not None:
-            pre += np.multiply(inject, self._scale, out=self._inject)
-        self._c[0] = c
-        _run(self, h, self._steps, self._fc_ig)
-        return self._c[1], self._h_next
-
-    def last_jacobian(self):
-        """``residual_jacobian`` with [A_0 | B_0] of the last ``step`` from
-        ``step_jacobians`` in its first 2n rows: the weights' buffer, which
-        their next call overwrites."""
-        jac, linearization = self._last_step_buffers()
-        _linearize(self, linearization)
-        return jac
-
-    def _last_step_buffers(self):
-        """A copy of ``residual_jacobian`` and the ``_linearization_buffers``
-        of the one-step buffers into it, built on first use: models that
-        training forms at each update never need them."""
-        if "_last_step" not in vars(self):
-            jac = self.residual_jacobian.copy()
-            vars(self)["_last_step"] = jac, _linearization_buffers(self._c, self._cache, jac[None])
-        return vars(self)["_last_step"]
 
 
 MATRIX_FIELDS = ("W_f", "W_i", "W_c", "W_o", "U_f", "U_i", "U_c", "U_o",
@@ -256,30 +221,51 @@ def rollout(w, c0, h0, u_seq, inject=None):
     return Workspace(w.n, w.m, len(u_seq)).rollout(w, c0, h0, u_seq, inject)
 
 
+def step(w, x, u, workspace=None):
+    """One state update from the ``LstmState`` x, a new ``LstmState``: the
+    ``Workspace.step`` of ``workspace``, of ``w``'s shapes and at least one
+    step, or of a workspace of its own. Warns (does not reject) if u leaves
+    its box."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.shape != (w.m,):
+        raise DimensionError(f"input shape {u.shape} != ({w.m},)")
+    if abs(u).max() > w.u_max * (1.0 + 1e-12):
+        warnings.warn("input exceeds u_max; upstream saturation expected", stacklevel=2)
+    if workspace is None:
+        workspace = Workspace(w.n, w.m, 1)
+    c, h = workspace.step(w, x.c, x.h, u)
+    return LstmState(c.copy(), h.copy())
+
+
 class Workspace:
-    """The buffers of repeated sweeps of up to ``n_t`` steps of (n, m)
-    weights, each allocated once with its per-step views: the loop buffers
-    of ``rollout`` and, on first use, those of ``sensitivities`` and of
+    """The one owner of the buffers that a model's steps write: those of
+    sweeps of up to ``n_t`` steps of (n, m) weights, each allocated once
+    with its per-step views, the loop buffers of ``rollout`` and ``step``
+    and, on first use, those of ``linearize``, ``sensitivities`` and
     ``adjoint``. A sweep takes the weights it runs, so one workspace serves
     every model of these shapes, such as each update's new weights in
-    training, and a sweep of T < ``n_t`` steps runs in the leading rows.
-    Each sweep overwrites the last one's results. The function ``rollout``
-    runs once in a workspace of its own; ``adjoint``, for a sweep run once,
-    works on buffers of its own."""
+    training; a sweep of T < ``n_t`` steps runs in the leading rows, and
+    ``step`` in the first, so it needs ``n_t`` >= 1. Each sweep or step
+    overwrites the last one's results, and the linearizations read the last
+    one. Callers that share a model each own their workspaces, so they
+    share no scratch."""
 
     def __init__(self, n, m, n_t):
         c, h, pre, steps, cache, fc_ig = _loop_buffers(n_t, n)
+        steps = list(steps)
         self.n, self.m, self.n_t = n, m, n_t
-        self._buffers = c, h, pre, list(steps), cache, fc_ig
-        self._sens = self._reverse = None
+        self._buffers = c, h, pre, steps, cache, fc_ig
+        # a step's views: its preactivations, the injection's scratch, c, the
+        # loop's first step, its scratch, c+ and h+
+        self._first = (pre[0], np.empty(4 * n), c, steps[:1], fc_ig, c[1], h[1]) if n_t else None
+        self._linear = self._sens = self._reverse = None
 
     def rollout(self, w, c0, h0, u_seq, inject=None):
         """The cell of the weights ``w`` over the (T, m) inputs ``u_seq``
         from (c0, h0). ``inject``, if given, is added to the preactivations
         (broadcast to (T, 4n), in ``GATES`` order). Returns c, h of shape
-        (T+1, n) and the cache that ``local_factors``, ``sensitivities`` and
-        ``adjoint`` read: views of this workspace's buffers, which its next
-        sweep overwrites."""
+        (T+1, n) and the cache (the gates and tanh(c+)): views of this
+        workspace's buffers, which its next sweep or step overwrites."""
         if (w.n, w.m) != (self.n, self.m):
             raise DimensionError(f"weights of (n, m) = ({w.n}, {w.m}) in a workspace "
                                  f"of ({self.n}, {self.m})")
@@ -291,8 +277,24 @@ class Workspace:
         if inject is not None:
             pre += inject * w._scale
         _run(w, h[0], steps, fc_ig)
-        self._last = w, c, cache
+        self._last = w, n_t
         return c, h, cache
+
+    def step(self, w, c, h, u, inject=None):
+        """One step of the weights ``w`` from (c, h) with the (m,) input
+        ``u`` and, if given, ``inject`` (4n,) added to the preactivations:
+        (c+, h+), views of this workspace's first rows, which its next step
+        or sweep overwrites. ``rollout``'s loop over one step, without the
+        checks and slices of a sweep."""
+        pre, scaled, c_rows, first, fc_ig, c_next, h_next = self._first
+        np.asarray(u).dot(w.W_half.T, pre)
+        pre += w.b_half
+        if inject is not None:
+            pre += np.multiply(inject, w._scale, out=scaled)
+        c_rows[0] = c
+        _run(w, h, first, fc_ig)
+        self._last = w, 1
+        return c_next, h_next
 
     def _leading(self, n_t):
         """The loop buffers' leading rows, those of a T-step sweep."""
@@ -302,49 +304,82 @@ class Workspace:
         return (c[:n_t + 1], h[:n_t + 1], pre[:n_t], steps[:n_t],
                 tuple(x[:n_t] for x in cache), fc_ig)
 
-    def sensitivities(self):
-        """``sensitivities`` of the last ``rollout``, an array of this
-        workspace, which the next call overwrites."""
-        w, c, cache = self._last
-        if self._sens is None:
-            own_c, _, _, _, own_cache, _ = self._buffers
-            jac, *rest = _sensitivity_buffers(self.n, self.m, self.n_t)
-            self._sens = _linearization_buffers(own_c, own_cache, jac), jac, *rest
-        n_t, (linearization, jac, s, b_in_s, steps) = len(c) - 1, self._sens
+    def linearize(self):
+        """Every step's linearization of the last sweep or step, [A_k | B_k]
+        with A_k = d(c+, h+)/d(c, h) and B_k = d(c+, h+)/du, a (T, 2n, 2n+m)
+        array of this workspace, which the next linearization overwrites.
+        Rows and state columns are c first, then h:
+
+            A_k = [diag f          dc+/dh                   ]    B_k = [dc+/du ]
+                  [diag(k_t f)     k_t dc+/dh + k_o U_o     ]          [dh+/du ]
+
+        with dc+/d(h, u) = k_f [U_f | W_f] + k_i [U_i | W_i] + k_g [U_c | W_c]
+        and dh+/du = k_t dc+/du + k_o W_o, where each step's
+        ``_local_factors`` (f, k_f, ..., k_t) scale the rows they multiply.
+        """
+        w, n_t = self._last
+        if self._linear is None:
+            c, _, _, _, cache, _ = self._buffers
+            factors = _factor_buffers(c, cache)
+            jac, *self._sens = _sensitivity_buffers(self.n, self.m, self.n_t)
+            self._linear = factors, _jacobian_buffers(factors[-6:], jac), jac
+        factors, jacobians, jac = self._linear
         if n_t < self.n_t:
-            jac, s, b_in_s = jac[:n_t], s[:n_t + 1, :, :n_t * self.m], b_in_s[:n_t]
-            linearization = _linearization_buffers(c, cache, jac)
-            steps = steps[:max(n_t - 1, 0)]
-        return _sensitivities(w, linearization, jac, s, b_in_s, steps)
+            factors, jacobians = (tuple(x[:n_t] for x in b) for b in (factors, jacobians))
+            jac = jac[:n_t]
+        _local_factors(factors)
+        _step_jacobians(w, jacobians)
+        return jac
+
+    def sensitivities(self):
+        """Forward (tangent-linear) sweep of the last ``rollout``:
+        d(c_k, h_k)/du, one (T+1, 2n, T*m) array S for stages 0..T, rows c_k
+        then h_k, with u the row-major flattened (T, m) inputs; an array of
+        this workspace, which the next call overwrites. Stage 0 does not
+        depend on u and stage k only on u_0..u_{k-1}, so S_k+1 = A_k S_k on
+        those columns and B_k on u_k's, with [A_k | B_k] from ``linearize``.
+        Every B_k is copied first, in one call: no product writes its
+        block, and S_k+1 = A_k S_k reads B_k-1's."""
+        jac = self.linearize()
+        n_t = len(jac)
+        s, b_in_s, steps = self._sens
+        if n_t < self.n_t:
+            s, b_in_s, steps = s[:n_t + 1, :, :n_t * self.m], b_in_s[:n_t], steps[:max(n_t - 1, 0)]
+        np.copyto(b_in_s, jac[:, :, 2 * self.n:])
+        matmul = np.matmul                          # looked up once
+        for a_k, s_k, s_next in steps:
+            matmul(a_k, s_k, s_next)
+        return s
 
     def adjoint(self, dc_stage, dh_stage):
-        """``adjoint`` of the last ``rollout`` for the stage partials
-        ``dc_stage``, ``dh_stage``, (T+1, n): a new (T, 4n) dz."""
+        """Reverse sweep of the last ``rollout``: dz = dL/d(preactivation), a
+        new (T, 4n) array, so that dL/du = dz @ W and dL/d(W, U, b) =
+        (dz.T @ u, dz.T @ h[:T], dz.sum(0)).
+
+        ``dc_stage``/``dh_stage`` (T+1, n), read only, are the direct
+        partials of L with respect to c_k and h_k at stages 0..T. The state
+        adjoint lam_k = dL/d(c_k, h_k) = A_k^T lam_k+1 + the stage-k
+        partials is one product [lam_k+1 | 1] [A_k; stage-k partials] per
+        step, A_k by ``linearize``'s kernel one block of steps at a time;
+        then, for all k, with dct = lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_g
+        dct, k_f dct, k_i dct, k_o lam^h_k+1) in ``GATES`` order. The local
+        factors are new arrays of each call, like dz: kept, they would hold
+        9 T n more for as long as training's workspace lives.
+        """
+        w, n_t = self._last
         if self._reverse is None:
-            lam, aug, steps = _adjoint_buffers(self.n, self.m, self.n_t)
-            self._reverse = lam, aug, list(steps)
-        w, c, cache = self._last
+            self._reverse = _adjoint_buffers(self.n, self.m, self.n_t)
         lam, aug, steps = self._reverse
-        n_t = len(c) - 1
-        return _adjoint(w, c, cache, dc_stage, dh_stage, lam[:n_t + 1], aug,
+        c, _, _, _, cache, _ = self._buffers
+        factors = _local_factors(_factor_buffers(c[:n_t + 1], tuple(x[:n_t] for x in cache)))
+        return _adjoint(w, factors, dc_stage, dh_stage, lam[:n_t + 1], aug,
                         itertools.islice(steps, self.n_t - n_t, None))
 
 
-def local_factors(c, cache):
-    """Per-step partial derivatives of the cell, each of shape (T, n).
-
-    (dc+/dc, dc+/dz_f, dc+/dz_i, dc+/dz_c, dh+/dz_o, dh+/dc+)
-    = (f, f(1-f) c, i(1-i) g, i(1-g^2), o(1-o) tanh c+, o(1-tanh^2 c+)),
-    all elementwise; ``c`` and ``cache`` are ``rollout``'s. f is a view of
-    the cache, the others new arrays.
-    """
-    return _local_factors(_factor_buffers(c, cache))
-
-
 def _factor_buffers(c, cache):
-    """``_local_factors``' arguments for ``rollout``'s ``c`` and ``cache``:
-    the views it reads, its scratch and the factors it writes, each with T
-    rows first, built once by a sweep that repeats on the same buffers."""
+    """``_local_factors``' arguments for a sweep's ``c`` and ``cache``: the
+    views it reads, its scratch and the factors it writes, each with T rows
+    first."""
     sig, g, tc = cache
     n_t, n = tc.shape
     ds = np.empty((n_t, 3 * n))
@@ -353,10 +388,16 @@ def _factor_buffers(c, cache):
 
 
 def _local_factors(buffers):
-    """``local_factors`` in ``_factor_buffers``: the ufuncs of its operators
-    (``x ** 2`` is ``np.square``) on the same operands in the same order,
-    each output positional; returns the factors, the last six buffers,
-    which the next call overwrites."""
+    """Per-step partial derivatives of the cell, each (T, n), in
+    ``_factor_buffers``:
+
+    (dc+/dc, dc+/dz_f, dc+/dz_i, dc+/dz_c, dh+/dz_o, dh+/dc+)
+    = (f, f(1-f) c, i(1-i) g, i(1-g^2), o(1-o) tanh c+, o(1-tanh^2 c+)),
+
+    all elementwise, by the ufuncs of these operators (``x ** 2`` is
+    ``np.square``) in this order, each output positional. Returns the
+    factors, the last six buffers (f a view of the cache), which the next
+    call overwrites."""
     sig, ds, ds_f, c_prev, ds_i, g, i, ds_o, tc, o, sq, *factors = buffers
     _, k_f, k_i, k_g, k_o, k_t = factors
     subtract, multiply, square = np.subtract, np.multiply, np.square
@@ -374,40 +415,81 @@ def _local_factors(buffers):
     return tuple(factors)
 
 
-def adjoint(w, c, cache, dc_stage, dh_stage):
-    """Reverse sweep of ``rollout``: dz = dL/d(preactivation), (T, 4n), so
-    that dL/du = dz @ W and dL/d(W, U, b) = (dz.T @ u, dz.T @ h[:T], dz.sum(0)).
+def _jacobian_buffers(factors, out):
+    """``_step_jacobians``' arguments for the local ``factors`` and a (T,
+    >= 2n, 2n+m) ``out``, or a (T, >= 2n, 2n) one for A_k alone: the
+    factors, as they are and as (T, n, 1) columns, the views of ``out`` it
+    writes (the two diagonals and the c and h rows' columns from n on) and
+    two (T, n, cols-n) scratch arrays. The state-c columns are written on
+    their diagonal only, so ``out`` must hold zeros off it; ``out`` must be
+    C-contiguous, since the two diagonals are written through strided views
+    of its flat rows."""
+    f, k_f, k_i, k_g, k_o, k_t = factors
+    n, cols = f.shape[1], out.shape[2]
+    flat = out.reshape(len(out), out.shape[1] * cols, copy=False)
+    return (f, k_t, *(k[:, :, None] for k in (k_f, k_i, k_g, k_o, k_t)),
+            flat[:, :n * (cols + 1):cols + 1], flat[:, n * cols:n * (2 * cols + 1):cols + 1],
+            out[:, :n, n:], out[:, n:2 * n, n:], *np.empty((2, len(out), n, cols - n)))
 
-    ``dc_stage``/``dh_stage`` (T+1, n), read only, are the direct partials
-    of L with respect to c_k and h_k at stages 0..T. The state adjoint
-    lam_k = dL/d(c_k, h_k) = A_k^T lam_k+1 + the stage-k partials is one
-    product [lam_k+1 | 1] [A_k; stage-k partials] per step, A_k from
-    ``step_jacobians`` one block of steps at a time; then, for all k, with
-    dct = lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_g dct, k_f dct, k_i dct,
-    k_o lam^h_k+1) in ``GATES`` order.
-    """
-    return _adjoint(w, c, cache, dc_stage, dh_stage, *_adjoint_buffers(w.n, w.m, len(c) - 1))
+
+def _step_jacobians(w, buffers):
+    """``Workspace.linearize``'s [A_k | B_k], or A_k alone, into rows :2n
+    of the out of ``_jacobian_buffers``: the products and sums of
+    dc+/d(h, u) = (k_f [U_f | W_f] + k_i [U_i | W_i]) + k_g [U_c | W_c] and of
+    dh+/d(h, u) = k_t dc+/d(h, u) + k_o [U_o | W_o] in that order, each
+    output positional."""
+    f, k_t, kf_col, ki_col, kg_col, ko_col, kt_col, diag_c, diag_h, c_rows, h_rows, dc, tmp \
+        = buffers
+    uw = w.UW[:, :, :dc.shape[2]]               # [U | W], or U alone, per gate
+    multiply, add = np.multiply, np.add
+    multiply(kf_col, uw[_F], dc)
+    multiply(ki_col, uw[_I], tmp)
+    add(dc, tmp, dc)
+    multiply(kg_col, uw[_C], tmp)
+    add(dc, tmp, dc)
+    np.copyto(diag_c, f)                        # dc+/dc
+    multiply(k_t, f, diag_h)                    # dh+/dc
+    np.copyto(c_rows, dc)
+    multiply(kt_col, dc, dc)
+    multiply(ko_col, uw[_O], tmp)
+    add(dc, tmp, h_rows)
+
+
+def _sensitivity_buffers(n, m, n_t):
+    """The step Jacobians (T, 2n, 2n+m) and S, zeros; the (T, 2n, m) view of
+    S whose block k is S_k+1's columns of u_k, where B_k goes; and the
+    per-step views of ``sensitivities``' products, from k = 1 (S_1 = B_0
+    alone): A_k and S_k's and S_k+1's columns of u_0..u_k-1. A sweep of
+    fewer steps runs in the leading steps, on S's leading stages and
+    columns, whose strides are the same."""
+    n2 = 2 * n
+    jac, s = np.zeros((n_t, n2, n2 + m)), np.zeros((n_t + 1, n2, n_t * m))
+    # the blocks S[k+1, :, k m:(k+1) m], one stage and m columns apart
+    b_in_s = np.lib.stride_tricks.as_strided(
+        s[1:], (n_t, n2, m), (s.strides[0] + m * s.strides[2], *s.strides[1:]))
+    return jac, s, b_in_s, [(jac[t, :, :n2], s[t, :, :t * m], s[t + 1, :, :t * m])
+                            for t in range(1, n_t)]
 
 
 def _adjoint_buffers(n, m, n_t):
     """A T-step reverse sweep's [lam_k | 1] rows (T+1, 2n+1), its block of
     [A_k; stage-k partials] (block, 2n+1, 2n), zeros, and the per-step views
-    (lam_k, [lam_k+1 | 1], step k's slot of the block), an iterator from
+    (lam_k, [lam_k+1 | 1], step k's slot of the block), a list from
     k = T-1 down to 0. Blocks start at multiples of the block size, so step
     k takes slot k % block in every sweep of T or fewer steps."""
     n2 = 2 * n
     block = min(_sweep_block(n, m), max(n_t, 1))
     lam, aug = np.ones((n_t + 1, n2 + 1)), np.zeros((block, n2 + 1, n2))
     slots = list(aug)
-    return lam, aug, zip(lam[:-1, :n2][::-1], lam[1:][::-1],
-                         (slots[k % block] for k in range(n_t - 1, -1, -1)))
+    return lam, aug, list(zip(lam[:-1, :n2][::-1], lam[1:][::-1],
+                              (slots[k % block] for k in range(n_t - 1, -1, -1))))
 
 
-def _adjoint(w, c, cache, dc_stage, dh_stage, lam, aug, steps):
-    """``adjoint`` in ``_adjoint_buffers``' ``lam`` (T+1 rows), ``aug`` and
-    ``steps`` (from k = T-1 down), which keep their ones column and, in
-    ``aug``, the zeros ``step_jacobians`` needs."""
-    factors = local_factors(c, cache)
+def _adjoint(w, factors, dc_stage, dh_stage, lam, aug, steps):
+    """``Workspace.adjoint`` from the sweep's local ``factors``, in
+    ``_adjoint_buffers``' ``lam`` (T+1 rows), ``aug`` and ``steps`` (from
+    k = T-1 down), which keep their ones column and, in ``aug``, the zeros
+    ``_step_jacobians`` needs."""
     _, k_f, k_i, k_g, k_o, k_t = factors
     n_t, n = k_t.shape
     n2, block = 2 * n, len(aug)
@@ -416,7 +498,7 @@ def _adjoint(w, c, cache, dc_stage, dh_stage, lam, aug, steps):
     for k0 in range((n_t - 1) // block * block, -1, -block):
         k1 = min(k0 + block, n_t)
         aug_b = aug[:k1 - k0]
-        step_jacobians(w, [x[k0:k1] for x in factors], aug_b)
+        _step_jacobians(w, _jacobian_buffers([x[k0:k1] for x in factors], aug_b))
         aug_b[:, n2, :n], aug_b[:, n2, n:] = dc_stage[k0:k1], dh_stage[k0:k1]
         for lam_k, lam_next, aug_k in itertools.islice(steps, k1 - k0):
             dot(lam_next, aug_k, lam_k)
@@ -439,128 +521,6 @@ def _sweep_block(n, m):
     Jacobians as fit in ``_SWEEP_BLOCK_BYTES``, and at least one. A block
     holds (2n+1, 2n) per step, no more than that."""
     return max(1, _SWEEP_BLOCK_BYTES // (8 * 2 * n * (2 * n + m)))
-
-
-def step_jacobians(w, factors, out):
-    """Write every step's linearization of ``rollout``, in one vectorized
-    pass, into rows :2n of the caller's (T, >= 2n, 2n+m) ``out``: [A_k | B_k]
-    with A_k = d(c+, h+)/d(c, h) and B_k = d(c+, h+)/du, or A_k alone into
-    a (T, >= 2n, 2n) one. Rows and state columns are c first, then h:
-
-        A_k = [diag f          dc+/dh                   ]    B_k = [dc+/du ]
-              [diag(k_t f)     k_t dc+/dh + k_o U_o     ]          [dh+/du ]
-
-    with dc+/d(h, u) = k_f [U_f | W_f] + k_i [U_i | W_i] + k_g [U_c | W_c]
-    and dh+/du = k_t dc+/du + k_o W_o, where each of the T steps'
-    ``local_factors`` (f, k_f, ..., k_t) scales the rows it multiplies.
-    The state-c columns are written on their diagonal only, so ``out``
-    must hold zeros off it; ``out`` must be C-contiguous, since the two
-    diagonals are written through strided views of its flat rows.
-    """
-    _step_jacobians(w, _jacobian_buffers(factors, out))
-
-
-def _jacobian_buffers(factors, out):
-    """``_step_jacobians``' arguments for the ``factors`` and ``out`` of
-    ``step_jacobians``: the factors, as they are and as (T, n, 1) columns,
-    the views of ``out`` it writes (the two diagonals and the c and h rows'
-    columns from n on) and two (T, n, cols-n) scratch arrays, built once by
-    a sweep that repeats on the same buffers."""
-    f, k_f, k_i, k_g, k_o, k_t = factors
-    n, cols = f.shape[1], out.shape[2]
-    flat = out.reshape(len(out), out.shape[1] * cols, copy=False)
-    return (f, k_t, *(k[:, :, None] for k in (k_f, k_i, k_g, k_o, k_t)),
-            flat[:, :n * (cols + 1):cols + 1], flat[:, n * cols:n * (2 * cols + 1):cols + 1],
-            out[:, :n, n:], out[:, n:2 * n, n:], *np.empty((2, len(out), n, cols - n)))
-
-
-def _step_jacobians(w, buffers):
-    """``step_jacobians`` in ``_jacobian_buffers``: the products and sums of
-    dc+/d(h, u) = (k_f [U_f | W_f] + k_i [U_i | W_i]) + k_g [U_c | W_c] and of
-    dh+/d(h, u) = k_t dc+/d(h, u) + k_o [U_o | W_o] in that order, each
-    output positional."""
-    f, k_t, kf_col, ki_col, kg_col, ko_col, kt_col, diag_c, diag_h, c_rows, h_rows, dc, tmp \
-        = buffers
-    uw = w.UW[:, :, :dc.shape[2]]               # [U | W], or U alone, per gate
-    multiply, add = np.multiply, np.add
-    multiply(kf_col, uw[_F], dc)
-    multiply(ki_col, uw[_I], tmp)
-    add(dc, tmp, dc)
-    multiply(kg_col, uw[_C], tmp)
-    add(dc, tmp, dc)
-    np.copyto(diag_c, f)                        # dc+/dc
-    multiply(k_t, f, diag_h)                    # dh+/dc
-    np.copyto(c_rows, dc)
-    multiply(kt_col, dc, dc)
-    multiply(ko_col, uw[_O], tmp)
-    add(dc, tmp, h_rows)
-
-
-def _linearization_buffers(c, cache, out):
-    """The buffers of ``step_jacobians(w, local_factors(c, cache), out)``,
-    ``_factor_buffers`` and ``_jacobian_buffers`` on its factors."""
-    factors = _factor_buffers(c, cache)
-    return factors, _jacobian_buffers(factors[-6:], out)
-
-
-def _linearize(w, buffers):
-    """``step_jacobians`` of the weights ``w`` on ``local_factors``, in the
-    ``_linearization_buffers`` ``buffers``."""
-    _local_factors(buffers[0])
-    _step_jacobians(w, buffers[1])
-
-
-def sensitivities(w, c, cache):
-    """Forward (tangent-linear) sweep of ``rollout``: d(c_k, h_k)/du.
-
-    Returns one (T+1, 2n, T*m) array S for stages 0..T, rows c_k then
-    h_k, with u the row-major flattened (T, m) inputs. Stage 0 does not
-    depend on u and stage k only on u_0..u_{k-1}, so S_k+1 = A_k S_k on
-    those columns and B_k on u_k's, with [A_k | B_k] from ``step_jacobians``.
-    """
-    jac, s, b_in_s, steps = _sensitivity_buffers(w.n, w.m, len(c) - 1)
-    return _sensitivities(w, _linearization_buffers(c, cache, jac), jac, s, b_in_s, steps)
-
-
-def _sensitivity_buffers(n, m, n_t):
-    """The step Jacobians (T, 2n, 2n+m) and S, zeros; the (T, 2n, m) view of
-    S whose block k is S_k+1's columns of u_k, where B_k goes; and the
-    per-step views of ``_sensitivities``' products, from k = 1 (S_1 = B_0
-    alone): A_k and S_k's and S_k+1's columns of u_0..u_k-1. A sweep of
-    fewer steps runs in the leading steps, on S's leading stages and
-    columns, whose strides are the same."""
-    n2 = 2 * n
-    jac, s = np.zeros((n_t, n2, n2 + m)), np.zeros((n_t + 1, n2, n_t * m))
-    # the blocks S[k+1, :, k m:(k+1) m], one stage and m columns apart
-    b_in_s = np.lib.stride_tricks.as_strided(
-        s[1:], (n_t, n2, m), (s.strides[0] + m * s.strides[2], *s.strides[1:]))
-    return jac, s, b_in_s, [(jac[t, :, :n2], s[t, :, :t * m], s[t + 1, :, :t * m])
-                            for t in range(1, n_t)]
-
-
-def _sensitivities(w, linearization, jac, s, b_in_s, steps):
-    """``sensitivities`` in ``_sensitivity_buffers``, which keep zeros where
-    it does not write: off the diagonal of ``jac``'s state-c columns, in
-    S_0 and in each S_k's columns of the inputs from u_k on; the step
-    Jacobians in ``jac`` come from ``linearization``, its
-    ``_linearization_buffers``. Every B_k is copied first, in one call: no
-    product writes its block, and S_k+1 = A_k S_k reads B_k-1's."""
-    _linearize(w, linearization)
-    np.copyto(b_in_s, jac[:, :, 2 * w.n:])
-    matmul = np.matmul                          # looked up once
-    for a_k, s_k, s_next in steps:
-        matmul(a_k, s_k, s_next)
-    return s
-
-
-def step(w, x, u):
-    """One state update, ``LstmWeights.step``. Warns (does not reject) if u leaves its box."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (w.m,):
-        raise DimensionError(f"input shape {u.shape} != ({w.m},)")
-    if abs(u).max() > w.u_max * (1.0 + 1e-12):
-        warnings.warn("input exceeds u_max; upstream saturation expected", stacklevel=2)
-    return LstmState(*w.step(x.c, x.h, u))
 
 
 def output(w, x):

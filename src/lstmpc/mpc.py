@@ -500,10 +500,12 @@ class Controller:
     the weights' readout ``W_y`` has no row of zeros, ``r_weight`` > 0,
     e_o(0) = ``e_o0`` >= 0 and the (p,) or scalar output
     bounds complete the FHOCP; InfeasibleSetpointError if they leave no
-    admissible set-point at e_o0. Each step builds its ``Problem`` on the
-    controller's ``workspace``, built once, keeps it as ``problem`` until the
-    next step, and solves it once in real time, warm-started at the shifted
-    previous plan, which it applies when no feasible iterate costs less.
+    admissible set-point at e_o0. Each step runs the reference calculation
+    in the controller's one-step ``lstm.Workspace`` ``cell``, builds its
+    ``Problem`` on the controller's ``workspace``, both built once, keeps it
+    as ``problem`` until the next step, and solves it once in real time,
+    warm-started at the shifted previous plan, which it applies when no
+    feasible iterate costs less.
     """
 
     def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
@@ -536,6 +538,7 @@ class Controller:
         self.w, self.certificate = w, certificate
         self.r_weight, self.e_o = r_weight, e_o0
         self.workspace = FhocpWorkspace(w, certificate.horizon)
+        self.cell = lstm.Workspace(w.n, w.m, 1)
         self.problem = self.prev_solution = self.prev_ref = None
 
     def problem_at(self, x_hat, ref, y0):
@@ -551,8 +554,7 @@ class Controller:
 
     def step(self, chi_hat, y0):
         """Compute the input for the current estimate and set-point."""
-        ref = refcalc.solve_reference(self.w, y0, chi_hat.d,
-                                      warm_start=self.prev_ref)
+        ref = refcalc.solve_reference(self.w, y0, chi_hat.d, self.prev_ref, self.cell)
         self.problem = self.problem_at(chi_hat.x, ref, y0)
         warm = shifted_candidate(self.prev_solution, ref.u_bar) \
             if self.prev_solution is not None else None

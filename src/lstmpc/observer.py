@@ -132,11 +132,12 @@ class ObserverCertificate(ObserverSpec):
                       cell_radius_hat=cell_radius_hat)
 
 
-def observer_step(w, spec, chi_hat, u, y_measured):
+def observer_step(w, spec, chi_hat, u, y_measured, workspace=None):
     """One observer update driven by the measured output, one
-    ``LstmWeights.step`` of ``w``: the innovation enters the f, i, o
-    preactivations, and the disturbance estimate integrates it, saturated
-    at +-d_max.
+    ``lstm.Workspace.step`` of ``w`` in ``workspace``, of the weights'
+    shapes and at least one step, or in one built here: the innovation
+    enters the f, i, o preactivations, and the disturbance estimate
+    integrates it, saturated at +-d_max.
     Raises DimensionError for gains that do not fit the model.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -146,9 +147,11 @@ def observer_step(w, spec, chi_hat, u, y_measured):
     _check_fit(w, spec)
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
     innov = y_measured - (w.W_y.dot(x.h) + w.b_y + d)
-    c, h = w.step(x.c, x.h, u, spec.injection.dot(innov))
+    if workspace is None:
+        workspace = lstm.Workspace(w.n, w.m, 1)
+    c, h = workspace.step(w, x.c, x.h, u, spec.injection.dot(innov))
     d_next = np.minimum(np.maximum(d + spec.L_d.dot(innov), -spec.d_max), spec.d_max)
-    return AugmentedState(LstmState(c, h), d_next)
+    return AugmentedState(LstmState(c.copy(), h.copy()), d_next)
 
 
 def observer_matrices(w, spec):

@@ -49,11 +49,11 @@ class ReferencePair:
         return self.jac_inv[:, 2 * self.x_bar.c.size:]
 
 
-def _cell_step(w, xi):
-    """One step of the weights ``w`` at xi = (c, h, u): (c+, h+), views of
-    the weights' buffers, which their next step overwrites."""
+def _cell_step(w, ws, xi):
+    """One step of the weights ``w`` at xi = (c, h, u) in the workspace
+    ``ws``: (c+, h+), views of its buffers, which its next step overwrites."""
     n = w.n
-    return w.step_in_place(xi[:n], xi[n:2 * n], xi[2 * n:])
+    return ws.step(w, xi[:n], xi[n:2 * n], xi[2 * n:])
 
 
 def _residual(w, xi, y0_eff, cell, out):
@@ -71,11 +71,12 @@ def _residual(w, xi, y0_eff, cell, out):
     y -= y0_eff
 
 
-def _jacobian(w):
-    """Analytic dF/dxi of ``_residual`` at the weights' last ``_cell_step``,
-    [A_0 - I | B_0; 0 W_y 0], from a copy of ``LstmWeights.last_jacobian``,
-    [A_0 | B_0] in the weights' template; y0_eff only shifts F."""
-    jac = w.last_jacobian().copy()
+def _jacobian(w, ws):
+    """Analytic dF/dxi of ``_residual`` at the last ``_cell_step`` in the
+    workspace ``ws``, [A_0 - I | B_0; 0 W_y 0]: its ``linearize``'s
+    [A_0 | B_0] over the W_y rows of the weights' ``residual_jacobian``;
+    y0_eff only shifts F."""
+    jac = np.concatenate((ws.linearize()[0], w.residual_jacobian[2 * w.n:]))
     # the diagonal of the state columns, a strided view: no index array
     jac.reshape(-1)[:2 * w.n * (jac.shape[1] + 1):jac.shape[1] + 1] -= 1.0
     return jac
@@ -95,8 +96,9 @@ def _inverse(jac):
     return inv
 
 
-def _newton(w, xi, y0_eff, jac_inv):
-    """Simplified Newton from xi, one cell step per iterate; at most 50 steps.
+def _newton(w, ws, xi, y0_eff, jac_inv):
+    """Simplified Newton from xi, one cell step per iterate in the workspace
+    ``ws``; at most 50 steps.
 
     Each step is xi <- xi - J^-1 r with the inverse ``jac_inv`` in hand; a
     fresh one is inverted from the current cell step only when there is
@@ -111,41 +113,41 @@ def _newton(w, xi, y0_eff, jac_inv):
     res_prev = np.inf
     with np.errstate(all="ignore"):       # a diverging iterate may overflow
         for it in range(51):               # 50 steps, then a last residual test
-            _residual(w, xi, y0_eff, _cell_step(w, xi), r)
+            _residual(w, xi, y0_eff, _cell_step(w, ws, xi), r)
             res = magnitude(r.tolist())
             if res < _TOL:
                 if magnitude(xi[2 * w.n:].tolist()) > w.u_max + 1e-9:
                     raise InfeasibleReferenceError(
                         f"equilibrium input {xi[2 * w.n:]} outside the +-{w.u_max} box",
                         "box")
-                return xi, res, _inverse(_jacobian(w))
+                return xi, res, _inverse(_jacobian(w, ws))
             if it == 50:
                 break
             if jac_inv is None or not res < _CONTRACTION * res_prev:
-                jac_inv = _inverse(_jacobian(w))
+                jac_inv = _inverse(_jacobian(w, ws))
             xi -= jac_inv.dot(r, dxi)
             res_prev = res
     raise InfeasibleReferenceError("Newton iteration did not converge", "diverged")
 
 
-def _cold_start(w):
-    """Attractor of u = 0, reached by forward simulation."""
+def _cold_start(w, ws):
+    """Attractor of u = 0, reached by forward simulation in the workspace ``ws``."""
     x = LstmState(np.zeros(w.n), np.zeros(w.n))
     u = np.zeros(w.m)
     for _ in range(500):
-        x = lstm.step(w, x, u)
+        x = lstm.step(w, x, u, ws)
     return np.concatenate([x.c, x.h, u])
 
 
-def _track(w, xi, jac_inv, y0_eff):
+def _track(w, ws, xi, jac_inv, y0_eff):
     """Follow the equilibrium curve from xi's own output W_y h + b_y to y0_eff.
 
     Each step predicts along the tangent, the last p columns of the inverse
     Jacobian ``jac_inv`` at xi (not on a start without one), and corrects
-    with ``_newton``, which reuses that inverse; a failed corrector halves
-    the step and retries without it, a success doubles the step. Returns
-    (xi, residual, J^-1) at y0_eff, and raises once the step falls below
-    1/1024 of the path.
+    with ``_newton`` in the workspace ``ws``, which reuses that inverse; a
+    failed corrector halves the step and retries without it, a success
+    doubles the step. Returns (xi, residual, J^-1) at y0_eff, and raises
+    once the step falls below 1/1024 of the path.
     """
     n = w.n
     delta = y0_eff - (w.W_y.dot(xi[n:2 * n]) + w.b_y)
@@ -155,7 +157,7 @@ def _track(w, xi, jac_inv, y0_eff):
         step = min(step, 1.0 - done)   # dyadic, so the last sub-target is y0_eff
         guess = xi if jac_inv is None else xi + jac_inv[:, 2 * n:].dot(step * delta)
         try:
-            xi, res, jac_inv = _newton(w, guess, y0_eff - (1.0 - done - step) * delta,
+            xi, res, jac_inv = _newton(w, ws, guess, y0_eff - (1.0 - done - step) * delta,
                                        reuse)
         except InfeasibleReferenceError:
             step /= 2
@@ -169,11 +171,14 @@ def _track(w, xi, jac_inv, y0_eff):
     return xi, res, jac_inv
 
 
-def solve_reference(w, y0, d_hat, warm_start=None):
+def solve_reference(w, y0, d_hat, warm_start=None, workspace=None):
     """Equilibrium for y0 - d_hat, tracked from the warm start; without one,
     or if that fails other than on the input box (a warm start need not be
     an equilibrium at all), from the attractor of u = 0, which is one by
-    construction. Raises DimensionError unless y0 and d_hat hold p entries each."""
+    construction. Every cell step and Jacobian runs in ``workspace``, an
+    ``lstm.Workspace`` of the weights' shapes and at least one step, or in
+    one built here. Raises DimensionError unless y0 and d_hat hold p entries
+    each."""
     if w.m != w.p:
         raise InfeasibleReferenceError("reference calculation needs m == p", "singular")
     y0, d_hat = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (y0, d_hat))
@@ -181,15 +186,16 @@ def solve_reference(w, y0, d_hat, warm_start=None):
         if a.shape != (w.p,):
             raise DimensionError(f"{name} has shape {a.shape}, not ({w.p},)")
     y0_eff = y0 - d_hat
+    ws = lstm.Workspace(w.n, w.m, 1) if workspace is None else workspace
     tracked = None
     if warm_start is not None:
         xi0 = np.concatenate([warm_start.x_bar.c, warm_start.x_bar.h, warm_start.u_bar])
         try:
-            tracked = _track(w, xi0, warm_start.jac_inv, y0_eff)
+            tracked = _track(w, ws, xi0, warm_start.jac_inv, y0_eff)
         except InfeasibleReferenceError as exc:
             if exc.reason == "box":
                 raise
-    xi, res, jac_inv = tracked or _track(w, _cold_start(w), None, y0_eff)
+    xi, res, jac_inv = tracked or _track(w, ws, _cold_start(w, ws), None, y0_eff)
     n = w.n
     return ReferencePair(LstmState(xi[:n], xi[n:2 * n]), xi[2 * n:], res, jac_inv)
 

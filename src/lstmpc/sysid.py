@@ -203,22 +203,22 @@ class TrainConfig:
             check(name, getattr(self, name), rule)
 
 
-def _forward(w, u_seq, sweep=lstm.rollout):
+def _forward(w, u_seq, workspace):
     """Open-loop rollout from the zero state over all but the last input,
-    run by ``sweep``, ``lstm.rollout`` or a ``Workspace.rollout``.
+    in the ``lstm.Workspace`` ``workspace``, of at least len(u_seq) - 1 steps.
 
     Returns (y_hat, c, h, cache, u2): outputs and states of shape (t, .)
     for the t = len(u_seq) samples, and the inputs as a (t, m) array.
     """
     u2 = np.asarray(u_seq, dtype=float).reshape(len(u_seq), -1)
     zero = np.zeros(w.n)
-    c, h, cache = sweep(w, zero, zero, u2[:-1])
+    c, h, cache = workspace.rollout(w, zero, zero, u2[:-1])
     return h @ w.W_y.T + w.b_y, c, h, cache, u2
 
 
 def predict(w, u_seq):
     """Open-loop prediction from the zero initial state."""
-    return _forward(w, u_seq)[0]
+    return _forward(w, u_seq, lstm.Workspace(w.n, w.m, max(len(u_seq) - 1, 0)))[0]
 
 
 def loss(w, u_seq, y_seq, cfg, workspace=None):
@@ -230,7 +230,7 @@ def loss(w, u_seq, y_seq, cfg, workspace=None):
     if workspace is None:
         workspace = lstm.Workspace(w.n, w.m, max(t - 1, 0))
     y_seq = np.asarray(y_seq, dtype=float).reshape(t, -1)
-    y_hat, c, h, cache, u2 = _forward(w, u_seq, workspace.rollout)
+    y_hat, c, h, cache, u2 = _forward(w, u_seq, workspace)
     mask = np.arange(t) >= cfg.washout
     n_eval = int(mask.sum())
     if n_eval == 0:
@@ -365,12 +365,15 @@ def fit_index(y_real, y_pred):
 
 
 def evaluate_fit(w, sequences, washout=50):
-    """Mean FIT of open-loop predictions over a list of (u, y) sequences;
-    raises UndefinedMetricError on an empty list."""
+    """Mean FIT of open-loop predictions over a list of (u, y) sequences,
+    each predicted in one ``lstm.Workspace`` sized to the longest; raises
+    UndefinedMetricError on an empty list."""
+    if not sequences:
+        raise UndefinedMetricError("no sequences to evaluate FIT on")
+    longest = max(len(u_seq) for u_seq, _ in sequences)
+    workspace = lstm.Workspace(w.n, w.m, max(longest - 1, 0))
     fits = []
     for u_seq, y_seq in sequences:
-        y_hat = predict(w, u_seq)[:, 0]
+        y_hat = _forward(w, u_seq, workspace)[0][:, 0]
         fits.append(fit_index(np.asarray(y_seq)[washout:], y_hat[washout:]))
-    if not fits:
-        raise UndefinedMetricError("no sequences to evaluate FIT on")
     return float(np.mean(fits))

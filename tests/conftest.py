@@ -104,3 +104,13 @@ def random_invariant_state(w, rng, bounds=None):
     c = rng.uniform(-c_rad, c_rad, w.n)
     h = g.sigma_o * np.tanh(c_rad) * rng.uniform(-1.0, 1.0, w.n)
     return lstm.LstmState(c, h)
+
+
+def local_factors_oracle(c, cache):
+    """A sweep's local factors (f, k_f, k_i, k_g, k_o, k_t), from its ``c``
+    and ``cache``, with each sigmoid derivative as its own product."""
+    sig, g, tc = cache
+    n = tc.shape[1]
+    f, i, o = sig[:, :n], sig[:, n:2 * n], sig[:, 2 * n:]
+    return (f, f * (1.0 - f) * c[:-1], i * (1.0 - i) * g, i * (1.0 - g ** 2),
+            o * (1.0 - o) * tc, o * (1.0 - tc ** 2))

@@ -231,7 +231,10 @@ def test_kernel_step_loops_call_only_names_bound_before_them():
 # the only functions in the package that build each workspace, by the
 # qualified name of the function that calls its constructor
 WORKSPACE_OWNERS = {
-    "Workspace": {"mpc.FhocpWorkspace.__init__", "lstm.rollout", "sysid.loss", "sysid.train"},
+    "Workspace": {"mpc.FhocpWorkspace.__init__", "mpc.Controller.__init__", "harness.steps",
+                  "lstm.rollout", "lstm.step", "refcalc.solve_reference",
+                  "observer.observer_step", "sysid.predict", "sysid.loss", "sysid.train",
+                  "sysid.evaluate_fit"},
     "FhocpWorkspace": {"mpc.Problem.__post_init__", "mpc.Controller.__init__"},
 }
 
@@ -252,8 +255,10 @@ def _calls_by_function(tree, prefix):
 
 def test_sweep_buffers_are_built_by_their_owners_only():
     # a new caller that builds its own workspace would grow a second owner
-    # of the buffers of a sweep: the controller's FHOCP runs in one, training
-    # in one per call, and each function rollout in one of its own
+    # of the buffers of a sweep or step: the controller's FHOCP and its
+    # reference calculation run in one each, the closed loop's observer in
+    # one, training and FIT in one per call, and each function that is
+    # given none in one of its own
     built = {name: set() for name in WORKSPACE_OWNERS}
     for module, tree in _trees().items():
         for qualname, call in _calls_by_function(tree, module.removesuffix(".py")):
@@ -267,9 +272,9 @@ def test_sweep_buffers_are_built_by_their_owners_only():
 # the functions a control step runs, by module and qualified name
 STEP_FUNCTIONS = {
     "mpc.py": ("Problem.evaluate", "Problem.qp_model", "_dense_qp", "solve_fhocp"),
-    "refcalc.py": ("_track", "_residual", "_newton"),
-    "lstm.py": ("LstmWeights.step_in_place", "Workspace.rollout", "_sensitivities",
-                "_local_factors", "_step_jacobians"),
+    "refcalc.py": ("_track", "_residual", "_newton", "_cell_step", "_jacobian"),
+    "lstm.py": ("Workspace.step", "Workspace.rollout", "Workspace.linearize",
+                "Workspace.sensitivities", "_local_factors", "_step_jacobians"),
     "observer.py": ("observer_step",),
 }
 

@@ -222,8 +222,10 @@ class TestControllerBuffers:
         assert interleaved == alone
 
     def test_a_run_builds_its_buffers_once(self, bench_w, bench_spec, monkeypatch):
-        # counted by spies, in exact numbers: the controller's one sweep and
-        # no dual QP (every QP of the benchmark scenario takes the early exit)
+        # counted by spies, in exact numbers: four workspaces, the
+        # controller's sweep and its reference calculation's step, the
+        # observer's step and the initial estimate's reference calculation,
+        # and no dual QP (every QP of the benchmark scenario takes the early exit)
         built, dual = [], []
         init, dual_qp = lstm.Workspace.__init__, mpc._dual_qp
         monkeypatch.setattr(lstm.Workspace, "__init__",
@@ -236,7 +238,7 @@ class TestControllerBuffers:
             report = harness.run_scenario(benchmark_scenario(duration_s), bench_w,
                                           spec=bench_spec)
             counts.append((report.steps, len(built), len(dual)))
-        assert counts == [(50, 1, 0), (100, 1, 0)]
+        assert counts == [(50, 4, 0), (100, 4, 0)]
 
 
 class TestRunScenario:

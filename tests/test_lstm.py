@@ -7,11 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lstmpc import lstm, numerics, observer, sysid
+from lstmpc import lstm, mpc, numerics, observer, refcalc, sysid
 from lstmpc.errors import DimensionError, InstabilityError
 from lstmpc.lstm import LstmState
 
-from conftest import ASSETS, random_invariant_state, small_net, with_arrays, zero_net
+from conftest import (ASSETS, local_factors_oracle, random_invariant_state, small_net,
+                      with_arrays, zero_net)
 
 
 def scalar_step_oracle(w, x, u):
@@ -68,9 +69,16 @@ def rollout_oracle(w, c0, h0, u_seq, inject=0.0):
     return c, h, (sig, gct, tc)
 
 
+def swept(w, x0, u, inject=None):
+    """A workspace of the sweep's length after its ``rollout`` of ``u`` from
+    ``x0``: (workspace, c, h, cache)."""
+    ws = lstm.Workspace(w.n, w.m, len(u))
+    return (ws, *ws.rollout(w, x0.c, x0.h, u, inject))
+
+
 def adjoint_oracle(w, c, cache, dc_stage, dh_stage):
     """Reference reverse sweep, one gate block of dz at a time."""
-    f, k_f, k_i, k_g, k_o, k_t = lstm.local_factors(c, cache)
+    f, k_f, k_i, k_g, k_o, k_t = local_factors_oracle(c, cache)
     n_t, n = f.shape
     rows = gate_rows(n)
     dz = np.empty((n_t, 4 * n))
@@ -90,7 +98,7 @@ def adjoint_oracle(w, c, cache, dc_stage, dh_stage):
 def oracle_sensitivities(w, c, cache):
     """Reference forward sweep, the chain rule written out one gate at a
     time: (dc_k/du, dh_k/du), each (T+1, n, T*m)."""
-    f, k_f, k_i, k_g, k_o, k_t = lstm.local_factors(c, cache)
+    f, k_f, k_i, k_g, k_o, k_t = local_factors_oracle(c, cache)
     n_t, n = f.shape
     m = w.m
     rows = gate_rows(n)
@@ -108,11 +116,12 @@ def oracle_sensitivities(w, c, cache):
     return s_c, s_h
 
 
-def assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage):
-    """``lstm.adjoint`` sums through the step Jacobians, the oracle gate
-    by gate: equal up to rounding, relative to the largest |dz|."""
+def assert_adjoint_matches_oracle(w, ws, c, cache, dc_stage, dh_stage):
+    """``Workspace.adjoint`` of the sweep (c, cache) in ``ws`` sums through
+    the step Jacobians, the oracle gate by gate: equal up to rounding,
+    relative to the largest |dz|."""
     ref = adjoint_oracle(w, c, cache, dc_stage, dh_stage)
-    np.testing.assert_allclose(lstm.adjoint(w, c, cache, dc_stage, dh_stage), ref,
+    np.testing.assert_allclose(ws.adjoint(dc_stage, dh_stage), ref,
                                rtol=0.0, atol=1e-14 * np.abs(ref).max(initial=0.0))
 
 
@@ -128,7 +137,7 @@ class TestKernelOracle:
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
         inject = rng.normal(scale=0.5, size=(n_steps, 4 * w.n)) if injected else 0.0
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, u, inject)
+        ws, c, h, cache = swept(w, x0, u, inject)
         c_ref, h_ref, cache_ref = rollout_oracle(w, x0.c, x0.h, u, inject)
         np.testing.assert_array_equal(c, c_ref)
         np.testing.assert_array_equal(h, h_ref)
@@ -137,7 +146,7 @@ class TestKernelOracle:
             np.testing.assert_array_equal(part, ref)
         dc_stage = rng.normal(size=(n_steps + 1, w.n))
         dh_stage = rng.normal(size=(n_steps + 1, w.n))
-        assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage)
+        assert_adjoint_matches_oracle(w, ws, c, cache, dc_stage, dh_stage)
 
     def test_warm_started_training(self, bench_w, monkeypatch):
         # training sweeps in its lstm.Workspace: the oracles replace the
@@ -168,9 +177,9 @@ class TestKernelOracle:
 
 
 class TestPreparedKernel:
-    """``LstmWeights.step`` and ``rollout``, on the operands the weights
-    prepare once, equal the reference kernel bit for bit; one-step results
-    outlive the next step."""
+    """``Workspace.step`` and ``rollout``, on the operands the weights
+    prepare once, equal the reference kernel bit for bit; ``lstm.step``'s
+    results outlive the next step."""
 
     NETS = {"bench": None, "small": dict(n=3), "square2": dict(n=3, m=2, p=2)}
 
@@ -188,11 +197,12 @@ class TestPreparedKernel:
         for part, want in zip((c, h, *cache), (ref[0], ref[1], *ref[2])):
             np.testing.assert_array_equal(part, want)
         c_ref, h_ref, _ = ref
+        ws = lstm.Workspace(w.n, w.m, 1)
         for t in range(n_steps):
             # one step from the reference states: the reference kernel at T = 1
             one = rollout_oracle(w, c_ref[t], h_ref[t], u[t:t + 1],
                                  inject[t:t + 1] if injected else 0.0)
-            c1, h1 = w.step(c_ref[t], h_ref[t], u[t], inject[t] if injected else None)
+            c1, h1 = ws.step(w, c_ref[t], h_ref[t], u[t], inject[t] if injected else None)
             np.testing.assert_array_equal(c1, one[0][1])
             np.testing.assert_array_equal(h1, one[1][1])
 
@@ -204,11 +214,11 @@ class TestPreparedKernel:
         rng = np.random.default_rng(3)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (6, w.m))
-        before = lstm.rollout(w, x0.c, x0.h, u)[:2], w.step(x0.c, x0.h, u[0])
+        before = lstm.rollout(w, x0.c, x0.h, u)[:2], vars(lstm.step(w, x0, u[0])).values()
         for array in given.values():
             array += 0.3
         given["b_f"][...] = 5.0
-        after = lstm.rollout(w, x0.c, x0.h, u)[:2], w.step(x0.c, x0.h, u[0])
+        after = lstm.rollout(w, x0.c, x0.h, u)[:2], vars(lstm.step(w, x0, u[0])).values()
         for got, want in zip((*after[0], *after[1]), (*before[0], *before[1])):
             np.testing.assert_array_equal(got, want)
         changed = lstm.LstmWeights(**given, u_max=bench_w.u_max)
@@ -221,17 +231,25 @@ class TestPreparedKernel:
                 array[...] = 0.0
 
     def test_step_result_outlives_the_next_step(self, bench_w):
+        # lstm.step's state is its own, in a workspace given or not;
+        # Workspace.step's are views, which the workspace's next step overwrites
         rng = np.random.default_rng(5)
         xa, xb = (random_invariant_state(bench_w, rng) for _ in range(2))
-        first = bench_w.step(xa.c, xa.h, np.array([0.3]))
-        kept = [a.copy() for a in first]
-        second = bench_w.step(xb.c, xb.h, np.array([-0.6]))
+        ws = lstm.Workspace(bench_w.n, bench_w.m, 1)
+        first = lstm.step(bench_w, xa, np.array([0.3]), ws)
+        kept = [a.copy() for a in (first.c, first.h)]
+        views = ws.step(bench_w, xb.c, xb.h, np.array([-0.6]))
+        second = lstm.step(bench_w, xb, np.array([-0.6]))
         state = lstm.step(bench_w, xa, np.array([0.3]))
-        for got, want in zip(first, kept):
+        for got, want in zip((first.c, first.h), kept):
             np.testing.assert_array_equal(got, want)
-        assert not np.array_equal(first[1], second[1])
+        assert not np.array_equal(first.h, second.h)
+        np.testing.assert_array_equal(views[1], second.h)
         np.testing.assert_array_equal(state.h, kept[1])
-        assert not any(np.shares_memory(a, b) for a in first for b in (*second, state.c, state.h))
+        ws.step(bench_w, xa.c, xa.h, np.array([0.3]))
+        np.testing.assert_array_equal(views[1], kept[1])
+        assert not any(np.shares_memory(a, b) for a in (first.c, first.h)
+                       for b in (*views, second.c, second.h, state.c, state.h))
 
 
 class TestKernelSizes:
@@ -246,12 +264,12 @@ class TestKernelSizes:
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (40, m))
         inject = rng.normal(scale=0.5, size=(40, 4 * n))
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, u, inject)
+        ws, c, h, cache = swept(w, x0, u, inject)
         c_ref, h_ref, cache_ref = rollout_oracle(w, x0.c, x0.h, u, inject)
         for part, ref in zip((c, h, *cache), (c_ref, h_ref, *cache_ref)):
             np.testing.assert_array_equal(part, ref)
         dc_stage, dh_stage = rng.normal(size=(2, 41, n))
-        assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage)
+        assert_adjoint_matches_oracle(w, ws, c, cache, dc_stage, dh_stage)
 
 
 class TestAdjointBlocks:
@@ -265,19 +283,19 @@ class TestAdjointBlocks:
         rng = np.random.default_rng(n_steps)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
+        ws, c, h, cache = swept(w, x0, u)
         dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
-        assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage)
-        dz = lstm.adjoint(w, c, cache, dc_stage, dh_stage)
+        assert_adjoint_matches_oracle(w, ws, c, cache, dc_stage, dh_stage)
+        dz = ws.adjoint(dc_stage, dh_stage)
         monkeypatch.setattr(lstm, "_SWEEP_BLOCK_BYTES", 1 << 40)
         assert lstm._sweep_block(w.n, w.m) > n_steps
-        np.testing.assert_array_equal(lstm.adjoint(w, c, cache, dc_stage, dh_stage), dz)
+        np.testing.assert_array_equal(swept(w, x0, u)[0].adjoint(dc_stage, dh_stage), dz)
 
     @pytest.mark.parametrize("block_steps", [1, 3])
     def test_block_edges_in_a_workspace(self, bench_w, monkeypatch, block_steps):
         # blocks of 1 or 3 steps, forced small: sweeps shorter than the
         # workspace, of 1-3 blocks and one step either side of their edges,
-        # equal the function's dz bit for bit
+        # equal the dz of a workspace of the sweep's length bit for bit
         w = bench_w
         step_bytes = 8 * 2 * w.n * (2 * w.n + w.m)
         monkeypatch.setattr(lstm, "_SWEEP_BLOCK_BYTES", block_steps * step_bytes)
@@ -291,8 +309,8 @@ class TestAdjointBlocks:
             dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
             c, _, cache = ws.rollout(w, x0.c, x0.h, u)
             got = ws.adjoint(dc_stage, dh_stage)
-            assert got.tobytes() == lstm.adjoint(w, c, cache, dc_stage, dh_stage).tobytes()
-            assert_adjoint_matches_oracle(w, c, cache, dc_stage, dh_stage)
+            assert got.tobytes() == swept(w, x0, u)[0].adjoint(dc_stage, dh_stage).tobytes()
+            assert_adjoint_matches_oracle(w, ws, c, cache, dc_stage, dh_stage)
 
     @pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (33, 2), (128, 2)])
     def test_block_size(self, n, m):
@@ -328,12 +346,12 @@ class TestKernelCalls:
         rng = np.random.default_rng(n_steps)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
+        exact = swept(w, x0, u)[0]
         dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
         ws = lstm.Workspace(w.n, w.m, n_steps + 3)
         ws.rollout(w, x0.c, x0.h, u)
         calls = count_calls(monkeypatch, lstm, "_dot")
-        lstm.adjoint(w, c, cache, dc_stage, dh_stage)
+        exact.adjoint(dc_stage, dh_stage)
         assert len(calls) == n_steps
         ws.adjoint(dc_stage, dh_stage)
         assert len(calls) == 2 * n_steps
@@ -351,7 +369,7 @@ class TestKernelCalls:
         ws.rollout(w, x0.c, x0.h, u)
         assert len(calls) == 2 * n_steps
         for k in range(n_steps):
-            w.step(x0.c, x0.h, u[k])
+            ws.step(w, x0.c, x0.h, u[k])
             assert len(calls) == 2 * n_steps + k + 1
 
     def test_training_loss_makes_no_np_dot_call(self, bench_w, monkeypatch):
@@ -393,9 +411,9 @@ class TestKernelPurity:
                   "dc_stage": rng.normal(size=(n_steps + 1, w.n)),
                   "dh_stage": rng.normal(size=(n_steps + 1, w.n))}
         before = {name: a.copy() for name, a in inputs.items()}
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, inputs["u_seq"], inputs["inject"])
+        ws, c, h, cache = swept(w, x0, inputs["u_seq"], inputs["inject"])
         forward = [a.copy() for a in (c, h, *cache)]
-        dz = lstm.adjoint(w, c, cache, inputs["dc_stage"], inputs["dh_stage"])
+        dz = ws.adjoint(inputs["dc_stage"], inputs["dh_stage"])
         for name, a in inputs.items():
             np.testing.assert_array_equal(a, before[name], err_msg=name)
         for a, ref in zip((c, h, *cache), forward):
@@ -485,8 +503,7 @@ class TestAdjoint:
             c, h, _ = lstm.rollout(w, x0.c, x0.h, u_seq)
             return float(np.sum(a * c) + np.sum(b * h))
 
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
-        dz = lstm.adjoint(w, c, cache, a, b)
+        dz = swept(w, x0, u)[0].adjoint(a, b)
         assert dz.shape == (n_steps, 4 * w.n)
         grad = dz @ w.W
         eps = 1e-6
@@ -502,18 +519,19 @@ class TestAdjoint:
 class TestSensitivities:
     @staticmethod
     def _case(bench_w, net, n_steps):
+        """(w, rng, x0, u, workspace, c, cache): a sweep in a workspace of its length."""
         w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
         rng = np.random.default_rng(10 + n_steps)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-0.9, 0.9, (n_steps, w.m))
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
-        return w, rng, x0, u, c, cache
+        ws, c, h, cache = swept(w, x0, u)
+        return w, rng, x0, u, ws, c, cache
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])
     def test_matches_central_differences(self, bench_w, net, n_steps):
-        w, _, x0, u, c, cache = self._case(bench_w, net, n_steps)
-        s = lstm.sensitivities(w, c, cache)
+        w, _, x0, u, ws, _, _ = self._case(bench_w, net, n_steps)
+        s = ws.sensitivities()
         assert s.shape == (n_steps + 1, 2 * w.n, n_steps * w.m)
         s_c, s_h = s[:, :w.n], s[:, w.n:]
         eps = 1e-6
@@ -531,29 +549,28 @@ class TestSensitivities:
         np.testing.assert_allclose(s_h, fd_h, rtol=1e-6, atol=1e-9)
 
     def test_zero_steps_have_no_input_columns(self, bench_w):
-        c, _, cache = lstm.rollout(bench_w, np.zeros(bench_w.n), np.zeros(bench_w.n),
-                                   np.zeros((0, bench_w.m)))
-        assert lstm.sensitivities(bench_w, c, cache).shape == (1, 2 * bench_w.n, 0)
+        ws = swept(bench_w, bench_w.zero_state(), np.zeros((0, bench_w.m)))[0]
+        assert ws.sensitivities().shape == (1, 2 * bench_w.n, 0)
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])
     def test_reused_workspace_equals_the_functions(self, bench_w, net, n_steps):
-        # a workspace's sweep after an earlier one, bit for bit the fresh
-        # rollout and sensitivities: nothing of the earlier sweep shows
-        w, rng, x0, u, c, cache = self._case(bench_w, net, n_steps)
+        # a workspace's sweep after an earlier one, bit for bit a fresh
+        # workspace's rollout and sensitivities: nothing of the earlier sweep shows
+        w, rng, x0, u, fresh, c, _ = self._case(bench_w, net, n_steps)
         ws = lstm.Workspace(w.n, w.m, n_steps)
         ws.rollout(w, -x0.c, -x0.h, -u)
         ws.sensitivities()
         got_c, got_h, _ = ws.rollout(w, x0.c, x0.h, u)
         want_h = lstm.rollout(w, x0.c, x0.h, u)[1]
         assert (got_c.tobytes(), got_h.tobytes()) == (c.tobytes(), want_h.tobytes())
-        assert ws.sensitivities().tobytes() == lstm.sensitivities(w, c, cache).tobytes()
+        assert ws.sensitivities().tobytes() == fresh.sensitivities().tobytes()
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     def test_workspace_sweeps_of_other_weights_and_lengths(self, bench_w, net):
         # one workspace runs each sweep on the weights it is given, a sweep of
         # fewer steps in its leading rows; after sweeps of other weights, and of
-        # more and fewer steps, each result is the functions' bit for bit
+        # more and fewer steps, each result is a fresh workspace's bit for bit
         w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
         other = small_net(seed=7, n=w.n, m=w.m, p=w.p, scale=0.3)
         ws = lstm.Workspace(w.n, w.m, 12)
@@ -562,13 +579,13 @@ class TestSensitivities:
             x0 = random_invariant_state(net_k, rng)
             u = rng.uniform(-0.9, 0.9, (n_steps, w.m))
             dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
-            c, h, cache = lstm.rollout(net_k, x0.c, x0.h, u)
+            fresh, c, h, cache = swept(net_k, x0, u)
             got = ws.rollout(net_k, x0.c, x0.h, u)
             assert [a.tobytes() for a in (*got[:2], *got[2])] == \
                 [a.tobytes() for a in (c, h, *cache)]
-            assert ws.sensitivities().tobytes() == lstm.sensitivities(net_k, c, cache).tobytes()
+            assert ws.sensitivities().tobytes() == fresh.sensitivities().tobytes()
             assert ws.adjoint(dc_stage, dh_stage).tobytes() == \
-                lstm.adjoint(net_k, c, cache, dc_stage, dh_stage).tobytes()
+                fresh.adjoint(dc_stage, dh_stage).tobytes()
 
     def test_workspace_rejects_a_sweep_it_cannot_hold(self, bench_w):
         # a longer sweep, or weights of another input or state count
@@ -587,33 +604,30 @@ class TestSensitivities:
     @pytest.mark.parametrize("n_steps", [1, 5, 10])
     def test_agrees_with_adjoint(self, bench_w, net, n_steps):
         # a^T (S v) = (dz @ W) . v for stage weights a and a direction v
-        w, rng, _, u, c, cache = self._case(bench_w, net, n_steps)
+        w, rng, _, u, ws, _, _ = self._case(bench_w, net, n_steps)
         a_c = rng.normal(size=(n_steps + 1, w.n))
         a_h = rng.normal(size=(n_steps + 1, w.n))
         v = rng.normal(size=n_steps * w.m)
-        s = lstm.sensitivities(w, c, cache)
+        s = ws.sensitivities()
         s_c, s_h = s[:, :w.n], s[:, w.n:]
         forward = float(np.sum(a_c * (s_c @ v)) + np.sum(a_h * (s_h @ v)))
-        dz = lstm.adjoint(w, c, cache, a_c, a_h)
+        dz = ws.adjoint(a_c, a_h)
         reverse = float((dz @ w.W).ravel() @ v)
         assert forward == pytest.approx(reverse, rel=1e-12)
 
 
-def local_factors_oracle(c, cache):
-    """``local_factors`` with each sigmoid derivative as its own product."""
-    sig, g, tc = cache
-    n = tc.shape[1]
-    f, i, o = sig[:, :n], sig[:, n:2 * n], sig[:, 2 * n:]
-    return (f, f * (1.0 - f) * c[:-1], i * (1.0 - i) * g, i * (1.0 - g ** 2),
-            o * (1.0 - o) * tc, o * (1.0 - tc ** 2))
+def workspace_factors(c, cache):
+    """The local factors of a workspace's sweep (c, cache), as its
+    ``linearize`` and ``adjoint`` form them."""
+    return lstm._local_factors(lstm._factor_buffers(c, cache))
 
 
 class TestLocalFactors:
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 10])
     def test_matches_per_gate_products(self, bench_w, net, n_steps):
-        w, _, _, _, c, cache = TestSensitivities._case(bench_w, net, n_steps)
-        factors = lstm.local_factors(c, cache)
+        w, _, _, _, _, c, cache = TestSensitivities._case(bench_w, net, n_steps)
+        factors = workspace_factors(c, cache)
         expect = local_factors_oracle(c, cache)
         assert len(factors) == len(expect) == 6
         for got, want in zip(factors, expect):
@@ -622,7 +636,8 @@ class TestLocalFactors:
 
 
 def step_jacobians_oracle(w, factors, out):
-    """``step_jacobians`` as one expression per block, on new temporaries."""
+    """``Workspace.linearize``'s [A_k | B_k], or A_k alone, into rows :2n
+    of ``out``, as one expression per block, on new temporaries."""
     f, k_f, k_i, k_g, k_o, k_t = factors
     n, cols = f.shape[1], out.shape[2]
     rows = gate_rows(n)
@@ -635,41 +650,52 @@ def step_jacobians_oracle(w, factors, out):
     out[:, n:2 * n, n:] = k_t[:, :, None] * dc + k_o[:, :, None] * uw[3]
 
 
+def a_only(w, factors, out):
+    """A_k alone into the (T, >= 2n, 2n) ``out``, by the kernel and buffers
+    of ``Workspace.adjoint``'s blocks."""
+    lstm._step_jacobians(w, lstm._jacobian_buffers(factors, out))
+
+
 class TestStepJacobians:
-    # the sweeps' own buffers (the MPC's T = 5 and 10, refcalc's one step
-    # into the weights' template, training's blocks of 148) and a caller's
+    # the workspaces' own buffers (the MPC's T = 5 and 10, refcalc's one
+    # step, training's blocks of 148) and a caller's
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10, 148])
     def test_equals_the_oracle_bit_for_bit(self, bench_w, net, n_steps):
-        w, _, _, _, c, cache = TestSensitivities._case(bench_w, net, n_steps)
+        w, _, _, _, ws, c, cache = TestSensitivities._case(bench_w, net, n_steps)
         n2 = 2 * w.n
-        factors = lstm.local_factors(c, cache)
-        for cols in (n2 + w.m, n2):
-            got, want = np.zeros((n_steps, n2, cols)), np.zeros((n_steps, n2, cols))
-            lstm.step_jacobians(w, factors, got)
-            step_jacobians_oracle(w, factors, want)
-            assert got.tobytes() == want.tobytes()
-        ws = lstm.Workspace(w.n, w.m, n_steps)
+        want = np.zeros((n_steps, n2, n2 + w.m))
+        step_jacobians_oracle(w, local_factors_oracle(c, cache), want)
+        assert ws.linearize().tobytes() == want.tobytes()
+        got, want = np.zeros((n_steps, n2, n2)), np.zeros((n_steps, n2, n2))
+        a_only(w, workspace_factors(c, cache), got)
+        step_jacobians_oracle(w, local_factors_oracle(c, cache), want)
+        assert got.tobytes() == want.tobytes()
+        c = c.copy()
         ws.rollout(w, c[0], np.zeros(w.n), np.zeros((n_steps, w.m)))
         for _ in range(2):              # its second sweep reuses its buffers
-            c_ws, h_ws, cache_ws = ws.rollout(w, c[0], c[1], c[1:, :w.m])
+            ws.rollout(w, c[0], c[1], c[1:, :w.m])
             s = ws.sensitivities()
-            assert s.tobytes() == lstm.sensitivities(w, c_ws, cache_ws).tobytes()
-        jac = w.residual_jacobian.copy()
-        w.step_in_place(c[0], c[1], c[1, :w.m])
+            fresh = swept(w, LstmState(c[0], c[1]), c[1:, :w.m])[0]
+            assert s.tobytes() == fresh.sensitivities().tobytes()
+        # one step, in a one-step workspace and in the first rows of a longer one
+        want = np.zeros((n2, n2 + w.m))
         step_jacobians_oracle(w, local_factors_oracle(*lstm.rollout(
-            w, c[0], c[1], c[1:2, :w.m])[::2]), jac[None, :n2])
-        assert w.last_jacobian().tobytes() == jac.tobytes()
+            w, c[0], c[1], c[1:2, :w.m])[::2]), want[None])
+        for one in (lstm.Workspace(w.n, w.m, 1), ws):
+            one.step(w, c[0], c[1], c[1, :w.m])
+            jac = one.linearize()
+            assert jac.shape == (1, n2, n2 + w.m)
+            assert jac.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])
     def test_matches_central_differences(self, bench_w, net, n_steps):
         # A_k, B_k against a one-step rollout from (c_k, h_k) with input u_k
-        w, _, x0, u, _, _ = TestSensitivities._case(bench_w, net, n_steps)
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
+        w, _, x0, u, ws, _, _ = TestSensitivities._case(bench_w, net, n_steps)
+        c, h, _ = lstm.rollout(w, x0.c, x0.h, u)
         n = w.n
-        jac = np.zeros((n_steps, 2 * n, 2 * n + w.m))
-        lstm.step_jacobians(w, lstm.local_factors(c, cache), jac)
+        jac = ws.linearize()
         a, b = jac[:, :, :2 * n], jac[:, :, 2 * n:]
         eps = 1e-6
 
@@ -690,24 +716,21 @@ class TestStepJacobians:
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     def test_writes_only_its_blocks_of_the_callers_buffer(self, bench_w, net):
-        # rows past 2n (refcalc's W_y rows) are left alone, and a buffer
-        # of 2n columns takes A_k alone, equal to the [A_k | B_k] one's
-        w, _, _, _, c, cache = TestSensitivities._case(bench_w, net, 4)
+        # rows past 2n (the adjoint's stage-partial row) are left alone, and a
+        # buffer of 2n columns takes A_k alone, equal to the linearization's
+        w, _, _, _, ws, c, cache = TestSensitivities._case(bench_w, net, 4)
         n2 = 2 * w.n
-        factors = lstm.local_factors(c, cache)
-        full = np.zeros((4, n2 + 3, n2 + w.m))
+        full = np.zeros((4, n2 + 3, n2))
         full[:, n2:] = 7.0
-        lstm.step_jacobians(w, factors, full)
+        a_only(w, workspace_factors(c, cache), full)
         assert np.all(full[:, n2:] == 7.0)
-        a_only = np.zeros((4, n2, n2))
-        lstm.step_jacobians(w, factors, a_only)
-        np.testing.assert_array_equal(a_only, full[:, :n2, :n2])
+        np.testing.assert_array_equal(full[:, :n2], ws.linearize()[:, :, :n2])
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])
     def test_sensitivities_match_per_gate_oracle(self, bench_w, net, n_steps):
-        w, _, _, _, c, cache = TestSensitivities._case(bench_w, net, n_steps)
-        s = lstm.sensitivities(w, c, cache)
+        w, _, _, _, ws, c, cache = TestSensitivities._case(bench_w, net, n_steps)
+        s = ws.sensitivities()
         s_c, s_h = oracle_sensitivities(w, c, cache)
         np.testing.assert_allclose(s[:, :w.n], s_c, rtol=0, atol=1e-13)
         np.testing.assert_allclose(s[:, w.n:], s_h, rtol=0, atol=1e-13)
@@ -1073,18 +1096,27 @@ class TestWeightStorage:
             np.testing.assert_array_equal(getattr(dup, name), getattr(w, name))
         assert (dup.u_max, dup.u_range, dup.y_range) == (w.u_max, w.u_range, w.y_range)
 
-    def test_read_only(self):
-        # every array reachable from the weights refuses writes (stacks,
-        # readout, per-gate views and cell operands), no name can be
-        # assigned, and the constructor shares no memory with its inputs
-        given = {name: getattr(small_net(seed=4, n=3, m=2), name).copy()
-                 for name in lstm.MATRIX_FIELDS}
-        w = lstm.LstmWeights(**given)
+    def test_read_only(self, bench_w, bench_certificate):
+        # every array the weights hold refuses writes (stacks, readout,
+        # per-gate views and cell operands), also after a control step, an
+        # observer step and a training epoch have run on them, which leave
+        # the attributes that construction made; no name can be assigned,
+        # and the constructor shares no memory with its inputs
+        given = {name: getattr(bench_w, name).copy() for name in lstm.MATRIX_FIELDS}
+        w = lstm.LstmWeights(**given, u_range=bench_w.u_range, y_range=bench_w.y_range)
+        built = set(vars(w))
+        ref = refcalc.solve_reference(w, [0.1], [0.0])
+        chi = observer.AugmentedState(ref.x_bar, np.zeros(w.p))
+        u, _, _ = mpc.Controller(w, bench_certificate).step(chi, np.array([0.1]))
+        observer.observer_step(w, bench_certificate.spec, chi, u, [0.12])
+        ds = sysid.generate_dataset(seed=3, n_train=1, n_val=1, n_test=1, steps=120)
+        sysid.train(ds, sysid.TrainConfig(epochs=1, n_neurons=w.n, washout=10), init=w)
+        assert set(vars(w)) == built
+        arrays = [name for name, a in vars(w).items() if isinstance(a, np.ndarray)]
         operands = ("W", "U", "b", "W_y", "b_y", "U_half", "W_half", "b_half", "UW",
                     "residual_jacobian", "_scale", "_half", "_one")
-        assert {name for name, a in vars(w).items()
-                if isinstance(a, np.ndarray) and not name.startswith("_")} <= set(operands)
-        for name in operands + lstm.MATRIX_FIELDS:
+        assert set(arrays) == set(operands)
+        for name in arrays + list(lstm.MATRIX_FIELDS):
             array = getattr(w, name)
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
@@ -1142,5 +1174,7 @@ def test_inputs_given_as_lists_run_as_arrays(bench_w):
     for got, want in zip(lstm.rollout(bench_w, x0.c, x0.h, u)[:2],
                          lstm.rollout(bench_w, x0.c, x0.h, np.array(u))[:2]):
         assert got.tobytes() == want.tobytes()
-    for got, want in zip(bench_w.step(x0.c, x0.h, u[0]), bench_w.step(x0.c, x0.h, np.array(u[0]))):
+    ws = lstm.Workspace(bench_w.n, bench_w.m, 1)
+    given = [a.copy() for a in ws.step(bench_w, x0.c, x0.h, u[0])]
+    for got, want in zip(given, ws.step(bench_w, x0.c, x0.h, np.array(u[0]))):
         assert got.tobytes() == want.tobytes()

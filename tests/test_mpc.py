@@ -890,11 +890,12 @@ class TestNanReductions:
         assert dual == [1]
 
 
-def parent_sensitivities(w, c, cache):
-    """S from the step Jacobians, one product and one copy per step."""
-    n2, n_t = 2 * w.n, len(c) - 1
-    jac, s = np.zeros((n_t, n2, n2 + w.m)), np.zeros((n_t + 1, n2, n_t * w.m))
-    lstm.step_jacobians(w, lstm.local_factors(c, cache), jac)
+def parent_sensitivities(w, sweep):
+    """S from the step Jacobians of the last rollout in the workspace
+    ``sweep``, one product and one copy per step."""
+    jac = sweep.linearize()
+    n2, n_t = 2 * w.n, len(jac)
+    s = np.zeros((n_t + 1, n2, n_t * w.m))
     for t in range(n_t):
         np.matmul(jac[t, :, :n2], s[t, :, :t * w.m], out=s[t + 1, :, :t * w.m])
         s[t + 1, :, t * w.m:(t + 1) * w.m] = jac[t, :, n2:]
@@ -905,7 +906,8 @@ def parent_evaluate(problem, u_seq):
     """``Problem.evaluate`` in its products through @ and its sums through
     ndarray.sum: the formulas whose bits the step keeps."""
     w, ref, n_h = problem.w, problem.ref, len(problem.tight)
-    c, h, cache = lstm.rollout(w, problem.x_hat.c, problem.x_hat.h, u_seq)
+    sweep = lstm.Workspace(w.n, w.m, len(u_seq))
+    c, h, _ = sweep.rollout(w, problem.x_hat.c, problem.x_hat.h, u_seq)
     y_pred = h[:n_h] @ w.W_y.T + w.b_y
     g = np.empty(2 * w.p * n_h + 1)
     g_out = g[:-1].reshape(n_h, 2, w.p)
@@ -918,7 +920,7 @@ def parent_evaluate(problem, u_seq):
     g[-1] = phi - problem.alpha ** 2
     cost = problem.q_weight * float((dx[:n_h] ** 2).sum()) \
         + problem.r_weight * float(((u_seq - ref.u_bar) ** 2).sum()) + phi
-    return cost, g, (c, h, cache, ev, dx)
+    return cost, g, (c, h, sweep, ev, dx)
 
 
 def parent_qp_model(problem, u_seq, g, aux, lam_term):
@@ -926,8 +928,8 @@ def parent_qp_model(problem, u_seq, g, aux, lam_term):
     ``parent_evaluate``, with A and b stacked whole."""
     w, ref, n_h = problem.w, problem.ref, len(problem.tight)
     n_u, n_out = n_h * w.m, 2 * w.p * (n_h - 1)
-    c, _, cache, ev, dx = aux
-    s = parent_sensitivities(w, c, cache)
+    _, _, sweep, ev, dx = aux
+    s = parent_sensitivities(w, sweep)
     s_x = s[1:n_h].reshape(-1, n_u)
     grad = 2.0 * problem.q_weight * (dx[1:n_h].ravel() @ s_x) \
         + 2.0 * problem.r_weight * (u_seq - ref.u_bar).ravel()
@@ -983,7 +985,7 @@ class TestParentFormulas:
         for got, want in zip((g, aux[3], aux[4]), (want_g, want_aux[3], want_aux[4])):
             assert got.tobytes() == want.tobytes()
         assert aux[2].sensitivities().tobytes() \
-            == parent_sensitivities(w, want_aux[0], want_aux[2]).tobytes()
+            == parent_sensitivities(w, want_aux[2]).tobytes()
         for lam_term in (0.0, 0.7):
             got = problem.qp_model(u, g, aux, lam_term)
             want = parent_qp_model(problem, u, want_g, want_aux, lam_term)

@@ -1,15 +1,17 @@
 """Unit tests for the equilibrium reference calculator."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from lstmpc import lstm, refcalc
+from lstmpc import lstm, observer, refcalc
 from lstmpc.errors import DimensionError, InfeasibleReferenceError
 from lstmpc.lstm import LstmState
 
-from conftest import random_invariant_state, small_net, zero_net
+from conftest import local_factors_oracle, random_invariant_state, small_net, zero_net
 
 
 def oracle_residual(w, xi, y0_eff):
@@ -27,7 +29,7 @@ def oracle_jacobian(w, xi):
     n = w.n
     c, h, u = xi[:n], xi[n:2 * n], xi[2 * n:]
     cs, _, cache = lstm.rollout(w, c, h, u[None, :])
-    f, k_f, k_i, k_g, k_o, k_t = (k[0] for k in lstm.local_factors(cs, cache))
+    f, k_f, k_i, k_g, k_o, k_t = (k[0] for k in local_factors_oracle(cs, cache))
     uw = {g: np.hstack([getattr(w, f"U_{g}"), getattr(w, f"W_{g}")]) for g in lstm.GATES}
     dc_hu = (k_f[:, None] * uw["f"] + k_i[:, None] * uw["i"]
              + k_g[:, None] * uw["c"])
@@ -42,10 +44,11 @@ def oracle_jacobian(w, xi):
 
 
 def cell_jacobian(w, xi):
-    """refcalc's Newton Jacobian at xi: one ``_cell_step`` of the weights,
-    then ``_jacobian`` of that step."""
-    refcalc._cell_step(w, xi)
-    return refcalc._jacobian(w)
+    """refcalc's Newton Jacobian at xi: one ``_cell_step`` in a one-step
+    workspace, then ``_jacobian`` of that step."""
+    ws = lstm.Workspace(w.n, w.m, 1)
+    refcalc._cell_step(w, ws, xi)
+    return refcalc._jacobian(w, ws)
 
 
 def oracle_newton(w, xi, y0_eff):
@@ -198,7 +201,7 @@ class TestSolveReference:
         def no_step(*args, **kwargs):
             raise AssertionError("cell step before the input check")
 
-        monkeypatch.setattr(lstm.LstmWeights, "step", no_step)
+        monkeypatch.setattr(lstm.Workspace, "step", no_step)
         with pytest.raises(DimensionError, match=f"^{name} has shape"):
             refcalc.solve_reference(bench_w, y0, d_hat)
 
@@ -251,9 +254,9 @@ class TestSolveReference:
         seen = []
         cell_step = refcalc._cell_step
 
-        def spy(w, xi):
+        def spy(w, ws, xi):
             seen.append(xi.copy())
-            return cell_step(w, xi)
+            return cell_step(w, ws, xi)
 
         monkeypatch.setattr(refcalc, "_cell_step", spy)
         refcalc.solve_reference(bench_w, [0.12], [0.0], warm_start=ref)
@@ -401,7 +404,7 @@ class TestNewtonOracle:
         assert any(isinstance(g, str) for g in got)
         assert any(not isinstance(g, str) for g in got)
         # the tracker runs on solve_reference's kernel; the oracle on the weights
-        monkeypatch.setattr(refcalc, "_track", lambda k, *args: oracle_track(w, *args))
+        monkeypatch.setattr(refcalc, "_track", lambda k, ws, *args: oracle_track(w, *args))
         want = [self._solve(w, *case) for case in cases]
         for g, r in zip(got, want):
             if isinstance(g, str) or isinstance(r, str):
@@ -414,7 +417,7 @@ class TestNewtonOracle:
         w, cases = net_cases
         got = [self._solve(w, *case) for case in cases]
         monkeypatch.setattr(refcalc, "_track",
-                            lambda k, *args: oracle_track(w, *args, newton=full_newton))
+                            lambda k, ws, *args: oracle_track(w, *args, newton=full_newton))
         want = [self._solve(w, *case) for case in cases]
         assert [isinstance(g, str) for g in got] == [isinstance(r, str) for r in want]
         gap = max(np.max(np.abs(np.concatenate(g[:3]) - np.concatenate(r[:3])))
@@ -512,5 +515,53 @@ class TestNanResidual:
 
         monkeypatch.setattr(refcalc, "_residual", with_nan)
         with pytest.raises(InfeasibleReferenceError):
-            refcalc._newton(w, xi, y0_eff, ref.jac_inv)
+            refcalc._newton(w, lstm.Workspace(w.n, w.m, 1), xi, y0_eff, ref.jac_inv)
         assert entries[0] < refcalc._TOL    # the first entry alone would pass
+
+
+class TestSharedModel:
+    """Callers that share one model each own their workspaces, so threads
+    that step and linearize the same ``LstmWeights`` at once get the
+    serial results bit for bit."""
+
+    CHAINS, STEPS, THREADS = 20, 30, 4
+
+    def _chain(self, w, spec, start, j, cell, estimator):
+        """Chain ``j``: warm ``solve_reference`` calls toward a moving
+        set-point from ``start``, each followed by an ``observer_step``, in
+        the workspaces ``cell`` and ``estimator``; the bytes of every result."""
+        ref, chi, out = start, observer.AugmentedState(start.x_bar, np.zeros(w.p)), []
+        for k in range(1, self.STEPS + 1):
+            y0 = 0.1 + 0.002 * k * (1 + j % 4)
+            ref = refcalc.solve_reference(w, [y0], [0.0005 * k], ref, cell)
+            chi = observer.observer_step(w, spec, chi, ref.u_bar, [y0 + 0.01], estimator)
+            out += [a.tobytes() for a in (ref.x_bar.c, ref.x_bar.h, ref.u_bar, ref.jac_inv,
+                                          chi.x.c, chi.x.h, chi.d)]
+        return out
+
+    def _run(self, w, spec, start, chains):
+        cell, estimator = lstm.Workspace(w.n, w.m, 1), lstm.Workspace(w.n, w.m, 1)
+        return {j: self._chain(w, spec, start, j, cell, estimator) for j in chains}
+
+    def test_threads_on_one_model_give_the_serial_results(self, bench_w, bench_spec):
+        start = refcalc.solve_reference(bench_w, [0.1], [0.0])
+        serial = self._run(bench_w, bench_spec, start, range(self.CHAINS))
+        results = {}
+
+        def work(t):
+            chains = range(t, self.CHAINS, self.THREADS)
+            results.update(self._run(bench_w, bench_spec, start, chains))
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)         # switch threads as often as the interpreter can
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(range(self.CHAINS))
+        assert [j for j in range(self.CHAINS) if results[j] != serial[j]] == []
