@@ -23,14 +23,17 @@ truth = AugmentedState(
     rng.uniform(-spec.d_max, spec.d_max, weights.p))
 estimate = AugmentedState(weights.zero_state(), np.zeros(weights.p))
 
+# one-step workspaces that each model's steps run in: the true system's and the observer's
+truth_cell, estimate_cell = (lstm.Workspace(weights.n, weights.m, 1) for _ in range(2))
+
 v0 = observer.v_o(spec, estimate, truth)
 print(f"V_o(0) = {v0:.2f},  guaranteed rate rho_o = {spec.rho_o:.4f}\n")
 print(f"{'step':>5} {'V_o':>12} {'envelope':>12}")
 for k in range(1, 301):
     u = rng.uniform(-1.0, 1.0, weights.m)
     y = observer.augmented_output(weights, truth)
-    estimate = observer.observer_step(weights, spec, estimate, u, y)
-    truth = observer.augmented_step(weights, truth, u)
+    estimate = observer.observer_step(weights, spec, estimate, u, y, estimate_cell)
+    truth = observer.augmented_step(weights, truth, u, truth_cell)
     if k % 25 == 0:
         v = observer.v_o(spec, estimate, truth)
         print(f"{k:>5} {v:>12.6f} {spec.rho_o ** k * v0:>12.6f}")

@@ -214,24 +214,26 @@ def constant_segments(sc, nrm, n_steps):
     return segs
 
 
-def initial_estimate(w, y0_norm):
+def initial_estimate(w, y0_norm, workspace):
     """Observer initialization: d = 0, model state at the equilibrium
-    matching the nominal output."""
-    ref = refcalc.solve_reference(w, [y0_norm], [0.0])
+    matching the nominal output, solved in the ``lstm.Workspace`` ``workspace``."""
+    ref = refcalc.solve_reference(w, [y0_norm], [0.0], workspace)
     return AugmentedState(ref.x_bar.copy(), np.zeros(w.p))
 
 
 class PhysicalPlant:
     """The pH process at the equilibrium of the initial buffer flow; the
-    estimate starts at the model equilibrium of its pH. ``plant`` functions
-    are looked up at call time, so wrappers installed there see every call."""
+    estimate starts at the model equilibrium of its pH, solved in the
+    closed loop's one-step ``cell``. ``plant`` functions are looked up at
+    call time, so wrappers installed there see every call."""
 
-    def __init__(self, sc, w, spec, nrm):
+    def __init__(self, sc, w, spec, nrm, cell):
         self.sc, self.nrm = sc, nrm
         self.params = plant.PhParams(**sc.plant_overrides)
         q2_0 = _profile_value(sc.disturbances, 0.0, self.params.q2_nominal)
         self.x = plant.equilibrium(self.params, d_phi=q2_0)
-        self.chi_hat0 = initial_estimate(w, nrm.normalize_y(plant.measure_ph(self.params, self.x)))
+        self.chi_hat0 = initial_estimate(
+            w, nrm.normalize_y(plant.measure_ph(self.params, self.x)), cell)
 
     def measure(self, t, chi_hat):
         self.q2 = _profile_value(self.sc.disturbances, t, self.params.q2_nominal)
@@ -247,11 +249,12 @@ class NominalPlant:
     initial set-point, the true state off it by a seeded error scaled to
     V_o = 0.9 e_o0. The increment scripted at t_k moves d from step k to
     k + 1 through ``observer.augmented_step``, which raises
-    DomainViolationError once |d| > d_max: both are standing assumptions."""
+    DomainViolationError once |d| > d_max: both are standing assumptions.
+    The estimate and every step run in the closed loop's one-step ``cell``."""
 
-    def __init__(self, sc, w, spec, nrm):
-        self.sc, self.w, self.spec, self.nrm = sc, w, spec, nrm
-        self.chi_hat0 = chi_hat = initial_estimate(w, setpoint_trace(sc, nrm, 1)[0])
+    def __init__(self, sc, w, spec, nrm, cell):
+        self.sc, self.w, self.spec, self.nrm, self.cell = sc, w, spec, nrm, cell
+        self.chi_hat0 = chi_hat = initial_estimate(w, setpoint_trace(sc, nrm, 1)[0], cell)
         rng = np.random.default_rng(sc.seed)
         err = AugmentedState(LstmState(rng.uniform(-1.0, 1.0, w.n), rng.uniform(-1.0, 1.0, w.n)),
                              rng.uniform(-1.0, 1.0, w.p))
@@ -267,8 +270,8 @@ class NominalPlant:
                 observer.v_o(self.spec, chi_hat, self.chi))
 
     def advance(self, u_applied, u_phys):
-        self.chi = observer.augmented_step(self.w, self.chi, u_applied, w_k=self.w_k,
-                                           d_max=self.spec.d_max)
+        self.chi = observer.augmented_step(self.w, self.chi, u_applied, self.cell,
+                                           w_k=self.w_k, d_max=self.spec.d_max)
 
 
 _PLANTS = {"physical": PhysicalPlant, "nominal": NominalPlant}
@@ -295,8 +298,8 @@ def steps(sc, w, gains=None):
                           y_lb=nrm.normalize_y(sc.y_lb_phys), y_ub=nrm.normalize_y(sc.y_ub_phys))
     y0s = setpoint_trace(sc, nrm, int(round(sc.duration_s / sc.t_s)))
     certificate.terminal_alpha(w.W_y, y0s[:1], ctrl.y_lb, ctrl.y_ub, sc.e_o0)
-    sim = _PLANTS[sc.mode](sc, w, certificate.spec, nrm)
-    cell = lstm.Workspace(w.n, w.m, 1)      # the observer's step
+    cell = lstm.Workspace(w.n, w.m, 1)      # the observer's and the plant adapter's step
+    sim = _PLANTS[sc.mode](sc, w, certificate.spec, nrm, cell)
 
     def run(chi_hat):
         for k, y0 in enumerate(y0s):

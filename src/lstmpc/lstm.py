@@ -23,10 +23,11 @@ training and the reference Jacobian all run this cell through one kernel:
   runs it over up to T steps, and ``Workspace.step`` over one step in the
   first rows, of any weights of its shapes. Each caller owns the
   workspaces it steps: the controller one for its FHOCP and one for its
-  reference calculation, the closed loop one for its observer, training
-  and FIT one per call. So callers that share a model share no scratch;
-  the functions ``rollout`` and ``step`` run in a fresh one unless given
-  one.
+  reference calculation, the closed loop one for its observer, its plant
+  model and its initial estimate, the K_bar grid one, training and FIT
+  one per call. So callers that share a model share no scratch; the
+  function ``step`` runs in the workspace it is given, and only the
+  one-shot ``rollout`` builds its own.
 - ``Workspace.linearize``, the one copy of the cell's linearization, forms
   every step's [A_k | B_k] of the last sweep or step from its local
   factors; it feeds the forward sweep ``Workspace.sensitivities`` and the
@@ -215,24 +216,21 @@ def _run(w, h_k, steps, fc_ig):
         h_k = h_next
 
 
-def rollout(w, c0, h0, u_seq, inject=None):
+def rollout(w, c0, h0, u_seq):
     """Run the cell over the (T, m) inputs ``u_seq`` from (c0, h0), in a
     ``Workspace`` of its own: ``Workspace.rollout``."""
-    return Workspace(w.n, w.m, len(u_seq)).rollout(w, c0, h0, u_seq, inject)
+    return Workspace(w.n, w.m, len(u_seq)).rollout(w, c0, h0, u_seq)
 
 
-def step(w, x, u, workspace=None):
+def step(w, x, u, workspace):
     """One state update from the ``LstmState`` x, a new ``LstmState``: the
     ``Workspace.step`` of ``workspace``, of ``w``'s shapes and at least one
-    step, or of a workspace of its own. Warns (does not reject) if u leaves
-    its box."""
+    step. Warns (does not reject) if u leaves its box."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (w.m,):
         raise DimensionError(f"input shape {u.shape} != ({w.m},)")
     if abs(u).max() > w.u_max * (1.0 + 1e-12):
         warnings.warn("input exceeds u_max; upstream saturation expected", stacklevel=2)
-    if workspace is None:
-        workspace = Workspace(w.n, w.m, 1)
     c, h = workspace.step(w, x.c, x.h, u)
     return LstmState(c.copy(), h.copy())
 
@@ -246,9 +244,9 @@ class Workspace:
     every model of these shapes, such as each update's new weights in
     training; a sweep of T < ``n_t`` steps runs in the leading rows, and
     ``step`` in the first, so it needs ``n_t`` >= 1. Each sweep or step
-    overwrites the last one's results, and the linearizations read the last
-    one. Callers that share a model each own their workspaces, so they
-    share no scratch."""
+    checks that it fits and overwrites the last one's results, and the
+    linearizations read the last one. Callers that share a model each own
+    their workspaces, so they share no scratch."""
 
     def __init__(self, n, m, n_t):
         c, h, pre, steps, cache, fc_ig = _loop_buffers(n_t, n)
@@ -260,22 +258,29 @@ class Workspace:
         self._first = (pre[0], np.empty(4 * n), c, steps[:1], fc_ig, c[1], h[1]) if n_t else None
         self._linear = self._sens = self._reverse = None
 
-    def rollout(self, w, c0, h0, u_seq, inject=None):
-        """The cell of the weights ``w`` over the (T, m) inputs ``u_seq``
-        from (c0, h0). ``inject``, if given, is added to the preactivations
-        (broadcast to (T, 4n), in ``GATES`` order). Returns c, h of shape
-        (T+1, n) and the cache (the gates and tanh(c+)): views of this
-        workspace's buffers, which its next sweep or step overwrites."""
+    def _check(self, w, n_t):
+        """DimensionError unless the weights ``w`` have this workspace's
+        (n, m) and ``n_t`` steps fit in it."""
         if (w.n, w.m) != (self.n, self.m):
             raise DimensionError(f"weights of (n, m) = ({w.n}, {w.m}) in a workspace "
                                  f"of ({self.n}, {self.m})")
+        if not 0 <= n_t <= self.n_t:
+            raise DimensionError(f"a sweep of {n_t} steps in a workspace of {self.n_t}")
+
+    def rollout(self, w, c0, h0, u_seq):
+        """The cell of the weights ``w`` over the (T, m) inputs ``u_seq``
+        from (c0, h0). Returns c, h of shape (T+1, n) and the cache (the
+        gates and tanh(c+)): views of this workspace's buffers, which its
+        next sweep or step overwrites."""
         n_t = len(u_seq)
-        c, h, pre, steps, cache, fc_ig = self._buffers if n_t == self.n_t else self._leading(n_t)
+        self._check(w, n_t)
+        c, h, pre, steps, cache, fc_ig = self._buffers
+        if n_t < self.n_t:                          # in the leading rows
+            c, h, pre, steps = c[:n_t + 1], h[:n_t + 1], pre[:n_t], steps[:n_t]
+            cache = tuple(x[:n_t] for x in cache)
         c[0], h[0] = c0, h0
         np.asarray(u_seq).dot(w.W_half.T, pre)
         pre += w.b_half
-        if inject is not None:
-            pre += inject * w._scale
         _run(w, h[0], steps, fc_ig)
         self._last = w, n_t
         return c, h, cache
@@ -284,8 +289,9 @@ class Workspace:
         """One step of the weights ``w`` from (c, h) with the (m,) input
         ``u`` and, if given, ``inject`` (4n,) added to the preactivations:
         (c+, h+), views of this workspace's first rows, which its next step
-        or sweep overwrites. ``rollout``'s loop over one step, without the
-        checks and slices of a sweep."""
+        or sweep overwrites. ``rollout``'s loop over one step, with its
+        checks and without its slices."""
+        self._check(w, 1)
         pre, scaled, c_rows, first, fc_ig, c_next, h_next = self._first
         np.asarray(u).dot(w.W_half.T, pre)
         pre += w.b_half
@@ -295,14 +301,6 @@ class Workspace:
         _run(w, h, first, fc_ig)
         self._last = w, 1
         return c_next, h_next
-
-    def _leading(self, n_t):
-        """The loop buffers' leading rows, those of a T-step sweep."""
-        if not 0 <= n_t <= self.n_t:
-            raise DimensionError(f"a sweep of {n_t} steps in a workspace of {self.n_t}")
-        c, h, pre, steps, cache, fc_ig = self._buffers
-        return (c[:n_t + 1], h[:n_t + 1], pre[:n_t], steps[:n_t],
-                tuple(x[:n_t] for x in cache), fc_ig)
 
     def linearize(self):
         """Every step's linearization of the last sweep or step, [A_k | B_k]

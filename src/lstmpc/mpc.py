@@ -24,8 +24,8 @@ a feasible plan that costs no more than that feasible shifted candidate
 (suboptimal MPC, Scokaert, Mayne & Rawlings, 1999). Every solve of a
 controller runs on the one ``FhocpWorkspace`` it allocates (Houska,
 Ferreau & Diehl, 2011, run each sample on memory allocated once), whose
-one ``lstm.Workspace`` each ``Problem.evaluate`` overwrites; a
-``Problem`` built without one builds its own.
+one ``lstm.Workspace`` each ``Problem.evaluate`` overwrites; every
+``Problem`` is given the workspace it solves in.
 
 A step's vectors hold 5 to 21 entries, where numpy's Python-level entry
 points cost more than the arithmetic, so the step does without them and
@@ -205,8 +205,7 @@ class MpcSolution:
 
 class FhocpWorkspace:
     """The arrays that the FHOCP solves of one horizon reuse, allocated once
-    by ``Controller``, or by a ``Problem`` built without one: the
-    ``lstm.Workspace`` ``sweep`` of every plan's rollout, which runs on the
+    by ``Controller``: the ``lstm.Workspace`` ``sweep`` of every plan's rollout, which runs on the
     problem's weights, and the plan's state errors ``dx``, which each
     ``Problem.evaluate`` overwrites; the QP's A and b, whose input-box rows
     [I; -I] are set here; and I."""
@@ -234,10 +233,10 @@ class Problem:
     on the controller's weights ``w``.
 
     ``tight`` holds the output-bound offsets a_i e_o + b_i + d_max of
-    stages 0..N-1, (N, p); ``y_lb`` and ``y_ub`` are (p,). ``workspace``
-    holds the buffers of its solves: the controller's ``FhocpWorkspace``,
-    or, given None, one built on construction. The lower bounds' y_lb +
-    tight is formed once, on construction too.
+    stages 0..N-1, (N, p); ``y_lb`` and ``y_ub`` are (p,). ``workspace``,
+    an ``FhocpWorkspace`` of the weights and the horizon, holds the buffers
+    of its solves. The lower bounds' y_lb + tight is formed once, on
+    construction.
     """
 
     w: lstm.LstmWeights
@@ -250,11 +249,9 @@ class Problem:
     alpha: float
     q_weight: float
     r_weight: float
-    workspace: FhocpWorkspace | None = field(default=None, repr=False, compare=False)
+    workspace: FhocpWorkspace = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.workspace is None:
-            self.workspace = FhocpWorkspace(self.w, len(self.tight))
         self._lb_tight = self.y_lb + self.tight
 
     def evaluate(self, u_seq):
@@ -554,7 +551,7 @@ class Controller:
 
     def step(self, chi_hat, y0):
         """Compute the input for the current estimate and set-point."""
-        ref = refcalc.solve_reference(self.w, y0, chi_hat.d, self.prev_ref, self.cell)
+        ref = refcalc.solve_reference(self.w, y0, chi_hat.d, self.cell, self.prev_ref)
         self.problem = self.problem_at(chi_hat.x, ref, y0)
         warm = shifted_candidate(self.prev_solution, ref.u_bar) \
             if self.prev_solution is not None else None

@@ -32,15 +32,16 @@ def augmented_output(w, chi):
     return lstm.output(w, chi.x) + chi.d
 
 
-def augmented_step(w, chi, u, w_k=None, d_max=None):
-    """Advance the augmented model; d integrates the increment w_k."""
+def augmented_step(w, chi, u, workspace, w_k=None, d_max=None):
+    """Advance the augmented model, its cell by ``lstm.step`` in the
+    ``lstm.Workspace`` ``workspace``; d integrates the increment w_k."""
     d = np.asarray(chi.d, dtype=float)
     if w_k is not None:
         d = d + np.asarray(w_k, dtype=float)
     if d_max is not None and np.max(np.abs(d)) > d_max * (1.0 + 1e-12):
         raise DomainViolationError(
             f"disturbance magnitude {np.max(np.abs(d)):.4g} exceeds d_max={d_max}")
-    return AugmentedState(lstm.step(w, chi.x, u), d)
+    return AugmentedState(lstm.step(w, chi.x, u, workspace), d)
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,10 @@ class ObserverCertificate(ObserverSpec):
                       cell_radius_hat=cell_radius_hat)
 
 
-def observer_step(w, spec, chi_hat, u, y_measured, workspace=None):
+def observer_step(w, spec, chi_hat, u, y_measured, workspace):
     """One observer update driven by the measured output, one
     ``lstm.Workspace.step`` of ``w`` in ``workspace``, of the weights'
-    shapes and at least one step, or in one built here: the innovation
+    shapes and at least one step: the innovation
     enters the f, i, o preactivations, and the disturbance estimate
     integrates it, saturated at +-d_max.
     Raises DimensionError for gains that do not fit the model.
@@ -147,8 +148,6 @@ def observer_step(w, spec, chi_hat, u, y_measured, workspace=None):
     _check_fit(w, spec)
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
     innov = y_measured - (w.W_y.dot(x.h) + w.b_y + d)
-    if workspace is None:
-        workspace = lstm.Workspace(w.n, w.m, 1)
     c, h = workspace.step(w, x.c, x.h, u, spec.injection.dot(innov))
     d_next = np.minimum(np.maximum(d + spec.L_d.dot(innov), -spec.d_max), spec.d_max)
     return AugmentedState(LstmState(c.copy(), h.copy()), d_next)

@@ -171,14 +171,13 @@ def _track(w, ws, xi, jac_inv, y0_eff):
     return xi, res, jac_inv
 
 
-def solve_reference(w, y0, d_hat, warm_start=None, workspace=None):
+def solve_reference(w, y0, d_hat, workspace, warm_start=None):
     """Equilibrium for y0 - d_hat, tracked from the warm start; without one,
     or if that fails other than on the input box (a warm start need not be
     an equilibrium at all), from the attractor of u = 0, which is one by
     construction. Every cell step and Jacobian runs in ``workspace``, an
-    ``lstm.Workspace`` of the weights' shapes and at least one step, or in
-    one built here. Raises DimensionError unless y0 and d_hat hold p entries
-    each."""
+    ``lstm.Workspace`` of the weights' shapes and at least one step. Raises
+    DimensionError unless y0 and d_hat hold p entries each."""
     if w.m != w.p:
         raise InfeasibleReferenceError("reference calculation needs m == p", "singular")
     y0, d_hat = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (y0, d_hat))
@@ -186,16 +185,15 @@ def solve_reference(w, y0, d_hat, warm_start=None, workspace=None):
         if a.shape != (w.p,):
             raise DimensionError(f"{name} has shape {a.shape}, not ({w.p},)")
     y0_eff = y0 - d_hat
-    ws = lstm.Workspace(w.n, w.m, 1) if workspace is None else workspace
     tracked = None
     if warm_start is not None:
         xi0 = np.concatenate([warm_start.x_bar.c, warm_start.x_bar.h, warm_start.u_bar])
         try:
-            tracked = _track(w, ws, xi0, warm_start.jac_inv, y0_eff)
+            tracked = _track(w, workspace, xi0, warm_start.jac_inv, y0_eff)
         except InfeasibleReferenceError as exc:
             if exc.reason == "box":
                 raise
-    xi, res, jac_inv = tracked or _track(w, ws, _cold_start(w, ws), None, y0_eff)
+    xi, res, jac_inv = tracked or _track(w, workspace, _cold_start(w, workspace), None, y0_eff)
     n = w.n
     return ReferencePair(LstmState(xi[:n], xi[n:2 * n]), xi[2 * n:], res, jac_inv)
 
@@ -205,19 +203,19 @@ def estimate_k_bar(w, y0_range, d_range=(0.0, 0.0), grid_density=9):
 
     Returns (k_bar, argmax (y0, d_hat)). Grid points with no admissible
     equilibrium are skipped with a warning. ``grid_density``, a positive
-    int, is the number of set-points on the grid.
+    int, is the number of set-points on the grid. Every grid point is
+    solved in one ``lstm.Workspace``, built here.
     """
     check("grid_density", grid_density, POSITIVE_INT)
     y0s = np.linspace(y0_range[0], y0_range[1], grid_density)
     ds = np.linspace(d_range[0], d_range[1], max(2, grid_density // 2)) \
         if d_range[1] > d_range[0] else np.array([d_range[0]])
-    k_bar, arg = 0.0, None
-    warm = None
-    failed = []
+    k_bar, arg, warm, failed = 0.0, None, None, []
+    workspace = lstm.Workspace(w.n, w.m, 1)
     for d in ds:
         for y0 in y0s:
             try:
-                ref = solve_reference(w, [y0], [d], warm_start=warm)
+                ref = solve_reference(w, [y0], [d], workspace, warm)
             except InfeasibleReferenceError as exc:
                 failed.append((float(y0), float(d)))
                 reason = exc.reason

@@ -2,10 +2,10 @@
 
 The trainer is backpropagation through time with an Adam update: each
 ``loss`` call runs one rollout and one adjoint, the reverse sweep over the
-model's step Jacobians, in the one ``lstm.Workspace`` that ``train`` builds
-for all its updates, or in one a direct call builds. The loss carries soft
-penalties on the two stability margins r1, r2 so the final network is
-certifiable. Training only terminates once both margins are negative.
+model's step Jacobians, in the ``lstm.Workspace`` it is given, the one
+``train`` builds for all its updates. The loss carries soft penalties on
+the two stability margins r1, r2 so the final network is certifiable;
+training only terminates once both margins are negative.
 """
 
 import csv
@@ -221,14 +221,12 @@ def predict(w, u_seq):
     return _forward(w, u_seq, lstm.Workspace(w.n, w.m, max(len(u_seq) - 1, 0)))[0]
 
 
-def loss(w, u_seq, y_seq, cfg, workspace=None):
+def loss(w, u_seq, y_seq, cfg, workspace):
     """(value, grads): training loss (MSE past washout + stability-margin
     penalties) and its gradient for each array in ``lstm.PARAMETERS``.
     The rollout and its reverse sweep run in the ``lstm.Workspace``
-    ``workspace``, of at least len(u_seq) - 1 steps, or in one built here."""
+    ``workspace``, of at least len(u_seq) - 1 steps."""
     t = len(u_seq)
-    if workspace is None:
-        workspace = lstm.Workspace(w.n, w.m, max(t - 1, 0))
     y_seq = np.asarray(y_seq, dtype=float).reshape(t, -1)
     y_hat, c, h, cache, u2 = _forward(w, u_seq, workspace)
     mask = np.arange(t) >= cfg.washout

@@ -34,6 +34,13 @@ def bench_w(bench):
     return bench[0]
 
 
+@pytest.fixture()
+def bench_cell(bench_w):
+    """A one-step ``lstm.Workspace`` of the shipped model's shapes, for
+    ``lstm.step``, the observer and the reference calculation."""
+    return lstm.Workspace(bench_w.n, bench_w.m, 1)
+
+
 @pytest.fixture(scope="session")
 def bench_certificate(bench):
     """The shipped model's certificate at horizon 5 and state weight 1."""

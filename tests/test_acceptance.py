@@ -118,7 +118,7 @@ class TestCriterion2CertificationConstants:
 
 
 class TestCriterion3IncrementalStabilityBound:
-    def test_componentwise_bound_and_contraction(self, bench_w, bench_cert):
+    def test_componentwise_bound_and_contraction(self, bench_w, bench_cert, bench_cell):
         rng = np.random.default_rng(12)
         a_d, b_d = bench_cert.A_delta, bench_cert.B_delta
         for _ in range(100):
@@ -127,8 +127,8 @@ class TestCriterion3IncrementalStabilityBound:
             for _ in range(50):
                 u_a = rng.uniform(-1.0, 1.0, bench_w.m)
                 u_b = rng.uniform(-1.0, 1.0, bench_w.m)
-                n_a = lstm.step(bench_w, x_a, u_a)
-                n_b = lstm.step(bench_w, x_b, u_b)
+                n_a = lstm.step(bench_w, x_a, u_a, bench_cell)
+                n_b = lstm.step(bench_w, x_b, u_b, bench_cell)
                 delta = np.array([np.linalg.norm(x_a.c - x_b.c),
                                   np.linalg.norm(x_a.h - x_b.h)])
                 delta_next = np.array([np.linalg.norm(n_a.c - n_b.c),
@@ -137,15 +137,15 @@ class TestCriterion3IncrementalStabilityBound:
                 assert np.all(delta_next <= bound + 1e-9)
                 x_a, x_b = n_a, n_b
 
-    def test_same_input_lyapunov_contraction(self, bench_w, bench_cert):
+    def test_same_input_lyapunov_contraction(self, bench_w, bench_cert, bench_cell):
         rng = np.random.default_rng(13)
         for _ in range(100):
             x_a = random_invariant_state(bench_w, rng)
             x_b = random_invariant_state(bench_w, rng)
             for _ in range(50):
                 u = rng.uniform(-1.0, 1.0, bench_w.m)
-                n_a = lstm.step(bench_w, x_a, u)
-                n_b = lstm.step(bench_w, x_b, u)
+                n_a = lstm.step(bench_w, x_a, u, bench_cell)
+                n_b = lstm.step(bench_w, x_b, u, bench_cell)
                 assert lstm.v_s(bench_cert, n_a, n_b) <= \
                     bench_cert.rho_s * lstm.v_s(bench_cert, x_a, x_b) + 1e-9
                 x_a, x_b = n_a, n_b
@@ -153,7 +153,7 @@ class TestCriterion3IncrementalStabilityBound:
 
 class TestCriterion4ObserverConvergence:
     def test_error_vanishes_without_disturbance_increments(self, bench_w,
-                                                           bench_spec):
+                                                           bench_spec, bench_cell):
         rng = np.random.default_rng(14)
         spec = bench_spec
         chi_true = AugmentedState(random_invariant_state(bench_w, rng),
@@ -167,11 +167,11 @@ class TestCriterion4ObserverConvergence:
         for _ in range(500):
             u = rng.uniform(-1.0, 1.0, bench_w.m)
             y = observer.augmented_output(bench_w, chi_true)
-            chi_hat = observer.observer_step(bench_w, spec, chi_hat, u, y)
-            chi_true = observer.augmented_step(bench_w, chi_true, u)
+            chi_hat = observer.observer_step(bench_w, spec, chi_hat, u, y, bench_cell)
+            chi_true = observer.augmented_step(bench_w, chi_true, u, bench_cell)
         assert observer.v_o(spec, chi_hat, chi_true) < 1e-3 * v0
 
-    def test_decay_inequality_under_bounded_increments(self, bench_w):
+    def test_decay_inequality_under_bounded_increments(self, bench_w, bench_cell):
         w_max = 0.002
         spec = observer.derive_constants(
             bench_w, observer.select_gains(bench_w, d_max=0.1, l_d=0.1, w_bar=None),
@@ -193,8 +193,8 @@ class TestCriterion4ObserverConvergence:
                 u = rng.uniform(-1.0, 1.0, bench_w.m)
                 w_k = rng.uniform(-w_max, w_max, bench_w.p)
                 y = observer.augmented_output(bench_w, chi_true)
-                chi_hat = observer.observer_step(bench_w, spec, chi_hat, u, y)
-                chi_true = observer.augmented_step(bench_w, chi_true, u,
+                chi_hat = observer.observer_step(bench_w, spec, chi_hat, u, y, bench_cell)
+                chi_true = observer.augmented_step(bench_w, chi_true, u, bench_cell,
                                                    w_k=w_k, d_max=spec.d_max)
                 v_next = observer.v_o(spec, chi_hat, chi_true)
                 assert v_next <= spec.rho_o * v + w_bar + 1e-9
@@ -202,7 +202,7 @@ class TestCriterion4ObserverConvergence:
 
 
 class TestCriterion5SolverOptimality:
-    def test_matches_exhaustive_grid_on_random_instances(self, bench_w, bench_spec):
+    def test_matches_exhaustive_grid_on_random_instances(self, bench_w, bench_spec, bench_cell):
         ctrl = mpc.Controller(bench_w, mpc.certify(bench_w, bench_spec, 2))
         certificate = ctrl.certificate
         rng = np.random.default_rng(16)
@@ -213,7 +213,7 @@ class TestCriterion5SolverOptimality:
         solved = 0
         while solved < 20:
             y0 = rng.uniform(-0.3, 0.45)
-            ref = refcalc.solve_reference(bench_w, [y0], [0.0])
+            ref = refcalc.solve_reference(bench_w, [y0], [0.0], bench_cell)
             ctrl.e_o = e_o = rng.uniform(certificate.e_bar_inf, 0.5)
             # the set-point check comes before the state is drawn
             try:

@@ -232,10 +232,9 @@ def test_kernel_step_loops_call_only_names_bound_before_them():
 # qualified name of the function that calls its constructor
 WORKSPACE_OWNERS = {
     "Workspace": {"mpc.FhocpWorkspace.__init__", "mpc.Controller.__init__", "harness.steps",
-                  "lstm.rollout", "lstm.step", "refcalc.solve_reference",
-                  "observer.observer_step", "sysid.predict", "sysid.loss", "sysid.train",
-                  "sysid.evaluate_fit"},
-    "FhocpWorkspace": {"mpc.Problem.__post_init__", "mpc.Controller.__init__"},
+                  "refcalc.estimate_k_bar", "sysid.train", "sysid.evaluate_fit",
+                  "lstm.rollout", "sysid.predict"},
+    "FhocpWorkspace": {"mpc.Controller.__init__"},
 }
 
 
@@ -256,9 +255,10 @@ def _calls_by_function(tree, prefix):
 def test_sweep_buffers_are_built_by_their_owners_only():
     # a new caller that builds its own workspace would grow a second owner
     # of the buffers of a sweep or step: the controller's FHOCP and its
-    # reference calculation run in one each, the closed loop's observer in
-    # one, training and FIT in one per call, and each function that is
-    # given none in one of its own
+    # reference calculation run in one each, the closed loop's observer,
+    # plant model and initial estimate in one, the K_bar grid in one,
+    # training and FIT in one per call, and the one-shot rollout and
+    # prediction in one of their own
     built = {name: set() for name in WORKSPACE_OWNERS}
     for module, tree in _trees().items():
         for qualname, call in _calls_by_function(tree, module.removesuffix(".py")):
@@ -267,6 +267,35 @@ def test_sweep_buffers_are_built_by_their_owners_only():
             if name in built:
                 built[name].add(qualname)
     assert built == WORKSPACE_OWNERS
+
+
+def test_no_workspace_has_a_default():
+    # a function or record given no workspace would build one of its own,
+    # a second path beside the one its owner's workspace takes: every
+    # parameter or dataclass field named workspace is required
+    found = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                found += [f"{module}: line {node.lineno} {a.arg}" for a in defaulted
+                          if a.arg == "workspace"]
+            elif isinstance(node, ast.ClassDef):
+                found += [f"{module}: line {n.lineno} {node.name}.workspace" for n in node.body
+                          if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+                          and n.target.id == "workspace" and n.value is not None
+                          and not _required_field(n.value)]
+    assert found == []
+
+
+def _required_field(value):
+    """Whether a dataclass field's value, ``field(...)`` without a default, is required."""
+    return (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+            and not any(k.arg in ("default", "default_factory") for k in value.keywords))
 
 
 # the functions a control step runs, by module and qualified name

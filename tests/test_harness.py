@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lstmpc import cli, harness, lstm, mpc, observer, plant, sysid
+from lstmpc import cli, harness, lstm, mpc, observer, plant, refcalc, sysid
 from lstmpc.errors import DomainViolationError, FeasibilityLossError
 
 from conftest import ASSETS
@@ -222,10 +222,11 @@ class TestControllerBuffers:
         assert interleaved == alone
 
     def test_a_run_builds_its_buffers_once(self, bench_w, bench_spec, monkeypatch):
-        # counted by spies, in exact numbers: four workspaces, the
-        # controller's sweep and its reference calculation's step, the
-        # observer's step and the initial estimate's reference calculation,
-        # and no dual QP (every QP of the benchmark scenario takes the early exit)
+        # counted by spies, in exact numbers, in either mode and whatever the
+        # run's length: three workspaces, the controller's sweep and its
+        # reference calculation's step, and the closed loop's one step, in
+        # which the initial estimate, the observer and the nominal plant
+        # model run; and no dual QP (every QP of these runs takes the early exit)
         built, dual = [], []
         init, dual_qp = lstm.Workspace.__init__, mpc._dual_qp
         monkeypatch.setattr(lstm.Workspace, "__init__",
@@ -233,12 +234,15 @@ class TestControllerBuffers:
         monkeypatch.setattr(mpc, "_dual_qp", lambda *args: dual.append(1) or dual_qp(*args))
         counts = []
         for duration_s in (500.0, 1000.0):
-            built.clear()
-            dual.clear()
-            report = harness.run_scenario(benchmark_scenario(duration_s), bench_w,
-                                          spec=bench_spec)
-            counts.append((report.steps, len(built), len(dual)))
-        assert counts == [(50, 4, 0), (100, 4, 0)]
+            for sc in (benchmark_scenario(duration_s),
+                       harness.Scenario(duration_s=duration_s, mode="nominal",
+                                        setpoints=[(0.0, 7.2)], seed=2)):
+                built.clear()
+                dual.clear()
+                report = harness.run_scenario(sc, bench_w, spec=bench_spec)
+                counts.append((sc.mode, report.steps, len(built), len(dual)))
+        assert counts == [("physical", 50, 3, 0), ("nominal", 50, 3, 0),
+                          ("physical", 100, 3, 0), ("nominal", 100, 3, 0)]
 
 
 class TestRunScenario:
@@ -559,6 +563,20 @@ class TestCli:
                 bench_w, 0.08, 0.3, 0.005).to_dict())
         assert cli.main(["certify", "--weights", str(path), *flags]) == 0
         assert capsys.readouterr().out == (DATA / golden).read_text()
+
+    def test_certify_k_bar_solves_its_grid_in_one_workspace(self, capsys, monkeypatch):
+        # refcalc.estimate_k_bar builds one workspace for its 9 x 4 grid of
+        # set-points and disturbances, and every solve of the grid runs in it
+        built, used = [], set()
+        init, solve = lstm.Workspace.__init__, refcalc.solve_reference
+        monkeypatch.setattr(lstm.Workspace, "__init__",
+                            lambda self, *args: built.append(self) or init(self, *args))
+        monkeypatch.setattr(refcalc, "solve_reference",
+                            lambda *args: used.add(id(args[3])) or solve(*args))
+        assert cli.main(["certify", "--weights", str(ASSETS / "model.json"), "--k-bar"]) == 0
+        assert capsys.readouterr().out == (DATA / "certify_k_bar.json").read_text()
+        assert len(built) == 1
+        assert used == {id(built[0])}
 
     def test_certify_rejects_observer_section_without_a_gain(self, tmp_path, capsys):
         doc = json.loads((ASSETS / "model.json").read_text())

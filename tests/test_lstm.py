@@ -48,7 +48,9 @@ def gate_rows(n):
 
 def rollout_oracle(w, c0, h0, u_seq, inject=0.0):
     """Reference kernel: a sigmoid over the f, i, o rows and a tanh over
-    the c rows, each step; ``lstm.rollout`` must equal it bit for bit."""
+    the c rows, each step, with ``inject`` added to the preactivations;
+    ``lstm.rollout`` must equal it bit for bit, and ``Workspace.step`` at
+    T = 1 with its injection."""
     n_t, n = len(u_seq), len(c0)
     rows = gate_rows(n)
     c = np.empty((n_t + 1, n))
@@ -69,11 +71,11 @@ def rollout_oracle(w, c0, h0, u_seq, inject=0.0):
     return c, h, (sig, gct, tc)
 
 
-def swept(w, x0, u, inject=None):
+def swept(w, x0, u):
     """A workspace of the sweep's length after its ``rollout`` of ``u`` from
     ``x0``: (workspace, c, h, cache)."""
     ws = lstm.Workspace(w.n, w.m, len(u))
-    return (ws, *ws.rollout(w, x0.c, x0.h, u, inject))
+    return (ws, *ws.rollout(w, x0.c, x0.h, u))
 
 
 def adjoint_oracle(w, c, cache, dc_stage, dh_stage):
@@ -132,13 +134,19 @@ class TestKernelOracle:
     @pytest.mark.parametrize("n_steps", [0, 1, 5, 300])
     @pytest.mark.parametrize("injected", [False, True])
     def test_rollout_and_adjoint(self, bench_w, net, n_steps, injected):
+        # ``injected``: an injected step, the observer's, ran in the workspace
+        # first; a workspace the closed loop shares between its observer and
+        # its plant model must keep none of it in the next sweep or reverse
         w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
         rng = np.random.default_rng(n_steps)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
-        inject = rng.normal(scale=0.5, size=(n_steps, 4 * w.n)) if injected else 0.0
-        ws, c, h, cache = swept(w, x0, u, inject)
-        c_ref, h_ref, cache_ref = rollout_oracle(w, x0.c, x0.h, u, inject)
+        ws = lstm.Workspace(w.n, w.m, max(n_steps, 1) if injected else n_steps)
+        if injected:
+            ws.step(w, -x0.c, -x0.h, rng.uniform(-1.0, 1.0, w.m),
+                    rng.normal(scale=0.5, size=4 * w.n))
+        c, h, cache = ws.rollout(w, x0.c, x0.h, u)
+        c_ref, h_ref, cache_ref = rollout_oracle(w, x0.c, x0.h, u)
         np.testing.assert_array_equal(c, c_ref)
         np.testing.assert_array_equal(h, h_ref)
         assert len(cache) == len(cache_ref)
@@ -192,8 +200,8 @@ class TestPreparedKernel:
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
         inject = rng.normal(scale=0.5, size=(n_steps, 4 * w.n)) if injected else 0.0
-        ref = rollout_oracle(w, x0.c, x0.h, u, inject)
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, u, inject)
+        ref = rollout_oracle(w, x0.c, x0.h, u)
+        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
         for part, want in zip((c, h, *cache), (ref[0], ref[1], *ref[2])):
             np.testing.assert_array_equal(part, want)
         c_ref, h_ref, _ = ref
@@ -214,11 +222,12 @@ class TestPreparedKernel:
         rng = np.random.default_rng(3)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (6, w.m))
-        before = lstm.rollout(w, x0.c, x0.h, u)[:2], vars(lstm.step(w, x0, u[0])).values()
+        cell = lstm.Workspace(w.n, w.m, 1)
+        before = lstm.rollout(w, x0.c, x0.h, u)[:2], vars(lstm.step(w, x0, u[0], cell)).values()
         for array in given.values():
             array += 0.3
         given["b_f"][...] = 5.0
-        after = lstm.rollout(w, x0.c, x0.h, u)[:2], vars(lstm.step(w, x0, u[0])).values()
+        after = lstm.rollout(w, x0.c, x0.h, u)[:2], vars(lstm.step(w, x0, u[0], cell)).values()
         for got, want in zip((*after[0], *after[1]), (*before[0], *before[1])):
             np.testing.assert_array_equal(got, want)
         changed = lstm.LstmWeights(**given, u_max=bench_w.u_max)
@@ -231,16 +240,16 @@ class TestPreparedKernel:
                 array[...] = 0.0
 
     def test_step_result_outlives_the_next_step(self, bench_w):
-        # lstm.step's state is its own, in a workspace given or not;
+        # lstm.step's state is its own, whichever workspace it ran in;
         # Workspace.step's are views, which the workspace's next step overwrites
         rng = np.random.default_rng(5)
         xa, xb = (random_invariant_state(bench_w, rng) for _ in range(2))
-        ws = lstm.Workspace(bench_w.n, bench_w.m, 1)
+        ws, other = (lstm.Workspace(bench_w.n, bench_w.m, 1) for _ in range(2))
         first = lstm.step(bench_w, xa, np.array([0.3]), ws)
         kept = [a.copy() for a in (first.c, first.h)]
         views = ws.step(bench_w, xb.c, xb.h, np.array([-0.6]))
-        second = lstm.step(bench_w, xb, np.array([-0.6]))
-        state = lstm.step(bench_w, xa, np.array([0.3]))
+        second = lstm.step(bench_w, xb, np.array([-0.6]), other)
+        state = lstm.step(bench_w, xa, np.array([0.3]), other)
         for got, want in zip((first.c, first.h), kept):
             np.testing.assert_array_equal(got, want)
         assert not np.array_equal(first.h, second.h)
@@ -263,9 +272,8 @@ class TestKernelSizes:
         rng = np.random.default_rng(10 * n + m)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (40, m))
-        inject = rng.normal(scale=0.5, size=(40, 4 * n))
-        ws, c, h, cache = swept(w, x0, u, inject)
-        c_ref, h_ref, cache_ref = rollout_oracle(w, x0.c, x0.h, u, inject)
+        ws, c, h, cache = swept(w, x0, u)
+        c_ref, h_ref, cache_ref = rollout_oracle(w, x0.c, x0.h, u)
         for part, ref in zip((c, h, *cache), (c_ref, h_ref, *cache_ref)):
             np.testing.assert_array_equal(part, ref)
         dc_stage, dh_stage = rng.normal(size=(2, 41, n))
@@ -378,7 +386,7 @@ class TestKernelCalls:
         cfg = sysid.TrainConfig(n_neurons=bench_w.n, washout=10)
         products = count_calls(monkeypatch, lstm, "_dot")
         dispatched = count_calls(monkeypatch, np, "dot")
-        sysid.loss(bench_w, u, y, cfg)
+        sysid.loss(bench_w, u, y, cfg, lstm.Workspace(bench_w.n, bench_w.m, 119))
         assert len(dispatched) == 0
         assert len(products) == 2 * 119      # forward and reverse, 119 steps each
 
@@ -407,11 +415,10 @@ class TestKernelPurity:
         x0 = random_invariant_state(w, rng)
         inputs = {"W": w.W, "U": w.U, "b": w.b, "c0": x0.c, "h0": x0.h,
                   "u_seq": rng.uniform(-1.0, 1.0, (n_steps, w.m)),
-                  "inject": rng.normal(size=(n_steps, 4 * w.n)),
                   "dc_stage": rng.normal(size=(n_steps + 1, w.n)),
                   "dh_stage": rng.normal(size=(n_steps + 1, w.n))}
         before = {name: a.copy() for name, a in inputs.items()}
-        ws, c, h, cache = swept(w, x0, inputs["u_seq"], inputs["inject"])
+        ws, c, h, cache = swept(w, x0, inputs["u_seq"])
         forward = [a.copy() for a in (c, h, *cache)]
         dz = ws.adjoint(inputs["dc_stage"], inputs["dh_stage"])
         for name, a in inputs.items():
@@ -453,20 +460,20 @@ class TestStep:
     def test_zero_weights(self):
         w = zero_net()
         x = LstmState(np.array([0.4, -0.2]), np.array([0.1, 0.3]))
-        nxt = lstm.step(w, x, [0.5])
+        nxt = lstm.step(w, x, [0.5], lstm.Workspace(w.n, w.m, 1))
         np.testing.assert_allclose(nxt.c, 0.5 * x.c, atol=1e-15)
         np.testing.assert_allclose(nxt.h, 0.5 * np.tanh(nxt.c), atol=1e-15)
 
-    def test_matches_scalar_loop_oracle(self, bench_w):
+    def test_matches_scalar_loop_oracle(self, bench_w, bench_cell):
         rng = np.random.default_rng(17)
         x = random_invariant_state(bench_w, rng)
         u = rng.uniform(-1.0, 1.0, bench_w.m)
-        nxt = lstm.step(bench_w, x, u)
+        nxt = lstm.step(bench_w, x, u, bench_cell)
         c_ref, h_ref = scalar_step_oracle(bench_w, x, u)
         np.testing.assert_allclose(nxt.c, c_ref, atol=1e-14)
         np.testing.assert_allclose(nxt.h, h_ref, atol=1e-14)
 
-    def test_invariance_of_operating_sets(self, bench_w):
+    def test_invariance_of_operating_sets(self, bench_w, bench_cell):
         g = lstm.gate_bounds(bench_w)
         c_rad = g.cell_radius
         h_rad = g.sigma_o * g.sigma_x
@@ -474,17 +481,18 @@ class TestStep:
         for _ in range(10_000):
             x = random_invariant_state(bench_w, rng, g)
             u = rng.uniform(-1.0, 1.0, bench_w.m)
-            nxt = lstm.step(bench_w, x, u)
+            nxt = lstm.step(bench_w, x, u, bench_cell)
             assert np.max(np.abs(nxt.c)) <= c_rad + 1e-12
             assert np.max(np.abs(nxt.h)) <= h_rad + 1e-12
 
     def test_warns_outside_input_box(self, tiny_w):
         with pytest.warns(UserWarning):
-            lstm.step(tiny_w, tiny_w.zero_state(), [1.5])
+            lstm.step(tiny_w, tiny_w.zero_state(), [1.5], lstm.Workspace(tiny_w.n, tiny_w.m, 1))
 
     def test_rejects_bad_input_shape(self, tiny_w):
         with pytest.raises(DimensionError):
-            lstm.step(tiny_w, tiny_w.zero_state(), [0.1, 0.2])
+            lstm.step(tiny_w, tiny_w.zero_state(), [0.1, 0.2],
+                      lstm.Workspace(tiny_w.n, tiny_w.m, 1))
 
 
 class TestAdjoint:
@@ -599,6 +607,22 @@ class TestSensitivities:
                                                      rf"{net.m}\) in a workspace of "
                                                      rf"\({bench_w.n}, {bench_w.m}\)"):
                 ws.rollout(net, zero, zero, np.zeros((3, net.m)))
+
+    @pytest.mark.parametrize("net, n_t, message", [
+        (dict(n=4), 1, r"weights of \(n, m\) = \(4, 1\) in a workspace of \(5, 1\)"),
+        (dict(m=2, p=2), 1, r"weights of \(n, m\) = \(5, 2\) in a workspace of \(5, 1\)"),
+        (None, 0, "a sweep of 1 steps in a workspace of 0"),
+    ], ids=["other-n", "other-m", "no-steps"])
+    def test_workspace_step_rejects_a_step_it_cannot_hold(self, bench_w, net, n_t, message):
+        # a step checks what a sweep checks: weights of the workspace's (n, m),
+        # and room for its one step
+        ws = lstm.Workspace(bench_w.n, bench_w.m, n_t)
+        w = bench_w if net is None else small_net(**{"n": bench_w.n, **net})
+        zero = np.zeros(w.n)
+        with pytest.raises(DimensionError, match=message):
+            ws.step(w, zero, zero, np.zeros(w.m))
+        with pytest.raises(DimensionError, match=message):
+            lstm.step(w, w.zero_state(), np.zeros(w.m), ws)
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     @pytest.mark.parametrize("n_steps", [1, 5, 10])
@@ -1002,15 +1026,15 @@ class TestCertification:
         # the published experiment reports 0.92 for this Q_s regime
         assert bench_cert.rho_s == pytest.approx(0.92, abs=0.05)
 
-    def test_contraction_monte_carlo(self, bench_w, bench_cert):
+    def test_contraction_monte_carlo(self, bench_w, bench_cert, bench_cell):
         rng = np.random.default_rng(21)
         for _ in range(1000):
             x_a = random_invariant_state(bench_w, rng)
             x_b = random_invariant_state(bench_w, rng)
             u = rng.uniform(-1.0, 1.0, bench_w.m)
             v0 = lstm.v_s(bench_cert, x_a, x_b)
-            v1 = lstm.v_s(bench_cert, lstm.step(bench_w, x_a, u),
-                          lstm.step(bench_w, x_b, u))
+            v1 = lstm.v_s(bench_cert, lstm.step(bench_w, x_a, u, bench_cell),
+                          lstm.step(bench_w, x_b, u, bench_cell))
             assert v1 <= bench_cert.rho_s * v0 + 1e-9
             # norm equivalence and output sensitivity on the same samples
             dx = np.linalg.norm(x_a.as_vector() - x_b.as_vector())
@@ -1105,10 +1129,11 @@ class TestWeightStorage:
         given = {name: getattr(bench_w, name).copy() for name in lstm.MATRIX_FIELDS}
         w = lstm.LstmWeights(**given, u_range=bench_w.u_range, y_range=bench_w.y_range)
         built = set(vars(w))
-        ref = refcalc.solve_reference(w, [0.1], [0.0])
+        cell = lstm.Workspace(w.n, w.m, 1)
+        ref = refcalc.solve_reference(w, [0.1], [0.0], cell)
         chi = observer.AugmentedState(ref.x_bar, np.zeros(w.p))
         u, _, _ = mpc.Controller(w, bench_certificate).step(chi, np.array([0.1]))
-        observer.observer_step(w, bench_certificate.spec, chi, u, [0.12])
+        observer.observer_step(w, bench_certificate.spec, chi, u, [0.12], cell)
         ds = sysid.generate_dataset(seed=3, n_train=1, n_val=1, n_test=1, steps=120)
         sysid.train(ds, sysid.TrainConfig(epochs=1, n_neurons=w.n, washout=10), init=w)
         assert set(vars(w)) == built

@@ -173,7 +173,7 @@ def feasible_instance(w, spec, seed, n_horizon, y0=0.1, y_ub=1.0):
     bounds [-1, y_ub]."""
     ctrl = mpc.Controller(w, mpc.certify(w, spec, n_horizon), y_ub=y_ub)
     ctrl.e_o = ctrl.certificate.e_bar_inf
-    ref = refcalc.solve_reference(w, [y0], [0.0])
+    ref = refcalc.solve_reference(w, [y0], [0.0], lstm.Workspace(w.n, w.m, 1))
     rng = np.random.default_rng(seed)
     x_hat = lstm.LstmState(ref.x_bar.c + rng.uniform(-0.02, 0.02, w.n),
                            ref.x_bar.h + rng.uniform(-0.02, 0.02, w.n))
@@ -222,7 +222,8 @@ class TestConstraints:
                        np.linalg.norm(h[-1] - ref.x_bar.h)])
         expect.append([ev @ p_f @ ev - alpha ** 2])
         problem = mpc.Problem(w, x0, ref, np.array(tight), y_lb, y_ub, p_f, alpha,
-                              q_weight=2.0, r_weight=0.5)
+                              q_weight=2.0, r_weight=0.5,
+                              workspace=mpc.FhocpWorkspace(w, n_horizon))
         cost, g, aux = problem.evaluate(u)
         np.testing.assert_allclose(g, np.concatenate(expect), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(aux[3], ev)
@@ -247,7 +248,8 @@ class TestQpModel:
         tight = a[:n_horizon] * 0.2 + b[:n_horizon] + 0.1
         problem = mpc.Problem(w, x0, ref, tight, np.full(w.p, -1.0), np.full(w.p, 1.0),
                               np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4,
-                              q_weight=2.0, r_weight=0.5)
+                              q_weight=2.0, r_weight=0.5,
+                              workspace=mpc.FhocpWorkspace(w, n_horizon))
         _, g, aux = problem.evaluate(u)
         grad, _, a_mat, b_vec = problem.qp_model(u, g, aux, 0.0)
         n_g = len(g) - 2 * w.p        # the rows of stages 1..N-1 and the terminal row
@@ -729,7 +731,8 @@ class TestWorkspace:
         ctrl, problem = feasible_instance(bench_w, bench_spec, 2, 10, y0=0.1)
         problem = with_y_ub(problem, 0.30)
         assert problem.workspace is ctrl.workspace
-        fresh = mpc.solve_fhocp(dataclasses.replace(problem, workspace=None))
+        fresh = mpc.solve_fhocp(dataclasses.replace(
+            problem, workspace=mpc.FhocpWorkspace(bench_w, 10)))
         rng = np.random.default_rng(5)
         for _ in range(3):     # earlier steps of the controller, on other estimates
             x_hat = lstm.LstmState(problem.x_hat.c + rng.uniform(-0.02, 0.02, bench_w.n),
@@ -762,10 +765,6 @@ class TestWorkspace:
         _, _, aux = problem.evaluate(rng.uniform(-0.5, 0.5, (10, bench_w.m)))
         assert aux[4] is ctrl.workspace.dx          # the evaluation wrote the one sweep
         assert (first.u_seq.tobytes(), repr(first.cost), repr(first.max_violation)) == kept
-        # a problem built without a workspace gets its own, one per problem
-        own = [dataclasses.replace(problem, workspace=None) for _ in range(2)]
-        assert all(isinstance(p.workspace, mpc.FhocpWorkspace) for p in own)
-        assert len({id(ctrl.workspace), *(id(p.workspace) for p in own)}) == 3
 
 
 class TestController:
@@ -804,11 +803,11 @@ class TestController:
         with pytest.raises(DimensionError, match=r"y_ub has shape \(3,\)"):
             mpc.Controller(bench_w, bench_certificate, y_ub=np.array([0.8, 0.9, 1.0]))
 
-    def test_tracks_equilibrium(self, bench_w, bench_certificate, bench_spec):
+    def test_tracks_equilibrium(self, bench_w, bench_certificate, bench_spec, bench_cell):
         e_o0 = 0.05
         ctrl = mpc.Controller(bench_w, bench_certificate, e_o0=e_o0)
         y0 = 0.1
-        ref = refcalc.solve_reference(bench_w, [y0], [0.0])
+        ref = refcalc.solve_reference(bench_w, [y0], [0.0], bench_cell)
         chi = AugmentedState(ref.x_bar.copy(), np.zeros(1))
         u, sol, ref_out = ctrl.step(chi, np.array([y0]))
         np.testing.assert_allclose(u, ref.u_bar, atol=1e-6)
@@ -818,7 +817,7 @@ class TestController:
             bench_spec.rho_o * e_o0 + bench_spec.w_bar)
 
     def test_feasible_candidate_takes_one_iteration(self, bench_w, bench_certificate,
-                                                    bench_spec):
+                                                    bench_spec, bench_cell):
         ctrl = mpc.Controller(bench_w, bench_certificate, e_o0=0.05)
         x_hat = feasible_instance(bench_w, bench_spec, 2, 5)[1].x_hat
         chi = AugmentedState(x_hat, np.zeros(1))
@@ -826,7 +825,7 @@ class TestController:
             u, sol, _ = ctrl.step(chi, np.array([0.1]))
             assert sol.candidate_violation <= 1e-7
             assert (sol.status, sol.solver_iterations) == ("iterate", 1)
-            chi = AugmentedState(lstm.step(bench_w, chi.x, u), chi.d)
+            chi = AugmentedState(lstm.step(bench_w, chi.x, u, bench_cell), chi.d)
 
     def test_two_output_model_with_scalar_bounds(self):
         # Controller's default scalar y_lb/y_ub hold for every output;
@@ -836,7 +835,7 @@ class TestController:
         ctrl = mpc.Controller(w, certificate, e_o0=0.05)
         _, h, _ = lstm.rollout(w, np.zeros(3), np.zeros(3), np.zeros((300, 2)))
         y0 = w.W_y @ h[-1] + w.b_y
-        ref = refcalc.solve_reference(w, y0, np.zeros(2))
+        ref = refcalc.solve_reference(w, y0, np.zeros(2), lstm.Workspace(w.n, w.m, 1))
         u, sol, _ = ctrl.step(AugmentedState(ref.x_bar.copy(), np.zeros(2)), y0)
         np.testing.assert_allclose(u, ref.u_bar, atol=1e-6)
         assert sol.max_violation <= 1e-7
@@ -977,7 +976,8 @@ class TestParentFormulas:
         problem = mpc.Problem(w, x0, ref, rng.uniform(0.0, 0.2, (n_horizon, w.p)),
                               np.full(w.p, -1.0), np.full(w.p, 1.0),
                               np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4,
-                              q_weight=2.0, r_weight=0.5)
+                              q_weight=2.0, r_weight=0.5,
+                              workspace=mpc.FhocpWorkspace(w, n_horizon))
         cost, g, aux = problem.evaluate(u)
         want_cost, want_g, want_aux = parent_evaluate(problem, u)
         assert (terminal == "no-cell-error") == (aux[3][0] == 0.0)

@@ -27,20 +27,23 @@ def random_augmented(w, rng, d_max):
 class TestAugmentedModel:
     def test_zero_increment_keeps_d(self, tiny_w):
         chi = AugmentedState(tiny_w.zero_state(), np.array([0.05]))
-        nxt = observer.augmented_step(tiny_w, chi, [0.2], w_k=np.zeros(1), d_max=0.1)
+        nxt = observer.augmented_step(tiny_w, chi, [0.2], lstm.Workspace(tiny_w.n, 1, 1),
+                                      w_k=np.zeros(1), d_max=0.1)
         np.testing.assert_array_equal(nxt.d, chi.d)
 
     def test_pure_integrator(self):
         w = zero_net()
         chi = AugmentedState(w.zero_state(), np.zeros(1))
+        cell = lstm.Workspace(w.n, w.m, 1)
         for _ in range(7):
-            chi = observer.augmented_step(w, chi, [0.0], w_k=[1e-3], d_max=0.1)
+            chi = observer.augmented_step(w, chi, [0.0], cell, w_k=[1e-3], d_max=0.1)
         assert chi.d[0] == pytest.approx(7e-3, abs=1e-15)
 
     def test_rejects_domain_violation(self, tiny_w):
         chi = AugmentedState(tiny_w.zero_state(), np.array([0.09]))
         with pytest.raises(DomainViolationError):
-            observer.augmented_step(tiny_w, chi, [0.0], w_k=[0.05], d_max=0.1)
+            observer.augmented_step(tiny_w, chi, [0.0], lstm.Workspace(tiny_w.n, 1, 1),
+                                    w_k=[0.05], d_max=0.1)
 
     def test_output_adds_disturbance(self, tiny_w):
         chi = AugmentedState(tiny_w.zero_state(), np.array([0.07]))
@@ -49,32 +52,32 @@ class TestAugmentedModel:
 
 
 class TestObserverStep:
-    def test_zero_innovation_is_open_loop(self, bench_w, bench_spec):
+    def test_zero_innovation_is_open_loop(self, bench_w, bench_spec, bench_cell):
         rng = np.random.default_rng(0)
         chi = random_augmented(bench_w, rng, bench_spec.d_max)
         u = rng.uniform(-1, 1, bench_w.m)
         y = observer.augmented_output(bench_w, chi)    # consistent measurement
-        nxt = observer.observer_step(bench_w, bench_spec, chi, u, y)
-        ref = observer.augmented_step(bench_w, chi, u)
+        nxt = observer.observer_step(bench_w, bench_spec, chi, u, y, bench_cell)
+        ref = observer.augmented_step(bench_w, chi, u, bench_cell)
         np.testing.assert_allclose(nxt.x.c, ref.x.c, atol=1e-14)
         np.testing.assert_allclose(nxt.x.h, ref.x.h, atol=1e-14)
         np.testing.assert_allclose(nxt.d, ref.d, atol=1e-14)
 
-    def test_suboptimal_gains_integrate_innovation(self, bench_w):
+    def test_suboptimal_gains_integrate_innovation(self, bench_w, bench_cell):
         l_d = 0.25
         spec = make_spec(bench_w, l_d=l_d)
         rng = np.random.default_rng(1)
         chi = random_augmented(bench_w, rng, 0.05)
         u = rng.uniform(-1, 1, bench_w.m)
         y = observer.augmented_output(bench_w, chi) + 0.03
-        nxt = observer.observer_step(bench_w, spec, chi, u, y)
+        nxt = observer.observer_step(bench_w, spec, chi, u, y, bench_cell)
         # state evolves open loop, d integrates l_d * innovation
-        ref = lstm.step(bench_w, chi.x, u)
+        ref = lstm.step(bench_w, chi.x, u, bench_cell)
         np.testing.assert_allclose(nxt.x.c, ref.c, atol=1e-14)
         np.testing.assert_allclose(nxt.x.h, ref.h, atol=1e-14)
         assert nxt.d[0] == pytest.approx(chi.d[0] + l_d * 0.03, abs=1e-12)
 
-    def test_innovation_enters_f_i_o_gates_only(self, bench_w):
+    def test_innovation_enters_f_i_o_gates_only(self, bench_w, bench_cell):
         n, p = bench_w.n, bench_w.p
         rng = np.random.default_rng(6)
         spec = observer.ObserverSpec(
@@ -83,7 +86,7 @@ class TestObserverStep:
         chi = random_augmented(bench_w, rng, 0.05)
         u = rng.uniform(-1, 1, bench_w.m)
         y = observer.augmented_output(bench_w, chi) + rng.uniform(-0.2, 0.2, p)
-        nxt = observer.observer_step(bench_w, spec, chi, u, y)
+        nxt = observer.observer_step(bench_w, spec, chi, u, y, bench_cell)
         w, x = bench_w, chi.x
         innov = y - (w.W_y @ x.h + w.b_y + chi.d)
 
@@ -99,13 +102,13 @@ class TestObserverStep:
         np.testing.assert_allclose(nxt.x.h, o * np.tanh(c_next), rtol=0, atol=1e-14)
         np.testing.assert_allclose(nxt.d, chi.d + 0.2 * innov, rtol=0, atol=1e-14)
 
-    def test_disturbance_saturation(self, bench_w, bench_spec):
+    def test_disturbance_saturation(self, bench_w, bench_spec, bench_cell):
         chi = AugmentedState(bench_w.zero_state(), np.array([0.09]))
         y = observer.augmented_output(bench_w, chi) + 100.0
-        nxt = observer.observer_step(bench_w, bench_spec, chi, np.zeros(1), y)
+        nxt = observer.observer_step(bench_w, bench_spec, chi, np.zeros(1), y, bench_cell)
         assert nxt.d[0] == bench_spec.d_max
 
-    def test_invariance_of_hatted_sets(self, bench_w, bench_spec):
+    def test_invariance_of_hatted_sets(self, bench_w, bench_spec, bench_cell):
         # observer states driven by plant-consistent measurements stay in
         # the hatted invariant set
         g = lstm.gate_bounds(bench_w)
@@ -120,8 +123,9 @@ class TestObserverStep:
             for _ in range(50):
                 u = rng.uniform(-1, 1, bench_w.m)
                 y = observer.augmented_output(bench_w, chi_true)
-                chi_hat = observer.observer_step(bench_w, bench_spec, chi_hat, u, y)
-                chi_true = observer.augmented_step(bench_w, chi_true, u)
+                chi_hat = observer.observer_step(bench_w, bench_spec, chi_hat, u, y,
+                                                 bench_cell)
+                chi_true = observer.augmented_step(bench_w, chi_true, u, bench_cell)
                 assert np.max(np.abs(chi_hat.x.c)) <= c_rad_hat + 1e-12
                 assert np.max(np.abs(chi_hat.d)) <= bench_spec.d_max
 
@@ -414,10 +418,10 @@ class TestSpecInputs:
 
     @pytest.mark.parametrize("u, y", [([0.1, 0.2], [0.0]), ([0.1], [0.0, 0.0])],
                              ids=["u", "y"])
-    def test_observer_step_rejects_bad_shapes(self, bench_w, bench_spec, u, y):
+    def test_observer_step_rejects_bad_shapes(self, bench_w, bench_spec, u, y, bench_cell):
         chi = AugmentedState(bench_w.zero_state(), np.zeros(bench_w.p))
         with pytest.raises(DimensionError, match="shape mismatch"):
-            observer.observer_step(bench_w, bench_spec, chi, u, y)
+            observer.observer_step(bench_w, bench_spec, chi, u, y, bench_cell)
 
     # gains that disagree with each other; the message names the gain and
     # L_f's shape. In the last case the injection matrix would have the
@@ -437,18 +441,18 @@ class TestSpecInputs:
         {"L_f": (6, 1), "L_i": (6, 1), "L_o": (6, 1)},
         {"L_f": (5, 2), "L_i": (5, 2), "L_o": (5, 2), "L_d": (2, 2)},
     ], ids=["L_f", "L_f-columns"])
-    def test_observer_step_names_a_gain_that_does_not_fit(self, bench_w, shapes):
+    def test_observer_step_names_a_gain_that_does_not_fit(self, bench_w, shapes, bench_cell):
         gains = {name: np.zeros(shape) for name, shape in shapes.items()}
         spec = observer.ObserverSpec(**self._gains(bench_w, **gains))
         chi = AugmentedState(bench_w.zero_state(), np.zeros(bench_w.p))
         with pytest.raises(DimensionError, match=r"L_f has shape \(.*\(n, p\) = \(5, 1\)"):
-            observer.observer_step(bench_w, spec, chi, [0.1], [0.0])
+            observer.observer_step(bench_w, spec, chi, [0.1], [0.0], bench_cell)
         with pytest.raises(DimensionError, match="L_f"):
             observer.derive_constants(bench_w, spec)
 
 
 class TestConvergence:
-    def test_decay_inequality_and_convergence(self, bench_w, bench_spec):
+    def test_decay_inequality_and_convergence(self, bench_w, bench_spec, bench_cell):
         # short co-simulations; the full statistical check is in acceptance
         rng = np.random.default_rng(9)
         spec = bench_spec
@@ -459,19 +463,19 @@ class TestConvergence:
             for _ in range(60):
                 u = rng.uniform(-1, 1, bench_w.m)
                 y = observer.augmented_output(bench_w, chi_true)
-                chi_hat = observer.observer_step(bench_w, spec, chi_hat, u, y)
-                chi_true = observer.augmented_step(bench_w, chi_true, u)
+                chi_hat = observer.observer_step(bench_w, spec, chi_hat, u, y, bench_cell)
+                chi_true = observer.augmented_step(bench_w, chi_true, u, bench_cell)
                 v_next = observer.v_o(spec, chi_hat, chi_true)
                 assert v_next <= spec.rho_o * v + 1e-9
                 v = v_next
 
-    def test_steady_input_unique_attractor(self, bench_w):
+    def test_steady_input_unique_attractor(self, bench_w, bench_cell):
         # two different initial states converge to the same fixed point
         rng = np.random.default_rng(3)
         u = np.array([0.2])
         xa = random_invariant_state(bench_w, rng)
         xb = random_invariant_state(bench_w, rng)
         for _ in range(600):
-            xa = lstm.step(bench_w, xa, u)
-            xb = lstm.step(bench_w, xb, u)
+            xa = lstm.step(bench_w, xa, u, bench_cell)
+            xb = lstm.step(bench_w, xb, u, bench_cell)
         assert np.max(np.abs(xa.as_vector() - xb.as_vector())) < 1e-6

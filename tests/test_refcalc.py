@@ -18,7 +18,7 @@ def oracle_residual(w, xi, y0_eff):
     """The equilibrium residual [step(x,u) - x; g(x) - y0_eff] from ``lstm.step``."""
     n = w.n
     x = LstmState(xi[:n], xi[n:2 * n])
-    x_next = lstm.step(w, x, xi[2 * n:])
+    x_next = lstm.step(w, x, xi[2 * n:], lstm.Workspace(w.n, w.m, 1))
     return np.concatenate([x_next.c - x.c, x_next.h - x.h,
                            w.W_y @ x.h + w.b_y - y0_eff])
 
@@ -177,18 +177,19 @@ def counted(monkeypatch, module, name, calls):
 def attractor(w, u, steps=800):
     x = w.zero_state()
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    cell = lstm.Workspace(w.n, w.m, 1)
     for _ in range(steps):
-        x = lstm.step(w, x, u)
+        x = lstm.step(w, x, u, cell)
     return x
 
 
 class TestSolveReference:
-    def test_recovers_known_attractor(self, bench_w):
+    def test_recovers_known_attractor(self, bench_w, bench_cell):
         u_star = np.array([0.3])
         x_star = attractor(bench_w, u_star)
         d_hat = np.array([0.04])
         y0 = lstm.output(bench_w, x_star) + d_hat
-        ref = refcalc.solve_reference(bench_w, y0, d_hat)
+        ref = refcalc.solve_reference(bench_w, y0, d_hat, bench_cell)
         assert np.max(np.abs(ref.u_bar - u_star)) < 1e-8
         assert np.max(np.abs(ref.x_bar.as_vector() - x_star.as_vector())) < 1e-8
         assert ref.residual < 1e-9
@@ -196,60 +197,61 @@ class TestSolveReference:
     @pytest.mark.parametrize("name, y0, d_hat", [
         ("y0", [0.1, 0.2], [0.0]), ("d_hat", [0.1], [0.0, 0.0]), ("y0", [[0.1]], [0.0])],
         ids=["y0-two-entries", "d_hat-two-entries", "y0-2d"])
-    def test_rejects_targets_without_p_entries(self, bench_w, monkeypatch, name, y0, d_hat):
+    def test_rejects_targets_without_p_entries(self, bench_w, bench_cell, monkeypatch, name, y0,
+                                               d_hat):
         # by name, before any cell step
         def no_step(*args, **kwargs):
             raise AssertionError("cell step before the input check")
 
         monkeypatch.setattr(lstm.Workspace, "step", no_step)
         with pytest.raises(DimensionError, match=f"^{name} has shape"):
-            refcalc.solve_reference(bench_w, y0, d_hat)
+            refcalc.solve_reference(bench_w, y0, d_hat, bench_cell)
 
-    def test_fixed_point_residual(self, bench_w):
-        ref = refcalc.solve_reference(bench_w, [0.1], [0.0])
-        nxt = lstm.step(bench_w, ref.x_bar, ref.u_bar)
+    def test_fixed_point_residual(self, bench_w, bench_cell):
+        ref = refcalc.solve_reference(bench_w, [0.1], [0.0], bench_cell)
+        nxt = lstm.step(bench_w, ref.x_bar, ref.u_bar, bench_cell)
         assert np.max(np.abs(nxt.as_vector() - ref.x_bar.as_vector())) < 1e-9
         assert abs(lstm.output(bench_w, ref.x_bar)[0] - 0.1) < 1e-9
 
-    def test_shift_invariance(self, bench_w):
+    def test_shift_invariance(self, bench_w, bench_cell):
         # only y0 - d_hat enters the equations
-        a = refcalc.solve_reference(bench_w, [0.2], [0.05])
-        b = refcalc.solve_reference(bench_w, [0.25], [0.10])
+        a = refcalc.solve_reference(bench_w, [0.2], [0.05], bench_cell)
+        b = refcalc.solve_reference(bench_w, [0.25], [0.10], bench_cell)
         np.testing.assert_allclose(a.u_bar, b.u_bar, atol=1e-9)
         np.testing.assert_allclose(a.x_bar.as_vector(), b.x_bar.as_vector(), atol=1e-9)
 
-    def test_warm_start_at_solution(self, bench_w):
-        ref = refcalc.solve_reference(bench_w, [0.15], [0.0])
-        again = refcalc.solve_reference(bench_w, [0.15], [0.0], warm_start=ref)
+    def test_warm_start_at_solution(self, bench_w, bench_cell):
+        ref = refcalc.solve_reference(bench_w, [0.15], [0.0], bench_cell)
+        again = refcalc.solve_reference(bench_w, [0.15], [0.0], bench_cell, warm_start=ref)
         np.testing.assert_allclose(again.u_bar, ref.u_bar, atol=1e-12)
         np.testing.assert_allclose(again.x_bar.as_vector(),
                                    ref.x_bar.as_vector(), atol=1e-12)
 
-    def test_uniqueness_from_random_warm_starts(self, bench_w):
+    def test_uniqueness_from_random_warm_starts(self, bench_w, bench_cell):
         rng = np.random.default_rng(4)
         sols = []
         for _ in range(10):
             warm = refcalc.ReferencePair(
                 random_invariant_state(bench_w, rng),
                 rng.uniform(-0.9, 0.9, bench_w.m), np.inf)
-            ref = refcalc.solve_reference(bench_w, [0.1], [0.0], warm_start=warm)
+            ref = refcalc.solve_reference(bench_w, [0.1], [0.0], bench_cell, warm_start=warm)
             sols.append(np.concatenate([ref.x_bar.as_vector(), ref.u_bar]))
         sols = np.array(sols)
         assert np.max(sols.max(axis=0) - sols.min(axis=0)) < 1e-6
 
-    def test_rejects_unreachable_target(self, bench_w):
+    def test_rejects_unreachable_target(self, bench_w, bench_cell):
         with pytest.raises(InfeasibleReferenceError):
-            refcalc.solve_reference(bench_w, [5.0], [0.0])
+            refcalc.solve_reference(bench_w, [5.0], [0.0], bench_cell)
 
-    def test_unreachable_target_cold_starts_once(self, bench_w, monkeypatch):
+    def test_unreachable_target_cold_starts_once(self, bench_w, monkeypatch, bench_cell):
         calls = []
         counted(monkeypatch, lstm, "step", calls)
         with pytest.raises(InfeasibleReferenceError):
-            refcalc.solve_reference(bench_w, [5.0], [0.0])
+            refcalc.solve_reference(bench_w, [5.0], [0.0], bench_cell)
         assert len(calls) == 500
 
-    def test_warm_tangent_predicts_past_the_warm_start(self, bench_w, monkeypatch):
-        ref = refcalc.solve_reference(bench_w, [0.1], [0.0])
+    def test_warm_tangent_predicts_past_the_warm_start(self, bench_w, monkeypatch, bench_cell):
+        ref = refcalc.solve_reference(bench_w, [0.1], [0.0], bench_cell)
         xi0 = np.concatenate([ref.x_bar.c, ref.x_bar.h, ref.u_bar])
         seen = []
         cell_step = refcalc._cell_step
@@ -259,30 +261,30 @@ class TestSolveReference:
             return cell_step(w, ws, xi)
 
         monkeypatch.setattr(refcalc, "_cell_step", spy)
-        refcalc.solve_reference(bench_w, [0.12], [0.0], warm_start=ref)
+        refcalc.solve_reference(bench_w, [0.12], [0.0], bench_cell, warm_start=ref)
         assert seen and not any(np.array_equal(xi, xi0) for xi in seen)
 
     def test_singular_jacobian_at_accepted_point_raises(self):
         # The zero net's attractor meets y0 = 0 at once, and W_y = 0 makes
         # the Jacobian there singular.
         with pytest.raises(InfeasibleReferenceError) as err:
-            refcalc.solve_reference(zero_net(), [0.0], [0.0])
+            refcalc.solve_reference(zero_net(), [0.0], [0.0], lstm.Workspace(2, 1, 1))
         assert err.value.reason == "singular"
 
     @pytest.mark.parametrize("y0", [1.2, 2.0])
-    def test_box_failure_does_not_restart_cold(self, bench_w, monkeypatch, y0):
-        warm = refcalc.solve_reference(bench_w, [0.1], [0.0])
+    def test_box_failure_does_not_restart_cold(self, bench_w, monkeypatch, y0, bench_cell):
+        warm = refcalc.solve_reference(bench_w, [0.1], [0.0], bench_cell)
         calls = []
         counted(monkeypatch, refcalc, "_cold_start", calls)
         with pytest.raises(InfeasibleReferenceError) as err:
-            refcalc.solve_reference(bench_w, [y0], [0.0], warm_start=warm)
+            refcalc.solve_reference(bench_w, [y0], [0.0], bench_cell, warm_start=warm)
         assert err.value.reason == "box"
         assert calls == []
 
     def test_rejects_non_square_model(self):
         w = small_net(seed=0, n=3, m=2, p=1)
         with pytest.raises(InfeasibleReferenceError):
-            refcalc.solve_reference(w, [0.0], [0.0])
+            refcalc.solve_reference(w, [0.0], [0.0], lstm.Workspace(w.n, w.m, 1))
 
 
 class TestJacobian:
@@ -368,14 +370,14 @@ class TestNewtonOracle:
         return cases
 
     @pytest.fixture(params=["bench", "small"])
-    def net_cases(self, request, bench_w):
+    def net_cases(self, request, bench_w, bench_cell):
         if request.param == "small":
             w = small_net(n=3, m=2, p=2)
             return w, self._cases(w, np.random.default_rng(7))
         cases = self._cases(bench_w, np.random.default_rng(7))
         # From this solved pair (it carries an inverse Jacobian) the full
         # step to the target fails and two half steps succeed.
-        warm = refcalc.solve_reference(bench_w, [-0.9], [0.0])
+        warm = refcalc.solve_reference(bench_w, [-0.9], [0.0], bench_cell)
         cases.append((np.array([1.0]), np.zeros(1), warm))
         return bench_w, cases
 
@@ -384,7 +386,7 @@ class TestNewtonOracle:
         """(c, h, u_bar, residual, jac_inv) of the solve, or the reason it
         raised."""
         try:
-            ref = refcalc.solve_reference(w, y0, d_hat, warm_start=warm)
+            ref = refcalc.solve_reference(w, y0, d_hat, lstm.Workspace(w.n, w.m, 1), warm)
         except InfeasibleReferenceError as exc:
             return exc.reason
         return ref.x_bar.c, ref.x_bar.h, ref.u_bar, ref.residual, ref.jac_inv
@@ -426,36 +428,36 @@ class TestNewtonOracle:
 
 
 class TestJacobianReuse:
-    def test_one_jacobian_per_warm_call(self, bench_w, monkeypatch):
+    def test_one_jacobian_per_warm_call(self, bench_w, monkeypatch, bench_cell):
         # A slowly moving target, as in a closed loop: the carried inverse
         # corrects every call, and only the accepted point is linearized.
-        ref = refcalc.solve_reference(bench_w, [0.1], [0.0])
+        ref = refcalc.solve_reference(bench_w, [0.1], [0.0], bench_cell)
         calls = []
         counted(monkeypatch, refcalc, "_jacobian", calls)
         counted(monkeypatch, np.linalg, "svd", calls)
         for k in range(1, 21):
             calls.clear()
-            ref = refcalc.solve_reference(bench_w, [0.1 + 0.002 * k], [0.001 * k],
+            ref = refcalc.solve_reference(bench_w, [0.1 + 0.002 * k], [0.001 * k], bench_cell,
                                           warm_start=ref)
             assert calls == ["_jacobian"]
 
 
 class TestSensitivity:
-    def test_matches_finite_differences(self, bench_w):
+    def test_matches_finite_differences(self, bench_w, bench_cell):
         y0 = 0.1
-        ref = refcalc.solve_reference(bench_w, [y0], [0.0])
+        ref = refcalc.solve_reference(bench_w, [y0], [0.0], bench_cell)
         sens = ref.tangent
         eps = 1e-5
-        hi = refcalc.solve_reference(bench_w, [y0 + eps], [0.0], warm_start=ref)
-        lo = refcalc.solve_reference(bench_w, [y0 - eps], [0.0], warm_start=ref)
+        hi = refcalc.solve_reference(bench_w, [y0 + eps], [0.0], bench_cell, warm_start=ref)
+        lo = refcalc.solve_reference(bench_w, [y0 - eps], [0.0], bench_cell, warm_start=ref)
         fd = (np.concatenate([hi.x_bar.as_vector(), hi.u_bar])
               - np.concatenate([lo.x_bar.as_vector(), lo.u_bar])) / (2 * eps)
         np.testing.assert_allclose(sens[:, 0], fd, atol=1e-5)
 
-    def test_single_point_grid_equals_local_norm(self, bench_w):
+    def test_single_point_grid_equals_local_norm(self, bench_w, bench_cell):
         y0 = 0.05
         k_bar, arg = refcalc.estimate_k_bar(bench_w, (y0, y0), grid_density=1)
-        ref = refcalc.solve_reference(bench_w, [y0], [0.0])
+        ref = refcalc.solve_reference(bench_w, [y0], [0.0], bench_cell)
         assert k_bar == pytest.approx(np.linalg.norm(ref.tangent[:2 * bench_w.n], 2),
                                       abs=1e-9)
         assert arg == (y0, 0.0)
@@ -473,12 +475,12 @@ class TestSensitivity:
         with pytest.raises(ValueError, match="grid_density"):
             refcalc.estimate_k_bar(bench_w, (-0.5, 0.5), grid_density=grid_density)
 
-    def test_k_bar_skips_a_point_outside_the_box(self, bench_w):
+    def test_k_bar_skips_a_point_outside_the_box(self, bench_w, bench_cell):
         # grid -1.2, -0.35, 0.5: the first equilibrium leaves the input box
         with pytest.warns(UserWarning, match=r"1 grid points .*\(-1\.2, 0\.0\)"):
             k_bar, arg = refcalc.estimate_k_bar(bench_w, (-1.2, 0.5), grid_density=3)
         assert arg == (-0.35, 0.0)
-        ref = refcalc.solve_reference(bench_w, [-0.35], [0.0])
+        ref = refcalc.solve_reference(bench_w, [-0.35], [0.0], bench_cell)
         assert k_bar == pytest.approx(np.linalg.norm(ref.tangent[:2 * bench_w.n], 2),
                                       rel=1e-9)
 
@@ -503,7 +505,7 @@ class TestNanResidual:
         w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
         x = attractor(w, np.full(w.m, 0.2))
         y0_eff = lstm.output(w, x)
-        ref = refcalc.solve_reference(w, y0_eff, np.zeros(w.p))
+        ref = refcalc.solve_reference(w, y0_eff, np.zeros(w.p), lstm.Workspace(w.n, w.m, 1))
         xi = np.concatenate([ref.x_bar.c, ref.x_bar.h, ref.u_bar])
         residual = refcalc._residual
         entries = []
@@ -533,7 +535,7 @@ class TestSharedModel:
         ref, chi, out = start, observer.AugmentedState(start.x_bar, np.zeros(w.p)), []
         for k in range(1, self.STEPS + 1):
             y0 = 0.1 + 0.002 * k * (1 + j % 4)
-            ref = refcalc.solve_reference(w, [y0], [0.0005 * k], ref, cell)
+            ref = refcalc.solve_reference(w, [y0], [0.0005 * k], cell, ref)
             chi = observer.observer_step(w, spec, chi, ref.u_bar, [y0 + 0.01], estimator)
             out += [a.tobytes() for a in (ref.x_bar.c, ref.x_bar.h, ref.u_bar, ref.jac_inv,
                                           chi.x.c, chi.x.h, chi.d)]
@@ -543,8 +545,8 @@ class TestSharedModel:
         cell, estimator = lstm.Workspace(w.n, w.m, 1), lstm.Workspace(w.n, w.m, 1)
         return {j: self._chain(w, spec, start, j, cell, estimator) for j in chains}
 
-    def test_threads_on_one_model_give_the_serial_results(self, bench_w, bench_spec):
-        start = refcalc.solve_reference(bench_w, [0.1], [0.0])
+    def test_threads_on_one_model_give_the_serial_results(self, bench_w, bench_spec, bench_cell):
+        start = refcalc.solve_reference(bench_w, [0.1], [0.0], bench_cell)
         serial = self._run(bench_w, bench_spec, start, range(self.CHAINS))
         results = {}
 

@@ -77,6 +77,11 @@ class TestGenerateExcitation:
             sysid.generate_excitation(0, (0.0, 1.0), (0, 5), 10)
 
 
+def fresh_loss(w, u, y, cfg):
+    """``sysid.loss`` in a workspace of the sequence's t - 1 steps, built for the call."""
+    return sysid.loss(w, u, y, cfg, lstm.Workspace(w.n, w.m, max(len(u) - 1, 0)))
+
+
 class TestLoss:
     def test_reduces_to_mse_without_penalties(self):
         w = small_net(seed=2, n=3)
@@ -84,7 +89,7 @@ class TestLoss:
         rng = np.random.default_rng(0)
         u = rng.uniform(-1, 1, 60)
         y = rng.uniform(-1, 1, 60)
-        value, _ = sysid.loss(w, u, y, cfg)
+        value, _ = fresh_loss(w, u, y, cfg)
         y_hat = sysid.predict(w, u)[:, 0]
         mse = np.mean((y_hat[10:] - y[10:]) ** 2)
         assert value == pytest.approx(mse, abs=1e-14)
@@ -97,14 +102,14 @@ class TestLoss:
         cfg = sysid.TrainConfig(lambda1=0.03, lambda2=0.02, washout=5, n_neurons=3)
         u = np.random.default_rng(1).uniform(-1, 1, 40)
         y = sysid.predict(w, u)[:, 0]       # exact targets -> zero MSE
-        value, _ = sysid.loss(w, u, y, cfg)
+        value, _ = fresh_loss(w, u, y, cfg)
         assert value == pytest.approx(cfg.lambda2 * (r1 + r2), abs=1e-12)
 
     @staticmethod
     def _worst_gradient_error(w, u, y, cfg, eps=1e-5):
         """Largest relative gap between ``loss``'s gradient and central
         differences, over every parameter entry."""
-        _, grads = sysid.loss(w, u, y, cfg)
+        _, grads = fresh_loss(w, u, y, cfg)
         worst = 0.0
         assert sorted(grads) == sorted(lstm.PARAMETERS)
         for name in lstm.PARAMETERS:
@@ -113,8 +118,8 @@ class TestLoss:
                 up, down = arr.copy(), arr.copy()
                 up[idx] += eps
                 down[idx] -= eps
-                lp, _ = sysid.loss(with_arrays(w, **{name: up}), u, y, cfg)
-                lm, _ = sysid.loss(with_arrays(w, **{name: down}), u, y, cfg)
+                lp, _ = fresh_loss(with_arrays(w, **{name: up}), u, y, cfg)
+                lm, _ = fresh_loss(with_arrays(w, **{name: down}), u, y, cfg)
                 fd = (lp - lm) / (2 * eps)
                 denom = max(abs(fd), abs(grads[name][idx]), 1e-8)
                 worst = max(worst, abs(fd - grads[name][idx]) / denom)
@@ -161,7 +166,7 @@ class TestLoss:
         other = small_net(seed=4, n=bench_w.n, scale=0.3)
         workspace = lstm.Workspace(bench_w.n, bench_w.m, 399)
         u, y = generate_staircase(rng, 250), rng.uniform(-1, 1, 250)
-        fresh = sysid.loss(bench_w, u, y, cfg)
+        fresh = fresh_loss(bench_w, u, y, cfg)
         for net, steps in ((other, 400), (bench_w, 120), (other, 250)):
             sysid.loss(net, generate_staircase(rng, steps), rng.uniform(-1, 1, steps), cfg,
                        workspace)
@@ -175,7 +180,7 @@ class TestLoss:
         cfg = sysid.TrainConfig(washout=50, n_neurons=3)
         u = np.zeros(20)
         with pytest.raises(TrainingError):
-            sysid.loss(w, u, u, cfg)
+            fresh_loss(w, u, u, cfg)
 
 
 class TestTrain:
@@ -446,15 +451,15 @@ class TestHookPoints:
         assert counts() == {"plant_step": 4 * 40, "measure_ph": 4 * 40}
 
     def test_loss_runs_one_rollout_and_one_adjoint(self, monkeypatch):
-        # a workspace's forward and reverse loops, once each per loss, in the
-        # workspace given or in one the call builds
+        # a workspace's forward and reverse loops, once each per loss, in a
+        # workspace of the sequence's length or a longer one
         w = small_net(seed=2, n=3)
         cfg = sysid.TrainConfig(washout=5, n_neurons=3)
         u = np.random.default_rng(3).uniform(-1, 1, 30)
         forward = self._count(monkeypatch, lstm.Workspace, ("rollout",))
         reverse = self._count(monkeypatch, lstm, ("_adjoint",))
         seen = []
-        for workspace in (None, lstm.Workspace(w.n, w.m, 40)):
+        for workspace in (lstm.Workspace(w.n, w.m, 29), lstm.Workspace(w.n, w.m, 40)):
             sysid.loss(w, u, u, cfg, workspace)
             seen.append({**forward(), **reverse()})
         assert seen == [{"rollout": 1, "_adjoint": 1}, {"rollout": 2, "_adjoint": 2}]
