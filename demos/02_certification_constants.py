@@ -28,7 +28,8 @@ spec = certificate.spec
 print("\nObserver error dynamics:")
 print(f"  rho(A_d) = {np.max(np.abs(np.linalg.eigvals(spec.A_d))):.4f}")
 print(f"  rho_o = {spec.rho_o:.4f},  L_max = {spec.L_max:.4f}, "
-      f"w_bar = {spec.w_bar}")
+      f"w_bar = {spec.w_bar} (certifies disturbance increments up to "
+      f"w_max = {spec.w_max:.3g} per step)")
 print(f"  asymptotic error bound e_inf = {certificate.e_bar_inf:.3f}")
 
 print("\nConstraint tightening over the horizon:")

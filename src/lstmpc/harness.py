@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lstm, mpc, observer, plant, refcalc
 from .errors import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
-                     FeasibilityLossError, check, check_object, read_json)
+                     DomainViolationError, FeasibilityLossError, check, check_object, read_json)
 from .lstm import LstmState
 from .observer import AugmentedState
 
@@ -247,12 +247,18 @@ class PhysicalPlant:
 class NominalPlant:
     """The augmented model; the estimate starts at the equilibrium of the
     initial set-point, the true state off it by a seeded error scaled to
-    V_o = 0.9 e_o0. The increment scripted at t_k moves d from step k to
-    k + 1 through ``observer.augmented_step``, which raises
-    DomainViolationError once |d| > d_max: both are standing assumptions.
-    The estimate and every step run in the closed loop's one-step ``cell``."""
+    V_o = 0.9 e_o0. The increment w scripted at t_k moves each output's d
+    from step k to k + 1 through ``observer.augmented_step``. Each standing
+    assumption raises DomainViolationError: the set-up, for a scripted
+    |w| sqrt(p) > w_max, and ``augmented_step``, once |d| > d_max. The
+    estimate and every step run in the closed loop's one-step ``cell``."""
 
     def __init__(self, sc, w, spec, nrm, cell):
+        for t, w_k in sc.disturbance_increments:
+            if abs(w_k) * np.sqrt(w.p) > spec.w_max:
+                raise DomainViolationError(
+                    f"disturbance increment {w_k} at t = {t} s exceeds the w_max = "
+                    f"{spec.w_max:.4g} that w_bar = {spec.w_bar} certifies")
         self.sc, self.w, self.spec, self.nrm, self.cell = sc, w, spec, nrm, cell
         self.chi_hat0 = chi_hat = initial_estimate(w, setpoint_trace(sc, nrm, 1)[0], cell)
         rng = np.random.default_rng(sc.seed)
@@ -287,8 +293,8 @@ def steps(sc, w, gains=None):
     before any record: ``sc.check()``, the ranges, ``mpc.certify`` of the
     observer ``gains`` (an ObserverSpec or the weights' JSON section), the
     controller, the set-point trace, whose first set-point must be admissible at
-    e_o0, and the plant adapter. A FeasibilityLossError ends the stream in a
-    "feasibility-loss" record."""
+    e_o0, and the plant adapter (the nominal one checks the increments against
+    w_max). A FeasibilityLossError ends the stream in a "feasibility-loss" record."""
     sc.check()
     if w.u_range is None or w.y_range is None:
         raise ValueError("weights carry no normalization ranges")

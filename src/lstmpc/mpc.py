@@ -97,9 +97,12 @@ class Certificate:
                               "finite and positive, with the terminal weight P_f and 2 P_f finite"))
         a = [np.asarray(spec.c_o, dtype=float).copy()]
         b = [np.zeros_like(a[0])]
-        for i in range(self.horizon):
-            a.append(spec.rho_o * a[i] + cert.rho_s ** i * cert.c_su * spec.L_max * cert.c_s)
-            b.append(b[i] + a[i] * spec.w_bar)
+        with np.errstate(over="ignore"):      # an overflowing w_bar is named below
+            for i in range(self.horizon):
+                a.append(spec.rho_o * a[i] + cert.rho_s ** i * cert.c_su * spec.L_max * cert.c_s)
+                b.append(b[i] + a[i] * spec.w_bar)
+        check("w_bar", spec.w_bar, (lambda v: np.isfinite([self.e_bar_inf, *np.ravel(b)]).all(),
+                                    "small enough that e_bar_inf and the margins b are finite"))
         p_f, lam_min = terminal
         freeze_arrays(self, a=np.array(a), b=np.array(b), P_f=p_f, lam_min=lam_min)
 

@@ -47,25 +47,24 @@ def augmented_step(w, chi, u, workspace, w_k=None, d_max=None):
 @dataclass(frozen=True)
 class ObserverSpec:
     """The observer's gains and settings, nothing derived from them: d_max and
-    w_bar, None meaning the analytic bound. Construction checks that d_max is
-    finite and positive, w_bar None or finite and nonnegative, L_i and L_o of
-    L_f's (n, p) shape and L_d (p, p), and forms ``injection``, the (4n, p)
-    [0; L_f; L_i; L_o] in ``lstm.GATES`` order. Its arrays are read-only copies.
-    """
+    w_bar, the observer error's one-step growth from disturbance increments (0.0
+    by default). Construction checks that d_max is finite and positive, w_bar
+    finite and nonnegative, L_i and L_o of L_f's (n, p) shape and L_d (p, p),
+    and forms ``injection``, the (4n, p) [0; L_f; L_i; L_o] in ``lstm.GATES``
+    order. Its arrays are read-only copies."""
 
     L_f: np.ndarray
     L_i: np.ndarray
     L_o: np.ndarray
     L_d: np.ndarray
     d_max: float
-    w_bar: float | None = None
+    w_bar: float = 0.0
     injection: np.ndarray = field(init=False, repr=False)
     _GAINS = ("L_f", "L_i", "L_o", "L_d")     # not a field
 
     def __post_init__(self):
         check("d_max", self.d_max, POSITIVE)
-        check("w_bar", self.w_bar, (lambda v: v is None or NONNEGATIVE[0](v),
-                                    f"null or {NONNEGATIVE[1]}"))
+        check("w_bar", self.w_bar, NONNEGATIVE)
         gains = {name: np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
                  for name in self._GAINS}
         shape = gains["L_f"].shape
@@ -94,12 +93,11 @@ class ObserverCertificate(ObserverSpec):
     """An ``ObserverSpec`` with its convergence constants on the weights ``w``,
     formed whole on construction: A_d (GainSelectionError unless rho(A_d) < 1,
     which rejects an uncertified model too), its ``lstm.lyapunov_bounds`` P_o,
-    rho_o, c_ol, c_ou, then c_o, L_mat, L_max and cell_radius_hat. A w_bar of
-    None becomes the (very conservative) analytic corner bound for increments
-    up to ``w_max``. No derived constant is a constructor argument."""
+    rho_o, c_ol, c_ou, then c_o, L_mat, L_max, cell_radius_hat and w_max, the
+    largest increment norm |w| per step for which V_o(k+1) <= rho_o V_o(k) +
+    w_bar. No derived constant is a constructor argument."""
 
     w: InitVar[lstm.LstmWeights]
-    w_max: InitVar[float] = 0.0
     A_d: np.ndarray = field(init=False)
     P_o: np.ndarray = field(init=False)
     rho_o: float = field(init=False)
@@ -109,28 +107,21 @@ class ObserverCertificate(ObserverSpec):
     L_mat: np.ndarray = field(init=False)
     L_max: float = field(init=False)
     cell_radius_hat: float = field(init=False)
+    w_max: float = field(init=False)
 
-    def __post_init__(self, w, w_max):
+    def __post_init__(self, w):
         super().__post_init__()
         a_d, l_mat, cell_radius_hat = _error_dynamics(w, self)
         if (rho := spectral_radius(a_d)) >= 1.0:
             raise GainSelectionError(f"rho(A_d) = {rho:.4f} >= 1")
         p_o, rho_o, c_ol, c_ou = lstm.lyapunov_bounds(a_d)
-        w_bar = self.w_bar
-        if w_bar is None:
-            # Worst-case one-step Lyapunov inflation from the disturbance increment,
-            # evaluated at the corner of the invariant error box (P_o and A_d are
-            # entrywise nonnegative, so the corner attains the maximum).
-            e_corner = np.array([lstm.gate_bounds(w).cell_radius + cell_radius_hat, 2.0,
-                                 2.0 * self.d_max])
-            cross = float(e_corner @ a_d.T @ p_o @ np.array([0.0, 0.0, 1.0]))
-            w_bar = np.sqrt(max(2.0 * cross * w_max + w_max ** 2 * p_o[2, 2], 0.0))
-        check("w_bar", w_bar, NONNEGATIVE)
+        w_bar = float(self.w_bar)
         w_y_bar = np.hstack([np.zeros((w.p, w.n)), w.W_y, np.eye(w.p)])
         freeze_arrays(self, A_d=a_d, P_o=p_o, rho_o=rho_o, c_ol=c_ol, c_ou=c_ou, L_mat=l_mat,
-                      c_o=np.linalg.norm(w_y_bar, axis=1) / c_ol,
-                      L_max=induced_two_norm(l_mat) / c_ol, w_bar=float(w_bar),
-                      cell_radius_hat=cell_radius_hat)
+                      c_o=np.linalg.norm(w_y_bar, axis=1) / c_ol, w_bar=w_bar,
+                      L_max=induced_two_norm(l_mat) / c_ol, cell_radius_hat=cell_radius_hat,
+                      # triangle inequality, P_o >= 0: V_o(e+) <= rho_o V_o(e) + sqrt(P_o[2, 2]) |w|
+                      w_max=w_bar / float(np.sqrt(p_o[2, 2])))
 
 
 def observer_step(w, spec, chi_hat, u, y_measured, workspace):
@@ -195,13 +186,12 @@ def _check_fit(w, spec):
                              f"for the model's (n, p) = ({w.n}, {w.p})")
 
 
-def derive_constants(w, spec, w_max=0.0, w_bar=None):
+def derive_constants(w, spec, w_bar=None):
     """The ``ObserverCertificate`` of the gains in ``spec`` on ``w``, with
-    w_bar the ``w_bar`` keyword, else the spec's, else the analytic bound for
-    increments up to ``w_max``; the spec is left as it is."""
+    w_bar the ``w_bar`` keyword, else the spec's; the spec is left as it is."""
     return ObserverCertificate(L_f=spec.L_f, L_i=spec.L_i, L_o=spec.L_o, L_d=spec.L_d,
                                d_max=spec.d_max, w_bar=spec.w_bar if w_bar is None else w_bar,
-                               w=w, w_max=w_max)
+                               w=w)
 
 
 def select_gains(w, d_max=0.1, l_d=0.1, w_bar=0.01):

@@ -172,12 +172,14 @@ class TestCriterion4ObserverConvergence:
         assert observer.v_o(spec, chi_hat, chi_true) < 1e-3 * v0
 
     def test_decay_inequality_under_bounded_increments(self, bench_w, bench_cell):
-        w_max = 0.002
-        spec = observer.derive_constants(
-            bench_w, observer.select_gains(bench_w, d_max=0.1, l_d=0.1, w_bar=None),
-            w_max=w_max)
-        w_bar = spec.w_bar            # analytic bound for this w_max
-        assert w_bar > 0.0
+        # the w_bar that certifies increments up to 0.002: sqrt(P_o[2, 2]) 0.002,
+        # since P_o does not depend on w_bar
+        gains = observer.select_gains(bench_w, d_max=0.1, l_d=0.1, w_bar=0.0)
+        p_o = observer.derive_constants(bench_w, gains).P_o
+        spec = observer.derive_constants(bench_w, gains, w_bar=np.sqrt(p_o[2, 2]) * 0.002)
+        w_bar, w_max = spec.w_bar, spec.w_max
+        assert w_bar == pytest.approx(0.1451, abs=1e-4)
+        assert w_max == pytest.approx(0.002, rel=1e-15)
         rng = np.random.default_rng(15)
         for _ in range(100):
             chi_true = AugmentedState(

@@ -6,6 +6,7 @@ import pathlib
 import re
 import shutil
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,8 +96,16 @@ def tiny_physical_scenario(**kw):
 
 
 def out_of_assumption_scenario():
-    """Nominal run whose scripted increment, twice w_bar per step, drives the
-    true d past d_max = 0.1 within a few steps."""
+    """Nominal run whose scripted increment, 1.35e-4 per step and so inside the
+    w_max = 1.378e-4 that the shipped w_bar certifies, drives the true d past
+    d_max = 0.1 at controller step 733."""
+    return harness.Scenario(duration_s=7500.0, mode="nominal",
+                            disturbance_increments=[(0.0, 1.35e-4)])
+
+
+def beyond_w_max_scenario():
+    """Nominal run whose scripted increment, 0.02 per step, is 145 times the
+    w_max that the shipped w_bar certifies."""
     return harness.Scenario(duration_s=300.0, mode="nominal",
                             disturbance_increments=[(0.0, 0.02)])
 
@@ -354,7 +363,35 @@ class TestRunScenario:
         steps = count_controller_steps(monkeypatch)
         with pytest.raises(DomainViolationError, match="d_max"):
             harness.run_scenario(out_of_assumption_scenario(), bench_w, spec=bench_spec)
-        assert 1 <= len(steps) <= 10
+        assert len(steps) == 733
+
+    def test_nominal_mode_increment_beyond_w_max_raises_in_set_up(self, bench_w, bench_spec,
+                                                                 monkeypatch):
+        # the certified envelope e_o holds only while |w| <= w_max: named before any record
+        steps = count_controller_steps(monkeypatch)
+        with pytest.raises(DomainViolationError, match=r"^disturbance increment 0.02 at t = "
+                           r"0.0 s exceeds the w_max = 0.0001378 that w_bar = 0.01 certifies$"):
+            harness.steps(beyond_w_max_scenario(), bench_w, bench_spec)
+        assert not steps
+        # a scripted w moves each of p outputs' d, so its norm is |w| sqrt(p)
+        sc = harness.Scenario(mode="nominal", disturbance_increments=[(0.0, 0.8)])
+        with pytest.raises(DomainViolationError, match="0.8 at t = 0.0 s exceeds the w_max = 1"):
+            harness.NominalPlant(sc, SimpleNamespace(p=2), SimpleNamespace(w_max=1.0, w_bar=72.5),
+                                 None, None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nominal_mode_meets_the_observer_bound_at_w_max(self, bench_w, bench_spec, seed):
+        # increments at the certified w_max, the sign switching every 50 steps: the
+        # observer error meets V_o(k+1) <= rho_o V_o(k) + w_bar and V_o <= e_o at every step
+        w_k = bench_spec.w_max * (1.0 - 1e-12) * (-1.0) ** seed
+        sc = harness.Scenario(duration_s=1500.0, mode="nominal", seed=seed,
+                              disturbance_increments=[(0.0, w_k), (500.0, -w_k), (1000.0, w_k)])
+        report = harness.run_scenario(sc, bench_w, spec=bench_spec)
+        v_o, e_o = report.trace["V_o"], report.trace["e_o"]
+        assert report.steps == 150
+        for k in range(149):
+            assert v_o[k + 1] <= bench_spec.rho_o * v_o[k] + bench_spec.w_bar + 1e-9
+        assert all(v <= e + 1e-9 for v, e in zip(v_o, e_o))
 
     def test_feasibility_loss_ends_run_and_is_counted(self, bench_w, bench_spec,
                                                       monkeypatch):
@@ -630,7 +667,7 @@ class TestCli:
         ("simulate", lambda doc: doc["observer"].update(d_max="0.1"),
          "d_max must be finite and positive, got '0.1'"),
         ("certify", lambda doc: doc["observer"].update(w_bar=[0.01]),
-         "w_bar must be null or finite and nonnegative, got [0.01]"),
+         "w_bar must be finite and nonnegative, got [0.01]"),
         *(("certify", lambda doc, key=key: doc.__delitem__(key),
            f"missing weights fields must be empty, got ['{key}']")
           for key in ("W_f", "b_y", "u_max", "n")),
@@ -671,6 +708,19 @@ class TestCli:
         err = json.loads(out.err)
         assert err["error"] == "ValueError"
         assert "w_bar" in err["message"]
+
+    def test_certify_rejects_w_bar_whose_bound_overflows(self, tmp_path, capsys):
+        # finite, but its e_bar_inf = w_bar / (1 - rho_o) is not, and JSON has no Infinity
+        doc = json.loads((ASSETS / "model.json").read_text())
+        doc["observer"]["w_bar"] = 1e308
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--weights", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "ValueError", "message": "w_bar must be small enough that e_bar_inf and "
+            "the margins b are finite, got 1e+308"}
 
     # each gain disagrees with the others and is caught when the observer
     # section is read, before the model is: n + 1 rows of L_f, a 2 x 2 L_d,
@@ -722,8 +772,22 @@ class TestCli:
         # plant advance of the last controller step raised, so that step has none
         rows = (tmp_path / "run" / "trace.csv").read_text().splitlines()
         assert rows[0].split(",") == harness.TRACE_COLUMNS
-        assert len(rows) - 1 == len(steps) - 1 >= 1
+        assert len(rows) - 1 == len(steps) - 1 == 732
         assert not (tmp_path / "run" / "report.json").exists()
+
+    def test_simulate_rejects_increment_beyond_w_max(self, tmp_path, capsys, monkeypatch):
+        sc_path = tmp_path / "sc.json"
+        beyond_w_max_scenario().to_json(sc_path)
+        steps = count_controller_steps(monkeypatch)
+        assert cli.main(["simulate", "--scenario", str(sc_path),
+                         "--weights", str(ASSETS / "model.json"),
+                         "--out", str(tmp_path / "run")]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = json.loads(out.err)
+        assert err["error"] == "DomainViolationError"
+        assert "w_max" in err["message"] and "w_bar = 0.01" in err["message"]
+        assert not steps and not (tmp_path / "run").exists()
 
     # gains whose band at e_o0 is empty (l_d 0.5), or leaves out the first
     # set-point, pH 7.0 (l_d 0.3: the band is 7.17-7.83), fail in the set-up,

@@ -146,7 +146,7 @@ class TestTerminalAlpha:
         # terminal_alpha, while a set-point strictly inside gets a positive
         # radius; at output 0's edges the radius formula alone rounds to +1e-15
         w = small_net(seed=2, n=3, m=2, p=2)
-        certificate = mpc.certify(w, observer.select_gains(w, w_bar=None))
+        certificate = mpc.certify(w, observer.select_gains(w, w_bar=0.0))
         y_lb, y_ub, e_o = np.array([-1.0, -0.8]), np.array([1.0, 0.6]), 0.2
         lo, hi = certificate.admissible_band(y_lb, y_ub, e_o)
         mid = 0.5 * (lo + hi)
@@ -630,7 +630,9 @@ class TestCertify:
         mpc.certify(bench_w)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("with_section", [False, True])
+    # no section (the default gains), the weights' own, and one without w_bar,
+    # which certifies no increment and forms no other bound
+    @pytest.mark.parametrize("with_section", [False, True, "without-w_bar"])
     def test_builds_the_model_certificate_once(self, bench, monkeypatch, with_section):
         calls = {"incremental_lyapunov": 0, "gate_bounds": 0}
         for name in calls:
@@ -638,7 +640,11 @@ class TestCertify:
                 calls[_name] += 1
                 return _func(*args, **kwargs)
             monkeypatch.setattr(lstm, name, counted)
-        mpc.certify(*bench if with_section else bench[:1])
+        w, obs_doc = bench
+        gains = {False: None, True: obs_doc,
+                 "without-w_bar": {k: v for k, v in obs_doc.items() if k != "w_bar"}}[with_section]
+        assert mpc.certify(w, gains).spec.w_bar == (0.0 if with_section == "without-w_bar"
+                                                    else 0.01)
         assert calls == {"incremental_lyapunov": 1, "gate_bounds": 1}
 
     @pytest.mark.parametrize("horizon", [0, -3, True, 5.0, None])
@@ -666,7 +672,7 @@ class TestCertify:
                   "c_s"}),
                 (spec, {"w": w}, lambda **kw: observer.ObserverCertificate(**gains, w=w, **kw),
                  {"A_d", "P_o", "rho_o", "c_ol", "c_ou", "c_o", "L_mat", "L_max",
-                  "cell_radius_hat", "injection"}),
+                  "cell_radius_hat", "w_max", "injection"}),
                 (bench_certificate, {}, lambda **kw: mpc.Certificate(cert, spec, 5, 1.0, **kw),
                  {"a", "b", "P_f", "lam_min"})):
             assert {f.name for f in dataclasses.fields(record) if not f.init} == derived
@@ -702,6 +708,13 @@ class TestCertify:
             mpc.certify(w, {**obs_doc, "w_bar": w_bar})
         with pytest.raises(ValueError, match="w_bar"):
             mpc.certify(w, observer.select_gains(w, w_bar=w_bar))
+
+    # finite, but e_bar_inf = w_bar / (1 - rho_o) is not; at 1e308 the margins b neither
+    @pytest.mark.parametrize("w_bar", [1e308, 6e306])
+    def test_rejects_w_bar_whose_bound_overflows(self, bench, w_bar):
+        w, obs_doc = bench
+        with pytest.raises(ValueError, match="^w_bar must be small enough that e_bar_inf"):
+            mpc.certify(w, {**obs_doc, "w_bar": w_bar})
 
     @pytest.mark.parametrize("q_weight", [np.nan, np.inf, 1e308, 8e307, 0.0])
     def test_rejects_non_finite_q_weight(self, bench_w, bench_spec, q_weight):
@@ -831,7 +844,7 @@ class TestController:
         # Controller's default scalar y_lb/y_ub hold for every output;
         # the set-point is the output of the model's u = 0 attractor
         w = small_net(seed=2, n=3, m=2, p=2)
-        certificate = mpc.certify(w, observer.select_gains(w, w_bar=None))
+        certificate = mpc.certify(w, observer.select_gains(w, w_bar=0.0))
         ctrl = mpc.Controller(w, certificate, e_o0=0.05)
         _, h, _ = lstm.rollout(w, np.zeros(3), np.zeros(3), np.zeros((300, 2)))
         y0 = w.W_y @ h[-1] + w.b_y
@@ -853,7 +866,7 @@ class TestReadout:
             w, gains = bench
         else:
             w = small_net(seed=2, n=3, m=2, p=2)
-            gains = observer.select_gains(w, w_bar=None)
+            gains = observer.select_gains(w, w_bar=0.0)
         certificate = mpc.certify(w, gains)
         w_y = w.W_y.copy()
         w_y[row] = 0.0

@@ -16,7 +16,7 @@ from conftest import induced_inf_norm, random_invariant_state, small_net, with_a
 
 
 def make_spec(w, d_max=0.1, l_d=0.1, **kw):
-    return observer.derive_constants(w, observer.select_gains(w, d_max, l_d, None), **kw)
+    return observer.derive_constants(w, observer.select_gains(w, d_max, l_d, 0.0), **kw)
 
 
 def random_augmented(w, rng, d_max):
@@ -287,28 +287,50 @@ class TestDeriveConstants:
         assert spec.L_max == pytest.approx(
             np.linalg.norm(spec.L_mat, 2) / np.sqrt(lam[0]), abs=1e-12)
 
-    def test_zero_wmax_zero_analytic_bound(self, bench_w):
-        spec = make_spec(bench_w, w_max=0.0)
-        assert spec.w_bar == 0.0
+    def test_w_bar_defaults_to_zero(self, bench_w):
+        spec = make_spec(bench_w)
+        assert (spec.w_bar, spec.w_max) == (0.0, 0.0)
+        zero = np.zeros((bench_w.n, bench_w.p))
+        assert observer.ObserverSpec(L_f=zero, L_i=zero, L_o=zero, L_d=np.eye(bench_w.p),
+                                     d_max=0.1).w_bar == 0.0
 
     def test_configured_w_bar_overrides(self, bench_w):
-        spec = make_spec(bench_w, w_bar=0.01, w_max=0.005)
-        assert spec.w_bar == 0.01
-        assert make_spec(bench_w, w_max=0.005).w_bar > 0.0
+        assert make_spec(bench_w, w_bar=0.01).w_bar == 0.01
         # the spec's own w_bar is the setting; the keyword overrides it
         gains = observer.select_gains(bench_w, w_bar=0.01)
-        assert observer.derive_constants(bench_w, gains, w_max=0.005).w_bar == 0.01
+        assert observer.derive_constants(bench_w, gains).w_bar == 0.01
         assert observer.derive_constants(bench_w, gains, w_bar=0.02).w_bar == 0.02
 
+    def test_w_max_is_the_increment_w_bar_certifies(self, bench_w, bench_spec):
+        # by the triangle inequality in the P_o metric: w_bar = sqrt(P_o[2, 2]) w_max,
+        # and P_o does not depend on w_bar
+        assert bench_spec.w_max == bench_spec.w_bar / np.sqrt(bench_spec.P_o[2, 2])
+        assert bench_spec.w_max == pytest.approx(1.378e-4, abs=1e-7)
+        for w_bar in (0.0, 0.005, 0.1451):
+            spec = make_spec(bench_w, w_bar=w_bar)
+            np.testing.assert_array_equal(spec.P_o, make_spec(bench_w).P_o)
+            assert spec.w_max == pytest.approx(w_bar / np.sqrt(spec.P_o[2, 2]), rel=1e-15)
+
+    @pytest.mark.parametrize("l_d", [0.05, 0.1, 0.2, 0.3, 0.5])
+    @pytest.mark.parametrize("net", ["bench", "small"])
+    def test_error_dynamics_and_metric_are_nonnegative(self, bench_w, net, l_d):
+        # the premise of the w_max bound: the error update is componentwise at most
+        # A_d e + [0, 0, |w|] with A_d >= 0, so P_o = sum (A_d^T)^k 1000 A_d^k >= 0
+        w = bench_w if net == "bench" else small_net(seed=4, n=4)
+        spec = make_spec(w, l_d=l_d)
+        assert np.all(spec.A_d >= 0.0)
+        assert np.all(spec.P_o >= 0.0)
+
     def test_section_w_bar_is_kept(self, bench):
-        # a section's w_bar is not replaced by the analytic bound
+        # a section's w_bar is its setting; a section without one certifies no increment
         w, obs_doc = bench
         section = {**obs_doc, "w_bar": 0.01}
         spec = observer.derive_constants(w, observer.ObserverSpec.from_dict(section))
         assert spec.w_bar == 0.01
         without = {k: v for k, v in obs_doc.items() if k != "w_bar"}
-        assert observer.ObserverSpec.from_dict(without).w_bar is None
-        assert observer.derive_constants(w, observer.ObserverSpec.from_dict(without)).w_bar == 0.0
+        assert observer.ObserverSpec.from_dict(without).w_bar == 0.0
+        spec = observer.derive_constants(w, observer.ObserverSpec.from_dict(without))
+        assert (spec.w_bar, spec.w_max) == (0.0, 0.0)
 
     def test_rederive_after_gain_change_matches_fresh(self, bench_w):
         # a derived spec's constants are formed from its gains and the model, so
@@ -317,7 +339,7 @@ class TestDeriveConstants:
         derived, l_d = make_spec(bench_w, l_d=0.1), 0.5 * np.eye(bench_w.p)
         with pytest.raises(ValueError, match="InitVar 'w' must be specified"):
             dataclasses.replace(derived, L_d=l_d)
-        gains = dataclasses.replace(observer.select_gains(bench_w, l_d=0.1, w_bar=None), L_d=l_d)
+        gains = dataclasses.replace(observer.select_gains(bench_w, l_d=0.1, w_bar=0.0), L_d=l_d)
         fresh = make_spec(bench_w, l_d=0.5)
         assert fresh.rho_o != derived.rho_o
         for spec in (dataclasses.replace(derived, L_d=l_d, w=bench_w),
