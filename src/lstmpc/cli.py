@@ -1,6 +1,8 @@
 """Command-line interface: gen-data, train, certify, simulate."""
 
 import argparse
+import dataclasses
+import inspect
 import json
 import pathlib
 import sys
@@ -60,6 +62,12 @@ def _cmd_simulate(args):
     return 0 if report.constraint_violations == report.feasibility_losses == 0 else 1
 
 
+# the defaults of gen-data and train: those of the function and the config they call
+_DATA = {name: p.default
+         for name, p in inspect.signature(sysid.generate_dataset).parameters.items()}
+_TRAIN = {f.name: f.default for f in dataclasses.fields(sysid.TrainConfig)}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="lstmpc",
                                  description="Offset-free robust MPC with certified LSTM models")
@@ -68,10 +76,10 @@ def build_parser():
     g = sub.add_parser("gen-data", help="excite the pH plant and write a dataset")
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--n-train", type=int, default=10)
-    g.add_argument("--n-val", type=int, default=3)
-    g.add_argument("--n-test", type=int, default=2)
-    g.add_argument("--steps", type=int, default=1500)
+    g.add_argument("--n-train", type=int, default=_DATA["n_train"])
+    g.add_argument("--n-val", type=int, default=_DATA["n_val"])
+    g.add_argument("--n-test", type=int, default=_DATA["n_test"])
+    g.add_argument("--steps", type=int, default=_DATA["steps"])
     g.set_defaults(func=_cmd_gen_data)
 
     t = sub.add_parser("train", help="train a certified model on a dataset",
@@ -80,12 +88,12 @@ def build_parser():
                        "observer.select_gains' default gains.")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--epochs", type=int, default=1000)
-    t.add_argument("--learning-rate", type=float, default=1e-3)
-    t.add_argument("--lambda1", type=float, default=0.03)
-    t.add_argument("--lambda2", type=float, default=0.02)
-    t.add_argument("--washout", type=int, default=50)
-    t.add_argument("--neurons", type=int, default=5)
+    t.add_argument("--epochs", type=int, default=_TRAIN["epochs"])
+    t.add_argument("--learning-rate", type=float, default=_TRAIN["learning_rate"])
+    t.add_argument("--lambda1", type=float, default=_TRAIN["lambda1"])
+    t.add_argument("--lambda2", type=float, default=_TRAIN["lambda2"])
+    t.add_argument("--washout", type=int, default=_TRAIN["washout"])
+    t.add_argument("--neurons", type=int, default=_TRAIN["n_neurons"])
     t.add_argument("--seed", type=int, default=1)
     t.add_argument("--init", default=None, help="warm-start weights JSON")
     t.add_argument("--log-every", type=int, default=10)

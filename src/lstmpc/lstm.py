@@ -28,6 +28,17 @@ training and the reference Jacobian all run this cell through one kernel:
   one per call. So callers that share a model share no scratch; the
   function ``step`` runs in the workspace it is given, and only the
   one-shot ``rollout`` builds its own.
+- A sweep that is the workspace's last sweep shifted by one stage runs
+  one step. The guard is exact: the same weights object and length
+  T >= 2, a start equal to the last sweep's stage-1 state and inputs
+  equal to its inputs moved up one row, all compared by their bytes
+  against copies the workspace keeps of the last sweep, so -0.0 is not
+  +0.0. The rows, h and tanh(c+) then move up one stage, step T-1 runs
+  through its per-step views, and every result keeps its bytes. A
+  ``Workspace.step`` forgets the last sweep. The closed loop's FHOCP
+  candidate, the accepted plan shifted, is such a sweep, from the state
+  that plan predicted; the sweeps' results are read-only, since the next
+  shifted sweep starts from them.
 - ``Workspace.linearize``, the one copy of the cell's linearization, forms
   every step's [A_k | B_k] of the last sweep or step from its local
   factors; it feeds the forward sweep ``Workspace.sensitivities`` and the
@@ -179,18 +190,35 @@ def by_gate(W, U, b):
 
 
 def _loop_buffers(n_t, n):
-    """A T-step loop's buffers: c (T+1, n), the leading columns of rows
-    [c_k | z_k], z_k step k's gates in ``GATES`` order (so [c_k | g] and
-    [f | i] are adjacent), h (T+1, n) and the halved preactivations (T, 4n);
-    the per-step views ``_run`` writes through, an iterator; the cache,
-    ([f i o], g, tanh(c+)); and ``_run``'s (2n,) scratch."""
+    """A T-step loop's buffers: the rows (T+1, 5n) [c_k | z_k], z_k step k's
+    gates in ``GATES`` order (so [c_k | g] and [f | i] are adjacent), h
+    (T+1, n) and the halved preactivations (T, 4n); the per-step views
+    ``_run`` writes through, an iterator; the cache, ([f i o], g,
+    tanh(c+)); and ``_run``'s (2n,) scratch."""
     row, h, tc, pre = (np.empty((n_t + 1, 5 * n)), np.empty((n_t + 1, n)), np.empty((n_t, n)),
                        np.empty((n_t, 4 * n)))
     z = row[:-1, n:]
     sig = z[:, _F * n:(_O + 1) * n]
     steps = zip(z, pre, sig, z[:, _F * n:(_I + 1) * n], row[:-1, :n + (_C + 1) * n],
                 row[1:, :n], tc, z[:, _O * n:(_O + 1) * n], h[1:])
-    return row[:, :n], h, pre, steps, (sig, z[:, _C * n:(_C + 1) * n], tc), np.empty(2 * n)
+    return row, h, pre, steps, (sig, z[:, _C * n:(_C + 1) * n], tc), np.empty(2 * n)
+
+
+def _stage_moves(*buffers):
+    """For each C-contiguous (stages, width) buffer, flat views of its rows
+    from stage 0 and from stage 1: copying the second onto the first moves
+    every row up one stage, and numpy copies overlapping 1-D views of one
+    direction in place, with no temporary."""
+    flat = [b.reshape(-1, copy=False) for b in buffers]
+    return [(f[:-b.shape[1]], f[b.shape[1]:]) for f, b in zip(flat, buffers)]
+
+
+def _read_only(*arrays):
+    """Read-only views of ``arrays``, a tuple."""
+    views = tuple(a.view() for a in arrays)
+    for v in views:
+        v.flags.writeable = False
+    return views
 
 
 _dot = np.ndarray.dot     # each sweep's per-step product, without np.dot's dispatcher
@@ -245,18 +273,24 @@ class Workspace:
     training; a sweep of T < ``n_t`` steps runs in the leading rows, and
     ``step`` in the first, so it needs ``n_t`` >= 1. Each sweep or step
     checks that it fits and overwrites the last one's results, and the
-    linearizations read the last one. Callers that share a model each own
-    their workspaces, so they share no scratch."""
+    linearizations read the last one; a sweep that is the last sweep
+    shifted by one stage runs its last step alone (``rollout``). Callers
+    that share a model each own their workspaces, so they share no
+    scratch."""
 
     def __init__(self, n, m, n_t):
-        c, h, pre, steps, cache, fc_ig = _loop_buffers(n_t, n)
-        steps = list(steps)
+        row, h, pre, steps, cache, fc_ig = _loop_buffers(n_t, n)
+        c, steps = row[:, :n], list(steps)
         self.n, self.m, self.n_t = n, m, n_t
         self._buffers = c, h, pre, steps, cache, fc_ig
+        self._row, self._moves = row, _stage_moves(row, h, cache[2])
+        # what callers see: read-only views, since a shifted sweep reuses them
+        self._results = (*_read_only(c, h), _read_only(*cache))
         # a step's views: its preactivations, the injection's scratch, c, the
         # loop's first step, its scratch, c+ and h+
-        self._first = (pre[0], np.empty(4 * n), c, steps[:1], fc_ig, c[1], h[1]) if n_t else None
-        self._linear = self._sens = self._reverse = None
+        self._first = (pre[0], np.empty(4 * n), c, steps[:1], fc_ig,
+                       *_read_only(c[1], h[1])) if n_t else None
+        self._linear = self._sens = self._reverse = self._shift = None
 
     def _check(self, w, n_t):
         """DimensionError unless the weights ``w`` have this workspace's
@@ -270,28 +304,58 @@ class Workspace:
     def rollout(self, w, c0, h0, u_seq):
         """The cell of the weights ``w`` over the (T, m) inputs ``u_seq``
         from (c0, h0). Returns c, h of shape (T+1, n) and the cache (the
-        gates and tanh(c+)): views of this workspace's buffers, which its
-        next sweep or step overwrites."""
+        gates and tanh(c+)): read-only views of this workspace's buffers,
+        which its next sweep or step overwrites.
+
+        A sweep that is the last sweep shifted by one stage runs one step:
+        the same weights object and length T >= 2, a start equal to the
+        last sweep's stage-1 state, and inputs whose first T-1 rows equal
+        the last inputs' rows 1..T-1, all by their bytes, against copies
+        kept of the last sweep (T m + 2n floats). Its stages 0..T-1 and
+        steps 0..T-2 are then the last sweep's stages and steps 1.., so
+        the rows [c_k | z_k], h and tanh(c+) move up by one stage and only
+        step T-1 runs; the preactivations are formed whole, as in every
+        sweep. Every result keeps its bytes. The closed loop's candidate,
+        the previous plan shifted, from the state that plan predicted, is
+        such a sweep."""
+        u_seq = np.asarray(u_seq, dtype=float)
         n_t = len(u_seq)
         self._check(w, n_t)
-        c, h, pre, steps, cache, fc_ig = self._buffers
+        last, self._shift = self._shift, None
+        c, h, pre, steps, (_, _, tc), fc_ig = self._buffers
+        c_out, h_out, cache = self._results
         if n_t < self.n_t:                          # in the leading rows
-            c, h, pre, steps = c[:n_t + 1], h[:n_t + 1], pre[:n_t], steps[:n_t]
-            cache = tuple(x[:n_t] for x in cache)
+            c, h, c_out, h_out = (x[:n_t + 1] for x in (c, h, c_out, h_out))
+            pre, steps, cache = pre[:n_t], steps[:n_t], tuple(x[:n_t] for x in cache)
         c[0], h[0] = c0, h0
-        np.asarray(u_seq).dot(w.W_half.T, pre)
+        u_seq.dot(w.W_half.T, pre)
         pre += w.b_half
-        _run(w, h[0], steps, fc_ig)
+        u_bytes, row_bytes = u_seq.tobytes(), u_seq.itemsize * self.m
+        # the inputs first: they tell a trial plan from the shifted one
+        if last is not None and last[0] is w and last[1] == n_t \
+                and last[2] == u_bytes[:-row_bytes] and last[3] == c[0].tobytes() \
+                and last[4] == h[0].tobytes():
+            moves = self._moves if n_t == self.n_t else \
+                _stage_moves(self._row[:n_t + 1], h, tc[:n_t])
+            for stages, later in moves:             # stages and steps 1.. become 0..
+                stages[...] = later
+            _run(w, h[-2], steps[-1:], fc_ig)
+        else:
+            _run(w, h[0], steps, fc_ig)
+        if n_t >= 2:
+            self._shift = w, n_t, u_bytes[row_bytes:], c[1].tobytes(), h[1].tobytes()
         self._last = w, n_t
-        return c, h, cache
+        return c_out, h_out, cache
 
     def step(self, w, c, h, u, inject=None):
         """One step of the weights ``w`` from (c, h) with the (m,) input
         ``u`` and, if given, ``inject`` (4n,) added to the preactivations:
-        (c+, h+), views of this workspace's first rows, which its next step
-        or sweep overwrites. ``rollout``'s loop over one step, with its
-        checks and without its slices."""
+        (c+, h+), read-only views of this workspace's first rows, which its
+        next step or sweep overwrites. ``rollout``'s loop over one step,
+        with its checks and without its slices; the next sweep after it is
+        a full one."""
         self._check(w, 1)
+        self._shift = None
         pre, scaled, c_rows, first, fc_ig, c_next, h_next = self._first
         np.asarray(u).dot(w.W_half.T, pre)
         pre += w.b_half

@@ -411,7 +411,13 @@ def solve_fhocp(problem, warm=None, real_time=False):
     evaluation overwrites. That is safe: ``qp_model`` reads the accepted
     iterate's rollout before the line search evaluates a trial, the
     accepted trial is the last one evaluated, and after a failed line
-    search only the plan, cost and violation are read.
+    search only the plan, cost and violation are read. Because the
+    accepted trial is the last sweep, the next step's candidate, that plan
+    shifted from the state it predicted, is ``lstm.Workspace.rollout``'s
+    shifted sweep: one cell step in place of N, with the same bytes. Its
+    guard compares the start and the inputs by their bytes, so a
+    fallback, a rejected trial or an estimate that the observer's
+    injection moved runs the full sweep.
     """
     n_h, m, u_max = len(problem.tight), problem.w.m, problem.w.u_max
     n_g0 = 2 * problem.w.p     # stage-0 output rows: independent of u

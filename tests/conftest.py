@@ -62,6 +62,19 @@ def bench_nrm(bench_w):
     return plant.Normalizer(*bench_w.u_range, *bench_w.y_range)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` with a wrapper that counts its calls; the list it appends to."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def small_net(seed=0, n=3, m=1, p=1, scale=0.1):
     """Small random network; small init keeps it contraction-certified."""
     cfg = sysid.TrainConfig(seed=seed, n_neurons=n, init_scale=scale, epochs=1)

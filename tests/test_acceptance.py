@@ -21,7 +21,7 @@ from lstmpc.errors import InfeasibleSetpointError
 from lstmpc.lstm import LstmState
 from lstmpc.observer import AugmentedState
 
-from conftest import ASSETS, random_invariant_state
+from conftest import ASSETS, count_calls, random_invariant_state
 
 # Closed-loop trace of the benchmark scenario, the behaviour oracle. A change
 # that moves any column by more than TRACE_ATOL regenerates it and says why.
@@ -33,6 +33,25 @@ HORIZON10_ORACLE = TRACE_ORACLE.with_name("horizon10_trace.csv")
 HORIZON10_SCENARIO = dict(duration_s=4000.0, horizon=10,
                           setpoints=[(0.0, 7.0), (300.0, 7.4), (2500.0, 7.1)],
                           disturbances=[(1500.0, 0.65)])
+
+
+def candidate_products(monkeypatch):
+    """The cell products of each step's first ``Problem.evaluate``, the
+    rollout of its candidate: a list that grows as a run goes."""
+    products = count_calls(monkeypatch, lstm, "_dot")
+    counts, last = [], [None]
+    evaluate = mpc.Problem.evaluate
+
+    def counted(problem, u_seq):
+        before = len(products)
+        out = evaluate(problem, u_seq)
+        if problem is not last[0]:
+            counts.append(len(products) - before)
+            last[0] = problem
+        return out
+
+    monkeypatch.setattr(mpc.Problem, "evaluate", counted)
+    return counts
 
 
 def assert_matches_trace(report, path):
@@ -331,6 +350,64 @@ class TestCriterion8ShiftedCandidate:
         assert report.candidate_checks == report.steps - 1
         assert report.max_candidate_violation <= 1e-7
         assert report.feasibility_losses == 0
+
+    # The candidate, the accepted plan shifted, starts from the state that
+    # plan predicted, so its rollout is the FHOCP workspace's last sweep
+    # shifted by one stage: one cell step. The estimate is that prediction
+    # bit for bit because the shipped observer's state-injection gains are
+    # zero; with nonzero gains the candidate would run its full sweep.
+    @pytest.mark.parametrize("scenario", ["closed_loop", "horizon10"])
+    def test_candidate_rollout_is_one_step(self, bench_w, bench_spec, monkeypatch, scenario):
+        assert not np.any(bench_spec.injection)
+        if scenario == "closed_loop":
+            sc = harness.Scenario.from_json(ASSETS / "benchmark_scenario.json")
+            sc.duration_s = 1000.0
+        else:
+            sc = harness.Scenario(**HORIZON10_SCENARIO)
+        products = candidate_products(monkeypatch)
+        report = harness.run_scenario(sc, bench_w, spec=bench_spec)
+        assert report.steps == len(products) == int(round(sc.duration_s / sc.t_s))
+        assert products == [sc.horizon] + [1] * (report.steps - 1)
+
+    # The hard path: a set-point step that reaches the dual QP, step
+    # halvings and 9 SQP iterations; with at most two halvings, a failed
+    # line search, whose last sweep is a rejected trial; with every second
+    # QP failing, candidate-fallback steps. Each run's records are those of
+    # a run whose FHOCP workspace forgets its last sweep before every sweep.
+    @pytest.mark.parametrize("path", ["hard", "failed-line-search", "failed-qp"])
+    def test_shift_changes_no_record(self, bench_w, bench_spec, monkeypatch, path):
+        sc = harness.Scenario(duration_s=600.0, setpoints=[(0.0, 7.0), (100.0, 7.2)],
+                              ramp_rate=10.0)
+        qp_calls, dense_qp = [], mpc._dense_qp
+        if path == "failed-line-search":
+            monkeypatch.setattr(mpc, "_LINE_SEARCH_MAX", 2)
+        elif path == "failed-qp":
+            monkeypatch.setattr(mpc, "_dense_qp", lambda *args: qp_calls.append(1) or (
+                None if len(qp_calls) % 2 == 0 else dense_qp(*args)))
+        dual = count_calls(monkeypatch, mpc, "_dual_qp")
+        products = candidate_products(monkeypatch)
+        records = list(harness.steps(sc, bench_w, bench_spec))
+        shifted = products.count(1)
+        rollout = lstm.Workspace.rollout
+
+        def forgetful(workspace, *args):
+            workspace._shift = None
+            return rollout(workspace, *args)
+
+        monkeypatch.setattr(lstm.Workspace, "rollout", forgetful)
+        qp_calls.clear()
+        products.clear()
+        assert repr(list(harness.steps(sc, bench_w, bench_spec))) == repr(records)
+        assert products.count(1) == 0
+        assert shifted == len(records) - 1
+        outcomes = [r.row[-1] if r.row else r.outcome for r in records]
+        if path == "hard":
+            assert len(records) == 60 and dual
+            assert max(r.solver_iterations for r in records) == 9
+        elif path == "failed-line-search":
+            assert outcomes[-1] == "feasibility-loss"
+        else:
+            assert "candidate-fallback" in outcomes
 
 
 class TestCriterion9PlantFidelity:

@@ -1,6 +1,7 @@
 """Unit tests for scenario scripting, the closed-loop engine and the CLI."""
 
 import dataclasses
+import inspect
 import json
 import pathlib
 import re
@@ -917,6 +918,22 @@ class TestCli:
         ds = sysid.load_dataset(tmp_path / "ds")
         assert len(ds.train) == 1 and len(ds.val) == 1 and len(ds.test) == 1
         assert len(ds.train[0][0]) == 60
+
+    def test_defaults_are_their_owners(self):
+        # gen-data's and train's defaults are generate_dataset's and
+        # TrainConfig's, read from them, except --seed's 1 for both
+        parser = cli.build_parser()
+        data = vars(parser.parse_args(["gen-data", "--out", "ds"]))
+        train = vars(parser.parse_args(["train", "--data", "ds", "--out", "model.json"]))
+        owner = inspect.signature(sysid.generate_dataset).parameters
+        for name in ("n_train", "n_val", "n_test", "steps"):
+            assert data[name] == owner[name].default, name
+        cfg = sysid.TrainConfig()
+        for arg, name in (("epochs", "epochs"), ("learning_rate", "learning_rate"),
+                          ("lambda1", "lambda1"), ("lambda2", "lambda2"),
+                          ("washout", "washout"), ("neurons", "n_neurons")):
+            assert train[arg] == getattr(cfg, name), arg
+        assert data["seed"] == train["seed"] == 1
 
     # dataset parts rejected by name before training; each would otherwise end
     # in a traceback (a manifest or normalization that is a list, a string

@@ -11,8 +11,8 @@ from lstmpc import lstm, mpc, numerics, observer, refcalc, sysid
 from lstmpc.errors import DimensionError, InstabilityError
 from lstmpc.lstm import LstmState
 
-from conftest import (ASSETS, local_factors_oracle, random_invariant_state, small_net,
-                      with_arrays, zero_net)
+from conftest import (ASSETS, count_calls, local_factors_oracle, random_invariant_state,
+                      small_net, with_arrays, zero_net)
 
 
 def scalar_step_oracle(w, x, u):
@@ -328,19 +328,6 @@ class TestAdjointBlocks:
         assert block * step_bytes <= max(lstm._SWEEP_BLOCK_BYTES, step_bytes)
 
 
-def count_calls(monkeypatch, owner, name):
-    """Patch ``owner.name`` with a wrapper that counts its calls; the list it appends to."""
-    calls = []
-    real = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 class TestKernelCalls:
     """The sweeps' per-step numpy calls: each step of a sweep makes one
     product through ``lstm._dot`` and none through ``np.dot``, and the
@@ -428,6 +415,115 @@ class TestKernelPurity:
         for out in (c, h, *cache, dz):
             assert not any(np.shares_memory(out, a) for a in inputs.values())
         assert not any(np.shares_memory(dz, a) for a in (c, h, *cache))
+
+
+class TestShiftedSweep:
+    """A sweep that is the workspace's last sweep shifted by one stage (the
+    same weights object and length, its stage-1 start and its inputs moved
+    up one row) makes one product, and every result after it, the sweep's
+    and its linearize, sensitivities and adjoint, equals a fresh full
+    sweep's bit for bit; any other sweep makes T products."""
+
+    NETS = TestPreparedKernel.NETS
+    LENGTHS = [2, 5, 10, 300]
+
+    @staticmethod
+    def _case(bench_w, net, n_steps):
+        """(w, rng, x0, inputs for n_steps + 1 stages): the first sweep runs
+        rows 0..T-1 from x0, its shift rows 1..T."""
+        w = bench_w if net == "bench" else small_net(**TestShiftedSweep.NETS[net])
+        rng = np.random.default_rng(n_steps)
+        return w, rng, random_invariant_state(w, rng), rng.uniform(-1.0, 1.0, (n_steps + 1, w.m))
+
+    @staticmethod
+    def _assert_fresh(ws, got, w, x0, u, rng):
+        """``got``, the last sweep of ``ws``, and the linearizations of
+        ``ws`` equal those of a fresh workspace's sweep bit for bit."""
+        fresh, *want = swept(w, x0, u)
+        assert [a.tobytes() for a in (*got[:2], *got[2])] == \
+            [a.tobytes() for a in (want[0], want[1], *want[2])]
+        assert ws.linearize().tobytes() == fresh.linearize().tobytes()
+        assert ws.sensitivities().tobytes() == fresh.sensitivities().tobytes()
+        dc_stage, dh_stage = rng.normal(size=(2, len(u) + 1, w.n))
+        assert ws.adjoint(dc_stage, dh_stage).tobytes() == \
+            fresh.adjoint(dc_stage, dh_stage).tobytes()
+
+    @pytest.mark.parametrize("net", list(NETS))
+    @pytest.mark.parametrize("n_steps", LENGTHS)
+    @pytest.mark.parametrize("spare", [0, 3], ids=["fits", "leading-rows"])
+    def test_shift_is_one_product_and_a_fresh_sweep(self, bench_w, monkeypatch, net, n_steps,
+                                                    spare):
+        # three shifts in a row, as in the closed loop, each from the last
+        # sweep's stage-1 state
+        w, rng, x0, u = self._case(bench_w, net, n_steps)
+        u = np.concatenate((u, rng.uniform(-1.0, 1.0, (2, w.m))))
+        ws = lstm.Workspace(w.n, w.m, n_steps + spare)
+        got = ws.rollout(w, x0.c, x0.h, u[:n_steps])
+        products = count_calls(monkeypatch, lstm, "_dot")
+        for k in range(1, 4):
+            x0 = LstmState(got[0][1].copy(), got[1][1].copy())
+            got = ws.rollout(w, x0.c, x0.h, u[k:k + n_steps])
+            assert len(products) == k
+        monkeypatch.undo()
+        self._assert_fresh(ws, got, w, x0, u[3:3 + n_steps], rng)
+
+    @pytest.mark.parametrize("net", list(NETS))
+    @pytest.mark.parametrize("n_steps", LENGTHS)
+    @pytest.mark.parametrize("change", [
+        "equal-weights", "input-ulp", "start-c-ulp", "start-h-ulp", "input-negative-zero",
+        "step-between", "shorter", "longer"])
+    def test_any_other_sweep_is_full(self, bench_w, monkeypatch, net, n_steps, change):
+        w, rng, x0, u = self._case(bench_w, net, n_steps)
+        k = (n_steps - 2) // 2              # an input row the two sweeps share
+        if change == "input-negative-zero":
+            u[k + 1, 0] = 0.0
+        ws = lstm.Workspace(w.n, w.m, n_steps + 1)
+        c, h, _ = ws.rollout(w, x0.c, x0.h, u[:n_steps])
+        start, nxt, net_2 = LstmState(c[1].copy(), h[1].copy()), u[1:].copy(), w
+        if change == "equal-weights":
+            net_2 = with_arrays(w)          # another object of the same arrays
+        elif change == "input-ulp":
+            nxt[k, -1] = np.nextafter(nxt[k, -1], np.inf)
+        elif change == "start-c-ulp":
+            start.c[-1] = np.nextafter(start.c[-1], -np.inf)
+        elif change == "start-h-ulp":
+            start.h[0] = np.nextafter(start.h[0], np.inf)
+        elif change == "input-negative-zero":
+            assert nxt[k, 0] == 0.0 and not np.signbit(nxt[k, 0])
+            nxt[k, 0] = -0.0
+        elif change == "step-between":
+            ws.step(w, start.c, start.h, nxt[0])
+        elif change == "shorter":
+            nxt = nxt[:-1]
+        else:
+            nxt = np.concatenate((nxt, u[-1:]))
+        products = count_calls(monkeypatch, lstm, "_dot")
+        got = ws.rollout(net_2, start.c, start.h, nxt)
+        assert len(products) == len(nxt)
+        monkeypatch.undo()
+        self._assert_fresh(ws, got, net_2, start, nxt, rng)
+
+    @pytest.mark.parametrize("n_steps", [0, 1])
+    def test_sweeps_of_one_step_or_none_are_full(self, bench_w, monkeypatch, n_steps):
+        w, rng, x0, u = self._case(bench_w, "bench", n_steps)
+        ws = lstm.Workspace(w.n, w.m, 1)
+        products = count_calls(monkeypatch, lstm, "_dot")
+        c, h, _ = ws.rollout(w, x0.c, x0.h, u[:n_steps])
+        start = LstmState(c[-1].copy(), h[-1].copy())
+        got = ws.rollout(w, start.c, start.h, u[1:n_steps + 1])
+        assert len(products) == 2 * n_steps
+        monkeypatch.undo()
+        self._assert_fresh(ws, got, w, start, u[1:n_steps + 1], rng)
+
+    def test_results_are_read_only(self, bench_w):
+        # the next shifted sweep starts from them, so no caller writes them
+        w, _, x0, u = self._case(bench_w, "bench", 5)
+        for n_t in (5, 7):
+            ws = lstm.Workspace(w.n, w.m, n_t)
+            c, h, cache = ws.rollout(w, x0.c, x0.h, u[:5])
+            for out in (c, h, *cache, *ws.step(w, x0.c, x0.h, u[0])):
+                with pytest.raises(ValueError, match="read-only"):
+                    out[0] = 0.0
 
 
 class TestSigmoid:
