@@ -17,25 +17,24 @@ training and the reference Jacobian all run this cell through one kernel:
   gates from one ``tanh`` over preactivations whose f, i, o rows are
   halved, since sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so
   the gates equal ``sigmoid``'s bit for bit.
-- ``Workspace`` is the one owner of the buffers every step writes. One
-  loop, ``_run``, works in place in a buffer whose row k is
-  [c_k | g | f | i | o], 9 numpy calls per step: ``Workspace.rollout``
-  runs it over up to T steps, and ``Workspace.step`` over one step in the
-  first rows, of any weights of its shapes. Each caller owns the
-  workspaces it steps: the controller one for its FHOCP and one for its
-  reference calculation, the closed loop one for its observer, its plant
-  model and its initial estimate, the K_bar grid one, training and FIT
-  one per call. So callers that share a model share no scratch; the
-  function ``step`` runs in the workspace it is given, and only the
-  one-shot ``rollout`` builds its own.
+- ``Workspace`` is the one owner of the buffers every step writes, sized
+  to one sweep length T. One loop, ``_run``, works in place in a buffer
+  whose row k is [c_k | g | f | i | o], 9 numpy calls per step:
+  ``Workspace.rollout`` runs it over exactly T steps, and a workspace of
+  T = 1 runs ``Workspace.step``, of any weights of its shapes. Each caller
+  owns the workspaces it steps: the controller one for its FHOCP and one
+  for its reference calculation, the closed loop one for its observer, its
+  plant model and its initial estimate, the K_bar grid one, training and
+  FIT one per sequence length. So callers that share a model share no
+  scratch; the function ``step`` runs in the workspace it is given, and
+  only the one-shot ``rollout`` builds its own.
 - A sweep that is the workspace's last sweep shifted by one stage runs
-  one step. The guard is exact: the same weights object and length
-  T >= 2, a start equal to the last sweep's stage-1 state and inputs
-  equal to its inputs moved up one row, all compared by their bytes
-  against copies the workspace keeps of the last sweep, so -0.0 is not
-  +0.0. The rows, h and tanh(c+) then move up one stage, step T-1 runs
-  through its per-step views, and every result keeps its bytes. A
-  ``Workspace.step`` forgets the last sweep. The closed loop's FHOCP
+  one step. The guard is exact: the same weights object, T >= 2, a start
+  equal to the last sweep's stage-1 state and inputs equal to its inputs
+  moved up one row, all compared by their bytes against copies the
+  workspace keeps of the last sweep, so -0.0 is not +0.0. The rows, h and
+  tanh(c+) then move up one stage, step T-1 runs through its per-step
+  views, and every result keeps its bytes. The closed loop's FHOCP
   candidate, the accepted plan shifted, is such a sweep, from the state
   that plan predicted; the sweeps' results are read-only, since the next
   shifted sweep starts from them.
@@ -252,8 +251,8 @@ def rollout(w, c0, h0, u_seq):
 
 def step(w, x, u, workspace):
     """One state update from the ``LstmState`` x, a new ``LstmState``: the
-    ``Workspace.step`` of ``workspace``, of ``w``'s shapes and at least one
-    step. Warns (does not reject) if u leaves its box."""
+    ``Workspace.step`` of ``workspace``, of ``w``'s shapes and one step.
+    Warns (does not reject) if u leaves its box."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (w.m,):
         raise DimensionError(f"input shape {u.shape} != ({w.m},)")
@@ -265,14 +264,14 @@ def step(w, x, u, workspace):
 
 class Workspace:
     """The one owner of the buffers that a model's steps write: those of
-    sweeps of up to ``n_t`` steps of (n, m) weights, each allocated once
+    sweeps of exactly ``n_t`` steps of (n, m) weights, each allocated once
     with its per-step views, the loop buffers of ``rollout`` and ``step``
     and, on first use, those of ``linearize``, ``sensitivities`` and
     ``adjoint``. A sweep takes the weights it runs, so one workspace serves
     every model of these shapes, such as each update's new weights in
-    training; a sweep of T < ``n_t`` steps runs in the leading rows, and
-    ``step`` in the first, so it needs ``n_t`` >= 1. Each sweep or step
-    checks that it fits and overwrites the last one's results, and the
+    training; ``step`` is the sweep of a workspace of ``n_t`` = 1. Each
+    sweep or step checks its weights' shapes and its length, else
+    DimensionError, and overwrites the last one's results, and the
     linearizations read the last one; a sweep that is the last sweep
     shifted by one stage runs its last step alone (``rollout``). Callers
     that share a model each own their workspaces, so they share no
@@ -283,22 +282,22 @@ class Workspace:
         c, steps = row[:, :n], list(steps)
         self.n, self.m, self.n_t = n, m, n_t
         self._buffers = c, h, pre, steps, cache, fc_ig
-        self._row, self._moves = row, _stage_moves(row, h, cache[2])
+        self._moves = _stage_moves(row, h, cache[2])
         # what callers see: read-only views, since a shifted sweep reuses them
         self._results = (*_read_only(c, h), _read_only(*cache))
         # a step's views: its preactivations, the injection's scratch, c, the
-        # loop's first step, its scratch, c+ and h+
-        self._first = (pre[0], np.empty(4 * n), c, steps[:1], fc_ig,
-                       *_read_only(c[1], h[1])) if n_t else None
+        # loop's one step, its scratch, c+ and h+
+        self._first = (pre[0], np.empty(4 * n), c, steps, fc_ig,
+                       *_read_only(c[1], h[1])) if n_t == 1 else None
         self._linear = self._sens = self._reverse = self._shift = None
 
     def _check(self, w, n_t):
         """DimensionError unless the weights ``w`` have this workspace's
-        (n, m) and ``n_t`` steps fit in it."""
+        (n, m) and the sweep its ``n_t`` steps."""
         if (w.n, w.m) != (self.n, self.m):
             raise DimensionError(f"weights of (n, m) = ({w.n}, {w.m}) in a workspace "
                                  f"of ({self.n}, {self.m})")
-        if not 0 <= n_t <= self.n_t:
+        if n_t != self.n_t:
             raise DimensionError(f"a sweep of {n_t} steps in a workspace of {self.n_t}")
 
     def rollout(self, w, c0, h0, u_seq):
@@ -308,10 +307,10 @@ class Workspace:
         which its next sweep or step overwrites.
 
         A sweep that is the last sweep shifted by one stage runs one step:
-        the same weights object and length T >= 2, a start equal to the
-        last sweep's stage-1 state, and inputs whose first T-1 rows equal
-        the last inputs' rows 1..T-1, all by their bytes, against copies
-        kept of the last sweep (T m + 2n floats). Its stages 0..T-1 and
+        the same weights object, T >= 2, a start equal to the last sweep's
+        stage-1 state, and inputs whose first T-1 rows equal the last
+        inputs' rows 1..T-1, all by their bytes, against copies kept of
+        the last sweep (T m + 2n floats). Its stages 0..T-1 and
         steps 0..T-2 are then the last sweep's stages and steps 1.., so
         the rows [c_k | z_k], h and tanh(c+) move up by one stage and only
         step T-1 runs; the preactivations are formed whole, as in every
@@ -319,43 +318,33 @@ class Workspace:
         the previous plan shifted, from the state that plan predicted, is
         such a sweep."""
         u_seq = np.asarray(u_seq, dtype=float)
-        n_t = len(u_seq)
-        self._check(w, n_t)
+        self._check(w, len(u_seq))
         last, self._shift = self._shift, None
-        c, h, pre, steps, (_, _, tc), fc_ig = self._buffers
-        c_out, h_out, cache = self._results
-        if n_t < self.n_t:                          # in the leading rows
-            c, h, c_out, h_out = (x[:n_t + 1] for x in (c, h, c_out, h_out))
-            pre, steps, cache = pre[:n_t], steps[:n_t], tuple(x[:n_t] for x in cache)
+        c, h, pre, steps, _, fc_ig = self._buffers
         c[0], h[0] = c0, h0
         u_seq.dot(w.W_half.T, pre)
         pre += w.b_half
         u_bytes, row_bytes = u_seq.tobytes(), u_seq.itemsize * self.m
         # the inputs first: they tell a trial plan from the shifted one
-        if last is not None and last[0] is w and last[1] == n_t \
-                and last[2] == u_bytes[:-row_bytes] and last[3] == c[0].tobytes() \
-                and last[4] == h[0].tobytes():
-            moves = self._moves if n_t == self.n_t else \
-                _stage_moves(self._row[:n_t + 1], h, tc[:n_t])
-            for stages, later in moves:             # stages and steps 1.. become 0..
+        if last is not None and last[0] is w and last[1] == u_bytes[:-row_bytes] \
+                and last[2] == c[0].tobytes() and last[3] == h[0].tobytes():
+            for stages, later in self._moves:       # stages and steps 1.. become 0..
                 stages[...] = later
             _run(w, h[-2], steps[-1:], fc_ig)
         else:
             _run(w, h[0], steps, fc_ig)
-        if n_t >= 2:
-            self._shift = w, n_t, u_bytes[row_bytes:], c[1].tobytes(), h[1].tobytes()
-        self._last = w, n_t
-        return c_out, h_out, cache
+        if self.n_t >= 2:
+            self._shift = w, u_bytes[row_bytes:], c[1].tobytes(), h[1].tobytes()
+        self._last = w
+        return self._results
 
     def step(self, w, c, h, u, inject=None):
         """One step of the weights ``w`` from (c, h) with the (m,) input
         ``u`` and, if given, ``inject`` (4n,) added to the preactivations:
-        (c+, h+), read-only views of this workspace's first rows, which its
-        next step or sweep overwrites. ``rollout``'s loop over one step,
-        with its checks and without its slices; the next sweep after it is
-        a full one."""
+        (c+, h+), read-only views of this one-step workspace's rows, which
+        its next step or sweep overwrites. ``rollout``'s loop and checks,
+        without its shift test, which a sweep of one step never passes."""
         self._check(w, 1)
-        self._shift = None
         pre, scaled, c_rows, first, fc_ig, c_next, h_next = self._first
         np.asarray(u).dot(w.W_half.T, pre)
         pre += w.b_half
@@ -363,7 +352,7 @@ class Workspace:
             pre += np.multiply(inject, w._scale, out=scaled)
         c_rows[0] = c
         _run(w, h, first, fc_ig)
-        self._last = w, 1
+        self._last = w
         return c_next, h_next
 
     def linearize(self):
@@ -379,18 +368,14 @@ class Workspace:
         and dh+/du = k_t dc+/du + k_o W_o, where each step's
         ``_local_factors`` (f, k_f, ..., k_t) scale the rows they multiply.
         """
-        w, n_t = self._last
         if self._linear is None:
             c, _, _, _, cache, _ = self._buffers
             factors = _factor_buffers(c, cache)
             jac, *self._sens = _sensitivity_buffers(self.n, self.m, self.n_t)
             self._linear = factors, _jacobian_buffers(factors[-6:], jac), jac
         factors, jacobians, jac = self._linear
-        if n_t < self.n_t:
-            factors, jacobians = (tuple(x[:n_t] for x in b) for b in (factors, jacobians))
-            jac = jac[:n_t]
         _local_factors(factors)
-        _step_jacobians(w, jacobians)
+        _step_jacobians(self._last, jacobians)
         return jac
 
     def sensitivities(self):
@@ -403,10 +388,7 @@ class Workspace:
         Every B_k is copied first, in one call: no product writes its
         block, and S_k+1 = A_k S_k reads B_k-1's."""
         jac = self.linearize()
-        n_t = len(jac)
         s, b_in_s, steps = self._sens
-        if n_t < self.n_t:
-            s, b_in_s, steps = s[:n_t + 1, :, :n_t * self.m], b_in_s[:n_t], steps[:max(n_t - 1, 0)]
         np.copyto(b_in_s, jac[:, :, 2 * self.n:])
         matmul = np.matmul                          # looked up once
         for a_k, s_k, s_next in steps:
@@ -428,14 +410,12 @@ class Workspace:
         factors are new arrays of each call, like dz: kept, they would hold
         9 T n more for as long as training's workspace lives.
         """
-        w, n_t = self._last
         if self._reverse is None:
             self._reverse = _adjoint_buffers(self.n, self.m, self.n_t)
         lam, aug, steps = self._reverse
         c, _, _, _, cache, _ = self._buffers
-        factors = _local_factors(_factor_buffers(c[:n_t + 1], tuple(x[:n_t] for x in cache)))
-        return _adjoint(w, factors, dc_stage, dh_stage, lam[:n_t + 1], aug,
-                        itertools.islice(steps, self.n_t - n_t, None))
+        return _adjoint(self._last, _local_factors(_factor_buffers(c, cache)), dc_stage,
+                        dh_stage, lam, aug, iter(steps))
 
 
 def _factor_buffers(c, cache):
@@ -521,9 +501,7 @@ def _sensitivity_buffers(n, m, n_t):
     """The step Jacobians (T, 2n, 2n+m) and S, zeros; the (T, 2n, m) view of
     S whose block k is S_k+1's columns of u_k, where B_k goes; and the
     per-step views of ``sensitivities``' products, from k = 1 (S_1 = B_0
-    alone): A_k and S_k's and S_k+1's columns of u_0..u_k-1. A sweep of
-    fewer steps runs in the leading steps, on S's leading stages and
-    columns, whose strides are the same."""
+    alone): A_k and S_k's and S_k+1's columns of u_0..u_k-1."""
     n2 = 2 * n
     jac, s = np.zeros((n_t, n2, n2 + m)), np.zeros((n_t + 1, n2, n_t * m))
     # the blocks S[k+1, :, k m:(k+1) m], one stage and m columns apart
@@ -538,7 +516,7 @@ def _adjoint_buffers(n, m, n_t):
     [A_k; stage-k partials] (block, 2n+1, 2n), zeros, and the per-step views
     (lam_k, [lam_k+1 | 1], step k's slot of the block), a list from
     k = T-1 down to 0. Blocks start at multiples of the block size, so step
-    k takes slot k % block in every sweep of T or fewer steps."""
+    k takes slot k % block."""
     n2 = 2 * n
     block = min(_sweep_block(n, m), max(n_t, 1))
     lam, aug = np.ones((n_t + 1, n2 + 1)), np.zeros((block, n2 + 1, n2))

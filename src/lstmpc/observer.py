@@ -127,7 +127,7 @@ class ObserverCertificate(ObserverSpec):
 def observer_step(w, spec, chi_hat, u, y_measured, workspace):
     """One observer update driven by the measured output, one
     ``lstm.Workspace.step`` of ``w`` in ``workspace``, of the weights'
-    shapes and at least one step: the innovation
+    shapes and one step: the innovation
     enters the f, i, o preactivations, and the disturbance estimate
     integrates it, saturated at +-d_max.
     Raises DimensionError for gains that do not fit the model.

@@ -176,7 +176,7 @@ def solve_reference(w, y0, d_hat, workspace, warm_start=None):
     or if that fails other than on the input box (a warm start need not be
     an equilibrium at all), from the attractor of u = 0, which is one by
     construction. Every cell step and Jacobian runs in ``workspace``, an
-    ``lstm.Workspace`` of the weights' shapes and at least one step. Raises
+    ``lstm.Workspace`` of the weights' shapes and one step. Raises
     DimensionError unless y0 and d_hat hold p entries each."""
     if w.m != w.p:
         raise InfeasibleReferenceError("reference calculation needs m == p", "singular")

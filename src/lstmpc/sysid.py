@@ -3,9 +3,9 @@
 The trainer is backpropagation through time with an Adam update: each
 ``loss`` call runs one rollout and one adjoint, the reverse sweep over the
 model's step Jacobians, in the ``lstm.Workspace`` it is given, the one
-``train`` builds for all its updates. The loss carries soft penalties on
-the two stability margins r1, r2 so the final network is certifiable;
-training only terminates once both margins are negative.
+``train`` builds for the sequence's length. The loss carries soft
+penalties on the two stability margins r1, r2 so the final network is
+certifiable; training only terminates once both margins are negative.
 """
 
 import csv
@@ -205,7 +205,7 @@ class TrainConfig:
 
 def _forward(w, u_seq, workspace):
     """Open-loop rollout from the zero state over all but the last input,
-    in the ``lstm.Workspace`` ``workspace``, of at least len(u_seq) - 1 steps.
+    in the ``lstm.Workspace`` ``workspace``, of len(u_seq) - 1 steps.
 
     Returns (y_hat, c, h, cache, u2): outputs and states of shape (t, .)
     for the t = len(u_seq) samples, and the inputs as a (t, m) array.
@@ -225,7 +225,7 @@ def loss(w, u_seq, y_seq, cfg, workspace):
     """(value, grads): training loss (MSE past washout + stability-margin
     penalties) and its gradient for each array in ``lstm.PARAMETERS``.
     The rollout and its reverse sweep run in the ``lstm.Workspace``
-    ``workspace``, of at least len(u_seq) - 1 steps."""
+    ``workspace``, of len(u_seq) - 1 steps."""
     t = len(u_seq)
     y_seq = np.asarray(y_seq, dtype=float).reshape(t, -1)
     y_hat, c, h, cache, u2 = _forward(w, u_seq, workspace)
@@ -294,8 +294,8 @@ def train(data, cfg, init=None, callback=None):
     test and ``callback(epoch, mean loss, (r1, r2))`` read the margins of
     the weights after the epoch's last update. Each update builds new
     weights, which carry the training split's normalization ranges; every
-    ``loss`` call runs in one ``lstm.Workspace``, sized to the longest
-    training sequence and built once per call.
+    ``loss`` call runs in the one ``lstm.Workspace`` of its sequence's
+    length, built once per call.
     """
     if not data.train:
         raise TrainingError("the training split is empty")
@@ -305,8 +305,8 @@ def train(data, cfg, init=None, callback=None):
         cfg, m=1, p=1, u_range=u_range, y_range=y_range)
     if cfg.epochs == 0 and (bounds := lstm.gate_bounds(w)).r1 < 0 and bounds.r2 < 0:
         return w
-    longest = max(len(u) for u, _ in data.train)
-    workspace = lstm.Workspace(w.n, w.m, max(longest - 1, 0))    # each loss sweeps t - 1 steps
+    workspaces = {t: lstm.Workspace(w.n, w.m, max(t - 1, 0))    # each loss sweeps t - 1 steps
+                  for t in {len(u) for u, _ in data.train}}
     rng = np.random.default_rng(cfg.seed + 1)
     mom = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
     vel = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
@@ -319,7 +319,7 @@ def train(data, cfg, init=None, callback=None):
         for s in order:
             u_seq, y_seq = data.train[s]
             try:
-                value, grads = loss(w, u_seq, y_seq, cfg, workspace)
+                value, grads = loss(w, u_seq, y_seq, cfg, workspaces[len(u_seq)])
             except TrainingError as exc:
                 raise TrainingError(f"epoch {epoch}, sequence {s}: {exc}") from exc
             epoch_loss += value
@@ -364,14 +364,14 @@ def fit_index(y_real, y_pred):
 
 def evaluate_fit(w, sequences, washout=50):
     """Mean FIT of open-loop predictions over a list of (u, y) sequences,
-    each predicted in one ``lstm.Workspace`` sized to the longest; raises
-    UndefinedMetricError on an empty list."""
+    each predicted in the one ``lstm.Workspace`` of its length, built here;
+    raises UndefinedMetricError on an empty list."""
     if not sequences:
         raise UndefinedMetricError("no sequences to evaluate FIT on")
-    longest = max(len(u_seq) for u_seq, _ in sequences)
-    workspace = lstm.Workspace(w.n, w.m, max(longest - 1, 0))
+    workspaces = {t: lstm.Workspace(w.n, w.m, max(t - 1, 0))
+                  for t in {len(u_seq) for u_seq, _ in sequences}}
     fits = []
     for u_seq, y_seq in sequences:
-        y_hat = _forward(w, u_seq, workspace)[0][:, 0]
+        y_hat = _forward(w, u_seq, workspaces[len(u_seq)])[0][:, 0]
         fits.append(fit_index(np.asarray(y_seq)[washout:], y_hat[washout:]))
     return float(np.mean(fits))

@@ -257,8 +257,8 @@ def test_sweep_buffers_are_built_by_their_owners_only():
     # of the buffers of a sweep or step: the controller's FHOCP and its
     # reference calculation run in one each, the closed loop's observer,
     # plant model and initial estimate in one, the K_bar grid in one,
-    # training and FIT in one per call, and the one-shot rollout and
-    # prediction in one of their own
+    # training and FIT in one per sequence length, and the one-shot rollout
+    # and prediction in one of their own
     built = {name: set() for name in WORKSPACE_OWNERS}
     for module, tree in _trees().items():
         for qualname, call in _calls_by_function(tree, module.removesuffix(".py")):

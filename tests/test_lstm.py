@@ -134,17 +134,24 @@ class TestKernelOracle:
     @pytest.mark.parametrize("n_steps", [0, 1, 5, 300])
     @pytest.mark.parametrize("injected", [False, True])
     def test_rollout_and_adjoint(self, bench_w, net, n_steps, injected):
-        # ``injected``: an injected step, the observer's, ran in the workspace
-        # first; a workspace the closed loop shares between its observer and
-        # its plant model must keep none of it in the next sweep or reverse
+        # ``injected``: an injected step, the observer's, went to the workspace
+        # first; a one-step workspace the closed loop shares between its
+        # observer and its plant model must keep none of it in the next sweep
+        # or reverse, and any other workspace rejects the step, untouched
         w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
         rng = np.random.default_rng(n_steps)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
-        ws = lstm.Workspace(w.n, w.m, max(n_steps, 1) if injected else n_steps)
+        ws = lstm.Workspace(w.n, w.m, n_steps)
         if injected:
-            ws.step(w, -x0.c, -x0.h, rng.uniform(-1.0, 1.0, w.m),
+            step = (w, -x0.c, -x0.h, rng.uniform(-1.0, 1.0, w.m),
                     rng.normal(scale=0.5, size=4 * w.n))
+            if n_steps == 1:
+                ws.step(*step)
+            else:
+                with pytest.raises(DimensionError,
+                                   match=f"a sweep of 1 steps in a workspace of {n_steps}$"):
+                    ws.step(*step)
         c, h, cache = ws.rollout(w, x0.c, x0.h, u)
         c_ref, h_ref, cache_ref = rollout_oracle(w, x0.c, x0.h, u)
         np.testing.assert_array_equal(c, c_ref)
@@ -301,20 +308,23 @@ class TestAdjointBlocks:
 
     @pytest.mark.parametrize("block_steps", [1, 3])
     def test_block_edges_in_a_workspace(self, bench_w, monkeypatch, block_steps):
-        # blocks of 1 or 3 steps, forced small: sweeps shorter than the
-        # workspace, of 1-3 blocks and one step either side of their edges,
-        # equal the dz of a workspace of the sweep's length bit for bit
+        # blocks of 1 or 3 steps, forced small: sweeps of 1-3 blocks and one
+        # step either side of their edges, each the second sweep and reverse
+        # of a workspace of its length, equal the dz of a fresh workspace bit
+        # for bit
         w = bench_w
         step_bytes = 8 * 2 * w.n * (2 * w.n + w.m)
         monkeypatch.setattr(lstm, "_SWEEP_BLOCK_BYTES", block_steps * step_bytes)
         assert lstm._sweep_block(w.n, w.m) == block_steps
-        ws = lstm.Workspace(w.n, w.m, 10)
         rng = np.random.default_rng(block_steps)
         for n_steps in (10, block_steps - 1, block_steps, block_steps + 1, 2 * block_steps + 1,
                         3 * block_steps, 7):
             x0 = random_invariant_state(w, rng)
             u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
             dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
+            ws = lstm.Workspace(w.n, w.m, n_steps)
+            ws.rollout(w, -x0.c, -x0.h, -u)
+            ws.adjoint(dh_stage, dc_stage)
             c, _, cache = ws.rollout(w, x0.c, x0.h, u)
             got = ws.adjoint(dc_stage, dh_stage)
             assert got.tobytes() == swept(w, x0, u)[0].adjoint(dc_stage, dh_stage).tobytes()
@@ -341,14 +351,12 @@ class TestKernelCalls:
         rng = np.random.default_rng(n_steps)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
-        exact = swept(w, x0, u)[0]
+        ws = swept(w, x0, u)[0]
         dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
-        ws = lstm.Workspace(w.n, w.m, n_steps + 3)
-        ws.rollout(w, x0.c, x0.h, u)
         calls = count_calls(monkeypatch, lstm, "_dot")
-        exact.adjoint(dc_stage, dh_stage)
-        assert len(calls) == n_steps
         ws.adjoint(dc_stage, dh_stage)
+        assert len(calls) == n_steps
+        ws.adjoint(dc_stage, dh_stage)          # a second reverse, on the same buffers
         assert len(calls) == 2 * n_steps
 
     @pytest.mark.parametrize("n_steps", [0, 1, 5, 300])
@@ -357,14 +365,14 @@ class TestKernelCalls:
         rng = np.random.default_rng(n_steps)
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
-        ws = lstm.Workspace(w.n, w.m, n_steps + 3)
+        ws, cell = lstm.Workspace(w.n, w.m, n_steps), lstm.Workspace(w.n, w.m, 1)
         calls = count_calls(monkeypatch, lstm, "_dot")
         lstm.rollout(w, x0.c, x0.h, u)
         assert len(calls) == n_steps
         ws.rollout(w, x0.c, x0.h, u)
         assert len(calls) == 2 * n_steps
         for k in range(n_steps):
-            ws.step(w, x0.c, x0.h, u[k])
+            cell.step(w, x0.c, x0.h, u[k])
             assert len(calls) == 2 * n_steps + k + 1
 
     def test_training_loss_makes_no_np_dot_call(self, bench_w, monkeypatch):
@@ -419,10 +427,12 @@ class TestKernelPurity:
 
 class TestShiftedSweep:
     """A sweep that is the workspace's last sweep shifted by one stage (the
-    same weights object and length, its stage-1 start and its inputs moved
-    up one row) makes one product, and every result after it, the sweep's
-    and its linearize, sensitivities and adjoint, equals a fresh full
-    sweep's bit for bit; any other sweep makes T products."""
+    same weights object, its stage-1 start and its inputs moved up one row)
+    makes one product, and every result after it, the sweep's and its
+    linearize, sensitivities and adjoint, equals a fresh full sweep's bit
+    for bit; any other sweep of the workspace's length makes T products.
+    A sweep of another length, or a step, is rejected before any product,
+    and the workspace keeps its last sweep."""
 
     NETS = TestPreparedKernel.NETS
     LENGTHS = [2, 5, 10, 300]
@@ -454,12 +464,19 @@ class TestShiftedSweep:
     def test_shift_is_one_product_and_a_fresh_sweep(self, bench_w, monkeypatch, net, n_steps,
                                                     spare):
         # three shifts in a row, as in the closed loop, each from the last
-        # sweep's stage-1 state
+        # sweep's stage-1 state; a workspace with spare rows rejects the
+        # first sweep before any product
         w, rng, x0, u = self._case(bench_w, net, n_steps)
         u = np.concatenate((u, rng.uniform(-1.0, 1.0, (2, w.m))))
-        ws = lstm.Workspace(w.n, w.m, n_steps + spare)
-        got = ws.rollout(w, x0.c, x0.h, u[:n_steps])
         products = count_calls(monkeypatch, lstm, "_dot")
+        if spare:
+            with pytest.raises(DimensionError, match=f"a sweep of {n_steps} steps in a "
+                                                     f"workspace of {n_steps + spare}$"):
+                lstm.Workspace(w.n, w.m, n_steps + spare).rollout(w, x0.c, x0.h, u[:n_steps])
+            assert products == []
+        ws = lstm.Workspace(w.n, w.m, n_steps)
+        got = ws.rollout(w, x0.c, x0.h, u[:n_steps])
+        products.clear()
         for k in range(1, 4):
             x0 = LstmState(got[0][1].copy(), got[1][1].copy())
             got = ws.rollout(w, x0.c, x0.h, u[k:k + n_steps])
@@ -477,7 +494,7 @@ class TestShiftedSweep:
         k = (n_steps - 2) // 2              # an input row the two sweeps share
         if change == "input-negative-zero":
             u[k + 1, 0] = 0.0
-        ws = lstm.Workspace(w.n, w.m, n_steps + 1)
+        ws = lstm.Workspace(w.n, w.m, n_steps)
         c, h, _ = ws.rollout(w, x0.c, x0.h, u[:n_steps])
         start, nxt, net_2 = LstmState(c[1].copy(), h[1].copy()), u[1:].copy(), w
         if change == "equal-weights":
@@ -491,22 +508,32 @@ class TestShiftedSweep:
         elif change == "input-negative-zero":
             assert nxt[k, 0] == 0.0 and not np.signbit(nxt[k, 0])
             nxt[k, 0] = -0.0
-        elif change == "step-between":
-            ws.step(w, start.c, start.h, nxt[0])
+        elif change == "step-between":     # rejected: a step needs a one-step workspace
+            with pytest.raises(DimensionError,
+                               match=f"a sweep of 1 steps in a workspace of {n_steps}$"):
+                ws.step(w, start.c, start.h, nxt[0])
         elif change == "shorter":
             nxt = nxt[:-1]
         else:
             nxt = np.concatenate((nxt, u[-1:]))
         products = count_calls(monkeypatch, lstm, "_dot")
+        if change in ("shorter", "longer"):     # rejected before any product
+            with pytest.raises(DimensionError, match=f"a sweep of {len(nxt)} steps in a "
+                                                     f"workspace of {n_steps}$"):
+                ws.rollout(net_2, start.c, start.h, nxt)
+            assert products == []
+            nxt = u[1:]
         got = ws.rollout(net_2, start.c, start.h, nxt)
-        assert len(products) == len(nxt)
+        # after a rejected call, the shift of the workspace's last sweep
+        rejected = change in ("step-between", "shorter", "longer")
+        assert len(products) == (1 if rejected else len(nxt))
         monkeypatch.undo()
         self._assert_fresh(ws, got, net_2, start, nxt, rng)
 
     @pytest.mark.parametrize("n_steps", [0, 1])
     def test_sweeps_of_one_step_or_none_are_full(self, bench_w, monkeypatch, n_steps):
         w, rng, x0, u = self._case(bench_w, "bench", n_steps)
-        ws = lstm.Workspace(w.n, w.m, 1)
+        ws = lstm.Workspace(w.n, w.m, n_steps)
         products = count_calls(monkeypatch, lstm, "_dot")
         c, h, _ = ws.rollout(w, x0.c, x0.h, u[:n_steps])
         start = LstmState(c[-1].copy(), h[-1].copy())
@@ -518,12 +545,11 @@ class TestShiftedSweep:
     def test_results_are_read_only(self, bench_w):
         # the next shifted sweep starts from them, so no caller writes them
         w, _, x0, u = self._case(bench_w, "bench", 5)
-        for n_t in (5, 7):
-            ws = lstm.Workspace(w.n, w.m, n_t)
-            c, h, cache = ws.rollout(w, x0.c, x0.h, u[:5])
-            for out in (c, h, *cache, *ws.step(w, x0.c, x0.h, u[0])):
-                with pytest.raises(ValueError, match="read-only"):
-                    out[0] = 0.0
+        ws, cell = lstm.Workspace(w.n, w.m, 5), lstm.Workspace(w.n, w.m, 1)
+        c, h, cache = ws.rollout(w, x0.c, x0.h, u[:5])
+        for out in (c, h, *cache, *cell.step(w, x0.c, x0.h, u[0])):
+            with pytest.raises(ValueError, match="read-only"):
+                out[0] = 0.0
 
 
 class TestSigmoid:
@@ -672,18 +698,21 @@ class TestSensitivities:
 
     @pytest.mark.parametrize("net", ["bench", "small"])
     def test_workspace_sweeps_of_other_weights_and_lengths(self, bench_w, net):
-        # one workspace runs each sweep on the weights it is given, a sweep of
-        # fewer steps in its leading rows; after sweeps of other weights, and of
-        # more and fewer steps, each result is a fresh workspace's bit for bit
+        # a workspace runs each sweep on the weights it is given; after sweeps
+        # of other weights, with the sweeps of other lengths in workspaces of
+        # their own, one per length as in training, each result is a fresh
+        # workspace's bit for bit
         w = bench_w if net == "bench" else small_net(n=3, m=2, p=2)
         other = small_net(seed=7, n=w.n, m=w.m, p=w.p, scale=0.3)
-        ws = lstm.Workspace(w.n, w.m, 12)
+        workspaces = {n_t: lstm.Workspace(w.n, w.m, n_t) for n_t in (12, 7, 3, 0)}
         rng = np.random.default_rng(4)
-        for net_k, n_steps in ((other, 12), (w, 7), (other, 3), (w, 12), (w, 0), (w, 5)):
+        for net_k, n_steps in ((other, 12), (w, 7), (other, 3), (w, 12), (w, 0), (other, 7),
+                               (w, 3)):
             x0 = random_invariant_state(net_k, rng)
             u = rng.uniform(-0.9, 0.9, (n_steps, w.m))
             dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
             fresh, c, h, cache = swept(net_k, x0, u)
+            ws = workspaces[n_steps]
             got = ws.rollout(net_k, x0.c, x0.h, u)
             assert [a.tobytes() for a in (*got[:2], *got[2])] == \
                 [a.tobytes() for a in (c, h, *cache)]
@@ -692,11 +721,13 @@ class TestSensitivities:
                 fresh.adjoint(dc_stage, dh_stage).tobytes()
 
     def test_workspace_rejects_a_sweep_it_cannot_hold(self, bench_w):
-        # a longer sweep, or weights of another input or state count
+        # a longer or a shorter sweep, or weights of another input or state count
         ws = lstm.Workspace(bench_w.n, bench_w.m, 4)
         zero = np.zeros(bench_w.n)
-        with pytest.raises(DimensionError, match="a sweep of 5 steps in a workspace of 4"):
-            ws.rollout(bench_w, zero, zero, np.zeros((5, bench_w.m)))
+        for n_steps in (5, 3):
+            with pytest.raises(DimensionError,
+                               match=f"a sweep of {n_steps} steps in a workspace of 4"):
+                ws.rollout(bench_w, zero, zero, np.zeros((n_steps, bench_w.m)))
         for net in (small_net(n=bench_w.n, m=bench_w.m + 1), small_net(n=bench_w.n + 1)):
             zero = np.zeros(net.n)
             with pytest.raises(DimensionError, match=rf"weights of \(n, m\) = \({net.n}, "
@@ -708,10 +739,11 @@ class TestSensitivities:
         (dict(n=4), 1, r"weights of \(n, m\) = \(4, 1\) in a workspace of \(5, 1\)"),
         (dict(m=2, p=2), 1, r"weights of \(n, m\) = \(5, 2\) in a workspace of \(5, 1\)"),
         (None, 0, "a sweep of 1 steps in a workspace of 0"),
-    ], ids=["other-n", "other-m", "no-steps"])
+        (None, 4, "a sweep of 1 steps in a workspace of 4"),
+    ], ids=["other-n", "other-m", "no-steps", "several-steps"])
     def test_workspace_step_rejects_a_step_it_cannot_hold(self, bench_w, net, n_t, message):
         # a step checks what a sweep checks: weights of the workspace's (n, m),
-        # and room for its one step
+        # and a workspace of its one step
         ws = lstm.Workspace(bench_w.n, bench_w.m, n_t)
         w = bench_w if net is None else small_net(**{"n": bench_w.n, **net})
         zero = np.zeros(w.n)
@@ -798,11 +830,17 @@ class TestStepJacobians:
             s = ws.sensitivities()
             fresh = swept(w, LstmState(c[0], c[1]), c[1:, :w.m])[0]
             assert s.tobytes() == fresh.sensitivities().tobytes()
-        # one step, in a one-step workspace and in the first rows of a longer one
+        # one step, in a new one-step workspace and in the swept one, which
+        # rejects it unless it is a one-step workspace too
         want = np.zeros((n2, n2 + w.m))
         step_jacobians_oracle(w, local_factors_oracle(*lstm.rollout(
             w, c[0], c[1], c[1:2, :w.m])[::2]), want[None])
         for one in (lstm.Workspace(w.n, w.m, 1), ws):
+            if one.n_t != 1:
+                with pytest.raises(DimensionError,
+                                   match=f"a sweep of 1 steps in a workspace of {n_steps}$"):
+                    one.step(w, c[0], c[1], c[1, :w.m])
+                continue
             one.step(w, c[0], c[1], c[1, :w.m])
             jac = one.linearize()
             assert jac.shape == (1, n2, n2 + w.m)

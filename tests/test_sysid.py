@@ -1,5 +1,6 @@
 """Unit tests for excitation design, datasets and the penalized trainer."""
 
+import hashlib
 import multiprocessing
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from lstmpc import lstm, plant, sysid
-from lstmpc.errors import TrainingError, UndefinedMetricError, UnphysicalStateError
+from lstmpc.errors import DimensionError, TrainingError, UndefinedMetricError, UnphysicalStateError
 
 from conftest import small_net, with_arrays
 
@@ -159,17 +160,21 @@ class TestLoss:
             assert r1 > 0.0
 
     def test_used_workspace_gives_the_fresh_loss(self, bench_w):
-        # a training workspace that ran other weights, a longer and a shorter
-        # sequence gives, bit for bit, the loss of a workspace built for the call
+        # a training workspace that rejected a longer and a shorter sequence
+        # and ran other weights gives, bit for bit, the loss of a workspace
+        # built for the call
         cfg = sysid.TrainConfig(n_neurons=bench_w.n, washout=10)
         rng = np.random.default_rng(6)
         other = small_net(seed=4, n=bench_w.n, scale=0.3)
-        workspace = lstm.Workspace(bench_w.n, bench_w.m, 399)
+        workspace = lstm.Workspace(bench_w.n, bench_w.m, 249)
         u, y = generate_staircase(rng, 250), rng.uniform(-1, 1, 250)
         fresh = fresh_loss(bench_w, u, y, cfg)
-        for net, steps in ((other, 400), (bench_w, 120), (other, 250)):
-            sysid.loss(net, generate_staircase(rng, steps), rng.uniform(-1, 1, steps), cfg,
-                       workspace)
+        for net, steps in ((other, 400), (bench_w, 120)):
+            with pytest.raises(DimensionError,
+                               match=f"a sweep of {steps - 1} steps in a workspace of 249"):
+                sysid.loss(net, generate_staircase(rng, steps), rng.uniform(-1, 1, steps), cfg,
+                           workspace)
+        sysid.loss(other, generate_staircase(rng, 250), rng.uniform(-1, 1, 250), cfg, workspace)
         used = sysid.loss(bench_w, u, y, cfg, workspace)
         assert repr(used[0]) == repr(fresh[0])
         assert {k: g.tobytes() for k, g in used[1].items()} == \
@@ -260,10 +265,11 @@ class TestTrain:
             sysid.train(ds, cfg, init=init)
 
     def test_builds_one_workspace_whatever_the_epochs(self, monkeypatch):
-        # counted by a spy, in exact numbers: training sequences of three
-        # lengths share one workspace, built once per call
-        ds = synthetic_dataset(n_train=3, steps=60)
-        ds.train = [(u[:n], y[:n]) for (u, y), n in zip(ds.train, (60, 35, 48))]
+        # counted by a spy, in exact numbers: four training sequences of
+        # three lengths, one workspace per length, each of t - 1 steps, built
+        # once per call
+        ds = synthetic_dataset(n_train=4, steps=60)
+        ds.train = [(u[:n], y[:n]) for (u, y), n in zip(ds.train, (60, 35, 60, 48))]
         built = []
         init = lstm.Workspace.__init__
         monkeypatch.setattr(lstm.Workspace, "__init__",
@@ -272,8 +278,27 @@ class TestTrain:
         for epochs in (1, 3):
             built.clear()
             sysid.train(ds, sysid.TrainConfig(epochs=epochs, n_neurons=3, washout=10))
-            counts.append(built[:])
-        assert counts == [[(3, 1, 59)], [(3, 1, 59)]]
+            counts.append(sorted(built))
+        assert counts == [[(3, 1, 34), (3, 1, 47), (3, 1, 59)]] * 2
+
+    # Training and FIT on sequences of two lengths, pinned: the weights'
+    # sha256 over lstm.PARAMETERS and repr(FIT) that a trainer sweeping every
+    # sequence in one workspace of the longest length gave.
+    RAGGED_WEIGHTS = "56832f6e1d06cee5d8cc39d6445b7de9534d5674d5e145c0761a74fdc8c7d369"
+    RAGGED_FIT = "84.0752533502743"
+
+    def test_ragged_lengths_give_the_pinned_weights_and_fit(self, bench_w):
+        # training and test splits of sequences of 400 and 300 samples,
+        # warm-started from the shipped model
+        ds = sysid.generate_dataset(seed=3, n_train=4, n_val=0, n_test=2, steps=400)
+        ds.train, ds.test = ([(u[:t], y[:t]) for (u, y), t in zip(split, (400, 300, 400, 300))]
+                             for split in (ds.train, ds.test))
+        w = sysid.train(ds, sysid.TrainConfig(epochs=3, n_neurons=bench_w.n, seed=2),
+                        init=bench_w)
+        digest = hashlib.sha256(b"".join(getattr(w, name).tobytes()
+                                         for name in lstm.PARAMETERS)).hexdigest()
+        assert digest == self.RAGGED_WEIGHTS
+        assert repr(sysid.evaluate_fit(w, ds.test)) == self.RAGGED_FIT
 
     def test_non_finite_input_in_memory_names_epoch_and_sequence(self):
         # a Dataset built in memory skips load_dataset's check: the loss
@@ -452,20 +477,22 @@ class TestHookPoints:
 
     def test_loss_runs_one_rollout_and_one_adjoint(self, monkeypatch):
         # a workspace's forward and reverse loops, once each per loss, in a
-        # workspace of the sequence's length or a longer one
+        # new workspace of the sequence's length and again in the same one
         w = small_net(seed=2, n=3)
         cfg = sysid.TrainConfig(washout=5, n_neurons=3)
         u = np.random.default_rng(3).uniform(-1, 1, 30)
         forward = self._count(monkeypatch, lstm.Workspace, ("rollout",))
         reverse = self._count(monkeypatch, lstm, ("_adjoint",))
         seen = []
-        for workspace in (lstm.Workspace(w.n, w.m, 29), lstm.Workspace(w.n, w.m, 40)):
+        workspace = lstm.Workspace(w.n, w.m, 29)
+        for _ in range(2):
             sysid.loss(w, u, u, cfg, workspace)
             seen.append({**forward(), **reverse()})
         assert seen == [{"rollout": 1, "_adjoint": 1}, {"rollout": 2, "_adjoint": 2}]
 
     def test_train_calls_loss_through_the_module(self, monkeypatch):
         # once per training sequence per epoch, each call in the one workspace
+        # of the sequences' one length
         ds = synthetic_dataset(n_train=3, steps=40)
         cfg = sysid.TrainConfig(epochs=2, n_neurons=3, washout=10)
         workspaces = []
