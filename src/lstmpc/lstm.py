@@ -13,7 +13,8 @@ training and the reference Jacobian all run this cell through one kernel:
 - ``LstmWeights``, the model, holds parameters only, read-only: it stores
   the gate weights once, stacked in the order ``GATES`` = (c, f, i, o), the
   one place the order is written; every (4n,)-row quantity uses it. It
-  forms its cell operands once, on construction. Each step takes all four
+  forms its cell operands once, on construction, from per-gate keywords or,
+  by ``LstmWeights.from_stacks``, from the stacks. Each step takes all four
   gates from one ``tanh`` over preactivations whose f, i, o rows are
   halved, since sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so
   the gates equal ``sigmoid``'s bit for bit.
@@ -42,9 +43,11 @@ training and the reference Jacobian all run this cell through one kernel:
   every step's [A_k | B_k] of the last sweep or step from its local
   factors; it feeds the forward sweep ``Workspace.sensitivities`` and the
   reference calculation's Newton Jacobian, and its kernels run the reverse
-  sweep ``Workspace.adjoint``. Its ufuncs run with each output
-  positional, in buffers and views the workspace builds once, where
-  building them cost more than the arithmetic.
+  sweep ``Workspace.adjoint`` one block of steps at a time. Its ufuncs run
+  with each output positional, in buffers and views the workspace builds
+  once, where building them cost more than the arithmetic: the reverse
+  sweep's first call builds each block's local factors, step Jacobians, lam
+  columns and rows of a kept dz, so no later call allocates an array.
 - The per-step loops, ``_run``'s and ``_adjoint``'s one product per step,
   call only names bound before the loop, with each output positional:
   the products go through ``np.ndarray.dot``, the same C routine as
@@ -62,7 +65,6 @@ reverse sweep, ``margin_adjoint``. ``StabilityCertificate`` forms the
 model's whole certificate, ``lyapunov_bounds`` its Lyapunov data.
 """
 
-import itertools
 import json
 import warnings
 from dataclasses import InitVar, dataclass, field
@@ -125,7 +127,8 @@ class LstmWeights:
     forms, once, the cell operands: ``U_half``, ``W_half``, ``b_half``, the
     stacks with their f, i, o rows halved; ``UW`` (4, n, n+m), the per-gate
     [U | W] blocks; and ``residual_jacobian``, the (2n+p, 2n+m) template
-    [0; 0 W_y 0] of the equilibrium residual's Jacobian. Every array is a
+    [0; 0 W_y 0] of the equilibrium residual's Jacobian; ``from_stacks``
+    builds the same weights from the stacks themselves. Every array is a
     read-only copy and no attribute can be assigned, so nothing changes a
     model once its certificate is built: a changed model is a new
     ``LstmWeights``. The weights hold no buffer: every step and
@@ -147,7 +150,26 @@ class LstmWeights:
                                    (u_rec, (n, n), "recurrent-weight"), (bias, (n,), "bias")):
             if any(a.shape != shape for a in gates):
                 raise DimensionError(f"{kind} shapes disagree")
-        W, U, b = (np.concatenate(gates) for gates in (w_in, u_rec, bias))
+        self._form(*(np.concatenate(gates) for gates in (w_in, u_rec, bias)), W_y, b_y, u_max,
+                   u_range, y_range)
+
+    @classmethod
+    def from_stacks(cls, W, U, b, W_y, b_y, u_max=1.0, u_range=None, y_range=None):
+        """The weights of the stacks ``W`` (4n, m), ``U`` (4n, n), ``b``
+        (4n,) in ``GATES`` order, with the constructor's checks and operands:
+        the constructor's result for their gates' blocks, byte for byte."""
+        w = cls.__new__(cls)
+        w._form(*(np.asarray(a, dtype=float) for a in (W, U, b)), W_y, b_y, u_max, u_range,
+                y_range)
+        return w
+
+    def _form(self, W, U, b, W_y, b_y, u_max, u_range, y_range):
+        """Check the stacks and the rest, form the cell operands and freeze."""
+        n, m = (len(W) // 4, W.shape[1]) if W.ndim == 2 else (-1, -1)
+        for a, shape, kind in ((W, (4 * n, m), "input-weight"), (U, (4 * n, n), "recurrent-weight"),
+                               (b, (4 * n,), "bias")):
+            if a.shape != shape:
+                raise DimensionError(f"{kind} shapes disagree")
         W_y, b_y = np.asarray(W_y, dtype=float), np.asarray(b_y, dtype=float)
         p = W_y.shape[0]
         if W_y.shape != (p, n) or b_y.shape != (p,):
@@ -396,37 +418,40 @@ class Workspace:
         return s
 
     def adjoint(self, dc_stage, dh_stage):
-        """Reverse sweep of the last ``rollout``: dz = dL/d(preactivation), a
-        new (T, 4n) array, so that dL/du = dz @ W and dL/d(W, U, b) =
-        (dz.T @ u, dz.T @ h[:T], dz.sum(0)).
+        """Reverse sweep of the last ``rollout``: dz = dL/d(preactivation),
+        (T, 4n), so that dL/du = dz @ W and dL/d(W, U, b) = (dz.T @ u,
+        dz.T @ h[:T], dz.sum(0)); a read-only view of this workspace's dz,
+        which the next call overwrites.
 
         ``dc_stage``/``dh_stage`` (T+1, n), read only, are the direct
         partials of L with respect to c_k and h_k at stages 0..T. The state
         adjoint lam_k = dL/d(c_k, h_k) = A_k^T lam_k+1 + the stage-k
         partials is one product [lam_k+1 | 1] [A_k; stage-k partials] per
         step, A_k by ``linearize``'s kernel one block of steps at a time;
-        then, for all k, with dct = lam^c_k+1 + k_t lam^h_k+1, dz_k = (k_g
-        dct, k_f dct, k_i dct, k_o lam^h_k+1) in ``GATES`` order. The local
-        factors are new arrays of each call, like dz: kept, they would hold
-        9 T n more for as long as training's workspace lives.
+        then, for each step of the block, with dct = lam^c_k+1 + k_t
+        lam^h_k+1, dz_k = (k_g dct, k_f dct, k_i dct, k_o lam^h_k+1) in
+        ``GATES`` order. Each block's local factors, 9 block n floats, are
+        formed in buffers the blocks share: the first call builds every
+        buffer and view of its blocks (``_adjoint_buffers``), so a call
+        allocates no array.
         """
         if self._reverse is None:
-            self._reverse = _adjoint_buffers(self.n, self.m, self.n_t)
-        lam, aug, steps = self._reverse
-        c, _, _, _, cache, _ = self._buffers
-        return _adjoint(self._last, _local_factors(_factor_buffers(c, cache)), dc_stage,
-                        dh_stage, lam, aug, iter(steps))
+            c, _, _, _, cache, _ = self._buffers
+            self._reverse = _adjoint_buffers(c, cache, self.m)
+        return _adjoint(self._last, dc_stage, dh_stage, *self._reverse)
 
 
-def _factor_buffers(c, cache):
+def _factor_buffers(c, cache, scratch=None):
     """``_local_factors``' arguments for a sweep's ``c`` and ``cache``: the
     views it reads, its scratch and the factors it writes, each with T rows
-    first."""
+    first, in the first T rows of ``scratch`` ((T', 3n) and six (T', n)
+    arrays, T' >= T) or in new arrays."""
     sig, g, tc = cache
     n_t, n = tc.shape
-    ds = np.empty((n_t, 3 * n))
+    ds, sq, *factors = ((np.empty((n_t, 3 * n)), *np.empty((6, n_t, n))) if scratch is None
+                        else (a[:n_t] for a in scratch))
     return (sig, ds, ds[:, :n], c[:-1], ds[:, n:2 * n], g, sig[:, n:2 * n], ds[:, 2 * n:], tc,
-            sig[:, 2 * n:], np.empty((n_t, n)), sig[:, :n], *np.empty((5, n_t, n)))
+            sig[:, 2 * n:], sq, sig[:, :n], *factors)
 
 
 def _local_factors(buffers):
@@ -457,13 +482,14 @@ def _local_factors(buffers):
     return tuple(factors)
 
 
-def _jacobian_buffers(factors, out):
+def _jacobian_buffers(factors, out, scratch=None):
     """``_step_jacobians``' arguments for the local ``factors`` and a (T,
     >= 2n, 2n+m) ``out``, or a (T, >= 2n, 2n) one for A_k alone: the
     factors, as they are and as (T, n, 1) columns, the views of ``out`` it
     writes (the two diagonals and the c and h rows' columns from n on) and
-    two (T, n, cols-n) scratch arrays. The state-c columns are written on
-    their diagonal only, so ``out`` must hold zeros off it; ``out`` must be
+    two (T, n, cols-n) scratch arrays, the first T rows of the (2, T', n,
+    cols-n) ``scratch`` or new. The state-c columns are written on their
+    diagonal only, so ``out`` must hold zeros off it; ``out`` must be
     C-contiguous, since the two diagonals are written through strided views
     of its flat rows."""
     f, k_f, k_i, k_g, k_o, k_t = factors
@@ -471,7 +497,9 @@ def _jacobian_buffers(factors, out):
     flat = out.reshape(len(out), out.shape[1] * cols, copy=False)
     return (f, k_t, *(k[:, :, None] for k in (k_f, k_i, k_g, k_o, k_t)),
             flat[:, :n * (cols + 1):cols + 1], flat[:, n * cols:n * (2 * cols + 1):cols + 1],
-            out[:, :n, n:], out[:, n:2 * n, n:], *np.empty((2, len(out), n, cols - n)))
+            out[:, :n, n:], out[:, n:2 * n, n:],
+            *(np.empty((2, len(out), n, cols - n)) if scratch is None
+              else scratch[:, :len(out)]))
 
 
 def _step_jacobians(w, buffers):
@@ -511,46 +539,63 @@ def _sensitivity_buffers(n, m, n_t):
                             for t in range(1, n_t)]
 
 
-def _adjoint_buffers(n, m, n_t):
-    """A T-step reverse sweep's [lam_k | 1] rows (T+1, 2n+1), its block of
-    [A_k; stage-k partials] (block, 2n+1, 2n), zeros, and the per-step views
-    (lam_k, [lam_k+1 | 1], step k's slot of the block), a list from
-    k = T-1 down to 0. Blocks start at multiples of the block size, so step
-    k takes slot k % block."""
+def _adjoint_buffers(c, cache, m):
+    """Everything a reverse sweep over the sweep (``c``, ``cache``) of m
+    inputs writes, built once: the [lam_k | 1] rows (T+1, 2n+1), whose row
+    T's c and h columns come first, dz (T, 4n), read-only, and its blocks,
+    from the last. Blocks start at multiples of ``_sweep_block``; each holds
+    its steps' first and end index, ``_factor_buffers``' arguments for its
+    rows, in scratch the blocks share, ``_jacobian_buffers``' on its
+    factors and the one block of [A_k; stage-k partials] (block, 2n+1, 2n),
+    zeros, with its stage-partial rows; its per-step views (lam_k, [lam_k+1
+    | 1], step k's slot of the block), from its last step; and lam's c and
+    h columns at its stages k+1, a dct scratch and the gate blocks of its
+    rows of dz, in ``GATES`` order."""
+    n_t, n = cache[2].shape
     n2 = 2 * n
     block = min(_sweep_block(n, m), max(n_t, 1))
-    lam, aug = np.ones((n_t + 1, n2 + 1)), np.zeros((block, n2 + 1, n2))
-    slots = list(aug)
-    return lam, aug, list(zip(lam[:-1, :n2][::-1], lam[1:][::-1],
-                              (slots[k % block] for k in range(n_t - 1, -1, -1))))
-
-
-def _adjoint(w, factors, dc_stage, dh_stage, lam, aug, steps):
-    """``Workspace.adjoint`` from the sweep's local ``factors``, in
-    ``_adjoint_buffers``' ``lam`` (T+1 rows), ``aug`` and ``steps`` (from
-    k = T-1 down), which keep their ones column and, in ``aug``, the zeros
-    ``_step_jacobians`` needs."""
-    _, k_f, k_i, k_g, k_o, k_t = factors
-    n_t, n = k_t.shape
-    n2, block = 2 * n, len(aug)
-    lam[n_t, :n], lam[n_t, n:n2] = dc_stage[n_t], dh_stage[n_t]
-    dot = _dot                              # looked up once
+    lam, aug, dz = np.ones((n_t + 1, n2 + 1)), np.zeros((block, n2 + 1, n2)), np.empty((n_t, 4 * n))
+    factor_scratch, jac_scratch = (np.empty((block, 3 * n)), *np.empty((6, block, n))), \
+        np.empty((2, block, n, n))
+    dct, gates = np.empty((block, n)), dz.reshape(n_t, 4, n)
+    blocks = []
     for k0 in range((n_t - 1) // block * block, -1, -block):
         k1 = min(k0 + block, n_t)
-        aug_b = aug[:k1 - k0]
-        _step_jacobians(w, _jacobian_buffers([x[k0:k1] for x in factors], aug_b))
-        aug_b[:, n2, :n], aug_b[:, n2, n:] = dc_stage[k0:k1], dh_stage[k0:k1]
-        for lam_k, lam_next, aug_k in itertools.islice(steps, k1 - k0):
+        factor_args = _factor_buffers(c[k0:k1 + 1], [a[k0:k1] for a in cache], factor_scratch)
+        aug_b, lam_b = aug[:k1 - k0], lam[k0 + 1:k1 + 1]
+        blocks.append((k0, k1, factor_args, _jacobian_buffers(factor_args[-6:], aug_b, jac_scratch),
+                       aug_b[:, n2, :n], aug_b[:, n2, n:],
+                       list(zip(lam[k0:k1, :n2][::-1], lam_b[::-1], aug_b[::-1])),
+                       lam_b[:, :n], lam_b[:, n:n2], dct[:k1 - k0],
+                       *(gates[k0:k1, gate] for gate in (_C, _F, _I, _O))))
+    return lam[n_t, :n], lam[n_t, n:n2], *_read_only(dz), blocks
+
+
+def _adjoint(w, dc_stage, dh_stage, lam_c_end, lam_h_end, dz, blocks):
+    """``Workspace.adjoint`` in ``_adjoint_buffers``' views, which keep lam's
+    ones column and, in the step-Jacobian block, the zeros
+    ``_step_jacobians`` needs: per block, its local factors and step
+    Jacobians, its stage-k partials, one product per step and its rows of
+    dz. Returns the read-only ``dz``."""
+    n_t = len(dz)
+    copyto, multiply, add, dot = np.copyto, np.multiply, np.add, _dot     # looked up once
+    copyto(lam_c_end, dc_stage[n_t])
+    copyto(lam_h_end, dh_stage[n_t])
+    for k0, k1, factor_args, jac_args, stage_c, stage_h, steps, lam_c, lam_h, dct, dz_c, dz_f, \
+            dz_i, dz_o in blocks:
+        _, k_f, k_i, k_g, k_o, k_t = _local_factors(factor_args)
+        _step_jacobians(w, jac_args)
+        copyto(stage_c, dc_stage[k0:k1])
+        copyto(stage_h, dh_stage[k0:k1])
+        for lam_k, lam_next, aug_k in steps:
             dot(lam_next, aug_k, lam_k)
-    lam_c, lam_h = lam[1:, :n], lam[1:, n:n2]
-    dct = lam_h * k_t
-    dct += lam_c
-    dz = np.empty((n_t, 4, n))
-    np.multiply(k_g, dct, out=dz[:, _C])
-    np.multiply(k_f, dct, out=dz[:, _F])
-    np.multiply(k_i, dct, out=dz[:, _I])
-    np.multiply(k_o, lam_h, out=dz[:, _O])
-    return dz.reshape(n_t, 4 * n)
+        multiply(lam_h, k_t, dct)
+        add(dct, lam_c, dct)
+        multiply(k_g, dct, dz_c)
+        multiply(k_f, dct, dz_f)
+        multiply(k_i, dct, dz_i)
+        multiply(k_o, lam_h, dz_o)
+    return dz
 
 
 _SWEEP_BLOCK_BYTES = 1 << 17    # one block of ``adjoint``'s step Jacobians

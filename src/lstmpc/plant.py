@@ -157,25 +157,88 @@ def _residual(p, w_a4, w_b4):
     return residual
 
 
-def measure_ph(p, x):
-    """Root of the charge balance in [0, 14]: bisection then Newton polish.
+_CELL = 14.0 / 2 ** 34    # bisection's last cell: 34 halvings of [0, 14], exact in binary
+_LN10 = math.log(10.0)
 
-    A non-finite concentration raises ``UnphysicalStateError``.
-    """
-    w_a4, w_b4 = float(x[0]), float(x[1])
-    if not (math.isfinite(w_a4) and math.isfinite(w_b4)):
-        raise UnphysicalStateError(f"non-finite concentrations ({w_a4}, {w_b4})")
-    residual = _residual(p, w_a4, w_b4)
+
+def _bisect(residual, c_lo):
+    """Bisection's last cell (lo, hi) of [0, 14]: 34 halvings, each keeping
+    residual(lo) c_lo > 0 and residual(hi) c_lo <= 0."""
     lo, hi = 0.0, 14.0
-    c_lo, c_hi = residual(lo), residual(hi)
-    if c_lo * c_hi > 0.0:
-        raise UnphysicalStateError("charge balance has no sign change in [0, 14]")
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if residual(mid) * c_lo <= 0.0:
             hi = mid
         else:
             lo = mid
+    return lo, hi
+
+
+def _newton_cell(p, w_a4, w_b4, residual, c_lo):
+    """``_bisect``'s cell found by a bracketed Newton on the charge balance,
+    c_lo < 0 < c_hi and w_b4 >= 0, or None if no cell passes its test.
+
+    Newton, on the analytic slope, stops once its step is below a twentieth
+    of a cell, before its bracket test, and takes the cell [k, k+1] _CELL
+    holding its root; the cell passes if ``residual`` gives bisection's
+    invariant at its ends, else k moves by one, at most three times."""
+    e1_0, e2_0 = 10.0 ** p.pK1, 10.0 ** -p.pK2
+    a, b, ph = 0.0, 14.0, 7.0
+    for _ in range(60):
+        t = 10.0 ** ph
+        e1, e2 = e1_0 / t, t * e2_0
+        d = 1.0 + e1 + e2
+        r = w_a4 + t * 1e-14 - 1.0 / t + w_b4 * (1.0 + 2.0 * e2) / d
+        step = r / (_LN10 * (t * 1e-14 + 1.0 / t + w_b4 * (e1 + e2 + 4.0 * e1 * e2) / (d * d)))
+        if abs(step) < 0.05 * _CELL:
+            break
+        if r < 0.0:
+            a = ph
+        else:
+            b = ph
+        ph -= step
+        if not a < ph < b:      # also for NaN
+            ph = 0.5 * (a + b)
+    else:
+        return None
+    k = math.floor((ph - step) / _CELL)
+    for _ in range(4):
+        if not 0 <= k < 2 ** 34:
+            return None
+        lo = k * _CELL
+        if residual(lo) * c_lo <= 0.0:
+            k -= 1
+        elif residual(lo + _CELL) * c_lo > 0.0:
+            k += 1
+        else:
+            return lo, lo + _CELL
+    return None
+
+
+def measure_ph(p, x):
+    """Root of the charge balance in [0, 14]: bisection's last cell, then a
+    two-step Newton polish from its midpoint.
+
+    The cell is found by a bracketed Newton (``_newton_cell``) and accepted
+    only if ``residual`` gives bisection's invariant at its ends, k _CELL
+    and (k+1) _CELL, both exact in binary: residual(lo) c_lo > 0 and
+    residual(hi) c_lo <= 0. It is then bisection's cell whenever the float
+    residual has the sign of the exact charge balance, increasing for
+    w_b4 >= 0, at every dyadic point outside the cell, given that it has it
+    at the cell's two ends. A state these tests cannot settle (c_lo not
+    < 0 < c_hi, w_b4 < 0, a NaN, no cell found) runs the whole bisection,
+    ``_bisect``. A non-finite concentration raises ``UnphysicalStateError``.
+    """
+    w_a4, w_b4 = float(x[0]), float(x[1])
+    if not (math.isfinite(w_a4) and math.isfinite(w_b4)):
+        raise UnphysicalStateError(f"non-finite concentrations ({w_a4}, {w_b4})")
+    residual = _residual(p, w_a4, w_b4)
+    c_lo, c_hi = residual(0.0), residual(14.0)
+    if c_lo * c_hi > 0.0:
+        raise UnphysicalStateError("charge balance has no sign change in [0, 14]")
+    cell = _newton_cell(p, w_a4, w_b4, residual, c_lo) if c_lo < 0.0 < c_hi and w_b4 >= 0.0 \
+        else None
+    lo, hi = cell or _bisect(residual, c_lo)
     ph = 0.5 * (lo + hi)
     for _ in range(2):
         c = residual(ph)

@@ -78,11 +78,12 @@ def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2, steps=1
     Each sequence is ``steps`` samples, ``plant.T_S`` apart, of the plant's
     response to a staircase whose levels last ``HOLD_RANGE`` steps, from the
     nominal equilibrium with the nominal buffer flow; u and y are normalized
-    by the min/max seen in the training split. A pool of min(CPU count,
-    sequences) forked worker processes (Linux only) runs ``_excite`` on each
-    sequence's own seed ``seed * 1000 + s``, so the workers see the ``plant``
-    module as it is at the call, the output is bit-identical to a serial
-    run, and no worker outlives the call.
+    by the min/max seen in the training split. A pool of min(CPUs the
+    process may run on, sequences) forked worker processes (Linux only; the
+    CPUs are ``os.sched_getaffinity``'s, not the machine's count) runs
+    ``_excite`` on each sequence's own seed ``seed * 1000 + s``, so the
+    workers see the ``plant`` module as it is at the call, the output is
+    bit-identical to a serial run, and no worker outlives the call.
     """
     # Imported here so that the closed loops, which never build a dataset,
     # do not load the pool's modules.
@@ -95,7 +96,7 @@ def generate_dataset(params=None, seed=0, n_train=10, n_val=3, n_test=2, steps=1
     params = params or plant.PhParams()
     n_seq = n_train + n_val + n_test
     excite = functools.partial(_excite, params, steps=steps)
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, n_seq),
+    with ProcessPoolExecutor(max_workers=min(len(os.sched_getaffinity(0)), n_seq),
                              mp_context=multiprocessing.get_context("fork")) as pool:
         raws = list(pool.map(excite, [seed * 1000 + s for s in range(n_seq)]))
     u_train = np.concatenate([u for u, _ in raws[:n_train]])
@@ -333,8 +334,7 @@ def train(data, cfg, init=None, callback=None):
                 vel[name] = b2 * vel[name] + (1 - b2) * g * g
                 upd = (mom[name] / corr1) / (np.sqrt(vel[name] / corr2) + eps)
                 new[name] = getattr(w, name) - cfg.learning_rate * upd
-            w = LstmWeights(**lstm.by_gate(new["W"], new["U"], new["b"]), W_y=new["W_y"],
-                            b_y=new["b_y"], u_max=w.u_max, u_range=u_range, y_range=y_range)
+            w = LstmWeights.from_stacks(**new, u_max=w.u_max, u_range=u_range, y_range=y_range)
         margins = (bounds := lstm.gate_bounds(w)).r1, bounds.r2
         if callback is not None:
             callback(epoch, epoch_loss / max(len(order), 1), margins)

@@ -228,6 +228,16 @@ def test_kernel_step_loops_call_only_names_bound_before_them():
     assert found == []
 
 
+def test_no_module_calls_by_gate():
+    # the weights store their gates stacked: new weights from stacks, as
+    # each training update's, come from LstmWeights.from_stacks, not from a
+    # split into gates that the constructor stacks again
+    found = [f"{name}: line {node.lineno}" for name, tree in _trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "by_gate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == []
+
+
 # the only functions in the package that build each workspace, by the
 # qualified name of the function that calls its constructor
 WORKSPACE_OWNERS = {

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -116,6 +117,34 @@ def oracle_sensitivities(w, c, cache):
         s_h[k + 1, :, :j] = k_o[k, :, None] * dz[rows["o"]] \
             + k_t[k, :, None] * s_c[k + 1, :, :j]
     return s_c, s_h
+
+
+def blockwise_adjoint_oracle(w, c, cache, dc_stage, dh_stage):
+    """The reverse sweep on new arrays: all T local factors at once, each
+    block's step Jacobians in a new (block, 2n+1, 2n) array under its
+    stage-k partials, one product [lam_k+1 | 1] [A_k; partials] per step,
+    then dz whole. ``Workspace.adjoint``, on the buffers it keeps, must
+    equal it bit for bit."""
+    factors = workspace_factors(c, cache)
+    f, k_f, k_i, k_g, k_o, k_t = factors
+    n_t, n = f.shape
+    n2, rows = 2 * n, gate_rows(n)
+    block = min(lstm._sweep_block(n, w.m), max(n_t, 1))
+    lam = np.ones((n_t + 1, n2 + 1))
+    lam[n_t, :n], lam[n_t, n:n2] = dc_stage[n_t], dh_stage[n_t]
+    for k0 in range((n_t - 1) // block * block, -1, -block):
+        k1 = min(k0 + block, n_t)
+        aug = np.zeros((k1 - k0, n2 + 1, n2))
+        lstm._step_jacobians(w, lstm._jacobian_buffers([x[k0:k1] for x in factors], aug))
+        aug[:, n2, :n], aug[:, n2, n:] = dc_stage[k0:k1], dh_stage[k0:k1]
+        for k in range(k1 - 1, k0 - 1, -1):
+            lam[k, :n2] = lam[k + 1].dot(aug[k - k0])
+    lam_c, lam_h = lam[1:, :n], lam[1:, n:n2]
+    dct = lam_h * k_t + lam_c
+    dz = np.empty((n_t, 4 * n))
+    dz[:, rows["c"]], dz[:, rows["f"]], dz[:, rows["i"]] = k_g * dct, k_f * dct, k_i * dct
+    dz[:, rows["o"]] = k_o * lam_h
+    return dz
 
 
 def assert_adjoint_matches_oracle(w, ws, c, cache, dc_stage, dh_stage):
@@ -329,6 +358,88 @@ class TestAdjointBlocks:
             got = ws.adjoint(dc_stage, dh_stage)
             assert got.tobytes() == swept(w, x0, u)[0].adjoint(dc_stage, dh_stage).tobytes()
             assert_adjoint_matches_oracle(w, ws, c, cache, dc_stage, dh_stage)
+
+    NETS = TestPreparedKernel.NETS
+
+    @pytest.mark.parametrize("net", list(NETS))
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 3),
+                                               (0, 1499)],
+                             ids=["1", "2", "block-1", "block", "block+1", "2block+3", "1499"])
+    def test_equals_the_blockwise_oracle_bit_for_bit(self, bench_w, net, blocks, extra):
+        # the kept buffers change no bit: a first and a second reverse of
+        # one sweep, and the reverse of a second sweep, equal the oracle's
+        w = bench_w if net == "bench" else small_net(**self.NETS[net])
+        n_steps = blocks * lstm._sweep_block(w.n, w.m) + extra
+        rng = np.random.default_rng(n_steps)
+        ws = lstm.Workspace(w.n, w.m, n_steps)
+        for _ in range(2):
+            x0 = random_invariant_state(w, rng)
+            u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
+            c, _, cache = ws.rollout(w, x0.c, x0.h, u)
+            for _ in range(2):
+                dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
+                want = blockwise_adjoint_oracle(w, c, cache, dc_stage, dh_stage)
+                assert ws.adjoint(dc_stage, dh_stage).tobytes() == want.tobytes()
+        assert_adjoint_matches_oracle(w, ws, c, cache, dc_stage, dh_stage)
+
+    @pytest.mark.parametrize("net", ["bench", "square2"])
+    def test_interleaved_calls_give_a_fresh_workspaces_bytes(self, bench_w, monkeypatch, net):
+        # blocks of 3 steps: adjoint between linearize, sensitivities and a
+        # sweep of other weights returns what a fresh workspace does, and its
+        # factor and Jacobian buffers share no memory with linearize's
+        w = bench_w if net == "bench" else small_net(**self.NETS[net])
+        monkeypatch.setattr(lstm, "_SWEEP_BLOCK_BYTES", 3 * 8 * 2 * w.n * (2 * w.n + w.m))
+        other = small_net(seed=7, n=w.n, m=w.m, p=w.p, scale=0.3)
+        rng = np.random.default_rng(5)
+        ws = lstm.Workspace(w.n, w.m, 10)
+        for net_k in (w, other, w):
+            x0 = random_invariant_state(net_k, rng)
+            u = rng.uniform(-1.0, 1.0, (10, w.m))
+            ws.rollout(net_k, x0.c, x0.h, u)
+            fresh = swept(net_k, x0, u)[0]
+            for call in ("adjoint", "linearize", "adjoint", "sensitivities", "adjoint"):
+                args = rng.normal(size=(2, 11, w.n)) if call == "adjoint" else ()
+                assert getattr(ws, call)(*args).tobytes() == getattr(fresh, call)(*args).tobytes()
+        *_, blocks = ws._reverse
+        assert len(blocks) == 4
+        factors, jacobians, _ = ws._linear
+        written = [a for blk in blocks for a in (*blk[2][1:2], blk[2][10], *blk[2][12:],
+                                                 *blk[3][-2:])]
+        assert not any(np.shares_memory(a, b) for a in written
+                       for b in (*factors[1:2], factors[10], *factors[12:], *jacobians[-2:]))
+
+    def test_result_is_read_only_and_the_next_call_overwrites_it(self, bench_w):
+        w = bench_w
+        rng = np.random.default_rng(3)
+        ws, *_ = swept(w, random_invariant_state(w, rng), rng.uniform(-1.0, 1.0, (20, w.m)))
+        dz = ws.adjoint(*rng.normal(size=(2, 21, w.n)))
+        first = dz.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            dz[0, 0] = 1.0
+        again = ws.adjoint(*rng.normal(size=(2, 21, w.n)))
+        assert np.shares_memory(again, dz)
+        assert dz.tobytes() == again.tobytes() != first.tobytes()
+
+    def test_second_call_allocates_no_array_of_its_length(self, bench_w):
+        # the first call builds every buffer; a second, at T = 1499, peaks
+        # well under the 240 KB of one dz, and no higher at twice the length
+        # (what numpy's broadcast ufuncs take scales with a block, not T)
+        w = bench_w
+        rng = np.random.default_rng(4)
+        peaks = []
+        for n_steps in (1499, 2998):
+            ws, *_ = swept(w, random_invariant_state(w, rng),
+                           rng.uniform(-1.0, 1.0, (n_steps, w.m)))
+            dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
+            for _ in range(2):
+                tracemalloc.start()
+                dz = ws.adjoint(dc_stage, dh_stage)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        one_dz = 1499 * 4 * w.n * 8
+        assert peaks[0] > one_dz and peaks[2] > 2 * one_dz == dz.nbytes
+        assert peaks[1] < one_dz // 3
+        assert peaks[3] < peaks[1] + 4096
 
     @pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (33, 2), (128, 2)])
     def test_block_size(self, n, m):
@@ -1285,6 +1396,73 @@ class TestWeightStorage:
                 setattr(w, name, value)
         for name, a in given.items():
             np.testing.assert_array_equal(getattr(w, name), a)
+
+
+class TestFromStacks:
+    """``LstmWeights.from_stacks`` is the keyword constructor on the stacks
+    W, U, b: the same checks, operands and read-only copies."""
+
+    NETS = TestPreparedKernel.NETS
+
+    @pytest.mark.parametrize("net", list(NETS))
+    @pytest.mark.parametrize("ranges", [True, False])
+    def test_equals_the_keyword_constructor_byte_for_byte(self, bench_w, net, ranges):
+        w = bench_w if net == "bench" else small_net(**self.NETS[net])
+        rest = dict(u_max=0.9, u_range=w.u_range, y_range=w.y_range) if ranges else {}
+        by_gate = lstm.LstmWeights(**{name: getattr(w, name) for name in lstm.MATRIX_FIELDS},
+                                   **rest)
+        stacks = [getattr(w, name).copy() for name in lstm.PARAMETERS]
+        for given in (stacks, [a.tolist() for a in stacks]):
+            built = lstm.LstmWeights.from_stacks(*given, **rest)
+            assert vars(built).keys() == vars(by_gate).keys()
+            for name, value in vars(by_gate).items():
+                got = getattr(built, name)
+                if isinstance(value, np.ndarray):
+                    assert (got.dtype, got.shape, got.tobytes()) == \
+                        (value.dtype, value.shape, value.tobytes()), name
+                    assert not got.flags.writeable, name
+                    assert not any(np.shares_memory(got, a) for a in stacks), name
+                else:
+                    assert type(got) is type(value) and got == value, name
+
+    @pytest.mark.parametrize("stack, gate, rows, cols, message", [
+        ("W", "W_i", 1, 0, "input-weight"), ("U", "U_f", 1, 0, "recurrent-weight"),
+        ("U", "U_o", 0, 1, "recurrent-weight"), ("b", "b_c", 1, None, "bias"),
+        ("W_y", "W_y", 0, 1, "readout"), ("b_y", "b_y", 1, None, "readout"),
+    ], ids=["W-rows", "U-rows", "U-columns", "b", "W_y", "b_y"])
+    def test_raises_the_constructors_dimension_error(self, tiny_w, stack, gate, rows, cols,
+                                                     message):
+        # one gate's block (or the readout) given one row or column too many;
+        # in the stacks, a row within that block or a column of the whole stack
+        def grown(a):
+            return np.pad(a, [(0, rows)] + ([(0, cols)] if cols is not None else []))
+
+        fields = {name: getattr(tiny_w, name) for name in lstm.MATRIX_FIELDS}
+        stacks = {name: getattr(tiny_w, name) for name in lstm.PARAMETERS}
+        if stack in ("W", "U", "b") and rows:
+            blocks = lstm.by_gate(stacks["W"], stacks["U"], stacks["b"])
+            blocks[gate] = grown(blocks[gate])
+            stacks[stack] = np.concatenate([blocks[f"{stack}_{g}"] for g in lstm.GATES])
+        else:
+            stacks[stack] = grown(stacks[stack])
+        fields[gate] = grown(fields[gate])
+        for build in (lambda: lstm.LstmWeights(**fields),
+                      lambda: lstm.LstmWeights.from_stacks(**stacks)):
+            with pytest.raises(DimensionError, match=f"^{message} shapes disagree$"):
+                build()
+
+    def test_rejects_a_stack_that_is_not_a_matrix(self, tiny_w):
+        stacks = {name: getattr(tiny_w, name) for name in lstm.PARAMETERS}
+        with pytest.raises(DimensionError, match="^input-weight shapes disagree$"):
+            lstm.LstmWeights.from_stacks(**{**stacks, "W": stacks["W"].ravel()})
+
+    def test_result_is_read_only(self, tiny_w):
+        w = lstm.LstmWeights.from_stacks(*(getattr(tiny_w, name) for name in lstm.PARAMETERS))
+        for name in (*lstm.PARAMETERS, "W_f", "U_half", "UW"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(w, name)[...] = 0.0
+        with pytest.raises(AttributeError, match="read-only"):
+            w.W = tiny_w.W
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 """Unit tests for the pH neutralization simulator and signal scaling."""
 
+import math
 import re
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from lstmpc import plant, sysid
 from lstmpc.errors import UnphysicalStateError
+
+from conftest import count_calls
 
 # Published nominal operating point of the benchmark tank.
 NOMINAL_STATE = np.array([-4.32e-4, 5.28e-4, 14.0])
@@ -85,6 +88,33 @@ def xdot(p, x, u_phi, d_phi):
 def charge_balance(p, x, ph):
     """The plant's titration residual c(x, pH); the measured pH is its root."""
     return plant._residual(p, float(x[0]), float(x[1]))(ph)
+
+
+def excitation_states(params, seed, steps):
+    """The (w_a4, w_b4) float pairs that ``sysid._excite`` measures: the
+    plant from its equilibrium under the staircase of ``seed``."""
+    u_phi = sysid.generate_excitation(seed, plant.U_PHI_RANGE, sysid.HOLD_RANGE, steps)
+    x = plant.equilibrium(params)
+    states = []
+    for u in u_phi:
+        states.append((float(x[0]), float(x[1])))
+        x = plant.plant_step(params, x, u, params.q2_nominal, plant.T_S)
+    return states
+
+
+def zero_residual_state(params, ph, w_b4):
+    """((w_a4, w_b4), end) with the float charge balance exactly 0 at
+    ``end``, the end of a bisection cell nearest ``ph``, w_a4 found by
+    stepping one ULP at a time; None if no w_a4 gives 0."""
+    cell = 14.0 / 2 ** 34
+    end = round(ph / cell) * cell
+    w_a4 = -charge_balance(params, (0.0, w_b4), end)
+    for _ in range(50):
+        r = charge_balance(params, (w_a4, w_b4), end)
+        if r == 0.0:
+            return (w_a4, w_b4), end
+        w_a4 = math.nextafter(w_a4, -math.inf if r > 0.0 else math.inf)
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +241,61 @@ class TestOracle:
             nxt = plant.plant_step(params, x, u[k], q2[k], plant.T_S)
             np.testing.assert_array_equal(nxt, plant_step_oracle(params, x, u[k], q2[k], plant.T_S))
             x = nxt
+
+    # measure_ph finds bisection's last cell by Newton and falls back on the
+    # whole bisection only for states its cell test cannot settle; the
+    # oracle runs on float pairs, which it reads as the state's entries
+
+    def test_every_state_of_an_excitation_dataset(self, params, monkeypatch):
+        # the 15 sequences of a dataset, 1000 steps each
+        fallbacks = count_calls(monkeypatch, plant, "_bisect")
+        states = [x for s in range(15) for x in excitation_states(params, 7 * 1000 + s, 1000)]
+        for x in states:
+            assert plant.measure_ph(params, x) == measure_ph_oracle(params, x)
+        assert len(fallbacks) < 0.01 * len(states)
+
+    def test_random_states(self, params):
+        rng = np.random.default_rng(29)
+        for x in zip(rng.uniform(-0.02, 0.02, 30000).tolist(),
+                     rng.uniform(0.0, 0.03, 30000).tolist()):
+            assert plant.measure_ph(params, x) == measure_ph_oracle(params, x)
+
+    def test_a_cell_end_that_is_the_float_root(self, params, monkeypatch):
+        # residual(k cell) == 0.0 exactly: bisection keeps it as its cell's
+        # upper end, and the Newton cell must move to that cell if it lands
+        # on the one above
+        fallbacks = count_calls(monkeypatch, plant, "_bisect")
+        rng = np.random.default_rng(3)
+        states = [x for ph, w_b4 in zip(rng.uniform(3.0, 11.0, 40), rng.uniform(0.0, 0.03, 40))
+                  if (x := zero_residual_state(params, ph, w_b4))]
+        assert len(states) >= 30
+        for x, ph in states:
+            assert charge_balance(params, x, ph) == 0.0
+            assert plant.measure_ph(params, x) == measure_ph_oracle(params, x)
+        assert fallbacks == []
+
+    def test_a_zero_residual_at_an_end_of_the_range(self, params, monkeypatch):
+        # c_lo c_hi == 0: no Newton cell, the whole bisection
+        fallbacks = count_calls(monkeypatch, plant, "_bisect")
+        rng = np.random.default_rng(8)
+        states = [x for ph, w_b4 in [(0.0, 0.0), *((14.0, w) for w in rng.uniform(0.0, 0.03, 400))]
+                  if (x := zero_residual_state(params, ph, w_b4))]
+        assert {ph for _, ph in states} == {0.0, 14.0}
+        for x, _ in states:
+            assert plant.measure_ph(params, x) == measure_ph_oracle(params, x)
+        assert len(fallbacks) == len(states)
+
+    @pytest.mark.parametrize("overrides", [dict(W_b2=-0.03), dict(W_b2=-0.01, W_b3=-1e-3),
+                                           dict(W_b3=-0.02, pK1=5.0)])
+    def test_negative_buffer_concentration(self, overrides, monkeypatch):
+        # w_b4 < 0, from a plant whose streams carry it: the whole bisection
+        params = plant.PhParams(**overrides)
+        fallbacks = count_calls(monkeypatch, plant, "_bisect")
+        states = excitation_states(params, 11, 200)
+        assert all(w_b4 < 0.0 for _, w_b4 in states)
+        for x in states:
+            assert plant.measure_ph(params, x) == measure_ph_oracle(params, x)
+        assert len(fallbacks) == len(states)
 
     @pytest.mark.parametrize("substeps", [1, 2, 4, 10])
     def test_substeps(self, params, substeps):

@@ -2,6 +2,7 @@
 
 import hashlib
 import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -401,7 +402,29 @@ class TestGenerateDataset:
     KWARGS = dict(seed=5, n_train=2, n_val=1, n_test=1, steps=40)
 
     def test_matches_serial_excitation(self):
-        ds = sysid.generate_dataset(**self.KWARGS)
+        self._assert_serial(sysid.generate_dataset(**self.KWARGS))
+
+    def test_pool_takes_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # under an affinity of one CPU, os.cpu_count() still counts the
+        # machine's: the pool takes the affinity's one worker
+        import concurrent.futures
+
+        pools = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        self._assert_serial(sysid.generate_dataset(**self.KWARGS))
+        assert pools == [1]
+
+    @staticmethod
+    def _assert_serial(ds):
+        """``ds``, of ``KWARGS``, equals a serial run of its sequences."""
         params = plant.PhParams()
         for s, (u, y) in enumerate(ds.train + ds.val + ds.test):
             u_phi, y_phi = sysid._excite(params, 5 * 1000 + s, 40)
