@@ -12,10 +12,11 @@ training and the reference Jacobian all run this cell through one kernel:
 
 - ``LstmWeights``, the model, holds parameters only, read-only: it stores
   the gate weights once, stacked in the order ``GATES`` = (c, f, i, o), the
-  one place the order is written; every (4n,)-row quantity uses it. It
-  forms its cell operands once, on construction, from per-gate keywords or,
-  by ``LstmWeights.from_stacks``, from the stacks. Each step takes all four
-  gates from one ``tanh`` over preactivations whose f, i, o rows are
+  one place the order is written; every (4n,)-row quantity uses it. It is
+  built from the stacks and forms its cell operands once, on construction;
+  the gates' names appear only in the weights file, whose per-gate arrays
+  ``load_weights`` stacks and ``save_weights`` splits. Each step takes all
+  four gates from one ``tanh`` over preactivations whose f, i, o rows are
   halved, since sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so
   the gates equal ``sigmoid``'s bit for bit.
 - ``Workspace`` is the one owner of the buffers every step writes, sized
@@ -109,71 +110,38 @@ def in_gate_order(**per_gate):
     return [per_gate[g] for g in GATES]
 
 
-def _gate_view(stack, gate):
-    """A gate's rows of the stacked ``W``, ``U`` or ``b``, named like ``W_f``:
-    a read-only view."""
-    rows = GATES.index(gate)
-    return property(lambda w: getattr(w, stack)[rows * w.n:(rows + 1) * w.n])
-
-
 class LstmWeights:
     """The model, read-only: all trainable parameters, the normalized-input
     bound and the cell operands that every step runs on.
 
     The gate weights are stored once, stacked in ``GATES`` order: ``W``
-    (4n, m), ``U`` (4n, n) and ``b`` (4n,), beside the readout ``W_y``,
-    ``b_y``; the per-gate ``W_f`` ... ``b_c`` (the constructor keywords
-    and ``MATRIX_FIELDS``) are views into the stacks. The constructor also
-    forms, once, the cell operands: ``U_half``, ``W_half``, ``b_half``, the
-    stacks with their f, i, o rows halved; ``UW`` (4, n, n+m), the per-gate
-    [U | W] blocks; and ``residual_jacobian``, the (2n+p, 2n+m) template
-    [0; 0 W_y 0] of the equilibrium residual's Jacobian; ``from_stacks``
-    builds the same weights from the stacks themselves. Every array is a
-    read-only copy and no attribute can be assigned, so nothing changes a
-    model once its certificate is built: a changed model is a new
-    ``LstmWeights``. The weights hold no buffer: every step and
-    linearization of them runs on a ``Workspace`` its caller owns.
-    ``u_range`` / ``y_range``, the physical (lo, hi) pairs normalized to
-    [-1, 1], make a saved model self-contained.
+    (4n, m), ``U`` (4n, n) and ``b`` (4n,), beside the readout ``W_y``
+    (p, n), ``b_y`` (p,); the constructor takes them so, and
+    DimensionError unless their shapes agree and n, m and p are all at
+    least 1. It also forms, once, the cell operands: ``U_half``,
+    ``W_half``, ``b_half``, the stacks with their f, i, o rows halved;
+    ``UW`` (4, n, n+m), the per-gate [U | W] blocks; and
+    ``residual_jacobian``, the (2n+p, 2n+m) template [0; 0 W_y 0] of the
+    equilibrium residual's Jacobian. Every array is a read-only copy and no
+    attribute can be assigned, so nothing changes a model once its
+    certificate is built: a changed model is a new ``LstmWeights``. The
+    weights hold no buffer: every step and linearization of them runs on a
+    ``Workspace`` its caller owns. ``u_range`` / ``y_range``, the physical
+    (lo, hi) pairs normalized to [-1, 1], make a saved model self-contained.
     """
 
-    W_f, W_i, W_c, W_o, U_f, U_i, U_c, U_o, b_f, b_i, b_c, b_o = (
-        _gate_view(stack, gate) for stack in "WUb" for gate in "fico")
-
-    def __init__(self, W_f, W_i, W_c, W_o, U_f, U_i, U_c, U_o, b_f, b_i, b_c, b_o,
-                 W_y, b_y, u_max=1.0, u_range=None, y_range=None):
-        w_in, u_rec, bias = ([np.asarray(a, dtype=float) for a in gates] for gates in zip(
-            *in_gate_order(c=(W_c, U_c, b_c), f=(W_f, U_f, b_f), i=(W_i, U_i, b_i),
-                           o=(W_o, U_o, b_o))))
-        n, m = w_in[0].shape
-        for gates, shape, kind in ((w_in, (n, m), "input-weight"),
-                                   (u_rec, (n, n), "recurrent-weight"), (bias, (n,), "bias")):
-            if any(a.shape != shape for a in gates):
-                raise DimensionError(f"{kind} shapes disagree")
-        self._form(*(np.concatenate(gates) for gates in (w_in, u_rec, bias)), W_y, b_y, u_max,
-                   u_range, y_range)
-
-    @classmethod
-    def from_stacks(cls, W, U, b, W_y, b_y, u_max=1.0, u_range=None, y_range=None):
-        """The weights of the stacks ``W`` (4n, m), ``U`` (4n, n), ``b``
-        (4n,) in ``GATES`` order, with the constructor's checks and operands:
-        the constructor's result for their gates' blocks, byte for byte."""
-        w = cls.__new__(cls)
-        w._form(*(np.asarray(a, dtype=float) for a in (W, U, b)), W_y, b_y, u_max, u_range,
-                y_range)
-        return w
-
-    def _form(self, W, U, b, W_y, b_y, u_max, u_range, y_range):
-        """Check the stacks and the rest, form the cell operands and freeze."""
+    def __init__(self, W, U, b, W_y, b_y, u_max=1.0, u_range=None, y_range=None):
+        W, U, b, W_y, b_y = (np.asarray(a, dtype=float) for a in (W, U, b, W_y, b_y))
         n, m = (len(W) // 4, W.shape[1]) if W.ndim == 2 else (-1, -1)
         for a, shape, kind in ((W, (4 * n, m), "input-weight"), (U, (4 * n, n), "recurrent-weight"),
                                (b, (4 * n,), "bias")):
             if a.shape != shape:
                 raise DimensionError(f"{kind} shapes disagree")
-        W_y, b_y = np.asarray(W_y, dtype=float), np.asarray(b_y, dtype=float)
-        p = W_y.shape[0]
+        p = len(W_y) if W_y.ndim else -1
         if W_y.shape != (p, n) or b_y.shape != (p,):
             raise DimensionError("readout shapes disagree")
+        if min(n, m, p) < 1:
+            raise DimensionError(f"(n, m, p) = ({n}, {m}, {p}): each must be at least 1")
         check("u_max", u_max, POSITIVE)
         for name, pair in (("u_range", u_range), ("y_range", y_range)):
             check(name, pair, (lambda v: v is None or RANGE[0](v), f"null or {RANGE[1]}"))
@@ -199,15 +167,8 @@ class LstmWeights:
 
 
 MATRIX_FIELDS = ("W_f", "W_i", "W_c", "W_o", "U_f", "U_i", "U_c", "U_o",
-                 "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
+                 "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")     # the arrays of a weights file
 PARAMETERS = ("W", "U", "b", "W_y", "b_y")     # the arrays LstmWeights stores
-
-
-def by_gate(W, U, b):
-    """The (4n, .) stacks ``W``, ``U``, ``b`` split into their gates' blocks,
-    keyed like the ``LstmWeights`` keywords (``W_c``, ..., ``b_o``)."""
-    return {f"{name}_{gate}": block for name, stack in (("W", W), ("U", U), ("b", b))
-            for gate, block in zip(GATES, np.split(stack, 4))}
 
 
 def _loop_buffers(n_t, n):
@@ -794,8 +755,12 @@ def v_s(cert, x_a, x_b):
 
 
 def save_weights(w, path, observer=None):
-    """Serialize weights (and optionally an observer section) to JSON."""
-    doc = {name: getattr(w, name).tolist() for name in MATRIX_FIELDS}
+    """Serialize weights (and optionally an observer section) to JSON, each
+    stack's gate blocks under their ``MATRIX_FIELDS`` names."""
+    arrays = {f"{stack}_{gate}": block for stack in "WUb"
+              for gate, block in zip(GATES, np.split(getattr(w, stack), 4))}
+    arrays.update(W_y=w.W_y, b_y=w.b_y)
+    doc = {name: arrays[name].tolist() for name in MATRIX_FIELDS}
     doc.update(n=w.n, m=w.m, p=w.p, u_max=w.u_max)
     doc["u_range"] = list(w.u_range) if w.u_range is not None else None
     doc["y_range"] = list(w.y_range) if w.y_range is not None else None
@@ -807,16 +772,34 @@ def save_weights(w, path, observer=None):
 
 def load_weights(path):
     """Inverse of save_weights; returns (weights, observer-dict-or-None), each field
-    checked by name: no unknown or missing key, finite number arrays, n, m, p as the
-    arrays give."""
+    checked by name: no unknown or missing key, finite number arrays of the shapes
+    that W_c's (n, m) and W_y's p give, n, m, p as the arrays give."""
     doc = check_object("weights", read_json(path), (*MATRIX_FIELDS, "n", "m", "p", "u_max"),
                        ("u_range", "y_range", "observer"))
     arrays = {name: finite_array(name, doc[name]) for name in MATRIX_FIELDS}
-    w = LstmWeights(u_max=doc["u_max"], u_range=doc.get("u_range"), y_range=doc.get("y_range"),
-                    **arrays)
+    w = LstmWeights(*_stacks(arrays), arrays["W_y"], arrays["b_y"], u_max=doc["u_max"],
+                    u_range=doc.get("u_range"), y_range=doc.get("y_range"))
     for name in "nmp":
         size = getattr(w, name)
         check(name, doc[name], (lambda v: type(v) is int and v == size, f"{size} as in the arrays"))
     check("observer", doc.get("observer"), (lambda v: isinstance(v, (dict, type(None))),
                                             "an object or null"))
     return w, doc.get("observer")
+
+
+def _stacks(arrays):
+    """The stacks W, U, b of a weights file's per-gate ``arrays``, in
+    ``GATES`` order. Each array's shape is checked by its name first, against
+    the (n, m) of ``W_c`` and the p of ``W_y``, so a message names the array
+    that breaks the layout, or the one whose shape it was held to."""
+    for name in ("W_c", "W_y"):
+        check(f"{name}'s shape", arrays[name].shape, (lambda v: len(v) == 2 and min(v) >= 1,
+                                                      "(rows, columns), each at least 1"))
+    (n, m), p = arrays["W_c"].shape, len(arrays["W_y"])
+    shapes = {f"{stack}_{gate}": shape for stack, shape in (("W", (n, m)), ("U", (n, n)),
+                                                            ("b", (n,))) for gate in GATES}
+    shapes.update(W_y=(p, n), b_y=(p,))
+    for name, shape in shapes.items():
+        check(f"{name}'s shape", arrays[name].shape, (
+            lambda v: v == shape, f"{shape}, as W_c's (n, m) = ({n}, {m}) and W_y's p = {p} give"))
+    return [np.concatenate([arrays[f"{stack}_{gate}"] for gate in GATES]) for stack in "WUb"]

@@ -269,21 +269,14 @@ def _penalty_with_grads(w, cfg, grads):
 
 
 def init_weights(cfg, m=1, p=1, u_range=None, y_range=None):
-    """Uniform small-weight initialization; keeps gates near 1/2."""
+    """Uniform small-weight initialization; keeps gates near 1/2. W, U and b
+    are drawn gate by gate, in the order f, i, c, o, then stacked."""
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.n_neurons
-    s = cfg.init_scale
-
-    def mat(r, c):
-        return rng.uniform(-s, s, size=(r, c))
-
-    return LstmWeights(
-        W_f=mat(n, m), W_i=mat(n, m), W_c=mat(n, m), W_o=mat(n, m),
-        U_f=mat(n, n), U_i=mat(n, n), U_c=mat(n, n), U_o=mat(n, n),
-        b_f=rng.uniform(-s, s, n), b_i=rng.uniform(-s, s, n),
-        b_c=rng.uniform(-s, s, n), b_o=rng.uniform(-s, s, n),
-        W_y=mat(p, n), b_y=rng.uniform(-s, s, p),
-        u_max=1.0, u_range=u_range, y_range=y_range)
+    n, s = cfg.n_neurons, cfg.init_scale
+    stacks = [{g: rng.uniform(-s, s, (n, *cols)) for g in "fico"} for cols in ((m,), (n,), ())]
+    W_y, b_y = rng.uniform(-s, s, (p, n)), rng.uniform(-s, s, p)
+    return LstmWeights(*(np.concatenate(lstm.in_gate_order(**blocks)) for blocks in stacks),
+                       W_y, b_y, u_range=u_range, y_range=y_range)
 
 
 def train(data, cfg, init=None, callback=None):
@@ -334,7 +327,7 @@ def train(data, cfg, init=None, callback=None):
                 vel[name] = b2 * vel[name] + (1 - b2) * g * g
                 upd = (mom[name] / corr1) / (np.sqrt(vel[name] / corr2) + eps)
                 new[name] = getattr(w, name) - cfg.learning_rate * upd
-            w = LstmWeights.from_stacks(**new, u_max=w.u_max, u_range=u_range, y_range=y_range)
+            w = LstmWeights(**new, u_max=w.u_max, u_range=u_range, y_range=y_range)
         margins = (bounds := lstm.gate_bounds(w)).r1, bounds.r2
         if callback is not None:
             callback(epoch, epoch_loss / max(len(order), 1), margins)

@@ -86,27 +86,35 @@ def tiny_w():
     return small_net(seed=3, n=3)
 
 
+def _gate_rows(name, n):
+    """The stack that holds the weights file's array ``name`` (``"U_o"``,
+    ``"b_f"``) and its rows there, for n cells."""
+    stack, _, g = name.partition("_")
+    k = lstm.GATES.index(g)
+    return stack, slice(k * n, (k + 1) * n)
+
+
+def gate(w, name):
+    """The rows of ``w``'s stack that the weights file names ``name``: a read-only view."""
+    stack, rows = _gate_rows(name, w.n)
+    return getattr(w, stack)[rows]
+
+
 def with_arrays(w, **arrays):
-    """New weights: ``w`` with the named arrays replaced, by stack (``U=``)
-    or by gate (``b_f=30.0``), each value broadcast to the array's shape.
-    The one way the tests build a perturbed model, since weights are read-only."""
-    arrays = {name: np.broadcast_to(value, getattr(w, name).shape)
-              for name, value in arrays.items()}
-    fields = lstm.by_gate(*(arrays.pop(stack, getattr(w, stack)) for stack in "WUb"))
-    fields.update(W_y=w.W_y, b_y=w.b_y)
-    fields.update(arrays)
-    return lstm.LstmWeights(**fields, u_max=w.u_max, u_range=w.u_range, y_range=w.y_range)
+    """New weights: ``w`` with the named arrays replaced, a stored one
+    (``U=``) or a gate's rows of a stack (``b_f=30.0``), each value
+    broadcast to the array's shape. The one way the tests build a perturbed
+    model, since weights are read-only."""
+    params = {name: getattr(w, name).copy() for name in lstm.PARAMETERS}
+    for name, value in arrays.items():
+        stack, rows = (name, ...) if name in params else _gate_rows(name, w.n)
+        params[stack][rows] = value
+    return lstm.LstmWeights(**params, u_max=w.u_max, u_range=w.u_range, y_range=w.y_range)
 
 
 def zero_net(n=2, m=1, p=1):
-    z_nm = np.zeros((n, m))
-    z_nn = np.zeros((n, n))
-    z_n = np.zeros(n)
-    return lstm.LstmWeights(
-        W_f=z_nm, W_i=z_nm.copy(), W_c=z_nm.copy(), W_o=z_nm.copy(),
-        U_f=z_nn, U_i=z_nn.copy(), U_c=z_nn.copy(), U_o=z_nn.copy(),
-        b_f=z_n, b_i=z_n.copy(), b_c=z_n.copy(), b_o=z_n.copy(),
-        W_y=np.zeros((p, n)), b_y=np.zeros(p))
+    return lstm.LstmWeights(np.zeros((4 * n, m)), np.zeros((4 * n, n)), np.zeros(4 * n),
+                            np.zeros((p, n)), np.zeros(p))
 
 
 def induced_inf_norm(m):

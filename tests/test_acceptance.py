@@ -21,7 +21,7 @@ from lstmpc.errors import InfeasibleSetpointError
 from lstmpc.lstm import LstmState
 from lstmpc.observer import AugmentedState
 
-from conftest import ASSETS, count_calls, random_invariant_state
+from conftest import ASSETS, count_calls, gate, random_invariant_state
 
 # Closed-loop trace of the benchmark scenario, the behaviour oracle. A change
 # that moves any column by more than TRACE_ATOL regenerates it and says why.
@@ -272,10 +272,10 @@ class TestCriterion5SolverOptimality:
             cost += np.sum(dx ** 2, axis=1)
             cost += (cand_u[:, i] - ref.u_bar[0]) ** 2
             u = cand_u[:, i:i + 1]
-            zf = 1.0 / (1.0 + np.exp(-(u @ w.W_f.T + h @ w.U_f.T + w.b_f)))
-            zi = 1.0 / (1.0 + np.exp(-(u @ w.W_i.T + h @ w.U_i.T + w.b_i)))
-            zo = 1.0 / (1.0 + np.exp(-(u @ w.W_o.T + h @ w.U_o.T + w.b_o)))
-            zg = np.tanh(u @ w.W_c.T + h @ w.U_c.T + w.b_c)
+            z = {g: u @ gate(w, f"W_{g}").T + h @ gate(w, f"U_{g}").T + gate(w, f"b_{g}")
+                 for g in "fico"}
+            zf, zi, zo = (1.0 / (1.0 + np.exp(-z[g])) for g in "fio")
+            zg = np.tanh(z["c"])
             c = zf * c + zi * zg
             h = zo * np.tanh(c)
         ev = np.stack([np.linalg.norm(c - ref.x_bar.c, axis=1),

@@ -228,13 +228,18 @@ def test_kernel_step_loops_call_only_names_bound_before_them():
     assert found == []
 
 
-def test_no_module_calls_by_gate():
-    # the weights store their gates stacked: new weights from stacks, as
-    # each training update's, come from LstmWeights.from_stacks, not from a
-    # split into gates that the constructor stacks again
+GATE_FIELDS = {f"{stack}_{gate}" for stack in "WUb" for gate in "cfio"}
+
+
+def test_gate_names_stay_at_the_weights_file():
+    # the weights store their gates stacked, and the one constructor takes
+    # the stacks: only the weights file names each gate's block (W_f ...
+    # b_o, strings in lstm.MATRIX_FIELDS), so no module reads such an
+    # attribute, passes such a keyword or takes such a parameter
     found = [f"{name}: line {node.lineno}" for name, tree in _trees().items()
-             for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and "by_gate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in GATE_FIELDS
+             or isinstance(node, (ast.keyword, ast.arg)) and node.arg in GATE_FIELDS]
     assert found == []
 
 

@@ -1,7 +1,10 @@
 """Unit tests for the LSTM model and its contraction certificates."""
 
 import dataclasses
+import hashlib
+import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,7 +15,7 @@ from lstmpc import lstm, mpc, numerics, observer, refcalc, sysid
 from lstmpc.errors import DimensionError, InstabilityError
 from lstmpc.lstm import LstmState
 
-from conftest import (ASSETS, count_calls, local_factors_oracle, random_invariant_state,
+from conftest import (ASSETS, count_calls, gate, local_factors_oracle, random_invariant_state,
                       small_net, with_arrays, zero_net)
 
 
@@ -22,7 +25,8 @@ def scalar_step_oracle(w, x, u):
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v)) if v >= 0 else math.exp(v) / (1.0 + math.exp(v))
 
-    def gate(w_in, u_rec, b, fn):
+    def layer(name, fn):
+        w_in, u_rec, b = (gate(w, f"{stack}_{name}") for stack in "WUb")
         out = []
         for j in range(w.n):
             z = b[j]
@@ -33,10 +37,10 @@ def scalar_step_oracle(w, x, u):
             out.append(fn(z))
         return out
 
-    f = gate(w.W_f, w.U_f, w.b_f, sig)
-    i = gate(w.W_i, w.U_i, w.b_i, sig)
-    g = gate(w.W_c, w.U_c, w.b_c, math.tanh)
-    o = gate(w.W_o, w.U_o, w.b_o, sig)
+    f = layer("f", sig)
+    i = layer("i", sig)
+    g = layer("c", math.tanh)
+    o = layer("o", sig)
     c_next = [f[j] * x.c[j] + i[j] * g[j] for j in range(w.n)]
     h_next = [o[j] * math.tanh(c_next[j]) for j in range(w.n)]
     return np.array(c_next), np.array(h_next)
@@ -253,7 +257,7 @@ class TestPreparedKernel:
     def test_snapshot_of_the_weights(self, bench_w):
         # the weights copy the arrays they are built from: later writes into
         # those arrays change no result, and the operands share no memory
-        given = {name: getattr(bench_w, name).copy() for name in lstm.MATRIX_FIELDS}
+        given = {name: getattr(bench_w, name).copy() for name in lstm.PARAMETERS}
         w = lstm.LstmWeights(**given, u_max=bench_w.u_max)
         rng = np.random.default_rng(3)
         x0 = random_invariant_state(w, rng)
@@ -262,7 +266,7 @@ class TestPreparedKernel:
         before = lstm.rollout(w, x0.c, x0.h, u)[:2], vars(lstm.step(w, x0, u[0], cell)).values()
         for array in given.values():
             array += 0.3
-        given["b_f"][...] = 5.0
+        given["b"][gate_rows(w.n)["f"]] = 5.0
         after = lstm.rollout(w, x0.c, x0.h, u)[:2], vars(lstm.step(w, x0, u[0], cell)).values()
         for got, want in zip((*after[0], *after[1]), (*before[0], *before[1])):
             np.testing.assert_array_equal(got, want)
@@ -1054,14 +1058,15 @@ class TestGateBounds:
         w = bench_w
         g = lstm.gate_bounds(w)
 
-        def inf_norm(w_in, u_rec, b):
+        def inf_norm(name):
+            w_in, u_rec, b = (gate(w, f"{stack}_{name}") for stack in "WUb")
             return max(w.u_max * np.sum(np.abs(w_in[j])) + np.sum(np.abs(u_rec[j]))
                        + abs(b[j]) for j in range(w.n))
 
-        sf = 1.0 / (1.0 + math.exp(-inf_norm(w.W_f, w.U_f, w.b_f)))
-        si = 1.0 / (1.0 + math.exp(-inf_norm(w.W_i, w.U_i, w.b_i)))
-        so = 1.0 / (1.0 + math.exp(-inf_norm(w.W_o, w.U_o, w.b_o)))
-        sc = math.tanh(inf_norm(w.W_c, w.U_c, w.b_c))
+        sf = 1.0 / (1.0 + math.exp(-inf_norm("f")))
+        si = 1.0 / (1.0 + math.exp(-inf_norm("i")))
+        so = 1.0 / (1.0 + math.exp(-inf_norm("o")))
+        sc = math.tanh(inf_norm("c"))
         c_rad = si * sc / (1.0 - sf)
         assert g.sigma_f == pytest.approx(sf, abs=1e-12)
         assert g.sigma_i == pytest.approx(si, abs=1e-12)
@@ -1070,11 +1075,11 @@ class TestGateBounds:
         assert g.sigma_x == pytest.approx(math.tanh(c_rad), abs=1e-12)
         two = np.linalg.norm
         assert g.gains[0, 1] == pytest.approx(     # alpha
-            0.25 * two(w.U_f, 2) * c_rad + si * two(w.U_c, 2)
-            + 0.25 * two(w.U_i, 2) * sc, abs=1e-12)
+            0.25 * two(gate(w, "U_f"), 2) * c_rad + si * two(gate(w, "U_c"), 2)
+            + 0.25 * two(gate(w, "U_i"), 2) * sc, abs=1e-12)
         assert g.column[0, 0] == pytest.approx(     # beta
-            0.25 * two(w.W_f, 2) * c_rad + si * two(w.W_c, 2)
-            + 0.25 * two(w.W_i, 2) * sc, abs=1e-12)
+            0.25 * two(gate(w, "W_f"), 2) * c_rad + si * two(gate(w, "W_c"), 2)
+            + 0.25 * two(gate(w, "W_i"), 2) * sc, abs=1e-12)
 
 
 class TestJuryMargins:
@@ -1145,14 +1150,14 @@ class TestMarginAdjoint:
 
 class TestGateOrder:
     """The certificate's gate bounds and gains, against the same formulas
-    written with the per-gate views W_f ... b_o."""
+    written with each gate's rows of the stacks, W_f ... b_o."""
 
     @staticmethod
     def _net():
         # gates made unlike each other, so a gate read at another's offset shows
         w = small_net(seed=6, n=3, m=2, p=2)
-        return with_arrays(w, **{f"{stack}_{gate}": (1.0 + k) * getattr(w, f"{stack}_{gate}")
-                                 for k, gate in enumerate("fioc") for stack in "WUb"})
+        return with_arrays(w, **{f"{stack}_{g}": (1.0 + k) * gate(w, f"{stack}_{g}")
+                                 for k, g in enumerate("fioc") for stack in "WUb"})
 
     def test_gate_sigmas(self):
         w = self._net()
@@ -1160,9 +1165,9 @@ class TestGateOrder:
         widen = {g: rng.uniform(0.0, 0.1, w.n) for g in "fioc"}
 
         def bound(g):
-            rows = (w.u_max * np.abs(getattr(w, f"W_{g}")).sum(axis=1)
-                    + np.abs(getattr(w, f"U_{g}")).sum(axis=1)
-                    + np.abs(getattr(w, f"b_{g}")) + widen[g])
+            rows = (w.u_max * np.abs(gate(w, f"W_{g}")).sum(axis=1)
+                    + np.abs(gate(w, f"U_{g}")).sum(axis=1)
+                    + np.abs(gate(w, f"b_{g}")) + widen[g])
             return float(rows.max())
 
         got = lstm.gate_sigmas(w.W, w.U, w.b, w.u_max,
@@ -1174,11 +1179,11 @@ class TestGateOrder:
     def test_increment_gains(self):
         w = self._net()
         sigmas = (0.7, 0.6, 0.8, 0.9)
-        recurrent = [getattr(w, f"U_{g}") for g in lstm.GATES]
-        inputs = [getattr(w, f"W_{g}") for g in lstm.GATES]
+        recurrent = [gate(w, f"U_{g}") for g in lstm.GATES]
+        inputs = [gate(w, f"W_{g}") for g in lstm.GATES]
         got = lstm.increment_gains(sigmas, recurrent, inputs)
         sf, si, so, sc = sigmas
-        two = {name: np.linalg.norm(getattr(w, name), 2)
+        two = {name: np.linalg.norm(gate(w, name), 2)
                for name in ("U_f", "U_i", "U_o", "U_c", "W_f", "W_i", "W_o", "W_c")}
         c_rad = si * sc / (1.0 - sf)
         sx = math.tanh(c_rad)
@@ -1195,7 +1200,7 @@ class TestGateOrder:
 
 def uncertified_net():
     w = small_net(seed=1, n=3)
-    return with_arrays(w, b_f=30.0, U_o=200.0 * w.U_o)     # push sigma_f -> 1
+    return with_arrays(w, b_f=30.0, U_o=200.0 * gate(w, "U_o"))     # push sigma_f -> 1
 
 
 class TestCertification:
@@ -1312,13 +1317,14 @@ class TestVs:
 
 
 class TestWeightStorage:
-    """W, U, b are stored once, stacked in GATES order; W_f ... b_c are views."""
+    """W, U, b are stored once, stacked in GATES order; a gate's rows of a
+    stack (the weights file's W_f ... b_o) are views into it."""
 
     def test_stacks_in_gate_order(self, bench_w):
+        doc = json.loads((ASSETS / "model.json").read_text())
         for stack in ("W", "U", "b"):
             np.testing.assert_array_equal(
-                getattr(bench_w, stack),
-                np.concatenate([getattr(bench_w, f"{stack}_{g}") for g in lstm.GATES]))
+                getattr(bench_w, stack), np.concatenate([doc[f"{stack}_{g}"] for g in lstm.GATES]))
 
     def test_item_write_updates_stack(self):
         # a per-gate array is a view of its rows of the stack, so an item
@@ -1326,19 +1332,20 @@ class TestWeightStorage:
         # is new weights whose stack holds the write
         w = small_net(seed=4, n=3)
         before = w.b.copy()
-        assert np.shares_memory(w.b_f, w.b)
+        assert np.shares_memory(gate(w, "b_f"), w.b)
         with pytest.raises(ValueError, match="read-only"):
-            w.b_f[...] = 30.0
+            gate(w, "b_f")[...] = 30.0
         np.testing.assert_array_equal(w.b, before)
         np.testing.assert_array_equal(with_arrays(w, b_f=30.0).b[gate_rows(3)["f"]], 30.0)
 
     def test_in_place_update_scales_stack(self):
         w = small_net(seed=4, n=3)
         before = w.U.copy()
+        u_o = gate(w, "U_o")
         with pytest.raises(ValueError, match="read-only"):
-            w.U_o *= 200.0
+            u_o *= 200.0
         np.testing.assert_array_equal(w.U, before)
-        scaled = with_arrays(w, U_o=200.0 * w.U_o).U
+        scaled = with_arrays(w, U_o=200.0 * gate(w, "U_o")).U
         rows = gate_rows(3)["o"]
         np.testing.assert_array_equal(scaled[rows], 200.0 * before[rows])
         np.testing.assert_array_equal(np.delete(scaled, rows, axis=0),
@@ -1356,7 +1363,7 @@ class TestWeightStorage:
         # weights built from another's (read-only) arrays are an equal copy
         # that shares memory with neither the source nor a second copy
         w = small_net(seed=4, n=3)
-        given = {name: getattr(w, name) for name in lstm.MATRIX_FIELDS}
+        given = {name: getattr(w, name) for name in lstm.PARAMETERS}
         ranges = dict(u_max=w.u_max, u_range=w.u_range, y_range=w.y_range)
         dup, w2 = (lstm.LstmWeights(**given, **ranges) for _ in range(2))
         for name in lstm.PARAMETERS:
@@ -1371,7 +1378,7 @@ class TestWeightStorage:
         # observer step and a training epoch have run on them, which leave
         # the attributes that construction made; no name can be assigned,
         # and the constructor shares no memory with its inputs
-        given = {name: getattr(bench_w, name).copy() for name in lstm.MATRIX_FIELDS}
+        given = {name: getattr(bench_w, name).copy() for name in lstm.PARAMETERS}
         w = lstm.LstmWeights(**given, u_range=bench_w.u_range, y_range=bench_w.y_range)
         built = set(vars(w))
         cell = lstm.Workspace(w.n, w.m, 1)
@@ -1386,36 +1393,67 @@ class TestWeightStorage:
         operands = ("W", "U", "b", "W_y", "b_y", "U_half", "W_half", "b_half", "UW",
                     "residual_jacobian", "_scale", "_half", "_one")
         assert set(arrays) == set(operands)
-        for name in arrays + list(lstm.MATRIX_FIELDS):
-            array = getattr(w, name)
+        views = [(name, gate(w, name)) for name in lstm.MATRIX_FIELDS[:-2]]
+        for name, array in [*((name, getattr(w, name)) for name in arrays), *views]:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
             assert not any(np.shares_memory(array, a) for a in given.values()), name
-        for name, value in (*given.items(), ("U_half", w.U_half), ("u_max", 2.0)):
+        for name, value in (*given.items(), ("W_f", gate(w, "W_f")), ("U_half", w.U_half),
+                            ("u_max", 2.0)):
             with pytest.raises(AttributeError, match="read-only"):
                 setattr(w, name, value)
         for name, a in given.items():
             np.testing.assert_array_equal(getattr(w, name), a)
 
 
+def weights_digest(w):
+    """sha256 over every attribute of the weights ``w``, in name order: its
+    name, then an array's dtype, shape and bytes, or another value's repr."""
+    digest = hashlib.sha256()
+    for name, value in sorted(vars(w).items()):
+        digest.update(name.encode())
+        if isinstance(value, np.ndarray):
+            digest.update(f"{value.dtype} {value.shape}".encode())
+            digest.update(value.tobytes())
+        else:
+            digest.update(repr(value).encode())
+    return digest.hexdigest()
+
+
 class TestFromStacks:
-    """``LstmWeights.from_stacks`` is the keyword constructor on the stacks
-    W, U, b: the same checks, operands and read-only copies."""
+    """The one constructor takes the stacks W, U, b in ``GATES`` order and
+    forms the same checks, operands and read-only copies byte for byte."""
 
     NETS = TestPreparedKernel.NETS
+    # weights_digest of each net, pinned: the bench model as load_weights
+    # builds it, the others as small_net draws them
+    DIGESTS = {"bench": "3ed18da5d6d5fe515303f8faf29ce83748b8f7ea9e7d2ef88d45b7f49117f4a8",
+               "small": "f5ecf220a0fbd56a55d5bec47da24f1ef29c4c2692b06cb0fece96157ff43a10",
+               "square2": "551da2dfb02ffcd5f7fa25b65bd121605cdedc5d43c823e79f8b4c369ea1272a"}
+
+    @pytest.mark.parametrize("net", list(NETS))
+    def test_every_attribute_keeps_its_bytes(self, bench_w, net):
+        w = bench_w if net == "bench" else small_net(**self.NETS[net])
+        assert weights_digest(w) == self.DIGESTS[net]
+        stacks = [getattr(w, name).copy() for name in lstm.PARAMETERS]
+        rest = dict(u_max=w.u_max, u_range=w.u_range, y_range=w.y_range)
+        for given in (stacks, [a.tolist() for a in stacks]):
+            assert weights_digest(lstm.LstmWeights(*given, **rest)) == self.DIGESTS[net]
 
     @pytest.mark.parametrize("net", list(NETS))
     @pytest.mark.parametrize("ranges", [True, False])
     def test_equals_the_keyword_constructor_byte_for_byte(self, bench_w, net, ranges):
+        # the stacks named by keyword, or given in order as arrays or as
+        # lists: the same attributes, each array a read-only copy of its own
         w = bench_w if net == "bench" else small_net(**self.NETS[net])
         rest = dict(u_max=0.9, u_range=w.u_range, y_range=w.y_range) if ranges else {}
-        by_gate = lstm.LstmWeights(**{name: getattr(w, name) for name in lstm.MATRIX_FIELDS},
-                                   **rest)
+        by_keyword = lstm.LstmWeights(**{name: getattr(w, name) for name in lstm.PARAMETERS},
+                                      **rest)
         stacks = [getattr(w, name).copy() for name in lstm.PARAMETERS]
         for given in (stacks, [a.tolist() for a in stacks]):
-            built = lstm.LstmWeights.from_stacks(*given, **rest)
-            assert vars(built).keys() == vars(by_gate).keys()
-            for name, value in vars(by_gate).items():
+            built = lstm.LstmWeights(*given, **rest)
+            assert vars(built).keys() == vars(by_keyword).keys()
+            for name, value in vars(by_keyword).items():
                 got = getattr(built, name)
                 if isinstance(value, np.ndarray):
                     assert (got.dtype, got.shape, got.tobytes()) == \
@@ -1425,42 +1463,48 @@ class TestFromStacks:
                 else:
                     assert type(got) is type(value) and got == value, name
 
-    @pytest.mark.parametrize("stack, gate, rows, cols, message", [
-        ("W", "W_i", 1, 0, "input-weight"), ("U", "U_f", 1, 0, "recurrent-weight"),
-        ("U", "U_o", 0, 1, "recurrent-weight"), ("b", "b_c", 1, None, "bias"),
-        ("W_y", "W_y", 0, 1, "readout"), ("b_y", "b_y", 1, None, "readout"),
+    @pytest.mark.parametrize("stack, gate_name, rows, cols, message", [
+        ("W", "i", 1, 0, "input-weight"), ("U", "f", 1, 0, "recurrent-weight"),
+        ("U", "o", 0, 1, "recurrent-weight"), ("b", "c", 1, None, "bias"),
+        ("W_y", None, 0, 1, "readout"), ("b_y", None, 1, None, "readout"),
     ], ids=["W-rows", "U-rows", "U-columns", "b", "W_y", "b_y"])
-    def test_raises_the_constructors_dimension_error(self, tiny_w, stack, gate, rows, cols,
+    def test_raises_the_constructors_dimension_error(self, tiny_w, stack, gate_name, rows, cols,
                                                      message):
-        # one gate's block (or the readout) given one row or column too many;
+        # one gate's block (or the readout) given one row or column too many:
         # in the stacks, a row within that block or a column of the whole stack
         def grown(a):
             return np.pad(a, [(0, rows)] + ([(0, cols)] if cols is not None else []))
 
-        fields = {name: getattr(tiny_w, name) for name in lstm.MATRIX_FIELDS}
         stacks = {name: getattr(tiny_w, name) for name in lstm.PARAMETERS}
-        if stack in ("W", "U", "b") and rows:
-            blocks = lstm.by_gate(stacks["W"], stacks["U"], stacks["b"])
-            blocks[gate] = grown(blocks[gate])
-            stacks[stack] = np.concatenate([blocks[f"{stack}_{g}"] for g in lstm.GATES])
+        if gate_name is not None and rows:
+            blocks = dict(zip(lstm.GATES, np.split(stacks[stack], 4)))
+            blocks[gate_name] = grown(blocks[gate_name])
+            stacks[stack] = np.concatenate([blocks[g] for g in lstm.GATES])
         else:
             stacks[stack] = grown(stacks[stack])
-        fields[gate] = grown(fields[gate])
-        for build in (lambda: lstm.LstmWeights(**fields),
-                      lambda: lstm.LstmWeights.from_stacks(**stacks)):
-            with pytest.raises(DimensionError, match=f"^{message} shapes disagree$"):
-                build()
+        with pytest.raises(DimensionError, match=f"^{message} shapes disagree$"):
+            lstm.LstmWeights(**stacks)
 
     def test_rejects_a_stack_that_is_not_a_matrix(self, tiny_w):
         stacks = {name: getattr(tiny_w, name) for name in lstm.PARAMETERS}
         with pytest.raises(DimensionError, match="^input-weight shapes disagree$"):
-            lstm.LstmWeights.from_stacks(**{**stacks, "W": stacks["W"].ravel()})
+            lstm.LstmWeights(**{**stacks, "W": stacks["W"].ravel()})
+
+    @pytest.mark.parametrize("n, m, p", [(0, 1, 1), (3, 0, 1), (3, 1, 0)])
+    def test_rejects_zero_size_stacks(self, n, m, p):
+        # shapes that agree, with no state, input or output: the certificate's
+        # norms and the controller need at least one of each
+        with pytest.raises(DimensionError, match=rf"^\(n, m, p\) = \({n}, {m}, {p}\): each must "
+                                                 "be at least 1$"):
+            lstm.LstmWeights(np.zeros((4 * n, m)), np.zeros((4 * n, n)), np.zeros(4 * n),
+                             np.zeros((p, n)), np.zeros(p))
 
     def test_result_is_read_only(self, tiny_w):
-        w = lstm.LstmWeights.from_stacks(*(getattr(tiny_w, name) for name in lstm.PARAMETERS))
-        for name in (*lstm.PARAMETERS, "W_f", "U_half", "UW"):
+        w = lstm.LstmWeights(*(getattr(tiny_w, name) for name in lstm.PARAMETERS))
+        for array in (*(getattr(w, name) for name in (*lstm.PARAMETERS, "U_half", "UW")),
+                      gate(w, "W_f")):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(w, name)[...] = 0.0
+                array[...] = 0.0
         with pytest.raises(AttributeError, match="read-only"):
             w.W = tiny_w.W
 
@@ -1470,7 +1514,7 @@ class TestSerialization:
         path = tmp_path / "w.json"
         lstm.save_weights(bench_w, path, observer=bench_spec.to_dict())
         w2, obs = lstm.load_weights(path)
-        for name in lstm.MATRIX_FIELDS:
+        for name in lstm.PARAMETERS:
             np.testing.assert_array_equal(getattr(bench_w, name), getattr(w2, name))
         assert w2.u_max == bench_w.u_max
         assert w2.u_range == tuple(bench_w.u_range)
@@ -1483,14 +1527,27 @@ class TestSerialization:
         lstm.save_weights(w, tmp_path / "model.json", observer=obs)
         assert (tmp_path / "model.json").read_bytes() == src.read_bytes()
 
-    def test_shape_validation(self):
-        with pytest.raises(DimensionError):
-            lstm.LstmWeights(
-                W_f=np.zeros((2, 1)), W_i=np.zeros((3, 1)), W_c=np.zeros((2, 1)),
-                W_o=np.zeros((2, 1)), U_f=np.zeros((2, 2)), U_i=np.zeros((2, 2)),
-                U_c=np.zeros((2, 2)), U_o=np.zeros((2, 2)), b_f=np.zeros(2),
-                b_i=np.zeros(2), b_c=np.zeros(2), b_o=np.zeros(2),
-                W_y=np.zeros((1, 2)), b_y=np.zeros(1))
+    def test_shape_validation(self, tmp_path):
+        # one gate's block of the wrong size: DimensionError from the stacks,
+        # and from a weights file a ValueError that names the array first,
+        # before the gates are stacked
+        w = small_net(seed=4, n=2)
+        blocks = np.split(w.W, 4)
+        blocks[lstm.GATES.index("i")] = np.zeros((3, 1))
+        with pytest.raises(DimensionError, match="^input-weight shapes disagree$"):
+            lstm.LstmWeights(np.concatenate(blocks), w.U, w.b, w.W_y, w.b_y)
+        doc = json.loads((ASSETS / "model.json").read_text())
+        n, m = doc["n"], doc["m"]
+        path = tmp_path / "model.json"
+        for name, value, message in (
+                ("W_c", [0.5] * n,
+                 f"W_c's shape must be (rows, columns), each at least 1, got ({n},)"),
+                ("W_i", [[0.5] * m] * (n - 1), f"W_i's shape must be ({n}, {m}), as W_c's"),
+                ("U_c", [[0.5] * (n - 1)] * n, f"U_c's shape must be ({n}, {n}), as W_c's"),
+                ("b_o", [[0.5]] * n, f"b_o's shape must be ({n},), as W_c's")):
+            path.write_text(json.dumps({**doc, name: value}))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                lstm.load_weights(path)
 
     @pytest.mark.parametrize("change, error, message", [
         (lambda w: {"W_y": np.zeros((w.p, w.n + 1))}, DimensionError, "readout"),
@@ -1499,7 +1556,7 @@ class TestSerialization:
         (lambda w: {"u_max": -1.0}, ValueError, "u_max"),
     ], ids=["W_y", "b_y", "u_max-zero", "u_max-negative"])
     def test_rejects_bad_readout_or_input_bound(self, tiny_w, change, error, message):
-        fields = {name: getattr(tiny_w, name) for name in lstm.MATRIX_FIELDS}
+        fields = {name: getattr(tiny_w, name) for name in lstm.PARAMETERS}
         with pytest.raises(error, match=message):
             lstm.LstmWeights(**{**fields, **change(tiny_w)})
 

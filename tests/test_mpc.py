@@ -13,7 +13,7 @@ from lstmpc.errors import (DimensionError, FeasibilityLossError, InfeasibleSetpo
                            InstabilityError)
 from lstmpc.observer import AugmentedState
 
-from conftest import random_invariant_state, small_net, with_arrays
+from conftest import gate, random_invariant_state, small_net, with_arrays
 
 
 def fake_cert(rho_s=0.9, c_su=2.0, c_s=(1.5,), a_delta=((0.0, 0.0), (0.0, 0.0))):
@@ -686,7 +686,7 @@ class TestCertify:
             dataclasses.replace(spec, L_d=0.5 * np.eye(w.p))
         net = small_net(seed=1, n=3)
         with pytest.raises(InstabilityError, match="model not certified"):
-            lstm.StabilityCertificate(with_arrays(net, b_f=30.0, U_o=200.0 * net.U_o))
+            lstm.StabilityCertificate(with_arrays(net, b_f=30.0, U_o=200.0 * gate(net, "U_o")))
 
     def test_arrays_are_read_only(self, bench_certificate):
         # an in-place write would move the tightening or the observer metric

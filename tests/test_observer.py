@@ -12,7 +12,8 @@ from lstmpc.errors import (DimensionError, DomainViolationError, GainSelectionEr
 from lstmpc.lstm import LstmState
 from lstmpc.observer import AugmentedState
 
-from conftest import induced_inf_norm, random_invariant_state, small_net, with_arrays, zero_net
+from conftest import (gate, induced_inf_norm, random_invariant_state, small_net, with_arrays,
+                      zero_net)
 
 
 def make_spec(w, d_max=0.1, l_d=0.1, **kw):
@@ -93,10 +94,10 @@ class TestObserverStep:
         def sig(z):
             return 1.0 / (1.0 + np.exp(-z))
 
-        f = sig(w.W_f @ u + w.U_f @ x.h + w.b_f + spec.L_f @ innov)
-        i = sig(w.W_i @ u + w.U_i @ x.h + w.b_i + spec.L_i @ innov)
-        g = np.tanh(w.W_c @ u + w.U_c @ x.h + w.b_c)
-        o = sig(w.W_o @ u + w.U_o @ x.h + w.b_o + spec.L_o @ innov)
+        f = sig(gate(w, "W_f") @ u + gate(w, "U_f") @ x.h + gate(w, "b_f") + spec.L_f @ innov)
+        i = sig(gate(w, "W_i") @ u + gate(w, "U_i") @ x.h + gate(w, "b_i") + spec.L_i @ innov)
+        g = np.tanh(gate(w, "W_c") @ u + gate(w, "U_c") @ x.h + gate(w, "b_c"))
+        o = sig(gate(w, "W_o") @ u + gate(w, "U_o") @ x.h + gate(w, "b_o") + spec.L_o @ innov)
         c_next = f * x.c + i * g
         np.testing.assert_allclose(nxt.x.c, c_next, rtol=0, atol=1e-14)
         np.testing.assert_allclose(nxt.x.h, o * np.tanh(c_next), rtol=0, atol=1e-14)
@@ -172,18 +173,19 @@ def hand_certificate(w, spec):
         gain = np.abs(np.hstack([lw, l_gain * spec.d_max, l_gain * spec.d_max])).sum(axis=1)
         return float(lstm.sigmoid(np.max(model + gain)))
 
-    sf = hat_sigma(w.W_f, w.U_f, w.b_f, spec.L_f)
-    si = hat_sigma(w.W_i, w.U_i, w.b_i, spec.L_i)
-    so = hat_sigma(w.W_o, w.U_o, w.b_o, spec.L_o)
-    sc = float(np.tanh(inf(np.hstack([w.W_c * w.u_max, w.U_c, w.b_c.reshape(-1, 1)]))))
+    sf = hat_sigma(gate(w, "W_f"), gate(w, "U_f"), gate(w, "b_f"), spec.L_f)
+    si = hat_sigma(gate(w, "W_i"), gate(w, "U_i"), gate(w, "b_i"), spec.L_i)
+    so = hat_sigma(gate(w, "W_o"), gate(w, "U_o"), gate(w, "b_o"), spec.L_o)
+    sc = float(np.tanh(inf(np.hstack([gate(w, "W_c") * w.u_max, gate(w, "U_c"),
+                                      gate(w, "b_c").reshape(-1, 1)]))))
     c_rad = si * sc / (1.0 - sf)
     g_bar = 0.25 * float(np.tanh(c_rad))
-    a_hat = 0.25 * c_rad * two(w.U_f - spec.L_f @ w.W_y) + si * two(w.U_c) \
-        + 0.25 * sc * two(w.U_i - spec.L_i @ w.W_y)
+    a_hat = 0.25 * c_rad * two(gate(w, "U_f") - spec.L_f @ w.W_y) + si * two(gate(w, "U_c")) \
+        + 0.25 * sc * two(gate(w, "U_i") - spec.L_i @ w.W_y)
     b_hat = 0.25 * c_rad * two(spec.L_f) + 0.25 * sc * two(spec.L_i)
     top = np.array([
         [sf, a_hat, b_hat],
-        [so * sf, so * a_hat + g_bar * two(w.U_o - spec.L_o @ w.W_y),
+        [so * sf, so * a_hat + g_bar * two(gate(w, "U_o") - spec.L_o @ w.W_y),
          so * b_hat + g_bar * two(spec.L_o)],
     ])
     a_bar = 0.25 * c_rad * two(spec.L_f @ w.W_y) + 0.25 * sc * two(spec.L_i @ w.W_y)
@@ -253,7 +255,7 @@ class TestSelectGains:
 
     def test_rejects_uncertified_model(self):
         net = small_net(seed=1, n=3)
-        w = with_arrays(net, b_f=30.0, U_o=200.0 * net.U_o)
+        w = with_arrays(net, b_f=30.0, U_o=200.0 * gate(net, "U_o"))
         with pytest.raises(GainSelectionError):
             make_spec(w)
 

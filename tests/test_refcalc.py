@@ -11,7 +11,7 @@ from lstmpc import lstm, observer, refcalc
 from lstmpc.errors import DimensionError, InfeasibleReferenceError
 from lstmpc.lstm import LstmState
 
-from conftest import local_factors_oracle, random_invariant_state, small_net, zero_net
+from conftest import gate, local_factors_oracle, random_invariant_state, small_net, zero_net
 
 
 def oracle_residual(w, xi, y0_eff):
@@ -30,7 +30,7 @@ def oracle_jacobian(w, xi):
     c, h, u = xi[:n], xi[n:2 * n], xi[2 * n:]
     cs, _, cache = lstm.rollout(w, c, h, u[None, :])
     f, k_f, k_i, k_g, k_o, k_t = (k[0] for k in local_factors_oracle(cs, cache))
-    uw = {g: np.hstack([getattr(w, f"U_{g}"), getattr(w, f"W_{g}")]) for g in lstm.GATES}
+    uw = {g: np.hstack([gate(w, f"U_{g}"), gate(w, f"W_{g}")]) for g in lstm.GATES}
     dc_hu = (k_f[:, None] * uw["f"] + k_i[:, None] * uw["i"]
              + k_g[:, None] * uw["c"])
     jac = np.zeros((2 * n + w.p, 2 * n + w.m))

@@ -11,7 +11,7 @@ import pytest
 from lstmpc import lstm, plant, sysid
 from lstmpc.errors import DimensionError, TrainingError, UndefinedMetricError, UnphysicalStateError
 
-from conftest import small_net, with_arrays
+from conftest import gate, small_net, with_arrays
 
 
 def segment_lengths(trace):
@@ -196,7 +196,7 @@ class TestTrain:
         assert lstm.incremental_lyapunov(init).certified
         cfg = sysid.TrainConfig(epochs=0, n_neurons=3, washout=10)
         out = sysid.train(ds, cfg, init=init)
-        for name in lstm.MATRIX_FIELDS:
+        for name in lstm.PARAMETERS:
             np.testing.assert_array_equal(getattr(out, name), getattr(init, name))
 
     def test_warm_start_takes_the_training_ranges(self, bench_w):
@@ -217,7 +217,7 @@ class TestTrain:
         cfg = sysid.TrainConfig(epochs=3, n_neurons=3, washout=10, seed=4)
         w1 = sysid.train(ds, cfg)
         w2 = sysid.train(ds, cfg)
-        for name in lstm.MATRIX_FIELDS:
+        for name in lstm.PARAMETERS:
             np.testing.assert_array_equal(getattr(w1, name), getattr(w2, name))
 
     def test_output_is_certified(self):
@@ -230,7 +230,7 @@ class TestTrain:
         # adversarial init with r1 > 0: a large penalty drives the margins down
         ds = synthetic_dataset()
         net = small_net(seed=1, n=3)
-        init = with_arrays(net, U_c=14.0 * net.U_c)
+        init = with_arrays(net, U_c=14.0 * gate(net, "U_c"))
         assert lstm.gate_bounds(init).r1 > 0
         cfg = sysid.TrainConfig(epochs=1, n_neurons=3, washout=10, seed=4,
                                 lambda1=5.0, learning_rate=5e-3,
@@ -258,7 +258,7 @@ class TestTrain:
     def test_fails_without_certificate(self):
         ds = synthetic_dataset()
         net = small_net(seed=1, n=3)
-        init = with_arrays(net, U_c=14.0 * net.U_c)
+        init = with_arrays(net, U_c=14.0 * gate(net, "U_c"))
         cfg = sysid.TrainConfig(epochs=1, n_neurons=3, washout=10, seed=4,
                                 lambda1=0.0, lambda2=0.0, learning_rate=1e-6,
                                 extension_factor=2)
@@ -300,6 +300,19 @@ class TestTrain:
                                          for name in lstm.PARAMETERS)).hexdigest()
         assert digest == self.RAGGED_WEIGHTS
         assert repr(sysid.evaluate_fit(w, ds.test)) == self.RAGGED_FIT
+
+    # init_weights' draw, pinned by (seed, n, m, p): the sha256 over
+    # lstm.PARAMETERS of the weights it returns
+    INIT_WEIGHTS = {
+        (0, 4, 2, 2): "3f1ab5f22b37d3b087d3c85f3b3d77576023fc8b4cf0d8b39d039ba32c918c3b",
+        (3, 3, 1, 1): "fcc5bfedca4a5d5cfb031a1ff8dcbd01ae98a042df83abcdb54bd99fa5926bf9"}
+
+    @pytest.mark.parametrize("seed, n, m, p", list(INIT_WEIGHTS))
+    def test_init_weights_give_the_pinned_draw(self, seed, n, m, p):
+        w = sysid.init_weights(sysid.TrainConfig(seed=seed, n_neurons=n), m=m, p=p)
+        digest = hashlib.sha256(b"".join(getattr(w, name).tobytes()
+                                         for name in lstm.PARAMETERS)).hexdigest()
+        assert digest == self.INIT_WEIGHTS[seed, n, m, p]
 
     def test_non_finite_input_in_memory_names_epoch_and_sequence(self):
         # a Dataset built in memory skips load_dataset's check: the loss
