@@ -9,8 +9,6 @@ set-point band.
 
 from importlib import resources
 
-import numpy as np
-
 from lstmpc import lstm, mpc, plant
 
 weights, obs_doc = lstm.load_weights(resources.files("lstmpc") / "assets" / "model.json")
@@ -26,7 +24,7 @@ print(f"  rho_s = {cert.rho_s:.4f},  c_sl = {cert.c_sl:.2f}, "
 
 spec = certificate.spec
 print("\nObserver error dynamics:")
-print(f"  rho(A_d) = {np.max(np.abs(np.linalg.eigvals(spec.A_d))):.4f}")
+print(f"  rho(A_d) = {spec.rho_A_d:.4f}")
 print(f"  rho_o = {spec.rho_o:.4f},  L_max = {spec.L_max:.4f}, "
       f"w_bar = {spec.w_bar} (certifies disturbance increments up to "
       f"w_max = {spec.w_max:.3g} per step)")

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import lstm, mpc, observer, plant, refcalc
 from .errors import (FINITE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
-                     DomainViolationError, FeasibilityLossError, check, check_object, read_json)
+                     DomainViolationError, FeasibilityLossError, InfeasibleSetpointError,
+                     LstmpcError, check, check_object, read_json)
 from .lstm import LstmState
 from .observer import AugmentedState
 
@@ -72,7 +73,8 @@ class Scenario:
                 ("duration_s", (lambda v: NONNEGATIVE[0](v) and v <= MAX_STEPS * plant.T_S,
                                 f"{NONNEGATIVE[1]}, at most {MAX_STEPS} steps of {plant.T_S} s")),
                 ("ramp_rate", POSITIVE), ("horizon", POSITIVE_INT), ("seed", NONNEGATIVE_INT),
-                ("y_lb_phys", PH), ("y_ub_phys", PH),
+                ("y_lb_phys", PH), ("y_ub_phys", (lambda v: PH[0](v) and v > self.y_lb_phys,
+                                                  f"{PH[1]}, above y_lb_phys")),
                 ("mode", (lambda v: v in list(_PLANTS), f"one of {list(_PLANTS)}")),
                 ("plant_overrides", (lambda v: isinstance(v, dict) and set(v) <= {
                     f.name for f in fields(plant.PhParams)}, "a dict keyed by PhParams fields"))):
@@ -231,9 +233,14 @@ class PhysicalPlant:
         self.sc, self.nrm = sc, nrm
         self.params = plant.PhParams(**sc.plant_overrides)
         q2_0 = _profile_value(sc.disturbances, 0.0, self.params.q2_nominal)
-        self.x = plant.equilibrium(self.params, d_phi=q2_0)
-        self.chi_hat0 = initial_estimate(
-            w, nrm.normalize_y(plant.measure_ph(self.params, self.x)), cell)
+        try:
+            self.x = plant.equilibrium(self.params, d_phi=q2_0)
+            self.chi_hat0 = initial_estimate(
+                w, nrm.normalize_y(plant.measure_ph(self.params, self.x)), cell)
+        except LstmpcError as exc:      # no plant state, or no model state at its pH
+            exc.args = (f"no initial state for plant_overrides {sc.plant_overrides} at the "
+                        f"buffer flow {q2_0} mL/s of t = 0: {exc}",)
+            raise
 
     def measure(self, t, chi_hat):
         self.q2 = _profile_value(self.sc.disturbances, t, self.params.q2_nominal)
@@ -303,7 +310,11 @@ def steps(sc, w, gains=None):
     ctrl = mpc.Controller(w, certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
                           y_lb=nrm.normalize_y(sc.y_lb_phys), y_ub=nrm.normalize_y(sc.y_ub_phys))
     y0s = setpoint_trace(sc, nrm, int(round(sc.duration_s / sc.t_s)))
-    certificate.terminal_alpha(w.W_y, y0s[:1], ctrl.y_lb, ctrl.y_ub, sc.e_o0)
+    try:
+        certificate.terminal_alpha(w.W_y, y0s[:1], ctrl.y_lb, ctrl.y_ub, sc.e_o0)
+    except InfeasibleSetpointError as exc:
+        exc.args = (f"the setpoints start outside the admissible band at e_o0 = {sc.e_o0}: {exc}",)
+        raise
     cell = lstm.Workspace(w.n, w.m, 1)      # the observer's and the plant adapter's step
     sim = _PLANTS[sc.mode](sc, w, certificate.spec, nrm, cell)
 

@@ -12,9 +12,8 @@ training and the reference Jacobian all run this cell through one kernel:
 
 - ``LstmWeights``, the model, holds parameters only, read-only: it stores
   the gate weights once, stacked in the order ``GATES`` = (c, f, i, o), the
-  one place the order is written; every (4n,)-row quantity uses it. It is
-  built from the stacks and forms its cell operands once, on construction;
-  the gates' names appear only in the weights file, whose per-gate arrays
+  one place the order is written; every (4n,)-row quantity uses it. The
+  gates' names appear only in the weights file, whose per-gate arrays
   ``load_weights`` stacks and ``save_weights`` splits. Each step takes all
   four gates from one ``tanh`` over preactivations whose f, i, o rows are
   halved, since sigmoid(z) = 0.5 (1 + tanh(z / 2)); halving is exact, so
@@ -28,37 +27,25 @@ training and the reference Jacobian all run this cell through one kernel:
   for its reference calculation, the closed loop one for its observer, its
   plant model and its initial estimate, the K_bar grid one, training and
   FIT one per sequence length. So callers that share a model share no
-  scratch; the function ``step`` runs in the workspace it is given, and
-  only the one-shot ``rollout`` builds its own.
-- A sweep that is the workspace's last sweep shifted by one stage runs
-  one step. The guard is exact: the same weights object, T >= 2, a start
-  equal to the last sweep's stage-1 state and inputs equal to its inputs
-  moved up one row, all compared by their bytes against copies the
-  workspace keeps of the last sweep, so -0.0 is not +0.0. The rows, h and
-  tanh(c+) then move up one stage, step T-1 runs through its per-step
-  views, and every result keeps its bytes. The closed loop's FHOCP
-  candidate, the accepted plan shifted, is such a sweep, from the state
-  that plan predicted; the sweeps' results are read-only, since the next
-  shifted sweep starts from them.
+  scratch, and no function builds a workspace for a call: ``step`` runs
+  in the one it is given.
+- A sweep that is the workspace's last sweep shifted by one stage, as the
+  closed loop's FHOCP candidate is, runs one step under the exact guard
+  ``Workspace.rollout`` states, and every result keeps its bytes; the
+  sweeps' results are read-only, since the next shifted sweep starts from
+  them.
 - ``Workspace.linearize``, the one copy of the cell's linearization, forms
   every step's [A_k | B_k] of the last sweep or step from its local
   factors; it feeds the forward sweep ``Workspace.sensitivities`` and the
   reference calculation's Newton Jacobian, and its kernels run the reverse
-  sweep ``Workspace.adjoint`` one block of steps at a time. Its ufuncs run
-  with each output positional, in buffers and views the workspace builds
-  once, where building them cost more than the arithmetic: the reverse
-  sweep's first call builds each block's local factors, step Jacobians, lam
-  columns and rows of a kept dz, so no later call allocates an array.
+  sweep ``Workspace.adjoint`` one block of steps at a time, in buffers and
+  views the workspace builds once, so no later call allocates an array.
 - The per-step loops, ``_run``'s and ``_adjoint``'s one product per step,
   call only names bound before the loop, with each output positional:
-  the products go through ``np.ndarray.dot``, the same C routine as
-  ``np.dot`` without its Python-level ``__array_function__`` dispatcher
-  (about a quarter of the call at a (20, 5) product), and ``_run``'s
-  in-place updates call the ufuncs their operators dispatch to, so every
-  array stays bit for bit the same. The input products before the loop
-  (``u W_half^T``, of a sweep and of a step) go through ``ndarray.dot``
-  too, and ``sensitivities`` copies every step's B_k into S in one call,
-  through a strided view, before its products.
+  the products, and the input products before the loop, go through
+  ``np.ndarray.dot`` (``_dot``), ``np.dot``'s C routine without its
+  Python-level dispatcher, and ``_run``'s in-place updates call the ufuncs
+  their operators dispatch to, so every array stays bit for bit the same.
 
 Besides the state update, this module holds the one copy of the
 contraction certificate's arithmetic, ``increment_gains``, and of its
@@ -226,12 +213,6 @@ def _run(w, h_k, steps, fc_ig):
         h_k = h_next
 
 
-def rollout(w, c0, h0, u_seq):
-    """Run the cell over the (T, m) inputs ``u_seq`` from (c0, h0), in a
-    ``Workspace`` of its own: ``Workspace.rollout``."""
-    return Workspace(w.n, w.m, len(u_seq)).rollout(w, c0, h0, u_seq)
-
-
 def step(w, x, u, workspace):
     """One state update from the ``LstmState`` x, a new ``LstmState``: the
     ``Workspace.step`` of ``workspace``, of ``w``'s shapes and one step.
@@ -256,9 +237,7 @@ class Workspace:
     sweep or step checks its weights' shapes and its length, else
     DimensionError, and overwrites the last one's results, and the
     linearizations read the last one; a sweep that is the last sweep
-    shifted by one stage runs its last step alone (``rollout``). Callers
-    that share a model each own their workspaces, so they share no
-    scratch."""
+    shifted by one stage runs its last step alone (``rollout``)."""
 
     def __init__(self, n, m, n_t):
         row, h, pre, steps, cache, fc_ig = _loop_buffers(n_t, n)
@@ -292,14 +271,14 @@ class Workspace:
         A sweep that is the last sweep shifted by one stage runs one step:
         the same weights object, T >= 2, a start equal to the last sweep's
         stage-1 state, and inputs whose first T-1 rows equal the last
-        inputs' rows 1..T-1, all by their bytes, against copies kept of
-        the last sweep (T m + 2n floats). Its stages 0..T-1 and
-        steps 0..T-2 are then the last sweep's stages and steps 1.., so
-        the rows [c_k | z_k], h and tanh(c+) move up by one stage and only
-        step T-1 runs; the preactivations are formed whole, as in every
-        sweep. Every result keeps its bytes. The closed loop's candidate,
-        the previous plan shifted, from the state that plan predicted, is
-        such a sweep."""
+        inputs' rows 1..T-1, all by their bytes (so -0.0 is not +0.0),
+        against copies kept of the last sweep (T m + 2n floats). Its stages
+        0..T-1 and steps 0..T-2 are then the last sweep's stages and steps
+        1.., so the rows [c_k | z_k], h and tanh(c+) move up by one stage
+        and only step T-1 runs; the preactivations are formed whole, as in
+        every sweep. Every result keeps its bytes. The closed loop's
+        candidate, the previous plan shifted, from the state that plan
+        predicted, is such a sweep."""
         u_seq = np.asarray(u_seq, dtype=float)
         self._check(w, len(u_seq))
         last, self._shift = self._shift, None

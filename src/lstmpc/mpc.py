@@ -47,7 +47,7 @@ from . import lstm, observer, plant, refcalc
 from .errors import (NONNEGATIVE, POSITIVE, POSITIVE_INT, DimensionError,
                      FeasibilityLossError, InfeasibleSetpointError, check)
 from .numerics import (eig_extrema_spd, freeze_arrays, largest, magnitude,
-                       solve_discrete_lyapunov, spectral_radius)
+                       solve_discrete_lyapunov)
 
 _sum = np.add.reduce     # a whole array's pairwise sum, without ndarray.sum's wrapper
 
@@ -157,7 +157,7 @@ class Certificate:
             "model": {"rho_A_delta": cert.rho_A, "r1": cert.r1, "r2": cert.r2,
                       "certified": cert.certified, "rho_s": cert.rho_s, "c_sl": cert.c_sl,
                       "c_su": cert.c_su, "c_s": cert.c_s.tolist(), "P_s": cert.P_s.tolist()},
-            "observer": {"rho_A_d": spectral_radius(spec.A_d), "rho_o": spec.rho_o,
+            "observer": {"rho_A_d": spec.rho_A_d, "rho_o": spec.rho_o,
                          "c_ol": spec.c_ol, "c_ou": spec.c_ou, "c_o": spec.c_o.tolist(),
                          "L_max": spec.L_max, "w_bar": spec.w_bar,
                          "e_bar_inf": self.e_bar_inf, "P_o": spec.P_o.tolist()},
@@ -172,11 +172,11 @@ def certify(w, gains=None, horizon=5, q_weight=1.0, *, k_bar=False):
     """The ``Certificate`` of the weights ``w`` at a positive int ``horizon``.
 
     ``gains`` is an ``ObserverSpec`` (left unchanged) or the weights' JSON
-    observer section, either with its own d_max and w_bar; None means
-    ``observer.select_gains(w)``. The chain is composed here only: one model
-    certificate, one ``observer.derive_constants``. ``k_bar`` estimates K_bar
-    over pH 6.5-8.5 and +-d_max. The readout ``W_y`` must have no row of
-    zeros."""
+    observer section (``observer.section_spec``), either with its own d_max
+    and w_bar; None means ``observer.select_gains(w)``. The chain is
+    composed here only: one model certificate, one
+    ``observer.derive_constants``. ``k_bar`` estimates K_bar over pH
+    6.5-8.5 and +-d_max. The readout ``W_y`` must have no row of zeros."""
     check("W_y", w.W_y, _READOUT)
     if k_bar and (w.u_range is None or w.y_range is None):
         raise ValueError("the K_bar estimate needs weights with u_range and y_range")
@@ -184,7 +184,7 @@ def certify(w, gains=None, horizon=5, q_weight=1.0, *, k_bar=False):
     if gains is None:
         gains = observer.select_gains(w)
     elif not isinstance(gains, observer.ObserverSpec):
-        gains = observer.ObserverSpec.from_dict(gains)
+        gains = observer.section_spec(w, gains)
     spec = observer.derive_constants(w, gains)
     estimate = None
     if k_bar:

@@ -83,22 +83,37 @@ class ObserverSpec:
     def from_dict(cls, doc):
         """The spec of a weights file's observer section, each key checked by name:
         an object, no unknown or missing key, finite gains, then d_max and w_bar."""
-        check_object("observer", doc, (*cls._GAINS, "d_max"), ("w_bar",))
-        gains = {name: finite_array(name, doc[name]) for name in cls._GAINS}
-        return cls(**{**doc, **gains})
+        return cls(**_read_section(doc))
+
+
+def _read_section(doc):
+    """The observer section ``doc``'s fields, its gains as finite float arrays."""
+    check_object("observer", doc, (*ObserverSpec._GAINS, "d_max"), ("w_bar",))
+    return {**doc, **{name: finite_array(name, doc[name]) for name in ObserverSpec._GAINS}}
+
+
+def section_spec(w, doc):
+    """``ObserverSpec.from_dict`` of the observer section ``doc``, each gain held
+    by name to the weights ``w``'s shape before the spec holds them to L_f's."""
+    fields = _read_section(doc)
+    for name in ObserverSpec._GAINS:
+        _check_gain(w, name, fields[name])
+    return ObserverSpec(**fields)
 
 
 @dataclass(frozen=True, kw_only=True)
 class ObserverCertificate(ObserverSpec):
     """An ``ObserverSpec`` with its convergence constants on the weights ``w``,
-    formed whole on construction: A_d (GainSelectionError unless rho(A_d) < 1,
-    which rejects an uncertified model too), its ``lstm.lyapunov_bounds`` P_o,
-    rho_o, c_ol, c_ou, then c_o, L_mat, L_max, cell_radius_hat and w_max, the
-    largest increment norm |w| per step for which V_o(k+1) <= rho_o V_o(k) +
-    w_bar. No derived constant is a constructor argument."""
+    formed whole on construction: A_d and rho_A_d = rho(A_d) (GainSelectionError
+    unless it is below 1, which rejects an uncertified model too), its
+    ``lstm.lyapunov_bounds`` P_o, rho_o, c_ol, c_ou, then c_o, L_mat, L_max,
+    cell_radius_hat and w_max, the largest increment norm |w| per step for
+    which V_o(k+1) <= rho_o V_o(k) + w_bar. No derived constant is a
+    constructor argument."""
 
     w: InitVar[lstm.LstmWeights]
     A_d: np.ndarray = field(init=False)
+    rho_A_d: float = field(init=False)
     P_o: np.ndarray = field(init=False)
     rho_o: float = field(init=False)
     c_ol: float = field(init=False)
@@ -117,8 +132,8 @@ class ObserverCertificate(ObserverSpec):
         p_o, rho_o, c_ol, c_ou = lstm.lyapunov_bounds(a_d)
         w_bar = float(self.w_bar)
         w_y_bar = np.hstack([np.zeros((w.p, w.n)), w.W_y, np.eye(w.p)])
-        freeze_arrays(self, A_d=a_d, P_o=p_o, rho_o=rho_o, c_ol=c_ol, c_ou=c_ou, L_mat=l_mat,
-                      c_o=np.linalg.norm(w_y_bar, axis=1) / c_ol, w_bar=w_bar,
+        freeze_arrays(self, A_d=a_d, rho_A_d=rho, P_o=p_o, rho_o=rho_o, c_ol=c_ol, c_ou=c_ou,
+                      L_mat=l_mat, c_o=np.linalg.norm(w_y_bar, axis=1) / c_ol, w_bar=w_bar,
                       L_max=induced_two_norm(l_mat) / c_ol, cell_radius_hat=cell_radius_hat,
                       # triangle inequality, P_o >= 0: V_o(e+) <= rho_o V_o(e) + sqrt(P_o[2, 2]) |w|
                       w_max=w_bar / float(np.sqrt(p_o[2, 2])))
@@ -127,16 +142,14 @@ class ObserverCertificate(ObserverSpec):
 def observer_step(w, spec, chi_hat, u, y_measured, workspace):
     """One observer update driven by the measured output, one
     ``lstm.Workspace.step`` of ``w`` in ``workspace``, of the weights'
-    shapes and one step: the innovation
-    enters the f, i, o preactivations, and the disturbance estimate
-    integrates it, saturated at +-d_max.
-    Raises DimensionError for gains that do not fit the model.
-    """
+    shapes and one step: the innovation enters the f, i, o preactivations,
+    and the disturbance estimate integrates it, saturated at +-d_max.
+    Raises DimensionError for gains that do not fit the model."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y_measured = np.atleast_1d(np.asarray(y_measured, dtype=float))
     if u.shape != (w.m,) or y_measured.shape != (w.p,):
         raise DimensionError("input/measurement shape mismatch")
-    _check_fit(w, spec)
+    _check_gain(w, "L_f", spec.L_f)
     x, d = chi_hat.x, np.asarray(chi_hat.d, dtype=float)
     innov = y_measured - (w.W_y.dot(x.h) + w.b_y + d)
     c, h = workspace.step(w, x.c, x.h, u, spec.injection.dot(innov))
@@ -160,7 +173,7 @@ def _error_dynamics(w, spec):
     error dynamics' sensitivity to the gains. Raises DimensionError for
     gains that do not fit the model.
     """
-    _check_fit(w, spec)
+    _check_gain(w, "L_f", spec.L_f)
     n, p = w.n, w.p
     l_gains = spec.injection.reshape(4, n, p)
     l_wy = l_gains @ w.W_y
@@ -178,11 +191,14 @@ def _error_dynamics(w, spec):
     return a_d, l_mat, hat.cell_radius
 
 
-def _check_fit(w, spec):
-    """Raise DimensionError unless L_f is (n, p); ``ObserverSpec`` has
-    checked that the other gains agree with it."""
-    if spec.L_f.shape != (w.n, w.p):
-        raise DimensionError(f"L_f has shape {spec.L_f.shape}, not {(w.n, w.p)}, "
+def _check_gain(w, name, gain):
+    """Raise DimensionError naming the gain ``name`` unless the array ``gain``,
+    read as ``ObserverSpec`` reads it (1-D as one row), has the model's shape
+    for it: (p, p) for L_d, (n, p) for L_f, L_i and L_o. A spec's L_f alone
+    is checked, since the spec holds its other gains to L_f's shape."""
+    want = (w.p, w.p) if name == "L_d" else (w.n, w.p)
+    if gain.shape != want and np.atleast_2d(gain).shape != want:
+        raise DimensionError(f"{name} has shape {gain.shape}, not {want}, "
                              f"for the model's (n, p) = ({w.n}, {w.p})")
 
 

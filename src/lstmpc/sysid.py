@@ -204,32 +204,31 @@ class TrainConfig:
             check(name, getattr(self, name), rule)
 
 
+def _workspaces(w, sequences):
+    """One ``lstm.Workspace`` of ``w``'s shapes per length t of the (u, y)
+    ``sequences``, keyed by t: a t-sample sequence sweeps t - 1 steps."""
+    return {t: lstm.Workspace(w.n, w.m, max(t - 1, 0)) for t in {len(u) for u, _ in sequences}}
+
+
 def _forward(w, u_seq, workspace):
     """Open-loop rollout from the zero state over all but the last input,
-    in the ``lstm.Workspace`` ``workspace``, of len(u_seq) - 1 steps.
-
-    Returns (y_hat, c, h, cache, u2): outputs and states of shape (t, .)
-    for the t = len(u_seq) samples, and the inputs as a (t, m) array.
-    """
+    in the ``lstm.Workspace`` ``workspace`` of its length (``_workspaces``).
+    Returns (y_hat, h, u2): the outputs and hidden states of the t =
+    len(u_seq) samples, (t, p) and (t, n), and the inputs as a (t, m) array."""
     u2 = np.asarray(u_seq, dtype=float).reshape(len(u_seq), -1)
     zero = np.zeros(w.n)
-    c, h, cache = workspace.rollout(w, zero, zero, u2[:-1])
-    return h @ w.W_y.T + w.b_y, c, h, cache, u2
-
-
-def predict(w, u_seq):
-    """Open-loop prediction from the zero initial state."""
-    return _forward(w, u_seq, lstm.Workspace(w.n, w.m, max(len(u_seq) - 1, 0)))[0]
+    h = workspace.rollout(w, zero, zero, u2[:-1])[1]
+    return h @ w.W_y.T + w.b_y, h, u2
 
 
 def loss(w, u_seq, y_seq, cfg, workspace):
     """(value, grads): training loss (MSE past washout + stability-margin
     penalties) and its gradient for each array in ``lstm.PARAMETERS``.
     The rollout and its reverse sweep run in the ``lstm.Workspace``
-    ``workspace``, of len(u_seq) - 1 steps."""
+    ``workspace`` of the sequence's length (``_workspaces``)."""
     t = len(u_seq)
     y_seq = np.asarray(y_seq, dtype=float).reshape(t, -1)
-    y_hat, c, h, cache, u2 = _forward(w, u_seq, workspace)
+    y_hat, h, u2 = _forward(w, u_seq, workspace)
     mask = np.arange(t) >= cfg.washout
     n_eval = int(mask.sum())
     if n_eval == 0:
@@ -239,14 +238,10 @@ def loss(w, u_seq, y_seq, cfg, workspace):
         raise TrainingError("non-finite forward pass")
     mse = float(np.sum(err ** 2)) / n_eval
 
-    grads = {}
     scale = 2.0 / n_eval
-    grads["W_y"] = scale * err.T @ h
-    grads["b_y"] = scale * err.sum(axis=0)
-    out_grad = scale * err @ w.W_y
-    dc_stage = np.zeros_like(c)
-    dz = workspace.adjoint(dc_stage, out_grad)
-    grads["W"], grads["U"], grads["b"] = dz.T @ u2[:t - 1], dz.T @ h[:t - 1], dz.sum(axis=0)
+    dz = workspace.adjoint(np.zeros_like(h), scale * err @ w.W_y)     # no loss term reads c
+    grads = {"W": dz.T @ u2[:t - 1], "U": dz.T @ h[:t - 1], "b": dz.sum(axis=0),
+             "W_y": scale * err.T @ h, "b_y": scale * err.sum(axis=0)}
     return mse + _penalty_with_grads(w, cfg, grads), grads
 
 
@@ -299,8 +294,7 @@ def train(data, cfg, init=None, callback=None):
         cfg, m=1, p=1, u_range=u_range, y_range=y_range)
     if cfg.epochs == 0 and (bounds := lstm.gate_bounds(w)).r1 < 0 and bounds.r2 < 0:
         return w
-    workspaces = {t: lstm.Workspace(w.n, w.m, max(t - 1, 0))    # each loss sweeps t - 1 steps
-                  for t in {len(u) for u, _ in data.train}}
+    workspaces = _workspaces(w, data.train)
     rng = np.random.default_rng(cfg.seed + 1)
     mom = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
     vel = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
@@ -361,8 +355,7 @@ def evaluate_fit(w, sequences, washout=50):
     raises UndefinedMetricError on an empty list."""
     if not sequences:
         raise UndefinedMetricError("no sequences to evaluate FIT on")
-    workspaces = {t: lstm.Workspace(w.n, w.m, max(t - 1, 0))
-                  for t in {len(u_seq) for u_seq, _ in sequences}}
+    workspaces = _workspaces(w, sequences)
     fits = []
     for u_seq, y_seq in sequences:
         y_hat = _forward(w, u_seq, workspaces[len(u_seq)])[0][:, 0]

@@ -1,18 +1,26 @@
-"""A seeded mutation campaign over the weights file: ``lstmpc certify`` on
-each mutation of one field of the shipped model.json returns 2 without a
-traceback and writes one JSON line to stderr whose message names the field,
-or the file."""
+"""Seeded mutation campaigns over the package's input files.
 
+The weights file: ``lstmpc certify`` on each mutation of one field of the
+shipped model.json, or of one gain of its observer section, returns 2
+without a traceback and writes one JSON line to stderr whose message names
+the field, or the file. The scenario file: ``lstmpc simulate`` on each
+mutation of one field of the benchmark scenario, cut to a 30 s run,
+returns 0, 1 or 2 without a traceback, and on 2 writes one JSON line to
+stderr whose message names a field, or the file."""
+
+import dataclasses
 import json
+import math
 import random
 import re
 
-from lstmpc import cli, lstm
+from lstmpc import cli, harness, lstm, plant
 
 from conftest import ASSETS
 
 SHIPPED = json.loads((ASSETS / "model.json").read_text())
 SCALARS = ("n", "m", "p", "u_max")
+GAINS = ("L_f", "L_i", "L_o", "L_d")
 DROP = object()     # a mutation's value that removes the key
 
 
@@ -60,30 +68,53 @@ def _reshaped(value, levels):
     return {1: flat, 2: [[x] for x in flat], 3: [[[x]] for x in flat]}[levels]
 
 
+def _array_kinds(value, rng):
+    """The mutations of the array ``value`` (a list of numbers or of rows), by kind."""
+    kinds = dict(nan=_element(value, rng, float("nan")),
+                 inf=_element(value, rng, rng.choice([-1.0, 1.0]) * float("inf")),
+                 ragged=_ragged(value, rng),
+                 **{f"{d}_d": _reshaped(value, d) for d in (1, 2, 3) if d != _depth(value)},
+                 plus_row=_rows(value, rng, 1), minus_row=_rows(value, rng, -1),
+                 zero_columns=[[] for _ in value] if _depth(value) == 2 else [])
+    if _depth(value) == 2:
+        kinds.update(plus_column=_transposed(_rows(_transposed(value), rng, 1)),
+                     minus_column=_transposed(_rows(_transposed(value), rng, -1)))
+    return kinds
+
+
 def mutations(rng):
-    """(field, kind, value) of every mutation, ``value`` DROP to remove the key."""
+    """(path, kind, value) of every mutation, ``path`` the keys down to the
+    field, ``value`` DROP to remove the key: each array and scalar of the
+    file, then each gain of its observer section."""
     out = []
-    for field in (*lstm.MATRIX_FIELDS, *SCALARS):
-        value = SHIPPED[field]
+    for path in [(field,) for field in (*lstm.MATRIX_FIELDS, *SCALARS)] + [
+            ("observer", gain) for gain in GAINS]:
+        value = SHIPPED[path[0]] if len(path) == 1 else SHIPPED["observer"][path[1]]
         kinds = {"drop": DROP, "null": None, "bool": True, "string": json.dumps(value),
-                 "object": {field: value}}
-        if field in SCALARS:
+                 "object": {path[-1]: value}}
+        if path[-1] in SCALARS:
             kinds.update(nan=float("nan"), inf=float("inf"), ragged=[[value], [value, value]],
                          one_d=[value], three_d=[[[value]]], zero_columns=[])
-            if field != "u_max":
+            if path[-1] != "u_max":
                 kinds.update(plus_one=value + 1, minus_one=value - 1)
         else:
-            kinds.update(nan=_element(value, rng, float("nan")),
-                         inf=_element(value, rng, rng.choice([-1.0, 1.0]) * float("inf")),
-                         ragged=_ragged(value, rng),
-                         **{f"{d}_d": _reshaped(value, d) for d in (1, 2, 3) if d != _depth(value)},
-                         plus_row=_rows(value, rng, 1), minus_row=_rows(value, rng, -1),
-                         zero_columns=[[] for _ in value] if _depth(value) == 2 else [])
-            if _depth(value) == 2:
-                kinds.update(plus_column=_transposed(_rows(_transposed(value), rng, 1)),
-                             minus_column=_transposed(_rows(_transposed(value), rng, -1)))
-        out += [(field, kind, mutated) for kind, mutated in kinds.items()]
+            kinds.update(_array_kinds(value, rng))
+        if path == ("observer", "L_d"):
+            del kinds["1_d"]    # [0.1] is read as the 1x1 L_d, as [[0.1]] is
+        out += [(path, kind, mutated) for kind, mutated in kinds.items()]
     return out
+
+
+def mutated(doc, path, value):
+    """A copy of the document ``doc`` with the field at ``path`` set to
+    ``value``, or removed if it is DROP."""
+    doc = json.loads(json.dumps(doc))
+    *outer, key = path
+    section = doc[outer[0]] if outer else doc
+    section.pop(key, None)
+    if value is not DROP:
+        section[key] = value
+    return doc
 
 
 def names(message, field, path):
@@ -107,19 +138,31 @@ def test_every_field_mutation_exits_2_and_names_the_field(tmp_path, capsys):
     cases = mutations(random.Random(21))
     failed = []
     for field, kind, value in cases:
-        doc = {key: v for key, v in SHIPPED.items() if key != field}
-        if value is not DROP:
-            doc[field] = value
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(mutated(SHIPPED, field, value)))
         try:
             rc, message = certify_error(path, capsys)
         except Exception as exc:     # a traceback, or not one JSON line
             failed.append(f"{field} {kind}: {exc!r}")
             continue
-        if rc != 2 or not names(message, field, path):
+        if rc != 2 or not names(message, field[-1], path):
             failed.append(f"{field} {kind}: {rc} {message}")
-    assert len(cases) >= 200
+    assert len(cases) >= 250
     assert failed == []
+
+
+def test_a_gain_of_the_wrong_shape_is_named(tmp_path, capsys):
+    # each gain is held to the model's (n, p) = (5, 1) by its own name, so
+    # an L_f that breaks it is not reported as an L_i that disagrees with it
+    path = tmp_path / "model.json"
+    for gain, value, shape, want in (("L_f", [[] for _ in range(5)], (5, 0), (5, 1)),
+                                     ("L_f", [0.0] * 5, (5,), (5, 1)),
+                                     ("L_f", [[[0.0]]] * 5, (5, 1, 1), (5, 1)),
+                                     ("L_o", [[0.0, 0.0]] * 5, (5, 2), (5, 1)),
+                                     ("L_d", [[0.1, 0.0]], (1, 2), (1, 1)),
+                                     ("L_d", [[0.1, 0.0], [0.0, 0.1]], (2, 2), (1, 1))):
+        path.write_text(json.dumps(mutated(SHIPPED, ("observer", gain), value)))
+        assert certify_error(path, capsys) == (
+            2, f"{gain} has shape {shape}, not {want}, for the model's (n, p) = (5, 1)")
 
 
 def test_zero_input_columns_exit_2(tmp_path, capsys):
@@ -131,3 +174,87 @@ def test_zero_input_columns_exit_2(tmp_path, capsys):
     rc, message = certify_error(path, capsys)
     assert rc == 2
     assert message.startswith("W_c's shape must be (rows, columns), each at least 1, got (5, 0)")
+
+
+SCENARIO = {**json.loads((ASSETS / "benchmark_scenario.json").read_text()), "duration_s": 30.0}
+SCENARIO_FIELDS = [f.name for f in dataclasses.fields(harness.Scenario)]
+PROFILES = ("setpoints", "disturbances", "disturbance_increments")
+
+
+def _pairs(value, rng):
+    """The profile ``value``'s (time, value) pairs, or, if it has none, two
+    seeded pairs at increasing times."""
+    return [list(pair) for pair in value] or [[0.0, rng.uniform(0.0, 1.0)],
+                                              [rng.uniform(1.0, 30.0), rng.uniform(0.0, 1.0)]]
+
+
+def _profile_kinds(value, rng):
+    """The mutations of a (time, value) profile, by kind: a ragged, flat,
+    nested or transposed one, a pair's entry set to NaN, inf, 0, -1 or 1e308,
+    pairs out of order, a repeated time, and no pairs."""
+    pairs = _pairs(value, rng)
+    k = rng.randrange(len(pairs))
+    ragged = json.loads(json.dumps(pairs))
+    ragged[k] = ragged[k][:1] if rng.random() < 0.5 else ragged[k] + ragged[k][1:]
+    kinds = {"ragged": ragged, "flat": [x for pair in pairs for x in pair],
+             "nested": [[pair] for pair in pairs], "transposed": _transposed(pairs),
+             "reversed": pairs[::-1] if len(pairs) > 1 else pairs * 2,
+             "repeated_time": pairs + [pairs[-1]], "empty": []}
+    for name, new in (("nan", math.nan), ("inf", rng.choice([-1, 1]) * math.inf), ("zero", 0.0),
+                      ("minus_one", -1.0), ("huge", 1e308)):
+        for entry, label in ((0, "time"), (1, "value")):
+            changed = json.loads(json.dumps(pairs))
+            changed[rng.randrange(len(changed))][entry] = new
+            kinds[f"{label}_{name}"] = changed
+    return kinds
+
+
+def scenario_mutations(rng):
+    """(field, kind, value) of every one-field mutation of SCENARIO, ``value``
+    DROP to remove the key: each field dropped, of another type, NaN, inf, 0,
+    -1 or 1e308, each profile's pairs broken, plant parameters overridden,
+    and keys added."""
+    out = [(name, "added", rng.choice([1.0, "x", None])) for name in ("extra", "t_s", "Duration_s")]
+    for field, value in SCENARIO.items():
+        kinds = {"drop": DROP, "null": None, "bool": rng.choice([True, False]),
+                 "string": json.dumps(value), "list": [value], "object": {field: value},
+                 "nan": math.nan, "inf": rng.choice([-1, 1]) * math.inf, "zero": 0, "minus_one": -1,
+                 "huge": 1e308}
+        if field in PROFILES:
+            kinds.update(_profile_kinds(value, rng))
+        out += [(field, kind, mutated) for kind, mutated in kinds.items()]
+    params = [f.name for f in dataclasses.fields(plant.PhParams)]
+    for name in rng.sample(params, 6) + ["not_a_parameter"]:
+        for kind, new in (("nan", math.nan), ("zero", 0.0), ("minus_one", -1.0), ("huge", 1e308),
+                          ("string", "1.0")):
+            out.append(("plant_overrides", f"{name}_{kind}", {name: new}))
+    return out
+
+
+def test_every_scenario_mutation_exits_cleanly(tmp_path, capsys):
+    # a one-field mutation of the scenario file runs, or fails by name:
+    # simulate returns 0, 1 or 2 and raises nothing, not even a warning, and
+    # on 2 its one stderr line names a scenario or plant field, or the file
+    path, weights = tmp_path / "scenario.json", str(ASSETS / "model.json")
+    cases = scenario_mutations(random.Random(51))
+    known = SCENARIO_FIELDS + [f.name for f in dataclasses.fields(plant.PhParams)]
+    failed = []
+    for k, (field, kind, value) in enumerate(cases):
+        path.write_text(json.dumps(mutated(SCENARIO, (field,), value)))
+        try:
+            rc = cli.main(["simulate", "--scenario", str(path), "--weights", weights,
+                           "--out", str(tmp_path / f"run{k}")])
+            out = capsys.readouterr()
+            err = out.err.splitlines()
+            message = json.loads(err[0])["message"] \
+                if rc == 2 and len(err) == 1 and out.out == "" else None
+        except Exception as exc:     # a traceback, or not one JSON line
+            failed.append(f"{field} {kind}: {exc!r}")
+            continue
+        if rc not in (0, 1, 2) or rc == 2 and not (
+                message and (str(path) in message
+                             or any(re.search(rf"\b{name}\b", message)
+                                    for name in [field, *known]))):
+            failed.append(f"{field} {kind}: {rc} {err}")
+    assert len(cases) >= 150
+    assert failed == []

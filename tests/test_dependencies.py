@@ -247,8 +247,7 @@ def test_gate_names_stay_at_the_weights_file():
 # qualified name of the function that calls its constructor
 WORKSPACE_OWNERS = {
     "Workspace": {"mpc.FhocpWorkspace.__init__", "mpc.Controller.__init__", "harness.steps",
-                  "refcalc.estimate_k_bar", "sysid.train", "sysid.evaluate_fit",
-                  "lstm.rollout", "sysid.predict"},
+                  "refcalc.estimate_k_bar", "sysid._workspaces"},
     "FhocpWorkspace": {"mpc.Controller.__init__"},
 }
 
@@ -271,9 +270,10 @@ def test_sweep_buffers_are_built_by_their_owners_only():
     # a new caller that builds its own workspace would grow a second owner
     # of the buffers of a sweep or step: the controller's FHOCP and its
     # reference calculation run in one each, the closed loop's observer,
-    # plant model and initial estimate in one, the K_bar grid in one,
-    # training and FIT in one per sequence length, and the one-shot rollout
-    # and prediction in one of their own
+    # plant model and initial estimate in one, the K_bar grid in one, and
+    # training and FIT in one per sequence length, from the one function
+    # that sizes a t-sample sequence's sweep; no function builds one for a
+    # single call
     built = {name: set() for name in WORKSPACE_OWNERS}
     for module, tree in _trees().items():
         for qualname, call in _calls_by_function(tree, module.removesuffix(".py")):

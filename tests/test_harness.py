@@ -723,15 +723,15 @@ class TestCli:
             "error": "ValueError", "message": "w_bar must be small enough that e_bar_inf and "
             "the margins b are finite, got 1e+308"}
 
-    # each gain disagrees with the others and is caught when the observer
-    # section is read, before the model is: n + 1 rows of L_f, a 2 x 2 L_d,
-    # an L_i with two columns and an L_o with n - 1 rows, the others being
-    # (n, p) = (5, 1) and (p, p) for L_d
-    @pytest.mark.parametrize("gain, shape, names", [
-        ("L_f", (6, 1), "for L_f of shape (6, 1)"), ("L_d", (2, 2), "not (1, 1)"),
-        ("L_i", (5, 2), "not (5, 1)"), ("L_o", (4, 1), "not (5, 1)"),
+    # each gain is held by its name to the model's shape when the observer
+    # section is read, before the gains are held to one another: n + 1 rows
+    # of L_f, a 2 x 2 L_d, an L_i with two columns and an L_o with n - 1
+    # rows, the others being (n, p) = (5, 1) and (p, p) for L_d
+    @pytest.mark.parametrize("gain, shape, want", [
+        ("L_f", (6, 1), (5, 1)), ("L_d", (2, 2), (1, 1)),
+        ("L_i", (5, 2), (5, 1)), ("L_o", (4, 1), (5, 1)),
     ], ids=["L_f", "L_d", "L_i-columns", "L_o-rows"])
-    def test_certify_rejects_gain_of_wrong_shape(self, tmp_path, capsys, gain, shape, names):
+    def test_certify_rejects_gain_of_wrong_shape(self, tmp_path, capsys, gain, shape, want):
         doc = json.loads((ASSETS / "model.json").read_text())
         assert (doc["n"], doc["p"]) == (5, 1)
         doc["observer"][gain] = np.eye(*shape).tolist()
@@ -739,8 +739,8 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli.main(["certify", "--weights", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "DimensionError"
-        assert gain in err["message"] and names in err["message"]
+        assert err == {"error": "DimensionError", "message": f"{gain} has shape {shape}, not "
+                       f"{want}, for the model's (n, p) = (5, 1)"}
 
     def test_simulate_writes_artifacts(self, tmp_path, capsys):
         sc = tiny_physical_scenario(duration_s=100.0)
@@ -794,7 +794,8 @@ class TestCli:
     # set-point, pH 7.0 (l_d 0.3: the band is 7.17-7.83), fail in the set-up,
     # before any step and before --out exists
     @pytest.mark.parametrize("l_d, message", [
-        (0.3, "set-point too close to lower bound on output 0"),
+        (0.3, "the setpoints start outside the admissible band at e_o0 = 0.5: "
+              "set-point too close to lower bound on output 0"),
         (0.5, "empty admissible band (0.161, -0.1123) on output 0 at e_o0 = 0.5: "
               "d_max = 0.1, L_d = [[0.5]], w_bar = 0.01"),
     ], ids=["l_d-0.3", "l_d-0.5"])
@@ -856,15 +857,19 @@ class TestCli:
     @pytest.mark.parametrize("y_lb_phys, y_ub_phys", [(9.0, 6.0), (7.0, 7.0)])
     def test_simulate_rejects_unordered_output_bounds(self, tmp_path, capsys,
                                                       y_lb_phys, y_ub_phys):
+        # the scenario names the bound, before the controller sees it
         sc_path = tmp_path / "sc.json"
-        tiny_physical_scenario(y_lb_phys=y_lb_phys, y_ub_phys=y_ub_phys).to_json(sc_path)
+        tiny_physical_scenario().to_json(sc_path)
+        sc_path.write_text(json.dumps({**json.loads(sc_path.read_text()),
+                                       "y_lb_phys": y_lb_phys, "y_ub_phys": y_ub_phys}))
         rc = cli.main(["simulate", "--scenario", str(sc_path),
                        "--weights", str(ASSETS / "model.json"),
                        "--out", str(tmp_path / "run")])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValueError",
-                       "message": "y_lb is not below y_ub on output 0"}
+        assert err == {"error": "ValueError", "message": "y_ub_phys must be a pH in [0, 14], "
+                       f"above y_lb_phys, got {y_ub_phys}"}
+        assert not (tmp_path / "run").exists()
 
     @BAD_FIELDS
     def test_simulate_rejects_bad_scenario_field(self, tmp_path, capsys, fields, error,

@@ -54,7 +54,7 @@ def gate_rows(n):
 def rollout_oracle(w, c0, h0, u_seq, inject=0.0):
     """Reference kernel: a sigmoid over the f, i, o rows and a tanh over
     the c rows, each step, with ``inject`` added to the preactivations;
-    ``lstm.rollout`` must equal it bit for bit, and ``Workspace.step`` at
+    ``Workspace.rollout`` must equal it bit for bit, and ``Workspace.step`` at
     T = 1 with its injection."""
     n_t, n = len(u_seq), len(c0)
     rows = gate_rows(n)
@@ -241,7 +241,7 @@ class TestPreparedKernel:
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
         inject = rng.normal(scale=0.5, size=(n_steps, 4 * w.n)) if injected else 0.0
         ref = rollout_oracle(w, x0.c, x0.h, u)
-        c, h, cache = lstm.rollout(w, x0.c, x0.h, u)
+        c, h, cache = swept(w, x0, u)[1:]
         for part, want in zip((c, h, *cache), (ref[0], ref[1], *ref[2])):
             np.testing.assert_array_equal(part, want)
         c_ref, h_ref, _ = ref
@@ -263,15 +263,15 @@ class TestPreparedKernel:
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (6, w.m))
         cell = lstm.Workspace(w.n, w.m, 1)
-        before = lstm.rollout(w, x0.c, x0.h, u)[:2], vars(lstm.step(w, x0, u[0], cell)).values()
+        before = swept(w, x0, u)[1:3], vars(lstm.step(w, x0, u[0], cell)).values()
         for array in given.values():
             array += 0.3
         given["b"][gate_rows(w.n)["f"]] = 5.0
-        after = lstm.rollout(w, x0.c, x0.h, u)[:2], vars(lstm.step(w, x0, u[0], cell)).values()
+        after = swept(w, x0, u)[1:3], vars(lstm.step(w, x0, u[0], cell)).values()
         for got, want in zip((*after[0], *after[1]), (*before[0], *before[1])):
             np.testing.assert_array_equal(got, want)
         changed = lstm.LstmWeights(**given, u_max=bench_w.u_max)
-        assert not np.array_equal(lstm.rollout(changed, x0.c, x0.h, u)[1], after[0][1])
+        assert not np.array_equal(swept(changed, x0, u)[2], after[0][1])
         for name in ("U_half", "W_half", "b_half", "UW", "residual_jacobian"):
             array = getattr(w, name)
             assert not any(np.shares_memory(array, getattr(w, p)) for p in lstm.PARAMETERS)
@@ -482,9 +482,9 @@ class TestKernelCalls:
         u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
         ws, cell = lstm.Workspace(w.n, w.m, n_steps), lstm.Workspace(w.n, w.m, 1)
         calls = count_calls(monkeypatch, lstm, "_dot")
-        lstm.rollout(w, x0.c, x0.h, u)
-        assert len(calls) == n_steps
         ws.rollout(w, x0.c, x0.h, u)
+        assert len(calls) == n_steps
+        ws.rollout(w, x0.c, x0.h, u)            # a second sweep, on the same buffers
         assert len(calls) == 2 * n_steps
         for k in range(n_steps):
             cell.step(w, x0.c, x0.h, u[k])
@@ -745,7 +745,7 @@ class TestAdjoint:
         u = rng.uniform(-0.9, 0.9, (n_steps, w.m))
 
         def objective(u_seq):
-            c, h, _ = lstm.rollout(w, x0.c, x0.h, u_seq)
+            c, h, _ = swept(w, x0, u_seq)[1:]
             return float(np.sum(a * c) + np.sum(b * h))
 
         dz = swept(w, x0, u)[0].adjoint(a, b)
@@ -785,8 +785,8 @@ class TestSensitivities:
             up, um = u.copy().ravel(), u.copy().ravel()
             up[col] += eps
             um[col] -= eps
-            cp, hp, _ = lstm.rollout(w, x0.c, x0.h, up.reshape(u.shape))
-            cm, hm, _ = lstm.rollout(w, x0.c, x0.h, um.reshape(u.shape))
+            cp, hp, _ = swept(w, x0, up.reshape(u.shape))[1:]
+            cm, hm, _ = swept(w, x0, um.reshape(u.shape))[1:]
             fd_c[:, :, col] = (cp - cm) / (2 * eps)
             fd_h[:, :, col] = (hp - hm) / (2 * eps)
         # the absolute floor covers the differences' rounding, about 1e-10
@@ -807,7 +807,7 @@ class TestSensitivities:
         ws.rollout(w, -x0.c, -x0.h, -u)
         ws.sensitivities()
         got_c, got_h, _ = ws.rollout(w, x0.c, x0.h, u)
-        want_h = lstm.rollout(w, x0.c, x0.h, u)[1]
+        want_h = swept(w, x0, u)[2]
         assert (got_c.tobytes(), got_h.tobytes()) == (c.tobytes(), want_h.tobytes())
         assert ws.sensitivities().tobytes() == fresh.sensitivities().tobytes()
 
@@ -948,8 +948,8 @@ class TestStepJacobians:
         # one step, in a new one-step workspace and in the swept one, which
         # rejects it unless it is a one-step workspace too
         want = np.zeros((n2, n2 + w.m))
-        step_jacobians_oracle(w, local_factors_oracle(*lstm.rollout(
-            w, c[0], c[1], c[1:2, :w.m])[::2]), want[None])
+        step_jacobians_oracle(w, local_factors_oracle(*swept(
+            w, LstmState(c[0], c[1]), c[1:2, :w.m])[1::2]), want[None])
         for one in (lstm.Workspace(w.n, w.m, 1), ws):
             if one.n_t != 1:
                 with pytest.raises(DimensionError,
@@ -966,14 +966,14 @@ class TestStepJacobians:
     def test_matches_central_differences(self, bench_w, net, n_steps):
         # A_k, B_k against a one-step rollout from (c_k, h_k) with input u_k
         w, _, x0, u, ws, _, _ = TestSensitivities._case(bench_w, net, n_steps)
-        c, h, _ = lstm.rollout(w, x0.c, x0.h, u)
+        c, h, _ = swept(w, x0, u)[1:]
         n = w.n
         jac = ws.linearize()
         a, b = jac[:, :, :2 * n], jac[:, :, 2 * n:]
         eps = 1e-6
 
         def next_state(xi):
-            c1, h1, _ = lstm.rollout(w, xi[:n], xi[n:2 * n], xi[None, 2 * n:])
+            c1, h1, _ = swept(w, LstmState(xi[:n], xi[n:2 * n]), xi[None, 2 * n:])[1:]
             return np.concatenate([c1[1], h1[1]])
 
         for k in range(n_steps):
@@ -1565,8 +1565,7 @@ def test_inputs_given_as_lists_run_as_arrays(bench_w):
     # the input products call the inputs' ndarray.dot, after np.asarray
     x0 = random_invariant_state(bench_w, np.random.default_rng(9))
     u = [[0.3], [-0.2], [0.1]]
-    for got, want in zip(lstm.rollout(bench_w, x0.c, x0.h, u)[:2],
-                         lstm.rollout(bench_w, x0.c, x0.h, np.array(u))[:2]):
+    for got, want in zip(swept(bench_w, x0, u)[1:3], swept(bench_w, x0, np.array(u))[1:3]):
         assert got.tobytes() == want.tobytes()
     ws = lstm.Workspace(bench_w.n, bench_w.m, 1)
     given = [a.copy() for a in ws.step(bench_w, x0.c, x0.h, u[0])]

@@ -188,8 +188,8 @@ def with_y_ub(problem, y_ub):
 def oracle_cost(problem, u_seq):
     """FHOCP cost written out apart from Problem.evaluate: weighted stage and
     input terms plus the terminal ev' P_f ev."""
-    ref, n_h = problem.ref, len(u_seq)
-    c, h, _ = lstm.rollout(problem.w, problem.x_hat.c, problem.x_hat.h, u_seq)
+    w, ref, n_h = problem.w, problem.ref, len(u_seq)
+    c, h, _ = lstm.Workspace(w.n, w.m, n_h).rollout(w, problem.x_hat.c, problem.x_hat.h, u_seq)
     dx = np.hstack([c[:n_h], h[:n_h]]) - np.concatenate([ref.x_bar.c, ref.x_bar.h])
     ev = np.array([np.linalg.norm(c[n_h] - ref.x_bar.c),
                    np.linalg.norm(h[n_h] - ref.x_bar.h)])
@@ -211,7 +211,7 @@ class TestConstraints:
         ref = SimpleNamespace(x_bar=random_invariant_state(w, rng), u_bar=np.full(w.m, 0.1))
         x0 = random_invariant_state(w, rng)
         u = rng.uniform(-1.0, 1.0, (n_horizon, w.m))
-        c, h, _ = lstm.rollout(w, x0.c, x0.h, u)
+        c, h, _ = lstm.Workspace(w.n, w.m, n_horizon).rollout(w, x0.c, x0.h, u)
         y_lb, y_ub, e_o, d_max = np.array([-0.9, -1.0]), np.array([1.0, 0.8]), 0.2, 0.1
         expect, tight = [], []
         for i in range(n_horizon):
@@ -671,7 +671,7 @@ class TestCertify:
                  {"A_delta", "B_delta", "rho_A", "r1", "r2", "P_s", "rho_s", "c_sl", "c_su",
                   "c_s"}),
                 (spec, {"w": w}, lambda **kw: observer.ObserverCertificate(**gains, w=w, **kw),
-                 {"A_d", "P_o", "rho_o", "c_ol", "c_ou", "c_o", "L_mat", "L_max",
+                 {"A_d", "rho_A_d", "P_o", "rho_o", "c_ol", "c_ou", "c_o", "L_mat", "L_max",
                   "cell_radius_hat", "w_max", "injection"}),
                 (bench_certificate, {}, lambda **kw: mpc.Certificate(cert, spec, 5, 1.0, **kw),
                  {"a", "b", "P_f", "lam_min"})):
@@ -846,7 +846,8 @@ class TestController:
         w = small_net(seed=2, n=3, m=2, p=2)
         certificate = mpc.certify(w, observer.select_gains(w, w_bar=0.0))
         ctrl = mpc.Controller(w, certificate, e_o0=0.05)
-        _, h, _ = lstm.rollout(w, np.zeros(3), np.zeros(3), np.zeros((300, 2)))
+        _, h, _ = lstm.Workspace(w.n, w.m, 300).rollout(w, np.zeros(3), np.zeros(3),
+                                                        np.zeros((300, 2)))
         y0 = w.W_y @ h[-1] + w.b_y
         ref = refcalc.solve_reference(w, y0, np.zeros(2), lstm.Workspace(w.n, w.m, 1))
         u, sol, _ = ctrl.step(AugmentedState(ref.x_bar.copy(), np.zeros(2)), y0)
@@ -983,7 +984,7 @@ class TestParentFormulas:
         u = rng.uniform(-0.9, 0.9, (n_horizon, w.m))
         x_bar = random_invariant_state(w, rng)
         if terminal == "no-cell-error":      # ev_0 = 0: the Hessian's other branch
-            c, _, _ = lstm.rollout(w, x0.c, x0.h, u)
+            c, _, _ = lstm.Workspace(w.n, w.m, n_horizon).rollout(w, x0.c, x0.h, u)
             x_bar = lstm.LstmState(c[-1].copy(), x_bar.h)
         ref = SimpleNamespace(x_bar=x_bar, u_bar=rng.uniform(-0.5, 0.5, w.m))
         problem = mpc.Problem(w, x0, ref, rng.uniform(0.0, 0.2, (n_horizon, w.p)),

@@ -28,7 +28,7 @@ def oracle_jacobian(w, xi):
     Newton's Jacobian)."""
     n = w.n
     c, h, u = xi[:n], xi[n:2 * n], xi[2 * n:]
-    cs, _, cache = lstm.rollout(w, c, h, u[None, :])
+    cs, _, cache = lstm.Workspace(w.n, w.m, 1).rollout(w, c, h, u[None, :])
     f, k_f, k_i, k_g, k_o, k_t = (k[0] for k in local_factors_oracle(cs, cache))
     uw = {g: np.hstack([gate(w, f"U_{g}"), gate(w, f"W_{g}")]) for g in lstm.GATES}
     dc_hu = (k_f[:, None] * uw["f"] + k_i[:, None] * uw["i"]

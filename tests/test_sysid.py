@@ -14,6 +14,12 @@ from lstmpc.errors import DimensionError, TrainingError, UndefinedMetricError, U
 from conftest import gate, small_net, with_arrays
 
 
+def predicted(w, u):
+    """``w``'s open-loop prediction over the inputs ``u`` from the zero state:
+    ``sysid._forward`` in the workspace ``sysid._workspaces`` builds for them."""
+    return sysid._forward(w, u, sysid._workspaces(w, [(u, None)])[len(u)])[0]
+
+
 def segment_lengths(trace):
     lengths = []
     run = 1
@@ -34,7 +40,7 @@ def synthetic_dataset(seed=0, n_train=3, n_val=1, n_test=1, steps=120):
     seqs = []
     for _ in range(n_train + n_val + n_test):
         u = generate_staircase(rng, steps)
-        y = sysid.predict(teacher, u)[:, 0] + 0.01 * rng.normal(size=steps)
+        y = predicted(teacher, u)[:, 0] + 0.01 * rng.normal(size=steps)
         seqs.append((u, y))
     nrm = plant.Normalizer(-1.0, 1.0, -1.0, 1.0)
     return sysid.Dataset(train=seqs[:n_train], val=seqs[n_train:n_train + n_val],
@@ -80,8 +86,8 @@ class TestGenerateExcitation:
 
 
 def fresh_loss(w, u, y, cfg):
-    """``sysid.loss`` in a workspace of the sequence's t - 1 steps, built for the call."""
-    return sysid.loss(w, u, y, cfg, lstm.Workspace(w.n, w.m, max(len(u) - 1, 0)))
+    """``sysid.loss`` in the workspace ``sysid._workspaces`` builds for the sequence."""
+    return sysid.loss(w, u, y, cfg, sysid._workspaces(w, [(u, y)])[len(u)])
 
 
 class TestLoss:
@@ -92,7 +98,7 @@ class TestLoss:
         u = rng.uniform(-1, 1, 60)
         y = rng.uniform(-1, 1, 60)
         value, _ = fresh_loss(w, u, y, cfg)
-        y_hat = sysid.predict(w, u)[:, 0]
+        y_hat = predicted(w, u)[:, 0]
         mse = np.mean((y_hat[10:] - y[10:]) ** 2)
         assert value == pytest.approx(mse, abs=1e-14)
 
@@ -103,7 +109,7 @@ class TestLoss:
         assert r1 < 0 and r2 < 0
         cfg = sysid.TrainConfig(lambda1=0.03, lambda2=0.02, washout=5, n_neurons=3)
         u = np.random.default_rng(1).uniform(-1, 1, 40)
-        y = sysid.predict(w, u)[:, 0]       # exact targets -> zero MSE
+        y = predicted(w, u)[:, 0]       # exact targets -> zero MSE
         value, _ = fresh_loss(w, u, y, cfg)
         assert value == pytest.approx(cfg.lambda2 * (r1 + r2), abs=1e-12)
 
