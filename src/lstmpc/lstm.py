@@ -107,14 +107,13 @@ class LstmWeights:
     DimensionError unless their shapes agree and n, m and p are all at
     least 1. It also forms, once, the cell operands: ``U_half``,
     ``W_half``, ``b_half``, the stacks with their f, i, o rows halved;
-    ``UW`` (4, n, n+m), the per-gate [U | W] blocks; and
-    ``residual_jacobian``, the (2n+p, 2n+m) template [0; 0 W_y 0] of the
-    equilibrium residual's Jacobian. Every array is a read-only copy and no
-    attribute can be assigned, so nothing changes a model once its
-    certificate is built: a changed model is a new ``LstmWeights``. The
-    weights hold no buffer: every step and linearization of them runs on a
-    ``Workspace`` its caller owns. ``u_range`` / ``y_range``, the physical
-    (lo, hi) pairs normalized to [-1, 1], make a saved model self-contained.
+    and ``UW`` (4, n, n+m), the per-gate [U | W] blocks. Every array is a
+    read-only copy and no attribute can be assigned, so nothing changes a
+    model once its certificate is built: a changed model is a new
+    ``LstmWeights``. The weights hold no buffer: every step and
+    linearization of them runs on a ``Workspace`` its caller owns.
+    ``u_range`` / ``y_range``, the physical (lo, hi) pairs normalized to
+    [-1, 1], make a saved model self-contained.
     """
 
     def __init__(self, W, U, b, W_y, b_y, u_max=1.0, u_range=None, y_range=None):
@@ -134,16 +133,13 @@ class LstmWeights:
             check(name, pair, (lambda v: v is None or RANGE[0](v), f"null or {RANGE[1]}"))
         scale = np.full(4 * n, 0.5)
         scale[_C * n:(_C + 1) * n] = 1.0
-        residual_jacobian = np.zeros((2 * n + p, 2 * n + m))
-        residual_jacobian[2 * n:, n:2 * n] = W_y
         # the sigmoid's 0.5 (1 + t) in place costs less with array operands than with floats
         vars(self).update(
             W=W, U=U, b=b, W_y=W_y, b_y=b_y, n=n, m=m, p=p, u_max=float(u_max), _scale=scale,
             u_range=u_range and tuple(u_range), y_range=y_range and tuple(y_range),
             _half=scale[_F * n:(_O + 1) * n],
             _one=np.ones(3 * n), U_half=U * scale[:, None], W_half=W * scale[:, None],
-            b_half=b * scale, UW=np.concatenate((U, W), axis=1).reshape(4, n, n + m),
-            residual_jacobian=residual_jacobian)
+            b_half=b * scale, UW=np.concatenate((U, W), axis=1).reshape(4, n, n + m))
         freeze_arrays(self)
 
     def __setattr__(self, name, value):

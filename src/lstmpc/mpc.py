@@ -258,17 +258,15 @@ class Problem:
         self._lb_tight = self.y_lb + self.tight
 
     def evaluate(self, u_seq):
-        """(cost, g, aux) of the (N, m) plan ``u_seq``. g <= 0 stacks per
-        stage the tightened upper then lower output bound, then the
-        terminal set; aux is the rollout that ``qp_model`` linearizes, (c,
-        h, the ``lstm.Workspace`` that holds them, the terminal 2-norms ev,
-        the state errors dx of stages 0..N, (N+1, 2n)). c, h and dx are the
-        ``workspace``'s buffers, which its next evaluation overwrites; cost
-        and g are the plan's own."""
+        """(cost, g, ev) of the (N, m) plan ``u_seq``, the plan's own values:
+        g <= 0 stacks per stage the tightened upper then lower output bound,
+        then the terminal set; ev is (|c_N - c_bar|, |h_N - h_bar|). The
+        rollout and the state errors of stages 0..N, (N+1, 2n), go to the
+        ``workspace``'s ``sweep`` and ``dx``, which ``qp_model`` reads and the
+        next evaluation overwrites."""
         w, ref, n_h, n = self.w, self.ref, len(self.tight), self.w.n
-        ws = self.workspace
-        sweep, dx = ws.sweep, ws.dx
-        c, h, _ = sweep.rollout(w, self.x_hat.c, self.x_hat.h, u_seq)
+        dx = self.workspace.dx
+        c, h, _ = self.workspace.sweep.rollout(w, self.x_hat.c, self.x_hat.h, u_seq)
         y_pred = h[:n_h].dot(w.W_y.T) + w.b_y   # outputs at stages 0..N-1
         g = np.empty(2 * w.p * n_h + 1)
         g_out = g[:-1].reshape(n_h, 2, w.p)
@@ -282,20 +280,20 @@ class Problem:
         g[-1] = phi - self.alpha ** 2
         cost = self.q_weight * float(_sum(dx[:n_h] ** 2, axis=None)) \
             + self.r_weight * float(_sum((u_seq - ref.u_bar) ** 2, axis=None)) + phi
-        return cost, g, (c, h, sweep, ev, dx)
+        return cost, g, ev
 
-    def qp_model(self, u_seq, g, aux, lam_term):
-        """The SQP's QP at ``u_seq``: exact gradient, generalized Gauss-Newton
-        Hessian and linearized constraints A d <= b (output rows of stages
-        1..N-1, the terminal row, then the input box). ``lam_term`` is the
-        terminal row's last multiplier: phi enters the Lagrangian as
-        (1 + lam_term) phi, so its curvature does too. A and b are the
-        arrays of the problem's ``workspace``, which the next call overwrites."""
+    def qp_model(self, u_seq, g, ev, lam_term):
+        """The SQP's QP at ``u_seq``, whose ``evaluate``, the ``workspace``'s
+        last, gave g and ev and wrote its sweep and dx: exact gradient,
+        generalized Gauss-Newton Hessian and linearized constraints A d <= b
+        (output rows of stages 1..N-1, the terminal row, then the input box).
+        ``lam_term`` is the terminal row's last multiplier: phi enters the
+        Lagrangian as (1 + lam_term) phi, so its curvature does too. A and b
+        are the ``workspace``'s, which the next call overwrites."""
         w, ref, n_h = self.w, self.ref, len(self.tight)
         n_u, n_out = n_h * w.m, 2 * w.p * (n_h - 1)
         ws = self.workspace
-        _, _, sweep, ev, dx = aux
-        s = sweep.sensitivities()               # (N+1, 2n, N*m), rows c then h
+        dx, s = ws.dx, ws.sweep.sensitivities()     # S: (N+1, 2n, N*m), rows c then h
         s_x = s[1:n_h].reshape(-1, n_u)         # stages 1..N-1, laid out like dx[1:N]
         grad = 2.0 * self.q_weight * dx[1:n_h].ravel().dot(s_x) \
             + 2.0 * self.r_weight * (u_seq - ref.u_bar).ravel()
@@ -407,17 +405,17 @@ def solve_fhocp(problem, warm=None, real_time=False):
     a failed QP did, and "candidate-fallback" when the feasible warm start
     costs less than every feasible iterate.
 
-    The solve runs in the problem's ``workspace``, whose one sweep each
-    evaluation overwrites. That is safe: ``qp_model`` reads the accepted
-    iterate's rollout before the line search evaluates a trial, the
-    accepted trial is the last one evaluated, and after a failed line
-    search only the plan, cost and violation are read. Because the
-    accepted trial is the last sweep, the next step's candidate, that plan
-    shifted from the state it predicted, is ``lstm.Workspace.rollout``'s
+    Each iterate carries its plan's own values, cost, g and ev; the sweep
+    and dx are the problem's ``workspace``'s, which each evaluation
+    overwrites. One sweep is enough: ``qp_model`` reads the accepted
+    iterate's sweep before a trial overwrites it, the accepted trial is the
+    last one evaluated, and after a failed line search only the plan, cost
+    and violation are read. So the next step's candidate, the last sweep's
+    plan shifted from the state it predicted, is ``lstm.Workspace.rollout``'s
     shifted sweep: one cell step in place of N, with the same bytes. Its
-    guard compares the start and the inputs by their bytes, so a
-    fallback, a rejected trial or an estimate that the observer's
-    injection moved runs the full sweep.
+    guard compares the start and the inputs by their bytes, so a fallback,
+    a rejected trial or an estimate that the observer's injection moved
+    runs the full sweep.
     """
     n_h, m, u_max = len(problem.tight), problem.w.m, problem.w.u_max
     n_g0 = 2 * problem.w.p     # stage-0 output rows: independent of u
@@ -432,11 +430,11 @@ def solve_fhocp(problem, warm=None, real_time=False):
         else np.asarray(warm, dtype=float).reshape(n_h, m)
     u0 = project(u0)
 
-    cand_cost, cand_g, cand_aux = problem.evaluate(u0)
+    cand_cost, cand_g, cand_ev = problem.evaluate(u0)
     cand_viol = largest(cand_g.tolist())    # each plan's max(g), taken once
     cand_feasible = cand_viol <= _FEAS_TOL
 
-    u, cost, g, aux, viol = u0, cand_cost, cand_g, cand_aux, cand_viol
+    u, cost, g, ev, viol = u0, cand_cost, cand_g, cand_ev, cand_viol
     best_u, best_cost, best_viol = None, np.inf, None
     nu = 0.0                   # l1 merit weight, never decreased
     lam_term = 0.0
@@ -444,7 +442,7 @@ def solve_fhocp(problem, warm=None, real_time=False):
     iterations = 0
     stop = "stalled"           # until the step test or the real-time stop ends the loop
     for iterations in range(1, _SQP_MAX_ITER + 1):
-        grad, hess, a_mat, b_vec = problem.qp_model(u, g, aux, lam_term)
+        grad, hess, a_mat, b_vec = problem.qp_model(u, g, ev, lam_term)
         qp = _dense_qp(hess, grad, a_mat, b_vec)
         if qp is None:
             break
@@ -461,14 +459,14 @@ def solve_fhocp(problem, warm=None, real_time=False):
         t = 1.0
         for _ls in range(_LINE_SEARCH_MAX):
             u_t = project(u + t * d)
-            cost_t, g_t, aux_t = problem.evaluate(u_t)
+            cost_t, g_t, ev_t = problem.evaluate(u_t)
             if tiny or merit(cost_t, g_t, nu) <= ref_val + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
         step = magnitude((u_t - u).ravel().tolist())
-        u, cost, g, aux = u_t, cost_t, g_t, aux_t
+        u, cost, g, ev = u_t, cost_t, g_t, ev_t
         viol = largest(g.tolist())
         if viol <= _FEAS_TOL and cost < best_cost:
             best_u, best_cost, best_viol = u, cost, viol

@@ -73,12 +73,14 @@ def _residual(w, xi, y0_eff, cell, out):
 
 def _jacobian(w, ws):
     """Analytic dF/dxi of ``_residual`` at the last ``_cell_step`` in the
-    workspace ``ws``, [A_0 - I | B_0; 0 W_y 0]: its ``linearize``'s
-    [A_0 | B_0] over the W_y rows of the weights' ``residual_jacobian``;
-    y0_eff only shifts F."""
-    jac = np.concatenate((ws.linearize()[0], w.residual_jacobian[2 * w.n:]))
+    workspace ``ws``, [A_0 - I | B_0; 0 W_y 0], formed here from its
+    ``linearize``'s [A_0 | B_0] and the weights' W_y; y0_eff only shifts F."""
+    n2 = 2 * w.n
+    jac = np.zeros((n2 + w.p, n2 + w.m))
+    jac[:n2] = ws.linearize()[0]
+    jac[n2:, w.n:n2] = w.W_y
     # the diagonal of the state columns, a strided view: no index array
-    jac.reshape(-1)[:2 * w.n * (jac.shape[1] + 1):jac.shape[1] + 1] -= 1.0
+    jac.reshape(-1)[:n2 * (jac.shape[1] + 1):jac.shape[1] + 1] -= 1.0
     return jac
 
 
@@ -131,11 +133,17 @@ def _newton(w, ws, xi, y0_eff, jac_inv):
 
 
 def _cold_start(w, ws):
-    """Attractor of u = 0, reached by forward simulation in the workspace ``ws``."""
+    """Attractor of u = 0, reached by forward simulation in the workspace
+    ``ws``: at most 500 steps, ending at the first step whose c and h repeat
+    the last step's bytes, since every later step, a function of those
+    bytes alone, would repeat them too."""
     x = LstmState(np.zeros(w.n), np.zeros(w.n))
     u = np.zeros(w.m)
     for _ in range(500):
-        x = lstm.step(w, x, u, ws)
+        x_next = lstm.step(w, x, u, ws)
+        if x_next.c.tobytes() == x.c.tobytes() and x_next.h.tobytes() == x.h.tobytes():
+            break
+        x = x_next
     return np.concatenate([x.c, x.h, u])
 
 

@@ -135,9 +135,16 @@ def save_dataset(ds, directory):
         json.dump(manifest, fh, indent=1)
 
 
+# a split entry names a file of the dataset directory, so no entry reads
+# the directory itself, a subdirectory or a file outside it
+_FILE_NAME = (lambda v: v not in ("", ".", "..") and "\0" not in v
+              and pathlib.PurePath(v).name == v, "a file name in the dataset directory")
+
+
 def load_dataset(directory):
     """Inverse of ``save_dataset``; a ValueError names the manifest's field, or
-    the file and line, that breaks the layout ``save_dataset`` writes."""
+    the file and line, that breaks the layout ``save_dataset`` writes. Every
+    split entry is checked before any sequence file opens."""
     directory = pathlib.Path(directory)
     manifest = check_object("manifest", read_json(directory / "manifest.json"),
                             ("normalization", "splits"))
@@ -147,6 +154,8 @@ def load_dataset(directory):
     for split, names in splits.items():
         check(f"{split} split", names, (lambda v: isinstance(v, list) and all(
             isinstance(name, str) for name in v), "a list of file names"))
+        for k, name in enumerate(names):
+            check(f"splits.{split}[{k}]", name, _FILE_NAME)
     return Dataset(**{split: [_read_sequence(directory / name, nrm) for name in names]
                       for split, names in splits.items()}, normalizer=nrm)
 
@@ -156,8 +165,11 @@ def _read_sequence(path, nrm):
     before numpy parses each as data (no comment lines), so a file without rows
     raises no numpy warning, and a cell numpy does not read as a number is
     named by its file and line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()[1:]
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()[1:]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name} is not text: {exc}") from None
     check(f"rows of {path.name} after its header", len(lines), (lambda v: v >= 1, "at least 1"))
     for k in [k for k, line in enumerate(lines) if line.count(",") != 2][:1]:
         check(f"{path.name} line {k + 2}", lines[k], (lambda v: v.count(",") == 2,
@@ -168,10 +180,16 @@ def _read_sequence(path, nrm):
         for k, line in enumerate(lines):
             check(f"{path.name} line {k + 2}", line, (_is_row, "3 comma-separated numbers"))
         raise
-    for k in np.flatnonzero(~np.isfinite(rows[:, 1:]).all(axis=1))[:1]:
-        check(f"{path.name} line {k + 2}", rows[k, 1:].tolist(), (
-            lambda v: all(FINITE[0](x) for x in v), "a finite (u_raw, y_raw) pair"))
-    return nrm.normalize_u(rows[:, 1]), nrm.normalize_y(rows[:, 2])
+    with np.errstate(over="ignore"):        # a pair the normalization overflows is named here
+        u, y = nrm.normalize_u(rows[:, 1]), nrm.normalize_y(rows[:, 2])
+        for k in np.flatnonzero(~(np.isfinite(u) & np.isfinite(y)))[:1]:
+            pair = rows[k, 1:].tolist()
+            check(f"{path.name} line {k + 2}", pair, (
+                lambda v: all(FINITE[0](x) for x in v), "a finite (u_raw, y_raw) pair"))
+            check(f"{path.name} line {k + 2}", pair, (
+                lambda v: bool(np.isfinite([nrm.normalize_u(v[0]), nrm.normalize_y(v[1])]).all()),
+                "a (u_raw, y_raw) pair that the manifest's normalization maps to finite numbers"))
+    return u, y
 
 
 def _is_row(line):
@@ -352,12 +370,16 @@ def fit_index(y_real, y_pred):
 def evaluate_fit(w, sequences, washout=50):
     """Mean FIT of open-loop predictions over a list of (u, y) sequences,
     each predicted in the one ``lstm.Workspace`` of its length, built here;
-    raises UndefinedMetricError on an empty list."""
+    raises UndefinedMetricError on an empty list. A sequence too short for
+    the washout, or constant after it, is named by its position."""
     if not sequences:
         raise UndefinedMetricError("no sequences to evaluate FIT on")
     workspaces = _workspaces(w, sequences)
     fits = []
-    for u_seq, y_seq in sequences:
+    for k, (u_seq, y_seq) in enumerate(sequences):
         y_hat = _forward(w, u_seq, workspaces[len(u_seq)])[0][:, 0]
-        fits.append(fit_index(np.asarray(y_seq)[washout:], y_hat[washout:]))
+        try:
+            fits.append(fit_index(np.asarray(y_seq)[washout:], y_hat[washout:]))
+        except (ValueError, UndefinedMetricError) as exc:     # too short, or constant
+            raise type(exc)(f"sequence {k} after the washout of {washout}: {exc}") from None
     return float(np.mean(fits))

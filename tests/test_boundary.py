@@ -6,7 +6,11 @@ without a traceback and writes one JSON line to stderr whose message names
 the field, or the file. The scenario file: ``lstmpc simulate`` on each
 mutation of one field of the benchmark scenario, cut to a 30 s run,
 returns 0, 1 or 2 without a traceback, and on 2 writes one JSON line to
-stderr whose message names a field, or the file."""
+stderr whose message names a field, or the file. The dataset: ``lstmpc
+train --epochs 0`` from the shipped model on each mutation of a small saved
+dataset, its manifest or one sequence file, returns 0, 1 or 2 without a
+traceback, and on 2 writes one JSON line whose message names a manifest
+field, a file or a line."""
 
 import dataclasses
 import json
@@ -14,7 +18,9 @@ import math
 import random
 import re
 
-from lstmpc import cli, harness, lstm, plant
+import numpy as np
+
+from lstmpc import cli, harness, lstm, plant, sysid
 
 from conftest import ASSETS
 
@@ -256,5 +262,140 @@ def test_every_scenario_mutation_exits_cleanly(tmp_path, capsys):
                              or any(re.search(rf"\b{name}\b", message)
                                     for name in [field, *known]))):
             failed.append(f"{field} {kind}: {rc} {err}")
+    assert len(cases) >= 150
+    assert failed == []
+
+
+DATA_FILES = ("seq_000.csv", "seq_001.csv", "seq_002.csv")    # train, val, test
+# what a message may name: a manifest field (the train split also as the
+# training split), or the washout that a test sequence is too short or
+# constant after
+DATASET_FIELDS = ("manifest", "normalization", "splits", "train", "training split", "val", "test",
+                  "u_lo", "u_hi", "y_lo", "y_hi", "washout")
+
+
+def saved_dataset(directory, rng):
+    """A small saved dataset in ``directory``: one 30-sample sequence of
+    seeded values per split."""
+    seqs = [(np.array([rng.uniform(-1.0, 1.0) for _ in range(30)]),
+             np.array([rng.uniform(-1.0, 1.0) for _ in range(30)])) for _ in DATA_FILES]
+    sysid.save_dataset(sysid.Dataset(*([seq] for seq in seqs),
+                                     normalizer=plant.Normalizer(0.0, 20.0, 6.0, 9.0)),
+                       directory)
+
+
+def _manifest_kinds(doc, directory, rng):
+    """The mutations of the manifest ``doc``, by kind: each a document, or
+    bytes for the file's whole text."""
+    kinds = {f"whole_{type(v).__name__}": v for v in (None, [doc], "manifest", 5, {})}
+    kinds["not_utf8"] = json.dumps(doc).encode()[:-1] + b"\xff}"
+    kinds["truncated"] = json.dumps(doc).encode()[:rng.randrange(1, 40)]
+    sections = (((), doc), (("normalization",), doc["normalization"]),
+                (("splits",), doc["splits"]))
+    for outer, section in sections:
+        kinds["/".join([*outer, "added"])] = mutated(doc, (*outer, "extra"), 1.0)
+        for key, value in section.items():
+            path = (*outer, key)
+            swaps = {"drop": DROP, "null": None, "bool": rng.choice([True, False]),
+                     "string": json.dumps(value), "number": rng.choice([0, -1, 2.5]),
+                     "list": [value], "object": {key: value}}
+            if outer == ("normalization",):
+                swaps.update(nan=math.nan, inf=math.inf, minus_inf=-math.inf, zero=0.0,
+                             minus_one=-1.0, huge=1e308, minus_huge=-1e308)
+            if outer == ("splits",):
+                swaps.update(empty=[], doubled=value + value)
+                entries = {"": "", "dot": ".", "dotdot": "..",
+                           "parent": f"../{directory.name}/{value[0]}",
+                           "absolute": str(directory / value[0]), "nested": f"sub/{value[0]}",
+                           "missing": "seq_999.csv", "directory_slash": f"{value[0]}/",
+                           "nul": f"{value[0]}\x00", "null": None, "number": 0,
+                           "list": [value[0]]}
+                swaps.update({f"entry_{name}": [entry] for name, entry in entries.items()})
+            kinds.update({"/".join([*path, kind]): mutated(doc, path, v)
+                          for kind, v in swaps.items()})
+    return kinds
+
+
+def _text_kinds(text, rng):
+    """The mutations of a sequence file's ``text``, by kind: its header, rows
+    and cells broken; each the file's new text, or bytes."""
+    lines = text.splitlines()
+    k = rng.randrange(1, len(lines))
+
+    def with_line(new):
+        return "\n".join(lines[:k] + [new] + lines[k + 1:]) + "\n"
+
+    def with_cell(value, column=None):
+        cells = lines[k].split(",")
+        cells[rng.randrange(1, 3) if column is None else column] = value
+        return with_line(",".join(cells))
+
+    kinds = {"empty": "", "header_only": lines[0] + "\n", "no_header": "\n".join(lines[1:]),
+             "header_text": "\n".join(["time;u;y"] + lines[1:]) + "\n",
+             "header_blank": "\n".join([""] + lines[1:]) + "\n",
+             "row_dropped": "\n".join(lines[:k] + lines[k + 1:]) + "\n",
+             "row_doubled": "\n".join(lines[:k + 1] + lines[k:]) + "\n",
+             "blank_line": with_line(""), "trailing_blank": text + "\n",
+             "truncated": text[:rng.randrange(len(lines[0]) + 1, len(text))],
+             "short_file": "\n".join(lines[:rng.randrange(2, 6)]) + "\n",
+             "missing_column": with_line(lines[k].rsplit(",", 1)[0]),
+             "extra_column": with_line(lines[k] + ",1.0"),
+             "not_utf8": text.encode()[:len(lines[0]) + 4] + b"\xfe\xff" +
+             text.encode()[len(lines[0]) + 4:],
+             "header_not_utf8": b"\xff" + text.encode()}
+    for name, value in (("nan", "nan"), ("inf", "inf"), ("minus_inf", "-inf"), ("huge", "1e308"),
+                        ("minus_huge", "-1e308"), ("text", "abc"), ("blank", ""),
+                        ("quoted", '"1.0"')):
+        kinds[f"cell_{name}"] = with_cell(value)
+    kinds["time_text"] = with_cell("abc", column=0)
+    return kinds
+
+
+def dataset_mutations(directory, rng):
+    """(file, kind, content) of every mutation of the saved dataset in
+    ``directory``, ``content`` the file's new text or bytes: the manifest's
+    keys, values, types and split entries, then each sequence file's
+    header, rows and cells."""
+    doc = json.loads((directory / "manifest.json").read_text())
+    out = [("manifest.json", kind, value if isinstance(value, bytes) else json.dumps(value))
+           for kind, value in _manifest_kinds(doc, directory, rng).items()]
+    for name in DATA_FILES:
+        text = (directory / name).read_text()
+        out += [(name, kind, value) for kind, value in _text_kinds(text, rng).items()]
+    return out
+
+
+def test_every_dataset_mutation_exits_cleanly(tmp_path, capsys):
+    # one mutation of a saved dataset under train --epochs 0 from the
+    # shipped model: it trains nothing and reports a finite test FIT, or
+    # fails by name: train returns 0, 1 or 2 and raises nothing, not even a
+    # warning, and on 2 its one stderr line names a manifest field, a file
+    # or a line
+    directory = tmp_path / "ds"
+    rng = random.Random(52)
+    saved_dataset(directory, rng)
+    original = {path.name: path.read_bytes() for path in directory.iterdir()}
+    cases = dataset_mutations(directory, rng)
+    out, weights = str(tmp_path / "model.json"), str(ASSETS / "model.json")
+    file_names = "|".join(re.escape(name) for name in [*original, str(directory)])
+    named = re.compile(rf"\b({'|'.join(DATASET_FIELDS)})\b|{file_names}|\bline \d+")
+    failed = []
+    for file, kind, content in cases:
+        for name, kept in original.items():
+            (directory / name).write_bytes(kept)
+        (directory / file).write_bytes(content if isinstance(content, bytes) else content.encode())
+        try:
+            rc = cli.main(["train", "--data", str(directory), "--init", weights, "--out", out,
+                           "--epochs", "0", "--washout", "2"])
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            message = json.loads(err[0])["message"] \
+                if rc == 2 and len(err) == 1 and captured.out == "" else None
+        except Exception as exc:     # a traceback, or not one JSON line
+            failed.append(f"{file} {kind}: {exc!r}")
+            continue
+        if rc not in (0, 1, 2) or rc == 2 and not (message and named.search(message)) \
+                or rc == 0 and re.search(r"\b(nan|inf)\b", captured.out):
+            failed.append(f"{file} {kind}: {rc} {err} {captured.out}")
     assert len(cases) >= 150
     assert failed == []

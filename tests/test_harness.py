@@ -943,9 +943,12 @@ class TestCli:
     # dataset parts rejected by name before training; each would otherwise end
     # in a traceback (a manifest or normalization that is a list, a string
     # bound, a split entry that is not a file name, a sequence file with no
-    # row or 2 columns), name only the bare key (a missing normalization or
+    # row or 2 columns), name no field (an empty split entry, which opened the
+    # directory), read outside the directory (an absolute or ".." entry),
+    # name only the bare key (a missing normalization or
     # test split), blame numpy or the ranges in general (text that is not
-    # JSON, a NaN bound, a row of 4 columns) or pass without a word (an
+    # JSON, a NaN bound, a row of 4 columns), warn of an overflow (a cell
+    # of 1e308, which normalizes to inf) or pass without a word (an
     # unknown key or split, an infinite bound, which normalizes every input
     # to -1)
     @pytest.mark.parametrize("name, edit, message", [
@@ -973,6 +976,14 @@ class TestCli:
          "train split must be a list of file names, got [5]"),
         ("manifest.json", manifest_edit(lambda doc: doc["splits"].update(val=5)),
          "val split must be a list of file names, got 5"),
+        ("manifest.json", manifest_edit(lambda doc: doc["splits"].update(val=[""])),
+         "splits.val[0] must be a file name in the dataset directory, got ''"),
+        ("manifest.json", manifest_edit(lambda doc: doc["splits"]["test"].append(
+            "/data/seq_002.csv")),
+         "splits.test[1] must be a file name in the dataset directory, got '/data/seq_002.csv'"),
+        ("manifest.json", manifest_edit(lambda doc: doc["splits"].update(
+            train=["../ds/seq_000.csv"])),
+         "splits.train[0] must be a file name in the dataset directory, got '../ds/seq_000.csv'"),
         ("seq_000.csv", lambda text: text.splitlines()[0] + "\n",
          "rows of seq_000.csv after its header must be at least 1, got 0"),
         ("seq_002.csv", lambda text: "".join(line.rsplit(",", 1)[0] + "\n"
@@ -982,10 +993,14 @@ class TestCli:
          "seq_001.csv line 6 must be 3 comma-separated values, got '40.0,0.0,"),
         ("seq_001.csv", cell_edit(4, 1, "abc"),
          "seq_001.csv line 4 must be 3 comma-separated numbers, got '20.0,abc,"),
+        ("seq_001.csv", cell_edit(4, 2, "1e308"),
+         "seq_001.csv line 4 must be a (u_raw, y_raw) pair that the manifest's normalization "
+         "maps to finite numbers, got ["),
     ], ids=["not-json", "manifest-list", "normalization-missing", "manifest-unknown-key",
             "normalization-list", "u_hi-string", "u_lo-nan", "u_hi-inf", "test-split-missing",
-            "split-unknown", "split-entry-number", "split-not-a-list", "header-only",
-            "two-columns", "four-column-row", "cell-not-a-number"])
+            "split-unknown", "split-entry-number", "split-not-a-list", "split-entry-empty",
+            "split-entry-absolute", "split-entry-parent", "header-only",
+            "two-columns", "four-column-row", "cell-not-a-number", "cell-overflows"])
     def test_dataset_file_field_is_named(self, tmp_path, capsys, gen_data_dir, name, edit,
                                          message):
         data = tmp_path / "ds"

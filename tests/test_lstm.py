@@ -272,7 +272,7 @@ class TestPreparedKernel:
             np.testing.assert_array_equal(got, want)
         changed = lstm.LstmWeights(**given, u_max=bench_w.u_max)
         assert not np.array_equal(swept(changed, x0, u)[2], after[0][1])
-        for name in ("U_half", "W_half", "b_half", "UW", "residual_jacobian"):
+        for name in ("U_half", "W_half", "b_half", "UW"):
             array = getattr(w, name)
             assert not any(np.shares_memory(array, getattr(w, p)) for p in lstm.PARAMETERS)
             assert not any(np.shares_memory(array, a) for a in given.values())
@@ -1391,7 +1391,7 @@ class TestWeightStorage:
         assert set(vars(w)) == built
         arrays = [name for name, a in vars(w).items() if isinstance(a, np.ndarray)]
         operands = ("W", "U", "b", "W_y", "b_y", "U_half", "W_half", "b_half", "UW",
-                    "residual_jacobian", "_scale", "_half", "_one")
+                    "_scale", "_half", "_one")
         assert set(arrays) == set(operands)
         views = [(name, gate(w, name)) for name in lstm.MATRIX_FIELDS[:-2]]
         for name, array in [*((name, getattr(w, name)) for name in arrays), *views]:
@@ -1427,9 +1427,9 @@ class TestFromStacks:
     NETS = TestPreparedKernel.NETS
     # weights_digest of each net, pinned: the bench model as load_weights
     # builds it, the others as small_net draws them
-    DIGESTS = {"bench": "3ed18da5d6d5fe515303f8faf29ce83748b8f7ea9e7d2ef88d45b7f49117f4a8",
-               "small": "f5ecf220a0fbd56a55d5bec47da24f1ef29c4c2692b06cb0fece96157ff43a10",
-               "square2": "551da2dfb02ffcd5f7fa25b65bd121605cdedc5d43c823e79f8b4c369ea1272a"}
+    DIGESTS = {"bench": "41556fe17208ca5e3b1aac6c1c5113eb6038b27be9025cf5e2d7c853b49a2c6d",
+               "small": "4316acb82618a85d80ce099efd51a6f2450c3b2be0d430422da6d04b83ef6c0a",
+               "square2": "ee6ea507e6bdf9b0482c1a51b83b3e8afa3e4064cee7dbf896719d41c916c397"}
 
     @pytest.mark.parametrize("net", list(NETS))
     def test_every_attribute_keeps_its_bytes(self, bench_w, net):

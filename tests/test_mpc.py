@@ -224,9 +224,9 @@ class TestConstraints:
         problem = mpc.Problem(w, x0, ref, np.array(tight), y_lb, y_ub, p_f, alpha,
                               q_weight=2.0, r_weight=0.5,
                               workspace=mpc.FhocpWorkspace(w, n_horizon))
-        cost, g, aux = problem.evaluate(u)
+        cost, g, got_ev = problem.evaluate(u)
         np.testing.assert_allclose(g, np.concatenate(expect), rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(aux[3], ev)
+        np.testing.assert_array_equal(got_ev, ev)
         assert cost == pytest.approx(oracle_cost(problem, u), rel=1e-12)
 
 
@@ -250,8 +250,8 @@ class TestQpModel:
                               np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4,
                               q_weight=2.0, r_weight=0.5,
                               workspace=mpc.FhocpWorkspace(w, n_horizon))
-        _, g, aux = problem.evaluate(u)
-        grad, _, a_mat, b_vec = problem.qp_model(u, g, aux, 0.0)
+        _, g, ev = problem.evaluate(u)
+        grad, _, a_mat, b_vec = problem.qp_model(u, g, ev, 0.0)
         n_g = len(g) - 2 * w.p        # the rows of stages 1..N-1 and the terminal row
         assert a_mat.shape == (n_g + 2 * u.size, u.size)
         np.testing.assert_array_equal(b_vec[:n_g], -g[2 * w.p:])
@@ -775,8 +775,10 @@ class TestWorkspace:
         assert other.workspace is problem.workspace is ctrl.workspace
         second = mpc.solve_fhocp(other)
         assert second.u_seq.tobytes() != kept[0]
-        _, _, aux = problem.evaluate(rng.uniform(-0.5, 0.5, (10, bench_w.m)))
-        assert aux[4] is ctrl.workspace.dx          # the evaluation wrote the one sweep
+        dx = ctrl.workspace.dx
+        before = dx.tobytes()
+        problem.evaluate(rng.uniform(-0.5, 0.5, (10, bench_w.m)))
+        assert ctrl.workspace.dx is dx and dx.tobytes() != before   # it wrote the one dx
         assert (first.u_seq.tobytes(), repr(first.cost), repr(first.max_violation)) == kept
 
 
@@ -883,10 +885,10 @@ class TestNanReductions:
         evaluate = mpc.Problem.evaluate
 
         def with_nan(self, *args):
-            cost, g, aux = evaluate(self, *args)
+            cost, g, ev = evaluate(self, *args)
             g[:] = -1.0             # every row satisfied but one, which is NaN
             g[1] = np.nan
-            return cost, g, aux
+            return cost, g, ev
 
         monkeypatch.setattr(mpc.Problem, "evaluate", with_nan)
         with pytest.raises(FeasibilityLossError, match=r"candidate violation nan\)"):
@@ -917,7 +919,8 @@ def parent_sensitivities(w, sweep):
 
 def parent_evaluate(problem, u_seq):
     """``Problem.evaluate`` in its products through @ and its sums through
-    ndarray.sum: the formulas whose bits the step keeps."""
+    ndarray.sum, the formulas whose bits the step keeps, in a workspace of
+    its own: (cost, g, ev, that ``lstm.Workspace``, the state errors dx)."""
     w, ref, n_h = problem.w, problem.ref, len(problem.tight)
     sweep = lstm.Workspace(w.n, w.m, len(u_seq))
     c, h, _ = sweep.rollout(w, problem.x_hat.c, problem.x_hat.h, u_seq)
@@ -933,15 +936,15 @@ def parent_evaluate(problem, u_seq):
     g[-1] = phi - problem.alpha ** 2
     cost = problem.q_weight * float((dx[:n_h] ** 2).sum()) \
         + problem.r_weight * float(((u_seq - ref.u_bar) ** 2).sum()) + phi
-    return cost, g, (c, h, sweep, ev, dx)
+    return cost, g, ev, sweep, dx
 
 
-def parent_qp_model(problem, u_seq, g, aux, lam_term):
-    """``Problem.qp_model`` in its products through @, on the rollout of
-    ``parent_evaluate``, with A and b stacked whole."""
+def parent_qp_model(problem, u_seq, g, ev, sweep, dx, lam_term):
+    """``Problem.qp_model`` in its products through @, on the rollout in
+    ``sweep`` and the state errors ``dx`` of ``parent_evaluate``, with A and
+    b stacked whole."""
     w, ref, n_h = problem.w, problem.ref, len(problem.tight)
     n_u, n_out = n_h * w.m, 2 * w.p * (n_h - 1)
-    _, _, sweep, ev, dx = aux
     s = parent_sensitivities(w, sweep)
     s_x = s[1:n_h].reshape(-1, n_u)
     grad = 2.0 * problem.q_weight * (dx[1:n_h].ravel() @ s_x) \
@@ -992,17 +995,18 @@ class TestParentFormulas:
                               np.array([[2.0, 0.3], [0.3, 1.0]]), 0.4,
                               q_weight=2.0, r_weight=0.5,
                               workspace=mpc.FhocpWorkspace(w, n_horizon))
-        cost, g, aux = problem.evaluate(u)
-        want_cost, want_g, want_aux = parent_evaluate(problem, u)
-        assert (terminal == "no-cell-error") == (aux[3][0] == 0.0)
+        cost, g, ev = problem.evaluate(u)
+        want_cost, want_g, want_ev, want_sweep, want_dx = parent_evaluate(problem, u)
+        ws = problem.workspace
+        assert (terminal == "no-cell-error") == (ev[0] == 0.0)
         assert np.float64(cost).tobytes() == np.float64(want_cost).tobytes()
-        for got, want in zip((g, aux[3], aux[4]), (want_g, want_aux[3], want_aux[4])):
+        for got, want in zip((g, ev, ws.dx), (want_g, want_ev, want_dx)):
             assert got.tobytes() == want.tobytes()
-        assert aux[2].sensitivities().tobytes() \
-            == parent_sensitivities(w, want_aux[2]).tobytes()
+        assert ws.sweep.sensitivities().tobytes() \
+            == parent_sensitivities(w, want_sweep).tobytes()
         for lam_term in (0.0, 0.7):
-            got = problem.qp_model(u, g, aux, lam_term)
-            want = parent_qp_model(problem, u, want_g, want_aux, lam_term)
+            got = problem.qp_model(u, g, ev, lam_term)
+            want = parent_qp_model(problem, u, want_g, want_ev, want_sweep, want_dx, lam_term)
             for name, a, b in zip(("grad", "hess", "A", "b"), got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 

@@ -244,11 +244,19 @@ class TestSolveReference:
             refcalc.solve_reference(bench_w, [5.0], [0.0], bench_cell)
 
     def test_unreachable_target_cold_starts_once(self, bench_w, monkeypatch, bench_cell):
+        # one cold start, which ends at the step that repeats its last bytes
         calls = []
         counted(monkeypatch, lstm, "step", calls)
         with pytest.raises(InfeasibleReferenceError):
             refcalc.solve_reference(bench_w, [5.0], [0.0], bench_cell)
-        assert len(calls) == 500
+        assert len(calls) == 237
+
+    @pytest.mark.parametrize("net", ["bench", "small", "zero"])
+    def test_cold_start_keeps_the_500_step_attractor(self, bench_w, bench_cell, net):
+        w = {"bench": bench_w, "small": small_net(seed=4), "zero": zero_net()}[net]
+        x = attractor(w, np.zeros(w.m), steps=500)
+        xi = refcalc._cold_start(w, lstm.Workspace(w.n, w.m, 1))
+        assert xi.tobytes() == np.concatenate([x.c, x.h, np.zeros(w.m)]).tobytes()
 
     def test_warm_tangent_predicts_past_the_warm_start(self, bench_w, monkeypatch, bench_cell):
         ref = refcalc.solve_reference(bench_w, [0.1], [0.0], bench_cell)

@@ -359,6 +359,17 @@ class TestFitIndex:
         with pytest.raises(UndefinedMetricError):
             sysid.evaluate_fit(tiny_w, [])
 
+    def test_evaluate_fit_names_the_sequence(self, tiny_w):
+        # a sequence too short for the washout, or constant after it, by its position
+        good = (np.linspace(-1.0, 1.0, 10), np.linspace(-1.0, 1.0, 10))
+        short = (np.zeros(4), np.arange(4.0))
+        flat = (np.zeros(10), np.r_[np.arange(3.0), np.full(7, 0.5)])
+        with pytest.raises(ValueError, match=r"^sequence 1 after the washout of 3: traces must"):
+            sysid.evaluate_fit(tiny_w, [good, short], washout=3)
+        with pytest.raises(UndefinedMetricError,
+                           match=r"^sequence 2 after the washout of 3: reference trace is constant"):
+            sysid.evaluate_fit(tiny_w, [good, good, flat], washout=3)
+
 
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
