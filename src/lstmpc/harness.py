@@ -307,11 +307,11 @@ def steps(sc, w, gains=None):
         raise ValueError("weights carry no normalization ranges")
     nrm = plant.Normalizer(*w.u_range, *w.y_range)
     certificate = mpc.certify(w, gains, sc.horizon, sc.q_weight)
-    ctrl = mpc.Controller(w, certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
+    ctrl = mpc.Controller(certificate, r_weight=sc.r_weight, e_o0=sc.e_o0,
                           y_lb=nrm.normalize_y(sc.y_lb_phys), y_ub=nrm.normalize_y(sc.y_ub_phys))
     y0s = setpoint_trace(sc, nrm, int(round(sc.duration_s / sc.t_s)))
     try:
-        certificate.terminal_alpha(w.W_y, y0s[:1], ctrl.y_lb, ctrl.y_ub, sc.e_o0)
+        certificate.terminal_alpha(y0s[:1], ctrl.y_lb, ctrl.y_ub, sc.e_o0)
     except InfeasibleSetpointError as exc:
         exc.args = (f"the setpoints start outside the admissible band at e_o0 = {sc.e_o0}: {exc}",)
         raise

@@ -55,7 +55,7 @@ model's whole certificate, ``lyapunov_bounds`` its Lyapunov data.
 
 import json
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -675,14 +675,14 @@ def margin_adjoint(w, g, a_r1, a_r2):
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """The contraction certificate, rho(A_delta) < 1, of the weights ``w``, formed
-    whole on construction: A_delta, B_delta, r1, r2, the gains, column and Jury
-    margins of ``gate_bounds(w)``; rho_A, InstabilityError unless below 1; then
-    ``lyapunov_bounds`` of A_delta, P_s, rho_s, c_sl, c_su, and the per-output
-    sensitivity c_s. No field is a constructor argument; arrays are read-only.
+    """The contraction certificate, rho(A_delta) < 1, of the weights ``w``, which it
+    keeps, formed whole on construction: A_delta, B_delta, r1, r2, the gains, column
+    and Jury margins of ``gate_bounds(w)``; rho_A, InstabilityError unless below 1;
+    then ``lyapunov_bounds`` of A_delta, P_s, rho_s, c_sl, c_su, and the per-output
+    sensitivity c_s. No derived field is a constructor argument; arrays are read-only.
     """
 
-    w: InitVar[LstmWeights]
+    w: LstmWeights = field(repr=False)
     A_delta: np.ndarray = field(init=False)
     B_delta: np.ndarray = field(init=False)
     rho_A: float = field(init=False)
@@ -695,15 +695,15 @@ class StabilityCertificate:
     c_s: np.ndarray = field(init=False)
     certified = property(lambda self: True)     # read-only, not a field
 
-    def __post_init__(self, w):
-        g = gate_bounds(w)
+    def __post_init__(self):
+        g = gate_bounds(self.w)
         rho = spectral_radius(g.gains)
         if not rho < 1.0:    # also for NaN
             raise InstabilityError(f"rho(A_delta) = {rho:.4f} >= 1, model not certified")
         p_s, rho_s, c_sl, c_su = lyapunov_bounds(g.gains)
         freeze_arrays(self, A_delta=g.gains, B_delta=g.column, rho_A=rho, r1=g.r1, r2=g.r2,
                       P_s=p_s, rho_s=rho_s, c_sl=c_sl, c_su=c_su,
-                      c_s=np.linalg.norm(w.W_y, axis=1) / c_sl)
+                      c_s=np.linalg.norm(self.w.W_y, axis=1) / c_sl)
 
 
 def lyapunov_bounds(a):

@@ -39,7 +39,7 @@ pairwise order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .numerics import (eig_extrema_spd, freeze_arrays, largest, magnitude,
 
 _sum = np.add.reduce     # a whole array's pairwise sum, without ndarray.sum's wrapper
 
-# the readout rule that certify and Controller both check W_y with
+# the readout rule of a Certificate's W_y
 _READOUT = (lambda v: bool(np.all(np.any(v != 0.0, axis=1))),
             "a readout with no row of zeros, since the terminal radius divides by each row's norm")
 
@@ -71,25 +71,31 @@ def _terminal_weight(a_delta, q_weight):
 @dataclass(frozen=True)
 class Certificate:
     """One model's chain of constants, from ``certify``, formed whole from the
-    model's certificate, the observer's ``spec``, a positive int ``horizon`` N
-    and ``q_weight`` q: the (N+1, p) margins a, b of stages 0..N (y_ub - a_i e_o
-    - b_i) and the terminal P_f, A_delta^T P_f A_delta - P_f = -1.1 q I, with its
-    smallest eigenvalue ``lam_min``; ``k_bar`` is (value, argmax) on request. No
-    derived constant is a constructor argument; arrays are read-only copies."""
+    model's certificate, the observer's ``spec`` of the same weights ``model.w``
+    (W_y with no row of zeros), a positive int ``horizon`` N and ``q_weight`` q:
+    the (N+1, p) margins a, b of stages 0..N (y_ub - a_i e_o - b_i) and the
+    terminal P_f, A_delta^T P_f A_delta - P_f = -1.1 q I, with its smallest
+    eigenvalue ``lam_min``; with ``estimate_k_bar``, ``k_bar`` is K_bar's (value,
+    argmax) over pH 6.5-8.5 and +-d_max. No derived constant is a constructor
+    argument; arrays are read-only copies."""
 
     model: lstm.StabilityCertificate
     spec: observer.ObserverCertificate
     horizon: int
     q_weight: float
-    k_bar: tuple | None = None
+    estimate_k_bar: InitVar[bool] = False
+    k_bar: tuple | None = field(init=False)
     a: np.ndarray = field(init=False)
     b: np.ndarray = field(init=False)
     P_f: np.ndarray = field(init=False)
     lam_min: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, estimate_k_bar):
         check("horizon", self.horizon, POSITIVE_INT)
         cert, spec = self.model, self.spec
+        w = cert.w
+        check("spec.w", spec.w, (lambda v: v is w, "model.w, the weights of the model certificate"))
+        check("W_y", w.W_y, _READOUT)
         q = self.q_weight
         terminal = _terminal_weight(np.asarray(cert.A_delta, dtype=float), q) \
             if POSITIVE[0](q) else None
@@ -103,8 +109,15 @@ class Certificate:
                 b.append(b[i] + a[i] * spec.w_bar)
         check("w_bar", spec.w_bar, (lambda v: np.isfinite([self.e_bar_inf, *np.ravel(b)]).all(),
                                     "small enough that e_bar_inf and the margins b are finite"))
+        k_bar = None
+        if estimate_k_bar:
+            if w.u_range is None or w.y_range is None:
+                raise ValueError("the K_bar estimate needs weights with u_range and y_range")
+            nrm = plant.Normalizer(*w.u_range, *w.y_range)
+            k_bar = refcalc.estimate_k_bar(w, (nrm.normalize_y(6.5), nrm.normalize_y(8.5)),
+                                           (-spec.d_max, spec.d_max))
         p_f, lam_min = terminal
-        freeze_arrays(self, a=np.array(a), b=np.array(b), P_f=p_f, lam_min=lam_min)
+        freeze_arrays(self, a=np.array(a), b=np.array(b), P_f=p_f, lam_min=lam_min, k_bar=k_bar)
 
     @property
     def e_bar_inf(self):
@@ -126,14 +139,15 @@ class Certificate:
         margin = self.terminal_margin(e_o)
         return np.atleast_1d(y_lb) + margin, np.atleast_1d(y_ub) - margin
 
-    def terminal_alpha(self, w_y, y0, y_lb, y_ub, e_o):
+    def terminal_alpha(self, y0, y_lb, y_ub, e_o):
         """Radius of the terminal level set for the set-point y0, with (p,)
         output bounds y_lb, y_ub: positive only strictly inside
         ``admissible_band``. A set-point on an edge of the band or outside
         it raises InfeasibleSetpointError, even where the radius rounds to
         a positive value. The radius is formed on Python floats, which round
-        as numpy's scalars do; each row of ``w_y`` must be nonzero.
+        as numpy's scalars do, from the model's readout ``W_y``.
         """
+        w_y = self.model.w.W_y
         y0 = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
         margin = self.terminal_margin(e_o).tolist()
         sq = math.sqrt(self.lam_min)
@@ -175,23 +189,14 @@ def certify(w, gains=None, horizon=5, q_weight=1.0, *, k_bar=False):
     observer section (``observer.section_spec``), either with its own d_max
     and w_bar; None means ``observer.select_gains(w)``. The chain is
     composed here only: one model certificate, one
-    ``observer.derive_constants``. ``k_bar`` estimates K_bar over pH
-    6.5-8.5 and +-d_max. The readout ``W_y`` must have no row of zeros."""
-    check("W_y", w.W_y, _READOUT)
-    if k_bar and (w.u_range is None or w.y_range is None):
-        raise ValueError("the K_bar estimate needs weights with u_range and y_range")
+    ``observer.derive_constants``; ``k_bar`` is the Certificate's
+    ``estimate_k_bar``."""
     cert = lstm.incremental_lyapunov(w)
     if gains is None:
         gains = observer.select_gains(w)
     elif not isinstance(gains, observer.ObserverSpec):
         gains = observer.section_spec(w, gains)
-    spec = observer.derive_constants(w, gains)
-    estimate = None
-    if k_bar:
-        nrm = plant.Normalizer(*w.u_range, *w.y_range)
-        estimate = refcalc.estimate_k_bar(w, (nrm.normalize_y(6.5), nrm.normalize_y(8.5)),
-                                          (-spec.d_max, spec.d_max))
-    return Certificate(cert, spec, horizon, q_weight, estimate)
+    return Certificate(cert, observer.derive_constants(w, gains), horizon, q_weight, k_bar)
 
 
 @dataclass
@@ -500,8 +505,8 @@ def shifted_candidate(prev_solution, u_bar):
 class Controller:
     """Receding-horizon wrapper: holds warm-start and the e_o recursion.
 
-    The ``certificate`` fixes the horizon, state weight, margins and P_f;
-    the weights' readout ``W_y`` has no row of zeros, ``r_weight`` > 0,
+    The ``certificate`` fixes the model, its weights ``certificate.model.w``,
+    the horizon, state weight, margins and P_f; ``r_weight`` > 0,
     e_o(0) = ``e_o0`` >= 0 and the (p,) or scalar output
     bounds complete the FHOCP; InfeasibleSetpointError if they leave no
     admissible set-point at e_o0. Each step runs the reference calculation
@@ -512,8 +517,8 @@ class Controller:
     feasible iterate costs less.
     """
 
-    def __init__(self, w, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
-        check("W_y", w.W_y, _READOUT)
+    def __init__(self, certificate, *, r_weight=1.0, e_o0=0.5, y_lb=-1.0, y_ub=1.0):
+        w = certificate.model.w
         # the QP's Hessian is at least 2 r I: r > 0 keeps it strictly convex;
         # over the input box, the input cost r sum |u_k - u_bar|^2 reaches N m (2 u_max)^2 r
         largest = max(2.0, certificate.horizon * w.m * (2.0 * w.u_max) ** 2)
@@ -539,7 +544,7 @@ class Controller:
             raise InfeasibleSetpointError(
                 f"empty admissible band ({lo[j[0]]:.4g}, {hi[j[0]]:.4g}) on output {j[0]} at e_o0 "
                 f"= {e_o0}: d_max = {spec.d_max}, L_d = {spec.L_d.tolist()}, w_bar = {spec.w_bar}")
-        self.w, self.certificate = w, certificate
+        self.certificate = certificate
         self.r_weight, self.e_o = r_weight, e_o0
         self.workspace = FhocpWorkspace(w, certificate.horizon)
         self.cell = lstm.Workspace(w.n, w.m, 1)
@@ -550,15 +555,17 @@ class Controller:
         ``x_hat`` toward ``ref``, with the terminal radius of the set-point
         ``y0``; raises InfeasibleSetpointError outside the admissible band."""
         cert, e_o = self.certificate, self.e_o
-        alpha = cert.terminal_alpha(self.w.W_y, y0, self.y_lb, self.y_ub, e_o)
+        alpha = cert.terminal_alpha(y0, self.y_lb, self.y_ub, e_o)
         n_h = cert.horizon
-        return Problem(self.w, x_hat, ref, cert.a[:n_h] * e_o + cert.b[:n_h] + cert.spec.d_max,
+        return Problem(cert.model.w, x_hat, ref,
+                       cert.a[:n_h] * e_o + cert.b[:n_h] + cert.spec.d_max,
                        self.y_lb, self.y_ub, cert.P_f, alpha,
                        cert.q_weight, self.r_weight, self.workspace)
 
     def step(self, chi_hat, y0):
         """Compute the input for the current estimate and set-point."""
-        ref = refcalc.solve_reference(self.w, y0, chi_hat.d, self.cell, self.prev_ref)
+        ref = refcalc.solve_reference(self.certificate.model.w, y0, chi_hat.d, self.cell,
+                                      self.prev_ref)
         self.problem = self.problem_at(chi_hat.x, ref, y0)
         warm = shifted_candidate(self.prev_solution, ref.u_bar) \
             if self.prev_solution is not None else None

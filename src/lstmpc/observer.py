@@ -8,7 +8,7 @@ innovation into d with saturation. A 3x3 contraction matrix A_d over
 yields all constants consumed by the constraint-tightening controller.
 """
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,15 +103,15 @@ def section_spec(w, doc):
 
 @dataclass(frozen=True, kw_only=True)
 class ObserverCertificate(ObserverSpec):
-    """An ``ObserverSpec`` with its convergence constants on the weights ``w``,
-    formed whole on construction: A_d and rho_A_d = rho(A_d) (GainSelectionError
-    unless it is below 1, which rejects an uncertified model too), its
-    ``lstm.lyapunov_bounds`` P_o, rho_o, c_ol, c_ou, then c_o, L_mat, L_max,
-    cell_radius_hat and w_max, the largest increment norm |w| per step for
-    which V_o(k+1) <= rho_o V_o(k) + w_bar. No derived constant is a
-    constructor argument."""
+    """An ``ObserverSpec`` with its convergence constants on the weights ``w``, which
+    it keeps, formed whole on construction: A_d and rho_A_d = rho(A_d)
+    (GainSelectionError unless it is below 1, which rejects an uncertified model
+    too), its ``lstm.lyapunov_bounds`` P_o, rho_o, c_ol, c_ou, then c_o, L_mat,
+    L_max, cell_radius_hat and w_max, the largest increment norm |w| per step for
+    which V_o(k+1) <= rho_o V_o(k) + w_bar. No derived constant is a constructor
+    argument, so ``dataclasses.replace`` re-forms them all from ``w``."""
 
-    w: InitVar[lstm.LstmWeights]
+    w: lstm.LstmWeights = field(repr=False)
     A_d: np.ndarray = field(init=False)
     rho_A_d: float = field(init=False)
     P_o: np.ndarray = field(init=False)
@@ -124,8 +124,9 @@ class ObserverCertificate(ObserverSpec):
     cell_radius_hat: float = field(init=False)
     w_max: float = field(init=False)
 
-    def __post_init__(self, w):
+    def __post_init__(self):
         super().__post_init__()
+        w = self.w
         a_d, l_mat, cell_radius_hat = _error_dynamics(w, self)
         if (rho := spectral_radius(a_d)) >= 1.0:
             raise GainSelectionError(f"rho(A_d) = {rho:.4f} >= 1")

@@ -76,18 +76,6 @@ def equilibrium(p, u_phi=None, d_phi=None):
     return np.array([w_a4, w_b4, h1])
 
 
-def rates(p, x, u_phi, d_phi):
-    """The ODE right-hand side (dW_a4, dW_b4, dh1) at the state x, the
-    expression each stage of ``plant_step`` writes out."""
-    w_a4, w_b4, h1 = map(float, x)
-    inv_v = 1.0 / (p.A1 * h1)
-    return (p.q1 * inv_v * (p.W_a1 - w_a4) + u_phi * inv_v * (p.W_a3 - w_a4)
-            + d_phi * inv_v * (p.W_a2 - w_a4),
-            p.q1 * inv_v * (p.W_b1 - w_b4) + u_phi * inv_v * (p.W_b3 - w_b4)
-            + d_phi * inv_v * (p.W_b2 - w_b4),
-            (p.q1 + u_phi + d_phi - p.C_v4 * (h1 + p.z) ** p.n_exp) / p.A1)
-
-
 def plant_step(p, x, u_phi, d_phi, dt, substeps=10):
     """Advance the ODE by dt with classical RK4 over fixed substeps, its
     four stages written out on Python floats. The alkaline flow is clipped

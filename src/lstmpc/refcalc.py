@@ -154,8 +154,10 @@ def _track(w, ws, xi, jac_inv, y0_eff):
     Jacobian ``jac_inv`` at xi (not on a start without one), and corrects
     with ``_newton`` in the workspace ``ws``, which reuses that inverse; a
     failed corrector halves the step and retries without it, a success
-    doubles the step. Returns (xi, residual, J^-1) at y0_eff, and raises
-    once the step falls below 1/1024 of the path.
+    doubles the step. Returns (xi, residual, J^-1) at y0_eff. It raises once
+    the step falls below 1/1024 of the path, or when a corrector from an
+    accepted equilibrium ends outside the input box (from another start,
+    halving may yet reach the curve's branch inside the box).
     """
     n = w.n
     delta = y0_eff - (w.W_y.dot(xi[n:2 * n]) + w.b_y)
@@ -167,9 +169,9 @@ def _track(w, ws, xi, jac_inv, y0_eff):
         try:
             xi, res, jac_inv = _newton(w, ws, guess, y0_eff - (1.0 - done - step) * delta,
                                        reuse)
-        except InfeasibleReferenceError:
+        except InfeasibleReferenceError as exc:
             step /= 2
-            if step < 1 / 1024:
+            if step < 1 / 1024 or (exc.reason == "box" and jac_inv is not None):
                 raise
             reuse = None
             continue

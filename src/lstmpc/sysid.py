@@ -299,8 +299,8 @@ def train(data, cfg, init=None, callback=None):
     ``extension_factor`` times as long) until both stability margins are
     negative; it fails rather than return an uncertified model. The stop
     test and ``callback(epoch, mean loss, (r1, r2))`` read the margins of
-    the weights after the epoch's last update. Each update builds new
-    weights, which carry the training split's normalization ranges; every
+    the weights after the epoch's last update. The weights returned carry
+    the training split's normalization ranges, even with no update; every
     ``loss`` call runs in the one ``lstm.Workspace`` of its sequence's
     length, built once per call.
     """
@@ -311,7 +311,8 @@ def train(data, cfg, init=None, callback=None):
     w = init if init is not None else init_weights(
         cfg, m=1, p=1, u_range=u_range, y_range=y_range)
     if cfg.epochs == 0 and (bounds := lstm.gate_bounds(w)).r1 < 0 and bounds.r2 < 0:
-        return w
+        return LstmWeights(*(getattr(w, name) for name in lstm.PARAMETERS), u_max=w.u_max,
+                           u_range=u_range, y_range=y_range)
     workspaces = _workspaces(w, data.train)
     rng = np.random.default_rng(cfg.seed + 1)
     mom = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}

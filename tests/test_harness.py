@@ -1018,6 +1018,26 @@ class TestCli:
         assert err["message"].startswith(message.replace("<dir>", str(data)))
         assert not out.exists()
 
+    def test_train_without_epochs_saves_the_manifest_ranges(self, tmp_path, capsys,
+                                                           gen_data_dir):
+        # the test FIT is computed on the manifest's normalization, so the
+        # model saved beside it carries that normalization, not the init's
+        data = tmp_path / "ds"
+        shutil.copytree(gen_data_dir, data)
+        manifest = data / "manifest.json"
+        manifest.write_text(manifest_edit(lambda doc: doc["normalization"].update(
+            u_lo=-1.0, y_hi=10.0))(manifest.read_text()))
+        out = tmp_path / "model.json"
+        assert cli.main(["train", "--data", str(data), "--out", str(out), "--epochs", "0",
+                         "--init", str(ASSETS / "model.json")]) == 0
+        assert "test FIT" in capsys.readouterr().out
+        init, saved = lstm.load_weights(ASSETS / "model.json")[0], lstm.load_weights(out)[0]
+        nrm = sysid.load_dataset(data).normalizer
+        assert (saved.u_range, saved.y_range) == ((-1.0, nrm.u_hi), (nrm.y_lo, 10.0))
+        assert saved.u_range != init.u_range and saved.y_range != init.y_range
+        for name in lstm.PARAMETERS:
+            np.testing.assert_array_equal(getattr(saved, name), getattr(init, name))
+
     def test_train_rejects_negative_learning_rate(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         seq = (rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40))

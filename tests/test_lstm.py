@@ -1243,11 +1243,14 @@ class TestCertification:
             dataclasses.replace(cert, w=bench_w, certified=False)
 
     def test_certificate_holds_no_mutable_field(self, bench_w):
-        # scalars and read-only arrays only: no field can be edited in place
+        # the read-only weights it certifies, scalars and read-only arrays only:
+        # no field can be edited in place
         cert = lstm.incremental_lyapunov(bench_w)
         for field in dataclasses.fields(cert):
             value = getattr(cert, field.name)
-            if isinstance(value, np.ndarray):
+            if field.name == "w":
+                assert value is bench_w
+            elif isinstance(value, np.ndarray):
                 assert not value.flags.writeable, field.name
             else:
                 assert isinstance(value, float), field.name
@@ -1384,7 +1387,7 @@ class TestWeightStorage:
         cell = lstm.Workspace(w.n, w.m, 1)
         ref = refcalc.solve_reference(w, [0.1], [0.0], cell)
         chi = observer.AugmentedState(ref.x_bar, np.zeros(w.p))
-        u, _, _ = mpc.Controller(w, bench_certificate).step(chi, np.array([0.1]))
+        u, _, _ = mpc.Controller(mpc.certify(w, bench_certificate.spec)).step(chi, np.array([0.1]))
         observer.observer_step(w, bench_certificate.spec, chi, u, [0.12], cell)
         ds = sysid.generate_dataset(seed=3, n_train=1, n_val=1, n_test=1, steps=120)
         sysid.train(ds, sysid.TrainConfig(epochs=1, n_neurons=w.n, washout=10), init=w)

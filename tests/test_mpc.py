@@ -13,17 +13,22 @@ from lstmpc.errors import (DimensionError, FeasibilityLossError, InfeasibleSetpo
                            InstabilityError)
 from lstmpc.observer import AugmentedState
 
-from conftest import gate, random_invariant_state, small_net, with_arrays
+from conftest import count_calls, gate, random_invariant_state, small_net, with_arrays
+
+
+# the weights of the fake records: a Certificate asks only that its model and
+# spec hold the same weights, whose readout has no row of zeros
+FAKE_W = SimpleNamespace(W_y=np.ones((1, 1)))
 
 
 def fake_cert(rho_s=0.9, c_su=2.0, c_s=(1.5,), a_delta=((0.0, 0.0), (0.0, 0.0))):
     return SimpleNamespace(rho_s=rho_s, c_su=c_su, c_s=np.asarray(c_s, dtype=float),
-                           A_delta=np.asarray(a_delta, dtype=float))
+                           A_delta=np.asarray(a_delta, dtype=float), w=FAKE_W)
 
 
 def fake_spec(rho_o=0.95, l_max=0.1, w_bar=0.01, c_o=(3.0,), d_max=0.1):
     return SimpleNamespace(rho_o=rho_o, L_max=l_max, w_bar=w_bar, d_max=d_max,
-                           c_o=np.asarray(c_o, dtype=float))
+                           c_o=np.asarray(c_o, dtype=float), w=FAKE_W)
 
 
 def fake_certificate(spec, n_horizon, cert=None):
@@ -116,20 +121,20 @@ class TestTerminalAlpha:
         # centered set-point with symmetric bounds: both sides give the
         # same radius, so alpha equals either one
         assert bench_certificate.spec.d_max == 0.1
-        alpha = bench_certificate.terminal_alpha(bench_w.W_y, [0.0], [-1.0], [1.0], 0.2)
+        alpha = bench_certificate.terminal_alpha([0.0], [-1.0], [1.0], 0.2)
         e_t = max(0.2, bench_certificate.e_bar_inf)
         margin = bench_certificate.a[5][0] * e_t + bench_certificate.b[5][0] + 0.2
         expect = np.sqrt(bench_certificate.lam_min) / np.linalg.norm(bench_w.W_y[0]) \
             * (1.0 - margin)
         assert alpha == pytest.approx(expect, abs=1e-12)
         assert bench_certificate.lam_min == np.linalg.eigvalsh(bench_certificate.P_f)[0]
-        ctrl = mpc.Controller(bench_w, bench_certificate, e_o0=0.2)
+        ctrl = mpc.Controller(bench_certificate, e_o0=0.2)
         assert ctrl.problem_at(None, None, [0.0]).alpha == alpha
 
     def test_uses_e_bar_inf_floor(self, bench_w, bench_certificate):
         # an error proxy below its asymptotic bound e_bar_inf gives the
         # radius at e_bar_inf
-        args = (bench_w.W_y, [0.0], [-1.0], [1.0])
+        args = ([0.0], [-1.0], [1.0])
         floor = bench_certificate.terminal_alpha(*args, bench_certificate.e_bar_inf)
         assert floor > 0.0
         assert bench_certificate.terminal_alpha(*args, 0.0) == floor
@@ -139,7 +144,7 @@ class TestTerminalAlpha:
         lo, hi = bench_certificate.admissible_band(-1.0, 1.0, 0.2)
         for y0 in (hi[0], np.nan):
             with pytest.raises(InfeasibleSetpointError, match="output 0"):
-                bench_certificate.terminal_alpha(bench_w.W_y, [y0], [-1.0], [1.0], 0.2)
+                bench_certificate.terminal_alpha([y0], [-1.0], [1.0], 0.2)
 
     def test_two_output_band_edges(self):
         # both edges of each output's band and a NaN are rejected by
@@ -151,13 +156,13 @@ class TestTerminalAlpha:
         lo, hi = certificate.admissible_band(y_lb, y_ub, e_o)
         mid = 0.5 * (lo + hi)
         assert np.all(lo < mid) and np.all(mid < hi)
-        assert certificate.terminal_alpha(w.W_y, mid, y_lb, y_ub, e_o) > 0.0
+        assert certificate.terminal_alpha(mid, y_lb, y_ub, e_o) > 0.0
         for j in range(2):
             for edge in (lo, hi, [np.nan] * 2):
                 y0 = mid.copy()
                 y0[j] = edge[j]
                 with pytest.raises(InfeasibleSetpointError, match=f"output {j}"):
-                    certificate.terminal_alpha(w.W_y, y0, y_lb, y_ub, e_o)
+                    certificate.terminal_alpha(y0, y_lb, y_ub, e_o)
 
     def test_band_trivial_case(self):
         certificate = fake_certificate(fake_spec(l_max=0.0, w_bar=0.0, c_o=(0.0,),
@@ -171,7 +176,7 @@ def feasible_instance(w, spec, seed, n_horizon, y0=0.1, y_ub=1.0):
     """A solvable instance near the equilibrium of y0 at e_o = e_bar_inf:
     (controller, its problem) for the observer ``spec`` and the output
     bounds [-1, y_ub]."""
-    ctrl = mpc.Controller(w, mpc.certify(w, spec, n_horizon), y_ub=y_ub)
+    ctrl = mpc.Controller(mpc.certify(w, spec, n_horizon), y_ub=y_ub)
     ctrl.e_o = ctrl.certificate.e_bar_inf
     ref = refcalc.solve_reference(w, [y0], [0.0], lstm.Workspace(w.n, w.m, 1))
     rng = np.random.default_rng(seed)
@@ -674,19 +679,34 @@ class TestCertify:
                  {"A_d", "rho_A_d", "P_o", "rho_o", "c_ol", "c_ou", "c_o", "L_mat", "L_max",
                   "cell_radius_hat", "w_max", "injection"}),
                 (bench_certificate, {}, lambda **kw: mpc.Certificate(cert, spec, 5, 1.0, **kw),
-                 {"a", "b", "P_f", "lam_min"})):
+                 {"k_bar", "a", "b", "P_f", "lam_min"})):
             assert {f.name for f in dataclasses.fields(record) if not f.init} == derived
             for name in derived:
                 with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
                     dataclasses.replace(record, **inputs, **{name: getattr(record, name)})
                 with pytest.raises(TypeError, match=name):
                     build(**{name: getattr(record, name)})
-        # a gain swapped into a derived spec without the model would leave rho_o stale
-        with pytest.raises(ValueError, match="InitVar 'w'"):
-            dataclasses.replace(spec, L_d=0.5 * np.eye(w.p))
+        # each record keeps the weights it certifies, so replace re-forms every
+        # derived constant from them: a swapped gain leaves no rho_o stale
+        swapped = dataclasses.replace(spec, L_d=0.5 * np.eye(w.p))
+        fresh = observer.ObserverCertificate(**{**gains, "L_d": 0.5 * np.eye(w.p)},
+                                             w_bar=spec.w_bar, w=w)
+        assert swapped.w is w and swapped.rho_o == fresh.rho_o != spec.rho_o
+        np.testing.assert_array_equal(swapped.P_o, fresh.P_o)
+        shorter = dataclasses.replace(bench_certificate, horizon=3)
+        assert shorter.model is cert and shorter.a.shape == (4, 1)
+        np.testing.assert_array_equal(shorter.a, bench_certificate.a[:4])
         net = small_net(seed=1, n=3)
         with pytest.raises(InstabilityError, match="model not certified"):
             lstm.StabilityCertificate(with_arrays(net, b_f=30.0, U_o=200.0 * gate(net, "U_o")))
+
+    def test_model_and_spec_certify_one_model(self, bench_certificate):
+        # the margins would mix one model's constants with another's observer
+        # constants: a[1] read 0.1096 where the shipped record has 0.1947
+        other = lstm.StabilityCertificate(small_net(seed=2, n=3))
+        with pytest.raises(ValueError, match=r"^spec\.w must be model\.w, the weights of the "
+                                             r"model certificate, got <lstmpc\.lstm\.LstmWeights"):
+            mpc.Certificate(other, bench_certificate.spec, 5, 1.0)
 
     def test_arrays_are_read_only(self, bench_certificate):
         # an in-place write would move the tightening or the observer metric
@@ -725,11 +745,12 @@ class TestCertify:
 
     def test_controller_reads_horizon_and_q_weight(self, bench_w, bench_spec):
         certificate = mpc.certify(bench_w, bench_spec, 7, q_weight=2.5)
-        ctrl = mpc.Controller(bench_w, certificate, e_o0=0.05)
+        ctrl = mpc.Controller(certificate, e_o0=0.05)
         problem = ctrl.problem_at(None, None, [0.1])
         assert problem.tight.shape == (7, 1)
         assert problem.q_weight == 2.5
         assert problem.P_f is certificate.P_f
+        assert problem.w is certificate.model.w is bench_w
 
 
 def solution_bits(sol):
@@ -790,7 +811,7 @@ class TestController:
             np.testing.assert_array_equal(
                 problem.tight[i], certificate.a[i] * e_o + certificate.b[i] + bench_spec.d_max)
         assert problem.tight.shape == (5, 1)
-        assert problem.alpha == certificate.terminal_alpha(bench_w.W_y, [0.1],
+        assert problem.alpha == certificate.terminal_alpha([0.1],
                                                            [-1.0], [1.0], e_o)
         np.testing.assert_array_equal(problem.y_lb, [-1.0])
         np.testing.assert_array_equal(problem.y_ub, [1.0])
@@ -800,7 +821,7 @@ class TestController:
     @pytest.mark.parametrize("y_lb, y_ub", [(0.5, -0.5), (0.2, 0.2), (np.nan, 1.0)])
     def test_rejects_bounds_not_ordered(self, bench_w, bench_certificate, y_lb, y_ub):
         with pytest.raises(ValueError, match="not below y_ub on output 0"):
-            mpc.Controller(bench_w, bench_certificate, y_lb=y_lb, y_ub=y_ub)
+            mpc.Controller(bench_certificate, y_lb=y_lb, y_ub=y_ub)
 
     # r > 0 keeps the QP strictly convex; a negative or NaN e_o0 ends the
     # run in a bare error, and an infinite one tightens every bound away
@@ -812,15 +833,15 @@ class TestController:
     def test_rejects_setting_the_solver_cannot_use(self, bench_w, bench_certificate,
                                                    setting, value):
         with pytest.raises(ValueError, match=f"^{setting} must be finite"):
-            mpc.Controller(bench_w, bench_certificate, **{setting: value})
+            mpc.Controller(bench_certificate, **{setting: value})
 
     def test_rejects_bounds_of_wrong_shape(self, bench_w, bench_certificate):
         with pytest.raises(DimensionError, match=r"y_ub has shape \(3,\)"):
-            mpc.Controller(bench_w, bench_certificate, y_ub=np.array([0.8, 0.9, 1.0]))
+            mpc.Controller(bench_certificate, y_ub=np.array([0.8, 0.9, 1.0]))
 
     def test_tracks_equilibrium(self, bench_w, bench_certificate, bench_spec, bench_cell):
         e_o0 = 0.05
-        ctrl = mpc.Controller(bench_w, bench_certificate, e_o0=e_o0)
+        ctrl = mpc.Controller(bench_certificate, e_o0=e_o0)
         y0 = 0.1
         ref = refcalc.solve_reference(bench_w, [y0], [0.0], bench_cell)
         chi = AugmentedState(ref.x_bar.copy(), np.zeros(1))
@@ -833,7 +854,7 @@ class TestController:
 
     def test_feasible_candidate_takes_one_iteration(self, bench_w, bench_certificate,
                                                     bench_spec, bench_cell):
-        ctrl = mpc.Controller(bench_w, bench_certificate, e_o0=0.05)
+        ctrl = mpc.Controller(bench_certificate, e_o0=0.05)
         x_hat = feasible_instance(bench_w, bench_spec, 2, 5)[1].x_hat
         chi = AugmentedState(x_hat, np.zeros(1))
         for _ in range(3):
@@ -847,7 +868,7 @@ class TestController:
         # the set-point is the output of the model's u = 0 attractor
         w = small_net(seed=2, n=3, m=2, p=2)
         certificate = mpc.certify(w, observer.select_gains(w, w_bar=0.0))
-        ctrl = mpc.Controller(w, certificate, e_o0=0.05)
+        ctrl = mpc.Controller(certificate, e_o0=0.05)
         _, h, _ = lstm.Workspace(w.n, w.m, 300).rollout(w, np.zeros(3), np.zeros(3),
                                                         np.zeros((300, 2)))
         y0 = w.W_y @ h[-1] + w.b_y
@@ -856,25 +877,28 @@ class TestController:
         np.testing.assert_allclose(u, ref.u_bar, atol=1e-6)
         assert sol.max_violation <= 1e-7
         np.testing.assert_array_equal(ctrl.problem.y_ub, [1.0, 1.0])
-        alpha = certificate.terminal_alpha(w.W_y, y0, [-1.0, -1.0], [1.0, 1.0], 0.05)
+        alpha = certificate.terminal_alpha(y0, [-1.0, -1.0], [1.0, 1.0], 0.05)
         assert alpha > 0.0
 
 
 class TestReadout:
     # the terminal radius divides by each output's readout norm, so a row of
-    # zeros is named before any step instead of dividing by zero
+    # zeros is named when the certificate is formed, before the K_bar grid
+    # and any step, instead of dividing by zero
     @pytest.mark.parametrize("net, row", [("bench", 0), ("small", 0), ("small", 1)])
-    def test_rejects_a_readout_row_of_zeros(self, bench, net, row):
+    def test_rejects_a_readout_row_of_zeros(self, bench, net, row, monkeypatch):
         if net == "bench":
             w, gains = bench
         else:
             w = small_net(seed=2, n=3, m=2, p=2)
             gains = observer.select_gains(w, w_bar=0.0)
-        certificate = mpc.certify(w, gains)
         w_y = w.W_y.copy()
         w_y[row] = 0.0
-        with pytest.raises(ValueError, match="^W_y must be a readout with no row of zeros"):
-            mpc.Controller(with_arrays(w, W_y=w_y), certificate)
+        calls = count_calls(monkeypatch, refcalc, "solve_reference")
+        for k_bar in (False, True):
+            with pytest.raises(ValueError, match="^W_y must be a readout with no row of zeros"):
+                mpc.certify(with_arrays(w, W_y=w_y), gains, k_bar=k_bar)
+        assert calls == []
 
 
 class TestNanReductions:

@@ -335,16 +335,16 @@ class TestDeriveConstants:
         assert (spec.w_bar, spec.w_max) == (0.0, 0.0)
 
     def test_rederive_after_gain_change_matches_fresh(self, bench_w):
-        # a derived spec's constants are formed from its gains and the model, so
-        # changing L_d without the model cannot leave a stale A_d or rho_o behind;
-        # with it, or through derive_constants, they are formed afresh
+        # a derived spec's constants are formed from its gains and the model it
+        # keeps, so changing L_d cannot leave a stale A_d or rho_o behind: with
+        # or without the model, or through derive_constants, they are formed afresh
         derived, l_d = make_spec(bench_w, l_d=0.1), 0.5 * np.eye(bench_w.p)
-        with pytest.raises(ValueError, match="InitVar 'w' must be specified"):
-            dataclasses.replace(derived, L_d=l_d)
+        assert derived.w is bench_w
         gains = dataclasses.replace(observer.select_gains(bench_w, l_d=0.1, w_bar=0.0), L_d=l_d)
         fresh = make_spec(bench_w, l_d=0.5)
         assert fresh.rho_o != derived.rho_o
-        for spec in (dataclasses.replace(derived, L_d=l_d, w=bench_w),
+        for spec in (dataclasses.replace(derived, L_d=l_d),
+                     dataclasses.replace(derived, L_d=l_d, w=bench_w),
                      observer.derive_constants(bench_w, gains)):
             for name in ("A_d", "P_o", "c_o", "L_mat"):
                 np.testing.assert_array_equal(getattr(spec, name), getattr(fresh, name))

@@ -80,11 +80,6 @@ def measure_ph_oracle(p, x):
     return float(ph)
 
 
-def xdot(p, x, u_phi, d_phi):
-    """The plant's ODE right-hand side at the state x, as an array."""
-    return np.array(plant.rates(p, x, u_phi, d_phi))
-
-
 def charge_balance(p, x, ph):
     """The plant's titration residual c(x, pH); the measured pH is its root."""
     return plant._residual(p, float(x[0]), float(x[1]))(ph)
@@ -129,7 +124,7 @@ class TestEquilibrium:
 
     def test_is_fixed_point_of_dynamics(self, params):
         eq = plant.equilibrium(params, u_phi=14.2, d_phi=0.6)
-        np.testing.assert_allclose(xdot(params, eq, 14.2, 0.6),
+        np.testing.assert_allclose(xdot_oracle(params, eq, 14.2, 0.6),
                                    np.zeros(3), atol=1e-15)
 
     @pytest.mark.parametrize("kw, flows", [
@@ -155,7 +150,7 @@ class TestPlantStep:
         # the concentration states are frozen
         x = NOMINAL_STATE.copy()
         p0 = plant.PhParams(q1=0.0)
-        dx0 = xdot(p0, x, 0.0, 0.0)
+        dx0 = xdot_oracle(p0, x, 0.0, 0.0)
         np.testing.assert_allclose(dx0[:2], 0.0, atol=1e-18)
         outflow = p0.C_v4 * (x[2] + p0.z) ** p0.n_exp
         assert dx0[2] == pytest.approx(-outflow / p0.A1, abs=1e-15)
@@ -307,11 +302,6 @@ class TestOracle:
             np.testing.assert_array_equal(
                 nxt, plant_step_oracle(params, x, u, q2, 40.0, substeps=substeps))
             x = nxt
-
-    def test_xdot(self, params):
-        x = NOMINAL_STATE + np.array([2e-4, -1e-4, 1.0])
-        np.testing.assert_array_equal(xdot(params, x, 16.2, 0.6),
-                                      xdot_oracle(params, x, 16.2, 0.6))
 
     def test_generate_dataset(self, monkeypatch):
         kwargs = dict(seed=1, n_train=2, n_val=1, n_test=1, steps=300)

@@ -126,7 +126,9 @@ def oracle_track(w, xi, jac_inv, y0_eff, newton=oracle_simplified_newton):
     in dyadic steps. Each step predicts along the tangent (the inverse
     Jacobian's last p columns) and corrects with ``newton``, which starts
     from the inverse of the last accepted point; a failed step is halved
-    and retried with no inverse in hand, an accepted one doubles."""
+    and retried with no inverse in hand, an accepted one doubles. A step
+    from an accepted point (one with its inverse) that ends outside the
+    input box ends the walk."""
     n = w.n
     delta = y0_eff - (w.W_y @ xi[n:2 * n] + w.b_y)
     in_hand = jac_inv
@@ -137,7 +139,9 @@ def oracle_track(w, xi, jac_inv, y0_eff, newton=oracle_simplified_newton):
         guess = xi if jac_inv is None else xi + jac_inv[:, 2 * n:] @ (step * delta)
         try:
             xi, res, jac_inv = newton(w, guess, target, in_hand)
-        except InfeasibleReferenceError:
+        except InfeasibleReferenceError as exc:
+            if exc.reason == "box" and jac_inv is not None:
+                raise
             step /= 2
             if step < 1 / 1024:
                 raise
@@ -387,6 +391,9 @@ class TestNewtonOracle:
         # step to the target fails and two half steps succeed.
         warm = refcalc.solve_reference(bench_w, [-0.9], [0.0], bench_cell)
         cases.append((np.array([1.0]), np.zeros(1), warm))
+        # from this one the first corrector ends outside the input box
+        warm = refcalc.solve_reference(bench_w, [0.1], [0.0], bench_cell)
+        cases.append((np.array([1.2]), np.zeros(1), warm))
         return bench_w, cases
 
     @staticmethod
@@ -433,6 +440,29 @@ class TestNewtonOracle:
         gap = max(np.max(np.abs(np.concatenate(g[:3]) - np.concatenate(r[:3])))
                   for g, r in zip(got, want) if not isinstance(g, str))
         assert gap < 1e-8   # 2.6e-10 on the bench net, 2.7e-9 on the small one
+
+
+class TestBoxFailure:
+    """A corrector from an accepted equilibrium that ends outside the input
+    box ends the track, which halving would only walk out to the box again.
+    Warm-started from the y0 = 0.1 pair, the five targets below took 82, 94,
+    93, 78 and 67 cell steps, with 28, 30, 29, 35 and 22 Jacobians, while
+    the tracker halved on box failures too; for -2.0 and 5.0, most of the
+    steps left go to correctors that end singular before one reaches the
+    box."""
+
+    @pytest.mark.parametrize("y0, cell_steps, jacobians", [
+        (1.2, 7, 2), (-1.2, 8, 3), (2.0, 7, 2), (-2.0, 35, 23), (5.0, 11, 5)])
+    def test_ends_the_track_at_once(self, bench_w, bench_cell, monkeypatch, y0, cell_steps,
+                                    jacobians):
+        warm = refcalc.solve_reference(bench_w, [0.1], [0.0], bench_cell)
+        calls = []
+        counted(monkeypatch, refcalc, "_cell_step", calls)
+        counted(monkeypatch, refcalc, "_jacobian", calls)
+        with pytest.raises(InfeasibleReferenceError) as exc:
+            refcalc.solve_reference(bench_w, [y0], [0.0], bench_cell, warm_start=warm)
+        assert exc.value.reason == "box"
+        assert (calls.count("_cell_step"), calls.count("_jacobian")) == (cell_steps, jacobians)
 
 
 class TestJacobianReuse:

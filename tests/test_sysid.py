@@ -208,15 +208,21 @@ class TestTrain:
     def test_warm_start_takes_the_training_ranges(self, bench_w):
         # every update fits the weights to data normalized by the dataset's
         # normalizer, so the result carries its ranges, not the init's; the
-        # zero-epoch return makes no update and keeps the init as it is
+        # zero-epoch return makes no update and keeps the init's parameters,
+        # with the dataset's ranges too
         ds = synthetic_dataset(n_train=1)
         nrm = ds.normalizer
+        ranges = ((nrm.u_lo, nrm.u_hi), (nrm.y_lo, nrm.y_hi))
         cfg = sysid.TrainConfig(epochs=1, n_neurons=bench_w.n, washout=10)
         w = sysid.train(ds, cfg, init=bench_w)
-        assert (w.u_range, w.y_range) == ((nrm.u_lo, nrm.u_hi), (nrm.y_lo, nrm.y_hi))
+        assert (w.u_range, w.y_range) == ranges
         assert w.y_range != bench_w.y_range
         cfg = sysid.TrainConfig(epochs=0, n_neurons=bench_w.n, washout=10)
-        assert sysid.train(ds, cfg, init=bench_w) is bench_w
+        w = sysid.train(ds, cfg, init=bench_w)
+        assert (w.u_range, w.y_range) == ranges
+        for name in (*lstm.PARAMETERS, "u_max"):
+            assert np.asarray(getattr(w, name)).tobytes() == \
+                np.asarray(getattr(bench_w, name)).tobytes(), name
 
     def test_deterministic(self):
         ds = synthetic_dataset()
