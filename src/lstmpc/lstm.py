@@ -40,6 +40,10 @@ training and the reference Jacobian all run this cell through one kernel:
   reference calculation's Newton Jacobian, and its kernels run the reverse
   sweep ``Workspace.adjoint`` one block of steps at a time, in buffers and
   views the workspace builds once, so no later call allocates an array.
+  ``linearize`` multiplies its factors against the weights' per-gate
+  blocks ``UW``; the reverse sweep against gate tiles, each gate's U
+  repeated once per step of a block, which every call refreshes from the
+  weights it reverses, since the products cost less without a broadcast.
 - The per-step loops, ``_run``'s and ``_adjoint``'s one product per step,
   call only names bound before the loop, with each output positional:
   the products, and the input products before the loop, go through
@@ -333,7 +337,7 @@ class Workspace:
             self._linear = factors, _jacobian_buffers(factors[-6:], jac), jac
         factors, jacobians, jac = self._linear
         _local_factors(factors)
-        _step_jacobians(self._last, jacobians)
+        _step_jacobians(self._last.UW, jacobians)
         return jac
 
     def sensitivities(self):
@@ -367,9 +371,11 @@ class Workspace:
         then, for each step of the block, with dct = lam^c_k+1 + k_t
         lam^h_k+1, dz_k = (k_g dct, k_f dct, k_i dct, k_o lam^h_k+1) in
         ``GATES`` order. Each block's local factors, 9 block n floats, are
-        formed in buffers the blocks share: the first call builds every
-        buffer and view of its blocks (``_adjoint_buffers``), so a call
-        allocates no array.
+        formed in buffers the blocks share, and its step Jacobians multiply
+        against gate tiles, each gate's U repeated once per step of a block,
+        (4, block, n, n), which every call refreshes from the weights it
+        reverses with one copy; the first call builds every buffer and view
+        of its blocks (``_adjoint_buffers``), so a call allocates no array.
         """
         if self._reverse is None:
             c, _, _, _, cache, _ = self._buffers
@@ -438,15 +444,17 @@ def _jacobian_buffers(factors, out, scratch=None):
               else scratch[:, :len(out)]))
 
 
-def _step_jacobians(w, buffers):
+def _step_jacobians(uw, buffers):
     """``Workspace.linearize``'s [A_k | B_k], or A_k alone, into rows :2n
     of the out of ``_jacobian_buffers``: the products and sums of
     dc+/d(h, u) = (k_f [U_f | W_f] + k_i [U_i | W_i]) + k_g [U_c | W_c] and of
     dh+/d(h, u) = k_t dc+/d(h, u) + k_o [U_o | W_o] in that order, each
-    output positional."""
+    output positional. ``uw`` holds the per-gate blocks of the out's columns
+    from n on, [U | W] or U alone: the weights' (4, n, cols-n), broadcast
+    over the steps, or tiles (4, T, n, cols-n) of them, one per step, which
+    the products read without a broadcast (``adjoint``'s blocks)."""
     f, k_t, kf_col, ki_col, kg_col, ko_col, kt_col, diag_c, diag_h, c_rows, h_rows, dc, tmp \
         = buffers
-    uw = w.UW[:, :, :dc.shape[2]]               # [U | W], or U alone, per gate
     multiply, add = np.multiply, np.add
     multiply(kf_col, uw[_F], dc)
     multiply(ki_col, uw[_I], tmp)
@@ -478,19 +486,23 @@ def _sensitivity_buffers(n, m, n_t):
 def _adjoint_buffers(c, cache, m):
     """Everything a reverse sweep over the sweep (``c``, ``cache``) of m
     inputs writes, built once: the [lam_k | 1] rows (T+1, 2n+1), whose row
-    T's c and h columns come first, dz (T, 4n), read-only, and its blocks,
-    from the last. Blocks start at multiples of ``_sweep_block``; each holds
-    its steps' first and end index, ``_factor_buffers``' arguments for its
-    rows, in scratch the blocks share, ``_jacobian_buffers``' on its
-    factors and the one block of [A_k; stage-k partials] (block, 2n+1, 2n),
-    zeros, with its stage-partial rows; its per-step views (lam_k, [lam_k+1
-    | 1], step k's slot of the block), from its last step; and lam's c and
-    h columns at its stages k+1, a dct scratch and the gate blocks of its
-    rows of dz, in ``GATES`` order."""
+    T's c and h columns come first, the gate tiles (4, block, n, n), which
+    ``_adjoint`` fills with each gate's U, dz (T, 4n), read-only, and its
+    blocks, from the last. Blocks start at multiples of ``_sweep_block``;
+    each holds its steps' first and end index, ``_factor_buffers``'
+    arguments for its rows, in scratch the blocks share,
+    ``_jacobian_buffers``' on its factors and the one block of [A_k;
+    stage-k partials] (block, 2n+1, 2n), zeros, with its stage-partial
+    rows; the tiles of its steps, tiles[:, :steps], so a short last block
+    reads the first ones; its per-step views (lam_k, [lam_k+1 | 1], step
+    k's slot of the block), from its last step; and lam's c and h columns
+    at its stages k+1, a dct scratch and the gate blocks of its rows of dz,
+    in ``GATES`` order."""
     n_t, n = cache[2].shape
     n2 = 2 * n
     block = min(_sweep_block(n, m), max(n_t, 1))
     lam, aug, dz = np.ones((n_t + 1, n2 + 1)), np.zeros((block, n2 + 1, n2)), np.empty((n_t, 4 * n))
+    tiles = np.empty((4, block, n, n))
     factor_scratch, jac_scratch = (np.empty((block, 3 * n)), *np.empty((6, block, n))), \
         np.empty((2, block, n, n))
     dct, gates = np.empty((block, n)), dz.reshape(n_t, 4, n)
@@ -500,27 +512,28 @@ def _adjoint_buffers(c, cache, m):
         factor_args = _factor_buffers(c[k0:k1 + 1], [a[k0:k1] for a in cache], factor_scratch)
         aug_b, lam_b = aug[:k1 - k0], lam[k0 + 1:k1 + 1]
         blocks.append((k0, k1, factor_args, _jacobian_buffers(factor_args[-6:], aug_b, jac_scratch),
-                       aug_b[:, n2, :n], aug_b[:, n2, n:],
+                       tiles[:, :k1 - k0], aug_b[:, n2, :n], aug_b[:, n2, n:],
                        list(zip(lam[k0:k1, :n2][::-1], lam_b[::-1], aug_b[::-1])),
                        lam_b[:, :n], lam_b[:, n:n2], dct[:k1 - k0],
                        *(gates[k0:k1, gate] for gate in (_C, _F, _I, _O))))
-    return lam[n_t, :n], lam[n_t, n:n2], *_read_only(dz), blocks
+    return lam[n_t, :n], lam[n_t, n:n2], tiles, *_read_only(dz), blocks
 
 
-def _adjoint(w, dc_stage, dh_stage, lam_c_end, lam_h_end, dz, blocks):
+def _adjoint(w, dc_stage, dh_stage, lam_c_end, lam_h_end, tiles, dz, blocks):
     """``Workspace.adjoint`` in ``_adjoint_buffers``' views, which keep lam's
     ones column and, in the step-Jacobian block, the zeros
-    ``_step_jacobians`` needs: per block, its local factors and step
-    Jacobians, its stage-k partials, one product per step and its rows of
-    dz. Returns the read-only ``dz``."""
+    ``_step_jacobians`` needs: the gate tiles of ``w``'s U, then, per block,
+    its local factors and step Jacobians, its stage-k partials, one product
+    per step and its rows of dz. Returns the read-only ``dz``."""
     n_t = len(dz)
     copyto, multiply, add, dot = np.copyto, np.multiply, np.add, _dot     # looked up once
+    copyto(tiles, w.UW[:, None, :, :w.n])
     copyto(lam_c_end, dc_stage[n_t])
     copyto(lam_h_end, dh_stage[n_t])
-    for k0, k1, factor_args, jac_args, stage_c, stage_h, steps, lam_c, lam_h, dct, dz_c, dz_f, \
-            dz_i, dz_o in blocks:
+    for k0, k1, factor_args, jac_args, uw, stage_c, stage_h, steps, lam_c, lam_h, dct, dz_c, \
+            dz_f, dz_i, dz_o in blocks:
         _, k_f, k_i, k_g, k_o, k_t = _local_factors(factor_args)
-        _step_jacobians(w, jac_args)
+        _step_jacobians(uw, jac_args)
         copyto(stage_c, dc_stage[k0:k1])
         copyto(stage_h, dh_stage[k0:k1])
         for lam_k, lam_next, aug_k in steps:

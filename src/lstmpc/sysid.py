@@ -164,7 +164,8 @@ def _read_sequence(path, nrm):
     """The normalized (u, y) of one sequence file; the rows are checked as text
     before numpy parses each as data (no comment lines), so a file without rows
     raises no numpy warning, and a cell numpy does not read as a number is
-    named by its file and line."""
+    named by its file and line. A normalization pair that maps the file's
+    distinct u or y samples all to one value is named by its fields."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()[1:]
@@ -189,6 +190,12 @@ def _read_sequence(path, nrm):
             check(f"{path.name} line {k + 2}", pair, (
                 lambda v: bool(np.isfinite([nrm.normalize_u(v[0]), nrm.normalize_y(v[1])]).all()),
                 "a (u_raw, y_raw) pair that the manifest's normalization maps to finite numbers"))
+    for signal, raw, values in (("u", rows[:, 1], u), ("y", rows[:, 2], y)):
+        lo, hi = f"{signal}_lo", f"{signal}_hi"
+        collapsed = raw.min() < raw.max() and values.min() == values.max()
+        check(f"({lo}, {hi})", (getattr(nrm, lo), getattr(nrm, hi)), (lambda v: not collapsed, (
+            f"a pair that maps the distinct {signal}_raw samples of {path.name} to more than "
+            "one value")))
     return u, y
 
 
@@ -315,8 +322,13 @@ def train(data, cfg, init=None, callback=None):
                            u_range=u_range, y_range=y_range)
     workspaces = _workspaces(w, data.train)
     rng = np.random.default_rng(cfg.seed + 1)
-    mom = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
-    vel = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
+    # Adam runs on flat vectors in ``lstm.PARAMETERS`` order; each update's
+    # weights are built from the parameter arrays' views of their slices
+    given = [getattr(w, name) for name in lstm.PARAMETERS]
+    params = np.concatenate(given, axis=None)
+    grad, mom, vel, upd, tmp = np.zeros((5, params.size))
+    arrays = [part.reshape(a.shape) for part, a in zip(
+        np.split(params, np.cumsum([a.size for a in given])[:-1]), given)]
     step_count = 0
     b1, b2, eps = 0.9, 0.999, 1e-8
     max_epochs = max(cfg.epochs, 1) * cfg.extension_factor
@@ -333,14 +345,24 @@ def train(data, cfg, init=None, callback=None):
             step_count += 1
             corr1 = 1.0 - b1 ** step_count
             corr2 = 1.0 - b2 ** step_count
-            new = {}
-            for name in lstm.PARAMETERS:
-                g = grads[name]
-                mom[name] = b1 * mom[name] + (1 - b1) * g
-                vel[name] = b2 * vel[name] + (1 - b2) * g * g
-                upd = (mom[name] / corr1) / (np.sqrt(vel[name] / corr2) + eps)
-                new[name] = getattr(w, name) - cfg.learning_rate * upd
-            w = LstmWeights(**new, u_max=w.u_max, u_range=u_range, y_range=y_range)
+            np.concatenate([grads[name] for name in lstm.PARAMETERS], axis=None, out=grad)
+            # mom = b1 mom + (1 - b1) g, vel = b2 vel + ((1 - b2) g) g, and
+            # params -= lr ((mom / corr1) / (sqrt(vel / corr2) + eps)), in place
+            np.multiply(mom, b1, mom)
+            np.multiply(grad, 1 - b1, tmp)
+            np.add(mom, tmp, mom)
+            np.multiply(vel, b2, vel)
+            np.multiply(grad, 1 - b2, tmp)
+            np.multiply(tmp, grad, tmp)
+            np.add(vel, tmp, vel)
+            np.divide(mom, corr1, upd)
+            np.divide(vel, corr2, tmp)
+            np.sqrt(tmp, tmp)
+            np.add(tmp, eps, tmp)
+            np.divide(upd, tmp, upd)
+            np.multiply(upd, cfg.learning_rate, upd)
+            np.subtract(params, upd, params)
+            w = LstmWeights(*arrays, u_max=w.u_max, u_range=u_range, y_range=y_range)
         margins = (bounds := lstm.gate_bounds(w)).r1, bounds.r2
         if callback is not None:
             callback(epoch, epoch_loss / max(len(order), 1), margins)

@@ -370,7 +370,8 @@ def test_every_dataset_mutation_exits_cleanly(tmp_path, capsys):
     # shipped model: it trains nothing and reports a finite test FIT, or
     # fails by name: train returns 0, 1 or 2 and raises nothing, not even a
     # warning, and on 2 its one stderr line names a manifest field, a file
-    # or a line
+    # or a line; a y_hi so large that every output normalizes to -1 is
+    # named as y_hi, not as the washout the constant test trace fails
     directory = tmp_path / "ds"
     rng = random.Random(52)
     saved_dataset(directory, rng)
@@ -379,7 +380,7 @@ def test_every_dataset_mutation_exits_cleanly(tmp_path, capsys):
     out, weights = str(tmp_path / "model.json"), str(ASSETS / "model.json")
     file_names = "|".join(re.escape(name) for name in [*original, str(directory)])
     named = re.compile(rf"\b({'|'.join(DATASET_FIELDS)})\b|{file_names}|\bline \d+")
-    failed = []
+    failed, messages = [], {}
     for file, kind, content in cases:
         for name, kept in original.items():
             (directory / name).write_bytes(kept)
@@ -394,8 +395,10 @@ def test_every_dataset_mutation_exits_cleanly(tmp_path, capsys):
         except Exception as exc:     # a traceback, or not one JSON line
             failed.append(f"{file} {kind}: {exc!r}")
             continue
+        messages[kind] = message
         if rc not in (0, 1, 2) or rc == 2 and not (message and named.search(message)) \
                 or rc == 0 and re.search(r"\b(nan|inf)\b", captured.out):
             failed.append(f"{file} {kind}: {rc} {err} {captured.out}")
     assert len(cases) >= 150
     assert failed == []
+    assert re.search(r"\by_hi\b", messages["normalization/y_hi/huge"] or "")

@@ -948,9 +948,10 @@ class TestCli:
     # name only the bare key (a missing normalization or
     # test split), blame numpy or the ranges in general (text that is not
     # JSON, a NaN bound, a row of 4 columns), warn of an overflow (a cell
-    # of 1e308, which normalizes to inf) or pass without a word (an
+    # of 1e308, which normalizes to inf), pass without a word (an
     # unknown key or split, an infinite bound, which normalizes every input
-    # to -1)
+    # to -1) or name only the washout (a bound of 1e308, which maps every
+    # output to -1, so the test trace is constant)
     @pytest.mark.parametrize("name, edit, message", [
         ("manifest.json", lambda text: text[:-1], "<dir>/manifest.json is not JSON: Expecting"),
         ("manifest.json", manifest_edit(lambda doc: [doc]),
@@ -996,11 +997,15 @@ class TestCli:
         ("seq_001.csv", cell_edit(4, 2, "1e308"),
          "seq_001.csv line 4 must be a (u_raw, y_raw) pair that the manifest's normalization "
          "maps to finite numbers, got ["),
+        ("manifest.json", manifest_edit(lambda doc: doc["normalization"].update(y_hi=1e308)),
+         "(y_lo, y_hi) must be a pair that maps the distinct y_raw samples of seq_000.csv to "
+         "more than one value, got ("),
     ], ids=["not-json", "manifest-list", "normalization-missing", "manifest-unknown-key",
             "normalization-list", "u_hi-string", "u_lo-nan", "u_hi-inf", "test-split-missing",
             "split-unknown", "split-entry-number", "split-not-a-list", "split-entry-empty",
             "split-entry-absolute", "split-entry-parent", "header-only",
-            "two-columns", "four-column-row", "cell-not-a-number", "cell-overflows"])
+            "two-columns", "four-column-row", "cell-not-a-number", "cell-overflows",
+            "y_hi-huge"])
     def test_dataset_file_field_is_named(self, tmp_path, capsys, gen_data_dir, name, edit,
                                          message):
         data = tmp_path / "ds"

@@ -139,7 +139,8 @@ def blockwise_adjoint_oracle(w, c, cache, dc_stage, dh_stage):
     for k0 in range((n_t - 1) // block * block, -1, -block):
         k1 = min(k0 + block, n_t)
         aug = np.zeros((k1 - k0, n2 + 1, n2))
-        lstm._step_jacobians(w, lstm._jacobian_buffers([x[k0:k1] for x in factors], aug))
+        lstm._step_jacobians(w.UW[:, :, :n],
+                             lstm._jacobian_buffers([x[k0:k1] for x in factors], aug))
         aug[:, n2, :n], aug[:, n2, n:] = dc_stage[k0:k1], dh_stage[k0:k1]
         for k in range(k1 - 1, k0 - 1, -1):
             lam[k, :n2] = lam[k + 1].dot(aug[k - k0])
@@ -385,6 +386,24 @@ class TestAdjointBlocks:
                 want = blockwise_adjoint_oracle(w, c, cache, dc_stage, dh_stage)
                 assert ws.adjoint(dc_stage, dh_stage).tobytes() == want.tobytes()
         assert_adjoint_matches_oracle(w, ws, c, cache, dc_stage, dh_stage)
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, 0), (1, 1), (0, 1499)],
+                             ids=["1", "block", "block+1", "1499"])
+    def test_tiles_follow_the_weights_of_each_call(self, bench_w, blocks, extra):
+        # reverses in one workspace under different weights refresh its gate
+        # tiles, the short last block's rows too: each equals a fresh
+        # workspace's dz bit for bit
+        other = small_net(seed=7, n=bench_w.n, m=bench_w.m, p=bench_w.p, scale=0.3)
+        n_steps = blocks * lstm._sweep_block(bench_w.n, bench_w.m) + extra
+        rng = np.random.default_rng(n_steps)
+        ws = lstm.Workspace(bench_w.n, bench_w.m, n_steps)
+        for w in (bench_w, other, bench_w):
+            x0 = random_invariant_state(w, rng)
+            u = rng.uniform(-1.0, 1.0, (n_steps, w.m))
+            dc_stage, dh_stage = rng.normal(size=(2, n_steps + 1, w.n))
+            ws.rollout(w, x0.c, x0.h, u)
+            got = ws.adjoint(dc_stage, dh_stage)
+            assert got.tobytes() == swept(w, x0, u)[0].adjoint(dc_stage, dh_stage).tobytes()
 
     @pytest.mark.parametrize("net", ["bench", "square2"])
     def test_interleaved_calls_give_a_fresh_workspaces_bytes(self, bench_w, monkeypatch, net):
@@ -919,8 +938,9 @@ def step_jacobians_oracle(w, factors, out):
 
 def a_only(w, factors, out):
     """A_k alone into the (T, >= 2n, 2n) ``out``, by the kernel and buffers
-    of ``Workspace.adjoint``'s blocks."""
-    lstm._step_jacobians(w, lstm._jacobian_buffers(factors, out))
+    of ``Workspace.adjoint``'s blocks, on its gate tiles of U."""
+    tiles = np.repeat(w.UW[:, None, :, :w.n], len(out), axis=1)
+    lstm._step_jacobians(tiles, lstm._jacobian_buffers(factors, out))
 
 
 class TestStepJacobians:

@@ -195,7 +195,57 @@ class TestLoss:
             fresh_loss(w, u, u, cfg)
 
 
+def per_array_adam_train(data, cfg, w, epochs):
+    """``sysid.train``'s updates with Adam written per parameter array, one
+    dict entry per name of ``lstm.PARAMETERS``: ``epochs`` epochs from the
+    weights ``w``, in train's order of sequences, each loss in a workspace
+    of its sequence's length. ``train`` must equal it byte for byte."""
+    u_range = (data.normalizer.u_lo, data.normalizer.u_hi)
+    y_range = (data.normalizer.y_lo, data.normalizer.y_hi)
+    workspaces = sysid._workspaces(w, data.train)
+    rng = np.random.default_rng(cfg.seed + 1)
+    mom = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
+    vel = {name: np.zeros_like(getattr(w, name)) for name in lstm.PARAMETERS}
+    step_count = 0
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for _ in range(epochs):
+        for s in rng.permutation(len(data.train)):
+            u_seq, y_seq = data.train[s]
+            _, grads = sysid.loss(w, u_seq, y_seq, cfg, workspaces[len(u_seq)])
+            step_count += 1
+            corr1 = 1.0 - b1 ** step_count
+            corr2 = 1.0 - b2 ** step_count
+            new = {}
+            for name in lstm.PARAMETERS:
+                g = grads[name]
+                mom[name] = b1 * mom[name] + (1 - b1) * g
+                vel[name] = b2 * vel[name] + (1 - b2) * g * g
+                upd = (mom[name] / corr1) / (np.sqrt(vel[name] / corr2) + eps)
+                new[name] = getattr(w, name) - cfg.learning_rate * upd
+            w = lstm.LstmWeights(*(new[name] for name in lstm.PARAMETERS), u_max=w.u_max,
+                                 u_range=u_range, y_range=y_range)
+    return w
+
+
 class TestTrain:
+    @pytest.mark.parametrize("seed, n", [(1, 3), (6, 4)])
+    def test_flat_adam_equals_the_per_array_reference(self, seed, n):
+        # two epochs from a seeded net: train's Adam over one flat vector
+        # gives the reference's weights and FIT byte for byte
+        ds = synthetic_dataset(seed=seed)
+        init = small_net(seed=seed, n=n)
+        cfg = sysid.TrainConfig(epochs=2, n_neurons=n, washout=10, seed=seed)
+        seen = []
+        w = sysid.train(ds, cfg, init=init, callback=lambda *args: seen.append(args))
+        ref = per_array_adam_train(ds, cfg, init, epochs=2)
+        assert len(seen) == 2
+        for name in (*lstm.PARAMETERS, "u_max", "u_range", "y_range"):
+            assert np.asarray(getattr(w, name)).tobytes() == \
+                np.asarray(getattr(ref, name)).tobytes(), name
+        assert not np.array_equal(w.U, init.U)
+        assert repr(sysid.evaluate_fit(w, ds.test, washout=10)) == \
+            repr(sysid.evaluate_fit(ref, ds.test, washout=10))
+
     def test_zero_epochs_returns_certified_init(self):
         ds = synthetic_dataset()
         init = small_net(seed=9, n=3)
